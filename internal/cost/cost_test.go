@@ -205,6 +205,9 @@ func TestCalibrate(t *testing.T) {
 	if p.Model <= 0 || p.Compare <= 0 {
 		t.Errorf("non-positive calibrated costs: %+v", p)
 	}
+	if p.TensorSpeedup == DefaultParams().TensorSpeedup {
+		t.Errorf("TensorSpeedup was inherited, not measured: %+v", p)
+	}
 	// A real embedding model costs far more than one dot product.
 	if p.Model < p.Compare {
 		t.Errorf("expected model >= compare: %+v", p)

@@ -193,8 +193,7 @@ func (s *Store) EmbedAll(ctx context.Context, m model.Model, inputs []string, op
 		sh := s.shardFor(k)
 		sh.mu.Lock()
 		if el, ok := sh.entries[k]; ok {
-			sh.lru.MoveToFront(el)
-			copy(out.Row(i), el.Value.(*entry).vec)
+			copy(out.Row(i), sh.touch(el).vec)
 			sh.mu.Unlock()
 			s.hits.Add(1)
 			bs.Hits++

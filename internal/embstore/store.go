@@ -10,7 +10,8 @@
 // repetition over the same corpus pays the model cost once, after which
 // lookups are memory reads. Under concurrent traffic, requests for the same
 // input string are merged into one in-flight model call (single flight),
-// and memory is bounded by a per-shard LRU eviction policy.
+// memory is bounded by a per-shard LRU eviction policy, and an owner that
+// knows inputs have gone away (deleted rows) can Retire them early.
 //
 // The store observes the Model contract: embeddings handed out are fresh,
 // caller-owned, unit-norm copies.
@@ -57,7 +58,8 @@ type Stats struct {
 	// in-flight model call (single-flight deduplication) or a duplicate
 	// within one batch.
 	Merged int64 `json:"merged"`
-	// Evictions is the number of entries evicted by the LRU policy.
+	// Evictions is the number of entries dropped: by the LRU policy under
+	// the byte budget, or because their owner retired them (Retire).
 	Evictions int64 `json:"evictions"`
 	// ModelCalls is the number of Model.Embed invocations the store made.
 	ModelCalls int64 `json:"model_calls"`
@@ -96,6 +98,9 @@ func Fingerprint(m model.Model) string {
 type entry struct {
 	key string
 	vec []float32
+	// retired is set by Retire and cleared by any later use; the second
+	// Retire call after that evicts the entries still carrying it.
+	retired bool
 }
 
 // flight is one in-flight model call other lookups can merge into.
@@ -132,6 +137,11 @@ type Store struct {
 	// every shard under its lock.
 	countsMu sync.Mutex
 	counts   map[string]int
+
+	// retireMu serializes Retire calls; retiring holds the keys the last
+	// two calls marked, older first. Each call sweeps the older set.
+	retireMu sync.Mutex
+	retiring [2][]string
 
 	hits       atomic.Int64
 	misses     atomic.Int64
@@ -297,8 +307,7 @@ func (s *Store) Get(ctx context.Context, m model.Model, input string) ([]float32
 	for {
 		sh.mu.Lock()
 		if el, ok := sh.entries[k]; ok {
-			sh.lru.MoveToFront(el)
-			out := cloneVec(el.Value.(*entry).vec)
+			out := cloneVec(sh.touch(el).vec)
 			sh.mu.Unlock()
 			s.hits.Add(1)
 			return out, nil
@@ -443,7 +452,7 @@ func (s *Store) countEntry(k string, delta int) {
 func (s *Store) insertLocked(sh *shard, k string, v []float32) {
 	if el, ok := sh.entries[k]; ok {
 		// Lost a rare batch/single race; keep the existing entry.
-		sh.lru.MoveToFront(el)
+		sh.touch(el)
 		return
 	}
 	el := sh.lru.PushFront(&entry{key: k, vec: v})
@@ -458,13 +467,63 @@ func (s *Store) insertLocked(sh *shard, k string, v []float32) {
 		if tail == nil || tail == el {
 			break
 		}
-		ev := tail.Value.(*entry)
-		sh.lru.Remove(tail)
-		delete(sh.entries, ev.key)
-		sh.bytes -= entryBytes(ev.key, ev.vec)
-		s.countEntry(ev.key, -1)
-		s.evictions.Add(1)
+		s.evictLocked(sh, tail)
 	}
+}
+
+// touch records a use of el: most recently used, and no longer retired.
+func (sh *shard) touch(el *list.Element) *entry {
+	sh.lru.MoveToFront(el)
+	e := el.Value.(*entry)
+	e.retired = false
+	return e
+}
+
+func (s *Store) evictLocked(sh *shard, el *list.Element) {
+	ev := el.Value.(*entry)
+	sh.lru.Remove(el)
+	delete(sh.entries, ev.key)
+	sh.bytes -= entryBytes(ev.key, ev.vec)
+	s.countEntry(ev.key, -1)
+	s.evictions.Add(1)
+}
+
+// Retire tells the store that nothing its caller owns references inputs
+// under fingerprint fp any more — the rows holding them were deleted or
+// overwritten. Their entries are marked now and evicted two Retire calls
+// later if still marked. Any use in between clears the mark, so a text
+// that also lives in another row, table or engine sharing the store
+// survives as long as a query touches it within two mutations; at worst
+// (a run of mutations with no query among them) such a text costs one
+// model call to bring back.
+//
+// Without this, a table under upsert/delete churn grows the store by
+// every text it ever held: dead entries are cold, but a byte budget sized
+// for the working set is never reached by them alone.
+func (s *Store) Retire(fp string, inputs []string) {
+	keys := make([]string, len(inputs))
+	for i, in := range inputs {
+		keys[i] = key(fp, in)
+	}
+	s.retireMu.Lock()
+	defer s.retireMu.Unlock()
+	for _, k := range s.retiring[0] {
+		sh := s.shardFor(k)
+		sh.mu.Lock()
+		if el, ok := sh.entries[k]; ok && el.Value.(*entry).retired {
+			s.evictLocked(sh, el)
+		}
+		sh.mu.Unlock()
+	}
+	for _, k := range keys {
+		sh := s.shardFor(k)
+		sh.mu.Lock()
+		if el, ok := sh.entries[k]; ok {
+			el.Value.(*entry).retired = true
+		}
+		sh.mu.Unlock()
+	}
+	s.retiring[0], s.retiring[1] = s.retiring[1], keys
 }
 
 func entryBytes(k string, v []float32) int64 {

@@ -724,3 +724,49 @@ func TestOnInsertHookObservesModelComputedEntries(t *testing.T) {
 		t.Errorf("hook fired after detach")
 	}
 }
+
+// TestRetire: a retired entry is evicted two Retire calls later unless
+// something used it in between; byte and entry accounting follow.
+func TestRetire(t *testing.T) {
+	m := testModel(t, 16)
+	s := New(Config{})
+	ctx := context.Background()
+	fp := Fingerprint(m)
+	for _, in := range []string{"gone", "shared", "kept"} {
+		if _, err := s.Get(ctx, m, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := s.Stats()
+
+	s.Retire(fp, []string{"gone", "shared", "never-cached"})
+	s.Retire(fp, nil)
+	if got := s.Len(); got != 3 {
+		t.Fatalf("Retire evicted within the grace period: %d entries left, want 3", got)
+	}
+	// Another owner of "shared" reads it during the grace period.
+	if _, err := s.Get(ctx, m, "shared"); err != nil {
+		t.Fatal(err)
+	}
+	s.Retire(fp, nil)
+
+	for in, want := range map[string]bool{"gone": false, "shared": true, "kept": true} {
+		if got := s.Contains(m, in); got != want {
+			t.Errorf("Contains(%q) = %v, want %v", in, got, want)
+		}
+	}
+	st := s.Stats()
+	if st.Entries != 2 || st.Evictions != 1 || st.Bytes >= full.Bytes {
+		t.Errorf("after retiring one entry: %+v (before: %+v)", st, full)
+	}
+	if got := s.ModelEntries()[fp]; got != 2 {
+		t.Errorf("ModelEntries = %d, want 2", got)
+	}
+	// The evicted text comes back with one model call, like any miss.
+	if _, err := s.Get(ctx, m, "gone"); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().ModelCalls; got != full.ModelCalls+1 {
+		t.Errorf("model calls = %d, want %d", got, full.ModelCalls+1)
+	}
+}

@@ -68,8 +68,9 @@ func max(a, b int) int {
 }
 
 // BlockVisitor receives one computed similarity block. block aliases an
-// internal buffer that is reused for the next block: consumers must extract
-// what they need (e.g. qualifying offsets) before returning. rOff/sOff are
+// internal buffer that is reused for the next block and, once ForEachBlock
+// returns, by later calls: consumers must extract what they need (e.g.
+// qualifying offsets) before returning. rOff/sOff are
 // the global row offsets of the block's top-left corner (the "batch offsets"
 // of Figure 6, step 2).
 type BlockVisitor func(block *Matrix, rOff, sOff int) error
@@ -93,7 +94,12 @@ func ForEachBlock(r, s *Matrix, opts BatchOptions, fn BlockVisitor) error {
 	rb = clamp(rb, 1, nr)
 	sb = clamp(sb, 1, ns)
 
-	buf := New(rb, sb)
+	// One reused rb*sb backing slice serves every block. An edge block is
+	// a smaller dense matrix over a prefix of it; MulTransposeInto writes
+	// every cell, so the buffer's previous contents never show.
+	buf := getBlockBuf(rb * sb)
+	defer putBlockBuf(buf)
+	var block Matrix
 	for rLo := 0; rLo < nr; rLo += rb {
 		rHi := rLo + rb
 		if rHi > nr {
@@ -106,16 +112,12 @@ func ForEachBlock(r, s *Matrix, opts BatchOptions, fn BlockVisitor) error {
 				sHi = ns
 			}
 			sBlk := s.Slice(sLo, sHi)
-			dst := buf
-			if rHi-rLo != rb || sHi-sLo != sb {
-				// Edge block: view with the right shape over fresh storage
-				// (cannot reshape the row-major buffer without strides).
-				dst = New(rHi-rLo, sHi-sLo)
-			}
-			if err := MulTransposeInto(dst, rBlk, sBlk, opts.Gemm); err != nil {
+			rows, cols := rHi-rLo, sHi-sLo
+			block = Matrix{RowsN: rows, ColsN: cols, Data: buf.data[:rows*cols]}
+			if err := MulTransposeInto(&block, rBlk, sBlk, opts.Gemm); err != nil {
 				return err
 			}
-			if err := fn(dst, rLo, sLo); err != nil {
+			if err := fn(&block, rLo, sLo); err != nil {
 				return err
 			}
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // GemmOptions tunes the blocked similarity GEMM. The zero value picks
-// sensible defaults (all CPUs, 64×64 blocks, SIMD kernel).
+// sensible defaults (all CPUs, 64×64 blocks).
 type GemmOptions struct {
 	// Threads is the number of worker goroutines; <=0 means GOMAXPROCS.
 	Threads int
@@ -17,7 +17,9 @@ type GemmOptions struct {
 	BlockRows int
 	// BlockCols is the S-panel height in rows; <=0 means 64.
 	BlockCols int
-	// Kernel selects scalar vs unrolled inner kernels.
+	// Kernel selects the inner kernel: vec.KernelScalar (the zero value),
+	// or vec.KernelSIMD — the AVX2 assembly tile where the host has it,
+	// the pure-Go register tile elsewhere. All give the same bits.
 	Kernel vec.Kernel
 }
 
@@ -53,47 +55,61 @@ func MulTransposeInto(dst, r, s *Matrix, opts GemmOptions) error {
 	}
 
 	// Parallelize over R row panels; each worker owns disjoint dst rows,
-	// so no synchronization on writes is needed.
+	// so no synchronization on writes is needed. The assembly kernel packs
+	// every S block once per panel, so it wants few, tall panels: one per
+	// thread, never shorter than the pure-Go panel, whole 4-row tiles.
+	simd := opts.Kernel == vec.KernelSIMD && haveSIMD && r.Cols() > 0
+	step := opts.BlockRows
+	if simd {
+		step = (max(step, (nr+opts.Threads-1)/opts.Threads) + 3) &^ 3
+	}
+	workers := min(opts.Threads, (nr+step-1)/step)
+	if workers <= 1 {
+		// One thread or one panel: a goroutine and a channel per call
+		// would cost more than they buy on small probe blocks.
+		for lo := 0; lo < nr; lo += step {
+			mulPanel(dst, r, s, lo, min(lo+step, nr), opts, simd)
+		}
+		return nil
+	}
+	mulPanelsParallel(dst, r, s, step, workers, opts, simd)
+	return nil
+}
+
+// mulPanelsParallel hands row panels of step rows to workers goroutines
+// and waits for them. (Separate from MulTransposeInto so that the inline
+// path does not pay for the closure's captured variables.)
+func mulPanelsParallel(dst, r, s *Matrix, step, workers int, opts GemmOptions, simd bool) {
+	nr := r.Rows()
 	panels := make(chan [2]int)
 	var wg sync.WaitGroup
-	workers := opts.Threads
-	if workers > nr {
-		workers = nr
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for p := range panels {
-				mulPanel(dst, r, s, p[0], p[1], opts)
+				mulPanel(dst, r, s, p[0], p[1], opts, simd)
 			}
 		}()
 	}
-	for lo := 0; lo < nr; lo += opts.BlockRows {
-		hi := lo + opts.BlockRows
-		if hi > nr {
-			hi = nr
-		}
-		panels <- [2]int{lo, hi}
+	for lo := 0; lo < nr; lo += step {
+		panels <- [2]int{lo, min(lo+step, nr)}
 	}
 	close(panels)
 	wg.Wait()
-	return nil
 }
 
 // mulPanel computes dst rows [rLo, rHi) against all of s, iterating S in
 // column blocks so a block of S rows stays in cache while being reused
 // against every R row of the panel.
-func mulPanel(dst, r, s *Matrix, rLo, rHi int, opts GemmOptions) {
+func mulPanel(dst, r, s *Matrix, rLo, rHi int, opts GemmOptions, simd bool) {
+	if simd {
+		mulPanelSIMD(dst, r, s, rLo, rHi, opts.BlockCols)
+		return
+	}
 	ns := s.Rows()
 	for sLo := 0; sLo < ns; sLo += opts.BlockCols {
-		sHi := sLo + opts.BlockCols
-		if sHi > ns {
-			sHi = ns
-		}
+		sHi := min(sLo+opts.BlockCols, ns)
 		if opts.Kernel == vec.KernelSIMD {
 			mulBlockUnrolled(dst, r, s, rLo, rHi, sLo, sHi)
 		} else {
@@ -117,11 +133,12 @@ func mulBlockScalar(dst, r, s *Matrix, rLo, rHi, sLo, sHi int) {
 	}
 }
 
-// mulBlockUnrolled is the register-tiled micro-kernel: a 4(R)x2(S) tile
-// keeps 8 accumulators live and reuses every loaded element across the
-// tile (6 loads feed 8 multiply-adds), which is where BLAS kernels get
-// their advantage over tuple-at-a-time dot products. Go has no intrinsics,
-// so this is the closest pure-Go analogue of MKL's role in the paper.
+// mulBlockUnrolled is the portable register-tiled micro-kernel, and the
+// reference the assembly kernel is held to: a 4(R)x2(S) tile keeps 8
+// accumulators live and reuses every loaded element across the tile (6
+// loads feed 8 multiply-adds), which is where BLAS kernels get their
+// advantage over tuple-at-a-time dot products. It runs KernelSIMD on
+// every build or host without the AVX2 kernel.
 //
 // Determinism contract: every output cell accumulates over k in ascending
 // order, whether it lands in the 4x2 tile or a remainder row/column. A
@@ -186,9 +203,10 @@ func mulBlockUnrolled(dst, r, s *Matrix, rLo, rHi, sLo, sHi int) {
 	}
 }
 
-// dotSeq is the remainder-cell kernel: one sequential ascending-k loop,
-// the same accumulation order as the register tile's per-cell sums and as
-// mulBlockScalar. Remainder cells must not reassociate differently from
+// dotSeq is the remainder-cell kernel and the GEMM contract's reference:
+// one sequential ascending-k loop, the same accumulation order as the
+// register tile's per-cell sums, mulBlockScalar, and each lane of the
+// assembly kernel. Remainder cells must not reassociate differently from
 // tile cells (e.g. via vec.Dot's multi-lane accumulators), or a cell's
 // value would depend on its position relative to the 4x2 tiling.
 func dotSeq(a, b []float32) float32 {

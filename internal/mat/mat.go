@@ -4,10 +4,34 @@
 // D = R · Sᵀ block-wise per the Block Matrix Dot Product Decomposition.
 //
 // The paper uses Intel oneAPI MKL for this role; this package is the
-// stdlib-only substitute. It implements the same structural optimizations
-// that make BLAS fast on this shape: tuple-boundary blocking so a block of
-// S rows stays cache-resident while being reused against a block of R rows,
-// unrolled inner kernels, and data-parallel execution across row panels.
+// dependency-free substitute. It implements the same structural
+// optimizations that make BLAS fast on this shape: tuple-boundary blocking
+// so a block of S rows stays cache-resident while being reused against a
+// block of R rows, a register-tiled micro-kernel, and data-parallel
+// execution across row panels.
+//
+// # GEMM contract
+//
+// Every output cell is the sequential sum, over ascending k, of
+// r[k]*s[k] — a multiply rounded to float32, then an add rounded to
+// float32, never a fused multiply-add. The cell's bits therefore equal
+// dotSeq(r, s) and depend only on its two input vectors: not on the
+// matrix shapes, the blocking options, the thread count, slicing, or
+// which kernel ran. The shard router and the differential test suites
+// rely on this. (NaN cells are NaN on every path; their sign and payload
+// are not part of the contract.)
+//
+// Three kernels honour it. vec.KernelScalar is the plain triple loop.
+// vec.KernelSIMD on amd64 hosts with AVX2 (checked once by CPUID/XGETBV)
+// packs S into 16-column k-major panels and runs a 4x16 assembly tile in
+// which each YMM lane owns one output column: per k it broadcasts four R
+// elements and issues VMULPS then VADDPS against the panel, so every lane
+// performs exactly dotSeq's operation sequence (the amd64 compiler never
+// fuses a float32 multiply-add on its own). Everywhere else — other
+// architectures, amd64 without AVX2, the purego build tag —
+// vec.KernelSIMD runs mulBlockUnrolled, a pure-Go 4x2 register tile with
+// the same per-cell order, which is also the reference the assembly is
+// tested against.
 package mat
 
 import (

@@ -49,6 +49,9 @@ func TestUpsertReplacesByKeyAndDeleteTombstones(t *testing.T) {
 	if replaced != 1 || v.Gen != 1 {
 		t.Fatalf("replaced=%d gen=%d, want 1/1", replaced, v.Gen)
 	}
+	if !reflect.DeepEqual(v.Retired, []int{1}) {
+		t.Fatalf("upsert retired rows %v, want the overwritten row 1", v.Retired)
+	}
 	if got := liveNames(t, v); !reflect.DeepEqual(got, []string{"a", "c", "b2", "d"}) {
 		t.Fatalf("live names after upsert: %v", got)
 	}
@@ -59,6 +62,9 @@ func TestUpsertReplacesByKeyAndDeleteTombstones(t *testing.T) {
 	}
 	if removed != 1 || v2.Gen != 2 {
 		t.Fatalf("removed=%d gen=%d, want 1/2", removed, v2.Gen)
+	}
+	if !reflect.DeepEqual(v2.Retired, []int{0}) {
+		t.Fatalf("delete retired rows %v, want the deleted row 0", v2.Retired)
 	}
 	if got := liveNames(t, v2); !reflect.DeepEqual(got, []string{"c", "b2", "d"}) {
 		t.Fatalf("live names after delete: %v", got)

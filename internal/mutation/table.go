@@ -32,6 +32,10 @@ type Version struct {
 	Gen uint64
 	// Dead counts tombstoned rows (Table.NumRows() - live rows).
 	Dead int
+	// Retired lists the row ids the mutation that published this version
+	// tombstoned (overwritten or deleted), so the owner can release what
+	// it holds for them; nil for a registered base table.
+	Retired []int
 }
 
 // NumLive returns the visible row count.
@@ -229,7 +233,7 @@ func (t *Table) applyUpsert(cur *Version, keys map[string]int, batchKey relation
 			live.Set(r)
 		}
 	}
-	replaced := 0
+	var retired []int
 	base := cur.Table.NumRows()
 	for i := 0; i < batch.NumRows(); i++ {
 		k, err := KeyString(batchKey, i)
@@ -241,11 +245,13 @@ func (t *Table) applyUpsert(cur *Version, keys map[string]int, batchKey relation
 		live.Set(id)
 		if old, ok := keys[k]; ok {
 			live.Clear(old)
-			replaced++
+			retired = append(retired, old)
 		}
 		keys[k] = id
 	}
-	return makeVersion(nt, live, gen), replaced, nil
+	next := makeVersion(nt, live, gen)
+	next.Retired = retired
+	return next, len(retired), nil
 }
 
 // Delete tombstones the live rows whose keyCol values match keys
@@ -280,15 +286,16 @@ func (t *Table) Delete(keyCol string, delKeys []string, hooks Hooks) (*Version, 
 			live.Set(r)
 		}
 	}
-	removed := 0
+	var retired []int
 	for _, k := range delKeys {
 		if id, ok := keys[k]; ok {
 			live.Clear(id)
 			delete(keys, k)
-			removed++
+			retired = append(retired, id)
 		}
 	}
 	next := makeVersion(cur.Table, live, gen)
+	next.Retired = retired
 	if hooks.BeforePublish != nil {
 		if err := hooks.BeforePublish(next, nil); err != nil {
 			t.keys = nil
@@ -296,7 +303,7 @@ func (t *Table) Delete(keyCol string, delKeys []string, hooks Hooks) (*Version, 
 		}
 	}
 	t.cur.Store(next)
-	return next, removed, nil
+	return next, len(retired), nil
 }
 
 // deleteBatch encodes delete keys as the single-column table a KindDelete

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ejoin/internal/embstore"
 	"ejoin/internal/ivf"
 	"ejoin/internal/mat"
 	"ejoin/internal/mutation"
@@ -250,6 +251,7 @@ func (e *Engine) UpsertRows(ctx context.Context, name, keyCol string, batch *rel
 	}
 	sp.Attr("rows", int64(batch.NumRows())).Attr("replaced", int64(replaced)).End()
 	e.catalog.Replace(name, next.Table)
+	e.retireEmbeddings(next, batch)
 	e.mut.upserts.Add(1)
 	e.mut.upsertedRows.Add(int64(batch.NumRows()))
 	e.mut.replaced.Add(int64(replaced))
@@ -305,6 +307,7 @@ func (e *Engine) DeleteRows(ctx context.Context, name, keyCol string, keys []str
 	}
 	sp.Attr("deleted", int64(removed)).End()
 	e.catalog.Replace(name, next.Table)
+	e.retireEmbeddings(next, nil)
 	e.mut.deletes.Add(1)
 	e.mut.deleted.Add(int64(removed))
 	res := MutationResult{
@@ -317,6 +320,37 @@ func (e *Engine) DeleteRows(ctx context.Context, name, keyCol string, keys []str
 	res.Reclustering = e.maybeRecluster(ts, next)
 	e.finishTrace(tr, "delete", "", nil, nil)
 	return res, nil
+}
+
+// retireEmbeddings releases the store entries of the rows v's mutation
+// tombstoned, so the shared store tracks the tables' live text instead of
+// every text they ever held. Texts the appended batch re-introduces are
+// kept; a text still live elsewhere survives through Retire's grace
+// period (a query within the next two mutations touches it).
+func (e *Engine) retireEmbeddings(v *mutation.Version, appended *relational.Table) {
+	if len(v.Retired) == 0 {
+		return
+	}
+	var texts []string
+	for c, col := range v.Table.Schema() {
+		if col.Type != relational.String {
+			continue
+		}
+		var kept map[string]bool
+		if appended != nil {
+			kept = make(map[string]bool, appended.NumRows())
+			for _, s := range appended.ColumnAt(c).(relational.StringColumn) {
+				kept[s] = true
+			}
+		}
+		vals := v.Table.ColumnAt(c).(relational.StringColumn)
+		for _, rid := range v.Retired {
+			if s := vals[rid]; !kept[s] {
+				texts = append(texts, s)
+			}
+		}
+	}
+	e.store.Retire(embstore.Fingerprint(e.model), texts)
 }
 
 // maybeRecluster evaluates the deleted-fraction trigger for ts's index.

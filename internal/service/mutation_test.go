@@ -421,3 +421,45 @@ func TestMutationIndexMaintenance(t *testing.T) {
 		t.Fatalf("post-upsert top-1 = row %d, want appended row 20", got)
 	}
 }
+
+// TestMutationChurnDoesNotGrowStore: under upsert/delete churn the shared
+// store tracks the tables' live text instead of every text they ever
+// held, and a retired text that is still live in another table keeps its
+// entry (no model call to bring it back).
+func TestMutationChurnDoesNotGrowStore(t *testing.T) {
+	e, counting := openTestEngine(t, "")
+	defer e.Close()
+	ingestPair(t, e)
+	runQuery(t, e)
+	base := e.Store().Len()
+
+	del := func(key string) {
+		t.Helper()
+		if _, err := e.DeleteRows(context.Background(), "right", "text", []string{key}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		text := fmt.Sprintf("churn%d", i)
+		upsertRightCSV(t, e, text)
+		runQuery(t, e)
+		del(text)
+	}
+	runQuery(t, e)
+	if got := e.Store().Len(); got > base+2 {
+		t.Errorf("store holds %d entries after churn over %d live texts", got, base)
+	}
+
+	// "giraffe" lives in left too: retiring right's copy must not cost the
+	// next queries a model call, however many mutations follow.
+	upsertRightCSV(t, e, "giraffe")
+	runQuery(t, e)
+	calls := counting.Calls()
+	del("giraffe")
+	runQuery(t, e)
+	del("zebra")
+	runQuery(t, e)
+	if got := counting.Calls(); got != calls {
+		t.Errorf("%d model calls after retiring a text another table still holds", got-calls)
+	}
+}

@@ -175,6 +175,10 @@ type ServerStats struct {
 // Stats snapshots the engine's statistics.
 func (e *Engine) Stats() ServerStats {
 	c := &e.counters
+	// Query bumps c.queries before it records a latency sample, so the
+	// histogram count is read first: a snapshot never shows a sample
+	// whose query it does not count.
+	obsStats := e.obsStats()
 	hits, misses, invalidations, entries := e.plans.snapshot()
 	st := ServerStats{
 		Uptime:                 time.Since(e.start),
@@ -205,7 +209,7 @@ func (e *Engine) Stats() ServerStats {
 	}
 	st.Quant.TablePrecisions = e.tablePrec.snapshot()
 	st.Quant.PrecisionSlack = e.cfg.PrecisionSlack
-	st.Obs = e.obsStats()
+	st.Obs = obsStats
 	st.Cost = e.costStats()
 	st.Feedback = e.feedbackStats()
 	c.mu.Lock()

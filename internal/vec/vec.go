@@ -3,14 +3,17 @@
 // cosine similarity.
 //
 // The paper's physical optimization layer (Section V) distinguishes a plain
-// scalar implementation from a SIMD (AVX-512) implementation. Go has no
-// intrinsics, so this package offers two kernel families with the same
-// semantics:
+// scalar implementation from a SIMD (AVX-512) implementation. A Kernel
+// value selects between the two families:
 //
 //   - KernelScalar: straightforward one-element-at-a-time loops.
-//   - KernelSIMD: 8-lane unrolled loops with hoisted bounds checks and
-//     independent accumulators, which the compiler can autovectorize and the
-//     CPU can execute with instruction-level parallelism.
+//   - KernelSIMD: the fastest implementation the build and the host offer.
+//     In this package that is pure Go: 8-way unrolled loops with hoisted
+//     bounds checks and independent accumulators. The Go compiler does not
+//     autovectorize, so these win by instruction-level parallelism only.
+//     In package mat, KernelSIMD runs the similarity GEMM on an AVX2
+//     assembly micro-kernel where the host has one (see mat's package
+//     comment) and on a pure-Go register tile elsewhere.
 //
 // Every function that takes a Kernel is exact: both kernels compute the same
 // result up to floating-point reassociation.
@@ -29,8 +32,8 @@ type Kernel int
 const (
 	// KernelScalar is the portable one-element-at-a-time implementation.
 	KernelScalar Kernel = iota
-	// KernelSIMD is the 8-lane unrolled implementation standing in for the
-	// paper's AVX SIMD code path.
+	// KernelSIMD is the paper's SIMD code path: unrolled pure-Go loops in
+	// this package, the AVX2 GEMM micro-kernel in mat where available.
 	KernelSIMD
 )
 
@@ -47,8 +50,7 @@ func (k Kernel) String() string {
 }
 
 // DefaultKernel is the kernel execution defaults to when the caller has
-// no preference: the unrolled SIMD-style implementation, which is never
-// slower than scalar. The cmds and the executor's fallback path all
+// no preference: KernelSIMD, which is never slower than scalar. The cmds and the executor's fallback path all
 // resolve their default through this single point.
 func DefaultKernel() Kernel { return KernelSIMD }
 
