@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 
 	"ejoin/internal/vec"
 )
@@ -29,6 +31,10 @@ type HashEmbedder struct {
 	clusterOf map[string]string
 	// clusterWeight balances surface-form vs semantic components.
 	clusterWeight float32
+	// wordKey, ngramKey and clusterKey are the FNV-1a states after the seed
+	// and the "word:", "ng:" and "cluster:" key prefixes.
+	wordKey, ngramKey, clusterKey uint64
+	fingerprint                   string
 
 	mu    sync.RWMutex
 	cache map[string][]float32
@@ -91,6 +97,17 @@ func NewHashEmbedder(dim int, opts ...HashEmbedderOption) (*HashEmbedder, error)
 	if h.minN < 1 || h.maxN < h.minN {
 		return nil, fmt.Errorf("model: invalid n-gram range [%d,%d]", h.minN, h.maxN)
 	}
+	h.wordKey = fnv1a(fnvOffset^h.seed, "word:")
+	h.ngramKey = fnv1a(fnvOffset^h.seed, "ng:")
+	h.clusterKey = fnv1a(fnvOffset^h.seed, "cluster:")
+	// Order-independent digest of the synonym-cluster table.
+	var clusters uint64 = fnvOffset
+	for w, label := range h.clusterOf {
+		pair := fnv1a(fnv1a(fnv1a(fnvOffset, w), "\x00"), label)
+		clusters ^= pair // XOR is commutative: map order does not matter
+	}
+	h.fingerprint = fmt.Sprintf("hash-ngram/%d/seed=%d/n=%d-%d/cw=%g/clusters=%x",
+		h.dim, h.seed, h.minN, h.maxN, h.clusterWeight, clusters)
 	return h, nil
 }
 
@@ -106,22 +123,7 @@ func (h *HashEmbedder) Name() string {
 // unlike Name, it covers every parameter that changes output vectors
 // (seed, n-gram range, synonym clusters, cluster weight), so two
 // differently-configured embedders never share cache entries.
-func (h *HashEmbedder) Fingerprint() string {
-	// Order-independent digest of the synonym-cluster table.
-	var clusters uint64 = 14695981039346656037
-	for w, label := range h.clusterOf {
-		var pair uint64 = 14695981039346656037
-		for _, s := range []string{w, "\x00", label} {
-			for i := 0; i < len(s); i++ {
-				pair ^= uint64(s[i])
-				pair *= 1099511628211
-			}
-		}
-		clusters ^= pair // XOR is commutative: map order does not matter
-	}
-	return fmt.Sprintf("hash-ngram/%d/seed=%d/n=%d-%d/cw=%g/clusters=%x",
-		h.dim, h.seed, h.minN, h.maxN, h.clusterWeight, clusters)
-}
+func (h *HashEmbedder) Fingerprint() string { return h.fingerprint }
 
 // Embed implements Model. Multi-token inputs embed as the normalized mean of
 // per-token embeddings (bag of words), matching how word-embedding models
@@ -140,10 +142,11 @@ func (h *HashEmbedder) Embed(input string) ([]float32, error) {
 	}
 
 	out := make([]float32, h.dim)
-	tokens := strings.Fields(input)
-	for _, tok := range tokens {
-		h.embedToken(normalizeWord(tok), out)
+	var b batch
+	for field := range strings.FieldsSeq(input) {
+		h.addToken(&b, out, field)
 	}
+	b.flush(out)
 	vec.Normalize(out)
 
 	if h.cache != nil {
@@ -154,75 +157,60 @@ func (h *HashEmbedder) Embed(input string) ([]float32, error) {
 	return out, nil
 }
 
-// embedToken accumulates the token's components into acc.
-func (h *HashEmbedder) embedToken(tok string, acc []float32) {
-	// Whole-word component.
-	h.addHashed(acc, hash64(h.seed, "word:"+tok), 1)
-	// Subword n-gram components with boundary markers.
-	marked := "<" + tok + ">"
-	runes := []rune(marked)
+// addToken queues the components of one whitespace-separated field: its
+// normalized word, the word's n-grams with boundary markers, and its
+// synonym cluster. Keys are FNV-1a over "word:", "ng:" or "cluster:" and
+// the UTF-8 of the part, hashed in place: no []rune, no concatenation.
+func (h *HashEmbedder) addToken(b *batch, acc []float32, field string) {
+	// m is "<" + normalizeWord(field) + ">". Trimming first is the same
+	// string (lower-casing neither makes nor removes punctuation), and
+	// ranging decodes invalid bytes to U+FFFD exactly as strings.ToLower does.
+	var buf [64]byte
+	m := append(buf[:0], '<')
+	for _, r := range strings.Trim(field, trimmed) {
+		m = utf8.AppendRune(m, unicode.ToLower(r))
+	}
+	m = append(m, '>')
+	tok := m[1 : len(m)-1]
+
+	b.add(acc, streamKey(fnv1a(h.wordKey, tok)), 1)
 	count := 1
-	for n := h.minN; n <= h.maxN; n++ {
-		if n > len(runes) {
-			break
+	runes := utf8.RuneCount(m)
+	for n := h.minN; n <= h.maxN && n <= runes; n++ {
+		// m[i:j] slides over every run of n runes.
+		i, j := 0, 0
+		for k := 0; k < n; k++ {
+			j += runeLen(m, j)
 		}
-		for i := 0; i+n <= len(runes); i++ {
-			h.addHashed(acc, hash64(h.seed, "ng:"+string(runes[i:i+n])), 1)
-			count++
+		for {
+			b.add(acc, streamKey(fnv1a(h.ngramKey, m[i:j])), 1)
+			if j == len(m) {
+				break
+			}
+			i, j = i+runeLen(m, i), j+runeLen(m, j)
 		}
+		count += runes - n + 1
 	}
 	// Synonym-cluster component, weighted against the surface components so
 	// cluster members end up close regardless of spelling.
-	if label, ok := h.clusterOf[tok]; ok {
-		w := h.clusterWeight * float32(count)
-		h.addHashed(acc, hash64(h.seed, "cluster:"+label), w)
+	if label, ok := h.clusterOf[string(tok)]; ok {
+		b.add(acc, streamKey(fnv1a(h.clusterKey, label)), h.clusterWeight*float32(count))
 	}
 }
 
-// addHashed adds w * (pseudo-random unit-scale vector derived from key) to acc.
-func (h *HashEmbedder) addHashed(acc []float32, key uint64, w float32) {
-	state := key
-	for j := 0; j < h.dim; j++ {
-		state = splitmix64(state)
-		// Map to approximately N(0,1) via sum of two uniforms minus 1
-		// (cheap, deterministic, symmetric around zero).
-		u1 := float64(state>>11) / (1 << 53)
-		state = splitmix64(state)
-		u2 := float64(state>>11) / (1 << 53)
-		acc[j] += w * float32(u1+u2-1)
-	}
+// runeLen is the encoded length of the rune at m[i:].
+func runeLen(m []byte, i int) int {
+	_, n := utf8.DecodeRune(m[i:])
+	return n
 }
 
-// hash64 is FNV-1a over seed and s.
-func hash64(seed uint64, s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	v := uint64(offset) ^ seed
-	for i := 0; i < len(s); i++ {
-		v ^= uint64(s[i])
-		v *= prime
-	}
-	if v == 0 {
-		v = offset
-	}
-	return v
-}
-
-// splitmix64 is the SplitMix64 mixer, a high-quality deterministic stream.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// trimmed is the punctuation normalizeWord strips from both ends of a token.
+const trimmed = ".,;:!?\"'()[]{}"
 
 // normalizeWord lower-cases and trims punctuation commonly attached to
 // tokens; the model, not the engine, owns this context handling.
 func normalizeWord(w string) string {
-	return strings.Trim(strings.ToLower(w), ".,;:!?\"'()[]{}")
+	return strings.Trim(strings.ToLower(w), trimmed)
 }
 
 // RandomEmbedder embeds any input as a deterministic pseudo-random unit
@@ -231,8 +219,9 @@ func normalizeWord(w string) string {
 // the vectors, not string semantics (e.g. the synthetic-vector experiments,
 // Figures 8-17), while keeping the Model interface uniform.
 type RandomEmbedder struct {
-	dim  int
-	seed uint64
+	dim         int
+	seed        uint64
+	fingerprint string
 }
 
 // NewRandomEmbedder creates a RandomEmbedder of the given dimensionality.
@@ -240,7 +229,7 @@ func NewRandomEmbedder(dim int, seed uint64) (*RandomEmbedder, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("model: dimension must be positive, got %d", dim)
 	}
-	return &RandomEmbedder{dim: dim, seed: seed}, nil
+	return &RandomEmbedder{dim: dim, seed: seed, fingerprint: fmt.Sprintf("random/%d/seed=%d", dim, seed)}, nil
 }
 
 // Dim implements Model.
@@ -252,9 +241,7 @@ func (r *RandomEmbedder) Name() string { return fmt.Sprintf("random-%dd", r.dim)
 // Fingerprint identifies the embedding function for cross-query caches;
 // it includes the seed Name omits, so embedders over different synthetic
 // workloads never share cache entries.
-func (r *RandomEmbedder) Fingerprint() string {
-	return fmt.Sprintf("random/%d/seed=%d", r.dim, r.seed)
-}
+func (r *RandomEmbedder) Fingerprint() string { return r.fingerprint }
 
 // Embed implements Model.
 func (r *RandomEmbedder) Embed(input string) ([]float32, error) {
@@ -262,14 +249,9 @@ func (r *RandomEmbedder) Embed(input string) ([]float32, error) {
 		return nil, ErrEmptyInput
 	}
 	out := make([]float32, r.dim)
-	state := hash64(r.seed, input)
-	for j := 0; j < r.dim; j++ {
-		state = splitmix64(state)
-		u1 := float64(state>>11) / (1 << 53)
-		state = splitmix64(state)
-		u2 := float64(state>>11) / (1 << 53)
-		out[j] = float32(u1 + u2 - 1)
-	}
+	var b batch
+	b.add(out, hash64(r.seed, input), 1)
+	b.flush(out)
 	vec.Normalize(out)
 	return out, nil
 }

@@ -14,6 +14,28 @@
 // HashEmbedder). From the operator's perspective nothing changes: a model
 // maps strings to unit-norm vectors, exactly the separation of concerns the
 // paper formalizes.
+//
+// # The embedder's contract
+//
+// HashEmbedder.Embed is the cost model's M, paid once per uncached tuple.
+// An embedding is the float32 sum, in component order (word, n-grams,
+// cluster), of one SplitMix64 stream per component keyed by an FNV-1a
+// hash, each product rounded to float32 before it is added. Every output
+// is bit-identical to walking those streams one serial chain at a time;
+// persisted segment logs are keyed by Fingerprint and hold these bits.
+// TestEmbedBitIdentical and FuzzEmbedBitIdentical hold the kernel to that
+// sequential reference, TestEmbedGoldenBits the reference to recorded bits.
+//
+// A serial chain is bound by multiply latency, so the kernel hashes keys in
+// place and advances four chains per loop iteration (generator.go): on the
+// benchmark host at d=100, 10.3 -> 3.7 ns per (component x coordinate) and
+// 64 -> 23 us per three-token string (BenchmarkHashEmbed). The multiplier
+// alone would allow 4 cycles (four scalar IMULs; AVX2 has no 64-bit
+// multiply), but the loop's ~37 scalar instructions bind first. There is
+// deliberately no n-gram vector table (FastText's input matrix): ~2x faster
+// again, but 4d bytes live per distinct n-gram (~2.9 MB on the benchmark's
+// cold_embed workload, more than its peak-RSS allowance) and a size knob;
+// memoizing token vectors re-associates the float32 sums.
 package model
 
 import (

@@ -150,7 +150,7 @@ type Config struct {
 	// it move index knobs — observe-only mode.
 	DisableAutoTune bool
 	// CalibrateCost measures this machine's relative access/compare/model
-	// costs at engine build (cost.Calibrate — a few microseconds plus 64
+	// costs at engine build (cost.Calibrate — a few microseconds plus 18
 	// model calls) and plans with the result instead of CostParams.
 	CalibrateCost bool
 	// ForceStrategy, when non-nil, bypasses cost-based strategy selection
