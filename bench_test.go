@@ -156,14 +156,16 @@ func BenchmarkFig12Batching(b *testing.B) {
 	opts := core.Options{Kernel: vec.KernelSIMD}
 	b.Run("FullyBatched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.TensorJoin(ctx, left, right, 0.8, opts); err != nil {
+			if _, err := core.TensorJoinBatched(ctx, left, right, 0.8, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("NonBatched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.TensorJoinNonBatched(ctx, left, right, 0.8, opts); err != nil {
+			nb := opts
+			nb.BatchRows, nb.BatchCols = left.Rows(), 1
+			if _, err := core.TensorJoinBatched(ctx, left, right, 0.8, nb); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -186,7 +188,7 @@ func BenchmarkFig13BatchMemory(b *testing.B) {
 			opts := core.Options{Kernel: vec.KernelSIMD, BatchRows: batch, BatchCols: batch}
 			var peak int64
 			for i := 0; i < b.N; i++ {
-				res, err := core.TensorJoin(ctx, left, right, 0.8, opts)
+				res, err := core.TensorJoinBatched(ctx, left, right, 0.8, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -103,9 +104,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // errorBody is the uniform error shape; the request id lets a client
@@ -416,20 +415,13 @@ type queryRequest struct {
 	Explain     bool                 `json:"explain,omitempty"`
 }
 
-// matchJSON is one join match on the wire.
-type matchJSON struct {
-	Left  int     `json:"left"`
-	Right int     `json:"right"`
-	Sim   float32 `json:"sim"`
-}
-
-// queryResponse is the /query result. Plan, PlanText, and Trace appear
-// only on explain requests.
+// queryResponse is the /query result less its matches, which
+// writeQueryResponse appends as "matches":[{"left":0,"right":0,"sim":0.5},
+// ...]. Plan, PlanText, and Trace appear only on explain requests.
 type queryResponse struct {
 	RequestID     string             `json:"request_id,omitempty"`
 	Strategy      string             `json:"strategy"`
 	Precision     string             `json:"precision"`
-	Matches       []matchJSON        `json:"matches"`
 	Rows          []map[string]any   `json:"rows,omitempty"`
 	Stats         core.Stats         `json:"stats"`
 	PlanCacheHit  bool               `json:"plan_cache_hit"`
@@ -462,7 +454,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		RequestID:     res.RequestID,
 		Strategy:      res.Strategy,
 		Precision:     res.Precision,
-		Matches:       make([]matchJSON, len(res.Matches)),
 		Stats:         res.Stats,
 		PlanCacheHit:  res.PlanCacheHit,
 		AdmittedBytes: res.AdmittedBytes,
@@ -473,13 +464,57 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.PlanText = res.PlanText
 		resp.Trace = res.Trace
 	}
-	for i, m := range res.Matches {
-		resp.Matches[i] = matchJSON{Left: m.Left, Right: m.Right, Sim: m.Sim}
-	}
 	if res.Table != nil {
 		resp.Rows = tableRows(res.Table)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeQueryResponse(w, &resp, res.Matches)
+}
+
+// writeQueryResponse renders a /query reply: the few header and stats
+// fields through encoding/json, then the matches — nearly all of the
+// bytes — straight from the result.
+func writeQueryResponse(w http.ResponseWriter, resp *queryResponse, matches []core.Match) {
+	head, err := json.Marshal(resp)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error(), RequestID: resp.RequestID})
+		return
+	}
+	b := make([]byte, 0, len(head)+48*len(matches)+16)
+	b = append(append(b, head[:len(head)-1]...), `,"matches":[`...)
+	for i, m := range matches {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendMatch(b, m)
+	}
+	b = append(b, "]}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b) // a client that went away is its own problem
+}
+
+// appendMatch appends m exactly as encoding/json renders
+// struct{Left, Right int; Sim float32} with lower-case keys.
+func appendMatch(b []byte, m core.Match) []byte {
+	b = strconv.AppendInt(append(b, `{"left":`...), int64(m.Left), 10)
+	b = strconv.AppendInt(append(b, `,"right":`...), int64(m.Right), 10)
+	b = append(b, `,"sim":`...)
+	// encoding/json's float32 rule: shortest text that round-trips,
+	// exponent form outside [1e-6, 1e21), a one-digit exponent unpadded.
+	// JSON has no NaN or infinity; neither is a cosine: null.
+	switch abs := float32(math.Abs(float64(m.Sim))); {
+	case abs != abs || abs > math.MaxFloat32:
+		b = append(b, "null"...)
+	case abs != 0 && (abs < 1e-6 || abs >= 1e21):
+		b = strconv.AppendFloat(b, float64(m.Sim), 'e', -1, 32)
+		if n := len(b); b[n-4] == 'e' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	default:
+		b = strconv.AppendFloat(b, float64(m.Sim), 'f', -1, 32)
+	}
+	return append(b, '}')
 }
 
 // statusForQueryError maps engine failures to HTTP statuses: request

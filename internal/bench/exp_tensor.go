@@ -93,14 +93,15 @@ func expFig12() Experiment {
 					elems := int64(n) * int64(n) * int64(dim)
 
 					dB, err := timed(func() error {
-						_, err := core.TensorJoin(ctx, left, right, 0.8, core.Options{Kernel: vec.KernelSIMD, Threads: cfg.threads()})
+						_, err := core.TensorJoinBatched(ctx, left, right, 0.8, core.Options{Kernel: vec.KernelSIMD, Threads: cfg.threads()})
 						return err
 					})
 					if err != nil {
 						return err
 					}
 					dNB, err := timed(func() error {
-						_, err := core.TensorJoinNonBatched(ctx, left, right, 0.8, core.Options{Kernel: vec.KernelSIMD, Threads: cfg.threads()})
+						// One right vector at a time: every right tuple pays a full pass.
+						_, err := core.TensorJoinBatched(ctx, left, right, 0.8, core.Options{Kernel: vec.KernelSIMD, Threads: cfg.threads(), BatchRows: n, BatchCols: 1})
 						return err
 					})
 					if err != nil {
@@ -133,12 +134,12 @@ func expFig13() Experiment {
 			right := workload.Vectors(cfg.Seed+1, n, 100)
 			opts := core.Options{Kernel: vec.KernelSIMD, Threads: cfg.threads()}
 
-			baseRes, err := core.TensorJoin(ctx, left, right, 0.8, opts)
+			baseRes, err := core.TensorJoinBatched(ctx, left, right, 0.8, opts)
 			if err != nil {
 				return err
 			}
 			dBase, err := timed(func() error {
-				_, err := core.TensorJoin(ctx, left, right, 0.8, opts)
+				_, err := core.TensorJoinBatched(ctx, left, right, 0.8, opts)
 				return err
 			})
 			if err != nil {
@@ -152,12 +153,12 @@ func expFig13() Experiment {
 				b := n / frac
 				bOpts := opts
 				bOpts.BatchRows, bOpts.BatchCols = b, b
-				res, err := core.TensorJoin(ctx, left, right, 0.8, bOpts)
+				res, err := core.TensorJoinBatched(ctx, left, right, 0.8, bOpts)
 				if err != nil {
 					return err
 				}
 				d, err := timed(func() error {
-					_, err := core.TensorJoin(ctx, left, right, 0.8, bOpts)
+					_, err := core.TensorJoinBatched(ctx, left, right, 0.8, bOpts)
 					return err
 				})
 				if err != nil {

@@ -12,9 +12,9 @@
 //     (|R|+|S|)·M model cost (Equation E-NLJ Prefetch Optimization),
 //     parallel over R partitions, scalar or SIMD-style kernels.
 //   - Tensor join: the holistic formulation — pairwise cosine similarity as
-//     a cache-blocked D = R·Sᵀ with mini-batches bounded by a memory budget
-//     (Figures 6 and 7), emitting late-materialized (rOffset, sOffset)
-//     pairs.
+//     a cache-blocked D = R·Sᵀ (Figure 6) whose tiles are compared with the
+//     threshold as they are computed, emitting late-materialized (rOffset,
+//     sOffset) pairs; TensorJoinBatched is the mini-batch form of Figure 7.
 //   - Index join: probes an HNSW index per R tuple (top-k or range) with
 //     optional relational pre-filtering — the vector-database strategy of
 //     Section VI-E.
@@ -24,7 +24,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"ejoin/internal/relational"
@@ -37,11 +38,12 @@ type Options struct {
 	Kernel vec.Kernel
 	// Threads is the worker count; <=0 means GOMAXPROCS.
 	Threads int
-	// BudgetBytes bounds the tensor join's intermediate block (Section V-B).
-	// <=0 means unbatched.
+	// BudgetBytes bounds the block TensorJoinBatched materializes
+	// (Section V-B); <=0 means unbatched. The fused scans store no block.
 	BudgetBytes int64
-	// BatchRows/BatchCols explicitly fix the tensor mini-batch shape
-	// (overrides BudgetBytes when both are positive).
+	// BatchRows/BatchCols fix TensorJoinBatched's mini-batch shape (over
+	// BudgetBytes when both are positive). The fused scans read BatchCols
+	// alone, as the height of their cache-resident S block (<=0: 64).
 	BatchRows int
 	BatchCols int
 	// LeftFilter/RightFilter restrict which rows participate, carrying
@@ -66,9 +68,10 @@ type Stats struct {
 	ModelCalls int64 `json:"model_calls"`
 	// Comparisons is the number of vector pair comparisons.
 	Comparisons int64 `json:"comparisons"`
-	// Blocks is the number of tensor mini-batches computed.
+	// Blocks is the number of S blocks a tensor scan walked.
 	Blocks int `json:"blocks"`
-	// PeakIntermediateBytes is the largest similarity block materialized.
+	// PeakIntermediateBytes is the working memory beyond the inputs: a
+	// tensor scan's scratch (a packed S block and a tile per worker).
 	PeakIntermediateBytes int64 `json:"peak_intermediate_bytes"`
 	// EmbedTime is time spent in the model (prefetch phase).
 	EmbedTime time.Duration `json:"embed_time_ns"`
@@ -105,10 +108,7 @@ const cancelStride = 4096
 // sortMatches orders matches by (Left, Right) for deterministic output
 // regardless of parallel execution order.
 func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Left != ms[j].Left {
-			return ms[i].Left < ms[j].Left
-		}
-		return ms[i].Right < ms[j].Right
+	slices.SortFunc(ms, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(a.Left, b.Left), cmp.Compare(a.Right, b.Right))
 	})
 }

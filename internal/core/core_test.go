@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"ejoin/internal/hnsw"
@@ -176,7 +178,7 @@ func TestNLJTensorEquivalence(t *testing.T) {
 			}
 			sameMatchSet(t, fmt.Sprintf("seed %d opts %+v", seed, o), nlj.Matches, tj.Matches, 1e-3)
 		}
-		nb, err := TensorJoinNonBatched(ctx, left, right, threshold, Options{})
+		nb, err := TensorJoinBatched(ctx, left, right, threshold, Options{BatchRows: left.Rows(), BatchCols: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +245,7 @@ func TestTensorJoinBudgetRespected(t *testing.T) {
 	left := randomEmbeddings(11, 100, 8)
 	right := randomEmbeddings(12, 100, 8)
 	budget := int64(4 * 20 * 20)
-	res, err := TensorJoin(ctx, left, right, 0.5, Options{BudgetBytes: budget})
+	res, err := TensorJoinBatched(ctx, left, right, 0.5, Options{BudgetBytes: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,13 +255,17 @@ func TestTensorJoinBudgetRespected(t *testing.T) {
 	if res.Stats.Blocks < 25 {
 		t.Errorf("expected many blocks, got %d", res.Stats.Blocks)
 	}
-	// Unbatched uses one block of full size.
-	res2, err := TensorJoin(ctx, left, right, 0.5, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Stats.Blocks != 1 || res2.Stats.PeakIntermediateBytes != 4*100*100 {
-		t.Errorf("unbatched stats: %+v", res2.Stats)
+	// The fused scan stores no block: it reports the S blocks it walked
+	// and a scratch that depends on neither input's height nor a budget.
+	for _, o := range []Options{{Threads: 1}, {Threads: 1, BudgetBytes: budget}, {Threads: 1, Kernel: vec.KernelSIMD}} {
+		res2, err := TensorJoin(ctx, left, right, 0.5, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res2.Stats.Blocks != 2 || res2.Stats.PeakIntermediateBytes > 64*8*4+256 {
+			t.Errorf("fused stats under %+v: %+v", o, res2.Stats)
+		}
+		sameMatchSet(t, "fused vs batched", res.Matches, res2.Matches, 0)
 	}
 }
 
@@ -586,6 +592,101 @@ func TestEndToEndStringJoin(t *testing.T) {
 	for _, match := range res.Matches {
 		if right[match.Right] == "giraffe" {
 			t.Errorf("giraffe should not match anything: %+v", match)
+		}
+	}
+}
+
+// TestFusedScanConsumersMatchMaterializedScan holds TensorJoin and
+// TensorTopK to what a scan of the stored product returns — same pairs,
+// same order, same similarity bits — with filters on both sides, tied
+// right rows (the earlier one wins a top-k place), a right row whose
+// similarities are NaN (never a match, never a candidate), right sides
+// that end inside a 16-column panel, and more workers than one.
+func TestFusedScanConsumersMatchMaterializedScan(t *testing.T) {
+	ctx := context.Background()
+	left := randomEmbeddings(31, 150, 12)
+	right := randomEmbeddings(32, 70, 12)
+	copy(right.Row(40), right.Row(4))
+	copy(right.Row(69), right.Row(4))
+	for k := range right.Row(9) {
+		right.Row(9)[k] = float32(math.NaN())
+	}
+	lf, rf := relational.NewBitmap(150), relational.NewBitmap(70)
+	for i := 0; i < 150; i++ {
+		if i%5 != 1 {
+			lf.Set(i)
+		}
+	}
+	for j := 0; j < 70; j++ {
+		if j%7 != 3 {
+			rf.Set(j)
+		}
+	}
+	for _, empty := range [][2]*mat.Matrix{{mat.New(0, 12), right}, {left, mat.New(0, 12)}} {
+		tj, err := TensorJoin(ctx, empty[0], empty[1], 0, Options{})
+		tk, err2 := TensorTopK(ctx, empty[0], empty[1], 2, Options{})
+		if err != nil || err2 != nil || len(tj.Matches) != 0 || len(tk.Matches) != 0 {
+			t.Fatalf("empty input: %v %v, %d and %d matches", err, err2, len(tj.Matches), len(tk.Matches))
+		}
+	}
+	full, err := mat.MulTranspose(left, right, mat.GemmOptions{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const threshold, k = 0.3, 3
+	for _, filtered := range []bool{false, true} {
+		var wantJoin, wantTopK []Match
+		for i := 0; i < left.Rows(); i++ {
+			if filtered && !lf.Get(i) {
+				continue
+			}
+			var best []Match
+			for j, sim := range full.Row(i) {
+				if filtered && !rf.Get(j) || sim != sim {
+					continue
+				}
+				if sim >= threshold {
+					wantJoin = append(wantJoin, Match{Left: i, Right: j, Sim: sim})
+				}
+				best = append(best, Match{Left: i, Right: j, Sim: sim})
+			}
+			sort.SliceStable(best, func(a, b int) bool { return best[a].Sim > best[b].Sim })
+			best = best[:min(k, len(best))]
+			sort.Slice(best, func(a, b int) bool { return best[a].Right < best[b].Right })
+			wantTopK = append(wantTopK, best...)
+		}
+		for _, opts := range []Options{
+			{Threads: 1},
+			{Threads: 1, Kernel: vec.KernelSIMD},
+			{Threads: 3, Kernel: vec.KernelSIMD, BatchCols: 16},
+		} {
+			if filtered {
+				opts.LeftFilter, opts.RightFilter = lf, rf
+			}
+			label := fmt.Sprintf("filtered=%v threads=%d kernel=%v", filtered, opts.Threads, opts.Kernel)
+			tj, err := TensorJoin(ctx, left, right, threshold, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMatchList(t, label+" join", tj.Matches, wantJoin)
+			tk, err := TensorTopK(ctx, left, right, k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMatchList(t, label+" top-k", tk.Matches, wantTopK)
+		}
+	}
+}
+
+func sameMatchList(t *testing.T, label string, got, want []Match) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d matches, want %d", label, len(got), len(want))
+	}
+	for n := range want {
+		if got[n].Left != want[n].Left || got[n].Right != want[n].Right ||
+			math.Float32bits(got[n].Sim) != math.Float32bits(want[n].Sim) {
+			t.Fatalf("%s: match %d is %+v, want %+v", label, n, got[n], want[n])
 		}
 	}
 }

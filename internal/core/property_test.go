@@ -15,7 +15,7 @@ import (
 // promised.
 
 // TestJoinStrategiesAgreeProperty: NLJ, TensorJoin (various batchings),
-// and TensorJoinNonBatched produce the same match set on random inputs.
+// and the non-batched TensorJoinBatched produce the same match set on random inputs.
 func TestJoinStrategiesAgreeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	ctx := context.Background()
@@ -46,7 +46,7 @@ func TestJoinStrategiesAgreeProperty(t *testing.T) {
 					trial, vi, len(ref.Matches), len(tj.Matches), threshold)
 			}
 		}
-		nb, err := TensorJoinNonBatched(ctx, left, right, threshold, Options{})
+		nb, err := TensorJoinBatched(ctx, left, right, threshold, Options{BatchRows: left.Rows(), BatchCols: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,29 +3,90 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"ejoin/internal/mat"
 )
 
 // TensorJoin is the holistic optimization (Section IV-C, Figure 6): the
-// pairwise cosine similarity of two unit-norm embedding matrices is the dot
-// product D = L·Rᵀ, computed block-wise with the cache-blocked parallel
-// GEMM, with mini-batch sizes bounded by Options.BudgetBytes (Figure 7).
-// Each block is scanned for entries >= threshold, which are emitted as
-// late-materialized (left offset, right offset, similarity) matches; the
-// dense intermediate is reused and never materialized whole.
+// pairwise cosine similarity of two unit-norm embedding matrices is the
+// dot product D = L·Rᵀ, computed by the cache-blocked GEMM one register
+// tile at a time. Each tile is compared with the threshold where it is
+// computed and only entries >= threshold leave it, as late-materialized
+// (left offset, right offset, similarity) matches: no part of D is stored.
 func TensorJoin(ctx context.Context, left, right *mat.Matrix, threshold float32, opts Options) (*Result, error) {
+	start := time.Now()
+	bound := make([]float32, left.Rows())
+	for i := range bound {
+		bound[i] = threshold
+	}
+	var parts []*[]Match // one per scan worker
+	res, err := fusedScan(ctx, "tensor join", left, right, bound, opts, func() mat.ScanVisitor {
+		part := new([]Match)
+		parts = append(parts, part)
+		return func(i, j int, sim float32) {
+			if opts.RightFilter == nil || opts.RightFilter.Get(j) {
+				*part = append(*part, Match{Left: i, Right: j, Sim: sim})
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, part := range parts {
+		if res.Matches == nil {
+			res.Matches = *part // the usual single worker: no copy
+		} else {
+			res.Matches = append(res.Matches, *part...)
+		}
+	}
+	sortMatches(res.Matches)
+	res.Stats.JoinTime = time.Since(start)
+	return res, nil
+}
+
+// fusedScan runs mat.ScanAbove for one operator. Rows LeftFilter excludes
+// get a NaN bound, which no similarity reaches; RightFilter is for the
+// visitors to test. Options.BatchCols, when set, is the S block height.
+func fusedScan(ctx context.Context, op string, left, right *mat.Matrix, bound []float32, opts Options, newVisitor func() mat.ScanVisitor) (*Result, error) {
+	if left.Cols() != right.Cols() {
+		return nil, fmt.Errorf("core: %s dimensionality mismatch: %d vs %d", op, left.Cols(), right.Cols())
+	}
+	if opts.LeftFilter != nil {
+		for i := range bound {
+			if !opts.LeftFilter.Get(i) {
+				bound[i] = float32(math.NaN())
+			}
+		}
+	}
+	gemm := mat.GemmOptions{Threads: opts.Threads, Kernel: opts.Kernel, BlockCols: opts.BatchCols}
+	st, err := mat.ScanAbove(ctx, left, right, bound, gemm, newVisitor)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", op, err)
+	}
+	return &Result{Stats: Stats{
+		Comparisons:           int64(left.Rows()) * int64(right.Rows()),
+		Blocks:                st.Blocks,
+		PeakIntermediateBytes: st.ScratchBytes,
+	}}, nil
+}
+
+// TensorJoinBatched is the materializing mini-batch form the paper
+// measures (Section V-B, Figures 7, 12 and 13): D is computed block by
+// block into one reused buffer, bounded by Options.BudgetBytes or fixed
+// by BatchRows x BatchCols, and each stored block is then scanned for
+// entries >= threshold. It exists to regenerate those figures (Figure
+// 12's non-batched ablation is BatchRows = |L|, BatchCols = 1); TensorJoin
+// returns the same matches without the buffer.
+func TensorJoinBatched(ctx context.Context, left, right *mat.Matrix, threshold float32, opts Options) (*Result, error) {
 	if left.Cols() != right.Cols() {
 		return nil, fmt.Errorf("core: tensor join dimensionality mismatch: %d vs %d", left.Cols(), right.Cols())
 	}
 	start := time.Now()
 	res := &Result{}
 	batch := mat.BatchOptions{
-		Gemm: mat.GemmOptions{
-			Threads: opts.Threads,
-			Kernel:  opts.Kernel,
-		},
+		Gemm:        mat.GemmOptions{Threads: opts.Threads, Kernel: opts.Kernel},
 		BudgetBytes: opts.BudgetBytes,
 		BatchRows:   opts.BatchRows,
 		BatchCols:   opts.BatchCols,
@@ -43,14 +104,9 @@ func TensorJoin(ctx context.Context, left, right *mat.Matrix, threshold float32,
 			if opts.LeftFilter != nil && !opts.LeftFilter.Get(gi) {
 				continue
 			}
-			row := block.Row(i)
-			for j, sim := range row {
-				if sim >= threshold {
-					gj := sOff + j
-					if opts.RightFilter != nil && !opts.RightFilter.Get(gj) {
-						continue
-					}
-					res.Matches = append(res.Matches, Match{Left: gi, Right: gj, Sim: sim})
+			for j, sim := range block.Row(i) {
+				if sim >= threshold && (opts.RightFilter == nil || opts.RightFilter.Get(sOff+j)) {
+					res.Matches = append(res.Matches, Match{Left: gi, Right: sOff + j, Sim: sim})
 				}
 			}
 		}
@@ -64,90 +120,68 @@ func TensorJoin(ctx context.Context, left, right *mat.Matrix, threshold float32,
 	return res, nil
 }
 
-// TensorJoinNonBatched is the ablation of Figure 12: the left relation is
-// fully batched but the right side is processed one vector at a time
-// (BatchCols=1), so every right tuple pays a full pass instead of
-// amortizing block reuse. Provided to regenerate the figure; TensorJoin is
-// strictly better.
-func TensorJoinNonBatched(ctx context.Context, left, right *mat.Matrix, threshold float32, opts Options) (*Result, error) {
-	opts.BatchRows = left.Rows()
-	opts.BatchCols = 1
-	opts.BudgetBytes = 0
-	return TensorJoin(ctx, left, right, threshold, opts)
-}
-
 // TensorTopK returns, for every left row, its k most similar right rows
-// (exactly, by exhaustive blocked scan) — the scan-side equivalent of the
-// index join's top-k probes used in Figures 15 and 16. Filters follow the
-// same semantics as TensorJoin.
+// (exactly, by exhaustive scan) — the scan-side equivalent of the index
+// join's top-k probes used in Figures 15 and 16. It is TensorJoin's scan
+// with one bound per left row: everything qualifies until the row holds k
+// candidates, then only what reaches its k-th best, so most tiles of a
+// long scan are rejected in registers. Filters follow TensorJoin's
+// semantics; a NaN similarity is never a candidate.
 func TensorTopK(ctx context.Context, left, right *mat.Matrix, k int, opts Options) (*Result, error) {
-	if left.Cols() != right.Cols() {
-		return nil, fmt.Errorf("core: tensor top-k dimensionality mismatch: %d vs %d", left.Cols(), right.Cols())
-	}
 	if k <= 0 {
 		return nil, fmt.Errorf("core: tensor top-k requires k > 0, got %d", k)
 	}
 	start := time.Now()
-	res := &Result{}
-
-	// Per-left-row bounded min-heaps, updated block by block.
-	heaps := make([][]Match, left.Rows())
-
-	batch := mat.BatchOptions{
-		Gemm:        mat.GemmOptions{Threads: opts.Threads, Kernel: opts.Kernel},
-		BudgetBytes: opts.BudgetBytes,
-		BatchRows:   opts.BatchRows,
-		BatchCols:   opts.BatchCols,
+	nr := left.Rows()
+	k = min(k, right.Rows())
+	// Row i's candidates are heaps[i*k:][:fill[i]], best first. A scan
+	// worker owns whole left rows, so rows need no lock.
+	heaps := make([]Match, nr*k)
+	fill := make([]int, nr)
+	bound := make([]float32, nr)
+	for i := range bound {
+		bound[i] = float32(math.Inf(-1))
 	}
-	res.Stats.PeakIntermediateBytes = mat.PeakBlockBytes(left.Rows(), right.Rows(), batch)
-
-	err := mat.ForEachBlock(left, right, batch, func(block *mat.Matrix, rOff, sOff int) error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: tensor top-k cancelled at block (%d,%d): %w", rOff, sOff, err)
+	visit := func(i, j int, sim float32) {
+		if opts.RightFilter != nil && !opts.RightFilter.Get(j) {
+			return
 		}
-		res.Stats.Blocks++
-		res.Stats.Comparisons += int64(block.Rows()) * int64(block.Cols())
-		for i := 0; i < block.Rows(); i++ {
-			gi := rOff + i
-			if opts.LeftFilter != nil && !opts.LeftFilter.Get(gi) {
-				continue
-			}
-			row := block.Row(i)
-			for j, sim := range row {
-				gj := sOff + j
-				if opts.RightFilter != nil && !opts.RightFilter.Get(gj) {
-					continue
-				}
-				heaps[gi] = pushTopK(heaps[gi], Match{Left: gi, Right: gj, Sim: sim}, k)
-			}
+		fill[i] = pushTopK(heaps[i*k:(i+1)*k], fill[i], Match{Left: i, Right: j, Sim: sim})
+		if fill[i] == k {
+			bound[i] = heaps[(i+1)*k-1].Sim
 		}
-		return nil
-	})
+	}
+	res, err := fusedScan(ctx, "tensor top-k", left, right, bound, opts, func() mat.ScanVisitor { return visit })
 	if err != nil {
 		return nil, err
 	}
-	for _, h := range heaps {
-		res.Matches = append(res.Matches, h...)
+	// Rows are already in Left order: sort each by Right and close the
+	// gaps short rows leave.
+	res.Matches = heaps[:0]
+	for i, n := range fill {
+		row := heaps[i*k : i*k+n]
+		sortMatches(row)
+		res.Matches = append(res.Matches, row...)
 	}
-	sortMatches(res.Matches)
 	res.Stats.JoinTime = time.Since(start)
 	return res, nil
 }
 
-// pushTopK inserts m keeping h sorted descending by similarity, capped at k.
-func pushTopK(h []Match, m Match, k int) []Match {
-	if len(h) == k && m.Sim <= h[k-1].Sim {
-		return h
+// pushTopK inserts m into h[:n], which is sorted by descending similarity
+// and holds at most len(h), and returns the new n. A full h drops its
+// last; ties keep the earlier arrival.
+func pushTopK(h []Match, n int, m Match) int {
+	if n == len(h) {
+		if m.Sim <= h[n-1].Sim {
+			return n
+		}
+		n--
 	}
-	pos := len(h)
+	pos := n
 	for pos > 0 && h[pos-1].Sim < m.Sim {
 		pos--
 	}
-	h = append(h, Match{})
-	copy(h[pos+1:], h[pos:])
+	copy(h[pos+1:n+1], h[pos:n])
 	h[pos] = m
-	if len(h) > k {
-		h = h[:k]
-	}
-	return h
+	return n + 1
 }

@@ -181,24 +181,31 @@ func (s *Store) EmbedAll(ctx context.Context, m model.Model, inputs []string, op
 	var foreign []*missGroup // flights owned by concurrent callers
 	groups := make(map[string]*missGroup)
 
+	// The warm path allocates nothing per row: the key is assembled in one
+	// reused buffer (map lookups by string(kb) do not copy), and the
+	// fingerprint prefix, shared by every key of the call, is hashed once.
+	kb := append(append(make([]byte, 0, len(fp)+64), fp...), 0)
+	prefix, prefixHash := len(kb), fnv1a(fnv1a(fnvOffset, fp), "\x00")
 	for i, in := range inputs {
-		k := key(fp, in)
-		if g, ok := groups[k]; ok {
-			// Duplicate within this batch: one model call serves them all.
-			g.rows = append(g.rows, i)
-			s.merged.Add(1)
-			bs.Merged++
-			continue
+		kb = append(kb[:prefix], in...)
+		if len(groups) > 0 {
+			if g, ok := groups[string(kb)]; ok {
+				// Duplicate within this batch: one model call serves them all.
+				g.rows = append(g.rows, i)
+				s.merged.Add(1)
+				bs.Merged++
+				continue
+			}
 		}
-		sh := s.shardFor(k)
+		sh := s.shardAt(fnv1a(prefixHash, in)) // == s.shardFor(key(fp, in))
 		sh.mu.Lock()
-		if el, ok := sh.entries[k]; ok {
+		if el, ok := sh.entries[string(kb)]; ok {
 			copy(out.Row(i), sh.touch(el).vec)
 			sh.mu.Unlock()
-			s.hits.Add(1)
 			bs.Hits++
 			continue
 		}
+		k := string(kb)
 		if fl, ok := sh.inflight[k]; ok {
 			sh.mu.Unlock()
 			g := &missGroup{input: in, key: k, sh: sh, fl: fl, rows: []int{i}}
@@ -217,6 +224,7 @@ func (s *Store) EmbedAll(ctx context.Context, m model.Model, inputs []string, op
 		s.misses.Add(1)
 		bs.Misses++
 	}
+	s.hits.Add(bs.Hits)
 
 	// Embed owned misses with the shared scheduler. Whatever happens, every
 	// owned flight must be published, or waiters would block forever.

@@ -227,15 +227,24 @@ func (s *Store) notifyInsert(k string, v []float32) {
 	(*p)(fp, input, cloneVec(v))
 }
 
-// shardFor picks the lock domain for a key (FNV-1a).
-func (s *Store) shardFor(k string) *shard {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(k); i++ {
-		h ^= uint64(k[i])
+// fnvOffset is the FNV-1a 64-bit offset basis.
+const fnvOffset uint64 = 14695981039346656037
+
+// fnv1a continues an FNV-1a hash h over b, so a key's hash can be built
+// from the hash of a shared prefix.
+func fnv1a(h uint64, b string) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
 		h *= 1099511628211
 	}
-	return s.shards[h&uint64(len(s.shards)-1)]
+	return h
 }
+
+// shardFor picks the lock domain for a key (FNV-1a).
+func (s *Store) shardFor(k string) *shard { return s.shardAt(fnv1a(fnvOffset, k)) }
+
+// shardAt is the lock domain of the keys hashing to h.
+func (s *Store) shardAt(h uint64) *shard { return s.shards[h&uint64(len(s.shards)-1)] }
 
 // Stats snapshots the store's counters and resident size.
 func (s *Store) Stats() Stats {

@@ -770,3 +770,69 @@ func TestRetire(t *testing.T) {
 		t.Errorf("model calls = %d, want %d", got, full.ModelCalls+1)
 	}
 }
+
+// TestEmbedAllWarmAllocs: an all-hit batch allocates its result and a
+// key buffer, nothing per row.
+func TestEmbedAllWarmAllocs(t *testing.T) {
+	m := testModel(t, 16)
+	s := New(Config{})
+	ctx := context.Background()
+	inputs := words(rand.New(rand.NewSource(5)), 512)
+	if _, _, err := s.EmbedAll(ctx, m, inputs, BatchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().Hits
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, bs, err := s.EmbedAll(ctx, m, inputs, BatchOptions{}); err != nil || bs.Hits != int64(len(inputs)) {
+			t.Fatalf("warm batch: %+v, %v", bs, err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("warm EmbedAll of %d rows allocates %.0f times, want a handful per call", len(inputs), allocs)
+	}
+	if got := s.Stats().Hits - before; got != 11*int64(len(inputs)) {
+		t.Errorf("store counted %d hits over 11 warm calls of %d rows", got, len(inputs))
+	}
+}
+
+// TestEmbedAllShardSelectionMatchesKeyHash: EmbedAll hashes the
+// fingerprint prefix once and continues over each input; that must pick
+// the shard shardFor picks from the whole key, or entries Get, Put and a
+// persisted store placed would never be hit.
+func TestEmbedAllShardSelectionMatchesKeyHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	s := New(Config{Shards: 64})
+	for _, fp := range []string{"", "hash/16", Fingerprint(testModel(t, 16))} {
+		prefix := fnv1a(fnvOffset, fp+"\x00")
+		for _, in := range append(words(rng, 200), "", "\x00", "naïve café") {
+			if s.shardAt(fnv1a(prefix, in)) != s.shardFor(key(fp, in)) {
+				t.Fatalf("fingerprint %q input %q: prefix hash picks another shard", fp, in)
+			}
+		}
+	}
+	// End to end, in both directions: rows Get cached are EmbedAll hits,
+	// and rows EmbedAll cached are Get hits.
+	m := model.NewCountingModel(testModel(t, 16))
+	ctx := context.Background()
+	inputs := make([]string, 100)
+	for i := range inputs {
+		inputs[i] = fmt.Sprintf("distinct row %d", i)
+	}
+	for _, in := range inputs[:50] {
+		if _, err := s.Get(ctx, m, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, bs, err := s.EmbedAll(ctx, m, inputs, BatchOptions{}); err != nil || bs.Hits != 50 || bs.Misses != 50 {
+		t.Fatalf("after 50 Gets: batch stats %+v, %v", bs, err)
+	}
+	m.Reset()
+	for _, in := range inputs {
+		if _, err := s.Get(ctx, m, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Calls() != 0 {
+		t.Errorf("%d model calls for rows EmbedAll had cached", m.Calls())
+	}
+}

@@ -20,13 +20,13 @@ type buildSide struct {
 	BuildRows []int
 }
 
-// remap converts a kernel's local match offsets to global row ids.
+// remap converts a kernel's local match offsets to global row ids, in
+// place: the kernel's result belongs to the batch it was computed for.
 func (p *buildSide) remap(probeRows []int, ms []core.Match) []core.Match {
-	out := make([]core.Match, len(ms))
 	for i, m := range ms {
-		out[i] = core.Match{Left: probeRows[m.Left], Right: p.BuildRows[m.Right], Sim: m.Sim}
+		ms[i] = core.Match{Left: probeRows[m.Left], Right: p.BuildRows[m.Right], Sim: m.Sim}
 	}
-	return out
+	return ms
 }
 
 // foldStats accumulates one kernel invocation's stats into an aggregate:

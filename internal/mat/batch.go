@@ -68,9 +68,9 @@ func max(a, b int) int {
 }
 
 // BlockVisitor receives one computed similarity block. block aliases an
-// internal buffer that is reused for the next block and, once ForEachBlock
-// returns, by later calls: consumers must extract what they need (e.g.
-// qualifying offsets) before returning. rOff/sOff are
+// internal buffer that is reused for the next block: consumers must
+// extract what they need (e.g. qualifying offsets) before returning.
+// rOff/sOff are
 // the global row offsets of the block's top-left corner (the "batch offsets"
 // of Figure 6, step 2).
 type BlockVisitor func(block *Matrix, rOff, sOff int) error
@@ -97,8 +97,7 @@ func ForEachBlock(r, s *Matrix, opts BatchOptions, fn BlockVisitor) error {
 	// One reused rb*sb backing slice serves every block. An edge block is
 	// a smaller dense matrix over a prefix of it; MulTransposeInto writes
 	// every cell, so the buffer's previous contents never show.
-	buf := getBlockBuf(rb * sb)
-	defer putBlockBuf(buf)
+	buf := make([]float32, rb*sb)
 	var block Matrix
 	for rLo := 0; rLo < nr; rLo += rb {
 		rHi := rLo + rb
@@ -113,7 +112,7 @@ func ForEachBlock(r, s *Matrix, opts BatchOptions, fn BlockVisitor) error {
 			}
 			sBlk := s.Slice(sLo, sHi)
 			rows, cols := rHi-rLo, sHi-sLo
-			block = Matrix{RowsN: rows, ColsN: cols, Data: buf.data[:rows*cols]}
+			block = Matrix{RowsN: rows, ColsN: cols, Data: buf[:rows*cols]}
 			if err := MulTransposeInto(&block, rBlk, sBlk, opts.Gemm); err != nil {
 				return err
 			}

@@ -218,6 +218,43 @@ func dotSeq(a, b []float32) float32 {
 	return acc
 }
 
+// panelCols is the micro-kernel's tile width: one S panel feeds two
+// 8-lane YMM registers, one output column per lane.
+const panelCols = 16
+
+// packedPool holds the per-call scratch for one packed S block: a few
+// tens of kilobytes, so a miss is cheap and a sync.Pool is enough.
+var packedPool sync.Pool
+
+func getPacked(n int) *[]float32 {
+	if p, _ := packedPool.Get().(*[]float32); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
+	}
+	buf := make([]float32, n)
+	return &buf
+}
+
+// packPanels lays rows [sLo, sHi) of s out for the micro-kernel:
+// consecutive groups of 16 rows become k-major panels,
+// P[k*16+jj] = s[j0+jj][k], so one k step of 16 output columns is one
+// contiguous 64-byte load. The last panel is zero-padded.
+func packPanels(packed []float32, s *Matrix, sLo, sHi int) {
+	d := s.Cols()
+	for j0 := sLo; j0 < sHi; j0 += panelCols {
+		panel := packed[(j0-sLo)*d : (j0-sLo+panelCols)*d]
+		cols := min(panelCols, sHi-j0)
+		if cols < panelCols {
+			clear(panel)
+		}
+		for jj := 0; jj < cols; jj++ {
+			for k, v := range s.Row(j0 + jj) {
+				panel[k*panelCols+jj] = v
+			}
+		}
+	}
+}
+
 // MulTranspose allocates and returns r·sᵀ.
 func MulTranspose(r, s *Matrix, opts GemmOptions) (*Matrix, error) {
 	dst := New(r.Rows(), s.Rows())

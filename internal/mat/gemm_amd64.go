@@ -2,17 +2,28 @@
 
 package mat
 
-import "sync"
-
-// panelCols is the micro-kernel's tile width: one S panel feeds two
-// 8-lane YMM registers, one output column per lane.
-const panelCols = 16
-
 //go:noescape
 func gemm4x16(dst *float32, ldd int, r *float32, ldr int, panel *float32, d int)
 
 //go:noescape
 func gemm1x16(dst, r, panel *float32, d int)
+
+//go:noescape
+func gemm4x16ge(tile, r *float32, ldr int, panel *float32, d int, bound *float32) uint64
+
+//go:noescape
+func gemm1x16ge(tile, r, panel *float32, d int, bound *float32) uint64
+
+// tileGE is the scan's micro-kernel: rows (4 or 1) R rows of length d at
+// r against one packed panel, each cell compared with its row's bound.
+// It returns the mask of qualifying cells, bit t*16+jj for row t, lane
+// jj, and writes tile only when the mask is non-zero.
+func tileGE(tile *[4 * panelCols]float32, r *float32, rows, d int, panel, bound *float32) uint64 {
+	if rows == 4 {
+		return gemm4x16ge(&tile[0], r, d, panel, d, bound)
+	}
+	return gemm1x16ge(&tile[0], r, panel, d, bound)
+}
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -37,39 +48,6 @@ func detectAVX2() bool {
 	const avx2 = 1 << 5
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&avx2 != 0
-}
-
-// packedPool holds the per-call scratch for one packed S block: a few
-// tens of kilobytes, so a miss is cheap and a sync.Pool is enough.
-var packedPool sync.Pool
-
-func getPacked(n int) *[]float32 {
-	if p, _ := packedPool.Get().(*[]float32); p != nil && cap(*p) >= n {
-		*p = (*p)[:n]
-		return p
-	}
-	buf := make([]float32, n)
-	return &buf
-}
-
-// packPanels lays rows [sLo, sHi) of s out for the micro-kernel:
-// consecutive groups of 16 rows become k-major panels,
-// P[k*16+jj] = s[j0+jj][k], so one k step of 16 output columns is one
-// contiguous 64-byte load. The last panel is zero-padded.
-func packPanels(packed []float32, s *Matrix, sLo, sHi int) {
-	d := s.Cols()
-	for j0 := sLo; j0 < sHi; j0 += panelCols {
-		panel := packed[(j0-sLo)*d : (j0-sLo+panelCols)*d]
-		cols := min(panelCols, sHi-j0)
-		if cols < panelCols {
-			clear(panel)
-		}
-		for jj := 0; jj < cols; jj++ {
-			for k, v := range s.Row(j0 + jj) {
-				panel[k*panelCols+jj] = v
-			}
-		}
-	}
 }
 
 // mulPanelSIMD computes dst rows [rLo, rHi) against all of s. It walks S

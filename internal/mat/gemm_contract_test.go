@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"ejoin/internal/vec"
@@ -136,66 +135,4 @@ func FuzzGemmBitIdentical(f *testing.F) {
 		}
 		checkCells(t, got, r, s)
 	})
-}
-
-// TestForEachBlockReusesBuffer: the block buffer comes from a free list,
-// so a stream of same-shaped calls allocates a small fraction of one
-// block per call.
-func TestForEachBlockReusesBuffer(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	r, s := randomMatrix(rng, 200, 8), randomMatrix(rng, 200, 8)
-	opts := BatchOptions{Gemm: GemmOptions{Threads: 1}}
-	run := func() {
-		if err := ForEachBlock(r, s, opts, func(*Matrix, int, int) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run()
-	const calls = 40
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		run()
-	}
-	runtime.ReadMemStats(&after)
-	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
-	if blockBytes := uint64(PeakBlockBytes(200, 200, opts)); perCall > blockBytes/10 {
-		t.Errorf("ForEachBlock allocates %d B per call; one block is %d B", perCall, blockBytes)
-	}
-}
-
-// TestBlockBufFreeList pins the free-list policy: best fit, and a miss
-// replaces a free buffer instead of growing the list.
-func TestBlockBufFreeList(t *testing.T) {
-	blockBufs.Lock()
-	blockBufs.free = nil
-	blockBufs.Unlock()
-
-	small, large := getBlockBuf(100), getBlockBuf(1000)
-	putBlockBuf(large)
-	putBlockBuf(small)
-	if b := getBlockBuf(50); b != small {
-		t.Error("a small request should take the smallest buffer that fits")
-	} else {
-		putBlockBuf(b)
-	}
-	if b := getBlockBuf(500); b != large || len(b.data) != 500 {
-		t.Error("a larger request should take the buffer that fits, resliced")
-	} else {
-		putBlockBuf(b)
-	}
-	huge := getBlockBuf(5000)
-	if huge == small || huge == large || len(blockBufs.free) != 1 || blockBufs.free[0] != large {
-		t.Errorf("a miss should replace the smallest free buffer; %d left free", len(blockBufs.free))
-	}
-	putBlockBuf(huge)
-
-	// Buffers idle past the limit are dropped at the next put.
-	for _, b := range blockBufs.free {
-		b.returned = b.returned.Add(-2 * blockBufIdle)
-	}
-	putBlockBuf(getBlockBuf(7))
-	if len(blockBufs.free) != 1 {
-		t.Errorf("%d buffers free after the idle sweep, want 1", len(blockBufs.free))
-	}
 }

@@ -32,6 +32,19 @@
 // vec.KernelSIMD runs mulBlockUnrolled, a pure-Go 4x2 register tile with
 // the same per-cell order, which is also the reference the assembly is
 // tested against.
+//
+// # Fused scan
+//
+// The join operators never need D itself, only the cells at or above a
+// bound. ScanAbove runs the same tiles — the assembly tile's twin
+// expands the same k loop, the portable build calls the same Go kernels
+// on a 4x16 strip — but compares each one with its rows' bounds while it
+// is in registers and hands a visitor just the qualifying cells, so no
+// part of D is ever stored: every visited similarity carries the GEMM
+// contract's bits, the visited set is exactly {(i,j) : dotSeq >= bound[i]},
+// and the scan's working memory is one packed S block and one tile per
+// worker whatever |R| and |S| are. ForEachBlock, which does materialize
+// D block by block, remains for the paper's mini-batch experiments.
 package mat
 
 import (

@@ -1,23 +1,22 @@
 package plan
 
 import (
-	"ejoin/internal/core"
 	"ejoin/internal/cost"
 	"ejoin/internal/exec"
-	"ejoin/internal/mat"
 )
 
 // EstimateFootprint estimates the peak resident bytes executing j will
 // pin: the prefetched embedding matrices of both (post-filter) inputs
-// plus, for the tensor strategy, the largest similarity block the blocked
-// GEMM materializes under the executor's batching options. dim is the
-// embedding dimensionality (the model's, or the vector column's).
+// plus, for NLJ, one row of partial matches. (The tensor scan compares
+// its tiles in registers and holds only a few tens of kilobytes of
+// scratch.) dim is the embedding dimensionality (the model's, or the
+// vector column's).
 //
 // This is the weight a serving layer charges against its admission
 // budget before letting the query execute: it bounds aggregate memory
 // pressure across concurrent queries using the same estimates the cost
 // model plans with, not runtime measurements taken too late to help.
-func EstimateFootprint(j *EJoin, dim int, opts core.Options) int64 {
+func EstimateFootprint(j *EJoin, dim int) int64 {
 	if j == nil {
 		return 0
 	}
@@ -26,20 +25,8 @@ func EstimateFootprint(j *EJoin, dim int, opts core.Options) int64 {
 		dim = 1
 	}
 	bytes := int64(lr+rr) * int64(dim) * 4
-	if j.Strategy == cost.StrategyTensor || j.Strategy == cost.StrategyNLJ {
-		// Top-k scans and threshold tensor joins share the blocked kernel;
-		// NLJ's intermediate is one row of partial matches, counted as one
-		// block row for headroom.
-		batch := mat.BatchOptions{
-			BudgetBytes: opts.BudgetBytes,
-			BatchRows:   opts.BatchRows,
-			BatchCols:   opts.BatchCols,
-		}
-		if j.Strategy == cost.StrategyTensor {
-			bytes += mat.PeakBlockBytes(lr, rr, batch)
-		} else {
-			bytes += int64(rr) * 4
-		}
+	if j.Strategy == cost.StrategyNLJ {
+		bytes += int64(rr) * 4
 	}
 	return bytes
 }
@@ -52,12 +39,12 @@ func EstimateFootprint(j *EJoin, dim int, opts core.Options) int64 {
 // budget. blockRows <=0 uses exec.DefaultBlockSize. Non-streamable plans
 // (naive) fall back to the materializing estimate, mirroring
 // ExecuteStreaming's own fallback.
-func EstimateFootprintStreaming(j *EJoin, dim int, opts core.Options, blockRows int) int64 {
+func EstimateFootprintStreaming(j *EJoin, dim int, blockRows int) int64 {
 	if j == nil {
 		return 0
 	}
 	if !Streamable(j) {
-		return EstimateFootprint(j, dim, opts)
+		return EstimateFootprint(j, dim)
 	}
 	if blockRows <= 0 {
 		blockRows = exec.DefaultBlockSize
@@ -71,15 +58,7 @@ func EstimateFootprintStreaming(j *EJoin, dim int, opts core.Options, blockRows 
 		block = blockRows
 	}
 	bytes := int64(rr+block) * int64(dim) * 4
-	switch j.Strategy {
-	case cost.StrategyTensor:
-		batch := mat.BatchOptions{
-			BudgetBytes: opts.BudgetBytes,
-			BatchRows:   opts.BatchRows,
-			BatchCols:   opts.BatchCols,
-		}
-		bytes += mat.PeakBlockBytes(block, rr, batch)
-	case cost.StrategyNLJ:
+	if j.Strategy == cost.StrategyNLJ {
 		bytes += int64(rr) * 4
 	}
 	return bytes

@@ -160,8 +160,8 @@ func TestStreamingDifferentialThresholdNLJ(t *testing.T) {
 
 func TestStreamingDifferentialThresholdTensor(t *testing.T) {
 	q := streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.85})
-	// Small GEMM budget: multiple mini-batches per probe block.
-	diffShape(t, q, forced(cost.StrategyTensor), func(ex *Executor) { ex.Options.BudgetBytes = 1 << 12 })
+	// Short S blocks: several per probe block.
+	diffShape(t, q, forced(cost.StrategyTensor), func(ex *Executor) { ex.Options.BatchCols = 16 })
 }
 
 func TestStreamingDifferentialTopK(t *testing.T) {

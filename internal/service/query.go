@@ -218,9 +218,9 @@ func (e *Engine) query(ctx context.Context, req QueryRequest, start time.Time) (
 	streaming := !e.cfg.MaterializeExec && plan.Streamable(optimized)
 	var weight int64
 	if streaming {
-		weight = plan.EstimateFootprintStreaming(optimized, e.footprintDim(q), e.exec.Options, e.exec.BlockRows)
+		weight = plan.EstimateFootprintStreaming(optimized, e.footprintDim(q), e.exec.BlockRows)
 	} else {
-		weight = plan.EstimateFootprint(optimized, e.footprintDim(q), e.exec.Options)
+		weight = plan.EstimateFootprint(optimized, e.footprintDim(q))
 	}
 	if weight > e.cfg.AdmissionBytes {
 		// An over-budget query is not refused outright: clamped to the full

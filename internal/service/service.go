@@ -84,9 +84,6 @@ type Config struct {
 	// vec.DefaultKernel() (SIMD) — the scalar kernel exists for ablation
 	// benchmarks and cannot be selected through the service.
 	Kernel vec.Kernel
-	// BudgetBytes bounds each query's tensor-join intermediate block
-	// (default 32 MiB); serving should never materialize D whole.
-	BudgetBytes int64
 	// CostParams parametrizes the planner; zero value uses defaults.
 	CostParams cost.Params
 	// PrecisionSlack opts the planner into the precision ladder: the
@@ -243,9 +240,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.PlanCacheSize <= 0 {
 		cfg.PlanCacheSize = 256
 	}
-	if cfg.BudgetBytes <= 0 {
-		cfg.BudgetBytes = 32 << 20
-	}
 	if cfg.CostParams.Validate() != nil {
 		cfg.CostParams = cost.DefaultParams()
 	}
@@ -265,9 +259,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 	ex := &plan.Executor{
 		Options: core.Options{
-			Kernel:      cfg.Kernel,
-			Threads:     cfg.Threads,
-			BudgetBytes: cfg.BudgetBytes,
+			Kernel:  cfg.Kernel,
+			Threads: cfg.Threads,
 		},
 		Store:     store,
 		BlockRows: cfg.ExecBlockRows,

@@ -286,10 +286,7 @@ func TestShardDifferentialNLJ(t *testing.T) {
 }
 
 func TestShardDifferentialTensor(t *testing.T) {
-	cfg := forcedCfg(t, cost.StrategyTensor)
-	// Small GEMM budget: multiple mini-batches per probe block.
-	cfg.BudgetBytes = 1 << 12
-	runDifferential(t, cfg, wideGrid(), diffRequests(), true)
+	runDifferential(t, forcedCfg(t, cost.StrategyTensor), wideGrid(), diffRequests(), true)
 }
 
 // TestShardDifferentialNaiveFallback pins the one non-streamable

@@ -13,7 +13,8 @@ package shard
 // unbuffered channels and stall until the merger consumes.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -153,16 +154,13 @@ func nextRow(cursors []*pairCursor) (rowGroup, bool, error) {
 // descending, build gid ascending. The kept set is emitted ascending by
 // build gid, matching the unsharded operator's output byte for byte.
 func selectTopK(cands []core.Match, k int) []core.Match {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Sim != cands[j].Sim {
-			return cands[i].Sim > cands[j].Sim
-		}
-		return cands[i].Right < cands[j].Right
+	slices.SortFunc(cands, func(a, b core.Match) int {
+		return cmp.Or(cmp.Compare(b.Sim, a.Sim), cmp.Compare(a.Right, b.Right))
 	})
 	if len(cands) > k {
 		cands = cands[:k]
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Right < cands[j].Right })
+	slices.SortFunc(cands, func(a, b core.Match) int { return cmp.Compare(a.Right, b.Right) })
 	return cands
 }
 

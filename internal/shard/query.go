@@ -252,9 +252,9 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 	for _, pe := range execs {
 		dim := r.footprintDim(probe.refs[pe.s], build.refs[pe.t])
 		if pe.streamable {
-			weight += plan.EstimateFootprintStreaming(pe.j, dim, r.exec.Options, r.exec.BlockRows)
+			weight += plan.EstimateFootprintStreaming(pe.j, dim, r.exec.BlockRows)
 		} else {
-			weight += plan.EstimateFootprint(pe.j, dim, r.exec.Options)
+			weight += plan.EstimateFootprint(pe.j, dim)
 		}
 	}
 	if weight > ecfg.AdmissionBytes {

@@ -151,9 +151,6 @@ func Open(cfg Config) (*Router, error) {
 	if ecfg.PlanCacheSize <= 0 {
 		ecfg.PlanCacheSize = 256
 	}
-	if ecfg.BudgetBytes <= 0 {
-		ecfg.BudgetBytes = 32 << 20
-	}
 	if ecfg.CostParams.Validate() != nil {
 		ecfg.CostParams = cost.DefaultParams()
 	}
@@ -190,9 +187,8 @@ func Open(cfg Config) (*Router, error) {
 
 	r.exec = &plan.Executor{
 		Options: core.Options{
-			Kernel:      ecfg.Kernel,
-			Threads:     ecfg.Threads,
-			BudgetBytes: ecfg.BudgetBytes,
+			Kernel:  ecfg.Kernel,
+			Threads: ecfg.Threads,
 		},
 		Store:     store,
 		BlockRows: ecfg.ExecBlockRows,
