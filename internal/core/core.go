@@ -70,8 +70,15 @@ type Stats struct {
 	Comparisons int64 `json:"comparisons"`
 	// Blocks is the number of S blocks a tensor scan walked.
 	Blocks int `json:"blocks"`
+	// KSteps is a tensor scan's inner-loop work had every tile run all d
+	// steps (one step: one k of one left row against 16 right rows), and
+	// KStepsSkipped how much of it the scan proved it could not need: the
+	// pruned fraction. Comparisons counts pairs decided, not work spent.
+	KSteps        int64 `json:"k_steps"`
+	KStepsSkipped int64 `json:"k_steps_skipped"`
 	// PeakIntermediateBytes is the working memory beyond the inputs: a
-	// tensor scan's scratch (a packed S block and a tile per worker).
+	// tensor scan's scratch (a packed S block, its and the left rows'
+	// suffix factors, and a tile per worker).
 	PeakIntermediateBytes int64 `json:"peak_intermediate_bytes"`
 	// EmbedTime is time spent in the model (prefetch phase).
 	EmbedTime time.Duration `json:"embed_time_ns"`
@@ -81,6 +88,20 @@ type Stats struct {
 	// (IVF-PQ's rerank pass); zero for scan strategies and uncompressed
 	// indexes. A subset of JoinTime.
 	RerankTime time.Duration `json:"rerank_time_ns,omitempty"`
+}
+
+// Add folds another invocation's stats into s: counters and times sum,
+// the peak intermediate is a high-water mark.
+func (s *Stats) Add(o Stats) {
+	s.ModelCalls += o.ModelCalls
+	s.Comparisons += o.Comparisons
+	s.Blocks += o.Blocks
+	s.KSteps += o.KSteps
+	s.KStepsSkipped += o.KStepsSkipped
+	s.PeakIntermediateBytes = max(s.PeakIntermediateBytes, o.PeakIntermediateBytes)
+	s.EmbedTime += o.EmbedTime
+	s.JoinTime += o.JoinTime
+	s.RerankTime += o.RerankTime
 }
 
 // Result is the output of a join operator.

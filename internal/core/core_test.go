@@ -678,6 +678,64 @@ func TestFusedScanConsumersMatchMaterializedScan(t *testing.T) {
 	}
 }
 
+// TestFusedScanSkipsFilteredStrips pins what a pushed-down left predicate
+// saves: a 4-row strip it excludes entirely is not computed (on every
+// build), a strip it excludes in part is, and the matches are those of
+// the unfiltered scan minus the excluded rows either way. Comparisons
+// stays |L| x |R|: pairs decided, not work done.
+func TestFusedScanSkipsFilteredStrips(t *testing.T) {
+	ctx := context.Background()
+	const nl, nr, dim = 40, 48, 100
+	left, right := randomEmbeddings(33, nl, dim), randomEmbeddings(34, nr, dim)
+	all, err := TensorJoin(ctx, left, right, 0.1, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowSteps := int64(nr / 16 * dim) // one left row against every right panel
+	for _, tc := range []struct {
+		name       string
+		keep       func(i int) bool
+		wholeStrip int64 // left rows in strips the filter excludes entirely
+	}{
+		{"none excluded", func(int) bool { return true }, 0},
+		{"whole strips", func(i int) bool { return i < 8 || i >= 24 }, 16},
+		{"mixed strips", func(i int) bool { return i%4 != 1 }, 0},
+		{"whole and mixed", func(i int) bool { return i >= 12 && i%8 != 0 }, 12},
+		{"all excluded", func(int) bool { return false }, nl},
+	} {
+		lf := relational.NewBitmap(nl)
+		var want []Match
+		for i := 0; i < nl; i++ {
+			if tc.keep(i) {
+				lf.Set(i)
+			}
+		}
+		for _, m := range all.Matches {
+			if tc.keep(m.Left) {
+				want = append(want, m)
+			}
+		}
+		for _, kernel := range []vec.Kernel{vec.KernelScalar, vec.KernelSIMD} {
+			label := fmt.Sprintf("%s kernel=%v", tc.name, kernel)
+			res, err := TensorJoin(ctx, left, right, 0.1, Options{Threads: 1, Kernel: kernel, LeftFilter: lf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMatchList(t, label, res.Matches, want)
+			st := res.Stats
+			if st.Comparisons != nl*nr || st.KSteps != nl*rowSteps {
+				t.Errorf("%s: %d comparisons over %d k-steps, want %d over %d", label, st.Comparisons, st.KSteps, nl*nr, nl*rowSteps)
+			}
+			// The portable tile skips exactly the excluded strips; the
+			// assembly tile may stop early on top of that.
+			if min := tc.wholeStrip * rowSteps; st.KStepsSkipped < min || st.KStepsSkipped > st.KSteps ||
+				kernel == vec.KernelScalar && st.KStepsSkipped != min {
+				t.Errorf("%s: skipped %d of %d k-steps, want at least %d", label, st.KStepsSkipped, st.KSteps, min)
+			}
+		}
+	}
+}
+
 func sameMatchList(t *testing.T, label string, got, want []Match) {
 	t.Helper()
 	if len(got) != len(want) {

@@ -47,8 +47,9 @@ func TensorJoin(ctx context.Context, left, right *mat.Matrix, threshold float32,
 }
 
 // fusedScan runs mat.ScanAbove for one operator. Rows LeftFilter excludes
-// get a NaN bound, which no similarity reaches; RightFilter is for the
-// visitors to test. Options.BatchCols, when set, is the S block height.
+// get a NaN bound, which no similarity reaches and which lets the scan
+// skip their tiles; RightFilter is for the visitors to test.
+// Options.BatchCols, when set, is the S block height.
 func fusedScan(ctx context.Context, op string, left, right *mat.Matrix, bound []float32, opts Options, newVisitor func() mat.ScanVisitor) (*Result, error) {
 	if left.Cols() != right.Cols() {
 		return nil, fmt.Errorf("core: %s dimensionality mismatch: %d vs %d", op, left.Cols(), right.Cols())
@@ -68,6 +69,8 @@ func fusedScan(ctx context.Context, op string, left, right *mat.Matrix, bound []
 	return &Result{Stats: Stats{
 		Comparisons:           int64(left.Rows()) * int64(right.Rows()),
 		Blocks:                st.Blocks,
+		KSteps:                st.KSteps,
+		KStepsSkipped:         st.KStepsSkipped,
 		PeakIntermediateBytes: st.ScratchBytes,
 	}}, nil
 }

@@ -50,7 +50,7 @@ func (p *IndexProbe) Next(ctx context.Context) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	foldStats(&p.agg, res.Stats)
+	p.agg.Add(res.Stats)
 	matches := make([]core.Match, len(res.Matches))
 	for i, m := range res.Matches {
 		right := m.Right

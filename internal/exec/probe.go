@@ -29,18 +29,6 @@ func (p *buildSide) remap(probeRows []int, ms []core.Match) []core.Match {
 	return ms
 }
 
-// foldStats accumulates one kernel invocation's stats into an aggregate:
-// counters and times sum; the peak intermediate is a high-water mark.
-func foldStats(agg *core.Stats, s core.Stats) {
-	agg.Comparisons += s.Comparisons
-	agg.Blocks += s.Blocks
-	agg.JoinTime += s.JoinTime
-	agg.RerankTime += s.RerankTime
-	if s.PeakIntermediateBytes > agg.PeakIntermediateBytes {
-		agg.PeakIntermediateBytes = s.PeakIntermediateBytes
-	}
-}
-
 // ThresholdProbe is the block nested-loop threshold join: the build side
 // stays resident (encoded once to the plan's precision) while probe
 // blocks stream through the existing F32/F16/int8 kernels. Each kernel
@@ -116,7 +104,7 @@ func (p *ThresholdProbe) Next(ctx context.Context) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	foldStats(&p.agg, res.Stats)
+	p.agg.Add(res.Stats)
 	b.Matches = p.remap(b.Rows, res.Matches)
 	b.Emb, b.Sims = nil, nil
 	p.st.RowsOut += int64(len(b.Matches))
@@ -206,7 +194,7 @@ func (p *TopKProbe) Next(ctx context.Context) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	foldStats(&p.agg, res.Stats)
+	p.agg.Add(res.Stats)
 	matches := res.Matches
 	if p.Residual > -1 {
 		kept := matches[:0]

@@ -255,6 +255,26 @@ func packPanels(packed []float32, s *Matrix, sLo, sHi int) {
 	}
 }
 
+// checkpoints is how many times the scan tile pauses over d-long rows: at
+// k = 16, 32, ... <= d-16, so that stopping skips at least 16 steps.
+// Beyond 2^20 columns the rounding slack in suffixFactors is not proved,
+// so such rows get none.
+func checkpoints(d int) int {
+	if d < 32 || d > 1<<20 {
+		return 0
+	}
+	return d/16 - 1
+}
+
+// factorAt is where suffixFactors puts the factor of the row-th row it
+// covered at checkpoint c = 1..nc: the panels' layout, 16 rows to a
+// group and checkpoint-major within it, so that a tile reads its four
+// rows' or sixteen columns' factors at one checkpoint contiguously and
+// finds the next checkpoint's 16 floats on.
+func factorAt(nc, row, c int) int {
+	return (row/panelCols*nc+c-1)*panelCols + row%panelCols
+}
+
 // MulTranspose allocates and returns r·sᵀ.
 func MulTranspose(r, s *Matrix, opts GemmOptions) (*Matrix, error) {
 	dst := New(r.Rows(), s.Rows())

@@ -45,6 +45,48 @@
 // and the scan's working memory is one packed S block and one tile per
 // worker whatever |R| and |S| are. ForEachBlock, which does materialize
 // D block by block, remains for the paper's mini-batch experiments.
+//
+// # Early exit
+//
+// The assembly scan tile does not always run its k loop to d. At a
+// checkpoint k = 16, 32, ... <= d-16 it forms, for each of its 64 cells,
+// ub = acc + a_i*b_j (one VMULPS, one VADDPS) from the partial sum and a
+// suffix factor of row r_i and of column s_j, and returns "nothing
+// qualifies" if ub < bound[i] in every lane. The compare is ordered, so
+// a NaN estimate (an infinite norm against an infinite partial sum)
+// keeps the tile; a NaN bound, which nothing reaches, counts as below.
+// A tile that goes on continues the same accumulators through the same
+// instruction stream, so this is pruning, not approximation: the visited
+// set and every visited bit are those of the reference (tileGEPortable,
+// which has no checkpoints), and only ScanStats.KStepsSkipped tells the
+// two apart. Which checkpoint a tile tests first follows where its
+// worker's previous tile stopped, so a scan in which nothing can stop
+// (a bound of -Inf) pays for one test per 4-row strip and S block.
+//
+// Why ub bounds the cell. With u = 2^-24, the factor of a row x at k is
+//
+//	f(x) = (1+e)*|x[k:]| + sqrt(d*2^-23)*|x| + 2^-60,  e = (32+d/16)*u
+//
+// with norms summed in float32 (at most 22+d/16 roundings per term, a
+// relative loss below e/2; squares that underflow lose at most 2^-65 of
+// norm, which the floor absorbs). Let A be the partial sum at k and F
+// the finished cell. Every later partial sum is at most (1+u)^d*P in
+// magnitude, P the sum of all |r_k*s_k| as rounded, so the d-k remaining
+// adds err by at most (d-k)*u*(1+u)^d*P, and by Cauchy-Schwarz
+//
+//	F <= A + (1+u)*|r[k:]|*|s[k:]| + (d-k)*u*(1+u)^(d+1)*|r|*|s| + d^2*2^-150
+//
+// (the last term: products that underflow). Dropping cross terms,
+// a*b >= (1+e)^2*|r[k:]|*|s[k:]| + 2*d*u*|r|*|s| + 2^-120, and the
+// computed ub is at least (A + a*b) - u*(|A| + a*b) with |A| <=
+// (1+u)^d*P. For k >= 16 and d <= 2^20 (checkpoints are not placed
+// beyond that) 2*d*u exceeds (d-k+1)*u*(1+u)^(d+1) with room for the
+// roundings of a*b and of the sum, so ub >= F and ub < bound[i] implies
+// F < bound[i]. Rounding is monotone, so a sum that would overflow
+// after k makes ub overflow too, and +Inf is never below a bound; NaN
+// and infinite components make the factors NaN or +Inf likewise.
+// TestScanAboveEarlyExit holds one input per clause: unordered compare,
+// missing rounding term, overflowing norm.
 package mat
 
 import (

@@ -117,10 +117,7 @@ func (ex *Executor) Execute(ctx context.Context, j *EJoin) (*ExecResult, error) 
 		if est <= 0 {
 			est = -1 // hand-built plans carry no estimate
 		}
-		detail := map[string]int64{"comparisons": res.Stats.Comparisons}
-		if res.Stats.Blocks > 0 {
-			detail["blocks"] = int64(res.Stats.Blocks)
-		}
+		detail := joinDetail(res.Stats)
 		res.Analysis = &obs.NodeStats{
 			Name:     j.Explain(),
 			EstRows:  est,
@@ -131,6 +128,21 @@ func (ex *Executor) Execute(ctx context.Context, j *EJoin) (*ExecResult, error) 
 		}
 	}
 	return res, nil
+}
+
+// joinDetail is the kernel accounting a join node shows under EXPLAIN
+// ANALYZE: pairs decided and, for a tensor scan, S blocks walked and how
+// many of its inner-loop steps it proved it could skip.
+func joinDetail(st core.Stats) map[string]int64 {
+	detail := map[string]int64{"comparisons": st.Comparisons}
+	if st.Blocks > 0 {
+		detail["blocks"] = int64(st.Blocks)
+	}
+	if st.KSteps > 0 {
+		detail["k_steps"] = st.KSteps
+		detail["k_skipped"] = st.KStepsSkipped
+	}
+	return detail
 }
 
 // evalInput walks a Scan/Filter/Embed subtree in its written order.

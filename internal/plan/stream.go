@@ -524,14 +524,8 @@ func (lp *loweredPipeline) analysis(j *EJoin, right *evaluatedInput, res *ExecRe
 	if est <= 0 {
 		est = -1
 	}
-	detail := map[string]int64{
-		"comparisons": res.Stats.Comparisons,
-		"batches":     probe.Batches,
-		"streamed":    1,
-	}
-	if res.Stats.Blocks > 0 {
-		detail["blocks"] = int64(res.Stats.Blocks)
-	}
+	detail := joinDetail(res.Stats)
+	detail["batches"], detail["streamed"] = probe.Batches, 1
 	if early := totalEarlyOut(res.Ops); early > 0 {
 		detail["early_out"] = early
 	}

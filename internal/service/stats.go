@@ -40,14 +40,7 @@ func (e *Engine) recordExecution(strategy string, precision quant.Precision, s c
 	c := &e.counters
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.join.ModelCalls += s.ModelCalls
-	c.join.Comparisons += s.Comparisons
-	c.join.Blocks += s.Blocks
-	c.join.EmbedTime += s.EmbedTime
-	c.join.JoinTime += s.JoinTime
-	if s.PeakIntermediateBytes > c.join.PeakIntermediateBytes {
-		c.join.PeakIntermediateBytes = s.PeakIntermediateBytes
-	}
+	c.join.Add(s)
 	if c.strategies == nil {
 		c.strategies = make(map[string]int64)
 	}

@@ -446,15 +446,7 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 		if res == nil {
 			continue
 		}
-		agg.ModelCalls += res.Stats.ModelCalls
-		agg.Comparisons += res.Stats.Comparisons
-		agg.Blocks += res.Stats.Blocks
-		agg.EmbedTime += res.Stats.EmbedTime
-		agg.JoinTime += res.Stats.JoinTime
-		agg.RerankTime += res.Stats.RerankTime
-		if res.Stats.PeakIntermediateBytes > agg.PeakIntermediateBytes {
-			agg.PeakIntermediateBytes = res.Stats.PeakIntermediateBytes
-		}
+		agg.Add(res.Stats)
 	}
 	for _, b := range builds {
 		if b == nil {

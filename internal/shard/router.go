@@ -881,14 +881,7 @@ func (r *Router) recordExecution(strategy string, s core.Stats) {
 	c := &r.counters
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.join.ModelCalls += s.ModelCalls
-	c.join.Comparisons += s.Comparisons
-	c.join.Blocks += s.Blocks
-	c.join.EmbedTime += s.EmbedTime
-	c.join.JoinTime += s.JoinTime
-	if s.PeakIntermediateBytes > c.join.PeakIntermediateBytes {
-		c.join.PeakIntermediateBytes = s.PeakIntermediateBytes
-	}
+	c.join.Add(s)
 	if c.strategies == nil {
 		c.strategies = make(map[string]int64)
 	}
