@@ -2,7 +2,7 @@ package ejoin
 
 // One testing.B benchmark per table/figure of the paper's evaluation, at
 // sizes suited to `go test -bench=.`. The paper-shaped sweeps with full
-// axes live in cmd/ejbench (see EXPERIMENTS.md); these benchmarks are the
+// axes live in cmd/ejbench (README, "Benchmarks"); these benchmarks are the
 // per-commit regression net over the same code paths.
 
 import (

@@ -7,8 +7,8 @@
 //	ejbench -exp all -scale 10 -threads 8
 //
 // Each experiment prints the same rows/series as the corresponding table or
-// figure in the paper, at host-scaled sizes (see DESIGN.md for the mapping
-// and EXPERIMENTS.md for recorded paper-vs-measured results).
+// figure in the paper, at host-scaled sizes (`ejbench -list` maps each
+// experiment to its table or figure; README, "Benchmarks").
 package main
 
 import (

@@ -84,8 +84,7 @@ func main() {
 		slowThreshold  = flag.Duration("slow-query-threshold", 0, "minimum elapsed time for a trace to enter the slow-query ring (0 = record every query; the worst-N set is kept regardless)")
 		slowLogSize    = flag.Int("slow-log-size", 0, "slow-query ring capacity (0 = default 128)")
 		disableTracing = flag.Bool("disable-tracing", false, "skip per-query traces (explain requests still trace; histograms and counters stay on)")
-		materializeEx  = flag.Bool("materialize-exec", false, "force the legacy materializing executor (both join inputs fully resident) instead of streaming block-at-a-time execution")
-		execBlockRows  = flag.Int("exec-block-rows", 0, "streaming executor probe-side block size in rows (0 = default 4096)")
+		execBlockRows  = flag.Int("exec-block-rows", 0, "executor probe-side block size in rows (0 = default 4096); results do not depend on it")
 		debugPprof     = flag.Bool("debug-pprof", false, "expose net/http/pprof under /debug/pprof/")
 		recallSLO      = flag.Float64("recall-slo", 0.95, "audited recall@k target the index auto-tuner drives knobs toward")
 		auditFraction  = flag.Float64("audit-fraction", 0.05, "fraction of index-path queries re-run exactly in the background for recall audits (0 = audits and auto-tuning off)")
@@ -112,8 +111,7 @@ func main() {
 		IndexTables:       *indexTables,
 		ReclusterFraction: *reclusterFrac,
 
-		MaterializeExec: *materializeEx,
-		ExecBlockRows:   *execBlockRows,
+		ExecBlockRows: *execBlockRows,
 
 		DisableTracing:     *disableTracing,
 		SlowQueryThreshold: *slowThreshold,

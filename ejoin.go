@@ -124,7 +124,7 @@ const (
 	TopKJoin = plan.TopKJoin
 )
 
-// Physical strategies (see DESIGN.md for when each wins).
+// Physical strategies (README, "Architecture": the cost model picks one).
 const (
 	// StrategyNaiveNLJ embeds per compared pair (baseline only).
 	StrategyNaiveNLJ = cost.StrategyNaiveNLJ

@@ -5,8 +5,7 @@
 // The paper's testbed is a 2-socket, 48-thread Xeon with MKL and Milvus;
 // this harness runs the Go reproduction on whatever host it gets, so
 // absolute numbers differ. What must hold is the shape: who wins, by
-// roughly what factor, and where crossovers fall. EXPERIMENTS.md records
-// paper-vs-measured for each experiment.
+// roughly what factor, and where crossovers fall (README, "Benchmarks").
 package bench
 
 import (
@@ -101,7 +100,6 @@ func Registry() []Experiment {
 		expCache(),
 		expServe(),
 		expShard(),
-		expStream(),
 		expPersist(),
 		expMutate(),
 		expTune(),

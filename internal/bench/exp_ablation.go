@@ -13,8 +13,8 @@ import (
 	"ejoin/internal/workload"
 )
 
-// Extension ablations beyond the paper's figures, for the design choices
-// DESIGN.md calls out: the LSH baseline the paper positions against
+// Extension ablations beyond the paper's figures, for design choices the
+// paper calls out: the LSH baseline it positions against
 // (Sections IV-A, VII), half-precision storage (Section V-A2), and
 // cached-vs-online embedding (Figure 5, Option 1 vs Option 2).
 

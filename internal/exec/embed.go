@@ -18,8 +18,8 @@ import (
 //
 // Because embedding happens per block, a pipeline that stops early — a
 // LIMIT satisfied, a cancelled request — never pays model calls for the
-// rows it did not reach; that is the streaming engine's main saving on
-// cold corpora.
+// rows it did not reach; that is the pipeline's main saving on cold
+// corpora.
 type Embed struct {
 	Input Operator
 	// Table/Column locate the context-rich text column.
@@ -99,6 +99,5 @@ func (e *Embed) Close() error { return e.Input.Close() }
 // Stats implements Operator.
 func (e *Embed) Stats() OpStats { return e.st }
 
-// BatchStats is the cumulative cache/model accounting across all blocks
-// (the same split the materializing executor reports per side).
+// BatchStats is the cumulative cache/model accounting across all blocks.
 func (e *Embed) BatchStats() embstore.BatchStats { return e.batch }

@@ -1,20 +1,23 @@
-// Package exec is the streaming block-at-a-time execution engine: a
+// Package exec is the execution engine every join strategy runs on: a
 // pull-based (Volcano-style) operator pipeline over fixed-size columnar
-// batches, replacing whole-input materialization for the join shapes that
-// do not need it.
+// batches.
 //
 // The paper's cost model treats intermediate footprint as a first-class
-// term; materializing both join inputs makes that footprint whole-table-
-// sized regardless of what the query returns. Streaming keeps only the
-// build side resident and pulls the probe side through the pipeline one
-// block at a time, so peak residency is build-side + O(block) and a LIMIT
-// can short-circuit upstream work (scan, embed, probe) it will never use.
+// term. The pipeline keeps only the build side resident and pulls the
+// probe side through one block at a time, so peak residency is build-side
+// + O(block) whatever the query returns, and a LIMIT can short-circuit
+// upstream work (scan, embed, probe) it will never use. package plan
+// lowers both join inputs onto the same source operators; the build side
+// is the input drained as one block.
 //
 // Operators compose bottom-up: Scan (predicate + projection pushdown) →
 // Embed (chunked through embstore) → optional SemFilter (fused: the same
 // block embeddings feed both the filter and the probe, and dropped rows
-// are never probed) → one probe operator (ThresholdProbe, TopKProbe, or
-// IndexProbe; build side resident) → optional Limit. Each operator tracks
+// are never probed) → one probe operator (ThresholdProbe, TopKProbe,
+// IndexProbe or NaiveProbe; build side resident) → optional Limit. Probe
+// kernels sort their matches by (probe, build) offset and blocks arrive in
+// ascending probe order, so a pipeline's output does not depend on its
+// block size. Each operator tracks
 // its own OpStats (rows in/out, batches, early-out counts, self time) for
 // EXPLAIN ANALYZE and the /metrics exposition.
 package exec
@@ -58,8 +61,8 @@ func (b *Batch) Len() int { return len(b.Rows) }
 // operator's Next, excluding time spent pulling its input).
 type OpStats struct {
 	// Name identifies the operator in metrics and EXPLAIN ANALYZE
-	// ("scan", "embed", "semfilter", "probe:nlj", "probe:topk",
-	// "probe:index", "limit").
+	// ("scan", "filter", "embed", "semfilter", "probe:nlj", "probe:tensor",
+	// "probe:topk", "probe:index", "probe:naive", "limit").
 	Name string
 	// RowsIn/RowsOut count source rows (or matches, for match-valued
 	// operators) entering and leaving the operator.

@@ -12,8 +12,7 @@ import (
 // IndexProbe streams probe blocks against a vector index. The index is
 // already resident (or was built once before the stream started), so the
 // operator holds no build matrix; Opts.RightFilter carries the inner
-// side's MVCC visibility and predicate mask into the probes, exactly as
-// in the materializing path.
+// side's MVCC visibility and predicate mask into the probes.
 type IndexProbe struct {
 	Input Operator
 	Index vindex.Index

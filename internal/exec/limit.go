@@ -7,9 +7,8 @@ import (
 
 // Limit short-circuits the pipeline after N matches: once satisfied it
 // stops pulling its input entirely, so upstream blocks are never scanned,
-// embedded, or probed. This is where streaming beats materialization
-// hardest — a LIMIT 10 over a million-row probe side touches a handful of
-// blocks instead of the whole input.
+// embedded, or probed — a LIMIT 10 over a million-row probe side touches
+// a handful of blocks instead of the whole input.
 type Limit struct {
 	Input Operator
 	N     int

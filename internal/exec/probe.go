@@ -22,9 +22,9 @@ type buildSide struct {
 
 // remap converts a kernel's local match offsets to global row ids, in
 // place: the kernel's result belongs to the batch it was computed for.
-func (p *buildSide) remap(probeRows []int, ms []core.Match) []core.Match {
+func remap(probeRows, buildRows []int, ms []core.Match) []core.Match {
 	for i, m := range ms {
-		ms[i] = core.Match{Left: probeRows[m.Left], Right: p.BuildRows[m.Right], Sim: m.Sim}
+		ms[i] = core.Match{Left: probeRows[m.Left], Right: buildRows[m.Right], Sim: m.Sim}
 	}
 	return ms
 }
@@ -34,9 +34,8 @@ func (p *buildSide) remap(probeRows []int, ms []core.Match) []core.Match {
 // blocks stream through the existing F32/F16/int8 kernels. Each kernel
 // call sorts its matches by (probe, build) offset and blocks arrive in
 // ascending probe order, so the concatenated output is globally ordered
-// exactly like the materializing executor's — byte-identical results,
-// which is what the differential harness and LIMIT's first-N semantics
-// rely on.
+// by (probe, build) row id whatever the block size — which is what makes
+// LIMIT's first-N well defined.
 type ThresholdProbe struct {
 	Input Operator
 	buildSide
@@ -60,8 +59,7 @@ type ThresholdProbe struct {
 	// per-row scales make block-wise encoding identical to whole-matrix
 	// encoding, but the error bound is per pair of max scales, so the
 	// guard re-checks each block against the planner's promised slack and
-	// demotes just that block to F32 (finer-grained than the materializing
-	// path's whole-scan demotion).
+	// demotes just that block to F32.
 	DemotedBlocks int64
 	blocks        int64
 }
@@ -105,7 +103,7 @@ func (p *ThresholdProbe) Next(ctx context.Context) (*Batch, error) {
 		return nil, err
 	}
 	p.agg.Add(res.Stats)
-	b.Matches = p.remap(b.Rows, res.Matches)
+	b.Matches = remap(b.Rows, p.BuildRows, res.Matches)
 	b.Emb, b.Sims = nil, nil
 	p.st.RowsOut += int64(len(b.Matches))
 	p.st.Batches++
@@ -134,8 +132,7 @@ func (p *ThresholdProbe) probeBlock(ctx context.Context, block *mat.Matrix) (*co
 }
 
 // AllDemoted reports whether every probed block fell back to the exact
-// scan — the streaming analogue of the materializing executor's
-// whole-scan demotion, used to keep the plan's reported precision honest.
+// scan, used to keep the plan's reported precision honest.
 func (p *ThresholdProbe) AllDemoted() bool {
 	return p.blocks > 0 && p.DemotedBlocks == p.blocks
 }
@@ -206,7 +203,7 @@ func (p *TopKProbe) Next(ctx context.Context) (*Batch, error) {
 		p.st.EarlyOutRows += int64(len(matches) - len(kept))
 		matches = kept
 	}
-	b.Matches = p.remap(b.Rows, matches)
+	b.Matches = remap(b.Rows, p.BuildRows, matches)
 	b.Emb, b.Sims = nil, nil
 	p.st.RowsOut += int64(len(b.Matches))
 	p.st.Batches++

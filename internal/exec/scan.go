@@ -15,7 +15,7 @@ import (
 // emitted, embedded, or probed), and only the columns the pipeline needs
 // leave the operator — row ids always, plus the projected vector column
 // when one backs the join. Everything else is late-materialized from the
-// base table after the join, exactly like the materializing executor.
+// base table after the join.
 type Scan struct {
 	// Table is the base table; Name labels it in stats.
 	Table *relational.Table
@@ -26,7 +26,7 @@ type Scan struct {
 	// Preds are pushed-down relational predicates.
 	Preds []relational.Pred
 	// VectorColumn, when set, projects precomputed embeddings into each
-	// batch (normalized per block, matching the materializing path).
+	// batch, normalized per block (stored columns are never mutated).
 	VectorColumn string
 	// BlockRows is rows per batch; <=0 uses DefaultBlockSize.
 	BlockRows int
@@ -122,9 +122,8 @@ func (s *Scan) Stats() OpStats { return s.st }
 // RowFilter applies relational predicates mid-pipeline (above an Embed),
 // compacting each batch. The optimizer's pushdown rule normally fuses
 // predicates into the Scan; this operator exists for plans where the
-// filter sits above E_µ, preserving the un-pushed-down cost (every
-// scanned row is embedded) so streaming and materializing execution of
-// the same plan report identical model work.
+// filter sits above E_µ, preserving the un-pushed-down cost: every
+// scanned row is embedded, which is the model work such a plan reports.
 type RowFilter struct {
 	Input Operator
 	Table *relational.Table

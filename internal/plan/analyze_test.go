@@ -148,10 +148,9 @@ func TestTopKEstimate(t *testing.T) {
 	}
 }
 
-// TestAnalyzeShowsSkippedSteps checks that both executors put a tensor
-// scan's k-step accounting on the join node — the pruned fraction the
-// cost model can read instead of guessing — and that it matches the
-// result's stats.
+// TestAnalyzeShowsSkippedSteps checks that a tensor scan's k-step
+// accounting shows on the join node — the pruned fraction the cost model
+// can read instead of guessing — and that it matches the result's stats.
 func TestAnalyzeShowsSkippedSteps(t *testing.T) {
 	naive, err := NewNaivePlan(streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.85}))
 	if err != nil {
@@ -161,24 +160,18 @@ func TestAnalyzeShowsSkippedSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, streaming := range []bool{false, true} {
-		ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 1}, BlockRows: 64}
-		ctx := obs.WithAnalyze(obs.NewContext(context.Background(), obs.NewTrace("", "tensor scan")))
-		run := ex.Execute
-		if streaming {
-			run = func(ctx context.Context, j *EJoin) (*ExecResult, error) { return ex.ExecuteStreaming(ctx, j, 0) }
-		}
-		res, err := run(ctx, optimized)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := res.Stats
-		if st.KSteps == 0 || st.KStepsSkipped > st.KSteps {
-			t.Fatalf("streaming=%v: %d of %d k-steps skipped", streaming, st.KStepsSkipped, st.KSteps)
-		}
-		want := fmt.Sprintf("k_skipped=%d k_steps=%d", st.KStepsSkipped, st.KSteps)
-		if !strings.Contains(res.Analysis.Detail, want) {
-			t.Errorf("streaming=%v: join detail %q lacks %q", streaming, res.Analysis.Detail, want)
-		}
+	ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 1}, BlockRows: 64}
+	ctx := obs.WithAnalyze(obs.NewContext(context.Background(), obs.NewTrace("", "tensor scan")))
+	res, err := ex.ExecuteStreaming(ctx, optimized, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if st.KSteps == 0 || st.KStepsSkipped > st.KSteps {
+		t.Fatalf("%d of %d k-steps skipped", st.KStepsSkipped, st.KSteps)
+	}
+	want := fmt.Sprintf("k_skipped=%d k_steps=%d", st.KStepsSkipped, st.KSteps)
+	if !strings.Contains(res.Analysis.Detail, want) {
+		t.Errorf("join detail %q lacks %q", res.Analysis.Detail, want)
 	}
 }

@@ -285,7 +285,7 @@ func TestExecuteNaiveVsOptimized(t *testing.T) {
 	ctx := context.Background()
 
 	counted.Reset()
-	resNaive, err := ex.Execute(ctx, naive)
+	resNaive, err := ex.ExecuteStreaming(ctx, naive, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestExecuteNaiveVsOptimized(t *testing.T) {
 		t.Fatal(err)
 	}
 	counted.Reset()
-	resOpt, err := ex.Execute(ctx, opt)
+	resOpt, err := ex.ExecuteStreaming(ctx, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestExecuteWithPredicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	counted.Reset()
-	res, err := (&Executor{}).Execute(context.Background(), opt)
+	res, err := (&Executor{}).ExecuteStreaming(context.Background(), opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestExecuteTopK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&Executor{}).Execute(context.Background(), opt)
+	res, err := (&Executor{}).ExecuteStreaming(context.Background(), opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestExecuteTopKRange(t *testing.T) {
 	q.Join = JoinSpec{Kind: TopKJoin, K: 2, Threshold: 0.4}
 	naive, _ := NewNaivePlan(q)
 	opt, _ := NewOptimizer().Optimize(naive)
-	res, err := (&Executor{}).Execute(context.Background(), opt)
+	res, err := (&Executor{}).ExecuteStreaming(context.Background(), opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestExecuteNaiveTopKUnsupported(t *testing.T) {
 	q := testQuery(t)
 	q.Join = JoinSpec{Kind: TopKJoin, K: 1}
 	naive, _ := NewNaivePlan(q)
-	if _, err := (&Executor{}).Execute(context.Background(), naive); err == nil {
+	if _, err := (&Executor{}).ExecuteStreaming(context.Background(), naive, 0); err == nil {
 		t.Error("expected error for naive top-k")
 	}
 }
@@ -525,7 +525,7 @@ func TestExecuteIndexStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&Executor{IndexEf: 16}).Execute(ctx, opt)
+	res, err := (&Executor{IndexEf: 16}).ExecuteStreaming(ctx, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +551,7 @@ func TestExecuteIndexBuiltOnDemand(t *testing.T) {
 	s := cost.StrategyIndex
 	o.ForceStrategy = &s
 	opt, _ := o.Optimize(naive)
-	res, err := (&Executor{IndexEf: 16}).Execute(context.Background(), opt)
+	res, err := (&Executor{IndexEf: 16}).ExecuteStreaming(context.Background(), opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +574,7 @@ func TestExecuteIndexSizeMismatch(t *testing.T) {
 	s := cost.StrategyIndex
 	o.ForceStrategy = &s
 	opt, _ := o.Optimize(naive)
-	if _, err := (&Executor{}).Execute(context.Background(), opt); err == nil {
+	if _, err := (&Executor{}).ExecuteStreaming(context.Background(), opt, 0); err == nil {
 		t.Error("expected index size mismatch error")
 	}
 }

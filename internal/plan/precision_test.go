@@ -58,7 +58,7 @@ func TestOptimizerPrecisionSlackChoosesQuantized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quantized, err := (&Executor{}).Execute(ctx, pl)
+	quantized, err := (&Executor{}).ExecuteStreaming(ctx, pl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestOptimizerForcedPrecision(t *testing.T) {
 	if pl.Precision != quant.PrecisionF16 {
 		t.Fatalf("forced precision not honored: %v", pl.Precision)
 	}
-	if _, err := (&Executor{}).Execute(context.Background(), pl); err != nil {
+	if _, err := (&Executor{}).ExecuteStreaming(context.Background(), pl, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -181,7 +181,7 @@ func TestExecutorDemotesInt8OnSparseData(t *testing.T) {
 	if pl.Precision != quant.PrecisionInt8 {
 		t.Fatalf("planner chose %v; test needs an int8 plan", pl.Precision)
 	}
-	res, err := (&Executor{}).Execute(context.Background(), pl)
+	res, err := (&Executor{}).ExecuteStreaming(context.Background(), pl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestExecutorRejectsPQScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl.Precision = quant.PrecisionPQ
-	if _, err := (&Executor{}).Execute(context.Background(), pl); err == nil {
+	if _, err := (&Executor{}).ExecuteStreaming(context.Background(), pl, 0); err == nil {
 		t.Fatal("expected error for pq scan precision")
 	}
 }

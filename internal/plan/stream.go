@@ -1,13 +1,14 @@
 package plan
 
-// Streaming execution: lowering an optimized EJoin tree into an
-// internal/exec operator pipeline. The build (inner) side is evaluated
-// resident exactly as the materializing executor would — same embedding
-// path, same stats — while the probe (outer) side streams through
-// Scan → Embed → probe in fixed-size blocks. Because every kernel sorts
-// its matches by (probe, build) offset and blocks arrive in ascending
-// probe order, the streamed output is byte-identical to the materialized
-// one, which the differential harness asserts per query shape.
+// Lowering an optimized EJoin tree onto internal/exec, the one operator
+// pipeline every strategy runs on. Both join inputs go through the same
+// lowerInput (Scan with pushed-down predicates → Embed → RowFilter). The
+// build (inner) side is drained as a single block and held resident; the
+// probe (outer) side streams through a probe operator in fixed-size
+// blocks. Every kernel sorts its matches by (probe, build) offset and
+// blocks arrive in ascending probe order, so matches, similarities and
+// their order do not depend on the block size — the contract the tests
+// assert per query shape, alongside a brute-force oracle.
 
 import (
 	"context"
@@ -18,65 +19,126 @@ import (
 	"ejoin/internal/cost"
 	"ejoin/internal/exec"
 	"ejoin/internal/hnsw"
+	"ejoin/internal/mat"
+	"ejoin/internal/model"
 	"ejoin/internal/obs"
 	"ejoin/internal/quant"
 	"ejoin/internal/relational"
 )
 
-// Streamable reports whether j can execute block-at-a-time. The naive
-// strategy cannot: its defining cost is per-pair model calls inside the
-// join, which has no build/probe decomposition to stream.
-func Streamable(j *EJoin) bool {
-	return j != nil && j.Strategy != cost.StrategyNaiveNLJ
+// stage is one plan node above an input's Scan and the operator it
+// lowered to. op is nil when the node has no operator of its own: a Filter
+// fused into the scan's selection, or an Embed that is deferred (the scan
+// projects a vector column, or the naive join embeds per pair).
+type stage struct {
+	node Node
+	op   exec.Operator
 }
 
-// probeChain is the probe side's lowered Scan/Filter/Embed chain.
-type probeChain struct {
+// loweredInput is one join input's Scan/Filter/Embed subtree as operators.
+type loweredInput struct {
 	scanNode *Scan
-	// above are the nodes stacked on the scan, bottom-up (the order they
-	// evaluate in), each a *Filter or *Embed.
-	above []Node
+	scan     *exec.Scan
+	// stages are the nodes stacked on the scan, in evaluation order.
+	stages []stage
+	// embedNode is the input's E_µ node, embed its operator (nil when the
+	// node is deferred).
+	embedNode *Embed
+	embed     *exec.Embed
+	top       exec.Operator
 }
 
-// walkProbeChain decomposes a join input into its lowering order.
-func walkProbeChain(n Node) (*probeChain, error) {
-	var stack []Node
-	for cur := n; ; {
-		switch t := cur.(type) {
-		case *Scan:
-			// stack holds top-down order; reverse into evaluation order.
-			pc := &probeChain{scanNode: t}
-			for i := len(stack) - 1; i >= 0; i-- {
-				pc.above = append(pc.above, stack[i])
-			}
-			return pc, nil
-		case *Filter:
-			stack = append(stack, t)
-			cur = t.Input
-		case *Embed:
-			stack = append(stack, t)
-			cur = t.Input
-		default:
-			return nil, fmt.Errorf("plan: unsupported streaming input node %T", cur)
+// lowerInput turns a Scan/Filter/Embed subtree into operators. blockRows
+// is the scan's block size; evalEmbeds=false defers Embed nodes to the
+// join (naive strategy).
+func (ex *Executor) lowerInput(n Node, blockRows int, evalEmbeds bool) (*loweredInput, error) {
+	switch t := n.(type) {
+	case *Scan:
+		in := &loweredInput{scanNode: t, scan: &exec.Scan{
+			Table:        t.Ref.Table,
+			Name:         t.Ref.Name,
+			Visible:      t.Ref.Visible,
+			VectorColumn: t.Ref.VectorColumn,
+			BlockRows:    blockRows,
+		}}
+		in.top = in.scan
+		return in, nil
+	case *Filter:
+		in, err := ex.lowerInput(t.Input, blockRows, evalEmbeds)
+		if err != nil {
+			return nil, err
 		}
+		if in.top == exec.Operator(in.scan) {
+			// Predicate pushdown: nothing has consumed the scan's rows yet,
+			// so the filter becomes part of the scan's selection.
+			in.scan.Preds = append(in.scan.Preds, t.Preds...)
+			in.stages = append(in.stages, stage{node: t})
+			return in, nil
+		}
+		// A filter above E_µ stays above it: the un-pushed-down plan embeds
+		// every scanned row, and that model work is what its stats report.
+		in.top = &exec.RowFilter{Input: in.top, Table: in.scan.Table, Preds: t.Preds}
+		in.stages = append(in.stages, stage{node: t, op: in.top})
+		return in, nil
+	case *Embed:
+		in, err := ex.lowerInput(t.Input, blockRows, evalEmbeds)
+		if err != nil {
+			return nil, err
+		}
+		in.embedNode = t
+		if !evalEmbeds || in.scan.VectorColumn != "" {
+			in.stages = append(in.stages, stage{node: t})
+			return in, nil
+		}
+		in.embed = &exec.Embed{
+			Input:   in.top,
+			Table:   in.scan.Table,
+			Column:  t.Column,
+			Model:   t.Model,
+			Store:   ex.Store,
+			Threads: ex.Options.Threads,
+		}
+		in.top = in.embed
+		in.stages = append(in.stages, stage{node: t, op: in.embed})
+		return in, nil
+	default:
+		return nil, fmt.Errorf("plan: unsupported input node %T", n)
 	}
 }
 
-// loweredPipeline holds the assembled operators plus the typed references
-// the post-drain accounting needs.
-type loweredPipeline struct {
-	top       exec.Operator
-	scan      *exec.Scan
-	filters   []*exec.RowFilter
-	embed     *exec.Embed
-	threshold *exec.ThresholdProbe
-	topk      *exec.TopKProbe
-	index     *exec.IndexProbe
-	limit     *exec.Limit
-	// nodes mirrors the operators' plan nodes for EXPLAIN ANALYZE naming.
-	scanNode    *Scan
-	filterNodes []*Filter
-	embedNode   *Embed
+// vectorBacked reports whether an input's scan projects a stored vector
+// column.
+func vectorBacked(n Node) bool {
+	s := findScan(n)
+	return s != nil && s.Ref.VectorColumn != ""
+}
+
+// embedded reports whether the input's batches carry embeddings.
+func (in *loweredInput) embedded() bool { return in.embed != nil || in.scan.VectorColumn != "" }
+
+// textColumn is the column a deferred E_µ reads.
+func (in *loweredInput) textColumn() string {
+	if in.embedNode != nil && in.embedNode.Column != "" {
+		return in.embedNode.Column
+	}
+	return in.scanNode.Ref.TextColumn
+}
+
+// opStats snapshots the input's operators, source to sink.
+func (in *loweredInput) opStats() []exec.OpStats {
+	out := []exec.OpStats{in.scan.Stats()}
+	for _, st := range in.stages {
+		if st.op != nil {
+			out = append(out, st.op.Stats())
+		}
+	}
+	return out
+}
+
+// embedAttrs is an embed span's cache/model split.
+func embedAttrs(e *exec.Embed) map[string]int64 {
+	bs := e.BatchStats()
+	return map[string]int64{"hits": bs.Hits, "misses": bs.Misses, "merged": bs.Merged, "model_calls": bs.ModelCalls}
 }
 
 // BuildSide is a resident evaluated build (inner) input. It is reusable
@@ -84,46 +146,109 @@ type loweredPipeline struct {
 // the shard router evaluates one build per build shard and probes it with
 // every probe shard's stream, paying the embedding cost once.
 type BuildSide struct {
-	in *evaluatedInput
+	in   *loweredInput
+	rows relational.Selection // surviving global row ids
+	emb  *mat.Matrix          // one row per entry of rows; nil when E_µ is deferred
+	// perPair marks a naive join that runs the model inside the join, once
+	// per compared pair: the build then holds texts instead of emb.
+	perPair bool
+	texts   []string
 }
 
 // Rows is the build side's surviving selection (global row ids).
-func (b *BuildSide) Rows() relational.Selection { return b.in.rows }
+func (b *BuildSide) Rows() relational.Selection { return b.rows }
 
 // ModelCalls is the model work the build evaluation performed. Callers
 // sharing one build across streams add it to their aggregate exactly once.
-func (b *BuildSide) ModelCalls() int64 { return b.in.modelCalls }
+func (b *BuildSide) ModelCalls() int64 {
+	if b.in.embed == nil {
+		return 0
+	}
+	return b.in.embed.BatchStats().ModelCalls
+}
 
 // EmbedTime is the build evaluation's embedding wall time.
-func (b *BuildSide) EmbedTime() time.Duration { return b.in.embedTime }
+func (b *BuildSide) EmbedTime() time.Duration {
+	if b.in.embed == nil {
+		return 0
+	}
+	return b.in.embed.Stats().Elapsed
+}
 
-// EvalBuild evaluates j's build (right) side resident, through the same
-// path the materializing executor uses, so embedding behavior, model-call
-// accounting, and the MVCC snapshot view are identical by construction.
+// EvalBuild evaluates j's build (right) side resident: the lowered input
+// is drained as one block of its whole selection, so the store sees a
+// single EmbedAll call and nothing is concatenated.
 func (ex *Executor) EvalBuild(ctx context.Context, j *EJoin) (*BuildSide, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("plan: execute cancelled: %w", err)
 	}
-	right, err := ex.evalInput(ctx, j.Right, true, obs.AnalyzeFromContext(ctx))
+	// The naive strategy runs the model inside the join, once per compared
+	// pair. With a vector column on either side there is no model to call
+	// per pair, and the plan lowers as the prefetched NLJ.
+	perPair := j.Strategy == cost.StrategyNaiveNLJ && !vectorBacked(j.Left) && !vectorBacked(j.Right)
+	in, err := ex.lowerInput(j.Right, 0, !perPair)
+	if err != nil {
+		return nil, err
+	}
+	in.scan.BlockRows = in.scan.Table.NumRows() // >= any selection of it
+	if err := in.top.Open(ctx); err != nil {
+		return nil, fmt.Errorf("plan: evaluating build input: %w", err)
+	}
+	defer in.top.Close()
+	blk, err := in.top.Next(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("plan: evaluating build input: %w", err)
 	}
-	return &BuildSide{in: right}, nil
+	b := &BuildSide{in: in, perPair: perPair}
+	switch {
+	case blk != nil:
+		b.rows, b.emb = blk.Rows, blk.Emb
+	case in.embed != nil:
+		b.emb = mat.New(0, in.embed.Model.Dim())
+	case in.scan.VectorColumn != "":
+		vc, err := in.scan.Table.Vectors(in.scan.VectorColumn)
+		if err != nil {
+			return nil, err
+		}
+		b.emb = mat.New(0, vc.Dim)
+	}
+	if perPair {
+		col, err := in.scan.Table.Strings(in.textColumn())
+		if err != nil {
+			return nil, err
+		}
+		b.texts = make([]string, len(b.rows))
+		for i, r := range b.rows {
+			b.texts[i] = col[r]
+		}
+	}
+	if tr := obs.FromContext(ctx); tr != nil && in.embed != nil {
+		el := in.embed.Stats().Elapsed
+		tr.AddSpan("embed", tr.Since()-el, el, embedAttrs(in.embed))
+	}
+	return b, nil
 }
 
-// Stream is one open probe-side streaming execution over a resident
-// build. Pull match blocks with Next; assemble the ExecResult with
-// Finish; Close releases the pipeline (idempotent with Finish's caller
-// draining or abandoning the stream early).
+// probeOp is a pipeline's join operator.
+type probeOp interface {
+	exec.Operator
+	CoreStats() core.Stats
+}
+
+// Stream is one open probe-side execution over a resident build. Pull
+// match blocks with Next; assemble the ExecResult with Finish; Close
+// releases the pipeline (idempotent with Finish's caller draining or
+// abandoning the stream early).
 type Stream struct {
-	ex    *Executor
 	j     *EJoin
-	lp    *loweredPipeline
 	build *BuildSide
+	in    *loweredInput
+	probe probeOp
+	limit *exec.Limit
+	top   exec.Operator
 	// leftRows is the probe side's full post-predicate selection, known
 	// at Open (predicates are evaluated once, not per block), so feedback
-	// sees the same surviving-row sets as the materializing path even
-	// when a LIMIT cuts the stream short.
+	// sees every surviving row even when a LIMIT cuts the stream short.
 	leftRows relational.Selection
 }
 
@@ -132,28 +257,123 @@ type Stream struct {
 // after limit matches and Finish marks the result Truncated. The caller
 // must Close the returned stream.
 func (ex *Executor) OpenStream(ctx context.Context, j *EJoin, build *BuildSide, limit int) (*Stream, error) {
-	if !Streamable(j) {
-		return nil, fmt.Errorf("plan: strategy %v is not streamable", j.Strategy)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("plan: execute cancelled: %w", err)
 	}
-	lp, err := ex.lowerProbe(j, build.in)
+	if j.Strategy == cost.StrategyNaiveNLJ && j.Spec.Kind != ThresholdJoin {
+		return nil, fmt.Errorf("plan: naive strategy supports only threshold joins")
+	}
+	in, err := ex.lowerInput(j.Left, ex.BlockRows, !build.perPair)
 	if err != nil {
 		return nil, err
 	}
-	if limit > 0 {
-		lp.limit = &exec.Limit{Input: lp.top, N: limit}
-		lp.top = lp.limit
+	s := &Stream{j: j, build: build, in: in}
+	if s.probe, err = ex.lowerProbe(j, in, build); err != nil {
+		return nil, err
 	}
-	if err := lp.top.Open(ctx); err != nil {
+	s.top = s.probe
+	if limit > 0 {
+		s.limit = &exec.Limit{Input: s.top, N: limit}
+		s.top = s.limit
+	}
+	if err := s.top.Open(ctx); err != nil {
 		return nil, fmt.Errorf("plan: opening stream: %w", err)
 	}
-	leftRows := lp.scan.Rows()
-	for _, f := range lp.filters {
-		leftRows = f.Filter(leftRows)
+	s.leftRows = in.scan.Rows()
+	for _, st := range in.stages {
+		if f, ok := st.op.(*exec.RowFilter); ok {
+			s.leftRows = f.Filter(s.leftRows)
+		}
 	}
-	return &Stream{ex: ex, j: j, lp: lp, build: build, leftRows: leftRows}, nil
+	return s, nil
+}
+
+// lowerProbe picks j's join operator over the lowered probe input and the
+// resident build.
+func (ex *Executor) lowerProbe(j *EJoin, in *loweredInput, build *BuildSide) (probeOp, error) {
+	if build.perPair {
+		var mdl model.Model
+		for _, e := range []*Embed{in.embedNode, build.in.embedNode} {
+			if mdl == nil && e != nil {
+				mdl = e.Model
+			}
+		}
+		if mdl == nil {
+			return nil, fmt.Errorf("plan: naive join has no model")
+		}
+		return &exec.NaiveProbe{
+			Input:      in.top,
+			Table:      in.scan.Table,
+			Column:     in.textColumn(),
+			Model:      mdl,
+			BuildTexts: build.texts,
+			BuildRows:  build.rows,
+			Threshold:  j.Spec.Threshold,
+			Opts:       ex.Options,
+		}, nil
+	}
+	if !in.embedded() || (build.emb == nil && j.Strategy != cost.StrategyIndex) {
+		return nil, fmt.Errorf("plan: strategy %v requires embedded inputs (missing Embed node?)", j.Strategy)
+	}
+	switch j.Strategy {
+	case cost.StrategyIndex:
+		op, err := ex.lowerIndexProbe(j, build)
+		if err != nil {
+			return nil, err
+		}
+		op.Input = in.top
+		return op, nil
+	case cost.StrategyNLJ, cost.StrategyTensor, cost.StrategyNaiveNLJ:
+		if j.Spec.Kind == TopKJoin {
+			op := &exec.TopKProbe{Input: in.top, K: j.Spec.K, Residual: j.Spec.Threshold, Opts: ex.Options}
+			op.Build, op.BuildRows = build.emb, build.rows
+			return op, nil
+		}
+		// A naive plan gets here with a vector column on either side: it
+		// carries no precision and scans as the prefetched NLJ.
+		op := &exec.ThresholdProbe{
+			Input:          in.top,
+			Threshold:      j.Spec.Threshold,
+			Tensor:         j.Strategy == cost.StrategyTensor,
+			Precision:      j.Precision,
+			PrecisionSlack: j.PrecisionSlack,
+			Opts:           ex.Options,
+		}
+		op.Build, op.BuildRows = build.emb, build.rows
+		return op, nil
+	}
+	return nil, fmt.Errorf("plan: unsupported strategy %v", j.Strategy)
+}
+
+// lowerIndexProbe prepares the index probe: an attached index is used
+// directly with the visibility mask, otherwise one is built once over the
+// resident build embeddings (the build cost the optimizer charged for).
+func (ex *Executor) lowerIndexProbe(j *EJoin, build *BuildSide) (*exec.IndexProbe, error) {
+	ref := build.in.scanNode.Ref
+	opts := ex.Options
+	if ref.Index == nil {
+		if build.emb == nil {
+			return nil, fmt.Errorf("plan: index strategy without index or embeddings on %q", ref.Name)
+		}
+		built, err := core.BuildIndex(build.emb, hnsw.ConfigLo())
+		if err != nil {
+			return nil, err
+		}
+		opts.RightFilter = nil
+		// Index rows are positions within build.rows; remap via BuildRows.
+		return &exec.IndexProbe{Index: built, Cond: ex.indexCond(j), Opts: opts, BuildRows: build.rows}, nil
+	}
+	// The index must cover every physical row; it may cover MORE (under
+	// live mutation the index runs ahead of the generation snapshot a
+	// query pinned — rows appended after the snapshot are indexed but not
+	// visible). The RightFilter below masks both tombstones and
+	// beyond-snapshot entries, so a superset index stays correct.
+	if ref.Index.Len() < ref.Table.NumRows() {
+		return nil, fmt.Errorf("plan: index over %q has %d entries, table has %d rows",
+			ref.Name, ref.Index.Len(), ref.Table.NumRows())
+	}
+	opts.RightFilter = relational.BitmapFromSelection(ref.Table.NumRows(), build.rows)
+	return &exec.IndexProbe{Index: ref.Index, Cond: ex.indexCond(j), Opts: opts}, nil
 }
 
 // Next returns the next block of matches in the executed plan's
@@ -162,7 +382,7 @@ func (ex *Executor) OpenStream(ctx context.Context, j *EJoin, build *BuildSide, 
 // skipped; nil marks end of stream.
 func (s *Stream) Next(ctx context.Context) ([]core.Match, error) {
 	for {
-		b, err := s.lp.top.Next(ctx)
+		b, err := s.top.Next(ctx)
 		if err != nil || b == nil {
 			return nil, err
 		}
@@ -173,11 +393,8 @@ func (s *Stream) Next(ctx context.Context) ([]core.Match, error) {
 	}
 }
 
-// LeftRows is the probe side's full post-predicate selection.
-func (s *Stream) LeftRows() relational.Selection { return s.leftRows }
-
 // Close releases the pipeline.
-func (s *Stream) Close() error { return s.lp.top.Close() }
+func (s *Stream) Close() error { return s.top.Close() }
 
 // Finish assembles the ExecResult for a drained (or limit/cancel-stopped)
 // stream from the matches the caller accumulated: stats, per-operator
@@ -186,28 +403,27 @@ func (s *Stream) Close() error { return s.lp.top.Close() }
 // model work is NOT included — callers add it once per build (see
 // BuildSide.ModelCalls), since one build may feed many streams.
 func (s *Stream) Finish(ctx context.Context, matches []core.Match) *ExecResult {
-	j, lp := s.j, s.lp
+	j := s.j
 	res := &ExecResult{
 		Matches:   matches,
 		Strategy:  j.Strategy,
 		LeftRows:  s.leftRows,
-		RightRows: s.build.in.rows,
-		Streamed:  true,
+		RightRows: s.build.rows,
+		Truncated: s.limit != nil && s.limit.Truncated,
 	}
-	if lp.limit != nil {
-		res.Truncated = lp.limit.Truncated
-	}
-	if lp.threshold != nil && j.Precision == quant.PrecisionInt8 && lp.threshold.AllDemoted() {
+	if tp, ok := s.probe.(*exec.ThresholdProbe); ok && j.Precision == quant.PrecisionInt8 && tp.AllDemoted() {
 		j.Precision = quant.PrecisionF32 // keep plan/stats honest about what ran
 	}
-	res.Stats = lp.coreStats()
-	if lp.embed != nil {
-		bs := lp.embed.BatchStats()
-		res.Stats.ModelCalls += bs.ModelCalls
-		res.Stats.EmbedTime += lp.embed.Stats().Elapsed
+	res.Stats = s.probe.CoreStats()
+	if s.in.embed != nil {
+		res.Stats.ModelCalls += s.in.embed.BatchStats().ModelCalls
+		res.Stats.EmbedTime += s.in.embed.Stats().Elapsed
 	}
-	res.Ops = lp.opStats()
-	s.ex.emitStreamSpans(ctx, j, lp, res)
+	res.Ops = append(s.in.opStats(), s.probe.Stats())
+	if s.limit != nil {
+		res.Ops = append(res.Ops, s.limit.Stats())
+	}
+	s.emitSpans(ctx, res)
 
 	if j.Swapped {
 		for i, m := range res.Matches {
@@ -216,24 +432,21 @@ func (s *Stream) Finish(ctx context.Context, matches []core.Match) *ExecResult {
 		res.LeftRows, res.RightRows = res.RightRows, res.LeftRows
 	}
 	if obs.AnalyzeFromContext(ctx) {
-		res.Analysis = lp.analysis(j, s.build.in, res)
+		res.Analysis = s.analysis(res)
 	}
 	return res
 }
 
-// ExecuteStreaming runs the plan block-at-a-time. limit > 0 installs a
-// LIMIT short-circuit: the stream stops after limit matches and the
-// result is marked Truncated. Plans the streaming engine cannot run
-// (naive strategy) fall back to the materializing Execute, so callers can
-// use this as their single entry point.
+// ExecuteStreaming runs the plan: build side resident, probe side
+// block-at-a-time. limit > 0 installs a LIMIT short-circuit: the stream
+// stops after limit matches and the result is marked Truncated.
 func (ex *Executor) ExecuteStreaming(ctx context.Context, j *EJoin, limit int) (*ExecResult, error) {
-	if !Streamable(j) {
-		return ex.Execute(ctx, j)
-	}
 	build, err := ex.EvalBuild(ctx, j)
 	if err != nil {
 		return nil, err
 	}
+	// Checkpoint between build and probe: a request cancelled while
+	// embedding must not start the (potentially large) comparison phase.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("plan: execute cancelled after build: %w", err)
 	}
@@ -261,289 +474,100 @@ func (ex *Executor) ExecuteStreaming(ctx context.Context, j *EJoin, limit int) (
 	return res, nil
 }
 
-// lowerProbe assembles the probe-side pipeline for j over the resident
-// build input.
-func (ex *Executor) lowerProbe(j *EJoin, right *evaluatedInput) (*loweredPipeline, error) {
-	pc, err := walkProbeChain(j.Left)
-	if err != nil {
-		return nil, err
-	}
-	ref := pc.scanNode.Ref
-	lp := &loweredPipeline{
-		scanNode: pc.scanNode,
-		scan: &exec.Scan{
-			Table:        ref.Table,
-			Name:         ref.Name,
-			Visible:      ref.Visible,
-			VectorColumn: ref.VectorColumn,
-			BlockRows:    ex.BlockRows,
-		},
-	}
-	var src exec.Operator = lp.scan
-	for _, n := range pc.above {
-		switch t := n.(type) {
-		case *Filter:
-			if src == exec.Operator(lp.scan) {
-				// Predicate pushdown: a filter directly above the scan is
-				// fused into the scan's selection (its effect shows up in
-				// the scan node's observed rows).
-				lp.scan.Preds = append(lp.scan.Preds, t.Preds...)
-				continue
-			}
-			// A filter above E_µ stays above it: the un-pushed-down plan
-			// embeds every scanned row, and streaming must do the same
-			// work to report the same stats.
-			rf := &exec.RowFilter{Input: src, Table: ref.Table, Preds: t.Preds}
-			lp.filters = append(lp.filters, rf)
-			lp.filterNodes = append(lp.filterNodes, t)
-			src = rf
-		case *Embed:
-			if ref.VectorColumn != "" {
-				lp.embedNode = t // pass-through: scan projects the vectors
-				continue
-			}
-			lp.embed = &exec.Embed{
-				Input:   src,
-				Table:   ref.Table,
-				Column:  t.Column,
-				Model:   t.Model,
-				Store:   ex.Store,
-				Threads: ex.Options.Threads,
-			}
-			lp.embedNode = t
-			src = lp.embed
-		}
-	}
-	if lp.embed == nil && ref.VectorColumn == "" {
-		return nil, fmt.Errorf("plan: strategy %v requires embedded inputs (missing Embed node?)", j.Strategy)
-	}
-
-	switch j.Strategy {
-	case cost.StrategyIndex:
-		op, err := ex.lowerIndexProbe(j, right)
-		if err != nil {
-			return nil, err
-		}
-		op.Input = src
-		lp.index = op
-		lp.top = op
-	case cost.StrategyNLJ, cost.StrategyTensor:
-		if right.embeddings == nil {
-			return nil, fmt.Errorf("plan: strategy %v requires embedded inputs (missing Embed node?)", j.Strategy)
-		}
-		if j.Spec.Kind == TopKJoin {
-			lp.topk = &exec.TopKProbe{
-				Input:    src,
-				K:        j.Spec.K,
-				Residual: j.Spec.Threshold,
-				Opts:     ex.Options,
-			}
-			lp.topk.Build, lp.topk.BuildRows = right.embeddings, right.rows
-			lp.top = lp.topk
-		} else {
-			lp.threshold = &exec.ThresholdProbe{
-				Input:          src,
-				Threshold:      j.Spec.Threshold,
-				Tensor:         j.Strategy == cost.StrategyTensor,
-				Precision:      j.Precision,
-				PrecisionSlack: j.PrecisionSlack,
-				Opts:           ex.Options,
-			}
-			lp.threshold.Build, lp.threshold.BuildRows = right.embeddings, right.rows
-			lp.top = lp.threshold
-		}
-	default:
-		return nil, fmt.Errorf("plan: unsupported streaming strategy %v", j.Strategy)
-	}
-	return lp, nil
-}
-
-// lowerIndexProbe prepares the index probe: an attached index is used
-// directly with the visibility mask, otherwise one is built once over the
-// resident build embeddings (the build cost the optimizer charged for).
-func (ex *Executor) lowerIndexProbe(j *EJoin, right *evaluatedInput) (*exec.IndexProbe, error) {
-	idx := right.ref.Index
-	if idx == nil {
-		if right.embeddings == nil {
-			return nil, fmt.Errorf("plan: index strategy without index or embeddings on %q", right.ref.Name)
-		}
-		built, err := core.BuildIndex(right.embeddings, hnsw.ConfigLo())
-		if err != nil {
-			return nil, err
-		}
-		opts := ex.Options
-		opts.RightFilter = nil
-		// Index rows are positions within right.rows; remap via BuildRows.
-		return &exec.IndexProbe{Index: built, Cond: ex.indexCond(j), Opts: opts, BuildRows: right.rows}, nil
-	}
-	if idx.Len() < right.ref.Table.NumRows() {
-		return nil, fmt.Errorf("plan: index over %q has %d entries, table has %d rows",
-			right.ref.Name, idx.Len(), right.ref.Table.NumRows())
-	}
-	opts := ex.Options
-	opts.RightFilter = relational.BitmapFromSelection(right.ref.Table.NumRows(), right.rows)
-	return &exec.IndexProbe{Index: idx, Cond: ex.indexCond(j), Opts: opts}, nil
-}
-
-// coreStats returns the probe operator's aggregated kernel accounting.
-func (lp *loweredPipeline) coreStats() core.Stats {
-	switch {
-	case lp.threshold != nil:
-		return lp.threshold.CoreStats()
-	case lp.topk != nil:
-		return lp.topk.CoreStats()
-	case lp.index != nil:
-		return lp.index.CoreStats()
-	}
-	return core.Stats{}
-}
-
-// opStats snapshots every operator's statistics, source to sink.
-func (lp *loweredPipeline) opStats() []exec.OpStats {
-	ops := []exec.Operator{lp.scan}
-	for _, f := range lp.filters {
-		ops = append(ops, f)
-	}
-	if lp.embed != nil {
-		ops = append(ops, lp.embed)
-	}
-	switch {
-	case lp.threshold != nil:
-		ops = append(ops, lp.threshold)
-	case lp.topk != nil:
-		ops = append(ops, lp.topk)
-	case lp.index != nil:
-		ops = append(ops, lp.index)
-	}
-	if lp.limit != nil {
-		ops = append(ops, lp.limit)
-	}
-	out := make([]exec.OpStats, len(ops))
-	for i, op := range ops {
-		out[i] = op.Stats()
-	}
-	return out
-}
-
-// emitStreamSpans adds the aggregated per-phase spans after the stream
-// drains, preserving the materializing path's span vocabulary ("embed",
-// "join:<strategy>"/"index.probe", "rerank") for the slow-query log and
-// trace consumers: one span per phase with summed durations, not one per
-// block, so traces stay bounded regardless of stream length.
-func (ex *Executor) emitStreamSpans(ctx context.Context, j *EJoin, lp *loweredPipeline, res *ExecResult) {
+// emitSpans adds the probe side's per-phase spans after the stream
+// drains ("embed", "join:<strategy>"/"index.probe", "rerank"): one span
+// per phase with summed durations, not one per block, so traces stay
+// bounded regardless of stream length.
+func (s *Stream) emitSpans(ctx context.Context, res *ExecResult) {
 	tr := obs.FromContext(ctx)
 	if tr == nil {
 		return
 	}
-	if lp.embed != nil {
-		bs, st := lp.embed.BatchStats(), lp.embed.Stats()
-		tr.AddSpan("embed", tr.Since()-st.Elapsed, st.Elapsed, map[string]int64{
-			"hits": bs.Hits, "misses": bs.Misses,
-			"merged": bs.Merged, "model_calls": bs.ModelCalls,
-			"batches": st.Batches,
-		})
+	if e := s.in.embed; e != nil {
+		attrs, st := embedAttrs(e), e.Stats()
+		attrs["batches"] = st.Batches
+		tr.AddSpan("embed", tr.Since()-st.Elapsed, st.Elapsed, attrs)
 	}
 	name := "index.probe"
-	if j.Strategy != cost.StrategyIndex {
-		name = "join:" + strategyLabel(j.Strategy)
+	if s.j.Strategy != cost.StrategyIndex {
+		name = "join:" + strategyLabel(s.j.Strategy)
 	}
-	probe := lp.probeStats()
 	jt := res.Stats.JoinTime
 	tr.AddSpan(name, tr.Since()-jt, jt, map[string]int64{
 		"comparisons": res.Stats.Comparisons,
 		"matches":     int64(len(res.Matches)),
-		"batches":     probe.Batches,
+		"batches":     s.probe.Stats().Batches,
 	})
 	if rt := res.Stats.RerankTime; rt > 0 {
+		// The rerank interval is measured inside the index; anchor it at
+		// the tail of the probe span it is a subset of.
 		tr.AddSpan("rerank", tr.Since()-rt, rt, nil)
 	}
 }
 
-// probeStats returns the probe operator's OpStats.
-func (lp *loweredPipeline) probeStats() exec.OpStats {
-	switch {
-	case lp.threshold != nil:
-		return lp.threshold.Stats()
-	case lp.topk != nil:
-		return lp.topk.Stats()
-	case lp.index != nil:
-		return lp.index.Stats()
+// analysis renders one input's EXPLAIN ANALYZE subtree from its
+// operators' stats, one node per plan node. Estimates propagate up from
+// the scan (physical rows): the gap to a filter's observed rows is the
+// predicate selectivity this engine cannot yet predict. A LIMIT-truncated
+// probe reports the rows each operator actually saw, which is the
+// censoring EXPLAIN should surface.
+func (in *loweredInput) analysis() *obs.NodeStats {
+	st := in.scan.Stats()
+	n := &obs.NodeStats{
+		Name:    in.scanNode.Explain(),
+		EstRows: int64(in.scan.Table.NumRows()),
+		ObsRows: st.RowsOut,
+		Elapsed: st.Elapsed,
+		Detail:  obs.AttrsDetail(map[string]int64{"batches": st.Batches}),
 	}
-	return exec.OpStats{}
+	if len(in.scan.Preds) > 0 {
+		// The scan read every visible row (the gap to est is the snapshot's
+		// tombstone overhang); what it emitted shows on its fused Filter.
+		n.ObsRows = st.RowsIn
+	}
+	for _, sg := range in.stages {
+		up := &obs.NodeStats{Name: sg.node.Explain(), EstRows: n.EstRows, ObsRows: n.ObsRows, Children: []*obs.NodeStats{n}}
+		switch op := sg.op.(type) {
+		case *exec.Embed:
+			attrs, ost := embedAttrs(op), op.Stats()
+			attrs["batches"] = ost.Batches
+			up.ObsRows, up.Elapsed, up.Detail = ost.RowsOut, ost.Elapsed, obs.AttrsDetail(attrs)
+		case *exec.RowFilter:
+			up.ObsRows, up.Elapsed = op.Stats().RowsOut, op.Stats().Elapsed
+		default:
+			if _, ok := sg.node.(*Embed); ok {
+				up.Detail = "deferred"
+			} else {
+				up.ObsRows = st.RowsOut // filter fused into the scan
+			}
+		}
+		n = up
+	}
+	return n
 }
 
-// analysis builds the EXPLAIN ANALYZE tree for a streamed execution,
-// mirroring the materializing tree's node names with per-operator
-// observations (a LIMIT-truncated stream reports the rows each operator
-// actually saw, which is the censoring EXPLAIN should surface).
-func (lp *loweredPipeline) analysis(j *EJoin, right *evaluatedInput, res *ExecResult) *obs.NodeStats {
-	scanSt := lp.scan.Stats()
-	probe := lp.probeStats()
-	left := &obs.NodeStats{
-		Name:    lp.scanNode.Explain(),
-		EstRows: int64(lp.scan.Table.NumRows()),
-		ObsRows: scanSt.RowsOut,
-		Elapsed: scanSt.Elapsed,
-		Detail:  obs.AttrsDetail(map[string]int64{"batches": scanSt.Batches}),
-	}
-	for i, f := range lp.filters {
-		st := f.Stats()
-		left = &obs.NodeStats{
-			Name:     lp.filterNodes[i].Explain(),
-			EstRows:  left.EstRows,
-			ObsRows:  st.RowsOut,
-			Elapsed:  st.Elapsed,
-			Children: []*obs.NodeStats{left},
-		}
-	}
-	if lp.embedNode != nil {
-		detail := "deferred"
-		var elapsed int64
-		obsRows := left.ObsRows
-		if lp.embed != nil {
-			st := lp.embed.Stats()
-			bs := lp.embed.BatchStats()
-			detail = obs.AttrsDetail(map[string]int64{
-				"hits": bs.Hits, "misses": bs.Misses,
-				"merged": bs.Merged, "model_calls": bs.ModelCalls,
-				"batches": st.Batches,
-			})
-			elapsed = int64(st.Elapsed)
-			obsRows = st.RowsOut
-		}
-		left = &obs.NodeStats{
-			Name:     lp.embedNode.Explain(),
-			EstRows:  left.EstRows,
-			ObsRows:  obsRows,
-			Elapsed:  time.Duration(elapsed),
-			Detail:   detail,
-			Children: []*obs.NodeStats{left},
-		}
-	}
-	est := j.EstRows
+// analysis builds the EXPLAIN ANALYZE tree of an execution: the join node
+// over both inputs' subtrees, probe first.
+func (s *Stream) analysis(res *ExecResult) *obs.NodeStats {
+	est := s.j.EstRows
 	if est <= 0 {
-		est = -1
+		est = -1 // hand-built plans carry no estimate
 	}
 	detail := joinDetail(res.Stats)
-	detail["batches"], detail["streamed"] = probe.Batches, 1
-	if early := totalEarlyOut(res.Ops); early > 0 {
+	detail["batches"] = s.probe.Stats().Batches
+	var early int64
+	for _, op := range res.Ops {
+		early += op.EarlyOutRows
+	}
+	if early > 0 {
 		detail["early_out"] = early
 	}
 	return &obs.NodeStats{
-		Name:     j.Explain(),
+		Name:     s.j.Explain(),
 		EstRows:  est,
 		ObsRows:  int64(len(res.Matches)),
 		Elapsed:  res.Stats.JoinTime,
 		Detail:   obs.AttrsDetail(detail),
-		Children: []*obs.NodeStats{left, right.analysis},
+		Children: []*obs.NodeStats{s.in.analysis(), s.build.in.analysis()},
 	}
-}
-
-// totalEarlyOut sums early-out counts across a pipeline's operators.
-func totalEarlyOut(ops []exec.OpStats) int64 {
-	var n int64
-	for _, op := range ops {
-		n += op.EarlyOutRows
-	}
-	return n
 }

@@ -14,20 +14,19 @@ import (
 	"ejoin/internal/workload"
 )
 
-// TestStreamingPeakMemoryRegression is the memory contract behind the
-// streaming engine: a threshold join with a small LIMIT over a large
-// probe side must allocate far fewer intermediate bytes streaming than
-// materializing, because the stream embeds and probes only the blocks it
-// takes to satisfy the limit while the materializing path gathers and
-// embeds the full probe side first.
+// TestStreamingPeakMemoryRegression is the executor's memory contract: a
+// threshold join with a small LIMIT over a large probe side must allocate
+// far fewer intermediate bytes than the same plan without the limit,
+// because the pipeline embeds and probes only the blocks it takes to
+// satisfy the limit, while the unlimited run walks the whole probe side.
 //
 // Setup: 2000 probe rows, build side = the first 32 probe strings (so
 // identical strings guarantee similarity-1.0 matches inside the first
-// block), block size 64, LIMIT 10. The stream satisfies the limit after
-// ~1-2 blocks (≈128 rows of intermediates); the materializing run pays
-// for all 2000. Embeddings come from a pre-warmed shared store, so the
-// measured allocations are executor intermediates (gathered text slices,
-// embedding matrices, match buffers), not model work.
+// block), block size 64, LIMIT 10. The limited run stops after ~1-2
+// blocks (≈128 rows of intermediates); the unlimited run pays for all
+// 2000. Embeddings come from a pre-warmed shared store, so the measured
+// allocations are executor intermediates (gathered text slices, embedding
+// matrices, match buffers), not model work.
 func TestStreamingPeakMemoryRegression(t *testing.T) {
 	const (
 		probeRows = 2000
@@ -102,41 +101,40 @@ func TestStreamingPeakMemoryRegression(t *testing.T) {
 	if _, err := ex.ExecuteStreaming(ctx, optimized, limit); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.Execute(ctx, optimized); err != nil {
+	if _, err := ex.ExecuteStreaming(ctx, optimized, 0); err != nil {
 		t.Fatal(err)
 	}
 
-	var streamRes, matRes *ExecResult
-	allocStream := measure(func() error {
+	var limited, full *ExecResult
+	allocLimited := measure(func() error {
 		var err error
-		streamRes, err = ex.ExecuteStreaming(ctx, optimized, limit)
+		limited, err = ex.ExecuteStreaming(ctx, optimized, limit)
 		return err
 	})
-	allocMat := measure(func() error {
+	allocFull := measure(func() error {
 		var err error
-		matRes, err = ex.Execute(ctx, optimized)
+		full, err = ex.ExecuteStreaming(ctx, optimized, 0)
 		return err
 	})
 
-	if !streamRes.Truncated || len(streamRes.Matches) != limit {
-		t.Fatalf("stream returned %d matches (truncated=%v), want limit %d hit",
-			len(streamRes.Matches), streamRes.Truncated, limit)
+	if !limited.Truncated || len(limited.Matches) != limit {
+		t.Fatalf("limited run returned %d matches (truncated=%v), want limit %d hit",
+			len(limited.Matches), limited.Truncated, limit)
 	}
-	if len(matRes.Matches) <= limit {
-		t.Fatalf("materializing run found only %d matches; workload must overshoot the limit", len(matRes.Matches))
+	if len(full.Matches) <= limit {
+		t.Fatalf("unlimited run found only %d matches; workload must overshoot the limit", len(full.Matches))
 	}
 	for i := 0; i < limit; i++ {
-		if streamRes.Matches[i] != matRes.Matches[i] {
-			t.Fatalf("match %d diverges: streaming %+v, materializing %+v",
-				i, streamRes.Matches[i], matRes.Matches[i])
+		if limited.Matches[i] != full.Matches[i] {
+			t.Fatalf("match %d diverges: limited %+v, unlimited %+v", i, limited.Matches[i], full.Matches[i])
 		}
 	}
-	t.Logf("intermediate allocations: streaming %d B, materializing %d B (ratio %.1fx)",
-		allocStream, allocMat, float64(allocMat)/float64(allocStream))
-	// ISSUE acceptance floor: >= 4x fewer intermediate bytes. The real
-	// ratio here is ~probeRows/(2*blockRows) ≈ 15x; 4x leaves headroom
-	// for allocator noise without letting a materializing regression hide.
-	if allocStream*4 > allocMat {
-		t.Errorf("streaming allocated %d B, materializing %d B; want >= 4x reduction", allocStream, allocMat)
+	t.Logf("intermediate allocations: LIMIT %d %d B, unlimited %d B (ratio %.1fx)",
+		limit, allocLimited, allocFull, float64(allocFull)/float64(allocLimited))
+	// Floor: >= 4x fewer intermediate bytes. The real ratio here is
+	// ~probeRows/(2*blockRows) ≈ 15x; 4x leaves headroom for allocator
+	// noise without letting a pipeline that stopped short-circuiting hide.
+	if allocLimited*4 > allocFull {
+		t.Errorf("LIMIT %d allocated %d B, unlimited %d B; want >= 4x reduction", limit, allocLimited, allocFull)
 	}
 }

@@ -24,7 +24,7 @@ type engineObs struct {
 	latency     obs.Histogram
 	byStrategy  obs.HistogramVec
 	byPrecision obs.HistogramVec
-	// byOperator is the streaming pipeline's per-operator self-time
+	// byOperator is the execution pipeline's per-operator self-time
 	// histogram family (label: operator name).
 	byOperator obs.HistogramVec
 	// slow retains completed traces for /debug/queries.
@@ -154,11 +154,9 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	}
 
 	ee := st.Exec
-	mw.Counter("ejoin_exec_streamed_queries_total", "Queries served by the streaming block-at-a-time executor.", float64(ee.StreamedQueries))
-	mw.Counter("ejoin_exec_materialized_queries_total", "Queries served by the materializing executor (including naive fallbacks).", float64(ee.MaterializedQueries))
-	mw.Counter("ejoin_exec_truncated_queries_total", "Streamed queries a LIMIT short-circuited.", float64(ee.TruncatedQueries))
-	mw.Counter("ejoin_exec_batches_total", "Batches emitted across all streaming pipeline operators.", float64(ee.Batches))
-	mw.Counter("ejoin_exec_rows_early_out_total", "Rows and matches skipped by streaming early termination.", float64(ee.EarlyOutRows))
+	mw.Counter("ejoin_exec_truncated_queries_total", "Queries a LIMIT short-circuited.", float64(ee.TruncatedQueries))
+	mw.Counter("ejoin_exec_batches_total", "Batches emitted across all pipeline operators.", float64(ee.Batches))
+	mw.Counter("ejoin_exec_rows_early_out_total", "Rows and matches skipped by early termination.", float64(ee.EarlyOutRows))
 
 	ob := st.Obs
 	mw.Counter("ejoin_traced_queries_total", "Queries that carried a trace.", float64(ob.TracedQueries))
@@ -177,7 +175,7 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	mw.HistogramVec("ejoin_query_precision_duration_seconds",
 		"Query latency split by effective scan precision.", "precision", &e.obs.byPrecision)
 	mw.HistogramVec("ejoin_exec_operator_duration_seconds",
-		"Cumulative per-query self time of each streaming pipeline operator.", "operator", &e.obs.byOperator)
+		"Cumulative per-query self time of each pipeline operator.", "operator", &e.obs.byOperator)
 
 	writeFloatHist(mw, "ejoin_feedback_audit_recall",
 		"Observed recall@k from sampled index-path audits.", e.feedback.RecallHist)

@@ -153,8 +153,6 @@ func TestMetricsExpositionValid(t *testing.T) {
 		`ejoin_joins_by_strategy_total{strategy="`,
 		"ejoin_upsert_batches_total 1",
 		"ejoin_store_entries",
-		"ejoin_exec_streamed_queries_total 3",
-		"ejoin_exec_materialized_queries_total 0",
 		"ejoin_exec_batches_total",
 		"ejoin_exec_rows_early_out_total",
 		`ejoin_exec_operator_duration_seconds_bucket{operator="`,

@@ -212,16 +212,10 @@ func (e *Engine) query(ctx context.Context, req QueryRequest, start time.Time) (
 		}
 	}
 
-	// Streamed plans are charged build-side + one block, not both whole
-	// inputs: the pipeline never materializes the probe side, so charging
-	// for it would serialize queries that can safely run concurrently.
-	streaming := !e.cfg.MaterializeExec && plan.Streamable(optimized)
-	var weight int64
-	if streaming {
-		weight = plan.EstimateFootprintStreaming(optimized, e.footprintDim(q), e.exec.BlockRows)
-	} else {
-		weight = plan.EstimateFootprint(optimized, e.footprintDim(q))
-	}
+	// A plan is charged its build side plus one probe block — what the
+	// pipeline holds — not both whole inputs: charging for the probe side
+	// would serialize queries that can safely run concurrently.
+	weight := plan.EstimateFootprint(optimized, e.footprintDim(q), e.exec.BlockRows)
 	if weight > e.cfg.AdmissionBytes {
 		// An over-budget query is not refused outright: clamped to the full
 		// budget it runs alone, which is the useful degraded mode for one
@@ -247,57 +241,38 @@ func (e *Engine) query(ctx context.Context, req QueryRequest, start time.Time) (
 	defer e.counters.inFlight.Add(-1)
 
 	sp = tr.StartSpan("execute")
-	var res *plan.ExecResult
-	if streaming {
-		res, err = e.exec.ExecuteStreaming(ctx, optimized, req.Limit)
-	} else {
-		res, err = e.exec.Execute(ctx, optimized)
-	}
+	res, err := e.exec.ExecuteStreaming(ctx, optimized, req.Limit)
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
-	sp.Attr("matches", int64(len(res.Matches))).Attr("streamed", boolAttr(res.Streamed)).End()
+	sp.Attr("matches", int64(len(res.Matches))).End()
 
 	e.recordExecution(optimized.Strategy.String(), effectivePrecision(optimized), res.Stats)
 	e.recordExecShape(res)
 	// Feedback rides the traced path only, like the rest of per-query
 	// observability: untraced deployments opt out of its (small) cost too.
-	if tr != nil {
-		// A LIMIT that bites censors observed cardinality: the streaming
-		// engine stops at the limit, so the match count measures the limit,
-		// not the join's selectivity. Both executors skip feedback under
-		// the same condition (len >= limit holds exactly when the streamed
-		// run would have truncated), keeping the /stats cardinality
-		// feedback identical between them.
-		if !(req.Limit > 0 && len(res.Matches) >= req.Limit) {
-			e.recordFeedback(&q, optimized, res)
-		}
-		if !res.Truncated {
-			// A truncated stream may have cut a probe row's result list
-			// mid-row; auditing it would misread the cut as lost recall.
-			e.maybeAudit(&q, optimized, res)
-		}
+	// A LIMIT that bites (res.Truncated) censors observed cardinality — the
+	// match count measures the limit, not the join's selectivity — and may
+	// have cut a probe row's result list mid-row, which an audit would
+	// misread as lost recall.
+	if tr != nil && !res.Truncated {
+		e.recordFeedback(&q, optimized, res)
+		e.maybeAudit(&q, optimized, res)
 	}
 
-	matches := res.Matches
-	if req.Limit > 0 && len(matches) > req.Limit {
-		matches = matches[:req.Limit]
-	}
 	out := &QueryResult{
 		Strategy:      optimized.Strategy.String(),
 		Precision:     effectivePrecision(optimized).String(),
-		Matches:       matches,
+		Matches:       res.Matches,
 		Stats:         res.Stats,
 		PlanCacheHit:  cacheHit,
 		AdmittedBytes: weight,
 		Plan:          res.Analysis,
 	}
 	if req.Materialize {
-		limited := *res
-		limited.Matches = matches
 		sp = tr.StartSpan("materialize")
-		tbl, err := plan.MaterializeResult(q, &limited)
+		tbl, err := plan.MaterializeResult(q, res)
 		if err != nil {
 			sp.End()
 			return nil, fmt.Errorf("service: materializing result: %w", err)

@@ -112,14 +112,10 @@ type Config struct {
 	// triggers a background index re-cluster (default 0.3; negative
 	// disables re-clustering).
 	ReclusterFraction float64
-	// MaterializeExec forces the legacy materializing executor (both join
-	// inputs fully resident). Off by default — queries stream block-at-a-
-	// time through internal/exec, with admission charged build-side +
-	// O(block) bytes. The flag exists for differential testing and as an
-	// escape hatch, not as a recommended mode.
-	MaterializeExec bool
-	// ExecBlockRows is the streaming executor's probe-side block size
-	// (0 = exec.DefaultBlockSize).
+	// ExecBlockRows is the executor's probe-side block size
+	// (0 = exec.DefaultBlockSize). It trades per-block overhead against
+	// resident bytes (admission charges build side + one block); results
+	// do not depend on it.
 	ExecBlockRows int
 	// DisableTracing turns off per-query traces (and with them the
 	// slow-query log); an explicit explain request still traces its own

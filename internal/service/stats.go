@@ -21,10 +21,8 @@ type counters struct {
 	admissionWaits atomic.Int64
 	inFlight       atomic.Int64
 
-	// Streaming-executor shape counters: which engine ran, how many
-	// batches flowed, and how many rows/matches early-out skipped.
-	streamed     atomic.Int64
-	materialized atomic.Int64
+	// Pipeline shape counters: LIMIT-truncated queries, batches that
+	// flowed, and rows/matches early-out skipped.
 	truncated    atomic.Int64
 	execBatches  atomic.Int64
 	execEarlyOut atomic.Int64
@@ -51,15 +49,10 @@ func (e *Engine) recordExecution(strategy string, precision quant.Precision, s c
 	c.precisions[precision.String()]++
 }
 
-// recordExecShape folds one execution's streaming-pipeline accounting
-// into the counters and the per-operator latency histograms.
+// recordExecShape folds one execution's pipeline accounting into the
+// counters and the per-operator latency histograms.
 func (e *Engine) recordExecShape(res *plan.ExecResult) {
 	c := &e.counters
-	if res.Streamed {
-		c.streamed.Add(1)
-	} else {
-		c.materialized.Add(1)
-	}
 	if res.Truncated {
 		c.truncated.Add(1)
 	}
@@ -70,12 +63,8 @@ func (e *Engine) recordExecShape(res *plan.ExecResult) {
 	}
 }
 
-// ExecStats is the streaming execution engine's observability surface.
+// ExecStats is the execution pipeline's observability surface.
 type ExecStats struct {
-	// StreamedQueries/MaterializedQueries split served queries by which
-	// executor ran them (naive-strategy fallbacks count as materialized).
-	StreamedQueries     int64 `json:"streamed_queries"`
-	MaterializedQueries int64 `json:"materialized_queries"`
 	// TruncatedQueries counts streams a LIMIT short-circuited.
 	TruncatedQueries int64 `json:"truncated_queries"`
 	// Batches is the total batches emitted across all pipeline operators.
@@ -151,8 +140,8 @@ type ServerStats struct {
 	// Mutation describes the live-update arm: WAL, applied batches,
 	// tombstones, replay, and index re-clustering.
 	Mutation *MutationStats `json:"mutation,omitempty"`
-	// Exec describes the streaming execution engine: which executor served
-	// queries, batch counts, and early-out savings.
+	// Exec describes the execution pipeline: LIMIT-truncated queries,
+	// batch counts, and early-out savings.
 	Exec ExecStats `json:"exec"`
 	// Obs describes the tracing subsystem: traced queries, slow-log
 	// retention, and latency-histogram sample counts.
@@ -193,12 +182,10 @@ func (e *Engine) Stats() ServerStats {
 		Mutation:               e.mutationStats(),
 	}
 	st.Exec = ExecStats{
-		StreamedQueries:     c.streamed.Load(),
-		MaterializedQueries: c.materialized.Load(),
-		TruncatedQueries:    c.truncated.Load(),
-		Batches:             c.execBatches.Load(),
-		EarlyOutRows:        c.execEarlyOut.Load(),
-		BlockRows:           e.cfg.ExecBlockRows,
+		TruncatedQueries: c.truncated.Load(),
+		Batches:          c.execBatches.Load(),
+		EarlyOutRows:     c.execEarlyOut.Load(),
+		BlockRows:        e.cfg.ExecBlockRows,
 	}
 	st.Quant.TablePrecisions = e.tablePrec.snapshot()
 	st.Quant.PrecisionSlack = e.cfg.PrecisionSlack

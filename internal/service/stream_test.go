@@ -8,103 +8,115 @@ import (
 	"sync"
 	"testing"
 
+	"ejoin/internal/cost"
+	"ejoin/internal/oracle"
 	"ejoin/internal/workload"
 )
 
-// twinEngines builds a streaming engine and a materializing engine over
-// identical tables and models, so service-level behavior (results,
-// feedback, stats) can be compared across executors.
-func twinEngines(t *testing.T, base Config) (streaming, materializing *Engine) {
+// checkAgainstOracle checks one reply over the test engine's left/right
+// tables against the brute-force answer (ids, order, similarities). Both
+// tables hold 120 rows, so the planner never swaps the inputs and replies
+// are in (Left, Right) order.
+func checkAgainstOracle(t *testing.T, e *Engine, spec oracle.Spec, res *QueryResult) {
 	t.Helper()
-	mcfg := base
-	mcfg.MaterializeExec = true
-	streaming, _ = newTestEngine(t, base)
-	materializing, _ = newTestEngine(t, mcfg)
-	return streaming, materializing
+	side := func(name string) oracle.Side {
+		tbl, ok := e.catalog.Get(name)
+		if !ok {
+			t.Fatalf("no table %q", name)
+		}
+		return oracle.Side{Table: tbl, Text: "text"}
+	}
+	ans, err := oracle.Join(e.model, side("left"), side("right"), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]oracle.Match, len(res.Matches))
+	for i, m := range res.Matches {
+		got[i] = oracle.Match{Left: m.Left, Right: m.Right, Sim: float64(m.Sim)}
+	}
+	if err := ans.Check(got, 1e-5, 1); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestServiceStreamingDifferential runs every request shape through a
-// streaming and a materializing engine and requires identical responses
-// AND identical cardinality-feedback state: the streaming engine must be
-// invisible to clients and to the planner's closed loop.
+// TestServiceStreamingDifferential runs every request shape at three
+// block sizes. Unlimited replies must match the oracle; a limited reply
+// must be the first-N prefix of its unlimited twin; all block sizes must
+// agree byte for byte. And a LIMIT that bites must be invisible to the
+// planner's closed loop: the engine ends with the same cardinality
+// feedback as one that served only the unlimited requests.
 func TestServiceStreamingDifferential(t *testing.T) {
-	stream, mat := twinEngines(t, Config{ExecBlockRows: 16})
 	thr := 0.8
-	requests := []QueryRequest{
-		{SQL: testQuery},
-		{SQL: testQuery, Limit: 3},
-		{Join: &JoinRequest{
-			LeftTable: "left", LeftColumn: "text",
-			RightTable: "right", RightColumn: "text",
-			Kind: "topk", K: 2,
-		}},
-		{Join: &JoinRequest{
-			LeftTable: "left", LeftColumn: "text",
-			RightTable: "right", RightColumn: "text",
-			Kind: "threshold", Threshold: &thr,
-		}, Limit: 5},
+	side := JoinRequest{LeftTable: "left", LeftColumn: "text", RightTable: "right", RightColumn: "text"}
+	topk, range8 := side, side
+	topk.Kind, topk.K = "topk", 2
+	range8.Kind, range8.Threshold = "threshold", &thr
+	requests := []struct {
+		req  QueryRequest
+		spec oracle.Spec // unlimited requests: the oracle's condition
+		full int         // limited requests: index of the unlimited twin
+	}{
+		{req: QueryRequest{SQL: testQuery}, spec: oracle.Spec{Threshold: 0.8}},
+		{req: QueryRequest{SQL: testQuery, Limit: 3}, full: 0},
+		{req: QueryRequest{Join: &topk}, spec: oracle.Spec{K: 2, Threshold: -2}},
+		{req: QueryRequest{Join: &range8, Limit: 5}, full: 0},
 	}
 	ctx := context.Background()
-	for i, req := range requests {
-		sres, err := stream.Query(ctx, req)
-		if err != nil {
-			t.Fatalf("request %d (streaming): %v", i, err)
-		}
-		mres, err := mat.Query(ctx, req)
-		if err != nil {
-			t.Fatalf("request %d (materializing): %v", i, err)
-		}
-		if sres.Strategy != mres.Strategy || sres.Precision != mres.Precision {
-			t.Errorf("request %d: strategy/precision %s/%s vs %s/%s",
-				i, sres.Strategy, sres.Precision, mres.Strategy, mres.Precision)
-		}
-		if len(sres.Matches) != len(mres.Matches) {
-			t.Fatalf("request %d: %d matches streaming, %d materializing",
-				i, len(sres.Matches), len(mres.Matches))
-		}
-		for j := range sres.Matches {
-			if sres.Matches[j] != mres.Matches[j] {
-				t.Fatalf("request %d match %d: %+v vs %+v", i, j, sres.Matches[j], mres.Matches[j])
+	var first []*QueryResult
+	for _, rows := range []int{1, 16, 4096} {
+		e, _ := newTestEngine(t, Config{ExecBlockRows: rows})
+		unlimited, _ := newTestEngine(t, Config{ExecBlockRows: rows})
+		var replies []*QueryResult
+		for i, r := range requests {
+			res, err := e.Query(ctx, r.req)
+			if err != nil {
+				t.Fatalf("BlockRows=%d request %d: %v", rows, i, err)
+			}
+			replies = append(replies, res)
+			if r.req.Limit == 0 {
+				checkAgainstOracle(t, e, r.spec, res)
+				if _, err := unlimited.Query(ctx, r.req); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			full := replies[r.full].Matches
+			if len(full) <= r.req.Limit || len(res.Matches) != r.req.Limit {
+				t.Fatalf("BlockRows=%d request %d: %d of %d matches under limit %d; the limit must bite",
+					rows, i, len(res.Matches), len(full), r.req.Limit)
+			}
+			if !reflect.DeepEqual(res.Matches, full[:r.req.Limit]) {
+				t.Errorf("BlockRows=%d request %d is not the first %d matches of its unlimited twin", rows, i, r.req.Limit)
 			}
 		}
-		if req.Limit > 0 && len(sres.Matches) > req.Limit {
-			t.Errorf("request %d returned %d matches over limit %d", i, len(sres.Matches), req.Limit)
+		if first == nil {
+			first = replies
 		}
-	}
-
-	// The /stats cardinality feedback must be byte-for-byte identical:
-	// same joins recorded, same q-errors, same regret — and the same
-	// requests *skipped* (a LIMIT that bites censors cardinality on both
-	// engines, not just the one that truncated the stream).
-	sd, md := stream.FeedbackDump(), mat.FeedbackDump()
-	if !reflect.DeepEqual(sd, md) {
-		t.Errorf("feedback diverged:\nstreaming:     %+v\nmaterializing: %+v", sd, md)
-	}
-
-	sst, mst := stream.Stats(), mat.Stats()
-	if sst.Exec.StreamedQueries == 0 || sst.Exec.MaterializedQueries != 0 {
-		t.Errorf("streaming engine exec split = %+v", sst.Exec)
-	}
-	if mst.Exec.StreamedQueries != 0 || mst.Exec.MaterializedQueries == 0 {
-		t.Errorf("materializing engine exec split = %+v", mst.Exec)
-	}
-	if sst.Exec.TruncatedQueries == 0 {
-		t.Error("limited requests truncated no streams")
-	}
-	if sst.Exec.Batches == 0 {
-		t.Error("streaming engine recorded no batches")
+		for i, res := range replies {
+			if res.Strategy != first[i].Strategy || res.Precision != first[i].Precision || !reflect.DeepEqual(res.Matches, first[i].Matches) {
+				t.Errorf("BlockRows=%d request %d differs from BlockRows=1", rows, i)
+			}
+		}
+		if got, want := e.FeedbackDump(), unlimited.FeedbackDump(); !reflect.DeepEqual(got, want) {
+			t.Errorf("BlockRows=%d: censored requests left feedback:\ngot:  %+v\nwant: %+v", rows, got, want)
+		}
+		st := e.Stats()
+		if st.Exec.TruncatedQueries != 2 {
+			t.Errorf("BlockRows=%d: %d truncated queries, want 2", rows, st.Exec.TruncatedQueries)
+		}
+		if st.Exec.Batches == 0 {
+			t.Error("engine recorded no batches")
+		}
 	}
 }
 
 // TestStreamingAdmissionWeight is the over-admission-starvation fix: a
-// streamed plan holds build-side + one block of the byte budget, not both
-// whole inputs, so the same budget admits several streamed queries where
-// it serialized materializing ones.
+// plan holds build side + one probe block of the byte budget, not both
+// whole inputs, so a budget that could not fit one whole-input charge
+// admits several queries at once.
 func TestStreamingAdmissionWeight(t *testing.T) {
-	// A large probe side against a small build side — the shape streaming
-	// exists for. The materializing estimate charges for both whole
-	// inputs; the streamed one charges build + one block.
-	const probeRows, buildRows = 600, 60
+	// A large probe side against a small build side.
+	const probeRows, buildRows, blockRows, dim = 600, 60, 16, 64
 	registerAsym := func(e *Engine) {
 		for _, side := range []struct {
 			name string
@@ -126,38 +138,35 @@ func TestStreamingAdmissionWeight(t *testing.T) {
 		Kind: "threshold", Threshold: &thr,
 	}}
 
-	// Measure both weights under an effectively unbounded budget (no
-	// clamping), on twin engines over identical tables.
-	stream, mat := twinEngines(t, Config{ExecBlockRows: 16})
-	registerAsym(stream)
-	registerAsym(mat)
+	// The weight under an effectively unbounded budget (no clamping).
+	e, _ := newTestEngine(t, Config{ExecBlockRows: blockRows})
+	registerAsym(e)
 	ctx := context.Background()
-	sres, err := stream.Query(ctx, asymQuery)
+	res, err := e.Query(ctx, asymQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := mat.Query(ctx, asymQuery)
-	if err != nil {
-		t.Fatal(err)
+	want := int64(buildRows+blockRows) * dim * 4
+	if res.Strategy == cost.StrategyNLJ.String() {
+		want += buildRows * 4 // one row of partial matches
 	}
-	wStream, wMat := sres.AdmittedBytes, mres.AdmittedBytes
-	if wStream <= 0 || wMat <= 0 {
-		t.Fatalf("weights: streaming %d, materializing %d", wStream, wMat)
+	weight, whole := res.AdmittedBytes, int64(probeRows+buildRows)*dim*4
+	if weight != want {
+		t.Fatalf("admitted %d bytes, want (build + one block) x dim x 4 = %d", weight, want)
 	}
-	if wStream*4 > wMat {
-		t.Fatalf("streamed weight %d not >= 4x lighter than materializing %d", wStream, wMat)
-	}
-
-	// Concurrency arithmetic under a shared budget sized for exactly four
-	// streamed queries: the materializing estimate admits at most one at
-	// a time (it exceeds the budget and is clamped to run alone).
-	budget := 4 * wStream
-	if admitted := budget / wMat; admitted != 0 {
-		t.Fatalf("budget %d fits %d materializing queries; test needs 0 (clamped, runs alone)", budget, admitted)
+	if weight*4 > whole {
+		t.Fatalf("weight %d not >= 4x lighter than both whole inputs (%d)", weight, whole)
 	}
 
-	// And empirically: four concurrent streamed queries under that budget
-	// all admit without a single wait.
+	// A shared budget sized for exactly four such queries could not hold
+	// even one whole-input charge.
+	budget := 4 * weight
+	if budget >= whole {
+		t.Fatalf("budget %d fits a whole-input charge of %d; test needs it not to", budget, whole)
+	}
+
+	// And empirically: four concurrent queries under that budget all admit
+	// without a single wait.
 	e4, _ := newTestEngine(t, Config{ExecBlockRows: 16, AdmissionBytes: budget, MaxConcurrent: 8})
 	registerAsym(e4)
 	// Warm the corpus first so the concurrent round is compute-light.
@@ -181,12 +190,12 @@ func TestStreamingAdmissionWeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	if waits := e4.Stats().AdmissionWaits; waits != 0 {
-		t.Errorf("4 streamed queries under a 4-query budget waited %d times, want 0", waits)
+		t.Errorf("4 queries under a 4-query budget waited %d times, want 0", waits)
 	}
 }
 
 // TestStreamingMetricsFamilies requires the exec metric families in the
-// exposition after streamed and limited queries.
+// exposition after unlimited and limited queries.
 func TestStreamingMetricsFamilies(t *testing.T) {
 	e, _ := newTestEngine(t, Config{ExecBlockRows: 16})
 	ctx := context.Background()
@@ -202,7 +211,6 @@ func TestStreamingMetricsFamilies(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"ejoin_exec_streamed_queries_total 2",
 		"ejoin_exec_truncated_queries_total 1",
 		"ejoin_exec_batches_total",
 		"ejoin_exec_rows_early_out_total",

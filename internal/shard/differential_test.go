@@ -289,23 +289,17 @@ func TestShardDifferentialTensor(t *testing.T) {
 	runDifferential(t, forcedCfg(t, cost.StrategyTensor), wideGrid(), diffRequests(), true)
 }
 
-// TestShardDifferentialNaiveFallback pins the one non-streamable
-// strategy: every fan-out pair falls back to the materializing executor
-// and its whole result enters the merge as one pre-mapped block.
+// TestShardDifferentialNaiveFallback pins the naive strategy: every
+// fan-out pair embeds per compared pair inside its probe, shares one
+// build (texts, not vectors) per build shard, and takes the pair LIMIT
+// like every other threshold pair — with and without predicates.
 func TestShardDifferentialNaiveFallback(t *testing.T) {
 	reqs := []service.QueryRequest{
 		{SQL: "SELECT * FROM l JOIN r ON SIM(l.word, r.term) >= 0.85"},
 		{SQL: "SELECT * FROM l JOIN r ON SIM(l.word, r.term) >= 0.85", Limit: 7},
+		{SQL: "SELECT * FROM l JOIN r ON SIM(l.word, r.term) >= 0.85 WHERE l.n <= 200 AND r.n <= 250", Limit: 4},
 	}
 	runDifferential(t, forcedCfg(t, cost.StrategyNaiveNLJ), wideGrid(), reqs, true)
-}
-
-// TestShardDifferentialMaterializeExec forces the engines' legacy
-// materializing executor on both sides of the comparison.
-func TestShardDifferentialMaterializeExec(t *testing.T) {
-	cfg := diffConfig(t)
-	cfg.MaterializeExec = true
-	runDifferential(t, cfg, wideGrid(), diffRequests(), false)
 }
 
 // TestShardDifferentialIndex forces the index strategy: each shard builds

@@ -120,9 +120,8 @@ func (r *Router) pinSide(ref plan.TableRef) (*sideState, error) {
 
 // pairExec is one probe-shard x build-shard unit of a fan-out.
 type pairExec struct {
-	s, t       int // probe (outer) and build (inner) shard indexes
-	j          *plan.EJoin
-	streamable bool
+	s, t int // probe (outer) and build (inner) shard indexes
+	j    *plan.EJoin
 }
 
 func (r *Router) query(ctx context.Context, req service.QueryRequest, start time.Time) (*service.QueryResult, error) {
@@ -242,20 +241,15 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 			if probe.refs[s].Table.NumRows() == 0 || build.refs[t].Table.NumRows() == 0 {
 				continue
 			}
-			execs = append(execs, pairExec{s: s, t: t, j: jp, streamable: !ecfg.MaterializeExec && plan.Streamable(jp)})
+			execs = append(execs, pairExec{s: s, t: t, j: jp})
 		}
 	}
 
 	// Admission prices the fan-out as one unit: the sum of every pair's
-	// streaming footprint, clamped like the engine clamps one giant join.
+	// footprint, clamped like the engine clamps one giant join.
 	var weight int64
 	for _, pe := range execs {
-		dim := r.footprintDim(probe.refs[pe.s], build.refs[pe.t])
-		if pe.streamable {
-			weight += plan.EstimateFootprintStreaming(pe.j, dim, r.exec.BlockRows)
-		} else {
-			weight += plan.EstimateFootprint(pe.j, dim)
-		}
+		weight += plan.EstimateFootprint(pe.j, r.footprintDim(probe.refs[pe.s], build.refs[pe.t]), r.exec.BlockRows)
 	}
 	if weight > ecfg.AdmissionBytes {
 		weight = ecfg.AdmissionBytes
@@ -283,12 +277,12 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 	defer pcancel()
 
 	// Scatter: evaluate each build shard's inner side once (shared across
-	// that shard's column of streamable pairs — same snapshot, same
-	// rewritten subtree), then launch one producer per pair.
+	// that shard's column of pairs — same snapshot, same rewritten
+	// subtree), then launch one producer per pair.
 	sp = tr.StartSpan("shard.fanout")
 	buildPlans := make([]*plan.EJoin, r.nshards)
 	for _, pe := range execs {
-		if pe.streamable && buildPlans[pe.t] == nil {
+		if buildPlans[pe.t] == nil {
 			buildPlans[pe.t] = pe.j
 		}
 	}
@@ -345,20 +339,6 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 				case <-pctx.Done():
 					return false
 				}
-			}
-			if !pe.streamable {
-				// Naive (or forced-materializing) pairs evaluate their own
-				// build side; their result stats are self-contained.
-				res, err := r.exec.Execute(pctx, pe.j)
-				if err != nil {
-					send(pairMsg{err: err})
-					return
-				}
-				results[i], pairElapsed[i] = res, time.Since(t0)
-				if len(res.Matches) > 0 {
-					send(pairMsg{blk: mapBlock(res.Matches, lmap, rmap)})
-				}
-				return
 			}
 			st, err := r.exec.OpenStream(pctx, pe.j, builds[pe.t], pairLimit)
 			if err != nil {
@@ -438,8 +418,7 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 	}
 
 	// Aggregate work: every pair's probe-side stats, plus each shared
-	// build's embedding work exactly once (naive pairs already carry their
-	// own build work inside their result).
+	// build's embedding work exactly once.
 	var agg core.Stats
 	for i := range execs {
 		res := results[i]

@@ -903,7 +903,7 @@ func (r *Router) WriteMetrics(w io.Writer) error {
 	mw.Counter("ejoin_shard_queries_rejected_total", "Router queries whose context ended while waiting for admission.", float64(st.Rejected))
 	mw.Counter("ejoin_shard_admission_waits_total", "Router queries that queued for a slot or byte budget.", float64(st.AdmissionWaits))
 	mw.Gauge("ejoin_shard_in_flight_queries", "Router queries currently executing.", float64(st.InFlight))
-	mw.Gauge("ejoin_shard_admitted_bytes", "Summed per-shard streaming footprint currently held.", float64(st.AdmittedBytes))
+	mw.Gauge("ejoin_shard_admitted_bytes", "Summed per-pair footprint currently held.", float64(st.AdmittedBytes))
 	mw.Counter("ejoin_shard_fanout_queries_total", "Scatter-gather executions.", float64(st.FanoutQueries))
 	mw.Counter("ejoin_shard_fanout_pairs_total", "Probe-shard x build-shard streams opened by fan-outs.", float64(st.FanoutPairs))
 	mw.Counter("ejoin_shard_truncated_queries_total", "Router merges a LIMIT short-circuited.", float64(st.TruncatedQueries))

@@ -3,7 +3,7 @@ package shard
 // byteSemaphore mirrors the service package's admission ledger (which is
 // unexported there): a context-aware weighted semaphore with FIFO
 // waiters. The router admits a fan-out as one unit — the sum of its
-// per-shard streaming footprints — against this budget, so N scatter
+// per-pair footprints — against this budget, so N scatter
 // streams cannot overcommit memory the way N independently-admitted
 // queries against N engines could.
 

@@ -10,7 +10,7 @@ var TableIIWords = []string{"dbms", "postgres", "clothes"}
 // model surfaced in its top-15, plus filler vocabulary that must NOT rank.
 // Where the paper's model had learned pure semantics (e.g. dbms→nosql,
 // clothes→dresses: no shared subwords), our substitution encodes them as
-// synonym clusters (see DESIGN.md, substitution 1).
+// synonym clusters.
 func TableIIVocabulary() (vocab []string, clusters map[string][]string) {
 	neighborhoods := map[string][]string{
 		"dbms": {
