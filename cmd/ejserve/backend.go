@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 
+	"ejoin/internal/cost"
 	"ejoin/internal/feedback"
 	"ejoin/internal/obs"
 	"ejoin/internal/quant"
@@ -30,6 +31,8 @@ type backend interface {
 	WriteMetrics(w io.Writer) error
 	SlowQueries() obs.SlowLogDump
 	FeedbackDump() feedback.Dump
+	CostParams() cost.Params
+	Calibrated() bool
 	Close() error
 
 	statsValue() any

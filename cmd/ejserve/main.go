@@ -141,46 +141,17 @@ func main() {
 	// WAL before publish, so readiness covers the whole deployment.
 	boot := make(chan error, 1)
 	go func() {
-		if *shards > 1 {
-			router, err := shard.Open(shard.Config{Shards: *shards, Partitioner: *partitioner, Engine: cfg})
-			if err != nil {
-				srv.failBoot(err)
-				boot <- err
-				return
-			}
-			srv.publish(routerBackend{router})
-			log.Printf("ejserve: ready (%d shards, %s partitioner)", router.Shards(), router.PartitionerKind())
-			boot <- nil
-			return
-		}
-		engine, err := service.Open(cfg)
+		b, err := openBackend(cfg, *shards, *partitioner)
 		if err != nil {
 			srv.failBoot(err)
 			boot <- err
 			return
 		}
-		if *dataDir != "" {
-			st := engine.Stats()
-			if d := st.Durable; d != nil {
-				log.Printf("ejserve: durable: %d tables, %d cached embeddings recovered from %s", d.LoadedTables, d.LoadedEntries, *dataDir)
-				for _, warn := range d.Warnings {
-					log.Printf("ejserve: durable: recovery: %s", warn)
-				}
-			}
-			if m := st.Mutation; m != nil && m.WAL != nil {
-				log.Printf("ejserve: mutation: wal replayed %d records (%d skipped, %d torn bytes truncated)",
-					m.ReplayedRecords, m.SkippedRecords, m.WAL.TruncatedBytes)
-			}
-		}
-		if p := engine.CostParams(); engine.Calibrated() {
+		if p := b.CostParams(); b.Calibrated() {
 			log.Printf("ejserve: cost model calibrated: access=%.3g compare=%.3g model=%.3g (per-tuple units)",
 				p.Access, p.Compare, p.Model)
 		}
-		if *auditFraction > 0 {
-			log.Printf("ejserve: feedback: auditing %.1f%% of index-path queries against recall SLO %.2f (auto-tune %v)",
-				*auditFraction*100, *recallSLO, !*disableTuning)
-		}
-		srv.publish(engineBackend{engine})
+		srv.publish(b)
 		log.Printf("ejserve: ready")
 		boot <- nil
 	}()
@@ -226,4 +197,39 @@ func main() {
 	if err := srv.eng().Close(); err != nil {
 		log.Printf("ejserve: closing durable state: %v", err)
 	}
+}
+
+// openBackend opens the sharded router (shards > 1) or one engine,
+// logging what a durable boot recovered and whether recall audits run.
+func openBackend(cfg service.Config, shards int, partitioner string) (backend, error) {
+	if shards > 1 {
+		router, err := shard.Open(shard.Config{Shards: shards, Partitioner: partitioner, Engine: cfg})
+		if err != nil {
+			return nil, err
+		}
+		log.Printf("ejserve: %d shards, %s partitioner", router.Shards(), router.PartitionerKind())
+		return routerBackend{router}, nil
+	}
+	engine, err := service.Open(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.DataDir != "" {
+		st := engine.Stats()
+		if d := st.Durable; d != nil {
+			log.Printf("ejserve: durable: %d tables, %d cached embeddings recovered from %s", d.LoadedTables, d.LoadedEntries, cfg.DataDir)
+			for _, warn := range d.Warnings {
+				log.Printf("ejserve: durable: recovery: %s", warn)
+			}
+		}
+		if m := st.Mutation; m != nil && m.WAL != nil {
+			log.Printf("ejserve: mutation: wal replayed %d records (%d skipped, %d torn bytes truncated)",
+				m.ReplayedRecords, m.SkippedRecords, m.WAL.TruncatedBytes)
+		}
+	}
+	if cfg.AuditFraction > 0 {
+		log.Printf("ejserve: feedback: auditing %.1f%% of index-path queries against recall SLO %.2f (auto-tune %v)",
+			cfg.AuditFraction*100, cfg.RecallSLO, !cfg.DisableAutoTune)
+	}
+	return engineBackend{engine}, nil
 }

@@ -44,13 +44,13 @@ type shardConfigResult struct {
 
 // shardReport is the machine-readable result, written to BENCH_shard.json.
 type shardReport struct {
-	Clients     int                 `json:"clients"`
-	RowsPerSide int                 `json:"rows_per_side"`
+	Clients     int `json:"clients"`
+	RowsPerSide int `json:"rows_per_side"`
 	// GOMAXPROCS contextualizes the speedup: fan-out buys warm throughput
 	// only when there are cores to scatter across; on a single-core host
 	// the overhead makes the ratio land below 1 by construction.
-	GOMAXPROCS int `json:"gomaxprocs"`
-	Uniform     []shardConfigResult `json:"uniform"`
+	GOMAXPROCS int                 `json:"gomaxprocs"`
+	Uniform    []shardConfigResult `json:"uniform"`
 	// Skewed re-runs the sharded shapes on a Zipf-duplicated corpus: the
 	// partition-skew sensitivity series (duplicate keys co-locate, so
 	// per-shard row counts diverge and the slowest shard gates the merge).

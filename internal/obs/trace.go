@@ -114,6 +114,14 @@ func (s *ActiveSpan) Attr(key string, v int64) *ActiveSpan {
 	return s
 }
 
+// BoolAttr renders a bool as an attribute value (1 or 0).
+func BoolAttr(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // End closes the span and records it.
 func (s *ActiveSpan) End() {
 	if s == nil {

@@ -126,7 +126,7 @@ func Open(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
-	e.plans.purgeStale(e.catalog.Generation())
+	e.front.PurgeStalePlans()
 	d.sweepCheckpoints()
 
 	// Mutation WAL: replay the records newer than each table's last

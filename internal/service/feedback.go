@@ -262,13 +262,13 @@ func (e *Engine) runAudit(ctx context.Context, job auditJob) {
 	// Take an execution slot (zero byte weight: the brute-force scan
 	// materializes nothing) so audits never add to peak query concurrency.
 	sp := tr.StartSpan("admit")
-	release, _, err := e.admit(ctx, 0)
+	_, err := e.front.admit(ctx, 0)
 	sp.End()
 	if err != nil {
 		e.aud.dropped.Add(1)
 		return
 	}
-	defer release()
+	defer e.front.release(0)
 
 	sp = tr.StartSpan("audit.brute")
 	qv, err := e.auditQueryVector(ctx, job)
@@ -280,14 +280,14 @@ func (e *Engine) runAudit(ctx context.Context, job auditJob) {
 			sp.Attr("rows", int64(scannedRows(job.rightTable, job.visible))).
 				Attr("recall_permille", int64(math.Round(recall*1000))).End()
 			e.feedback.RecordAudit(job.table, job.kind, job.knob, recall)
-			e.obs.slow.Record(tr.Finish("audit", "", nil, nil))
+			e.front.obs.slow.Record(tr.Finish("audit", "", nil, nil))
 			e.maybeTune(job.table)
 			return
 		}
 	}
 	sp.End()
 	e.aud.dropped.Add(1)
-	e.obs.slow.Record(tr.Finish("audit", "", err, nil))
+	e.front.obs.slow.Record(tr.Finish("audit", "", err, nil))
 }
 
 // auditQueryVector recovers the audited left row's embedding: read from
@@ -427,7 +427,7 @@ func (e *Engine) maybeTune(table string) {
 	sp.Attr("from", int64(old)).Attr("to", int64(applied)).End()
 	snap := tr.Finish("tune", "", nil, nil)
 	snap.Query = fmt.Sprintf("tune %s: %s %d -> %d (%s)", table, name, old, applied, reason)
-	e.obs.slow.Record(snap)
+	e.front.obs.slow.Record(snap)
 }
 
 // IndexKnob reports the named table's index tuning knob (nprobe, ef, or

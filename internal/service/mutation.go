@@ -230,13 +230,13 @@ func (e *Engine) UpsertRows(ctx context.Context, name, keyCol string, batch *rel
 	if batch == nil {
 		return MutationResult{}, badRequest(fmt.Errorf("service: nil upsert batch"))
 	}
-	tr, ctx := e.startTrace(ctx, mutationLabel("upsert", name, batch.NumRows()), false)
+	tr, ctx := e.front.startTrace(ctx, mutationLabel("upsert", name, batch.NumRows()), false)
 	e.mut.mu.RLock()
 	defer e.mut.mu.RUnlock()
 	ts := e.mut.get(name)
 	if ts == nil {
 		err := badRequest(fmt.Errorf("service: unknown table %q", name))
-		e.finishTrace(tr, "upsert", "", err, nil)
+		e.front.finishTrace(tr, "upsert", "", err, nil)
 		return MutationResult{}, err
 	}
 	sp := tr.StartSpan("apply")
@@ -246,7 +246,7 @@ func (e *Engine) UpsertRows(ctx context.Context, name, keyCol string, batch *rel
 		if !IsBadRequest(err) && !errors.Is(err, ErrPersist) {
 			err = badRequest(err)
 		}
-		e.finishTrace(tr, "upsert", "", err, nil)
+		e.front.finishTrace(tr, "upsert", "", err, nil)
 		return MutationResult{}, err
 	}
 	sp.Attr("rows", int64(batch.NumRows())).Attr("replaced", int64(replaced)).End()
@@ -263,7 +263,7 @@ func (e *Engine) UpsertRows(ctx context.Context, name, keyCol string, batch *rel
 		LiveRows: next.NumLive(),
 	}
 	res.Reclustering = e.maybeRecluster(ts, next)
-	e.finishTrace(tr, "upsert", "", nil, nil)
+	e.front.finishTrace(tr, "upsert", "", nil, nil)
 	return res, nil
 }
 
@@ -286,13 +286,13 @@ func (e *Engine) UpsertCSV(ctx context.Context, name, keyCol string, r io.Reader
 // (canonical string form — integers base 10, floats 'g', times RFC 3339).
 // Unknown keys are reported, not errors: deletes are idempotent.
 func (e *Engine) DeleteRows(ctx context.Context, name, keyCol string, keys []string) (MutationResult, error) {
-	tr, ctx := e.startTrace(ctx, mutationLabel("delete", name, len(keys)), false)
+	tr, ctx := e.front.startTrace(ctx, mutationLabel("delete", name, len(keys)), false)
 	e.mut.mu.RLock()
 	defer e.mut.mu.RUnlock()
 	ts := e.mut.get(name)
 	if ts == nil {
 		err := badRequest(fmt.Errorf("service: unknown table %q", name))
-		e.finishTrace(tr, "delete", "", err, nil)
+		e.front.finishTrace(tr, "delete", "", err, nil)
 		return MutationResult{}, err
 	}
 	sp := tr.StartSpan("apply")
@@ -302,7 +302,7 @@ func (e *Engine) DeleteRows(ctx context.Context, name, keyCol string, keys []str
 		if !IsBadRequest(err) && !errors.Is(err, ErrPersist) {
 			err = badRequest(err)
 		}
-		e.finishTrace(tr, "delete", "", err, nil)
+		e.front.finishTrace(tr, "delete", "", err, nil)
 		return MutationResult{}, err
 	}
 	sp.Attr("deleted", int64(removed)).End()
@@ -318,7 +318,7 @@ func (e *Engine) DeleteRows(ctx context.Context, name, keyCol string, keys []str
 		LiveRows: next.NumLive(),
 	}
 	res.Reclustering = e.maybeRecluster(ts, next)
-	e.finishTrace(tr, "delete", "", nil, nil)
+	e.front.finishTrace(tr, "delete", "", nil, nil)
 	return res, nil
 }
 
@@ -377,23 +377,15 @@ func (e *Engine) maybeRecluster(ts *tableState, v *mutation.Version) bool {
 const defaultReclusterFraction = 0.3
 
 // pinVersions swaps each side of a resolved query to the table's current
-// MVCC version: the version's physical table, its live-row visibility
-// set, and (when maintained and covering) its vector index. The pin
-// happens once, before planning — the whole query then executes against
-// that generation snapshot, unaffected by concurrent mutations. Cached
-// prepared plans stay valid across mutations because row-level changes
-// never bump the catalog generation: the pin refreshes the binding.
+// MVCC version (see PinnedTable.Bind). The pin happens once, before
+// planning — the whole query then executes against that generation
+// snapshot, unaffected by concurrent mutations. Cached prepared plans stay
+// valid across mutations because row-level changes never bump the catalog
+// generation: the pin refreshes the binding.
 func (e *Engine) pinVersions(q *plan.Query) {
 	for _, ref := range []*plan.TableRef{&q.Left, &q.Right} {
-		ts := e.mut.get(ref.Name)
-		if ts == nil {
-			continue
-		}
-		v := ts.mt.Current()
-		ref.Table = v.Table
-		ref.Visible = v.LiveSel
-		if ts.idx != nil && ref.VectorColumn == ts.vecCol && ts.idx.Idx.Len() >= v.Table.NumRows() {
-			ref.Index = ts.idx.Idx
+		if pt, ok := e.PinnedTable(ref.Name); ok {
+			*ref = pt.Bind(*ref)
 		}
 	}
 }
@@ -409,28 +401,33 @@ type PinnedTable struct {
 	IndexColumn string
 }
 
-// PinnedTable pins the named table's current MVCC version exactly as
-// pinVersions does for a query, without planning one. The shard router
-// pins each shard's partition once per fan-out and reuses the snapshot
-// across every scatter pair it opens.
+// PinnedTable pins the named table's current MVCC version. The shard
+// router pins each shard's partition once per fan-out and reuses the
+// snapshot across every scatter pair it opens.
 func (e *Engine) PinnedTable(name string) (PinnedTable, bool) {
-	t, ok := e.catalog.Get(name)
-	if !ok {
-		return PinnedTable{}, false
-	}
-	pt := PinnedTable{Table: t}
 	ts := e.mut.get(name)
 	if ts == nil {
-		return pt, true
+		t, ok := e.catalog.Get(name)
+		return PinnedTable{Table: t}, ok
 	}
 	v := ts.mt.Current()
-	pt.Table = v.Table
-	pt.Visible = v.LiveSel
+	pt := PinnedTable{Table: v.Table, Visible: v.LiveSel}
 	if ts.idx != nil && ts.idx.Idx.Len() >= v.Table.NumRows() {
 		pt.Index = ts.idx.Idx
 		pt.IndexColumn = ts.vecCol
 	}
 	return pt, true
+}
+
+// Bind points ref at the snapshot: its physical table and live rows, and
+// its index only when that index is built over the column ref joins on.
+// It is the one pin rule for the engine and the shard router.
+func (pt PinnedTable) Bind(ref plan.TableRef) plan.TableRef {
+	ref.Table, ref.Visible, ref.Index = pt.Table, pt.Visible, nil
+	if pt.Index != nil && ref.VectorColumn != "" && ref.VectorColumn == pt.IndexColumn {
+		ref.Index = pt.Index
+	}
+	return ref
 }
 
 // TableGen returns the named table's current row-level generation (0 and

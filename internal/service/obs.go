@@ -1,73 +1,23 @@
 package service
 
-// Observability wiring: per-query traces (slow-query log, EXPLAIN
-// ANALYZE), latency histograms, and the Prometheus text exposition the
-// HTTP layer serves at /metrics. Recording is allocation-conscious: with
-// tracing disabled the query path carries only nil-trace context lookups,
-// and histograms are lock-free atomics.
+// Observability wiring: the Prometheus text exposition the HTTP layer
+// serves at /metrics. Per-query traces, the slow-query log, and the
+// latency histograms belong to the query lifecycle (frontend.go).
+// Recording is allocation-conscious: with tracing disabled the query path
+// carries only nil-trace context lookups, and histograms are lock-free
+// atomics.
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
-	"sync/atomic"
 
 	"ejoin/internal/feedback"
 	"ejoin/internal/obs"
 )
 
-// engineObs is the engine's recording state.
-type engineObs struct {
-	// latency is the overall query histogram; byStrategy and byPrecision
-	// split it along the planner's two choices.
-	latency     obs.Histogram
-	byStrategy  obs.HistogramVec
-	byPrecision obs.HistogramVec
-	// byOperator is the execution pipeline's per-operator self-time
-	// histogram family (label: operator name).
-	byOperator obs.HistogramVec
-	// slow retains completed traces for /debug/queries.
-	slow *obs.SlowLog
-	// traced counts queries that carried a trace.
-	traced atomic.Int64
-}
-
-// startTrace begins a per-query trace unless tracing is disabled. An
-// explicit explain request forces a trace regardless — the EXPLAIN
-// ANALYZE tree rides on it. The request id comes from the context (the
-// HTTP layer's X-Request-ID) or is generated.
-func (e *Engine) startTrace(ctx context.Context, label string, force bool) (*obs.Trace, context.Context) {
-	if e.cfg.DisableTracing && !force {
-		return nil, ctx
-	}
-	tr := obs.NewTrace(obs.RequestIDFrom(ctx), label)
-	e.obs.traced.Add(1)
-	return tr, obs.NewContext(ctx, tr)
-}
-
-// finishTrace seals tr into the slow-query log and returns the snapshot.
-// Fast successful queries the log would discard anyway (under threshold,
-// not among the worst-N) skip snapshotting entirely — Finish copies every
-// span, and avoiding that copy is what keeps always-on tracing cheap when
-// an operator sets a slow-query threshold. Failures and explain requests
-// (which carry a plan) always snapshot.
-func (e *Engine) finishTrace(tr *obs.Trace, strategy, precision string, err error, plan *obs.NodeStats) *obs.TraceSnapshot {
-	if tr == nil {
-		return nil
-	}
-	if err == nil && plan == nil && !e.obs.slow.Keeps(tr.Since()) {
-		return nil
-	}
-	snap := tr.Finish(strategy, precision, err, plan)
-	e.obs.slow.Record(snap)
-	return snap
-}
-
 // SlowQueries snapshots the slow-query log (the /debug/queries payload).
-func (e *Engine) SlowQueries() obs.SlowLogDump {
-	return e.obs.slow.Dump()
-}
+func (e *Engine) SlowQueries() obs.SlowLogDump { return e.front.SlowQueries() }
 
 // ObsStats is the tracing subsystem's own accounting within ServerStats.
 type ObsStats struct {
@@ -82,25 +32,6 @@ type ObsStats struct {
 	SlowQueryThresholdNS int64 `json:"slow_query_threshold_ns"`
 	// LatencySamples is the overall latency histogram's observation count.
 	LatencySamples uint64 `json:"latency_samples"`
-}
-
-func (e *Engine) obsStats() ObsStats {
-	entries, worst, recorded := e.obs.slow.Counts()
-	return ObsStats{
-		TracedQueries:        e.obs.traced.Load(),
-		SlowLogEntries:       entries,
-		SlowLogWorst:         worst,
-		SlowLogRecorded:      recorded,
-		SlowQueryThresholdNS: e.cfg.SlowQueryThreshold.Nanoseconds(),
-		LatencySamples:       e.obs.latency.Count(),
-	}
-}
-
-// observeQuery folds one successful query into the latency histograms.
-func (e *Engine) observeQuery(res *QueryResult) {
-	e.obs.latency.Observe(res.Elapsed)
-	e.obs.byStrategy.With(res.Strategy).Observe(res.Elapsed)
-	e.obs.byPrecision.With(res.Precision).Observe(res.Elapsed)
 }
 
 // WriteMetrics renders the engine's statistics in Prometheus text
@@ -169,13 +100,13 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	mw.Counter("ejoin_feedback_regret_total", "Queries whose post-hoc observed costs favored a different strategy.", float64(fb.Regret))
 
 	mw.Histogram("ejoin_query_duration_seconds",
-		"End-to-end latency of served queries.", &e.obs.latency)
+		"End-to-end latency of served queries.", &e.front.obs.latency)
 	mw.HistogramVec("ejoin_query_strategy_duration_seconds",
-		"Query latency split by physical join strategy.", "strategy", &e.obs.byStrategy)
+		"Query latency split by physical join strategy.", "strategy", &e.front.obs.byStrategy)
 	mw.HistogramVec("ejoin_query_precision_duration_seconds",
-		"Query latency split by effective scan precision.", "precision", &e.obs.byPrecision)
+		"Query latency split by effective scan precision.", "precision", &e.front.obs.byPrecision)
 	mw.HistogramVec("ejoin_exec_operator_duration_seconds",
-		"Cumulative per-query self time of each pipeline operator.", "operator", &e.obs.byOperator)
+		"Cumulative per-query self time of each pipeline operator.", "operator", &e.byOperator)
 
 	writeFloatHist(mw, "ejoin_feedback_audit_recall",
 		"Observed recall@k from sampled index-path audits.", e.feedback.RecallHist)

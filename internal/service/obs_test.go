@@ -80,7 +80,7 @@ func TestDisableTracing(t *testing.T) {
 	if res.RequestID != "" || res.Trace != nil || res.Plan != nil {
 		t.Fatal("disabled tracing still produced trace output")
 	}
-	if n, _, _ := e.obs.slow.Counts(); n != 0 {
+	if n, _, _ := e.front.obs.slow.Counts(); n != 0 {
 		t.Fatalf("slow log recorded %d entries with tracing off", n)
 	}
 	// An explicit explain forces a trace regardless.
@@ -92,8 +92,8 @@ func TestDisableTracing(t *testing.T) {
 		t.Fatal("explain did not override disabled tracing")
 	}
 	// Histograms observe either way.
-	if e.obs.latency.Count() != 2 {
-		t.Fatalf("latency samples = %d, want 2", e.obs.latency.Count())
+	if e.front.obs.latency.Count() != 2 {
+		t.Fatalf("latency samples = %d, want 2", e.front.obs.latency.Count())
 	}
 }
 
@@ -329,7 +329,7 @@ func TestObsConcurrency(t *testing.T) {
 	if err := obs.ValidateExposition(&buf); err != nil {
 		t.Fatalf("exposition invalid after concurrent load: %v", err)
 	}
-	if got := e.obs.latency.Count(); got != uint64(workers*4) {
+	if got := e.front.obs.latency.Count(); got != uint64(workers*4) {
 		t.Errorf("latency samples = %d, want %d", got, workers*4)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 
+	"ejoin/internal/plan"
 	"ejoin/internal/quant"
 )
 
@@ -106,9 +107,9 @@ func precisionRank(p quant.Precision) int {
 	}
 }
 
-// joinPrecision merges the two sides' declarations: the coarser knob
+// JoinPrecision merges two joined tables' declarations: the coarser knob
 // wins; both unset leaves the planner's choice (Auto).
-func (e *Engine) joinPrecision(leftTable, rightTable string) quant.Precision {
+func (e *Engine) JoinPrecision(leftTable, rightTable string) quant.Precision {
 	l, r := e.tablePrec.get(leftTable), e.tablePrec.get(rightTable)
 	if l == quant.PrecisionAuto && r == quant.PrecisionAuto {
 		return quant.PrecisionAuto
@@ -120,4 +121,19 @@ func (e *Engine) joinPrecision(leftTable, rightTable string) quant.Precision {
 		return r
 	}
 	return l
+}
+
+// ApplyPrecisionKnob makes a declared join precision (JoinPrecision)
+// override j's cost-based choice. Only threshold scans quantize — top-k
+// ranks by exact similarity and index probes rerank internally — so the
+// knob is a no-op elsewhere, as is PrecisionAuto. The knob is a forced
+// choice: the cost-based residue is cleared so the executor's slack-based
+// demotion guard never overrides an explicit operator opt-in.
+func ApplyPrecisionKnob(j *plan.EJoin, knob quant.Precision) {
+	if knob == quant.PrecisionAuto || !j.Quantizable() {
+		return
+	}
+	j.Precision = knob
+	j.PrecisionSlack = 0
+	j.PrecisionEstimates = nil
 }

@@ -4,20 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"ejoin/internal/core"
+	"ejoin/internal/model"
 	"ejoin/internal/obs"
 	"ejoin/internal/plan"
 	"ejoin/internal/quant"
 	"ejoin/internal/relational"
-	"ejoin/internal/sqlish"
 )
 
-// effectivePrecision is what a plan's precision executes as: Auto runs
+// EffectivePrecision is what a plan's precision executes as: Auto runs
 // exact, and non-quantizable shapes are exact regardless.
-func effectivePrecision(pl *plan.EJoin) quant.Precision {
+func EffectivePrecision(pl *plan.EJoin) quant.Precision {
 	if pl.Precision == quant.PrecisionAuto || !pl.Quantizable() {
 		return quant.PrecisionF32
 	}
@@ -87,10 +86,6 @@ type QueryResult struct {
 	Trace *obs.TraceSnapshot
 }
 
-// maxCachedQueryLen bounds the plan cache's key/text size: real query
-// texts are short, and the cache's memory is otherwise entry-counted.
-const maxCachedQueryLen = 1 << 14
-
 // badRequestError marks failures caused by the request itself (parse,
 // bind, spec validation) as opposed to server-side execution failures,
 // preserving the underlying message and chain.
@@ -114,71 +109,21 @@ func IsBadRequest(err error) bool {
 }
 
 // MarkBadRequest wraps err as request-caused so IsBadRequest reports it.
-// The shard router uses this to classify its own parse/bind failures the
-// same way the engine does.
+// The shard router uses this to classify its own plan-validation and
+// mutation-request failures the same way the engine does.
 func MarkBadRequest(err error) error { return badRequest(err) }
 
-// Query plans, admits, and executes one request. It is safe for any
-// number of concurrent callers.
+// Query plans, admits, and executes one request through the engine's
+// query lifecycle (see Frontend). It is safe for any number of concurrent
+// callers.
 func (e *Engine) Query(ctx context.Context, req QueryRequest) (*QueryResult, error) {
-	start := time.Now()
-	tr, ctx := e.startTrace(ctx, queryLabel(req), req.Explain)
-	if req.Explain {
-		// Only explain executions build the per-node analysis tree; plain
-		// traced queries stay span-only, keeping per-query overhead small.
-		ctx = obs.WithAnalyze(ctx)
-	}
-	res, err := e.query(ctx, req, start)
-	if err != nil {
-		e.counters.errors.Add(1)
-		e.finishTrace(tr, "", "", err, nil)
-		return nil, err
-	}
-	e.counters.queries.Add(1)
-	e.observeQuery(res)
-	res.RequestID = tr.ID()
-	if snap := e.finishTrace(tr, res.Strategy, res.Precision, nil, res.Plan); snap != nil && req.Explain {
-		res.Trace = snap
-		res.PlanText = obs.RenderAnalyze(res.Plan)
-	}
-	return res, nil
+	return e.front.Query(ctx, req)
 }
 
-// queryLabel is the human form of a request shown in the slow-query log.
-func queryLabel(req QueryRequest) string {
-	if req.SQL != "" {
-		return req.SQL
-	}
-	if j := req.Join; j != nil {
-		return fmt.Sprintf("join %s.%s ~ %s.%s", j.LeftTable, j.LeftColumn, j.RightTable, j.RightColumn)
-	}
-	return ""
-}
-
-func (e *Engine) query(ctx context.Context, req QueryRequest, start time.Time) (*QueryResult, error) {
-	// MaxTimeout caps client-requested overrides only; with no request
-	// timeout the engine default applies (0 = no deadline, as documented).
-	timeout := req.Timeout
-	if timeout > 0 && e.cfg.MaxTimeout > 0 && timeout > e.cfg.MaxTimeout {
-		timeout = e.cfg.MaxTimeout
-	}
-	if timeout <= 0 {
-		timeout = e.cfg.DefaultTimeout
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	tr := obs.FromContext(ctx)
-	sp := tr.StartSpan("resolve")
-	q, cacheHit, err := e.resolve(req)
-	if err != nil {
-		sp.End()
-		return nil, badRequest(err)
-	}
-	sp.Attr("cache_hit", boolAttr(cacheHit)).End()
+// PlanQuery is the engine's plan step of the query lifecycle (see
+// Backend): pin both sides, optimize, apply the per-table precision knob,
+// and weigh the plan for admission.
+func (e *Engine) PlanQuery(q plan.Query) (QueryRun, int64, int64, error) {
 	// Pin each side to its current MVCC version before planning: table,
 	// visibility set, and (when maintained) index are read once here, so
 	// the query sees one generation snapshot end to end regardless of
@@ -186,61 +131,33 @@ func (e *Engine) query(ctx context.Context, req QueryRequest, start time.Time) (
 	e.pinVersions(&q)
 	// Plan validation rejects malformed conditions (threshold outside
 	// [-1,1], k<=0) — the request's fault, unlike execution failures.
-	sp = tr.StartSpan("plan")
 	naive, err := plan.NewNaivePlan(q)
 	if err != nil {
-		sp.End()
-		return nil, badRequest(err)
+		return nil, 0, 0, badRequest(err)
 	}
 	optimized, err := e.opt.Optimize(naive)
 	if err != nil {
-		sp.End()
-		return nil, err
+		return nil, 0, 0, err
 	}
-	// Per-table precision knobs override the planner's cost-based choice:
-	// the coarser of the two sides' declarations wins. Only threshold
-	// scans quantize — top-k ranks by exact similarity and index probes
-	// rerank internally — so the knob is a no-op elsewhere.
-	if optimized.Quantizable() {
-		if p := e.joinPrecision(q.Left.Name, q.Right.Name); p != quant.PrecisionAuto {
-			optimized.Precision = p
-			// The knob is a forced choice: clear any cost-based residue so
-			// the executor's slack-based demotion guard never overrides an
-			// explicit operator opt-in.
-			optimized.PrecisionSlack = 0
-			optimized.PrecisionEstimates = nil
-		}
-	}
-
+	ApplyPrecisionKnob(optimized, e.JoinPrecision(q.Left.Name, q.Right.Name))
 	// A plan is charged its build side plus one probe block — what the
 	// pipeline holds — not both whole inputs: charging for the probe side
 	// would serialize queries that can safely run concurrently.
-	weight := plan.EstimateFootprint(optimized, e.footprintDim(q), e.exec.BlockRows)
-	if weight > e.cfg.AdmissionBytes {
-		// An over-budget query is not refused outright: clamped to the full
-		// budget it runs alone, which is the useful degraded mode for one
-		// giant join amid small ones.
-		weight = e.cfg.AdmissionBytes
-	}
-	sp.Attr("est_rows", optimized.EstRows).Attr("weight_bytes", weight).End()
+	weight := plan.EstimateFootprint(optimized, FootprintDim(e.model, q.Left, q.Right), e.exec.BlockRows)
+	return &engineRun{e: e, q: q, j: optimized}, weight, optimized.EstRows, nil
+}
 
-	sp = tr.StartSpan("admit")
-	release, waited, err := e.admit(ctx, weight)
-	if err != nil {
-		sp.End()
-		e.counters.rejected.Add(1)
-		return nil, err
-	}
-	sp.Attr("waited", boolAttr(waited)).End()
-	defer release()
-	if waited {
-		e.counters.admissionWaits.Add(1)
-	}
+// engineRun is the engine's run step: one pipeline over the pinned query.
+type engineRun struct {
+	e *Engine
+	q plan.Query
+	j *plan.EJoin
+}
 
-	e.counters.inFlight.Add(1)
-	defer e.counters.inFlight.Add(-1)
-
-	sp = tr.StartSpan("execute")
+func (r *engineRun) Run(ctx context.Context, req QueryRequest) (*QueryResult, error) {
+	e, optimized := r.e, r.j
+	tr := obs.FromContext(ctx)
+	sp := tr.StartSpan("execute")
 	res, err := e.exec.ExecuteStreaming(ctx, optimized, req.Limit)
 	if err != nil {
 		sp.End()
@@ -248,7 +165,6 @@ func (e *Engine) query(ctx context.Context, req QueryRequest, start time.Time) (
 	}
 	sp.Attr("matches", int64(len(res.Matches))).End()
 
-	e.recordExecution(optimized.Strategy.String(), effectivePrecision(optimized), res.Stats)
 	e.recordExecShape(res)
 	// Feedback rides the traced path only, like the rest of per-query
 	// observability: untraced deployments opt out of its (small) cost too.
@@ -257,22 +173,20 @@ func (e *Engine) query(ctx context.Context, req QueryRequest, start time.Time) (
 	// have cut a probe row's result list mid-row, which an audit would
 	// misread as lost recall.
 	if tr != nil && !res.Truncated {
-		e.recordFeedback(&q, optimized, res)
-		e.maybeAudit(&q, optimized, res)
+		e.recordFeedback(&r.q, optimized, res)
+		e.maybeAudit(&r.q, optimized, res)
 	}
 
 	out := &QueryResult{
-		Strategy:      optimized.Strategy.String(),
-		Precision:     effectivePrecision(optimized).String(),
-		Matches:       res.Matches,
-		Stats:         res.Stats,
-		PlanCacheHit:  cacheHit,
-		AdmittedBytes: weight,
-		Plan:          res.Analysis,
+		Strategy:  optimized.Strategy.String(),
+		Precision: EffectivePrecision(optimized).String(),
+		Matches:   res.Matches,
+		Stats:     res.Stats,
+		Plan:      res.Analysis,
 	}
 	if req.Materialize {
 		sp = tr.StartSpan("materialize")
-		tbl, err := plan.MaterializeResult(q, res)
+		tbl, err := plan.MaterializeResult(r.q, res)
 		if err != nil {
 			sp.End()
 			return nil, fmt.Errorf("service: materializing result: %w", err)
@@ -280,25 +194,16 @@ func (e *Engine) query(ctx context.Context, req QueryRequest, start time.Time) (
 		sp.Attr("rows", int64(tbl.NumRows())).End()
 		out.Table = tbl
 	}
-	out.Elapsed = time.Since(start)
 	return out, nil
 }
 
-// boolAttr renders a bool as a span attribute value.
-func boolAttr(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// footprintDim is the embedding dimensionality the admission estimate
-// should charge for: precomputed vector columns carry their own (often
-// larger) dimensionality, so weighing by the model's dim alone would
-// undercount them and overcommit the byte budget.
-func (e *Engine) footprintDim(q plan.Query) int {
-	dim := e.model.Dim()
-	for _, ref := range []plan.TableRef{q.Left, q.Right} {
+// FootprintDim is the embedding dimensionality admission charges a plan
+// over refs for: the model's, widened by any precomputed vector column's
+// own (often larger) dimensionality — weighing by the model's dim alone
+// would undercount such columns and overcommit the byte budget.
+func FootprintDim(m model.Model, refs ...plan.TableRef) int {
+	dim := m.Dim()
+	for _, ref := range refs {
 		if ref.VectorColumn == "" || ref.Table == nil {
 			continue
 		}
@@ -307,123 +212,4 @@ func (e *Engine) footprintDim(q plan.Query) int {
 		}
 	}
 	return dim
-}
-
-// admit acquires one execution slot and the byte-weighted admission
-// budget, in that order (slots bound CPU oversubscription, bytes bound
-// memory pressure). The returned release undoes both.
-func (e *Engine) admit(ctx context.Context, weight int64) (release func(), waited bool, err error) {
-	select {
-	case e.slots <- struct{}{}:
-	default:
-		waited = true
-		select {
-		case e.slots <- struct{}{}:
-		case <-ctx.Done():
-			return nil, true, fmt.Errorf("service: admission wait aborted: %w", ctx.Err())
-		}
-	}
-	bytesWaited, err := e.bytes.Acquire(ctx, weight)
-	if err != nil {
-		<-e.slots
-		return nil, waited || bytesWaited, err
-	}
-	return func() {
-		e.bytes.Release(weight)
-		<-e.slots
-	}, waited || bytesWaited, nil
-}
-
-// resolve turns the request into a bound plan.Query, through the prepared
-// plan cache for SQL text.
-func (e *Engine) resolve(req QueryRequest) (plan.Query, bool, error) {
-	switch {
-	case req.SQL != "" && req.Join != nil:
-		return plan.Query{}, false, fmt.Errorf("service: request has both sql and join spec")
-	case req.SQL != "":
-		// Trim the cache key so padding variants of one query share an
-		// entry, and never cache oversized texts: the cache is bounded by
-		// entry count, so huge client-supplied keys could otherwise pin
-		// unbounded memory.
-		text := strings.TrimSpace(req.SQL)
-		cacheable := len(text) <= maxCachedQueryLen
-		gen := e.catalog.Generation()
-		if cacheable {
-			if p, ok := e.plans.get(text, gen); ok {
-				return p.Query(), true, nil
-			}
-		}
-		p, err := sqlish.Prepare(text, e.catalog, e.model)
-		if err != nil {
-			return plan.Query{}, false, err
-		}
-		if cacheable {
-			e.plans.put(text, p)
-		}
-		return p.Query(), false, nil
-	case req.Join != nil:
-		q, err := e.bindJoinRequest(req.Join)
-		return q, false, err
-	default:
-		return plan.Query{}, false, fmt.Errorf("service: empty request: need sql or join spec")
-	}
-}
-
-// bindJoinRequest resolves a structured join spec against the catalog.
-func (e *Engine) bindJoinRequest(jr *JoinRequest) (plan.Query, error) {
-	var q plan.Query
-	left, err := e.bindSide(jr.LeftTable, jr.LeftColumn)
-	if err != nil {
-		return q, err
-	}
-	right, err := e.bindSide(jr.RightTable, jr.RightColumn)
-	if err != nil {
-		return q, err
-	}
-	q.Left, q.Right = left, right
-	q.Model = e.model
-
-	switch strings.ToLower(jr.Kind) {
-	case "", "threshold", "sim":
-		var thr float32
-		if jr.Threshold != nil {
-			thr = float32(*jr.Threshold)
-		}
-		q.Join = plan.JoinSpec{Kind: plan.ThresholdJoin, Threshold: thr}
-	case "topk", "top-k":
-		if jr.K <= 0 {
-			return q, fmt.Errorf("service: topk join requires k > 0")
-		}
-		q.Join = plan.JoinSpec{Kind: plan.TopKJoin, K: jr.K, Threshold: -2}
-		if jr.Threshold != nil {
-			q.Join.Threshold = float32(*jr.Threshold)
-		}
-	default:
-		return q, fmt.Errorf("service: unknown join kind %q (want threshold or topk)", jr.Kind)
-	}
-	return q, nil
-}
-
-// bindSide resolves one table+column pair, routing the column to its
-// text or vector role by declared type.
-func (e *Engine) bindSide(table, column string) (plan.TableRef, error) {
-	var ref plan.TableRef
-	t, ok := e.catalog.Get(table)
-	if !ok {
-		return ref, fmt.Errorf("service: unknown table %q", table)
-	}
-	idx := t.Schema().IndexOf(column)
-	if idx < 0 {
-		return ref, fmt.Errorf("service: table %q has no column %q", table, column)
-	}
-	ref = plan.TableRef{Name: table, Table: t}
-	switch t.Schema()[idx].Type {
-	case relational.String:
-		ref.TextColumn = column
-	case relational.Vector:
-		ref.VectorColumn = column
-	default:
-		return ref, fmt.Errorf("service: join column %s.%s must be TEXT or VECTOR", table, column)
-	}
-	return ref, nil
 }

@@ -20,18 +20,18 @@
 //     into the join inner loops, so an abandoned request stops computing
 //     within one block/stride boundary;
 //   - ServerStats aggregates executor JoinStats, store stats, admission
-//     counters, and plan-cache counters into one observability surface.
+//     counters, and plan-cache counters into one observability surface;
+//   - the steps above are one query lifecycle (Frontend) that the shard
+//     router serves through too: a Backend supplies only the plan and run
+//     steps that differ between one engine and N shards.
 package service
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 	"time"
 
-	"ejoin/internal/core"
 	"ejoin/internal/cost"
 	"ejoin/internal/embstore"
 	"ejoin/internal/feedback"
@@ -149,10 +149,6 @@ type Config struct {
 	// ForceStrategy, when non-nil, bypasses cost-based strategy selection
 	// for every query (test/differential harnesses pin exact strategies).
 	ForceStrategy *cost.Strategy
-	// DisableReorder switches off the optimizer's smaller-inner swap rule.
-	// The shard router sets this: it makes one global orientation decision
-	// across shards and per-shard re-swaps would break stream merging.
-	DisableReorder bool
 }
 
 // TableInfo describes one catalog entry.
@@ -174,9 +170,9 @@ type Engine struct {
 	exec    *plan.Executor
 	opt     *plan.Optimizer
 	catalog *sqlish.Catalog
-	plans   *planCache
-	slots   chan struct{}
-	bytes   *byteSemaphore
+	// front runs the query lifecycle (see frontend.go) with this engine as
+	// its backend.
+	front *Frontend
 
 	// durable is non-nil for engines built with Open over a data
 	// directory; nil engines are memory-only.
@@ -197,100 +193,31 @@ type Engine struct {
 	calibrated bool
 
 	counters counters
-	obs      engineObs
-	start    time.Time
+	// byOperator is the execution pipeline's per-operator self-time
+	// histogram family (label: operator name).
+	byOperator obs.HistogramVec
 }
 
 // NewEngine builds an Engine from cfg (zero value = defaults).
 func NewEngine(cfg Config) (*Engine, error) {
-	if cfg.Dim <= 0 {
-		cfg.Dim = 100
+	res, err := Resolve(cfg)
+	if err != nil {
+		return nil, err
 	}
-	m := cfg.Model
-	if m == nil {
-		hm, err := model.NewHashEmbedder(cfg.Dim)
-		if err != nil {
-			return nil, fmt.Errorf("service: building default model: %w", err)
-		}
-		m = hm
-	}
-	store := cfg.Store
-	if store == nil {
-		if cfg.StoreBytes <= 0 {
-			cfg.StoreBytes = 256 << 20
-		}
-		store = embstore.New(embstore.Config{MaxBytes: cfg.StoreBytes})
-	}
-	if cfg.MaxConcurrent <= 0 {
-		cfg.MaxConcurrent = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Threads <= 0 {
-		cfg.Threads = runtime.GOMAXPROCS(0) / cfg.MaxConcurrent
-		if cfg.Threads < 1 {
-			cfg.Threads = 1
-		}
-	}
-	if cfg.AdmissionBytes <= 0 {
-		cfg.AdmissionBytes = 1 << 30
-	}
-	if cfg.PlanCacheSize <= 0 {
-		cfg.PlanCacheSize = 256
-	}
-	if cfg.CostParams.Validate() != nil {
-		cfg.CostParams = cost.DefaultParams()
-	}
-	calibrated := false
-	if cfg.CalibrateCost {
-		// Calibration embeds through the model directly, not the store, so
-		// cache statistics and executor model-call counts stay untouched.
-		if p, err := cost.Calibrate(m, m.Dim()); err == nil {
-			cfg.CostParams = p
-			calibrated = true
-		}
-	}
-	if cfg.Kernel == vec.KernelScalar {
-		// The zero value means "unset", not a scalar-kernel request.
-		cfg.Kernel = vec.DefaultKernel()
-	}
-
-	ex := &plan.Executor{
-		Options: core.Options{
-			Kernel:  cfg.Kernel,
-			Threads: cfg.Threads,
-		},
-		Store:     store,
-		BlockRows: cfg.ExecBlockRows,
-	}
-	opt := &plan.Optimizer{
-		Params:         cfg.CostParams,
-		Store:          store,
-		ForceStrategy:  cfg.ForceStrategy,
-		DisableReorder: cfg.DisableReorder,
-	}
-	if cfg.PrecisionSlack > 0 {
-		opt.PrecisionSlack = cfg.PrecisionSlack
-		// Precision planning budgets against the same byte budget that
-		// gates admission: the quantity both exist to protect.
-		opt.MemoryBudget = cfg.AdmissionBytes
-	}
-
+	cfg = res.Config
 	eng := &Engine{
 		cfg:        cfg,
-		model:      m,
-		store:      store,
-		exec:       ex,
-		opt:        opt,
+		model:      cfg.Model,
+		store:      cfg.Store,
+		exec:       res.Exec,
+		opt:        res.Opt,
 		catalog:    sqlish.NewCatalog(),
-		plans:      newPlanCache(cfg.PlanCacheSize),
-		slots:      make(chan struct{}, cfg.MaxConcurrent),
-		bytes:      newByteSemaphore(cfg.AdmissionBytes),
 		feedback:   feedback.NewRegistry(cfg.RecallSLO),
-		calibrated: calibrated,
-		start:      time.Now(),
+		calibrated: res.Calibrated,
 	}
-	eng.obs.slow = obs.NewSlowLog(cfg.SlowLogSize, cfg.SlowLogWorst, cfg.SlowQueryThreshold)
+	eng.front = NewFrontend(res, eng.catalog, eng)
 	// The planner consults the learned corrections on every Optimize.
-	opt.Feedback = eng.feedback
+	eng.opt.Feedback = eng.feedback
 	eng.aud = newAuditor()
 	go eng.auditLoop()
 	return eng, nil
@@ -340,10 +267,7 @@ func (e *Engine) registerTableWithPrecision(name string, t *relational.Table, pr
 	e.catalog.Register(name, t)
 	e.installMutable(name, t)   // fresh incarnation: replaces any old MVCC state
 	e.tablePrec.set(name, prec) // Auto clears any previous knob
-	// Eagerly drop bindings taken under older generations: lazy get-time
-	// invalidation only fires when the same text is re-queried, which
-	// would otherwise pin replaced tables in memory indefinitely.
-	e.plans.purgeStale(e.catalog.Generation())
+	e.front.PurgeStalePlans()
 	return e.persistTable(name, t)
 }
 
@@ -390,7 +314,7 @@ func (e *Engine) RegisterCSVWithPrecision(name string, schema relational.Schema,
 	} else {
 		e.installMutable(name, t)
 		e.tablePrec.set(name, prec)
-		e.plans.purgeStale(e.catalog.Generation())
+		e.front.PurgeStalePlans()
 		err = e.persistTable(name, t)
 	}
 	if err != nil {
@@ -404,7 +328,7 @@ func (e *Engine) RegisterCSVWithPrecision(name string, schema relational.Schema,
 func (e *Engine) DropTable(name string) bool {
 	ok := e.catalog.Drop(name)
 	if ok {
-		e.plans.purgeStale(e.catalog.Generation())
+		e.front.PurgeStalePlans()
 		e.tablePrec.drop(name)
 		// Learned corrections and audit history describe the dropped
 		// contents, not the name; a recreated table starts neutral.
@@ -431,99 +355,4 @@ func (e *Engine) Tables() []TableInfo {
 		out = append(out, TableInfo{Name: n, Rows: t.NumRows(), Cols: t.NumCols(), Precision: e.tablePrec.get(n).String()})
 	}
 	return out
-}
-
-// planCache is a bounded LRU of prepared queries keyed by query text.
-// Entries are validated against the catalog generation on every hit, so
-// registering or dropping a table lazily invalidates stale bindings.
-type planCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*planElem
-	order   []string // LRU order, front = least recently used
-
-	hits, misses, invalidations int64
-}
-
-type planElem struct {
-	p *sqlish.Prepared
-}
-
-func newPlanCache(max int) *planCache {
-	return &planCache{max: max, entries: make(map[string]*planElem)}
-}
-
-// get returns the cached prepared query when present and bound under the
-// current catalog generation.
-func (c *planCache) get(text string, gen uint64) (*sqlish.Prepared, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[text]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	if el.p.Generation() != gen {
-		delete(c.entries, text)
-		c.removeOrder(text)
-		c.invalidations++
-		c.misses++
-		return nil, false
-	}
-	c.touch(text)
-	c.hits++
-	return el.p, true
-}
-
-// put caches a prepared query, evicting the least recently used entry
-// past capacity.
-func (c *planCache) put(text string, p *sqlish.Prepared) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[text]; ok {
-		c.entries[text] = &planElem{p: p}
-		c.touch(text)
-		return
-	}
-	c.entries[text] = &planElem{p: p}
-	c.order = append(c.order, text)
-	for len(c.entries) > c.max && len(c.order) > 0 {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, victim)
-	}
-}
-
-func (c *planCache) touch(text string) {
-	c.removeOrder(text)
-	c.order = append(c.order, text)
-}
-
-func (c *planCache) removeOrder(text string) {
-	for i, t := range c.order {
-		if t == text {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			return
-		}
-	}
-}
-
-// purgeStale removes every entry not bound under gen, releasing the
-// table pointers its plans hold.
-func (c *planCache) purgeStale(gen uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for text, el := range c.entries {
-		if el.p.Generation() != gen {
-			delete(c.entries, text)
-			c.removeOrder(text)
-			c.invalidations++
-		}
-	}
-}
-
-func (c *planCache) snapshot() (hits, misses, invalidations int64, entries int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.invalidations, len(c.entries)
 }

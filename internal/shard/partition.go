@@ -1,21 +1,25 @@
 // Package shard is the in-process horizontal sharding layer: a Router
 // that owns N service.Engine shards inside one process, routes rows to
 // shards through a pluggable Partitioner, fans mutations to the owning
-// shard's WAL, and executes queries scatter-gather — each shard's probe
-// side streams through plan.OpenStream and the bounded per-shard streams
-// are merged incrementally into results byte-identical to an equivalent
-// unsharded engine. It is the first multi-engine layer; a later
-// cross-process split reuses the same partition/merge semantics.
+// shard's WAL, and serves queries scatter-gather. Queries run the same
+// lifecycle an Engine's do — one service.Frontend resolves, admits,
+// counts, and traces them — and the router supplies only its two backend
+// steps (query.go): plan one pipeline per probe-shard x build-shard pair
+// over pinned per-shard snapshots, then stream them through plan.OpenStream
+// into an incremental merge (merge.go) whose results are byte-identical
+// to an equivalent unsharded engine's. A later cross-process split reuses
+// the same partition/merge semantics.
 //
 // Singleton audit (what makes N engines in one process safe): every
 // service.Engine owns its state per instance — prepared-plan cache,
 // counters, latency histograms, slow log, and mutation/durable arms are
 // all struct fields, not package globals, and metrics are rendered by an
 // instance-scoped obs.MetricsWriter rather than a global registry. The
-// two deliberately shared resources are injected through service.Config:
-// one model.Model and one embstore.Store across all shards, so a fan-out
+// deliberately shared resources come from one service.Resolve: one
+// model.Model and one embstore.Store across all shards, so a fan-out
 // embeds its probe side once and every shard's build evaluation hits the
-// same cache instead of calling the model N times.
+// same cache instead of calling the model N times, and one cost
+// calibration, which the router — the only component that plans — uses.
 package shard
 
 import (

@@ -1,13 +1,14 @@
 package shard
 
-// Scatter-gather query execution. The router resolves and plans queries
-// itself (shard engines provide storage and accounting only): it pins
-// every shard's MVCC snapshot of both tables, makes the one global
-// orientation decision, optimizes one plan per probe-shard x build-shard
-// pair, prices the whole fan-out as one admission unit, evaluates each
-// build shard's inner side once, and streams every pair through
-// plan.OpenStream into the incremental merge — producing results
-// byte-identical to an equivalent unsharded engine.
+// The router's two steps of the query lifecycle; service.Frontend runs
+// the rest (deadline, resolve, admission, counters, trace). PlanQuery
+// pins every shard's MVCC snapshot of both tables, makes the one global
+// orientation and access-path decision, optimizes one plan per
+// probe-shard x build-shard pair, and weighs the whole fan-out as one
+// admission unit. Run evaluates each build shard's inner side once and
+// streams every pair through plan.OpenStream into the incremental merge
+// (merge.go) — producing results byte-identical to an equivalent
+// unsharded engine.
 //
 // Cross-shard snapshot consistency: each shard's pin is atomic (its own
 // MVCC generation), but the pins are taken one shard after another, so a
@@ -19,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,51 +28,20 @@ import (
 	"ejoin/internal/obs"
 	"ejoin/internal/plan"
 	"ejoin/internal/quant"
-	"ejoin/internal/relational"
 	"ejoin/internal/service"
-	"ejoin/internal/sqlish"
 )
 
-// Query plans, admits, and executes one request across all shards. Safe
-// for any number of concurrent callers.
+// Query serves one request through the shared query lifecycle, with the
+// router as its backend. Safe for any number of concurrent callers.
 func (r *Router) Query(ctx context.Context, req service.QueryRequest) (*service.QueryResult, error) {
-	start := time.Now()
-	tr, ctx := r.startTrace(ctx, routerQueryLabel(req), req.Explain)
-	if req.Explain {
-		ctx = obs.WithAnalyze(ctx)
-	}
-	res, err := r.query(ctx, req, start)
-	if err != nil {
-		r.counters.errors.Add(1)
-		r.finishTrace(tr, "", "", err, nil)
-		return nil, err
-	}
-	r.counters.queries.Add(1)
-	r.obs.latency.Observe(res.Elapsed)
-	res.RequestID = tr.ID()
-	if snap := r.finishTrace(tr, res.Strategy, res.Precision, nil, res.Plan); snap != nil && req.Explain {
-		res.Trace = snap
-		res.PlanText = obs.RenderAnalyze(res.Plan)
-	}
-	return res, nil
-}
-
-func routerQueryLabel(req service.QueryRequest) string {
-	if req.SQL != "" {
-		return req.SQL
-	}
-	if j := req.Join; j != nil {
-		return fmt.Sprintf("join %s.%s ~ %s.%s", j.LeftTable, j.LeftColumn, j.RightTable, j.RightColumn)
-	}
-	return ""
+	return r.front.Query(ctx, req)
 }
 
 // sideState is one join side's cross-shard view for a single query:
-// the bound reference, each shard's pinned snapshot, the per-shard refs
-// built from them, and the local-to-global rowmap snapshot used to map
-// stream matches and materialize output.
+// each shard's pinned snapshot, the per-shard refs bound to them, and the
+// local-to-global rowmap snapshot used to map stream matches and
+// materialize output.
 type sideState struct {
-	ref    plan.TableRef
 	pins   []service.PinnedTable
 	refs   []plan.TableRef
 	rowmap [][]int
@@ -84,7 +53,7 @@ type sideState struct {
 // (manifest write-ahead), so a rowmap snapshotted after the pin always
 // covers every physical row the pin can reference.
 func (r *Router) pinSide(ref plan.TableRef) (*sideState, error) {
-	ss := &sideState{ref: ref, pins: make([]service.PinnedTable, r.nshards)}
+	ss := &sideState{pins: make([]service.PinnedTable, r.nshards)}
 	for s, eng := range r.shards {
 		pt, ok := eng.PinnedTable(ref.Name)
 		if !ok {
@@ -103,17 +72,8 @@ func (r *Router) pinSide(ref plan.TableRef) (*sideState, error) {
 	r.mu.Unlock()
 
 	ss.refs = make([]plan.TableRef, r.nshards)
-	for s := range ss.refs {
-		sr := ref
-		sr.Table = ss.pins[s].Table
-		sr.Visible = ss.pins[s].Visible
-		sr.Index = nil
-		// Mirror the engine's pin rule: an index is attached only when it is
-		// built over the column this query joins on and covers the snapshot.
-		if ss.pins[s].Index != nil && ref.VectorColumn != "" && ss.pins[s].IndexColumn == ref.VectorColumn {
-			sr.Index = ss.pins[s].Index
-		}
-		ss.refs[s] = sr
+	for s, pt := range ss.pins {
+		ss.refs[s] = pt.Bind(ref)
 	}
 	return ss, nil
 }
@@ -124,53 +84,41 @@ type pairExec struct {
 	j    *plan.EJoin
 }
 
-func (r *Router) query(ctx context.Context, req service.QueryRequest, start time.Time) (*service.QueryResult, error) {
-	ecfg := &r.cfg.Engine
-	timeout := req.Timeout
-	if timeout > 0 && ecfg.MaxTimeout > 0 && timeout > ecfg.MaxTimeout {
-		timeout = ecfg.MaxTimeout
-	}
-	if timeout <= 0 {
-		timeout = ecfg.DefaultTimeout
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+// fanout is one planned scatter-gather: both sides in query orientation
+// (for materializing) and in executed orientation, and the pair plans.
+type fanout struct {
+	r            *Router
+	q            plan.Query
+	left, right  *sideState
+	probe, build *sideState
+	swapped      bool
+	execs        []pairExec
+	rep          *plan.EJoin // labels a fan-out whose pairs are all empty
+}
 
-	tr := obs.FromContext(ctx)
-	sp := tr.StartSpan("resolve")
-	q, cacheHit, err := r.resolve(req)
-	if err != nil {
-		sp.End()
-		return nil, service.MarkBadRequest(err)
-	}
-	sp.Attr("cache_hit", boolAttr(cacheHit)).End()
-
+// PlanQuery is the router's plan step of the query lifecycle (see
+// service.Backend).
+func (r *Router) PlanQuery(q plan.Query) (service.QueryRun, int64, int64, error) {
 	left, err := r.pinSide(q.Left)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
 	right, err := r.pinSide(q.Right)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-
-	sp = tr.StartSpan("plan")
 	// Validate the join spec once up front (threshold range, k > 0) so a
 	// malformed request fails as the client's error before any fan-out.
 	if _, err := plan.NewNaivePlan(q); err != nil {
-		sp.End()
-		return nil, service.MarkBadRequest(err)
+		return nil, 0, 0, service.MarkBadRequest(err)
 	}
 
-	// The one global orientation decision, mirroring the optimizer's
-	// reorder rule over summed per-shard estimates: per-shard physical rows
-	// partition the global table exactly, so the sums equal the unsharded
-	// estimates. Every pair then plans with reordering disabled.
-	swapped := false
-	if !r.noReorder && q.Join.Kind == plan.ThresholdJoin {
+	// The one global orientation decision: the optimizer's reorder rule
+	// over summed per-shard estimates. Per-shard physical rows partition
+	// the global table exactly, so the sums equal the unsharded estimates.
+	// Every pair then plans with reordering disabled.
+	f := &fanout{r: r, q: q, left: left, right: right, probe: left, build: right}
+	if q.Join.Kind == plan.ThresholdJoin {
 		sumL, sumR := 0, 0
 		anyIdx := false
 		for s := 0; s < r.nshards; s++ {
@@ -181,13 +129,9 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 			}
 		}
 		if sumL < sumR && !anyIdx {
-			swapped = true
+			f.swapped = true
+			f.probe, f.build = right, left
 		}
-	}
-	origLeft, origRight := left, right
-	probe, build := left, right
-	if swapped {
-		probe, build = right, left
 	}
 
 	// The one global access-path decision, like the orientation decision
@@ -196,7 +140,7 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 	// shapes flip strategies, and different strategies reassociate the
 	// same similarity sums differently — breaking bit-identity with the
 	// unsharded plan.
-	choice := r.opt.ChooseSharded(q, probe.refs, build.refs, swapped)
+	choice := r.opt.ChooseSharded(q, f.probe.refs, f.build.refs, f.swapped)
 	pairOpt := *r.opt
 	pairOpt.ForceStrategy = &choice.Strategy
 	if choice.PrecisionChosen {
@@ -205,71 +149,46 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 
 	// One plan per pair. Pairs where either side holds no physical rows
 	// are planned (for the strategy label) but never executed — they can
-	// produce neither matches nor model calls.
-	knob := r.joinPrecision(q.Left.Name, q.Right.Name)
-	var execs []pairExec
-	var rep *plan.EJoin
+	// produce neither matches nor model calls. Admission prices the
+	// fan-out as one unit: the sum of every executed pair's footprint.
+	knob := r.shards[0].JoinPrecision(q.Left.Name, q.Right.Name)
+	var weight, estRows int64
 	for s := 0; s < r.nshards; s++ {
 		for t := 0; t < r.nshards; t++ {
-			pq := plan.Query{Left: probe.refs[s], Right: build.refs[t], Model: q.Model, Join: q.Join}
+			pq := plan.Query{Left: f.probe.refs[s], Right: f.build.refs[t], Model: q.Model, Join: q.Join}
 			naive, err := plan.NewNaivePlan(pq)
 			if err != nil {
-				sp.End()
-				return nil, service.MarkBadRequest(err)
+				return nil, 0, 0, service.MarkBadRequest(err)
 			}
 			jp, err := pairOpt.Optimize(naive)
 			if err != nil {
-				sp.End()
-				return nil, err
+				return nil, 0, 0, err
 			}
 			// Rule 5 ran globally; restore the slack the forced-precision path
 			// strips, so the runtime demotion guard still acts per pair.
 			if jp.Quantizable() && choice.PrecisionChosen && knob == quant.PrecisionAuto {
 				jp.PrecisionSlack = r.opt.PrecisionSlack
 			}
-			// Per-table precision knobs override cost-based selection, exactly
-			// as in the engine: forced choices carry no slack for the runtime
-			// demotion guard to act on.
-			if jp.Quantizable() && knob != quant.PrecisionAuto {
-				jp.Precision = knob
-				jp.PrecisionSlack = 0
-				jp.PrecisionEstimates = nil
+			service.ApplyPrecisionKnob(jp, knob)
+			if f.rep == nil {
+				f.rep = jp
 			}
-			if rep == nil {
-				rep = jp
-			}
-			if probe.refs[s].Table.NumRows() == 0 || build.refs[t].Table.NumRows() == 0 {
+			if pq.Left.Table.NumRows() == 0 || pq.Right.Table.NumRows() == 0 {
 				continue
 			}
-			execs = append(execs, pairExec{s: s, t: t, j: jp})
+			f.execs = append(f.execs, pairExec{s: s, t: t, j: jp})
+			weight += plan.EstimateFootprint(jp, service.FootprintDim(r.model, pq.Left, pq.Right), r.exec.BlockRows)
+			estRows += max(jp.EstRows, 0)
 		}
 	}
+	return f, weight, estRows, nil
+}
 
-	// Admission prices the fan-out as one unit: the sum of every pair's
-	// footprint, clamped like the engine clamps one giant join.
-	var weight int64
-	for _, pe := range execs {
-		weight += plan.EstimateFootprint(pe.j, r.footprintDim(probe.refs[pe.s], build.refs[pe.t]), r.exec.BlockRows)
-	}
-	if weight > ecfg.AdmissionBytes {
-		weight = ecfg.AdmissionBytes
-	}
-	sp.Attr("pairs", int64(len(execs))).Attr("weight_bytes", weight).End()
-
-	sp = tr.StartSpan("admit")
-	release, waited, err := r.admit(ctx, weight)
-	if err != nil {
-		sp.End()
-		r.counters.rejected.Add(1)
-		return nil, err
-	}
-	sp.Attr("waited", boolAttr(waited)).End()
-	defer release()
-	if waited {
-		r.counters.admissionWaits.Add(1)
-	}
-	r.counters.inFlight.Add(1)
-	defer r.counters.inFlight.Add(-1)
+// Run is the router's run step: scatter every pair, merge the streams.
+func (f *fanout) Run(ctx context.Context, req service.QueryRequest) (*service.QueryResult, error) {
+	r, q, execs, probe, build := f.r, f.q, f.execs, f.probe, f.build
+	start := time.Now()
+	tr := obs.FromContext(ctx)
 	r.counters.fanoutQueries.Add(1)
 	r.counters.fanoutPairs.Add(int64(len(execs)))
 
@@ -279,7 +198,7 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 	// Scatter: evaluate each build shard's inner side once (shared across
 	// that shard's column of pairs — same snapshot, same rewritten
 	// subtree), then launch one producer per pair.
-	sp = tr.StartSpan("shard.fanout")
+	sp := tr.StartSpan("shard.fanout")
 	buildPlans := make([]*plan.EJoin, r.nshards)
 	for _, pe := range execs {
 		if buildPlans[pe.t] == nil {
@@ -409,11 +328,11 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 	if truncated {
 		r.counters.truncated.Add(1)
 	}
-	sp.Attr("matches", int64(len(matches))).Attr("truncated", boolAttr(truncated)).Attr("wait_ns", mergeWait.Load()).End()
+	sp.Attr("matches", int64(len(matches))).Attr("truncated", obs.BoolAttr(truncated)).Attr("wait_ns", mergeWait.Load()).End()
 
 	for i, pe := range execs {
 		if pairElapsed[i] > 0 {
-			r.obs.byShard.With(strconv.Itoa(pe.s)).Observe(pairElapsed[i])
+			r.byShard.With(strconv.Itoa(pe.s)).Observe(pairElapsed[i])
 		}
 	}
 
@@ -437,7 +356,7 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 
 	strategy, precision := "", ""
 	for _, pe := range execs {
-		s, p := pe.j.Strategy.String(), effectivePrecisionLabel(pe.j)
+		s, p := pe.j.Strategy.String(), service.EffectivePrecision(pe.j).String()
 		if strategy == "" {
 			strategy, precision = s, p
 			continue
@@ -449,14 +368,13 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 			precision = "mixed"
 		}
 	}
-	if strategy == "" && rep != nil {
-		strategy, precision = rep.Strategy.String(), effectivePrecisionLabel(rep)
+	if strategy == "" && f.rep != nil {
+		strategy, precision = f.rep.Strategy.String(), service.EffectivePrecision(f.rep).String()
 	}
-	r.recordExecution(strategy, agg)
 
 	// Flip back to the query's orientation (the merge ran in executed
 	// orientation; like the unsharded Finish, the flip does not re-sort).
-	if swapped {
+	if f.swapped {
 		for i, m := range matches {
 			matches[i] = core.Match{Left: m.Right, Right: m.Left, Sim: m.Sim}
 		}
@@ -484,24 +402,22 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 			Elapsed: time.Since(start),
 			Detail: obs.AttrsDetail(map[string]int64{
 				"merge_wait_ns": mergeWait.Load(),
-				"truncated":     boolAttr(truncated),
+				"truncated":     obs.BoolAttr(truncated),
 			}),
 			Children: children,
 		}
 	}
 
 	out := &service.QueryResult{
-		Strategy:      strategy,
-		Precision:     precision,
-		Matches:       matches,
-		Stats:         agg,
-		PlanCacheHit:  cacheHit,
-		AdmittedBytes: weight,
-		Plan:          root,
+		Strategy:  strategy,
+		Precision: precision,
+		Matches:   matches,
+		Stats:     agg,
+		Plan:      root,
 	}
 	if req.Materialize {
 		sp = tr.StartSpan("materialize")
-		tbl, err := materializeShards(origLeft, origRight, matches)
+		tbl, err := materializeShards(f.left, f.right, matches)
 		if err != nil {
 			sp.End()
 			return nil, fmt.Errorf("shard: materializing result: %w", err)
@@ -509,7 +425,6 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 		sp.Attr("rows", int64(tbl.NumRows())).End()
 		out.Table = tbl
 	}
-	out.Elapsed = time.Since(start)
 	return out, nil
 }
 
@@ -524,160 +439,10 @@ func mapBlock(blk []core.Match, lmap, rmap []int) []core.Match {
 	return out
 }
 
-// footprintDim mirrors the engine's admission dimensionality rule over one
-// pair's refs: the model's output dim, widened by any precomputed vector
-// column's own dimensionality.
-func (r *Router) footprintDim(refs ...plan.TableRef) int {
-	dim := r.model.Dim()
-	for _, ref := range refs {
-		if ref.VectorColumn == "" || ref.Table == nil {
-			continue
-		}
-		if vc, err := ref.Table.Vectors(ref.VectorColumn); err == nil && vc.Dim > dim {
-			dim = vc.Dim
-		}
-	}
-	return dim
-}
-
-// admit acquires one execution slot then the byte budget, mirroring the
-// engine's ordering (slots bound CPU oversubscription, bytes bound memory).
-func (r *Router) admit(ctx context.Context, weight int64) (release func(), waited bool, err error) {
-	select {
-	case r.slots <- struct{}{}:
-	default:
-		waited = true
-		select {
-		case r.slots <- struct{}{}:
-		case <-ctx.Done():
-			return nil, true, fmt.Errorf("shard: admission wait aborted: %w", ctx.Err())
-		}
-	}
-	bytesWaited, err := r.bytes.Acquire(ctx, weight)
-	if err != nil {
-		<-r.slots
-		return nil, waited || bytesWaited, err
-	}
-	return func() {
-		r.bytes.Release(weight)
-		<-r.slots
-	}, waited || bytesWaited, nil
-}
-
-// resolve turns the request into a bound plan.Query against the router's
-// schema-only catalog, through the router plan cache for SQL text.
-func (r *Router) resolve(req service.QueryRequest) (plan.Query, bool, error) {
-	switch {
-	case req.SQL != "" && req.Join != nil:
-		return plan.Query{}, false, fmt.Errorf("shard: request has both sql and join spec")
-	case req.SQL != "":
-		text := strings.TrimSpace(req.SQL)
-		cacheable := len(text) <= maxRouterCachedQueryLen
-		gen := r.cat.Generation()
-		if cacheable {
-			if p, ok := r.plans.get(text, gen); ok {
-				return p.Query(), true, nil
-			}
-		}
-		p, err := sqlish.Prepare(text, r.cat, r.model)
-		if err != nil {
-			return plan.Query{}, false, err
-		}
-		if cacheable {
-			r.plans.put(text, p)
-		}
-		return p.Query(), false, nil
-	case req.Join != nil:
-		q, err := r.bindJoinRequest(req.Join)
-		return q, false, err
-	default:
-		return plan.Query{}, false, fmt.Errorf("shard: empty request: need sql or join spec")
-	}
-}
-
-// maxRouterCachedQueryLen mirrors the engine's plan-cache key bound.
-const maxRouterCachedQueryLen = 1 << 14
-
-// bindJoinRequest resolves a structured join spec against the router
-// catalog, mirroring the engine's binder.
-func (r *Router) bindJoinRequest(jr *service.JoinRequest) (plan.Query, error) {
-	var q plan.Query
-	left, err := r.bindSide(jr.LeftTable, jr.LeftColumn)
-	if err != nil {
-		return q, err
-	}
-	right, err := r.bindSide(jr.RightTable, jr.RightColumn)
-	if err != nil {
-		return q, err
-	}
-	q.Left, q.Right = left, right
-	q.Model = r.model
-
-	switch strings.ToLower(jr.Kind) {
-	case "", "threshold", "sim":
-		var thr float32
-		if jr.Threshold != nil {
-			thr = float32(*jr.Threshold)
-		}
-		q.Join = plan.JoinSpec{Kind: plan.ThresholdJoin, Threshold: thr}
-	case "topk", "top-k":
-		if jr.K <= 0 {
-			return q, fmt.Errorf("shard: topk join requires k > 0")
-		}
-		q.Join = plan.JoinSpec{Kind: plan.TopKJoin, K: jr.K, Threshold: -2}
-		if jr.Threshold != nil {
-			q.Join.Threshold = float32(*jr.Threshold)
-		}
-	default:
-		return q, fmt.Errorf("shard: unknown join kind %q (want threshold or topk)", jr.Kind)
-	}
-	return q, nil
-}
-
-// bindSide resolves one table+column pair against the router catalog.
-func (r *Router) bindSide(table, column string) (plan.TableRef, error) {
-	var ref plan.TableRef
-	t, ok := r.cat.Get(table)
-	if !ok {
-		return ref, fmt.Errorf("shard: unknown table %q", table)
-	}
-	idx := t.Schema().IndexOf(column)
-	if idx < 0 {
-		return ref, fmt.Errorf("shard: table %q has no column %q", table, column)
-	}
-	ref = plan.TableRef{Name: table, Table: t}
-	switch t.Schema()[idx].Type {
-	case relational.String:
-		ref.TextColumn = column
-	case relational.Vector:
-		ref.VectorColumn = column
-	default:
-		return ref, fmt.Errorf("shard: join column %s.%s must be TEXT or VECTOR", table, column)
-	}
-	return ref, nil
-}
-
-// effectivePrecisionLabel mirrors the engine's reported precision: Auto
-// and non-quantizable plans execute exact.
-func effectivePrecisionLabel(j *plan.EJoin) string {
-	if j.Precision == quant.PrecisionAuto || !j.Quantizable() {
-		return quant.PrecisionF32.String()
-	}
-	return j.Precision.String()
-}
-
 // kindLabel names a join kind for explain output.
 func kindLabel(k plan.JoinKind) string {
 	if k == plan.TopKJoin {
 		return "topk"
 	}
 	return "threshold"
-}
-
-// boolAttr renders a bool as a span attribute value.
-func boolAttr(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }

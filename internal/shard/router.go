@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ejoin/internal/core"
 	"ejoin/internal/cost"
 	"ejoin/internal/embstore"
 	"ejoin/internal/feedback"
@@ -24,7 +22,6 @@ import (
 	"ejoin/internal/relational"
 	"ejoin/internal/service"
 	"ejoin/internal/sqlish"
-	"ejoin/internal/vec"
 )
 
 // Config tunes a Router.
@@ -33,71 +30,49 @@ type Config struct {
 	Shards int
 	// Partitioner selects row placement: "hash" (default) or "centroid".
 	Partitioner string
-	// Engine is the per-shard engine template. Its DataDir, when set, is
-	// the ROUTER's root: the manifest lives there and each shard gets
+	// Engine configures the router's query lifecycle and, once resolved
+	// (service.Resolve), every shard engine. Its DataDir, when set, is the
+	// ROUTER's root: the manifest lives there and each shard gets
 	// DataDir/shard-NN. Model and Store, when nil, are built once and
 	// shared across every shard (see the package comment's sharing audit).
 	Engine service.Config
 }
 
 // Router owns N service.Engine shards behind the same operational
-// surface an Engine exposes: ingest, mutations, scatter-gather queries,
-// stats, metrics, snapshots. Engines provide storage, mutation
-// durability, and per-shard accounting; query planning and execution
-// run in the router itself over pinned per-shard snapshots, so shard
-// engines' own query counters stay zero.
+// surface an Engine exposes: ingest, mutations, queries, stats, metrics,
+// snapshots. Engines provide storage, mutation durability, and per-shard
+// accounting. Queries run through the same service.Frontend an Engine
+// serves through, bound against a schema-only catalog; the router is its
+// Backend (query.go), so shard engines' own query counters stay zero.
 type Router struct {
-	cfg     Config
 	nshards int
 	shards  []*service.Engine
 	model   model.Model
 	store   *embstore.Store
 	part    Partitioner
 	dataDir string
-	// noReorder is the operator's original DisableReorder setting. The
-	// router always disables per-pair reordering (orientation must be one
-	// global decision or streams could not merge), so the config field is
-	// overwritten; the router's own swap rule honors this saved value.
-	noReorder bool
 
-	exec  *plan.Executor
-	opt   *plan.Optimizer
-	cat   *sqlish.Catalog // schema-only empty tables, for binding
-	plans *routerPlanCache
-	slots chan struct{}
-	bytes *byteSemaphore
+	front      *service.Frontend
+	exec       *plan.Executor
+	opt        *plan.Optimizer
+	cat        *sqlish.Catalog // schema-only empty tables, for binding
+	calibrated bool
 
 	mu     sync.Mutex // serializes mutations and manifest writes
 	tables map[string]*tableMeta
 
 	counters routerCounters
-	obs      routerObs
-	start    time.Time
-}
-
-// routerCounters is the router's own accounting (engines count their
-// mutations; the router counts queries — it executes them).
-type routerCounters struct {
-	queries        atomic.Int64
-	errors         atomic.Int64
-	rejected       atomic.Int64
-	admissionWaits atomic.Int64
-	inFlight       atomic.Int64
-	fanoutQueries  atomic.Int64
-	fanoutPairs    atomic.Int64
-	truncated      atomic.Int64
-	mergeWaitNS    atomic.Int64
-
-	mu         sync.Mutex
-	join       core.Stats
-	strategies map[string]int64
-}
-
-type routerObs struct {
-	latency obs.Histogram
+	// byShard is the per-probe-shard stream latency within fan-outs.
 	byShard obs.HistogramVec
-	slow    *obs.SlowLog
-	traced  atomic.Int64
+}
+
+// routerCounters is the fan-out's own accounting; the query lifecycle
+// counts queries in the Frontend, and engines count their mutations.
+type routerCounters struct {
+	fanoutQueries atomic.Int64
+	fanoutPairs   atomic.Int64
+	truncated     atomic.Int64
+	mergeWaitNS   atomic.Int64
 }
 
 // Open builds the router and its shards. With Engine.DataDir set every
@@ -105,103 +80,39 @@ type routerObs struct {
 // server that publishes the router afterwards gets /readyz gating for
 // free; rowmaps are then reconciled against the recovered shards.
 func Open(cfg Config) (*Router, error) {
-	n := cfg.Shards
-	if n <= 0 {
-		n = 1
+	n := max(cfg.Shards, 1)
+	// One resolution per process: the shared model and store, every
+	// default, and the cost calibration the router plans with. The shards
+	// get the resolved config, so they neither rebuild nor re-measure it.
+	res, err := service.Resolve(cfg.Engine)
+	if err != nil {
+		return nil, err
 	}
-	ecfg := cfg.Engine
-
-	// Shared embedding stack, built exactly as NewEngine would.
-	if ecfg.Dim <= 0 {
-		ecfg.Dim = 100
-	}
-	m := ecfg.Model
-	if m == nil {
-		hm, err := model.NewHashEmbedder(ecfg.Dim)
-		if err != nil {
-			return nil, fmt.Errorf("shard: building default model: %w", err)
-		}
-		m = hm
-	}
-	store := ecfg.Store
-	if store == nil {
-		if ecfg.StoreBytes <= 0 {
-			ecfg.StoreBytes = 256 << 20
-		}
-		store = embstore.New(embstore.Config{MaxBytes: ecfg.StoreBytes})
-	}
-	ecfg.Model, ecfg.Store = m, store
-	// The router makes the one global orientation decision; per-shard
-	// re-swaps would break stream merging.
-	ecfg.DisableReorder = true
-
-	// Router-level execution defaults mirror NewEngine's resolution.
-	if ecfg.MaxConcurrent <= 0 {
-		ecfg.MaxConcurrent = runtime.GOMAXPROCS(0)
-	}
-	if ecfg.Threads <= 0 {
-		ecfg.Threads = runtime.GOMAXPROCS(0) / ecfg.MaxConcurrent
-		if ecfg.Threads < 1 {
-			ecfg.Threads = 1
-		}
-	}
-	if ecfg.AdmissionBytes <= 0 {
-		ecfg.AdmissionBytes = 1 << 30
-	}
-	if ecfg.PlanCacheSize <= 0 {
-		ecfg.PlanCacheSize = 256
-	}
-	if ecfg.CostParams.Validate() != nil {
-		ecfg.CostParams = cost.DefaultParams()
-	}
-	if ecfg.Kernel == vec.KernelScalar {
-		ecfg.Kernel = vec.DefaultKernel()
-	}
-
+	ecfg := res.Config
+	// Orientation is one global decision (query.go); a per-pair re-swap
+	// would break stream merging.
+	res.Opt.DisableReorder = true
 	r := &Router{
-		cfg:       cfg,
-		nshards:   n,
-		model:     m,
-		store:     store,
-		dataDir:   ecfg.DataDir,
-		noReorder: cfg.Engine.DisableReorder,
-		cat:       sqlish.NewCatalog(),
-		plans:     newRouterPlanCache(ecfg.PlanCacheSize),
-		slots:     make(chan struct{}, ecfg.MaxConcurrent),
-		bytes:     newByteSemaphore(ecfg.AdmissionBytes),
-		tables:    make(map[string]*tableMeta),
-		start:     time.Now(),
+		nshards:    n,
+		model:      ecfg.Model,
+		store:      ecfg.Store,
+		dataDir:    ecfg.DataDir,
+		exec:       res.Exec,
+		opt:        res.Opt,
+		cat:        sqlish.NewCatalog(),
+		calibrated: res.Calibrated,
+		tables:     make(map[string]*tableMeta),
 	}
-	r.cfg.Engine = ecfg
-	r.obs.slow = obs.NewSlowLog(ecfg.SlowLogSize, ecfg.SlowLogWorst, ecfg.SlowQueryThreshold)
+	r.front = service.NewFrontend(res, r.cat, r)
 
 	hash := &hashPartitioner{shards: n}
 	switch cfg.Partitioner {
 	case "", "hash":
 		r.part = hash
 	case "centroid":
-		r.part = &centroidPartitioner{shards: n, model: m, store: store, hash: hash}
+		r.part = &centroidPartitioner{shards: n, model: r.model, store: r.store, hash: hash}
 	default:
 		return nil, fmt.Errorf("shard: unknown partitioner %q (want hash or centroid)", cfg.Partitioner)
-	}
-
-	r.exec = &plan.Executor{
-		Options: core.Options{
-			Kernel:  ecfg.Kernel,
-			Threads: ecfg.Threads,
-		},
-		Store:     store,
-		BlockRows: ecfg.ExecBlockRows,
-	}
-	r.opt = &plan.Optimizer{
-		Params:         ecfg.CostParams,
-		Store:          store,
-		ForceStrategy:  ecfg.ForceStrategy,
-		DisableReorder: true,
-	}
-	if ecfg.PrecisionSlack > 0 {
-		r.opt.PrecisionSlack = ecfg.PrecisionSlack
-		r.opt.MemoryBudget = ecfg.AdmissionBytes
 	}
 
 	// Boot every shard (durable shards replay their WALs here).
@@ -436,7 +347,7 @@ func (r *Router) RegisterCSVWithPrecision(name string, schema relational.Schema,
 		}
 	}
 	r.cat.Register(name, emptySchemaTable(schema))
-	r.plans.purge()
+	r.front.PurgeStalePlans()
 	return t.NumRows(), nil
 }
 
@@ -621,7 +532,7 @@ func (r *Router) DropTable(name string) bool {
 	}
 	delete(r.tables, canonical(name))
 	r.cat.Drop(name)
-	r.plans.purge()
+	r.front.PurgeStalePlans()
 	for _, eng := range r.shards {
 		eng.DropTable(name)
 	}
@@ -676,35 +587,6 @@ func (r *Router) SetTablePrecision(name string, p quant.Precision) error {
 	return nil
 }
 
-// joinPrecision mirrors the engine's coarser-wins merge of the two
-// sides' declared precisions. Knobs are fanned identically to every
-// shard, so shard 0 is authoritative.
-func (r *Router) joinPrecision(leftTable, rightTable string) quant.Precision {
-	l, rr := r.shards[0].TablePrecision(leftTable), r.shards[0].TablePrecision(rightTable)
-	if l == quant.PrecisionAuto && rr == quant.PrecisionAuto {
-		return quant.PrecisionAuto
-	}
-	lr, rrr := precRank(l), precRank(rr)
-	if rrr > lr {
-		return rr
-	}
-	if l == quant.PrecisionAuto {
-		return rr
-	}
-	return l
-}
-
-func precRank(p quant.Precision) int {
-	switch p {
-	case quant.PrecisionF16:
-		return 1
-	case quant.PrecisionInt8:
-		return 2
-	default:
-		return 0
-	}
-}
-
 // RouterSnapshot aggregates per-shard snapshot results.
 type RouterSnapshot struct {
 	Shards []service.SnapshotInfo `json:"shards"`
@@ -728,53 +610,28 @@ func (r *Router) Snapshot() (RouterSnapshot, error) {
 
 // SlowQueries snapshots the router's slow-query log (router queries are
 // traced at the router, not in shard engines).
-func (r *Router) SlowQueries() obs.SlowLogDump { return r.obs.slow.Dump() }
+func (r *Router) SlowQueries() obs.SlowLogDump { return r.front.SlowQueries() }
+
+// CostParams is the parameter set the router plans with (after
+// validation and optional calibration) — logged at server boot.
+func (r *Router) CostParams() cost.Params { return r.opt.Params }
+
+// Calibrated reports whether CostParams came from cost.Calibrate.
+func (r *Router) Calibrated() bool { return r.calibrated }
 
 // FeedbackDump returns an empty feedback dump: the router plans without
 // runtime cardinality feedback (its per-pair estimates sum per-shard
 // exact selectivities, which the feedback loop exists to approximate).
 func (r *Router) FeedbackDump() feedback.Dump { return feedback.Dump{} }
 
-// startTrace mirrors the engine's tracing gate for router queries.
-func (r *Router) startTrace(ctx context.Context, label string, force bool) (*obs.Trace, context.Context) {
-	if r.cfg.Engine.DisableTracing && !force {
-		return nil, ctx
-	}
-	tr := obs.NewTrace(obs.RequestIDFrom(ctx), label)
-	r.obs.traced.Add(1)
-	return tr, obs.NewContext(ctx, tr)
-}
-
-func (r *Router) finishTrace(tr *obs.Trace, strategy, precision string, err error, pl *obs.NodeStats) *obs.TraceSnapshot {
-	if tr == nil {
-		return nil
-	}
-	if err == nil && pl == nil && !r.obs.slow.Keeps(tr.Since()) {
-		return nil
-	}
-	snap := tr.Finish(strategy, precision, err, pl)
-	r.obs.slow.Record(snap)
-	return snap
-}
-
-// RouterStats is the router's observability surface: fan-out accounting
-// plus every shard's full ServerStats, deterministically ordered.
+// RouterStats is the router's observability surface: the query
+// lifecycle's counters under the keys an Engine reports them, fan-out
+// accounting, and every shard's full ServerStats, deterministically
+// ordered.
 type RouterStats struct {
-	Shards         int           `json:"shards"`
-	Partitioner    string        `json:"partitioner"`
-	Uptime         time.Duration `json:"uptime_ns"`
-	Queries        int64         `json:"queries"`
-	Errors         int64         `json:"errors"`
-	Rejected       int64         `json:"rejected"`
-	InFlight       int64         `json:"in_flight"`
-	AdmissionWaits int64         `json:"admission_waits"`
-	AdmittedBytes  int64         `json:"admitted_bytes"`
-	// AdmissionWaiting is the number of fan-outs queued right now.
-	AdmissionWaiting int   `json:"admission_waiting"`
-	PlanCacheHits    int64 `json:"plan_cache_hits"`
-	PlanCacheMisses  int64 `json:"plan_cache_misses"`
-	PlanCacheEntries int   `json:"plan_cache_entries"`
-	Tables           int   `json:"tables"`
+	Shards      int    `json:"shards"`
+	Partitioner string `json:"partitioner"`
+	service.QueryStats
 	// FanoutQueries counts scatter-gather executions; FanoutPairs the
 	// probe-shard x build-shard streams they opened.
 	FanoutQueries int64 `json:"fanout_queries"`
@@ -787,11 +644,6 @@ type RouterStats struct {
 	// PartitionSkew is max/mean of per-shard assigned rows across all
 	// tables (1 = perfectly even; 0 = no rows).
 	PartitionSkew float64 `json:"partition_skew"`
-	// Join is the cumulative executor work across router-served queries.
-	Join core.Stats `json:"join"`
-	// Strategies counts executions per physical strategy ("mixed" when a
-	// fan-out's pairs disagreed).
-	Strategies map[string]int64 `json:"strategies,omitempty"`
 	// PerShard is each shard engine's own stats, in shard order.
 	PerShard []service.ServerStats `json:"per_shard"`
 }
@@ -799,39 +651,16 @@ type RouterStats struct {
 // Stats snapshots the router and every shard.
 func (r *Router) Stats() RouterStats {
 	c := &r.counters
-	hits, misses, entries := r.plans.snapshot()
 	st := RouterStats{
 		Shards:           r.nshards,
 		Partitioner:      r.part.Kind(),
-		Uptime:           time.Since(r.start),
-		Queries:          c.queries.Load(),
-		Errors:           c.errors.Load(),
-		Rejected:         c.rejected.Load(),
-		InFlight:         c.inFlight.Load(),
-		AdmissionWaits:   c.admissionWaits.Load(),
-		AdmittedBytes:    r.bytes.InUse(),
-		AdmissionWaiting: r.bytes.Waiting(),
-		PlanCacheHits:    hits,
-		PlanCacheMisses:  misses,
-		PlanCacheEntries: entries,
+		QueryStats:       r.front.QueryStats(),
 		FanoutQueries:    c.fanoutQueries.Load(),
 		FanoutPairs:      c.fanoutPairs.Load(),
 		TruncatedQueries: c.truncated.Load(),
 		MergeWait:        time.Duration(c.mergeWaitNS.Load()),
 		PartitionSkew:    r.partitionSkew(),
 	}
-	r.mu.Lock()
-	st.Tables = len(r.tables)
-	r.mu.Unlock()
-	c.mu.Lock()
-	st.Join = c.join
-	if len(c.strategies) > 0 {
-		st.Strategies = make(map[string]int64, len(c.strategies))
-		for k, v := range c.strategies {
-			st.Strategies[k] = v
-		}
-	}
-	c.mu.Unlock()
 	for _, eng := range r.shards {
 		st.PerShard = append(st.PerShard, eng.Stats())
 	}
@@ -876,18 +705,6 @@ func (r *Router) shardRows() []int {
 	return out
 }
 
-// recordExecution folds one fan-out's aggregate work into the counters.
-func (r *Router) recordExecution(strategy string, s core.Stats) {
-	c := &r.counters
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.join.Add(s)
-	if c.strategies == nil {
-		c.strategies = make(map[string]int64)
-	}
-	c.strategies[strategy]++
-}
-
 // WriteMetrics renders the router's ejoin_shard_* metric families plus
 // the per-shard latency histogram. Shard engines' families are NOT
 // concatenated here — duplicate family names would corrupt the
@@ -917,66 +734,8 @@ func (r *Router) WriteMetrics(w io.Writer) error {
 	}
 
 	mw.Histogram("ejoin_shard_query_duration_seconds",
-		"End-to-end latency of router-served queries.", &r.obs.latency)
+		"End-to-end latency of router-served queries.", r.front.Latency())
 	mw.HistogramVec("ejoin_shard_pair_duration_seconds",
-		"Per-shard stream latency within fan-outs.", "shard", &r.obs.byShard)
+		"Per-shard stream latency within fan-outs.", "shard", &r.byShard)
 	return mw.Err()
-}
-
-// routerPlanCache is a bounded text->prepared cache validated against
-// the router catalog's generation (a simplified clone of the engine's
-// unexported planCache).
-type routerPlanCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*sqlish.Prepared
-	order   []string
-
-	hits, misses int64
-}
-
-func newRouterPlanCache(max int) *routerPlanCache {
-	return &routerPlanCache{max: max, entries: make(map[string]*sqlish.Prepared)}
-}
-
-func (c *routerPlanCache) get(text string, gen uint64) (*sqlish.Prepared, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.entries[text]
-	if !ok || p.Generation() != gen {
-		if ok {
-			delete(c.entries, text)
-		}
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	return p, true
-}
-
-func (c *routerPlanCache) put(text string, p *sqlish.Prepared) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[text]; !ok {
-		c.order = append(c.order, text)
-	}
-	c.entries[text] = p
-	for len(c.entries) > c.max && len(c.order) > 0 {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, victim)
-	}
-}
-
-func (c *routerPlanCache) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[string]*sqlish.Prepared)
-	c.order = nil
-}
-
-func (c *routerPlanCache) snapshot() (hits, misses int64, entries int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, len(c.entries)
 }
