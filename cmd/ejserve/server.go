@@ -224,7 +224,7 @@ func (s *server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, "name and schema are required")
 		return
 	}
-	schema, err := parseSchema(req.Schema)
+	schema, err := relational.ParseSchema(req.Schema)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
 		return
@@ -559,33 +559,4 @@ func tableRows(t *relational.Table) []map[string]any {
 		out[r] = row
 	}
 	return out
-}
-
-// parseSchema parses "col:type,col:type" (types: int, float, text, time,
-// bool), the same shape cmd/ejsql accepts.
-func parseSchema(spec string) (relational.Schema, error) {
-	var schema relational.Schema
-	for _, part := range strings.Split(spec, ",") {
-		col, typ, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("schema field %q: want col:type", part)
-		}
-		var t relational.Type
-		switch strings.ToLower(typ) {
-		case "int":
-			t = relational.Int64
-		case "float":
-			t = relational.Float64
-		case "text", "string":
-			t = relational.String
-		case "time", "date":
-			t = relational.Time
-		case "bool":
-			t = relational.Bool
-		default:
-			return nil, fmt.Errorf("schema field %q: unknown type %q", part, typ)
-		}
-		schema = append(schema, relational.Field{Name: col, Type: t})
-	}
-	return schema, nil
 }

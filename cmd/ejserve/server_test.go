@@ -122,6 +122,26 @@ func TestTableLifecycle(t *testing.T) {
 	}
 }
 
+// TestCreateTableRejectsBadColumnNames: a schema whose CSV header matches
+// it but names a column twice, or not at all, is the request's fault. A
+// table registered from it would bind every reference to the first of two
+// same-named columns.
+func TestCreateTableRejectsBadColumnNames(t *testing.T) {
+	ts := newTestServer(t)
+	for name, body := range map[string]string{
+		"duplicate name": `{"name": "t", "schema": "k:int,k:text", "csv": "k,k\n1,a\n"}`,
+		"empty name":     `{"name": "t", "schema": ":int,b:text", "csv": ",b\n1,a\n"}`,
+	} {
+		status, resp := doJSON(t, http.MethodPost, ts.URL+"/tables", body)
+		if status != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%v), want 400", name, status, resp)
+		}
+	}
+	if _, body := doJSON(t, http.MethodGet, ts.URL+"/tables", ""); len(body["tables"].([]any)) != 0 {
+		t.Errorf("a rejected schema registered a table: %v", body["tables"])
+	}
+}
+
 func TestQueryEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	ingestPair(t, ts)

@@ -13,6 +13,10 @@
 // τ for threshold joins or TOPK(a.col, b.col, k) for top-k joins. Output is
 // CSV: the matched rows (left columns prefixed l_, right r_) plus a
 // similarity column.
+//
+// ejsql is a one-shot client of service.Engine: the query runs through the
+// same lifecycle (binder, planner, admission, executor) as one sent to
+// ejserve.
 package main
 
 import (
@@ -23,20 +27,11 @@ import (
 	"os"
 	"strings"
 
-	"ejoin/internal/core"
-	"ejoin/internal/embstore"
 	"ejoin/internal/model"
 	"ejoin/internal/obs"
-	"ejoin/internal/plan"
 	"ejoin/internal/relational"
-	"ejoin/internal/sqlish"
-	"ejoin/internal/vec"
+	"ejoin/internal/service"
 )
-
-// store is the per-process shared embedding store: a long-lived ejsql
-// process (or one invocation running several queries over the same
-// catalog) embeds each distinct string at most once.
-var store = embstore.New(embstore.Config{})
 
 // tableFlags accumulates repeated -table flags.
 type tableFlags []string
@@ -64,53 +59,44 @@ func main() {
 
 // run executes the query, writing CSV to out and (when explain is set)
 // the EXPLAIN ANALYZE report to errOut so the result stays pipeable.
-func run(tables []string, query string, dim int, explain bool, out *os.File, errOut io.Writer) error {
+func run(tables []string, query string, dim int, explain bool, out, errOut io.Writer) error {
 	if query == "" {
 		return fmt.Errorf("-query is required")
 	}
 	if len(tables) == 0 {
 		return fmt.Errorf("at least one -table is required")
 	}
-	catalog := sqlish.NewCatalog()
-	for _, spec := range tables {
-		name, tbl, err := loadTable(spec)
-		if err != nil {
-			return err
-		}
-		catalog.Register(name, tbl)
-	}
 	m, err := model.NewHashEmbedder(dim)
 	if err != nil {
 		return err
 	}
-	ex := &plan.Executor{Options: core.Options{Kernel: vec.DefaultKernel()}, Store: store}
-	opt := plan.NewOptimizer()
-	opt.Store = store
-	ctx := context.Background()
-	var tr *obs.Trace
-	if explain {
-		tr = obs.NewTrace("", query)
-		ctx = obs.WithAnalyze(obs.NewContext(ctx, tr))
-	}
-	res, q, err := sqlish.RunWith(ctx, query, catalog, m, ex, opt)
+	// One query at a time, so its operators get every core (Threads
+	// defaults to GOMAXPROCS/MaxConcurrent).
+	eng, err := service.NewEngine(service.Config{Model: m, MaxConcurrent: 1})
 	if err != nil {
 		return err
 	}
-	joined, err := plan.MaterializeResult(q, res)
+	defer eng.Close()
+	for _, spec := range tables {
+		if err := loadTable(eng, spec); err != nil {
+			return err
+		}
+	}
+	res, err := eng.Query(context.Background(), service.QueryRequest{SQL: query, Materialize: true, Explain: explain})
 	if err != nil {
 		return err
 	}
 	if explain {
-		printExplain(errOut, tr.Finish(res.Strategy.String(), "", nil, res.Analysis))
+		printExplain(errOut, res)
 	}
-	return relational.WriteCSV(out, joined)
+	return relational.WriteCSV(out, res.Table)
 }
 
 // printExplain renders the analyzed plan and span timeline.
-func printExplain(w io.Writer, snap *obs.TraceSnapshot) {
-	fmt.Fprintf(w, "-- EXPLAIN ANALYZE (strategy=%s, elapsed=%s)\n", snap.Strategy, snap.Elapsed)
-	fmt.Fprint(w, obs.RenderAnalyze(snap.Plan))
-	for _, sp := range snap.Spans {
+func printExplain(w io.Writer, res *service.QueryResult) {
+	fmt.Fprintf(w, "-- EXPLAIN ANALYZE (strategy=%s, elapsed=%s)\n", res.Strategy, res.Elapsed)
+	fmt.Fprint(w, res.PlanText)
+	for _, sp := range res.Trace.Spans {
 		line := fmt.Sprintf("-- span %-12s start=%-10s dur=%s", sp.Name, sp.Start, sp.Dur)
 		if detail := obs.AttrsDetail(sp.Attrs); detail != "" {
 			line += "  " + detail
@@ -119,56 +105,28 @@ func printExplain(w io.Writer, snap *obs.TraceSnapshot) {
 	}
 }
 
-// loadTable parses one -table spec and loads the CSV.
-func loadTable(spec string) (string, *relational.Table, error) {
+// loadTable parses one -table spec and registers the CSV it names.
+func loadTable(eng *service.Engine, spec string) error {
 	name, rest, ok := strings.Cut(spec, "=")
 	if !ok || name == "" {
-		return "", nil, fmt.Errorf("table spec %q: want name=path;schema", spec)
+		return fmt.Errorf("table spec %q: want name=path;schema", spec)
 	}
 	path, schemaSpec, ok := strings.Cut(rest, ";")
 	if !ok {
-		return "", nil, fmt.Errorf("table spec %q: missing ;schema part", spec)
+		return fmt.Errorf("table spec %q: missing ;schema part", spec)
 	}
-	schema, err := parseSchema(schemaSpec)
+	schema, err := relational.ParseSchema(schemaSpec)
 	if err != nil {
-		return "", nil, fmt.Errorf("table %q: %w", name, err)
+		return fmt.Errorf("table %q: %w", name, err)
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return "", nil, err
+		return err
 	}
 	defer f.Close()
-	tbl, err := relational.ReadCSV(f, schema)
-	if err != nil {
-		return "", nil, fmt.Errorf("table %q: %w", name, err)
+	// A repeated name replaces the earlier table, as a later flag should.
+	if _, err := eng.RegisterCSV(name, schema, f, true); err != nil {
+		return fmt.Errorf("table %q: %w", name, err)
 	}
-	return name, tbl, nil
-}
-
-// parseSchema parses "col:type,col:type".
-func parseSchema(spec string) (relational.Schema, error) {
-	var schema relational.Schema
-	for _, part := range strings.Split(spec, ",") {
-		col, typ, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("schema field %q: want col:type", part)
-		}
-		var t relational.Type
-		switch strings.ToLower(typ) {
-		case "int":
-			t = relational.Int64
-		case "float":
-			t = relational.Float64
-		case "text", "string":
-			t = relational.String
-		case "time", "date":
-			t = relational.Time
-		case "bool":
-			t = relational.Bool
-		default:
-			return nil, fmt.Errorf("schema field %q: unknown type %q", part, typ)
-		}
-		schema = append(schema, relational.Field{Name: col, Type: t})
-	}
-	return schema, nil
+	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ejoin/internal/relational"
+	"ejoin/internal/service"
 )
 
 func writeFile(t *testing.T, name, content string) string {
@@ -20,11 +21,24 @@ func writeFile(t *testing.T, name, content string) string {
 	return path
 }
 
+// TestParseSchema checks the schema part of a -table spec: every type
+// token ejsql documents registers a column of that type, and a schema
+// relational.ParseSchema rejects never registers a table.
 func TestParseSchema(t *testing.T) {
-	schema, err := parseSchema("sku:int,name:text,price:float,when:time,ok:bool")
+	eng, err := service.NewEngine(service.Config{Dim: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
+	path := writeFile(t, "all.csv", "sku,name,price,when,ok\n1,ant,2.5,2023-01-02,true\n")
+	if err := loadTable(eng, "all="+path+";sku:int, name:text ,price:float,when:time,ok:bool"); err != nil {
+		t.Fatal(err)
+	}
+	tbl, ok := eng.Catalog().Get("all")
+	if !ok {
+		t.Fatal("table not registered")
+	}
+	schema := tbl.Schema()
 	want := []relational.Type{relational.Int64, relational.String, relational.Float64, relational.Time, relational.Bool}
 	if len(schema) != len(want) {
 		t.Fatalf("schema = %v", schema)
@@ -34,22 +48,28 @@ func TestParseSchema(t *testing.T) {
 			t.Errorf("field %d type = %v, want %v", i, f.Type, want[i])
 		}
 	}
-	if _, err := parseSchema("bad"); err == nil {
-		t.Error("expected error for missing type")
+	for _, schemaSpec := range []string{"bad", "x:vector", ":int,name:text", "sku:int,sku:text"} {
+		if err := loadTable(eng, "bad="+path+";"+schemaSpec); err == nil {
+			t.Errorf("schema %q: expected error", schemaSpec)
+		}
 	}
-	if _, err := parseSchema("x:vector"); err == nil {
-		t.Error("expected error for unknown type")
+	if eng.HasTable("bad") {
+		t.Error("a rejected schema registered its table")
 	}
 }
 
 func TestLoadTable(t *testing.T) {
-	path := writeFile(t, "c.csv", "sku,name\n1,ant\n")
-	name, tbl, err := loadTable("catalog=" + path + ";sku:int,name:text")
+	eng, err := service.NewEngine(service.Config{Dim: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != "catalog" || tbl.NumRows() != 1 {
-		t.Errorf("name=%q rows=%d", name, tbl.NumRows())
+	defer eng.Close()
+	path := writeFile(t, "c.csv", "sku,name\n1,ant\n")
+	if err := loadTable(eng, "catalog="+path+";sku:int,name:text"); err != nil {
+		t.Fatal(err)
+	}
+	if tables := eng.Tables(); len(tables) != 1 || tables[0].Name != "catalog" || tables[0].Rows != 1 {
+		t.Errorf("tables = %+v", tables)
 	}
 	bad := []string{
 		"nopath",
@@ -57,14 +77,15 @@ func TestLoadTable(t *testing.T) {
 		"=path;a:int",
 		"x=/does/not/exist.csv;a:int",
 		"x=" + path + ";a:vector",
+		"x=" + path + ";sku:int,sku:text",
 	}
 	for _, spec := range bad {
-		if _, _, err := loadTable(spec); err == nil {
+		if err := loadTable(eng, spec); err == nil {
 			t.Errorf("%q: expected error", spec)
 		}
 	}
 	// Schema/CSV mismatch surfaces.
-	if _, _, err := loadTable("x=" + path + ";other:int,name:text"); err == nil {
+	if err := loadTable(eng, "x="+path+";other:int,name:text"); err == nil {
 		t.Error("expected header mismatch error")
 	}
 }

@@ -1,19 +1,78 @@
+// Package ejoin's root directory holds no library code: a query enters
+// through service.Engine (cmd/ejserve, cmd/ejsql). These tests compose the
+// internal packages end to end the way those front ends and the benchmark
+// harness do — embed, join, plan, index, materialize — so a change that
+// breaks the composition fails here even when every package passes alone.
 package ejoin
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"ejoin/internal/core"
+	"ejoin/internal/cost"
+	"ejoin/internal/hnsw"
+	"ejoin/internal/mat"
+	"ejoin/internal/model"
+	"ejoin/internal/plan"
+	"ejoin/internal/relational"
+	"ejoin/internal/vec"
 )
 
-func TestJoinStrings(t *testing.T) {
-	m, err := NewHashModel(64)
+// stringMatch is one matched pair of input strings.
+type stringMatch struct {
+	Left, Right string
+	Sim         float32
+}
+
+// embedBoth prefetches the embeddings of both inputs, once per string.
+func embedBoth(ctx context.Context, m model.Model, left, right []string) (lm, rm *mat.Matrix, err error) {
+	if lm, err = core.Embed(ctx, m, left); err != nil {
+		return nil, nil, fmt.Errorf("embedding left input: %w", err)
+	}
+	if rm, err = core.Embed(ctx, m, right); err != nil {
+		return nil, nil, fmt.Errorf("embedding right input: %w", err)
+	}
+	return lm, rm, nil
+}
+
+// joinStrings is the prefetch + tensor pipeline a SIM(l, r) >= threshold
+// query lowers to, over two string slices.
+func joinStrings(ctx context.Context, m model.Model, left, right []string, threshold float32) ([]stringMatch, error) {
+	lm, rm, err := embedBoth(ctx, m, left, right)
+	if err != nil {
+		return nil, err
+	}
+	res, err := core.TensorJoin(ctx, lm, rm, threshold, core.Options{Kernel: vec.DefaultKernel()})
+	if err != nil {
+		return nil, err
+	}
+	return toStringMatches(left, right, res), nil
+}
+
+func toStringMatches(left, right []string, res *core.Result) []stringMatch {
+	out := make([]stringMatch, len(res.Matches))
+	for i, m := range res.Matches {
+		out[i] = stringMatch{Left: left[m.Left], Right: right[m.Right], Sim: m.Sim}
+	}
+	return out
+}
+
+func hashModel(t *testing.T, dim int, opts ...model.HashEmbedderOption) model.Model {
+	t.Helper()
+	m, err := model.NewHashEmbedder(dim, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	matches, err := JoinStrings(ctx, m,
+	return m
+}
+
+func TestJoinStrings(t *testing.T) {
+	m := hashModel(t, 64)
+	matches, err := joinStrings(context.Background(), m,
 		[]string{"barbecue", "database", "giraffe"},
 		[]string{"barbecues", "databases", "quantum"},
 		0.6)
@@ -36,25 +95,30 @@ func TestJoinStrings(t *testing.T) {
 }
 
 func TestJoinStringsErrors(t *testing.T) {
-	m, _ := NewHashModel(16)
+	m := hashModel(t, 16)
 	ctx := context.Background()
-	if _, err := JoinStrings(ctx, m, []string{""}, []string{"x"}, 0.5); err == nil {
+	if _, err := joinStrings(ctx, m, []string{""}, []string{"x"}, 0.5); err == nil {
 		t.Error("expected error for empty left string")
 	}
-	if _, err := JoinStrings(ctx, m, []string{"x"}, []string{""}, 0.5); err == nil {
+	if _, err := joinStrings(ctx, m, []string{"x"}, []string{""}, 0.5); err == nil {
 		t.Error("expected error for empty right string")
 	}
 }
 
 func TestTopKStrings(t *testing.T) {
-	m, _ := NewHashModel(64)
-	matches, err := TopKStrings(context.Background(), m,
-		[]string{"clothes"},
-		[]string{"clothing", "giraffe", "clothings", "quantum"},
-		2)
+	m := hashModel(t, 64)
+	left := []string{"clothes"}
+	right := []string{"clothing", "giraffe", "clothings", "quantum"}
+	ctx := context.Background()
+	lm, rm, err := embedBoth(ctx, m, left, right)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := core.TensorTopK(ctx, lm, rm, 2, core.Options{Kernel: vec.DefaultKernel()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches := toStringMatches(left, right, res)
 	if len(matches) != 2 {
 		t.Fatalf("matches = %v", matches)
 	}
@@ -66,13 +130,10 @@ func TestTopKStrings(t *testing.T) {
 }
 
 func TestSynonymModel(t *testing.T) {
-	m, err := NewHashModelWithSynonyms(64, map[string][]string{
+	m := hashModel(t, 64, model.WithSynonyms(map[string][]string{
 		"grill": {"barbecue", "bbq"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	matches, err := JoinStrings(context.Background(), m,
+	}))
+	matches, err := joinStrings(context.Background(), m,
 		[]string{"barbecue"}, []string{"bbq"}, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -83,11 +144,11 @@ func TestSynonymModel(t *testing.T) {
 }
 
 func TestRandomModel(t *testing.T) {
-	m, err := NewRandomModel(32, 7)
+	m, err := model.NewRandomEmbedder(32, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, err := JoinStrings(context.Background(), m,
+	matches, err := joinStrings(context.Background(), m,
 		[]string{"a", "b"}, []string{"a", "c"}, 0.99)
 	if err != nil {
 		t.Fatal(err)
@@ -99,58 +160,53 @@ func TestRandomModel(t *testing.T) {
 	}
 }
 
-func queryFixture(t *testing.T) Query {
+func queryFixture(t *testing.T) plan.Query {
 	t.Helper()
 	base := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
-	left, err := NewTable(
-		Schema{{Name: "word", Type: StringType}, {Name: "taken", Type: TimeType}},
-		[]Column{
-			StringColumn{"barbecue", "database", "clothes"},
-			TimeColumn{base, base.AddDate(0, 1, 0), base.AddDate(0, 2, 0)},
+	left, err := relational.NewTable(
+		relational.Schema{{Name: "word", Type: relational.String}, {Name: "taken", Type: relational.Time}},
+		[]relational.Column{
+			relational.StringColumn{"barbecue", "database", "clothes"},
+			relational.TimeColumn{base, base.AddDate(0, 1, 0), base.AddDate(0, 2, 0)},
 		},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	right, err := NewTable(
-		Schema{{Name: "term", Type: StringType}, {Name: "score", Type: Int64Type}},
-		[]Column{
-			StringColumn{"barbecues", "databases", "clothing", "giraffe"},
-			Int64Column{1, 2, 3, 4},
+	right, err := relational.NewTable(
+		relational.Schema{{Name: "term", Type: relational.String}, {Name: "score", Type: relational.Int64}},
+		[]relational.Column{
+			relational.StringColumn{"barbecues", "databases", "clothing", "giraffe"},
+			relational.Int64Column{1, 2, 3, 4},
 		},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewHashModel(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Query{
-		Left:  TableRef{Name: "L", Table: left, TextColumn: "word"},
-		Right: TableRef{Name: "R", Table: right, TextColumn: "term"},
-		Model: m,
-		Join:  JoinSpec{Kind: ThresholdJoin, Threshold: 0.4},
+	return plan.Query{
+		Left:  plan.TableRef{Name: "L", Table: left, TextColumn: "word"},
+		Right: plan.TableRef{Name: "R", Table: right, TextColumn: "term"},
+		Model: hashModel(t, 64),
+		Join:  plan.JoinSpec{Kind: plan.ThresholdJoin, Threshold: 0.4},
 	}
 }
 
 func TestRunQuery(t *testing.T) {
 	q := queryFixture(t)
-	res, pl, err := Run(context.Background(), q, nil, nil)
+	res, pl, err := plan.Run(context.Background(), q, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Matches) != 3 {
 		t.Errorf("matches = %v", res.Matches)
 	}
-	if pl.Strategy == StrategyNaiveNLJ {
+	if pl.Strategy == cost.StrategyNaiveNLJ {
 		t.Error("optimizer should replace the naive strategy")
 	}
-	tree := ExplainPlan(pl)
-	if !strings.Contains(tree, "EJoin") {
-		t.Errorf("explain output: %s", tree)
+	if explain := pl.Explain(); !strings.Contains(explain, "EJoin") {
+		t.Errorf("explain output: %s", explain)
 	}
-	out, err := MaterializeResult(q, res)
+	out, err := plan.MaterializeResult(q, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +220,8 @@ func TestRunQuery(t *testing.T) {
 
 func TestRunQueryWithPredicates(t *testing.T) {
 	q := queryFixture(t)
-	q.Right.Predicates = []Pred{{Column: "score", Op: LE, Value: int64(2)}}
-	res, _, err := Run(context.Background(), q, nil, nil)
+	q.Right.Predicates = []relational.Pred{{Column: "score", Op: relational.LE, Value: int64(2)}}
+	res, _, err := plan.Run(context.Background(), q, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,20 +235,43 @@ func TestRunQueryWithPredicates(t *testing.T) {
 	}
 }
 
+// TestEmbedColumnAndIndex precomputes a TEXT column's embeddings into a
+// VECTOR column (pay E_µ once at load time), indexes both forms, and checks
+// the planner rejects a TEXT column it cannot embed or cannot find.
 func TestEmbedColumnAndIndex(t *testing.T) {
 	q := queryFixture(t)
 	ctx := context.Background()
-
-	rt, err := EmbedColumn(ctx, q.Right.Table, "term", "emb", q.Model)
+	terms, err := q.Right.Table.Strings("term")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Vectors("emb"); err != nil {
+	em, err := core.Embed(ctx, q.Model, terms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]float32, em.Rows())
+	for i := range rows {
+		rows[i] = em.Row(i)
+	}
+	vc, err := relational.NewVectorColumn(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := q.Right.Table.WithColumn("emb", vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := rt.Vectors("emb")
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Index over the vector column.
-	idx, err := BuildIndex(ctx, rt, "emb", nil, IndexConfig{M: 4, EfConstruction: 16, Seed: 1})
+	sm, err := mat.FromFlat(stored.Len(), stored.Dim, stored.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := core.BuildIndex(sm, hnsw.Config{M: 4, EfConstruction: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +279,12 @@ func TestEmbedColumnAndIndex(t *testing.T) {
 		t.Errorf("index len = %d", idx.Len())
 	}
 
-	// Index over the text column (embeds internally).
-	idx2, err := BuildIndex(ctx, q.Right.Table, "term", q.Model, IndexConfig{M: 4, EfConstruction: 16, Seed: 1})
+	// Index over the text column, embedded in parallel.
+	pm, err := core.EmbedParallel(ctx, q.Model, terms, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx2, err := core.BuildIndex(pm, hnsw.Config{M: 4, EfConstruction: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +293,15 @@ func TestEmbedColumnAndIndex(t *testing.T) {
 	}
 
 	// Text column without a model fails.
-	if _, err := BuildIndex(ctx, q.Right.Table, "term", nil, IndexConfig{}); err == nil {
+	noModel := q
+	noModel.Model = nil
+	if _, _, err := plan.Run(ctx, noModel, nil, nil); err == nil {
 		t.Error("expected error for text column without model")
 	}
 	// Unknown column fails.
-	if _, err := BuildIndex(ctx, q.Right.Table, "nope", q.Model, IndexConfig{}); err == nil {
+	unknown := q
+	unknown.Right.TextColumn = "nope"
+	if _, _, err := plan.Run(ctx, unknown, nil, nil); err == nil {
 		t.Error("expected error for unknown column")
 	}
 }
@@ -222,21 +309,26 @@ func TestEmbedColumnAndIndex(t *testing.T) {
 func TestRunQueryWithIndex(t *testing.T) {
 	q := queryFixture(t)
 	ctx := context.Background()
-	idx, err := BuildIndex(ctx, q.Right.Table, "term", q.Model, IndexConfig{M: 8, EfConstruction: 32, Seed: 3})
+	terms, _ := q.Right.Table.Strings("term")
+	em, err := core.Embed(ctx, q.Model, terms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := core.BuildIndex(em, hnsw.Config{M: 8, EfConstruction: 32, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q.Right.Index = idx
-	q.Join = JoinSpec{Kind: TopKJoin, K: 1, Threshold: -2}
+	q.Join = plan.JoinSpec{Kind: plan.TopKJoin, K: 1, Threshold: -2}
 
-	s := StrategyIndex
-	opt := NewOptimizer()
+	s := cost.StrategyIndex
+	opt := plan.NewOptimizer()
 	opt.ForceStrategy = &s
-	res, pl, err := Run(ctx, q, nil, opt)
+	res, pl, err := plan.Run(ctx, q, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Strategy != StrategyIndex {
+	if pl.Strategy != cost.StrategyIndex {
 		t.Errorf("strategy = %v", pl.Strategy)
 	}
 	if len(res.Matches) != 3 {
@@ -245,19 +337,18 @@ func TestRunQueryWithIndex(t *testing.T) {
 }
 
 func TestIndexConfigPresets(t *testing.T) {
-	hi, lo := IndexConfigHi(), IndexConfigLo()
+	hi, lo := hnsw.ConfigHi(), hnsw.ConfigLo()
 	if hi.M != 64 || lo.M != 32 {
 		t.Errorf("presets: hi=%+v lo=%+v", hi, lo)
 	}
 }
 
 func TestCostParamsSurface(t *testing.T) {
-	p := DefaultCostParams()
+	p := cost.DefaultParams()
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m, _ := NewHashModel(16)
-	cp, err := CalibrateCostParams(m, 16)
+	cp, err := cost.Calibrate(hashModel(t, 16), 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,41 +1,42 @@
-package ejoin_test
+package ejoin
 
 import (
 	"context"
 	"testing"
 
-	"ejoin"
+	"ejoin/internal/relational"
+	"ejoin/internal/service"
 )
 
-// TestEngineFacade drives the serving layer through the public API: an
-// engine with defaults, table registration, a sqlish query, and stats.
+func stringTable(t *testing.T, col string, vals ...string) *relational.Table {
+	t.Helper()
+	tbl, err := relational.NewTable(
+		relational.Schema{{Name: col, Type: relational.String}},
+		[]relational.Column{relational.StringColumn(vals)},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// TestEngineFacade drives the serving layer the way ejserve does: an
+// engine with defaults, table registration, a sqlish query, a structured
+// join, and stats.
 func TestEngineFacade(t *testing.T) {
-	engine, err := ejoin.NewEngine(ejoin.EngineConfig{Dim: 32})
+	engine, err := service.NewEngine(service.Config{Dim: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	catalog, err := ejoin.NewTable(
-		ejoin.Schema{{Name: "name", Type: ejoin.StringType}},
-		[]ejoin.Column{ejoin.StringColumn{"barbecue", "database"}},
-	)
-	if err != nil {
+	defer engine.Close()
+	if err := engine.RegisterTable("catalog", stringTable(t, "name", "barbecue", "database")); err != nil {
 		t.Fatal(err)
 	}
-	feed, err := ejoin.NewTable(
-		ejoin.Schema{{Name: "title", Type: ejoin.StringType}},
-		[]ejoin.Column{ejoin.StringColumn{"barbecues", "databases", "giraffe"}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := engine.RegisterTable("catalog", catalog); err != nil {
-		t.Fatal(err)
-	}
-	if err := engine.RegisterTable("feed", feed); err != nil {
+	if err := engine.RegisterTable("feed", stringTable(t, "title", "barbecues", "databases", "giraffe")); err != nil {
 		t.Fatal(err)
 	}
 
-	res, err := engine.Query(context.Background(), ejoin.QueryRequest{
+	res, err := engine.Query(context.Background(), service.QueryRequest{
 		SQL: "SELECT * FROM catalog JOIN feed ON SIM(catalog.name, feed.title) >= 0.35",
 	})
 	if err != nil {
@@ -45,9 +46,8 @@ func TestEngineFacade(t *testing.T) {
 		t.Errorf("matches = %d, want 2", len(res.Matches))
 	}
 
-	// Structured spec through the alias types.
-	res, err = engine.Query(context.Background(), ejoin.QueryRequest{
-		Join: &ejoin.JoinRequest{
+	res, err = engine.Query(context.Background(), service.QueryRequest{
+		Join: &service.JoinRequest{
 			LeftTable: "catalog", LeftColumn: "name",
 			RightTable: "feed", RightColumn: "title",
 			Kind: "topk", K: 1,
@@ -67,19 +67,18 @@ func TestEngineFacade(t *testing.T) {
 	if st.Store.Entries == 0 {
 		t.Error("store is empty after two queries")
 	}
-	infos := engine.Tables()
-	if len(infos) != 2 {
+	if infos := engine.Tables(); len(infos) != 2 {
 		t.Errorf("tables = %+v", infos)
 	}
 }
 
-// TestOpenEngineFacade drives the durable path through the public API:
-// open on a data directory, ingest, query, close, reopen, and serve the
-// repeated query from the recovered cache.
+// TestOpenEngineFacade drives the durable path: open on a data directory,
+// ingest, query, snapshot, close, reopen, and serve the repeated query from
+// the recovered cache.
 func TestOpenEngineFacade(t *testing.T) {
 	dir := t.TempDir()
-	open := func() *ejoin.Engine {
-		engine, err := ejoin.OpenEngine(ejoin.EngineConfig{Dim: 32, DataDir: dir})
+	open := func() *service.Engine {
+		engine, err := service.Open(service.Config{Dim: 32, DataDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,13 +86,7 @@ func TestOpenEngineFacade(t *testing.T) {
 	}
 
 	engine := open()
-	catalog, err := ejoin.NewTable(
-		ejoin.Schema{{Name: "name", Type: ejoin.StringType}},
-		[]ejoin.Column{ejoin.StringColumn{"barbecue", "database"}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	catalog := stringTable(t, "name", "barbecue", "database")
 	if err := engine.RegisterTable("catalog", catalog); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +94,7 @@ func TestOpenEngineFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = "SELECT * FROM catalog JOIN feed ON SIM(catalog.name, feed.name) >= 0.9"
-	cold, err := engine.Query(context.Background(), ejoin.QueryRequest{SQL: q})
+	cold, err := engine.Query(context.Background(), service.QueryRequest{SQL: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +107,7 @@ func TestOpenEngineFacade(t *testing.T) {
 
 	engine2 := open()
 	defer engine2.Close()
-	warm, err := engine2.Query(context.Background(), ejoin.QueryRequest{SQL: q})
+	warm, err := engine2.Query(context.Background(), service.QueryRequest{SQL: q})
 	if err != nil {
 		t.Fatal(err)
 	}

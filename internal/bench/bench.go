@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -94,7 +93,6 @@ func Registry() []Experiment {
 		expFig15(),
 		expFig16(),
 		expFig17(),
-		expLSH(),
 		expFP16(),
 		expModelCache(),
 		expCache(),
@@ -118,16 +116,6 @@ func Get(name string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// Names returns all experiment names, sorted.
-func Names() []string {
-	var out []string
-	for _, e := range Registry() {
-		out = append(out, e.Name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RunAll executes every experiment against w.

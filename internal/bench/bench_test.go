@@ -16,7 +16,7 @@ func TestRegistryComplete(t *testing.T) {
 		"table1", "table2", "costmodel",
 		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
 		"fig15", "fig16", "fig17",
-		"lsh", "fp16", "modelcache", "cache", "serve", "shard", "persist", "blocksize", "hnswrecall", "ivf",
+		"fp16", "modelcache", "cache", "serve", "shard", "persist", "blocksize", "hnswrecall", "ivf",
 		"quant", "mutate", "tune",
 	}
 	names := map[string]bool{}
@@ -31,8 +31,8 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("experiment %q missing from registry", n)
 		}
 	}
-	if len(Names()) != len(want) {
-		t.Errorf("registry has %d experiments, want %d", len(Names()), len(want))
+	if len(Registry()) != len(want) {
+		t.Errorf("registry has %d experiments, want %d", len(Registry()), len(want))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"ejoin/internal/core"
-	"ejoin/internal/lsh"
 	"ejoin/internal/mat"
 	"ejoin/internal/model"
 	"ejoin/internal/vec"
@@ -14,71 +13,8 @@ import (
 )
 
 // Extension ablations beyond the paper's figures, for design choices the
-// paper calls out: the LSH baseline it positions against
-// (Sections IV-A, VII), half-precision storage (Section V-A2), and
+// paper calls out: half-precision storage (Section V-A2) and
 // cached-vs-online embedding (Figure 5, Option 1 vs Option 2).
-
-// expLSH compares the exact tensor join against the SimHash LSH join.
-func expLSH() Experiment {
-	return Experiment{
-		Name:        "lsh",
-		Paper:       "Ablation (SS IV-A/VII)",
-		Description: "Exact tensor join vs locality-sensitive-hashing join: candidates verified, recall, and time on clustered embeddings.",
-		Run: func(w io.Writer, cfg Config) error {
-			ctx := context.Background()
-			n := cfg.size(4000)
-			dim := 64
-			// Clusters around shared centers with per-dim noise 0.07, which
-			// puts the within-cluster similarity distribution right at the
-			// threshold (mean ≈ 1/(1+σ²·d) ≈ 0.76): many borderline pairs,
-			// where LSH banding actually loses some (the recall trade-off).
-			left := workload.CorrelatedVectorsFrom(cfg.Seed, cfg.Seed+100, n, dim, 64, 0.07)
-			right := workload.CorrelatedVectorsFrom(cfg.Seed+1, cfg.Seed+100, n, dim, 64, 0.07)
-			threshold := float32(0.75)
-
-			var exact *core.Result
-			dExact, err := timed(func() error {
-				var err error
-				exact, err = core.TensorJoin(ctx, left, right, threshold, core.Options{Kernel: vec.KernelSIMD, Threads: cfg.threads()})
-				return err
-			})
-			if err != nil {
-				return err
-			}
-
-			t := newTable("Join", "Time [ms]", "Pairs verified", "Matches", "Recall")
-			t.addRow("Tensor (exact)", ms(dExact), fmt.Sprintf("%d", int64(n)*int64(n)),
-				fmt.Sprintf("%d", len(exact.Matches)), "1.00")
-			for _, p := range []lsh.Params{
-				{Bands: 4, BitsPerBand: 12, Seed: cfg.Seed},
-				{Bands: 8, BitsPerBand: 12, Seed: cfg.Seed},
-				{Bands: 16, BitsPerBand: 10, Seed: cfg.Seed},
-			} {
-				j, err := lsh.NewJoiner(dim, p)
-				if err != nil {
-					return err
-				}
-				var matches []core.Match
-				var stats lsh.Stats
-				d, err := timed(func() error {
-					var err error
-					matches, stats, err = j.Join(ctx, left, right, threshold)
-					return err
-				})
-				if err != nil {
-					return err
-				}
-				t.addRow(fmt.Sprintf("LSH b=%d bits=%d", p.Bands, p.BitsPerBand), ms(d),
-					fmt.Sprintf("%d", stats.CandidatePairs),
-					fmt.Sprintf("%d", len(matches)),
-					fmt.Sprintf("%.2f", lsh.Recall(matches, exact.Matches)))
-			}
-			t.print(w)
-			fmt.Fprintln(w, "\nShape check: LSH verifies a fraction of the cross product at sub-1.0 recall; more bands raise recall and candidates.")
-			return nil
-		},
-	}
-}
 
 // expFP16 is the half-precision storage ablation.
 func expFP16() Experiment {

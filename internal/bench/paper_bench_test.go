@@ -1,9 +1,12 @@
-package ejoin
+package bench
 
 // One testing.B benchmark per table/figure of the paper's evaluation, at
 // sizes suited to `go test -bench=.`. The paper-shaped sweeps with full
-// axes live in cmd/ejbench (README, "Benchmarks"); these benchmarks are the
-// per-commit regression net over the same code paths.
+// axes are the experiments in this package (cmd/ejbench runs them; README,
+// "Benchmarks"); these benchmarks are the per-commit regression net over
+// the same code paths. CI runs each once:
+//
+//	go test -run '^$' -bench . -benchtime 1x ./internal/bench/
 
 import (
 	"context"

@@ -9,102 +9,6 @@ import (
 	"ejoin/internal/vec"
 )
 
-func TestESelect(t *testing.T) {
-	m := testModel(t, 64)
-	ctx := context.Background()
-	inputs := []string{"barbecues", "databases", "clothing", "giraffe", "barbicue"}
-	res, err := ESelect(ctx, m, inputs, "barbecue", 0.35, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[int]bool{}
-	for _, r := range res.Rows {
-		got[r] = true
-	}
-	if !got[0] || !got[4] {
-		t.Errorf("expected rows 0 and 4 (barbecue variants), got %v", res.Rows)
-	}
-	if got[3] {
-		t.Errorf("giraffe selected: %v", res.Rows)
-	}
-	if len(res.Sims) != len(res.Rows) {
-		t.Fatal("sims not aligned with rows")
-	}
-	for _, s := range res.Sims {
-		if s < 0.35 {
-			t.Errorf("similarity %v below threshold", s)
-		}
-	}
-	// Cost: 1 query embed + |R| tuple embeds.
-	if res.Stats.ModelCalls != int64(1+len(inputs)) {
-		t.Errorf("model calls = %d, want %d", res.Stats.ModelCalls, 1+len(inputs))
-	}
-}
-
-func TestESelectFilterAndErrors(t *testing.T) {
-	m := testModel(t, 32)
-	ctx := context.Background()
-	inputs := []string{"barbecue", "barbecues"}
-	lf := relational.BitmapFromSelection(2, relational.Selection{1})
-	res, err := ESelect(ctx, m, inputs, "barbecue", 0.3, Options{LeftFilter: lf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0] != 1 {
-		t.Errorf("filter not respected: %v", res.Rows)
-	}
-	if _, err := ESelect(ctx, m, inputs, "", 0.3, Options{}); err == nil {
-		t.Error("expected error for empty query")
-	}
-	if _, err := ESelect(ctx, m, []string{""}, "q", 0.3, Options{}); err == nil {
-		t.Error("expected error for empty input")
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, err := ESelect(cctx, m, inputs, "barbecue", 0.3, Options{}); err == nil {
-		t.Error("expected cancellation")
-	}
-}
-
-func TestESelectVectors(t *testing.T) {
-	ctx := context.Background()
-	rows := randomEmbeddings(31, 50, 16)
-	q := vec.Clone(rows.Row(7))
-	res, err := ESelectVectors(ctx, rows, q, 0.999, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, r := range res.Rows {
-		if r == 7 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("self row not selected: %v", res.Rows)
-	}
-	if res.Stats.Comparisons != 50 {
-		t.Errorf("comparisons = %d", res.Stats.Comparisons)
-	}
-	// Dim mismatch.
-	if _, err := ESelectVectors(ctx, rows, make([]float32, 3), 0.5, Options{}); err == nil {
-		t.Error("expected dim error")
-	}
-	// Agreement with string path through a model: both use cosine >= τ.
-	sel2, err := ESelectVectors(ctx, rows, q, -1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel2.Rows) != 50 {
-		t.Errorf("threshold -1 should select all: %d", len(sel2.Rows))
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, err := ESelectVectors(cctx, rows, q, 0.5, Options{}); err == nil {
-		t.Error("expected cancellation")
-	}
-}
-
 // TestNLJF16MatchesFloat32 validates the half-precision ablation: same
 // matches as the float32 join away from the threshold boundary.
 func TestNLJF16MatchesFloat32(t *testing.T) {

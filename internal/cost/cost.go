@@ -84,12 +84,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// ESelection is Cost(σ_{E,µ,θ}(R)) = |R|·(A + M + C): scan, embed, apply
-// the condition per tuple.
-func (p Params) ESelection(n int) float64 {
-	return float64(n) * (p.Access + p.Model + p.Compare)
-}
-
 // NaiveENLJoin is Cost(R ⋈ S) = |R|·|S|·(A + M + C): the direct NLJ
 // extension with per-pair model access (quadratic model cost).
 func (p Params) NaiveENLJoin(nr, ns int) float64 {

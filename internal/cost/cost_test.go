@@ -27,18 +27,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestESelectionLinear(t *testing.T) {
-	p := DefaultParams()
-	if got := p.ESelection(0); got != 0 {
-		t.Errorf("ESelection(0) = %v", got)
-	}
-	c1 := p.ESelection(100)
-	c2 := p.ESelection(200)
-	if c2 != 2*c1 {
-		t.Errorf("not linear: %v vs %v", c1, c2)
-	}
-}
-
 // TestNaiveVsPrefetch is the central claim of Section IV-A: naive model
 // cost is quadratic, prefetch linear, so the gap grows with input size.
 func TestNaiveVsPrefetch(t *testing.T) {

@@ -5,17 +5,13 @@
 // The paper's central cost observation is that the embedding operator E_µ
 // dominates end-to-end join time. PR 1 amortized it across queries with an
 // in-memory store; this package amortizes it across process lifetimes.
-// Three artifacts persist, each with its own format and recovery story:
+// Two artifacts persist, each with its own format and recovery story:
 //
 //   - the embedding cache, as an append-only, checksummed segment log of
 //     (model fingerprint, input, vector) records (Log). Appends are
 //     write-behind from the store's insert hook (Persister); recovery
 //     replays segments in order, truncates a torn tail, and skips past
 //     corrupt records instead of crashing or serving bad vectors;
-//   - vector indexes, as versioned binary snapshots in a checksummed
-//     container dispatched by index kind (SaveIndex/LoadIndex), so a
-//     built HNSW graph or IVF partitioning is restored instead of
-//     rebuilt;
 //   - the table catalog, as a manifest (MANIFEST.json) naming one
 //     checksummed columnar table file per registered table
 //     (WriteTableFile/ReadTableFile), so ingested tables reopen on boot.
@@ -26,7 +22,6 @@
 //	  MANIFEST.json          table catalog (atomic rewrite)
 //	  emb/seg-XXXXXXXXXX.log embedding segment log, ascending ids
 //	  tables/<name>.tbl      columnar table files
-//	  indexes/               caller-managed index snapshots
 //
 // Every multi-byte integer on disk is little-endian; every file carries a
 // magic header; every record and file body is CRC-checked (Castagnoli).
@@ -47,7 +42,6 @@ const (
 	ManifestName = "MANIFEST.json"
 	EmbDirName   = "emb"
 	TableDirName = "tables"
-	IndexDirName = "indexes"
 	WalName      = "wal.log"
 )
 
@@ -68,9 +62,6 @@ func (l Layout) EmbDir() string { return filepath.Join(l.Dir, EmbDirName) }
 
 // TableDir is the columnar table file directory.
 func (l Layout) TableDir() string { return filepath.Join(l.Dir, TableDirName) }
-
-// IndexDir is the index snapshot directory.
-func (l Layout) IndexDir() string { return filepath.Join(l.Dir, IndexDirName) }
 
 // TablePath is the file backing one named table.
 func (l Layout) TablePath(name string) string {
@@ -135,7 +126,7 @@ func IsCheckpointFile(base string) bool {
 
 // Create makes the directory tree (idempotent).
 func (l Layout) Create() error {
-	for _, d := range []string{l.Dir, l.EmbDir(), l.TableDir(), l.IndexDir()} {
+	for _, d := range []string{l.Dir, l.EmbDir(), l.TableDir()} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return fmt.Errorf("durable: creating %s: %w", d, err)
 		}
@@ -171,7 +162,7 @@ func sanitizeName(name string) string {
 // The parent directory is fsynced after the rename, so the committed name
 // survives a crash (a rename alone is only durable once its directory
 // entry reaches disk). This is the one shared write-commit helper: the
-// manifest, table files, index snapshots, compacted log segments, and the
+// manifest, table files, compacted log segments, and the
 // mutation layer's tombstone sidecars all go through it.
 func AtomicWriteFile(path string, fn func(w io.Writer) error) error {
 	dir := filepath.Dir(path)

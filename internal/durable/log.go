@@ -405,13 +405,6 @@ func (l *Log) Stats() LogStats {
 	}
 }
 
-// Recovery reports what opening this log found.
-func (l *Log) Recovery() RecoveryStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.recovery
-}
-
 // Close fsyncs and closes the active segment. Idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()

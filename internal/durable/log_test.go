@@ -78,7 +78,7 @@ func TestLogAppendReplayRoundTrip(t *testing.T) {
 			t.Fatalf("record %d round-trip mismatch: %+v", i, r)
 		}
 	}
-	if rec := l2.Recovery(); rec.TruncatedBytes != 0 || rec.SkippedSegments != 0 {
+	if rec := l2.Stats().Recovery; rec.TruncatedBytes != 0 || rec.SkippedSegments != 0 {
 		t.Errorf("clean log recovered with damage report: %+v", rec)
 	}
 }
@@ -159,7 +159,7 @@ func TestLogTornTailTruncatedOnRecovery(t *testing.T) {
 	if len(got) != 19 {
 		t.Fatalf("replayed %d records after torn tail, want 19", len(got))
 	}
-	rec := l2.Recovery()
+	rec := l2.Stats().Recovery
 	if rec.TruncatedBytes == 0 || len(rec.Reasons) == 0 {
 		t.Errorf("torn tail not reported: %+v", rec)
 	}
@@ -211,7 +211,7 @@ func TestLogFlippedByteStopsSegmentNotStartup(t *testing.T) {
 
 	got, l2 := replayAll(t, dir, cfg)
 	defer l2.Close()
-	rec := l2.Recovery()
+	rec := l2.Stats().Recovery
 	if rec.SkippedSegments != 1 {
 		t.Errorf("skipped segments = %d, want 1 (%+v)", rec.SkippedSegments, rec)
 	}

@@ -347,15 +347,6 @@ func (s *Store) Get(ctx context.Context, m model.Model, input string) ([]float32
 	}
 }
 
-// GetOrEmbed adapts Get to the model.EmbedCache contract, so a
-// model.CachingModel can delegate to the store. Model.Embed carries no
-// context, so this path is not cancellable — a miss (or a merge into a
-// slow in-flight call) blocks until the model answers. Callers that need
-// deadlines or cancellation should use Get/EmbedAll directly.
-func (s *Store) GetOrEmbed(m model.Model, input string) ([]float32, error) {
-	return s.Get(context.Background(), m, input)
-}
-
 // embedOne runs one model call, validates the dimensionality, and returns
 // a fresh normalized vector.
 func (s *Store) embedOne(ctx context.Context, m model.Model, input string) ([]float32, error) {

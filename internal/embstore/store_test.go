@@ -396,38 +396,6 @@ func TestEmbedBatchCancellation(t *testing.T) {
 	}
 }
 
-func TestCachingModelDelegatesToStore(t *testing.T) {
-	counting := model.NewCountingModel(testModel(t, 32))
-	s := New(Config{})
-	cm := model.NewCachingModel(counting, s)
-
-	v1, err := cm.Embed("shared-input")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := cm.Embed("shared-input")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecsEqual(v1, v2) {
-		t.Error("caching model returned different vectors")
-	}
-	if counting.Calls() != 1 {
-		t.Errorf("inner calls = %d, want 1", counting.Calls())
-	}
-	if cm.Dim() != 32 {
-		t.Errorf("dim = %d", cm.Dim())
-	}
-	// The store and the wrapper share one cache namespace (keyed by the
-	// inner model), so direct store traffic also hits.
-	if _, err := s.Get(context.Background(), counting, "shared-input"); err != nil {
-		t.Fatal(err)
-	}
-	if counting.Calls() != 1 {
-		t.Errorf("store bypassed the shared entry: %d calls", counting.Calls())
-	}
-}
-
 func TestResetAndLen(t *testing.T) {
 	m := testModel(t, 16)
 	s := New(Config{})

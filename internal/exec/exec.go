@@ -89,20 +89,3 @@ type Operator interface {
 	Close() error
 	Stats() OpStats
 }
-
-// Drain pulls op to end of stream, concatenating emitted matches. The
-// batch-local match slices are appended, never aliased, so the result
-// survives operator Close.
-func Drain(ctx context.Context, op Operator) ([]core.Match, error) {
-	var out []core.Match
-	for {
-		b, err := op.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return out, nil
-		}
-		out = append(out, b.Matches...)
-	}
-}

@@ -254,7 +254,7 @@ func TestLimitShortCircuits(t *testing.T) {
 	src := &matchSource{perBatch: 4}
 	l := &Limit{Input: src, N: 10}
 	ctx := context.Background()
-	matches, err := Drain(ctx, l)
+	matches, err := drain(ctx, l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestThresholdProbeOrderedWithinBlock(t *testing.T) {
 	}}
 	p := &ThresholdProbe{Input: src, Threshold: 0.7, Opts: core.Options{Kernel: vec.KernelScalar, Threads: 1}}
 	p.Build, p.BuildRows = build, []int{0, 1}
-	matches, err := Drain(context.Background(), p)
+	matches, err := drain(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,5 +310,22 @@ func TestThresholdProbeOrderedWithinBlock(t *testing.T) {
 	}
 	if len(matches) != 4 {
 		t.Fatalf("matches = %v, want all 4 pairs above 0.7", matches)
+	}
+}
+
+// drain pulls op to end of stream, concatenating emitted matches. The
+// batch-local match slices are appended, never aliased, so the result
+// survives operator Close.
+func drain(ctx context.Context, op Operator) ([]core.Match, error) {
+	var out []core.Match
+	for {
+		b, err := op.Next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return out, nil
+		}
+		out = append(out, b.Matches...)
 	}
 }

@@ -176,13 +176,6 @@ func (ix *Index) Len() int {
 // Dim returns the vector dimensionality.
 func (ix *Index) Dim() int { return ix.dim }
 
-// NLists returns the number of partitions.
-func (ix *Index) NLists() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.lists)
-}
-
 // DistanceCalls returns the comparisons performed by searches so far.
 func (ix *Index) DistanceCalls() int64 { return ix.distanceCalls.Load() }
 

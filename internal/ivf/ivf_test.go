@@ -39,8 +39,8 @@ func TestBuildPartitionsCoverAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Len() != 500 || ix.Dim() != 16 || ix.NLists() != 16 {
-		t.Fatalf("shape: len=%d dim=%d lists=%d", ix.Len(), ix.Dim(), ix.NLists())
+	if ix.Len() != 500 || ix.Dim() != 16 || len(ix.lists) != 16 {
+		t.Fatalf("shape: len=%d dim=%d lists=%d", ix.Len(), ix.Dim(), len(ix.lists))
 	}
 	seen := map[int]bool{}
 	for _, list := range ix.lists {

@@ -41,8 +41,7 @@ type PQIndex struct {
 
 	mu sync.RWMutex
 	// rerank, when attached, holds the exact unit-norm vectors the rerank
-	// pass reads. It aliases caller storage and is never serialized:
-	// re-attach after Load.
+	// pass reads. It aliases caller storage.
 	rerank *mat.Matrix
 	// rerankC is the default exact-rerank candidate pool for searches
 	// without an explicit RerankC (0 means DefaultRerankFactor·k). The
@@ -118,9 +117,6 @@ func (ix *PQIndex) NLists() int {
 	return len(ix.lists)
 }
 
-// Codebook exposes the trained product quantizer.
-func (ix *PQIndex) Codebook() *quant.Codebook { return ix.book }
-
 // DistanceCalls returns the comparisons performed by searches so far
 // (coarse centroid dots + ADC scores + rerank dots).
 func (ix *PQIndex) DistanceCalls() int64 { return ix.distanceCalls.Load() }
@@ -135,17 +131,6 @@ func (ix *PQIndex) RerankNanos() int64 { return ix.rerankNanos.Load() }
 // base table's storage, not the index's.
 func (ix *PQIndex) SizeBytes() int64 {
 	return int64(len(ix.codes)) + ix.book.SizeBytes() + ix.centroids.SizeBytes()
-}
-
-// HasRerank reports whether exact rerank vectors are attached.
-func (ix *PQIndex) HasRerank() bool { return ix.rerank != nil }
-
-// RerankC returns the default exact-rerank candidate pool; 0 means
-// searches fall back to DefaultRerankFactor·k.
-func (ix *PQIndex) RerankC() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.rerankC
 }
 
 // SetRerankC changes the default rerank pool (floored at 1; the search
@@ -181,7 +166,7 @@ func (ix *PQIndex) SetKnob(v int) int { return ix.SetRerankC(v) }
 // AttachRerank attaches the exact vectors the rerank pass scores against:
 // one unit-norm row per indexed vector, in id order (the same data the
 // index was built over, normalized). The matrix is referenced, not
-// copied, and is not part of snapshots — re-attach after Load.
+// copied.
 func (ix *PQIndex) AttachRerank(m *mat.Matrix) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()

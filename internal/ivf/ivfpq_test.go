@@ -1,7 +1,6 @@
 package ivf
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -215,9 +214,6 @@ func TestPQIVFVindex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Kind() != PQSnapshotKind {
-		t.Fatalf("kind %q", ix.Kind())
-	}
 	hits, err := ix.TopK(data.Row(3), 5, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -227,59 +223,5 @@ func TestPQIVFVindex(t *testing.T) {
 	}
 	if ix.DistanceCalls() == 0 {
 		t.Fatal("distance calls not counted")
-	}
-}
-
-// TestPQIVFSaveLoad: the snapshot round-trips into an index with
-// identical post-rerank results once the rerank matrix is re-attached.
-func TestPQIVFSaveLoad(t *testing.T) {
-	data := clusteredVectors(131, 800, 24, 12)
-	norm := data.Clone()
-	norm.NormalizeRows()
-	ix, err := BuildPQ(data, Config{NLists: 12, Seed: 9, NProbe: 6}, quant.PQConfig{M: 6, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.AttachRerank(norm); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadPQ(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.HasRerank() {
-		t.Fatal("rerank vectors must not survive serialization")
-	}
-	if err := back.AttachRerank(norm); err != nil {
-		t.Fatal(err)
-	}
-	for qi := 0; qi < 20; qi++ {
-		q := data.Row(qi * 7)
-		want, err := ix.Search(q, 10, PQSearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := back.Search(q, 10, PQSearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) != len(got) {
-			t.Fatalf("query %d: %d vs %d results", qi, len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("query %d result %d: %+v vs %+v", qi, i, want[i], got[i])
-			}
-		}
-	}
-	// Corrupt magic is rejected.
-	raw := buf.Bytes()
-	raw[0] ^= 0xff
-	if _, err := LoadPQ(bytes.NewReader(raw)); err == nil {
-		t.Fatal("expected bad-magic error")
 	}
 }

@@ -2,8 +2,7 @@
 // paper): the Model interface an embedding operator E_µ is parametrized
 // with, a FastText-like subword hashing embedder, the lookup-table decoder
 // standing in for E⁻¹, and wrappers used to study model-operator
-// interaction (call counting, injected latency, caching, failure
-// injection).
+// interaction (call counting, injected latency, failure injection).
 //
 // The paper trains a 100-D FastText model on Wikipedia. FastText's
 // properties that the evaluation relies on — misspellings/plural forms land

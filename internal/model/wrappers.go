@@ -81,51 +81,6 @@ func (l *LatencyModel) Name() string {
 // change output vectors).
 func (l *LatencyModel) Fingerprint() string { return fingerprintOf(l.Inner) }
 
-// EmbedCache is the cross-query embedding cache CachingModel delegates
-// to. The one production implementation is internal/embstore.Store; the
-// interface lives here so the model package stays below the store in the
-// dependency order.
-type EmbedCache interface {
-	// GetOrEmbed returns the unit-norm embedding of input under m, from
-	// cache when present, invoking m at most once per distinct input even
-	// across concurrent callers. The returned slice is caller-owned.
-	GetOrEmbed(m Model, input string) ([]float32, error)
-}
-
-// CachingModel wraps a Model with a shared embedding cache: repeated and
-// concurrent embeddings of the same input are served from the cache with
-// a single underlying model call. This is the model-shaped view of the
-// store, for call sites that take a Model rather than a store (operators,
-// CLI helpers, third-party code).
-type CachingModel struct {
-	Inner Model
-	Cache EmbedCache
-}
-
-// NewCachingModel wraps inner with cache. A nil cache degenerates to the
-// inner model.
-func NewCachingModel(inner Model, cache EmbedCache) *CachingModel {
-	return &CachingModel{Inner: inner, Cache: cache}
-}
-
-// Embed implements Model.
-func (c *CachingModel) Embed(input string) ([]float32, error) {
-	if c.Cache == nil {
-		return c.Inner.Embed(input)
-	}
-	return c.Cache.GetOrEmbed(c.Inner, input)
-}
-
-// Dim implements Model.
-func (c *CachingModel) Dim() int { return c.Inner.Dim() }
-
-// Name implements Model.
-func (c *CachingModel) Name() string { return c.Inner.Name() + "+cache" }
-
-// Fingerprint forwards the inner model's cache identity, so the wrapper
-// and direct store traffic over the same model share entries.
-func (c *CachingModel) Fingerprint() string { return fingerprintOf(c.Inner) }
-
 // fingerprintOf is the cache identity of m: its own Fingerprint when
 // implemented, otherwise the Name/Dim fallback (matching
 // embstore.Fingerprint, which consumes these).

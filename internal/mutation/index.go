@@ -80,21 +80,6 @@ func (s *IndexState) MaybeRecluster(v *Version, threshold float64) bool {
 	return true
 }
 
-// ReclusterNow runs a synchronous pass (tests and benchmarks), waiting
-// for any in-flight background pass first.
-func (s *IndexState) ReclusterNow(v *Version) error {
-	rc, ok := s.Idx.(Reclusterer)
-	if !ok {
-		return nil
-	}
-	s.wg.Wait()
-	if err := rc.Recluster(v.Live); err != nil {
-		return err
-	}
-	s.reclusters.Add(1)
-	return nil
-}
-
 // Wait blocks until any in-flight background re-cluster finishes.
 func (s *IndexState) Wait() { s.wg.Wait() }
 

@@ -5,8 +5,8 @@
 // The paper's pipeline treats relations as static inputs: ingest, embed,
 // index, join. Real context-enhanced workloads churn — documents are
 // corrected, products retired, rows re-scored — and re-ingesting a table
-// to change one row forfeits exactly the amortization PR 1 and PR 3
-// bought (the embedding cache and the persisted indexes). This package
+// to change one row forfeits exactly the amortization the embedding cache
+// and the maintained indexes buy. This package
 // makes row-level change first-class while preserving those wins:
 //
 //   - every mutation is appended to a checksummed WAL (fsync per append)

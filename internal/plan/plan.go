@@ -224,22 +224,6 @@ func (j *EJoin) Quantizable() bool {
 		(j.Strategy == cost.StrategyNLJ || j.Strategy == cost.StrategyTensor)
 }
 
-// ExplainTree renders the plan as an indented tree.
-func ExplainTree(n Node) string {
-	var b strings.Builder
-	explainInto(&b, n, 0)
-	return b.String()
-}
-
-func explainInto(b *strings.Builder, n Node, depth int) {
-	b.WriteString(strings.Repeat("  ", depth))
-	b.WriteString(n.Explain())
-	b.WriteByte('\n')
-	for _, c := range n.Children() {
-		explainInto(b, c, depth+1)
-	}
-}
-
 // NewNaivePlan builds the unoptimized plan of Figure 1: embed eagerly over
 // the whole table, filter afterwards, join without prefetching.
 func NewNaivePlan(q Query) (*EJoin, error) {

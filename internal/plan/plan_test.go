@@ -123,6 +123,15 @@ func TestNaivePlanValidation(t *testing.T) {
 	}
 }
 
+// explainLines lists every node's Explain line, parents before children.
+func explainLines(n Node) string {
+	lines := n.Explain() + "\n"
+	for _, c := range n.Children() {
+		lines += explainLines(c)
+	}
+	return lines
+}
+
 func TestNaivePlanStructure(t *testing.T) {
 	q := testQuery(t)
 	q.Left.Predicates = []relational.Pred{{Column: "taken", Op: relational.GT, Value: time.Date(2023, 1, 15, 0, 0, 0, 0, time.UTC)}}
@@ -144,7 +153,7 @@ func TestNaivePlanStructure(t *testing.T) {
 	if _, ok := f.Input.(*Embed); !ok {
 		t.Fatalf("filter input = %T, want *Embed", f.Input)
 	}
-	tree := ExplainTree(p)
+	tree := explainLines(p)
 	for _, want := range []string{"EJoin", "Filter", "Embed", "Scan(L", "Scan(R"} {
 		if !strings.Contains(tree, want) {
 			t.Errorf("explain missing %q:\n%s", want, tree)
@@ -173,7 +182,7 @@ func TestOptimizerPushdown(t *testing.T) {
 		}
 	}
 	if filteredSide == nil {
-		t.Fatalf("no Embed(Filter(Scan)) input found:\n%s", ExplainTree(opt))
+		t.Fatalf("no Embed(Filter(Scan)) input found:\n%s", explainLines(opt))
 	}
 	// Original plan untouched.
 	if _, ok := p.Left.(*Filter); !ok {
@@ -214,7 +223,7 @@ func TestOptimizerReorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !opt.Swapped {
-		t.Fatalf("expected swap (|L|=4 < |R|=5):\n%s", ExplainTree(opt))
+		t.Fatalf("expected swap (|L|=4 < |R|=5):\n%s", explainLines(opt))
 	}
 	// No swap when right side carries an index.
 	q2 := testQuery(t)

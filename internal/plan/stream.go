@@ -155,9 +155,6 @@ type BuildSide struct {
 	texts   []string
 }
 
-// Rows is the build side's surviving selection (global row ids).
-func (b *BuildSide) Rows() relational.Selection { return b.rows }
-
 // ModelCalls is the model work the build evaluation performed. Callers
 // sharing one build across streams add it to their aggregate exactly once.
 func (b *BuildSide) ModelCalls() int64 {

@@ -69,13 +69,6 @@ func encodeInt8Row(src []float32, dst []int8) float32 {
 	return scale
 }
 
-// EncodeInt8Vector quantizes a single vector, returning codes and scale.
-func EncodeInt8Vector(v []float32) ([]int8, float32) {
-	codes := make([]int8, len(v))
-	scale := encodeInt8Row(v, codes)
-	return codes, scale
-}
-
 // Rows returns the number of rows.
 func (m *Int8Matrix) Rows() int { return m.RowsN }
 

@@ -1,11 +1,8 @@
 package quant
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 
@@ -296,65 +293,4 @@ func ADCScore(tab []float32, k int, codes []byte) float32 {
 		s += tab[mi*k+int(c)]
 	}
 	return s
-}
-
-// Binary serialization (little-endian, versioned by the container that
-// embeds it — the IVF-PQ snapshot). Layout: dim, m, k, maxDistortion,
-// then the centroid block.
-
-// Save serializes the codebook.
-func (cb *Codebook) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	le := binary.LittleEndian
-	for _, v := range []uint64{uint64(cb.dim), uint64(cb.m), uint64(cb.k)} {
-		if err := binary.Write(bw, le, v); err != nil {
-			return fmt.Errorf("quant: writing codebook header: %w", err)
-		}
-	}
-	if err := binary.Write(bw, le, math.Float32bits(cb.maxDistortion)); err != nil {
-		return fmt.Errorf("quant: writing codebook header: %w", err)
-	}
-	for _, v := range cb.centroids {
-		if err := binary.Write(bw, le, math.Float32bits(v)); err != nil {
-			return fmt.Errorf("quant: writing codebook centroids: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadCodebook deserializes a codebook written by Save. It consumes
-// exactly the codebook's bytes — no read-ahead — so a caller can read
-// trailing data (e.g. the IVF-PQ code block) from the same reader.
-func ReadCodebook(r io.Reader) (*Codebook, error) {
-	le := binary.LittleEndian
-	var hdrBuf [3*8 + 4]byte
-	if _, err := io.ReadFull(r, hdrBuf[:]); err != nil {
-		return nil, fmt.Errorf("quant: reading codebook header: %w", err)
-	}
-	dim := int(le.Uint64(hdrBuf[0:]))
-	m := int(le.Uint64(hdrBuf[8:]))
-	k := int(le.Uint64(hdrBuf[16:]))
-	if dim <= 0 || m <= 0 || k <= 0 || k > 256 || dim%m != 0 {
-		return nil, fmt.Errorf("quant: corrupt codebook header (dim=%d m=%d k=%d)", dim, m, k)
-	}
-	const maxReasonable = 1 << 30
-	if uint64(m)*uint64(k)*uint64(dim/m) > maxReasonable {
-		return nil, fmt.Errorf("quant: implausible codebook size (dim=%d m=%d k=%d)", dim, m, k)
-	}
-	cb := &Codebook{
-		dim:           dim,
-		m:             m,
-		k:             k,
-		sub:           dim / m,
-		centroids:     make([]float32, m*k*(dim/m)),
-		maxDistortion: math.Float32frombits(le.Uint32(hdrBuf[24:])),
-	}
-	raw := make([]byte, len(cb.centroids)*4)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return nil, fmt.Errorf("quant: reading codebook centroids: %w", err)
-	}
-	for i := range cb.centroids {
-		cb.centroids[i] = math.Float32frombits(le.Uint32(raw[i*4:]))
-	}
-	return cb, nil
 }

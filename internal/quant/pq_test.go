@@ -1,7 +1,6 @@
 package quant
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -128,40 +127,5 @@ func TestPQConfigAdjustment(t *testing.T) {
 	}
 	if _, err := TrainPQ(randomUnitMatrix(1, 0, 8).Slice(0, 0), PQConfig{}); err == nil {
 		t.Fatal("expected error training over empty input")
-	}
-}
-
-func TestPQCodebookSerialization(t *testing.T) {
-	data := randomUnitMatrix(31, 150, 20)
-	cb, err := TrainPQ(data, PQConfig{M: 5, Centroids: 32, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := cb.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCodebook(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Dim() != cb.Dim() || back.M() != cb.M() || back.K() != cb.K() || back.MaxDistortion() != cb.MaxDistortion() {
-		t.Fatalf("header mismatch after round trip")
-	}
-	for i, v := range cb.centroids {
-		if back.centroids[i] != v {
-			t.Fatalf("centroid %d mismatch", i)
-		}
-	}
-	// Corrupt header is rejected, not decoded.
-	raw := buf.Bytes() // empty now; rebuild
-	var buf2 bytes.Buffer
-	if err := cb.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	raw = buf2.Bytes()
-	raw[0] = 0xff // implausible dim
-	if _, err := ReadCodebook(bytes.NewReader(raw)); err == nil {
-		t.Fatal("expected corrupt-header error")
 	}
 }

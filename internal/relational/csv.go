@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -12,6 +13,48 @@ import (
 // header row must match the schema's field names (same order); values are
 // parsed per the schema's types. Timestamps accept RFC 3339 or the common
 // "2006-01-02" date form.
+
+// ParseSchema parses a schema spec "col:type,col:type" — the form both
+// front ends accept for CSV ingestion. Types are int, float, text (or
+// string), time (or date) and bool, case-insensitive; spaces around a
+// name or type are ignored. Empty and duplicate column names are
+// rejected: a table with two columns of one name would bind every
+// reference to the first.
+func ParseSchema(spec string) (Schema, error) {
+	var schema Schema
+	seen := make(map[string]bool)
+	for _, part := range strings.Split(spec, ",") {
+		col, typ, ok := strings.Cut(part, ":")
+		if !ok {
+			return nil, fmt.Errorf("schema field %q: want col:type", part)
+		}
+		col, typ = strings.TrimSpace(col), strings.TrimSpace(typ)
+		if col == "" {
+			return nil, fmt.Errorf("schema field %q: empty column name", part)
+		}
+		if seen[col] {
+			return nil, fmt.Errorf("schema field %q: duplicate column name %q", part, col)
+		}
+		seen[col] = true
+		var t Type
+		switch strings.ToLower(typ) {
+		case "int":
+			t = Int64
+		case "float":
+			t = Float64
+		case "text", "string":
+			t = String
+		case "time", "date":
+			t = Time
+		case "bool":
+			t = Bool
+		default:
+			return nil, fmt.Errorf("schema field %q: unknown type %q", part, typ)
+		}
+		schema = append(schema, Field{Name: col, Type: t})
+	}
+	return schema, nil
+}
 
 // timeLayouts are accepted timestamp formats, most specific first.
 var timeLayouts = []string{

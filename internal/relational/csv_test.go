@@ -2,6 +2,7 @@ package relational
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -114,64 +115,41 @@ func TestWriteCSVRejectsVectors(t *testing.T) {
 	}
 }
 
-func TestGroupCountInt(t *testing.T) {
-	tbl := sampleTable(t)
-	rows, err := GroupCount(tbl, "id", Selection{0, 1, 2})
+func TestParseSchema(t *testing.T) {
+	schema, err := ParseSchema("sku:int,name:text,price:float,when:time,ok:bool")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 || rows[0].Key != "1" || rows[0].Count != 1 {
-		t.Errorf("rows = %v", rows)
+	want := []Type{Int64, String, Float64, Time, Bool}
+	if len(schema) != len(want) {
+		t.Fatalf("schema = %v", schema)
 	}
-}
-
-func TestGroupCountString(t *testing.T) {
-	tbl, _ := NewTable(
-		Schema{{Name: "w", Type: String}},
-		[]Column{StringColumn{"b", "a", "b", "b"}},
-	)
-	rows, err := GroupCount(tbl, "w", nil)
+	for i, f := range schema {
+		if f.Type != want[i] {
+			t.Errorf("field %d type = %v, want %v", i, f.Type, want[i])
+		}
+	}
+	// Spaces around names and type tokens are ignored; type names are
+	// case-insensitive and have aliases.
+	spaced, err := ParseSchema(" sku : INT , name: string,d :date")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || rows[0].Key != "a" || rows[1].Count != 3 {
-		t.Errorf("rows = %v", rows)
+	if want := (Schema{{Name: "sku", Type: Int64}, {Name: "name", Type: String}, {Name: "d", Type: Time}}); !slices.Equal(spaced, want) {
+		t.Errorf("spaced schema = %v, want %v", spaced, want)
 	}
-}
-
-func TestGroupCountErrors(t *testing.T) {
-	tbl := sampleTable(t)
-	if _, err := GroupCount(tbl, "price", nil); err == nil {
-		t.Error("expected unsupported type error")
-	}
-	if _, err := GroupCount(tbl, "missing", nil); err == nil {
-		t.Error("expected missing column error")
-	}
-}
-
-func TestSummarizeFloats(t *testing.T) {
-	tbl := sampleTable(t)
-	s, err := SummarizeFloats(tbl, "price", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Count != 5 || s.Min != 5 || s.Max != 40 {
-		t.Errorf("stats = %+v", s)
-	}
-	if s.Mean != s.Sum/5 {
-		t.Errorf("mean inconsistent: %+v", s)
-	}
-	// Selection subset.
-	s, err = SummarizeFloats(tbl, "price", Selection{0, 2})
-	if err != nil || s.Count != 2 || s.Max != 10.5 {
-		t.Errorf("subset stats = %+v err=%v", s, err)
-	}
-	// Empty selection.
-	s, err = SummarizeFloats(tbl, "price", Selection{})
-	if err != nil || s.Count != 0 || s.Mean != 0 {
-		t.Errorf("empty stats = %+v err=%v", s, err)
-	}
-	if _, err := SummarizeFloats(tbl, "name", nil); err == nil {
-		t.Error("expected type error")
+	for spec, why := range map[string]string{
+		"bad":            "want col:type",
+		"x:vector":       "unknown type",
+		"k:int,k:text":   "duplicate column name",
+		"k:int, k :text": "duplicate column name",
+		":int,b:text":    "empty column name",
+		" :int":          "empty column name",
+		"a:int,":         "want col:type",
+		"a:int,b:":       "unknown type",
+	} {
+		if _, err := ParseSchema(spec); err == nil || !strings.Contains(err.Error(), why) {
+			t.Errorf("%q: err = %v, want one mentioning %q", spec, err, why)
+		}
 	}
 }

@@ -236,12 +236,3 @@ func And(t *Table, preds ...Pred) (Selection, error) {
 	}
 	return sel, nil
 }
-
-// Selectivity returns |sel| / rows, the fraction the cost model and access
-// path selection reason about.
-func Selectivity(sel Selection, rows int) float64 {
-	if rows == 0 {
-		return 0
-	}
-	return float64(len(sel)) / float64(rows)
-}

@@ -1,7 +1,6 @@
 package relational
 
 import (
-	"sort"
 	"testing"
 	"time"
 )
@@ -263,12 +262,6 @@ func TestAndSelectivity(t *testing.T) {
 	if !equalSel(sel, Selection{2, 4}) {
 		t.Errorf("And = %v", sel)
 	}
-	if s := Selectivity(sel, tbl.NumRows()); s != 0.4 {
-		t.Errorf("Selectivity = %v", s)
-	}
-	if Selectivity(nil, 0) != 0 {
-		t.Error("Selectivity(0 rows) should be 0")
-	}
 	all, err := And(tbl)
 	if err != nil || len(all) != 5 {
 		t.Errorf("And() = %v, %v", all, err)
@@ -375,61 +368,6 @@ func TestBitmapFromSelectionAnd(t *testing.T) {
 	}
 }
 
-func TestHashJoinInt(t *testing.T) {
-	l, _ := NewTable(Schema{{Name: "k", Type: Int64}}, []Column{Int64Column{1, 2, 3, 2}})
-	r, _ := NewTable(Schema{{Name: "k", Type: Int64}}, []Column{Int64Column{2, 2, 4}})
-	pairs, err := HashJoin(l, r, "k", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rows 1 and 3 of l match rows 0 and 1 of r: 4 pairs.
-	if len(pairs) != 4 {
-		t.Fatalf("pairs = %v", pairs)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Left != pairs[j].Left {
-			return pairs[i].Left < pairs[j].Left
-		}
-		return pairs[i].Right < pairs[j].Right
-	})
-	want := []Pair{{1, 0}, {1, 1}, {3, 0}, {3, 1}}
-	for i, p := range pairs {
-		if p != want[i] {
-			t.Errorf("pair %d = %v, want %v", i, p, want[i])
-		}
-	}
-}
-
-func TestHashJoinString(t *testing.T) {
-	l, _ := NewTable(Schema{{Name: "w", Type: String}}, []Column{StringColumn{"a", "b"}})
-	r, _ := NewTable(Schema{{Name: "w", Type: String}}, []Column{StringColumn{"b", "c"}})
-	pairs, err := HashJoin(l, r, "w", "w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 1 || pairs[0] != (Pair{1, 0}) {
-		t.Errorf("pairs = %v", pairs)
-	}
-}
-
-func TestHashJoinErrors(t *testing.T) {
-	l, _ := NewTable(Schema{{Name: "k", Type: Int64}}, []Column{Int64Column{1}})
-	r, _ := NewTable(Schema{{Name: "w", Type: String}}, []Column{StringColumn{"a"}})
-	if _, err := HashJoin(l, r, "k", "w"); err == nil {
-		t.Error("expected type mismatch error")
-	}
-	if _, err := HashJoin(l, r, "missing", "w"); err == nil {
-		t.Error("expected missing column error")
-	}
-	if _, err := HashJoin(l, r, "k", "missing"); err == nil {
-		t.Error("expected missing column error")
-	}
-	f, _ := NewTable(Schema{{Name: "f", Type: Float64}}, []Column{Float64Column{1}})
-	if _, err := HashJoin(f, f, "f", "f"); err == nil {
-		t.Error("expected unsupported key type error")
-	}
-}
-
 func TestMaterializeJoin(t *testing.T) {
 	l, _ := NewTable(
 		Schema{{Name: "k", Type: Int64}, {Name: "lv", Type: String}},
@@ -439,11 +377,8 @@ func TestMaterializeJoin(t *testing.T) {
 		Schema{{Name: "k", Type: Int64}, {Name: "rv", Type: Float64}},
 		[]Column{Int64Column{2, 1}, Float64Column{20, 10}},
 	)
-	pairs, err := HashJoin(l, r, "k", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := MaterializeJoin(l, r, pairs)
+	// l row 0 (k=1) pairs with r row 1; l row 1 (k=2) with r row 0.
+	out, err := MaterializeJoin(l, r, []Pair{{0, 1}, {1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 // Package relational implements the column-store mini-engine the E-join
 // operators compose with: typed columns, tables, predicate evaluation to
-// selection vectors, bitmap pre-filters, and a hash equi-join baseline.
+// selection vectors, bitmap pre-filters, and late materialization of join
+// results.
 //
 // The paper's context-enhanced join runs inside an analytical RDBMS where
 // relational predicates (dates, keys, measures) select tuples before or

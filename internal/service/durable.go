@@ -220,14 +220,6 @@ func (d *durableState) sweepCheckpoints() {
 	}
 }
 
-// DataDir is the engine's data directory ("" when memory-only).
-func (e *Engine) DataDir() string {
-	if e.durable == nil {
-		return ""
-	}
-	return e.durable.layout.Dir
-}
-
 // Close flushes and detaches the durable layer: the write-behind queue
 // drains, the log fsyncs, and files close. Idempotent; a memory-only
 // engine Closes as a no-op. In-flight queries are not interrupted — stop

@@ -230,8 +230,8 @@ func TestMemoryOnlyEngineSkipsDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.DataDir() != "" {
-		t.Error("memory-only engine reports a data dir")
+	if e.durable != nil {
+		t.Error("memory-only engine has a durable layer")
 	}
 	if st := e.Stats(); st.Durable != nil {
 		t.Error("memory-only engine reports durable stats")

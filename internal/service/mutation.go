@@ -430,16 +430,6 @@ func (pt PinnedTable) Bind(ref plan.TableRef) plan.TableRef {
 	return ref
 }
 
-// TableGen returns the named table's current row-level generation (0 and
-// false when the table is unknown or has never been mutated-tracked).
-func (e *Engine) TableGen(name string) (uint64, bool) {
-	ts := e.mut.get(name)
-	if ts == nil {
-		return 0, false
-	}
-	return ts.mt.Gen(), true
-}
-
 // WaitForMaintenance blocks until any in-flight background index
 // maintenance (re-clustering) completes — test and shutdown hook.
 func (e *Engine) WaitForMaintenance() {

@@ -105,7 +105,7 @@ func TestMutationWALReplayZeroModelCalls(t *testing.T) {
 	if matchKey(warm) != matchKey(mutated) {
 		t.Fatalf("replayed matches differ:\n%s\nvs\n%s", matchKey(warm), matchKey(mutated))
 	}
-	if gen, ok := e2.TableGen("right"); !ok || gen != 2 {
+	if gen, ok := tableGen(e2, "right"); !ok || gen != 2 {
 		t.Fatalf("replayed generation %d/%v, want 2", gen, ok)
 	}
 }
@@ -139,7 +139,7 @@ func TestMutationWALTornTailTruncated(t *testing.T) {
 	if st.Mutation.WAL == nil || st.Mutation.WAL.TruncatedBytes == 0 {
 		t.Fatalf("torn tail not truncated: %+v", st.Mutation.WAL)
 	}
-	if gen, _ := e2.TableGen("right"); gen != intact.Gen {
+	if gen, _ := tableGen(e2, "right"); gen != intact.Gen {
 		t.Fatalf("recovered generation %d, want last intact %d", gen, intact.Gen)
 	}
 	runQuery(t, e2) // and the recovered table still serves
@@ -225,7 +225,7 @@ func TestMutationDropRecreateNoLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := runQuery(t, e1)
-	if gen, ok := e1.TableGen("right"); !ok || gen != 0 {
+	if gen, ok := tableGen(e1, "right"); !ok || gen != 0 {
 		t.Fatalf("recreated table starts at gen %d, want 0", gen)
 	}
 	if err := e1.Close(); err != nil {
@@ -462,4 +462,14 @@ func TestMutationChurnDoesNotGrowStore(t *testing.T) {
 	if got := counting.Calls(); got != calls {
 		t.Errorf("%d model calls after retiring a text another table still holds", got-calls)
 	}
+}
+
+// tableGen is the named table's current row-level generation (0 and false
+// when the table has no mutation state).
+func tableGen(e *Engine, name string) (uint64, bool) {
+	ts := e.mut.get(name)
+	if ts == nil {
+		return 0, false
+	}
+	return ts.mt.Gen(), true
 }

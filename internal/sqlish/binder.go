@@ -1,7 +1,6 @@
 package sqlish
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -291,10 +290,10 @@ func parseAnyTime(s string) (time.Time, error) {
 }
 
 // Prepared is a parsed and bound query: the parse+bind cost is paid once
-// per distinct query text, after which Run executes the same binding any
-// number of times (optimization stays per-execution, because the physical
-// strategy depends on cache warmth). A Prepared is immutable and safe for
-// concurrent Run calls.
+// per distinct query text, after which the same binding is planned and
+// executed any number of times (optimization stays per-execution, because
+// the physical strategy depends on cache warmth). A Prepared is immutable
+// and safe for concurrent use.
 type Prepared struct {
 	// Text is the original query text.
 	Text string
@@ -324,27 +323,3 @@ func (p *Prepared) Query() plan.Query { return p.query }
 
 // Generation is the catalog generation the binding was taken under.
 func (p *Prepared) Generation() uint64 { return p.gen }
-
-// Run optimizes and executes the prepared query. Pass nil executor or
-// optimizer for defaults.
-func (p *Prepared) Run(ctx context.Context, ex *plan.Executor, opt *plan.Optimizer) (*plan.ExecResult, error) {
-	res, _, err := plan.Run(ctx, p.query, ex, opt)
-	return res, err
-}
-
-// Run parses, binds, optimizes, and executes a query in one call.
-func Run(ctx context.Context, input string, c *Catalog, m model.Model) (*plan.ExecResult, plan.Query, error) {
-	return RunWith(ctx, input, c, m, nil, nil)
-}
-
-// RunWith is Run with a caller-supplied executor and optimizer, the hook
-// a long-lived process uses to share one embedding store (and its warm
-// cache) across every query it serves. Pass nil for defaults.
-func RunWith(ctx context.Context, input string, c *Catalog, m model.Model, ex *plan.Executor, opt *plan.Optimizer) (*plan.ExecResult, plan.Query, error) {
-	p, err := Prepare(input, c, m)
-	if err != nil {
-		return nil, plan.Query{}, err
-	}
-	res, err := p.Run(ctx, ex, opt)
-	return res, p.query, err
-}

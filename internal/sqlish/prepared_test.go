@@ -7,8 +7,21 @@ import (
 	"sync"
 	"testing"
 
+	"ejoin/internal/model"
+	"ejoin/internal/plan"
 	"ejoin/internal/relational"
 )
+
+// run prepares text against c and executes the bound query with the
+// default executor and optimizer.
+func run(ctx context.Context, text string, c *Catalog, m model.Model) (*plan.ExecResult, plan.Query, error) {
+	p, err := Prepare(text, c, m)
+	if err != nil {
+		return nil, plan.Query{}, err
+	}
+	res, _, err := plan.Run(ctx, p.Query(), nil, nil)
+	return res, p.Query(), err
+}
 
 func TestPrepareReusableAcrossRuns(t *testing.T) {
 	c, m := testCatalog(t)
@@ -19,11 +32,11 @@ func TestPrepareReusableAcrossRuns(t *testing.T) {
 	if p.Generation() != c.Generation() {
 		t.Errorf("generation: prepared %d, catalog %d", p.Generation(), c.Generation())
 	}
-	first, err := p.Run(context.Background(), nil, nil)
+	first, _, err := plan.Run(context.Background(), p.Query(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := p.Run(context.Background(), nil, nil)
+	second, _, err := plan.Run(context.Background(), p.Query(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +83,7 @@ func TestRunWithErrorPaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := RunWith(context.Background(), tc.query, c, m, nil, nil)
+			_, _, err := run(context.Background(), tc.query, c, m)
 			if err == nil {
 				t.Fatalf("%q: expected error", tc.query)
 			}
@@ -119,9 +132,8 @@ func TestCatalogConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				res, _, err := RunWith(context.Background(),
-					"SELECT * FROM catalog JOIN feed ON SIM(catalog.name, feed.title) >= 0.35",
-					c, m, nil, nil)
+				res, _, err := run(context.Background(),
+					"SELECT * FROM catalog JOIN feed ON SIM(catalog.name, feed.title) >= 0.35", c, m)
 				if err != nil {
 					errs <- err
 					return

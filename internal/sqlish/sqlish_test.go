@@ -155,7 +155,7 @@ func testCatalog(t *testing.T) (*Catalog, model.Model) {
 
 func TestBindAndRun(t *testing.T) {
 	c, m := testCatalog(t)
-	res, q, err := Run(context.Background(),
+	res, q, err := run(context.Background(),
 		"SELECT * FROM catalog JOIN feed ON SIM(catalog.name, feed.title) >= 0.35", c, m)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestBindErrors(t *testing.T) {
 
 func TestRunTopK(t *testing.T) {
 	c, m := testCatalog(t)
-	res, _, err := Run(context.Background(),
+	res, _, err := run(context.Background(),
 		"SELECT * FROM catalog JOIN feed ON TOPK(catalog.name, feed.title, 1)", c, m)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestRunTopK(t *testing.T) {
 		t.Errorf("top-1 per catalog row: %v", res.Matches)
 	}
 	// Residual range prunes weak best-matches.
-	res2, _, err := Run(context.Background(),
+	res2, _, err := run(context.Background(),
 		"SELECT * FROM catalog JOIN feed ON TOPK(catalog.name, feed.title, 1) >= 0.9", c, m)
 	if err != nil {
 		t.Fatal(err)
@@ -257,10 +257,10 @@ func TestRunTopK(t *testing.T) {
 
 func TestRunParseError(t *testing.T) {
 	c, m := testCatalog(t)
-	if _, _, err := Run(context.Background(), "not sql", c, m); err == nil {
+	if _, _, err := run(context.Background(), "not sql", c, m); err == nil {
 		t.Error("expected error")
 	}
-	if _, _, err := Run(context.Background(),
+	if _, _, err := run(context.Background(),
 		"SELECT * FROM nope JOIN feed ON SIM(nope.name, feed.title) >= 0.5", c, m); err == nil {
 		t.Error("expected bind error")
 	}
@@ -268,7 +268,7 @@ func TestRunParseError(t *testing.T) {
 
 func TestCaseInsensitivity(t *testing.T) {
 	c, m := testCatalog(t)
-	res, _, err := Run(context.Background(),
+	res, _, err := run(context.Background(),
 		"select * from CATALOG join FEED on sim(CATALOG.name, FEED.title) >= 0.35", c, m)
 	if err != nil {
 		t.Fatal(err)

@@ -98,15 +98,6 @@ func EncodeF16(v []float32) F16Vector {
 	return out
 }
 
-// DecodeF16 converts back to float32.
-func DecodeF16(v F16Vector) []float32 {
-	out := make([]float32, len(v))
-	for i, x := range v {
-		out[i] = x.Float32()
-	}
-	return out
-}
-
 // DotF16 computes the inner product of two half-precision vectors,
 // accumulating in float32 (as FP16 hardware does). The unrolled form
 // mirrors the SIMD kernel.
@@ -141,22 +132,4 @@ func dotF16Unrolled(a, b F16Vector) float32 {
 		s += a[i].Float32() * b[i].Float32()
 	}
 	return s
-}
-
-// F16QuantizationError returns the max absolute element error introduced
-// by a round trip through half precision — the accuracy cost of the
-// storage optimization.
-func F16QuantizationError(v []float32) float32 {
-	var maxErr float32
-	for _, x := range v {
-		rt := F16FromFloat32(x).Float32()
-		d := x - rt
-		if d < 0 {
-			d = -d
-		}
-		if d > maxErr {
-			maxErr = d
-		}
-	}
-	return maxErr
 }

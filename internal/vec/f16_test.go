@@ -94,17 +94,14 @@ func TestEncodeDecodeF16(t *testing.T) {
 	}
 	Normalize(v)
 	enc := EncodeF16(v)
-	dec := DecodeF16(enc)
-	if len(dec) != len(v) {
+	if len(enc) != len(v) {
 		t.Fatal("length mismatch")
 	}
+	// Unit vectors lose at most ~1e-3 per element to the round trip.
 	for i := range v {
-		if math.Abs(float64(dec[i]-v[i])) > 1e-3 {
-			t.Fatalf("element %d: %v vs %v", i, dec[i], v[i])
+		if dec := enc[i].Float32(); math.Abs(float64(dec-v[i])) > 1e-3 {
+			t.Fatalf("element %d: %v vs %v", i, dec, v[i])
 		}
-	}
-	if e := F16QuantizationError(v); e > 1e-3 {
-		t.Errorf("quantization error %v too large for unit vectors", e)
 	}
 }
 

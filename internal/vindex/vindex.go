@@ -6,8 +6,6 @@
 package vindex
 
 import (
-	"io"
-
 	"ejoin/internal/mat"
 	"ejoin/internal/relational"
 )
@@ -49,24 +47,6 @@ type MutableIndex interface {
 	// Add appends vecs' rows (normalized copies) with ids Len()..Len()+n-1.
 	// Safe to call concurrently with TopK.
 	Add(vecs *mat.Matrix) error
-}
-
-// Snapshotter is the optional durability contract: an index that can
-// serialize itself into a self-contained, versioned binary payload.
-// Construction dominates index cost (Table I's "Build" column), so a
-// production deployment snapshots built indexes and restores them on
-// boot instead of re-paying k-means or graph insertion. The durable
-// layer wraps the payload in a checksummed container keyed by Kind and
-// dispatches Load-side decoding through a kind registry.
-type Snapshotter interface {
-	Index
-	// Kind identifies the on-disk decoder for this index family
-	// (e.g. "hnsw", "ivf-flat"). Stable across releases.
-	Kind() string
-	// WriteSnapshot serializes the index. The index must not be mutated
-	// concurrently. The payload must round-trip through the registered
-	// loader into an index with identical TopK results.
-	WriteSnapshot(w io.Writer) error
 }
 
 // TunableIndex is the capability interface for indexes with a runtime

@@ -81,25 +81,3 @@ func TableIIModel(dim int) (*model.HashEmbedder, error) {
 		model.WithClusterWeight(2.0),
 	)
 }
-
-// TableIIExpected maps each query word to terms that must appear among its
-// top matches: the subword-reinforced subset of the paper's lists, which is
-// stable under the hash model (pure-cluster members like nosql land in the
-// top-15 only up to tie-order among cluster peers).
-func TableIIExpected() map[string][]string {
-	return map[string][]string{
-		"dbms":     {"rdbms", "dbmss", "oodbms", "ordbms"},
-		"postgres": {"postgre", "postgresql", "postgis"},
-		"clothes":  {"clothing", "clothings", "dresses", "garments"},
-	}
-}
-
-// TableIICluster returns the cluster label whose members should dominate
-// the query word's top-15 (the shape check: semantic neighbors in, filler
-// out).
-func TableIICluster(query string) string {
-	if query == "clothes" {
-		return "garment"
-	}
-	return "dbtech"
-}

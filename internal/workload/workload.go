@@ -65,15 +65,8 @@ func UniformIntColumn(seed int64, n int, card int64) relational.Int64Column {
 	return col
 }
 
-// SelectivityPredicate returns the predicate over a UniformIntColumn column
-// named col that selects approximately the given fraction of rows.
-func SelectivityPredicate(col string, card int64, selectivity float64) relational.Pred {
-	cut := int64(selectivity * float64(card))
-	return relational.Pred{Column: col, Op: relational.LT, Value: cut}
-}
-
-// SelectivityBitmap marks approximately selectivity*n rows (exactly those a
-// SelectivityPredicate over the same column selects).
+// SelectivityBitmap marks approximately selectivity*n rows: those whose
+// value is below selectivity*card.
 func SelectivityBitmap(col relational.Int64Column, card int64, selectivity float64) *relational.Bitmap {
 	cut := int64(selectivity * float64(card))
 	b := relational.NewBitmap(len(col))
