@@ -174,6 +174,17 @@ type missGroup struct {
 // parallelism.
 func (s *Store) EmbedAll(ctx context.Context, m model.Model, inputs []string, opts BatchOptions) (*mat.Matrix, BatchStats, error) {
 	out := mat.New(len(inputs), m.Dim())
+	bs, err := s.embedInto(ctx, m, inputs, out.Row, opts, false)
+	if err != nil {
+		return nil, bs, err
+	}
+	return out, bs, nil
+}
+
+// embedInto is EmbedAll writing row i into dst(i). With adopt set (a
+// column chunk being built) a model-computed vector is handed to the
+// insert observer but not cached per text: the chunk will hold it.
+func (s *Store) embedInto(ctx context.Context, m model.Model, inputs []string, dst func(i int) []float32, opts BatchOptions, adopt bool) (BatchStats, error) {
 	var bs BatchStats
 	fp := Fingerprint(m)
 
@@ -186,6 +197,7 @@ func (s *Store) EmbedAll(ctx context.Context, m model.Model, inputs []string, op
 	// fingerprint prefix, shared by every key of the call, is hashed once.
 	kb := append(append(make([]byte, 0, len(fp)+64), fp...), 0)
 	prefix, prefixHash := len(kb), fnv1a(fnv1a(fnvOffset, fp), "\x00")
+	now := s.tick.Add(1)
 	for i, in := range inputs {
 		kb = append(kb[:prefix], in...)
 		if len(groups) > 0 {
@@ -200,10 +212,19 @@ func (s *Store) EmbedAll(ctx context.Context, m model.Model, inputs []string, op
 		sh := s.shardAt(fnv1a(prefixHash, in)) // == s.shardFor(key(fp, in))
 		sh.mu.Lock()
 		if el, ok := sh.entries[string(kb)]; ok {
-			copy(out.Row(i), sh.touch(el).vec)
+			e := sh.touch(el, now)
+			if e.at == nil {
+				copy(dst(i), e.vec)
+				sh.mu.Unlock()
+				bs.Hits++
+				continue
+			}
 			sh.mu.Unlock()
-			bs.Hits++
-			continue
+			if s.resolve(sh, string(kb), e, dst(i)) {
+				bs.Hits++
+				continue
+			}
+			sh.mu.Lock() // the reference was stale and is gone: a miss
 		}
 		k := string(kb)
 		if fl, ok := sh.inflight[k]; ok {
@@ -244,23 +265,31 @@ func (s *Store) EmbedAll(ctx context.Context, m model.Model, inputs []string, op
 		schedErr = embedChunks(ctx, m, texts, opts, func(i int, raw []float32) {
 			calls.Add(1)
 			g := owned[i]
-			v := make([]float32, len(raw))
-			vec.NormalizeInto(v, raw)
-			s.publish(g.sh, g.key, g.fl, v, nil)
-			g.done = true
-			for _, r := range g.rows {
-				copy(out.Row(r), v)
+			// An adopted vector lives in its first row only; a cached one in
+			// its own entry.
+			v := dst(g.rows[0])
+			if !adopt {
+				v = make([]float32, len(raw))
 			}
+			vec.NormalizeInto(v, raw)
+			for _, r := range g.rows {
+				if r := dst(r); &r[0] != &v[0] {
+					copy(r, v)
+				}
+			}
+			// Published last: waiters read v, which must not change after.
+			s.publish(g.sh, g.key, g.fl, v, nil, !adopt)
+			g.done = true
 		})
 		s.modelCalls.Add(calls.Load())
 		bs.ModelCalls = calls.Load()
 		if schedErr != nil {
 			for _, g := range owned {
 				if !g.done {
-					s.publish(g.sh, g.key, g.fl, nil, schedErr)
+					s.publish(g.sh, g.key, g.fl, nil, schedErr, false)
 				}
 			}
-			return nil, bs, schedErr
+			return bs, schedErr
 		}
 	}
 
@@ -273,11 +302,11 @@ func (s *Store) EmbedAll(ctx context.Context, m model.Model, inputs []string, op
 			v, err = s.Get(ctx, m, g.input)
 		}
 		if err != nil {
-			return nil, bs, fmt.Errorf("embstore: merged embed of %q failed: %w", truncate(g.input), err)
+			return bs, fmt.Errorf("embstore: merged embed of %q failed: %w", truncate(g.input), err)
 		}
 		for _, r := range g.rows {
-			copy(out.Row(r), v)
+			copy(dst(r), v)
 		}
 	}
-	return out, bs, nil
+	return bs, nil
 }

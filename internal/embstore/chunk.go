@@ -1,0 +1,386 @@
+package embstore
+
+// Column chunks: a table's embedded text column kept resident as blocks of
+// ChunkRows consecutive physical rows (the paper's Figure 5 "Option 1",
+// embeddings as a column, for a text join column). A scan reads a block of
+// vectors with one lookup per chunk instead of hashing, locking and copying
+// per row. Chunks are ordinary store entries: the LRU, the byte budget and
+// single flight cover them with no second cache.
+
+import (
+	"container/list"
+	"context"
+	"fmt"
+	"math/bits"
+	"sort"
+
+	"ejoin/internal/mat"
+	"ejoin/internal/model"
+)
+
+// ChunkRows is how many consecutive physical rows one column chunk holds:
+// chunk i covers rows [i*ChunkRows, (i+1)*ChunkRows).
+const ChunkRows = 256
+
+// ChunkKey names one chunk of a table's embedded text column. Physical
+// rows of one incarnation are append-only, so a chunk serves every table
+// version that can see its rows.
+type ChunkKey struct {
+	Fingerprint string
+	Incarnation uint64
+	Column      string
+	Index       int
+}
+
+// RowMask marks rows of one chunk, by offset within it.
+type RowMask [ChunkRows / 64]uint64
+
+// Set marks row i.
+func (m *RowMask) Set(i int) { m[i>>6] |= 1 << uint(i&63) }
+
+// Has reports whether row i is marked.
+func (m *RowMask) Has(i int) bool { return m[i>>6]>>uint(i&63)&1 != 0 }
+
+// Count is the number of marked rows.
+func (m *RowMask) Count() int {
+	n := 0
+	for _, w := range m {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// Covers reports whether m marks every row need marks.
+func (m *RowMask) Covers(need *RowMask) bool {
+	for w := range need {
+		if need[w]&^m[w] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// rank is the number of marked rows below row i.
+func (m *RowMask) rank(i int) int {
+	w := i >> 6
+	n := bits.OnesCount64(m[w] & (1<<uint(i&63) - 1))
+	for _, x := range m[:w] {
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// last is the highest marked row, or -1.
+func (m *RowMask) last() int {
+	for w := len(m) - 1; w >= 0; w-- {
+		if m[w] != 0 {
+			return w*64 + 63 - bits.LeadingZeros64(m[w])
+		}
+	}
+	return -1
+}
+
+// PrefixMask marks rows [0, n).
+func PrefixMask(n int) RowMask {
+	var m RowMask
+	for w := range m {
+		switch {
+		case n >= (w+1)*64:
+			m[w] = ^uint64(0)
+		case n > w*64:
+			m[w] = 1<<uint(n-w*64) - 1
+		}
+	}
+	return m
+}
+
+// SelectionMask marks the rows of the ascending selection sel that fall in
+// chunk index ci, by offset within the chunk.
+func SelectionMask(sel []int, ci int) RowMask {
+	var m RowMask
+	lo := ci * ChunkRows
+	for i := sort.SearchInts(sel, lo); i < len(sel) && sel[i] < lo+ChunkRows; i++ {
+		m.Set(sel[i] - lo)
+	}
+	return m
+}
+
+// Chunk is one resident column chunk: the vectors of the rows in filled,
+// packed in row order, so a chunk holds no space for rows it lacks. It is
+// immutable once published (growing or shedding publishes a copy) and
+// read-only to its readers.
+type Chunk struct {
+	key    ChunkKey
+	vecs   *mat.Matrix
+	filled RowMask
+}
+
+// Row is row i's vector; the chunk must hold row i.
+func (c *Chunk) Row(i int) []float32 { return c.vecs.Row(c.filled.rank(i)) }
+
+// View is rows [lo, hi) as a matrix sharing the chunk's storage; the chunk
+// must hold every one of them.
+func (c *Chunk) View(lo, hi int) *mat.Matrix {
+	r := c.filled.rank(lo)
+	return c.vecs.Slice(r, r+hi-lo)
+}
+
+// Holds reports the rows the chunk has a vector for.
+func (c *Chunk) Holds() RowMask { return c.filled }
+
+// chunkShard is the lock domain of a chunk key.
+func (s *Store) chunkShard(k ChunkKey) *shard {
+	h := fnv1a(fnv1a(fnvOffset, k.Fingerprint), k.Column)
+	h = (h ^ k.Incarnation) * 1099511628211
+	h = (h ^ uint64(k.Index)) * 1099511628211
+	return s.shardAt(h)
+}
+
+// Chunk returns one column chunk holding every row in need: its row i is
+// the unit-norm embedding of texts[i]. texts are the chunk's rows as the
+// caller's table version has them (a version may not have all of a tail
+// chunk's rows yet), and live marks the ones that version can see. The
+// chunk may hold rows beyond need (other versions' too).
+//
+// A resident chunk covering need is a hit for every needed row. Otherwise
+// the chunk is built — one builder per key at a time, others wait — from
+// the resident one's vectors plus the missing rows embedded as EmbedAll
+// would, and then adopts their per-text entries (see adopt). The new
+// chunk keeps the old one's vectors only for rows live in the caller's
+// version or past its end, so rows deleted since are shed as it grows,
+// and so are the references to them.
+func (s *Store) Chunk(ctx context.Context, m model.Model, key ChunkKey, texts []string, need, live RowMask, opts BatchOptions) (*Chunk, BatchStats, error) {
+	var bs BatchStats
+	if last := need.last(); last >= len(texts) {
+		return nil, bs, fmt.Errorf("embstore: chunk %d needs row %d of %d", key.Index, last, len(texts))
+	}
+	sh := s.chunkShard(key)
+	for {
+		sh.mu.Lock()
+		var old *Chunk
+		if el, ok := sh.chunks[key]; ok {
+			e := sh.touch(el, s.tick.Add(1))
+			if old = e.c; old.filled.Covers(&need) {
+				sh.mu.Unlock()
+				n := int64(need.Count())
+				s.hits.Add(n)
+				bs.Hits = n
+				return old, bs, nil
+			}
+		}
+		if fl, ok := sh.building[key]; ok {
+			sh.mu.Unlock()
+			select {
+			case <-fl.done:
+			case <-ctx.Done():
+				return nil, bs, fmt.Errorf("embstore: wait for chunk cancelled: %w", ctx.Err())
+			}
+			continue // the builder's chunk may not cover this caller's rows
+		}
+		fl := &flight{done: make(chan struct{})}
+		sh.building[key] = fl
+		sh.mu.Unlock()
+
+		c, added, err := s.buildChunk(ctx, m, key, old, texts, need, live, opts, &bs)
+		var el *list.Element
+		sh.mu.Lock()
+		delete(sh.building, key)
+		if err == nil {
+			if prev, ok := sh.chunks[key]; ok {
+				s.dropLocked(sh, prev)
+			}
+			el = s.pushLocked(sh, &entry{c: c})
+		}
+		sh.mu.Unlock()
+		close(fl.done)
+		if err != nil {
+			return nil, bs, err
+		}
+		s.trim(el)
+		s.adopt(key, texts, added)
+		if old != nil {
+			var shed RowMask
+			for w := range shed {
+				shed[w] = old.filled[w] &^ c.filled[w]
+			}
+			s.forget(key, texts, shed)
+		}
+		return c, bs, nil
+	}
+}
+
+// adopt makes the per-text entries of a chunk's newly filled rows
+// references to them: a cached vector leaves the store (it is not an
+// eviction), and a text with no entry gets one, so a lookup by text —
+// another table's chunk holding the same text, a reboot's loaded entries
+// — finds the one copy in the chunk. A text already referring to another
+// chunk keeps that reference. The references share one copy of the key,
+// never the chunk itself, so they do not keep a dropped chunk alive.
+func (s *Store) adopt(ck ChunkKey, texts []string, rows []int) {
+	at := &ck
+	for _, i := range rows {
+		k := key(at.Fingerprint, texts[i])
+		sh := s.shardFor(k)
+		var el *list.Element
+		sh.mu.Lock()
+		if cur, ok := sh.entries[k]; !ok {
+			el = s.pushLocked(sh, &entry{key: k, at: at, row: int32(i)})
+			sh.entries[k] = el
+		} else if e := cur.Value.(*entry); e.at == nil {
+			s.account(sh, e, -1)
+			e.vec, e.at, e.row = nil, at, int32(i)
+			s.account(sh, e, 1)
+		}
+		sh.mu.Unlock()
+		s.trim(el)
+	}
+}
+
+// buildChunk assembles the chunk Chunk publishes: old's vectors for the
+// rows still live in the caller's version (or past its end), plus the
+// needed rows old lacks, which it also returns.
+func (s *Store) buildChunk(ctx context.Context, m model.Model, key ChunkKey, old *Chunk, texts []string, need, live RowMask, opts BatchOptions, bs *BatchStats) (*Chunk, []int, error) {
+	c := &Chunk{key: key, filled: need}
+	if old != nil {
+		keep := live
+		for i := len(texts); i < ChunkRows; i++ {
+			keep.Set(i)
+		}
+		for w := range c.filled {
+			bs.Hits += int64(bits.OnesCount64(need[w] & old.filled[w]))
+			c.filled[w] |= old.filled[w] & keep[w]
+		}
+		s.hits.Add(bs.Hits)
+	}
+	c.vecs = mat.New(c.filled.Count(), m.Dim())
+	var missing []int
+	for i := 0; i <= c.filled.last(); i++ {
+		switch {
+		case !c.filled.Has(i):
+		case old != nil && old.filled.Has(i):
+			copy(c.Row(i), old.Row(i))
+		default:
+			missing = append(missing, i)
+		}
+	}
+	inputs := make([]string, len(missing))
+	for j, i := range missing {
+		inputs[j] = texts[i]
+	}
+	got, err := s.embedInto(ctx, m, inputs, func(j int) []float32 { return c.Row(missing[j]) }, opts, true)
+	bs.Hits += got.Hits
+	bs.Misses += got.Misses
+	bs.Merged += got.Merged
+	bs.ModelCalls += got.ModelCalls
+	if err != nil {
+		return nil, nil, err
+	}
+	return c, missing, nil
+}
+
+// Shed drops a resident chunk's vectors of rows outside live — its owner's
+// newest live rows, which no later version can revive — once they are the
+// majority of what it holds, so a chunk under churn costs its surviving
+// rows, not every row it ever served; the references to those rows go
+// too. texts are the chunk's rows. Readers keep the copy they hold.
+func (s *Store) Shed(key ChunkKey, live RowMask, texts []string) {
+	sh := s.chunkShard(key)
+	sh.mu.Lock()
+	el, ok := sh.chunks[key]
+	if !ok {
+		sh.mu.Unlock()
+		return
+	}
+	old := el.Value.(*entry).c
+	c := &Chunk{key: key}
+	var shed RowMask
+	for w := range c.filled {
+		c.filled[w] = old.filled[w] & live[w]
+		shed[w] = old.filled[w] &^ live[w]
+	}
+	if 2*c.filled.Count() >= old.filled.Count() {
+		sh.mu.Unlock()
+		return
+	}
+	c.vecs = mat.New(c.filled.Count(), old.vecs.Cols())
+	for i := 0; i <= c.filled.last(); i++ {
+		if c.filled.Has(i) {
+			copy(c.Row(i), old.Row(i))
+		}
+	}
+	s.dropLocked(sh, el)
+	s.pushLocked(sh, &entry{c: c})
+	sh.mu.Unlock()
+	s.forget(key, texts, shed)
+}
+
+// DropChunk releases a chunk its owner knows no reader needs any more
+// (every row it holds was deleted), and the references to its rows;
+// texts are the chunk's rows. It is not an eviction.
+func (s *Store) DropChunk(key ChunkKey, texts []string) {
+	sh := s.chunkShard(key)
+	sh.mu.Lock()
+	el, ok := sh.chunks[key]
+	if ok {
+		s.dropLocked(sh, el)
+	}
+	sh.mu.Unlock()
+	if ok {
+		s.forget(key, texts, el.Value.(*entry).c.filled)
+	}
+}
+
+// forget removes the per-text references to the given rows of chunk ck
+// (texts are the chunk's rows); a text referring elsewhere keeps its
+// reference.
+func (s *Store) forget(ck ChunkKey, texts []string, rows RowMask) {
+	for i := 0; i <= rows.last(); i++ {
+		if !rows.Has(i) || i >= len(texts) {
+			continue
+		}
+		k := key(ck.Fingerprint, texts[i])
+		sh := s.shardFor(k)
+		sh.mu.Lock()
+		if el, ok := sh.entries[k]; ok {
+			if e := el.Value.(*entry); e.at != nil && *e.at == ck && int(e.row) == i {
+				s.dropLocked(sh, el)
+			}
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// PeekChunk returns a resident chunk without promoting it or touching
+// statistics — the compaction source for the vectors chunks adopted.
+func (s *Store) PeekChunk(key ChunkKey) (*Chunk, bool) {
+	sh := s.chunkShard(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if el, ok := sh.chunks[key]; ok {
+		return el.Value.(*entry).c, true
+	}
+	return nil, false
+}
+
+// Resident counts the rows of a column held by resident chunks: rows is
+// the table version's physical row count, visible its live rows ascending
+// (nil: all rows), key.Index is ignored. It only peeks — no promotion, no
+// statistics — so a planner can price E_µ without disturbing the cache.
+func (s *Store) Resident(key ChunkKey, rows int, visible []int) int {
+	n := 0
+	for key.Index = 0; key.Index*ChunkRows < rows; key.Index++ {
+		c, ok := s.PeekChunk(key)
+		if !ok {
+			continue
+		}
+		filled := c.Holds()
+		want := PrefixMask(rows - key.Index*ChunkRows)
+		if visible != nil {
+			want = SelectionMask(visible, key.Index)
+		}
+		for w := range want {
+			n += bits.OnesCount64(want[w] & filled[w])
+		}
+	}
+	return n
+}

@@ -1,20 +1,35 @@
 // Package embstore is the shared, cross-query embedding store: a sharded,
-// concurrency-safe cache of model embeddings keyed by (model fingerprint,
-// input) with single-flight deduplication and a batch scheduler that
-// coalesces cache misses into chunked parallel model calls.
+// concurrency-safe cache of model embeddings with single-flight
+// deduplication and a batch scheduler that coalesces cache misses into
+// chunked parallel model calls.
 //
 // The paper's central cost observation is that the embedding operator E_µ
 // dominates end-to-end join time, which is why the optimizer prefetches
 // embeddings once per tuple instead of once per pair. This package extends
-// that reuse across queries: every Query.Run, CLI invocation, and benchmark
+// that reuse across queries: every query, CLI invocation, and benchmark
 // repetition over the same corpus pays the model cost once, after which
 // lookups are memory reads. Under concurrent traffic, requests for the same
-// input string are merged into one in-flight model call (single flight),
-// memory is bounded by a per-shard LRU eviction policy, and an owner that
-// knows inputs have gone away (deleted rows) can Retire them early.
+// input string are merged into one in-flight model call (single flight).
 //
-// The store observes the Model contract: embeddings handed out are fresh,
-// caller-owned, unit-norm copies.
+// The store holds two kinds of entry under one LRU and one byte budget
+// (Config.MaxBytes, store-wide):
+//
+//   - a per-text entry, keyed by (model fingerprint, input): what Get,
+//     EmbedAll and the durable loader (Put) serve;
+//   - a column chunk (chunk.go), keyed by (model fingerprint, table
+//     incarnation, column, chunk index): ChunkRows consecutive physical
+//     rows of a table's embedded text column, which a scan reads a block
+//     at a time. A chunk adopts the per-text entries it is assembled from:
+//     their vectors leave the store (which is not an eviction), and each
+//     entry becomes a reference to its chunk row, so each vector is held
+//     once and a lookup by text still finds it.
+//
+// Eviction is least-recently-used across the whole store. The owner of a
+// table drops the chunks whose rows it deleted (DropChunk); nothing else
+// needs retiring.
+//
+// The store observes the Model contract: per-text lookups hand out fresh,
+// caller-owned, unit-norm copies; chunks are read-only.
 package embstore
 
 import (
@@ -22,6 +37,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"sync"
@@ -37,8 +53,9 @@ type Config struct {
 	// Shards is the number of lock shards (rounded up to a power of two).
 	// More shards means less contention under concurrent queries.
 	Shards int
-	// MaxBytes bounds the store's resident embedding bytes across all
-	// shards; 0 means unbounded. Eviction is LRU per shard.
+	// MaxBytes bounds the store's resident bytes, per-text entries and
+	// column chunks together, across all shards; 0 means unbounded.
+	// Eviction is least-recently-used store-wide.
 	MaxBytes int64
 	// ChunkSize is how many misses one scheduler task embeds before
 	// picking up the next chunk (batching amortizes scheduling overhead
@@ -50,7 +67,8 @@ type Config struct {
 
 // Stats is the store's observability surface.
 type Stats struct {
-	// Hits is the number of lookups served from the cache.
+	// Hits is the number of lookups served from the cache; a column chunk
+	// counts every row it serves.
 	Hits int64 `json:"hits"`
 	// Misses is the number of lookups that triggered a model call.
 	Misses int64 `json:"misses"`
@@ -58,12 +76,14 @@ type Stats struct {
 	// in-flight model call (single-flight deduplication) or a duplicate
 	// within one batch.
 	Merged int64 `json:"merged"`
-	// Evictions is the number of entries dropped: by the LRU policy under
-	// the byte budget, or because their owner retired them (Retire).
+	// Evictions is the number of entries (per-text or chunk) the LRU
+	// policy dropped under the byte budget. Entries a chunk adopts and
+	// chunks their owner drops are not evictions.
 	Evictions int64 `json:"evictions"`
 	// ModelCalls is the number of Model.Embed invocations the store made.
 	ModelCalls int64 `json:"model_calls"`
-	// Entries is the current number of cached embeddings.
+	// Entries is the current number of cached vectors: one per per-text
+	// entry, plus the rows each column chunk holds.
 	Entries int `json:"entries"`
 	// Bytes is the current resident size (vectors + keys + overhead).
 	Bytes int64 `json:"bytes"`
@@ -94,31 +114,68 @@ func Fingerprint(m model.Model) string {
 	return m.Name() + "/" + strconv.Itoa(m.Dim())
 }
 
-// entry is one cached embedding.
+// entry is one LRU element: a per-text embedding (key, vec), a per-text
+// reference to the chunk row that adopted it (key, at, row), or a column
+// chunk (c).
 type entry struct {
 	key string
 	vec []float32
-	// retired is set by Retire and cleared by any later use; the second
-	// Retire call after that evicts the entries still carrying it.
-	retired bool
+	at  *ChunkKey // shared by every reference into one chunk
+	row int32
+	c   *Chunk
+	// used is the store tick of the entry's last use. Each shard's list is
+	// ordered by it, so the store's least recently used entry is the
+	// oldest of the shard tails.
+	used uint64
 }
 
-// flight is one in-flight model call other lookups can merge into.
+// vectors is how many embeddings the entry holds.
+func (e *entry) vectors() int {
+	switch {
+	case e.c != nil:
+		return e.c.filled.Count()
+	case e.at != nil:
+		return 0
+	}
+	return 1
+}
+
+// fingerprint is the model the entry's vectors belong to.
+func (e *entry) fingerprint() string {
+	if e.c != nil {
+		return e.c.key.Fingerprint
+	}
+	fp, _ := splitKey(e.key)
+	return fp
+}
+
+// size is the entry's charge against the byte budget.
+func (e *entry) size() int64 {
+	if e.c != nil {
+		return int64(len(e.c.vecs.Data)*4+len(e.c.key.Fingerprint)+len(e.c.key.Column)) + entryOverhead
+	}
+	return int64(len(e.vec)*4+len(e.key)) + entryOverhead
+}
+
+// flight is one in-flight model call (or chunk build) other lookups can
+// merge into.
 type flight struct {
 	done chan struct{}
 	vec  []float32
 	err  error
 }
 
-// shard is one lock domain: a map + LRU list + its share of the byte
-// budget + the in-flight table for keys hashing here.
+// shard is one lock domain: the per-text and chunk maps, one LRU list
+// over both, and the in-flight tables for keys hashing here.
 type shard struct {
 	mu       sync.Mutex
 	entries  map[string]*list.Element
+	chunks   map[ChunkKey]*list.Element
 	lru      *list.List // front = most recently used
 	inflight map[string]*flight
+	building map[ChunkKey]*flight
 	bytes    int64
-	maxBytes int64 // 0 = unbounded
+	vectors  int
 }
 
 // Store is the shared embedding store. It is safe for concurrent use by
@@ -127,21 +184,21 @@ type Store struct {
 	cfg    Config
 	shards []*shard
 
-	// onInsert, when set, observes every model-computed entry the store
-	// caches (the durable layer's write-behind hook). Loaded atomically so
-	// SetOnInsert is safe while lookups run.
+	// onInsert, when set, observes every model-computed vector the store
+	// produces (the durable layer's write-behind hook). Loaded atomically
+	// so SetOnInsert is safe while lookups run.
 	onInsert atomic.Pointer[func(fp, input string, vec []float32)]
 
-	// countsMu guards counts, the per-fingerprint entry tally maintained
+	// countsMu guards counts, the per-fingerprint vector tally maintained
 	// at insert/evict time so ModelEntries is O(models), not a scan of
 	// every shard under its lock.
 	countsMu sync.Mutex
 	counts   map[string]int
 
-	// retireMu serializes Retire calls; retiring holds the keys the last
-	// two calls marked, older first. Each call sweeps the older set.
-	retireMu sync.Mutex
-	retiring [2][]string
+	// bytes is the resident size across shards; tick orders entry uses for
+	// the store-wide LRU.
+	bytes atomic.Int64
+	tick  atomic.Uint64
 
 	hits       atomic.Int64
 	misses     atomic.Int64
@@ -172,19 +229,13 @@ func New(cfg Config) *Store {
 		cfg.Threads = runtime.GOMAXPROCS(0)
 	}
 	s := &Store{cfg: cfg, shards: make([]*shard, n), counts: make(map[string]int)}
-	perShard := int64(0)
-	if cfg.MaxBytes > 0 {
-		perShard = cfg.MaxBytes / int64(n)
-		if perShard < 1 {
-			perShard = 1
-		}
-	}
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			entries:  make(map[string]*list.Element),
+			chunks:   make(map[ChunkKey]*list.Element),
 			lru:      list.New(),
 			inflight: make(map[string]*flight),
-			maxBytes: perShard,
+			building: make(map[ChunkKey]*flight),
 		}
 	}
 	return s
@@ -204,11 +255,12 @@ func splitKey(k string) (fp, input string) {
 }
 
 // SetOnInsert installs fn as the store's insert observer: it is invoked
-// once for every entry the store caches from a model call (not for
+// once for every vector the store computes with a model call, whether it
+// is cached per text or goes straight into a column chunk (not for
 // entries loaded via Put, so a startup loader does not re-persist what it
-// just read). fn runs outside shard locks but on the inserting
-// goroutine's path — it should hand off quickly (e.g. enqueue to a
-// write-behind channel). Pass nil to detach.
+// just read). fn runs outside shard locks but on the inserting goroutine's
+// path — it should hand off quickly (e.g. enqueue to a write-behind
+// channel). Pass nil to detach.
 func (s *Store) SetOnInsert(fn func(fp, input string, vec []float32)) {
 	if fn == nil {
 		s.onInsert.Store(nil)
@@ -257,15 +309,16 @@ func (s *Store) Stats() Stats {
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		st.Entries += len(sh.entries)
+		st.Entries += sh.vectors
 		st.Bytes += sh.bytes
 		sh.mu.Unlock()
 	}
 	return st
 }
 
-// Contains reports whether (m, input) is cached, without promoting the
-// entry or touching statistics — the optimizer's sampling probe.
+// Contains reports whether (m, input) is cached per text, without
+// promoting the entry or touching statistics — the optimizer's sampling
+// probe for inputs that have no column chunks.
 func (s *Store) Contains(m model.Model, input string) bool {
 	k := key(Fingerprint(m), input)
 	sh := s.shardFor(k)
@@ -275,12 +328,12 @@ func (s *Store) Contains(m model.Model, input string) bool {
 	return ok
 }
 
-// Len is the current number of cached embeddings.
+// Len is the current number of cached vectors (see Stats.Entries).
 func (s *Store) Len() int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		n += len(sh.entries)
+		n += sh.vectors
 		sh.mu.Unlock()
 	}
 	return n
@@ -291,9 +344,11 @@ func (s *Store) Len() int {
 func (s *Store) Reset() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
+		s.bytes.Add(-sh.bytes)
 		sh.entries = make(map[string]*list.Element)
+		sh.chunks = make(map[ChunkKey]*list.Element)
 		sh.lru.Init()
-		sh.bytes = 0
+		sh.bytes, sh.vectors = 0, 0
 		sh.mu.Unlock()
 	}
 	s.hits.Store(0)
@@ -316,10 +371,20 @@ func (s *Store) Get(ctx context.Context, m model.Model, input string) ([]float32
 	for {
 		sh.mu.Lock()
 		if el, ok := sh.entries[k]; ok {
-			out := cloneVec(sh.touch(el).vec)
+			e := sh.touch(el, s.tick.Add(1))
+			if e.at == nil {
+				out := cloneVec(e.vec)
+				sh.mu.Unlock()
+				s.hits.Add(1)
+				return out, nil
+			}
 			sh.mu.Unlock()
-			s.hits.Add(1)
-			return out, nil
+			out := make([]float32, m.Dim())
+			if s.resolve(sh, k, e, out) {
+				s.hits.Add(1)
+				return out, nil
+			}
+			continue // the chunk let the row go: look the text up afresh
 		}
 		if fl, ok := sh.inflight[k]; ok {
 			sh.mu.Unlock()
@@ -339,7 +404,7 @@ func (s *Store) Get(ctx context.Context, m model.Model, input string) ([]float32
 		s.misses.Add(1)
 
 		v, err := s.embedOne(ctx, m, input)
-		s.publish(sh, k, fl, v, err)
+		s.publish(sh, k, fl, v, err, true)
 		if err != nil {
 			return nil, err
 		}
@@ -366,13 +431,15 @@ func (s *Store) embedOne(ctx context.Context, m model.Model, input string) ([]fl
 	return v, nil
 }
 
-// publish resolves a flight: caches the result on success, wakes waiters
-// either way. Errors are not cached (the next lookup retries).
-func (s *Store) publish(sh *shard, k string, fl *flight, v []float32, err error) {
+// publish resolves a flight: caches the result on success when keep is
+// set, reports it to the insert observer, and wakes waiters either way.
+// Errors are not cached (the next lookup retries).
+func (s *Store) publish(sh *shard, k string, fl *flight, v []float32, err error, keep bool) {
+	var el *list.Element
 	sh.mu.Lock()
 	delete(sh.inflight, k)
-	if err == nil {
-		s.insertLocked(sh, k, v)
+	if err == nil && keep {
+		el = s.insertLocked(sh, k, v)
 	}
 	sh.mu.Unlock()
 	if err == nil {
@@ -380,6 +447,7 @@ func (s *Store) publish(sh *shard, k string, fl *flight, v []float32, err error)
 	}
 	fl.vec, fl.err = v, err
 	close(fl.done)
+	s.trim(el)
 }
 
 // Put inserts a pre-computed, unit-norm embedding for (fp, input) — the
@@ -392,23 +460,26 @@ func (s *Store) Put(fp, input string, v []float32) {
 	k := key(fp, input)
 	sh := s.shardFor(k)
 	sh.mu.Lock()
-	s.insertLocked(sh, k, cloneVec(v))
+	el := s.insertLocked(sh, k, cloneVec(v))
 	sh.mu.Unlock()
+	s.trim(el)
 }
 
-// Range calls fn for every cached entry until fn returns false. The
-// vector passed to fn is a fresh copy; iteration order is unspecified.
-// Each shard's snapshot is taken under its lock, but fn runs outside any
-// lock, so fn may call back into the store. Entries inserted or evicted
-// concurrently may or may not be observed — Range is a snapshot-ish
-// export iterator (the persister's compaction source and the /stats
-// per-model counter), not a consistency point.
+// Range calls fn for every per-text vector until fn returns false (the
+// vectors column chunks adopted are read with PeekChunk). The vector passed to fn is a fresh
+// copy; iteration order is unspecified. Each shard's snapshot is taken
+// under its lock, but fn runs outside any lock, so fn may call back into
+// the store. Entries inserted or evicted concurrently may or may not be
+// observed — Range is a snapshot-ish export iterator (the persister's
+// compaction source), not a consistency point.
 func (s *Store) Range(fn func(fp, input string, vec []float32) bool) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		snap := make([]*entry, 0, len(sh.entries))
 		for _, el := range sh.entries {
-			snap = append(snap, el.Value.(*entry))
+			if e := el.Value.(*entry); e.at == nil {
+				snap = append(snap, e)
+			}
 		}
 		sh.mu.Unlock()
 		for _, e := range snap {
@@ -420,10 +491,9 @@ func (s *Store) Range(fn func(fp, input string, vec []float32) bool) {
 	}
 }
 
-// ModelEntries counts cached entries per model fingerprint — the /stats
-// surface PR 1 could not report because the store had no export
-// iterator. Served from counters maintained at insert/evict time, so
-// stats scrapers never walk the cache under shard locks.
+// ModelEntries counts cached vectors per model fingerprint (see
+// Stats.Entries), served from counters maintained at insert/evict time,
+// so stats scrapers never walk the cache under shard locks.
 func (s *Store) ModelEntries() map[string]int {
 	s.countsMu.Lock()
 	defer s.countsMu.Unlock()
@@ -434,100 +504,119 @@ func (s *Store) ModelEntries() map[string]int {
 	return out
 }
 
-// countEntry adjusts the per-fingerprint tally for key k by delta,
-// dropping zeroed fingerprints so evicted models disappear from stats.
-func (s *Store) countEntry(k string, delta int) {
-	fp, _ := splitKey(k)
+// insertLocked caches a per-text entry, returning its element (nil when
+// the key was already cached: a rare batch/single race, and the existing
+// entry wins). The caller holds sh.mu and calls trim with the element
+// after releasing it.
+func (s *Store) insertLocked(sh *shard, k string, v []float32) *list.Element {
+	if el, ok := sh.entries[k]; ok {
+		sh.touch(el, s.tick.Add(1))
+		return nil
+	}
+	el := s.pushLocked(sh, &entry{key: k, vec: v})
+	sh.entries[k] = el
+	return el
+}
+
+// pushLocked makes e the shard's most recently used entry and charges it
+// to the budget; chunk entries are also indexed here. The caller holds
+// sh.mu.
+func (s *Store) pushLocked(sh *shard, e *entry) *list.Element {
+	e.used = s.tick.Add(1)
+	el := sh.lru.PushFront(e)
+	if e.c != nil {
+		sh.chunks[e.c.key] = el
+	}
+	s.account(sh, e, 1)
+	return el
+}
+
+// account adds (sign 1) or removes (sign -1) e's bytes and vectors.
+func (s *Store) account(sh *shard, e *entry, sign int) {
+	b, n := e.size()*int64(sign), e.vectors()*sign
+	sh.bytes += b
+	sh.vectors += n
+	s.bytes.Add(b)
+	fp := e.fingerprint()
 	s.countsMu.Lock()
-	s.counts[fp] += delta
+	s.counts[fp] += n
 	if s.counts[fp] <= 0 {
-		delete(s.counts, fp)
+		delete(s.counts, fp) // evicted models disappear from stats
 	}
 	s.countsMu.Unlock()
 }
 
-// insertLocked adds an entry and evicts LRU tails past the shard budget.
-// The caller holds sh.mu. The newly inserted entry itself is never
-// evicted, so a single oversized embedding still caches.
-func (s *Store) insertLocked(sh *shard, k string, v []float32) {
-	if el, ok := sh.entries[k]; ok {
-		// Lost a rare batch/single race; keep the existing entry.
-		sh.touch(el)
-		return
-	}
-	el := sh.lru.PushFront(&entry{key: k, vec: v})
-	sh.entries[k] = el
-	sh.bytes += entryBytes(k, v)
-	s.countEntry(k, 1)
-	if sh.maxBytes <= 0 {
-		return
-	}
-	for sh.bytes > sh.maxBytes && sh.lru.Len() > 1 {
-		tail := sh.lru.Back()
-		if tail == nil || tail == el {
-			break
-		}
-		s.evictLocked(sh, tail)
-	}
-}
-
-// touch records a use of el: most recently used, and no longer retired.
-func (sh *shard) touch(el *list.Element) *entry {
+// touch records a use of el at tick now.
+func (sh *shard) touch(el *list.Element, now uint64) *entry {
 	sh.lru.MoveToFront(el)
 	e := el.Value.(*entry)
-	e.retired = false
+	e.used = now
 	return e
 }
 
-func (s *Store) evictLocked(sh *shard, el *list.Element) {
-	ev := el.Value.(*entry)
+// resolve copies the vector a chunk adopted from the per-text entry e
+// (key k in sh) into dst. When the chunk no longer holds that row (it was
+// evicted, dropped, or shed the row) the reference is removed and resolve
+// reports false. The caller holds no lock.
+func (s *Store) resolve(sh *shard, k string, e *entry, dst []float32) bool {
+	csh := s.chunkShard(*e.at)
+	csh.mu.Lock()
+	ok := false
+	if el, found := csh.chunks[*e.at]; found {
+		if c := el.Value.(*entry).c; c.filled.Has(int(e.row)) {
+			copy(dst, c.Row(int(e.row)))
+			ok = true
+		}
+	}
+	csh.mu.Unlock()
+	if !ok {
+		sh.mu.Lock()
+		if el, found := sh.entries[k]; found && el.Value.(*entry) == e {
+			s.dropLocked(sh, el)
+		}
+		sh.mu.Unlock()
+	}
+	return ok
+}
+
+// dropLocked removes el from its shard without counting an eviction.
+func (s *Store) dropLocked(sh *shard, el *list.Element) {
+	e := el.Value.(*entry)
 	sh.lru.Remove(el)
-	delete(sh.entries, ev.key)
-	sh.bytes -= entryBytes(ev.key, ev.vec)
-	s.countEntry(ev.key, -1)
-	s.evictions.Add(1)
+	if e.c != nil {
+		delete(sh.chunks, e.c.key)
+	} else {
+		delete(sh.entries, e.key)
+	}
+	s.account(sh, e, -1)
 }
 
-// Retire tells the store that nothing its caller owns references inputs
-// under fingerprint fp any more — the rows holding them were deleted or
-// overwritten. Their entries are marked now and evicted two Retire calls
-// later if still marked. Any use in between clears the mark, so a text
-// that also lives in another row, table or engine sharing the store
-// survives as long as a query touches it within two mutations; at worst
-// (a run of mutations with no query among them) such a text costs one
-// model call to bring back.
-//
-// Without this, a table under upsert/delete churn grows the store by
-// every text it ever held: dead entries are cold, but a byte budget sized
-// for the working set is never reached by them alone.
-func (s *Store) Retire(fp string, inputs []string) {
-	keys := make([]string, len(inputs))
-	for i, in := range inputs {
-		keys[i] = key(fp, in)
-	}
-	s.retireMu.Lock()
-	defer s.retireMu.Unlock()
-	for _, k := range s.retiring[0] {
-		sh := s.shardFor(k)
-		sh.mu.Lock()
-		if el, ok := sh.entries[k]; ok && el.Value.(*entry).retired {
-			s.evictLocked(sh, el)
+// trim evicts least recently used entries store-wide until resident bytes
+// fit the budget. It never evicts keep (the entry just inserted, so one
+// oversized entry still caches); a nil keep is a no-op, since nothing was
+// added. The store's least recently used entry is the oldest of the shard
+// tails; under concurrent use the choice is approximate.
+func (s *Store) trim(keep *list.Element) {
+	for keep != nil && s.cfg.MaxBytes > 0 && s.bytes.Load() > s.cfg.MaxBytes {
+		var victim *shard
+		oldest := uint64(math.MaxUint64)
+		for _, sh := range s.shards {
+			sh.mu.Lock()
+			if el := sh.lru.Back(); el != nil && el != keep && el.Value.(*entry).used < oldest {
+				victim, oldest = sh, el.Value.(*entry).used
+			}
+			sh.mu.Unlock()
 		}
-		sh.mu.Unlock()
-	}
-	for _, k := range keys {
-		sh := s.shardFor(k)
-		sh.mu.Lock()
-		if el, ok := sh.entries[k]; ok {
-			el.Value.(*entry).retired = true
+		if victim == nil {
+			return
 		}
-		sh.mu.Unlock()
+		victim.mu.Lock()
+		if el := victim.lru.Back(); el != nil && el != keep {
+			s.dropLocked(victim, el)
+			s.evictions.Add(1)
+		}
+		victim.mu.Unlock()
 	}
-	s.retiring[0], s.retiring[1] = s.retiring[1], keys
-}
-
-func entryBytes(k string, v []float32) int64 {
-	return int64(len(v)*4+len(k)) + entryOverhead
 }
 
 func cloneVec(v []float32) []float32 {

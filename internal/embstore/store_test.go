@@ -693,49 +693,162 @@ func TestOnInsertHookObservesModelComputedEntries(t *testing.T) {
 	}
 }
 
-// TestRetire: a retired entry is evicted two Retire calls later unless
-// something used it in between; byte and entry accounting follow.
-func TestRetire(t *testing.T) {
-	m := testModel(t, 16)
+// TestChunkAdoptsEntries: a chunk built over cached texts takes their
+// vectors, and their entries become references to the chunk rows (not
+// evictions); a miss is embedded once, reported to the insert observer,
+// and held only in the chunk. Lookups by text still find every vector.
+// Vectors are bit-identical to the model's, and a covering chunk is a hit
+// per needed row.
+func TestChunkAdoptsEntries(t *testing.T) {
+	m := model.NewCountingModel(testModel(t, 16))
 	s := New(Config{})
 	ctx := context.Background()
-	fp := Fingerprint(m)
-	for _, in := range []string{"gone", "shared", "kept"} {
-		if _, err := s.Get(ctx, m, in); err != nil {
+	texts := []string{"cached", "fresh", "cached", "dead"}
+	if _, err := s.Get(ctx, m, "cached"); err != nil {
+		t.Fatal(err)
+	}
+	var observed []string
+	s.SetOnInsert(func(fp, input string, vec []float32) { observed = append(observed, input) })
+	key := ChunkKey{Fingerprint: Fingerprint(m), Incarnation: 7, Column: "name"}
+	need := PrefixMask(3) // row 3 is dead in the caller's version
+	vecs, bs, err := s.Chunk(ctx, m, key, texts, need, need, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bs.Hits != 2 || bs.Misses != 1 || bs.ModelCalls != 1 || m.Calls() != 2 {
+		t.Fatalf("build stats %+v, model calls %d", bs, m.Calls())
+	}
+	if len(observed) != 1 || observed[0] != "fresh" {
+		t.Errorf("insert observer saw %v, want [fresh]", observed)
+	}
+	for i := 0; i < 3; i++ {
+		if !vecsEqual(vecs.Row(i), normalized(t, m.Inner, texts[i])) {
+			t.Fatalf("chunk row %d differs from the model's vector", i)
+		}
+	}
+	if st := s.Stats(); st.Entries != 3 || st.Evictions != 0 {
+		t.Errorf("after adoption: %+v; want the chunk's 3 vectors only", st)
+	}
+	if v, err := s.Get(ctx, m, "fresh"); err != nil || m.Calls() != 2 || !vecsEqual(v, vecs.Row(1)) {
+		t.Fatalf("lookup of an adopted text: %v, model calls %d", err, m.Calls())
+	}
+	if got := s.ModelEntries()[key.Fingerprint]; got != 3 {
+		t.Errorf("ModelEntries = %d, want 3", got)
+	}
+	again, bs, err := s.Chunk(ctx, m, key, texts[:2], PrefixMask(2), PrefixMask(2), BatchOptions{})
+	if err != nil || again != vecs || bs.Hits != 2 || bs.ModelCalls != 0 {
+		t.Fatalf("covering read: stats %+v, same chunk %v, %v", bs, again == vecs, err)
+	}
+	if n := s.Resident(key, len(texts), nil); n != 3 {
+		t.Errorf("Resident = %d, want 3", n)
+	}
+	s.DropChunk(key, texts)
+	if st := s.Stats(); st.Entries != 0 || st.Evictions != 0 {
+		t.Errorf("after DropChunk: %+v", st)
+	}
+	// The references outlive the chunk only until used: a dropped row's
+	// text is a miss again.
+	if _, err := s.Get(ctx, m, "cached"); err != nil || m.Calls() != 3 {
+		t.Fatalf("lookup after DropChunk: %v, model calls %d", err, m.Calls())
+	}
+}
+
+// TestChunkGrowsAndSheds: a tail chunk read by a newer version (more rows)
+// grows copy-on-write; readers of the older version keep their view, and
+// rows the newer version no longer sees are shed from the copy.
+func TestChunkGrowsAndSheds(t *testing.T) {
+	m := model.NewCountingModel(testModel(t, 16))
+	s := New(Config{})
+	ctx := context.Background()
+	key := ChunkKey{Fingerprint: Fingerprint(m), Incarnation: 1, Column: "c"}
+	texts := []string{"a", "b", "c", "d", "e"}
+	old, _, err := s.Chunk(ctx, m, key, texts[:3], PrefixMask(3), PrefixMask(3), BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := PrefixMask(5)
+	live[0] &^= 1 << 1 // row 1 deleted since
+	need := live
+	grown, bs, err := s.Chunk(ctx, m, key, texts, need, live, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bs.Hits != 2 || bs.ModelCalls != 2 || m.Calls() != 5 {
+		t.Fatalf("growth stats %+v, model calls %d", bs, m.Calls())
+	}
+	if h := old.Holds(); h.Count() != 3 || !vecsEqual(old.Row(1), normalized(t, m.Inner, "b")) {
+		t.Fatal("growing the chunk changed the older reader's view")
+	}
+	for _, i := range []int{0, 2, 3, 4} {
+		if !vecsEqual(grown.Row(i), normalized(t, m.Inner, texts[i])) {
+			t.Fatalf("grown row %d wrong", i)
+		}
+	}
+	if got := s.Len(); got != 4 {
+		t.Errorf("grown chunk holds %d vectors, want 4 (deleted row shed)", got)
+	}
+	// A reader still pinned to the version where row 1 was live rebuilds it.
+	if _, bs, err := s.Chunk(ctx, m, key, texts[:3], PrefixMask(3), PrefixMask(3), BatchOptions{}); err != nil || bs.ModelCalls != 1 {
+		t.Fatalf("old-version reread: %+v, %v", bs, err)
+	}
+	// Shed keeps a chunk whole while most of it is live, and packs it down
+	// to the live rows once they are the minority.
+	live = PrefixMask(5)
+	live[0] &^= 1<<1 | 1<<2
+	s.Shed(key, live, texts)
+	if got := s.Len(); got != 5 {
+		t.Fatalf("Shed with 3 of 5 rows live left %d vectors, want 5", got)
+	}
+	live[0] &^= 1 << 3
+	s.Shed(key, live, texts)
+	c, ok := s.PeekChunk(key)
+	if h := c.Holds(); !ok || h.Count() != 2 || !vecsEqual(c.Row(4), normalized(t, m.Inner, "e")) || s.Len() != 2 {
+		t.Fatalf("Shed with 2 of 5 rows live: resident %v, %d vectors", ok, s.Len())
+	}
+}
+
+// TestChunkBudgetIsStoreWide: one byte budget covers chunks and per-text
+// entries across every shard, and eviction is least recently used over
+// all of them — a chunk larger than one shard's share still caches.
+func TestChunkBudgetIsStoreWide(t *testing.T) {
+	m := testModel(t, 64)
+	ctx := context.Background()
+	texts := make([]string, ChunkRows)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("row %d", i)
+	}
+	all := PrefixMask(ChunkRows)
+	chunkBytes := int64(ChunkRows*64*4+len(Fingerprint(m))+len("c")) + entryOverhead
+	var refBytes int64 // the per-text references a chunk's adoption leaves
+	for _, text := range texts {
+		refBytes += int64(len(key(Fingerprint(m), text))) + entryOverhead
+	}
+	budget := 2 * (chunkBytes + refBytes)
+	s := New(Config{Shards: 32, MaxBytes: budget})
+	ck := func(i int) ChunkKey {
+		return ChunkKey{Fingerprint: Fingerprint(m), Incarnation: 3, Column: "c", Index: i}
+	}
+	for i := 0; i < 3; i++ {
+		if i == 2 {
+			// Touch chunk 0 so chunk 1 is the least recently used.
+			if _, bs, err := s.Chunk(ctx, m, ck(0), texts, all, all, BatchOptions{}); err != nil || bs.ModelCalls != 0 {
+				t.Fatalf("re-read of chunk 0: %+v, %v", bs, err)
+			}
+		}
+		if _, _, err := s.Chunk(ctx, m, ck(i), texts, all, all, BatchOptions{}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	full := s.Stats()
-
-	s.Retire(fp, []string{"gone", "shared", "never-cached"})
-	s.Retire(fp, nil)
-	if got := s.Len(); got != 3 {
-		t.Fatalf("Retire evicted within the grace period: %d entries left, want 3", got)
-	}
-	// Another owner of "shared" reads it during the grace period.
-	if _, err := s.Get(ctx, m, "shared"); err != nil {
-		t.Fatal(err)
-	}
-	s.Retire(fp, nil)
-
-	for in, want := range map[string]bool{"gone": false, "shared": true, "kept": true} {
-		if got := s.Contains(m, in); got != want {
-			t.Errorf("Contains(%q) = %v, want %v", in, got, want)
+		if st := s.Stats(); st.Bytes > budget {
+			t.Fatalf("chunk %d: resident %d bytes over the %d budget", i, st.Bytes, budget)
 		}
 	}
-	st := s.Stats()
-	if st.Entries != 2 || st.Evictions != 1 || st.Bytes >= full.Bytes {
-		t.Errorf("after retiring one entry: %+v (before: %+v)", st, full)
+	for i, want := range []bool{true, false, true} {
+		if _, ok := s.PeekChunk(ck(i)); ok != want {
+			t.Errorf("chunk %d resident = %v, want %v", i, ok, want)
+		}
 	}
-	if got := s.ModelEntries()[fp]; got != 2 {
-		t.Errorf("ModelEntries = %d, want 2", got)
-	}
-	// The evicted text comes back with one model call, like any miss.
-	if _, err := s.Get(ctx, m, "gone"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().ModelCalls; got != full.ModelCalls+1 {
-		t.Errorf("model calls = %d, want %d", got, full.ModelCalls+1)
+	if ev := s.Stats().Evictions; ev == 0 {
+		t.Error("no evictions over a two-chunk budget")
 	}
 }
 

@@ -1,0 +1,163 @@
+package exec
+
+import (
+	"context"
+	"sync"
+	"time"
+
+	"ejoin/internal/embstore"
+	"ejoin/internal/mat"
+	"ejoin/internal/model"
+	"ejoin/internal/relational"
+)
+
+// EmbeddedColumn names a text column whose embeddings a Scan projects from
+// the store's resident column chunks (embstore.Store.Chunk) instead of
+// running E_µ per block. The scanned table must carry an incarnation
+// (relational.Table.Incarnation): the chunks are keyed by it.
+type EmbeddedColumn struct {
+	Store  *embstore.Store
+	Model  model.Model
+	Column string
+	// Threads caps embedding parallelism when a chunk must be built.
+	Threads int
+}
+
+// columnReader is one scan's view of an embedded column: the chunks it
+// has fetched (held for the scan's lifetime), its E_µ accounting, and the
+// buffer a block spanning chunks is gathered into. A chunk is asked for
+// the rows of the block at hand only, so a stream that stops early (a
+// LIMIT) never embeds the rows it did not reach.
+type columnReader struct {
+	col     *EmbeddedColumn
+	texts   relational.StringColumn
+	key     embstore.ChunkKey
+	visible relational.Selection // nil: every physical row is live
+	nrows   int
+	chunks  []fetched
+	buf     []float32
+	st      OpStats
+	batch   embstore.BatchStats
+}
+
+// fetched is a chunk as last returned by the store and the rows of it this
+// scan has asked for.
+type fetched struct {
+	chunk *embstore.Chunk
+	have  embstore.RowMask
+}
+
+func newColumnReader(c *EmbeddedColumn, t *relational.Table, visible relational.Selection) (*columnReader, error) {
+	texts, err := t.Strings(c.Column)
+	if err != nil {
+		return nil, err
+	}
+	return &columnReader{
+		col:     c,
+		texts:   texts,
+		key:     embstore.ChunkKey{Fingerprint: embstore.Fingerprint(c.Model), Incarnation: t.Incarnation(), Column: c.Column},
+		visible: visible,
+		nrows:   t.NumRows(),
+		st:      OpStats{Name: "embed"},
+	}, nil
+}
+
+// project returns the embeddings of one block's rows (ascending): a
+// read-only view of a chunk when the rows are contiguous inside it, else a
+// gather into the reader's buffer, which the next block reuses.
+func (c *columnReader) project(ctx context.Context, rows []int) (*mat.Matrix, error) {
+	start := time.Now()
+	defer func() {
+		c.st.RowsIn += int64(len(rows))
+		c.st.RowsOut += int64(len(rows))
+		c.st.Batches++
+		c.st.Elapsed += time.Since(start)
+	}()
+	var out *mat.Matrix
+	for lo := 0; lo < len(rows); {
+		ci := rows[lo] / embstore.ChunkRows
+		base := ci * embstore.ChunkRows
+		var need embstore.RowMask
+		hi := lo
+		for ; hi < len(rows) && rows[hi] < base+embstore.ChunkRows; hi++ {
+			need.Set(rows[hi] - base)
+		}
+		ch, err := c.chunk(ctx, ci, need)
+		if err != nil {
+			return nil, err
+		}
+		if lo == 0 && hi == len(rows) && rows[hi-1]-rows[0] == hi-1 {
+			return ch.View(rows[0]-base, rows[hi-1]-base+1), nil
+		}
+		if out == nil {
+			dim := c.col.Model.Dim()
+			out = &mat.Matrix{RowsN: len(rows), ColsN: dim, Data: c.buffer(len(rows) * dim)}
+		}
+		for i := lo; i < hi; i++ {
+			copy(out.Row(i), ch.Row(rows[i]-base))
+		}
+		lo = hi
+	}
+	return out, nil
+}
+
+// chunk returns chunk ci holding at least the rows in need.
+func (c *columnReader) chunk(ctx context.Context, ci int, need embstore.RowMask) (*embstore.Chunk, error) {
+	if c.chunks == nil {
+		c.chunks = make([]fetched, (c.nrows+embstore.ChunkRows-1)/embstore.ChunkRows)
+	}
+	f := &c.chunks[ci]
+	if f.chunk != nil && f.have.Covers(&need) {
+		return f.chunk, nil
+	}
+	lo := ci * embstore.ChunkRows
+	hi := min(lo+embstore.ChunkRows, c.nrows)
+	live := embstore.PrefixMask(hi - lo)
+	if c.visible != nil {
+		live = embstore.SelectionMask(c.visible, ci)
+	}
+	key := c.key
+	key.Index = ci
+	ch, bs, err := c.col.Store.Chunk(ctx, c.col.Model, key, c.texts[lo:hi], need, live,
+		embstore.BatchOptions{Threads: c.col.Threads})
+	c.batch.Hits += bs.Hits
+	c.batch.Misses += bs.Misses
+	c.batch.Merged += bs.Merged
+	c.batch.ModelCalls += bs.ModelCalls
+	if err != nil {
+		return nil, err
+	}
+	if ch != f.chunk {
+		f.have = embstore.RowMask{}
+	}
+	for w := range need {
+		f.have[w] |= need[w]
+	}
+	f.chunk = ch
+	return ch, nil
+}
+
+// gatherBufs recycles gather buffers across scans: a scan takes one for
+// its first block that spans chunks and hands it back with Release.
+var gatherBufs sync.Pool // of *[]float32
+
+// buffer is the reader's gather buffer, at least n long.
+func (c *columnReader) buffer(n int) []float32 {
+	if cap(c.buf) < n {
+		if p, ok := gatherBufs.Get().(*[]float32); ok && cap(*p) >= n {
+			c.buf = *p
+		} else {
+			c.buf = make([]float32, n)
+		}
+	}
+	return c.buf[:n]
+}
+
+// release hands the gather buffer back for later scans.
+func (c *columnReader) release() {
+	if c.buf != nil {
+		b := c.buf[:0]
+		gatherBufs.Put(&b)
+		c.buf = nil
+	}
+}

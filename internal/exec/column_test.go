@@ -1,0 +1,151 @@
+package exec
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"ejoin/internal/embstore"
+	"ejoin/internal/mat"
+	"ejoin/internal/model"
+	"ejoin/internal/relational"
+)
+
+// FuzzColumnBlocksMatchEmbedAll: every block a Scan projects from an
+// embedded column — a view of one chunk or a gather across chunks, over
+// tombstones and predicates, at any block size, after earlier scans left
+// chunks partly filled — is bit-identical to EmbedAll over the same texts.
+func FuzzColumnBlocksMatchEmbedAll(f *testing.F) {
+	f.Add(int64(1), uint16(300), uint16(16), uint8(30), uint8(50), uint16(7))
+	f.Add(int64(2), uint16(513), uint16(256), uint8(0), uint8(100), uint16(4096))
+	f.Add(int64(3), uint16(1), uint16(1), uint8(90), uint8(10), uint16(1))
+	f.Fuzz(func(t *testing.T, seed int64, n, block uint16, deadPct, attrLT uint8, warmBlock uint16) {
+		rows := int(n % 700)
+		rng := rand.New(rand.NewSource(seed))
+		words := make(relational.StringColumn, rows)
+		attrs := make(relational.Int64Column, rows)
+		for i := range words {
+			words[i] = fmt.Sprintf("w%d", rng.Intn(rows/2+1)) // duplicates, within and across chunks
+			attrs[i] = int64(rng.Intn(100))
+		}
+		tbl, err := relational.NewTable(
+			relational.Schema{{Name: "word", Type: relational.String}, {Name: "attr", Type: relational.Int64}},
+			[]relational.Column{words, attrs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl = tbl.WithIncarnation(uint64(seed) | 1)
+		var visible relational.Selection
+		if deadPct > 0 {
+			visible = relational.Selection{}
+			for i := 0; i < rows; i++ {
+				if rng.Intn(100) >= int(deadPct%100) {
+					visible = append(visible, i)
+				}
+			}
+		}
+		m, err := model.NewHashEmbedder(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := embstore.New(embstore.Config{}).EmbedAll(context.Background(), m, words, embstore.BatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := embstore.New(embstore.Config{})
+		col := &EmbeddedColumn{Store: store, Model: m, Column: "word", Threads: 1}
+		pred := []relational.Pred{{Column: "attr", Op: relational.LT, Value: int64(attrLT)}}
+		// A first scan with another block size and the opposite predicate
+		// leaves some chunks holding only some rows.
+		warm := &Scan{Table: tbl, Visible: visible, Embedded: col, BlockRows: int(warmBlock%600) + 1,
+			Preds: []relational.Pred{{Column: "attr", Op: relational.GE, Value: int64(attrLT)}}}
+		scanBlocks(t, warm, want)
+		scanBlocks(t, &Scan{Table: tbl, Visible: visible, Preds: pred, Embedded: col, BlockRows: int(block%600) + 1}, want)
+		scanBlocks(t, &Scan{Table: tbl, Visible: visible, Embedded: col, BlockRows: int(block%600) + 1}, want)
+	})
+}
+
+// scanBlocks drains s and checks every block's embeddings against want,
+// row for row and bit for bit.
+func scanBlocks(t *testing.T, s *Scan, want *mat.Matrix) {
+	t.Helper()
+	ctx := context.Background()
+	if err := s.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for {
+		b, err := s.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		if b.Emb == nil || b.Emb.Rows() != b.Len() {
+			t.Fatalf("block of %d rows carries %v embeddings", b.Len(), b.Emb)
+		}
+		for i, r := range b.Rows {
+			got, exp := b.Emb.Row(i), want.Row(r)
+			for k := range exp {
+				if got[k] != exp[k] {
+					t.Fatalf("row %d (block position %d): %v, want %v", r, i, got, exp)
+				}
+			}
+		}
+		seen += b.Len()
+	}
+	if seen != len(s.Rows()) {
+		t.Fatalf("scanned %d rows, selection has %d", seen, len(s.Rows()))
+	}
+	if st := s.EmbedStats(); st.Name != "embed" || st.RowsOut != int64(seen) {
+		t.Errorf("embed stats %+v after %d rows", st, seen)
+	}
+}
+
+// TestScanEmbeddedViews: a block whose rows are contiguous inside one
+// chunk is a view of the resident chunk, not a copy, and a warm scan makes
+// no model call.
+func TestScanEmbeddedViews(t *testing.T) {
+	n := embstore.ChunkRows + 10
+	words := make(relational.StringColumn, n)
+	for i := range words {
+		words[i] = fmt.Sprintf("row %d", i)
+	}
+	tbl, err := relational.NewTable(relational.Schema{{Name: "word", Type: relational.String}}, []relational.Column{words})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl = tbl.WithIncarnation(9)
+	base, err := model.NewHashEmbedder(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := model.NewCountingModel(base)
+	col := &EmbeddedColumn{Store: embstore.New(embstore.Config{}), Model: m, Column: "word"}
+	ctx := context.Background()
+	var views [2][2]*float32 // per pass, the first element of each block
+	for pass := range views {
+		s := &Scan{Table: tbl, Embedded: col, BlockRows: embstore.ChunkRows}
+		if err := s.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for i := range views[pass] { // rows [0, ChunkRows), then the second chunk's 10
+			b, err := s.Next(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			views[pass][i] = &b.Emb.Data[0]
+		}
+		if st := s.BatchStats(); pass == 1 && (st.ModelCalls != 0 || st.Hits != int64(n)) {
+			t.Errorf("warm scan: %+v", st)
+		}
+	}
+	if views[0] != views[1] {
+		t.Error("two scans of resident chunks got different storage: blocks were copied")
+	}
+	if m.Calls() != int64(n) {
+		t.Errorf("model calls = %d, want one per row (%d)", m.Calls(), n)
+	}
+}

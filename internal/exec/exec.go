@@ -10,16 +10,17 @@
 // lowers both join inputs onto the same source operators; the build side
 // is the input drained as one block.
 //
-// Operators compose bottom-up: Scan (predicate + projection pushdown) →
-// Embed (chunked through embstore) → optional SemFilter (fused: the same
-// block embeddings feed both the filter and the probe, and dropped rows
-// are never probed) → one probe operator (ThresholdProbe, TopKProbe,
-// IndexProbe or NaiveProbe; build side resident) → optional Limit. Probe
-// kernels sort their matches by (probe, build) offset and blocks arrive in
-// ascending probe order, so a pipeline's output does not depend on its
-// block size. Each operator tracks
-// its own OpStats (rows in/out, batches, early-out counts, self time) for
-// EXPLAIN ANALYZE and the /metrics exposition.
+// Operators compose bottom-up: Scan (predicate + projection pushdown; it
+// projects the join column's embeddings itself when a stored vector
+// column or a table's resident embedded column backs it) → Embed (E_µ
+// through embstore, for inputs with no such column) → optional RowFilter
+// (a predicate left above E_µ) → one probe operator (ThresholdProbe,
+// TopKProbe, IndexProbe or NaiveProbe; build side resident) → optional
+// Limit. Probe kernels sort their matches by (probe, build) offset and
+// blocks arrive in ascending probe order, so a pipeline's output does not
+// depend on its block size. Each operator tracks its own OpStats (rows
+// in/out, batches, early-out counts, self time) for EXPLAIN ANALYZE and
+// the /metrics exposition.
 package exec
 
 import (
@@ -37,18 +38,20 @@ import (
 const DefaultBlockSize = 4096
 
 // Batch is one block of rows flowing through a pipeline. Source-side
-// operators (Scan, Embed, SemFilter) populate Rows/Emb/Sims; probe and
-// limit operators emit Matches. A batch is owned by its consumer: an
-// operator may compact or mutate a batch it received before passing it on.
+// operators (Scan, Embed, RowFilter) populate Rows/Emb; probe and limit
+// operators emit Matches. A batch's Rows and Matches are owned by its
+// consumer, which may compact or rewrite them before passing it on. Emb
+// is read-only and valid only until the consumer pulls the next batch: it
+// may be a view of a resident column chunk (a block whose rows are
+// contiguous inside one chunk) or a buffer its producer reuses for the
+// next block. An operator that needs different embeddings writes its own
+// matrix; one that keeps them past the next pull copies them.
 type Batch struct {
 	// Rows are global row ids into the probe-side base table, ascending.
 	Rows []int
 	// Emb holds one unit-norm embedding row per entry of Rows (set by
-	// Embed, or by Scan when projecting a vector column).
+	// Embed, or by Scan when projecting a vector or embedded column).
 	Emb *mat.Matrix
-	// Sims are per-row similarities against a semantic filter's query
-	// vector (set by SemFilter).
-	Sims []float32
 	// Matches are join outputs with global row ids on both sides.
 	Matches []core.Match
 }
@@ -61,7 +64,7 @@ func (b *Batch) Len() int { return len(b.Rows) }
 // operator's Next, excluding time spent pulling its input).
 type OpStats struct {
 	// Name identifies the operator in metrics and EXPLAIN ANALYZE
-	// ("scan", "filter", "embed", "semfilter", "probe:nlj", "probe:tensor",
+	// ("scan", "filter", "embed", "probe:nlj", "probe:tensor",
 	// "probe:topk", "probe:index", "probe:naive", "limit").
 	Name string
 	// RowsIn/RowsOut count source rows (or matches, for match-valued
@@ -71,8 +74,8 @@ type OpStats struct {
 	// Batches is the number of non-empty batches emitted.
 	Batches int64
 	// EarlyOutRows counts rows (or matches) the operator dropped or never
-	// produced because of early termination: semantic-filter rejections,
-	// residual-threshold drops in top-k, matches discarded by LIMIT.
+	// produced because of early termination: residual-threshold drops in
+	// top-k, matches discarded by LIMIT.
 	EarlyOutRows int64
 	// Elapsed is cumulative self time.
 	Elapsed time.Duration

@@ -175,56 +175,6 @@ func embBatch(rows []int, vecs [][]float32) *Batch {
 	return &Batch{Rows: rows, Emb: m}
 }
 
-func TestSemFilterFusion(t *testing.T) {
-	// Query [1,0]; rows 0 and 2 align with it, row 1 is orthogonal, row 3
-	// is at cos 0.6. Threshold 0.5 keeps 0, 2, 3.
-	src := &vecSource{batches: []*Batch{
-		embBatch([]int{0, 1, 2, 3}, [][]float32{{1, 0}, {0, 1}, {1, 0}, {0.6, 0.8}}),
-		embBatch([]int{4, 5}, [][]float32{{0, 1}, {0, -1}}), // fully rejected block
-	}}
-	f := &SemFilter{Input: src, Query: []float32{1, 0}, Threshold: 0.5, Kernel: vec.KernelScalar}
-	// The probe consumes the filter's survivors directly: the same block
-	// embeddings feed both, so rejected rows are never probed.
-	build := mat.New(1, 2)
-	copy(build.Row(0), []float32{1, 0})
-	p := &ThresholdProbe{Input: f, Threshold: 0.9, Opts: core.Options{Kernel: vec.KernelScalar, Threads: 1}}
-	p.Build, p.BuildRows = build, []int{7}
-
-	ctx := context.Background()
-	if err := p.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	var matches []core.Match
-	for {
-		b, err := p.Next(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-		matches = append(matches, b.Matches...)
-	}
-	fs := f.Stats()
-	if fs.RowsIn != 6 || fs.RowsOut != 3 || fs.EarlyOutRows != 3 {
-		t.Errorf("semfilter stats = %+v, want 6 in / 3 out / 3 early-out", fs)
-	}
-	// Fusion contract: the probe saw exactly the filter's survivors.
-	if ps := p.Stats(); ps.RowsIn != fs.RowsOut {
-		t.Errorf("probe saw %d rows, filter emitted %d — rejected rows reached the probe", ps.RowsIn, fs.RowsOut)
-	}
-	// Rows 0 and 2 match the build vector at sim 1; row 3 is below 0.9.
-	want := []core.Match{{Left: 0, Right: 7, Sim: 1}, {Left: 2, Right: 7, Sim: 1}}
-	if len(matches) != len(want) {
-		t.Fatalf("matches = %v, want %v", matches, want)
-	}
-	for i := range want {
-		if matches[i].Left != want[i].Left || matches[i].Right != want[i].Right {
-			t.Fatalf("matches = %v, want %v", matches, want)
-		}
-	}
-}
-
 // matchSource emits batches of pre-made matches, counting pulls, so a
 // LIMIT's short-circuit (not pulling upstream once satisfied) is provable.
 type matchSource struct {

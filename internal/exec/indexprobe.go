@@ -59,7 +59,7 @@ func (p *IndexProbe) Next(ctx context.Context) (*Batch, error) {
 		matches[i] = core.Match{Left: b.Rows[m.Left], Right: right, Sim: m.Sim}
 	}
 	b.Matches = matches
-	b.Emb, b.Sims = nil, nil
+	b.Emb = nil
 	p.st.RowsOut += int64(len(b.Matches))
 	p.st.Batches++
 	p.st.Elapsed += time.Since(start)

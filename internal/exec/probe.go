@@ -104,7 +104,7 @@ func (p *ThresholdProbe) Next(ctx context.Context) (*Batch, error) {
 	}
 	p.agg.Add(res.Stats)
 	b.Matches = remap(b.Rows, p.BuildRows, res.Matches)
-	b.Emb, b.Sims = nil, nil
+	b.Emb = nil
 	p.st.RowsOut += int64(len(b.Matches))
 	p.st.Batches++
 	p.st.Elapsed += time.Since(start)
@@ -204,7 +204,7 @@ func (p *TopKProbe) Next(ctx context.Context) (*Batch, error) {
 		matches = kept
 	}
 	b.Matches = remap(b.Rows, p.BuildRows, matches)
-	b.Emb, b.Sims = nil, nil
+	b.Emb = nil
 	p.st.RowsOut += int64(len(b.Matches))
 	p.st.Batches++
 	p.st.Elapsed += time.Since(start)

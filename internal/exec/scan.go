@@ -3,8 +3,10 @@ package exec
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
+	"ejoin/internal/embstore"
 	"ejoin/internal/mat"
 	"ejoin/internal/relational"
 )
@@ -13,9 +15,9 @@ import (
 // pushdowns applied at the source: relational predicates are evaluated
 // once at Open into the scan's selection (rows failing them are never
 // emitted, embedded, or probed), and only the columns the pipeline needs
-// leave the operator — row ids always, plus the projected vector column
-// when one backs the join. Everything else is late-materialized from the
-// base table after the join.
+// leave the operator — row ids always, plus the join column's embeddings
+// when a stored vector column or an embedded text column backs the join.
+// Everything else is late-materialized from the base table after the join.
 type Scan struct {
 	// Table is the base table; Name labels it in stats.
 	Table *relational.Table
@@ -28,6 +30,10 @@ type Scan struct {
 	// VectorColumn, when set, projects precomputed embeddings into each
 	// batch, normalized per block (stored columns are never mutated).
 	VectorColumn string
+	// Embedded, when set, projects a text column's embeddings from the
+	// store's resident column chunks; its work is accounted as E_µ
+	// (EmbedStats), not as scan time.
+	Embedded *EmbeddedColumn
 	// BlockRows is rows per batch; <=0 uses DefaultBlockSize.
 	BlockRows int
 
@@ -35,6 +41,7 @@ type Scan struct {
 	rows relational.Selection
 	pos  int
 	vc   *relational.VectorColumn
+	col  *columnReader
 }
 
 // Open resolves the scan's selection: visibility ∩ pushed-down predicates.
@@ -43,7 +50,7 @@ func (s *Scan) Open(ctx context.Context) error {
 	s.pos = 0
 	rows := s.Visible
 	if rows == nil {
-		rows = relational.All(s.Table.NumRows())
+		rows = allRows(s.Table.NumRows())
 	}
 	s.st.RowsIn = int64(len(rows))
 	if len(s.Preds) > 0 {
@@ -68,12 +75,21 @@ func (s *Scan) Open(ctx context.Context) error {
 		}
 		s.vc = vc
 	}
+	s.col = nil
+	if s.Embedded != nil {
+		col, err := newColumnReader(s.Embedded, s.Table, s.Visible)
+		if err != nil {
+			return err
+		}
+		s.col = col
+	}
 	return nil
 }
 
 // Rows is the full post-predicate selection, available after Open. It is
 // complete regardless of how far the stream was pulled — a LIMIT that
-// stops the pipeline early does not censor it.
+// stops the pipeline early does not censor it. It is read-only: over an
+// all-live table it is the selection every such scan shares.
 func (s *Scan) Rows() relational.Selection { return s.rows }
 
 // Next emits the next block.
@@ -110,16 +126,50 @@ func (s *Scan) Next(ctx context.Context) (*Batch, error) {
 	s.st.RowsOut += int64(len(block))
 	s.st.Batches++
 	s.st.Elapsed += time.Since(start)
+	if s.col != nil {
+		emb, err := s.col.project(ctx, block)
+		if err != nil {
+			return nil, err
+		}
+		b.Emb = emb
+	}
 	return b, nil
 }
 
 // Close implements Operator.
 func (s *Scan) Close() error { return nil }
 
+// Release lets later scans reuse the buffer this scan gathered blocks
+// that span column chunks into. Call it once no batch the scan emitted is
+// in use any more (after Close, the last block is still readable).
+func (s *Scan) Release() {
+	if s.col != nil {
+		s.col.release()
+	}
+}
+
 // Stats implements Operator.
 func (s *Scan) Stats() OpStats { return s.st }
 
-// RowFilter applies relational predicates mid-pipeline (above an Embed),
+// EmbedStats is the E_µ work of an Embedded column's projection: rows
+// projected and the time spent reading (and, when missing, building)
+// chunks, under the operator name "embed".
+func (s *Scan) EmbedStats() OpStats {
+	if s.col == nil {
+		return OpStats{Name: "embed"}
+	}
+	return s.col.st
+}
+
+// BatchStats is the Embedded column's cumulative cache/model accounting.
+func (s *Scan) BatchStats() embstore.BatchStats {
+	if s.col == nil {
+		return embstore.BatchStats{}
+	}
+	return s.col.batch
+}
+
+// RowFilter applies relational predicates mid-pipeline (above E_µ),
 // compacting each batch. The optimizer's pushdown rule normally fuses
 // predicates into the Scan; this operator exists for plans where the
 // filter sits above E_µ, preserving the un-pushed-down cost: every
@@ -131,6 +181,7 @@ type RowFilter struct {
 
 	st   OpStats
 	keep *relational.Bitmap
+	buf  []float32
 }
 
 // Open evaluates the predicate bitmap once.
@@ -159,7 +210,9 @@ func (f *RowFilter) Filter(sel relational.Selection) relational.Selection {
 	return out
 }
 
-// Next compacts the next input batch in place.
+// Next compacts the next input batch: its rows in place, its embeddings
+// into the filter's own buffer (reused across blocks), since the batch's
+// may be a read-only view of a column chunk.
 func (f *RowFilter) Next(ctx context.Context) (*Batch, error) {
 	for {
 		b, err := f.Input.Next(ctx)
@@ -168,26 +221,28 @@ func (f *RowFilter) Next(ctx context.Context) (*Batch, error) {
 		}
 		start := time.Now()
 		f.st.RowsIn += int64(b.Len())
+		var emb *mat.Matrix
+		if b.Emb != nil {
+			n := b.Len() * b.Emb.Cols()
+			if cap(f.buf) < n {
+				f.buf = make([]float32, n)
+			}
+			emb = &mat.Matrix{RowsN: b.Len(), ColsN: b.Emb.Cols(), Data: f.buf[:n]}
+		}
 		w := 0
 		for r, row := range b.Rows {
 			if !f.keep.Get(row) {
 				continue
 			}
 			b.Rows[w] = row
-			if b.Emb != nil && w != r {
-				copy(b.Emb.Row(w), b.Emb.Row(r))
-			}
-			if b.Sims != nil {
-				b.Sims[w] = b.Sims[r]
+			if emb != nil {
+				copy(emb.Row(w), b.Emb.Row(r))
 			}
 			w++
 		}
 		b.Rows = b.Rows[:w]
-		if b.Emb != nil {
-			b.Emb = b.Emb.Slice(0, w)
-		}
-		if b.Sims != nil {
-			b.Sims = b.Sims[:w]
+		if emb != nil {
+			b.Emb = emb.Slice(0, w)
 		}
 		f.st.Elapsed += time.Since(start)
 		if w == 0 {
@@ -204,3 +259,26 @@ func (f *RowFilter) Close() error { return f.Input.Close() }
 
 // Stats implements Operator.
 func (f *RowFilter) Stats() OpStats { return f.st }
+
+// sharedAll backs allRows: the longest 0..n-1 selection handed out so far.
+var sharedAll atomic.Pointer[relational.Selection]
+
+// allRows is the selection 0..n-1 without allocating it per scan: a
+// prefix of one shared array, capped at n so an append cannot write into
+// it. Nothing may write to it in place.
+func allRows(n int) relational.Selection {
+	for {
+		cur := sharedAll.Load()
+		if cur != nil && len(*cur) >= n {
+			return (*cur)[:n:n]
+		}
+		size := n
+		if cur != nil && 2*len(*cur) > size {
+			size = 2 * len(*cur)
+		}
+		next := relational.All(size)
+		if sharedAll.CompareAndSwap(cur, &next) {
+			return next[:n:n]
+		}
+	}
+}

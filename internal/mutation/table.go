@@ -18,9 +18,10 @@ import (
 // touching earlier ones, so a reader sees either entirely-before or
 // entirely-after any batch, never a mix.
 type Version struct {
-	// Table is the physical table. Earlier versions alias a prefix of the
-	// same column storage (copy-on-write appends), which is safe because
-	// published rows are never modified in place.
+	// Table is the physical table, under the owning Table's incarnation
+	// (relational.Table.Incarnation). Earlier versions alias a prefix of
+	// the same column storage (copy-on-write appends), which is safe
+	// because published rows are never modified in place.
 	Table *relational.Table
 	// Live marks the visible row ids; nil means every row is live.
 	Live *relational.Bitmap
@@ -84,7 +85,7 @@ type Table struct {
 // a fresh registration), which is also the checkpoint generation.
 func NewTable(name string, incarnation uint64, t *relational.Table, live *relational.Bitmap, gen uint64) *Table {
 	mt := &Table{Name: name, Incarnation: incarnation, checkpointGen: gen}
-	mt.cur.Store(makeVersion(t, live, gen))
+	mt.cur.Store(makeVersion(t.WithIncarnation(incarnation), live, gen))
 	return mt
 }
 
@@ -249,7 +250,7 @@ func (t *Table) applyUpsert(cur *Version, keys map[string]int, batchKey relation
 		}
 		keys[k] = id
 	}
-	next := makeVersion(nt, live, gen)
+	next := makeVersion(nt.WithIncarnation(t.Incarnation), live, gen)
 	next.Retired = retired
 	return next, len(retired), nil
 }

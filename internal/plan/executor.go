@@ -21,10 +21,12 @@ type Executor struct {
 	// IndexEf overrides probe beam width for index joins.
 	IndexEf int
 	// Store, when set, is the shared cross-query embedding store: Embed
-	// nodes are evaluated through it, so repeated queries over the same
-	// corpus reuse embeddings and concurrent queries share in-flight model
-	// calls. Stats.ModelCalls then reports actual model work (misses), not
-	// input cardinality.
+	// nodes are evaluated through it — over a table with an incarnation
+	// (a pinned mutable table version) by the scan reading the column's
+	// resident chunks, over any other table by the Embed operator — so
+	// repeated queries over the same corpus reuse embeddings and
+	// concurrent queries share in-flight model calls. Stats.ModelCalls
+	// then reports actual model work (misses), not input cardinality.
 	Store *embstore.Store
 	// BlockRows is the probe-side block size; <=0 uses
 	// exec.DefaultBlockSize. Results do not depend on it.

@@ -22,9 +22,10 @@ type Optimizer struct {
 	// ForceStrategy, if not nil, bypasses cost-based selection.
 	ForceStrategy *cost.Strategy
 	// Store, when set, makes access path selection cache-aware: the
-	// optimizer samples each input's text column against the shared
-	// embedding store and discounts the E_µ cost term by the observed hit
-	// ratio, so a warm cache can flip the scan-versus-probe choice.
+	// optimizer discounts each input's E_µ cost term by the share of its
+	// rows the shared embedding store already holds (see
+	// expectedHitRatio), so a warm cache can flip the scan-versus-probe
+	// choice.
 	Store *embstore.Store
 	// Precision forces the scan precision for threshold joins; Auto (the
 	// zero value) selects it with cost.ChooseJoinPrecision under
@@ -417,10 +418,12 @@ func estimateSelectivity(n Node) float64 {
 }
 
 // expectedHitRatio estimates how much of one input's E_µ work the shared
-// store will absorb, by probing a uniform sample of the column against the
-// cache (Contains does not promote entries or touch statistics). Inputs
-// with precomputed vector columns have no Embed node and return 0 — their
-// cost model carries no M term to discount.
+// store will absorb. For a table version with an incarnation (the served
+// path) it is the share of visible rows its resident column chunks hold;
+// for any other table, the share of a uniform sample of the column cached
+// per text. Both only peek: no entry is promoted, no statistic touched.
+// Inputs with precomputed vector columns have no Embed node and return 0 —
+// their cost model carries no M term to discount.
 func (o *Optimizer) expectedHitRatio(n Node) float64 {
 	if o.Store == nil {
 		return 0
@@ -443,6 +446,17 @@ func (o *Optimizer) expectedHitRatio(n Node) float64 {
 	s := findScan(n)
 	if s == nil || s.Ref.Table == nil {
 		return 0
+	}
+	if t := s.Ref.Table; t.Incarnation() != 0 {
+		rows := t.NumRows()
+		if s.Ref.Visible != nil {
+			rows = len(s.Ref.Visible)
+		}
+		if rows == 0 {
+			return 0
+		}
+		key := embstore.ChunkKey{Fingerprint: embstore.Fingerprint(em.Model), Incarnation: t.Incarnation(), Column: em.Column}
+		return float64(o.Store.Resident(key, t.NumRows(), s.Ref.Visible)) / float64(rows)
 	}
 	texts, err := s.Ref.Table.Strings(em.Column)
 	if err != nil || len(texts) == 0 {

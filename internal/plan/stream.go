@@ -2,7 +2,9 @@ package plan
 
 // Lowering an optimized EJoin tree onto internal/exec, the one operator
 // pipeline every strategy runs on. Both join inputs go through the same
-// lowerInput (Scan with pushed-down predicates → Embed → RowFilter). The
+// lowerInput (Scan with pushed-down predicates → E_µ → RowFilter, where
+// E_µ is the scan reading the table's resident column chunks when the
+// table has an incarnation, else an Embed operator). The
 // build (inner) side is drained as a single block and held resident; the
 // probe (outer) side streams through a probe operator in fixed-size
 // blocks. Every kernel sorts its matches by (probe, build) offset and
@@ -17,6 +19,7 @@ import (
 
 	"ejoin/internal/core"
 	"ejoin/internal/cost"
+	"ejoin/internal/embstore"
 	"ejoin/internal/exec"
 	"ejoin/internal/hnsw"
 	"ejoin/internal/mat"
@@ -28,7 +31,8 @@ import (
 
 // stage is one plan node above an input's Scan and the operator it
 // lowered to. op is nil when the node has no operator of its own: a Filter
-// fused into the scan's selection, or an Embed that is deferred (the scan
+// fused into the scan's selection, an Embed the scan serves from the
+// table's resident column chunks, or an Embed that is deferred (the scan
 // projects a vector column, or the naive join embeds per pair).
 type stage struct {
 	node Node
@@ -42,7 +46,7 @@ type loweredInput struct {
 	// stages are the nodes stacked on the scan, in evaluation order.
 	stages []stage
 	// embedNode is the input's E_µ node, embed its operator (nil when the
-	// node is deferred).
+	// scan serves it or it is deferred).
 	embedNode *Embed
 	embed     *exec.Embed
 	top       exec.Operator
@@ -68,15 +72,16 @@ func (ex *Executor) lowerInput(n Node, blockRows int, evalEmbeds bool) (*lowered
 		if err != nil {
 			return nil, err
 		}
-		if in.top == exec.Operator(in.scan) {
+		if in.top == exec.Operator(in.scan) && in.scan.Embedded == nil {
 			// Predicate pushdown: nothing has consumed the scan's rows yet,
 			// so the filter becomes part of the scan's selection.
 			in.scan.Preds = append(in.scan.Preds, t.Preds...)
 			in.stages = append(in.stages, stage{node: t})
 			return in, nil
 		}
-		// A filter above E_µ stays above it: the un-pushed-down plan embeds
-		// every scanned row, and that model work is what its stats report.
+		// A filter above E_µ (an Embed operator, or the scan's own column
+		// projection) stays above it: the un-pushed-down plan embeds every
+		// scanned row, and that model work is what its stats report.
 		in.top = &exec.RowFilter{Input: in.top, Table: in.scan.Table, Preds: t.Preds}
 		in.stages = append(in.stages, stage{node: t, op: in.top})
 		return in, nil
@@ -87,6 +92,13 @@ func (ex *Executor) lowerInput(n Node, blockRows int, evalEmbeds bool) (*lowered
 		}
 		in.embedNode = t
 		if !evalEmbeds || in.scan.VectorColumn != "" {
+			in.stages = append(in.stages, stage{node: t})
+			return in, nil
+		}
+		if ex.Store != nil && in.scan.Table.Incarnation() != 0 {
+			// A table version of a mutable table: its text column is
+			// embedded once, into chunks shared by every version.
+			in.scan.Embedded = &exec.EmbeddedColumn{Store: ex.Store, Model: t.Model, Column: t.Column, Threads: ex.Options.Threads}
 			in.stages = append(in.stages, stage{node: t})
 			return in, nil
 		}
@@ -114,7 +126,22 @@ func vectorBacked(n Node) bool {
 }
 
 // embedded reports whether the input's batches carry embeddings.
-func (in *loweredInput) embedded() bool { return in.embed != nil || in.scan.VectorColumn != "" }
+func (in *loweredInput) embedded() bool {
+	return in.embed != nil || in.scan.VectorColumn != "" || in.scan.Embedded != nil
+}
+
+// embedStats is the input's E_µ account, whichever operator did the work:
+// the Embed operator or the scan reading column chunks. ok is false when
+// E_µ did not run in this input.
+func (in *loweredInput) embedStats() (st exec.OpStats, bs embstore.BatchStats, ok bool) {
+	switch {
+	case in.embed != nil:
+		return in.embed.Stats(), in.embed.BatchStats(), true
+	case in.scan.Embedded != nil:
+		return in.scan.EmbedStats(), in.scan.BatchStats(), true
+	}
+	return st, bs, false
+}
 
 // textColumn is the column a deferred E_µ reads.
 func (in *loweredInput) textColumn() string {
@@ -124,9 +151,13 @@ func (in *loweredInput) textColumn() string {
 	return in.scanNode.Ref.TextColumn
 }
 
-// opStats snapshots the input's operators, source to sink.
+// opStats snapshots the input's operators, source to sink; a scan
+// serving E_µ from column chunks reports that work as an "embed" operator.
 func (in *loweredInput) opStats() []exec.OpStats {
 	out := []exec.OpStats{in.scan.Stats()}
+	if in.scan.Embedded != nil {
+		out = append(out, in.scan.EmbedStats())
+	}
 	for _, st := range in.stages {
 		if st.op != nil {
 			out = append(out, st.op.Stats())
@@ -136,8 +167,7 @@ func (in *loweredInput) opStats() []exec.OpStats {
 }
 
 // embedAttrs is an embed span's cache/model split.
-func embedAttrs(e *exec.Embed) map[string]int64 {
-	bs := e.BatchStats()
+func embedAttrs(bs embstore.BatchStats) map[string]int64 {
 	return map[string]int64{"hits": bs.Hits, "misses": bs.Misses, "merged": bs.Merged, "model_calls": bs.ModelCalls}
 }
 
@@ -158,19 +188,20 @@ type BuildSide struct {
 // ModelCalls is the model work the build evaluation performed. Callers
 // sharing one build across streams add it to their aggregate exactly once.
 func (b *BuildSide) ModelCalls() int64 {
-	if b.in.embed == nil {
-		return 0
-	}
-	return b.in.embed.BatchStats().ModelCalls
+	_, bs, _ := b.in.embedStats()
+	return bs.ModelCalls
 }
 
 // EmbedTime is the build evaluation's embedding wall time.
 func (b *BuildSide) EmbedTime() time.Duration {
-	if b.in.embed == nil {
-		return 0
-	}
-	return b.in.embed.Stats().Elapsed
+	st, _, _ := b.in.embedStats()
+	return st.Elapsed
 }
+
+// Release lets later queries reuse the build's gathered embeddings; call
+// it once no stream over the build is open. A build never released is
+// simply garbage collected.
+func (b *BuildSide) Release() { b.in.scan.Release() }
 
 // EvalBuild evaluates j's build (right) side resident: the lowered input
 // is drained as one block of its whole selection, so the store sees a
@@ -200,8 +231,8 @@ func (ex *Executor) EvalBuild(ctx context.Context, j *EJoin) (*BuildSide, error)
 	switch {
 	case blk != nil:
 		b.rows, b.emb = blk.Rows, blk.Emb
-	case in.embed != nil:
-		b.emb = mat.New(0, in.embed.Model.Dim())
+	case in.embed != nil || in.scan.Embedded != nil:
+		b.emb = mat.New(0, in.embedNode.Model.Dim())
 	case in.scan.VectorColumn != "":
 		vc, err := in.scan.Table.Vectors(in.scan.VectorColumn)
 		if err != nil {
@@ -219,9 +250,10 @@ func (ex *Executor) EvalBuild(ctx context.Context, j *EJoin) (*BuildSide, error)
 			b.texts[i] = col[r]
 		}
 	}
-	if tr := obs.FromContext(ctx); tr != nil && in.embed != nil {
-		el := in.embed.Stats().Elapsed
-		tr.AddSpan("embed", tr.Since()-el, el, embedAttrs(in.embed))
+	if st, bs, ok := in.embedStats(); ok {
+		if tr := obs.FromContext(ctx); tr != nil {
+			tr.AddSpan("embed", tr.Since()-st.Elapsed, st.Elapsed, embedAttrs(bs))
+		}
 	}
 	return b, nil
 }
@@ -391,7 +423,11 @@ func (s *Stream) Next(ctx context.Context) ([]core.Match, error) {
 }
 
 // Close releases the pipeline.
-func (s *Stream) Close() error { return s.top.Close() }
+func (s *Stream) Close() error {
+	err := s.top.Close()
+	s.in.scan.Release()
+	return err
+}
 
 // Finish assembles the ExecResult for a drained (or limit/cancel-stopped)
 // stream from the matches the caller accumulated: stats, per-operator
@@ -412,9 +448,9 @@ func (s *Stream) Finish(ctx context.Context, matches []core.Match) *ExecResult {
 		j.Precision = quant.PrecisionF32 // keep plan/stats honest about what ran
 	}
 	res.Stats = s.probe.CoreStats()
-	if s.in.embed != nil {
-		res.Stats.ModelCalls += s.in.embed.BatchStats().ModelCalls
-		res.Stats.EmbedTime += s.in.embed.Stats().Elapsed
+	if st, bs, ok := s.in.embedStats(); ok {
+		res.Stats.ModelCalls += bs.ModelCalls
+		res.Stats.EmbedTime += st.Elapsed
 	}
 	res.Ops = append(s.in.opStats(), s.probe.Stats())
 	if s.limit != nil {
@@ -442,6 +478,7 @@ func (ex *Executor) ExecuteStreaming(ctx context.Context, j *EJoin, limit int) (
 	if err != nil {
 		return nil, err
 	}
+	defer build.Release()
 	// Checkpoint between build and probe: a request cancelled while
 	// embedding must not start the (potentially large) comparison phase.
 	if err := ctx.Err(); err != nil {
@@ -480,8 +517,8 @@ func (s *Stream) emitSpans(ctx context.Context, res *ExecResult) {
 	if tr == nil {
 		return
 	}
-	if e := s.in.embed; e != nil {
-		attrs, st := embedAttrs(e), e.Stats()
+	if st, bs, ok := s.in.embedStats(); ok {
+		attrs := embedAttrs(bs)
 		attrs["batches"] = st.Batches
 		tr.AddSpan("embed", tr.Since()-st.Elapsed, st.Elapsed, attrs)
 	}
@@ -524,19 +561,19 @@ func (in *loweredInput) analysis() *obs.NodeStats {
 	}
 	for _, sg := range in.stages {
 		up := &obs.NodeStats{Name: sg.node.Explain(), EstRows: n.EstRows, ObsRows: n.ObsRows, Children: []*obs.NodeStats{n}}
-		switch op := sg.op.(type) {
-		case *exec.Embed:
-			attrs, ost := embedAttrs(op), op.Stats()
+		_, isEmbed := sg.node.(*Embed)
+		ost, bs, ran := in.embedStats()
+		switch f, isFilter := sg.op.(*exec.RowFilter); {
+		case isEmbed && ran:
+			attrs := embedAttrs(bs)
 			attrs["batches"] = ost.Batches
 			up.ObsRows, up.Elapsed, up.Detail = ost.RowsOut, ost.Elapsed, obs.AttrsDetail(attrs)
-		case *exec.RowFilter:
-			up.ObsRows, up.Elapsed = op.Stats().RowsOut, op.Stats().Elapsed
+		case isEmbed:
+			up.Detail = "deferred"
+		case isFilter:
+			up.ObsRows, up.Elapsed = f.Stats().RowsOut, f.Stats().Elapsed
 		default:
-			if _, ok := sg.node.(*Embed); ok {
-				up.Detail = "deferred"
-			} else {
-				up.ObsRows = st.RowsOut // filter fused into the scan
-			}
+			up.ObsRows = st.RowsOut // filter fused into the scan
 		}
 		n = up
 	}

@@ -39,6 +39,23 @@ type Table struct {
 	schema Schema
 	cols   []Column
 	rows   int
+	// incarnation is the append-only row lineage the table belongs to (see
+	// Incarnation); 0 means none.
+	incarnation uint64
+}
+
+// Incarnation identifies the append-only lineage of a mutable table's
+// physical versions: tables carrying the same nonzero incarnation agree on
+// every row they both have, so anything derived from row i (its embedding)
+// may be shared between them. 0 means the table belongs to no lineage.
+func (t *Table) Incarnation() uint64 { return t.incarnation }
+
+// WithIncarnation returns t under lineage id, sharing its columns. Only
+// the owner of an append-only lineage (mutation.Table) should call it.
+func (t *Table) WithIncarnation(id uint64) *Table {
+	out := *t
+	out.incarnation = id
+	return &out
 }
 
 // NewTable validates that columns match the schema's types and have equal

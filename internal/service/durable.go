@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ejoin/internal/durable"
+	"ejoin/internal/embstore"
 	"ejoin/internal/mutation"
 	"ejoin/internal/quant"
 	"ejoin/internal/relational"
@@ -273,9 +274,9 @@ type SnapshotInfo struct {
 }
 
 // Snapshot forces the durable state current and minimal: the write-behind
-// queue flushes, the embedding log compacts down to the store's live
-// entries (dropping evicted and superseded records), and the table
-// manifest rewrites. Concurrent queries keep running; appends block only
+// queue flushes, the embedding log compacts down to the store's per-text
+// entries plus the live rows of resident column chunks (dropping evicted,
+// superseded and deleted rows' records), and the table manifest rewrites. Concurrent queries keep running; appends block only
 // for the compaction itself.
 func (e *Engine) Snapshot() (SnapshotInfo, error) {
 	d := e.durable
@@ -289,14 +290,21 @@ func (e *Engine) Snapshot() (SnapshotInfo, error) {
 	var info SnapshotInfo
 	removed, err := d.log.Compact(func(emit func(durable.Record) error) error {
 		var inner error
-		e.store.Range(func(fp, input string, vec []float32) bool {
-			if err := emit(durable.Record{Fingerprint: fp, Input: input, Vec: vec}); err != nil {
-				inner = err
-				return false
+		seen := make(map[string]bool)
+		write := func(fp, input string, vec []float32) bool {
+			if k := fp + "\x00" + input; !seen[k] {
+				seen[k] = true
+				if inner = emit(durable.Record{Fingerprint: fp, Input: input, Vec: vec}); inner != nil {
+					return false
+				}
+				info.Entries++
 			}
-			info.Entries++
 			return true
-		})
+		}
+		e.store.Range(write)
+		if inner == nil {
+			e.columnVectors(write)
+		}
 		return inner
 	})
 	if err != nil {
@@ -409,6 +417,41 @@ func (e *Engine) Snapshot() (SnapshotInfo, error) {
 	info.LogBytes = d.log.Stats().Bytes
 	info.Elapsed = time.Since(start)
 	return info, nil
+}
+
+// columnVectors calls fn, until it returns false, for every live row of
+// the current table versions that a resident column chunk holds: the
+// chunks adopted those vectors from the store's per-text entries, so a
+// compaction writing only those would lose them. The records are ordinary
+// (fingerprint, text, vector) ones, so a reboot loads them per text and
+// rebuilds the chunks with no model call.
+func (e *Engine) columnVectors(fn func(fp, input string, vec []float32) bool) {
+	fp := embstore.Fingerprint(e.model)
+	e.mut.tables.Range(func(_, val any) bool {
+		v := val.(*tableState).mt.Current()
+		n := v.Table.NumRows()
+		for c, f := range v.Table.Schema() {
+			if f.Type != relational.String {
+				continue
+			}
+			texts := v.Table.ColumnAt(c).(relational.StringColumn)
+			key := embstore.ChunkKey{Fingerprint: fp, Incarnation: v.Table.Incarnation(), Column: f.Name}
+			for lo := 0; lo < n; lo += embstore.ChunkRows {
+				key.Index = lo / embstore.ChunkRows
+				c, ok := e.store.PeekChunk(key)
+				if !ok {
+					continue
+				}
+				held := c.Holds()
+				for i := 0; i < embstore.ChunkRows && lo+i < n; i++ {
+					if held.Has(i) && (v.Live == nil || v.Live.Get(lo+i)) && !fn(fp, texts[lo+i], c.Row(i)) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	})
 }
 
 // persistTable mirrors one catalog registration into the data directory.

@@ -11,9 +11,12 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ejoin/internal/durable"
+	"ejoin/internal/embstore"
 	"ejoin/internal/model"
 	"ejoin/internal/quant"
 	"ejoin/internal/relational"
+	"ejoin/internal/vec"
 )
 
 // openTestEngine opens a durable engine over dir with a counting model,
@@ -92,6 +95,72 @@ func TestDurableWarmRestartZeroModelCalls(t *testing.T) {
 	for i := range warm.Matches {
 		if warm.Matches[i] != cold.Matches[i] {
 			t.Fatalf("match %d differs: %+v vs %+v", i, warm.Matches[i], cold.Matches[i])
+		}
+	}
+}
+
+// TestDurableLogOfPerTextRecordsBootsWarm: an embedding log holding only
+// per-text (fingerprint, text, vector) records — what every data dir
+// written before column chunks holds, and what a snapshot still writes —
+// boots warm: the first query builds its chunks from those records with
+// zero model calls, including a text two tables share. After a snapshot
+// (which compacts the chunks' adopted vectors back to such records) the
+// next boot is warm again.
+func TestDurableLogOfPerTextRecordsBootsWarm(t *testing.T) {
+	dir := t.TempDir()
+	e1, _ := openTestEngine(t, dir)
+	ingestPair(t, e1)
+	if _, err := e1.UpsertCSV(context.Background(), "right", "text", strings.NewReader("text\ngiraffe\n")); err != nil {
+		t.Fatal(err)
+	}
+	want := runQuery(t, e1)
+	if err := e1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Replace the log with one record per distinct text, written directly.
+	embDir := durable.Layout{Dir: dir}.EmbDir()
+	if err := os.RemoveAll(embDir); err != nil {
+		t.Fatal(err)
+	}
+	log, err := durable.OpenLog(embDir, durable.LogConfig{}, func(durable.Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := model.NewHashEmbedder(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range strings.Fields("barbecue database espresso giraffe barbecues databases espressos zebra") {
+		raw, err := m.Embed(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := make([]float32, len(raw))
+		vec.NormalizeInto(v, raw)
+		if err := log.Append(durable.Record{Fingerprint: embstore.Fingerprint(m), Input: text, Vec: v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for boot := 0; boot < 2; boot++ {
+		e, counting := openTestEngine(t, dir)
+		got := runQuery(t, e)
+		if counting.Calls() != 0 {
+			t.Errorf("boot %d: first query made %d model calls, want 0", boot, counting.Calls())
+		}
+		if matchKey(got) != matchKey(want) {
+			t.Errorf("boot %d: matches differ:\n%s\nvs\n%s", boot, matchKey(got), matchKey(want))
+		}
+		if boot == 0 {
+			if _, err := e.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

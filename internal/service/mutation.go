@@ -62,17 +62,45 @@ func (m *mutationState) get(name string) *tableState {
 	return nil
 }
 
-// install (re)binds a name to fresh mutation state. Registration and
-// recovery call it; Drop calls remove. Replacing an existing entry
-// discards the predecessor's generations, key maps, and index — a
-// replaced table starts over, and the old incarnation id keeps any of its
-// WAL records from replaying into the successor.
-func (m *mutationState) install(name string, ts *tableState) {
-	m.tables.Store(strings.ToLower(name), ts)
+// install (re)binds a name to fresh mutation state, returning the
+// predecessor (nil if none). Registration and recovery call it; Drop calls
+// remove. Replacing an existing entry discards the predecessor's
+// generations, key maps, and index — a replaced table starts over, and the
+// old incarnation id keeps any of its WAL records from replaying into the
+// successor.
+func (m *mutationState) install(name string, ts *tableState) *tableState {
+	if old, ok := m.tables.Swap(strings.ToLower(name), ts); ok {
+		return old.(*tableState)
+	}
+	return nil
 }
 
-func (m *mutationState) remove(name string) {
-	m.tables.Delete(strings.ToLower(name))
+func (m *mutationState) remove(name string) *tableState {
+	if old, ok := m.tables.LoadAndDelete(strings.ToLower(name)); ok {
+		return old.(*tableState)
+	}
+	return nil
+}
+
+// release drops the column chunks of a table incarnation that has left
+// the catalog (dropped or replaced): no query can pin it again.
+func (e *Engine) release(ts *tableState) {
+	if ts == nil {
+		return
+	}
+	t := ts.mt.Current().Table
+	key := embstore.ChunkKey{Fingerprint: embstore.Fingerprint(e.model), Incarnation: t.Incarnation()}
+	for c, f := range t.Schema() {
+		if f.Type != relational.String {
+			continue
+		}
+		key.Column = f.Name
+		texts := t.ColumnAt(c).(relational.StringColumn)
+		for lo := 0; lo < t.NumRows(); lo += embstore.ChunkRows {
+			key.Index = lo / embstore.ChunkRows
+			e.store.DropChunk(key, texts[lo:min(lo+embstore.ChunkRows, t.NumRows())])
+		}
+	}
 }
 
 // newIncarnation draws a random table incarnation id.
@@ -96,7 +124,7 @@ func (e *Engine) installMutable(name string, t *relational.Table) *tableState {
 	e.feedback.Drop(name)
 	ts := &tableState{mt: mutation.NewTable(strings.ToLower(name), newIncarnation(), t, nil, 0)}
 	e.attachIndex(ts, t)
-	e.mut.install(name, ts)
+	e.release(e.mut.install(name, ts))
 	return ts
 }
 
@@ -251,7 +279,7 @@ func (e *Engine) UpsertRows(ctx context.Context, name, keyCol string, batch *rel
 	}
 	sp.Attr("rows", int64(batch.NumRows())).Attr("replaced", int64(replaced)).End()
 	e.catalog.Replace(name, next.Table)
-	e.retireEmbeddings(next, batch)
+	e.releaseRetired(next)
 	e.mut.upserts.Add(1)
 	e.mut.upsertedRows.Add(int64(batch.NumRows()))
 	e.mut.replaced.Add(int64(replaced))
@@ -307,7 +335,7 @@ func (e *Engine) DeleteRows(ctx context.Context, name, keyCol string, keys []str
 	}
 	sp.Attr("deleted", int64(removed)).End()
 	e.catalog.Replace(name, next.Table)
-	e.retireEmbeddings(next, nil)
+	e.releaseRetired(next)
 	e.mut.deletes.Add(1)
 	e.mut.deleted.Add(int64(removed))
 	res := MutationResult{
@@ -322,35 +350,40 @@ func (e *Engine) DeleteRows(ctx context.Context, name, keyCol string, keys []str
 	return res, nil
 }
 
-// retireEmbeddings releases the store entries of the rows v's mutation
-// tombstoned, so the shared store tracks the tables' live text instead of
-// every text they ever held. Texts the appended batch re-introduces are
-// kept; a text still live elsewhere survives through Retire's grace
-// period (a query within the next two mutations touches it).
-func (e *Engine) retireEmbeddings(v *mutation.Version, appended *relational.Table) {
+// releaseRetired lets go of what the store holds for the rows v's
+// mutation tombstoned: the column chunks it left with no live row, and in
+// the others the dead rows' vectors once they are most of the chunk
+// (Store.Shed). No later version reads them, and a query still pinned to
+// an earlier one rebuilds what it needs.
+func (e *Engine) releaseRetired(v *mutation.Version) {
 	if len(v.Retired) == 0 {
 		return
 	}
-	var texts []string
-	for c, col := range v.Table.Schema() {
-		if col.Type != relational.String {
+	key := embstore.ChunkKey{Fingerprint: embstore.Fingerprint(e.model), Incarnation: v.Table.Incarnation()}
+	n := v.Table.NumRows()
+	touched := make(map[int]bool)
+	for _, r := range v.Retired {
+		ci := r / embstore.ChunkRows
+		if touched[ci] {
 			continue
 		}
-		var kept map[string]bool
-		if appended != nil {
-			kept = make(map[string]bool, appended.NumRows())
-			for _, s := range appended.ColumnAt(c).(relational.StringColumn) {
-				kept[s] = true
+		touched[ci] = true
+		live := embstore.SelectionMask(v.LiveSel, ci)
+		key.Index = ci
+		lo, hi := ci*embstore.ChunkRows, min((ci+1)*embstore.ChunkRows, n)
+		for c, f := range v.Table.Schema() {
+			if f.Type != relational.String {
+				continue
 			}
-		}
-		vals := v.Table.ColumnAt(c).(relational.StringColumn)
-		for _, rid := range v.Retired {
-			if s := vals[rid]; !kept[s] {
-				texts = append(texts, s)
+			key.Column = f.Name
+			texts := v.Table.ColumnAt(c).(relational.StringColumn)[lo:hi]
+			if live.Count() == 0 {
+				e.store.DropChunk(key, texts)
+			} else {
+				e.store.Shed(key, live, texts)
 			}
 		}
 	}
-	e.store.Retire(embstore.Fingerprint(e.model), texts)
 }
 
 // maybeRecluster evaluates the deleted-fraction trigger for ts's index.

@@ -337,7 +337,7 @@ func (e *Engine) DropTable(name string) bool {
 		// and tombstones must not leak into a recreated same-name table
 		// (which gets a fresh incarnation, so the old one's WAL records
 		// cannot replay into it either).
-		e.mut.remove(name)
+		e.release(e.mut.remove(name))
 		e.unpersistTable(name)
 	}
 	return ok

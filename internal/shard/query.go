@@ -314,6 +314,11 @@ func (f *fanout) Run(ctx context.Context, req service.QueryRequest) (*service.Qu
 	}
 	pcancel()
 	wg.Wait()
+	for _, b := range builds {
+		if b != nil {
+			b.Release()
+		}
+	}
 	r.counters.mergeWaitNS.Add(mergeWait.Load())
 	// A cancelled request must fail even if the merge drained (producers
 	// may EOS before observing cancellation): the contract is the
