@@ -25,8 +25,8 @@
 //     once and a lookup by text still finds it.
 //
 // Eviction is least-recently-used across the whole store. The owner of a
-// table drops the chunks whose rows it deleted (DropChunk); nothing else
-// needs retiring.
+// table drops the chunks whose rows it all deleted (DropChunk) and packs
+// those mostly deleted (Shed); nothing else needs retiring.
 //
 // The store observes the Model contract: per-text lookups hand out fresh,
 // caller-owned, unit-norm copies; chunks are read-only.
