@@ -18,8 +18,9 @@ type GemmOptions struct {
 	// BlockCols is the S-panel height in rows; <=0 means 64.
 	BlockCols int
 	// Kernel selects the inner kernel: vec.KernelScalar (the zero value),
-	// or vec.KernelSIMD — the AVX2 assembly tile where the host has it,
-	// the pure-Go register tile elsewhere. All give the same bits.
+	// or vec.KernelSIMD — the assembly tile where the host has AVX2, on
+	// ZMM registers where it also has AVX-512F, and the pure-Go register
+	// tile elsewhere. All give the same bits.
 	Kernel vec.Kernel
 }
 
@@ -218,8 +219,9 @@ func dotSeq(a, b []float32) float32 {
 	return acc
 }
 
-// panelCols is the micro-kernel's tile width: one S panel feeds two
-// 8-lane YMM registers, one output column per lane.
+// panelCols is the micro-kernel's tile width: one k step of an S panel
+// fills one 16-lane ZMM register or two 8-lane YMM registers, one output
+// column per lane.
 const panelCols = 16
 
 // packedPool holds the per-call scratch for one packed S block: a few

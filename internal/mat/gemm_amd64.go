@@ -16,6 +16,18 @@ func gemm4x16ge(tile, r *float32, ldr int, panel *float32, d int, bound, a, b *f
 //go:noescape
 func gemm1x16ge(tile, r, panel *float32, d int, bound *float32) uint64
 
+//go:noescape
+func gemm4x16zmm(dst *float32, ldd int, r *float32, ldr int, panel *float32, d int)
+
+//go:noescape
+func gemm4x16gezmm(tile, r *float32, ldr int, panel *float32, d int, bound, a, b *float32, first int) (mask uint64, k int)
+
+// useZMM selects the 4-row tiles' AVX-512F form, gemm4x16zmm and
+// gemm4x16gezmm, in place of the YMM one: the same cells, bit for bit,
+// and the same checkpoints, at twice the lanes per instruction. It is
+// set once from CPUID; tests switch it to run both widths.
+var useZMM = haveAVX512
+
 // tileGE is the scan's micro-kernel: rows (4 or 1) R rows of length d at
 // r against one packed panel, each cell compared with its row's bound.
 // It returns the mask of qualifying cells, bit t*16+jj for row t, lane
@@ -25,6 +37,9 @@ func gemm1x16ge(tile, r, panel *float32, d int, bound *float32) uint64
 // and that k once no cell can still qualify; k is otherwise d.
 func tileGE(tile *[4 * panelCols]float32, r *float32, rows, d int, panel, bound, a, b *float32, first int) (mask uint64, k int) {
 	if rows == 4 {
+		if useZMM {
+			return gemm4x16gezmm(&tile[0], r, d, panel, d, bound, a, b, first)
+		}
 		return gemm4x16ge(&tile[0], r, d, panel, d, bound, a, b, first)
 	}
 	return gemm1x16ge(&tile[0], r, panel, d, bound), d
@@ -59,8 +74,8 @@ func suffixFactors(out []float32, m *Matrix, lo, hi int) {
 }
 
 // peakMulAddYMM and peakMulAddZMM run the tiles' arithmetic on registers
-// only, for BenchmarkPeakMulAdd to measure the ceiling the tiles are
-// held against; haveAVX512 says whether the second may run.
+// only, for BenchmarkPeakMulAdd to measure the ceiling each width of
+// tile is held against; haveAVX512 says whether the second may run.
 func peakMulAddYMM(iters int)
 func peakMulAddZMM(iters int)
 
@@ -127,10 +142,13 @@ func mulPanelSIMD(dst, r, s *Matrix, rLo, rHi, blockCols int) {
 				if tail {
 					out, ldd = &tile[0], panelCols
 				}
-				if rows == 4 {
-					gemm4x16(out, ldd, ri, d, panel, d)
-				} else {
+				switch {
+				case rows < 4:
 					gemm1x16(out, ri, panel, d)
+				case useZMM:
+					gemm4x16zmm(out, ldd, ri, d, panel, d)
+				default:
+					gemm4x16(out, ldd, ri, d, panel, d)
 				}
 				for t := 0; tail && t < rows; t++ {
 					copy(dst.Data[(i+t)*ns+j0:(i+t+1)*ns], tile[t*panelCols:])

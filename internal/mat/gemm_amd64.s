@@ -247,6 +247,159 @@ none1:
 	VZEROUPPER
 	RET
 
+// The 4x16 tile on ZMM registers, for hosts with AVX-512F: Z0..Z3 are
+// the accumulators of rows SI, R10, R11, R12, one 16-lane register a
+// row, and AX is the k counter, cleared.
+#define ZERO4Z \
+	VPXORD Z0, Z0, Z0; \
+	VPXORD Z1, Z1, Z1; \
+	VPXORD Z2, Z2, Z2; \
+	VPXORD Z3, Z3, Z3; \
+	XORQ AX, AX
+
+// STEPS4's k loop on ZMM: per k one 64-byte load of the panel row, four
+// broadcasts, four VMULPS, then four VADDPS. Each lane performs the YMM
+// tile's operation sequence, so every cell is dotSeq's bits again; the
+// stored and the compared ZMM tile both run it.
+#define STEPS4Z(lim) \
+	CMPQ AX, lim; \
+	JGE  done4z; \
+loop4z: \
+	VMOVUPS      (DX), Z8; \
+	VBROADCASTSS (SI)(AX*4), Z10; \
+	VBROADCASTSS (R10)(AX*4), Z11; \
+	VBROADCASTSS (R11)(AX*4), Z12; \
+	VBROADCASTSS (R12)(AX*4), Z13; \
+	VMULPS       Z8, Z10, Z10; \
+	VMULPS       Z8, Z11, Z11; \
+	VMULPS       Z8, Z12, Z12; \
+	VMULPS       Z8, Z13, Z13; \
+	VADDPS       Z10, Z0, Z0; \
+	VADDPS       Z11, Z1, Z1; \
+	VADDPS       Z12, Z2, Z2; \
+	VADDPS       Z13, Z3, Z3; \
+	ADDQ $64, DX; \
+	INCQ AX; \
+	CMPQ AX, lim; \
+	JLT  loop4z; \
+done4z:
+
+// ROW_MASK on ZMM: the 16 lanes >= the row's bound (ordered) land in K1,
+// and KMOVW moves them to AX.
+#define ROW_MASK_Z(off, acc, shift) \
+	VBROADCASTSS off(BX), Z8;         \
+	VCMPPS       $0x1D, Z8, acc, K1;  \
+	KMOVW        K1, AX;              \
+	SHLQ         $shift, AX;          \
+	ORQ          AX, R13
+
+// ROW_PRUNABLE on ZMM, with b in Z14: K1 holds the lanes whose estimate
+// acc + a_i*b is below the bound (LT_OQ), K2 all lanes if the bound is
+// NaN (UNORD); KORTESTW sets CF only if their OR is 0xFFFF.
+#define ROW_PRUNABLE_Z(off, acc) \
+	VBROADCASTSS off(R9), Z10;         \
+	VMULPS       Z14, Z10, Z11;        \
+	VADDPS       acc, Z11, Z11;        \
+	VBROADCASTSS off(BX), Z10;         \
+	VCMPPS       $0x11, Z10, Z11, K1;  \
+	VCMPPS       $0x03, Z10, Z10, K2;  \
+	KORTESTW     K2, K1;               \
+	JCC          resume4z
+
+// func gemm4x16zmm(dst *float32, ldd int, r *float32, ldr int, panel *float32, d int)
+//
+// gemm4x16 on ZMM registers: the same cells, bit for bit. Needs AVX-512F.
+TEXT ·gemm4x16zmm(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), R8
+	MOVQ r+16(FP), SI
+	MOVQ ldr+24(FP), R9
+	MOVQ panel+32(FP), DX
+	MOVQ d+40(FP), CX
+	SHLQ $2, R8
+	SHLQ $2, R9
+	LEAQ (SI)(R9*1), R10
+	LEAQ (R10)(R9*1), R11
+	LEAQ (R11)(R9*1), R12
+
+	ZERO4Z
+	STEPS4Z(CX)
+	VMOVUPS Z0, (DI)
+	ADDQ    R8, DI
+	VMOVUPS Z1, (DI)
+	ADDQ    R8, DI
+	VMOVUPS Z2, (DI)
+	ADDQ    R8, DI
+	VMOVUPS Z3, (DI)
+	VZEROUPPER
+	RET
+
+// func gemm4x16gezmm(tile, r *float32, ldr int, panel *float32, d int, bound, a, b *float32, first int) (mask uint64, k int)
+//
+// gemm4x16ge on ZMM registers: the same mask, tile, checkpoints and k,
+// bit for bit. Needs AVX-512F.
+TEXT ·gemm4x16gezmm(SB), NOSPLIT, $0-88
+	MOVQ r+8(FP), SI
+	MOVQ ldr+16(FP), R9
+	MOVQ panel+24(FP), DX
+	MOVQ d+32(FP), CX
+	MOVQ bound+40(FP), BX
+	SHLQ $2, R9
+	LEAQ (SI)(R9*1), R10
+	LEAQ (R10)(R9*1), R11
+	LEAQ (R11)(R9*1), R12
+	MOVQ a+48(FP), R9
+	MOVQ b+56(FP), DI
+	MOVQ first+64(FP), R8 // where the k loop pauses next
+
+	ZERO4Z
+
+segment4z:
+	LEAQ 16(R8), R13
+	CMPQ R13, CX
+	JLE  steps4z
+	MOVQ CX, R8 // fewer than 16 steps would be left: run to the end
+
+steps4z:
+	STEPS4Z(R8)
+	CMPQ AX, CX
+	JGE  compare4z
+	VMOVUPS (DI), Z14
+	ROW_PRUNABLE_Z(0, Z0)
+	ROW_PRUNABLE_Z(4, Z1)
+	ROW_PRUNABLE_Z(8, Z2)
+	ROW_PRUNABLE_Z(12, Z3)
+	MOVQ AX, k+80(FP)
+	MOVQ $0, mask+72(FP)
+	VZEROUPPER
+	RET
+
+resume4z:
+	ADDQ $64, R9
+	ADDQ $64, DI
+	ADDQ $16, R8
+	JMP  segment4z
+
+compare4z:
+	MOVQ AX, k+80(FP)
+	XORQ R13, R13
+	ROW_MASK_Z(0, Z0, 0)
+	ROW_MASK_Z(4, Z1, 16)
+	ROW_MASK_Z(8, Z2, 32)
+	ROW_MASK_Z(12, Z3, 48)
+	MOVQ  R13, mask+72(FP)
+	TESTQ R13, R13
+	JZ    none4z
+	MOVQ    tile+0(FP), DI
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+
+none4z:
+	VZEROUPPER
+	RET
+
 // One row's 16 squares from k = AX on, summed pairwise into 8 lanes.
 #define ROW_SQUARES(rbase, dst, tmp) \
 	VMOVUPS (rbase)(AX*4), dst;   \

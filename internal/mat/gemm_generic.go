@@ -6,6 +6,12 @@ package mat
 // KernelSIMD then runs mulBlockUnrolled, the pure-Go register tile.
 const haveSIMD = false
 
+// haveAVX512 is false likewise, and useZMM, which picks the assembly
+// tiles' width where they exist, selects nothing.
+const haveAVX512 = false
+
+var useZMM = false
+
 func mulPanelSIMD(dst, r, s *Matrix, rLo, rHi, blockCols int) {
 	panic("mat: no SIMD kernel in this build")
 }

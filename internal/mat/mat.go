@@ -24,14 +24,17 @@
 // Three kernels honour it. vec.KernelScalar is the plain triple loop.
 // vec.KernelSIMD on amd64 hosts with AVX2 (checked once by CPUID/XGETBV)
 // packs S into 16-column k-major panels and runs a 4x16 assembly tile in
-// which each YMM lane owns one output column: per k it broadcasts four R
-// elements and issues VMULPS then VADDPS against the panel, so every lane
-// performs exactly dotSeq's operation sequence (the amd64 compiler never
-// fuses a float32 multiply-add on its own). Everywhere else — other
-// architectures, amd64 without AVX2, the purego build tag —
-// vec.KernelSIMD runs mulBlockUnrolled, a pure-Go 4x2 register tile with
-// the same per-cell order, which is also the reference the assembly is
-// tested against.
+// which each vector lane owns one output column: per k it broadcasts four
+// R elements and issues VMULPS then VADDPS against the panel, so every
+// lane performs exactly dotSeq's operation sequence (the amd64 compiler
+// never fuses a float32 multiply-add on its own). The tile holds a row
+// in two YMM registers, or in one ZMM register on hosts that also have
+// AVX-512F; both widths run the same operations per lane, so they give
+// the same bits, and the 1-3 remainder rows run on YMM. Everywhere
+// else — other architectures, amd64 without AVX2, the purego build tag
+// — vec.KernelSIMD runs mulBlockUnrolled, a pure-Go 4x2 register tile
+// with the same per-cell order, which is also the reference the assembly
+// is tested against.
 //
 // # Fused scan
 //

@@ -5,8 +5,9 @@ package mat
 import "testing"
 
 // BenchmarkPeakMulAdd is the measured ceiling for mat.gemm_gflops and
-// the scan tiles: VMULPS + VADDPS on registers only. The tiles are YMM;
-// the ZMM row says what a wider tile could reach on this host at most.
+// the scan tiles: VMULPS + VADDPS on registers only, one row per width.
+// The 4-row tiles run on ZMM where the host has AVX-512F and on YMM
+// elsewhere; the 1-row tail kernels are always YMM.
 func BenchmarkPeakMulAdd(b *testing.B) {
 	if !haveSIMD {
 		b.Skip("no AVX2")

@@ -33,15 +33,16 @@ func refScan(r, s *Matrix, bound []float32) []cell {
 }
 
 // scanCells runs ScanAbove and returns the visited cells grouped by row
-// (each row's cells in visiting order, rows ascending). It fails the test
-// if a row's cells do not arrive in ascending j or from two workers.
-func scanCells(t *testing.T, r, s *Matrix, bound []float32, opts GemmOptions) []cell {
+// (each row's cells in visiting order, rows ascending) and the scan's
+// stats. It fails the test if a row's cells do not arrive in ascending j
+// or from two workers.
+func scanCells(t *testing.T, r, s *Matrix, bound []float32, opts GemmOptions) ([]cell, ScanStats) {
 	t.Helper()
 	var mu sync.Mutex
 	rows := make([][]cell, r.Rows())
 	owner := make([]int, r.Rows())
 	workers := 0
-	_, err := ScanAbove(context.Background(), r, s, bound, opts, func() ScanVisitor {
+	st, err := ScanAbove(context.Background(), r, s, bound, opts, func() ScanVisitor {
 		workers++
 		w := workers
 		return func(i, j int, sim float32) {
@@ -64,7 +65,7 @@ func scanCells(t *testing.T, r, s *Matrix, bound []float32, opts GemmOptions) []
 	for _, row := range rows {
 		out = append(out, row...)
 	}
-	return out
+	return out, st
 }
 
 func sameCells(t *testing.T, label string, got, want []cell) {
@@ -86,39 +87,42 @@ func sameCells(t *testing.T, label string, got, want []cell) {
 // from none (d < 32) to five — with bounds no similarity reaches, every
 // similarity reaches, and that sit exactly on one.
 func TestScanAboveShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	negZero := float32(math.Copysign(0, -1))
-	for nr := 0; nr <= 9; nr++ {
-		for _, ns := range []int{1, 15, 16, 17, 63, 64, 65, 1000} {
-			for _, d := range []int{0, 1, 15, 16, 17, 31, 32, 33, 48, 100, 101} {
-				r, s := randomMatrix(rng, nr, d), randomMatrix(rng, ns, d)
-				if d > 16 {
-					// Unit norms, so that bounds near a similarity are
-					// also near what a tile's suffix can still add.
-					r.NormalizeRows()
-					s.NormalizeRows()
-				}
-				if nr > 2 && d > 0 {
-					clear(r.Row(2)) // a row of exact zero similarities
-				}
-				bound := make([]float32, nr)
-				for i := range bound {
-					on := dotSeq(r.Row(i), s.Row(ns/2))
-					bound[i] = []float32{on, float32(math.Inf(-1)), negZero, float32(math.Inf(1)), 0,
-						math.Nextafter32(on, 2), float32(math.NaN())}[(i+nr)%7]
-				}
-				want := refScan(r, s, bound)
-				for _, k := range []vec.Kernel{vec.KernelScalar, vec.KernelSIMD} {
-					for _, opts := range []GemmOptions{
-						{Threads: 1, Kernel: k},
-						{Threads: 2, Kernel: k, BlockRows: 4, BlockCols: 16},
-					} {
-						sameCells(t, "scan", scanCells(t, r, s, bound, opts), want)
+	eachWidth(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(59))
+		negZero := float32(math.Copysign(0, -1))
+		for nr := 0; nr <= 9; nr++ {
+			for _, ns := range []int{1, 15, 16, 17, 63, 64, 65, 1000} {
+				for _, d := range []int{0, 1, 15, 16, 17, 31, 32, 33, 48, 100, 101} {
+					r, s := randomMatrix(rng, nr, d), randomMatrix(rng, ns, d)
+					if d > 16 {
+						// Unit norms, so that bounds near a similarity are
+						// also near what a tile's suffix can still add.
+						r.NormalizeRows()
+						s.NormalizeRows()
+					}
+					if nr > 2 && d > 0 {
+						clear(r.Row(2)) // a row of exact zero similarities
+					}
+					bound := make([]float32, nr)
+					for i := range bound {
+						on := dotSeq(r.Row(i), s.Row(ns/2))
+						bound[i] = []float32{on, float32(math.Inf(-1)), negZero, float32(math.Inf(1)), 0,
+							math.Nextafter32(on, 2), float32(math.NaN())}[(i+nr)%7]
+					}
+					want := refScan(r, s, bound)
+					for _, k := range []vec.Kernel{vec.KernelScalar, vec.KernelSIMD} {
+						for _, opts := range []GemmOptions{
+							{Threads: 1, Kernel: k},
+							{Threads: 2, Kernel: k, BlockRows: 4, BlockCols: 16},
+						} {
+							got, _ := scanCells(t, r, s, bound, opts)
+							sameCells(t, "scan", got, want)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // earlyExitCase is one input built against the tile's early exit.
@@ -194,64 +198,67 @@ func earlyExitCases() []earlyExitCase {
 // TestScanAboveEarlyExit holds the checkpointed tile to the reference on
 // inputs built to mislead it, and checks that it does stop on easy ones.
 func TestScanAboveEarlyExit(t *testing.T) {
-	for _, c := range earlyExitCases() {
-		want := refScan(c.r, c.s, c.bound)
-		for _, opts := range []GemmOptions{
-			{Threads: 1, Kernel: vec.KernelSIMD},
-			{Threads: 2, Kernel: vec.KernelSIMD, BlockRows: 4, BlockCols: 16},
-			{Threads: 1, Kernel: vec.KernelScalar},
-		} {
-			sameCells(t, c.name, scanCells(t, c.r, c.s, c.bound, opts), want)
-		}
-	}
-
-	// Unit-norm rows of 100 against a bound few pairs reach: most tiles
-	// of the assembly kernel stop, the portable kernels run every step,
-	// and a strip whose bounds are all NaN is skipped by both.
-	rng := rand.New(rand.NewSource(71))
-	r, s := randomMatrix(rng, 64, 100), randomMatrix(rng, 200, 100)
-	r.NormalizeRows()
-	s.NormalizeRows()
-	bound := make([]float32, r.Rows())
-	for i := range bound {
-		bound[i] = 0.8
-	}
-	none := func() ScanVisitor { return func(int, int, float32) {} }
-	for _, k := range []vec.Kernel{vec.KernelScalar, vec.KernelSIMD} {
-		st, err := ScanAbove(context.Background(), r, s, bound, GemmOptions{Threads: 1, Kernel: k}, none)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stops := k == vec.KernelSIMD && haveSIMD
-		if st.KSteps != 64*13*100 || stops != (st.KStepsSkipped > st.KSteps/4) || !stops && st.KStepsSkipped != 0 {
-			t.Errorf("kernel %v: %d of %d k-steps skipped", k, st.KStepsSkipped, st.KSteps)
-		}
-		nanBound := append([]float32(nil), bound...)
-		for i := 8; i < 16; i++ {
-			nanBound[i] = float32(math.NaN())
-		}
-		withNaN, err := ScanAbove(context.Background(), r, s, nanBound, GemmOptions{Threads: 1, Kernel: k}, none)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if min := st.KStepsSkipped/64*56 + 8*13*100; withNaN.KStepsSkipped < min-min/10 {
-			t.Errorf("kernel %v: %d k-steps skipped with two NaN strips, want about %d", k, withNaN.KStepsSkipped, min)
-		}
-		// A NaN bound in a strip with live rows must not hold its tiles.
-		for i := range nanBound {
-			nanBound[i] = bound[i]
-			if i%2 == 0 {
-				nanBound[i] = float32(math.NaN())
+	eachWidth(t, func(t *testing.T) {
+		for _, c := range earlyExitCases() {
+			want := refScan(c.r, c.s, c.bound)
+			for _, opts := range []GemmOptions{
+				{Threads: 1, Kernel: vec.KernelSIMD},
+				{Threads: 2, Kernel: vec.KernelSIMD, BlockRows: 4, BlockCols: 16},
+				{Threads: 1, Kernel: vec.KernelScalar},
+			} {
+				got, _ := scanCells(t, c.r, c.s, c.bound, opts)
+				sameCells(t, c.name, got, want)
 			}
 		}
-		mixed, err := ScanAbove(context.Background(), r, s, nanBound, GemmOptions{Threads: 1, Kernel: k}, none)
-		if err != nil {
-			t.Fatal(err)
+
+		// Unit-norm rows of 100 against a bound few pairs reach: most tiles
+		// of the assembly kernel stop, the portable kernels run every step,
+		// and a strip whose bounds are all NaN is skipped by both.
+		rng := rand.New(rand.NewSource(71))
+		r, s := randomMatrix(rng, 64, 100), randomMatrix(rng, 200, 100)
+		r.NormalizeRows()
+		s.NormalizeRows()
+		bound := make([]float32, r.Rows())
+		for i := range bound {
+			bound[i] = 0.8
 		}
-		if stops != (mixed.KStepsSkipped > st.KSteps/4) {
-			t.Errorf("kernel %v: %d of %d k-steps skipped with a NaN bound in every strip", k, mixed.KStepsSkipped, st.KSteps)
+		none := func() ScanVisitor { return func(int, int, float32) {} }
+		for _, k := range []vec.Kernel{vec.KernelScalar, vec.KernelSIMD} {
+			st, err := ScanAbove(context.Background(), r, s, bound, GemmOptions{Threads: 1, Kernel: k}, none)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stops := k == vec.KernelSIMD && haveSIMD
+			if st.KSteps != 64*13*100 || stops != (st.KStepsSkipped > st.KSteps/4) || !stops && st.KStepsSkipped != 0 {
+				t.Errorf("kernel %v: %d of %d k-steps skipped", k, st.KStepsSkipped, st.KSteps)
+			}
+			nanBound := append([]float32(nil), bound...)
+			for i := 8; i < 16; i++ {
+				nanBound[i] = float32(math.NaN())
+			}
+			withNaN, err := ScanAbove(context.Background(), r, s, nanBound, GemmOptions{Threads: 1, Kernel: k}, none)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if min := st.KStepsSkipped/64*56 + 8*13*100; withNaN.KStepsSkipped < min-min/10 {
+				t.Errorf("kernel %v: %d k-steps skipped with two NaN strips, want about %d", k, withNaN.KStepsSkipped, min)
+			}
+			// A NaN bound in a strip with live rows must not hold its tiles.
+			for i := range nanBound {
+				nanBound[i] = bound[i]
+				if i%2 == 0 {
+					nanBound[i] = float32(math.NaN())
+				}
+			}
+			mixed, err := ScanAbove(context.Background(), r, s, nanBound, GemmOptions{Threads: 1, Kernel: k}, none)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stops != (mixed.KStepsSkipped > st.KSteps/4) {
+				t.Errorf("kernel %v: %d of %d k-steps skipped with a NaN bound in every strip", k, mixed.KStepsSkipped, st.KSteps)
+			}
 		}
-	}
+	})
 }
 
 // TestSuffixFactors holds the assembly's factors to their definition,
@@ -348,10 +355,23 @@ func (h *topK) push(c cell) {
 	h.rows[c.i] = row[:min(len(row), h.k)]
 }
 
+// raise is the consumer's visitor: it pushes each cell and, once row i
+// holds k, raises bound[i] to the row's k-th best, as core.TensorTopK
+// does.
+func (h *topK) raise(bound []float32) ScanVisitor {
+	return func(i, j int, sim float32) {
+		h.push(cell{i, j, math.Float32bits(sim)})
+		if row := h.rows[i]; len(row) == h.k {
+			bound[i] = math.Float32frombits(row[h.k-1].bits)
+		}
+	}
+}
+
 // checkRaisedBounds runs a top-k consumer that raises each row's bound to
-// its k-th best as it goes, and holds the result to the materializing
-// form: every non-NaN cell of the full product pushed in (i, j) order.
-func checkRaisedBounds(t *testing.T, r, s *Matrix, k int, opts GemmOptions) {
+// its k-th best as it goes, holds the result to the materializing form
+// (every non-NaN cell of the full product pushed in (i, j) order) and
+// returns the scan's stats.
+func checkRaisedBounds(t *testing.T, r, s *Matrix, k int, opts GemmOptions) ScanStats {
 	t.Helper()
 	want := topK{k: k, rows: make([][]cell, r.Rows())}
 	for i := 0; i < r.Rows(); i++ {
@@ -366,47 +386,44 @@ func checkRaisedBounds(t *testing.T, r, s *Matrix, k int, opts GemmOptions) {
 	for i := range bound {
 		bound[i] = float32(math.Inf(-1))
 	}
-	_, err := ScanAbove(context.Background(), r, s, bound, opts, func() ScanVisitor {
-		return func(i, j int, sim float32) {
-			got.push(cell{i, j, math.Float32bits(sim)})
-			if row := got.rows[i]; len(row) == k {
-				bound[i] = math.Float32frombits(row[k-1].bits)
-			}
-		}
-	})
+	st, err := ScanAbove(context.Background(), r, s, bound, opts, func() ScanVisitor { return got.raise(bound) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want.rows {
 		sameCells(t, "top-k row", got.rows[i], want.rows[i])
 	}
+	return st
 }
 
 func TestScanAboveRaisedBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	r, s := randomMatrix(rng, 23, 9), randomMatrix(rng, 150, 9)
-	copy(s.Row(80), s.Row(3)) // ties: the earlier column must win
-	copy(s.Row(149), s.Row(3))
-	// Long unit-norm rows: once a row holds k candidates its raised bound
-	// lets later tiles stop at a checkpoint, and keeps rising between them.
-	long, longS := randomMatrix(rng, 23, 100), randomMatrix(rng, 150, 100)
-	long.NormalizeRows()
-	longS.NormalizeRows()
-	copy(longS.Row(149), longS.Row(3))
-	for _, k := range []int{1, 3, 200} {
-		for _, kern := range []vec.Kernel{vec.KernelScalar, vec.KernelSIMD} {
-			for _, in := range [][2]*Matrix{{r, s}, {long, longS}} {
-				checkRaisedBounds(t, in[0], in[1], k, GemmOptions{Threads: 1, Kernel: kern})
-				checkRaisedBounds(t, in[0], in[1], k, GemmOptions{Threads: 2, Kernel: kern, BlockRows: 8, BlockCols: 32})
+	eachWidth(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(67))
+		r, s := randomMatrix(rng, 23, 9), randomMatrix(rng, 150, 9)
+		copy(s.Row(80), s.Row(3)) // ties: the earlier column must win
+		copy(s.Row(149), s.Row(3))
+		// Long unit-norm rows: once a row holds k candidates its raised bound
+		// lets later tiles stop at a checkpoint, and keeps rising between them.
+		long, longS := randomMatrix(rng, 23, 100), randomMatrix(rng, 150, 100)
+		long.NormalizeRows()
+		longS.NormalizeRows()
+		copy(longS.Row(149), longS.Row(3))
+		for _, k := range []int{1, 3, 200} {
+			for _, kern := range []vec.Kernel{vec.KernelScalar, vec.KernelSIMD} {
+				for _, in := range [][2]*Matrix{{r, s}, {long, longS}} {
+					checkRaisedBounds(t, in[0], in[1], k, GemmOptions{Threads: 1, Kernel: kern})
+					checkRaisedBounds(t, in[0], in[1], k, GemmOptions{Threads: 2, Kernel: kern, BlockRows: 8, BlockCols: 32})
+				}
 			}
 		}
-	}
+	})
 }
 
 // FuzzScanAboveEqualsReference builds both inputs and the bounds from
 // arbitrary float32 bit patterns (denormals, infinities and NaNs
 // included): the visited set is exactly the reference's, similarities
-// bit for bit, and a bound raised mid-scan changes no top-k result.
+// bit for bit, and a bound raised mid-scan changes no top-k result, on
+// every tile width the host has, each doing the same k-steps.
 func FuzzScanAboveEqualsReference(f *testing.F) {
 	f.Add(uint8(5), uint8(17), uint8(9), uint8(2), []byte{0, 0, 128, 63, 0, 0, 0, 192, 205, 204, 76, 62})
 	f.Add(uint8(4), uint8(16), uint8(8), uint8(0), []byte{1, 0, 0, 0, 0, 0, 128, 127, 255, 255, 127, 127, 0, 0, 128, 255})
@@ -463,7 +480,18 @@ func FuzzScanAboveEqualsReference(f *testing.F) {
 			}
 		}
 		opts := GemmOptions{Threads: 1 + int(k)%2, Kernel: vec.KernelSIMD, BlockRows: 8}
-		sameCells(t, "scan", scanCells(t, r, s, bound, opts), refScan(r, s, bound))
-		checkRaisedBounds(t, r, s, int(k)%5+1, opts)
+		want := refScan(r, s, bound)
+		var first []ScanStats
+		onEachWidth(func(width string) {
+			got, st := scanCells(t, r, s, bound, opts)
+			sameCells(t, width+" scan", got, want)
+			raised := checkRaisedBounds(t, r, s, int(k)%5+1, opts)
+			if first == nil {
+				first = []ScanStats{st, raised}
+				return
+			}
+			sameStats(t, width+" scan", st, first[0])
+			sameStats(t, width+" top-k", raised, first[1])
+		})
 	})
 }
