@@ -1,8 +1,7 @@
 package mat
 
 import (
-	"context"
-	"math"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -90,9 +89,9 @@ func sameStats(t *testing.T, label string, got, want ScanStats) {
 // TestTileWidths names the tile widths this build and host run and those
 // it skips, with the reason (CI runs it with -v, so a green job shows
 // which widths it covered), and holds the widths to each other on the
-// early exit's hard cases, a threshold scan and a top-3 scan whose
-// visitor raises the bounds: the same visited cells, bit for bit, the
-// same stored product, and the same ScanStats.
+// early exit's hard cases and a threshold scan, each also as a top-3
+// scan whose visitor raises the bounds: every width matches the
+// reference, and all do the same k-steps.
 func TestTileWidths(t *testing.T) {
 	width := "the portable kernels"
 	if haveSIMD {
@@ -113,20 +112,14 @@ func TestTileWidths(t *testing.T) {
 		{Threads: 2, Kernel: vec.KernelSIMD, BlockRows: 4, BlockCols: 16},
 	}
 
-	type result struct {
-		cells []cell
-		st    ScanStats
-	}
-	first := map[string]result{}
-	check := func(t *testing.T, width, label string, got result) {
+	first := map[string]ScanStats{} // by input, from the first width run
+	sameAsFirst := func(t *testing.T, label string, st ScanStats) {
 		t.Helper()
-		want, ok := first[label]
-		if !ok {
-			first[label] = got
-			return
+		if want, ok := first[label]; ok {
+			sameStats(t, label, st, want)
+		} else {
+			first[label] = st
 		}
-		sameCells(t, width+" vs the first width: "+label, got.cells, want.cells)
-		sameStats(t, width+" vs the first width: "+label, got.st, want.st)
 	}
 	for _, w := range tileWidths {
 		t.Run(w.name, func(t *testing.T) {
@@ -135,26 +128,12 @@ func TestTileWidths(t *testing.T) {
 			}
 			defer w.use()()
 			for _, c := range cases {
-				for n, o := range opts {
-					label := c.name + [...]string{", one thread", ", two threads"}[n]
-					cells, st := scanCells(t, c.r, c.s, c.bound, o)
-					sameCells(t, w.name+" "+label, cells, refScan(c.r, c.s, c.bound))
-					check(t, w.name, label, result{cells, st})
-
-					got := topK{k: 3, rows: make([][]cell, c.r.Rows())}
-					bound := make([]float32, c.r.Rows())
-					for i := range bound {
-						bound[i] = float32(math.Inf(-1))
-					}
-					st, err := ScanAbove(context.Background(), c.r, c.s, bound, o, func() ScanVisitor { return got.raise(bound) })
-					if err != nil {
-						t.Fatal(err)
-					}
-					var top []cell
-					for _, row := range got.rows {
-						top = append(top, row...)
-					}
-					check(t, w.name, "top-3 of "+label, result{top, st})
+				for _, o := range opts {
+					label := fmt.Sprintf("%s, %d thread(s)", c.name, o.Threads)
+					got, st := scanCells(t, c.r, c.s, c.bound, o)
+					sameCells(t, label, got, refScan(c.r, c.s, c.bound))
+					sameAsFirst(t, label, st)
+					sameAsFirst(t, "top-3 of "+label, checkRaisedBounds(t, c.r, c.s, 3, o))
 				}
 				prod, err := MulTranspose(c.r, c.s, opts[0])
 				if err != nil {
