@@ -3,12 +3,14 @@
 // Usage:
 //
 //	ejbench -list
-//	ejbench -exp fig8,fig14
+//	ejbench -exp fig8,fig14 -quick
 //	ejbench -exp all -scale 10 -threads 8
 //
-// Each experiment prints the same rows/series as the corresponding table or
-// figure in the paper, at host-scaled sizes (`ejbench -list` maps each
-// experiment to its table or figure; README, "Benchmarks").
+// Each experiment prints the same rows/series as the corresponding table,
+// figure or Section V ablation in the paper, at host-scaled sizes
+// (`ejbench -list` maps each experiment to its table or figure; README,
+// "Benchmarks"). Server-level numbers — throughput, latency, recovery,
+// sharding — come from the repository benchmark, `bash benchmark/run.sh`.
 package main
 
 import (
@@ -18,7 +20,6 @@ import (
 	"strings"
 
 	"ejoin/internal/bench"
-	"ejoin/internal/embstore"
 )
 
 func main() {
@@ -29,7 +30,6 @@ func main() {
 		seed    = flag.Int64("seed", 42, "workload RNG seed")
 		quick   = flag.Bool("quick", false, "tiny sizes for smoke runs")
 		list    = flag.Bool("list", false, "list experiments and exit")
-		jsonDir = flag.String("json", ".", "directory for BENCH_*.json results ('' disables)")
 	)
 	flag.Parse()
 
@@ -47,10 +47,6 @@ func main() {
 	if *threads > 0 {
 		cfg.Threads = *threads
 	}
-	cfg.JSONDir = *jsonDir
-	// One shared embedding store per process, as a production deployment
-	// would hold one across all queries it serves.
-	cfg.Store = embstore.New(embstore.Config{MaxBytes: 256 << 20})
 
 	if *exps == "all" {
 		if err := bench.RunAll(os.Stdout, cfg); err != nil {

@@ -14,8 +14,6 @@ import (
 	"runtime"
 	"strings"
 	"time"
-
-	"ejoin/internal/embstore"
 )
 
 // Config scales and seeds experiments.
@@ -29,12 +27,6 @@ type Config struct {
 	Seed int64
 	// Quick shrinks sizes further for CI/tests.
 	Quick bool
-	// Store is the process-wide shared embedding store (set by cmd/ejbench
-	// so experiments share one cache); nil experiments build their own.
-	Store *embstore.Store
-	// JSONDir, when non-empty, is where experiments that emit machine-
-	// readable results (BENCH_*.json) write them.
-	JSONDir string
 }
 
 // DefaultConfig returns the standard laptop-scale configuration.
@@ -95,16 +87,9 @@ func Registry() []Experiment {
 		expFig17(),
 		expFP16(),
 		expModelCache(),
-		expCache(),
-		expServe(),
-		expShard(),
-		expPersist(),
-		expMutate(),
-		expTune(),
 		expBlockSize(),
 		expHNSWRecall(),
 		expIVF(),
-		expQuant(),
 	}
 }
 

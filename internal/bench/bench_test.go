@@ -16,8 +16,7 @@ func TestRegistryComplete(t *testing.T) {
 		"table1", "table2", "costmodel",
 		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
 		"fig15", "fig16", "fig17",
-		"fp16", "modelcache", "cache", "serve", "shard", "persist", "blocksize", "hnswrecall", "ivf",
-		"quant", "mutate", "tune",
+		"fp16", "modelcache", "blocksize", "hnswrecall", "ivf",
 	}
 	names := map[string]bool{}
 	for _, e := range Registry() {

@@ -143,7 +143,7 @@ func TestNaiveNLJCancellationIsPrompt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := model.NewLatencyModel(base, 2*time.Millisecond)
+	slow := slowModel{base, 2 * time.Millisecond}
 	texts := make([]string, 64)
 	for i := range texts {
 		texts[i] = string(rune('a' + i%26))

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"ejoin/internal/hnsw"
 	"ejoin/internal/mat"
@@ -23,6 +24,18 @@ func testModel(t *testing.T, dim int) model.Model {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// slowModel sleeps before every Embed call: an expensive model on the
+// critical path.
+type slowModel struct {
+	model.Model
+	delay time.Duration
+}
+
+func (m slowModel) Embed(s string) ([]float32, error) {
+	time.Sleep(m.delay)
+	return m.Model.Embed(s)
 }
 
 func randomWords(rng *rand.Rand, n int) []string {

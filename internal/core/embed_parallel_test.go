@@ -62,7 +62,7 @@ func TestEmbedParallelFaster(t *testing.T) {
 		t.Skip("timing test")
 	}
 	inner := testModel(t, 16)
-	slow := model.NewLatencyModel(inner, 500*time.Microsecond)
+	slow := slowModel{inner, 500 * time.Microsecond}
 	inputs := randomWords(newRand(93), 64)
 	ctx := context.Background()
 

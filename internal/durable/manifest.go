@@ -37,7 +37,7 @@ type TableEntry struct {
 	// unset), so per-table quantization opt-ins survive restarts.
 	Precision string `json:"precision,omitempty"`
 	// TunedKnob is the auto-tuner's setting for the table's index search
-	// knob (nprobe/ef/rerank_c); 0 when the tuner has never moved it. It is
+	// knob (nprobe/ef); 0 when the tuner has never moved it. It is
 	// re-applied when the index rebuilds at open, so tuning survives
 	// restarts instead of re-learning from the SLO misses that drove it.
 	TunedKnob int `json:"tuned_knob,omitempty"`

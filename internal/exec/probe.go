@@ -83,8 +83,6 @@ func (p *ThresholdProbe) Open(ctx context.Context) error {
 		p.buildF16 = mat.EncodeF16(p.Build)
 	case quant.PrecisionInt8:
 		p.buildI8 = quant.EncodeInt8(p.Build)
-	case quant.PrecisionPQ:
-		return fmt.Errorf("exec: pq is an index access path, not a scan precision")
 	}
 	return nil
 }

@@ -109,42 +109,3 @@ func (ix *Index) Recluster(live *relational.Bitmap) error {
 	}
 	return nil
 }
-
-// Add implements vindex.MutableIndex for the compressed index: vecs' rows
-// are normalized, assigned to their nearest coarse centroid, residualized
-// against it, and encoded with the existing product-quantizer codebook
-// (codebooks are not retrained on insert — like centroids, they drift
-// with churn and are restored by rebuilding). An attached rerank matrix
-// no longer covers the new ids and is detached; attach a grown one after
-// the batch to restore exact reranking.
-func (ix *PQIndex) Add(vecs *mat.Matrix) error {
-	if vecs == nil || vecs.Rows() == 0 {
-		return nil
-	}
-	if vecs.Cols() != ix.dim {
-		return fmt.Errorf("ivf: add dim %d, index dim %d", vecs.Cols(), ix.dim)
-	}
-	nv := vecs.Clone()
-	nv.NormalizeRows()
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	id := len(ix.codes) / ix.book.M()
-	for i := 0; i < nv.Rows(); i++ {
-		row := nv.Row(i)
-		c := nearestCentroid(ix.centroids, row)
-		cent := ix.centroids.Row(c)
-		res := make([]float32, len(row))
-		for j := range row {
-			res[j] = row[j] - cent[j]
-		}
-		code := make([]byte, ix.book.M())
-		if err := ix.book.Encode(res, code); err != nil {
-			return err
-		}
-		ix.codes = append(ix.codes, code...)
-		ix.lists[c] = append(ix.lists[c], id)
-		id++
-	}
-	ix.rerank = nil
-	return nil
-}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"ejoin/internal/vec"
 )
@@ -263,26 +262,6 @@ func TestCountingModel(t *testing.T) {
 	}
 	if c.Dim() != 8 || !strings.Contains(c.Name(), "count") {
 		t.Errorf("Dim/Name = %d/%q", c.Dim(), c.Name())
-	}
-}
-
-func TestLatencyModel(t *testing.T) {
-	h := mustEmbedder(t, 8)
-	l := NewLatencyModel(h, 2*time.Millisecond)
-	start := time.Now()
-	if _, err := l.Embed("w"); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el < 2*time.Millisecond {
-		t.Errorf("latency not applied: %v", el)
-	}
-	if l.Dim() != 8 || !strings.Contains(l.Name(), "2ms") {
-		t.Errorf("Dim/Name = %d/%q", l.Dim(), l.Name())
-	}
-	// Zero delay passes straight through.
-	z := NewLatencyModel(h, 0)
-	if _, err := z.Embed("w"); err != nil {
-		t.Fatal(err)
 	}
 }
 

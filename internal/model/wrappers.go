@@ -3,7 +3,6 @@ package model
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // CountingModel wraps a Model and counts Embed invocations. It is how the
@@ -42,44 +41,6 @@ func (c *CountingModel) Fingerprint() string { return fingerprintOf(c.Inner) }
 
 // Reset zeroes the counter.
 func (c *CountingModel) Reset() { c.calls.Store(0) }
-
-// LatencyModel wraps a Model and adds a fixed latency per Embed call,
-// simulating an expensive model on the critical path (deep network
-// inference, or a remote model service). The M term of the cost model.
-type LatencyModel struct {
-	Inner Model
-	Delay time.Duration
-}
-
-// NewLatencyModel wraps inner with a per-call delay.
-func NewLatencyModel(inner Model, delay time.Duration) *LatencyModel {
-	return &LatencyModel{Inner: inner, Delay: delay}
-}
-
-// Embed implements Model.
-func (l *LatencyModel) Embed(input string) ([]float32, error) {
-	if l.Delay > 0 {
-		// Busy-wait for sub-millisecond fidelity: time.Sleep granularity is
-		// too coarse to model a ~µs lookup cost, and a busy loop also
-		// occupies the core the way real model compute would.
-		deadline := time.Now().Add(l.Delay)
-		for time.Now().Before(deadline) {
-		}
-	}
-	return l.Inner.Embed(input)
-}
-
-// Dim implements Model.
-func (l *LatencyModel) Dim() int { return l.Inner.Dim() }
-
-// Name implements Model.
-func (l *LatencyModel) Name() string {
-	return fmt.Sprintf("%s+%v", l.Inner.Name(), l.Delay)
-}
-
-// Fingerprint forwards the inner model's cache identity (latency does not
-// change output vectors).
-func (l *LatencyModel) Fingerprint() string { return fingerprintOf(l.Inner) }
 
 // fingerprintOf is the cache identity of m: its own Fingerprint when
 // implemented, otherwise the Name/Dim fallback (matching

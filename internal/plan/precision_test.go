@@ -194,25 +194,4 @@ func TestExecutorDemotesInt8OnSparseData(t *testing.T) {
 	}
 }
 
-// TestExecutorRejectsPQScan: PQ is an index access path; a plan that
-// names it as a scan precision fails loudly instead of silently running
-// exact.
-func TestExecutorRejectsPQScan(t *testing.T) {
-	q := testQuery(t)
-	naive, err := NewNaivePlan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := NewOptimizer()
-	opt.ForceStrategy = strategyPtr(cost.StrategyTensor)
-	pl, err := opt.Optimize(naive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.Precision = quant.PrecisionPQ
-	if _, err := (&Executor{}).ExecuteStreaming(context.Background(), pl, 0); err == nil {
-		t.Fatal("expected error for pq scan precision")
-	}
-}
-
 func strategyPtr(s cost.Strategy) *cost.Strategy { return &s }

@@ -24,7 +24,7 @@ func randomUnitMatrix(seed int64, n, dim int) *mat.Matrix {
 }
 
 func TestPrecisionParseAndString(t *testing.T) {
-	for _, p := range []Precision{PrecisionAuto, PrecisionF32, PrecisionF16, PrecisionInt8, PrecisionPQ} {
+	for _, p := range []Precision{PrecisionAuto, PrecisionF32, PrecisionF16, PrecisionInt8} {
 		got, err := ParsePrecision(p.String())
 		if err != nil {
 			t.Fatalf("ParsePrecision(%q): %v", p.String(), err)
@@ -33,8 +33,10 @@ func TestPrecisionParseAndString(t *testing.T) {
 			t.Fatalf("round trip %v -> %v", p, got)
 		}
 	}
-	if _, err := ParsePrecision("bf16"); err == nil {
-		t.Fatal("expected error for unknown precision")
+	for _, s := range []string{"bf16", "pq"} {
+		if _, err := ParsePrecision(s); err == nil {
+			t.Fatalf("expected error for unknown precision %q", s)
+		}
 	}
 	if p, err := ParsePrecision(" FP16 "); err != nil || p != PrecisionF16 {
 		t.Fatalf("case/space-insensitive parse failed: %v %v", p, err)
@@ -51,9 +53,6 @@ func TestBytesPerVector(t *testing.T) {
 	}
 	if got := PrecisionInt8.BytesPerVector(dim); got != 104 {
 		t.Fatalf("int8 bytes = %d", got)
-	}
-	if got := PrecisionPQ.BytesPerVector(dim); got != defaultPQM {
-		t.Fatalf("pq bytes = %d", got)
 	}
 }
 
@@ -135,12 +134,13 @@ func TestInt8ZeroVector(t *testing.T) {
 }
 
 func TestDotErrorBoundMonotone(t *testing.T) {
-	// F32 is exact, F16 is tighter than int8 at practical dims, PQ unbounded.
+	// F32 is exact, F16 is tighter than int8 at practical dims, a value off
+	// the ladder unbounded.
 	for _, dim := range []int{8, 64, 100, 512} {
 		f32 := PrecisionF32.DotErrorBound(dim)
 		f16 := PrecisionF16.DotErrorBound(dim)
 		i8 := PrecisionInt8.DotErrorBound(dim)
-		pq := PrecisionPQ.DotErrorBound(dim)
+		off := Precision(99).DotErrorBound(dim)
 		if f32 != 0 {
 			t.Fatalf("f32 bound %v", f32)
 		}
@@ -150,8 +150,8 @@ func TestDotErrorBoundMonotone(t *testing.T) {
 		if dim <= 512 && f16 >= i8 {
 			t.Fatalf("dim %d: f16 bound %v >= int8 bound %v", dim, f16, i8)
 		}
-		if !math.IsInf(pq, 1) {
-			t.Fatalf("pq bound %v", pq)
+		if !math.IsInf(off, 1) {
+			t.Fatalf("off-ladder bound %v", off)
 		}
 	}
 }

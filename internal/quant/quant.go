@@ -3,7 +3,7 @@
 //
 // Section V-A2 motivates FP16 storage (half the memory traffic of float32
 // at negligible result drift for unit-norm embeddings); this package
-// extends the same storage/accuracy/speed trade two rungs further:
+// extends the same storage/accuracy/speed trade further:
 //
 //   - Int8 scalar quantization: each vector is encoded as dim int8 codes
 //     plus one float32 scale (symmetric, per-vector max-abs). Similarity
@@ -18,11 +18,12 @@
 //     query, then M table lookups + adds per encoded vector — 16× or more
 //     compression with recall recovered by an exact rerank pass.
 //
-// Both encodings are lossy. The Precision type names the ladder rungs so
-// the cost model can plan over them (ChooseJoinPrecision), and DotErrorBound
-// gives the planner a conservative per-rung similarity error bound for
-// unit-norm inputs, which is what makes "is this threshold margin safe at
-// int8?" a plannable question rather than a user guess.
+// Both encodings are lossy. PQ is a codec only (TrainPQ, ADCScore); the
+// Precision type names the scan rungs (f32, f16, int8) so the cost model
+// can plan over them (ChooseJoinPrecision), and DotErrorBound gives the
+// planner a conservative per-rung similarity error bound for unit-norm
+// inputs, which is what makes "is this threshold margin safe at int8?" a
+// plannable question rather than a user guess.
 package quant
 
 import (
@@ -43,9 +44,6 @@ const (
 	PrecisionF16
 	// PrecisionInt8 is symmetric per-vector int8 scalar quantization.
 	PrecisionInt8
-	// PrecisionPQ is product quantization (index-side only: scans use the
-	// scalar rungs, PQ serves compressed index posting lists).
-	PrecisionPQ
 )
 
 // String names the precision as used in plans, stats, and bench output.
@@ -59,15 +57,13 @@ func (p Precision) String() string {
 		return "f16"
 	case PrecisionInt8:
 		return "int8"
-	case PrecisionPQ:
-		return "pq"
 	default:
 		return fmt.Sprintf("Precision(%d)", int(p))
 	}
 }
 
 // ParsePrecision parses a precision name (case-insensitive). Accepted:
-// auto, f32/fp32/float32, f16/fp16/half, int8/i8, pq.
+// auto, f32/fp32/float32, f16/fp16/half, int8/i8.
 func ParsePrecision(s string) (Precision, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "auto", "":
@@ -78,37 +74,20 @@ func ParsePrecision(s string) (Precision, error) {
 		return PrecisionF16, nil
 	case "int8", "i8", "sq8":
 		return PrecisionInt8, nil
-	case "pq":
-		return PrecisionPQ, nil
 	default:
-		return PrecisionAuto, fmt.Errorf("quant: unknown precision %q (want auto, f32, f16, int8, or pq)", s)
-	}
-}
-
-// ScanPrecision reports whether this rung can execute a scan join: the
-// scalar rungs (and Auto, which resolves to one of them). PQ compresses
-// index posting lists only.
-func (p Precision) ScanPrecision() bool {
-	switch p {
-	case PrecisionAuto, PrecisionF32, PrecisionF16, PrecisionInt8:
-		return true
-	default:
-		return false
+		return PrecisionAuto, fmt.Errorf("quant: unknown precision %q (want auto, f32, f16, or int8)", s)
 	}
 }
 
 // BytesPerVector is the storage cost of one dim-dimensional vector at this
 // precision: the quantity the memory-budget side of precision planning
-// trades against accuracy. PQ assumes the default 8-byte code (codebook
-// overhead amortizes across the corpus and is excluded).
+// trades against accuracy.
 func (p Precision) BytesPerVector(dim int) int64 {
 	switch p {
 	case PrecisionF16:
 		return int64(dim) * 2
 	case PrecisionInt8:
 		return int64(dim) + 4 // codes + per-vector scale
-	case PrecisionPQ:
-		return defaultPQM
 	default:
 		return int64(dim) * 4
 	}
@@ -133,9 +112,7 @@ func (p Precision) BytesPerVector(dim int) int64 {
 // gate on the exact per-pair bound from the encoded scales
 // (Int8DotErrorBound) rather than this planning constant.
 //
-// PQ is unbounded without rerank (distortion is data-dependent), so it
-// returns +Inf: PQ is never a scan precision, only an index access path
-// whose rerank pass restores exactness over the returned candidates.
+// Any other value returns +Inf.
 func (p Precision) DotErrorBound(dim int) float64 {
 	if dim <= 0 {
 		dim = 1

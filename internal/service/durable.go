@@ -108,8 +108,6 @@ func Open(cfg Config) (*Engine, error) {
 		// value degrades to exact, never to an error.
 		if p, err := quant.ParsePrecision(entry.Precision); err != nil {
 			d.warnings = append(d.warnings, fmt.Sprintf("table %q: %v (running exact)", entry.Name, err))
-		} else if err := ValidateScanPrecision(p); err != nil {
-			d.warnings = append(d.warnings, fmt.Sprintf("table %q: %v (running exact)", entry.Name, err))
 		} else {
 			e.tablePrec.set(entry.Name, p)
 		}

@@ -215,7 +215,7 @@ func TestEngineDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := model.NewLatencyModel(base, 2*time.Millisecond)
+	slow := slowModel{base, 2 * time.Millisecond}
 	e, _ := newTestEngine(t, Config{Model: slow, DefaultTimeout: 5 * time.Millisecond, Threads: 1})
 
 	_, err = e.Query(context.Background(), QueryRequest{SQL: testQuery})
@@ -242,7 +242,7 @@ func TestEngineMaxTimeoutCapsRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := model.NewLatencyModel(base, 2*time.Millisecond)
+	slow := slowModel{base, 2 * time.Millisecond}
 	e, _ := newTestEngine(t, Config{Model: slow, MaxTimeout: 5 * time.Millisecond, Threads: 1})
 
 	_, err = e.Query(context.Background(), QueryRequest{SQL: testQuery, Timeout: time.Hour})
@@ -261,7 +261,7 @@ func TestEngineCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := model.NewLatencyModel(base, 2*time.Millisecond)
+	slow := slowModel{base, 2 * time.Millisecond}
 	e, _ := newTestEngine(t, Config{Model: slow, Threads: 1})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -283,6 +283,18 @@ func TestEngineCancellation(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled query did not return within 5s")
 	}
+}
+
+// slowModel sleeps before every Embed call: an expensive model on the
+// critical path.
+type slowModel struct {
+	model.Model
+	delay time.Duration
+}
+
+func (m slowModel) Embed(s string) ([]float32, error) {
+	time.Sleep(m.delay)
+	return m.Model.Embed(s)
 }
 
 // gaugeModel tracks the maximum number of concurrent Embed calls.

@@ -41,7 +41,7 @@ const auditQueueDepth = 64
 // exactly what the probe saw regardless of concurrent mutations.
 type auditJob struct {
 	table    string // right (indexed) table, canonical name
-	kind     string // index kind label (ivf, hnsw, ivf_pq)
+	kind     string // index kind label (ivf, hnsw)
 	knobName string
 	knob     int // knob value the probe ran at
 	k        int
@@ -143,8 +143,6 @@ func indexKindFor(knobName string) string {
 		return "ivf"
 	case "ef":
 		return "hnsw"
-	case "rerank_c":
-		return "ivf_pq"
 	}
 	return "index"
 }
@@ -430,8 +428,8 @@ func (e *Engine) maybeTune(table string) {
 	e.front.obs.slow.Record(snap)
 }
 
-// IndexKnob reports the named table's index tuning knob (nprobe, ef, or
-// rerank_c) and its current value.
+// IndexKnob reports the named table's index tuning knob (nprobe or ef)
+// and its current value.
 func (e *Engine) IndexKnob(table string) (name string, value int, err error) {
 	ts := e.mut.get(table)
 	if ts == nil || ts.idx == nil {

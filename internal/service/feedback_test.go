@@ -130,6 +130,13 @@ func TestAutoTuneClosesRecallLoopAndPersists(t *testing.T) {
 	if name != "nprobe" || tuned <= 1 {
 		t.Fatalf("tuner left knob at (%s, %d), want nprobe > 1", name, tuned)
 	}
+	// The move paid off: audited recall at the starved knob is below the
+	// recall at the tuned one.
+	ts := e.FeedbackDump().Tables["corpus"]
+	before, ok := ts.RecallByKnob["1"]
+	if after := ts.RecallByKnob[fmt.Sprint(tuned)]; !ok || before >= after {
+		t.Fatalf("recall at nprobe=1 %v (audited %v), at nprobe=%d %v: tuning did not raise recall", before, ok, tuned, after)
+	}
 	st := e.Stats().Feedback
 	if st.Audits == 0 || st.TunerMoves == 0 {
 		t.Fatalf("loop accounting empty: %+v", st)

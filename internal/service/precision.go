@@ -63,26 +63,12 @@ func (tp *tablePrecisions) snapshot() map[string]string {
 	return out
 }
 
-// ValidateScanPrecision rejects precisions that cannot execute a scan
-// join — the one check behind both SetTablePrecision and the HTTP
-// layer's pre-ingest validation.
-func ValidateScanPrecision(p quant.Precision) error {
-	if !p.ScanPrecision() {
-		return fmt.Errorf("service: precision %s is not a scan precision (use auto, f32, f16, or int8)", p)
-	}
-	return nil
-}
-
 // SetTablePrecision sets (or, with PrecisionAuto, clears) the named
-// table's join precision. Scan precisions only: PQ compresses index
-// posting lists, not scans, and is rejected here. On a durable engine
-// the knob is recorded in the table manifest, so it survives restarts.
+// table's join precision. On a durable engine the knob is recorded in
+// the table manifest, so it survives restarts.
 func (e *Engine) SetTablePrecision(name string, p quant.Precision) error {
 	if !e.HasTable(name) {
 		return fmt.Errorf("service: unknown table %q", name)
-	}
-	if err := ValidateScanPrecision(p); err != nil {
-		return err
 	}
 	e.tablePrec.set(name, p)
 	return e.persistTablePrecision(name, p)

@@ -105,15 +105,12 @@ func TestTablePrecisionClearedOnReplace(t *testing.T) {
 	}
 }
 
-// TestTablePrecisionValidation: unknown tables and non-scan precisions
-// are rejected; top-k joins ignore the knob.
+// TestTablePrecisionValidation: unknown tables are rejected; top-k joins
+// ignore the knob.
 func TestTablePrecisionValidation(t *testing.T) {
 	e, _ := newTestEngine(t, Config{})
 	if err := e.SetTablePrecision("nope", quant.PrecisionF16); err == nil {
 		t.Fatal("expected unknown-table error")
-	}
-	if err := e.SetTablePrecision("left", quant.PrecisionPQ); err == nil {
-		t.Fatal("expected pq rejection")
 	}
 	if err := e.SetTablePrecision("left", quant.PrecisionF16); err != nil {
 		t.Fatal(err)

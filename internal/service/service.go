@@ -296,9 +296,6 @@ func (e *Engine) RegisterCSVWithPrecision(name string, schema relational.Schema,
 	if name == "" {
 		return 0, fmt.Errorf("service: empty table name")
 	}
-	if err := ValidateScanPrecision(prec); err != nil {
-		return 0, err
-	}
 	if !replace && e.HasTable(name) {
 		return 0, fmt.Errorf("%w: %q (pass replace to overwrite)", ErrTableExists, name)
 	}

@@ -261,6 +261,20 @@ func runDifferentialLoad(t *testing.T, cfg service.Config, grid []gridPoint, req
 				if req.Limit > 0 && len(got.Matches) > req.Limit {
 					t.Errorf("%s: %d matches over limit %d", label, len(got.Matches), req.Limit)
 				}
+				// Repeated, the query is served warm: the same matches at
+				// zero model calls on every shard (the naive baseline
+				// embeds per compared pair by definition).
+				again, err := rt.Query(ctx, req)
+				if err != nil {
+					t.Fatalf("sharded request %d, repeated: %v", i, err)
+				}
+				assertSameMatches(t, label+" repeated", want[i], again)
+				if again.Strategy != cost.StrategyNaiveNLJ.String() && again.Stats.ModelCalls != 0 {
+					t.Errorf("%s: repeated query made %d model calls, want 0", label, again.Stats.ModelCalls)
+				}
+			}
+			if skew := rt.Stats().PartitionSkew; skew < 1 {
+				t.Errorf("partition skew %v, want >= 1", skew)
 			}
 			// Stats-visible row counts: the aggregated table listing must
 			// match the unsharded engine's exactly.

@@ -287,9 +287,6 @@ func (r *Router) RegisterCSVWithPrecision(name string, schema relational.Schema,
 	if name == "" {
 		return 0, fmt.Errorf("shard: empty table name")
 	}
-	if err := service.ValidateScanPrecision(prec); err != nil {
-		return 0, err
-	}
 	t, err := relational.ReadCSV(rd, schema)
 	if err != nil {
 		return 0, err

@@ -51,10 +51,9 @@ type MutableIndex interface {
 
 // TunableIndex is the capability interface for indexes with a runtime
 // recall/cost knob — the default beam a TopK with beam<=0 searches at
-// (NProbe for inverted files, efSearch for graphs, the rerank pool for
-// quantized indexes). The SLO-driven tuner nudges this knob between
-// audit rounds; implementations must make both methods safe against
-// concurrent TopK calls.
+// (NProbe for inverted files, efSearch for graphs). The SLO-driven tuner
+// nudges this knob between audit rounds; implementations must make both
+// methods safe against concurrent TopK calls.
 type TunableIndex interface {
 	Index
 	// Knob returns the knob's name (stable, e.g. "nprobe") and its

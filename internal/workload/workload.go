@@ -116,18 +116,6 @@ func VectorTable(seed int64, vecs *mat.Matrix, attrCard int64) (*relational.Tabl
 	)
 }
 
-// Zipf returns n indexes in [0, card) with Zipfian skew s > 1, for skewed
-// string workloads.
-func Zipf(seed int64, n int, card uint64, s float64) []int {
-	rng := rand.New(rand.NewSource(seed))
-	z := rand.NewZipf(rng, s, 1, card-1)
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(z.Uint64())
-	}
-	return out
-}
-
 // Misspell introduces one deterministic typo (per FastText's robustness
 // story): swap, drop, duplicate, or replace one character.
 func Misspell(word string, variant int) string {

@@ -103,20 +103,6 @@ func TestVectorTable(t *testing.T) {
 	}
 }
 
-func TestZipf(t *testing.T) {
-	idx := Zipf(11, 10000, 100, 1.5)
-	counts := map[int]int{}
-	for _, i := range idx {
-		if i < 0 || i >= 100 {
-			t.Fatalf("index out of range: %d", i)
-		}
-		counts[i]++
-	}
-	if counts[0] <= counts[50] {
-		t.Error("Zipf skew missing: rank 0 should dominate")
-	}
-}
-
 func TestMisspell(t *testing.T) {
 	w := "barbecue"
 	seen := map[string]bool{}
