@@ -78,7 +78,6 @@ func main() {
 		drain          = flag.Duration("drain", 10*time.Second, "graceful shutdown drain window")
 		dataDir        = flag.String("data-dir", "", "data directory for durable state (empty = memory-only); restarts on the same directory serve warm")
 		segmentBytes   = flag.Int64("segment-bytes", 64<<20, "embedding log segment size before rotation")
-		precisionSlack = flag.Float64("precision-slack", 0, "result drift tolerated at threshold-join boundaries; > 0 lets the planner pick f16/int8 scans (0 = exact plans)")
 		indexTables    = flag.Bool("index-tables", false, "maintain an IVF vector index per table with a vector column (inserts append; churn re-clusters)")
 		reclusterFrac  = flag.Float64("recluster-fraction", 0, "deleted fraction of a table that triggers a background index re-cluster (0 = default 0.3, negative = never)")
 		slowThreshold  = flag.Duration("slow-query-threshold", 0, "minimum elapsed time for a trace to enter the slow-query ring (0 = record every query; the worst-N set is kept regardless)")
@@ -106,7 +105,6 @@ func main() {
 		Threads:        *threads,
 		DataDir:        *dataDir,
 		SegmentBytes:   *segmentBytes,
-		PrecisionSlack: *precisionSlack,
 
 		IndexTables:       *indexTables,
 		ReclusterFraction: *reclusterFrac,

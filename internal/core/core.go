@@ -84,10 +84,6 @@ type Stats struct {
 	EmbedTime time.Duration `json:"embed_time_ns"`
 	// JoinTime is time spent comparing/joining.
 	JoinTime time.Duration `json:"join_time_ns"`
-	// RerankTime is time spent in exact rescoring inside index probes
-	// (IVF-PQ's rerank pass); zero for scan strategies and uncompressed
-	// indexes. A subset of JoinTime.
-	RerankTime time.Duration `json:"rerank_time_ns,omitempty"`
 }
 
 // Add folds another invocation's stats into s: counters and times sum,
@@ -101,7 +97,6 @@ func (s *Stats) Add(o Stats) {
 	s.PeakIntermediateBytes = max(s.PeakIntermediateBytes, o.PeakIntermediateBytes)
 	s.EmbedTime += o.EmbedTime
 	s.JoinTime += o.JoinTime
-	s.RerankTime += o.RerankTime
 }
 
 // Result is the output of a join operator.

@@ -16,8 +16,8 @@ import (
 // float32 accumulation. This implements the paper's half-precision
 // processing direction (Section V-A2) as a storage/compute ablation:
 // unit-norm embeddings lose ~1e-3 per element to quantization, so
-// thresholds keep their meaning (set ThresholdSlack if matches at the
-// exact boundary matter).
+// thresholds keep their meaning except for pairs within
+// quant.PrecisionF16.DotErrorBound of the boundary.
 func NLJF16(ctx context.Context, left, right *mat.F16Matrix, threshold float32, opts Options) (*Result, error) {
 	if left.Cols() != right.Cols() {
 		return nil, fmt.Errorf("core: f16 nlj dimensionality mismatch: %d vs %d", left.Cols(), right.Cols())

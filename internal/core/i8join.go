@@ -17,7 +17,7 @@ import (
 // (Section V-A2) one rung down the precision ladder: unit-norm embeddings
 // lose at most quant.Int8DotErrorBound per comparison, so a threshold
 // with that much margin keeps its meaning — which is exactly the margin
-// the precision planner checks before choosing this operator.
+// a table accepts when it declares int8.
 //
 // The contract matches NLJF16: filters, thread partitioning over the left
 // input, and stride-based ctx.Err() checks in the inner loop.

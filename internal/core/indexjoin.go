@@ -62,14 +62,6 @@ func IndexJoinWith(ctx context.Context, left *mat.Matrix, index vindex.Index, co
 
 	useRange := cond.MinSim > -1
 	callsBefore := index.DistanceCalls()
-	// Rerank accounting follows the DistanceCalls pattern: indexes that
-	// rescore internally (IVF-PQ) expose a cumulative nanosecond counter,
-	// and the before/after delta is this join's share.
-	var rerankBefore int64
-	rn, hasRerank := index.(interface{ RerankNanos() int64 })
-	if hasRerank {
-		rerankBefore = rn.RerankNanos()
-	}
 
 	parts := make([][]Match, threads)
 	errs := make([]error, threads)
@@ -121,9 +113,6 @@ func IndexJoinWith(ctx context.Context, left *mat.Matrix, index vindex.Index, co
 		res.Matches = append(res.Matches, p...)
 	}
 	res.Stats.Comparisons = index.DistanceCalls() - callsBefore
-	if hasRerank {
-		res.Stats.RerankTime = time.Duration(rn.RerankNanos() - rerankBefore)
-	}
 	sortMatches(res.Matches)
 	res.Stats.JoinTime = time.Since(start)
 	return res, nil

@@ -215,12 +215,12 @@ func TestInt8AgreementProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The exact per-pair bound from the encoded scales covers any
-		// disagreement, and the planner's static constant must dominate it
-		// on this domain (dense Gaussian unit vectors) — the claim
-		// Precision.DotErrorBound makes and ChooseJoinPrecision gates on.
+		// disagreement, and the static constant must dominate it on this
+		// domain (dense Gaussian unit vectors) — the claim
+		// Precision.DotErrorBound makes.
 		slack := quant.Int8DotErrorBound(dim, ql.MaxScale(), qr.MaxScale())
 		if static := float32(quant.PrecisionInt8.DotErrorBound(dim)); slack > static {
-			t.Fatalf("trial %d: dim %d per-pair bound %v exceeds planner constant %v on dense embeddings",
+			t.Fatalf("trial %d: dim %d per-pair bound %v exceeds static constant %v on dense embeddings",
 				trial, dim, slack, static)
 		}
 		fullSet := matchKeys(full.Matches)

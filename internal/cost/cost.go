@@ -16,7 +16,6 @@ import (
 	"ejoin/internal/core"
 	"ejoin/internal/mat"
 	"ejoin/internal/model"
-	"ejoin/internal/quant"
 	"ejoin/internal/vec"
 )
 
@@ -249,99 +248,6 @@ func (p Params) ChooseJoinStrategyWarm(nr, ns int, selLeft, selRight float64, k 
 	return Choice{Strategy: best, Estimates: est}
 }
 
-// scanCostFactor is the relative per-comparison cost of a scan at each
-// precision: comparisons in large joins are memory-bound, so cost tracks
-// bytes moved (1, 1/2, 1/4), partially offset by per-element conversion
-// or rescaling work the narrower formats pay on the compute side.
-func scanCostFactor(p quant.Precision) float64 {
-	switch p {
-	case quant.PrecisionF16:
-		return 0.65
-	case quant.PrecisionInt8:
-		return 0.45
-	default:
-		return 1
-	}
-}
-
-// PrecisionChoice is the outcome of precision selection.
-type PrecisionChoice struct {
-	Precision quant.Precision
-	// Estimates maps each eligible precision to its estimated scan cost;
-	// precisions excluded on accuracy grounds are absent.
-	Estimates map[quant.Precision]float64
-	// FootprintBytes is the chosen precision's resident embedding bytes.
-	FootprintBytes int64
-}
-
-// ChooseJoinPrecision picks the storage/compute precision for a threshold
-// scan join over nr x ns embeddings of the given dimensionality — the
-// precision-ladder analogue of ChooseJoinStrategyWarm. Two constraints
-// gate each rung before cost comparison:
-//
-//   - accuracy: a precision is eligible only when its dot-product error
-//     bound (quant.Precision.DotErrorBound) is at most slack, the result
-//     drift the caller tolerates at the threshold boundary. slack <= 0
-//     demands exactness and always selects F32.
-//   - memory: when budgetBytes > 0, precisions whose embedding footprint
-//     (nr+ns vectors) exceeds the budget are excluded; if no precision
-//     fits, the smallest-footprint eligible rung is chosen — degraded,
-//     like the admission controller's over-budget clamp, rather than
-//     refused. The footprint is the scan's steady-state residency: the
-//     executor drops the float32 prefetch once the quantized copies are
-//     built, so only the encode pass transiently holds both.
-//
-// Among survivors the cheapest estimated scan cost wins: comparisons
-// scaled by the per-precision byte-traffic factor, plus the one-pass
-// encode cost quantization adds per input tuple.
-func (p Params) ChooseJoinPrecision(nr, ns, dim int, budgetBytes int64, slack float64) PrecisionChoice {
-	if slack < 0 {
-		slack = 0
-	}
-	ladder := []quant.Precision{quant.PrecisionF32, quant.PrecisionF16, quant.PrecisionInt8}
-	est := make(map[quant.Precision]float64, len(ladder))
-	footprint := func(prec quant.Precision) int64 {
-		return int64(nr+ns) * prec.BytesPerVector(dim)
-	}
-
-	var eligible []quant.Precision
-	for _, prec := range ladder {
-		if prec.DotErrorBound(dim) > slack {
-			continue
-		}
-		encode := 0.0
-		if prec != quant.PrecisionF32 {
-			// Quantizing is one pass over each input tuple's vector.
-			encode = float64(nr+ns) * p.Access
-		}
-		est[prec] = float64(nr)*float64(ns)*p.Compare*scanCostFactor(prec) + encode
-		eligible = append(eligible, prec)
-	}
-
-	best := quant.PrecisionF32
-	fits := func(prec quant.Precision) bool {
-		return budgetBytes <= 0 || footprint(prec) <= budgetBytes
-	}
-	chosen := false
-	for _, prec := range eligible {
-		if !fits(prec) {
-			continue
-		}
-		if !chosen || est[prec] < est[best] {
-			best, chosen = prec, true
-		}
-	}
-	if !chosen {
-		// Nothing fits the budget: take the smallest eligible footprint.
-		for _, prec := range eligible {
-			if !chosen || footprint(prec) < footprint(best) {
-				best, chosen = prec, true
-			}
-		}
-	}
-	return PrecisionChoice{Precision: best, Estimates: est, FootprintBytes: footprint(best)}
-}
-
 // Corrections are multiplicative cardinality adjustments learned from
 // executed queries (the feedback loop): observed-over-estimated ratios
 // that scale the planner's static inputs before cost comparison. The
@@ -395,18 +301,6 @@ func (c Corrections) Clamped() Corrections {
 func (p Params) ChooseJoinStrategyCorrected(nr, ns int, selLeft, selRight float64, k int, hasIndex bool, hitL, hitR float64, corr Corrections) Choice {
 	corr = corr.Clamped()
 	return p.ChooseJoinStrategyWarm(nr, ns, selLeft*corr.SelLeft, selRight*corr.SelRight, k, hasIndex, hitL, hitR)
-}
-
-// ChooseJoinPrecisionCorrected is ChooseJoinPrecision over feedback-
-// corrected input cardinalities: each side's row count is scaled by its
-// selectivity correction before the ladder weighs scan cost against the
-// encode pass. The memory gate still uses the corrected counts — an
-// estimate the feedback says is too low would otherwise under-reserve.
-func (p Params) ChooseJoinPrecisionCorrected(nr, ns, dim int, budgetBytes int64, slack float64, corr Corrections) PrecisionChoice {
-	corr = corr.Clamped()
-	cnr := int(math.Ceil(float64(nr) * corr.SelLeft))
-	cns := int(math.Ceil(float64(ns) * corr.SelRight))
-	return p.ChooseJoinPrecision(cnr, cns, dim, budgetBytes, slack)
 }
 
 func clamp01(x float64) float64 {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ejoin/internal/model"
-	"ejoin/internal/quant"
 )
 
 func TestDefaultParamsValid(t *testing.T) {
@@ -260,68 +259,5 @@ func TestChooseJoinStrategyWarmCanFlip(t *testing.T) {
 	if warm.Estimates[StrategyIndex] > cold.Estimates[StrategyIndex] {
 		t.Errorf("warm index estimate rose: %v vs %v",
 			warm.Estimates[StrategyIndex], cold.Estimates[StrategyIndex])
-	}
-}
-
-func TestChooseJoinPrecisionExactByDefault(t *testing.T) {
-	p := DefaultParams()
-	// Zero slack demands exactness: F32 regardless of sizes or budget.
-	c := p.ChooseJoinPrecision(10000, 10000, 100, 1<<20, 0)
-	if c.Precision != quant.PrecisionF32 {
-		t.Fatalf("zero slack chose %v", c.Precision)
-	}
-	if len(c.Estimates) != 1 {
-		t.Fatalf("zero slack should leave only f32 eligible, got %v", c.Estimates)
-	}
-	// Negative slack clamps to zero rather than excluding everything.
-	if c := p.ChooseJoinPrecision(100, 100, 32, 0, -1); c.Precision != quant.PrecisionF32 {
-		t.Fatalf("negative slack chose %v", c.Precision)
-	}
-}
-
-func TestChooseJoinPrecisionSlackUnlocksLadder(t *testing.T) {
-	p := DefaultParams()
-	nr, ns, dim := 5000, 5000, 100
-	// Slack above the f16 bound but below int8's: f16 wins on traffic.
-	f16Only := quant.PrecisionF16.DotErrorBound(dim) + 1e-6
-	if c := p.ChooseJoinPrecision(nr, ns, dim, 0, f16Only); c.Precision != quant.PrecisionF16 {
-		t.Fatalf("f16-slack chose %v (estimates %v)", c.Precision, c.Estimates)
-	}
-	// Generous slack: int8 is the cheapest scan.
-	c := p.ChooseJoinPrecision(nr, ns, dim, 0, 0.05)
-	if c.Precision != quant.PrecisionInt8 {
-		t.Fatalf("wide slack chose %v (estimates %v)", c.Precision, c.Estimates)
-	}
-	if len(c.Estimates) != 3 {
-		t.Fatalf("expected all three rungs estimated, got %v", c.Estimates)
-	}
-	if c.Estimates[quant.PrecisionInt8] >= c.Estimates[quant.PrecisionF16] ||
-		c.Estimates[quant.PrecisionF16] >= c.Estimates[quant.PrecisionF32] {
-		t.Fatalf("estimates not ordered by byte traffic: %v", c.Estimates)
-	}
-	if c.FootprintBytes != int64(nr+ns)*quant.PrecisionInt8.BytesPerVector(dim) {
-		t.Fatalf("footprint %d", c.FootprintBytes)
-	}
-}
-
-func TestChooseJoinPrecisionBudgetForcesNarrow(t *testing.T) {
-	p := DefaultParams()
-	nr, ns, dim := 1000, 1000, 100
-	f32Bytes := int64(nr+ns) * quant.PrecisionF32.BytesPerVector(dim)
-	// Budget admits f16 but not f32; slack admits everything. Int8 both
-	// fits and is cheapest.
-	c := p.ChooseJoinPrecision(nr, ns, dim, f32Bytes/2, 0.05)
-	if c.Precision != quant.PrecisionInt8 {
-		t.Fatalf("budgeted choice %v", c.Precision)
-	}
-	// Budget admits nothing: smallest eligible footprint wins anyway.
-	c = p.ChooseJoinPrecision(nr, ns, dim, 1, 0.05)
-	if c.Precision != quant.PrecisionInt8 {
-		t.Fatalf("over-budget fallback chose %v", c.Precision)
-	}
-	// Budget admits nothing and slack admits only f32: degrade to f32.
-	c = p.ChooseJoinPrecision(nr, ns, dim, 1, 0)
-	if c.Precision != quant.PrecisionF32 {
-		t.Fatalf("exact over-budget fallback chose %v", c.Precision)
 	}
 }

@@ -44,13 +44,14 @@ type PersisterStats struct {
 	Errors int64 `json:"errors"`
 }
 
-// NewPersister starts a persister over log with the given queue depth
-// (<=0 uses 4096). Call Attach to connect a store, Close to stop.
-func NewPersister(log *Log, queue int) *Persister {
-	if queue <= 0 {
-		queue = 4096
-	}
-	p := &Persister{log: log, ch: make(chan persistOp, queue)}
+// persistQueue is the write-behind queue depth: how many records the
+// store may run ahead of the log before enqueue blocks.
+const persistQueue = 4096
+
+// NewPersister starts a persister over log. Call Attach to connect a
+// store, Close to stop.
+func NewPersister(log *Log) *Persister {
+	p := &Persister{log: log, ch: make(chan persistOp, persistQueue)}
 	p.wg.Add(1)
 	go p.run()
 	return p

@@ -44,24 +44,15 @@ type ThresholdProbe struct {
 	// tuple-at-a-time NLJ.
 	Tensor bool
 	// Precision is the scan rung (F16/int8 encode the build once at Open
-	// and each probe block on arrival); PrecisionSlack, when positive, is
-	// the drift tolerance a cost-based int8 choice was made under.
-	Precision      quant.Precision
-	PrecisionSlack float64
-	Opts           core.Options
+	// and each probe block on arrival).
+	Precision quant.Precision
+	Opts      core.Options
 
 	st  OpStats
 	agg core.Stats
 	// buildF16/buildI8 are the once-encoded build side.
 	buildF16 *mat.F16Matrix
 	buildI8  *quant.Int8Matrix
-	// DemotedBlocks counts probe blocks the int8 slack guard ran exact:
-	// per-row scales make block-wise encoding identical to whole-matrix
-	// encoding, but the error bound is per pair of max scales, so the
-	// guard re-checks each block against the planner's promised slack and
-	// demotes just that block to F32.
-	DemotedBlocks int64
-	blocks        int64
 }
 
 // Open encodes the resident build side.
@@ -71,7 +62,6 @@ func (p *ThresholdProbe) Open(ctx context.Context) error {
 		p.st.Name = "probe:tensor"
 	}
 	p.agg = core.Stats{}
-	p.DemotedBlocks, p.blocks = 0, 0
 	if err := p.Input.Open(ctx); err != nil {
 		return err
 	}
@@ -95,7 +85,6 @@ func (p *ThresholdProbe) Next(ctx context.Context) (*Batch, error) {
 	}
 	start := time.Now()
 	p.st.RowsIn += int64(b.Len())
-	p.blocks++
 	res, err := p.probeBlock(ctx, b.Emb)
 	if err != nil {
 		return nil, err
@@ -115,24 +104,12 @@ func (p *ThresholdProbe) probeBlock(ctx context.Context, block *mat.Matrix) (*co
 	case quant.PrecisionF16:
 		return core.NLJF16(ctx, mat.EncodeF16(block), p.buildF16, p.Threshold, p.Opts)
 	case quant.PrecisionInt8:
-		lq := quant.EncodeInt8(block)
-		if p.PrecisionSlack > 0 &&
-			float64(quant.Int8DotErrorBound(lq.Cols(), lq.MaxScale(), p.buildI8.MaxScale())) > p.PrecisionSlack {
-			p.DemotedBlocks++
-			break
-		}
-		return core.NLJI8(ctx, lq, p.buildI8, p.Threshold, p.Opts)
+		return core.NLJI8(ctx, quant.EncodeInt8(block), p.buildI8, p.Threshold, p.Opts)
 	}
 	if p.Tensor {
 		return core.TensorJoin(ctx, block, p.Build, p.Threshold, p.Opts)
 	}
 	return core.NLJ(ctx, block, p.Build, p.Threshold, p.Opts)
-}
-
-// AllDemoted reports whether every probed block fell back to the exact
-// scan, used to keep the plan's reported precision honest.
-func (p *ThresholdProbe) AllDemoted() bool {
-	return p.blocks > 0 && p.DemotedBlocks == p.blocks
 }
 
 // Close implements Operator.

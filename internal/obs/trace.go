@@ -10,14 +10,12 @@
 // executor) is:
 //
 //	resolve      parse + bind, or plan-cache hit validation
-//	plan         naive plan construction + optimization + precision rules
+//	plan         naive plan construction + optimization + declared precision
 //	admit        admission wait (execution slot + byte budget)
 //	execute      the whole executor run (embed spans + join nest inside)
 //	embed        one input's E_µ evaluation (attrs: hits/misses/merged/model_calls)
 //	join:<s>     the comparison phase of scan strategy s (nlj, tensor, naive-nlj)
 //	index.probe  the probe loop of the index strategy
-//	rerank       exact rescoring inside an IVF-PQ probe (synthetic: placed
-//	             at the end of index.probe, duration from the index)
 //	materialize  joined-output table construction
 //	wal.append   fsynced WAL append of a mutation batch
 //	apply        MVCC apply + publish of a mutation batch
@@ -131,7 +129,7 @@ func (s *ActiveSpan) End() {
 }
 
 // AddSpan records a completed span directly — for intervals measured
-// elsewhere (e.g. rerank time reported by the index after the probe).
+// elsewhere (e.g. a streamed phase's summed time, after the stream drains).
 func (t *Trace) AddSpan(name string, start, dur time.Duration, attrs map[string]int64) {
 	if t == nil {
 		return

@@ -6,7 +6,6 @@ import (
 	"ejoin/internal/cost"
 	"ejoin/internal/embstore"
 	"ejoin/internal/model"
-	"ejoin/internal/quant"
 	"ejoin/internal/relational"
 )
 
@@ -27,23 +26,10 @@ type Optimizer struct {
 	// expectedHitRatio), so a warm cache can flip the scan-versus-probe
 	// choice.
 	Store *embstore.Store
-	// Precision forces the scan precision for threshold joins; Auto (the
-	// zero value) selects it with cost.ChooseJoinPrecision under
-	// PrecisionSlack and MemoryBudget.
-	Precision quant.Precision
-	// PrecisionSlack is the result drift tolerated at the threshold
-	// boundary when precision selection is cost-based: a quantized rung is
-	// eligible only if its dot-product error bound fits within it. Zero
-	// (the default) demands exactness, so plans stay F32 unless the
-	// deployment opts into the trade.
-	PrecisionSlack float64
-	// MemoryBudget bounds the resident embedding bytes precision selection
-	// plans for (<=0 = unconstrained).
-	MemoryBudget int64
 	// Feedback, when set, supplies multiplicative cardinality corrections
 	// learned from executed queries; the optimizer scales its selectivity
-	// and output estimates by them before cost comparison, so strategy,
-	// precision, and EXPLAIN cardinalities track the observed workload.
+	// and output estimates by them before cost comparison, so strategy
+	// and EXPLAIN cardinalities track the observed workload.
 	Feedback FeedbackSource
 }
 
@@ -104,11 +90,10 @@ func (o *Optimizer) Optimize(root *EJoin) (*EJoin, error) {
 	// (inner) input for cache locality; Figure 10 measures ~35% impact.
 	// Top-k joins are per-left-row and therefore not symmetric: reordering
 	// would change results, so only threshold joins reorder.
-	lr, rr := estimateRows(out.Left), estimateRows(out.Right)
-	if !o.DisableReorder && out.Spec.Kind == ThresholdJoin && lr < rr && !hasIndex(out.Right) {
+	if !o.DisableReorder && out.Spec.Kind == ThresholdJoin && !hasIndex(out.Right) &&
+		estimateRows(out.Left) < estimateRows(out.Right) {
 		out.Left, out.Right = out.Right, out.Left
 		out.Swapped = true
-		lr, rr = rr, lr
 	}
 	// Corrections were fetched in the original orientation; if the reorder
 	// rule swapped the inputs, swap the side factors with them.
@@ -140,51 +125,7 @@ func (o *Optimizer) Optimize(root *EJoin) (*EJoin, error) {
 		out.Strategy = choice.Strategy
 		out.Estimates = choice.Estimates
 	}
-
-	// Rule 5 (precision ladder): threshold scans may trade bounded
-	// accuracy for memory traffic under planner control.
-	if out.Quantizable() {
-		if o.Precision != quant.PrecisionAuto {
-			out.Precision = o.Precision
-		} else if o.PrecisionSlack > 0 || o.MemoryBudget > 0 {
-			lr, rr := estimateRows(out.Left), estimateRows(out.Right)
-			dim := inputDim(out.Left)
-			if d := inputDim(out.Right); d > dim {
-				dim = d
-			}
-			pc := params.ChooseJoinPrecisionCorrected(lr, rr, dim, o.MemoryBudget, o.PrecisionSlack, ccorr)
-			out.Precision = pc.Precision
-			out.PrecisionEstimates = pc.Estimates
-			out.PrecisionSlack = o.PrecisionSlack
-		}
-	}
 	return out, nil
-}
-
-// inputDim is the embedding dimensionality an input will carry: a vector
-// column's declared dim, or the embedding model's output dim.
-func inputDim(n Node) int {
-	for cur := n; cur != nil; {
-		switch t := cur.(type) {
-		case *Scan:
-			if t.Ref.Table != nil && t.Ref.VectorColumn != "" {
-				if vc, err := t.Ref.Table.Vectors(t.Ref.VectorColumn); err == nil {
-					return vc.Dim
-				}
-			}
-			return 0
-		case *Embed:
-			if t.Model != nil {
-				return t.Model.Dim()
-			}
-			cur = t.Input
-		case *Filter:
-			cur = t.Input
-		default:
-			return 0
-		}
-	}
-	return 0
 }
 
 // rewriteInput applies the E-Selection equivalence to one join input:
@@ -235,20 +176,10 @@ func estimateRows(n Node) int {
 	}
 }
 
-// ShardedChoice is a shard router's one global access-path decision for a
-// fan-out: the physical strategy every probe×build pair is pinned to, plus
-// (when Rule 5 ran) the one scan precision.
-type ShardedChoice struct {
-	Strategy cost.Strategy
-	// Precision is meaningful only when PrecisionChosen is true.
-	Precision quant.Precision
-	// PrecisionChosen reports whether cost-based precision selection ran
-	// (the optimizer has PrecisionAuto plus a slack or memory budget).
-	PrecisionChosen bool
-}
-
-// ChooseSharded evaluates the optimizer's cost-based rules (4 and 5) once
-// over global cardinalities summed from per-shard table references. Shards
+// ChooseSharded is a shard router's one global access-path decision for a
+// fan-out: the physical strategy every probe×build pair is pinned to. It
+// evaluates the optimizer's cost-based rule 4 once over global
+// cardinalities summed from per-shard table references. Shards
 // partition each table's physical rows exactly, so the sums equal the
 // estimates an unsharded optimizer would compute from the whole tables —
 // pinning every pair of a fan-out to this choice makes the sharded
@@ -261,7 +192,13 @@ type ShardedChoice struct {
 // are keyed on it); probe and build are the executed-orientation per-shard
 // references; swapped says whether the router's global reorder rule
 // flipped the sides.
-func (o *Optimizer) ChooseSharded(q Query, probe, build []TableRef, swapped bool) ShardedChoice {
+func (o *Optimizer) ChooseSharded(q Query, probe, build []TableRef, swapped bool) cost.Strategy {
+	if o.ForceStrategy != nil {
+		return *o.ForceStrategy
+	}
+	if o.DisablePrefetch {
+		return cost.StrategyNaiveNLJ
+	}
 	params := o.Params
 	if params.Validate() != nil {
 		params = cost.DefaultParams()
@@ -276,72 +213,39 @@ func (o *Optimizer) ChooseSharded(q Query, probe, build []TableRef, swapped bool
 
 	baseP, estP := sumRefRows(probe)
 	baseB, estB := sumRefRows(build)
-
-	var ch ShardedChoice
-	switch {
-	case o.ForceStrategy != nil:
-		ch.Strategy = *o.ForceStrategy
-	case o.DisablePrefetch:
-		ch.Strategy = cost.StrategyNaiveNLJ
-	default:
-		selP, selB := 1.0, 1.0
-		if baseP > 0 {
-			selP = float64(estP) / float64(baseP)
-		}
-		if baseB > 0 {
-			selB = float64(estB) / float64(baseB)
-		}
-		k := 0
-		if q.Join.Kind == TopKJoin {
-			k = q.Join.K
-		}
-		// The unsharded plan either has one index over the whole build side
-		// or none; sharded, the analogue is every populated build shard
-		// carrying one. A partially indexed fan-out (shards lag index builds
-		// independently) prices and executes as unindexed.
-		allIdx := false
-		for _, ref := range build {
-			if ref.Table == nil || ref.Table.NumRows() == 0 {
-				continue
-			}
-			if ref.Index == nil {
-				allIdx = false
-				break
-			}
-			allIdx = true
-		}
-		hitP := o.shardedHitRatio(probe, q.Model)
-		hitB := o.shardedHitRatio(build, q.Model)
-		choice := params.ChooseJoinStrategyCorrected(baseP, baseB, selP, selB, k, allIdx, hitP, hitB, corr)
-		if choice.Strategy == cost.StrategyIndex && !allIdx {
-			choice.Strategy = cost.StrategyTensor
-		}
-		ch.Strategy = choice.Strategy
+	selP, selB := 1.0, 1.0
+	if baseP > 0 {
+		selP = float64(estP) / float64(baseP)
 	}
-
-	// Rule 5, globally: one precision for every pair's scan. When the
-	// deployment forces a precision (o.Precision) the per-pair Optimize
-	// already applies it uniformly, so only the cost-based path needs the
-	// global row counts.
-	if o.Precision == quant.PrecisionAuto && (o.PrecisionSlack > 0 || o.MemoryBudget > 0) {
-		dim := 0
-		if q.Model != nil {
-			dim = q.Model.Dim()
-		}
-		for _, refs := range [][]TableRef{probe, build} {
-			for _, ref := range refs {
-				if ref.Table != nil && ref.VectorColumn != "" {
-					if vc, err := ref.Table.Vectors(ref.VectorColumn); err == nil && vc.Dim > dim {
-						dim = vc.Dim
-					}
-				}
-			}
-		}
-		pc := params.ChooseJoinPrecisionCorrected(estP, estB, dim, o.MemoryBudget, o.PrecisionSlack, corr)
-		ch.Precision = pc.Precision
-		ch.PrecisionChosen = true
+	if baseB > 0 {
+		selB = float64(estB) / float64(baseB)
 	}
-	return ch
+	k := 0
+	if q.Join.Kind == TopKJoin {
+		k = q.Join.K
+	}
+	// The unsharded plan either has one index over the whole build side
+	// or none; sharded, the analogue is every populated build shard
+	// carrying one. A partially indexed fan-out (shards lag index builds
+	// independently) prices and executes as unindexed.
+	allIdx := false
+	for _, ref := range build {
+		if ref.Table == nil || ref.Table.NumRows() == 0 {
+			continue
+		}
+		if ref.Index == nil {
+			allIdx = false
+			break
+		}
+		allIdx = true
+	}
+	hitP := o.shardedHitRatio(probe, q.Model)
+	hitB := o.shardedHitRatio(build, q.Model)
+	choice := params.ChooseJoinStrategyCorrected(baseP, baseB, selP, selB, k, allIdx, hitP, hitB, corr)
+	if choice.Strategy == cost.StrategyIndex && !allIdx {
+		return cost.StrategyTensor
+	}
+	return choice.Strategy
 }
 
 // sumRefRows sums base and post-predicate row counts across shard refs.

@@ -180,15 +180,6 @@ type EJoin struct {
 	// (threshold scans only; top-k and index strategies stay exact).
 	// Auto executes as F32.
 	Precision quant.Precision
-	// PrecisionEstimates holds the precision chooser's per-rung estimates
-	// when selection was cost-based.
-	PrecisionEstimates map[quant.Precision]float64
-	// PrecisionSlack records the drift tolerance a cost-based precision
-	// choice was made under (0 for forced precisions). The executor uses
-	// it as a runtime guard: if the encoded data's exact error bound
-	// exceeds it — the planner's density assumption was wrong for this
-	// data — the scan demotes to exact F32.
-	PrecisionSlack float64
 }
 
 // Explain implements Node.
@@ -216,12 +207,23 @@ func (j *EJoin) Children() []Node { return []Node{j.Left, j.Right} }
 
 // Quantizable reports whether this plan's shape can execute at a reduced
 // scan precision: a threshold condition on a scan strategy. Top-k
-// conditions rank by exact similarity and index probes rerank inside the
-// index, so neither quantizes. The optimizer's precision rule and the
-// service's per-table knob both gate on this one predicate.
+// conditions rank by exact similarity and index probes rank inside the
+// index, so neither quantizes. ApplyPrecisionKnob gates on this one
+// predicate.
 func (j *EJoin) Quantizable() bool {
 	return j.Spec.Kind == ThresholdJoin &&
 		(j.Strategy == cost.StrategyNLJ || j.Strategy == cost.StrategyTensor)
+}
+
+// ApplyPrecisionKnob sets the scan precision of an optimized plan to a
+// declared join precision, the only way a plan's precision is set. Only
+// threshold scans quantize (Quantizable), so the knob is a no-op
+// elsewhere, as is PrecisionAuto.
+func ApplyPrecisionKnob(j *EJoin, knob quant.Precision) {
+	if knob == quant.PrecisionAuto || !j.Quantizable() {
+		return
+	}
+	j.Precision = knob
 }
 
 // NewNaivePlan builds the unoptimized plan of Figure 1: embed eagerly over

@@ -25,7 +25,6 @@ import (
 	"ejoin/internal/mat"
 	"ejoin/internal/model"
 	"ejoin/internal/obs"
-	"ejoin/internal/quant"
 	"ejoin/internal/relational"
 )
 
@@ -361,12 +360,11 @@ func (ex *Executor) lowerProbe(j *EJoin, in *loweredInput, build *BuildSide) (pr
 		// A naive plan gets here with a vector column on either side: it
 		// carries no precision and scans as the prefetched NLJ.
 		op := &exec.ThresholdProbe{
-			Input:          in.top,
-			Threshold:      j.Spec.Threshold,
-			Tensor:         j.Strategy == cost.StrategyTensor,
-			Precision:      j.Precision,
-			PrecisionSlack: j.PrecisionSlack,
-			Opts:           ex.Options,
+			Input:     in.top,
+			Threshold: j.Spec.Threshold,
+			Tensor:    j.Strategy == cost.StrategyTensor,
+			Precision: j.Precision,
+			Opts:      ex.Options,
 		}
 		op.Build, op.BuildRows = build.emb, build.rows
 		return op, nil
@@ -444,9 +442,6 @@ func (s *Stream) Finish(ctx context.Context, matches []core.Match) *ExecResult {
 		RightRows: s.build.rows,
 		Truncated: s.limit != nil && s.limit.Truncated,
 	}
-	if tp, ok := s.probe.(*exec.ThresholdProbe); ok && j.Precision == quant.PrecisionInt8 && tp.AllDemoted() {
-		j.Precision = quant.PrecisionF32 // keep plan/stats honest about what ran
-	}
 	res.Stats = s.probe.CoreStats()
 	if st, bs, ok := s.in.embedStats(); ok {
 		res.Stats.ModelCalls += bs.ModelCalls
@@ -509,7 +504,7 @@ func (ex *Executor) ExecuteStreaming(ctx context.Context, j *EJoin, limit int) (
 }
 
 // emitSpans adds the probe side's per-phase spans after the stream
-// drains ("embed", "join:<strategy>"/"index.probe", "rerank"): one span
+// drains ("embed", "join:<strategy>"/"index.probe"): one span
 // per phase with summed durations, not one per block, so traces stay
 // bounded regardless of stream length.
 func (s *Stream) emitSpans(ctx context.Context, res *ExecResult) {
@@ -532,11 +527,6 @@ func (s *Stream) emitSpans(ctx context.Context, res *ExecResult) {
 		"matches":     int64(len(res.Matches)),
 		"batches":     s.probe.Stats().Batches,
 	})
-	if rt := res.Stats.RerankTime; rt > 0 {
-		// The rerank interval is measured inside the index; anchor it at
-		// the tail of the probe span it is a subset of.
-		tr.AddSpan("rerank", tr.Since()-rt, rt, nil)
-	}
 }
 
 // analysis renders one input's EXPLAIN ANALYZE subtree from its

@@ -142,7 +142,7 @@ func checkOracle(t *testing.T, q Query, j *EJoin, res *ExecResult, tol, minRecal
 // wantCalls model calls (< 0: one per surviving row of either side) and,
 // for scan strategies, one comparison per surviving pair. The BlockRows=16
 // result is returned.
-func runShape(t *testing.T, q Query, opt *Optimizer, tune func(*Executor), tol, minRecall float64, wantCalls int64) (*ExecResult, *EJoin) {
+func runShape(t *testing.T, q Query, opt planner, tune func(*Executor), tol, minRecall float64, wantCalls int64) (*ExecResult, *EJoin) {
 	t.Helper()
 	var first, at16 *ExecResult
 	var plan16 *EJoin
@@ -200,6 +200,27 @@ func forced(s cost.Strategy) *Optimizer {
 	o := NewOptimizer()
 	o.ForceStrategy = &s
 	return o
+}
+
+// planner is what runShape plans with: an Optimizer, or one followed by
+// a declared precision.
+type planner interface {
+	Optimize(*EJoin) (*EJoin, error)
+}
+
+// declared applies a table's declared precision to every plan its
+// optimizer returns, the way the service does.
+type declared struct {
+	*Optimizer
+	prec quant.Precision
+}
+
+func (d declared) Optimize(root *EJoin) (*EJoin, error) {
+	out, err := d.Optimizer.Optimize(root)
+	if err == nil {
+		ApplyPrecisionKnob(out, d.prec)
+	}
+	return out, err
 }
 
 func TestStreamingDifferentialThresholdNLJ(t *testing.T) {
@@ -281,12 +302,10 @@ func TestStreamingDifferentialQuantized(t *testing.T) {
 	for _, p := range []quant.Precision{quant.PrecisionF16, quant.PrecisionInt8} {
 		t.Run(p.String(), func(t *testing.T) {
 			q := streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.8})
-			o := forced(cost.StrategyNLJ)
-			// Forced precision, zero slack: no demotion guard, and per-row
-			// scales make block-wise int8/f16 encoding identical to
+			// Per-row scales make block-wise int8/f16 encoding identical to
 			// whole-matrix encoding, so block-size invariance stays exact
 			// while the oracle is met to the rung's stated error bound.
-			o.Precision = p
+			o := declared{forced(cost.StrategyNLJ), p}
 			runShape(t, q, o, nil, p.DotErrorBound(q.Model.Dim())+f32Tol, 1, -1)
 		})
 	}

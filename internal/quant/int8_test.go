@@ -43,19 +43,6 @@ func TestPrecisionParseAndString(t *testing.T) {
 	}
 }
 
-func TestBytesPerVector(t *testing.T) {
-	dim := 100
-	if got := PrecisionF32.BytesPerVector(dim); got != 400 {
-		t.Fatalf("f32 bytes = %d", got)
-	}
-	if got := PrecisionF16.BytesPerVector(dim); got != 200 {
-		t.Fatalf("f16 bytes = %d", got)
-	}
-	if got := PrecisionInt8.BytesPerVector(dim); got != 104 {
-		t.Fatalf("int8 bytes = %d", got)
-	}
-}
-
 // TestInt8RoundTripErrorBound: every element reconstructs within the
 // guaranteed scale/2 bound.
 func TestInt8RoundTripErrorBound(t *testing.T) {

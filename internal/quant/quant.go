@@ -19,11 +19,10 @@
 //     compression with recall recovered by an exact rerank pass.
 //
 // Both encodings are lossy. PQ is a codec only (TrainPQ, ADCScore); the
-// Precision type names the scan rungs (f32, f16, int8) so the cost model
-// can plan over them (ChooseJoinPrecision), and DotErrorBound gives the
-// planner a conservative per-rung similarity error bound for unit-norm
-// inputs, which is what makes "is this threshold margin safe at int8?" a
-// plannable question rather than a user guess.
+// Precision type names the scan rungs (f32, f16, int8) a table may
+// declare for its joins, and DotErrorBound states each rung's similarity
+// error bound for unit-norm inputs: the result drift a declaration
+// accepts at the threshold boundary.
 package quant
 
 import (
@@ -36,7 +35,7 @@ import (
 type Precision int
 
 const (
-	// PrecisionAuto lets the planner choose (executors treat it as F32).
+	// PrecisionAuto is unset; executes as F32.
 	PrecisionAuto Precision = iota
 	// PrecisionF32 is exact full-precision float32.
 	PrecisionF32
@@ -79,24 +78,10 @@ func ParsePrecision(s string) (Precision, error) {
 	}
 }
 
-// BytesPerVector is the storage cost of one dim-dimensional vector at this
-// precision: the quantity the memory-budget side of precision planning
-// trades against accuracy.
-func (p Precision) BytesPerVector(dim int) int64 {
-	switch p {
-	case PrecisionF16:
-		return int64(dim) * 2
-	case PrecisionInt8:
-		return int64(dim) + 4 // codes + per-vector scale
-	default:
-		return int64(dim) * 4
-	}
-}
-
 // DotErrorBound is a conservative bound on the absolute dot-product error
 // this precision introduces between two unit-norm vectors of the given
-// dimensionality. The planner compares it against the query's threshold
-// slack to decide whether a quantized scan can change results.
+// dimensionality: how far a quantized scan's similarities may drift from
+// the exact ones, so how close to the threshold a match may flip.
 //
 // F16: per-element relative error ≤ 2⁻¹¹ (round-to-nearest-even), so the
 // dot error is bounded by ~2·√d·2⁻¹¹; we use 2⁻¹⁰·√d for headroom.
@@ -108,9 +93,8 @@ func (p Precision) BytesPerVector(dim int) int64 {
 // ~4096, which is the constant returned here and validated against the
 // exact per-pair bound by the int8 agreement property test. It is NOT a
 // worst-case guarantee: adversarially sparse vectors (near-one-hot,
-// maxabs ≈ 1) reach √d/127. Deployments quantizing such data should
-// gate on the exact per-pair bound from the encoded scales
-// (Int8DotErrorBound) rather than this planning constant.
+// maxabs ≈ 1) reach √d/127; the exact per-pair bound from the encoded
+// scales is Int8DotErrorBound.
 //
 // Any other value returns +Inf.
 func (p Precision) DotErrorBound(dim int) float64 {

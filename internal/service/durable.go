@@ -177,7 +177,7 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	d.log = log
 	d.loadedEntries = loaded
-	d.persister = durable.NewPersister(log, cfg.PersistQueue)
+	d.persister = durable.NewPersister(log)
 	d.persister.Attach(e.store)
 
 	e.durable = d

@@ -111,31 +111,19 @@ func Resolve(cfg Config) (Resolved, error) {
 		}
 		cfg.CalibrateCost = false
 	}
-	if cfg.Kernel == vec.KernelScalar {
-		// The zero value means "unset", not a scalar-kernel request.
-		cfg.Kernel = vec.DefaultKernel()
-	}
-
-	opt := &plan.Optimizer{
-		Params:        cfg.CostParams,
-		Store:         cfg.Store,
-		ForceStrategy: cfg.ForceStrategy,
-	}
-	if cfg.PrecisionSlack > 0 {
-		opt.PrecisionSlack = cfg.PrecisionSlack
-		// Precision planning budgets against the same byte budget that
-		// gates admission: the quantity both exist to protect.
-		opt.MemoryBudget = cfg.AdmissionBytes
-	}
 	return Resolved{
 		Config:     cfg,
 		Calibrated: calibrated,
 		Exec: &plan.Executor{
-			Options:   core.Options{Kernel: cfg.Kernel, Threads: cfg.Threads},
+			Options:   core.Options{Kernel: vec.DefaultKernel(), Threads: cfg.Threads},
 			Store:     cfg.Store,
 			BlockRows: cfg.ExecBlockRows,
 		},
-		Opt: opt,
+		Opt: &plan.Optimizer{
+			Params:        cfg.CostParams,
+			Store:         cfg.Store,
+			ForceStrategy: cfg.ForceStrategy,
+		},
 	}, nil
 }
 
@@ -195,7 +183,7 @@ func NewFrontend(r Resolved, catalog *sqlish.Catalog, b Backend) *Frontend {
 		bytes:   newByteSemaphore(cfg.AdmissionBytes),
 		start:   time.Now(),
 	}
-	f.obs.slow = obs.NewSlowLog(cfg.SlowLogSize, cfg.SlowLogWorst, cfg.SlowQueryThreshold)
+	f.obs.slow = obs.NewSlowLog(cfg.SlowLogSize, 0, cfg.SlowQueryThreshold)
 	return f
 }
 

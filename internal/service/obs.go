@@ -60,7 +60,6 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	mw.Counter("ejoin_comparisons_total", "Vector pair comparisons across served queries.", float64(st.Join.Comparisons))
 	mw.Counter("ejoin_embed_seconds_total", "Cumulative embedding (E_mu) time.", st.Join.EmbedTime.Seconds())
 	mw.Counter("ejoin_join_seconds_total", "Cumulative join/comparison time.", st.Join.JoinTime.Seconds())
-	mw.Counter("ejoin_rerank_seconds_total", "Cumulative exact-rerank time inside index probes.", st.Join.RerankTime.Seconds())
 
 	countsByLabel(mw, "ejoin_joins_by_strategy_total", "Executed joins per physical strategy.", "strategy", st.Strategies)
 	countsByLabel(mw, "ejoin_joins_by_precision_total", "Executed joins per effective scan precision.", "precision", st.Quant.JoinsByPrecision)

@@ -5,15 +5,14 @@ package service
 // tolerate; when two tables join, the coarser declaration wins (a table
 // opted into int8 does not force exactness on its partner — the partner's
 // knob would have demanded it). The knob applies to threshold scan joins;
-// top-k conditions rank by exact similarity and index probes rerank
-// internally, so both stay exact regardless.
+// top-k conditions rank by exact similarity and index probes rank inside
+// the index, so both stay exact regardless.
 
 import (
 	"fmt"
 	"strings"
 	"sync"
 
-	"ejoin/internal/plan"
 	"ejoin/internal/quant"
 )
 
@@ -94,7 +93,7 @@ func precisionRank(p quant.Precision) int {
 }
 
 // JoinPrecision merges two joined tables' declarations: the coarser knob
-// wins; both unset leaves the planner's choice (Auto).
+// wins; both unset leaves Auto, which executes as F32.
 func (e *Engine) JoinPrecision(leftTable, rightTable string) quant.Precision {
 	l, r := e.tablePrec.get(leftTable), e.tablePrec.get(rightTable)
 	if l == quant.PrecisionAuto && r == quant.PrecisionAuto {
@@ -107,19 +106,4 @@ func (e *Engine) JoinPrecision(leftTable, rightTable string) quant.Precision {
 		return r
 	}
 	return l
-}
-
-// ApplyPrecisionKnob makes a declared join precision (JoinPrecision)
-// override j's cost-based choice. Only threshold scans quantize — top-k
-// ranks by exact similarity and index probes rerank internally — so the
-// knob is a no-op elsewhere, as is PrecisionAuto. The knob is a forced
-// choice: the cost-based residue is cleared so the executor's slack-based
-// demotion guard never overrides an explicit operator opt-in.
-func ApplyPrecisionKnob(j *plan.EJoin, knob quant.Precision) {
-	if knob == quant.PrecisionAuto || !j.Quantizable() {
-		return
-	}
-	j.Precision = knob
-	j.PrecisionSlack = 0
-	j.PrecisionEstimates = nil
 }

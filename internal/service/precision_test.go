@@ -138,19 +138,3 @@ func TestTablePrecisionValidation(t *testing.T) {
 		t.Fatalf("top-k executed at %q", res.Precision)
 	}
 }
-
-// TestPrecisionSlackConfig: a configured slack makes the planner itself
-// choose a quantized rung with no per-table knob involved.
-func TestPrecisionSlackConfig(t *testing.T) {
-	e, _ := newTestEngine(t, Config{PrecisionSlack: 0.05})
-	res, err := e.Query(context.Background(), QueryRequest{SQL: testQuery})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Precision != "int8" {
-		t.Fatalf("slack-planned precision %q", res.Precision)
-	}
-	if got := e.Stats().Quant.PrecisionSlack; got != 0.05 {
-		t.Fatalf("stats slack %v", got)
-	}
-}

@@ -139,7 +139,7 @@ func (e *Engine) PlanQuery(q plan.Query) (QueryRun, int64, int64, error) {
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	ApplyPrecisionKnob(optimized, e.JoinPrecision(q.Left.Name, q.Right.Name))
+	plan.ApplyPrecisionKnob(optimized, e.JoinPrecision(q.Left.Name, q.Right.Name))
 	// A plan is charged its build side plus one probe block — what the
 	// pipeline holds — not both whole inputs: charging for the probe side
 	// would serialize queries that can safely run concurrently.

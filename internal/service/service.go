@@ -41,7 +41,6 @@ import (
 	"ejoin/internal/quant"
 	"ejoin/internal/relational"
 	"ejoin/internal/sqlish"
-	"ejoin/internal/vec"
 )
 
 // Config tunes an Engine. The zero value is usable: hash model (dim 100),
@@ -80,18 +79,8 @@ type Config struct {
 	// product stays near GOMAXPROCS instead of oversubscribing the CPU
 	// quadratically under full admission.
 	Threads int
-	// Kernel selects the compute kernel. The zero value resolves to
-	// vec.DefaultKernel() (SIMD) — the scalar kernel exists for ablation
-	// benchmarks and cannot be selected through the service.
-	Kernel vec.Kernel
 	// CostParams parametrizes the planner; zero value uses defaults.
 	CostParams cost.Params
-	// PrecisionSlack opts the planner into the precision ladder: the
-	// result drift tolerated at a threshold join's boundary. When > 0 the
-	// optimizer may pick F16/INT8 scans (cost.ChooseJoinPrecision) under
-	// the admission byte budget; 0 (the default) keeps every plan exact
-	// unless a per-table precision is declared (SetTablePrecision).
-	PrecisionSlack float64
 	// DataDir, when non-empty, makes the engine durable: Open recovers
 	// tables and cached embeddings from it, the embedding store persists
 	// write-behind into it, and ingested tables are written to it. Empty
@@ -100,8 +89,6 @@ type Config struct {
 	// SegmentBytes rotates embedding log segments past this size
 	// (default 64 MiB).
 	SegmentBytes int64
-	// PersistQueue is the write-behind queue depth (default 4096).
-	PersistQueue int
 	// IndexTables maintains an IVF-Flat vector index per table with a
 	// vector column: inserts append to posting lists, deletes tombstone,
 	// and the coarse quantizer re-clusters in the background past
@@ -127,9 +114,6 @@ type Config struct {
 	SlowQueryThreshold time.Duration
 	// SlowLogSize is the slow-query ring capacity (default 128).
 	SlowLogSize int
-	// SlowLogWorst is how many all-time-slowest traces are pinned outside
-	// the ring (default 8).
-	SlowLogWorst int
 	// RecallSLO is the audited recall@k target the auto-tuner steers
 	// index knobs toward (default 0.95). Only meaningful with
 	// AuditFraction > 0.

@@ -49,9 +49,6 @@ type QuantStats struct {
 	TablePrecisions map[string]string `json:"table_precisions,omitempty"`
 	// JoinsByPrecision counts executed joins per effective scan precision.
 	JoinsByPrecision map[string]int64 `json:"joins_by_precision,omitempty"`
-	// PrecisionSlack is the configured planner slack (0 = exact plans
-	// unless a table knob forces otherwise).
-	PrecisionSlack float64 `json:"precision_slack"`
 }
 
 // ServerStats is the engine's aggregated observability surface: the query
@@ -107,7 +104,6 @@ func (e *Engine) Stats() ServerStats {
 		Quant: QuantStats{
 			TablePrecisions:  e.tablePrec.snapshot(),
 			JoinsByPrecision: e.front.joinsByPrecision(),
-			PrecisionSlack:   e.cfg.PrecisionSlack,
 		},
 		Obs:      obsStats,
 		Cost:     e.costStats(),

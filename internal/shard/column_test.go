@@ -7,7 +7,9 @@ package shard
 // Table sizes straddle the column-chunk boundaries (embstore.ChunkRows) and
 // block sizes run from one row to the whole probe side. On the Engine, a
 // plan whose predicate stays above E_µ (a RowFilter over chunk views) runs
-// concurrently with a pushed-down plan over the same chunks.
+// concurrently with a pushed-down plan over the same chunks. Threshold
+// queries at a declared f16 or int8 precision on l race the same
+// mutations and are held to their rung's error bound.
 
 import (
 	"context"
@@ -183,10 +185,29 @@ type colQuery struct {
 	sql   string
 	spec  oracle.Spec
 	preds []relational.Pred
+	// prec, when not Auto, is declared on l while the query runs.
+	prec quant.Precision
+}
+
+// colDim is the test model's dimensionality.
+const colDim = 16
+
+// tolerance is how far a reply's similarities may sit from the oracle's
+// at the query's precision: the rung's error bound for unit-norm inputs
+// (int8's worst case, per-vector scales of at most 1/127) plus float32
+// rounding.
+func (q colQuery) tolerance() float64 {
+	switch q.prec {
+	case quant.PrecisionF16:
+		return quant.PrecisionF16.DotErrorBound(colDim) + 1e-5
+	case quant.PrecisionInt8:
+		return float64(quant.Int8DotErrorBound(colDim, 1.0/127, 1.0/127)) + 1e-5
+	}
+	return 1e-5
 }
 
 func TestColumnRacesOracle(t *testing.T) {
-	base, err := model.NewHashEmbedder(16)
+	base, err := model.NewHashEmbedder(colDim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +217,8 @@ func TestColumnRacesOracle(t *testing.T) {
 		{sql: "SELECT * FROM l JOIN r ON SIM(l.name, r.name) >= 0.7", spec: oracle.Spec{Threshold: 0.7}},
 		{sql: "SELECT * FROM l JOIN r ON TOPK(l.name, r.name, 2)", spec: oracle.Spec{K: 2, Threshold: -2}},
 		{sql: "SELECT * FROM l JOIN r ON SIM(l.name, r.name) >= 0.7 WHERE l.attr < 50", spec: oracle.Spec{Threshold: 0.7}, preds: attrLT},
+		{sql: "SELECT * FROM l JOIN r ON SIM(l.name, r.name) >= 0.7", spec: oracle.Spec{Threshold: 0.7}, prec: quant.PrecisionF16},
+		{sql: "SELECT * FROM l JOIN r ON SIM(l.name, r.name) >= 0.7", spec: oracle.Spec{Threshold: 0.7}, prec: quant.PrecisionInt8},
 	}
 	const c = embstore.ChunkRows
 	sizes := []int{0, 1, c - 1, c, c + 1, 2*c + 1}
@@ -233,6 +256,7 @@ func runColumnRace(t *testing.T, memo *memoModel, queries []colQuery, size, bloc
 	var upsert func(context.Context, string, string, *relational.Table) (service.MutationResult, error)
 	var del func(context.Context, string, string, []string) (service.MutationResult, error)
 	var snapshot func() error
+	var setPrecision func(string, quant.Precision) error
 	open := func() {
 		t.Helper()
 		var err error
@@ -240,14 +264,14 @@ func runColumnRace(t *testing.T, memo *memoModel, queries []colQuery, size, bloc
 			if eng, err = service.Open(cfg); err != nil {
 				t.Fatal(err)
 			}
-			query, upsert, del = eng.Query, eng.UpsertRows, eng.DeleteRows
+			query, upsert, del, setPrecision = eng.Query, eng.UpsertRows, eng.DeleteRows, eng.SetTablePrecision
 			snapshot = func() error { _, err := eng.Snapshot(); return err }
 			return
 		}
 		if rt, err = Open(Config{Shards: shards, Partitioner: "hash", Engine: cfg}); err != nil {
 			t.Fatal(err)
 		}
-		query, upsert, del = rt.Query, rt.UpsertRows, rt.DeleteRows
+		query, upsert, del, setPrecision = rt.Query, rt.UpsertRows, rt.DeleteRows, rt.SetTablePrecision
 		snapshot = func() error { _, err := rt.Snapshot(); return err }
 	}
 	closeAll := func() {
@@ -290,7 +314,7 @@ func runColumnRace(t *testing.T, memo *memoModel, queries []colQuery, size, bloc
 				t.Error(err)
 				return
 			}
-			if last = ans.Check(got, 1e-5, 1); last == nil {
+			if last = ans.Check(got, q.tolerance(), 1); last == nil {
 				return
 			}
 		}
@@ -308,7 +332,35 @@ func runColumnRace(t *testing.T, memo *memoModel, queries []colQuery, size, bloc
 			t.Error(err)
 			return
 		}
+		want := quant.PrecisionF32
+		if q.prec != quant.PrecisionAuto {
+			want = q.prec
+		}
+		if res.Precision != want.String() {
+			t.Errorf("%q at %v executed at %q", q.sql, q.prec, res.Precision)
+		}
 		check(q, res, lo, recorded())
+	}
+	// A declared precision belongs to the table, not the query: l's
+	// declaration changes only under precMu held exclusively, and every
+	// other query holds it shared, so it runs at F32.
+	var precMu sync.RWMutex
+	runDeclared := func(ctx context.Context) {
+		precMu.Lock()
+		defer precMu.Unlock()
+		for _, q := range queries {
+			if q.prec == quant.PrecisionAuto {
+				continue
+			}
+			if err := setPrecision("l", q.prec); err != nil {
+				t.Error(err)
+				return
+			}
+			runQuery(ctx, q)
+		}
+		if err := setPrecision("l", quant.PrecisionAuto); err != nil {
+			t.Error(err)
+		}
 	}
 
 	ctx := context.Background()
@@ -363,9 +415,22 @@ func runColumnRace(t *testing.T, memo *memoModel, queries []colQuery, size, bloc
 				defer wg.Done()
 				for i := 0; i < 2; i++ {
 					for _, q := range queries {
-						runQuery(ctx, q)
+						if q.prec == quant.PrecisionAuto {
+							precMu.RLock()
+							runQuery(ctx, q)
+							precMu.RUnlock()
+						}
 					}
 				}
+			}()
+		}
+		if round == 0 {
+			// Declaring serializes every other query behind it, so it runs
+			// once.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				runDeclared(ctx)
 			}()
 		}
 		if eng != nil {
@@ -388,6 +453,9 @@ func runColumnRace(t *testing.T, memo *memoModel, queries []colQuery, size, bloc
 	open()
 	last := recorded()
 	for _, q := range queries {
+		if q.prec != quant.PrecisionAuto {
+			continue
+		}
 		res, err := query(ctx, service.QueryRequest{SQL: q.sql})
 		if err != nil {
 			t.Fatal(err)

@@ -27,7 +27,6 @@ import (
 	"ejoin/internal/core"
 	"ejoin/internal/obs"
 	"ejoin/internal/plan"
-	"ejoin/internal/quant"
 	"ejoin/internal/service"
 )
 
@@ -135,17 +134,14 @@ func (r *Router) PlanQuery(q plan.Query) (service.QueryRun, int64, int64, error)
 	}
 
 	// The one global access-path decision, like the orientation decision
-	// above: Rules 4 and 5 evaluated over summed per-shard estimates, then
-	// pinned onto every pair. Per-pair cost decisions would let slice
-	// shapes flip strategies, and different strategies reassociate the
-	// same similarity sums differently — breaking bit-identity with the
+	// above: Rule 4 evaluated over summed per-shard estimates, then pinned
+	// onto every pair. Per-pair cost decisions would let slice shapes flip
+	// strategies, and different strategies reassociate the same
+	// similarity sums differently — breaking bit-identity with the
 	// unsharded plan.
-	choice := r.opt.ChooseSharded(q, f.probe.refs, f.build.refs, f.swapped)
+	strategy := r.opt.ChooseSharded(q, f.probe.refs, f.build.refs, f.swapped)
 	pairOpt := *r.opt
-	pairOpt.ForceStrategy = &choice.Strategy
-	if choice.PrecisionChosen {
-		pairOpt.Precision = choice.Precision
-	}
+	pairOpt.ForceStrategy = &strategy
 
 	// One plan per pair. Pairs where either side holds no physical rows
 	// are planned (for the strategy label) but never executed — they can
@@ -164,12 +160,7 @@ func (r *Router) PlanQuery(q plan.Query) (service.QueryRun, int64, int64, error)
 			if err != nil {
 				return nil, 0, 0, err
 			}
-			// Rule 5 ran globally; restore the slack the forced-precision path
-			// strips, so the runtime demotion guard still acts per pair.
-			if jp.Quantizable() && choice.PrecisionChosen && knob == quant.PrecisionAuto {
-				jp.PrecisionSlack = r.opt.PrecisionSlack
-			}
-			service.ApplyPrecisionKnob(jp, knob)
+			plan.ApplyPrecisionKnob(jp, knob)
 			if f.rep == nil {
 				f.rep = jp
 			}
