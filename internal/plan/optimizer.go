@@ -177,16 +177,14 @@ func estimateRows(n Node) int {
 }
 
 // ChooseSharded is a shard router's one global access-path decision for a
-// fan-out: the physical strategy every probe×build pair is pinned to. It
+// fan-out: the physical strategy every per-shard plan is pinned to. It
 // evaluates the optimizer's cost-based rule 4 once over global
 // cardinalities summed from per-shard table references. Shards
 // partition each table's physical rows exactly, so the sums equal the
 // estimates an unsharded optimizer would compute from the whole tables —
-// pinning every pair of a fan-out to this choice makes the sharded
-// execution take the same access path (and, with shape-stable kernels,
-// produce the same bits) as the equivalent unsharded plan. Per-pair
-// cost decisions would instead flip strategies on slice shapes, and two
-// strategies' similarity sums reassociate differently.
+// pinning every plan of a fan-out to this choice makes the sharded
+// execution take the same access path as the equivalent unsharded plan.
+// Per-shard cost decisions would instead flip strategies on slice shapes.
 //
 // q is the bound query in its original orientation (feedback corrections
 // are keyed on it); probe and build are the executed-orientation per-shard
@@ -224,25 +222,13 @@ func (o *Optimizer) ChooseSharded(q Query, probe, build []TableRef, swapped bool
 	if q.Join.Kind == TopKJoin {
 		k = q.Join.K
 	}
-	// The unsharded plan either has one index over the whole build side
-	// or none; sharded, the analogue is every populated build shard
-	// carrying one. A partially indexed fan-out (shards lag index builds
-	// independently) prices and executes as unindexed.
-	allIdx := false
-	for _, ref := range build {
-		if ref.Table == nil || ref.Table.NumRows() == 0 {
-			continue
-		}
-		if ref.Index == nil {
-			allIdx = false
-			break
-		}
-		allIdx = true
-	}
+	// Router shards carry no index, and the merged build has none to
+	// probe: an index join would have to build one, so it runs as the
+	// tensor scan, as in Optimize.
 	hitP := o.shardedHitRatio(probe, q.Model)
 	hitB := o.shardedHitRatio(build, q.Model)
-	choice := params.ChooseJoinStrategyCorrected(baseP, baseB, selP, selB, k, allIdx, hitP, hitB, corr)
-	if choice.Strategy == cost.StrategyIndex && !allIdx {
+	choice := params.ChooseJoinStrategyCorrected(baseP, baseB, selP, selB, k, false, hitP, hitB, corr)
+	if choice.Strategy == cost.StrategyIndex {
 		return cost.StrategyTensor
 	}
 	return choice.Strategy

@@ -15,6 +15,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"ejoin/internal/core"
@@ -170,37 +171,131 @@ func embedAttrs(bs embstore.BatchStats) map[string]int64 {
 	return map[string]int64{"hits": bs.Hits, "misses": bs.Misses, "merged": bs.Merged, "model_calls": bs.ModelCalls}
 }
 
-// BuildSide is a resident evaluated build (inner) input. It is reusable
-// across multiple probe streams over plans sharing the same right side:
-// the shard router evaluates one build per build shard and probes it with
-// every probe shard's stream, paying the embedding cost once.
+// BuildSide is a resident evaluated build (inner) input, probed by one
+// stream or several: the shard router evaluates one build per build shard,
+// gathers them with MergeBuilds into one build keyed by global row id,
+// and probes that with every probe shard's stream, paying the embedding
+// cost once.
 type BuildSide struct {
-	in   *loweredInput
+	// ins are the lowered inputs the build was evaluated from: one, or a
+	// merged build's parts. ins[0] supplies the model and the table label.
+	ins  []*loweredInput
 	rows relational.Selection // surviving global row ids
 	emb  *mat.Matrix          // one row per entry of rows; nil when E_µ is deferred
 	// perPair marks a naive join that runs the model inside the join, once
 	// per compared pair: the build then holds texts instead of emb.
 	perPair bool
 	texts   []string
+	// buf is a merged build's recycled embedding storage (nil otherwise).
+	buf *[]float32
 }
 
 // ModelCalls is the model work the build evaluation performed. Callers
 // sharing one build across streams add it to their aggregate exactly once.
-func (b *BuildSide) ModelCalls() int64 {
-	_, bs, _ := b.in.embedStats()
-	return bs.ModelCalls
+func (b *BuildSide) ModelCalls() (n int64) {
+	for _, in := range b.ins {
+		_, bs, _ := in.embedStats()
+		n += bs.ModelCalls
+	}
+	return n
 }
 
-// EmbedTime is the build evaluation's embedding wall time.
-func (b *BuildSide) EmbedTime() time.Duration {
-	st, _, _ := b.in.embedStats()
-	return st.Elapsed
+// EmbedTime is the build evaluation's embedding wall time, summed over a
+// merged build's parts.
+func (b *BuildSide) EmbedTime() (d time.Duration) {
+	for _, in := range b.ins {
+		st, _, _ := in.embedStats()
+		d += st.Elapsed
+	}
+	return d
 }
 
 // Release lets later queries reuse the build's gathered embeddings; call
 // it once no stream over the build is open. A build never released is
 // simply garbage collected.
-func (b *BuildSide) Release() { b.in.scan.Release() }
+func (b *BuildSide) Release() {
+	for _, in := range b.ins {
+		in.scan.Release()
+	}
+	if b.buf != nil {
+		*b.buf = (*b.buf)[:0]
+		mergeBufs.Put(b.buf)
+		b.buf = nil
+	}
+}
+
+// mergeBufs recycles merged builds' embedding storage across queries.
+var mergeBufs sync.Pool // of *[]float32
+
+// MergeBuilds gathers builds evaluated over disjoint parts of one table
+// into one build keyed by global row id; rowmaps[i] maps part i's row ids
+// to global ones. Each part's rows ascend and each rowmap strictly
+// increases, so a k-way merge by mapped id needs no sort, and the merged
+// build holds, row for row, the build of the whole table. The parts'
+// embeddings are copied into recycled storage and the parts released.
+// The merged build's row ids are no part's, so an index probe over it
+// always builds its own index.
+func MergeBuilds(parts []*BuildSide, rowmaps [][]int) *BuildSide {
+	out := &BuildSide{perPair: parts[0].perPair}
+	n, dim := 0, 0
+	for _, p := range parts {
+		out.ins = append(out.ins, p.ins...)
+		n += len(p.rows)
+		if p.emb != nil {
+			dim = p.emb.ColsN
+		}
+	}
+	out.buf, _ = mergeBufs.Get().(*[]float32)
+	if out.buf == nil || cap(*out.buf) < n*dim {
+		data := make([]float32, 0, n*dim)
+		out.buf = &data
+	}
+	data := (*out.buf)[:0]
+	out.rows = make(relational.Selection, 0, n)
+	pos := make([]int, len(parts))
+	for len(out.rows) < n {
+		best, gid := -1, 0
+		for i, p := range parts {
+			if pos[i] < len(p.rows) {
+				if g := rowmaps[i][p.rows[pos[i]]]; best < 0 || g < gid {
+					best, gid = i, g
+				}
+			}
+		}
+		p, r := parts[best], pos[best]
+		pos[best]++
+		out.rows = append(out.rows, gid)
+		if p.emb != nil {
+			data = append(data, p.emb.Row(r)...)
+		}
+		if p.perPair {
+			out.texts = append(out.texts, p.texts[r])
+		}
+	}
+	*out.buf = data
+	if dim > 0 {
+		out.emb = &mat.Matrix{RowsN: n, ColsN: dim, Data: data}
+	}
+	for _, p := range parts {
+		p.Release()
+	}
+	return out
+}
+
+// analysis is the build input's EXPLAIN ANALYZE subtree; a merged build
+// hangs its parts' subtrees under one node.
+func (b *BuildSide) analysis() *obs.NodeStats {
+	if b.buf == nil {
+		return b.ins[0].analysis()
+	}
+	n := &obs.NodeStats{Name: fmt.Sprintf("MergeBuilds(parts=%d)", len(b.ins)), ObsRows: int64(len(b.rows))}
+	for _, in := range b.ins {
+		c := in.analysis()
+		n.EstRows += c.EstRows
+		n.Children = append(n.Children, c)
+	}
+	return n
+}
 
 // EvalBuild evaluates j's build (right) side resident: the lowered input
 // is drained as one block of its whole selection, so the store sees a
@@ -226,7 +321,7 @@ func (ex *Executor) EvalBuild(ctx context.Context, j *EJoin) (*BuildSide, error)
 	if err != nil {
 		return nil, fmt.Errorf("plan: evaluating build input: %w", err)
 	}
-	b := &BuildSide{in: in, perPair: perPair}
+	b := &BuildSide{ins: []*loweredInput{in}, perPair: perPair}
 	switch {
 	case blk != nil:
 		b.rows, b.emb = blk.Rows, blk.Emb
@@ -321,7 +416,7 @@ func (ex *Executor) OpenStream(ctx context.Context, j *EJoin, build *BuildSide, 
 func (ex *Executor) lowerProbe(j *EJoin, in *loweredInput, build *BuildSide) (probeOp, error) {
 	if build.perPair {
 		var mdl model.Model
-		for _, e := range []*Embed{in.embedNode, build.in.embedNode} {
+		for _, e := range []*Embed{in.embedNode, build.ins[0].embedNode} {
 			if mdl == nil && e != nil {
 				mdl = e.Model
 			}
@@ -373,12 +468,13 @@ func (ex *Executor) lowerProbe(j *EJoin, in *loweredInput, build *BuildSide) (pr
 }
 
 // lowerIndexProbe prepares the index probe: an attached index is used
-// directly with the visibility mask, otherwise one is built once over the
-// resident build embeddings (the build cost the optimizer charged for).
+// directly with the visibility mask, otherwise (or over a merged build)
+// one is built once over the resident build embeddings (the build cost
+// the optimizer charged for).
 func (ex *Executor) lowerIndexProbe(j *EJoin, build *BuildSide) (*exec.IndexProbe, error) {
-	ref := build.in.scanNode.Ref
+	ref := build.ins[0].scanNode.Ref
 	opts := ex.Options
-	if ref.Index == nil {
+	if ref.Index == nil || build.buf != nil {
 		if build.emb == nil {
 			return nil, fmt.Errorf("plan: index strategy without index or embeddings on %q", ref.Name)
 		}
@@ -592,6 +688,6 @@ func (s *Stream) analysis(res *ExecResult) *obs.NodeStats {
 		ObsRows:  int64(len(res.Matches)),
 		Elapsed:  res.Stats.JoinTime,
 		Detail:   obs.AttrsDetail(detail),
-		Children: []*obs.NodeStats{s.in.analysis(), s.build.in.analysis()},
+		Children: []*obs.NodeStats{s.in.analysis(), s.build.analysis()},
 	}
 }

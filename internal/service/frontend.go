@@ -511,11 +511,10 @@ type QueryStats struct {
 	// Join is the cumulative executor work across all served queries
 	// (PeakIntermediateBytes is the high-water mark, not a sum).
 	Join core.Stats `json:"join"`
-	// Strategies counts executions per physical strategy ("mixed" when a
-	// fan-out's pairs disagreed). Omitted until the first query so the
-	// schema is stable: absent or populated, never an empty object.
-	// encoding/json renders map keys sorted, so the serialized form is
-	// deterministic.
+	// Strategies counts executions per physical strategy. Omitted until
+	// the first query so the schema is stable: absent or populated, never
+	// an empty object. encoding/json renders map keys sorted, so the
+	// serialized form is deterministic.
 	Strategies map[string]int64 `json:"strategies,omitempty"`
 }
 

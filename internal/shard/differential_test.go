@@ -85,37 +85,6 @@ func loadCorpus(t *testing.T, b backend) {
 	}
 }
 
-// loadUniqueCorpus is loadCorpus with a deduplicated build side: the
-// workload vocabulary repeats words, and duplicate build rows tie at
-// identical similarity. Exact kernels order ties deterministically by
-// build id, but HNSW breaks them by graph traversal order — which
-// legitimately differs between one whole-table index and per-shard
-// indexes — so the index differential runs tie-free.
-func loadUniqueCorpus(t *testing.T, b backend) {
-	t.Helper()
-	words := workload.Strings(11, diffProbeRows, nil)
-	var lb, rb strings.Builder
-	lw, rw := csv.NewWriter(&lb), csv.NewWriter(&rb)
-	lw.Write([]string{"word", "n"})
-	rw.Write([]string{"term", "n"})
-	seen := make(map[string]bool)
-	for i, w := range words {
-		lw.Write([]string{w, strconv.Itoa(i)})
-		if i%diffStride == 0 && !seen[w] {
-			seen[w] = true
-			rw.Write([]string{w, strconv.Itoa(i)})
-		}
-	}
-	lw.Flush()
-	rw.Flush()
-	if _, err := b.RegisterCSVWithPrecision("l", diffSchemaL, strings.NewReader(lb.String()), false, quant.PrecisionAuto); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.RegisterCSVWithPrecision("r", diffSchemaR, strings.NewReader(rb.String()), false, quant.PrecisionAuto); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // diffConfig is the shared engine template: small blocks so every shape
 // crosses many block boundaries, two threads to shake out ordering bugs.
 func diffConfig(t *testing.T) service.Config {
@@ -207,6 +176,7 @@ func diffRequests() []service.QueryRequest {
 		{SQL: "SELECT * FROM l JOIN r ON SIM(l.word, r.term) >= 0.85", Limit: 7},
 		{SQL: "SELECT * FROM l JOIN r ON SIM(l.word, r.term) >= 0.85 WHERE l.n <= 200 AND r.n <= 250"},
 		{SQL: "SELECT * FROM l JOIN r ON TOPK(l.word, r.term, 3)"},
+		{SQL: "SELECT * FROM l JOIN r ON TOPK(l.word, r.term, 3)", Limit: 8},
 		{Join: &service.JoinRequest{
 			LeftTable: "l", LeftColumn: "word", RightTable: "r", RightColumn: "term",
 			Kind: "topk", K: 3, Threshold: &resid,
@@ -226,12 +196,7 @@ func diffRequests() []service.QueryRequest {
 // selection.
 func runDifferential(t *testing.T, cfg service.Config, grid []gridPoint, reqs []service.QueryRequest, checkStrategy bool) {
 	t.Helper()
-	runDifferentialLoad(t, cfg, grid, reqs, checkStrategy, loadCorpus)
-}
-
-func runDifferentialLoad(t *testing.T, cfg service.Config, grid []gridPoint, reqs []service.QueryRequest, checkStrategy bool, load func(*testing.T, backend)) {
-	t.Helper()
-	ref := newUnsharded(t, cfg, load)
+	ref := newUnsharded(t, cfg, loadCorpus)
 	ctx := context.Background()
 	want := make([]*service.QueryResult, len(reqs))
 	for i, req := range reqs {
@@ -247,7 +212,7 @@ func runDifferentialLoad(t *testing.T, cfg service.Config, grid []gridPoint, req
 	for _, g := range grid {
 		g := g
 		t.Run(g.name(), func(t *testing.T) {
-			rt := newRouter(t, cfg, g.shards, g.part, load)
+			rt := newRouter(t, cfg, g.shards, g.part, loadCorpus)
 			for i, req := range reqs {
 				got, err := rt.Query(ctx, req)
 				if err != nil {
@@ -316,17 +281,57 @@ func TestShardDifferentialNaiveFallback(t *testing.T) {
 	runDifferential(t, forcedCfg(t, cost.StrategyNaiveNLJ), wideGrid(), reqs, true)
 }
 
-// TestShardDifferentialIndex forces the index strategy: each shard builds
-// its own HNSW over its build-side slice, yet the merged top-k must equal
-// the unsharded engine's (the corpus is small enough that every beam
-// search is effectively exhaustive, and the tie-free build side — see
-// loadUniqueCorpus — removes the one legitimate source of divergence).
+// TestShardDifferentialIndex forces the index strategy: every stream
+// builds its HNSW over the merged build, which holds the unsharded
+// engine's build matrix row for row, so even the tied corpus's equal
+// similarities come back in the unsharded order.
 func TestShardDifferentialIndex(t *testing.T) {
 	reqs := []service.QueryRequest{
 		{SQL: "SELECT * FROM l JOIN r ON TOPK(l.word, r.term, 2)"},
 		{SQL: "SELECT * FROM l JOIN r ON TOPK(l.word, r.term, 1)"},
 	}
-	runDifferentialLoad(t, forcedCfg(t, cost.StrategyIndex), wideGrid(), reqs, true, loadUniqueCorpus)
+	runDifferential(t, forcedCfg(t, cost.StrategyIndex), wideGrid(), reqs, true)
+}
+
+// TestShardEstRowsMatchEngine holds the plan span's est_rows to a freshly
+// opened unsharded engine's: the router estimates the output once from
+// the query's left side, not once per shard, in either orientation.
+func TestShardEstRowsMatchEngine(t *testing.T) {
+	cfg := diffConfig(t)
+	estRows := func(b backend, sql string) int64 {
+		t.Helper()
+		res, err := b.Query(context.Background(), service.QueryRequest{SQL: sql, Explain: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range res.Trace.Spans {
+			if sp.Name == "plan" {
+				return sp.Attrs["est_rows"]
+			}
+		}
+		t.Fatalf("%s: no plan span", sql)
+		return 0
+	}
+	sqls := []string{
+		"SELECT * FROM l JOIN r ON SIM(l.word, r.term) >= 0.85",
+		"SELECT * FROM r JOIN l ON SIM(r.term, l.word) >= 0.85",
+		"SELECT * FROM l JOIN r ON SIM(l.word, r.term) >= 0.85 WHERE l.n <= 200",
+		"SELECT * FROM l JOIN r ON TOPK(l.word, r.term, 3)",
+	}
+	// One engine per query: a traced query feeds the engine's cardinality
+	// feedback, which the router does not keep, and corrects later plans.
+	want := make([]int64, len(sqls))
+	for i, sql := range sqls {
+		want[i] = estRows(newUnsharded(t, cfg, loadCorpus), sql)
+	}
+	for _, g := range wideGrid() {
+		rt := newRouter(t, cfg, g.shards, g.part, loadCorpus)
+		for i, sql := range sqls {
+			if got := estRows(rt, sql); got != want[i] {
+				t.Errorf("%s: %s: est_rows %d sharded, %d unsharded", g.name(), sql, got, want[i])
+			}
+		}
+	}
 }
 
 // TestShardDifferentialQuantized declares a table-level scan precision on
@@ -497,19 +502,12 @@ func TestShardDifferentialMaterialize(t *testing.T) {
 }
 
 // TestShardLimitEarlyOut proves the fan-out's LIMIT short-circuit is
-// real: a truncated scatter-gather embeds strictly fewer probe rows than
-// a full one, because pair streams stop at the limit and the fan-out is
-// cancelled once the merge cuts.
+// real for both join kinds: a truncated scatter-gather embeds strictly
+// fewer probe rows than a full one, because streams stop at the limit and
+// the fan-out is cancelled once the merge cuts.
 func TestShardLimitEarlyOut(t *testing.T) {
-	full := diffConfig(t)
-	base, err := model.NewHashEmbedder(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counting := model.NewCountingModel(base)
-	full.Model = counting
 	newCold := func() (*Router, *model.CountingModel) {
-		cfg := full
+		cfg := diffConfig(t)
 		b, err := model.NewHashEmbedder(32)
 		if err != nil {
 			t.Fatal(err)
@@ -524,40 +522,44 @@ func TestShardLimitEarlyOut(t *testing.T) {
 		loadCorpus(t, r)
 		return r, c
 	}
-	// A dense threshold, so every pair's very first probe block produces
+	// A dense threshold, so every stream's very first probe block produces
 	// matches: the k-way merge needs each cursor's head before emitting
 	// anything, and under a sparse threshold filling those heads already
-	// streams most of the probe side regardless of the limit.
-	ctx := context.Background()
-	sql := "SELECT * FROM l JOIN r ON SIM(l.word, r.term) >= 0.2"
-
-	rFull, cFull := newCold()
-	resFull, err := rFull.Query(ctx, service.QueryRequest{SQL: sql})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullCalls := cFull.Calls()
-
-	rLim, cLim := newCold()
-	resLim, err := rLim.Query(ctx, service.QueryRequest{SQL: sql, Limit: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	limCalls := cLim.Calls()
-
-	if len(resLim.Matches) != 2 {
-		t.Fatalf("limited query returned %d matches, want 2", len(resLim.Matches))
-	}
-	for i := range resLim.Matches {
-		if resLim.Matches[i] != resFull.Matches[i] {
-			t.Fatalf("limit prefix diverged at %d: %+v vs %+v", i, resLim.Matches[i], resFull.Matches[i])
+	// streams most of the probe side regardless of the limit. Top-k rows
+	// always match.
+	for _, sql := range []string{
+		"SELECT * FROM l JOIN r ON SIM(l.word, r.term) >= 0.2",
+		"SELECT * FROM l JOIN r ON TOPK(l.word, r.term, 3)",
+	} {
+		ctx := context.Background()
+		rFull, cFull := newCold()
+		resFull, err := rFull.Query(ctx, service.QueryRequest{SQL: sql})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if limCalls >= fullCalls {
-		t.Errorf("limit did not short-circuit: %d model calls limited, %d full", limCalls, fullCalls)
-	}
-	if st := rLim.Stats(); st.TruncatedQueries == 0 {
-		t.Error("truncated fan-out not counted")
+		fullCalls := cFull.Calls()
+
+		rLim, cLim := newCold()
+		resLim, err := rLim.Query(ctx, service.QueryRequest{SQL: sql, Limit: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		limCalls := cLim.Calls()
+
+		if len(resLim.Matches) != 2 {
+			t.Fatalf("%s: limited query returned %d matches, want 2", sql, len(resLim.Matches))
+		}
+		for i := range resLim.Matches {
+			if resLim.Matches[i] != resFull.Matches[i] {
+				t.Fatalf("%s: limit prefix diverged at %d: %+v vs %+v", sql, i, resLim.Matches[i], resFull.Matches[i])
+			}
+		}
+		if limCalls >= fullCalls {
+			t.Errorf("%s: limit did not short-circuit: %d model calls limited, %d full", sql, limCalls, fullCalls)
+		}
+		if st := rLim.Stats(); st.TruncatedQueries == 0 {
+			t.Errorf("%s: truncated fan-out not counted", sql)
+		}
 	}
 }
 

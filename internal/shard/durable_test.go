@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"ejoin/internal/cost"
 	"ejoin/internal/model"
 	"ejoin/internal/service"
 )
@@ -157,8 +158,8 @@ func TestRouterManifestTailTrim(t *testing.T) {
 }
 
 // TestRouterStatsAndMetrics exercises the aggregated observability
-// surface: fan-out counters, per-shard sections, a single (non-"mixed")
-// strategy under the global access-path pin, and one well-formed
+// surface: fan-out counters, per-shard sections, one physical strategy
+// per fan-out under the global access-path pin, and one well-formed
 // ejoin_shard_* exposition.
 func TestRouterStatsAndMetrics(t *testing.T) {
 	cfg := diffConfig(t)
@@ -178,8 +179,8 @@ func TestRouterStatsAndMetrics(t *testing.T) {
 	if st.Queries != 2 || st.FanoutQueries != 2 {
 		t.Errorf("queries=%d fanouts=%d, want 2/2", st.Queries, st.FanoutQueries)
 	}
-	if st.FanoutPairs != 32 {
-		t.Errorf("fanout pairs %d, want 32 (two 4x4 fan-outs)", st.FanoutPairs)
+	if st.FanoutPairs != 8 {
+		t.Errorf("fanout streams %d, want 8 (two fan-outs of one stream per probe shard)", st.FanoutPairs)
 	}
 	if len(st.PerShard) != 4 {
 		t.Fatalf("per-shard sections %d, want 4", len(st.PerShard))
@@ -195,10 +196,19 @@ func TestRouterStatsAndMetrics(t *testing.T) {
 			t.Errorf("shard %d engine counted %d queries; the router executes queries itself", s, ps.Queries)
 		}
 	}
+	known := map[string]bool{}
+	for _, s := range []cost.Strategy{cost.StrategyNaiveNLJ, cost.StrategyNLJ, cost.StrategyTensor, cost.StrategyIndex} {
+		known[s.String()] = true
+	}
+	var recorded int64
 	for name, n := range st.Strategies {
-		if name == "mixed" {
-			t.Errorf("%d fan-outs recorded strategy 'mixed'; the global pin should prevent that", n)
+		if !known[name] {
+			t.Errorf("%d fan-outs recorded strategy %q, not a physical strategy", n, name)
 		}
+		recorded += n
+	}
+	if recorded != 2 {
+		t.Errorf("%d strategies recorded for 2 fan-outs, want one each", recorded)
 	}
 	if st.Join.ModelCalls == 0 {
 		t.Error("aggregated join stats carry no model calls")

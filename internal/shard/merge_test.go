@@ -9,17 +9,17 @@ import (
 	"ejoin/internal/core"
 )
 
-// feedCursor builds a pairCursor fed by a goroutine that hands over the
+// feedCursor builds a streamCursor fed by a goroutine that hands over the
 // given blocks one at a time (unbuffered, like the real producers) and
 // counts completed handoffs. Closing done releases a blocked producer.
-func feedCursor(probe, build int, blocks [][]core.Match, done <-chan struct{}, sent *atomic.Int64) *pairCursor {
-	ch := make(chan pairMsg)
-	c := &pairCursor{probe: probe, build: build, ch: ch, waitNS: new(atomic.Int64)}
+func feedCursor(blocks [][]core.Match, done <-chan struct{}, sent *atomic.Int64) *streamCursor {
+	ch := make(chan streamMsg)
+	c := &streamCursor{ch: ch, waitNS: new(atomic.Int64)}
 	go func() {
 		defer close(ch)
 		for _, b := range blocks {
 			select {
-			case ch <- pairMsg{blk: b}:
+			case ch <- streamMsg{blk: b}:
 				if sent != nil {
 					sent.Add(1)
 				}
@@ -31,11 +31,11 @@ func feedCursor(probe, build int, blocks [][]core.Match, done <-chan struct{}, s
 	return c
 }
 
-func errCursor(err error) *pairCursor {
-	ch := make(chan pairMsg)
-	c := &pairCursor{ch: ch, waitNS: new(atomic.Int64)}
+func errCursor(err error) *streamCursor {
+	ch := make(chan streamMsg)
+	c := &streamCursor{ch: ch, waitNS: new(atomic.Int64)}
 	go func() {
-		ch <- pairMsg{err: err}
+		ch <- streamMsg{err: err}
 		close(ch)
 	}()
 	return c
@@ -58,10 +58,10 @@ func TestMergeThresholdOrdersAndExhausts(t *testing.T) {
 	c := []core.Match{m(0, 8, 1), m(8, 2, 1)}
 	done := make(chan struct{})
 	defer close(done)
-	cursors := []*pairCursor{
-		feedCursor(0, 0, [][]core.Match{a[:2], a[2:]}, done, nil),
-		feedCursor(0, 1, [][]core.Match{b}, done, nil),
-		feedCursor(0, 2, [][]core.Match{c[:1], c[1:]}, done, nil),
+	cursors := []*streamCursor{
+		feedCursor([][]core.Match{a[:2], a[2:]}, done, nil),
+		feedCursor([][]core.Match{b}, done, nil),
+		feedCursor([][]core.Match{c[:1], c[1:]}, done, nil),
 	}
 	got, truncated, err := mergeThreshold(cursors, 0)
 	if err != nil {
@@ -86,9 +86,9 @@ func TestMergeThresholdLimit(t *testing.T) {
 	b := []core.Match{m(0, 5, 1), m(3, 0, 1)}
 	done := make(chan struct{})
 	defer close(done)
-	cursors := []*pairCursor{
-		feedCursor(0, 0, [][]core.Match{a}, done, nil),
-		feedCursor(0, 1, [][]core.Match{b}, done, nil),
+	cursors := []*streamCursor{
+		feedCursor([][]core.Match{a}, done, nil),
+		feedCursor([][]core.Match{b}, done, nil),
 	}
 	got, truncated, err := mergeThreshold(cursors, 3)
 	if err != nil {
@@ -120,10 +120,10 @@ func TestMergeThresholdBounded(t *testing.T) {
 		}
 		return bs
 	}
-	cursors := []*pairCursor{
-		feedCursor(0, 0, mkBlocks(0), done, &sent),
-		feedCursor(0, 1, mkBlocks(1), done, &sent),
-		feedCursor(0, 2, mkBlocks(2), done, &sent),
+	cursors := []*streamCursor{
+		feedCursor(mkBlocks(0), done, &sent),
+		feedCursor(mkBlocks(1), done, &sent),
+		feedCursor(mkBlocks(2), done, &sent),
 	}
 	got, truncated, err := mergeThreshold(cursors, 1)
 	close(done)
@@ -144,86 +144,11 @@ func TestMergeThresholdError(t *testing.T) {
 	want := errors.New("shard exploded")
 	done := make(chan struct{})
 	defer close(done)
-	cursors := []*pairCursor{
-		feedCursor(0, 0, [][]core.Match{{m(0, 0, 1)}}, done, nil),
+	cursors := []*streamCursor{
+		feedCursor([][]core.Match{{m(0, 0, 1)}}, done, nil),
 		errCursor(want),
 	}
 	if _, _, err := mergeThreshold(cursors, 0); !errors.Is(err, want) {
 		t.Fatalf("got err %v, want %v", err, want)
-	}
-}
-
-func TestSelectTopKTieOrder(t *testing.T) {
-	cands := []core.Match{m(4, 11, 0.8), m(4, 5, 0.9), m(4, 2, 0.9), m(4, 7, 0.95)}
-	got := selectTopK(cands, 3)
-	// Kept: 0.95/R7, then the 0.9 tie broken to the lower build id first
-	// (R2 then R5); emitted ascending by build id.
-	want := []core.Match{m(4, 2, 0.9), m(4, 5, 0.9), m(4, 7, 0.95)}
-	if len(got) != len(want) {
-		t.Fatalf("kept %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("kept %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestMergeTopK re-selects each probe row's global top-k from per-pair
-// local top-ks and interleaves probe shards by ascending global row id.
-func TestMergeTopK(t *testing.T) {
-	done := make(chan struct{})
-	defer close(done)
-	// Probe shard 0 owns rows {0, 2}; shard 1 owns rows {1, 3}. Two build
-	// shards; every pair streams its local top-2 per row.
-	perProbe := [][]*pairCursor{
-		{
-			feedCursor(0, 0, [][]core.Match{{m(0, 0, 0.5), m(0, 4, 0.4)}, {m(2, 2, 0.9)}}, done, nil),
-			feedCursor(0, 1, [][]core.Match{{m(0, 1, 0.8), m(0, 9, 0.3)}, {m(2, 3, 0.7), m(2, 5, 0.6)}}, done, nil),
-		},
-		{
-			feedCursor(1, 0, [][]core.Match{{m(1, 0, 0.2)}, {m(3, 6, 0.9), m(3, 8, 0.85)}}, done, nil),
-			feedCursor(1, 1, [][]core.Match{{m(1, 7, 0.95), m(1, 3, 0.1)}}, done, nil),
-		},
-	}
-	got, truncated, err := mergeTopK(perProbe, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if truncated {
-		t.Error("unbounded top-k merge reported truncation")
-	}
-	want := []core.Match{
-		// row 0: union {0.5/R0, 0.4/R4, 0.8/R1, 0.3/R9} → top-2 {R1, R0}, ascending by build id
-		m(0, 0, 0.5), m(0, 1, 0.8),
-		// row 1: union {0.2/R0, 0.95/R7, 0.1/R3} → {R7, R0}
-		m(1, 0, 0.2), m(1, 7, 0.95),
-		// row 2: union {0.9/R2, 0.7/R3, 0.6/R5} → {R2, R3}
-		m(2, 2, 0.9), m(2, 3, 0.7),
-		// row 3: union {0.9/R6, 0.85/R8} → both
-		m(3, 6, 0.9), m(3, 8, 0.85),
-	}
-	if len(got) != len(want) {
-		t.Fatalf("merged %d matches, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("match %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestMergeTopKLimit(t *testing.T) {
-	done := make(chan struct{})
-	defer close(done)
-	perProbe := [][]*pairCursor{
-		{feedCursor(0, 0, [][]core.Match{{m(0, 0, 0.9), m(0, 1, 0.8)}, {m(1, 0, 0.7)}}, done, nil)},
-	}
-	got, truncated, err := mergeTopK(perProbe, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !truncated || len(got) != 3 {
-		t.Fatalf("got %d matches (truncated=%v), want 3 truncated", len(got), truncated)
 	}
 }

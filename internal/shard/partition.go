@@ -4,10 +4,11 @@
 // shard's WAL, and serves queries scatter-gather. Queries run the same
 // lifecycle an Engine's do — one service.Frontend resolves, admits,
 // counts, and traces them — and the router supplies only its two backend
-// steps (query.go): plan one pipeline per probe-shard x build-shard pair
-// over pinned per-shard snapshots, then stream them through plan.OpenStream
-// into an incremental merge (merge.go) whose results are byte-identical
-// to an equivalent unsharded engine's. A later cross-process split reuses
+// steps (query.go): plan one pipeline per shard over pinned per-shard
+// snapshots, then merge the build shards into one build and stream every
+// probe shard through it with plan.OpenStream into an incremental merge
+// (merge.go) whose results are byte-identical to an equivalent unsharded
+// engine's. A later cross-process split reuses
 // the same partition/merge semantics.
 //
 // Singleton audit (what makes N engines in one process safe): every

@@ -3,12 +3,14 @@ package shard
 // The router's two steps of the query lifecycle; service.Frontend runs
 // the rest (deadline, resolve, admission, counters, trace). PlanQuery
 // pins every shard's MVCC snapshot of both tables, makes the one global
-// orientation and access-path decision, optimizes one plan per
-// probe-shard x build-shard pair, and weighs the whole fan-out as one
-// admission unit. Run evaluates each build shard's inner side once and
-// streams every pair through plan.OpenStream into the incremental merge
-// (merge.go) — producing results byte-identical to an equivalent
-// unsharded engine.
+// orientation and access-path decision, optimizes one plan per shard
+// (probe shard s over build shard s), and weighs the whole fan-out as one
+// admission unit. Run evaluates each build shard's inner side once,
+// gathers the parts into one build keyed by global row id
+// (plan.MergeBuilds), and streams every probe shard through it with
+// plan.OpenStream into the incremental merge (merge.go) — the unsharded
+// engine's plan, one build resident and the probe side streamed, so the
+// results are byte-identical to an equivalent unsharded engine's.
 //
 // Cross-shard snapshot consistency: each shard's pin is atomic (its own
 // MVCC generation), but the pins are taken one shard after another, so a
@@ -77,22 +79,16 @@ func (r *Router) pinSide(ref plan.TableRef) (*sideState, error) {
 	return ss, nil
 }
 
-// pairExec is one probe-shard x build-shard unit of a fan-out.
-type pairExec struct {
-	s, t int // probe (outer) and build (inner) shard indexes
-	j    *plan.EJoin
-}
-
 // fanout is one planned scatter-gather: both sides in query orientation
-// (for materializing) and in executed orientation, and the pair plans.
+// (for materializing) and in executed orientation, and one plan per shard.
 type fanout struct {
 	r            *Router
 	q            plan.Query
 	left, right  *sideState
 	probe, build *sideState
 	swapped      bool
-	execs        []pairExec
-	rep          *plan.EJoin // labels a fan-out whose pairs are all empty
+	plans        []*plan.EJoin // plan s: probe shard s over build shard s
+	estRows      int64
 }
 
 // PlanQuery is the router's plan step of the query lifecycle (see
@@ -112,137 +108,130 @@ func (r *Router) PlanQuery(q plan.Query) (service.QueryRun, int64, int64, error)
 		return nil, 0, 0, service.MarkBadRequest(err)
 	}
 
-	// The one global orientation decision: the optimizer's reorder rule
-	// over summed per-shard estimates. Per-shard physical rows partition
-	// the global table exactly, so the sums equal the unsharded estimates.
-	// Every pair then plans with reordering disabled.
+	// Per-shard physical rows partition the global table exactly, so the
+	// summed per-shard estimates equal the unsharded ones: the output
+	// estimate (from the query's left side, like the optimizer's) and the
+	// one global orientation decision, the optimizer's reorder rule. Every
+	// plan then plans with reordering disabled.
 	f := &fanout{r: r, q: q, left: left, right: right, probe: left, build: right}
-	if q.Join.Kind == plan.ThresholdJoin {
-		sumL, sumR := 0, 0
-		anyIdx := false
-		for s := 0; s < r.nshards; s++ {
-			sumL += plan.EstimateRefRows(left.refs[s])
-			sumR += plan.EstimateRefRows(right.refs[s])
-			if right.refs[s].Index != nil {
-				anyIdx = true
-			}
-		}
-		if sumL < sumR && !anyIdx {
-			f.swapped = true
-			f.probe, f.build = right, left
-		}
+	sumL, sumR := 0, 0
+	for s := 0; s < r.nshards; s++ {
+		sumL += plan.EstimateRefRows(left.refs[s])
+		sumR += plan.EstimateRefRows(right.refs[s])
+	}
+	f.estRows = int64(sumL)
+	if q.Join.Kind == plan.TopKJoin {
+		f.estRows *= int64(q.Join.K)
+	} else if sumL < sumR {
+		f.swapped = true
+		f.probe, f.build = right, left
 	}
 
 	// The one global access-path decision, like the orientation decision
 	// above: Rule 4 evaluated over summed per-shard estimates, then pinned
-	// onto every pair. Per-pair cost decisions would let slice shapes flip
-	// strategies, and different strategies reassociate the same
-	// similarity sums differently — breaking bit-identity with the
-	// unsharded plan.
+	// onto every plan, so the router takes the unsharded plan's path.
 	strategy := r.opt.ChooseSharded(q, f.probe.refs, f.build.refs, f.swapped)
-	pairOpt := *r.opt
-	pairOpt.ForceStrategy = &strategy
+	opt := *r.opt
+	opt.ForceStrategy = &strategy
 
-	// One plan per pair. Pairs where either side holds no physical rows
-	// are planned (for the strategy label) but never executed — they can
-	// produce neither matches nor model calls. Admission prices the
-	// fan-out as one unit: the sum of every executed pair's footprint.
+	// One plan per shard: plan s lowers probe shard s through its Left and
+	// build shard s through its Right. Admission prices the fan-out as one
+	// unit, the sum of the plans' footprints: the merged build plus one
+	// probe block per stream.
 	knob := r.shards[0].JoinPrecision(q.Left.Name, q.Right.Name)
-	var weight, estRows int64
-	for s := 0; s < r.nshards; s++ {
-		for t := 0; t < r.nshards; t++ {
-			pq := plan.Query{Left: f.probe.refs[s], Right: f.build.refs[t], Model: q.Model, Join: q.Join}
-			naive, err := plan.NewNaivePlan(pq)
-			if err != nil {
-				return nil, 0, 0, service.MarkBadRequest(err)
-			}
-			jp, err := pairOpt.Optimize(naive)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			plan.ApplyPrecisionKnob(jp, knob)
-			if f.rep == nil {
-				f.rep = jp
-			}
-			if pq.Left.Table.NumRows() == 0 || pq.Right.Table.NumRows() == 0 {
-				continue
-			}
-			f.execs = append(f.execs, pairExec{s: s, t: t, j: jp})
-			weight += plan.EstimateFootprint(jp, service.FootprintDim(r.model, pq.Left, pq.Right), r.exec.BlockRows)
-			estRows += max(jp.EstRows, 0)
+	var weight int64
+	f.plans = make([]*plan.EJoin, r.nshards)
+	for s := range f.plans {
+		pq := plan.Query{Left: f.probe.refs[s], Right: f.build.refs[s], Model: q.Model, Join: q.Join}
+		naive, err := plan.NewNaivePlan(pq)
+		if err != nil {
+			return nil, 0, 0, service.MarkBadRequest(err)
 		}
+		jp, err := opt.Optimize(naive)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		plan.ApplyPrecisionKnob(jp, knob)
+		f.plans[s] = jp
+		weight += plan.EstimateFootprint(jp, service.FootprintDim(r.model, pq.Left, pq.Right), r.exec.BlockRows)
 	}
-	return f, weight, estRows, nil
+	return f, weight, f.estRows, nil
 }
 
-// Run is the router's run step: scatter every pair, merge the streams.
+// Run is the router's run step: evaluate each build shard once, merge the
+// parts into one build, stream every probe shard through it, and merge the
+// streams.
 func (f *fanout) Run(ctx context.Context, req service.QueryRequest) (*service.QueryResult, error) {
-	r, q, execs, probe, build := f.r, f.q, f.execs, f.probe, f.build
+	r, q, probe := f.r, f.q, f.probe
 	start := time.Now()
 	tr := obs.FromContext(ctx)
 	r.counters.fanoutQueries.Add(1)
-	r.counters.fanoutPairs.Add(int64(len(execs)))
 
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
 
-	// Scatter: evaluate each build shard's inner side once (shared across
-	// that shard's column of pairs — same snapshot, same rewritten
-	// subtree), then launch one producer per pair.
+	// Scatter: evaluate each non-empty build shard's inner side once,
+	// concurrently, and gather the parts into one build keyed by global row
+	// id. Probe shards with no physical rows, and every probe shard when
+	// no build shard has any, can produce neither matches nor model calls.
 	sp := tr.StartSpan("shard.fanout")
-	buildPlans := make([]*plan.EJoin, r.nshards)
-	for _, pe := range execs {
-		if buildPlans[pe.t] == nil {
-			buildPlans[pe.t] = pe.j
-		}
-	}
-	builds := make([]*plan.BuildSide, r.nshards)
+	parts := make([]*plan.BuildSide, r.nshards)
 	berrs := make([]error, r.nshards)
 	var bwg sync.WaitGroup
-	nbuilds := 0
-	for t, bp := range buildPlans {
-		if bp == nil {
+	for t, jp := range f.plans {
+		if f.build.refs[t].Table.NumRows() == 0 {
 			continue
 		}
-		nbuilds++
 		bwg.Add(1)
-		go func(t int, bp *plan.EJoin) {
+		go func(t int, jp *plan.EJoin) {
 			defer bwg.Done()
-			builds[t], berrs[t] = r.exec.EvalBuild(pctx, bp)
-		}(t, bp)
+			parts[t], berrs[t] = r.exec.EvalBuild(pctx, jp)
+		}(t, jp)
 	}
 	bwg.Wait()
-	for _, berr := range berrs {
-		if berr != nil {
+	var (
+		built   []*plan.BuildSide
+		rowmaps [][]int
+		streams []int // the probe shard of each stream
+	)
+	for t, b := range parts {
+		if berrs[t] != nil {
 			sp.End()
-			return nil, berr
+			return nil, berrs[t]
+		}
+		if b != nil {
+			built = append(built, b)
+			rowmaps = append(rowmaps, f.build.rowmap[t])
 		}
 	}
-
-	// A global LIMIT pushes into threshold pair streams (any prefix of the
-	// merged ascending stream needs at most limit matches from each input)
-	// but not top-k ones: which of a row's candidates survive re-selection
-	// depends on every pair, so pairs must stream their full local top-ks.
-	pairLimit := 0
-	if q.Join.Kind == plan.ThresholdJoin {
-		pairLimit = req.Limit
+	var build *plan.BuildSide
+	if len(built) > 0 {
+		build = plan.MergeBuilds(built, rowmaps)
+		for s := range f.plans {
+			if probe.refs[s].Table.NumRows() > 0 {
+				streams = append(streams, s)
+			}
+		}
 	}
+	r.counters.fanoutPairs.Add(int64(len(streams)))
 
+	// Each stream's per-row top-k is final and each stream ascends by
+	// (Left, Right), so a global LIMIT pushes into every stream: any prefix
+	// of the merged stream needs at most limit matches from each.
 	var mergeWait atomic.Int64
-	results := make([]*plan.ExecResult, len(execs))
-	pairElapsed := make([]time.Duration, len(execs))
-	cursors := make([]*pairCursor, len(execs))
+	results := make([]*plan.ExecResult, len(streams))
+	elapsed := make([]time.Duration, len(streams))
+	cursors := make([]*streamCursor, len(streams))
 	var wg sync.WaitGroup
-	for i, pe := range execs {
-		ch := make(chan pairMsg)
-		cursors[i] = &pairCursor{probe: pe.s, build: pe.t, ch: ch, waitNS: &mergeWait}
+	for i, s := range streams {
+		ch := make(chan streamMsg)
+		cursors[i] = &streamCursor{ch: ch, waitNS: &mergeWait}
 		wg.Add(1)
-		go func(i int, pe pairExec, ch chan pairMsg) {
+		go func(i, s int, ch chan streamMsg) {
 			defer wg.Done()
 			defer close(ch)
 			t0 := time.Now()
-			lmap, rmap := probe.rowmap[pe.s], build.rowmap[pe.t]
-			send := func(msg pairMsg) bool {
+			send := func(msg streamMsg) bool {
 				select {
 				case ch <- msg:
 					return true
@@ -250,65 +239,44 @@ func (f *fanout) Run(ctx context.Context, req service.QueryRequest) (*service.Qu
 					return false
 				}
 			}
-			st, err := r.exec.OpenStream(pctx, pe.j, builds[pe.t], pairLimit)
+			st, err := r.exec.OpenStream(pctx, f.plans[s], build, req.Limit)
 			if err != nil {
-				send(pairMsg{err: err})
+				send(streamMsg{err: err})
 				return
 			}
 			defer st.Close()
 			for {
 				if pctx.Err() != nil {
 					// Request cancelled or merger stopped early; Finish below
-					// still records the partial stats this pair accumulated.
+					// still records the partial stats this stream accumulated.
 					break
 				}
 				blk, err := st.Next(pctx)
 				if err != nil {
-					send(pairMsg{err: err})
+					send(streamMsg{err: err})
 					return
 				}
 				if blk == nil {
 					break
 				}
-				if !send(pairMsg{blk: mapBlock(blk, lmap, rmap)}) {
+				if !send(streamMsg{blk: mapBlock(blk, probe.rowmap[s])}) {
 					// Merger stopped early (limit or error); Finish below still
-					// records the partial stats this pair accumulated.
+					// records the partial stats this stream accumulated.
 					break
 				}
 			}
-			results[i], pairElapsed[i] = st.Finish(pctx, nil), time.Since(t0)
-		}(i, pe, ch)
+			results[i], elapsed[i] = st.Finish(pctx, nil), time.Since(t0)
+		}(i, s, ch)
 	}
-	sp.Attr("pairs", int64(len(execs))).Attr("builds", int64(nbuilds)).End()
+	sp.Attr("streams", int64(len(streams))).Attr("builds", int64(len(built))).End()
 
 	// Gather: merge the bounded streams incrementally.
 	sp = tr.StartSpan("shard.merge")
-	var matches []core.Match
-	truncated := false
-	var mergeErr error
-	if q.Join.Kind == plan.TopKJoin {
-		var perProbe [][]*pairCursor
-		for s := 0; s < r.nshards; s++ {
-			var cs []*pairCursor
-			for _, c := range cursors {
-				if c.probe == s {
-					cs = append(cs, c)
-				}
-			}
-			if len(cs) > 0 {
-				perProbe = append(perProbe, cs)
-			}
-		}
-		matches, truncated, mergeErr = mergeTopK(perProbe, q.Join.K, req.Limit)
-	} else {
-		matches, truncated, mergeErr = mergeThreshold(cursors, req.Limit)
-	}
+	matches, truncated, mergeErr := mergeThreshold(cursors, req.Limit)
 	pcancel()
 	wg.Wait()
-	for _, b := range builds {
-		if b != nil {
-			b.Release()
-		}
+	if build != nil {
+		build.Release()
 	}
 	r.counters.mergeWaitNS.Add(mergeWait.Load())
 	// A cancelled request must fail even if the merge drained (producers
@@ -326,46 +294,22 @@ func (f *fanout) Run(ctx context.Context, req service.QueryRequest) (*service.Qu
 	}
 	sp.Attr("matches", int64(len(matches))).Attr("truncated", obs.BoolAttr(truncated)).Attr("wait_ns", mergeWait.Load()).End()
 
-	for i, pe := range execs {
-		if pairElapsed[i] > 0 {
-			r.byShard.With(strconv.Itoa(pe.s)).Observe(pairElapsed[i])
-		}
-	}
-
-	// Aggregate work: every pair's probe-side stats, plus each shared
-	// build's embedding work exactly once.
+	// Aggregate work: every stream's probe-side stats, plus the build's
+	// embedding work exactly once.
 	var agg core.Stats
-	for i := range execs {
-		res := results[i]
-		if res == nil {
-			continue
-		}
-		agg.Add(res.Stats)
-	}
-	for _, b := range builds {
-		if b == nil {
-			continue
-		}
-		agg.ModelCalls += b.ModelCalls()
-		agg.EmbedTime += b.EmbedTime()
-	}
-
-	strategy, precision := "", ""
-	for _, pe := range execs {
-		s, p := pe.j.Strategy.String(), service.EffectivePrecision(pe.j).String()
-		if strategy == "" {
-			strategy, precision = s, p
-			continue
-		}
-		if strategy != s {
-			strategy = "mixed"
-		}
-		if precision != p {
-			precision = "mixed"
+	var children []*obs.NodeStats
+	for i, s := range streams {
+		if res := results[i]; res != nil {
+			agg.Add(res.Stats)
+			r.byShard.With(strconv.Itoa(s)).Observe(elapsed[i])
+			if res.Analysis != nil {
+				children = append(children, res.Analysis)
+			}
 		}
 	}
-	if strategy == "" && f.rep != nil {
-		strategy, precision = f.rep.Strategy.String(), service.EffectivePrecision(f.rep).String()
+	if build != nil {
+		agg.ModelCalls += build.ModelCalls()
+		agg.EmbedTime += build.EmbedTime()
 	}
 
 	// Flip back to the query's orientation (the merge ran in executed
@@ -378,22 +322,9 @@ func (f *fanout) Run(ctx context.Context, req service.QueryRequest) (*service.Qu
 
 	var root *obs.NodeStats
 	if obs.AnalyzeFromContext(ctx) {
-		var children []*obs.NodeStats
-		var est int64
-		for i, pe := range execs {
-			if results[i] != nil && results[i].Analysis != nil {
-				children = append(children, results[i].Analysis)
-			}
-			if pe.j.EstRows > 0 {
-				est += pe.j.EstRows
-			}
-		}
-		if est == 0 {
-			est = -1
-		}
 		root = &obs.NodeStats{
-			Name:    fmt.Sprintf("ShardMerge(%s, shards=%d, pairs=%d)", kindLabel(q.Join.Kind), r.nshards, len(execs)),
-			EstRows: est,
+			Name:    fmt.Sprintf("ShardMerge(%s, shards=%d, streams=%d)", kindLabel(q.Join.Kind), r.nshards, len(streams)),
+			EstRows: f.estRows,
 			ObsRows: int64(len(matches)),
 			Elapsed: time.Since(start),
 			Detail: obs.AttrsDetail(map[string]int64{
@@ -404,9 +335,10 @@ func (f *fanout) Run(ctx context.Context, req service.QueryRequest) (*service.Qu
 		}
 	}
 
+	// Every plan has the pinned strategy and the table-wide precision.
 	out := &service.QueryResult{
-		Strategy:  strategy,
-		Precision: precision,
+		Strategy:  f.plans[0].Strategy.String(),
+		Precision: service.EffectivePrecision(f.plans[0]).String(),
 		Matches:   matches,
 		Stats:     agg,
 		Plan:      root,
@@ -424,13 +356,15 @@ func (f *fanout) Run(ctx context.Context, req service.QueryRequest) (*service.Qu
 	return out, nil
 }
 
-// mapBlock copies one block of matches from shard-local to global row ids.
-// Rowmaps are strictly increasing, so the block's (Left, Right) ascending
-// order is preserved; a copy keeps pipeline-owned memory untouched.
-func mapBlock(blk []core.Match, lmap, rmap []int) []core.Match {
+// mapBlock copies one block of matches from the probe shard's local row
+// ids to global ones; Right ids are already global (the merged build's).
+// The rowmap is strictly increasing, so the block's (Left, Right)
+// ascending order is preserved; a copy keeps pipeline-owned memory
+// untouched.
+func mapBlock(blk []core.Match, lmap []int) []core.Match {
 	out := make([]core.Match, len(blk))
 	for i, m := range blk {
-		out[i] = core.Match{Left: lmap[m.Left], Right: rmap[m.Right], Sim: m.Sim}
+		out[i] = core.Match{Left: lmap[m.Left], Right: m.Right, Sim: m.Sim}
 	}
 	return out
 }

@@ -89,7 +89,7 @@ func Open(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	ecfg := res.Config
-	// Orientation is one global decision (query.go); a per-pair re-swap
+	// Orientation is one global decision (query.go); a per-shard re-swap
 	// would break stream merging.
 	res.Opt.DisableReorder = true
 	r := &Router{
@@ -617,8 +617,8 @@ func (r *Router) CostParams() cost.Params { return r.opt.Params }
 func (r *Router) Calibrated() bool { return r.calibrated }
 
 // FeedbackDump returns an empty feedback dump: the router plans without
-// runtime cardinality feedback (its per-pair estimates sum per-shard
-// exact selectivities, which the feedback loop exists to approximate).
+// runtime cardinality feedback (its estimates sum per-shard exact
+// selectivities, which the feedback loop exists to approximate).
 func (r *Router) FeedbackDump() feedback.Dump { return feedback.Dump{} }
 
 // RouterStats is the router's observability surface: the query
@@ -630,7 +630,8 @@ type RouterStats struct {
 	Partitioner string `json:"partitioner"`
 	service.QueryStats
 	// FanoutQueries counts scatter-gather executions; FanoutPairs the
-	// probe-shard x build-shard streams they opened.
+	// probe-shard streams they opened, one per non-empty probe shard (the
+	// JSON key keeps its name for the readers that already parse it).
 	FanoutQueries int64 `json:"fanout_queries"`
 	FanoutPairs   int64 `json:"fanout_pairs"`
 	// TruncatedQueries counts merges a LIMIT short-circuited.
@@ -717,9 +718,9 @@ func (r *Router) WriteMetrics(w io.Writer) error {
 	mw.Counter("ejoin_shard_queries_rejected_total", "Router queries whose context ended while waiting for admission.", float64(st.Rejected))
 	mw.Counter("ejoin_shard_admission_waits_total", "Router queries that queued for a slot or byte budget.", float64(st.AdmissionWaits))
 	mw.Gauge("ejoin_shard_in_flight_queries", "Router queries currently executing.", float64(st.InFlight))
-	mw.Gauge("ejoin_shard_admitted_bytes", "Summed per-pair footprint currently held.", float64(st.AdmittedBytes))
+	mw.Gauge("ejoin_shard_admitted_bytes", "Summed per-shard plan footprints currently held.", float64(st.AdmittedBytes))
 	mw.Counter("ejoin_shard_fanout_queries_total", "Scatter-gather executions.", float64(st.FanoutQueries))
-	mw.Counter("ejoin_shard_fanout_pairs_total", "Probe-shard x build-shard streams opened by fan-outs.", float64(st.FanoutPairs))
+	mw.Counter("ejoin_shard_fanout_pairs_total", "Probe-shard streams opened by fan-outs.", float64(st.FanoutPairs))
 	mw.Counter("ejoin_shard_truncated_queries_total", "Router merges a LIMIT short-circuited.", float64(st.TruncatedQueries))
 	mw.Counter("ejoin_shard_merge_wait_seconds_total", "Cumulative merger time blocked on shard streams.", st.MergeWait.Seconds())
 	mw.Gauge("ejoin_shard_partition_skew", "Max/mean per-shard assigned rows across tables (1 = even).", st.PartitionSkew)
