@@ -200,8 +200,8 @@ func TestRunQuery(t *testing.T) {
 	if len(res.Matches) != 3 {
 		t.Errorf("matches = %v", res.Matches)
 	}
-	if pl.Strategy == cost.StrategyNaiveNLJ {
-		t.Error("optimizer should replace the naive strategy")
+	if pl.Strategy != cost.StrategyTensor {
+		t.Errorf("strategy = %v, want the tensor scan", pl.Strategy)
 	}
 	if explain := pl.Explain(); !strings.Contains(explain, "EJoin") {
 		t.Errorf("explain output: %s", explain)

@@ -21,6 +21,8 @@
 //
 // All strategies compute the same logical result for the same condition
 // (index join approximately so), which the test suite checks by property.
+// A served plan runs the tensor join or the index join; NaiveNLJ and NLJ
+// are the paper's baselines, which internal/bench and cost.Calibrate time.
 package core
 
 import (

@@ -38,7 +38,7 @@ func Embed(ctx context.Context, m model.Model, inputs []string) (*mat.Matrix, er
 // predicates: for every (r, s) pair both tuples are pushed through the
 // model and compared. Model cost is |R|·|S|·M — the suboptimal plan of
 // Equation (E-NL Join Cost) that Figure 8 quantifies. It exists as the
-// baseline; PrefetchNLJ and TensorJoin are the production paths.
+// baseline; the tensor join is the served path.
 func NaiveNLJ(ctx context.Context, m model.Model, left, right []string, threshold float32, opts Options) (*Result, error) {
 	res := &Result{}
 	start := time.Now()

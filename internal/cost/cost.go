@@ -53,8 +53,7 @@ type Params struct {
 //
 // M = 200 is a regime weight, not a host's ratio: on the benchmark host
 // Calibrate measures M/A ≈ 1,900 for the hash embedder at d=100 (≈ 5,500
-// before its multi-stream kernel) and C/A ≈ 4. The scan strategies all pay
-// (|R|+|S|)·M, so their order never depends on it. It stays below Build
+// before its multi-stream kernel) and C/A ≈ 4. It stays below Build
 // because the index estimate leaves out the S embeddings a mid-query build
 // consumes; a larger M would let that omission pick the index for cold S.
 func DefaultParams() Params {
@@ -83,29 +82,9 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// NaiveENLJoin is Cost(R ⋈ S) = |R|·|S|·(A + M + C): the direct NLJ
-// extension with per-pair model access (quadratic model cost).
-func (p Params) NaiveENLJoin(nr, ns int) float64 {
-	return float64(nr) * float64(ns) * (p.Access + p.Model + p.Compare)
-}
-
-// PrefetchENLJoin is Cost = |R|·|S|·(A + C) + (|R|+|S|)·M: the logically
-// optimized join embedding each tuple exactly once.
-func (p Params) PrefetchENLJoin(nr, ns int) float64 {
-	return p.PrefetchENLJoinWarm(nr, ns, 0, 0)
-}
-
-// PrefetchENLJoinWarm is PrefetchENLJoin under a warm shared embedding
-// store: hitR/hitS are the expected cache hit ratios per side, and the
-// model term M is paid only for expected misses. With a fully warm cache
-// the join cost collapses to its comparison term, which can flip the
-// planner's access path choice (scans stop being dominated by E_µ).
-func (p Params) PrefetchENLJoinWarm(nr, ns int, hitR, hitS float64) float64 {
-	return float64(nr)*float64(ns)*(p.Access+p.Compare) + p.EmbedCost(nr, hitR) + p.EmbedCost(ns, hitS)
-}
-
-// TensorJoin is the prefetched join with block-matrix execution: the same
-// asymptotic shape with the comparison constant divided by TensorSpeedup.
+// TensorJoin is Cost = |R|·|S|·(A + C/TensorSpeedup) + (|R|+|S|)·M: the
+// prefetched join (each tuple embedded once, not once per compared pair)
+// with block-matrix execution dividing the comparison constant.
 func (p Params) TensorJoin(nr, ns int) float64 {
 	return p.TensorJoinWarm(nr, ns, 0, 0)
 }
@@ -158,11 +137,11 @@ func (p Params) IndexBuild(ns int) float64 {
 type Strategy int
 
 const (
-	// StrategyNaiveNLJ embeds per pair; never chosen, present for explain
-	// output and ablation.
-	StrategyNaiveNLJ Strategy = iota
-	// StrategyNLJ is the prefetched tuple-at-a-time nested loop join.
-	StrategyNLJ
+	// StrategyNLJ names the paper's tuple-at-a-time nested loop join. It
+	// is never executed: no plan runs it (the optimizer and the executor
+	// reject it), and Calibrate times core.NLJ directly as the tensor
+	// scan's baseline.
+	StrategyNLJ Strategy = iota
 	// StrategyTensor is the blocked matrix formulation.
 	StrategyTensor
 	// StrategyIndex probes a vector index.
@@ -172,8 +151,6 @@ const (
 // String names the strategy as used in plan explain output.
 func (s Strategy) String() string {
 	switch s {
-	case StrategyNaiveNLJ:
-		return "NaiveNLJ"
 	case StrategyNLJ:
 		return "NLJ"
 	case StrategyTensor:
@@ -192,34 +169,26 @@ type Choice struct {
 	Estimates map[Strategy]float64
 }
 
-// ChooseJoinStrategy picks the cheapest strategy for joining |R|=nr against
-// |S|=ns after relational filtering with the given selectivities, under a
-// top-k (k>0) or threshold (k<=0) condition. hasIndex reports whether an
-// index over S's embeddings exists (building one mid-query is counted
-// against the index strategy).
+// ChooseJoinStrategyWarm picks the cheaper access path, the tensor scan
+// or the index probe, for joining |R|=nr against |S|=ns after relational
+// filtering with the given selectivities, under a top-k (k>0) or
+// threshold (k<=0) condition. hasIndex reports whether an index over S's
+// embeddings exists (building one mid-query is counted against the index
+// strategy). hitL/hitR are the expected hit ratios of the two inputs in
+// the shared embedding store (0 = cold).
 //
 // The decision reproduces the paper's findings: scans win at low
 // selectivity (they skip filtered tuples for free, and the tensor
 // formulation makes comparisons cheap), index probes win for small k and
 // high selectivity over large S, and range (threshold) conditions penalize
-// the index (probes must over-fetch).
-func (p Params) ChooseJoinStrategy(nr, ns int, selLeft, selRight float64, k int, hasIndex bool) Choice {
-	return p.ChooseJoinStrategyWarm(nr, ns, selLeft, selRight, k, hasIndex, 0, 0)
-}
-
-// ChooseJoinStrategyWarm is ChooseJoinStrategy under a shared embedding
-// store: hitL/hitR are the expected cache hit ratios of the two inputs
-// (0 = cold, reproducing ChooseJoinStrategy exactly). A warm cache
-// removes the E_µ term from scan strategies but leaves probe traversal
-// untouched, shifting the scan-versus-probe crossover of Section VI-E.
+// the index (probes must over-fetch). A warm cache removes the E_µ term
+// from the scan but leaves probe traversal untouched, shifting the
+// scan-versus-probe crossover of Section VI-E.
 func (p Params) ChooseJoinStrategyWarm(nr, ns int, selLeft, selRight float64, k int, hasIndex bool, hitL, hitR float64) Choice {
 	fr := int(math.Ceil(float64(nr) * clamp01(selLeft)))
 	fs := int(math.Ceil(float64(ns) * clamp01(selRight)))
 
-	est := map[Strategy]float64{
-		StrategyNLJ:    p.PrefetchENLJoinWarm(fr, fs, hitL, hitR),
-		StrategyTensor: p.TensorJoinWarm(fr, fs, hitL, hitR),
-	}
+	est := map[Strategy]float64{StrategyTensor: p.TensorJoinWarm(fr, fs, hitL, hitR)}
 
 	// Index probes pay traversal over the full S (pre-filter semantics),
 	// probe only surviving R tuples, and over-fetch for range conditions.
@@ -240,10 +209,8 @@ func (p Params) ChooseJoinStrategyWarm(nr, ns int, selLeft, selRight float64, k 
 	est[StrategyIndex] = idxCost
 
 	best := StrategyTensor
-	for _, s := range []Strategy{StrategyNLJ, StrategyIndex} {
-		if est[s] < est[best] {
-			best = s
-		}
+	if est[StrategyIndex] < est[best] {
+		best = StrategyIndex
 	}
 	return Choice{Strategy: best, Estimates: est}
 }

@@ -26,17 +26,18 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestNaiveVsPrefetch is the central claim of Section IV-A: naive model
-// cost is quadratic, prefetch linear, so the gap grows with input size.
+// TestNaiveVsPrefetch is the central claim of Section IV-A: the naive
+// plan embeds once per compared pair (|R|·|S|·M, what core.NaiveNLJ
+// pays), the prefetched plan the model prices once per tuple
+// ((|R|+|S|)·M), so the gap grows with input size.
 func TestNaiveVsPrefetch(t *testing.T) {
 	p := DefaultParams()
-	sizes := []int{100, 1000, 10000}
 	prevRatio := 0.0
-	for _, n := range sizes {
-		naive := p.NaiveENLJoin(n, n)
-		pre := p.PrefetchENLJoin(n, n)
-		if pre >= naive {
-			t.Fatalf("n=%d: prefetch %v not cheaper than naive %v", n, pre, naive)
+	for _, n := range []int{100, 1000, 10000} {
+		naive := float64(n) * float64(n) * p.Model
+		pre := p.TensorJoin(n, n) - p.TensorJoinWarm(n, n, 1, 1)
+		if want := p.EmbedCost(2*n, 0); pre != want {
+			t.Fatalf("n=%d: prefetched model term %v, want (|R|+|S|)·M = %v", n, pre, want)
 		}
 		ratio := naive / pre
 		if ratio <= prevRatio {
@@ -46,11 +47,32 @@ func TestNaiveVsPrefetch(t *testing.T) {
 	}
 }
 
+// TestTensorCheaperThanNLJ: the tensor scan is the tuple-at-a-time NLJ
+// with each comparison TensorSpeedup times cheaper, so the NLJ's price is
+// the tensor price at speedup 1.
 func TestTensorCheaperThanNLJ(t *testing.T) {
 	p := DefaultParams()
+	nlj := p
+	nlj.TensorSpeedup = 1
 	for _, n := range []int{100, 10000} {
-		if p.TensorJoin(n, n) >= p.PrefetchENLJoin(n, n) {
+		if p.TensorJoin(n, n) >= nlj.TensorJoin(n, n) {
 			t.Errorf("n=%d: tensor not cheaper", n)
+		}
+	}
+}
+
+// TestChoicePricesScanAndProbeOnly: the planner's alternatives are the
+// tensor scan and the index probe; NLJ is never priced, so never chosen.
+func TestChoicePricesScanAndProbeOnly(t *testing.T) {
+	p := DefaultParams()
+	p.TensorSpeedup = 0.5 // an NLJ cheaper than the tensor scan
+	for _, k := range []int{0, 1, 32} {
+		c := p.ChooseJoinStrategyWarm(1000, 1000, 1, 1, k, false, 0, 0)
+		if len(c.Estimates) != 2 || c.Estimates[StrategyTensor] == 0 || c.Estimates[StrategyIndex] == 0 {
+			t.Errorf("k=%d: estimates %v, want tensor and index only", k, c.Estimates)
+		}
+		if c.Strategy != StrategyTensor && c.Strategy != StrategyIndex {
+			t.Errorf("k=%d: chose %v", k, c.Strategy)
 		}
 	}
 }
@@ -78,10 +100,9 @@ func TestIndexProbeSublinear(t *testing.T) {
 
 func TestStrategyString(t *testing.T) {
 	names := map[Strategy]string{
-		StrategyNaiveNLJ: "NaiveNLJ",
-		StrategyNLJ:      "NLJ",
-		StrategyTensor:   "TensorJoin",
-		StrategyIndex:    "IndexJoin",
+		StrategyNLJ:    "NLJ",
+		StrategyTensor: "TensorJoin",
+		StrategyIndex:  "IndexJoin",
 	}
 	for s, want := range names {
 		if s.String() != want {
@@ -100,11 +121,11 @@ func TestAccessPathCrossover(t *testing.T) {
 	p := DefaultParams()
 	nr, ns := 10000, 1000000
 
-	low := p.ChooseJoinStrategy(nr, ns, 0.05, 0.05, 1, true)
+	low := p.ChooseJoinStrategyWarm(nr, ns, 0.05, 0.05, 1, true, 0, 0)
 	if low.Strategy == StrategyIndex {
 		t.Errorf("5%% selectivity should favor scan, got %v (est %v)", low.Strategy, low.Estimates)
 	}
-	high := p.ChooseJoinStrategy(nr, ns, 1.0, 1.0, 1, true)
+	high := p.ChooseJoinStrategyWarm(nr, ns, 1.0, 1.0, 1, true, 0, 0)
 	if high.Strategy != StrategyIndex {
 		t.Errorf("100%% selectivity top-1 should favor index, got %v (est %v)", high.Strategy, high.Estimates)
 	}
@@ -116,8 +137,8 @@ func TestAccessPathCrossover(t *testing.T) {
 func TestRangeConditionPenalizesIndex(t *testing.T) {
 	p := DefaultParams()
 	nr, ns := 10000, 1000000
-	topk := p.ChooseJoinStrategy(nr, ns, 1, 1, 1, true)
-	rng := p.ChooseJoinStrategy(nr, ns, 1, 1, 0, true)
+	topk := p.ChooseJoinStrategyWarm(nr, ns, 1, 1, 1, true, 0, 0)
+	rng := p.ChooseJoinStrategyWarm(nr, ns, 1, 1, 0, true, 0, 0)
 	if rng.Estimates[StrategyIndex] <= topk.Estimates[StrategyIndex] {
 		t.Errorf("range should cost the index more: %v vs %v",
 			rng.Estimates[StrategyIndex], topk.Estimates[StrategyIndex])
@@ -129,8 +150,8 @@ func TestRangeConditionPenalizesIndex(t *testing.T) {
 func TestLargerKPenalizesIndex(t *testing.T) {
 	p := DefaultParams()
 	nr, ns := 10000, 1000000
-	k1 := p.ChooseJoinStrategy(nr, ns, 0.5, 0.5, 1, true)
-	k32 := p.ChooseJoinStrategy(nr, ns, 0.5, 0.5, 32, true)
+	k1 := p.ChooseJoinStrategyWarm(nr, ns, 0.5, 0.5, 1, true, 0, 0)
+	k32 := p.ChooseJoinStrategyWarm(nr, ns, 0.5, 0.5, 32, true, 0, 0)
 	if k32.Estimates[StrategyIndex] <= k1.Estimates[StrategyIndex] {
 		t.Error("larger k should cost the index more")
 	}
@@ -138,8 +159,8 @@ func TestLargerKPenalizesIndex(t *testing.T) {
 
 func TestMissingIndexAddsBuildCost(t *testing.T) {
 	p := DefaultParams()
-	with := p.ChooseJoinStrategy(1000, 100000, 1, 1, 1, true)
-	without := p.ChooseJoinStrategy(1000, 100000, 1, 1, 1, false)
+	with := p.ChooseJoinStrategyWarm(1000, 100000, 1, 1, 1, true, 0, 0)
+	without := p.ChooseJoinStrategyWarm(1000, 100000, 1, 1, 1, false, 0, 0)
 	if without.Estimates[StrategyIndex] <= with.Estimates[StrategyIndex] {
 		t.Error("missing index should add build cost")
 	}
@@ -148,12 +169,12 @@ func TestMissingIndexAddsBuildCost(t *testing.T) {
 func TestChooseHandlesDegenerateSelectivity(t *testing.T) {
 	p := DefaultParams()
 	// Out-of-range selectivities are clamped, not propagated.
-	c := p.ChooseJoinStrategy(100, 100, -1, 2, 1, true)
+	c := p.ChooseJoinStrategyWarm(100, 100, -1, 2, 1, true, 0, 0)
 	if c.Estimates[StrategyTensor] < 0 {
 		t.Error("negative cost")
 	}
-	zero := p.ChooseJoinStrategy(0, 0, 0, 0, 1, true)
-	if zero.Strategy == StrategyNaiveNLJ {
+	zero := p.ChooseJoinStrategyWarm(0, 0, 0, 0, 1, true, 0, 0)
+	if zero.Strategy != StrategyTensor && zero.Strategy != StrategyIndex {
 		t.Error("degenerate inputs should still pick a real strategy")
 	}
 }
@@ -161,16 +182,14 @@ func TestChooseHandlesDegenerateSelectivity(t *testing.T) {
 // TestCostMonotonicity: all join costs are non-decreasing in input size.
 func TestCostMonotonicity(t *testing.T) {
 	p := DefaultParams()
-	prevN, prevP, prevT, prevI := 0.0, 0.0, 0.0, 0.0
+	prevT, prevI := 0.0, 0.0
 	for _, n := range []int{10, 100, 1000, 10000} {
-		cn := p.NaiveENLJoin(n, n)
-		cp := p.PrefetchENLJoin(n, n)
 		ct := p.TensorJoin(n, n)
 		ci := p.IndexJoin(n, n*10, 1)
-		if cn <= prevN || cp <= prevP || ct <= prevT || ci <= prevI {
+		if ct <= prevT || ci <= prevI {
 			t.Fatalf("n=%d: costs not increasing", n)
 		}
-		prevN, prevP, prevT, prevI = cn, cp, ct, ci
+		prevT, prevI = ct, ci
 	}
 }
 
@@ -219,9 +238,6 @@ func TestWarmCostsDiscountModelTerm(t *testing.T) {
 	p := DefaultParams()
 	nr, ns := 1000, 1000
 
-	if got, want := p.PrefetchENLJoinWarm(nr, ns, 0, 0), p.PrefetchENLJoin(nr, ns); got != want {
-		t.Errorf("cold warm-variant %v != legacy %v", got, want)
-	}
 	if got, want := p.TensorJoinWarm(nr, ns, 0, 0), p.TensorJoin(nr, ns); got != want {
 		t.Errorf("cold tensor warm-variant %v != legacy %v", got, want)
 	}

@@ -1,4 +1,4 @@
-// Package exec is the execution engine every join strategy runs on: a
+// Package exec is the execution engine both join strategies run on: a
 // pull-based (Volcano-style) operator pipeline over fixed-size columnar
 // batches.
 //
@@ -13,12 +13,11 @@
 // Operators compose bottom-up: Scan (predicate + projection pushdown; it
 // projects the join column's embeddings itself when a stored vector
 // column or a table's resident embedded column backs it) → Embed (E_µ
-// through embstore, for inputs with no such column) → optional RowFilter
-// (a predicate left above E_µ) → one probe operator (ThresholdProbe,
-// TopKProbe, IndexProbe or NaiveProbe; build side resident) → optional
-// Limit. Probe kernels sort their matches by (probe, build) offset and
-// blocks arrive in ascending probe order, so a pipeline's output does not
-// depend on its block size. Each operator tracks its own OpStats (rows
+// through embstore, for inputs with no such column) → one probe operator
+// (ThresholdProbe or TopKProbe, the tensor scan, or IndexProbe, the index
+// probe; build side resident) → optional Limit. Probe kernels sort their
+// matches by (probe, build) offset and blocks arrive in ascending probe
+// order, so a pipeline's output does not depend on its block size. Each operator tracks its own OpStats (rows
 // in/out, batches, early-out counts, self time) for EXPLAIN ANALYZE and
 // the /metrics exposition.
 package exec
@@ -38,9 +37,9 @@ import (
 const DefaultBlockSize = 4096
 
 // Batch is one block of rows flowing through a pipeline. Source-side
-// operators (Scan, Embed, RowFilter) populate Rows/Emb; probe and limit
+// operators (Scan, Embed) populate Rows/Emb; probe and limit
 // operators emit Matches. A batch's Rows and Matches are owned by its
-// consumer, which may compact or rewrite them before passing it on. Emb
+// consumer, which may rewrite them before passing it on. Emb
 // is read-only and valid only until the consumer pulls the next batch: it
 // may be a view of a resident column chunk (a block whose rows are
 // contiguous inside one chunk) or a buffer its producer reuses for the
@@ -64,8 +63,8 @@ func (b *Batch) Len() int { return len(b.Rows) }
 // operator's Next, excluding time spent pulling its input).
 type OpStats struct {
 	// Name identifies the operator in metrics and EXPLAIN ANALYZE
-	// ("scan", "filter", "embed", "probe:nlj", "probe:tensor",
-	// "probe:topk", "probe:index", "probe:naive", "limit").
+	// ("scan", "embed", "probe:tensor", "probe:topk", "probe:index",
+	// "limit").
 	Name string
 	// RowsIn/RowsOut count source rows (or matches, for match-valued
 	// operators) entering and leaving the operator.

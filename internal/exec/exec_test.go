@@ -101,48 +101,6 @@ func TestScanBatchesAreMutationSafe(t *testing.T) {
 	}
 }
 
-func TestRowFilterCompacts(t *testing.T) {
-	tbl := testTable(t, 9)
-	s := &Scan{Table: tbl, BlockRows: 4}
-	f := &RowFilter{
-		Input: s,
-		Table: tbl,
-		Preds: []relational.Pred{{Column: "n", Op: relational.LE, Value: int64(5)}},
-	}
-	ctx := context.Background()
-	if err := f.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	var rows []int
-	for {
-		b, err := f.Next(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-		rows = append(rows, b.Rows...)
-	}
-	if len(rows) != 6 {
-		t.Fatalf("filtered rows = %v, want 0..5", rows)
-	}
-	for i, r := range rows {
-		if r != i {
-			t.Fatalf("filtered rows = %v, want 0..5", rows)
-		}
-	}
-	st := f.Stats()
-	if st.RowsIn != 9 || st.RowsOut != 6 {
-		t.Errorf("stats = %+v", st)
-	}
-	// The Filter helper applies the same bitmap to a full selection (used
-	// to report complete LeftRows even when a LIMIT stops the stream).
-	if sel := f.Filter(relational.All(9)); len(sel) != 6 || sel[5] != 5 {
-		t.Errorf("Filter(All) = %v", sel)
-	}
-}
-
 // vecSource feeds prepared batches and counts how often it is pulled.
 type vecSource struct {
 	batches []*Batch

@@ -29,9 +29,10 @@ func remap(probeRows, buildRows []int, ms []core.Match) []core.Match {
 	return ms
 }
 
-// ThresholdProbe is the block nested-loop threshold join: the build side
-// stays resident (encoded once to the plan's precision) while probe
-// blocks stream through the existing F32/F16/int8 kernels. Each kernel
+// ThresholdProbe is the threshold tensor scan: the build side stays
+// resident (encoded once to the plan's precision) while probe blocks
+// stream through the blocked tensor kernel, or the F16/int8 kernel of a
+// declared precision. Each kernel
 // call sorts its matches by (probe, build) offset and blocks arrive in
 // ascending probe order, so the concatenated output is globally ordered
 // by (probe, build) row id whatever the block size — which is what makes
@@ -40,9 +41,6 @@ type ThresholdProbe struct {
 	Input Operator
 	buildSide
 	Threshold float32
-	// Tensor selects the blocked-GEMM kernel (StrategyTensor) over
-	// tuple-at-a-time NLJ.
-	Tensor bool
 	// Precision is the scan rung (F16/int8 encode the build once at Open
 	// and each probe block on arrival).
 	Precision quant.Precision
@@ -57,10 +55,7 @@ type ThresholdProbe struct {
 
 // Open encodes the resident build side.
 func (p *ThresholdProbe) Open(ctx context.Context) error {
-	p.st = OpStats{Name: "probe:nlj"}
-	if p.Tensor {
-		p.st.Name = "probe:tensor"
-	}
+	p.st = OpStats{Name: "probe:tensor"}
 	p.agg = core.Stats{}
 	if err := p.Input.Open(ctx); err != nil {
 		return err
@@ -106,10 +101,7 @@ func (p *ThresholdProbe) probeBlock(ctx context.Context, block *mat.Matrix) (*co
 	case quant.PrecisionInt8:
 		return core.NLJI8(ctx, quant.EncodeInt8(block), p.buildI8, p.Threshold, p.Opts)
 	}
-	if p.Tensor {
-		return core.TensorJoin(ctx, block, p.Build, p.Threshold, p.Opts)
-	}
-	return core.NLJ(ctx, block, p.Build, p.Threshold, p.Opts)
+	return core.TensorJoin(ctx, block, p.Build, p.Threshold, p.Opts)
 }
 
 // Close implements Operator.

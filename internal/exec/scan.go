@@ -169,97 +169,6 @@ func (s *Scan) BatchStats() embstore.BatchStats {
 	return s.col.batch
 }
 
-// RowFilter applies relational predicates mid-pipeline (above E_µ),
-// compacting each batch. The optimizer's pushdown rule normally fuses
-// predicates into the Scan; this operator exists for plans where the
-// filter sits above E_µ, preserving the un-pushed-down cost: every
-// scanned row is embedded, which is the model work such a plan reports.
-type RowFilter struct {
-	Input Operator
-	Table *relational.Table
-	Preds []relational.Pred
-
-	st   OpStats
-	keep *relational.Bitmap
-	buf  []float32
-}
-
-// Open evaluates the predicate bitmap once.
-func (f *RowFilter) Open(ctx context.Context) error {
-	f.st = OpStats{Name: "filter"}
-	if err := f.Input.Open(ctx); err != nil {
-		return err
-	}
-	sel, err := relational.And(f.Table, f.Preds...)
-	if err != nil {
-		return err
-	}
-	f.keep = relational.BitmapFromSelection(f.Table.NumRows(), sel)
-	return nil
-}
-
-// Filter restricts a selection to the predicate-passing rows (used by the
-// lowering layer to compute the full post-filter selection for feedback).
-func (f *RowFilter) Filter(sel relational.Selection) relational.Selection {
-	out := make(relational.Selection, 0, len(sel))
-	for _, r := range sel {
-		if f.keep.Get(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Next compacts the next input batch: its rows in place, its embeddings
-// into the filter's own buffer (reused across blocks), since the batch's
-// may be a read-only view of a column chunk.
-func (f *RowFilter) Next(ctx context.Context) (*Batch, error) {
-	for {
-		b, err := f.Input.Next(ctx)
-		if err != nil || b == nil {
-			return nil, err
-		}
-		start := time.Now()
-		f.st.RowsIn += int64(b.Len())
-		var emb *mat.Matrix
-		if b.Emb != nil {
-			n := b.Len() * b.Emb.Cols()
-			if cap(f.buf) < n {
-				f.buf = make([]float32, n)
-			}
-			emb = &mat.Matrix{RowsN: b.Len(), ColsN: b.Emb.Cols(), Data: f.buf[:n]}
-		}
-		w := 0
-		for r, row := range b.Rows {
-			if !f.keep.Get(row) {
-				continue
-			}
-			b.Rows[w] = row
-			if emb != nil {
-				copy(emb.Row(w), b.Emb.Row(r))
-			}
-			w++
-		}
-		b.Rows = b.Rows[:w]
-		if emb != nil {
-			b.Emb = emb.Slice(0, w)
-		}
-		f.st.Elapsed += time.Since(start)
-		if w == 0 {
-			continue // fully filtered block: pull the next one
-		}
-		f.st.RowsOut += int64(w)
-		f.st.Batches++
-		return b, nil
-	}
-}
-
-// Close implements Operator.
-func (f *RowFilter) Close() error { return f.Input.Close() }
-
-// Stats implements Operator.
-func (f *RowFilter) Stats() OpStats { return f.st }
-
 // sharedAll backs allRows: the longest 0..n-1 selection handed out so far.
 var sharedAll atomic.Pointer[relational.Selection]
 

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"fmt"
 
 	"ejoin/internal/core"
 	"ejoin/internal/cost"
@@ -72,18 +73,13 @@ func joinDetail(st core.Stats) map[string]int64 {
 	return detail
 }
 
-// strategyLabel is the span-vocabulary name for a scan strategy.
-func strategyLabel(s cost.Strategy) string {
-	switch s {
-	case cost.StrategyNaiveNLJ:
-		return "naive-nlj"
-	case cost.StrategyNLJ:
-		return "nlj"
-	case cost.StrategyTensor:
-		return "tensor"
-	default:
-		return s.String()
+// executable rejects a strategy no operator runs: a served join is a
+// tensor scan or an index probe.
+func executable(s cost.Strategy) error {
+	if s != cost.StrategyTensor && s != cost.StrategyIndex {
+		return fmt.Errorf("plan: strategy %v is not executable: a plan is a tensor scan or an index probe", s)
 	}
+	return nil
 }
 
 func (ex *Executor) indexCond(j *EJoin) core.IndexJoinCondition {

@@ -1,15 +1,11 @@
 package plan
 
-import (
-	"ejoin/internal/cost"
-	"ejoin/internal/exec"
-)
+import "ejoin/internal/exec"
 
 // EstimateFootprint estimates the peak resident bytes executing j will
 // pin: the build (post-filter right) side's embedding matrix plus one
-// probe block plus, for NLJ, one row of partial matches. (The tensor scan
-// compares its tiles in registers and holds only a few tens of kilobytes
-// of scratch.) dim is the embedding dimensionality (the model's, or the
+// probe block. (The tensor scan compares its tiles in registers and holds
+// only a few tens of kilobytes of scratch.) dim is the embedding dimensionality (the model's, or the
 // vector column's); blockRows <=0 uses exec.DefaultBlockSize.
 //
 // This is the weight a serving layer charges against its admission
@@ -33,9 +29,5 @@ func EstimateFootprint(j *EJoin, dim int, blockRows int) int64 {
 	if block > blockRows {
 		block = blockRows
 	}
-	bytes := int64(rr+block) * int64(dim) * 4
-	if j.Strategy == cost.StrategyNLJ {
-		bytes += int64(rr) * 4
-	}
-	return bytes
+	return int64(rr+block) * int64(dim) * 4
 }

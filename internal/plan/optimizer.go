@@ -5,7 +5,6 @@ import (
 
 	"ejoin/internal/cost"
 	"ejoin/internal/embstore"
-	"ejoin/internal/model"
 	"ejoin/internal/relational"
 )
 
@@ -13,12 +12,11 @@ import (
 type Optimizer struct {
 	// Params parametrizes the cost model; zero value uses defaults.
 	Params cost.Params
-	// DisablePushdown/DisablePrefetch/DisableReorder switch off individual
-	// rules for ablation studies (Figure 8 compares exactly these).
-	DisablePushdown bool
-	DisablePrefetch bool
-	DisableReorder  bool
-	// ForceStrategy, if not nil, bypasses cost-based selection.
+	// DisableReorder switches off the smaller-inner reordering rule (the
+	// shard router makes that decision once per fan-out).
+	DisableReorder bool
+	// ForceStrategy, if not nil, bypasses cost-based selection. It must
+	// name an executable strategy: the tensor scan or the index probe.
 	ForceStrategy *cost.Strategy
 	// Store, when set, makes access path selection cache-aware: the
 	// optimizer discounts each input's E_µ cost term by the share of its
@@ -46,21 +44,28 @@ func NewOptimizer() *Optimizer {
 	return &Optimizer{Params: cost.DefaultParams()}
 }
 
-// Optimize applies, in order: filter pushdown below E_µ, embedding
-// prefetch, smaller-inner reordering, and cost-based strategy selection.
-// The input plan is not mutated.
+// Optimize applies, in order: filter pushdown below E_µ, smaller-inner
+// reordering, and cost-based strategy selection. Embedding prefetch
+// (Rule 2, the E-θ-Join equivalence R ⋈_{E,µ,θ} S ⇔ E_µ(R) ⋈_θ E_µ(S))
+// needs no rewrite: every executable plan evaluates E_µ once per input,
+// never once per compared pair. The input plan is not mutated. A
+// ForceStrategy naming neither the tensor scan nor the index probe is an
+// error.
 func (o *Optimizer) Optimize(root *EJoin) (*EJoin, error) {
+	if o.ForceStrategy != nil {
+		if err := executable(*o.ForceStrategy); err != nil {
+			return nil, err
+		}
+	}
 	params := o.Params
 	if params.Validate() != nil {
 		params = cost.DefaultParams()
 	}
 
 	out := &EJoin{
-		Left:     o.rewriteInput(root.Left),
-		Right:    o.rewriteInput(root.Right),
-		Spec:     root.Spec,
-		Prefetch: root.Prefetch,
-		Strategy: root.Strategy,
+		Left:  pushDown(root.Left),
+		Right: pushDown(root.Right),
+		Spec:  root.Spec,
 	}
 	// Output cardinality estimate, from the original (pre-reorder) left:
 	// match counts are orientation-independent, and the pre-swap left is
@@ -78,12 +83,6 @@ func (o *Optimizer) Optimize(root *EJoin) (*EJoin, error) {
 		if out.EstRows < 1 {
 			out.EstRows = 1
 		}
-	}
-
-	// Rule 2 (E-θ-Join equivalence): R ⋈_{E,µ,θ} S ⇔ E_µ(R) ⋈_θ E_µ(S) —
-	// embeddings are computed once per input, not once per compared pair.
-	if !o.DisablePrefetch {
-		out.Prefetch = true
 	}
 
 	// Rule 3: smaller (estimated, post-filter) relation becomes the right
@@ -105,8 +104,6 @@ func (o *Optimizer) Optimize(root *EJoin) (*EJoin, error) {
 	// Rule 4: cost-based access path selection (Table I, Figures 15-17).
 	if o.ForceStrategy != nil {
 		out.Strategy = *o.ForceStrategy
-	} else if !out.Prefetch {
-		out.Strategy = cost.StrategyNaiveNLJ
 	} else {
 		selL := estimateSelectivity(out.Left)
 		selR := estimateSelectivity(out.Right)
@@ -128,13 +125,13 @@ func (o *Optimizer) Optimize(root *EJoin) (*EJoin, error) {
 	return out, nil
 }
 
-// rewriteInput applies the E-Selection equivalence to one join input:
+// pushDown applies the E-Selection equivalence to one join input:
 // σθ(E_µ(R)) ⇔ E_µ(σθ(R)). Pushing the relational filter below the
 // embedding means only surviving tuples are embedded — the cardinality
 // of the costliest operator drops without user intervention.
-func (o *Optimizer) rewriteInput(n Node) Node {
+func pushDown(n Node) Node {
 	f, ok := n.(*Filter)
-	if !ok || o.DisablePushdown {
+	if !ok {
 		return n
 	}
 	e, ok := f.Input.(*Embed)
@@ -174,101 +171,6 @@ func estimateRows(n Node) int {
 	default:
 		return 0
 	}
-}
-
-// ChooseSharded is a shard router's one global access-path decision for a
-// fan-out: the physical strategy every per-shard plan is pinned to. It
-// evaluates the optimizer's cost-based rule 4 once over global
-// cardinalities summed from per-shard table references. Shards
-// partition each table's physical rows exactly, so the sums equal the
-// estimates an unsharded optimizer would compute from the whole tables —
-// pinning every plan of a fan-out to this choice makes the sharded
-// execution take the same access path as the equivalent unsharded plan.
-// Per-shard cost decisions would instead flip strategies on slice shapes.
-//
-// q is the bound query in its original orientation (feedback corrections
-// are keyed on it); probe and build are the executed-orientation per-shard
-// references; swapped says whether the router's global reorder rule
-// flipped the sides.
-func (o *Optimizer) ChooseSharded(q Query, probe, build []TableRef, swapped bool) cost.Strategy {
-	if o.ForceStrategy != nil {
-		return *o.ForceStrategy
-	}
-	if o.DisablePrefetch {
-		return cost.StrategyNaiveNLJ
-	}
-	params := o.Params
-	if params.Validate() != nil {
-		params = cost.DefaultParams()
-	}
-	corr := cost.NeutralCorrections()
-	if o.Feedback != nil {
-		corr = o.Feedback.Corrections(q.Left.Name, q.Right.Name).Clamped()
-	}
-	if swapped {
-		corr.SelLeft, corr.SelRight = corr.SelRight, corr.SelLeft
-	}
-
-	baseP, estP := sumRefRows(probe)
-	baseB, estB := sumRefRows(build)
-	selP, selB := 1.0, 1.0
-	if baseP > 0 {
-		selP = float64(estP) / float64(baseP)
-	}
-	if baseB > 0 {
-		selB = float64(estB) / float64(baseB)
-	}
-	k := 0
-	if q.Join.Kind == TopKJoin {
-		k = q.Join.K
-	}
-	// Router shards carry no index, and the merged build has none to
-	// probe: an index join would have to build one, so it runs as the
-	// tensor scan, as in Optimize.
-	hitP := o.shardedHitRatio(probe, q.Model)
-	hitB := o.shardedHitRatio(build, q.Model)
-	choice := params.ChooseJoinStrategyCorrected(baseP, baseB, selP, selB, k, false, hitP, hitB, corr)
-	if choice.Strategy == cost.StrategyIndex {
-		return cost.StrategyTensor
-	}
-	return choice.Strategy
-}
-
-// sumRefRows sums base and post-predicate row counts across shard refs.
-func sumRefRows(refs []TableRef) (base, est int) {
-	for _, ref := range refs {
-		if ref.Table == nil {
-			continue
-		}
-		base += ref.Table.NumRows()
-		est += EstimateRefRows(ref)
-	}
-	return base, est
-}
-
-// shardedHitRatio is expectedHitRatio over a sharded column: each shard's
-// sampled ratio, weighted by its row count.
-func (o *Optimizer) shardedHitRatio(refs []TableRef, m model.Model) float64 {
-	if o.Store == nil || m == nil {
-		return 0
-	}
-	totalRows, weighted := 0, 0.0
-	for _, ref := range refs {
-		if ref.Table == nil || ref.TextColumn == "" {
-			continue
-		}
-		n := ref.Table.NumRows()
-		if n == 0 {
-			continue
-		}
-		node := &Embed{Input: &Scan{Ref: ref}, Column: ref.TextColumn, Model: m}
-		weighted += o.expectedHitRatio(node) * float64(n)
-		totalRows += n
-	}
-	if totalRows == 0 {
-		return 0
-	}
-	return weighted / float64(totalRows)
 }
 
 // EstimateRefRows estimates a table reference's post-predicate row count

@@ -11,7 +11,9 @@
 //	R ⋈_{E,µ,θ} S  ⇔  E_µ(R) ⋈θ E_µ(S)  (E-θ-Join: prefetch hoist)
 //
 // plus the smaller-relation-inner ordering heuristic and cost-based
-// strategy selection (NLJ / tensor / index).
+// strategy selection. A served plan is a tensor scan or an index probe;
+// the paper's tuple-at-a-time baselines (core.NLJ, core.NaiveNLJ) are
+// kernels the benchmarks time, never plans.
 package plan
 
 import (
@@ -155,12 +157,10 @@ func (e *Embed) Children() []Node { return []Node{e.Input} }
 type EJoin struct {
 	Left, Right Node
 	Spec        JoinSpec
-	// Prefetch records whether embeddings are computed once per input
-	// (true after the prefetch rewrite) or per compared pair (naive).
-	Prefetch bool
 	// Swapped records the smaller-inner reordering.
 	Swapped bool
-	// Strategy is the physical operator chosen by the planner.
+	// Strategy is the physical operator chosen by the planner:
+	// StrategyTensor or StrategyIndex. The executor rejects any other.
 	Strategy cost.Strategy
 	// EstRows is the planner's output cardinality estimate (-1 = none).
 	// Top-k joins emit exactly k matches per surviving left row; threshold
@@ -198,21 +198,20 @@ func (j *EJoin) Explain() string {
 	if j.Precision != quant.PrecisionAuto && j.Precision != quant.PrecisionF32 {
 		prec = fmt.Sprintf(", precision=%s", j.Precision)
 	}
-	return fmt.Sprintf("EJoin(%s, strategy=%s, prefetch=%v, swapped=%v%s)",
-		cond, j.Strategy, j.Prefetch, j.Swapped, prec)
+	return fmt.Sprintf("EJoin(%s, strategy=%s, swapped=%v%s)",
+		cond, j.Strategy, j.Swapped, prec)
 }
 
 // Children implements Node.
 func (j *EJoin) Children() []Node { return []Node{j.Left, j.Right} }
 
 // Quantizable reports whether this plan's shape can execute at a reduced
-// scan precision: a threshold condition on a scan strategy. Top-k
+// scan precision: a threshold condition on the tensor scan. Top-k
 // conditions rank by exact similarity and index probes rank inside the
 // index, so neither quantizes. ApplyPrecisionKnob gates on this one
 // predicate.
 func (j *EJoin) Quantizable() bool {
-	return j.Spec.Kind == ThresholdJoin &&
-		(j.Strategy == cost.StrategyNLJ || j.Strategy == cost.StrategyTensor)
+	return j.Spec.Kind == ThresholdJoin && j.Strategy == cost.StrategyTensor
 }
 
 // ApplyPrecisionKnob sets the scan precision of an optimized plan to a
@@ -227,7 +226,9 @@ func ApplyPrecisionKnob(j *EJoin, knob quant.Precision) {
 }
 
 // NewNaivePlan builds the unoptimized plan of Figure 1: embed eagerly over
-// the whole table, filter afterwards, join without prefetching.
+// the whole table, filter afterwards, and join tuple at a time. It is the
+// optimizer's input, not an executable plan: its strategy names the NLJ,
+// which the executor rejects.
 func NewNaivePlan(q Query) (*EJoin, error) {
 	if err := validateQuery(q); err != nil {
 		return nil, err
@@ -248,8 +249,7 @@ func NewNaivePlan(q Query) (*EJoin, error) {
 		Left:       left,
 		Right:      right,
 		Spec:       q.Join,
-		Prefetch:   false,
-		Strategy:   cost.StrategyNaiveNLJ,
+		Strategy:   cost.StrategyNLJ,
 		EstRows:    est,
 		StaticRows: est,
 	}, nil

@@ -139,11 +139,8 @@ func TestNaivePlanStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Prefetch {
-		t.Error("naive plan must not prefetch")
-	}
-	if p.Strategy != cost.StrategyNaiveNLJ {
-		t.Errorf("naive strategy = %v", p.Strategy)
+	if p.Strategy != cost.StrategyNLJ {
+		t.Errorf("naive strategy = %v, want the NLJ of Figure 1", p.Strategy)
 	}
 	// Left subtree: Filter above Embed above Scan (the eager plan).
 	f, ok := p.Left.(*Filter)
@@ -169,9 +166,6 @@ func TestOptimizerPushdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !opt.Prefetch {
-		t.Error("optimized plan must prefetch")
-	}
 	// After pushdown + reorder, the filtered input holds Embed above Filter.
 	var filteredSide Node
 	for _, side := range []Node{opt.Left, opt.Right} {
@@ -195,21 +189,19 @@ func TestOptimizerDisableFlags(t *testing.T) {
 	q.Left.Predicates = []relational.Pred{{Column: "taken", Op: relational.GT, Value: time.Date(2023, 1, 15, 0, 0, 0, 0, time.UTC)}}
 	p, _ := NewNaivePlan(q)
 	o := NewOptimizer()
-	o.DisablePushdown = true
-	o.DisablePrefetch = true
 	o.DisableReorder = true
 	opt, err := o.Optimize(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Prefetch {
-		t.Error("prefetch applied despite disable")
-	}
 	if opt.Swapped {
 		t.Error("reorder applied despite disable")
 	}
-	if opt.Strategy != cost.StrategyNaiveNLJ {
-		t.Errorf("strategy = %v, want NaiveNLJ without prefetch", opt.Strategy)
+	// Pushdown is not an option: the filter is below E_µ regardless.
+	if e, ok := opt.Left.(*Embed); !ok {
+		t.Errorf("left root = %T, want *Embed above the pushed-down filter", opt.Left)
+	} else if _, ok := e.Input.(*Filter); !ok {
+		t.Errorf("embed input = %T, want *Filter", e.Input)
 	}
 }
 
@@ -246,12 +238,45 @@ func TestOptimizerReorder(t *testing.T) {
 func TestOptimizerForceStrategy(t *testing.T) {
 	q := testQuery(t)
 	p, _ := NewNaivePlan(q)
-	o := NewOptimizer()
-	s := cost.StrategyNLJ
-	o.ForceStrategy = &s
-	opt, _ := o.Optimize(p)
-	if opt.Strategy != cost.StrategyNLJ {
-		t.Errorf("forced strategy = %v", opt.Strategy)
+	for _, s := range []cost.Strategy{cost.StrategyTensor, cost.StrategyIndex} {
+		opt, err := forced(s).Optimize(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opt.Strategy != s {
+			t.Errorf("forced %v, planned %v", s, opt.Strategy)
+		}
+	}
+}
+
+// TestOnlyScanAndProbeExecute: a plan is a tensor scan or an index probe.
+// Forcing any other strategy is an error, not a silent tensor scan (a
+// caller timing each strategy relies on that to skip the rest), and the
+// executor rejects a hand-built plan naming one before it embeds a row.
+func TestOnlyScanAndProbeExecute(t *testing.T) {
+	q := testQuery(t)
+	counted := model.NewCountingModel(q.Model)
+	q.Model = counted
+	naive, err := NewNaivePlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []cost.Strategy{cost.StrategyNLJ, cost.Strategy(9)} {
+		if j, err := forced(s).Optimize(naive); err == nil {
+			t.Errorf("forcing %v planned %v, want an error", s, j.Strategy)
+		}
+		tensor, err := forced(cost.StrategyTensor).Optimize(naive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tensor.Strategy = s
+		counted.Reset()
+		if _, err := (&Executor{}).ExecuteStreaming(context.Background(), tensor, 0); err == nil {
+			t.Errorf("executed a hand-built %v plan", s)
+		}
+		if counted.Calls() != 0 {
+			t.Errorf("rejected %v plan made %d model calls", s, counted.Calls())
+		}
 	}
 }
 
@@ -280,8 +305,9 @@ func embedColumn(t *testing.T, m model.Model, tbl *relational.Table, col string)
 	return em
 }
 
-// TestExecuteNaiveVsOptimized: both plans produce the same matches; the
-// optimized plan makes far fewer model calls.
+// TestExecuteNaiveVsOptimized: the naive plan of Figure 1, run by its
+// per-pair kernel core.NaiveNLJ, and the optimized plan produce the same
+// matches; the optimized plan makes far fewer model calls.
 func TestExecuteNaiveVsOptimized(t *testing.T) {
 	q := testQuery(t)
 	counted := model.NewCountingModel(q.Model)
@@ -293,8 +319,10 @@ func TestExecuteNaiveVsOptimized(t *testing.T) {
 	ex := &Executor{}
 	ctx := context.Background()
 
+	lw, _ := q.Left.Table.Strings("word")
+	rw, _ := q.Right.Table.Strings("term")
 	counted.Reset()
-	resNaive, err := ex.ExecuteStreaming(ctx, naive, 0)
+	resNaive, err := core.NaiveNLJ(ctx, counted, lw, rw, q.Join.Threshold, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,8 +347,6 @@ func TestExecuteNaiveVsOptimized(t *testing.T) {
 	}
 	assertSameMatches(t, resNaive.Matches, resOpt.Matches)
 	// Semantics: barbecue~barbecues etc., giraffe matches nothing.
-	lw, _ := q.Left.Table.Strings("word")
-	rw, _ := q.Right.Table.Strings("term")
 	got := map[string]string{}
 	for _, m := range resOpt.Matches {
 		got[lw[m.Left]] = rw[m.Right]
@@ -490,8 +516,8 @@ func TestExecuteVectorColumn(t *testing.T) {
 	if counted.Calls() != 0 {
 		t.Errorf("vector column path made %d model calls", counted.Calls())
 	}
-	if pl.Strategy == cost.StrategyNaiveNLJ {
-		t.Error("optimizer left naive strategy")
+	if pl.Strategy != cost.StrategyTensor {
+		t.Errorf("strategy = %v, want the tensor scan", pl.Strategy)
 	}
 	got := map[string]string{}
 	for _, m := range res.Matches {

@@ -1,10 +1,10 @@
 package plan
 
 // Lowering an optimized EJoin tree onto internal/exec, the one operator
-// pipeline every strategy runs on. Both join inputs go through the same
-// lowerInput (Scan with pushed-down predicates → E_µ → RowFilter, where
-// E_µ is the scan reading the table's resident column chunks when the
-// table has an incarnation, else an Embed operator). The
+// pipeline both strategies run on. Both join inputs go through the same
+// lowerInput (Scan with its predicates → E_µ, where E_µ is the scan
+// reading the table's resident column chunks when the table has an
+// incarnation, else an Embed operator). The
 // build (inner) side is drained as a single block and held resident; the
 // probe (outer) side streams through a probe operator in fixed-size
 // blocks. Every kernel sorts its matches by (probe, build) offset and
@@ -24,16 +24,14 @@ import (
 	"ejoin/internal/exec"
 	"ejoin/internal/hnsw"
 	"ejoin/internal/mat"
-	"ejoin/internal/model"
 	"ejoin/internal/obs"
 	"ejoin/internal/relational"
 )
 
 // stage is one plan node above an input's Scan and the operator it
 // lowered to. op is nil when the node has no operator of its own: a Filter
-// fused into the scan's selection, an Embed the scan serves from the
-// table's resident column chunks, or an Embed that is deferred (the scan
-// projects a vector column, or the naive join embeds per pair).
+// fused into the scan's selection, or an Embed the scan serves (from the
+// table's resident column chunks, or by projecting a vector column).
 type stage struct {
 	node Node
 	op   exec.Operator
@@ -46,16 +44,15 @@ type loweredInput struct {
 	// stages are the nodes stacked on the scan, in evaluation order.
 	stages []stage
 	// embedNode is the input's E_µ node, embed its operator (nil when the
-	// scan serves it or it is deferred).
+	// scan serves it).
 	embedNode *Embed
 	embed     *exec.Embed
 	top       exec.Operator
 }
 
 // lowerInput turns a Scan/Filter/Embed subtree into operators. blockRows
-// is the scan's block size; evalEmbeds=false defers Embed nodes to the
-// join (naive strategy).
-func (ex *Executor) lowerInput(n Node, blockRows int, evalEmbeds bool) (*loweredInput, error) {
+// is the scan's block size.
+func (ex *Executor) lowerInput(n Node, blockRows int) (*loweredInput, error) {
 	switch t := n.(type) {
 	case *Scan:
 		in := &loweredInput{scanNode: t, scan: &exec.Scan{
@@ -68,30 +65,24 @@ func (ex *Executor) lowerInput(n Node, blockRows int, evalEmbeds bool) (*lowered
 		in.top = in.scan
 		return in, nil
 	case *Filter:
-		in, err := ex.lowerInput(t.Input, blockRows, evalEmbeds)
+		in, err := ex.lowerInput(t.Input, blockRows)
 		if err != nil {
 			return nil, err
 		}
-		if in.top == exec.Operator(in.scan) && in.scan.Embedded == nil {
-			// Predicate pushdown: nothing has consumed the scan's rows yet,
-			// so the filter becomes part of the scan's selection.
-			in.scan.Preds = append(in.scan.Preds, t.Preds...)
-			in.stages = append(in.stages, stage{node: t})
-			return in, nil
-		}
-		// A filter above E_µ (an Embed operator, or the scan's own column
-		// projection) stays above it: the un-pushed-down plan embeds every
-		// scanned row, and that model work is what its stats report.
-		in.top = &exec.RowFilter{Input: in.top, Table: in.scan.Table, Preds: t.Preds}
-		in.stages = append(in.stages, stage{node: t, op: in.top})
+		// The filter becomes part of the scan's selection. The optimizer
+		// pushed it below E_µ; a hand-built plan with σ above E_µ means
+		// the same rows (the E-Selection equivalence), so only the
+		// survivors are embedded either way.
+		in.scan.Preds = append(in.scan.Preds, t.Preds...)
+		in.stages = append(in.stages, stage{node: t})
 		return in, nil
 	case *Embed:
-		in, err := ex.lowerInput(t.Input, blockRows, evalEmbeds)
+		in, err := ex.lowerInput(t.Input, blockRows)
 		if err != nil {
 			return nil, err
 		}
 		in.embedNode = t
-		if !evalEmbeds || in.scan.VectorColumn != "" {
+		if in.scan.VectorColumn != "" {
 			in.stages = append(in.stages, stage{node: t})
 			return in, nil
 		}
@@ -118,13 +109,6 @@ func (ex *Executor) lowerInput(n Node, blockRows int, evalEmbeds bool) (*lowered
 	}
 }
 
-// vectorBacked reports whether an input's scan projects a stored vector
-// column.
-func vectorBacked(n Node) bool {
-	s := findScan(n)
-	return s != nil && s.Ref.VectorColumn != ""
-}
-
 // embedded reports whether the input's batches carry embeddings.
 func (in *loweredInput) embedded() bool {
 	return in.embed != nil || in.scan.VectorColumn != "" || in.scan.Embedded != nil
@@ -141,14 +125,6 @@ func (in *loweredInput) embedStats() (st exec.OpStats, bs embstore.BatchStats, o
 		return in.scan.EmbedStats(), in.scan.BatchStats(), true
 	}
 	return st, bs, false
-}
-
-// textColumn is the column a deferred E_µ reads.
-func (in *loweredInput) textColumn() string {
-	if in.embedNode != nil && in.embedNode.Column != "" {
-		return in.embedNode.Column
-	}
-	return in.scanNode.Ref.TextColumn
 }
 
 // opStats snapshots the input's operators, source to sink; a scan
@@ -181,11 +157,7 @@ type BuildSide struct {
 	// merged build's parts. ins[0] supplies the model and the table label.
 	ins  []*loweredInput
 	rows relational.Selection // surviving global row ids
-	emb  *mat.Matrix          // one row per entry of rows; nil when E_µ is deferred
-	// perPair marks a naive join that runs the model inside the join, once
-	// per compared pair: the build then holds texts instead of emb.
-	perPair bool
-	texts   []string
+	emb  *mat.Matrix          // one row per entry of rows; nil without E_µ
 	// buf is a merged build's recycled embedding storage (nil otherwise).
 	buf *[]float32
 }
@@ -236,7 +208,7 @@ var mergeBufs sync.Pool // of *[]float32
 // The merged build's row ids are no part's, so an index probe over it
 // always builds its own index.
 func MergeBuilds(parts []*BuildSide, rowmaps [][]int) *BuildSide {
-	out := &BuildSide{perPair: parts[0].perPair}
+	out := &BuildSide{}
 	n, dim := 0, 0
 	for _, p := range parts {
 		out.ins = append(out.ins, p.ins...)
@@ -267,9 +239,6 @@ func MergeBuilds(parts []*BuildSide, rowmaps [][]int) *BuildSide {
 		out.rows = append(out.rows, gid)
 		if p.emb != nil {
 			data = append(data, p.emb.Row(r)...)
-		}
-		if p.perPair {
-			out.texts = append(out.texts, p.texts[r])
 		}
 	}
 	*out.buf = data
@@ -304,11 +273,10 @@ func (ex *Executor) EvalBuild(ctx context.Context, j *EJoin) (*BuildSide, error)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("plan: execute cancelled: %w", err)
 	}
-	// The naive strategy runs the model inside the join, once per compared
-	// pair. With a vector column on either side there is no model to call
-	// per pair, and the plan lowers as the prefetched NLJ.
-	perPair := j.Strategy == cost.StrategyNaiveNLJ && !vectorBacked(j.Left) && !vectorBacked(j.Right)
-	in, err := ex.lowerInput(j.Right, 0, !perPair)
+	if err := executable(j.Strategy); err != nil {
+		return nil, err
+	}
+	in, err := ex.lowerInput(j.Right, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +289,7 @@ func (ex *Executor) EvalBuild(ctx context.Context, j *EJoin) (*BuildSide, error)
 	if err != nil {
 		return nil, fmt.Errorf("plan: evaluating build input: %w", err)
 	}
-	b := &BuildSide{ins: []*loweredInput{in}, perPair: perPair}
+	b := &BuildSide{ins: []*loweredInput{in}}
 	switch {
 	case blk != nil:
 		b.rows, b.emb = blk.Rows, blk.Emb
@@ -333,16 +301,6 @@ func (ex *Executor) EvalBuild(ctx context.Context, j *EJoin) (*BuildSide, error)
 			return nil, err
 		}
 		b.emb = mat.New(0, vc.Dim)
-	}
-	if perPair {
-		col, err := in.scan.Table.Strings(in.textColumn())
-		if err != nil {
-			return nil, err
-		}
-		b.texts = make([]string, len(b.rows))
-		for i, r := range b.rows {
-			b.texts[i] = col[r]
-		}
 	}
 	if st, bs, ok := in.embedStats(); ok {
 		if tr := obs.FromContext(ctx); tr != nil {
@@ -383,10 +341,7 @@ func (ex *Executor) OpenStream(ctx context.Context, j *EJoin, build *BuildSide, 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("plan: execute cancelled: %w", err)
 	}
-	if j.Strategy == cost.StrategyNaiveNLJ && j.Spec.Kind != ThresholdJoin {
-		return nil, fmt.Errorf("plan: naive strategy supports only threshold joins")
-	}
-	in, err := ex.lowerInput(j.Left, ex.BlockRows, !build.perPair)
+	in, err := ex.lowerInput(j.Left, ex.BlockRows)
 	if err != nil {
 		return nil, err
 	}
@@ -403,38 +358,12 @@ func (ex *Executor) OpenStream(ctx context.Context, j *EJoin, build *BuildSide, 
 		return nil, fmt.Errorf("plan: opening stream: %w", err)
 	}
 	s.leftRows = in.scan.Rows()
-	for _, st := range in.stages {
-		if f, ok := st.op.(*exec.RowFilter); ok {
-			s.leftRows = f.Filter(s.leftRows)
-		}
-	}
 	return s, nil
 }
 
 // lowerProbe picks j's join operator over the lowered probe input and the
 // resident build.
 func (ex *Executor) lowerProbe(j *EJoin, in *loweredInput, build *BuildSide) (probeOp, error) {
-	if build.perPair {
-		var mdl model.Model
-		for _, e := range []*Embed{in.embedNode, build.ins[0].embedNode} {
-			if mdl == nil && e != nil {
-				mdl = e.Model
-			}
-		}
-		if mdl == nil {
-			return nil, fmt.Errorf("plan: naive join has no model")
-		}
-		return &exec.NaiveProbe{
-			Input:      in.top,
-			Table:      in.scan.Table,
-			Column:     in.textColumn(),
-			Model:      mdl,
-			BuildTexts: build.texts,
-			BuildRows:  build.rows,
-			Threshold:  j.Spec.Threshold,
-			Opts:       ex.Options,
-		}, nil
-	}
 	if !in.embedded() || (build.emb == nil && j.Strategy != cost.StrategyIndex) {
 		return nil, fmt.Errorf("plan: strategy %v requires embedded inputs (missing Embed node?)", j.Strategy)
 	}
@@ -446,25 +375,22 @@ func (ex *Executor) lowerProbe(j *EJoin, in *loweredInput, build *BuildSide) (pr
 		}
 		op.Input = in.top
 		return op, nil
-	case cost.StrategyNLJ, cost.StrategyTensor, cost.StrategyNaiveNLJ:
+	case cost.StrategyTensor:
 		if j.Spec.Kind == TopKJoin {
 			op := &exec.TopKProbe{Input: in.top, K: j.Spec.K, Residual: j.Spec.Threshold, Opts: ex.Options}
 			op.Build, op.BuildRows = build.emb, build.rows
 			return op, nil
 		}
-		// A naive plan gets here with a vector column on either side: it
-		// carries no precision and scans as the prefetched NLJ.
 		op := &exec.ThresholdProbe{
 			Input:     in.top,
 			Threshold: j.Spec.Threshold,
-			Tensor:    j.Strategy == cost.StrategyTensor,
 			Precision: j.Precision,
 			Opts:      ex.Options,
 		}
 		op.Build, op.BuildRows = build.emb, build.rows
 		return op, nil
 	}
-	return nil, fmt.Errorf("plan: unsupported strategy %v", j.Strategy)
+	return nil, executable(j.Strategy)
 }
 
 // lowerIndexProbe prepares the index probe: an attached index is used
@@ -600,7 +526,7 @@ func (ex *Executor) ExecuteStreaming(ctx context.Context, j *EJoin, limit int) (
 }
 
 // emitSpans adds the probe side's per-phase spans after the stream
-// drains ("embed", "join:<strategy>"/"index.probe"): one span
+// drains ("embed", "join:tensor"/"index.probe"): one span
 // per phase with summed durations, not one per block, so traces stay
 // bounded regardless of stream length.
 func (s *Stream) emitSpans(ctx context.Context, res *ExecResult) {
@@ -613,9 +539,9 @@ func (s *Stream) emitSpans(ctx context.Context, res *ExecResult) {
 		attrs["batches"] = st.Batches
 		tr.AddSpan("embed", tr.Since()-st.Elapsed, st.Elapsed, attrs)
 	}
-	name := "index.probe"
-	if s.j.Strategy != cost.StrategyIndex {
-		name = "join:" + strategyLabel(s.j.Strategy)
+	name := "join:tensor"
+	if s.j.Strategy == cost.StrategyIndex {
+		name = "index.probe"
 	}
 	jt := res.Stats.JoinTime
 	tr.AddSpan(name, tr.Since()-jt, jt, map[string]int64{
@@ -648,18 +574,12 @@ func (in *loweredInput) analysis() *obs.NodeStats {
 	for _, sg := range in.stages {
 		up := &obs.NodeStats{Name: sg.node.Explain(), EstRows: n.EstRows, ObsRows: n.ObsRows, Children: []*obs.NodeStats{n}}
 		_, isEmbed := sg.node.(*Embed)
-		ost, bs, ran := in.embedStats()
-		switch f, isFilter := sg.op.(*exec.RowFilter); {
-		case isEmbed && ran:
+		if ost, bs, ran := in.embedStats(); isEmbed && ran {
 			attrs := embedAttrs(bs)
 			attrs["batches"] = ost.Batches
 			up.ObsRows, up.Elapsed, up.Detail = ost.RowsOut, ost.Elapsed, obs.AttrsDetail(attrs)
-		case isEmbed:
-			up.Detail = "deferred"
-		case isFilter:
-			up.ObsRows, up.Elapsed = f.Stats().RowsOut, f.Stats().Elapsed
-		default:
-			up.ObsRows = st.RowsOut // filter fused into the scan
+		} else {
+			up.ObsRows = st.RowsOut // filter fused into the scan, or a vector column
 		}
 		n = up
 	}

@@ -18,6 +18,7 @@ import (
 	"ejoin/internal/core"
 	"ejoin/internal/cost"
 	"ejoin/internal/hnsw"
+	"ejoin/internal/mat"
 	"ejoin/internal/model"
 	"ejoin/internal/obs"
 	"ejoin/internal/oracle"
@@ -223,9 +224,31 @@ func (d declared) Optimize(root *EJoin) (*EJoin, error) {
 	return out, err
 }
 
+// TestStreamingDifferentialThresholdNLJ holds the served tensor scan, at
+// the kernel's default S-block width, and the paper's tuple-at-a-time
+// baseline core.NLJ over the same embeddings to one oracle answer.
 func TestStreamingDifferentialThresholdNLJ(t *testing.T) {
 	q := streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.85})
-	runShape(t, q, forced(cost.StrategyNLJ), nil, f32Tol, 1, -1)
+	res, optimized := runShape(t, q, forced(cost.StrategyTensor), nil, f32Tol, 1, -1)
+	if optimized.Swapped {
+		t.Fatal("the 300-row left side must stay the probe side")
+	}
+	embed := func(ref TableRef) *mat.Matrix {
+		texts, err := ref.Table.Strings(ref.TextColumn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		em, err := core.Embed(context.Background(), q.Model, texts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return em
+	}
+	nlj, err := core.NLJ(context.Background(), embed(q.Left), embed(q.Right), q.Join.Threshold, core.Options{Kernel: vec.DefaultKernel()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOracle(t, q, optimized, &ExecResult{Matches: nlj.Matches, LeftRows: res.LeftRows, RightRows: res.RightRows}, f32Tol, 1)
 }
 
 func TestStreamingDifferentialThresholdTensor(t *testing.T) {
@@ -236,7 +259,7 @@ func TestStreamingDifferentialThresholdTensor(t *testing.T) {
 
 func TestStreamingDifferentialTopK(t *testing.T) {
 	q := streamQuery(t, JoinSpec{Kind: TopKJoin, K: 3, Threshold: -2})
-	runShape(t, q, forced(cost.StrategyNLJ), nil, f32Tol, 1, -1)
+	runShape(t, q, forced(cost.StrategyTensor), nil, f32Tol, 1, -1)
 }
 
 func TestStreamingDifferentialTopKResidual(t *testing.T) {
@@ -253,51 +276,6 @@ func TestStreamingDifferentialFiltered(t *testing.T) {
 	runShape(t, q, NewOptimizer(), nil, f32Tol, 1, -1)
 }
 
-func TestStreamingDifferentialFilterAboveEmbed(t *testing.T) {
-	// Pushdown disabled: the filter stays above E_µ (a RowFilter), so every
-	// scanned probe row is embedded — the model work the un-pushed-down
-	// plan is charged for — while only the survivors are probed.
-	q := streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.85})
-	q.Left.Predicates = []relational.Pred{{Column: "n", Op: relational.LE, Value: int64(150)}}
-	o := forced(cost.StrategyNLJ)
-	o.DisablePushdown = true
-	scanned := int64(q.Left.Table.NumRows() + q.Right.Table.NumRows())
-	runShape(t, q, o, nil, f32Tol, 1, scanned)
-}
-
-func TestStreamingDifferentialNaiveFallback(t *testing.T) {
-	// The naive strategy on the pipeline: no input is embedded ahead of the
-	// join and every compared pair pays two real model calls.
-	q := streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.85})
-	inner := q.Model
-	nl, nr := int64(q.Left.Table.NumRows()), int64(q.Right.Table.NumRows())
-	for _, rows := range shapeBlockRows {
-		counted := model.NewCountingModel(inner)
-		q.Model = counted
-		naive, err := NewNaivePlan(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		optimized, err := forced(cost.StrategyNaiveNLJ).Optimize(naive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 2}, BlockRows: rows}
-		res, err := ex.ExecuteStreaming(context.Background(), optimized, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.ModelCalls != 2*nl*nr || counted.Calls() != 2*nl*nr {
-			t.Errorf("BlockRows=%d: %d model calls reported, %d made, want 2 x %d x %d", rows, res.Stats.ModelCalls, counted.Calls(), nl, nr)
-		}
-		if res.Stats.Comparisons != nl*nr {
-			t.Errorf("BlockRows=%d: %d comparisons, want %d", rows, res.Stats.Comparisons, nl*nr)
-		}
-		q.Model = inner
-		checkOracle(t, q, optimized, res, f32Tol, 1)
-	}
-}
-
 func TestStreamingDifferentialQuantized(t *testing.T) {
 	for _, p := range []quant.Precision{quant.PrecisionF16, quant.PrecisionInt8} {
 		t.Run(p.String(), func(t *testing.T) {
@@ -305,7 +283,7 @@ func TestStreamingDifferentialQuantized(t *testing.T) {
 			// Per-row scales make block-wise int8/f16 encoding identical to
 			// whole-matrix encoding, so block-size invariance stays exact
 			// while the oracle is met to the rung's stated error bound.
-			o := declared{forced(cost.StrategyNLJ), p}
+			o := declared{forced(cost.StrategyTensor), p}
 			runShape(t, q, o, nil, p.DotErrorBound(q.Model.Dim())+f32Tol, 1, -1)
 		})
 	}
@@ -356,12 +334,12 @@ func TestStreamingDifferentialMVCCSnapshot(t *testing.T) {
 	}
 	q.Left.Visible = vis
 	q.Right.Visible = relational.All(q.Right.Table.NumRows())[:30]
-	runShape(t, q, forced(cost.StrategyNLJ), nil, f32Tol, 1, -1)
+	runShape(t, q, forced(cost.StrategyTensor), nil, f32Tol, 1, -1)
 }
 
 func TestStreamingLimitFirstN(t *testing.T) {
 	q := streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.85})
-	full, optimized := runShape(t, q, forced(cost.StrategyNLJ), nil, f32Tol, 1, -1)
+	full, optimized := runShape(t, q, forced(cost.StrategyTensor), nil, f32Tol, 1, -1)
 	const limit = 7
 	if len(full.Matches) <= limit {
 		t.Fatalf("need more than %d total matches, have %d", limit, len(full.Matches))
@@ -425,7 +403,7 @@ func TestStreamingCancelledMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	optimized, err := forced(cost.StrategyNLJ).Optimize(naive)
+	optimized, err := forced(cost.StrategyTensor).Optimize(naive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +424,7 @@ func TestStreamingAnalysisTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	optimized, err := forced(cost.StrategyNLJ).Optimize(naive)
+	optimized, err := forced(cost.StrategyTensor).Optimize(naive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +460,7 @@ func TestStreamingAnalysisTree(t *testing.T) {
 		t.Error("operator stats recorded no batches")
 	}
 	// The trace must carry aggregated phase spans (one "embed" for the
-	// build side, one aggregated "embed" and one "join:nlj" for the whole
+	// build side, one aggregated "embed" and one "join:tensor" for the whole
 	// probe stream) — not one span per block, or traces would grow with
 	// stream length.
 	snap := tr.Finish("", "", nil, res.Analysis)
@@ -491,12 +469,12 @@ func TestStreamingAnalysisTree(t *testing.T) {
 		switch sp.Name {
 		case "embed":
 			embedSpans++
-		case "join:nlj":
+		case "join:tensor":
 			joinSpans++
 		}
 	}
 	if embedSpans != 2 || joinSpans != 1 {
-		t.Errorf("spans: embed=%d join:nlj=%d, want 2 and 1", embedSpans, joinSpans)
+		t.Errorf("spans: embed=%d join:tensor=%d, want 2 and 1", embedSpans, joinSpans)
 	}
 	if len(snap.Spans) > 8 {
 		t.Errorf("%d spans recorded for a %d-block stream; spans must not scale with blocks",

@@ -169,9 +169,6 @@ func (e *Engine) recordFeedback(q *plan.Query, optimized *plan.EJoin, res *plan.
 	// Regret: re-run access path selection with the selectivities this
 	// query actually exhibited (and a warm cache, which post-execution is
 	// the truth); a different winner means the plan left time on the table.
-	if optimized.Strategy == cost.StrategyNaiveNLJ {
-		return // ablation/forced plans are not the planner's choice to regret
-	}
 	k := 0
 	if optimized.Spec.Kind == plan.TopKJoin {
 		k = optimized.Spec.K

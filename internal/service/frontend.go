@@ -120,9 +120,8 @@ func Resolve(cfg Config) (Resolved, error) {
 			BlockRows: cfg.ExecBlockRows,
 		},
 		Opt: &plan.Optimizer{
-			Params:        cfg.CostParams,
-			Store:         cfg.Store,
-			ForceStrategy: cfg.ForceStrategy,
+			Params: cfg.CostParams,
+			Store:  cfg.Store,
 		},
 	}, nil
 }

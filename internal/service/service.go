@@ -130,9 +130,6 @@ type Config struct {
 	// costs at engine build (cost.Calibrate — a few microseconds plus 18
 	// model calls) and plans with the result instead of CostParams.
 	CalibrateCost bool
-	// ForceStrategy, when non-nil, bypasses cost-based strategy selection
-	// for every query (test/differential harnesses pin exact strategies).
-	ForceStrategy *cost.Strategy
 }
 
 // TableInfo describes one catalog entry.

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"ejoin/internal/cost"
 	"ejoin/internal/oracle"
 	"ejoin/internal/workload"
 )
@@ -147,9 +146,6 @@ func TestStreamingAdmissionWeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := int64(buildRows+blockRows) * dim * 4
-	if res.Strategy == cost.StrategyNLJ.String() {
-		want += buildRows * 4 // one row of partial matches
-	}
 	weight, whole := res.AdmittedBytes, int64(probeRows+buildRows)*dim*4
 	if weight != want {
 		t.Fatalf("admitted %d bytes, want (build + one block) x dim x 4 = %d", weight, want)

@@ -6,10 +6,9 @@ package shard
 // current while the query ran; a reboot must then serve the last version.
 // Table sizes straddle the column-chunk boundaries (embstore.ChunkRows) and
 // block sizes run from one row to the whole probe side. On the Engine, a
-// plan whose predicate stays above E_µ (a RowFilter over chunk views) runs
-// concurrently with a pushed-down plan over the same chunks. Threshold
-// queries at a declared f16 or int8 precision on l race the same
-// mutations and are held to their rung's error bound.
+// filtered plan run through the plan layer over the pinned tables races
+// the same chunks. Threshold queries at a declared f16 or int8 precision
+// on l race the same mutations and are held to their rung's error bound.
 
 import (
 	"context"
@@ -434,15 +433,11 @@ func runColumnRace(t *testing.T, memo *memoModel, queries []colQuery, size, bloc
 			}()
 		}
 		if eng != nil {
-			// A predicate above E_µ and one pushed into the scan, over the
-			// same pinned version and the same chunks, concurrently.
-			for _, pushdown := range []bool{false, true} {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					runPinnedPlan(t, eng, memo, queries[2], block, pushdown)
-				}()
-			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				runPinnedPlan(t, eng, memo, queries[2], block)
+			}()
 		}
 		wg.Wait()
 	}
@@ -465,9 +460,9 @@ func runColumnRace(t *testing.T, memo *memoModel, queries []colQuery, size, bloc
 }
 
 // runPinnedPlan executes q's join over the engine's pinned tables through
-// the plan layer, with the predicate pushed below E_µ or left above it,
-// and checks the result against the oracle for exactly that pin.
-func runPinnedPlan(t *testing.T, eng *service.Engine, memo *memoModel, q colQuery, block int, pushdown bool) {
+// the plan layer and checks the result against the oracle for exactly
+// that pin.
+func runPinnedPlan(t *testing.T, eng *service.Engine, memo *memoModel, q colQuery, block int) {
 	pl, _ := eng.PinnedTable("l")
 	pr, _ := eng.PinnedTable("r")
 	pq := plan.Query{
@@ -481,7 +476,7 @@ func runPinnedPlan(t *testing.T, eng *service.Engine, memo *memoModel, q colQuer
 		t.Error(err)
 		return
 	}
-	j, err := (&plan.Optimizer{Params: cost.DefaultParams(), Store: eng.Store(), DisablePushdown: !pushdown}).Optimize(naive)
+	j, err := (&plan.Optimizer{Params: cost.DefaultParams(), Store: eng.Store()}).Optimize(naive)
 	if err != nil {
 		t.Error(err)
 		return
@@ -492,13 +487,6 @@ func runPinnedPlan(t *testing.T, eng *service.Engine, memo *memoModel, q colQuer
 		t.Error(err)
 		return
 	}
-	filtered := false
-	for _, op := range res.Ops { // the probe side's operators
-		filtered = filtered || op.Name == "filter"
-	}
-	if !j.Swapped && filtered == pushdown {
-		t.Errorf("pushdown=%v plan ran a RowFilter: %v", pushdown, filtered)
-	}
 	ans, err := oracle.Join(memo,
 		oracle.Side{Table: pl.Table, Text: "name", Visible: pl.Visible, Preds: q.preds},
 		oracle.Side{Table: pr.Table, Text: "name", Visible: pr.Visible}, q.spec)
@@ -507,7 +495,7 @@ func runPinnedPlan(t *testing.T, eng *service.Engine, memo *memoModel, q colQuer
 		return
 	}
 	if err := ans.Check(oracleMatches(res.Matches), 1e-5, 1); err != nil {
-		t.Errorf("pushdown=%v plan: %v", pushdown, err)
+		t.Errorf("pinned plan: %v", err)
 	}
 }
 

@@ -18,11 +18,14 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ejoin/internal/core"
 	"ejoin/internal/cost"
 	"ejoin/internal/model"
+	"ejoin/internal/plan"
 	"ejoin/internal/quant"
 	"ejoin/internal/relational"
 	"ejoin/internal/service"
+	"ejoin/internal/vec"
 	"ejoin/internal/workload"
 )
 
@@ -227,14 +230,13 @@ func runDifferential(t *testing.T, cfg service.Config, grid []gridPoint, reqs []
 					t.Errorf("%s: %d matches over limit %d", label, len(got.Matches), req.Limit)
 				}
 				// Repeated, the query is served warm: the same matches at
-				// zero model calls on every shard (the naive baseline
-				// embeds per compared pair by definition).
+				// zero model calls on every shard.
 				again, err := rt.Query(ctx, req)
 				if err != nil {
 					t.Fatalf("sharded request %d, repeated: %v", i, err)
 				}
 				assertSameMatches(t, label+" repeated", want[i], again)
-				if again.Strategy != cost.StrategyNaiveNLJ.String() && again.Stats.ModelCalls != 0 {
+				if again.Stats.ModelCalls != 0 {
 					t.Errorf("%s: repeated query made %d model calls, want 0", label, again.Stats.ModelCalls)
 				}
 			}
@@ -254,43 +256,67 @@ func TestShardDifferentialAuto(t *testing.T) {
 	runDifferential(t, diffConfig(t), fullGrid(), diffRequests(), false)
 }
 
-func forcedCfg(t *testing.T, s cost.Strategy) service.Config {
-	cfg := diffConfig(t)
-	cfg.ForceStrategy = &s
-	return cfg
-}
-
-func TestShardDifferentialNLJ(t *testing.T) {
-	runDifferential(t, forcedCfg(t, cost.StrategyNLJ), wideGrid(), diffRequests(), true)
-}
-
+// TestShardDifferentialTensor requires the strategy labels to agree too:
+// neither backend has an index to probe, so both run the tensor scan.
 func TestShardDifferentialTensor(t *testing.T) {
-	runDifferential(t, forcedCfg(t, cost.StrategyTensor), wideGrid(), diffRequests(), true)
+	runDifferential(t, diffConfig(t), wideGrid(), diffRequests(), true)
 }
 
-// TestShardDifferentialNaiveFallback pins the naive strategy: every
-// fan-out pair embeds per compared pair inside its probe, shares one
-// build (texts, not vectors) per build shard, and takes the pair LIMIT
-// like every other threshold pair — with and without predicates.
-func TestShardDifferentialNaiveFallback(t *testing.T) {
-	reqs := []service.QueryRequest{
-		{SQL: "SELECT * FROM l JOIN r ON SIM(l.word, r.term) >= 0.85"},
-		{SQL: "SELECT * FROM l JOIN r ON SIM(l.word, r.term) >= 0.85", Limit: 7},
-		{SQL: "SELECT * FROM l JOIN r ON SIM(l.word, r.term) >= 0.85 WHERE l.n <= 200 AND r.n <= 250", Limit: 4},
-	}
-	runDifferential(t, forcedCfg(t, cost.StrategyNaiveNLJ), wideGrid(), reqs, true)
-}
-
-// TestShardDifferentialIndex forces the index strategy: every stream
-// builds its HNSW over the merged build, which holds the unsharded
-// engine's build matrix row for row, so even the tied corpus's equal
-// similarities come back in the unsharded order.
+// TestShardDifferentialIndex pins the index strategy: the router through
+// its planner, the reference through plan.Optimizer over the unsharded
+// engine's pinned tables, with the engine's executor settings. Every
+// router stream builds its HNSW over the merged build, which holds the
+// unsharded build matrix row for row, so even the tied corpus's equal
+// similarities come back in the reference's order.
 func TestShardDifferentialIndex(t *testing.T) {
-	reqs := []service.QueryRequest{
-		{SQL: "SELECT * FROM l JOIN r ON TOPK(l.word, r.term, 2)"},
-		{SQL: "SELECT * FROM l JOIN r ON TOPK(l.word, r.term, 1)"},
+	cfg := diffConfig(t)
+	ref := newUnsharded(t, cfg, loadCorpus)
+	index := cost.StrategyIndex
+	ctx := context.Background()
+	ks := []int{2, 1}
+	want := make([][]core.Match, len(ks))
+	for i, k := range ks {
+		lp, _ := ref.PinnedTable("l")
+		rp, _ := ref.PinnedTable("r")
+		naive, err := plan.NewNaivePlan(plan.Query{
+			Left:  lp.Bind(plan.TableRef{Name: "l", TextColumn: "word"}),
+			Right: rp.Bind(plan.TableRef{Name: "r", TextColumn: "term"}),
+			Model: ref.Model(),
+			Join:  plan.JoinSpec{Kind: plan.TopKJoin, K: k, Threshold: -2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := (&plan.Optimizer{Params: cost.DefaultParams(), ForceStrategy: &index}).Optimize(naive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := &plan.Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: cfg.Threads}, Store: ref.Store(), BlockRows: cfg.ExecBlockRows}
+		res, err := ex.ExecuteStreaming(ctx, j, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Matches) == 0 {
+			t.Fatalf("top-%d reference produced no matches; differential is vacuous", k)
+		}
+		want[i] = res.Matches
 	}
-	runDifferential(t, forcedCfg(t, cost.StrategyIndex), wideGrid(), reqs, true)
+	for _, g := range wideGrid() {
+		t.Run(g.name(), func(t *testing.T) {
+			rt := newRouter(t, cfg, g.shards, g.part, loadCorpus)
+			rt.opt.ForceStrategy = &index
+			for i, k := range ks {
+				got, err := rt.Query(ctx, service.QueryRequest{SQL: "SELECT * FROM l JOIN r ON TOPK(l.word, r.term, " + strconv.Itoa(k) + ")"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Strategy != index.String() {
+					t.Errorf("top-%d: router ran %s", k, got.Strategy)
+				}
+				assertSameMatches(t, "top-"+strconv.Itoa(k), &service.QueryResult{Matches: want[i], Precision: got.Precision}, got)
+			}
+		})
+	}
 }
 
 // TestShardEstRowsMatchEngine holds the plan span's est_rows to a freshly
@@ -342,7 +368,7 @@ func TestShardDifferentialQuantized(t *testing.T) {
 	for _, p := range []quant.Precision{quant.PrecisionF16, quant.PrecisionInt8} {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
-			cfg := forcedCfg(t, cost.StrategyNLJ)
+			cfg := diffConfig(t)
 			ref := newUnsharded(t, cfg, loadCorpus)
 			if err := ref.SetTablePrecision("r", p); err != nil {
 				t.Fatal(err)

@@ -197,7 +197,7 @@ func TestRouterStatsAndMetrics(t *testing.T) {
 		}
 	}
 	known := map[string]bool{}
-	for _, s := range []cost.Strategy{cost.StrategyNaiveNLJ, cost.StrategyNLJ, cost.StrategyTensor, cost.StrategyIndex} {
+	for _, s := range []cost.Strategy{cost.StrategyTensor, cost.StrategyIndex} {
 		known[s.String()] = true
 	}
 	var recorded int64

@@ -3,7 +3,7 @@ package shard
 // The router's two steps of the query lifecycle; service.Frontend runs
 // the rest (deadline, resolve, admission, counters, trace). PlanQuery
 // pins every shard's MVCC snapshot of both tables, makes the one global
-// orientation and access-path decision, optimizes one plan per shard
+// orientation decision, optimizes one tensor-scan plan per shard
 // (probe shard s over build shard s), and weighs the whole fan-out as one
 // admission unit. Run evaluates each build shard's inner side once,
 // gathers the parts into one build keyed by global row id
@@ -127,13 +127,6 @@ func (r *Router) PlanQuery(q plan.Query) (service.QueryRun, int64, int64, error)
 		f.probe, f.build = right, left
 	}
 
-	// The one global access-path decision, like the orientation decision
-	// above: Rule 4 evaluated over summed per-shard estimates, then pinned
-	// onto every plan, so the router takes the unsharded plan's path.
-	strategy := r.opt.ChooseSharded(q, f.probe.refs, f.build.refs, f.swapped)
-	opt := *r.opt
-	opt.ForceStrategy = &strategy
-
 	// One plan per shard: plan s lowers probe shard s through its Left and
 	// build shard s through its Right. Admission prices the fan-out as one
 	// unit, the sum of the plans' footprints: the merged build plus one
@@ -147,7 +140,7 @@ func (r *Router) PlanQuery(q plan.Query) (service.QueryRun, int64, int64, error)
 		if err != nil {
 			return nil, 0, 0, service.MarkBadRequest(err)
 		}
-		jp, err := opt.Optimize(naive)
+		jp, err := r.opt.Optimize(naive)
 		if err != nil {
 			return nil, 0, 0, err
 		}

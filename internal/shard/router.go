@@ -90,8 +90,12 @@ func Open(cfg Config) (*Router, error) {
 	}
 	ecfg := res.Config
 	// Orientation is one global decision (query.go); a per-shard re-swap
-	// would break stream merging.
+	// would break stream merging. The access path is no decision at all:
+	// router shards carry no index, and the merged build has none to
+	// probe, so every plan of a fan-out is the tensor scan.
 	res.Opt.DisableReorder = true
+	tensor := cost.StrategyTensor
+	res.Opt.ForceStrategy = &tensor
 	r := &Router{
 		nshards:    n,
 		model:      ecfg.Model,
