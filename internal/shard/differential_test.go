@@ -193,10 +193,7 @@ func diffRequests() []service.QueryRequest {
 
 // runDifferential runs every request through the reference engine and
 // each grid router and asserts byte-identical responses. checkStrategy
-// additionally requires the reported strategy label to agree; the
-// router's one global access-path decision prices over summed per-shard
-// estimates, so it matches the unsharded choice even under cost-based
-// selection.
+// additionally requires the reported strategy label to agree.
 func runDifferential(t *testing.T, cfg service.Config, grid []gridPoint, reqs []service.QueryRequest, checkStrategy bool) {
 	t.Helper()
 	ref := newUnsharded(t, cfg, loadCorpus)
@@ -306,14 +303,28 @@ func TestShardDifferentialIndex(t *testing.T) {
 			rt := newRouter(t, cfg, g.shards, g.part, loadCorpus)
 			rt.opt.ForceStrategy = &index
 			for i, k := range ks {
-				got, err := rt.Query(ctx, service.QueryRequest{SQL: "SELECT * FROM l JOIN r ON TOPK(l.word, r.term, " + strconv.Itoa(k) + ")"})
+				req := service.QueryRequest{SQL: "SELECT * FROM l JOIN r ON TOPK(l.word, r.term, " + strconv.Itoa(k) + ")"}
+				got, err := rt.Query(ctx, req)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got.Strategy != index.String() {
 					t.Errorf("top-%d: router ran %s", k, got.Strategy)
 				}
-				assertSameMatches(t, "top-"+strconv.Itoa(k), &service.QueryResult{Matches: want[i], Precision: got.Precision}, got)
+				label := "top-" + strconv.Itoa(k)
+				wantRes := &service.QueryResult{Matches: want[i], Precision: got.Precision}
+				assertSameMatches(t, label, wantRes, got)
+				// Repeated, the query is served warm: the HNSW is built
+				// again over the merged build from cached embeddings, with
+				// the same matches at zero model calls.
+				again, err := rt.Query(ctx, req)
+				if err != nil {
+					t.Fatalf("%s, repeated: %v", label, err)
+				}
+				assertSameMatches(t, label+" repeated", wantRes, again)
+				if again.Stats.ModelCalls != 0 {
+					t.Errorf("%s: repeated query made %d model calls, want 0", label, again.Stats.ModelCalls)
+				}
 			}
 		})
 	}
