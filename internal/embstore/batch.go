@@ -20,6 +20,9 @@ type BatchStats struct {
 	Hits int64
 	// Misses is the number of distinct new inputs this call embedded.
 	Misses int64
+	// Restored is the number of requested rows read back from the spill
+	// file instead of the model (column chunks only).
+	Restored int64
 	// Merged is the number of rows that reused another row's or another
 	// query's in-flight model call.
 	Merged int64

@@ -5,7 +5,8 @@ package embstore
 // embeddings as a column, for a text join column). A scan reads a block of
 // vectors with one lookup per chunk instead of hashing, locking and copying
 // per row. Chunks are ordinary store entries: the LRU, the byte budget and
-// single flight cover them with no second cache.
+// single flight cover them; an evicted chunk goes to the spill tier
+// (spill.go), which a miss reads before it calls the model.
 
 import (
 	"container/list"
@@ -13,6 +14,8 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"ejoin/internal/mat"
 	"ejoin/internal/model"
@@ -113,6 +116,41 @@ type Chunk struct {
 	key    ChunkKey
 	vecs   *mat.Matrix
 	filled RowMask
+	// refs counts the chunk's holders: the store while the chunk is
+	// resident, a builder reading it, and each caller Store.Chunk or
+	// PeekChunk handed it to, until that caller's Release. When the store
+	// evicted the chunk, the holder that lets go last recycles the
+	// vectors' storage (chunkBufs) for the chunks read back in its place.
+	refs    atomic.Int32
+	evicted atomic.Bool
+}
+
+// Release gives up the hold Store.Chunk or PeekChunk handed out with the
+// chunk. Call it once no row or view of the chunk is in use any more: its
+// storage may then be reused. A chunk never released is simply garbage
+// collected.
+func (c *Chunk) Release() { c.unref() }
+
+func (c *Chunk) unref() {
+	if c.refs.Add(-1) == 0 && c.evicted.Load() {
+		b := c.vecs.Data[:0]
+		chunkBufs.Put(&b)
+	}
+}
+
+// chunkBufs recycles the vectors of evicted chunks no one holds any more
+// into the chunks read back from the spill file, so a column cycling
+// through the spill tier does not allocate a chunk per read.
+var chunkBufs sync.Pool // of *[]float32
+
+// newVecs is a rows×dim matrix for a chunk's vectors, on recycled storage
+// when there is some; its contents are undefined.
+func newVecs(rows, dim int) *mat.Matrix {
+	n := rows * dim
+	if p, ok := chunkBufs.Get().(*[]float32); ok && cap(*p) >= n {
+		return &mat.Matrix{RowsN: rows, ColsN: dim, Data: (*p)[:n]}
+	}
+	return mat.New(rows, dim)
 }
 
 // Row is row i's vector; the chunk must hold row i.
@@ -144,11 +182,11 @@ func (s *Store) chunkShard(k ChunkKey) *shard {
 //
 // A resident chunk covering need is a hit for every needed row. Otherwise
 // the chunk is built — one builder per key at a time, others wait — from
-// the resident one's vectors plus the missing rows embedded as EmbedAll
-// would, and then adopts their per-text entries (see adopt). The new
-// chunk keeps the old one's vectors only for rows live in the caller's
-// version or past its end, so rows deleted since are shed as it grows,
-// and so are the references to them.
+// the resident one's vectors, or else its spill slot's, plus the missing
+// rows embedded as EmbedAll would, and then adopts their per-text entries
+// (see adopt). The new chunk keeps the old one's vectors only for rows
+// live in the caller's version or past its end, so rows deleted since are
+// shed as it grows, and so are the references to them.
 func (s *Store) Chunk(ctx context.Context, m model.Model, key ChunkKey, texts []string, need, live RowMask, opts BatchOptions) (*Chunk, BatchStats, error) {
 	var bs BatchStats
 	if last := need.last(); last >= len(texts) {
@@ -160,7 +198,9 @@ func (s *Store) Chunk(ctx context.Context, m model.Model, key ChunkKey, texts []
 		var old *Chunk
 		if el, ok := sh.chunks[key]; ok {
 			e := sh.touch(el, s.tick.Add(1))
-			if old = e.c; old.filled.Covers(&need) {
+			old = e.c
+			old.refs.Add(1) // the caller's hold, or the builder's below
+			if old.filled.Covers(&need) {
 				sh.mu.Unlock()
 				n := int64(need.Count())
 				s.hits.Add(n)
@@ -170,6 +210,9 @@ func (s *Store) Chunk(ctx context.Context, m model.Model, key ChunkKey, texts []
 		}
 		if fl, ok := sh.building[key]; ok {
 			sh.mu.Unlock()
+			if old != nil {
+				old.unref()
+			}
 			select {
 			case <-fl.done:
 			case <-ctx.Done():
@@ -181,18 +224,35 @@ func (s *Store) Chunk(ctx context.Context, m model.Model, key ChunkKey, texts []
 		sh.building[key] = fl
 		sh.mu.Unlock()
 
-		c, added, err := s.buildChunk(ctx, m, key, old, texts, need, live, opts, &bs)
+		restored := false
+		if old == nil {
+			if old = s.spill.get(key, m.Dim()); old != nil {
+				old.refs.Add(1) // the builder's hold
+				restored = true
+			}
+		}
+		c, added, err := s.buildChunk(ctx, m, key, old, restored, texts, need, live, opts, &bs)
 		var el *list.Element
+		var prev *Chunk
+		if err == nil {
+			c.refs.Add(1) // the caller's hold, taken before the store's can go
+		}
 		sh.mu.Lock()
 		delete(sh.building, key)
 		if err == nil {
-			if prev, ok := sh.chunks[key]; ok {
-				s.dropLocked(sh, prev)
+			if pel, ok := sh.chunks[key]; ok {
+				prev = s.dropLocked(sh, pel)
 			}
 			el = s.pushLocked(sh, &entry{c: c})
 		}
 		sh.mu.Unlock()
 		close(fl.done)
+		if prev != nil {
+			prev.unref()
+		}
+		if old != nil {
+			old.unref()
+		}
 		if err != nil {
 			return nil, bs, err
 		}
@@ -238,19 +298,31 @@ func (s *Store) adopt(ck ChunkKey, texts []string, rows []int) {
 
 // buildChunk assembles the chunk Chunk publishes: old's vectors for the
 // rows still live in the caller's version (or past its end), plus the
-// needed rows old lacks, which it also returns.
-func (s *Store) buildChunk(ctx context.Context, m model.Model, key ChunkKey, old *Chunk, texts []string, need, live RowMask, opts BatchOptions, bs *BatchStats) (*Chunk, []int, error) {
+// needed rows old lacks, which it also returns. The needed rows old holds
+// are hits, or restored rows when old was read back from the spill file;
+// an old chunk that is already the result is returned as is.
+func (s *Store) buildChunk(ctx context.Context, m model.Model, key ChunkKey, old *Chunk, restored bool, texts []string, need, live RowMask, opts BatchOptions, bs *BatchStats) (*Chunk, []int, error) {
 	c := &Chunk{key: key, filled: need}
 	if old != nil {
 		keep := live
 		for i := len(texts); i < ChunkRows; i++ {
 			keep.Set(i)
 		}
+		var held int64
 		for w := range c.filled {
-			bs.Hits += int64(bits.OnesCount64(need[w] & old.filled[w]))
+			held += int64(bits.OnesCount64(need[w] & old.filled[w]))
 			c.filled[w] |= old.filled[w] & keep[w]
 		}
-		s.hits.Add(bs.Hits)
+		if restored {
+			bs.Restored += held
+			s.restored.Add(held)
+		} else {
+			bs.Hits += held
+			s.hits.Add(held)
+		}
+		if c.filled == old.filled {
+			return old, nil, nil
+		}
 	}
 	c.vecs = mat.New(c.filled.Count(), m.Dim())
 	var missing []int
@@ -311,22 +383,26 @@ func (s *Store) Shed(key ChunkKey, live RowMask, texts []string) {
 	s.dropLocked(sh, el)
 	s.pushLocked(sh, &entry{c: c})
 	sh.mu.Unlock()
+	old.unref()
 	s.forget(key, texts, shed)
 }
 
 // DropChunk releases a chunk its owner knows no reader needs any more
-// (every row it holds was deleted), and the references to its rows;
-// texts are the chunk's rows. It is not an eviction.
+// (every row it holds was deleted), resident or spilled, and the
+// references to its rows; texts are the chunk's rows. It is not an
+// eviction.
 func (s *Store) DropChunk(key ChunkKey, texts []string) {
+	s.spill.drop(key)
 	sh := s.chunkShard(key)
 	sh.mu.Lock()
-	el, ok := sh.chunks[key]
-	if ok {
-		s.dropLocked(sh, el)
+	var c *Chunk
+	if el, ok := sh.chunks[key]; ok {
+		c = s.dropLocked(sh, el)
 	}
 	sh.mu.Unlock()
-	if ok {
-		s.forget(key, texts, el.Value.(*entry).c.filled)
+	if c != nil {
+		c.unref()
+		s.forget(key, texts, c.filled)
 	}
 }
 
@@ -351,29 +427,42 @@ func (s *Store) forget(ck ChunkKey, texts []string, rows RowMask) {
 }
 
 // PeekChunk returns a resident chunk without promoting it or touching
-// statistics — the compaction source for the vectors chunks adopted.
+// statistics — the compaction source for the vectors chunks adopted. The
+// caller holds the chunk until it calls Release.
 func (s *Store) PeekChunk(key ChunkKey) (*Chunk, bool) {
 	sh := s.chunkShard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if el, ok := sh.chunks[key]; ok {
-		return el.Value.(*entry).c, true
+		c := el.Value.(*entry).c
+		c.refs.Add(1)
+		return c, true
 	}
 	return nil, false
 }
 
-// Resident counts the rows of a column held by resident chunks: rows is
-// the table version's physical row count, visible its live rows ascending
-// (nil: all rows), key.Index is ignored. It only peeks — no promotion, no
-// statistics — so a planner can price E_µ without disturbing the cache.
+// Resident counts the rows of a column held by resident chunks or their
+// spill slots, which a scan reads without the model: rows is the table
+// version's physical row count, visible its live rows ascending (nil: all
+// rows), key.Index is ignored. It only peeks — no promotion, no
+// statistics, no I/O — so a planner can price E_µ without disturbing the
+// cache.
 func (s *Store) Resident(key ChunkKey, rows int, visible []int) int {
 	n := 0
 	for key.Index = 0; key.Index*ChunkRows < rows; key.Index++ {
-		c, ok := s.PeekChunk(key)
-		if !ok {
-			continue
+		sh := s.chunkShard(key)
+		sh.mu.Lock()
+		el, ok := sh.chunks[key]
+		var filled RowMask
+		if ok {
+			filled = el.Value.(*entry).c.filled
 		}
-		filled := c.Holds()
+		sh.mu.Unlock()
+		if !ok {
+			if filled, ok = s.spill.holds(key); !ok {
+				continue
+			}
+		}
 		want := PrefixMask(rows - key.Index*ChunkRows)
 		if visible != nil {
 			want = SelectionMask(visible, key.Index)

@@ -24,9 +24,14 @@
 //     entry becomes a reference to its chunk row, so each vector is held
 //     once and a lookup by text still finds it.
 //
-// Eviction is least-recently-used across the whole store. The owner of a
-// table drops the chunks whose rows it all deleted (DropChunk) and packs
-// those mostly deleted (Shed); nothing else needs retiring.
+// Eviction is least-recently-used across the whole store. A column chunk
+// the LRU evicts is not lost: it is written to its slot of the store's
+// spill file (spill.go), and the next miss on its key reads it back
+// instead of calling the model, so each text is embedded once even when
+// a column outgrows MaxBytes. A per-text entry is simply dropped. The
+// owner of a table drops the chunks whose rows it all deleted, resident
+// or spilled (DropChunk), and packs those mostly deleted (Shed); nothing
+// else needs retiring. Close releases the spill file.
 //
 // The store observes the Model contract: per-text lookups hand out fresh,
 // caller-owned, unit-norm copies; chunks are read-only.
@@ -72,6 +77,10 @@ type Stats struct {
 	Hits int64 `json:"hits"`
 	// Misses is the number of lookups that triggered a model call.
 	Misses int64 `json:"misses"`
+	// Restored is the number of needed rows chunk misses read back from the
+	// spill file instead of embedding them; they are neither hits nor
+	// misses.
+	Restored int64 `json:"restored"`
 	// Merged is the number of lookups that joined another caller's
 	// in-flight model call (single-flight deduplication) or a duplicate
 	// within one batch.
@@ -80,6 +89,9 @@ type Stats struct {
 	// policy dropped under the byte budget. Entries a chunk adopts and
 	// chunks their owner drops are not evictions.
 	Evictions int64 `json:"evictions"`
+	// Spilled is the number of evicted chunks written to the spill file (an
+	// eviction whose slot already held the same rows writes nothing).
+	Spilled int64 `json:"spilled"`
 	// ModelCalls is the number of Model.Embed invocations the store made.
 	ModelCalls int64 `json:"model_calls"`
 	// Entries is the current number of cached vectors: one per per-text
@@ -89,10 +101,10 @@ type Stats struct {
 	Bytes int64 `json:"bytes"`
 }
 
-// HitRatio is Hits / (Hits + Misses + Merged), the fraction of lookups
-// that did not wait on a fresh model call of their own.
+// HitRatio is Hits / (Hits + Misses + Merged + Restored), the fraction of
+// lookups served from memory.
 func (s Stats) HitRatio() float64 {
-	total := s.Hits + s.Misses + s.Merged
+	total := s.Hits + s.Misses + s.Merged + s.Restored
 	if total == 0 {
 		return 0
 	}
@@ -200,10 +212,15 @@ type Store struct {
 	bytes atomic.Int64
 	tick  atomic.Uint64
 
+	// spill is the second tier evicted column chunks go to.
+	spill spill
+
 	hits       atomic.Int64
 	misses     atomic.Int64
+	restored   atomic.Int64
 	merged     atomic.Int64
 	evictions  atomic.Int64
+	spilled    atomic.Int64
 	modelCalls atomic.Int64
 }
 
@@ -228,7 +245,7 @@ func New(cfg Config) *Store {
 	if cfg.Threads <= 0 {
 		cfg.Threads = runtime.GOMAXPROCS(0)
 	}
-	s := &Store{cfg: cfg, shards: make([]*shard, n), counts: make(map[string]int)}
+	s := &Store{cfg: cfg, shards: make([]*shard, n), counts: make(map[string]int), spill: spill{slots: make(map[ChunkKey]slot)}}
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			entries:  make(map[string]*list.Element),
@@ -303,8 +320,10 @@ func (s *Store) Stats() Stats {
 	st := Stats{
 		Hits:       s.hits.Load(),
 		Misses:     s.misses.Load(),
+		Restored:   s.restored.Load(),
 		Merged:     s.merged.Load(),
 		Evictions:  s.evictions.Load(),
+		Spilled:    s.spilled.Load(),
 		ModelCalls: s.modelCalls.Load(),
 	}
 	for _, sh := range s.shards {
@@ -339,8 +358,9 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Reset drops every cached entry and zeroes the statistics (in-flight
-// calls are unaffected: they complete and repopulate the empty cache).
+// Reset drops every cached entry and spilled chunk and zeroes the
+// statistics (in-flight calls are unaffected: they complete and
+// repopulate the empty cache).
 func (s *Store) Reset() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -351,15 +371,22 @@ func (s *Store) Reset() {
 		sh.bytes, sh.vectors = 0, 0
 		sh.mu.Unlock()
 	}
+	s.spill.reset()
 	s.hits.Store(0)
 	s.misses.Store(0)
+	s.restored.Store(0)
 	s.merged.Store(0)
 	s.evictions.Store(0)
+	s.spilled.Store(0)
 	s.modelCalls.Store(0)
 	s.countsMu.Lock()
 	s.counts = make(map[string]int)
 	s.countsMu.Unlock()
 }
+
+// Close releases the spill file. The store stays usable, memory-only: an
+// evicted chunk is dropped again. Close is idempotent.
+func (s *Store) Close() error { return s.spill.close() }
 
 // Get returns the unit-norm embedding of input under m, from cache when
 // present. Concurrent Gets for the same key share one model call; the
@@ -525,6 +552,7 @@ func (s *Store) pushLocked(sh *shard, e *entry) *list.Element {
 	e.used = s.tick.Add(1)
 	el := sh.lru.PushFront(e)
 	if e.c != nil {
+		e.c.refs.Add(1) // the store's hold
 		sh.chunks[e.c.key] = el
 	}
 	s.account(sh, e, 1)
@@ -579,8 +607,10 @@ func (s *Store) resolve(sh *shard, k string, e *entry, dst []float32) bool {
 	return ok
 }
 
-// dropLocked removes el from its shard without counting an eviction.
-func (s *Store) dropLocked(sh *shard, el *list.Element) {
+// dropLocked removes el from its shard without counting an eviction. A
+// dropped chunk is returned with the store's hold, which the caller gives
+// up (unref) once it is done with the chunk, after releasing sh.mu.
+func (s *Store) dropLocked(sh *shard, el *list.Element) *Chunk {
 	e := el.Value.(*entry)
 	sh.lru.Remove(el)
 	if e.c != nil {
@@ -589,13 +619,16 @@ func (s *Store) dropLocked(sh *shard, el *list.Element) {
 		delete(sh.entries, e.key)
 	}
 	s.account(sh, e, -1)
+	return e.c
 }
 
 // trim evicts least recently used entries store-wide until resident bytes
-// fit the budget. It never evicts keep (the entry just inserted, so one
-// oversized entry still caches); a nil keep is a no-op, since nothing was
-// added. The store's least recently used entry is the oldest of the shard
-// tails; under concurrent use the choice is approximate.
+// fit the budget, writing each evicted chunk to the spill file once the
+// victim's shard lock is released. It never evicts keep (the entry just
+// inserted, so one oversized entry still caches); a nil keep is a no-op,
+// since nothing was added. The store's least recently used entry is the
+// oldest of the shard tails; under concurrent use the choice is
+// approximate.
 func (s *Store) trim(keep *list.Element) {
 	for keep != nil && s.cfg.MaxBytes > 0 && s.bytes.Load() > s.cfg.MaxBytes {
 		var victim *shard
@@ -610,12 +643,20 @@ func (s *Store) trim(keep *list.Element) {
 		if victim == nil {
 			return
 		}
+		var evicted *Chunk
 		victim.mu.Lock()
 		if el := victim.lru.Back(); el != nil && el != keep {
-			s.dropLocked(victim, el)
+			evicted = s.dropLocked(victim, el)
 			s.evictions.Add(1)
 		}
 		victim.mu.Unlock()
+		if evicted != nil {
+			if s.spill.put(evicted) {
+				s.spilled.Add(1)
+			}
+			evicted.evicted.Store(true)
+			evicted.unref()
+		}
 	}
 }
 

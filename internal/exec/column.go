@@ -35,6 +35,7 @@ type columnReader struct {
 	visible relational.Selection // nil: every physical row is live
 	nrows   int
 	chunks  []fetched
+	held    []*embstore.Chunk // every chunk the store handed out, until release
 	buf     []float32
 	st      OpStats
 	batch   embstore.BatchStats
@@ -122,11 +123,13 @@ func (c *columnReader) chunk(ctx context.Context, ci int, need embstore.RowMask)
 		embstore.BatchOptions{Threads: c.col.Threads})
 	c.batch.Hits += bs.Hits
 	c.batch.Misses += bs.Misses
+	c.batch.Restored += bs.Restored
 	c.batch.Merged += bs.Merged
 	c.batch.ModelCalls += bs.ModelCalls
 	if err != nil {
 		return nil, err
 	}
+	c.held = append(c.held, ch)
 	if ch != f.chunk {
 		f.have = embstore.RowMask{}
 	}
@@ -153,8 +156,13 @@ func (c *columnReader) buffer(n int) []float32 {
 	return c.buf[:n]
 }
 
-// release hands the gather buffer back for later scans.
+// release hands the gather buffer back for later scans and lets go of the
+// chunks the scan read; a later block fetches its chunks again.
 func (c *columnReader) release() {
+	for _, ch := range c.held {
+		ch.Release()
+	}
+	c.held, c.chunks = nil, nil
 	if c.buf != nil {
 		b := c.buf[:0]
 		gatherBufs.Put(&b)

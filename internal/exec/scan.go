@@ -140,8 +140,9 @@ func (s *Scan) Next(ctx context.Context) (*Batch, error) {
 func (s *Scan) Close() error { return nil }
 
 // Release lets later scans reuse the buffer this scan gathered blocks
-// that span column chunks into. Call it once no batch the scan emitted is
-// in use any more (after Close, the last block is still readable).
+// that span column chunks into, and the store reuse the column chunks the
+// scan read. Call it once no batch the scan emitted is in use any more
+// (after Close, the last block is still readable).
 func (s *Scan) Release() {
 	if s.col != nil {
 		s.col.release()

@@ -37,12 +37,7 @@
 // memoizing token vectors re-associates the float32 sums.
 package model
 
-import (
-	"errors"
-	"fmt"
-
-	"ejoin/internal/vec"
-)
+import "errors"
 
 // Model is the embedding model µ: it maps a context-rich input (here a
 // string) into the d-dimensional vector space. Implementations must be safe
@@ -59,32 +54,3 @@ type Model interface {
 
 // ErrEmptyInput is returned when a model is asked to embed an empty string.
 var ErrEmptyInput = errors.New("model: empty input")
-
-// EmbedAll embeds every input sequentially and returns the row vectors.
-// It is the building block of the prefetch optimization: the operator calls
-// it once per relation instead of once per joined pair.
-func EmbedAll(m Model, inputs []string) ([][]float32, error) {
-	out := make([][]float32, len(inputs))
-	for i, s := range inputs {
-		e, err := m.Embed(s)
-		if err != nil {
-			return nil, fmt.Errorf("model %s: embedding input %d: %w", m.Name(), i, err)
-		}
-		out[i] = e
-	}
-	return out, nil
-}
-
-// Similarity returns the cosine similarity of the embeddings of a and b
-// under m — the user-facing semantic-similarity primitive.
-func Similarity(m Model, a, b string) (float32, error) {
-	va, err := m.Embed(a)
-	if err != nil {
-		return 0, err
-	}
-	vb, err := m.Embed(b)
-	if err != nil {
-		return 0, err
-	}
-	return vec.Cosine(vec.KernelSIMD, va, vb), nil
-}

@@ -17,6 +17,28 @@ func mustEmbedder(t *testing.T, dim int, opts ...HashEmbedderOption) *HashEmbedd
 	return h
 }
 
+// embedAll embeds every input, stopping at the first error.
+func embedAll(m Model, inputs []string) ([][]float32, error) {
+	out := make([][]float32, len(inputs))
+	for i, s := range inputs {
+		e, err := m.Embed(s)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = e
+	}
+	return out, nil
+}
+
+// similarity is the cosine similarity of the embeddings of a and b.
+func similarity(m Model, a, b string) (float32, error) {
+	vs, err := embedAll(m, []string{a, b})
+	if err != nil {
+		return 0, err
+	}
+	return vec.Cosine(vec.KernelSIMD, vs[0], vs[1]), nil
+}
+
 func TestNewHashEmbedderValidation(t *testing.T) {
 	if _, err := NewHashEmbedder(0); err == nil {
 		t.Error("expected error for dim=0")
@@ -101,7 +123,7 @@ func TestMisspellingSimilarity(t *testing.T) {
 		{"clothes", "quantum"},
 	}
 	for _, p := range pairs {
-		s, err := Similarity(h, p[0], p[1])
+		s, err := similarity(h, p[0], p[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,14 +132,14 @@ func TestMisspellingSimilarity(t *testing.T) {
 		}
 	}
 	for _, p := range unrelated {
-		s, _ := Similarity(h, p[0], p[1])
+		s, _ := similarity(h, p[0], p[1])
 		if s > 0.25 {
 			t.Errorf("unrelated pair %v: sim = %v, want < 0.25", p, s)
 		}
 	}
 	// Relative ordering: misspelling closer than unrelated word.
-	sim, _ := Similarity(h, "barbecue", "barbicue")
-	dis, _ := Similarity(h, "barbecue", "spreadsheet")
+	sim, _ := similarity(h, "barbecue", "barbicue")
+	dis, _ := similarity(h, "barbecue", "spreadsheet")
 	if sim <= dis {
 		t.Errorf("misspelling (%v) not closer than unrelated (%v)", sim, dis)
 	}
@@ -130,12 +152,12 @@ func TestSynonymClusters(t *testing.T) {
 		"grill": {"barbecue", "bbq", "grilling"},
 	}
 	h := mustEmbedder(t, 100, WithSynonyms(clusters))
-	withCluster, err := Similarity(h, "barbecue", "bbq")
+	withCluster, err := similarity(h, "barbecue", "bbq")
 	if err != nil {
 		t.Fatal(err)
 	}
 	plain := mustEmbedder(t, 100)
-	without, _ := Similarity(plain, "barbecue", "bbq")
+	without, _ := similarity(plain, "barbecue", "bbq")
 	if withCluster <= without {
 		t.Errorf("cluster did not increase similarity: %v <= %v", withCluster, without)
 	}
@@ -143,7 +165,7 @@ func TestSynonymClusters(t *testing.T) {
 		t.Errorf("cluster members should be similar: %v", withCluster)
 	}
 	// Non-members are unaffected.
-	offCluster, _ := Similarity(h, "barbecue", "giraffe")
+	offCluster, _ := similarity(h, "barbecue", "giraffe")
 	if offCluster > 0.3 {
 		t.Errorf("non-member pulled in: %v", offCluster)
 	}
@@ -153,8 +175,8 @@ func TestClusterWeight(t *testing.T) {
 	clusters := map[string][]string{"c": {"alpha", "omega"}}
 	weak := mustEmbedder(t, 100, WithSynonyms(clusters), WithClusterWeight(0.5))
 	strong := mustEmbedder(t, 100, WithSynonyms(clusters), WithClusterWeight(8))
-	sw, _ := Similarity(weak, "alpha", "omega")
-	ss, _ := Similarity(strong, "alpha", "omega")
+	sw, _ := similarity(weak, "alpha", "omega")
+	ss, _ := similarity(strong, "alpha", "omega")
 	if ss <= sw {
 		t.Errorf("higher weight should increase similarity: %v <= %v", ss, sw)
 	}
@@ -230,14 +252,14 @@ func TestRandomEmbedder(t *testing.T) {
 
 func TestEmbedAll(t *testing.T) {
 	h := mustEmbedder(t, 16)
-	vs, err := EmbedAll(h, []string{"a", "b", "c"})
+	vs, err := embedAll(h, []string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(vs) != 3 || len(vs[0]) != 16 {
 		t.Errorf("EmbedAll shape: %d x %d", len(vs), len(vs[0]))
 	}
-	if _, err := EmbedAll(h, []string{"a", ""}); err == nil {
+	if _, err := embedAll(h, []string{"a", ""}); err == nil {
 		t.Error("expected error for empty input")
 	}
 }
@@ -282,10 +304,10 @@ func TestFailingModel(t *testing.T) {
 
 func TestSimilarityErrors(t *testing.T) {
 	h := mustEmbedder(t, 8)
-	if _, err := Similarity(h, "", "x"); err == nil {
+	if _, err := similarity(h, "", "x"); err == nil {
 		t.Error("expected error for empty a")
 	}
-	if _, err := Similarity(h, "x", ""); err == nil {
+	if _, err := similarity(h, "x", ""); err == nil {
 		t.Error("expected error for empty b")
 	}
 }

@@ -211,11 +211,12 @@ func estimateSelectivity(n Node) float64 {
 
 // expectedHitRatio estimates how much of one input's E_µ work the shared
 // store will absorb. For a table version with an incarnation (the served
-// path) it is the share of visible rows its resident column chunks hold;
-// for any other table, the share of a uniform sample of the column cached
-// per text. Both only peek: no entry is promoted, no statistic touched.
-// Inputs with precomputed vector columns have no Embed node and return 0 —
-// their cost model carries no M term to discount.
+// path) it is the share of visible rows its resident column chunks, or
+// their spill slots, hold; for any other table, the share of a uniform
+// sample of the column cached per text. Both only peek: no entry is
+// promoted, no statistic touched. Inputs with precomputed vector columns
+// have no Embed node and return 0 — their cost model carries no M term to
+// discount.
 func (o *Optimizer) expectedHitRatio(n Node) float64 {
 	if o.Store == nil {
 		return 0

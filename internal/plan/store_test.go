@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"ejoin/internal/core"
@@ -139,5 +140,44 @@ func TestOptimizerCacheAwareCosting(t *testing.T) {
 	wantDiscount := p.EmbedCost(2*n, 0) // both sides fully cached
 	if got := coldTensor - warmTensor; got != wantDiscount {
 		t.Errorf("discount = %v, want full embedding term %v", got, wantDiscount)
+	}
+}
+
+// TestExpectedHitRatioCountsSpilledChunks: a column whose chunks the store
+// evicted to its spill file is read back without the model, so the
+// optimizer still prices its E_µ as warm.
+func TestExpectedHitRatioCountsSpilledChunks(t *testing.T) {
+	const dim = 16
+	m, err := model.NewHashEmbedder(dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := make([]string, 2*embstore.ChunkRows)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("row %d", i)
+	}
+	tbl := storeTestTable(t, texts).WithIncarnation(42)
+	store := embstore.New(embstore.Config{MaxBytes: embstore.ChunkRows * dim * 4 * 3 / 2})
+	defer store.Close()
+	o := NewOptimizer()
+	o.Store = store
+	node := &Embed{Input: &Scan{Ref: TableRef{Name: "t", Table: tbl, TextColumn: "text"}}, Column: "text", Model: m}
+	if r := o.expectedHitRatio(node); r != 0 {
+		t.Fatalf("cold column: resident share %v, want 0", r)
+	}
+	all := embstore.PrefixMask(embstore.ChunkRows)
+	key := embstore.ChunkKey{Fingerprint: embstore.Fingerprint(m), Incarnation: 42, Column: "text"}
+	for key.Index = 0; key.Index < 2; key.Index++ {
+		lo := key.Index * embstore.ChunkRows
+		if _, _, err := store.Chunk(context.Background(), m, key, texts[lo:lo+embstore.ChunkRows], all, all, embstore.BatchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key.Index = 0
+	if _, ok := store.PeekChunk(key); ok {
+		t.Fatal("chunk 0 still resident over a one-chunk budget")
+	}
+	if r := o.expectedHitRatio(node); r != 1 {
+		t.Errorf("after eviction to the spill file: resident share %v, want 1", r)
 	}
 }

@@ -142,9 +142,9 @@ func (in *loweredInput) opStats() []exec.OpStats {
 	return out
 }
 
-// embedAttrs is an embed span's cache/model split.
+// embedAttrs is an embed span's cache/spill/model split.
 func embedAttrs(bs embstore.BatchStats) map[string]int64 {
-	return map[string]int64{"hits": bs.Hits, "misses": bs.Misses, "merged": bs.Merged, "model_calls": bs.ModelCalls}
+	return map[string]int64{"hits": bs.Hits, "misses": bs.Misses, "restored": bs.Restored, "merged": bs.Merged, "model_calls": bs.ModelCalls}
 }
 
 // BuildSide is a resident evaluated build (inner) input, probed by one

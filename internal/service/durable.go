@@ -219,12 +219,22 @@ func (d *durableState) sweepCheckpoints() {
 	}
 }
 
-// Close flushes and detaches the durable layer: the write-behind queue
-// drains, the log fsyncs, and files close. Idempotent; a memory-only
-// engine Closes as a no-op. In-flight queries are not interrupted — stop
-// accepting queries (e.g. drain HTTP) before closing.
+// Close flushes and detaches the durable layer — the write-behind queue
+// drains, the log fsyncs, and files close — then closes the embedding
+// store's spill file, on a memory-only engine too. Idempotent. In-flight
+// queries are not interrupted — stop accepting queries (e.g. drain HTTP)
+// before closing.
 func (e *Engine) Close() error {
 	e.stopAuditor()
+	err := e.closeDurable()
+	if serr := e.store.Close(); err == nil {
+		err = serr
+	}
+	return err
+}
+
+// closeDurable is Close's durable half; a memory-only engine has none.
+func (e *Engine) closeDurable() error {
 	d := e.durable
 	if d == nil {
 		return nil
@@ -443,9 +453,11 @@ func (e *Engine) columnVectors(fn func(fp, input string, vec []float32) bool) {
 				held := c.Holds()
 				for i := 0; i < embstore.ChunkRows && lo+i < n; i++ {
 					if held.Has(i) && (v.Live == nil || v.Live.Get(lo+i)) && !fn(fp, texts[lo+i], c.Row(i)) {
+						c.Release()
 						return false
 					}
 				}
+				c.Release()
 			}
 		}
 		return true

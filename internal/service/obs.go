@@ -68,6 +68,8 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	mw.Counter("ejoin_store_misses_total", "Embedding store cache misses.", float64(st.Store.Misses))
 	mw.Counter("ejoin_store_merged_total", "Lookups merged into another in-flight model call.", float64(st.Store.Merged))
 	mw.Counter("ejoin_store_evictions_total", "Embedding store LRU evictions.", float64(st.Store.Evictions))
+	mw.Counter("ejoin_store_spilled_chunks_total", "Evicted column chunks written to the spill file.", float64(st.Store.Spilled))
+	mw.Counter("ejoin_store_restored_rows_total", "Column chunk rows read back from the spill file instead of the model.", float64(st.Store.Restored))
 	mw.Gauge("ejoin_store_entries", "Cached embeddings.", float64(st.Store.Entries))
 	mw.Gauge("ejoin_store_bytes", "Embedding store resident bytes.", float64(st.Store.Bytes))
 
