@@ -178,7 +178,8 @@ func (s *Store) chunkShard(k ChunkKey) *shard {
 // the unit-norm embedding of texts[i]. texts are the chunk's rows as the
 // caller's table version has them (a version may not have all of a tail
 // chunk's rows yet), and live marks the ones that version can see. The
-// chunk may hold rows beyond need (other versions' too).
+// chunk may hold rows beyond need (other versions' too). The caller holds
+// the chunk until it calls Release.
 //
 // A resident chunk covering need is a hit for every needed row. Otherwise
 // the chunk is built — one builder per key at a time, others wait — from
