@@ -643,19 +643,19 @@ func (s *Store) trim(keep *list.Element) {
 		if victim == nil {
 			return
 		}
-		var evicted *Chunk
+		var c *Chunk
 		victim.mu.Lock()
 		if el := victim.lru.Back(); el != nil && el != keep {
-			evicted = s.dropLocked(victim, el)
+			c = s.dropLocked(victim, el)
 			s.evictions.Add(1)
 		}
 		victim.mu.Unlock()
-		if evicted != nil {
-			if s.spill.put(evicted) {
+		if c != nil {
+			if s.spill.put(c) {
 				s.spilled.Add(1)
 			}
-			evicted.evicted.Store(true)
-			evicted.unref()
+			c.evicted.Store(true)
+			c.unref()
 		}
 	}
 }
