@@ -26,8 +26,9 @@ import (
 const ChunkRows = 256
 
 // ChunkKey names one chunk of a table's embedded text column. Physical
-// rows of one incarnation are append-only, so a chunk serves every table
-// version that can see its rows.
+// rows of one row lineage (Incarnation) are append-only — a compaction
+// starts a new lineage — so a chunk serves every table version that can
+// see its rows.
 type ChunkKey struct {
 	Fingerprint string
 	Incarnation uint64
@@ -240,7 +241,10 @@ func (s *Store) Chunk(ctx context.Context, m model.Model, key ChunkKey, texts []
 		}
 		sh.mu.Lock()
 		delete(sh.building, key)
-		if err == nil {
+		// A dropped lineage's chunk is the caller's alone: DropLineage
+		// marks the lineage before it frees the resident chunks, so either
+		// it frees this one or this check sees the mark.
+		if err == nil && !s.gone.has(key) {
 			if pel, ok := sh.chunks[key]; ok {
 				prev = s.dropLocked(sh, pel)
 			}
@@ -256,6 +260,9 @@ func (s *Store) Chunk(ctx context.Context, m model.Model, key ChunkKey, texts []
 		}
 		if err != nil {
 			return nil, bs, err
+		}
+		if el == nil {
+			return c, bs, nil
 		}
 		s.trim(el)
 		s.adopt(key, texts, added)

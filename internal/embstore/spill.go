@@ -4,13 +4,13 @@ package embstore
 // fixed-size slot of a per-store file, and a chunk miss reads its slot
 // back before it calls the model, so a column larger than the byte budget
 // is still embedded once. A chunk's rows are immutable for its key (the
-// physical rows of a table incarnation are append-only), so a slot that
+// physical rows of a table lineage are append-only), so a slot that
 // verifies is right whenever it is read; one that does not is forgotten
 // and its rows go back to the model.
 //
 // The file is created at the first chunk eviction and unlinked at once,
-// so nothing outlives the process. Its slots are reused: DropChunk and
-// Reset free them, so the file is bounded by the chunks of live tables.
+// so nothing outlives the process. Its slots are reused: DropChunk,
+// DropLineage and Reset free them, so the file is bounded by the chunks of live tables.
 // Slot I/O uses pread/pwrite under the spill's lock (a 256-row chunk at
 // d = 100 is ~100 KB); the lock is a leaf, taken with no shard lock held.
 
@@ -157,13 +157,15 @@ type slot struct {
 }
 
 // put writes c to its key's slot, unless that slot already holds the same
-// rows, and reports whether it wrote. A chunk of another width than the
+// rows, and reports whether it wrote. A chunk of a dropped lineage (gone,
+// read under the spill's lock, so a DropLineage racing the eviction frees
+// the slot afterwards or sees nothing to free), of another width than the
 // slots in use, or whose key does not fit a header, is not spilled; a
 // failed write forgets the slot.
-func (sp *spill) put(c *Chunk) bool {
+func (sp *spill) put(c *Chunk, gone *lineages) bool {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	if sp.closed {
+	if sp.closed || gone.has(c.key) {
 		return false
 	}
 	if sl, ok := sp.slots[c.key]; ok && sl.filled == c.filled {

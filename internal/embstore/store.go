@@ -30,8 +30,10 @@
 // instead of calling the model, so each text is embedded once even when
 // a column outgrows MaxBytes. A per-text entry is simply dropped. The
 // owner of a table drops the chunks whose rows it all deleted, resident
-// or spilled (DropChunk), and packs those mostly deleted (Shed); nothing
-// else needs retiring. Close releases the spill file.
+// or spilled (DropChunk), packs those mostly deleted (Shed), and drops a
+// whole lineage once no query can pin it (DropLineage), after carrying a
+// compacted table's vectors into its new one (Carry); nothing else needs
+// retiring. Close releases the spill file.
 //
 // The store observes the Model contract: per-text lookups hand out fresh,
 // caller-owned, unit-norm copies; chunks are read-only.
@@ -214,6 +216,8 @@ type Store struct {
 
 	// spill is the second tier evicted column chunks go to.
 	spill spill
+	// gone is the lineages their owners dropped (DropLineage).
+	gone lineages
 
 	hits       atomic.Int64
 	misses     atomic.Int64
@@ -360,7 +364,7 @@ func (s *Store) Len() int {
 
 // Reset drops every cached entry and spilled chunk and zeroes the
 // statistics (in-flight calls are unaffected: they complete and
-// repopulate the empty cache).
+// repopulate the empty cache). Dropped lineages stay dropped.
 func (s *Store) Reset() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -651,7 +655,7 @@ func (s *Store) trim(keep *list.Element) {
 		}
 		victim.mu.Unlock()
 		if c != nil {
-			if s.spill.put(c) {
+			if s.spill.put(c, &s.gone) {
 				s.spilled.Add(1)
 			}
 			c.evicted.Store(true)

@@ -149,3 +149,67 @@ func TestScanEmbeddedViews(t *testing.T) {
 		t.Errorf("model calls = %d, want one per row (%d)", m.Calls(), n)
 	}
 }
+
+// TestScanBlockHeldUntilRelease: a block a scan emitted stays intact until
+// the scan's Release, while the store evicts its chunk and reads other
+// chunks back from the spill file into recycled storage.
+func TestScanBlockHeldUntilRelease(t *testing.T) {
+	const dim = 8
+	base, err := model.NewHashEmbedder(dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := make([]*relational.Table, 3)
+	for k := range tables {
+		words := make(relational.StringColumn, embstore.ChunkRows)
+		for i := range words {
+			words[i] = fmt.Sprintf("table %d row %d", k, i)
+		}
+		tbl, err := relational.NewTable(relational.Schema{{Name: "word", Type: relational.String}}, []relational.Column{words})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables[k] = tbl.WithIncarnation(uint64(k + 1))
+	}
+	// A budget of about one chunk: every scan of another table evicts.
+	store := embstore.New(embstore.Config{MaxBytes: embstore.ChunkRows * dim * 4 * 3 / 2})
+	defer store.Close()
+	col := &EmbeddedColumn{Store: store, Model: base, Column: "word"}
+	ctx := context.Background()
+	scan := func(k int) (*Scan, *Batch) {
+		s := &Scan{Table: tables[k], Embedded: col, BlockRows: embstore.ChunkRows}
+		if err := s.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, b
+	}
+	for k := range tables {
+		s, _ := scan(k)
+		s.Release()
+	}
+	held, b := scan(0)
+	for i := 0; i < 40; i++ {
+		s, _ := scan(1 + i%2)
+		s.Release()
+	}
+	if st := store.Stats(); st.Restored == 0 || st.Evictions == 0 {
+		t.Fatalf("stats %+v: the scans never cycled through the spill file", st)
+	}
+	words, _ := tables[0].Strings("word")
+	want, err := embstore.EmbedBatch(ctx, base, words, embstore.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range words {
+		for j, x := range b.Emb.Row(i) {
+			if x != want.Row(i)[j] {
+				t.Fatalf("row %d of a block held before Release was overwritten", i)
+			}
+		}
+	}
+	held.Release()
+}

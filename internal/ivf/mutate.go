@@ -1,10 +1,11 @@
 package ivf
 
-// Live mutation support: posting-list append and deleted-fraction
-// re-clustering. An inverted file absorbs inserts cheaply — assign the new
-// vector to its nearest coarse centroid and append to that partition's
-// posting list — but deletes only tombstone (the search-time filter skips
-// them), so centroids drift away from the live distribution as rows churn.
+// Live mutation support: posting-list append, compaction remap and
+// deleted-fraction re-clustering. An inverted file absorbs inserts cheaply
+// — assign the new vector to its nearest coarse centroid and append to
+// that partition's posting list — but deletes only tombstone (the
+// search-time filter skips them) until the table compacts and Remap drops
+// them, so centroids drift away from the live distribution as rows churn.
 // Recluster recomputes the coarse quantizer from the live vectors only and
 // reassigns every indexed vector, restoring recall without rebuilding the
 // index or re-ingesting the table.
@@ -16,6 +17,7 @@ import (
 	"ejoin/internal/mat"
 	"ejoin/internal/relational"
 	"ejoin/internal/vec"
+	"ejoin/internal/vindex"
 )
 
 // nearestCentroid returns the partition whose centroid has the highest
@@ -57,11 +59,47 @@ func (ix *Index) Add(vecs *mat.Matrix) error {
 	return nil
 }
 
+// Remap implements mutation.Remapper: it returns a copy of the index
+// whose vector i is this index's vector kept[i] (kept ascending), with
+// every posting list renumbered to match and the vectors kept does not
+// name dropped. Centroids and the search knob carry over, so nothing is
+// re-clustered or rebuilt; the receiver is unchanged, and safe to search
+// throughout.
+func (ix *Index) Remap(kept []int) vindex.MutableIndex {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	n := ix.vectors.Rows()
+	to := make([]int32, n)
+	for i := range to {
+		to[i] = -1
+	}
+	vecs := mat.New(len(kept), ix.dim)
+	for i, id := range kept {
+		if id < n {
+			to[id] = int32(i)
+			copy(vecs.Row(i), ix.vectors.Row(id))
+		}
+	}
+	lists := make([][]int, len(ix.lists))
+	for c, l := range ix.lists {
+		out := make([]int, 0, len(l))
+		for _, id := range l {
+			if to[id] >= 0 {
+				out = append(out, int(to[id]))
+			}
+		}
+		lists[c] = out
+	}
+	nx := &Index{cfg: ix.cfg, dim: ix.dim, centroids: ix.centroids, lists: lists, vectors: vecs}
+	nx.distanceCalls.Store(ix.distanceCalls.Load())
+	return nx
+}
+
 // Recluster recomputes the coarse quantizer over the live vectors only
 // (rows set in live) and reassigns every indexed vector to the new
-// partitions. Tombstoned vectors stay indexed — physical ids must remain
-// dense — but no longer pull centroids toward regions the live data has
-// left. The k-means pass runs against an immutable snapshot outside the
+// partitions. Tombstoned vectors stay indexed until the table compacts
+// (Remap drops them), but no longer pull centroids toward regions the
+// live data has left. The k-means pass runs against an immutable snapshot outside the
 // lock; only the final reassignment blocks searches. Vectors appended
 // concurrently with the recompute are reassigned under the new centroids
 // in that final section, so none are lost.

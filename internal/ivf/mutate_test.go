@@ -153,3 +153,53 @@ func TestReclusterRestoresRecall(t *testing.T) {
 		t.Fatalf("%d of %d vectors assigned after recluster", len(seen), nOld+nNew)
 	}
 }
+
+// Remap follows a compaction: searching the remapped index returns the
+// kept vectors the original finds when filtered to them, renumbered, at
+// the same similarities; the original is unchanged, and the remapped copy
+// keeps absorbing appends.
+func TestRemapMatchesFilteredSearch(t *testing.T) {
+	data := workload.Vectors(41, 300, 16)
+	ix, err := Build(data, Config{NLists: 12, Seed: 41, NProbe: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []int
+	live := relational.NewBitmap(300)
+	for i := 0; i < 300; i++ {
+		if i%3 != 1 {
+			kept = append(kept, i)
+			live.Set(i)
+		}
+	}
+	nx := ix.Remap(kept).(*Index)
+	if nx.Len() != len(kept) || ix.Len() != 300 {
+		t.Fatalf("remapped len %d (want %d), original %d (want 300)", nx.Len(), len(kept), ix.Len())
+	}
+	if _, n := nx.Knob(); n != 4 {
+		t.Fatalf("remapped nprobe %d, want 4", n)
+	}
+	queries := workload.Vectors(42, 20, 16)
+	for q := 0; q < queries.Rows(); q++ {
+		want, err := ix.Search(queries.Row(q), 5, SearchOptions{Filter: live})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := nx.Search(queries.Row(q), 5, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("query %d: %d hits, want %d", q, len(got), len(want))
+		}
+		for i := range got {
+			if kept[got[i].ID] != want[i].ID || got[i].Sim != want[i].Sim {
+				t.Fatalf("query %d hit %d: remapped %d (row %d) at %v, want row %d at %v",
+					q, i, got[i].ID, kept[got[i].ID], got[i].Sim, want[i].ID, want[i].Sim)
+			}
+		}
+	}
+	if err := nx.Add(workload.Vectors(43, 5, 16)); err != nil || nx.Len() != len(kept)+5 || ix.Len() != 300 {
+		t.Fatalf("append after remap: err %v, len %d, original %d", err, nx.Len(), ix.Len())
+	}
+}

@@ -1,7 +1,10 @@
 package mutation
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -326,4 +329,29 @@ func TestKeyStringCanonicalForms(t *testing.T) {
 	if _, err := KeyString(&relational.VectorColumn{Dim: 2, Data: []float32{1, 0}}, 0); err == nil {
 		t.Fatal("vector column accepted as key")
 	}
+}
+
+// FuzzTombFile holds the EJTOM001 decoder to arbitrary bytes: they decode
+// to an error or to a state whose image is exactly those bytes (so its CRC
+// matches), never panic, and never allocate past the ids the input holds.
+func FuzzTombFile(f *testing.F) {
+	f.Add(encodeTomb(TombState{}))
+	f.Add(encodeTomb(TombState{Incarnation: 11, Gen: 7, Dead: []uint64{1, 4, 5}}))
+	huge := encodeTomb(TombState{Incarnation: 1, Gen: 2})
+	binary.LittleEndian.PutUint64(huge[8+16:], 1<<61) // a count whose byte size wraps to 0
+	binary.LittleEndian.PutUint32(huge[len(huge)-4:], crc32.Checksum(huge[8:len(huge)-4], crcTable))
+	f.Add(huge)
+	f.Add([]byte("EJTOM001"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := decodeTomb(data)
+		if err != nil {
+			return
+		}
+		if len(st.Dead) > len(data)/8 {
+			t.Fatalf("%d ids from %d bytes", len(st.Dead), len(data))
+		}
+		if !bytes.Equal(encodeTomb(st), data) {
+			t.Fatalf("decoded %+v, which does not re-encode to its input", st)
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package mutation
 
 import (
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -12,16 +14,20 @@ import (
 )
 
 // Version is one immutable snapshot of a mutable table: the physical
-// table (rows only ever appended), the set of live row ids, and the
-// row-level generation that produced it. Queries pin a Version for their
+// table, the set of live row ids, and the row-level generation that
+// produced it. Rows are appended and tombstoned until the dead ones
+// outnumber the live ones; the mutation that gets there publishes the
+// table compacted (see Kept). Queries pin a Version for their
 // whole execution — concurrent mutations publish later Versions without
 // touching earlier ones, so a reader sees either entirely-before or
 // entirely-after any batch, never a mix.
 type Version struct {
-	// Table is the physical table, under the owning Table's incarnation
-	// (relational.Table.Incarnation). Earlier versions alias a prefix of
-	// the same column storage (copy-on-write appends), which is safe
-	// because published rows are never modified in place.
+	// Table is the physical table, under its row lineage
+	// (relational.Table.Incarnation): the owning Table's incarnation until
+	// its first compaction, a fresh id after each. Earlier versions of one
+	// lineage alias a prefix of the same column storage (copy-on-write
+	// appends), which is safe because published rows are never modified in
+	// place.
 	Table *relational.Table
 	// Live marks the visible row ids; nil means every row is live.
 	Live *relational.Bitmap
@@ -35,9 +41,23 @@ type Version struct {
 	Dead int
 	// Retired lists the row ids the mutation that published this version
 	// tombstoned (overwritten or deleted), so the owner can release what
-	// it holds for them; nil for a registered base table.
+	// it holds for them; nil for a registered base table and for a
+	// compacted version.
 	Retired []int
+	// Kept is set when the mutation that published this version compacted
+	// the table: row i here is row Kept[i] of Compacted, the physical
+	// table the mutation would otherwise have published (the predecessor's
+	// rows plus any appended batch, under the predecessor's lineage). Each
+	// holder of physical row ids — column chunks, an index — follows it.
+	Kept      []int
+	Compacted *relational.Table
 }
+
+// compactMinDead is the fewest tombstones a compaction folds away; with
+// the dead > live trigger it keeps a compaction's copy (the live rows) no
+// larger than the tombstones it drops, so compacting costs O(1) per
+// mutated row.
+const compactMinDead = 256
 
 // NumLive returns the visible row count.
 func (v *Version) NumLive() int { return v.Table.NumRows() - v.Dead }
@@ -50,7 +70,8 @@ type Hooks struct {
 	// BeforePublish runs after the next version is computed but before it
 	// becomes visible; the service uses it to append new vectors to the
 	// table's index so the index always covers every published row (it may
-	// run ahead of older pinned versions — readers mask the excess). An
+	// run ahead of older pinned versions — readers mask the excess), and to
+	// move the index and column chunks to a compacted version's rows. An
 	// error aborts the publish; rows the index already absorbed are beyond
 	// every version's row count and stay invisible.
 	BeforePublish func(next *Version, appended *relational.Table) error
@@ -78,7 +99,14 @@ type Table struct {
 	// table file + tombstone sidecar; Snapshot uses it to skip unchanged
 	// tables, and replay uses it to drop already-applied records.
 	checkpointGen uint64
+	// fixedRowIDs turns compaction off (see FixRowIDs).
+	fixedRowIDs bool
 }
+
+// FixRowIDs keeps every physical row id the table ever assigns: it never
+// compacts, so ids stay valid for an owner that maps them elsewhere (a
+// shard's rows to global ids). Call it before the table's first mutation.
+func (t *Table) FixRowIDs() { t.fixedRowIDs = true }
 
 // NewTable wraps a freshly registered (or checkpoint-recovered) table.
 // live may be nil (all rows live); gen is the recovered generation (0 for
@@ -172,7 +200,8 @@ func (t *Table) keyMap(v *Version, keyCol string) (map[string]int, error) {
 }
 
 // Upsert appends batch's rows, tombstoning any live row whose keyCol
-// value matches a batch row (last occurrence wins within the batch).
+// value matches a batch row (last occurrence wins within the batch), and
+// compacts the table when that leaves it mostly tombstones (compact).
 // The record is persisted through hooks.Persist before any state changes;
 // hooks.BeforePublish runs with the computed next version before the
 // atomic swap. Returns the published version and the number of rows that
@@ -205,6 +234,9 @@ func (t *Table) Upsert(keyCol string, batch *relational.Table, hooks Hooks) (*Ve
 	}
 	next, replaced, err := t.applyUpsert(cur, keys, batchKey, batch, gen)
 	if err != nil {
+		return nil, 0, err
+	}
+	if next, err = t.compact(next); err != nil {
 		return nil, 0, err
 	}
 	if hooks.BeforePublish != nil {
@@ -250,13 +282,14 @@ func (t *Table) applyUpsert(cur *Version, keys map[string]int, batchKey relation
 		}
 		keys[k] = id
 	}
-	next := makeVersion(nt.WithIncarnation(t.Incarnation), live, gen)
+	next := makeVersion(nt.WithIncarnation(cur.Table.Incarnation()), live, gen)
 	next.Retired = retired
 	return next, len(retired), nil
 }
 
 // Delete tombstones the live rows whose keyCol values match keys
-// (canonical form). Unknown keys are counted, not errors — deletes are
+// (canonical form), and compacts the table when that leaves it mostly
+// tombstones (compact). Unknown keys are counted, not errors — deletes are
 // idempotent under replay. Returns the published version and the number
 // of rows actually tombstoned.
 func (t *Table) Delete(keyCol string, delKeys []string, hooks Hooks) (*Version, int, error) {
@@ -297,6 +330,9 @@ func (t *Table) Delete(keyCol string, delKeys []string, hooks Hooks) (*Version, 
 	}
 	next := makeVersion(cur.Table, live, gen)
 	next.Retired = retired
+	if next, err = t.compact(next); err != nil {
+		return nil, 0, err
+	}
 	if hooks.BeforePublish != nil {
 		if err := hooks.BeforePublish(next, nil); err != nil {
 			t.keys = nil
@@ -305,6 +341,39 @@ func (t *Table) Delete(keyCol string, delKeys []string, hooks Hooks) (*Version, 
 	}
 	t.cur.Store(next)
 	return next, len(retired), nil
+}
+
+// compact returns v compacted when its tombstones outnumber its live rows
+// (and are at least compactMinDead), else v. The rule reads only v, so a
+// WAL replay compacts at the same generations into the same layout. The
+// compacted version holds v's live rows in their physical order under a
+// fresh lineage; the key map, which holds v's row ids, is rebuilt on the
+// next mutation. Caller holds t.mu.
+func (t *Table) compact(v *Version) (*Version, error) {
+	if t.fixedRowIDs || v.Dead < compactMinDead || v.Dead <= v.NumLive() {
+		return v, nil
+	}
+	nt, err := v.Table.Select(v.LiveSel)
+	if err != nil {
+		t.keys = nil
+		return nil, err
+	}
+	t.keys = nil
+	return &Version{Table: nt.WithIncarnation(NewIncarnation()), Gen: v.Gen, Kept: v.LiveSel, Compacted: v.Table}, nil
+}
+
+// NewIncarnation draws a random nonzero id: a table registration's
+// incarnation, or a compacted table's row lineage. Zero is reserved as
+// "unset" (old manifests, tables of no lineage).
+func NewIncarnation() uint64 {
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		panic("mutation: reading incarnation randomness: " + err.Error())
+	}
+	if v := binary.LittleEndian.Uint64(b[:]); v != 0 {
+		return v
+	}
+	return 1
 }
 
 // deleteBatch encodes delete keys as the single-column table a KindDelete

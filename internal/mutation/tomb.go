@@ -3,6 +3,7 @@ package mutation
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -13,10 +14,12 @@ import (
 )
 
 // Tombstone sidecar: the part of a checkpoint a plain table file cannot
-// carry. Checkpoints keep tombstoned rows physically in the table file —
-// compacting them would renumber row ids and invalidate the vector
-// indexes' id space — so the sidecar records which ids are dead, plus the
-// incarnation and generation the checkpoint covers. Format ("EJTOM001"):
+// carry. A checkpoint writes the table's physical rows as they are, and
+// WAL replay from it must land on the same row ids, so the tombstones
+// that physical table still carries (those since its last compaction) go
+// in the sidecar: which ids are dead, plus the incarnation and generation
+// the checkpoint covers. A table with none, such as one just compacted,
+// checkpoints without a sidecar. Format ("EJTOM001"):
 //
 //	magic | u64 incarnation | u64 gen | u64 count | count × u64 dead ids |
 //	u32 crc32c(everything after magic)
@@ -37,29 +40,24 @@ type TombState struct {
 // WriteTombFile atomically persists a tombstone sidecar at path.
 func WriteTombFile(path string, st TombState) error {
 	return durable.AtomicWriteFile(path, func(w io.Writer) error {
-		var body bytes.Buffer
-		var u64 [8]byte
-		for _, v := range []uint64{st.Incarnation, st.Gen, uint64(len(st.Dead))} {
-			binary.LittleEndian.PutUint64(u64[:], v)
-			body.Write(u64[:])
-		}
-		for _, id := range st.Dead {
-			binary.LittleEndian.PutUint64(u64[:], id)
-			body.Write(u64[:])
-		}
-		if _, err := w.Write(tombMagic[:]); err != nil {
-			return fmt.Errorf("mutation: writing tomb header: %w", err)
-		}
-		if _, err := w.Write(body.Bytes()); err != nil {
-			return fmt.Errorf("mutation: writing tomb body: %w", err)
-		}
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(body.Bytes(), crcTable))
-		if _, err := w.Write(crc[:]); err != nil {
-			return fmt.Errorf("mutation: writing tomb crc: %w", err)
+		if _, err := w.Write(encodeTomb(st)); err != nil {
+			return fmt.Errorf("mutation: writing tomb sidecar: %w", err)
 		}
 		return nil
 	})
+}
+
+// encodeTomb is the sidecar image of st.
+func encodeTomb(st TombState) []byte {
+	le := binary.LittleEndian
+	out := append([]byte(nil), tombMagic[:]...)
+	for _, v := range []uint64{st.Incarnation, st.Gen, uint64(len(st.Dead))} {
+		out = le.AppendUint64(out, v)
+	}
+	for _, id := range st.Dead {
+		out = le.AppendUint64(out, id)
+	}
+	return le.AppendUint32(out, crc32.Checksum(out[len(tombMagic):], crcTable))
 }
 
 // ReadTombFile loads the sidecar at path. A missing file means the
@@ -73,24 +71,34 @@ func ReadTombFile(path string) (TombState, error) {
 	if err != nil {
 		return TombState{}, fmt.Errorf("mutation: reading tomb sidecar: %w", err)
 	}
+	st, err := decodeTomb(data)
+	if err != nil {
+		return TombState{}, fmt.Errorf("mutation: tomb sidecar %s: %w", path, err)
+	}
+	return st, nil
+}
+
+// decodeTomb parses a sidecar image. Any bytes but an intact image are an
+// error; it allocates only for the ids the image holds.
+func decodeTomb(data []byte) (TombState, error) {
 	if len(data) < len(tombMagic)+24+4 || !bytes.Equal(data[:8], tombMagic[:]) {
-		return TombState{}, fmt.Errorf("mutation: %s is not a tombstone sidecar", path)
+		return TombState{}, errors.New("not a tombstone sidecar")
 	}
 	body, crcB := data[8:len(data)-4], data[len(data)-4:]
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(crcB) {
-		return TombState{}, fmt.Errorf("mutation: tomb sidecar %s fails checksum", path)
+		return TombState{}, errors.New("checksum mismatch")
 	}
 	st := TombState{
 		Incarnation: binary.LittleEndian.Uint64(body[0:8]),
 		Gen:         binary.LittleEndian.Uint64(body[8:16]),
 	}
-	count := binary.LittleEndian.Uint64(body[16:24])
-	if uint64(len(body)-24) != count*8 {
-		return TombState{}, fmt.Errorf("mutation: tomb sidecar %s has %d ids, header says %d", path, (len(body)-24)/8, count)
+	count, ids := binary.LittleEndian.Uint64(body[16:24]), body[24:]
+	if len(ids)%8 != 0 || count != uint64(len(ids)/8) {
+		return TombState{}, fmt.Errorf("%d id bytes, header says %d ids", len(ids), count)
 	}
 	st.Dead = make([]uint64, count)
 	for i := range st.Dead {
-		st.Dead[i] = binary.LittleEndian.Uint64(body[24+i*8:])
+		st.Dead[i] = binary.LittleEndian.Uint64(ids[i*8:])
 	}
 	return st, nil
 }

@@ -17,10 +17,16 @@
 //     generation); queries pin the current version and never block on, or
 //     observe, a half-applied batch — writers publish a new version with
 //     one atomic pointer swap (copy-on-write, linear version chain);
-//   - deletes tombstone rows rather than compacting them, keeping row ids
-//     stable for the vector indexes; searches mask tombstones with the
+//   - upserts and deletes tombstone rows, so a version's row ids stay
+//     stable for the readers pinning it; searches mask tombstones with the
 //     version's live bitmap, and the IVF family re-clusters its coarse
-//     quantizer in the background once the deleted fraction warrants.
+//     quantizer in the background once the deleted fraction warrants;
+//   - once tombstones outnumber live rows (and number at least 256), the
+//     mutation publishes the table compacted to its live rows under a
+//     fresh row lineage, so a churned table costs its live rows, not its
+//     history; the version carries the kept list each holder of row ids
+//     (column chunks, the index) follows, and because the rule reads only
+//     version state, replay compacts at the same generations.
 //
 // Checkpointing folds the current versions into the durable layer's table
 // files (plus a tombstone sidecar per table) and truncates the WAL; boot

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"ejoin/internal/core"
 	"ejoin/internal/cost"
@@ -174,4 +175,58 @@ func TestAnalyzeShowsSkippedSteps(t *testing.T) {
 	if !strings.Contains(res.Analysis.Detail, want) {
 		t.Errorf("join detail %q lacks %q", res.Analysis.Detail, want)
 	}
+}
+
+// A filtered join's estimates come from one exact count per filter: EXPLAIN
+// ANALYZE's est_rows and the admission footprint read the rows the
+// predicates select, and the naive plan Optimize read is left unchanged.
+func TestFilteredJoinEstimatesAreExactCounts(t *testing.T) {
+	q := testQuery(t)
+	q.Left.Predicates = []relational.Pred{{Column: "taken", Op: relational.GT, Value: time.Date(2023, 1, 15, 0, 0, 0, 0, time.UTC)}}
+	q.Right.Predicates = []relational.Pred{{Column: "score", Op: relational.GT, Value: int64(2)}}
+	q.Join = JoinSpec{Kind: TopKJoin, K: 2, Threshold: -2}
+	count := func(ref TableRef) int {
+		sel, err := relational.And(ref.Table, ref.Predicates...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(sel)
+	}
+	lr, rr := count(q.Left), count(q.Right)
+	if lr != 3 || rr != 3 {
+		t.Fatalf("fixture selects %d and %d rows, want 3 and 3", lr, rr)
+	}
+
+	naive, err := NewNaivePlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := explainTree(naive)
+	j, err := NewOptimizer().Optimize(naive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := explainTree(naive); after != before {
+		t.Fatalf("Optimize changed its input:\n%s\nvs\n%s", before, after)
+	}
+	if j.EstRows != int64(lr*2) {
+		t.Fatalf("EstRows = %d, want %d (k=2 per selected left row)", j.EstRows, lr*2)
+	}
+	if got, want := EstimateFootprint(j, 64, 0), int64(rr+lr)*64*4; got != want {
+		t.Fatalf("footprint = %d, want %d", got, want)
+	}
+
+	res, _ := runTraced(t, q)
+	if res.Analysis.EstRows != int64(lr*2) {
+		t.Fatalf("EXPLAIN est_rows = %d, want %d", res.Analysis.EstRows, lr*2)
+	}
+}
+
+// explainTree renders a plan's nodes, one Explain per line, depth first.
+func explainTree(n Node) string {
+	s := n.Explain() + "\n"
+	for _, c := range n.Children() {
+		s += explainTree(c)
+	}
+	return s
 }

@@ -128,27 +128,38 @@ func (o *Optimizer) Optimize(root *EJoin) (*EJoin, error) {
 // pushDown applies the E-Selection equivalence to one join input:
 // σθ(E_µ(R)) ⇔ E_µ(σθ(R)). Pushing the relational filter below the
 // embedding means only surviving tuples are embedded — the cardinality
-// of the costliest operator drops without user intervention.
+// of the costliest operator drops without user intervention. The input
+// is not mutated; a Filter in the result carries its row count, so the
+// estimates that follow count each filter once.
 func pushDown(n Node) Node {
-	f, ok := n.(*Filter)
-	if !ok {
-		return n
+	switch t := n.(type) {
+	case *Filter:
+		if e, ok := t.Input.(*Embed); ok {
+			return &Embed{Input: countedFilter(e.Input, t), Column: e.Column, Model: e.Model}
+		}
+		return countedFilter(t.Input, t)
+	case *Embed:
+		if f, ok := t.Input.(*Filter); ok {
+			return &Embed{Input: countedFilter(f.Input, f), Column: t.Column, Model: t.Model}
+		}
 	}
-	e, ok := f.Input.(*Embed)
-	if !ok {
-		return n
+	return n
+}
+
+// countedFilter is f's predicates over input with their row count (see
+// Filter): f's own when f has one, else counted now.
+func countedFilter(input Node, f *Filter) *Filter {
+	out := &Filter{Input: input, Preds: f.Preds, rows: f.rows, counted: f.counted}
+	if !out.counted {
+		out.rows, out.counted = estimateRows(out), true
 	}
-	return &Embed{
-		Input:  &Filter{Input: e.Input, Preds: f.Preds},
-		Column: e.Column,
-		Model:  e.Model,
-	}
+	return out
 }
 
 // estimateRows walks the input subtree and estimates output cardinality,
 // applying predicate selectivities when computable exactly (predicates are
 // evaluated against the base table — cheap, and this engine has no
-// histogram substrate).
+// histogram substrate). A counted Filter answers from its count.
 func estimateRows(n Node) int {
 	switch t := n.(type) {
 	case *Scan:
@@ -159,6 +170,9 @@ func estimateRows(n Node) int {
 	case *Embed:
 		return estimateRows(t.Input)
 	case *Filter:
+		if t.counted {
+			return t.rows
+		}
 		base := findScan(t.Input)
 		if base == nil || base.Ref.Table == nil {
 			return estimateRows(t.Input)

@@ -124,6 +124,11 @@ func (s *Scan) Children() []Node { return nil }
 type Filter struct {
 	Input Node
 	Preds []relational.Pred
+	// rows is the count of base-table rows the predicates select, once
+	// counted (counted): the planner's estimates ask for it several times
+	// per query, and each count is a pass over the whole table.
+	rows    int
+	counted bool
 }
 
 // Explain implements Node.
@@ -239,7 +244,7 @@ func NewNaivePlan(q Query) (*EJoin, error) {
 			n = &Embed{Input: n, Column: ref.TextColumn, Model: q.Model}
 		}
 		if len(ref.Predicates) > 0 {
-			n = &Filter{Input: n, Preds: ref.Predicates}
+			n = countedFilter(n, &Filter{Preds: ref.Predicates})
 		}
 		return n
 	}

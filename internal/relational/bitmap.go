@@ -83,15 +83,3 @@ func (b *Bitmap) GrowClone(n int) *Bitmap {
 	copy(out.words, b.words)
 	return out
 }
-
-// And intersects in place with other (domains must match) and returns b.
-func (b *Bitmap) And(other *Bitmap) *Bitmap {
-	for i := range b.words {
-		if i < len(other.words) {
-			b.words[i] &= other.words[i]
-		} else {
-			b.words[i] = 0
-		}
-	}
-	return b
-}

@@ -100,29 +100,6 @@ func TestIntersectProperties(t *testing.T) {
 	}
 }
 
-// And over bitmaps agrees with Intersect over selections.
-func TestBitmapAndMatchesIntersectProperty(t *testing.T) {
-	f := func(rawA, rawB []uint16, seed int64) bool {
-		const n = 4096
-		a := normalizeRows(rawA, n)
-		b := normalizeRows(rawB, n)
-		viaBitmap := BitmapFromSelection(n, a).And(BitmapFromSelection(n, b)).ToSelection()
-		viaSel := a.Intersect(b)
-		if len(viaBitmap) != len(viaSel) {
-			return false
-		}
-		for i := range viaSel {
-			if viaBitmap[i] != viaSel[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Gather then gather with identity preserves content; Select on a random
 // table preserves row content at the selected offsets.
 func TestSelectPreservesRowsProperty(t *testing.T) {

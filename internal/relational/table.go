@@ -39,7 +39,7 @@ type Table struct {
 	schema Schema
 	cols   []Column
 	rows   int
-	// incarnation is the append-only row lineage the table belongs to (see
+	// incarnation is the row lineage the table belongs to (see
 	// Incarnation); 0 means none.
 	incarnation uint64
 }
@@ -47,7 +47,8 @@ type Table struct {
 // Incarnation identifies the append-only lineage of a mutable table's
 // physical versions: tables carrying the same nonzero incarnation agree on
 // every row they both have, so anything derived from row i (its embedding)
-// may be shared between them. 0 means the table belongs to no lineage.
+// may be shared between them. A compaction, which renumbers rows, starts
+// a new lineage. 0 means the table belongs to no lineage.
 func (t *Table) Incarnation() uint64 { return t.incarnation }
 
 // WithIncarnation returns t under lineage id, sharing its columns. Only

@@ -45,11 +45,20 @@ type durableState struct {
 // skipped — never served), and a write-behind persister is attached so
 // every embedding computed from here on reaches disk. The returned
 // engine must be Closed to flush the log.
-func Open(cfg Config) (*Engine, error) {
+func Open(cfg Config) (*Engine, error) { return open(cfg, false) }
+
+// OpenShard opens an engine like Open (memory-only when cfg.DataDir is
+// empty) whose tables keep every physical row id they assign: they never
+// compact, replay included, so an owner that maps a shard's row ids to
+// global ones (shard.Router) can rely on them.
+func OpenShard(cfg Config) (*Engine, error) { return open(cfg, true) }
+
+func open(cfg Config, fixedRowIDs bool) (*Engine, error) {
 	e, err := NewEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
+	e.fixedRowIDs = fixedRowIDs
 	if cfg.DataDir == "" {
 		return e, nil
 	}
@@ -84,7 +93,7 @@ func Open(cfg Config) (*Engine, error) {
 		// serving rows the checkpoint had deleted is serving bad rows.
 		inc := entry.Incarnation
 		if inc == 0 {
-			inc = newIncarnation()
+			inc = mutation.NewIncarnation()
 			entry.Incarnation = inc
 		}
 		var live *relational.Bitmap
@@ -103,7 +112,7 @@ func Open(cfg Config) (*Engine, error) {
 			}
 		}
 		e.catalog.Register(entry.Name, t)
-		e.mut.install(entry.Name, &tableState{mt: mutation.NewTable(entry.Name, inc, t, live, entry.RowGen)})
+		e.mut.install(entry.Name, &tableState{mt: e.newTable(entry.Name, inc, t, live, entry.RowGen)})
 		// Restore the table's precision knob with the table; an invalid
 		// value degrades to exact, never to an error.
 		if p, err := quant.ParsePrecision(entry.Precision); err != nil {
@@ -153,7 +162,11 @@ func Open(cfg Config) (*Engine, error) {
 			return nil
 		}
 		e.mut.replayed.Add(1)
-		e.catalog.Replace(rec.Table, ts.mt.Current().Table)
+		cur := ts.mt.Current()
+		if cur.Kept != nil {
+			e.mut.compactions.Add(1)
+		}
+		e.catalog.Replace(rec.Table, cur.Table)
 		return nil
 	})
 	if err != nil {
@@ -340,9 +353,10 @@ func (e *Engine) Snapshot() (SnapshotInfo, error) {
 			return true // unchanged since last checkpoint
 		}
 		name := k.(string)
-		// Stage the full physical table (tombstoned rows kept: compacting
-		// would renumber the row ids the indexes and WAL replay depend on)
-		// plus the sidecar, under generation-suffixed names.
+		// Stage the physical table as it is (replay renumbers nothing it
+		// did not renumber live: compactions happen in the mutations) plus
+		// the sidecar of its tombstones, if it has any, under
+		// generation-suffixed names.
 		fileRel := d.layout.CheckpointTableRel(name, cur.Gen)
 		if err := durable.WriteTableFile(d.layout.Resolve(fileRel), cur.Table); err != nil {
 			foldErr = fmt.Errorf("%w: checkpoint table %q: %v", ErrPersist, name, err)

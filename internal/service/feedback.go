@@ -407,7 +407,7 @@ func (e *Engine) maybeTune(table string) {
 	if ts == nil || ts.idx == nil {
 		return
 	}
-	tun, ok := ts.idx.Idx.(vindex.TunableIndex)
+	tun, ok := ts.idx.Index().(vindex.TunableIndex)
 	if !ok {
 		return
 	}
@@ -432,7 +432,7 @@ func (e *Engine) IndexKnob(table string) (name string, value int, err error) {
 	if ts == nil || ts.idx == nil {
 		return "", 0, fmt.Errorf("service: table %q has no maintained index", table)
 	}
-	tun, ok := ts.idx.Idx.(vindex.TunableIndex)
+	tun, ok := ts.idx.Index().(vindex.TunableIndex)
 	if !ok {
 		return "", 0, fmt.Errorf("service: table %q index is not tunable", table)
 	}
@@ -449,7 +449,7 @@ func (e *Engine) SetIndexKnob(table string, value int) (int, error) {
 	if ts == nil || ts.idx == nil {
 		return 0, fmt.Errorf("service: table %q has no maintained index", table)
 	}
-	tun, ok := ts.idx.Idx.(vindex.TunableIndex)
+	tun, ok := ts.idx.Index().(vindex.TunableIndex)
 	if !ok {
 		return 0, fmt.Errorf("service: table %q index is not tunable", table)
 	}

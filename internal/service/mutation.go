@@ -8,8 +8,6 @@ package service
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -44,6 +42,7 @@ type mutationState struct {
 	replaced                 atomic.Int64
 	replayed, replaySkipped  atomic.Int64
 	checkpoints, reclustered atomic.Int64
+	compactions              atomic.Int64
 }
 
 // tableState pairs one table's MVCC state with its optional index.
@@ -85,35 +84,45 @@ func (m *mutationState) remove(name string) *tableState {
 // release drops the column chunks of a table incarnation that has left
 // the catalog (dropped or replaced): no query can pin it again.
 func (e *Engine) release(ts *tableState) {
-	if ts == nil {
-		return
+	if ts != nil {
+		e.dropLineage(ts.mt.Current().Table)
 	}
-	t := ts.mt.Current().Table
-	key := embstore.ChunkKey{Fingerprint: embstore.Fingerprint(e.model), Incarnation: t.Incarnation()}
+}
+
+// dropLineage releases the column chunks of t's row lineage, which no new
+// query can pin: its table was dropped, replaced or compacted.
+func (e *Engine) dropLineage(t *relational.Table) {
+	cols := make(map[string][]string)
 	for c, f := range t.Schema() {
-		if f.Type != relational.String {
-			continue
+		if f.Type == relational.String {
+			cols[f.Name] = t.ColumnAt(c).(relational.StringColumn)
 		}
-		key.Column = f.Name
-		texts := t.ColumnAt(c).(relational.StringColumn)
-		for lo := 0; lo < t.NumRows(); lo += embstore.ChunkRows {
-			key.Index = lo / embstore.ChunkRows
-			e.store.DropChunk(key, texts[lo:min(lo+embstore.ChunkRows, t.NumRows())])
+	}
+	e.store.DropLineage(embstore.Fingerprint(e.model), t.Incarnation(), cols)
+}
+
+// carryChunks fills the column chunks of a compacted version's lineage
+// from those of the lineage it compacted (Version.Kept), with no model
+// call. It runs before the version publishes, so the first query that
+// pins it finds its column where the predecessor's was.
+func (e *Engine) carryChunks(v *mutation.Version) {
+	from := embstore.ChunkKey{Fingerprint: embstore.Fingerprint(e.model), Incarnation: v.Compacted.Incarnation()}
+	for c, f := range v.Table.Schema() {
+		if f.Type == relational.String {
+			from.Column = f.Name
+			e.store.Carry(from, v.Table.Incarnation(), e.model.Dim(), v.Kept, v.Table.ColumnAt(c).(relational.StringColumn))
 		}
 	}
 }
 
-// newIncarnation draws a random table incarnation id.
-func newIncarnation() uint64 {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("service: reading incarnation randomness: " + err.Error())
+// newTable wraps a registered or recovered table in mutation state; the
+// tables of a shard engine keep their row ids (mutation.Table.FixRowIDs).
+func (e *Engine) newTable(name string, inc uint64, t *relational.Table, live *relational.Bitmap, gen uint64) *mutation.Table {
+	mt := mutation.NewTable(name, inc, t, live, gen)
+	if e.fixedRowIDs {
+		mt.FixRowIDs()
 	}
-	// Zero is reserved as "unset" in old manifests.
-	if v := binary.LittleEndian.Uint64(b[:]); v != 0 {
-		return v
-	}
-	return 1
+	return mt
 }
 
 // installMutable wraps a just-registered table in mutation state with a
@@ -122,8 +131,8 @@ func (e *Engine) installMutable(name string, t *relational.Table) *tableState {
 	// Fresh contents invalidate whatever the feedback loop learned about
 	// the predecessor (attachIndex below re-registers the knob state).
 	e.feedback.Drop(name)
-	ts := &tableState{mt: mutation.NewTable(strings.ToLower(name), newIncarnation(), t, nil, 0)}
-	e.attachIndex(ts, t)
+	ts := &tableState{mt: e.newTable(strings.ToLower(name), mutation.NewIncarnation(), t, nil, 0)}
+	e.attachIndex(ts, ts.mt.Current().Table)
 	e.release(e.mut.install(name, ts))
 	return ts
 }
@@ -160,7 +169,7 @@ func (e *Engine) attachIndex(ts *tableState, t *relational.Table) {
 	}
 	kn, kv := idx.Knob()
 	e.feedback.SetCurrent(ts.mt.Name, "ivf", kn, kv)
-	ts.idx = mutation.NewIndexState(idx)
+	ts.idx = mutation.NewIndexState(idx, t.Incarnation())
 	ts.vecCol = col
 }
 
@@ -219,6 +228,9 @@ func (e *Engine) hooks(ctx context.Context, ts *tableState) mutation.Hooks {
 		}
 		err := e.indexAppend(ts, next, appended)
 		sp.End()
+		if err == nil && next.Kept != nil {
+			e.carryChunks(next)
+		}
 		return err
 	}
 	return h
@@ -226,27 +238,36 @@ func (e *Engine) hooks(ctx context.Context, ts *tableState) mutation.Hooks {
 
 // indexAppend keeps ts's index covering every published row: new batch
 // vectors are added before the version swap, so the index may run ahead
-// of pinned snapshots but never behind the current one. Called under the
-// table's writer lock.
+// of pinned snapshots but never behind the current one, and a compacted
+// version gets a remapped copy (queries pinned before it keep the old
+// one). Called under the table's writer lock.
 func (e *Engine) indexAppend(ts *tableState, next *mutation.Version, appended *relational.Table) error {
-	if appended == nil || appended.NumRows() == 0 {
-		return nil
-	}
 	if ts.idx == nil {
-		// Index maintenance may be on but the table was empty (or indexing
-		// off at registration): build over the full next version instead.
-		e.attachIndex(ts, next.Table)
+		if appended != nil && appended.NumRows() > 0 {
+			// Index maintenance may be on but the table was empty (or
+			// indexing off at registration): build over the full next
+			// version instead.
+			e.attachIndex(ts, next.Table)
+		}
 		return nil
 	}
-	vc, err := appended.Vectors(ts.vecCol)
-	if err != nil {
-		return err
+	if appended != nil && appended.NumRows() > 0 {
+		vc, err := appended.Vectors(ts.vecCol)
+		if err != nil {
+			return err
+		}
+		m, err := mat.FromFlat(appended.NumRows(), vc.Dim, vc.Data)
+		if err != nil {
+			return err
+		}
+		if err := ts.idx.Index().Add(m); err != nil {
+			return err
+		}
 	}
-	m, err := mat.FromFlat(appended.NumRows(), vc.Dim, vc.Data)
-	if err != nil {
-		return err
+	if next.Kept != nil && !ts.idx.Remap(next) {
+		return fmt.Errorf("service: the index of %q cannot follow a compaction", ts.mt.Name)
 	}
-	return ts.idx.Idx.Add(m)
+	return nil
 }
 
 // UpsertRows inserts or replaces batch's rows in the named table: a batch
@@ -277,9 +298,8 @@ func (e *Engine) UpsertRows(ctx context.Context, name, keyCol string, batch *rel
 		e.front.finishTrace(tr, "upsert", "", err, nil)
 		return MutationResult{}, err
 	}
-	sp.Attr("rows", int64(batch.NumRows())).Attr("replaced", int64(replaced)).End()
-	e.catalog.Replace(name, next.Table)
-	e.releaseRetired(next)
+	sp.Attr("rows", int64(batch.NumRows())).Attr("replaced", int64(replaced))
+	e.published(name, next, sp)
 	e.mut.upserts.Add(1)
 	e.mut.upsertedRows.Add(int64(batch.NumRows()))
 	e.mut.replaced.Add(int64(replaced))
@@ -333,9 +353,8 @@ func (e *Engine) DeleteRows(ctx context.Context, name, keyCol string, keys []str
 		e.front.finishTrace(tr, "delete", "", err, nil)
 		return MutationResult{}, err
 	}
-	sp.Attr("deleted", int64(removed)).End()
-	e.catalog.Replace(name, next.Table)
-	e.releaseRetired(next)
+	sp.Attr("deleted", int64(removed))
+	e.published(name, next, sp)
 	e.mut.deletes.Add(1)
 	e.mut.deleted.Add(int64(removed))
 	res := MutationResult{
@@ -348,6 +367,24 @@ func (e *Engine) DeleteRows(ctx context.Context, name, keyCol string, keys []str
 	res.Reclustering = e.maybeRecluster(ts, next)
 	e.front.finishTrace(tr, "delete", "", nil, nil)
 	return res, nil
+}
+
+// published follows a mutation's publish of v: the catalog serves v's
+// table, and the store lets go of what no later version reads — the
+// lineage a compaction left (its "compacted" attribute on sp counts the
+// rows it dropped), or else the rows v retired. It ends sp.
+func (e *Engine) published(name string, v *mutation.Version, sp *obs.ActiveSpan) {
+	if v.Kept != nil {
+		sp.Attr("compacted", int64(v.Compacted.NumRows()-len(v.Kept)))
+	}
+	sp.End()
+	e.catalog.Replace(name, v.Table)
+	if v.Kept != nil {
+		e.mut.compactions.Add(1)
+		e.dropLineage(v.Compacted)
+		return
+	}
+	e.releaseRetired(v)
 }
 
 // releaseRetired lets go of what the store holds for the rows v's
@@ -445,9 +482,10 @@ func (e *Engine) PinnedTable(name string) (PinnedTable, bool) {
 	}
 	v := ts.mt.Current()
 	pt := PinnedTable{Table: v.Table, Visible: v.LiveSel}
-	if ts.idx != nil && ts.idx.Idx.Len() >= v.Table.NumRows() {
-		pt.Index = ts.idx.Idx
-		pt.IndexColumn = ts.vecCol
+	if ts.idx != nil {
+		if pt.Index = ts.idx.For(v); pt.Index != nil {
+			pt.IndexColumn = ts.vecCol
+		}
 	}
 	return pt, true
 }
@@ -495,6 +533,9 @@ type MutationStats struct {
 	// counts scheduled index re-cluster passes.
 	Checkpoints int64 `json:"checkpoints"`
 	Reclusters  int64 `json:"reclusters"`
+	// Compactions counts mutations (replayed ones too) that published a
+	// table compacted to its live rows.
+	Compactions int64 `json:"compactions"`
 	// Generations maps each mutated table to its current generation.
 	Generations map[string]uint64 `json:"generations,omitempty"`
 }
@@ -512,6 +553,7 @@ func (e *Engine) mutationStats() *MutationStats {
 		SkippedRecords:  m.replaySkipped.Load(),
 		Checkpoints:     m.checkpoints.Load(),
 		Reclusters:      m.reclustered.Load(),
+		Compactions:     m.compactions.Load(),
 	}
 	if m.wal != nil {
 		ws := m.wal.Stats()

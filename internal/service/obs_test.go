@@ -152,6 +152,7 @@ func TestMetricsExpositionValid(t *testing.T) {
 		`ejoin_query_precision_duration_seconds_bucket{precision="`,
 		`ejoin_joins_by_strategy_total{strategy="`,
 		"ejoin_upsert_batches_total 1",
+		"ejoin_table_compactions_total 0",
 		"ejoin_store_entries",
 		"ejoin_exec_batches_total",
 		"ejoin_exec_rows_early_out_total",

@@ -162,6 +162,9 @@ type Engine struct {
 	// mut is the live-mutation arm (see mutation.go): per-table MVCC
 	// state, optional maintained indexes, and (durable engines) the WAL.
 	mut mutationState
+	// fixedRowIDs marks a shard engine (OpenShard): its tables never
+	// compact.
+	fixedRowIDs bool
 
 	// tablePrec is the per-table precision knob (see precision.go).
 	tablePrec tablePrecisions

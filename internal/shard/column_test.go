@@ -77,24 +77,27 @@ func colCSV(rows []colRow) string {
 	return b.String()
 }
 
-// colModel is the mutated table as the test expects it: every physical row
-// in insertion order (the global row ids) and, per published version, how
-// many rows it has and which are live.
+// colModel is the mutated table as the test expects it: its physical rows
+// in insertion order (the row ids replies name) and, per published
+// version, those rows and which of them are live. An Engine's table
+// compacts like mutation.Table does, so its model does too; a Router's
+// shards never compact, and its replies name global ids.
 type colModel struct {
 	mu       sync.Mutex
+	compacts bool
 	rows     []colRow
 	versions []colVersion // versions[k] is the state after k mutations
 	live     map[int64]int
 }
 
 type colVersion struct {
-	n    int
+	rows []colRow
 	live []bool
 }
 
-func newColModel(rows []colRow) *colModel {
-	m := &colModel{rows: rows, live: make(map[int64]int)}
-	v := colVersion{n: len(rows), live: make([]bool, len(rows))}
+func newColModel(rows []colRow, compacts bool) *colModel {
+	m := &colModel{rows: rows, compacts: compacts, live: make(map[int64]int)}
+	v := colVersion{rows: rows, live: make([]bool, len(rows))}
 	for i, r := range rows {
 		m.live[r.id] = i
 		v.live[i] = true
@@ -104,8 +107,10 @@ func newColModel(rows []colRow) *colModel {
 }
 
 // apply records the version one mutation will publish: upserted rows are
-// appended (tombstoning the live row holding their key), deleted keys
-// tombstoned.
+// appended (tombstoning the live row holding their key, an earlier row of
+// the batch included), deleted keys tombstoned, and the table compacted to
+// its live rows once they are fewer than the dead ones and those number at
+// least 256.
 func (m *colModel) apply(upsert []colRow, del []int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -125,7 +130,21 @@ func (m *colModel) apply(upsert []colRow, del []int64) {
 			delete(m.live, id)
 		}
 	}
-	v.n = len(m.rows)
+	if dead := len(m.rows) - len(m.live); m.compacts && dead >= 256 && dead > len(m.live) {
+		var kept []colRow
+		for i, r := range m.rows {
+			if v.live[i] {
+				m.live[r.id] = len(kept)
+				kept = append(kept, r)
+			}
+		}
+		m.rows = kept
+		v.live = make([]bool, len(kept))
+		for i := range v.live {
+			v.live[i] = true
+		}
+	}
+	v.rows = m.rows[:len(m.rows):len(m.rows)]
 	m.versions = append(m.versions, v)
 }
 
@@ -133,7 +152,6 @@ func (m *colModel) apply(upsert []colRow, del []int64) {
 func (m *colModel) side(k int, preds []relational.Pred) oracle.Side {
 	m.mu.Lock()
 	v := m.versions[k]
-	rows := m.rows[:v.n:v.n]
 	m.mu.Unlock()
 	vis := relational.Selection{}
 	for i, ok := range v.live {
@@ -141,7 +159,7 @@ func (m *colModel) side(k int, preds []relational.Pred) oracle.Side {
 			vis = append(vis, i)
 		}
 	}
-	return oracle.Side{Table: colTable(rows), Text: "name", Visible: vis, Preds: preds}
+	return oracle.Side{Table: colTable(v.rows), Text: "name", Visible: vis, Preds: preds}
 }
 
 // liveIDs is a seeded pick of up to n live keys.
@@ -244,7 +262,7 @@ func runColumnRace(t *testing.T, memo *memoModel, queries []colQuery, size, bloc
 		right[i] = randRow(rng, int64(i))
 	}
 	rightSide := oracle.Side{Table: colTable(right), Text: "name"}
-	mdl := newColModel(left)
+	mdl := newColModel(left, shards == 0)
 	nextID := int64(size)
 
 	dir := t.TempDir()
@@ -389,6 +407,15 @@ func runColumnRace(t *testing.T, memo *memoModel, queries []colQuery, size, bloc
 					batch = append(batch, randRow(rng, nextID))
 					nextID++
 				}
+				if shards == 0 {
+					// Rewrites of one key within the batch: each but the
+					// last is dead on arrival, so the Engine's table
+					// crosses the compaction line at every size.
+					for j := 0; j < 40+size/8; j++ {
+						batch = append(batch, randRow(rng, nextID))
+					}
+					nextID++
+				}
 				mdl.apply(batch, nil)
 				if _, err := upsert(ctx, "l", "id", colTable(batch)); err != nil {
 					t.Error(err)
@@ -440,6 +467,10 @@ func runColumnRace(t *testing.T, memo *memoModel, queries []colQuery, size, bloc
 			}()
 		}
 		wg.Wait()
+	}
+
+	if eng != nil && eng.Stats().Mutation.Compactions == 0 {
+		t.Error("the Engine's table never compacted")
 	}
 
 	// Reboot: the last version, served from recovered state.

@@ -125,15 +125,8 @@ func Open(cfg Config) (*Router, error) {
 		if r.dataDir != "" {
 			scfg.DataDir = filepath.Join(r.dataDir, fmt.Sprintf("shard-%02d", i))
 		}
-		var (
-			eng *service.Engine
-			err error
-		)
-		if scfg.DataDir != "" {
-			eng, err = service.Open(scfg)
-		} else {
-			eng, err = service.NewEngine(scfg)
-		}
+		// Shard tables keep their row ids: the rowmaps name them.
+		eng, err := service.OpenShard(scfg)
 		if err != nil {
 			for _, e := range r.shards {
 				e.Close()

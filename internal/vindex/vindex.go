@@ -40,8 +40,8 @@ type Index interface {
 // column — so a serving index must absorb writes in place). Ids are
 // assigned sequentially from Len(), matching the physical row ids of the
 // table the index covers. Deletes are not structural: tombstoned rows are
-// masked by the search-time filter, and an inverted-file index compacts
-// them away when its deleted fraction triggers a re-cluster.
+// masked by the search-time filter until the table compacts, and then the
+// index follows the table's kept rows (an inverted file remaps its ids).
 type MutableIndex interface {
 	Index
 	// Add appends vecs' rows (normalized copies) with ids Len()..Len()+n-1.
