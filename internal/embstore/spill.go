@@ -10,7 +10,8 @@ package embstore
 //
 // The file is created at the first chunk eviction and unlinked at once,
 // so nothing outlives the process. Its slots are reused: DropChunk,
-// DropLineage and Reset free them, so the file is bounded by the chunks of live tables.
+// DropLineage and Reset free them, so the file is bounded by the chunks
+// of live tables.
 // Slot I/O uses pread/pwrite under the spill's lock (a 256-row chunk at
 // d = 100 is ~100 KB); the lock is a leaf, taken with no shard lock held.
 

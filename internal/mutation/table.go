@@ -49,14 +49,15 @@ type Version struct {
 	// table the mutation would otherwise have published (the predecessor's
 	// rows plus any appended batch, under the predecessor's lineage). Each
 	// holder of physical row ids — column chunks, an index — follows it.
+	// The version keeps Compacted alive until the next one replaces it.
 	Kept      []int
 	Compacted *relational.Table
 }
 
-// compactMinDead is the fewest tombstones a compaction folds away; with
-// the dead > live trigger it keeps a compaction's copy (the live rows) no
-// larger than the tombstones it drops, so compacting costs O(1) per
-// mutated row.
+// compactMinDead is the fewest tombstones a compaction folds away, so a
+// small table does not compact every few mutations. With the dead > live
+// trigger a compaction copies fewer rows than it drops, so compacting
+// costs amortized O(1) per mutated row.
 const compactMinDead = 256
 
 // NumLive returns the visible row count.
@@ -353,12 +354,11 @@ func (t *Table) compact(v *Version) (*Version, error) {
 	if t.fixedRowIDs || v.Dead < compactMinDead || v.Dead <= v.NumLive() {
 		return v, nil
 	}
+	t.keys = nil
 	nt, err := v.Table.Select(v.LiveSel)
 	if err != nil {
-		t.keys = nil
 		return nil, err
 	}
-	t.keys = nil
 	return &Version{Table: nt.WithIncarnation(NewIncarnation()), Gen: v.Gen, Kept: v.LiveSel, Compacted: v.Table}, nil
 }
 
