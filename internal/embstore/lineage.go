@@ -129,7 +129,9 @@ func (s *Store) Carry(from ChunkKey, to uint64, dim int, kept []int, texts []str
 
 // repoint makes the per-text references to each moved row (old row id,
 // new row id) of lineage from.Incarnation refer to the new row of lineage
-// to, and gives a text with no entry a reference, as adopt does.
+// to, and gives a text with no entry a reference, as adopt does. A moved
+// reference is a new entry: a lookup may be resolving the old one outside
+// the shard lock.
 func (s *Store) repoint(from ChunkKey, to uint64, moved [][2]int, texts []string) {
 	var at *ChunkKey
 	for _, m := range moved {
@@ -140,12 +142,17 @@ func (s *Store) repoint(from ChunkKey, to uint64, moved [][2]int, texts []string
 		sh := s.shardFor(k)
 		var el *list.Element
 		sh.mu.Lock()
-		if cur, ok := sh.entries[k]; !ok {
+		cur, exists := sh.entries[k]
+		if exists {
+			if e := cur.Value.(*entry); e.at != nil && e.at.Incarnation == from.Incarnation &&
+				e.at.Column == from.Column && e.at.Index*ChunkRows+int(e.row) == m[0] {
+				s.dropLocked(sh, cur)
+				exists = false
+			}
+		}
+		if !exists {
 			el = s.pushLocked(sh, &entry{key: k, at: at, row: int32(m[1] % ChunkRows)})
 			sh.entries[k] = el
-		} else if e := cur.Value.(*entry); e.at != nil && e.at.Incarnation == from.Incarnation &&
-			e.at.Column == from.Column && e.at.Index*ChunkRows+int(e.row) == m[0] {
-			e.at, e.row = at, int32(m[1]%ChunkRows)
 		}
 		sh.mu.Unlock()
 		s.trim(el)
