@@ -44,8 +44,9 @@ type Params struct {
 
 // DefaultParams returns coefficients that reproduce the paper's qualitative
 // regimes: model ≫ comparison ≫ access, tensor 5x cheaper per comparison
-// (Calibrate measures the real ratio: ~8 with mat's AVX2 micro-kernel, ~1.2
-// on the pure-Go path, where the register tile barely beats vec.Dot),
+// (Calibrate measures the real ratio: ~8 with mat's AVX2 micro-kernel,
+// ~0.1 on the pure-Go path, where the register tile's exactly rounded
+// fused multiply-adds cost several times vec.Dot's plain ones),
 // probes logarithmic in |S| but with a large constant — a top-1 probe with
 // pre-filtering costs about as much as a blocked scan of a few hundred
 // thousand vectors, which is what places the Figure 15 crossover at

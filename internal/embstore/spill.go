@@ -143,12 +143,21 @@ func readSlot(r io.ReaderAt, off int64, want ChunkKey, dim int) (*Chunk, error) 
 // written, over one unlinked temporary file of fixed-size slots.
 type spill struct {
 	mu     sync.Mutex
-	f      *os.File
+	f      spillFile
 	closed bool // Close ran, or the file could not be made: spill no more
 	dim    int  // the vectors' width; fixed while any slot is in use
 	slots  map[ChunkKey]slot
 	free   []int64 // released slot numbers, reused before the file grows
 	next   int64   // slot numbers in [0, next) exist in the file
+}
+
+// spillFile is what the spill tier uses of its *os.File (an interface so
+// that tests can watch the writes).
+type spillFile interface {
+	io.ReaderAt
+	io.WriterAt
+	Truncate(size int64) error
+	Close() error
 }
 
 // slot is where one chunk's image lives and which rows it holds.

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"ejoin/internal/mat"
 	"ejoin/internal/model"
@@ -367,4 +368,114 @@ func FuzzSpillSlot(f *testing.F) {
 			t.Fatal("a chunk read back does not have the image it was read from")
 		}
 	})
+}
+
+// residentFixture is a spillFixture whose store keeps one chunk of rows
+// texts resident, with the per-text references its adoption leaves, but
+// not two: a second read of chunk 0 is a hit, and a read of chunk 1
+// evicts chunk 0 to the spill file.
+func residentFixture(t *testing.T, rows int) *spillFixture {
+	t.Helper()
+	f := newSpillFixture(t, 2, rows)
+	all := PrefixMask(rows)
+	probe := New(Config{})
+	ch, _, err := probe.Chunk(context.Background(), f.m, f.key(0), f.texts[0], all, all, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch.Release()
+	f.s.cfg.MaxBytes = probe.Stats().Bytes * 5 / 4
+	f.m.Reset()
+	return f
+}
+
+// hold reads chunk c with every row and keeps the caller's hold.
+func (f *spillFixture) hold(t *testing.T, c int) (*Chunk, BatchStats) {
+	t.Helper()
+	all := PrefixMask(len(f.texts[c]))
+	ch, bs, err := f.s.Chunk(context.Background(), f.m, f.key(c), f.texts[c], all, all, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ch, bs
+}
+
+// TestChunkHitTakesCallersHold: a resident chunk a hit hands out is held
+// for that caller like a built one, so the store's eviction of it leaves
+// it held, unrecycled, until the caller's Release.
+func TestChunkHitTakesCallersHold(t *testing.T) {
+	const rows = 32
+	f := residentFixture(t, rows)
+	built, _ := f.hold(t, 0)
+	hit, bs := f.hold(t, 0)
+	if hit != built || bs.Hits != rows {
+		t.Fatalf("second read: %+v, want a hit on the resident chunk", bs)
+	}
+	if n := hit.refs.Load(); n != 3 {
+		t.Fatalf("%d holders, want 3: the store and both callers", n)
+	}
+	built.Release()
+	other, _ := f.hold(t, 1)
+	other.Release()
+	if !hit.evicted.Load() {
+		t.Fatal("reading chunk 1 did not evict chunk 0")
+	}
+	if n := hit.refs.Load(); n != 1 {
+		t.Fatalf("evicted chunk has %d holders, want 1: the caller of the hit", n)
+	}
+	for i, text := range f.texts[0] {
+		if !vecsEqual(hit.Row(i), normalized(t, f.m.Inner, text)) {
+			t.Fatalf("held chunk row %d differs from the model's vector", i)
+		}
+	}
+	hit.Release()
+	if n := hit.refs.Load(); n != 0 {
+		t.Fatalf("%d holders after the last Release", n)
+	}
+}
+
+// holdCheckFile is a spill file that checks, as the vectors of chunk c are
+// written, that the evictor still holds c: once it lets go, c's storage
+// may be recycled into another chunk under the write.
+type holdCheckFile struct {
+	spillFile
+	t     *testing.T
+	c     *Chunk
+	wrote bool
+}
+
+func (f *holdCheckFile) WriteAt(b []byte, off int64) (int, error) {
+	if v := f.c.vecs.Data; len(b) > 0 && unsafe.SliceData(b) == (*byte)(unsafe.Pointer(unsafe.SliceData(v))) {
+		f.wrote = true
+		if n := f.c.refs.Load(); n < 1 || f.c.evicted.Load() {
+			f.t.Errorf("chunk written to its slot with %d holders, evicted %v: the evictor let go first", n, f.c.evicted.Load())
+		}
+	}
+	return f.spillFile.WriteAt(b, off)
+}
+
+// TestEvictorHoldsChunkThroughSpillWrite: the store's hold on an evicted
+// chunk no caller holds is given up only after the chunk's spill slot is
+// written.
+func TestEvictorHoldsChunkThroughSpillWrite(t *testing.T) {
+	f := residentFixture(t, 32)
+	c0, _ := f.hold(t, 0)
+	c0.Release()
+	sp := &f.s.spill
+	sp.mu.Lock()
+	if !sp.open() {
+		sp.mu.Unlock()
+		t.Fatal("no spill file")
+	}
+	w := &holdCheckFile{spillFile: sp.f, t: t, c: c0}
+	sp.f = w
+	sp.mu.Unlock()
+	c1, _ := f.hold(t, 1)
+	c1.Release()
+	if !w.wrote {
+		t.Fatal("chunk 0 was not written to the spill file")
+	}
+	if n := c0.refs.Load(); n != 0 || !c0.evicted.Load() {
+		t.Fatalf("after its eviction chunk 0 has %d holders, evicted %v", n, c0.evicted.Load())
+	}
 }

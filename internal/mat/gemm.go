@@ -2,6 +2,7 @@ package mat
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -18,9 +19,9 @@ type GemmOptions struct {
 	// BlockCols is the S-panel height in rows; <=0 means 64.
 	BlockCols int
 	// Kernel selects the inner kernel: vec.KernelScalar (the zero value),
-	// or vec.KernelSIMD — the assembly tile where the host has AVX2, on
-	// ZMM registers where it also has AVX-512F, and the pure-Go register
-	// tile elsewhere. All give the same bits.
+	// or vec.KernelSIMD — the assembly tiles where the host has AVX2 and
+	// FMA, 4x32 on ZMM registers where it also has AVX-512F, and the
+	// pure-Go register tile elsewhere. All give the same bits.
 	Kernel vec.Kernel
 }
 
@@ -127,7 +128,7 @@ func mulBlockScalar(dst, r, s *Matrix, rLo, rHi, sLo, sHi int) {
 			sj := s.Row(j)
 			var acc float32
 			for k := range ri {
-				acc += ri[k] * sj[k]
+				acc = fma32(ri[k], sj[k], acc)
 			}
 			drow[j] = acc
 		}
@@ -139,7 +140,7 @@ func mulBlockScalar(dst, r, s *Matrix, rLo, rHi, sLo, sHi int) {
 // accumulators live and reuses every loaded element across the tile (6
 // loads feed 8 multiply-adds), which is where BLAS kernels get their
 // advantage over tuple-at-a-time dot products. It runs KernelSIMD on
-// every build or host without the AVX2 kernel.
+// every build or host without the assembly kernels.
 //
 // Determinism contract: every output cell accumulates over k in ascending
 // order, whether it lands in the 4x2 tile or a remainder row/column. A
@@ -166,20 +167,21 @@ func mulBlockUnrolled(dst, r, s *Matrix, rLo, rHi, sLo, sHi int) {
 			a3 := r3[:d:d]
 			var a00, a01, a10, a11, a20, a21, a30, a31 float32
 			for k := range b0 {
-				s0k := b0[k]
-				s1k := b1[k]
-				r0k := a0[k]
-				r1k := a1[k]
-				r2k := a2[k]
-				r3k := a3[k]
-				a00 += r0k * s0k
-				a01 += r0k * s1k
-				a10 += r1k * s0k
-				a11 += r1k * s1k
-				a20 += r2k * s0k
-				a21 += r2k * s1k
-				a30 += r3k * s0k
-				a31 += r3k * s1k
+				// fma32 per cell, each element widened once for the tile.
+				s0k := float64(b0[k])
+				s1k := float64(b1[k])
+				r0k := float64(a0[k])
+				r1k := float64(a1[k])
+				r2k := float64(a2[k])
+				r3k := float64(a3[k])
+				a00 = addRound32(r0k*s0k, a00)
+				a01 = addRound32(r0k*s1k, a01)
+				a10 = addRound32(r1k*s0k, a10)
+				a11 = addRound32(r1k*s1k, a11)
+				a20 = addRound32(r2k*s0k, a20)
+				a21 = addRound32(r2k*s1k, a21)
+				a30 = addRound32(r3k*s0k, a30)
+				a31 = addRound32(r3k*s1k, a31)
 			}
 			d0[j], d0[j+1] = a00, a01
 			d1[j], d1[j+1] = a10, a11
@@ -204,19 +206,51 @@ func mulBlockUnrolled(dst, r, s *Matrix, rLo, rHi, sLo, sHi int) {
 	}
 }
 
-// dotSeq is the remainder-cell kernel and the GEMM contract's reference:
-// one sequential ascending-k loop, the same accumulation order as the
-// register tile's per-cell sums, mulBlockScalar, and each lane of the
-// assembly kernel. Remainder cells must not reassociate differently from
-// tile cells (e.g. via vec.Dot's multi-lane accumulators), or a cell's
-// value would depend on its position relative to the 4x2 tiling.
+// dotSeq is the remainder-cell kernel and the GEMM contract's reference,
+// fmaSeq: acc = fma(a[k], b[k], acc) over ascending k from +0, one
+// rounding a step — the accumulation of the register tile's per-cell
+// sums, mulBlockScalar, and each lane of the assembly kernel. Remainder
+// cells must not reassociate differently from tile cells (e.g. via
+// vec.Dot's multi-lane accumulators), or a cell's value would depend on
+// its position relative to the 4x2 tiling.
 func dotSeq(a, b []float32) float32 {
 	b = b[:len(a):len(a)]
 	var acc float32
 	for k := range a {
-		acc += a[k] * b[k]
+		acc = fma32(a[k], b[k], acc)
 	}
 	return acc
+}
+
+// fma32 is a*b+c rounded once to float32 (to nearest, ties to even), as
+// VFMADD231SS computes it: the product is exact in float64.
+func fma32(a, b, c float32) float32 { return addRound32(float64(a)*float64(b), c) }
+
+// addRound32 is p+c rounded once to float32, for a p that float64 holds
+// exactly. Their float64 sum s is rounded once, and float32(s) is right
+// unless that first rounding landed s on a float32 midpoint — the low 29
+// of its 52 fraction bits 1 then all 0 — which the exact sum may lie just
+// off: rounded twice, 1 + 2^-24 + 2^-54 would tie to 1. (So does
+// float32(math.FMA(a, b, c)).) For those sums, and for the float32
+// subnormals, whose midpoints sit lower, and 0, the rounding's error e is
+// computed exactly (TwoSum) and the sum rounded to odd: to whichever
+// float64 neighbour has an odd last bit when e is not 0. That keeps what
+// the final rounding needs to know, since float64's 53 bits exceed
+// float32's 24 by more than two. An infinite sum is never such a sum (its
+// fraction is 0), and a NaN stays NaN.
+func addRound32(p float64, c float32) float32 {
+	z := float64(c)
+	s := p + z
+	if sb := math.Float64bits(s); sb&(1<<29-1) == 1<<28 || sb<<1 < (1023-126)<<53 {
+		v := s - p
+		if e := (p - (s - v)) + (z - v); e != 0 {
+			// s is not 0 (a non-zero exact sum of float64s rounds to
+			// non-zero). An even s steps one ulp away from 0 if e has its
+			// sign, else towards it; an odd one stays.
+			s = math.Float64frombits(sb | 1 - (math.Float64bits(e)^sb)>>63&^sb&1*2)
+		}
+	}
+	return float32(s)
 }
 
 // panelCols is the micro-kernel's tile width: one k step of an S panel

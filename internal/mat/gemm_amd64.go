@@ -17,32 +17,38 @@ func gemm4x16ge(tile, r *float32, ldr int, panel *float32, d int, bound, a, b *f
 func gemm1x16ge(tile, r, panel *float32, d int, bound *float32) uint64
 
 //go:noescape
-func gemm4x16zmm(dst *float32, ldd int, r *float32, ldr int, panel *float32, d int)
+func gemm4x32zmm(dst *float32, ldd int, r *float32, ldr int, panel *float32, d int)
 
 //go:noescape
-func gemm4x16gezmm(tile, r *float32, ldr int, panel *float32, d int, bound, a, b *float32, first int) (mask uint64, k int)
+func gemm4x32gezmm(tile, r *float32, ldr int, panel *float32, d int, bound, a, b *float32, first int) (mask0, mask1 uint64, k int)
 
-// useZMM selects the 4-row tiles' AVX-512F form, gemm4x16zmm and
-// gemm4x16gezmm, in place of the YMM one: the same cells, bit for bit,
-// and the same checkpoints, at twice the lanes per instruction. It is
-// set once from CPUID; tests switch it to run both widths.
+// useZMM selects the AVX-512F tiles for four rows, gemm4x32zmm and
+// gemm4x32gezmm, in place of the YMM ones wherever a block has two
+// panels left: the same cells, bit for bit, over twice the columns, with
+// eight accumulators in ZMM registers. It is set once from CPUID; tests
+// switch it to run both widths.
 var useZMM = haveAVX512
 
 // tileGE is the scan's micro-kernel: rows (4 or 1) R rows of length d at
-// r against one packed panel, each cell compared with its row's bound.
-// It returns the mask of qualifying cells, bit t*16+jj for row t, lane
-// jj, and writes tile only when the mask is non-zero. A four-row tile
+// r against the packed panel at panel, each cell compared with its row's
+// bound. A 4-row tile on ZMM also takes the next panel when the block has
+// more than 16 columns left from this one (left). It returns how many
+// panels it covered and, for each, the mask of qualifying cells, bit
+// t*16+jj for row t, lane jj; tile holds cell (t, jj) of panel p at
+// p*64+t*16+jj, written only when some mask is non-zero. A four-row tile
 // pauses at k = first, first+16, ... <= d-16 and, given its rows' and
-// columns' suffix factors a and b from first on, returns an empty mask
-// and that k once no cell can still qualify; k is otherwise d.
-func tileGE(tile *[4 * panelCols]float32, r *float32, rows, d int, panel, bound, a, b *float32, first int) (mask uint64, k int) {
-	if rows == 4 {
-		if useZMM {
-			return gemm4x16gezmm(&tile[0], r, d, panel, d, bound, a, b, first)
-		}
-		return gemm4x16ge(&tile[0], r, d, panel, d, bound, a, b, first)
+// panels' suffix factors a and b from first on, returns empty masks and
+// that k once no cell can still qualify; k is otherwise d.
+func tileGE(tile *scanTile, r *float32, rows, d int, panel *float32, left int, bound, a, b *float32, first int) (mask [2]uint64, panels, k int) {
+	switch {
+	case rows < 4:
+		return [2]uint64{gemm1x16ge(&tile[0], r, panel, d, bound)}, 1, d
+	case useZMM && left > panelCols:
+		mask[0], mask[1], k = gemm4x32gezmm(&tile[0], r, d, panel, d, bound, a, b, first)
+		return mask, 2, k
 	}
-	return gemm1x16ge(&tile[0], r, panel, d, bound), d
+	mask[0], k = gemm4x16ge(&tile[0], r, d, panel, d, bound, a, b, first)
+	return mask, 1, k
 }
 
 //go:noescape
@@ -73,11 +79,15 @@ func suffixFactors(out []float32, m *Matrix, lo, hi int) {
 	}
 }
 
-// peakMulAddYMM and peakMulAddZMM run the tiles' arithmetic on registers
+// peakFMAYMM and peakFMAZMM run the tiles' arithmetic on registers
 // only, for BenchmarkPeakMulAdd to measure the ceiling each width of
 // tile is held against; haveAVX512 says whether the second may run.
-func peakMulAddYMM(iters int)
-func peakMulAddZMM(iters int)
+func peakFMAYMM(iters int)
+func peakFMAZMM(iters int)
+
+// fmaSS is the host's fused multiply-add on one float32, VFMADD231SS,
+// which FuzzFMA32 holds the portable fma32 to.
+func fmaSS(a, b, c float32) float32
 
 var haveAVX512 = haveSIMD && detectAVX512()
 
@@ -93,7 +103,8 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// haveSIMD reports whether the CPU has AVX2 and the OS saves YMM state.
+// haveSIMD reports whether the CPU has AVX2 and FMA and the OS saves YMM
+// state.
 var haveSIMD = detectAVX2()
 
 func detectAVX2() bool {
@@ -101,8 +112,8 @@ func detectAVX2() bool {
 	if maxLeaf < 7 {
 		return false
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&fma == 0 || ecx&osxsave == 0 || ecx&avx == 0 {
 		return false
 	}
 	// XCR0 bits 1 and 2: the OS context-switches XMM and YMM registers.
@@ -119,14 +130,14 @@ func detectAVX2() bool {
 // packed once into a small scratch that stays cache-resident while every
 // R row of the panel streams past it, four rows at a time and then the
 // last 1-3 through the one-row kernel. Full tiles are written straight
-// into dst; the zero-padded tail panel goes through a scratch tile so no
-// lane is stored out of bounds.
+// into dst; a tile reaching into the zero-padded tail panel goes through
+// a scratch tile so no lane is stored out of bounds.
 func mulPanelSIMD(dst, r, s *Matrix, rLo, rHi, blockCols int) {
 	d, ns := r.Cols(), s.Rows()
 	blockCols = max(panelCols, blockCols/panelCols*panelCols)
 	packed := getPacked(blockCols * d)
 	defer packedPool.Put(packed)
-	var tile [4 * panelCols]float32
+	var tile scanTile
 	for sLo := 0; sLo < ns; sLo += blockCols {
 		sHi := min(sLo+blockCols, ns)
 		packPanels(*packed, s, sLo, sHi)
@@ -135,23 +146,27 @@ func mulPanelSIMD(dst, r, s *Matrix, rLo, rHi, blockCols int) {
 				rows = 1
 			}
 			ri := &r.Data[i*d]
-			for j0 := sLo; j0 < sHi; j0 += panelCols {
+			for j0, width := sLo, 0; j0 < sHi; j0 += width {
+				width = panelCols
+				if rows == 4 && useZMM && sHi-j0 > panelCols {
+					width = 2 * panelCols
+				}
 				panel := &(*packed)[(j0-sLo)*d]
 				out, ldd := &dst.Data[i*ns+j0], ns
-				tail := j0+panelCols > ns
+				tail := j0+width > ns
 				if tail {
-					out, ldd = &tile[0], panelCols
+					out, ldd = &tile[0], 2*panelCols
 				}
 				switch {
 				case rows < 4:
 					gemm1x16(out, ri, panel, d)
-				case useZMM:
-					gemm4x16zmm(out, ldd, ri, d, panel, d)
+				case width > panelCols:
+					gemm4x32zmm(out, ldd, ri, d, panel, d)
 				default:
 					gemm4x16(out, ldd, ri, d, panel, d)
 				}
 				for t := 0; tail && t < rows; t++ {
-					copy(dst.Data[(i+t)*ns+j0:(i+t+1)*ns], tile[t*panelCols:])
+					copy(dst.Data[(i+t)*ns+j0:(i+t+1)*ns], tile[t*2*panelCols:])
 				}
 			}
 		}

@@ -3,14 +3,13 @@
 #include "textflag.h"
 
 // One k step of one R row against a 16-column panel held in Y8:Y9.
-// The element is broadcast to all lanes, multiplied, then added: two
-// roundings per lane, exactly Go's acc += r[k]*s[k]. Never VFMADD.
+// The element is broadcast to all lanes and fused into the accumulators:
+// acc = fma(r[k], panel[k], acc), one rounding per lane, exactly fma32
+// and so dotSeq's step.
 #define ROW_STEP(rbase, lo, hi) \
 	VBROADCASTSS (rbase)(AX*4), Y10; \
-	VMULPS       Y8, Y10, Y11;       \
-	VMULPS       Y9, Y10, Y12;       \
-	VADDPS       Y11, lo, lo;        \
-	VADDPS       Y12, hi, hi
+	VFMADD231PS  Y8, Y10, lo;        \
+	VFMADD231PS  Y9, Y10, hi
 
 // A 4x16 tile's accumulators, Y0:Y1 .. Y6:Y7 for rows SI, R10, R11, R12,
 // and its k counter AX, cleared.
@@ -77,15 +76,16 @@ done1:
 	ORQ          AX, R13
 
 // One row of a checkpoint: with a_i at off(R9), b in Y13:Y14 and the
-// row's bound at off(BX), every lane must satisfy acc + a_i*b < bound
-// (ordered: a NaN or infinite estimate keeps the tile) or the bound be
-// NaN, which nothing reaches; otherwise the tile goes on.
+// row's bound at off(BX), every lane must satisfy acc + a_i*b < bound,
+// the estimate fused and rounded once (ordered: a NaN or infinite
+// estimate keeps the tile), or the bound be NaN, which nothing reaches;
+// otherwise the tile goes on.
 #define ROW_PRUNABLE(off, lo, hi) \
 	VBROADCASTSS off(R9), Y10;        \
-	VMULPS       Y13, Y10, Y11;       \
-	VMULPS       Y14, Y10, Y12;       \
-	VADDPS       lo, Y11, Y11;        \
-	VADDPS       hi, Y12, Y12;        \
+	VMOVAPS      lo, Y11;             \
+	VMOVAPS      hi, Y12;             \
+	VFMADD231PS  Y13, Y10, Y11;       \
+	VFMADD231PS  Y14, Y10, Y12;       \
 	VBROADCASTSS off(BX), Y10;        \
 	VCMPPS       $0x11, Y10, Y11, Y11; \
 	VCMPPS       $0x11, Y10, Y12, Y12; \
@@ -98,8 +98,9 @@ done1:
 
 // func gemm4x16(dst *float32, ldd int, r *float32, ldr int, panel *float32, d int)
 //
-// dst[i*ldd+jj] = sum over ascending k of r[i*ldr+k]*panel[k*16+jj],
-// for i in [0,4), jj in [0,16). Strides are in elements.
+// dst[i*ldd+jj] = fmaSeq over ascending k of r[i*ldr+k] and
+// panel[k*16+jj] — acc = fma(r, panel, acc) from +0 — for i in [0,4),
+// jj in [0,16). Strides are in elements.
 TEXT ·gemm4x16(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), R8
@@ -131,8 +132,8 @@ TEXT ·gemm4x16(SB), NOSPLIT, $0-48
 
 // func gemm1x16(dst, r, panel *float32, d int)
 //
-// The remainder-row variant: dst[jj] = sum over ascending k of
-// r[k]*panel[k*16+jj], jj in [0,16).
+// The remainder-row variant: dst[jj] = fmaSeq over ascending k of r[k]
+// and panel[k*16+jj], jj in [0,16).
 TEXT ·gemm1x16(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ r+8(FP), SI
@@ -156,7 +157,8 @@ TEXT ·gemm1x16(SB), NOSPLIT, $0-32
 // 0 and that k if no cell can still reach its bound: a[c*16+i] and
 // b[c*16+jj] are the rows' and the columns' suffix factors at the c-th
 // pause (suffixFactors), whose product bounds what the remaining steps
-// can add. Otherwise, and always when first > d-16, k is d.
+// can add (package doc, "Early exit"). Otherwise, and always when
+// first > d-16, k is d.
 TEXT ·gemm4x16ge(SB), NOSPLIT, $0-88
 	MOVQ r+8(FP), SI
 	MOVQ ldr+16(FP), R9
@@ -247,37 +249,44 @@ none1:
 	VZEROUPPER
 	RET
 
-// The 4x16 tile on ZMM registers, for hosts with AVX-512F: Z0..Z3 are
-// the accumulators of rows SI, R10, R11, R12, one 16-lane register a
-// row, and AX is the k counter, cleared.
-#define ZERO4Z \
+// The 4x32 tile on ZMM registers, for hosts with AVX-512F: two
+// neighbouring 16-column panels, the second R14 bytes past the first,
+// and eight accumulators, Z0..Z3 for the first panel and Z4..Z7 for the
+// second, of rows SI, R10, R11, R12; AX is the k counter, cleared.
+#define ZERO4X32 \
 	VPXORD Z0, Z0, Z0; \
 	VPXORD Z1, Z1, Z1; \
 	VPXORD Z2, Z2, Z2; \
 	VPXORD Z3, Z3, Z3; \
+	VPXORD Z4, Z4, Z4; \
+	VPXORD Z5, Z5, Z5; \
+	VPXORD Z6, Z6, Z6; \
+	VPXORD Z7, Z7, Z7; \
 	XORQ AX, AX
 
-// STEPS4's k loop on ZMM: per k one 64-byte load of the panel row, four
-// broadcasts, four VMULPS, then four VADDPS. Each lane performs the YMM
-// tile's operation sequence, so every cell is dotSeq's bits again; the
-// stored and the compared ZMM tile both run it.
-#define STEPS4Z(lim) \
+// The 4x32 tile's k loop from AX up to lim: per k one 64-byte load of
+// each panel's row, four broadcasts and eight VFMADD231PS, so eight
+// independent sums hide the fused add's latency. Each lane performs the
+// YMM tile's operation sequence, so every cell is dotSeq's bits again;
+// the stored and the compared ZMM tile both run it.
+#define STEPS4X32(lim) \
 	CMPQ AX, lim; \
 	JGE  done4z; \
 loop4z: \
 	VMOVUPS      (DX), Z8; \
+	VMOVUPS      (DX)(R14*1), Z9; \
 	VBROADCASTSS (SI)(AX*4), Z10; \
 	VBROADCASTSS (R10)(AX*4), Z11; \
 	VBROADCASTSS (R11)(AX*4), Z12; \
 	VBROADCASTSS (R12)(AX*4), Z13; \
-	VMULPS       Z8, Z10, Z10; \
-	VMULPS       Z8, Z11, Z11; \
-	VMULPS       Z8, Z12, Z12; \
-	VMULPS       Z8, Z13, Z13; \
-	VADDPS       Z10, Z0, Z0; \
-	VADDPS       Z11, Z1, Z1; \
-	VADDPS       Z12, Z2, Z2; \
-	VADDPS       Z13, Z3, Z3; \
+	VFMADD231PS  Z8, Z10, Z0; \
+	VFMADD231PS  Z9, Z10, Z4; \
+	VFMADD231PS  Z8, Z11, Z1; \
+	VFMADD231PS  Z9, Z11, Z5; \
+	VFMADD231PS  Z8, Z12, Z2; \
+	VFMADD231PS  Z9, Z12, Z6; \
+	VFMADD231PS  Z8, Z13, Z3; \
+	VFMADD231PS  Z9, Z13, Z7; \
 	ADDQ $64, DX; \
 	INCQ AX; \
 	CMPQ AX, lim; \
@@ -293,23 +302,32 @@ done4z:
 	SHLQ         $shift, AX;          \
 	ORQ          AX, R13
 
-// ROW_PRUNABLE on ZMM, with b in Z14: K1 holds the lanes whose estimate
+// ROW_PRUNABLE for one row of the 4x32 tile, with the two panels'
+// factors in Z14 and Z15: K1 and K3 hold the lanes whose fused estimate
 // acc + a_i*b is below the bound (LT_OQ), K2 all lanes if the bound is
-// NaN (UNORD); KORTESTW sets CF only if their OR is 0xFFFF.
-#define ROW_PRUNABLE_Z(off, acc) \
+// NaN (UNORD); KORTESTW sets CF only if K1&K3 | K2 is 0xFFFF, so the
+// tile stops only when all 32 cells of every row can.
+#define ROW_PRUNABLE_Z(off, acc0, acc1) \
 	VBROADCASTSS off(R9), Z10;         \
-	VMULPS       Z14, Z10, Z11;        \
-	VADDPS       acc, Z11, Z11;        \
+	VMOVAPS      acc0, Z11;            \
+	VMOVAPS      acc1, Z12;            \
+	VFMADD231PS  Z14, Z10, Z11;        \
+	VFMADD231PS  Z15, Z10, Z12;        \
 	VBROADCASTSS off(BX), Z10;         \
 	VCMPPS       $0x11, Z10, Z11, K1;  \
+	VCMPPS       $0x11, Z10, Z12, K3;  \
+	KANDW        K3, K1, K1;           \
 	VCMPPS       $0x03, Z10, Z10, K2;  \
 	KORTESTW     K2, K1;               \
 	JCC          resume4z
 
-// func gemm4x16zmm(dst *float32, ldd int, r *float32, ldr int, panel *float32, d int)
+// func gemm4x32zmm(dst *float32, ldd int, r *float32, ldr int, panel *float32, d int)
 //
-// gemm4x16 on ZMM registers: the same cells, bit for bit. Needs AVX-512F.
-TEXT ·gemm4x16zmm(SB), NOSPLIT, $0-48
+// dst[i*ldd+p*16+jj] = fmaSeq over ascending k of r[i*ldr+k] and
+// panel[p*16*d+k*16+jj], for i in [0,4), panels p = 0, 1 and jj in
+// [0,16): gemm4x16 over two neighbouring panels at once, the same cells
+// bit for bit. Strides are in elements. Needs AVX-512F.
+TEXT ·gemm4x32zmm(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), R8
 	MOVQ r+16(FP), SI
@@ -321,24 +339,35 @@ TEXT ·gemm4x16zmm(SB), NOSPLIT, $0-48
 	LEAQ (SI)(R9*1), R10
 	LEAQ (R10)(R9*1), R11
 	LEAQ (R11)(R9*1), R12
+	MOVQ CX, R14
+	SHLQ $6, R14 // the second panel: 16 columns of d further on
 
-	ZERO4Z
-	STEPS4Z(CX)
+	ZERO4X32
+	STEPS4X32(CX)
 	VMOVUPS Z0, (DI)
+	VMOVUPS Z4, 64(DI)
 	ADDQ    R8, DI
 	VMOVUPS Z1, (DI)
+	VMOVUPS Z5, 64(DI)
 	ADDQ    R8, DI
 	VMOVUPS Z2, (DI)
+	VMOVUPS Z6, 64(DI)
 	ADDQ    R8, DI
 	VMOVUPS Z3, (DI)
+	VMOVUPS Z7, 64(DI)
 	VZEROUPPER
 	RET
 
-// func gemm4x16gezmm(tile, r *float32, ldr int, panel *float32, d int, bound, a, b *float32, first int) (mask uint64, k int)
+// func gemm4x32gezmm(tile, r *float32, ldr int, panel *float32, d int, bound, a, b *float32, first int) (mask0, mask1 uint64, k int)
 //
-// gemm4x16ge on ZMM registers: the same mask, tile, checkpoints and k,
-// bit for bit. Needs AVX-512F.
-TEXT ·gemm4x16gezmm(SB), NOSPLIT, $0-88
+// gemm4x32zmm's tile, compared instead of stored: bit i*16+jj of maskp
+// is set when cell (i, p*16+jj) >= bound[i], and only when some bit is
+// set is the tile written, panel by panel (tile[p*64+i*16+jj]). It
+// pauses as gemm4x16ge does, with the first panel's factors at b and the
+// second's at b+16*(d/16-1) — the next group of suffixFactors' layout —
+// and stops only when no cell of either panel can still reach its
+// bound. Needs AVX-512F.
+TEXT ·gemm4x32gezmm(SB), NOSPLIT, $0-96
 	MOVQ r+8(FP), SI
 	MOVQ ldr+16(FP), R9
 	MOVQ panel+24(FP), DX
@@ -351,8 +380,14 @@ TEXT ·gemm4x16gezmm(SB), NOSPLIT, $0-88
 	MOVQ a+48(FP), R9
 	MOVQ b+56(FP), DI
 	MOVQ first+64(FP), R8 // where the k loop pauses next
+	MOVQ CX, R14
+	SHLQ $6, R14 // the second panel: 16 columns of d further on
+	MOVQ CX, R15
+	SHRQ $4, R15
+	DECQ R15
+	SHLQ $6, R15 // its factors: 16 per checkpoint further on
 
-	ZERO4Z
+	ZERO4X32
 
 segment4z:
 	LEAQ 16(R8), R13
@@ -361,16 +396,18 @@ segment4z:
 	MOVQ CX, R8 // fewer than 16 steps would be left: run to the end
 
 steps4z:
-	STEPS4Z(R8)
+	STEPS4X32(R8)
 	CMPQ AX, CX
 	JGE  compare4z
 	VMOVUPS (DI), Z14
-	ROW_PRUNABLE_Z(0, Z0)
-	ROW_PRUNABLE_Z(4, Z1)
-	ROW_PRUNABLE_Z(8, Z2)
-	ROW_PRUNABLE_Z(12, Z3)
-	MOVQ AX, k+80(FP)
-	MOVQ $0, mask+72(FP)
+	VMOVUPS (DI)(R15*1), Z15
+	ROW_PRUNABLE_Z(0, Z0, Z4)
+	ROW_PRUNABLE_Z(4, Z1, Z5)
+	ROW_PRUNABLE_Z(8, Z2, Z6)
+	ROW_PRUNABLE_Z(12, Z3, Z7)
+	MOVQ AX, k+88(FP)
+	MOVQ $0, mask0+72(FP)
+	MOVQ $0, mask1+80(FP)
 	VZEROUPPER
 	RET
 
@@ -381,20 +418,31 @@ resume4z:
 	JMP  segment4z
 
 compare4z:
-	MOVQ AX, k+80(FP)
+	MOVQ AX, k+88(FP)
 	XORQ R13, R13
 	ROW_MASK_Z(0, Z0, 0)
 	ROW_MASK_Z(4, Z1, 16)
 	ROW_MASK_Z(8, Z2, 32)
 	ROW_MASK_Z(12, Z3, 48)
-	MOVQ  R13, mask+72(FP)
-	TESTQ R13, R13
-	JZ    none4z
+	MOVQ R13, mask0+72(FP)
+	MOVQ R13, R15
+	XORQ R13, R13
+	ROW_MASK_Z(0, Z4, 0)
+	ROW_MASK_Z(4, Z5, 16)
+	ROW_MASK_Z(8, Z6, 32)
+	ROW_MASK_Z(12, Z7, 48)
+	MOVQ R13, mask1+80(FP)
+	ORQ  R13, R15
+	JZ   none4z
 	MOVQ    tile+0(FP), DI
 	VMOVUPS Z0, (DI)
 	VMOVUPS Z1, 64(DI)
 	VMOVUPS Z2, 128(DI)
 	VMOVUPS Z3, 192(DI)
+	VMOVUPS Z4, 256(DI)
+	VMOVUPS Z5, 320(DI)
+	VMOVUPS Z6, 384(DI)
+	VMOVUPS Z7, 448(DI)
 
 none4z:
 	VZEROUPPER
@@ -494,43 +542,51 @@ factors:
 	VZEROUPPER
 	RET
 
-// The measured ceiling for the tiles above: the k loop's arithmetic, one
-// VMULPS and one dependent VADDPS into each of eight accumulators, on
-// registers only, so nothing but the two vector ports limits it.
-#define PEAK_STEP(acc, tmp, x, y) \
-	VMULPS x, y, tmp; \
-	VADDPS tmp, acc, acc
-
-#define PEAK_LOOP(a0, a1, a2, a3, a4, a5, a6, a7, t0, t1, x, y) \
+// The measured ceiling for the tiles above: the k loop's arithmetic, a
+// VFMADD231PS into each of eight independent accumulators, on registers
+// only, so nothing but the fused multiply-add ports limits it.
+#define PEAK_LOOP(a0, a1, a2, a3, a4, a5, a6, a7, x, y) \
 peak: \
-	PEAK_STEP(a0, t0, x, y); \
-	PEAK_STEP(a1, t1, x, y); \
-	PEAK_STEP(a2, t0, x, y); \
-	PEAK_STEP(a3, t1, x, y); \
-	PEAK_STEP(a4, t0, x, y); \
-	PEAK_STEP(a5, t1, x, y); \
-	PEAK_STEP(a6, t0, x, y); \
-	PEAK_STEP(a7, t1, x, y); \
+	VFMADD231PS x, y, a0; \
+	VFMADD231PS x, y, a1; \
+	VFMADD231PS x, y, a2; \
+	VFMADD231PS x, y, a3; \
+	VFMADD231PS x, y, a4; \
+	VFMADD231PS x, y, a5; \
+	VFMADD231PS x, y, a6; \
+	VFMADD231PS x, y, a7; \
 	DECQ CX; \
 	JNZ  peak; \
 	VZEROALL; \
 	RET
 
-// func peakMulAddYMM(iters int)
+// func peakFMAYMM(iters int)
 //
-// iters > 0 rounds of 8 VMULPS + 8 VADDPS on 8 lanes: 128 flops each.
-TEXT ·peakMulAddYMM(SB), NOSPLIT, $0-8
+// iters > 0 rounds of 8 VFMADD231PS on 8 lanes: 128 flops each.
+TEXT ·peakFMAYMM(SB), NOSPLIT, $0-8
 	VZEROALL
 	MOVQ iters+0(FP), CX
-	PEAK_LOOP(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	PEAK_LOOP(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9)
 
-// func peakMulAddZMM(iters int)
+// func peakFMAZMM(iters int)
 //
 // The same on 16 lanes, 256 flops a round; needs AVX-512F.
-TEXT ·peakMulAddZMM(SB), NOSPLIT, $0-8
+TEXT ·peakFMAZMM(SB), NOSPLIT, $0-8
 	VZEROALL
 	MOVQ iters+0(FP), CX
-	PEAK_LOOP(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11)
+	PEAK_LOOP(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9)
+
+// func fmaSS(a, b, c float32) float32
+//
+// The host's a*b+c rounded once, VFMADD231SS: what FuzzFMA32 holds fma32
+// to.
+TEXT ·fmaSS(SB), NOSPLIT, $0-20
+	VMOVSS      a+0(FP), X0
+	VMOVSS      b+4(FP), X1
+	VMOVSS      c+8(FP), X2
+	VFMADD231SS X1, X0, X2
+	VMOVSS      X2, ret+16(FP)
+	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

@@ -16,7 +16,7 @@ func mulPanelSIMD(dst, r, s *Matrix, rLo, rHi, blockCols int) {
 	panic("mat: no SIMD kernel in this build")
 }
 
-func tileGE(tile *[4 * panelCols]float32, r *float32, rows, d int, panel, bound, a, b *float32, first int) (uint64, int) {
+func tileGE(tile *scanTile, r *float32, rows, d int, panel *float32, left int, bound, a, b *float32, first int) ([2]uint64, int, int) {
 	panic("mat: no SIMD kernel in this build")
 }
 

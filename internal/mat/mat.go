@@ -12,34 +12,40 @@
 //
 // # GEMM contract
 //
-// Every output cell is the sequential sum, over ascending k, of
-// r[k]*s[k] — a multiply rounded to float32, then an add rounded to
-// float32, never a fused multiply-add. The cell's bits therefore equal
-// dotSeq(r, s) and depend only on its two input vectors: not on the
-// matrix shapes, the blocking options, the thread count, slicing, or
-// which kernel ran. The shard router and the differential test suites
-// rely on this. (NaN cells are NaN on every path; their sign and payload
-// are not part of the contract.)
+// Every output cell is fmaSeq of its two rows: acc = fma(r[k], s[k], acc)
+// over ascending k from +0, each step one fused multiply-add rounded once
+// to float32 (fma32). The cell's bits therefore equal dotSeq(r, s) and
+// depend only on its two input vectors: not on the matrix shapes, the
+// blocking options, the thread count, slicing, or which kernel ran. The
+// shard router and the differential test suites rely on this. (NaN cells
+// are NaN on every path; their sign and payload are not part of the
+// contract.) One rounding a step is also what a vendor sgemm on FMA
+// hardware computes, and its result differs from two roundings a step by
+// far less than the 1e-5 the end-to-end oracle allows a similarity, so
+// answers move by no more than that; no stored format holds a product.
 //
 // Three kernels honour it. vec.KernelScalar is the plain triple loop.
-// vec.KernelSIMD on amd64 hosts with AVX2 (checked once by CPUID/XGETBV)
-// packs S into 16-column k-major panels and runs a 4x16 assembly tile in
-// which each vector lane owns one output column: per k it broadcasts four
-// R elements and issues VMULPS then VADDPS against the panel, so every
-// lane performs exactly dotSeq's operation sequence (the amd64 compiler
-// never fuses a float32 multiply-add on its own). The tile holds a row
-// in two YMM registers, or in one ZMM register on hosts that also have
-// AVX-512F; both widths run the same operations per lane, so they give
-// the same bits, and the 1-3 remainder rows run on YMM. Everywhere
-// else — other architectures, amd64 without AVX2, the purego build tag
+// vec.KernelSIMD on amd64 hosts with AVX2 and FMA (checked once by
+// CPUID/XGETBV) packs S into 16-column k-major panels and runs assembly
+// tiles in which each vector lane owns one output column: per k they
+// broadcast four R elements and issue one VFMADD231PS per accumulator
+// against the panel, so every lane performs exactly dotSeq's operation
+// sequence. The YMM tile is 4x16, a row in two registers, eight
+// accumulators. On hosts that also have AVX-512F the 4-row tile is 4x32
+// on ZMM registers instead — two neighbouring panels, eight accumulators,
+// enough independent sums to keep both FMA ports busy — and a block's
+// odd last panel and the 1-3 remainder rows run on YMM; the same
+// operations per lane give the same bits on every width. Everywhere else
+// — other architectures, amd64 without AVX2 or FMA, the purego build tag
 // — vec.KernelSIMD runs mulBlockUnrolled, a pure-Go 4x2 register tile
-// with the same per-cell order, which is also the reference the assembly
-// is tested against.
+// with the same per-cell steps, which is also the reference the assembly
+// is tested against; the pure-Go kernels call fma32, which is exact but
+// several times slower than the two roundings it replaced.
 //
 // # Fused scan
 //
 // The join operators never need D itself, only the cells at or above a
-// bound. ScanAbove runs the same tiles — the assembly tile's twin
+// bound. ScanAbove runs the same tiles — each assembly tile's twin
 // expands the same k loop, the portable build calls the same Go kernels
 // on a 4x16 strip — but compares each one with its rows' bounds while it
 // is in registers and hands a visitor just the qualifying cells, so no
@@ -51,20 +57,22 @@
 //
 // # Early exit
 //
-// The assembly scan tile does not always run its k loop to d. At a
-// checkpoint k = 16, 32, ... <= d-16 it forms, for each of its 64 cells,
-// ub = acc + a_i*b_j (one VMULPS, one VADDPS) from the partial sum and a
-// suffix factor of row r_i and of column s_j, and returns "nothing
-// qualifies" if ub < bound[i] in every lane. The compare is ordered, so
-// a NaN estimate (an infinite norm against an infinite partial sum)
-// keeps the tile; a NaN bound, which nothing reaches, counts as below.
-// A tile that goes on continues the same accumulators through the same
-// instruction stream, so this is pruning, not approximation: the visited
-// set and every visited bit are those of the reference (tileGEPortable,
-// which has no checkpoints), and only ScanStats.KStepsSkipped tells the
-// two apart. Which checkpoint a tile tests first follows where its
-// worker's previous tile stopped, so a scan in which nothing can stop
-// (a bound of -Inf) pays for one test per 4-row strip and S block.
+// The assembly scan tiles do not always run their k loop to d. At a
+// checkpoint k = 16, 32, ... <= d-16 a tile forms, for each of its cells
+// (64 on YMM, 128 on ZMM), ub = fma(a_i, b_j, acc) from the partial sum
+// and a suffix factor of row r_i and of column s_j, and returns "nothing
+// qualifies" if ub < bound[i] in every lane of every row and panel. The
+// compare is ordered, so a NaN estimate (an infinite norm against an
+// infinite partial sum) keeps the tile; a NaN bound, which nothing
+// reaches, counts as below. A tile that goes on continues the same
+// accumulators through the same instruction stream, so this is pruning,
+// not approximation: the visited set and every visited bit are those of
+// the reference (tileGEPortable, which has no checkpoints), and only
+// ScanStats.KStepsSkipped tells them apart — and the widths from each
+// other, since a 4x32 tile stops only where all 128 of its cells can.
+// Which checkpoint a tile tests first follows where its worker's previous
+// tile stopped, so a scan in which nothing can stop (a bound of -Inf)
+// pays for one test per 4-row strip and S block.
 //
 // Why ub bounds the cell. With u = 2^-24, the factor of a row x at k is
 //
@@ -73,23 +81,28 @@
 // with norms summed in float32 (at most 22+d/16 roundings per term, a
 // relative loss below e/2; squares that underflow lose at most 2^-65 of
 // norm, which the floor absorbs). Let A be the partial sum at k and F
-// the finished cell. Every later partial sum is at most (1+u)^d*P in
-// magnitude, P the sum of all |r_k*s_k| as rounded, so the d-k remaining
-// adds err by at most (d-k)*u*(1+u)^d*P, and by Cauchy-Schwarz
+// the finished cell. Each later step rounds r_k*s_k + acc once, exactly
+// formed, so it errs by at most u times its result, or 2^-150 if that is
+// subnormal. Every later partial sum is at most (1+u)^d*P in magnitude,
+// P the sum of all |r_k*s_k|, so the d-k remaining steps err by at most
+// (d-k)*(u*(1+u)^d*P + 2^-150), and by Cauchy-Schwarz
 //
-//	F <= A + (1+u)*|r[k:]|*|s[k:]| + (d-k)*u*(1+u)^(d+1)*|r|*|s| + d^2*2^-150
+//	F <= A + |r[k:]|*|s[k:]| + (d-k)*u*(1+u)^d*|r|*|s| + d*2^-150
 //
-// (the last term: products that underflow). Dropping cross terms,
-// a*b >= (1+e)^2*|r[k:]|*|s[k:]| + 2*d*u*|r|*|s| + 2^-120, and the
-// computed ub is at least (A + a*b) - u*(|A| + a*b) with |A| <=
-// (1+u)^d*P. For k >= 16 and d <= 2^20 (checkpoints are not placed
-// beyond that) 2*d*u exceeds (d-k+1)*u*(1+u)^(d+1) with room for the
-// roundings of a*b and of the sum, so ub >= F and ub < bound[i] implies
-// F < bound[i]. Rounding is monotone, so a sum that would overflow
-// after k makes ub overflow too, and +Inf is never below a bound; NaN
-// and infinite components make the factors NaN or +Inf likewise.
-// TestScanAboveEarlyExit holds one input per clause: unordered compare,
-// missing rounding term, overflowing norm.
+// Dropping cross terms, a*b >= (1+e)^2*|r[k:]|*|s[k:]| + 2*d*u*|r|*|s| +
+// 2^-120, and the computed ub, rounded once, is at least (A + a*b) -
+// u*(|A| + a*b) with |A| <= (1+u)^d*P. For k >= 16 and d <= 2^20
+// (checkpoints are not placed beyond that) 2*d*u exceeds
+// (d-k+1)*u*(1+u)^(d+1) with room for the rounding of ub, so ub >= F and
+// ub < bound[i] implies F < bound[i]. (These are the factors the
+// two-rounding tiles needed, whose bound had (1+u) on the suffix term and
+// one more rounding in ub; one rounding a step only tightens the
+// inequality, and the factors are kept.) Rounding is monotone, so a sum
+// that would overflow after k makes ub overflow too, and +Inf is never
+// below a bound; NaN and infinite components make the factors NaN or
+// +Inf likewise. TestScanAboveEarlyExit holds one input per clause:
+// unordered compare, missing rounding term, overflowing norm, and a
+// panel or half panel read with its neighbour's factors.
 package mat
 
 import (

@@ -4,13 +4,19 @@ package mat
 
 import "testing"
 
+func init() {
+	if haveSIMD {
+		hardwareFMA32 = fmaSS
+	}
+}
+
 // BenchmarkPeakMulAdd is the measured ceiling for mat.gemm_gflops and
-// the scan tiles: VMULPS + VADDPS on registers only, one row per width.
-// The 4-row tiles run on ZMM where the host has AVX-512F and on YMM
-// elsewhere; the 1-row tail kernels are always YMM.
+// the scan tiles: VFMADD231PS into eight accumulators on registers only,
+// per width. The 4-row tiles run on ZMM where the host has AVX-512F and
+// on YMM elsewhere; the 1-row tail kernels are always YMM.
 func BenchmarkPeakMulAdd(b *testing.B) {
 	if !haveSIMD {
-		b.Skip("no AVX2")
+		b.Skip("no AVX2 and FMA")
 	}
 	const rounds = 1 << 16
 	run := func(name string, kernel func(int), flops float64, ok bool) {
@@ -24,6 +30,6 @@ func BenchmarkPeakMulAdd(b *testing.B) {
 			b.ReportMetric(flops*rounds*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 	}
-	run("YMM", peakMulAddYMM, 128, true)
-	run("ZMM", peakMulAddZMM, 256, haveAVX512)
+	run("YMM", peakFMAYMM, 128, true)
+	run("ZMM", peakFMAZMM, 256, haveAVX512)
 }

@@ -18,8 +18,8 @@ type ScanStats struct {
 	// Blocks is the number of S blocks the scan walked.
 	Blocks int
 	// ScratchBytes is the scan's whole working memory: per worker one
-	// 4x16 tile and, for the assembly kernel, one packed S block with its
-	// suffix factors and the factors of the worker's R rows.
+	// tile (scanTile) and, for the assembly kernel, one packed S block
+	// with its suffix factors and the factors of the worker's R rows.
 	ScratchBytes int64
 	// KSteps is the scan's inner-loop work had every tile run to the end:
 	// one step is one k of one R row against one 16-column panel.
@@ -73,7 +73,7 @@ func ScanAbove(ctx context.Context, r, s *Matrix, bound []float32, opts GemmOpti
 	// it buys.
 	step := (max(opts.BlockRows, (nr+opts.Threads-1)/opts.Threads) + 3) &^ 3
 	workers := (nr + step - 1) / step
-	scratch := int64(workers) * 4 * panelCols * 4
+	scratch := int64(workers) * int64(len(scanTile{})) * 4
 	for lo := 0; simd && lo < nr; lo += step {
 		scratch += int64(scanScratch(opts.BlockCols, min(step, nr-lo), r.Cols())) * 4
 	}
@@ -129,7 +129,7 @@ func scanRows(ctx context.Context, r, s *Matrix, bound []float32, rLo, rHi int, 
 			suffixFactors(sfxR, r, rLo, rHi)
 		}
 	}
-	var tile [4 * panelCols]float32
+	var tile scanTile
 	next := min(1, nc) // the checkpoint the next 4-row tile tests first, 1..nc
 	for sLo := 0; sLo < ns; sLo += opts.BlockCols {
 		if err := ctx.Err(); err != nil {
@@ -155,18 +155,17 @@ func scanRows(ctx context.Context, r, s *Matrix, bound []float32, rLo, rHi int, 
 			// Every strip asks at least once per block, at the last
 			// checkpoint, whether tiles have begun to stop.
 			next = min(next, nc)
-			for j0 := sLo; j0 < sHi; j0 += panelCols {
-				cols := min(panelCols, sHi-j0)
-				var mask uint64
+			for j0, panels := sLo, 0; j0 < sHi; j0 += panels * panelCols {
+				var mask [2]uint64
 				if simd {
 					first := d
-					var fr, fs *float32 // the strip's and the panel's factors from first on
+					var fr, fs *float32 // the strip's and its first panel's factors from first on
 					if rows == 4 && 1 <= next && next <= nc {
 						first, fr, fs = next*16, &sfxR[factorAt(nc, i-rLo, next)], &sfxS[factorAt(nc, j0-sLo, next)]
 					}
 					var k int
-					mask, k = tileGE(&tile, &r.Data[i*d], rows, d, &packed[(j0-sLo)*d], &bound[i], fr, fs, first)
-					skipped += int64(rows * (d - k))
+					mask, panels, k = tileGE(&tile, &r.Data[i*d], rows, d, &packed[(j0-sLo)*d], sHi-j0, &bound[i], fr, fs, first)
+					skipped += int64(panels * rows * (d - k))
 					// Neighbouring tiles stop at about the same k, so the
 					// next one starts testing where this one stopped: one
 					// checkpoint earlier if that was its first test, one
@@ -180,21 +179,30 @@ func scanRows(ctx context.Context, r, s *Matrix, bound []float32, rLo, rHi int, 
 					default:
 						next = k / 16
 					}
+				} else {
+					panels = 1
+					mask[0] = tileGEPortable(&tile, r, s, i, rows, j0, min(panelCols, sHi-j0), bound, opts.Kernel)
+				}
+				for p, m := range mask[:panels] {
 					// The zero-padded lanes of a tail panel hold 0, which
 					// may well reach the bound: keep real columns only.
-					mask &= (uint64(1)<<cols - 1) * 0x0001_0001_0001_0001
-				} else {
-					mask = tileGEPortable(&tile, r, s, i, rows, j0, cols, bound, opts.Kernel)
-				}
-				for ; mask != 0; mask &= mask - 1 {
-					b := bits.TrailingZeros64(mask)
-					visit(i+b/panelCols, j0+b%panelCols, tile[b])
+					jp := j0 + p*panelCols
+					m &= (uint64(1)<<min(panelCols, sHi-jp) - 1) * 0x0001_0001_0001_0001
+					for ; m != 0; m &= m - 1 {
+						b := bits.TrailingZeros64(m)
+						visit(i+b/panelCols, jp+b%panelCols, tile[p*4*panelCols+b])
+					}
 				}
 			}
 		}
 	}
 	return skipped, nil
 }
+
+// scanTile is a worker's tile scratch: up to two panels' 4x16 cells,
+// panel-major, as tileGE writes them (mulPanelSIMD stores a 4x32 tile
+// into it row-major).
+type scanTile [2 * 4 * panelCols]float32
 
 // scanScratch is the length of one assembly-kernel worker's scratch for
 // rows R rows: a packed S block and, per checkpoint of the tile, a factor
@@ -216,7 +224,7 @@ func allNaN(bound []float32) bool {
 // tileGEPortable is tileGE without the assembly: the rows x cols strip at
 // (i, j0) goes through the kernel MulTransposeInto would run and is then
 // compared in Go. Same mask, same tile layout.
-func tileGEPortable(tile *[4 * panelCols]float32, r, s *Matrix, i, rows, j0, cols int, bound []float32, k vec.Kernel) uint64 {
+func tileGEPortable(tile *scanTile, r, s *Matrix, i, rows, j0, cols int, bound []float32, k vec.Kernel) uint64 {
 	d := r.Cols()
 	dst := Matrix{RowsN: rows, ColsN: panelCols, Data: tile[:rows*panelCols]}
 	rv := Matrix{RowsN: rows, ColsN: d, Data: r.Data[i*d : (i+rows)*d]}

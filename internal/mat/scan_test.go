@@ -172,7 +172,7 @@ func earlyExitCases() []earlyExitCase {
 
 	// Squares beyond float32: the factor must come out +Inf, not wrap.
 	cases = append(cases, earlyExitCase{"suffix norm overflows",
-		fill(4, 40, map[int]float32{3: 1, 35: 3e38, 36: 3e38}), fill(16, 40, map[int]float32{3: 1, 35: 1e-38}), bounds(4, 2)})
+		fill(4, 40, map[int]float32{3: 1, 35: 3e38, 36: 3e38}), fill(40, 40, map[int]float32{3: 1, 35: 1e-38}), bounds(4, 2)})
 
 	// Large products cancel before the checkpoint and a small tail
 	// decides: the partial sum says nothing about the rows' scale.
@@ -186,6 +186,15 @@ func earlyExitCases() []earlyExitCase {
 	on := dotSeq(r.Row(0), s.Row(0))
 	cases = append(cases, earlyExitCase{"zero suffix on the bound", r, s,
 		bounds(12, on, math.Nextafter32(on, 2), math.Nextafter32(on, -2))})
+
+	// Only two columns can reach the bound, late: 29, in the upper half
+	// of the first pair of panels' second panel, and 36, in the lower half
+	// of the second pair's first panel. Every other column's suffix is
+	// zero, so a tile stops unless it reads each panel's, and each half
+	// panel's, own factors and compare.
+	r, s = fill(8, 48, map[int]float32{40: 1}), New(64, 48)
+	s.Row(29)[40], s.Row(36)[40] = 1, 1
+	cases = append(cases, earlyExitCase{"one column of a panel reaches", r, s, bounds(8, 0.5)})
 
 	// Infinite and NaN components late in the rows, with every kind of
 	// bound beside them in one strip.
@@ -314,7 +323,7 @@ func TestScanAboveStatsAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Blocks != 4 || st.ScratchBytes > 64*8*4+256 {
+	if st.Blocks != 4 || st.ScratchBytes > int64(64*8*4+len(scanTile{})*4) {
 		t.Errorf("stats = %+v, want 4 blocks and at most one packed block plus a tile", st)
 	}
 	if _, err := ScanAbove(context.Background(), r, randomMatrix(rng, 3, 9), bound, GemmOptions{}, none); err == nil {
@@ -423,7 +432,7 @@ func TestScanAboveRaisedBounds(t *testing.T) {
 // arbitrary float32 bit patterns (denormals, infinities and NaNs
 // included): the visited set is exactly the reference's, similarities
 // bit for bit, and a bound raised mid-scan changes no top-k result, on
-// every tile width the host has, each doing the same k-steps.
+// every tile width the host has, each with the same k-steps to do.
 func FuzzScanAboveEqualsReference(f *testing.F) {
 	f.Add(uint8(5), uint8(17), uint8(9), uint8(2), []byte{0, 0, 128, 63, 0, 0, 0, 192, 205, 204, 76, 62})
 	f.Add(uint8(4), uint8(16), uint8(8), uint8(0), []byte{1, 0, 0, 0, 0, 0, 128, 127, 255, 255, 127, 127, 0, 0, 128, 255})
@@ -490,8 +499,8 @@ func FuzzScanAboveEqualsReference(f *testing.F) {
 				first = []ScanStats{st, raised}
 				return
 			}
-			sameStats(t, width+" scan", st, first[0])
-			sameStats(t, width+" top-k", raised, first[1])
+			sameWork(t, width+" scan", st, first[0])
+			sameWork(t, width+" top-k", raised, first[1])
 		})
 	})
 }

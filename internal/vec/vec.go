@@ -11,16 +11,15 @@
 //     In this package that is pure Go: 8-way unrolled loops with hoisted
 //     bounds checks and independent accumulators. The Go compiler does not
 //     autovectorize, so these win by instruction-level parallelism only.
-//     In package mat, KernelSIMD runs the similarity GEMM on an AVX2
-//     assembly micro-kernel where the host has one (see mat's package
-//     comment) and on a pure-Go register tile elsewhere.
+//     In package mat, KernelSIMD runs the similarity GEMM on AVX2/FMA
+//     (and AVX-512F) assembly micro-kernels where the host has them (see
+//     mat's package comment) and on a pure-Go register tile elsewhere.
 //
 // Every function that takes a Kernel is exact: both kernels compute the same
 // result up to floating-point reassociation.
 package vec
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -33,7 +32,7 @@ const (
 	// KernelScalar is the portable one-element-at-a-time implementation.
 	KernelScalar Kernel = iota
 	// KernelSIMD is the paper's SIMD code path: unrolled pure-Go loops in
-	// this package, the AVX2 GEMM micro-kernel in mat where available.
+	// this package, the assembly GEMM micro-kernels in mat where available.
 	KernelSIMD
 )
 
@@ -54,26 +53,14 @@ func (k Kernel) String() string {
 // resolve their default through this single point.
 func DefaultKernel() Kernel { return KernelSIMD }
 
-// ErrDimensionMismatch is returned when two vectors of different
-// dimensionality are combined.
-var ErrDimensionMismatch = errors.New("vec: dimension mismatch")
-
 // Dot computes the inner product of a and b using the given kernel.
-// It panics if the lengths differ; use CheckedDot for an error-returning
-// variant (operators validate dimensions once per relation, not per pair).
+// It panics if the lengths differ (operators validate dimensions once per
+// relation, not per pair).
 func Dot(k Kernel, a, b []float32) float32 {
 	if k == KernelSIMD {
 		return dotUnrolled(a, b)
 	}
 	return dotScalar(a, b)
-}
-
-// CheckedDot is Dot with dimension validation.
-func CheckedDot(k Kernel, a, b []float32) (float32, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(a), len(b))
-	}
-	return Dot(k, a, b), nil
 }
 
 func dotScalar(a, b []float32) float32 {
@@ -124,15 +111,6 @@ func Norm(v []float32) float32 {
 	return float32(math.Sqrt(s))
 }
 
-// SquaredNorm returns the squared Euclidean norm of v.
-func SquaredNorm(v []float32) float32 {
-	var s float64
-	for _, x := range v {
-		s += float64(x) * float64(x)
-	}
-	return float32(s)
-}
-
 // Normalize scales v in place to unit L2 norm and returns it. The zero
 // vector is returned unchanged (there is no direction to preserve).
 func Normalize(v []float32) []float32 {
@@ -181,30 +159,6 @@ func Cosine(k Kernel, a, b []float32) float32 {
 	return Dot(k, a, b) / (na * nb)
 }
 
-// CosineNormalized computes cosine similarity assuming both inputs are
-// already unit-norm, which reduces to the dot product (the identity the
-// tensor formulation of Section IV-C relies on).
-func CosineNormalized(k Kernel, a, b []float32) float32 {
-	return Dot(k, a, b)
-}
-
-// CosineDistance is 1 - Cosine, the distance metric used by the HNSW index.
-func CosineDistance(k Kernel, a, b []float32) float32 {
-	return 1 - Cosine(k, a, b)
-}
-
-// Add returns a+b element-wise in a newly allocated slice.
-func Add(a, b []float32) ([]float32, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(a), len(b))
-	}
-	out := make([]float32, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out, nil
-}
-
 // AXPY computes y += alpha*x in place. It panics on length mismatch.
 func AXPY(alpha float32, x, y []float32) {
 	if len(x) != len(y) {
@@ -213,14 +167,6 @@ func AXPY(alpha float32, x, y []float32) {
 	for i := range x {
 		y[i] += alpha * x[i]
 	}
-}
-
-// Scale multiplies v by alpha in place and returns v.
-func Scale(alpha float32, v []float32) []float32 {
-	for i := range v {
-		v[i] *= alpha
-	}
-	return v
 }
 
 // Clone returns a copy of v.

@@ -55,19 +55,6 @@ func TestDotPanicsOnMismatch(t *testing.T) {
 	}
 }
 
-func TestCheckedDot(t *testing.T) {
-	if _, err := CheckedDot(KernelScalar, []float32{1}, []float32{1, 2}); err == nil {
-		t.Fatal("expected dimension mismatch error")
-	}
-	got, err := CheckedDot(KernelSIMD, []float32{2, 3}, []float32{4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 23 {
-		t.Errorf("CheckedDot = %v, want 23", got)
-	}
-}
-
 // TestDotKernelsAgree is the core property: scalar and unrolled kernels
 // compute identical dot products (within reassociation error).
 func TestDotKernelsAgree(t *testing.T) {
@@ -111,9 +98,6 @@ func TestNorm(t *testing.T) {
 	}
 	if got := Norm(nil); got != 0 {
 		t.Errorf("Norm(nil) = %v, want 0", got)
-	}
-	if got := SquaredNorm([]float32{3, 4}); got != 25 {
-		t.Errorf("SquaredNorm = %v, want 25", got)
 	}
 }
 
@@ -212,20 +196,23 @@ func TestCosineNormalizedMatchesCosine(t *testing.T) {
 		a := Normalize(randomVec(rng, 100))
 		b := Normalize(randomVec(rng, 100))
 		full := float64(Cosine(KernelSIMD, a, b))
-		dot := float64(CosineNormalized(KernelSIMD, a, b))
+		dot := float64(Dot(KernelSIMD, a, b))
 		if !almostEqual(full, dot, 1e-3) {
 			t.Fatalf("iter %d: cosine %v vs dot %v", i, full, dot)
 		}
 	}
 }
 
+// TestCosineDistance: the distance 1 - Cosine is 0 from a vector to
+// itself and 2 to its opposite.
 func TestCosineDistance(t *testing.T) {
+	distance := func(a, b []float32) float32 { return 1 - Cosine(KernelScalar, a, b) }
 	a := []float32{1, 0}
-	if got := CosineDistance(KernelScalar, a, a); !almostEqual(float64(got), 0, 1e-6) {
+	if got := distance(a, a); !almostEqual(float64(got), 0, 1e-6) {
 		t.Errorf("distance to self = %v", got)
 	}
 	b := []float32{-1, 0}
-	if got := CosineDistance(KernelScalar, a, b); !almostEqual(float64(got), 2, 1e-6) {
+	if got := distance(a, b); !almostEqual(float64(got), 2, 1e-6) {
 		t.Errorf("distance to opposite = %v", got)
 	}
 }
@@ -239,19 +226,6 @@ func TestCosineRange(t *testing.T) {
 		if c < -1.0001 || c > 1.0001 {
 			t.Fatalf("cosine out of range: %v", c)
 		}
-	}
-}
-
-func TestAdd(t *testing.T) {
-	got, err := Add([]float32{1, 2}, []float32{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 4 || got[1] != 6 {
-		t.Errorf("Add = %v", got)
-	}
-	if _, err := Add([]float32{1}, []float32{1, 2}); err == nil {
-		t.Error("expected error on mismatch")
 	}
 }
 
@@ -269,13 +243,10 @@ func TestAXPY(t *testing.T) {
 	AXPY(1, []float32{1}, []float32{1, 2})
 }
 
-func TestScaleClone(t *testing.T) {
+func TestClone(t *testing.T) {
 	v := []float32{1, 2}
 	c := Clone(v)
-	Scale(3, v)
-	if v[0] != 3 || v[1] != 6 {
-		t.Errorf("Scale = %v", v)
-	}
+	v[0], v[1] = 3, 6
 	if c[0] != 1 || c[1] != 2 {
 		t.Errorf("Clone mutated: %v", c)
 	}
