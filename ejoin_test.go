@@ -184,8 +184,8 @@ func queryFixture(t *testing.T) plan.Query {
 		t.Fatal(err)
 	}
 	return plan.Query{
-		Left:  plan.TableRef{Name: "L", Table: left, TextColumn: "word"},
-		Right: plan.TableRef{Name: "R", Table: right, TextColumn: "term"},
+		Left:  plan.TableRef{Name: "L", Table: left.WithIncarnation(1), TextColumn: "word"},
+		Right: plan.TableRef{Name: "R", Table: right.WithIncarnation(2), TextColumn: "term"},
 		Model: hashModel(t, 64),
 		Join:  plan.JoinSpec{Kind: plan.ThresholdJoin, Threshold: 0.4},
 	}
@@ -279,8 +279,8 @@ func TestEmbedColumnAndIndex(t *testing.T) {
 		t.Errorf("index len = %d", idx.Len())
 	}
 
-	// Index over the text column, embedded in parallel.
-	pm, err := core.EmbedParallel(ctx, q.Model, terms, 0)
+	// Index over the text column's embeddings.
+	pm, err := core.Embed(ctx, q.Model, terms)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ type BatchStats struct {
 	ModelCalls int64
 }
 
-// BatchOptions tunes the cache-less EmbedBatch scheduler.
+// BatchOptions tunes the chunked parallel scheduler that embeds misses.
 type BatchOptions struct {
 	// Threads caps worker parallelism; <=0 uses GOMAXPROCS.
 	Threads int
@@ -38,25 +38,10 @@ type BatchOptions struct {
 	ChunkSize int
 }
 
-// EmbedBatch is the chunked parallel embedding scheduler without a cache:
-// it maps every input through the model and returns normalized row
-// vectors, identical to sequential embedding. Workers pull fixed-size
-// chunks from a shared queue, so skewed per-input model latency
-// load-balances instead of stalling a static partition (the weakness of
-// the previous per-range worker pool). core.EmbedParallel delegates here.
-func EmbedBatch(ctx context.Context, m model.Model, inputs []string, opts BatchOptions) (*mat.Matrix, error) {
-	out := mat.New(len(inputs), m.Dim())
-	err := embedChunks(ctx, m, inputs, opts, func(i int, raw []float32) {
-		vec.NormalizeInto(out.Row(i), raw)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // embedChunks runs the shared scheduler: inputs are split into chunks,
-// workers claim chunks via an atomic cursor, and emit is invoked once per
+// workers claim chunks via an atomic cursor (so skewed per-input model
+// latency load-balances instead of stalling a static partition), and the
+// result does not depend on the thread count. emit is invoked once per
 // input with the model's raw (not yet normalized) output. emit is called
 // concurrently but never twice for the same index. The first error stops
 // the scan; remaining workers drain quickly via the shared error flag.
@@ -170,7 +155,7 @@ type missGroup struct {
 // already cached are copied out, remaining distinct inputs are coalesced
 // and embedded by the chunked parallel scheduler, and inputs another
 // query is concurrently embedding are awaited rather than recomputed.
-// The result is identical to EmbedBatch/sequential embedding; the second
+// The result is identical to sequential embedding; the second
 // run over the same corpus performs zero model calls. Zero fields of
 // opts fall back to the store's configuration, so callers with their own
 // thread budget (the executor's Options.Threads) keep control of miss

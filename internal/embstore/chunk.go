@@ -184,7 +184,8 @@ func (s *Store) chunkShard(k ChunkKey) *shard {
 //
 // A resident chunk covering need is a hit for every needed row. Otherwise
 // the chunk is built — one builder per key at a time, others wait — from
-// the resident one's vectors, or else its spill slot's, plus the missing
+// the resident one's vectors (or those of one being evicted, whose spill
+// write is under way), or else its spill slot's, plus the missing
 // rows embedded as EmbedAll would, and then adopts their per-text entries
 // (see adopt). The new chunk keeps the old one's vectors only for rows
 // live in the caller's version or past its end, so rows deleted since are
@@ -209,6 +210,11 @@ func (s *Store) Chunk(ctx context.Context, m model.Model, key ChunkKey, texts []
 				bs.Hits = n
 				return old, bs, nil
 			}
+		} else if old = sh.evicting[key]; old != nil {
+			// Evicted, its spill slot not yet written: the builder below
+			// puts its vectors back (its evicted mark, if set after, only
+			// lets the last holder recycle its storage).
+			old.refs.Add(1) // the builder's hold
 		}
 		if fl, ok := sh.building[key]; ok {
 			sh.mu.Unlock()

@@ -26,6 +26,7 @@ func TestStoreAccountsWarmQuery(t *testing.T) {
 	opt := plan.NewOptimizer()
 	opt.Store = store
 
+	var incarnation uint64 // each table's row lineage, keying its column chunks
 	table := func(vals ...string) *relational.Table {
 		tbl, err := relational.NewTable(
 			relational.Schema{{Name: "name", Type: relational.String}},
@@ -34,7 +35,8 @@ func TestStoreAccountsWarmQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tbl
+		incarnation++
+		return tbl.WithIncarnation(incarnation)
 	}
 	q := plan.Query{
 		Left:  plan.TableRef{Name: "L", Table: table("barbecue", "database"), TextColumn: "name"},

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"ejoin/internal/mat"
@@ -477,5 +478,86 @@ func TestEvictorHoldsChunkThroughSpillWrite(t *testing.T) {
 	}
 	if n := c0.refs.Load(); n != 0 || !c0.evicted.Load() {
 		t.Fatalf("after its eviction chunk 0 has %d holders, evicted %v", n, c0.evicted.Load())
+	}
+}
+
+// TestMissDuringSpillWriteReusesChunk: a chunk trim has dropped but not
+// yet written to its spill slot is neither resident nor in the spill
+// index. A miss in that window takes the evicting chunk's vectors back
+// instead of embedding its rows again. The test holds the spill tier's
+// lock, which freezes the evictor inside the window.
+func TestMissDuringSpillWriteReusesChunk(t *testing.T) {
+	const rows = 32
+	f := residentFixture(t, rows)
+	c0, _ := f.hold(t, 0)
+	c0.Release()
+	f.m.Reset()
+	sh := f.s.chunkShard(f.key(0))
+	resident := func() bool {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		_, ok := sh.chunks[f.key(0)]
+		return ok
+	}
+	await := func(cond func() bool, what string) bool {
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if cond() {
+				return true
+			}
+		}
+		t.Errorf("%s within 10 s", what)
+		return false
+	}
+
+	sp := &f.s.spill
+	sp.mu.Lock()
+	evicted := make(chan struct{})
+	go func() {
+		defer close(evicted)
+		// A per-text entry the size of a chunk: chunk 0, the least
+		// recently used entry, is evicted for it.
+		f.s.Put(Fingerprint(f.m), "filler", make([]float32, rows*f.m.Dim()))
+	}()
+	await(func() bool { return !resident() }, "chunk 0 was not evicted")
+
+	type read struct {
+		c   *Chunk
+		bs  BatchStats
+		err error
+	}
+	got := make(chan read, 1)
+	go func() {
+		all := PrefixMask(rows)
+		c, bs, err := f.s.Chunk(context.Background(), f.m, f.key(0), f.texts[0], all, all, BatchOptions{})
+		got <- read{c, bs, err}
+	}()
+	var r read
+	reused := await(func() bool {
+		select {
+		case r = <-got:
+			return true
+		default:
+			return false
+		}
+	}, "a miss during the spill write did not complete")
+	sp.mu.Unlock()
+	<-evicted
+	if !reused {
+		r = <-got
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	defer r.c.Release()
+	if r.bs.ModelCalls != 0 || r.bs.Hits != rows || f.m.Calls() != 0 {
+		t.Fatalf("miss during the spill write: %+v, %d model calls; want %d rows reused and no model call", r.bs, f.m.Calls(), rows)
+	}
+	for i, text := range f.texts[0] {
+		if !vecsEqual(r.c.Row(i), normalized(t, f.m.Inner, text)) {
+			t.Fatalf("row %d differs from the model's vector", i)
+		}
+	}
+	if !resident() {
+		t.Error("the reused chunk is not resident again")
 	}
 }

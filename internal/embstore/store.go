@@ -188,6 +188,9 @@ type shard struct {
 	lru      *list.List // front = most recently used
 	inflight map[string]*flight
 	building map[ChunkKey]*flight
+	// evicting holds the chunks trim dropped and has not yet written to
+	// their spill slots, so that a miss in between finds their vectors.
+	evicting map[ChunkKey]*Chunk
 	bytes    int64
 	vectors  int
 }
@@ -257,6 +260,7 @@ func New(cfg Config) *Store {
 			lru:      list.New(),
 			inflight: make(map[string]*flight),
 			building: make(map[ChunkKey]*flight),
+			evicting: make(map[ChunkKey]*Chunk),
 		}
 	}
 	return s
@@ -337,18 +341,6 @@ func (s *Store) Stats() Stats {
 		sh.mu.Unlock()
 	}
 	return st
-}
-
-// Contains reports whether (m, input) is cached per text, without
-// promoting the entry or touching statistics — the optimizer's sampling
-// probe for inputs that have no column chunks.
-func (s *Store) Contains(m model.Model, input string) bool {
-	k := key(Fingerprint(m), input)
-	sh := s.shardFor(k)
-	sh.mu.Lock()
-	_, ok := sh.entries[k]
-	sh.mu.Unlock()
-	return ok
 }
 
 // Len is the current number of cached vectors (see Stats.Entries).
@@ -628,7 +620,9 @@ func (s *Store) dropLocked(sh *shard, el *list.Element) *Chunk {
 
 // trim evicts least recently used entries store-wide until resident bytes
 // fit the budget, writing each evicted chunk to the spill file once the
-// victim's shard lock is released. It never evicts keep (the entry just
+// victim's shard lock is released; until the write is done the chunk
+// stays in the shard's evicting set, where a miss finds it. It never
+// evicts keep (the entry just
 // inserted, so one oversized entry still caches); a nil keep is a no-op,
 // since nothing was added. The store's least recently used entry is the
 // oldest of the shard tails; under concurrent use the choice is
@@ -650,7 +644,9 @@ func (s *Store) trim(keep *list.Element) {
 		var c *Chunk
 		victim.mu.Lock()
 		if el := victim.lru.Back(); el != nil && el != keep {
-			c = s.dropLocked(victim, el)
+			if c = s.dropLocked(victim, el); c != nil {
+				victim.evicting[c.key] = c
+			}
 			s.evictions.Add(1)
 		}
 		victim.mu.Unlock()
@@ -658,6 +654,11 @@ func (s *Store) trim(keep *list.Element) {
 			if s.spill.put(c, &s.gone) {
 				s.spilled.Add(1)
 			}
+			victim.mu.Lock()
+			if victim.evicting[c.key] == c {
+				delete(victim.evicting, c.key)
+			}
+			victim.mu.Unlock()
 			c.evicted.Store(true)
 			c.unref()
 		}

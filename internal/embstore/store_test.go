@@ -361,6 +361,9 @@ func TestParallelMixedWorkload(t *testing.T) {
 	}
 }
 
+// TestEmbedBatchMatchesSequential: a cold batch through EmbedAll is
+// bit-identical to embedding it row by row, whatever the scheduler's
+// thread count and chunk size, and so is the warm re-run.
 func TestEmbedBatchMatchesSequential(t *testing.T) {
 	m := testModel(t, 40)
 	ctx := context.Background()
@@ -371,26 +374,38 @@ func TestEmbedBatchMatchesSequential(t *testing.T) {
 		want[i] = normalized(t, m, in)
 	}
 	for _, threads := range []int{0, 1, 3, 64} {
-		out, err := EmbedBatch(ctx, m, inputs, BatchOptions{Threads: threads, ChunkSize: 7})
-		if err != nil {
-			t.Fatalf("threads=%d: %v", threads, err)
-		}
-		for i := range inputs {
-			if !vecsEqual(out.Row(i), want[i]) {
-				t.Fatalf("threads=%d: row %d differs", threads, i)
+		s := New(Config{})
+		for run := 0; run < 2; run++ {
+			out, _, err := s.EmbedAll(ctx, m, inputs, BatchOptions{Threads: threads, ChunkSize: 7})
+			if err != nil {
+				t.Fatalf("threads=%d: %v", threads, err)
+			}
+			for i := range inputs {
+				if !vecsEqual(out.Row(i), want[i]) {
+					t.Fatalf("threads=%d run %d: row %d differs", threads, run, i)
+				}
 			}
 		}
 	}
 }
 
+// TestEmbedBatchCancellation: a cancelled batch fails on the parallel
+// scheduler, a model error reaches the caller through it, and an empty
+// batch is fine.
 func TestEmbedBatchCancellation(t *testing.T) {
 	m := testModel(t, 16)
+	inputs := []string{"a", "b", "poison", "d", "e", "f"}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := EmbedBatch(ctx, m, []string{"a", "b", "c"}, BatchOptions{Threads: 2}); err == nil {
+	if _, _, err := New(Config{}).EmbedAll(ctx, m, inputs, BatchOptions{Threads: 3}); err == nil {
 		t.Error("expected cancellation error")
 	}
-	out, err := EmbedBatch(context.Background(), m, nil, BatchOptions{})
+	boom := errors.New("down")
+	bad := &model.FailingModel{Inner: m, Match: func(s string) bool { return s == "poison" }, Err: boom}
+	if _, _, err := New(Config{}).EmbedAll(context.Background(), bad, inputs, BatchOptions{Threads: 3}); !errors.Is(err, boom) {
+		t.Errorf("err = %v, want %v", err, boom)
+	}
+	out, _, err := New(Config{}).EmbedAll(context.Background(), m, nil, BatchOptions{Threads: 4})
 	if err != nil || out.Rows() != 0 {
 		t.Errorf("empty batch: %v %v", out, err)
 	}
@@ -415,26 +430,6 @@ func TestResetAndLen(t *testing.T) {
 	st := s.Stats()
 	if st.Hits != 0 || st.Misses != 0 || st.Bytes != 0 {
 		t.Errorf("stats after reset = %+v", st)
-	}
-}
-
-func TestContainsDoesNotPromoteOrCount(t *testing.T) {
-	m := testModel(t, 16)
-	s := New(Config{})
-	ctx := context.Background()
-	if s.Contains(m, "x") {
-		t.Error("empty store claims containment")
-	}
-	if _, err := s.Get(ctx, m, "x"); err != nil {
-		t.Fatal(err)
-	}
-	before := s.Stats()
-	if !s.Contains(m, "x") {
-		t.Error("store lost entry")
-	}
-	after := s.Stats()
-	if before.Hits != after.Hits || before.Misses != after.Misses {
-		t.Error("Contains mutated statistics")
 	}
 }
 

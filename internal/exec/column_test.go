@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ejoin/internal/core"
 	"ejoin/internal/embstore"
 	"ejoin/internal/mat"
 	"ejoin/internal/model"
@@ -15,7 +16,8 @@ import (
 // FuzzColumnBlocksMatchEmbedAll: every block a Scan projects from an
 // embedded column — a view of one chunk or a gather across chunks, over
 // tombstones and predicates, at any block size, after earlier scans left
-// chunks partly filled — is bit-identical to EmbedAll over the same texts.
+// chunks partly filled — is bit-identical to embedding the same texts one
+// by one (core.Embed, the sequential reference).
 func FuzzColumnBlocksMatchEmbedAll(f *testing.F) {
 	f.Add(int64(1), uint16(300), uint16(16), uint8(30), uint8(50), uint16(7))
 	f.Add(int64(2), uint16(513), uint16(256), uint8(0), uint8(100), uint16(4096))
@@ -49,7 +51,7 @@ func FuzzColumnBlocksMatchEmbedAll(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := embstore.New(embstore.Config{}).EmbedAll(context.Background(), m, words, embstore.BatchOptions{})
+		want, err := core.Embed(context.Background(), m, words)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +202,7 @@ func TestScanBlockHeldUntilRelease(t *testing.T) {
 		t.Fatalf("stats %+v: the scans never cycled through the spill file", st)
 	}
 	words, _ := tables[0].Strings("word")
-	want, err := embstore.EmbedBatch(ctx, base, words, embstore.BatchOptions{})
+	want, err := core.Embed(ctx, base, words)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,7 +161,7 @@ func TestAnalyzeShowsSkippedSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 1}, BlockRows: 64}
+	ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 1}, Store: testStore(), BlockRows: 64}
 	ctx := obs.WithAnalyze(obs.NewContext(context.Background(), obs.NewTrace("", "tensor scan")))
 	res, err := ex.ExecuteStreaming(ctx, optimized, 0)
 	if err != nil {

@@ -21,13 +21,14 @@ type Executor struct {
 	Options core.Options
 	// IndexEf overrides probe beam width for index joins.
 	IndexEf int
-	// Store, when set, is the shared cross-query embedding store: Embed
-	// nodes are evaluated through it — over a table with an incarnation
-	// (a pinned mutable table version) by the scan reading the column's
-	// resident chunks, over any other table by the Embed operator — so
-	// repeated queries over the same corpus reuse embeddings and
-	// concurrent queries share in-flight model calls. Stats.ModelCalls
-	// then reports actual model work (misses), not input cardinality.
+	// Store is the shared cross-query embedding store, required to embed
+	// a text column: the scan reads the column's resident chunks from it,
+	// keyed by the table's incarnation, which the table must therefore
+	// carry (a pinned version of a mutable table does). Repeated queries
+	// over the same corpus reuse embeddings and concurrent queries share
+	// in-flight model calls, so Stats.ModelCalls reports actual model work
+	// (misses), not input cardinality. Inputs read from vector columns
+	// need neither.
 	Store *embstore.Store
 	// BlockRows is the probe-side block size; <=0 uses
 	// exec.DefaultBlockSize. Results do not depend on it.
@@ -110,7 +111,8 @@ func MaterializeResult(q Query, res *ExecResult) (*relational.Table, error) {
 	return joined.WithColumn("similarity", sims)
 }
 
-// Run is the one-call path: build the naive plan, optimize, execute.
+// Run is the one-call path: build the naive plan, optimize, execute. A nil
+// ex executes over a store of its own, unbounded and used once.
 func Run(ctx context.Context, q Query, ex *Executor, opt *Optimizer) (*ExecResult, *EJoin, error) {
 	naive, err := NewNaivePlan(q)
 	if err != nil {
@@ -124,7 +126,7 @@ func Run(ctx context.Context, q Query, ex *Executor, opt *Optimizer) (*ExecResul
 		return nil, nil, err
 	}
 	if ex == nil {
-		ex = &Executor{Options: core.Options{Kernel: vec.DefaultKernel()}}
+		ex = &Executor{Options: core.Options{Kernel: vec.DefaultKernel()}, Store: embstore.New(embstore.Config{})}
 	}
 	res, err := ex.ExecuteStreaming(ctx, optimized, 0)
 	if err != nil {

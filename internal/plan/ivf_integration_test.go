@@ -35,7 +35,7 @@ func runIndexTop1(t *testing.T, q Query) *ExecResult {
 	s := cost.StrategyIndex
 	opt := NewOptimizer()
 	opt.ForceStrategy = &s
-	res, pl, err := Run(context.Background(), q, &Executor{IndexEf: 2}, opt)
+	res, pl, err := Run(context.Background(), q, &Executor{IndexEf: 2, Store: testStore()}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,13 +224,11 @@ func estimateSelectivity(n Node) float64 {
 }
 
 // expectedHitRatio estimates how much of one input's E_µ work the shared
-// store will absorb. For a table version with an incarnation (the served
-// path) it is the share of visible rows its resident column chunks, or
-// their spill slots, hold; for any other table, the share of a uniform
-// sample of the column cached per text. Both only peek: no entry is
-// promoted, no statistic touched. Inputs with precomputed vector columns
-// have no Embed node and return 0 — their cost model carries no M term to
-// discount.
+// store will absorb: the share of the table version's visible rows that
+// its resident column chunks, or their spill slots, hold. It only peeks:
+// no entry is promoted, no statistic touched. Inputs with precomputed
+// vector columns have no Embed node, and a table with no incarnation has
+// no chunks; both return 0 — the executor runs neither through the store.
 func (o *Optimizer) expectedHitRatio(n Node) float64 {
 	if o.Store == nil {
 		return 0
@@ -251,37 +249,19 @@ func (o *Optimizer) expectedHitRatio(n Node) float64 {
 		return 0
 	}
 	s := findScan(n)
-	if s == nil || s.Ref.Table == nil {
+	if s == nil || s.Ref.Table == nil || s.Ref.Table.Incarnation() == 0 {
 		return 0
 	}
-	if t := s.Ref.Table; t.Incarnation() != 0 {
-		rows := t.NumRows()
-		if s.Ref.Visible != nil {
-			rows = len(s.Ref.Visible)
-		}
-		if rows == 0 {
-			return 0
-		}
-		key := embstore.ChunkKey{Fingerprint: embstore.Fingerprint(em.Model), Incarnation: t.Incarnation(), Column: em.Column}
-		return float64(o.Store.Resident(key, t.NumRows(), s.Ref.Visible)) / float64(rows)
+	t := s.Ref.Table
+	rows := t.NumRows()
+	if s.Ref.Visible != nil {
+		rows = len(s.Ref.Visible)
 	}
-	texts, err := s.Ref.Table.Strings(em.Column)
-	if err != nil || len(texts) == 0 {
+	if rows == 0 {
 		return 0
 	}
-	const samples = 64
-	stride := len(texts) / samples
-	if stride < 1 {
-		stride = 1
-	}
-	seen, hit := 0, 0
-	for i := 0; i < len(texts); i += stride {
-		seen++
-		if o.Store.Contains(em.Model, texts[i]) {
-			hit++
-		}
-	}
-	return float64(hit) / float64(seen)
+	key := embstore.ChunkKey{Fingerprint: embstore.Fingerprint(em.Model), Incarnation: t.Incarnation(), Column: em.Column}
+	return float64(o.Store.Resident(key, t.NumRows(), s.Ref.Visible)) / float64(rows)
 }
 
 func findScan(n Node) *Scan {

@@ -2,12 +2,15 @@ package plan
 
 import (
 	"context"
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ejoin/internal/core"
 	"ejoin/internal/cost"
+	"ejoin/internal/embstore"
 	"ejoin/internal/hnsw"
 	"ejoin/internal/mat"
 	"ejoin/internal/model"
@@ -44,8 +47,21 @@ func testTables(t *testing.T) (left, right *relational.Table) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return left, right
+	return lineage(left), lineage(right)
 }
+
+// incarnations numbers the test tables' row lineages: a text column is
+// embedded into column chunks keyed by its table's incarnation, so no two
+// tables may share one.
+var incarnations atomic.Uint64
+
+// lineage gives t a row lineage of its own.
+func lineage(t *relational.Table) *relational.Table {
+	return t.WithIncarnation(incarnations.Add(1))
+}
+
+// testStore is an executor's embedding store, unbounded.
+func testStore() *embstore.Store { return embstore.New(embstore.Config{}) }
 
 func testQuery(t *testing.T) Query {
 	t.Helper()
@@ -271,7 +287,7 @@ func TestOnlyScanAndProbeExecute(t *testing.T) {
 		}
 		tensor.Strategy = s
 		counted.Reset()
-		if _, err := (&Executor{}).ExecuteStreaming(context.Background(), tensor, 0); err == nil {
+		if _, err := (&Executor{Store: testStore()}).ExecuteStreaming(context.Background(), tensor, 0); err == nil {
 			t.Errorf("executed a hand-built %v plan", s)
 		}
 		if counted.Calls() != 0 {
@@ -316,7 +332,7 @@ func TestExecuteNaiveVsOptimized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &Executor{}
+	ex := &Executor{Store: testStore()}
 	ctx := context.Background()
 
 	lw, _ := q.Left.Table.Strings("word")
@@ -397,7 +413,7 @@ func TestExecuteWithPredicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	counted.Reset()
-	res, err := (&Executor{}).ExecuteStreaming(context.Background(), opt, 0)
+	res, err := (&Executor{Store: testStore()}).ExecuteStreaming(context.Background(), opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +452,7 @@ func TestExecuteTopK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&Executor{}).ExecuteStreaming(context.Background(), opt, 0)
+	res, err := (&Executor{Store: testStore()}).ExecuteStreaming(context.Background(), opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +474,7 @@ func TestExecuteTopKRange(t *testing.T) {
 	q.Join = JoinSpec{Kind: TopKJoin, K: 2, Threshold: 0.4}
 	naive, _ := NewNaivePlan(q)
 	opt, _ := NewOptimizer().Optimize(naive)
-	res, err := (&Executor{}).ExecuteStreaming(context.Background(), opt, 0)
+	res, err := (&Executor{Store: testStore()}).ExecuteStreaming(context.Background(), opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +493,7 @@ func TestExecuteNaiveTopKUnsupported(t *testing.T) {
 	q := testQuery(t)
 	q.Join = JoinSpec{Kind: TopKJoin, K: 1}
 	naive, _ := NewNaivePlan(q)
-	if _, err := (&Executor{}).ExecuteStreaming(context.Background(), naive, 0); err == nil {
+	if _, err := (&Executor{Store: testStore()}).ExecuteStreaming(context.Background(), naive, 0); err == nil {
 		t.Error("expected error for naive top-k")
 	}
 }
@@ -560,7 +576,7 @@ func TestExecuteIndexStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&Executor{IndexEf: 16}).ExecuteStreaming(ctx, opt, 0)
+	res, err := (&Executor{IndexEf: 16, Store: testStore()}).ExecuteStreaming(ctx, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +602,7 @@ func TestExecuteIndexBuiltOnDemand(t *testing.T) {
 	s := cost.StrategyIndex
 	o.ForceStrategy = &s
 	opt, _ := o.Optimize(naive)
-	res, err := (&Executor{IndexEf: 16}).ExecuteStreaming(context.Background(), opt, 0)
+	res, err := (&Executor{IndexEf: 16, Store: testStore()}).ExecuteStreaming(context.Background(), opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,7 +625,7 @@ func TestExecuteIndexSizeMismatch(t *testing.T) {
 	s := cost.StrategyIndex
 	o.ForceStrategy = &s
 	opt, _ := o.Optimize(naive)
-	if _, err := (&Executor{}).ExecuteStreaming(context.Background(), opt, 0); err == nil {
+	if _, err := (&Executor{Store: testStore()}).ExecuteStreaming(context.Background(), opt, 0); err == nil {
 		t.Error("expected index size mismatch error")
 	}
 }
@@ -656,8 +672,42 @@ func TestRunCancelled(t *testing.T) {
 func TestExecuteModelFailure(t *testing.T) {
 	q := testQuery(t)
 	q.Model = &model.FailingModel{Inner: q.Model, Match: func(s string) bool { return s == "quantum" }, Err: errTest("down")}
-	if _, _, err := Run(context.Background(), q, nil, nil); err == nil {
-		t.Error("expected model failure to propagate")
+	if _, _, err := Run(context.Background(), q, nil, nil); !errors.Is(err, errTest("down")) {
+		t.Errorf("err = %v, want the model's failure", err)
+	}
+}
+
+// TestTextColumnNeedsStoreAndIncarnation: a text column is embedded only
+// through the store's column chunks, so an executor without a store, or a
+// table without an incarnation, is an error before any model call.
+func TestTextColumnNeedsStoreAndIncarnation(t *testing.T) {
+	q := testQuery(t)
+	counted := model.NewCountingModel(q.Model)
+	q.Model = counted
+	naive, err := NewNaivePlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := NewOptimizer().Optimize(naive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&Executor{}).ExecuteStreaming(context.Background(), j, 0); err == nil || !strings.Contains(err.Error(), "embedding store") {
+		t.Errorf("executor without a store: err = %v", err)
+	}
+	q.Left.Table, q.Right.Table = q.Left.Table.WithIncarnation(0), q.Right.Table.WithIncarnation(0)
+	naive, err = NewNaivePlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err = NewOptimizer().Optimize(naive); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&Executor{Store: testStore()}).ExecuteStreaming(context.Background(), j, 0); err == nil || !strings.Contains(err.Error(), "incarnation") {
+		t.Errorf("table without an incarnation: err = %v", err)
+	}
+	if n := counted.Calls(); n != 0 {
+		t.Errorf("rejected plans made %d model calls", n)
 	}
 }
 

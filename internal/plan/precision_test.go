@@ -42,7 +42,7 @@ func TestOptimizerForcedPrecision(t *testing.T) {
 	if pl.Precision != quant.PrecisionF16 {
 		t.Fatalf("forced precision not honored: %v", pl.Precision)
 	}
-	if _, err := (&Executor{}).ExecuteStreaming(context.Background(), pl, 0); err != nil {
+	if _, err := (&Executor{Store: testStore()}).ExecuteStreaming(context.Background(), pl, 0); err != nil {
 		t.Fatal(err)
 	}
 

@@ -20,7 +20,7 @@ func storeTestTable(t *testing.T, vals []string) *relational.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tbl
+	return lineage(tbl)
 }
 
 // TestRepeatedQueryWarmStore is the acceptance check for the shared
@@ -122,8 +122,9 @@ func TestOptimizerCacheAwareCosting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Warm the store with the whole corpus, then re-optimize.
-	if _, _, err := store.EmbedAll(context.Background(), inner, vals, embstore.BatchOptions{}); err != nil {
+	// Warm the store by running the query once: both columns are then
+	// resident as chunks. Re-optimize.
+	if _, _, err := Run(context.Background(), q, &Executor{Store: store}, opt); err != nil {
 		t.Fatal(err)
 	}
 	warmPlan, err := opt.Optimize(naive)

@@ -2,10 +2,9 @@ package plan
 
 // Lowering an optimized EJoin tree onto internal/exec, the one operator
 // pipeline both strategies run on. Both join inputs go through the same
-// lowerInput (Scan with its predicates → E_µ, where E_µ is the scan
-// reading the table's resident column chunks when the table has an
-// incarnation, else an Embed operator). The
-// build (inner) side is drained as a single block and held resident; the
+// lowerInput: a Scan with its predicates fused, whose E_µ is the scan
+// itself, projecting each block from the table's resident column chunks
+// (or from a precomputed vector column). The build (inner) side is drained as a single block and held resident; the
 // probe (outer) side streams through a probe operator in fixed-size
 // blocks. Every kernel sorts its matches by (probe, build) offset and
 // blocks arrive in ascending probe order, so matches, similarities and
@@ -28,42 +27,32 @@ import (
 	"ejoin/internal/relational"
 )
 
-// stage is one plan node above an input's Scan and the operator it
-// lowered to. op is nil when the node has no operator of its own: a Filter
-// fused into the scan's selection, or an Embed the scan serves (from the
-// table's resident column chunks, or by projecting a vector column).
-type stage struct {
-	node Node
-	op   exec.Operator
-}
-
-// loweredInput is one join input's Scan/Filter/Embed subtree as operators.
+// loweredInput is one join input's Scan/Filter/Embed subtree as one
+// operator: every node above the Scan is served by it, a Filter fused into
+// its selection and an Embed by projecting the table's resident column
+// chunks or a vector column.
 type loweredInput struct {
 	scanNode *Scan
 	scan     *exec.Scan
 	// stages are the nodes stacked on the scan, in evaluation order.
-	stages []stage
-	// embedNode is the input's E_µ node, embed its operator (nil when the
-	// scan serves it).
+	stages []Node
+	// embedNode is the input's E_µ node (nil without one).
 	embedNode *Embed
-	embed     *exec.Embed
-	top       exec.Operator
 }
 
 // lowerInput turns a Scan/Filter/Embed subtree into operators. blockRows
-// is the scan's block size.
+// is the scan's block size. A text column is read from the store's column
+// chunks, keyed by the table's incarnation, so it needs both.
 func (ex *Executor) lowerInput(n Node, blockRows int) (*loweredInput, error) {
 	switch t := n.(type) {
 	case *Scan:
-		in := &loweredInput{scanNode: t, scan: &exec.Scan{
+		return &loweredInput{scanNode: t, scan: &exec.Scan{
 			Table:        t.Ref.Table,
 			Name:         t.Ref.Name,
 			Visible:      t.Ref.Visible,
 			VectorColumn: t.Ref.VectorColumn,
 			BlockRows:    blockRows,
-		}}
-		in.top = in.scan
-		return in, nil
+		}}, nil
 	case *Filter:
 		in, err := ex.lowerInput(t.Input, blockRows)
 		if err != nil {
@@ -74,7 +63,7 @@ func (ex *Executor) lowerInput(n Node, blockRows int) (*loweredInput, error) {
 		// the same rows (the E-Selection equivalence), so only the
 		// survivors are embedded either way.
 		in.scan.Preds = append(in.scan.Preds, t.Preds...)
-		in.stages = append(in.stages, stage{node: t})
+		in.stages = append(in.stages, t)
 		return in, nil
 	case *Embed:
 		in, err := ex.lowerInput(t.Input, blockRows)
@@ -82,27 +71,17 @@ func (ex *Executor) lowerInput(n Node, blockRows int) (*loweredInput, error) {
 			return nil, err
 		}
 		in.embedNode = t
+		in.stages = append(in.stages, t)
 		if in.scan.VectorColumn != "" {
-			in.stages = append(in.stages, stage{node: t})
 			return in, nil
 		}
-		if ex.Store != nil && in.scan.Table.Incarnation() != 0 {
-			// A table version of a mutable table: its text column is
-			// embedded once, into chunks shared by every version.
-			in.scan.Embedded = &exec.EmbeddedColumn{Store: ex.Store, Model: t.Model, Column: t.Column, Threads: ex.Options.Threads}
-			in.stages = append(in.stages, stage{node: t})
-			return in, nil
+		switch {
+		case ex.Store == nil:
+			return nil, fmt.Errorf("plan: embedding %s.%s needs an executor with an embedding store", in.scan.Name, t.Column)
+		case in.scan.Table.Incarnation() == 0:
+			return nil, fmt.Errorf("plan: embedding %s.%s needs a table with an incarnation", in.scan.Name, t.Column)
 		}
-		in.embed = &exec.Embed{
-			Input:   in.top,
-			Table:   in.scan.Table,
-			Column:  t.Column,
-			Model:   t.Model,
-			Store:   ex.Store,
-			Threads: ex.Options.Threads,
-		}
-		in.top = in.embed
-		in.stages = append(in.stages, stage{node: t, op: in.embed})
+		in.scan.Embedded = &exec.EmbeddedColumn{Store: ex.Store, Model: t.Model, Column: t.Column, Threads: ex.Options.Threads}
 		return in, nil
 	default:
 		return nil, fmt.Errorf("plan: unsupported input node %T", n)
@@ -111,20 +90,16 @@ func (ex *Executor) lowerInput(n Node, blockRows int) (*loweredInput, error) {
 
 // embedded reports whether the input's batches carry embeddings.
 func (in *loweredInput) embedded() bool {
-	return in.embed != nil || in.scan.VectorColumn != "" || in.scan.Embedded != nil
+	return in.scan.VectorColumn != "" || in.scan.Embedded != nil
 }
 
-// embedStats is the input's E_µ account, whichever operator did the work:
-// the Embed operator or the scan reading column chunks. ok is false when
-// E_µ did not run in this input.
+// embedStats is the input's E_µ account: the scan reading column chunks.
+// ok is false when E_µ did not run in this input.
 func (in *loweredInput) embedStats() (st exec.OpStats, bs embstore.BatchStats, ok bool) {
-	switch {
-	case in.embed != nil:
-		return in.embed.Stats(), in.embed.BatchStats(), true
-	case in.scan.Embedded != nil:
-		return in.scan.EmbedStats(), in.scan.BatchStats(), true
+	if in.scan.Embedded == nil {
+		return st, bs, false
 	}
-	return st, bs, false
+	return in.scan.EmbedStats(), in.scan.BatchStats(), true
 }
 
 // opStats snapshots the input's operators, source to sink; a scan
@@ -133,11 +108,6 @@ func (in *loweredInput) opStats() []exec.OpStats {
 	out := []exec.OpStats{in.scan.Stats()}
 	if in.scan.Embedded != nil {
 		out = append(out, in.scan.EmbedStats())
-	}
-	for _, st := range in.stages {
-		if st.op != nil {
-			out = append(out, st.op.Stats())
-		}
 	}
 	return out
 }
@@ -267,8 +237,8 @@ func (b *BuildSide) analysis() *obs.NodeStats {
 }
 
 // EvalBuild evaluates j's build (right) side resident: the lowered input
-// is drained as one block of its whole selection, so the store sees a
-// single EmbedAll call and nothing is concatenated.
+// is drained as one block of its whole selection, so nothing is
+// concatenated.
 func (ex *Executor) EvalBuild(ctx context.Context, j *EJoin) (*BuildSide, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("plan: execute cancelled: %w", err)
@@ -281,11 +251,11 @@ func (ex *Executor) EvalBuild(ctx context.Context, j *EJoin) (*BuildSide, error)
 		return nil, err
 	}
 	in.scan.BlockRows = in.scan.Table.NumRows() // >= any selection of it
-	if err := in.top.Open(ctx); err != nil {
+	if err := in.scan.Open(ctx); err != nil {
 		return nil, fmt.Errorf("plan: evaluating build input: %w", err)
 	}
-	defer in.top.Close()
-	blk, err := in.top.Next(ctx)
+	defer in.scan.Close()
+	blk, err := in.scan.Next(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("plan: evaluating build input: %w", err)
 	}
@@ -293,7 +263,7 @@ func (ex *Executor) EvalBuild(ctx context.Context, j *EJoin) (*BuildSide, error)
 	switch {
 	case blk != nil:
 		b.rows, b.emb = blk.Rows, blk.Emb
-	case in.embed != nil || in.scan.Embedded != nil:
+	case in.scan.Embedded != nil:
 		b.emb = mat.New(0, in.embedNode.Model.Dim())
 	case in.scan.VectorColumn != "":
 		vc, err := in.scan.Table.Vectors(in.scan.VectorColumn)
@@ -373,16 +343,16 @@ func (ex *Executor) lowerProbe(j *EJoin, in *loweredInput, build *BuildSide) (pr
 		if err != nil {
 			return nil, err
 		}
-		op.Input = in.top
+		op.Input = in.scan
 		return op, nil
 	case cost.StrategyTensor:
 		if j.Spec.Kind == TopKJoin {
-			op := &exec.TopKProbe{Input: in.top, K: j.Spec.K, Residual: j.Spec.Threshold, Opts: ex.Options}
+			op := &exec.TopKProbe{Input: in.scan, K: j.Spec.K, Residual: j.Spec.Threshold, Opts: ex.Options}
 			op.Build, op.BuildRows = build.emb, build.rows
 			return op, nil
 		}
 		op := &exec.ThresholdProbe{
-			Input:     in.top,
+			Input:     in.scan,
 			Threshold: j.Spec.Threshold,
 			Precision: j.Precision,
 			Opts:      ex.Options,
@@ -572,8 +542,8 @@ func (in *loweredInput) analysis() *obs.NodeStats {
 		n.ObsRows = st.RowsIn
 	}
 	for _, sg := range in.stages {
-		up := &obs.NodeStats{Name: sg.node.Explain(), EstRows: n.EstRows, ObsRows: n.ObsRows, Children: []*obs.NodeStats{n}}
-		_, isEmbed := sg.node.(*Embed)
+		up := &obs.NodeStats{Name: sg.Explain(), EstRows: n.EstRows, ObsRows: n.ObsRows, Children: []*obs.NodeStats{n}}
+		_, isEmbed := sg.(*Embed)
 		if ost, bs, ran := in.embedStats(); isEmbed && ran {
 			attrs := embedAttrs(bs)
 			attrs["batches"] = ost.Batches

@@ -55,8 +55,8 @@ func TestStreamingPeakMemoryRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Query{
-		Left:  TableRef{Name: "L", Table: left, TextColumn: "word"},
-		Right: TableRef{Name: "R", Table: right, TextColumn: "term"},
+		Left:  TableRef{Name: "L", Table: lineage(left), TextColumn: "word"},
+		Right: TableRef{Name: "R", Table: lineage(right), TextColumn: "term"},
 		Model: m,
 		Join:  JoinSpec{Kind: ThresholdJoin, Threshold: 0.5},
 	}

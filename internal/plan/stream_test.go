@@ -59,7 +59,7 @@ func streamCorpus(t *testing.T, probeRows, buildStride int) (left, right *relati
 	if err != nil {
 		t.Fatal(err)
 	}
-	return left, right
+	return lineage(left), lineage(right)
 }
 
 // streamQuery is the base query over the stream corpus.
@@ -136,12 +136,13 @@ func checkOracle(t *testing.T, q Query, j *EJoin, res *ExecResult, tol, minRecal
 }
 
 // runShape optimizes q under opt and executes it at every block size with
-// a fresh store-less executor (so model calls count every embedded row).
-// Each run is checked against the oracle, all runs must be byte-identical
-// in matches, similarities and order, and the work accounting must hold:
-// wantCalls model calls (< 0: one per surviving row of either side) and,
-// for scan strategies, one comparison per surviving pair. The BlockRows=16
-// result is returned.
+// an executor over a fresh store (so model calls count every row the run
+// embedded). Each run is checked against the oracle, all runs must be
+// byte-identical in matches, similarities and order, and the work
+// accounting must hold: wantCalls model calls (< 0: one per distinct text
+// among the surviving rows of either side, since the store embeds a text
+// once for every row and table holding it) and, for scan strategies, one
+// comparison per surviving pair. The BlockRows=16 result is returned.
 func runShape(t *testing.T, q Query, opt planner, tune func(*Executor), tol, minRecall float64, wantCalls int64) (*ExecResult, *EJoin) {
 	t.Helper()
 	var first, at16 *ExecResult
@@ -155,7 +156,7 @@ func runShape(t *testing.T, q Query, opt planner, tune func(*Executor), tol, min
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 2}, IndexEf: 16, BlockRows: rows}
+		ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 2}, IndexEf: 16, Store: testStore(), BlockRows: rows}
 		if tune != nil {
 			tune(ex)
 		}
@@ -170,7 +171,7 @@ func runShape(t *testing.T, q Query, opt planner, tune func(*Executor), tol, min
 		nl, nr := int64(len(ans.LeftRows)), int64(len(ans.RightRows))
 		want := wantCalls
 		if want < 0 {
-			want = nl + nr
+			want = distinctTexts(t, map[*TableRef][]int{&q.Left: res.LeftRows, &q.Right: res.RightRows})
 		}
 		if res.Stats.ModelCalls != want {
 			t.Errorf("BlockRows=%d: %d model calls, want %d", rows, res.Stats.ModelCalls, want)
@@ -194,6 +195,23 @@ func runShape(t *testing.T, q Query, opt planner, tune func(*Executor), tol, min
 		}
 	}
 	return at16, plan16
+}
+
+// distinctTexts counts the distinct texts the rows of each input hold in
+// its text column.
+func distinctTexts(t *testing.T, rows map[*TableRef][]int) int64 {
+	t.Helper()
+	seen := map[string]bool{}
+	for ref, sel := range rows {
+		texts, err := ref.Table.Strings(ref.TextColumn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range sel {
+			seen[texts[r]] = true
+		}
+	}
+	return int64(len(seen))
 }
 
 func forced(s cost.Strategy) *Optimizer {
@@ -325,7 +343,7 @@ func TestStreamingLimitFirstN(t *testing.T) {
 		t.Fatalf("need more than %d total matches, have %d", limit, len(full.Matches))
 	}
 	for _, rows := range shapeBlockRows {
-		ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 2}, BlockRows: rows}
+		ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 2}, Store: testStore(), BlockRows: rows}
 		st, err := ex.ExecuteStreaming(context.Background(), optimized, limit)
 		if err != nil {
 			t.Fatal(err)
@@ -387,7 +405,7 @@ func TestStreamingCancelledMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 1}, BlockRows: 8}
+	ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 1}, Store: testStore(), BlockRows: 8}
 	_, err = ex.ExecuteStreaming(ctx, optimized, 0)
 	if err == nil {
 		t.Fatal("cancelled stream must fail, not return partial results")
@@ -408,7 +426,7 @@ func TestStreamingAnalysisTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 1}, BlockRows: 16}
+	ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 1}, Store: testStore(), BlockRows: 16}
 	tr := obs.NewTrace("", "streamed query")
 	ctx := obs.WithAnalyze(obs.NewContext(context.Background(), tr))
 	res, err := ex.ExecuteStreaming(ctx, optimized, 0)
@@ -424,8 +442,8 @@ func TestStreamingAnalysisTree(t *testing.T) {
 	if len(res.Analysis.Children) != 2 {
 		t.Fatalf("root has %d children, want 2", len(res.Analysis.Children))
 	}
-	// The build child is the same operators drained as one block: one
-	// Embed batch, hence one EmbedAll call, whatever the probe block size.
+	// The build child is the same scan drained as one block: one Embed
+	// batch, whatever the probe block size.
 	if build := res.Analysis.Children[1]; !strings.HasPrefix(build.Name, "Embed(") || !strings.Contains(build.Detail, "batches=1 ") {
 		t.Errorf("build child = %q detail %q, want an Embed node with batches=1", build.Name, build.Detail)
 	}

@@ -143,9 +143,11 @@ func testCatalog(t *testing.T) (*Catalog, model.Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Text columns are embedded into column chunks keyed by each table's
+	// row lineage.
 	c := NewCatalog()
-	c.Register("catalog", catalog)
-	c.Register("feed", feed)
+	c.Register("catalog", catalog.WithIncarnation(1))
+	c.Register("feed", feed.WithIncarnation(2))
 	m, err := model.NewHashEmbedder(64)
 	if err != nil {
 		t.Fatal(err)
