@@ -79,9 +79,7 @@ func main() {
 		dataDir        = flag.String("data-dir", "", "data directory for durable state (empty = memory-only); restarts on the same directory serve warm")
 		segmentBytes   = flag.Int64("segment-bytes", 64<<20, "embedding log segment size before rotation")
 		indexTables    = flag.Bool("index-tables", false, "maintain an IVF vector index per table with a vector column (inserts append; churn re-clusters)")
-		reclusterFrac  = flag.Float64("recluster-fraction", 0, "deleted fraction of a table that triggers a background index re-cluster (0 = default 0.3, negative = never)")
 		slowThreshold  = flag.Duration("slow-query-threshold", 0, "minimum elapsed time for a trace to enter the slow-query ring (0 = record every query; the worst-N set is kept regardless)")
-		slowLogSize    = flag.Int("slow-log-size", 0, "slow-query ring capacity (0 = default 128)")
 		disableTracing = flag.Bool("disable-tracing", false, "skip per-query traces (explain requests still trace; histograms and counters stay on)")
 		execBlockRows  = flag.Int("exec-block-rows", 0, "executor probe-side block size in rows (0 = default 4096); results do not depend on it")
 		debugPprof     = flag.Bool("debug-pprof", false, "expose net/http/pprof under /debug/pprof/")
@@ -106,14 +104,12 @@ func main() {
 		DataDir:        *dataDir,
 		SegmentBytes:   *segmentBytes,
 
-		IndexTables:       *indexTables,
-		ReclusterFraction: *reclusterFrac,
+		IndexTables: *indexTables,
 
 		ExecBlockRows: *execBlockRows,
 
 		DisableTracing:     *disableTracing,
 		SlowQueryThreshold: *slowThreshold,
-		SlowLogSize:        *slowLogSize,
 
 		RecallSLO:       *recallSLO,
 		AuditFraction:   *auditFraction,

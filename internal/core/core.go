@@ -107,16 +107,6 @@ type Result struct {
 	Stats   Stats
 }
 
-// Pairs converts matches to relational pairs (dropping similarities), for
-// composition with relational materialization.
-func (r *Result) Pairs() []relational.Pair {
-	out := make([]relational.Pair, len(r.Matches))
-	for i, m := range r.Matches {
-		out[i] = relational.Pair{Left: m.Left, Right: m.Right}
-	}
-	return out
-}
-
 // cancelStride is how many inner-loop comparisons a scan operator runs
 // between context checks: frequent enough that cancellation and deadlines
 // propagate mid-join even when one left row faces a huge right side, rare

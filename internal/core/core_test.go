@@ -534,14 +534,6 @@ func TestIndexJoinValidation(t *testing.T) {
 	}
 }
 
-func TestResultPairs(t *testing.T) {
-	r := &Result{Matches: []Match{{Left: 1, Right: 2, Sim: 0.9}, {Left: 3, Right: 4, Sim: 0.8}}}
-	pairs := r.Pairs()
-	if len(pairs) != 2 || pairs[0] != (relational.Pair{Left: 1, Right: 2}) {
-		t.Errorf("Pairs = %v", pairs)
-	}
-}
-
 func TestSortMatches(t *testing.T) {
 	ms := []Match{{Left: 2, Right: 1}, {Left: 1, Right: 2}, {Left: 1, Right: 1}, {Left: 0, Right: 9}}
 	sortMatches(ms)

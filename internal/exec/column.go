@@ -12,9 +12,10 @@ import (
 )
 
 // EmbeddedColumn names a text column whose embeddings a Scan projects from
-// the store's resident column chunks (embstore.Store.Chunk) instead of
-// running E_µ per block. The scanned table must carry an incarnation
-// (relational.Table.Incarnation): the chunks are keyed by it.
+// the store's column chunks (embstore.Store.Chunk): the one way a plan
+// input gets a text column's embeddings. Store is required, and so is the
+// scanned table's incarnation (relational.Table.Incarnation): the chunks
+// live in the store, keyed by it.
 type EmbeddedColumn struct {
 	Store  *embstore.Store
 	Model  model.Model

@@ -227,70 +227,6 @@ func TestPreFilterPaysTraversal(t *testing.T) {
 	}
 }
 
-func TestRangeSearch(t *testing.T) {
-	data := randomUnitVectors(37, 500, 8)
-	ix, _ := Build(data, Config{M: 16, EfConstruction: 128, EfSearch: 32, Seed: 37})
-	q := data[42]
-	res, err := ix.RangeSearch(q, 0.99, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, r := range res {
-		if r.Sim < 0.99 {
-			t.Errorf("result below threshold: %v", r)
-		}
-		if r.ID == 42 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("range search missed the query vector itself")
-	}
-	// Low threshold must return many results (ef-doubling works).
-	res, err = ix.RangeSearch(q, -1, SearchOptions{Ef: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) < 400 {
-		t.Errorf("range with sim >= -1 returned %d of 500", len(res))
-	}
-}
-
-func TestRangeSearchValidation(t *testing.T) {
-	ix, _ := New(4, Config{})
-	if _, err := ix.RangeSearch([]float32{1}, 0.5, SearchOptions{}); err == nil {
-		t.Error("expected dim error")
-	}
-	res, err := ix.RangeSearch([]float32{1, 0, 0, 0}, 0.5, SearchOptions{})
-	if err != nil || res != nil {
-		t.Errorf("empty index = %v, %v", res, err)
-	}
-}
-
-func TestBatchSearch(t *testing.T) {
-	data := randomUnitVectors(41, 300, 8)
-	ix, _ := Build(data, Config{M: 8, EfConstruction: 64, Seed: 41})
-	queries := data[:50]
-	res, err := ix.BatchSearch(queries, 1, 4, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 50 {
-		t.Fatalf("len = %d", len(res))
-	}
-	for i, rs := range res {
-		if len(rs) != 1 || rs[i%1].ID != i {
-			t.Errorf("query %d: %v", i, rs)
-		}
-	}
-	// Error propagation: one bad query poisons the batch.
-	bad := [][]float32{data[0], {1, 2}}
-	if _, err := ix.BatchSearch(bad, 1, 2, SearchOptions{}); err == nil {
-		t.Error("expected error for bad query dims")
-	}
-}
-
 func TestDistanceCallsMonotonic(t *testing.T) {
 	data := randomUnitVectors(43, 100, 8)
 	ix, _ := Build(data, Config{M: 8, EfConstruction: 32, Seed: 43})

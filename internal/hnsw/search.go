@@ -3,8 +3,6 @@ package hnsw
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"ejoin/internal/relational"
 	"ejoin/internal/vec"
@@ -55,91 +53,6 @@ func (ix *Index) Search(q []float32, k int, opts SearchOptions) ([]Result, error
 		res = res[:k]
 	}
 	return res, nil
-}
-
-// RangeSearch returns every indexed vector with similarity >= minSim,
-// sorted descending. HNSW has no native range probe; like vector databases,
-// it emulates one by widening top-k probes until the beam's worst result
-// falls below the threshold (or the beam covers the index). This is why the
-// paper finds range conditions hostile to index joins (Figure 17).
-func (ix *Index) RangeSearch(q []float32, minSim float32, opts SearchOptions) ([]Result, error) {
-	if len(q) != ix.dim {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrDimMismatch, len(q), ix.dim)
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if ix.entry < 0 {
-		return nil, nil
-	}
-	ef := opts.Ef
-	if ef <= 0 {
-		ef = ix.cfg.EfSearch
-	}
-	nq := make([]float32, ix.dim)
-	vec.NormalizeInto(nq, q)
-
-	n := ix.Len()
-	for {
-		ep := ix.entry
-		for l := ix.maxLvl; l >= 1; l-- {
-			ep = ix.greedyClosest(nq, ep, l)
-		}
-		res := ix.searchLayer(nq, []int{ep}, ef, 0, opts.Filter)
-		// The beam is saturated if its worst member still qualifies; then a
-		// wider beam could hold more qualifying vectors — double and retry.
-		saturated := len(res) == ef && res[len(res)-1].Sim >= minSim
-		if !saturated || ef >= n {
-			out := res[:0]
-			for _, r := range res {
-				if r.Sim >= minSim {
-					out = append(out, r)
-				}
-			}
-			return out, nil
-		}
-		ef *= 2
-		if ef > n {
-			ef = n
-		}
-	}
-}
-
-// BatchSearch probes the index with every query in parallel, the paper's
-// "batching many search queries is equivalent to a join" formulation.
-// threads <= 0 uses GOMAXPROCS.
-func (ix *Index) BatchSearch(queries [][]float32, k int, threads int, opts SearchOptions) ([][]Result, error) {
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	out := make([][]Result, len(queries))
-	errs := make([]error, threads)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	wg.Add(threads)
-	for w := 0; w < threads; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for i := range next {
-				res, err := ix.Search(queries[i], k, opts)
-				if err != nil {
-					errs[worker] = fmt.Errorf("hnsw: query %d: %w", i, err)
-					continue
-				}
-				out[i] = res
-			}
-		}(w)
-	}
-	for i := range queries {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // Recall computes recall@k of the index against exact exhaustive top-k over

@@ -65,35 +65,6 @@ func (t *LookupTable) Decode(id int) (string, error) {
 	return t.texts[id], nil
 }
 
-// Vector returns the stored embedding for an ID.
-func (t *LookupTable) Vector(id int) ([]float32, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if id < 0 || id >= len(t.vectors) {
-		return nil, fmt.Errorf("model: lookup id %d out of range [0,%d)", id, len(t.vectors))
-	}
-	return t.vectors[id], nil
-}
-
-// Nearest returns the ID and similarity of the stored embedding closest to
-// q by cosine similarity — decoding an arbitrary vector back to the most
-// plausible original object (the standard encoder-decoder fallback).
-func (t *LookupTable) Nearest(q []float32) (id int, sim float32, err error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if len(t.vectors) == 0 {
-		return 0, 0, fmt.Errorf("model: lookup table is empty")
-	}
-	best, bestSim := -1, float32(-2)
-	for i, v := range t.vectors {
-		s := vec.Cosine(vec.KernelSIMD, q, v)
-		if s > bestSim {
-			best, bestSim = i, s
-		}
-	}
-	return best, bestSim, nil
-}
-
 // TopK returns the IDs of the k stored embeddings most similar to q,
 // in descending similarity — the exhaustive-scan reference used to measure
 // HNSW recall and to produce Table II's top-15 match lists.

@@ -327,18 +327,11 @@ func TestLookupTable(t *testing.T) {
 		if err != nil || got != w {
 			t.Errorf("Decode(%d) = %q, %v", i, got, err)
 		}
-		v, err := tbl.Vector(i)
-		if err != nil || len(v) != 32 {
-			t.Errorf("Vector(%d): %v", i, err)
-		}
 	}
 	if _, err := tbl.Decode(-1); err == nil {
 		t.Error("expected range error")
 	}
 	if _, err := tbl.Decode(3); err == nil {
-		t.Error("expected range error")
-	}
-	if _, err := tbl.Vector(99); err == nil {
 		t.Error("expected range error")
 	}
 }
@@ -353,11 +346,12 @@ func TestLookupRoundTrip(t *testing.T) {
 	}
 	for _, w := range words {
 		e, _ := h.Embed(w)
-		id, sim, err := tbl.Nearest(e)
-		if err != nil {
-			t.Fatal(err)
+		top := tbl.TopK(e, 1)
+		if len(top) != 1 {
+			t.Fatalf("nearest of %q: %v", w, top)
 		}
-		got, _ := tbl.Decode(id)
+		got, _ := tbl.Decode(top[0].ID)
+		sim := top[0].Sim
 		if got != w {
 			t.Errorf("round trip %q -> %q (sim %v)", w, got, sim)
 		}
@@ -369,8 +363,8 @@ func TestLookupRoundTrip(t *testing.T) {
 
 func TestLookupNearestEmpty(t *testing.T) {
 	tbl := NewLookupTable(4)
-	if _, _, err := tbl.Nearest([]float32{1, 0, 0, 0}); err == nil {
-		t.Error("expected empty-table error")
+	if top := tbl.TopK([]float32{1, 0, 0, 0}, 1); len(top) != 0 {
+		t.Errorf("empty table: nearest = %v", top)
 	}
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"sort"
 	"strconv"
@@ -56,40 +55,6 @@ func (h *Histogram) Snapshot() (counts [HistBuckets + 1]uint64, sumNS int64) {
 		counts[i] = h.counts[i].Load()
 	}
 	return counts, h.sumNS.Load()
-}
-
-// Quantile estimates the q-th quantile (q in [0,1]) as the upper bound
-// of the bucket holding that rank — the same upper-bound convention
-// Prometheus' histogram_quantile uses, so dashboards and in-process
-// reads agree. An empty histogram reports 0; ranks landing in the +Inf
-// overflow bucket report the largest finite bound (the estimate is a
-// floor there, not an interpolation).
-func (h *Histogram) Quantile(q float64) time.Duration {
-	counts, _ := h.Snapshot()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i := 0; i < HistBuckets; i++ {
-		cum += counts[i]
-		if cum >= rank {
-			return histBound(i)
-		}
-	}
-	return histBound(HistBuckets - 1)
 }
 
 // Count is the total number of observations.

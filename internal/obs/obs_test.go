@@ -321,44 +321,6 @@ func TestAttrsDetail(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	var h Histogram
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("empty histogram Quantile = %v, want 0", got)
-	}
-
-	// A single sample answers every quantile with its bucket's bound, and
-	// out-of-range q clamps instead of panicking.
-	h.Observe(3 * time.Millisecond) // 3000µs -> bucket bound 4096µs
-	want := 4096 * time.Microsecond
-	for _, q := range []float64{-1, 0, 0.5, 0.99, 1, 2} {
-		if got := h.Quantile(q); got != want {
-			t.Fatalf("single-sample Quantile(%v) = %v, want %v", q, got, want)
-		}
-	}
-
-	// Samples past the last finite bound land in +Inf; the quantile reports
-	// the last finite bound rather than inventing an infinite duration.
-	h = Histogram{}
-	h.Observe(time.Hour)
-	if got := h.Quantile(1); got != histBound(HistBuckets-1) {
-		t.Fatalf("overflow Quantile(1) = %v, want last finite bound %v", got, histBound(HistBuckets-1))
-	}
-
-	// Mixed population: the median of 9x1µs + 1x1h is the 1µs bucket.
-	h = Histogram{}
-	for i := 0; i < 9; i++ {
-		h.Observe(time.Microsecond)
-	}
-	h.Observe(time.Hour)
-	if got := h.Quantile(0.5); got != time.Microsecond {
-		t.Fatalf("median = %v, want 1µs", got)
-	}
-	if got := h.Quantile(1); got != histBound(HistBuckets-1) {
-		t.Fatalf("max = %v, want last finite bound", got)
-	}
-}
-
 func TestFloatHistogramRendersValidExposition(t *testing.T) {
 	var b strings.Builder
 	mw := NewMetricsWriter(&b)

@@ -182,7 +182,7 @@ func NewFrontend(r Resolved, catalog *sqlish.Catalog, b Backend) *Frontend {
 		bytes:   newByteSemaphore(cfg.AdmissionBytes),
 		start:   time.Now(),
 	}
-	f.obs.slow = obs.NewSlowLog(cfg.SlowLogSize, 0, cfg.SlowQueryThreshold)
+	f.obs.slow = obs.NewSlowLog(0, 0, cfg.SlowQueryThreshold) // the default 128 traces
 	return f
 }
 

@@ -428,14 +428,7 @@ func (e *Engine) maybeRecluster(ts *tableState, v *mutation.Version) bool {
 	if ts.idx == nil {
 		return false
 	}
-	frac := e.cfg.ReclusterFraction
-	if frac == 0 {
-		frac = defaultReclusterFraction
-	}
-	if frac < 0 {
-		return false // explicit opt-out
-	}
-	if ts.idx.MaybeRecluster(v, frac) {
+	if ts.idx.MaybeRecluster(v, defaultReclusterFraction) {
 		e.mut.reclustered.Add(1)
 		return true
 	}

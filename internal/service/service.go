@@ -91,14 +91,11 @@ type Config struct {
 	SegmentBytes int64
 	// IndexTables maintains an IVF-Flat vector index per table with a
 	// vector column: inserts append to posting lists, deletes tombstone,
-	// and the coarse quantizer re-clusters in the background past
-	// ReclusterFraction. Off by default — an attached index makes the
-	// planner eligible to pick the approximate index access path.
+	// and the coarse quantizer re-clusters in the background once 30% of
+	// a table's rows are tombstones. Off by default — an attached index
+	// makes the planner eligible to pick the approximate index access
+	// path.
 	IndexTables bool
-	// ReclusterFraction is the deleted fraction of a table's rows that
-	// triggers a background index re-cluster (default 0.3; negative
-	// disables re-clustering).
-	ReclusterFraction float64
 	// ExecBlockRows is the executor's probe-side block size
 	// (0 = exec.DefaultBlockSize). It trades per-block overhead against
 	// resident bytes (admission charges build side + one block); results
@@ -112,8 +109,6 @@ type Config struct {
 	// queries at least this slow are retained. 0 (the default) retains
 	// every traced query — the worst-N set is kept regardless.
 	SlowQueryThreshold time.Duration
-	// SlowLogSize is the slow-query ring capacity (default 128).
-	SlowLogSize int
 	// RecallSLO is the audited recall@k target the auto-tuner steers
 	// index knobs toward (default 0.95). Only meaningful with
 	// AuditFraction > 0.

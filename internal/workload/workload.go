@@ -8,7 +8,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"ejoin/internal/mat"
 	"ejoin/internal/relational"
@@ -76,44 +75,6 @@ func SelectivityBitmap(col relational.Int64Column, card int64, selectivity float
 		}
 	}
 	return b
-}
-
-// DateColumn returns n timestamps spread uniformly across the year starting
-// at base, deterministic in seed.
-func DateColumn(seed int64, n int, base time.Time) relational.TimeColumn {
-	rng := rand.New(rand.NewSource(seed))
-	col := make(relational.TimeColumn, n)
-	year := int64(365 * 24 * time.Hour)
-	for i := range col {
-		col[i] = base.Add(time.Duration(rng.Int63n(year)))
-	}
-	return col
-}
-
-// VectorTable assembles a table with id, an attr column of the given
-// cardinality (for selectivity control), and an embedding vector column.
-func VectorTable(seed int64, vecs *mat.Matrix, attrCard int64) (*relational.Table, error) {
-	n := vecs.Rows()
-	ids := make(relational.Int64Column, n)
-	for i := range ids {
-		ids[i] = int64(i)
-	}
-	rows := make([][]float32, n)
-	for i := range rows {
-		rows[i] = vecs.Row(i)
-	}
-	vc, err := relational.NewVectorColumn(rows)
-	if err != nil {
-		return nil, err
-	}
-	return relational.NewTable(
-		relational.Schema{
-			{Name: "id", Type: relational.Int64},
-			{Name: "attr", Type: relational.Int64},
-			{Name: "emb", Type: relational.Vector},
-		},
-		[]relational.Column{ids, UniformIntColumn(seed, n, attrCard), vc},
-	)
 }
 
 // Misspell introduces one deterministic typo (per FastText's robustness

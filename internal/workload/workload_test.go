@@ -2,7 +2,6 @@ package workload
 
 import (
 	"testing"
-	"time"
 
 	"ejoin/internal/model"
 	"ejoin/internal/vec"
@@ -68,38 +67,6 @@ func TestUniformIntColumnAndSelectivity(t *testing.T) {
 		if got < sel-0.03 || got > sel+0.03 {
 			t.Errorf("selectivity %v: got %v", sel, got)
 		}
-	}
-}
-
-func TestDateColumn(t *testing.T) {
-	base := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
-	col := DateColumn(7, 100, base)
-	for _, ts := range col {
-		if ts.Before(base) || ts.After(base.AddDate(1, 0, 1)) {
-			t.Fatalf("timestamp out of range: %v", ts)
-		}
-	}
-}
-
-func TestVectorTable(t *testing.T) {
-	vecs := Vectors(9, 50, 8)
-	tbl, err := VectorTable(9, vecs, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.NumRows() != 50 {
-		t.Fatalf("rows = %d", tbl.NumRows())
-	}
-	vc, err := tbl.Vectors("emb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vec.Equal(vc.Row(7), vecs.Row(7), 0) {
-		t.Error("vectors not preserved")
-	}
-	ids, _ := tbl.Ints("id")
-	if ids[49] != 49 {
-		t.Error("ids wrong")
 	}
 }
 
