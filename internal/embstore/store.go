@@ -622,9 +622,8 @@ func (s *Store) dropLocked(sh *shard, el *list.Element) *Chunk {
 // fit the budget, writing each evicted chunk to the spill file once the
 // victim's shard lock is released; until the write is done the chunk
 // stays in the shard's evicting set, where a miss finds it. It never
-// evicts keep (the entry just
-// inserted, so one oversized entry still caches); a nil keep is a no-op,
-// since nothing was added. The store's least recently used entry is the
+// evicts keep (the entry just inserted, so one oversized entry still
+// caches); a nil keep is a no-op, since nothing was added. The store's least recently used entry is the
 // oldest of the shard tails; under concurrent use the choice is
 // approximate.
 func (s *Store) trim(keep *list.Element) {

@@ -227,8 +227,9 @@ func estimateSelectivity(n Node) float64 {
 // store will absorb: the share of the table version's visible rows that
 // its resident column chunks, or their spill slots, hold. It only peeks:
 // no entry is promoted, no statistic touched. Inputs with precomputed
-// vector columns have no Embed node, and a table with no incarnation has
-// no chunks; both return 0 — the executor runs neither through the store.
+// vector columns have no Embed node and return 0 — their cost model
+// carries no M term to discount — and so does a table with no
+// incarnation, which has no chunks (the executor rejects embedding it).
 func (o *Optimizer) expectedHitRatio(n Node) float64 {
 	if o.Store == nil {
 		return 0

@@ -4,12 +4,13 @@ package plan
 // pipeline both strategies run on. Both join inputs go through the same
 // lowerInput: a Scan with its predicates fused, whose E_µ is the scan
 // itself, projecting each block from the table's resident column chunks
-// (or from a precomputed vector column). The build (inner) side is drained as a single block and held resident; the
-// probe (outer) side streams through a probe operator in fixed-size
-// blocks. Every kernel sorts its matches by (probe, build) offset and
-// blocks arrive in ascending probe order, so matches, similarities and
-// their order do not depend on the block size — the contract the tests
-// assert per query shape, alongside a brute-force oracle.
+// (or from a precomputed vector column). The build (inner) side is
+// drained as a single block and held resident; the probe (outer) side
+// streams through a probe operator in fixed-size blocks. Every kernel
+// sorts its matches by (probe, build) offset and blocks arrive in
+// ascending probe order, so matches, similarities and their order do not
+// depend on the block size — the contract the tests assert per query
+// shape, alongside a brute-force oracle.
 
 import (
 	"context"
