@@ -216,61 +216,6 @@ func (p Params) ChooseJoinStrategyWarm(nr, ns int, selLeft, selRight float64, k 
 	return Choice{Strategy: best, Estimates: est}
 }
 
-// Corrections are multiplicative cardinality adjustments learned from
-// executed queries (the feedback loop): observed-over-estimated ratios
-// that scale the planner's static inputs before cost comparison. The
-// zero-value semantics are deliberate — use NeutralCorrections for "no
-// feedback yet".
-type Corrections struct {
-	// SelLeft/SelRight scale the filter selectivities of the two inputs.
-	SelLeft, SelRight float64
-	// Rows scales the join's output-cardinality estimate.
-	Rows float64
-}
-
-// NeutralCorrections is the identity adjustment.
-func NeutralCorrections() Corrections {
-	return Corrections{SelLeft: 1, SelRight: 1, Rows: 1}
-}
-
-// correctionBound caps how far a learned correction may pull an estimate
-// in one planning decision: a burst of anomalous queries should bend the
-// model, not break it.
-const correctionBound = 64
-
-// clampCorrection normalizes one factor: non-positive (unset or junk)
-// becomes neutral, and the rest is bounded to [1/64, 64].
-func clampCorrection(f float64) float64 {
-	if f <= 0 || math.IsNaN(f) || math.IsInf(f, 0) {
-		return 1
-	}
-	if f > correctionBound {
-		return correctionBound
-	}
-	if f < 1/float64(correctionBound) {
-		return 1 / float64(correctionBound)
-	}
-	return f
-}
-
-// Clamped returns the corrections with every factor normalized by
-// clampCorrection.
-func (c Corrections) Clamped() Corrections {
-	return Corrections{
-		SelLeft:  clampCorrection(c.SelLeft),
-		SelRight: clampCorrection(c.SelRight),
-		Rows:     clampCorrection(c.Rows),
-	}
-}
-
-// ChooseJoinStrategyCorrected is ChooseJoinStrategyWarm with the static
-// selectivities scaled by learned corrections first. Corrected
-// selectivities stay clamped to [0, 1] inside the chooser.
-func (p Params) ChooseJoinStrategyCorrected(nr, ns int, selLeft, selRight float64, k int, hasIndex bool, hitL, hitR float64, corr Corrections) Choice {
-	corr = corr.Clamped()
-	return p.ChooseJoinStrategyWarm(nr, ns, selLeft*corr.SelLeft, selRight*corr.SelRight, k, hasIndex, hitL, hitR)
-}
-
 func clamp01(x float64) float64 {
 	if x < 0 {
 		return 0

@@ -3,9 +3,10 @@
 // kinds of rolling state, all cheap enough to update on every traced
 // query:
 //
-//   - per-table selectivity corrections and per-join-pair output
-//     cardinality corrections (observed/estimated ratios folded into
-//     EWMAs), which the optimizer consults as cost.Corrections;
+//   - per-join-pair output cardinality corrections (observed/estimated
+//     ratios folded into EWMAs), which the service applies to a plan's
+//     output-rows estimate as RowsFactor. The planner's input counts are
+//     exact, so nothing here corrects them;
 //   - audited recall@k per table and knob setting, fed by the service's
 //     background auditor re-running sampled index probes exactly;
 //   - the SLO tuner's bookkeeping: which knob value each table runs at,
@@ -22,8 +23,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"ejoin/internal/cost"
 )
 
 // ewmaAlpha is the steady-state weight of one new observation. Early
@@ -125,9 +124,6 @@ type tableState struct {
 	// the SLO; the tuner never moves down into it.
 	failedFloor int
 	moves       int64
-	// selAsLeft/selAsRight are observed/estimated selectivity ratios by
-	// the role the table played in the join.
-	selAsLeft, selAsRight Estimator
 	// sampleAcc is the audit sampling accumulator (adds the fraction per
 	// index query; a sample fires on each whole-number crossing).
 	sampleAcc float64
@@ -210,21 +206,9 @@ func QError(est, obs int64) float64 {
 	return o / e
 }
 
-func ratio(obs, est float64) float64 {
-	const eps = 1e-9
-	if est < eps {
-		est = eps
-	}
-	if obs < eps {
-		obs = eps
-	}
-	return obs / est
-}
-
 // RecordJoin folds one executed join into the estimators: the static and
-// corrected output estimates against the observed match count, and each
-// side's estimated-vs-observed selectivity.
-func (r *Registry) RecordJoin(left, right string, staticEst, correctedEst, obs int64, estSelL, obsSelL, estSelR, obsSelR float64) {
+// corrected output estimates against the observed match count.
+func (r *Registry) RecordJoin(left, right string, staticEst, correctedEst, obs int64) {
 	qs, qc := QError(staticEst, obs), QError(correctedEst, obs)
 	r.QErrStaticHist.Observe(qs)
 	r.QErrHist.Observe(qc)
@@ -247,8 +231,6 @@ func (r *Registry) RecordJoin(left, right string, staticEst, correctedEst, obs i
 	j.rowsFactor.Observe(o / e)
 	j.qerrStatic.Observe(qs)
 	j.qerrCorrected.Observe(qc)
-	r.table(left).selAsLeft.Observe(ratio(obsSelL, estSelL))
-	r.table(right).selAsRight.Observe(ratio(obsSelR, estSelR))
 }
 
 // RecordRegret counts one query where the post-hoc costs (recomputed
@@ -262,26 +244,25 @@ func (r *Registry) RecordRegret(left, right string) {
 	}
 }
 
-// Corrections returns the learned multiplicative adjustments for a join
-// of left against right; tables or pairs never seen report neutral
-// factors. It implements the optimizer's feedback hook.
-func (r *Registry) Corrections(left, right string) cost.Corrections {
+// rowsFactorBound caps how far a learned correction may pull an
+// estimate: a burst of anomalous queries should bend the estimate, not
+// break it.
+const rowsFactorBound = 64
+
+// RowsFactor returns the learned observed/estimated output-rows ratio
+// for a join of left against right, clamped to [1/64, 64]; a pair never
+// seen (or a nil registry) reports the neutral 1.
+func (r *Registry) RowsFactor(left, right string) float64 {
 	if r == nil {
-		return cost.NeutralCorrections()
+		return 1
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := cost.NeutralCorrections()
-	if t := r.tables[canonical(left)]; t != nil && t.selAsLeft.Count() > 0 {
-		c.SelLeft = t.selAsLeft.Mean()
-	}
-	if t := r.tables[canonical(right)]; t != nil && t.selAsRight.Count() > 0 {
-		c.SelRight = t.selAsRight.Mean()
-	}
+	f := 1.0
 	if j := r.joins[joinKey(left, right)]; j != nil && j.rowsFactor.Count() > 0 {
-		c.Rows = j.rowsFactor.Mean()
+		f = j.rowsFactor.Mean()
 	}
-	return c.Clamped()
+	return min(max(f, 1.0/rowsFactorBound), rowsFactorBound)
 }
 
 // SetCurrent records a table's index kind and live knob setting (at
@@ -427,7 +408,7 @@ func (r *Registry) Counters() (audits, moves, regret int64) {
 }
 
 // Drop forgets all state for a table (catalog drop/replace): its audit
-// and selectivity history plus every join pair it participates in.
+// history plus every join pair it participates in.
 func (r *Registry) Drop(table string) {
 	table = canonical(table)
 	r.mu.Lock()
@@ -459,10 +440,6 @@ type TableDump struct {
 	// RecallByKnob maps each audited knob value to its mean recall@k.
 	RecallByKnob map[string]float64 `json:"recall_by_knob,omitempty"`
 	FailedFloor  int                `json:"failed_floor,omitempty"`
-	// SelLeftFactor/SelRightFactor are the learned selectivity
-	// corrections by join role (1 = estimates were exact).
-	SelLeftFactor  float64 `json:"sel_left_factor"`
-	SelRightFactor float64 `json:"sel_right_factor"`
 }
 
 // JoinDump is one join pair's estimator state in Dump.
@@ -495,8 +472,6 @@ func (r *Registry) Dump() Dump {
 			td := TableDump{
 				Kind: t.kind, KnobName: t.knobName, Knob: t.knob, Tuned: t.tuned,
 				Audits: t.audits, Moves: t.moves, FailedFloor: t.failedFloor,
-				SelLeftFactor:  roundFactor(t.selAsLeft),
-				SelRightFactor: roundFactor(t.selAsRight),
 			}
 			if len(t.recall) > 0 {
 				td.RecallByKnob = make(map[string]float64, len(t.recall))
@@ -527,13 +502,6 @@ func (r *Registry) Dump() Dump {
 		}
 	}
 	return d
-}
-
-func roundFactor(e Estimator) float64 {
-	if e.Count() == 0 {
-		return 1
-	}
-	return round3(e.Mean())
 }
 
 func round3(v float64) float64 { return math.Round(v*1000) / 1000 }

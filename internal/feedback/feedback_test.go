@@ -124,41 +124,41 @@ func TestSampleAuditDeterministic(t *testing.T) {
 	}
 }
 
-func TestCorrectionsNeutralAndLearned(t *testing.T) {
+func TestRowsFactorNeutralAndLearned(t *testing.T) {
 	var nilReg *Registry
-	if c := nilReg.Corrections("a", "b"); c != (NewRegistry(0.95)).Corrections("x", "y") {
-		t.Fatalf("nil registry corrections = %+v, want neutral", c)
+	if f := nilReg.RowsFactor("a", "b"); f != 1 || NewRegistry(0.95).RowsFactor("x", "y") != 1 {
+		t.Fatalf("nil registry rows factor = %v, want neutral 1", f)
 	}
 
 	r := NewRegistry(0.95)
-	// Observed output is 4x the static estimate; observed selectivities are
-	// half the estimated ones.
-	r.RecordJoin("L", "R", 100, 100, 400, 0.8, 0.4, 0.6, 0.3)
-	c := r.Corrections("l", "r") // names canonicalize: mixed case shares state
-	if math.Abs(c.Rows-4) > 1e-9 {
-		t.Fatalf("Rows correction = %v, want 4", c.Rows)
-	}
-	if math.Abs(c.SelLeft-0.5) > 1e-9 || math.Abs(c.SelRight-0.5) > 1e-9 {
-		t.Fatalf("Sel corrections = (%v, %v), want (0.5, 0.5)", c.SelLeft, c.SelRight)
+	// Observed output is 4x the static estimate.
+	r.RecordJoin("L", "R", 100, 100, 400)
+	if f := r.RowsFactor("l", "r"); math.Abs(f-4) > 1e-9 { // names canonicalize: mixed case shares state
+		t.Fatalf("rows factor = %v, want 4", f)
 	}
 	// The pair is directional: the reverse join has no feedback yet.
-	if c := r.Corrections("r", "l"); c.Rows != 1 {
-		t.Fatalf("reverse pair Rows = %v, want neutral 1", c.Rows)
+	if f := r.RowsFactor("r", "l"); f != 1 {
+		t.Fatalf("reverse pair rows factor = %v, want neutral 1", f)
 	}
 }
 
-func TestCorrectionsClamped(t *testing.T) {
+func TestRowsFactorClamped(t *testing.T) {
 	r := NewRegistry(0.95)
-	// A wildly wrong estimate must be clamped, not applied verbatim.
-	r.RecordJoin("a", "b", 1, 1, 1_000_000, 1, 1, 1, 1)
-	if c := r.Corrections("a", "b"); c.Rows > 64 {
-		t.Fatalf("Rows correction %v escaped the clamp", c.Rows)
+	// A wildly wrong estimate must be clamped, not applied verbatim, in
+	// either direction.
+	r.RecordJoin("a", "b", 1, 1, 1_000_000)
+	if f := r.RowsFactor("a", "b"); f != 64 {
+		t.Fatalf("rows factor %v, want it clamped to 64", f)
+	}
+	r.RecordJoin("c", "d", 1_000_000, 1, 0)
+	if f := r.RowsFactor("c", "d"); f != 1.0/64 {
+		t.Fatalf("rows factor %v, want it clamped to 1/64", f)
 	}
 }
 
 func TestQErrorHistogramsRecorded(t *testing.T) {
 	r := NewRegistry(0.95)
-	r.RecordJoin("a", "b", 400, 110, 100, 1, 1, 1, 1)
+	r.RecordJoin("a", "b", 400, 110, 100)
 	_, _, _, staticTotal := r.QErrStaticHist.Snapshot()
 	_, _, _, corrTotal := r.QErrHist.Snapshot()
 	if staticTotal != 1 || corrTotal != 1 {
@@ -276,8 +276,8 @@ func TestSeedKnobAndTunedKnob(t *testing.T) {
 
 func TestDropForgetsTableAndJoins(t *testing.T) {
 	r := NewRegistry(0.95)
-	r.RecordJoin("a", "b", 10, 10, 20, 1, 1, 1, 1)
-	r.RecordJoin("b", "c", 10, 10, 20, 1, 1, 1, 1)
+	r.RecordJoin("a", "b", 10, 10, 20)
+	r.RecordJoin("b", "c", 10, 10, 20)
 	r.RecordAudit("a", "ivf", 4, 0.9)
 	r.Drop("A")
 	d := r.Dump()
@@ -290,8 +290,8 @@ func TestDropForgetsTableAndJoins(t *testing.T) {
 	if _, ok := d.Joins["b⋈c"]; !ok {
 		t.Fatal("unrelated join pair was dropped")
 	}
-	if c := r.Corrections("a", "b"); c.Rows != 1 {
-		t.Fatalf("corrections survive a drop: %+v", c)
+	if f := r.RowsFactor("a", "b"); f != 1 {
+		t.Fatalf("rows factor survives a drop: %v", f)
 	}
 }
 
@@ -310,9 +310,6 @@ func TestDumpShape(t *testing.T) {
 	}
 	if got := ts.RecallByKnob["4"]; got != 0.8 {
 		t.Fatalf("RecallByKnob[4] = %v, want 0.8", got)
-	}
-	if ts.SelLeftFactor != 1 || ts.SelRightFactor != 1 {
-		t.Fatalf("unseen sel factors should report 1: %+v", ts)
 	}
 }
 

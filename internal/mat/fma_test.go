@@ -27,30 +27,48 @@ func exactFMA32(a, b, c float32) (r float32, ok bool) {
 	return r, true
 }
 
-// checkFMA32 fails the test unless fma32 agrees with the exact result and
-// with the host's instruction, bit for bit (NaN results only have to be
-// NaN).
+// refDotSeq is fmaSeq over softFMA32: the reference every kernel's cells
+// are held to, whatever fma32 compiles to on this architecture.
+func refDotSeq(a, b []float32) float32 {
+	var acc float32
+	for k := range a {
+		acc = softFMA32(a[k], b[k], acc)
+	}
+	return acc
+}
+
+// checkFMA32 fails the test unless softFMA32 agrees with the exact result,
+// with this build's fma32 and with the host's instruction, bit for bit
+// (NaN results only have to be NaN).
 func checkFMA32(t *testing.T, a, b, c float32) {
 	t.Helper()
-	got := fma32(a, b, c)
+	got := softFMA32(a, b, c)
 	want, ok := exactFMA32(a, b, c)
 	if !ok {
 		if got == got {
-			t.Fatalf("fma32(%g, %g, %g) = %g, want NaN", a, b, c, got)
+			t.Fatalf("softFMA32(%g, %g, %g) = %g, want NaN", a, b, c, got)
 		}
 	} else if math.Float32bits(got) != math.Float32bits(want) {
-		t.Fatalf("fma32(%g, %g, %g) = %g (%#08x), exact rounding gives %g (%#08x)",
+		t.Fatalf("softFMA32(%g, %g, %g) = %g (%#08x), exact rounding gives %g (%#08x)",
 			a, b, c, got, math.Float32bits(got), want, math.Float32bits(want))
+	}
+	if f := fma32(a, b, c); f != f {
+		if got == got {
+			t.Fatalf("fma32(%g, %g, %g) = NaN, softFMA32 gives %g", a, b, c, got)
+		}
+	} else if math.Float32bits(f) != math.Float32bits(got) {
+		t.Fatalf("fma32(%g, %g, %g) = %g (%#08x), softFMA32 gives %g (%#08x)",
+			a, b, c, f, math.Float32bits(f), got, math.Float32bits(got))
 	}
 	if hardwareFMA32 == nil {
 		return
 	}
 	if hw := hardwareFMA32(a, b, c); hw != hw {
 		if got == got {
-			t.Fatalf("fma32(%g, %g, %g) = %g, VFMADD231SS gives NaN", a, b, c, got)
+			t.Fatalf("softFMA32(%g, %g, %g) = %g, VFMADD231SS gives NaN", a, b, c, got)
 		}
 	} else if math.Float32bits(got) != math.Float32bits(hw) {
-		t.Fatalf("fma32(%g, %g, %g) = %g (%#08x), VFMADD231SS gives %g (%#08x)",
+		t.Fatalf("softFMA32(%g, %g, %g) = %g (%#08x), VFMADD231SS gives %g (%#08x)",
 			a, b, c, got, math.Float32bits(got), hw, math.Float32bits(hw))
 	}
 }
@@ -119,8 +137,8 @@ func TestFMA32(t *testing.T) {
 	}
 }
 
-// FuzzFMA32 holds fma32 to the exact rounding on arbitrary float32 bit
-// patterns and, where the host has FMA, to VFMADD231SS.
+// FuzzFMA32 holds softFMA32 to the exact rounding, this build's fma32 and,
+// where the host has FMA, VFMADD231SS on arbitrary float32 bit patterns.
 func FuzzFMA32(f *testing.F) {
 	for _, c := range fmaCases() {
 		f.Add(math.Float32bits(c[0]), math.Float32bits(c[1]), math.Float32bits(c[2]))

@@ -167,21 +167,18 @@ func mulBlockUnrolled(dst, r, s *Matrix, rLo, rHi, sLo, sHi int) {
 			a3 := r3[:d:d]
 			var a00, a01, a10, a11, a20, a21, a30, a31 float32
 			for k := range b0 {
-				// fma32 per cell, each element widened once for the tile.
-				s0k := float64(b0[k])
-				s1k := float64(b1[k])
-				r0k := float64(a0[k])
-				r1k := float64(a1[k])
-				r2k := float64(a2[k])
-				r3k := float64(a3[k])
-				a00 = addRound32(r0k*s0k, a00)
-				a01 = addRound32(r0k*s1k, a01)
-				a10 = addRound32(r1k*s0k, a10)
-				a11 = addRound32(r1k*s1k, a11)
-				a20 = addRound32(r2k*s0k, a20)
-				a21 = addRound32(r2k*s1k, a21)
-				a30 = addRound32(r3k*s0k, a30)
-				a31 = addRound32(r3k*s1k, a31)
+				// Each element loaded once for the tile (and, where fma32
+				// is softFMA32, widened once).
+				s0k, s1k := b0[k], b1[k]
+				r0k, r1k, r2k, r3k := a0[k], a1[k], a2[k], a3[k]
+				a00 = fma32(r0k, s0k, a00)
+				a01 = fma32(r0k, s1k, a01)
+				a10 = fma32(r1k, s0k, a10)
+				a11 = fma32(r1k, s1k, a11)
+				a20 = fma32(r2k, s0k, a20)
+				a21 = fma32(r2k, s1k, a21)
+				a30 = fma32(r3k, s0k, a30)
+				a31 = fma32(r3k, s1k, a31)
 			}
 			d0[j], d0[j+1] = a00, a01
 			d1[j], d1[j+1] = a10, a11
@@ -222,9 +219,12 @@ func dotSeq(a, b []float32) float32 {
 	return acc
 }
 
-// fma32 is a*b+c rounded once to float32 (to nearest, ties to even), as
-// VFMADD231SS computes it: the product is exact in float64.
-func fma32(a, b, c float32) float32 { return addRound32(float64(a)*float64(b), c) }
+// softFMA32 is a*b+c rounded once to float32 (to nearest, ties to even),
+// as VFMADD231SS and FMADDS compute it, in software: the product is exact
+// in float64. It is fma32 on every architecture but arm64, where the
+// compiler fuses a*b+c into FMADDS, and the reference fma32 is tested
+// against everywhere.
+func softFMA32(a, b, c float32) float32 { return addRound32(float64(a)*float64(b), c) }
 
 // addRound32 is p+c rounded once to float32, for a p that float64 holds
 // exactly. Their float64 sum s is rounded once, and float32(s) is right

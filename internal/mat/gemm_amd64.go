@@ -86,7 +86,7 @@ func peakFMAYMM(iters int)
 func peakFMAZMM(iters int)
 
 // fmaSS is the host's fused multiply-add on one float32, VFMADD231SS,
-// which FuzzFMA32 holds the portable fma32 to.
+// which FuzzFMA32 holds the software softFMA32 to.
 func fmaSS(a, b, c float32) float32
 
 var haveAVX512 = haveSIMD && detectAVX512()

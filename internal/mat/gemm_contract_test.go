@@ -10,13 +10,13 @@ import (
 )
 
 // checkCells asserts the GEMM contract on every cell of got = r·sᵀ: the
-// bit pattern equals dotSeq's over the same two rows. A NaN's sign and
+// bit pattern equals refDotSeq's over the same two rows. A NaN's sign and
 // payload depend on operand order, so NaN cells only have to be NaN.
 func checkCells(t *testing.T, got, r, s *Matrix) {
 	t.Helper()
 	for i := 0; i < r.Rows(); i++ {
 		for j := 0; j < s.Rows(); j++ {
-			want, have := dotSeq(r.Row(i), s.Row(j)), got.At(i, j)
+			want, have := refDotSeq(r.Row(i), s.Row(j)), got.At(i, j)
 			if want != want {
 				if have == have {
 					t.Fatalf("cell (%d,%d): got %v, want NaN", i, j, have)

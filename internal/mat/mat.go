@@ -39,8 +39,9 @@
 // — other architectures, amd64 without AVX2 or FMA, the purego build tag
 // — vec.KernelSIMD runs mulBlockUnrolled, a pure-Go 4x2 register tile
 // with the same per-cell steps, which is also the reference the assembly
-// is tested against; the pure-Go kernels call fma32, which is exact but
-// several times slower than the two roundings it replaced.
+// is tested against. The pure-Go kernels call fma32: one FMADDS on arm64,
+// and elsewhere softFMA32, which is exact but several times slower than
+// the two roundings it replaced.
 //
 // # Fused scan
 //

@@ -18,13 +18,13 @@ type cell struct {
 	bits uint32
 }
 
-// refScan is the scan contract's reference: the cells whose dotSeq
+// refScan is the scan contract's reference: the cells whose refDotSeq
 // similarity reaches the row's bound, in (i, j) order.
 func refScan(r, s *Matrix, bound []float32) []cell {
 	var out []cell
 	for i := 0; i < r.Rows(); i++ {
 		for j := 0; j < s.Rows(); j++ {
-			if sim := dotSeq(r.Row(i), s.Row(j)); sim >= bound[i] {
+			if sim := refDotSeq(r.Row(i), s.Row(j)); sim >= bound[i] {
 				out = append(out, cell{i, j, math.Float32bits(sim)})
 			}
 		}
@@ -105,7 +105,7 @@ func TestScanAboveShapes(t *testing.T) {
 					}
 					bound := make([]float32, nr)
 					for i := range bound {
-						on := dotSeq(r.Row(i), s.Row(ns/2))
+						on := refDotSeq(r.Row(i), s.Row(ns/2))
 						bound[i] = []float32{on, float32(math.Inf(-1)), negZero, float32(math.Inf(1)), 0,
 							math.Nextafter32(on, 2), float32(math.NaN())}[(i+nr)%7]
 					}
@@ -183,7 +183,7 @@ func earlyExitCases() []earlyExitCase {
 	// Nothing left after k = 16: the partial sum is already the result
 	// and sits exactly on, one ulp under and one ulp over the bound.
 	r, s := fill(12, 100, map[int]float32{2: 0.6, 9: 0.8}), fill(40, 100, map[int]float32{2: 0.6, 9: 0.8})
-	on := dotSeq(r.Row(0), s.Row(0))
+	on := refDotSeq(r.Row(0), s.Row(0))
 	cases = append(cases, earlyExitCase{"zero suffix on the bound", r, s,
 		bounds(12, on, math.Nextafter32(on, 2), math.Nextafter32(on, -2))})
 
@@ -385,7 +385,7 @@ func checkRaisedBounds(t *testing.T, r, s *Matrix, k int, opts GemmOptions) Scan
 	want := topK{k: k, rows: make([][]cell, r.Rows())}
 	for i := 0; i < r.Rows(); i++ {
 		for j := 0; j < s.Rows(); j++ {
-			if sim := dotSeq(r.Row(i), s.Row(j)); sim == sim {
+			if sim := refDotSeq(r.Row(i), s.Row(j)); sim == sim {
 				want.push(cell{i, j, math.Float32bits(sim)})
 			}
 		}
@@ -485,7 +485,7 @@ func FuzzScanAboveEqualsReference(f *testing.F) {
 		for i := range bound {
 			bound[i] = next()
 			if i%3 == 1 && s.Rows() > 0 {
-				bound[i] = dotSeq(r.Row(i), s.Row(i%s.Rows()))
+				bound[i] = refDotSeq(r.Row(i), s.Row(i%s.Rows()))
 			}
 		}
 		opts := GemmOptions{Threads: 1 + int(k)%2, Kernel: vec.KernelSIMD, BlockRows: 8}

@@ -1,14 +1,14 @@
 package plan
 
 import (
-	"math"
-
 	"ejoin/internal/cost"
 	"ejoin/internal/embstore"
 	"ejoin/internal/relational"
 )
 
-// Optimizer rewrites logical plans and selects physical strategies.
+// Optimizer rewrites logical plans and selects physical strategies. The
+// choice depends only on exact input counts and store residency: nothing
+// learned from executed queries reaches it.
 type Optimizer struct {
 	// Params parametrizes the cost model; zero value uses defaults.
 	Params cost.Params
@@ -24,19 +24,6 @@ type Optimizer struct {
 	// expectedHitRatio), so a warm cache can flip the scan-versus-probe
 	// choice.
 	Store *embstore.Store
-	// Feedback, when set, supplies multiplicative cardinality corrections
-	// learned from executed queries; the optimizer scales its selectivity
-	// and output estimates by them before cost comparison, so strategy
-	// and EXPLAIN cardinalities track the observed workload.
-	Feedback FeedbackSource
-}
-
-// FeedbackSource is the planner's view of the runtime feedback registry:
-// learned observed/estimated ratios for a join of leftTable against
-// rightTable (in the query's original orientation). Implementations must
-// return neutral factors for pairs they have no evidence on.
-type FeedbackSource interface {
-	Corrections(leftTable, rightTable string) cost.Corrections
 }
 
 // NewOptimizer returns an optimizer with default cost parameters.
@@ -69,21 +56,9 @@ func (o *Optimizer) Optimize(root *EJoin) (*EJoin, error) {
 	}
 	// Output cardinality estimate, from the original (pre-reorder) left:
 	// match counts are orientation-independent, and the pre-swap left is
-	// the side the condition is phrased around. The static heuristic is
-	// kept alongside the feedback-corrected value so executed queries can
-	// score both against the observed output.
-	corr := cost.NeutralCorrections()
-	if o.Feedback != nil {
-		corr = o.Feedback.Corrections(inputName(out.Left), inputName(out.Right)).Clamped()
-	}
+	// the side the condition is phrased around.
 	out.StaticRows = estimateJoinRows(out.Spec, out.Left)
 	out.EstRows = out.StaticRows
-	if corr.Rows != 1 && out.EstRows > 0 {
-		out.EstRows = int64(math.Round(float64(out.StaticRows) * corr.Rows))
-		if out.EstRows < 1 {
-			out.EstRows = 1
-		}
-	}
 
 	// Rule 3: smaller (estimated, post-filter) relation becomes the right
 	// (inner) input for cache locality; Figure 10 measures ~35% impact.
@@ -93,12 +68,6 @@ func (o *Optimizer) Optimize(root *EJoin) (*EJoin, error) {
 		estimateRows(out.Left) < estimateRows(out.Right) {
 		out.Left, out.Right = out.Right, out.Left
 		out.Swapped = true
-	}
-	// Corrections were fetched in the original orientation; if the reorder
-	// rule swapped the inputs, swap the side factors with them.
-	ccorr := corr
-	if out.Swapped {
-		ccorr.SelLeft, ccorr.SelRight = corr.SelRight, corr.SelLeft
 	}
 
 	// Rule 4: cost-based access path selection (Table I, Figures 15-17).
@@ -113,7 +82,7 @@ func (o *Optimizer) Optimize(root *EJoin) (*EJoin, error) {
 		}
 		baseL, baseR := baseRows(out.Left), baseRows(out.Right)
 		hitL, hitR := o.expectedHitRatio(out.Left), o.expectedHitRatio(out.Right)
-		choice := params.ChooseJoinStrategyCorrected(baseL, baseR, selL, selR, k, hasIndex(out.Right), hitL, hitR, ccorr)
+		choice := params.ChooseJoinStrategyWarm(baseL, baseR, selL, selR, k, hasIndex(out.Right), hitL, hitR)
 		// An index join without an index would have to build one; allow it
 		// only when the right side actually carries an index.
 		if choice.Strategy == cost.StrategyIndex && !hasIndex(out.Right) {
@@ -283,13 +252,4 @@ func findScan(n Node) *Scan {
 func hasIndex(n Node) bool {
 	s := findScan(n)
 	return s != nil && s.Ref.Index != nil
-}
-
-// inputName is the catalog name of an input subtree's base table.
-func inputName(n Node) string {
-	s := findScan(n)
-	if s == nil {
-		return ""
-	}
-	return s.Ref.Name
 }

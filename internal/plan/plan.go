@@ -167,17 +167,14 @@ type EJoin struct {
 	// Strategy is the physical operator chosen by the planner:
 	// StrategyTensor or StrategyIndex. The executor rejects any other.
 	Strategy cost.Strategy
-	// EstRows is the planner's output cardinality estimate (-1 = none).
-	// Top-k joins emit exactly k matches per surviving left row; threshold
-	// joins start from the crude one-match-per-left-row heuristic, then
-	// scale it by the feedback registry's learned observed/estimated
-	// correction when the optimizer has one — the est-vs-obs gap EXPLAIN
-	// ANALYZE records is what feeds that loop.
+	// EstRows is the output cardinality estimate (-1 = none). Top-k joins
+	// emit exactly k matches per surviving left row; threshold joins use
+	// the crude one-match-per-left-row heuristic. Optimize sets it to
+	// StaticRows; a caller that learns from executed queries may then
+	// scale it, which is what EXPLAIN reports as est_rows.
 	EstRows int64
 	// StaticRows is the uncorrected heuristic estimate EstRows started
-	// from; the two differ only when cardinality feedback applied a
-	// correction. The service compares both against the observed match
-	// count to measure the q-error the feedback removed.
+	// from, kept so both can be scored against the observed match count.
 	StaticRows int64
 	// Estimates holds the cost model's per-strategy estimates.
 	Estimates map[cost.Strategy]float64

@@ -695,6 +695,29 @@ func TestTextColumnNeedsStoreAndIncarnation(t *testing.T) {
 	if _, err := (&Executor{}).ExecuteStreaming(context.Background(), j, 0); err == nil || !strings.Contains(err.Error(), "embedding store") {
 		t.Errorf("executor without a store: err = %v", err)
 	}
+	// Only the probe side lacks an incarnation: the plan is rejected
+	// before the build side is embedded.
+	probeOnly := q
+	if j.Swapped {
+		probeOnly.Right.Table = q.Right.Table.WithIncarnation(0)
+	} else {
+		probeOnly.Left.Table = q.Left.Table.WithIncarnation(0)
+	}
+	if naive, err = NewNaivePlan(probeOnly); err != nil {
+		t.Fatal(err)
+	}
+	if j, err = NewOptimizer().Optimize(naive); err != nil {
+		t.Fatal(err)
+	}
+	if findScan(j.Left).Ref.Table.Incarnation() != 0 {
+		t.Fatal("test needs the incarnation-0 table on the probe side")
+	}
+	if _, err := (&Executor{Store: testStore()}).ExecuteStreaming(context.Background(), j, 0); err == nil || !strings.Contains(err.Error(), "incarnation") {
+		t.Errorf("probe table without an incarnation: err = %v", err)
+	}
+	if n := counted.Calls(); n != 0 {
+		t.Errorf("plan with an unlowerable probe made %d model calls", n)
+	}
 	q.Left.Table, q.Right.Table = q.Left.Table.WithIncarnation(0), q.Right.Table.WithIncarnation(0)
 	naive, err = NewNaivePlan(q)
 	if err != nil {

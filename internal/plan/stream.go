@@ -299,8 +299,9 @@ type Stream struct {
 	limit *exec.Limit
 	top   exec.Operator
 	// leftRows is the probe side's full post-predicate selection, known
-	// at Open (predicates are evaluated once, not per block), so feedback
-	// sees every surviving row even when a LIMIT cuts the stream short.
+	// at Open (predicates are evaluated once, not per block), so
+	// ExecResult.LeftRows holds every surviving row even when a LIMIT cuts
+	// the stream short.
 	leftRows relational.Selection
 }
 
@@ -316,7 +317,13 @@ func (ex *Executor) OpenStream(ctx context.Context, j *EJoin, build *BuildSide, 
 	if err != nil {
 		return nil, err
 	}
+	return ex.openStream(ctx, j, in, build, limit)
+}
+
+// openStream is OpenStream over an already lowered probe input.
+func (ex *Executor) openStream(ctx context.Context, j *EJoin, in *loweredInput, build *BuildSide, limit int) (*Stream, error) {
 	s := &Stream{j: j, build: build, in: in}
+	var err error
 	if s.probe, err = ex.lowerProbe(j, in, build); err != nil {
 		return nil, err
 	}
@@ -462,6 +469,12 @@ func (s *Stream) Finish(ctx context.Context, matches []core.Match) *ExecResult {
 // block-at-a-time. limit > 0 installs a LIMIT short-circuit: the stream
 // stops after limit matches and the result is marked Truncated.
 func (ex *Executor) ExecuteStreaming(ctx context.Context, j *EJoin, limit int) (*ExecResult, error) {
+	// Lower the probe input first: a probe that cannot be lowered fails
+	// the plan before the build side is embedded.
+	in, err := ex.lowerInput(j.Left, ex.BlockRows)
+	if err != nil {
+		return nil, err
+	}
 	build, err := ex.EvalBuild(ctx, j)
 	if err != nil {
 		return nil, err
@@ -472,7 +485,7 @@ func (ex *Executor) ExecuteStreaming(ctx context.Context, j *EJoin, limit int) (
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("plan: execute cancelled after build: %w", err)
 	}
-	s, err := ex.OpenStream(ctx, j, build, limit)
+	s, err := ex.openStream(ctx, j, in, build, limit)
 	if err != nil {
 		return nil, err
 	}

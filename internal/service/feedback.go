@@ -3,15 +3,17 @@ package service
 // The feedback loop's service arm: per-query cardinality recording, the
 // background recall auditor, and the SLO tuner that moves index knobs.
 //
-// Every traced query folds its estimated-vs-observed cardinalities into
-// the feedback registry (the optimizer reads them back as multiplicative
-// corrections on the next plan) and scores the planner's strategy choice
-// against a post-hoc recomputation with observed selectivities (the
-// regret counter). Index-path queries are additionally sampled for an
-// accuracy audit: the probe's top-k is re-derived exactly by brute force
-// over the same pinned MVCC snapshot, off the request path and behind the
-// engine's own admission control, and the observed recall@k drives the
-// tuner toward the cheapest knob setting meeting Config.RecallSLO.
+// Every traced query folds its estimated-vs-observed output cardinality
+// into the feedback registry (PlanQuery scales the next plan's
+// output-rows estimate by the learned factor; the planner's input counts
+// are exact and nothing corrects them) and scores the planner's strategy
+// choice against a post-hoc recomputation with the exact input counts
+// and a warm store (the regret counter). Index-path queries are
+// additionally sampled for an accuracy audit: the probe's top-k is
+// re-derived exactly by brute force over the same pinned MVCC snapshot,
+// off the request path and behind the engine's own admission control,
+// and the observed recall@k drives the tuner toward the cheapest knob
+// setting meeting Config.RecallSLO.
 
 import (
 	"context"
@@ -21,7 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ejoin/internal/core"
 	"ejoin/internal/cost"
 	"ejoin/internal/embstore"
 	"ejoin/internal/feedback"
@@ -149,32 +150,26 @@ func indexKindFor(knobName string) string {
 
 // recordFeedback folds one executed query into the feedback registry:
 // output cardinality (static and corrected estimates against observed
-// matches), per-side effective selectivity (rows that participated in the
-// output versus rows the planner expected to survive filtering), and the
-// post-hoc strategy regret.
+// matches) and the post-hoc strategy regret.
 func (e *Engine) recordFeedback(q *plan.Query, optimized *plan.EJoin, res *plan.ExecResult) {
 	baseL, baseR := q.Left.Table.NumRows(), q.Right.Table.NumRows()
 	if baseL == 0 || baseR == 0 {
 		return
 	}
-	estSelL := float64(len(res.LeftRows)) / float64(baseL)
-	estSelR := float64(len(res.RightRows)) / float64(baseR)
-	distL, distR := distinctSides(res.Matches, baseL, baseR)
-	obsSelL := float64(distL) / float64(baseL)
-	obsSelR := float64(distR) / float64(baseR)
 	e.feedback.RecordJoin(q.Left.Name, q.Right.Name,
-		optimized.StaticRows, optimized.EstRows, int64(len(res.Matches)),
-		estSelL, obsSelL, estSelR, obsSelR)
+		optimized.StaticRows, optimized.EstRows, int64(len(res.Matches)))
 
-	// Regret: re-run access path selection with the selectivities this
-	// query actually exhibited (and a warm cache, which post-execution is
-	// the truth); a different winner means the plan left time on the table.
+	// Regret: re-run access path selection with the exact input counts
+	// this query filtered to and a warm cache, which post-execution is the
+	// truth; a different winner means the plan left time on the table.
 	k := 0
 	if optimized.Spec.Kind == plan.TopKJoin {
 		k = optimized.Spec.K
 	}
 	hasIdx := q.Right.Index != nil
-	choice := e.cfg.CostParams.ChooseJoinStrategyWarm(baseL, baseR, obsSelL, obsSelR, k, hasIdx, 1, 1)
+	selL := float64(len(res.LeftRows)) / float64(baseL)
+	selR := float64(len(res.RightRows)) / float64(baseR)
+	choice := e.cfg.CostParams.ChooseJoinStrategyWarm(baseL, baseR, selL, selR, k, hasIdx, 1, 1)
 	want := choice.Strategy
 	if want == cost.StrategyIndex && !hasIdx {
 		want = cost.StrategyTensor
@@ -182,26 +177,6 @@ func (e *Engine) recordFeedback(q *plan.Query, optimized *plan.EJoin, res *plan.
 	if want != optimized.Strategy {
 		e.feedback.RecordRegret(q.Left.Name, q.Right.Name)
 	}
-}
-
-// distinctSides counts the distinct left and right row ids in matches.
-// Bitsets over the (physical) id spaces, not maps: this runs on the
-// request path for every traced query, and match lists can be large.
-func distinctSides(matches []core.Match, baseL, baseR int) (int, int) {
-	l := make([]uint64, (baseL+63)/64)
-	r := make([]uint64, (baseR+63)/64)
-	distL, distR := 0, 0
-	for _, m := range matches {
-		if w, b := m.Left/64, uint64(1)<<(m.Left%64); w >= 0 && w < len(l) && l[w]&b == 0 {
-			l[w] |= b
-			distL++
-		}
-		if w, b := m.Right/64, uint64(1)<<(m.Right%64); w >= 0 && w < len(r) && r[w]&b == 0 {
-			r[w] |= b
-			distR++
-		}
-	}
-	return distL, distR
 }
 
 // maybeAudit samples one index-path query for an exact re-run. Cheap on

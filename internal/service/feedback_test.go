@@ -3,11 +3,13 @@ package service
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"ejoin/internal/cost"
 	"ejoin/internal/mat"
+	"ejoin/internal/obs"
 	"ejoin/internal/relational"
 	"ejoin/internal/vec"
 	"ejoin/internal/workload"
@@ -229,6 +231,78 @@ func TestFeedbackCorrectsEstimates(t *testing.T) {
 	}
 	if j.RowsFactor <= 1 {
 		t.Fatalf("rows factor %.2f should exceed 1 for an underestimated join", j.RowsFactor)
+	}
+}
+
+// TestZeroMatchQueriesLeaveInputEstimatesExact holds the planner's input
+// pricing to exact counts: a run of zero-match joins corrects the
+// output-rows estimate, but must not shrink the inputs the cost model
+// prices, so the 20th plan's per-strategy estimates and EXPLAIN input
+// cardinalities equal the first plan's.
+func TestZeroMatchQueriesLeaveInputEstimatesExact(t *testing.T) {
+	// Untraced by default; explain requests force the trace that feeds
+	// the feedback loop.
+	e, _ := newTestEngine(t, Config{DisableTracing: true, SlowQueryThreshold: time.Hour})
+	const rows = 512
+	for _, name := range []string{"za", "zb"} {
+		vals := make([]string, rows)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("%s distinct row %d", name, i)
+		}
+		tbl, err := stringTable(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RegisterTable(name, tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := QueryRequest{SQL: "SELECT * FROM za JOIN zb ON SIM(za.text, zb.text) >= 0.999"}
+	// One untraced run warms the store without feeding the loop, so every
+	// plan below prices the same residency.
+	if _, err := e.Query(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	estimates := func() map[cost.Strategy]float64 {
+		q, _, err := e.front.resolve(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, _, _, err := e.PlanQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run.(*engineRun).j.Estimates
+	}
+	var inputs func(n *obs.NodeStats) []int64
+	inputs = func(n *obs.NodeStats) (est []int64) {
+		for _, c := range n.Children {
+			est = append(append(est, c.EstRows), inputs(c)...)
+		}
+		return est
+	}
+	req.Explain = true
+	var firstEst, lastEst map[cost.Strategy]float64
+	var firstIn, lastIn []int64
+	for i := 0; i < 20; i++ {
+		lastEst = estimates()
+		res, err := e.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Matches) != 0 {
+			t.Fatalf("query %d: %d matches, test needs none", i, len(res.Matches))
+		}
+		lastIn = inputs(res.Plan)
+		if i == 0 {
+			firstEst, firstIn = lastEst, lastIn
+		}
+	}
+	if !reflect.DeepEqual(lastEst, firstEst) {
+		t.Errorf("cost estimates drifted over zero-match queries: first %v, 20th %v", firstEst, lastEst)
+	}
+	if !reflect.DeepEqual(lastIn, firstIn) || len(firstIn) == 0 {
+		t.Errorf("input cardinalities drifted over zero-match queries: first %v, 20th %v", firstIn, lastIn)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"ejoin/internal/core"
@@ -121,8 +122,9 @@ func (e *Engine) Query(ctx context.Context, req QueryRequest) (*QueryResult, err
 }
 
 // PlanQuery is the engine's plan step of the query lifecycle (see
-// Backend): pin both sides, optimize, apply the per-table precision knob,
-// and weigh the plan for admission.
+// Backend): pin both sides, optimize, scale the output-rows estimate by
+// the learned feedback factor, apply the per-table precision knob, and
+// weigh the plan for admission.
 func (e *Engine) PlanQuery(q plan.Query) (QueryRun, int64, int64, error) {
 	// Pin each side to its current MVCC version before planning: table,
 	// visibility set, and (when maintained) index are read once here, so
@@ -138,6 +140,11 @@ func (e *Engine) PlanQuery(q plan.Query) (QueryRun, int64, int64, error) {
 	optimized, err := e.opt.Optimize(naive)
 	if err != nil {
 		return nil, 0, 0, err
+	}
+	// Feedback corrects only what the planner cannot count: the output
+	// cardinality. Strategy was already chosen from exact input counts.
+	if f := e.feedback.RowsFactor(q.Left.Name, q.Right.Name); f != 1 && optimized.EstRows > 0 {
+		optimized.EstRows = max(1, int64(math.Round(float64(optimized.StaticRows)*f)))
 	}
 	plan.ApplyPrecisionKnob(optimized, e.JoinPrecision(q.Left.Name, q.Right.Name))
 	// A plan is charged its build side plus one probe block — what the

@@ -195,8 +195,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		calibrated: res.Calibrated,
 	}
 	eng.front = NewFrontend(res, eng.catalog, eng)
-	// The planner consults the learned corrections on every Optimize.
-	eng.opt.Feedback = eng.feedback
 	eng.aud = newAuditor()
 	go eng.auditLoop()
 	return eng, nil
