@@ -24,8 +24,8 @@
 // compact durable state), GET /stats (includes quantization, mutation,
 // and tracing stats), GET /metrics (Prometheus text exposition), GET
 // /debug/queries (slow-query log: recent + worst traces; ?table= and
-// ?min_ms= filter), GET /debug/feedback (the feedback registry: audited
-// recall, learned cardinality corrections, tuner state), GET /debug/pprof/*
+// ?min_ms= filter), GET /debug/feedback (the feedback registry: learned
+// output-cardinality corrections, q-error and regret), GET /debug/pprof/*
 // (with -debug-pprof), GET /healthz (liveness), GET /readyz (readiness:
 // 503 until WAL replay and warm-start complete). Every request carries an
 // X-Request-ID (client-supplied or generated), echoed in the response
@@ -78,14 +78,10 @@ func main() {
 		drain          = flag.Duration("drain", 10*time.Second, "graceful shutdown drain window")
 		dataDir        = flag.String("data-dir", "", "data directory for durable state (empty = memory-only); restarts on the same directory serve warm")
 		segmentBytes   = flag.Int64("segment-bytes", 64<<20, "embedding log segment size before rotation")
-		indexTables    = flag.Bool("index-tables", false, "maintain an IVF vector index per table with a vector column (inserts append; churn re-clusters)")
 		slowThreshold  = flag.Duration("slow-query-threshold", 0, "minimum elapsed time for a trace to enter the slow-query ring (0 = record every query; the worst-N set is kept regardless)")
 		disableTracing = flag.Bool("disable-tracing", false, "skip per-query traces (explain requests still trace; histograms and counters stay on)")
 		execBlockRows  = flag.Int("exec-block-rows", 0, "executor probe-side block size in rows (0 = default 4096); results do not depend on it")
 		debugPprof     = flag.Bool("debug-pprof", false, "expose net/http/pprof under /debug/pprof/")
-		recallSLO      = flag.Float64("recall-slo", 0.95, "audited recall@k target the index auto-tuner drives knobs toward")
-		auditFraction  = flag.Float64("audit-fraction", 0.05, "fraction of index-path queries re-run exactly in the background for recall audits (0 = audits and auto-tuning off)")
-		disableTuning  = flag.Bool("disable-auto-tune", false, "record audits but never move index knobs")
 		calibrateCost  = flag.Bool("calibrate-cost", false, "measure this machine's access/compare/embed costs at boot and plan with them instead of the built-in defaults")
 		shards         = flag.Int("shards", 1, "in-process engine shards (1 = single unsharded engine)")
 		partitioner    = flag.String("partitioner", "hash", "row placement across shards: hash or centroid (ignored with -shards 1)")
@@ -104,17 +100,12 @@ func main() {
 		DataDir:        *dataDir,
 		SegmentBytes:   *segmentBytes,
 
-		IndexTables: *indexTables,
-
 		ExecBlockRows: *execBlockRows,
 
 		DisableTracing:     *disableTracing,
 		SlowQueryThreshold: *slowThreshold,
 
-		RecallSLO:       *recallSLO,
-		AuditFraction:   *auditFraction,
-		DisableAutoTune: *disableTuning,
-		CalibrateCost:   *calibrateCost,
+		CalibrateCost: *calibrateCost,
 	}
 
 	srv := newServer(*debugPprof)
@@ -194,7 +185,7 @@ func main() {
 }
 
 // openBackend opens the sharded router (shards > 1) or one engine,
-// logging what a durable boot recovered and whether recall audits run.
+// logging what a durable boot recovered.
 func openBackend(cfg service.Config, shards int, partitioner string) (backend, error) {
 	if shards > 1 {
 		router, err := shard.Open(shard.Config{Shards: shards, Partitioner: partitioner, Engine: cfg})
@@ -220,10 +211,6 @@ func openBackend(cfg service.Config, shards int, partitioner string) (backend, e
 			log.Printf("ejserve: mutation: wal replayed %d records (%d skipped, %d torn bytes truncated)",
 				m.ReplayedRecords, m.SkippedRecords, m.WAL.TruncatedBytes)
 		}
-	}
-	if cfg.AuditFraction > 0 {
-		log.Printf("ejserve: feedback: auditing %.1f%% of index-path queries against recall SLO %.2f (auto-tune %v)",
-			cfg.AuditFraction*100, cfg.RecallSLO, !cfg.DisableAutoTune)
 	}
 	return engineBackend{engine}, nil
 }

@@ -176,9 +176,8 @@ func (s *server) handleSlowQueries(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, dump)
 }
 
-// handleFeedback dumps the feedback registry: per-table audited recall
-// and knob state, per-join-pair learned corrections and q-error, and the
-// loop's counters.
+// handleFeedback dumps the feedback registry: per-join-pair learned
+// corrections and q-error, and the regret count.
 func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.eng().FeedbackDump())
 }

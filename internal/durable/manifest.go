@@ -36,11 +36,6 @@ type TableEntry struct {
 	// Precision is the table's declared join precision ("" or "auto" when
 	// unset), so per-table quantization opt-ins survive restarts.
 	Precision string `json:"precision,omitempty"`
-	// TunedKnob is the auto-tuner's setting for the table's index search
-	// knob (nprobe/ef); 0 when the tuner has never moved it. It is
-	// re-applied when the index rebuilds at open, so tuning survives
-	// restarts instead of re-learning from the SLO misses that drove it.
-	TunedKnob int `json:"tuned_knob,omitempty"`
 	// Incarnation identifies this registration of the name: drop-then-
 	// recreate under the same name gets a fresh incarnation, so mutation
 	// WAL records from the old table can never replay into the new one.

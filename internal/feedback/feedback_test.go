@@ -97,40 +97,13 @@ func TestQError(t *testing.T) {
 	}
 }
 
-func TestSampleAuditDeterministic(t *testing.T) {
-	r := NewRegistry(0.95)
-	if r.SampleAudit("t", 0) {
-		t.Fatal("fraction 0 must never sample")
-	}
-	// fraction 0.25 fires exactly every 4th call.
-	var fired []int
-	for i := 1; i <= 12; i++ {
-		if r.SampleAudit("t", 0.25) {
-			fired = append(fired, i)
-		}
-	}
-	if len(fired) != 3 || fired[0] != 4 || fired[1] != 8 || fired[2] != 12 {
-		t.Fatalf("fraction 0.25 fired at %v, want [4 8 12]", fired)
-	}
-	// fraction >= 1 fires every call (and >1 clamps).
-	for i := 0; i < 5; i++ {
-		if !r.SampleAudit("u", 2) {
-			t.Fatalf("fraction >1 should clamp to 1 and always fire (call %d)", i)
-		}
-	}
-	// Accumulators are per table.
-	if r.SampleAudit("v", 0.5) {
-		t.Fatal("fresh table's first 0.5 sample should not fire")
-	}
-}
-
 func TestRowsFactorNeutralAndLearned(t *testing.T) {
 	var nilReg *Registry
-	if f := nilReg.RowsFactor("a", "b"); f != 1 || NewRegistry(0.95).RowsFactor("x", "y") != 1 {
+	if f := nilReg.RowsFactor("a", "b"); f != 1 || NewRegistry().RowsFactor("x", "y") != 1 {
 		t.Fatalf("nil registry rows factor = %v, want neutral 1", f)
 	}
 
-	r := NewRegistry(0.95)
+	r := NewRegistry()
 	// Observed output is 4x the static estimate.
 	r.RecordJoin("L", "R", 100, 100, 400)
 	if f := r.RowsFactor("l", "r"); math.Abs(f-4) > 1e-9 { // names canonicalize: mixed case shares state
@@ -143,7 +116,7 @@ func TestRowsFactorNeutralAndLearned(t *testing.T) {
 }
 
 func TestRowsFactorClamped(t *testing.T) {
-	r := NewRegistry(0.95)
+	r := NewRegistry()
 	// A wildly wrong estimate must be clamped, not applied verbatim, in
 	// either direction.
 	r.RecordJoin("a", "b", 1, 1, 1_000_000)
@@ -157,7 +130,7 @@ func TestRowsFactorClamped(t *testing.T) {
 }
 
 func TestQErrorHistogramsRecorded(t *testing.T) {
-	r := NewRegistry(0.95)
+	r := NewRegistry()
 	r.RecordJoin("a", "b", 400, 110, 100)
 	_, _, _, staticTotal := r.QErrStaticHist.Snapshot()
 	_, _, _, corrTotal := r.QErrHist.Snapshot()
@@ -174,116 +147,12 @@ func TestQErrorHistogramsRecorded(t *testing.T) {
 	}
 }
 
-func TestTunerMovesUpOnMissedSLO(t *testing.T) {
-	r := NewRegistry(0.95)
-	r.SetCurrent("t", "ivf", "nprobe", 4)
-
-	// One audit is not enough evidence.
-	r.RecordAudit("t", "ivf", 4, 0.5)
-	if _, _, ok := r.NextKnob("t"); ok {
-		t.Fatal("tuner moved on a single audit sample")
-	}
-	r.RecordAudit("t", "ivf", 4, 0.5)
-	next, reason, ok := r.NextKnob("t")
-	if !ok || next != 6 { // 4 + max(1, 4/2)
-		t.Fatalf("NextKnob = (%d, %q, %v), want (6, _, true)", next, reason, ok)
-	}
-	if moved := r.KnobApplied("t", 6); !moved {
-		t.Fatal("KnobApplied(6) should report a move")
-	}
-	// Evidence resets after a move: no immediate second proposal.
-	if _, _, ok := r.NextKnob("t"); ok {
-		t.Fatal("tuner moved again without fresh audits")
-	}
-	audits, moves, _ := r.Counters()
-	if audits != 2 || moves != 1 {
-		t.Fatalf("counters = (%d, %d), want (2, 1)", audits, moves)
-	}
-}
-
-func TestTunerHysteresisAndFailedFloor(t *testing.T) {
-	r := NewRegistry(0.90)
-	r.SetCurrent("t", "ivf", "nprobe", 8)
-
-	// Recall inside [SLO, SLO+margin): hold, don't oscillate.
-	r.RecordAudit("t", "ivf", 8, 0.91)
-	r.RecordAudit("t", "ivf", 8, 0.91)
-	if _, _, ok := r.NextKnob("t"); ok {
-		t.Fatal("tuner moved inside the hysteresis band")
-	}
-
-	// Fail at 8: floor is set and the knob goes up.
-	r.RecordAudit("t", "ivf", 8, 0.2)
-	r.RecordAudit("t", "ivf", 8, 0.2)
-	r.RecordAudit("t", "ivf", 8, 0.2)
-	next, _, ok := r.NextKnob("t")
-	if !ok || next != 12 {
-		t.Fatalf("NextKnob after failures = (%d, %v), want (12, true)", next, ok)
-	}
-	r.KnobApplied("t", 12)
-
-	// Clears the SLO comfortably at 12: a down move is proposed, but it
-	// must stay above the failed floor of 8. down = 12 - max(1,12/4) = 9.
-	r.RecordAudit("t", "ivf", 12, 1)
-	r.RecordAudit("t", "ivf", 12, 1)
-	next, _, ok = r.NextKnob("t")
-	if !ok || next != 9 {
-		t.Fatalf("down move = (%d, %v), want (9, true)", next, ok)
-	}
-	if next <= 8 {
-		t.Fatalf("down move %d crossed the failed floor 8", next)
-	}
-	r.KnobApplied("t", 9)
-
-	// At 9 the down step (9-2=7) would land at or below the floor: hold.
-	r.RecordAudit("t", "ivf", 9, 1)
-	r.RecordAudit("t", "ivf", 9, 1)
-	if next, _, ok := r.NextKnob("t"); ok {
-		t.Fatalf("proposed %d below/at failed floor", next)
-	}
-}
-
-func TestTunerIgnoresUnknownOrUnindexed(t *testing.T) {
-	r := NewRegistry(0.95)
-	if _, _, ok := r.NextKnob("nosuch"); ok {
-		t.Fatal("tuner acted on an unknown table")
-	}
-	r.RecordAudit("t", "ivf", 0, 0.1) // knob 0: table has no tunable knob
-	r.RecordAudit("t", "ivf", 0, 0.1)
-	if _, _, ok := r.NextKnob("t"); ok {
-		t.Fatal("tuner acted with no live knob set")
-	}
-}
-
-func TestSeedKnobAndTunedKnob(t *testing.T) {
-	r := NewRegistry(0.95)
-	if _, ok := r.TunedKnob("t"); ok {
-		t.Fatal("fresh table reported a tuned knob")
-	}
-	r.SetCurrent("t", "ivf", "nprobe", 4)
-	if _, ok := r.TunedKnob("t"); ok {
-		t.Fatal("SetCurrent must not mark the knob tuned")
-	}
-	r.SeedKnob("T", "ivf", "nprobe", 7) // canonicalizes
-	if knob, ok := r.TunedKnob("t"); !ok || knob != 7 {
-		t.Fatalf("TunedKnob after seed = (%d, %v), want (7, true)", knob, ok)
-	}
-	r.KnobApplied("t", 11)
-	if knob, ok := r.TunedKnob("t"); !ok || knob != 11 {
-		t.Fatalf("TunedKnob after apply = (%d, %v), want (11, true)", knob, ok)
-	}
-}
-
 func TestDropForgetsTableAndJoins(t *testing.T) {
-	r := NewRegistry(0.95)
+	r := NewRegistry()
 	r.RecordJoin("a", "b", 10, 10, 20)
 	r.RecordJoin("b", "c", 10, 10, 20)
-	r.RecordAudit("a", "ivf", 4, 0.9)
 	r.Drop("A")
 	d := r.Dump()
-	if _, ok := d.Tables["a"]; ok {
-		t.Fatal("dropped table still in dump")
-	}
 	if _, ok := d.Joins["a⋈b"]; ok {
 		t.Fatal("dropped table's join pair survived")
 	}
@@ -296,27 +165,15 @@ func TestDropForgetsTableAndJoins(t *testing.T) {
 }
 
 func TestDumpShape(t *testing.T) {
-	r := NewRegistry(0.9)
-	r.SetCurrent("t", "ivf", "nprobe", 4)
-	r.RecordAudit("t", "ivf", 4, 0.8)
+	r := NewRegistry()
+	r.RecordJoin("x", "y", 10, 10, 20)
 	r.RecordRegret("x", "y")
 	d := r.Dump()
-	if d.RecallSLO != 0.9 || d.Audits != 1 || d.Regret != 1 {
+	if d.Regret != 1 || r.Regret() != 1 {
 		t.Fatalf("dump totals wrong: %+v", d)
 	}
-	ts := d.Tables["t"]
-	if ts.Kind != "ivf" || ts.KnobName != "nprobe" || ts.Knob != 4 || ts.Audits != 1 {
-		t.Fatalf("table dump wrong: %+v", ts)
-	}
-	if got := ts.RecallByKnob["4"]; got != 0.8 {
-		t.Fatalf("RecallByKnob[4] = %v, want 0.8", got)
-	}
-}
-
-func TestNewRegistryDefaultsBadSLO(t *testing.T) {
-	for _, slo := range []float64{0, -1, 1.5} {
-		if got := NewRegistry(slo).SLO(); got != 0.95 {
-			t.Fatalf("NewRegistry(%v).SLO() = %v, want default 0.95", slo, got)
-		}
+	j := d.Joins["x⋈y"]
+	if j.Samples != 1 || j.RowsFactor != 2 || j.Regret != 1 {
+		t.Fatalf("join dump wrong: %+v", j)
 	}
 }

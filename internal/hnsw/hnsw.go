@@ -145,33 +145,6 @@ func (ix *Index) DistanceCalls() int64 {
 	return ix.distanceCalls.Load()
 }
 
-// EfSearch returns the default candidate-list width that searches
-// without an explicit Ef override use.
-func (ix *Index) EfSearch() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.cfg.EfSearch
-}
-
-// SetEfSearch changes the default search beam (floored at 1) and returns
-// the applied value. Safe against concurrent searches — this is the knob
-// the recall-SLO tuner adjusts.
-func (ix *Index) SetEfSearch(ef int) int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ef < 1 {
-		ef = 1
-	}
-	ix.cfg.EfSearch = ef
-	return ef
-}
-
-// Knob identifies efSearch as the index's tunable recall/cost knob.
-func (ix *Index) Knob() (string, int) { return "ef", ix.EfSearch() }
-
-// SetKnob applies a new efSearch (vindex.TunableIndex).
-func (ix *Index) SetKnob(v int) int { return ix.SetEfSearch(v) }
-
 func (ix *Index) vector(id int) []float32 {
 	return ix.vectors[id*ix.dim : (id+1)*ix.dim : (id+1)*ix.dim]
 }

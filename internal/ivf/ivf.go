@@ -78,8 +78,7 @@ type Result struct {
 }
 
 // Index is a built IVF-Flat index over unit-norm vectors. Concurrent
-// searches are safe, including against concurrent Add/Recluster calls
-// (mutations take the write lock, probes the read lock).
+// searches are safe.
 type Index struct {
 	cfg       Config
 	dim       int
@@ -178,36 +177,6 @@ func (ix *Index) Dim() int { return ix.dim }
 
 // DistanceCalls returns the comparisons performed by searches so far.
 func (ix *Index) DistanceCalls() int64 { return ix.distanceCalls.Load() }
-
-// NProbe returns the default partitions-per-probe setting that searches
-// without an explicit override use.
-func (ix *Index) NProbe() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.cfg.NProbe
-}
-
-// SetNProbe changes the default partitions-per-probe, clamped to
-// [1, NLists], and returns the applied value. Safe against concurrent
-// searches — this is the knob the recall-SLO tuner adjusts.
-func (ix *Index) SetNProbe(n int) int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	if n > len(ix.lists) {
-		n = len(ix.lists)
-	}
-	ix.cfg.NProbe = n
-	return n
-}
-
-// Knob identifies NProbe as the index's tunable recall/cost knob.
-func (ix *Index) Knob() (string, int) { return "nprobe", ix.NProbe() }
-
-// SetKnob applies a new NProbe (vindex.TunableIndex).
-func (ix *Index) SetKnob(v int) int { return ix.SetNProbe(v) }
 
 // SearchOptions tunes a probe.
 type SearchOptions struct {

@@ -20,4 +20,3 @@ func (ix *Index) TopK(q []float32, k, beam int, filter *relational.Bitmap) ([]vi
 }
 
 var _ vindex.Index = (*Index)(nil)
-var _ vindex.TunableIndex = (*Index)(nil)

@@ -69,13 +69,10 @@ type Hooks struct {
 	// write-ahead barrier). Nil skips logging — the replay path.
 	Persist func(Record) error
 	// BeforePublish runs after the next version is computed but before it
-	// becomes visible; the service uses it to append new vectors to the
-	// table's index so the index always covers every published row (it may
-	// run ahead of older pinned versions — readers mask the excess), and to
-	// move the index and column chunks to a compacted version's rows. An
-	// error aborts the publish; rows the index already absorbed are beyond
-	// every version's row count and stay invisible.
-	BeforePublish func(next *Version, appended *relational.Table) error
+	// becomes visible; the service uses it to move column chunks to a
+	// compacted version's rows, so the first query that pins the version
+	// finds them there.
+	BeforePublish func(next *Version)
 }
 
 // Table is one mutable catalog table: an atomically swappable current
@@ -241,10 +238,7 @@ func (t *Table) Upsert(keyCol string, batch *relational.Table, hooks Hooks) (*Ve
 		return nil, 0, err
 	}
 	if hooks.BeforePublish != nil {
-		if err := hooks.BeforePublish(next, batch); err != nil {
-			t.keys = nil // key map was advanced; force rebuild
-			return nil, 0, err
-		}
+		hooks.BeforePublish(next)
 	}
 	t.cur.Store(next)
 	return next, replaced, nil
@@ -335,10 +329,7 @@ func (t *Table) Delete(keyCol string, delKeys []string, hooks Hooks) (*Version, 
 		return nil, 0, err
 	}
 	if hooks.BeforePublish != nil {
-		if err := hooks.BeforePublish(next, nil); err != nil {
-			t.keys = nil
-			return nil, 0, err
-		}
+		hooks.BeforePublish(next)
 	}
 	t.cur.Store(next)
 	return next, len(retired), nil

@@ -6,8 +6,8 @@
 // index, join. Real context-enhanced workloads churn — documents are
 // corrected, products retired, rows re-scored — and re-ingesting a table
 // to change one row forfeits exactly the amortization the embedding cache
-// and the maintained indexes buy. This package
-// makes row-level change first-class while preserving those wins:
+// buys. This package makes row-level change first-class while preserving
+// that win:
 //
 //   - every mutation is appended to a checksummed WAL (fsync per append)
 //     before it is applied, so a crash replays the tail instead of losing
@@ -18,14 +18,13 @@
 //     observe, a half-applied batch — writers publish a new version with
 //     one atomic pointer swap (copy-on-write, linear version chain);
 //   - upserts and deletes tombstone rows, so a version's row ids stay
-//     stable for the readers pinning it; searches mask tombstones with the
-//     version's live bitmap, and the IVF family re-clusters its coarse
-//     quantizer in the background once the deleted fraction warrants;
+//     stable for the readers pinning it; scans mask tombstones with the
+//     version's live bitmap;
 //   - once tombstones outnumber live rows (and number at least 256), the
 //     mutation publishes the table compacted to its live rows under a
 //     fresh row lineage, so a churned table costs its live rows, not its
 //     history; the version carries the kept list each holder of row ids
-//     (column chunks, the index) follows, and because the rule reads only
+//     (the column chunks) follows, and because the rule reads only
 //     version state, replay compacts at the same generations.
 //
 // Checkpointing folds the current versions into the durable layer's table

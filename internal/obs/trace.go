@@ -19,12 +19,6 @@
 //	materialize  joined-output table construction
 //	wal.append   fsynced WAL append of a mutation batch
 //	apply        MVCC apply + publish of a mutation batch
-//	index.append incremental vector-index maintenance for a mutation batch
-//	audit.brute  exact brute-force re-run of a sampled index probe (attrs:
-//	             rows scanned, recall_permille); the trace's strategy
-//	             reads "audit"
-//	tune         one auto-tuner knob move (attrs: from/to); the trace's
-//	             query text carries table, knob, and reason
 package obs
 
 import (

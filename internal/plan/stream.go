@@ -390,11 +390,9 @@ func (ex *Executor) lowerIndexProbe(j *EJoin, build *BuildSide) (*exec.IndexProb
 		// Index rows are positions within build.rows; remap via BuildRows.
 		return &exec.IndexProbe{Index: built, Cond: ex.indexCond(j), Opts: opts, BuildRows: build.rows}, nil
 	}
-	// The index must cover every physical row; it may cover MORE (under
-	// live mutation the index runs ahead of the generation snapshot a
-	// query pinned — rows appended after the snapshot are indexed but not
-	// visible). The RightFilter below masks both tombstones and
-	// beyond-snapshot entries, so a superset index stays correct.
+	// The index must cover every physical row; it may cover more. The
+	// RightFilter below masks both tombstones and entries beyond the
+	// table's rows, so a superset index stays correct.
 	if ref.Index.Len() < ref.Table.NumRows() {
 		return nil, fmt.Errorf("plan: index over %q has %d entries, table has %d rows",
 			ref.Name, ref.Index.Len(), ref.Table.NumRows())

@@ -329,11 +329,11 @@ func TestPinnedQueryAcrossCompaction(t *testing.T) {
 	}
 }
 
-// An -index-tables table answers the same keys from its IVF index before
-// and after a compaction: the index follows the kept list instead of
-// being rebuilt.
+// A forced index probe answers the same keys before and after a
+// compaction: the per-query index it builds over the compacted rows maps
+// its hits back to the kept rows' ids.
 func TestCompactionKeepsIndexAnswers(t *testing.T) {
-	e, err := Open(Config{Threads: 2, IndexTables: true})
+	e, err := Open(Config{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestCompactionKeepsIndexAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The planner prices a scan below an index at this size, so the probe
-	// is forced; the pin is the engine's, index included.
+	// is forced; the pin is the engine's.
 	index := cost.StrategyIndex
 	opt := &plan.Optimizer{Params: cost.DefaultParams(), ForceStrategy: &index}
 	ex := &plan.Executor{Options: core.Options{Kernel: vec.DefaultKernel()}}
@@ -360,9 +360,6 @@ func TestCompactionKeepsIndexAnswers(t *testing.T) {
 		t.Helper()
 		items, _ := e.PinnedTable("items")
 		probe, _ := e.PinnedTable("probe")
-		if items.Index == nil {
-			t.Fatal("the pinned version has no covering index")
-		}
 		res, _, err := plan.Run(context.Background(), plan.Query{
 			Left:  probe.Bind(plan.TableRef{Name: "probe", VectorColumn: "vec"}),
 			Right: items.Bind(plan.TableRef{Name: "items", VectorColumn: "vec"}),
@@ -401,6 +398,6 @@ func TestCompactionKeepsIndexAnswers(t *testing.T) {
 		t.Fatalf("%d compactions, want 1", st.Compactions)
 	}
 	if after := topKeys(); !reflect.DeepEqual(after, before) {
-		t.Fatalf("IVF answers after the compaction %v, before %v", after, before)
+		t.Fatalf("index answers after the compaction %v, before %v", after, before)
 	}
 }

@@ -112,18 +112,13 @@ func open(cfg Config, fixedRowIDs bool) (*Engine, error) {
 			}
 		}
 		e.catalog.Register(entry.Name, t)
-		e.mut.install(entry.Name, &tableState{mt: e.newTable(entry.Name, inc, t, live, entry.RowGen)})
+		e.mut.install(entry.Name, e.newTable(entry.Name, inc, t, live, entry.RowGen))
 		// Restore the table's precision knob with the table; an invalid
 		// value degrades to exact, never to an error.
 		if p, err := quant.ParsePrecision(entry.Precision); err != nil {
 			d.warnings = append(d.warnings, fmt.Sprintf("table %q: %v (running exact)", entry.Name, err))
 		} else {
 			e.tablePrec.set(entry.Name, p)
-		}
-		// Restore the tuned index knob likewise: attachIndex re-applies it
-		// when the table's index builds below.
-		if entry.TunedKnob > 0 {
-			e.feedback.SeedKnob(entry.Name, "", "", entry.TunedKnob)
 		}
 		kept = append(kept, *entry)
 		d.loadedTables++
@@ -148,7 +143,7 @@ func open(cfg Config, fixedRowIDs bool) (*Engine, error) {
 			e.mut.replaySkipped.Add(1)
 			return nil
 		}
-		applied, aerr := ts.mt.Apply(rec, mutation.Hooks{})
+		applied, aerr := ts.Apply(rec, mutation.Hooks{})
 		if aerr != nil {
 			// An intact record that cannot apply (e.g. schema drift without
 			// an incarnation change) is a consistency bug upstream; keep
@@ -162,7 +157,7 @@ func open(cfg Config, fixedRowIDs bool) (*Engine, error) {
 			return nil
 		}
 		e.mut.replayed.Add(1)
-		cur := ts.mt.Current()
+		cur := ts.Current()
 		if cur.Kept != nil {
 			e.mut.compactions.Add(1)
 		}
@@ -173,14 +168,6 @@ func open(cfg Config, fixedRowIDs bool) (*Engine, error) {
 		return nil, err
 	}
 	e.mut.wal = wal
-	// Indexes build after replay, over each table's final physical rows.
-	if cfg.IndexTables {
-		e.mut.tables.Range(func(_, v any) bool {
-			ts := v.(*tableState)
-			e.attachIndex(ts, ts.mt.Current().Table)
-			return true
-		})
-	}
 
 	// Embedding log: replay into the store via Put (no model calls, no
 	// persist hook), then attach the write-behind persister.
@@ -238,7 +225,6 @@ func (d *durableState) sweepCheckpoints() {
 // queries are not interrupted — stop accepting queries (e.g. drain HTTP)
 // before closing.
 func (e *Engine) Close() error {
-	e.stopAuditor()
 	err := e.closeDurable()
 	if serr := e.store.Close(); err == nil {
 		err = serr
@@ -253,7 +239,6 @@ func (e *Engine) closeDurable() error {
 		return nil
 	}
 	e.store.SetOnInsert(nil)
-	e.WaitForMaintenance()
 	var firstErr error
 	if err := d.persister.Close(); err != nil && firstErr == nil {
 		firstErr = err
@@ -340,16 +325,16 @@ func (e *Engine) Snapshot() (SnapshotInfo, error) {
 	e.mut.mu.Lock()
 	defer e.mut.mu.Unlock()
 	type folded struct {
-		ts       *tableState
+		ts       *mutation.Table
 		gen      uint64
 		oldFiles []string
 	}
 	var folds []folded
 	var foldErr error
 	e.mut.tables.Range(func(k, v any) bool {
-		ts := v.(*tableState)
-		cur := ts.mt.Current()
-		if cur.Gen <= ts.mt.CheckpointGen() {
+		ts := v.(*mutation.Table)
+		cur := ts.Current()
+		if cur.Gen <= ts.CheckpointGen() {
 			return true // unchanged since last checkpoint
 		}
 		name := k.(string)
@@ -365,7 +350,7 @@ func (e *Engine) Snapshot() (SnapshotInfo, error) {
 		tombRel := ""
 		if cur.Dead > 0 {
 			tombRel = d.layout.CheckpointTombRel(name, cur.Gen)
-			st := mutation.TombState{Incarnation: ts.mt.Incarnation, Gen: cur.Gen, Dead: mutation.DeadIDs(cur)}
+			st := mutation.TombState{Incarnation: ts.Incarnation, Gen: cur.Gen, Dead: mutation.DeadIDs(cur)}
 			if err := mutation.WriteTombFile(d.layout.Resolve(tombRel), st); err != nil {
 				foldErr = fmt.Errorf("%w: checkpoint sidecar %q: %v", ErrPersist, name, err)
 				return false
@@ -390,8 +375,7 @@ func (e *Engine) Snapshot() (SnapshotInfo, error) {
 			Rows:        cur.Table.NumRows(),
 			Cols:        cur.Table.NumCols(),
 			Precision:   manifestPrecision(e.tablePrec.get(name)),
-			TunedKnob:   e.tunedKnobFor(name),
-			Incarnation: ts.mt.Incarnation,
+			Incarnation: ts.Incarnation,
 			RowGen:      cur.Gen,
 		})
 		d.mu.Unlock()
@@ -419,7 +403,7 @@ func (e *Engine) Snapshot() (SnapshotInfo, error) {
 	// best-effort remove superseded checkpoint files (a crash here leaves
 	// orphans for the open-time sweep).
 	for _, f := range folds {
-		f.ts.mt.SetCheckpointGen(f.gen)
+		f.ts.SetCheckpointGen(f.gen)
 		for _, rel := range f.oldFiles {
 			_ = os.Remove(d.layout.Resolve(rel))
 		}
@@ -450,7 +434,7 @@ func (e *Engine) Snapshot() (SnapshotInfo, error) {
 func (e *Engine) columnVectors(fn func(fp, input string, vec []float32) bool) {
 	fp := embstore.Fingerprint(e.model)
 	e.mut.tables.Range(func(_, val any) bool {
-		v := val.(*tableState).mt.Current()
+		v := val.(*mutation.Table).Current()
 		n := v.Table.NumRows()
 		for c, f := range v.Table.Schema() {
 			if f.Type != relational.String {
@@ -495,7 +479,7 @@ func (e *Engine) persistTable(name string, t *relational.Table) error {
 	// predecessor's records never do.
 	var inc uint64
 	if ts := e.mut.get(name); ts != nil {
-		inc = ts.mt.Incarnation
+		inc = ts.Incarnation
 	}
 	d.mu.Lock()
 	var stale []string
@@ -515,7 +499,6 @@ func (e *Engine) persistTable(name string, t *relational.Table) error {
 		Rows:        t.NumRows(),
 		Cols:        t.NumCols(),
 		Precision:   manifestPrecision(e.tablePrec.get(name)),
-		TunedKnob:   e.tunedKnobFor(name),
 		Incarnation: inc,
 	})
 	if err := d.manifest.Write(d.layout.ManifestPath()); err != nil {
@@ -564,40 +547,6 @@ func (e *Engine) persistTablePrecision(name string, p quant.Precision) error {
 	}
 	// Table registered but not persisted (e.g. a prior persist failure):
 	// the knob is live in memory; nothing durable to update.
-	return nil
-}
-
-// tunedKnobFor is the manifest's view of a table's tuner state: the
-// tuned knob value, or 0 when the tuner has never moved it.
-func (e *Engine) tunedKnobFor(name string) int {
-	if knob, ok := e.feedback.TunedKnob(name); ok {
-		return knob
-	}
-	return 0
-}
-
-// persistTableKnob mirrors one tuner move into the manifest, so a restart
-// resumes from the tuned setting instead of re-learning it. Memory-only
-// engines return nil immediately.
-func (e *Engine) persistTableKnob(name string, knob int) error {
-	d := e.durable
-	if d == nil {
-		return nil
-	}
-	name = strings.ToLower(name)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i := range d.manifest.Tables {
-		if d.manifest.Tables[i].Name == name {
-			d.manifest.Tables[i].TunedKnob = knob
-			if err := d.manifest.Write(d.layout.ManifestPath()); err != nil {
-				return fmt.Errorf("%w: manifest: %v", ErrPersist, err)
-			}
-			return nil
-		}
-	}
-	// Table registered but not persisted: the knob is live in memory;
-	// nothing durable to update.
 	return nil
 }
 

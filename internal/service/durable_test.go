@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -96,6 +97,70 @@ func TestDurableWarmRestartZeroModelCalls(t *testing.T) {
 		if warm.Matches[i] != cold.Matches[i] {
 			t.Fatalf("match %d differs: %+v vs %+v", i, warm.Matches[i], cold.Matches[i])
 		}
+	}
+}
+
+// TestDurableManifestWithTunerFieldBootsWarm: a data dir whose manifest
+// entry carries "tuned_knob" (what a build with the recall tuner wrote
+// after a knob move) boots with its catalog and serves the repeated query
+// with no model call; the next manifest write drops the field.
+func TestDurableManifestWithTunerFieldBootsWarm(t *testing.T) {
+	dir := t.TempDir()
+	e1, _ := openTestEngine(t, dir)
+	ingestPair(t, e1)
+	cold := runQuery(t, e1)
+	if err := e1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	path := durable.Layout{Dir: dir}.ManifestPath()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	tables, _ := m["tables"].([]any)
+	for _, entry := range tables {
+		if entry := entry.(map[string]any); entry["name"] == "right" {
+			entry["tuned_knob"] = 7
+		}
+	}
+	if raw, err = json.MarshalIndent(m, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"tuned_knob": 7`) {
+		t.Fatalf("manifest has no right-table entry to extend:\n%s", raw)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, counting := openTestEngine(t, dir)
+	defer e2.Close()
+	if st := e2.Stats().Durable; st.LoadedTables != 2 || len(st.Warnings) != 0 {
+		t.Fatalf("recovered %d tables (warnings %v), want 2 and none", st.LoadedTables, st.Warnings)
+	}
+	if got := e2.Tables(); len(got) != 2 || got[0].Name != "left" || got[1].Name != "right" || got[1].Rows != 4 {
+		t.Fatalf("recovered catalog %+v", got)
+	}
+	warm := runQuery(t, e2)
+	if warm.Stats.ModelCalls != 0 || counting.Calls() != 0 {
+		t.Errorf("repeated query reports model_calls %d (model saw %d), want 0", warm.Stats.ModelCalls, counting.Calls())
+	}
+	if len(warm.Matches) != len(cold.Matches) {
+		t.Fatalf("warm matches %d, cold %d", len(warm.Matches), len(cold.Matches))
+	}
+	if _, err := e2.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), "tuned_knob") {
+		t.Fatalf("rewritten manifest still carries tuned_knob:\n%s", raw)
 	}
 }
 

@@ -8,165 +8,8 @@ import (
 	"time"
 
 	"ejoin/internal/cost"
-	"ejoin/internal/mat"
 	"ejoin/internal/obs"
-	"ejoin/internal/relational"
-	"ejoin/internal/vec"
-	"ejoin/internal/workload"
 )
-
-// feedbackCostParams forces the planner onto the index path at test
-// scale: the default probe constants model a cold ANN structure and only
-// favor probing past ~10^5 rows.
-func feedbackCostParams() cost.Params {
-	p := cost.DefaultParams()
-	p.ProbeHop = 0.1
-	p.ProbeWidth = 1.01
-	return p
-}
-
-// feedbackVecTable wraps a matrix as an {id:int64, vec:vector} table.
-func feedbackVecTable(t *testing.T, m *mat.Matrix) *relational.Table {
-	t.Helper()
-	vc := &relational.VectorColumn{Dim: m.Cols()}
-	ids := make([]int64, m.Rows())
-	for i := 0; i < m.Rows(); i++ {
-		ids[i] = int64(i)
-		vc.Data = append(vc.Data, m.Row(i)...)
-	}
-	tbl, err := relational.NewTable(
-		relational.Schema{{Name: "id", Type: relational.Int64}, {Name: "vec", Type: relational.Vector}},
-		[]relational.Column{relational.Int64Column(ids), vc},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tbl
-}
-
-// TestAutoTuneClosesRecallLoopAndPersists is the acceptance path for the
-// feedback loop: an IVF-indexed top-k join starts with nprobe starved to
-// 1, the background auditor measures the recall shortfall by re-running
-// sampled probes exactly, and the SLO tuner walks the knob up until the
-// audited recall@10 estimate clears 0.95. The tuned value then survives a
-// snapshot + restart via the manifest.
-func TestAutoTuneClosesRecallLoopAndPersists(t *testing.T) {
-	const (
-		dim, corpusRows, queryRows, k = 16, 300, 8, 10
-		slo                           = 0.95
-	)
-	cfg := Config{
-		DataDir:            t.TempDir(),
-		Threads:            2,
-		IndexTables:        true,
-		CostParams:         feedbackCostParams(),
-		AuditFraction:      1,
-		RecallSLO:          slo,
-		SlowQueryThreshold: time.Hour,
-	}
-	e, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	corpus := workload.Vectors(31, corpusRows, dim)
-	// Queries are perturbed corpus rows: near-duplicates whose true top-k
-	// concentrates in one IVF list's neighborhood, where nprobe=1 visibly
-	// loses recall.
-	queries := workload.Vectors(32, queryRows, dim)
-	for i := 0; i < queryRows; i++ {
-		src := corpus.Row((i * 37) % corpusRows)
-		dst := queries.Row(i)
-		for d := 0; d < dim; d++ {
-			dst[d] = src[d] + 0.05*dst[d]
-		}
-		vec.Normalize(dst)
-	}
-	if err := e.RegisterTable("corpus", feedbackVecTable(t, corpus)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RegisterTable("queries", feedbackVecTable(t, queries)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.SetIndexKnob("corpus", 1); err != nil {
-		t.Fatal(err)
-	}
-
-	join := &JoinRequest{
-		LeftTable: "queries", LeftColumn: "vec",
-		RightTable: "corpus", RightColumn: "vec",
-		Kind: "topk", K: k,
-	}
-	res, err := e.Query(context.Background(), QueryRequest{Join: join})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Strategy != cost.StrategyIndex.String() {
-		t.Fatalf("test needs the index path, planner chose %s", res.Strategy)
-	}
-
-	// Drive the loop: each served query samples one audit (fraction 1);
-	// WaitForAudits makes its recall measurement — and any tuner move it
-	// triggers — land before the next iteration checks.
-	met := func() bool {
-		ts, ok := e.FeedbackDump().Tables["corpus"]
-		if !ok || ts.Knob <= 1 {
-			return false
-		}
-		return ts.RecallByKnob[fmt.Sprint(ts.Knob)] >= slo
-	}
-	for i := 0; i < 200 && !met(); i++ {
-		if _, err := e.Query(context.Background(), QueryRequest{Join: join}); err != nil {
-			t.Fatal(err)
-		}
-		e.WaitForAudits()
-	}
-	if !met() {
-		t.Fatalf("audited recall never met SLO %.2f: %+v", slo, e.FeedbackDump().Tables["corpus"])
-	}
-	name, tuned, err := e.IndexKnob("corpus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "nprobe" || tuned <= 1 {
-		t.Fatalf("tuner left knob at (%s, %d), want nprobe > 1", name, tuned)
-	}
-	// The move paid off: audited recall at the starved knob is below the
-	// recall at the tuned one.
-	ts := e.FeedbackDump().Tables["corpus"]
-	before, ok := ts.RecallByKnob["1"]
-	if after := ts.RecallByKnob[fmt.Sprint(tuned)]; !ok || before >= after {
-		t.Fatalf("recall at nprobe=1 %v (audited %v), at nprobe=%d %v: tuning did not raise recall", before, ok, tuned, after)
-	}
-	st := e.Stats().Feedback
-	if st.Audits == 0 || st.TunerMoves == 0 {
-		t.Fatalf("loop accounting empty: %+v", st)
-	}
-
-	// The tuned knob must survive a restart on the same directory.
-	if _, err := e.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	name, got, err := e2.IndexKnob("corpus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "nprobe" || got != tuned {
-		t.Fatalf("restart lost the tuned knob: (%s, %d), want (nprobe, %d)", name, got, tuned)
-	}
-	if knob, ok := e2.feedback.TunedKnob("corpus"); !ok || knob != tuned {
-		t.Fatalf("registry not reseeded after restart: (%d, %v)", knob, ok)
-	}
-}
 
 // TestFeedbackCorrectsEstimates checks the cardinality loop: the static
 // estimator pegs a threshold join's output at the left row count, a
@@ -319,64 +162,12 @@ func qerrOf(est, obs int64) float64 {
 // disabled, queries must leave no feedback state behind (the loop rides
 // the traced path only).
 func TestUntracedQueriesSkipFeedback(t *testing.T) {
-	e, _ := newTestEngine(t, Config{DisableTracing: true, AuditFraction: 1})
+	e, _ := newTestEngine(t, Config{DisableTracing: true})
 	if _, err := e.Query(context.Background(), QueryRequest{SQL: testQuery}); err != nil {
 		t.Fatal(err)
 	}
 	d := e.FeedbackDump()
-	if len(d.Joins) != 0 || d.Audits != 0 {
+	if len(d.Joins) != 0 || d.Regret != 0 {
 		t.Fatalf("untraced query left feedback state: %+v", d)
-	}
-}
-
-// TestDisableAutoTuneRecordsButHolds runs the starved-knob loop with
-// tuning off: audits must accrue and show the shortfall, but the knob
-// must not move.
-func TestDisableAutoTuneRecordsButHolds(t *testing.T) {
-	const dim, corpusRows, queryRows = 16, 200, 4
-	cfg := Config{
-		Threads:            2,
-		IndexTables:        true,
-		CostParams:         feedbackCostParams(),
-		AuditFraction:      1,
-		DisableAutoTune:    true,
-		SlowQueryThreshold: time.Hour,
-	}
-	e, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	corpus := workload.Vectors(41, corpusRows, dim)
-	queries := workload.Vectors(42, queryRows, dim)
-	if err := e.RegisterTable("corpus", feedbackVecTable(t, corpus)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RegisterTable("queries", feedbackVecTable(t, queries)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.SetIndexKnob("corpus", 1); err != nil {
-		t.Fatal(err)
-	}
-	join := &JoinRequest{
-		LeftTable: "queries", LeftColumn: "vec",
-		RightTable: "corpus", RightColumn: "vec",
-		Kind: "topk", K: 10,
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := e.Query(context.Background(), QueryRequest{Join: join}); err != nil {
-			t.Fatal(err)
-		}
-		e.WaitForAudits()
-	}
-	st := e.Stats().Feedback
-	if st.Audits == 0 {
-		t.Fatal("audits should still run with auto-tune disabled")
-	}
-	if st.TunerMoves != 0 {
-		t.Fatalf("tuner moved %d times with auto-tune disabled", st.TunerMoves)
-	}
-	if _, knob, err := e.IndexKnob("corpus"); err != nil || knob != 1 {
-		t.Fatalf("knob moved to %d (err %v), want it held at 1", knob, err)
 	}
 }

@@ -1,10 +1,9 @@
 package service
 
 // Live mutation: row-level upsert/delete against registered tables, with
-// WAL-first durability, MVCC snapshots for readers, and incremental index
-// maintenance. The engine-side state here orchestrates the mutation
-// package: one mutation.Table per catalog entry, an optional vector index
-// per table, and the shared WAL on durable engines.
+// WAL-first durability and MVCC snapshots for readers. The engine-side
+// state here orchestrates the mutation package: one mutation.Table per
+// catalog entry and the shared WAL on durable engines.
 
 import (
 	"context"
@@ -16,13 +15,10 @@ import (
 	"sync/atomic"
 
 	"ejoin/internal/embstore"
-	"ejoin/internal/ivf"
-	"ejoin/internal/mat"
 	"ejoin/internal/mutation"
 	"ejoin/internal/obs"
 	"ejoin/internal/plan"
 	"ejoin/internal/relational"
-	"ejoin/internal/vindex"
 )
 
 // mutationState is the engine's live-update arm.
@@ -32,31 +28,22 @@ type mutationState struct {
 	// record can land between "folded into table files" and "log reset"
 	// (it would be discarded unapplied).
 	mu     sync.RWMutex
-	tables sync.Map // canonical name -> *tableState
+	tables sync.Map // canonical name -> *mutation.Table
 
 	// wal is non-nil on durable engines.
 	wal *mutation.WAL
 
-	upserts, deletes         atomic.Int64
-	upsertedRows, deleted    atomic.Int64
-	replaced                 atomic.Int64
-	replayed, replaySkipped  atomic.Int64
-	checkpoints, reclustered atomic.Int64
-	compactions              atomic.Int64
+	upserts, deletes        atomic.Int64
+	upsertedRows, deleted   atomic.Int64
+	replaced                atomic.Int64
+	replayed, replaySkipped atomic.Int64
+	checkpoints             atomic.Int64
+	compactions             atomic.Int64
 }
 
-// tableState pairs one table's MVCC state with its optional index.
-type tableState struct {
-	mt *mutation.Table
-	// idx and vecCol are set when the engine maintains a vector index for
-	// the table (Config.IndexTables and the schema has a vector column).
-	idx    *mutation.IndexState
-	vecCol string
-}
-
-func (m *mutationState) get(name string) *tableState {
+func (m *mutationState) get(name string) *mutation.Table {
 	if v, ok := m.tables.Load(strings.ToLower(name)); ok {
-		return v.(*tableState)
+		return v.(*mutation.Table)
 	}
 	return nil
 }
@@ -64,28 +51,28 @@ func (m *mutationState) get(name string) *tableState {
 // install (re)binds a name to fresh mutation state, returning the
 // predecessor (nil if none). Registration and recovery call it; Drop calls
 // remove. Replacing an existing entry discards the predecessor's
-// generations, key maps, and index — a replaced table starts over, and the
-// old incarnation id keeps any of its WAL records from replaying into the
+// generations and key maps — a replaced table starts over, and the old
+// incarnation id keeps any of its WAL records from replaying into the
 // successor.
-func (m *mutationState) install(name string, ts *tableState) *tableState {
+func (m *mutationState) install(name string, ts *mutation.Table) *mutation.Table {
 	if old, ok := m.tables.Swap(strings.ToLower(name), ts); ok {
-		return old.(*tableState)
+		return old.(*mutation.Table)
 	}
 	return nil
 }
 
-func (m *mutationState) remove(name string) *tableState {
+func (m *mutationState) remove(name string) *mutation.Table {
 	if old, ok := m.tables.LoadAndDelete(strings.ToLower(name)); ok {
-		return old.(*tableState)
+		return old.(*mutation.Table)
 	}
 	return nil
 }
 
 // release drops the column chunks of a table incarnation that has left
 // the catalog (dropped or replaced): no query can pin it again.
-func (e *Engine) release(ts *tableState) {
+func (e *Engine) release(ts *mutation.Table) {
 	if ts != nil {
-		e.dropLineage(ts.mt.Current().Table)
+		e.dropLineage(ts.Current().Table)
 	}
 }
 
@@ -127,60 +114,13 @@ func (e *Engine) newTable(name string, inc uint64, t *relational.Table, live *re
 
 // installMutable wraps a just-registered table in mutation state with a
 // fresh incarnation, returning it for manifest persistence.
-func (e *Engine) installMutable(name string, t *relational.Table) *tableState {
+func (e *Engine) installMutable(name string, t *relational.Table) *mutation.Table {
 	// Fresh contents invalidate whatever the feedback loop learned about
-	// the predecessor (attachIndex below re-registers the knob state).
+	// the predecessor.
 	e.feedback.Drop(name)
-	ts := &tableState{mt: e.newTable(strings.ToLower(name), mutation.NewIncarnation(), t, nil, 0)}
-	e.attachIndex(ts, ts.mt.Current().Table)
+	ts := e.newTable(strings.ToLower(name), mutation.NewIncarnation(), t, nil, 0)
 	e.release(e.mut.install(name, ts))
 	return ts
-}
-
-// attachIndex builds the table's vector index when index maintenance is
-// on and the schema has a vector column. IVF-Flat is the maintained kind:
-// it absorbs inserts by posting-list append and restores recall after
-// churn by re-clustering, without the rebuild HNSW or IVF-PQ would need.
-func (e *Engine) attachIndex(ts *tableState, t *relational.Table) {
-	if !e.cfg.IndexTables {
-		return
-	}
-	col := vectorColumn(t.Schema())
-	if col == "" || t.NumRows() == 0 {
-		return
-	}
-	vc, err := t.Vectors(col)
-	if err != nil {
-		return
-	}
-	m, err := mat.FromFlat(t.NumRows(), vc.Dim, vc.Data)
-	if err != nil {
-		return
-	}
-	idx, err := ivf.Build(m, ivf.Config{})
-	if err != nil {
-		return
-	}
-	// A rebuilt index starts at the config default; if the SLO tuner (or a
-	// manifest restore) settled on a knob for this table, re-apply it so
-	// rebuilds don't silently forget tuned recall.
-	if knob, ok := e.feedback.TunedKnob(ts.mt.Name); ok {
-		idx.SetKnob(knob)
-	}
-	kn, kv := idx.Knob()
-	e.feedback.SetCurrent(ts.mt.Name, "ivf", kn, kv)
-	ts.idx = mutation.NewIndexState(idx, t.Incarnation())
-	ts.vecCol = col
-}
-
-// vectorColumn returns the schema's first vector column name ("" if none).
-func vectorColumn(s relational.Schema) string {
-	for _, f := range s {
-		if f.Type == relational.Vector {
-			return f.Name
-		}
-	}
-	return ""
 }
 
 // MutationResult reports one applied mutation batch.
@@ -199,15 +139,12 @@ type MutationResult struct {
 	Missing int `json:"missing,omitempty"`
 	// LiveRows is the table's visible row count after the batch.
 	LiveRows int `json:"live_rows"`
-	// Reclustering reports that the batch pushed the deleted fraction over
-	// the threshold and a background index re-cluster was scheduled.
-	Reclustering bool `json:"reclustering,omitempty"`
 }
 
-// hooks assembles the WAL-first persist hook and the index-maintenance
-// publish hook for one table. A trace on ctx gets a "wal.append" span per
-// persisted record and an "index.append" span per maintained batch.
-func (e *Engine) hooks(ctx context.Context, ts *tableState) mutation.Hooks {
+// hooks assembles the WAL-first persist hook and the publish hook that
+// carries column chunks across a compaction. A trace on ctx gets a
+// "wal.append" span per persisted record.
+func (e *Engine) hooks(ctx context.Context) mutation.Hooks {
 	tr := obs.FromContext(ctx)
 	h := mutation.Hooks{}
 	if e.mut.wal != nil {
@@ -221,53 +158,12 @@ func (e *Engine) hooks(ctx context.Context, ts *tableState) mutation.Hooks {
 			return nil
 		}
 	}
-	h.BeforePublish = func(next *mutation.Version, appended *relational.Table) error {
-		sp := tr.StartSpan("index.append")
-		if appended != nil {
-			sp.Attr("rows", int64(appended.NumRows()))
-		}
-		err := e.indexAppend(ts, next, appended)
-		sp.End()
-		if err == nil && next.Kept != nil {
+	h.BeforePublish = func(next *mutation.Version) {
+		if next.Kept != nil {
 			e.carryChunks(next)
 		}
-		return err
 	}
 	return h
-}
-
-// indexAppend keeps ts's index covering every published row: new batch
-// vectors are added before the version swap, so the index may run ahead
-// of pinned snapshots but never behind the current one, and a compacted
-// version gets a remapped copy (queries pinned before it keep the old
-// one). Called under the table's writer lock.
-func (e *Engine) indexAppend(ts *tableState, next *mutation.Version, appended *relational.Table) error {
-	if ts.idx == nil {
-		if appended != nil && appended.NumRows() > 0 {
-			// Index maintenance may be on but the table was empty (or
-			// indexing off at registration): build over the full next
-			// version instead.
-			e.attachIndex(ts, next.Table)
-		}
-		return nil
-	}
-	if appended != nil && appended.NumRows() > 0 {
-		vc, err := appended.Vectors(ts.vecCol)
-		if err != nil {
-			return err
-		}
-		m, err := mat.FromFlat(appended.NumRows(), vc.Dim, vc.Data)
-		if err != nil {
-			return err
-		}
-		if err := ts.idx.Index().Add(m); err != nil {
-			return err
-		}
-	}
-	if next.Kept != nil && !ts.idx.Remap(next) {
-		return fmt.Errorf("service: the index of %q cannot follow a compaction", ts.mt.Name)
-	}
-	return nil
 }
 
 // UpsertRows inserts or replaces batch's rows in the named table: a batch
@@ -289,7 +185,7 @@ func (e *Engine) UpsertRows(ctx context.Context, name, keyCol string, batch *rel
 		return MutationResult{}, err
 	}
 	sp := tr.StartSpan("apply")
-	next, replaced, err := ts.mt.Upsert(keyCol, batch, e.hooks(ctx, ts))
+	next, replaced, err := ts.Upsert(keyCol, batch, e.hooks(ctx))
 	if err != nil {
 		sp.End()
 		if !IsBadRequest(err) && !errors.Is(err, ErrPersist) {
@@ -304,13 +200,12 @@ func (e *Engine) UpsertRows(ctx context.Context, name, keyCol string, batch *rel
 	e.mut.upsertedRows.Add(int64(batch.NumRows()))
 	e.mut.replaced.Add(int64(replaced))
 	res := MutationResult{
-		Table:    ts.mt.Name,
+		Table:    ts.Name,
 		Gen:      next.Gen,
 		Upserted: batch.NumRows(),
 		Replaced: replaced,
 		LiveRows: next.NumLive(),
 	}
-	res.Reclustering = e.maybeRecluster(ts, next)
 	e.front.finishTrace(tr, "upsert", "", nil, nil)
 	return res, nil
 }
@@ -323,7 +218,7 @@ func (e *Engine) UpsertCSV(ctx context.Context, name, keyCol string, r io.Reader
 	if ts == nil {
 		return MutationResult{}, badRequest(fmt.Errorf("service: unknown table %q", name))
 	}
-	batch, err := relational.ReadCSV(r, ts.mt.Current().Table.Schema())
+	batch, err := relational.ReadCSV(r, ts.Current().Table.Schema())
 	if err != nil {
 		return MutationResult{}, badRequest(err)
 	}
@@ -344,7 +239,7 @@ func (e *Engine) DeleteRows(ctx context.Context, name, keyCol string, keys []str
 		return MutationResult{}, err
 	}
 	sp := tr.StartSpan("apply")
-	next, removed, err := ts.mt.Delete(keyCol, keys, e.hooks(ctx, ts))
+	next, removed, err := ts.Delete(keyCol, keys, e.hooks(ctx))
 	if err != nil {
 		sp.End()
 		if !IsBadRequest(err) && !errors.Is(err, ErrPersist) {
@@ -358,13 +253,12 @@ func (e *Engine) DeleteRows(ctx context.Context, name, keyCol string, keys []str
 	e.mut.deletes.Add(1)
 	e.mut.deleted.Add(int64(removed))
 	res := MutationResult{
-		Table:    ts.mt.Name,
+		Table:    ts.Name,
 		Gen:      next.Gen,
 		Deleted:  removed,
 		Missing:  len(keys) - removed,
 		LiveRows: next.NumLive(),
 	}
-	res.Reclustering = e.maybeRecluster(ts, next)
 	e.front.finishTrace(tr, "delete", "", nil, nil)
 	return res, nil
 }
@@ -423,22 +317,6 @@ func (e *Engine) releaseRetired(v *mutation.Version) {
 	}
 }
 
-// maybeRecluster evaluates the deleted-fraction trigger for ts's index.
-func (e *Engine) maybeRecluster(ts *tableState, v *mutation.Version) bool {
-	if ts.idx == nil {
-		return false
-	}
-	if ts.idx.MaybeRecluster(v, defaultReclusterFraction) {
-		e.mut.reclustered.Add(1)
-		return true
-	}
-	return false
-}
-
-// defaultReclusterFraction triggers an index re-cluster once 30% of a
-// table's rows are tombstones.
-const defaultReclusterFraction = 0.3
-
 // pinVersions swaps each side of a resolved query to the table's current
 // MVCC version (see PinnedTable.Bind). The pin happens once, before
 // planning — the whole query then executes against that generation
@@ -454,14 +332,11 @@ func (e *Engine) pinVersions(q *plan.Query) {
 }
 
 // PinnedTable is one table's pinned MVCC snapshot, as a query would see
-// it: the generation's physical table, its live-row visibility set (nil
-// when all physical rows are live), and — when a maintained index covers
-// the snapshot — that index with the column it is built over.
+// it: the generation's physical table and its live-row visibility set
+// (nil when all physical rows are live).
 type PinnedTable struct {
-	Table       *relational.Table
-	Visible     relational.Selection
-	Index       vindex.Index
-	IndexColumn string
+	Table   *relational.Table
+	Visible relational.Selection
 }
 
 // PinnedTable pins the named table's current MVCC version. The shard
@@ -473,36 +348,15 @@ func (e *Engine) PinnedTable(name string) (PinnedTable, bool) {
 		t, ok := e.catalog.Get(name)
 		return PinnedTable{Table: t}, ok
 	}
-	v := ts.mt.Current()
-	pt := PinnedTable{Table: v.Table, Visible: v.LiveSel}
-	if ts.idx != nil {
-		if pt.Index = ts.idx.For(v); pt.Index != nil {
-			pt.IndexColumn = ts.vecCol
-		}
-	}
-	return pt, true
+	v := ts.Current()
+	return PinnedTable{Table: v.Table, Visible: v.LiveSel}, true
 }
 
-// Bind points ref at the snapshot: its physical table and live rows, and
-// its index only when that index is built over the column ref joins on.
-// It is the one pin rule for the engine and the shard router.
+// Bind points ref at the snapshot: its physical table and live rows. It
+// is the one pin rule for the engine and the shard router.
 func (pt PinnedTable) Bind(ref plan.TableRef) plan.TableRef {
-	ref.Table, ref.Visible, ref.Index = pt.Table, pt.Visible, nil
-	if pt.Index != nil && ref.VectorColumn != "" && ref.VectorColumn == pt.IndexColumn {
-		ref.Index = pt.Index
-	}
+	ref.Table, ref.Visible = pt.Table, pt.Visible
 	return ref
-}
-
-// WaitForMaintenance blocks until any in-flight background index
-// maintenance (re-clustering) completes — test and shutdown hook.
-func (e *Engine) WaitForMaintenance() {
-	e.mut.tables.Range(func(_, v any) bool {
-		if ts := v.(*tableState); ts.idx != nil {
-			ts.idx.Wait()
-		}
-		return true
-	})
 }
 
 // MutationStats is the live-update arm's observability surface.
@@ -522,10 +376,8 @@ type MutationStats struct {
 	// how many it dropped (stale generation or incarnation).
 	ReplayedRecords int64 `json:"replayed_records"`
 	SkippedRecords  int64 `json:"skipped_records"`
-	// Checkpoints counts snapshot-folded WAL truncations; Reclusters
-	// counts scheduled index re-cluster passes.
+	// Checkpoints counts snapshot-folded WAL truncations.
 	Checkpoints int64 `json:"checkpoints"`
-	Reclusters  int64 `json:"reclusters"`
 	// Compactions counts mutations (replayed ones too) that published a
 	// table compacted to its live rows.
 	Compactions int64 `json:"compactions"`
@@ -545,24 +397,18 @@ func (e *Engine) mutationStats() *MutationStats {
 		ReplayedRecords: m.replayed.Load(),
 		SkippedRecords:  m.replaySkipped.Load(),
 		Checkpoints:     m.checkpoints.Load(),
-		Reclusters:      m.reclustered.Load(),
 		Compactions:     m.compactions.Load(),
 	}
 	if m.wal != nil {
 		ws := m.wal.Stats()
 		st.WAL = &ws
 	}
-	st.Reclusters = 0 // report completed passes, not scheduled ones
 	gens := make(map[string]uint64)
 	m.tables.Range(func(k, v any) bool {
-		ts := v.(*tableState)
-		cur := ts.mt.Current()
+		cur := v.(*mutation.Table).Current()
 		st.Tombstones += int64(cur.Dead)
 		if cur.Gen > 0 {
 			gens[k.(string)] = cur.Gen
-		}
-		if ts.idx != nil {
-			st.Reclusters += ts.idx.Reclusters()
 		}
 		return true
 	})

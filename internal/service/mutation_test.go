@@ -347,81 +347,6 @@ func vecTable(t *testing.T, ids []int64, angles []float64) *relational.Table {
 	return tbl
 }
 
-// TestMutationIndexMaintenance drives the maintained-index path end to
-// end: registration builds an IVF index, upserts extend it before publish,
-// churn past the deleted fraction schedules a background re-cluster, and
-// top-k queries pin a covering index while tombstones stay filtered.
-func TestMutationIndexMaintenance(t *testing.T) {
-	e, err := Open(Config{Threads: 2, IndexTables: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	ids := make([]int64, 20)
-	angles := make([]float64, 20)
-	for i := range ids {
-		ids[i] = int64(i)
-		angles[i] = float64(i) * 0.3
-	}
-	if err := e.RegisterTable("items", vecTable(t, ids, angles)); err != nil {
-		t.Fatal(err)
-	}
-	// One probe at angle 1.55: nearest item is 5 (angle 1.5), runner-up 6.
-	if err := e.RegisterTable("probe", vecTable(t, []int64{0}, []float64{1.55})); err != nil {
-		t.Fatal(err)
-	}
-
-	topOne := func() int {
-		t.Helper()
-		res, err := e.Query(context.Background(), QueryRequest{Join: &JoinRequest{
-			LeftTable: "probe", LeftColumn: "vec",
-			RightTable: "items", RightColumn: "vec",
-			Kind: "topk", K: 1,
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Matches) != 1 {
-			t.Fatalf("topk matches: %+v", res.Matches)
-		}
-		return res.Matches[0].Right
-	}
-
-	if got := topOne(); got != 5 {
-		t.Fatalf("initial top-1 = row %d, want 5", got)
-	}
-
-	// Delete the winner plus enough rows to cross the 30% churn threshold.
-	del, err := e.DeleteRows(context.Background(), "items", "id", []string{"5", "13", "14", "15", "16", "17", "18", "19"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if del.Deleted != 8 {
-		t.Fatalf("delete result %+v", del)
-	}
-	if !del.Reclustering {
-		t.Fatal("40% churn did not schedule a re-cluster")
-	}
-	e.WaitForMaintenance()
-	if st := e.Stats(); st.Mutation.Reclusters != 1 {
-		t.Fatalf("completed reclusters = %d, want 1", st.Mutation.Reclusters)
-	}
-	// Tombstones filtered: the deleted winner must not resurface.
-	if got := topOne(); got != 6 {
-		t.Fatalf("post-delete top-1 = row %d, want runner-up 6", got)
-	}
-
-	// An upsert lands in the index before publish: an exact-probe duplicate
-	// (angle 1.55, new key) becomes the new winner at its appended row id.
-	if _, err := e.UpsertRows(context.Background(), "items", "id", vecTable(t, []int64{99}, []float64{1.55})); err != nil {
-		t.Fatal(err)
-	}
-	if got := topOne(); got != 20 {
-		t.Fatalf("post-upsert top-1 = row %d, want appended row 20", got)
-	}
-}
-
 // TestMutationChurnDoesNotGrowStore: under upsert/delete churn the shared
 // store tracks the tables' live text instead of every text they ever
 // held, and a retired text that is still live in another table keeps its
@@ -471,5 +396,5 @@ func tableGen(e *Engine, name string) (uint64, bool) {
 	if ts == nil {
 		return 0, false
 	}
-	return ts.mt.Gen(), true
+	return ts.Gen(), true
 }

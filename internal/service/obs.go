@@ -95,11 +95,7 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	mw.Counter("ejoin_traced_queries_total", "Queries that carried a trace.", float64(ob.TracedQueries))
 	mw.Gauge("ejoin_slow_log_entries", "Traces retained in the slow-query ring.", float64(ob.SlowLogEntries))
 
-	fb := st.Feedback
-	mw.Counter("ejoin_feedback_audits_total", "Completed online recall audits.", float64(fb.Audits))
-	mw.Counter("ejoin_feedback_audits_dropped_total", "Audit samples shed under queue pressure or audit failure.", float64(fb.AuditsDropped))
-	mw.Counter("ejoin_feedback_tuner_moves_total", "Index knob changes applied by the SLO tuner.", float64(fb.TunerMoves))
-	mw.Counter("ejoin_feedback_regret_total", "Queries whose post-hoc observed costs favored a different strategy.", float64(fb.Regret))
+	mw.Counter("ejoin_feedback_regret_total", "Queries whose post-hoc observed costs favored a different strategy.", float64(st.Feedback.Regret))
 
 	mw.Histogram("ejoin_query_duration_seconds",
 		"End-to-end latency of served queries.", &e.front.obs.latency)
@@ -110,8 +106,6 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	mw.HistogramVec("ejoin_exec_operator_duration_seconds",
 		"Cumulative per-query self time of each pipeline operator.", "operator", &e.byOperator)
 
-	writeFloatHist(mw, "ejoin_feedback_audit_recall",
-		"Observed recall@k from sampled index-path audits.", e.feedback.RecallHist)
 	writeFloatHist(mw, "ejoin_feedback_qerror_corrected",
 		"Q-error of the feedback-corrected output cardinality estimate.", e.feedback.QErrHist)
 	writeFloatHist(mw, "ejoin_feedback_qerror_static",

@@ -126,10 +126,9 @@ func (e *Engine) Query(ctx context.Context, req QueryRequest) (*QueryResult, err
 // the learned feedback factor, apply the per-table precision knob, and
 // weigh the plan for admission.
 func (e *Engine) PlanQuery(q plan.Query) (QueryRun, int64, int64, error) {
-	// Pin each side to its current MVCC version before planning: table,
-	// visibility set, and (when maintained) index are read once here, so
-	// the query sees one generation snapshot end to end regardless of
-	// concurrent upserts/deletes.
+	// Pin each side to its current MVCC version before planning: table and
+	// visibility set are read once here, so the query sees one generation
+	// snapshot end to end regardless of concurrent upserts/deletes.
 	e.pinVersions(&q)
 	// Plan validation rejects malformed conditions (threshold outside
 	// [-1,1], k<=0) — the request's fault, unlike execution failures.
@@ -175,13 +174,10 @@ func (r *engineRun) Run(ctx context.Context, req QueryRequest) (*QueryResult, er
 	e.recordExecShape(res)
 	// Feedback rides the traced path only, like the rest of per-query
 	// observability: untraced deployments opt out of its (small) cost too.
-	// A LIMIT that bites (res.Truncated) censors observed cardinality — the
-	// match count measures the limit, not the join's selectivity — and may
-	// have cut a probe row's result list mid-row, which an audit would
-	// misread as lost recall.
+	// A LIMIT that bites (res.Truncated) censors observed cardinality: the
+	// match count measures the limit, not the join's selectivity.
 	if tr != nil && !res.Truncated {
 		e.recordFeedback(&r.q, optimized, res)
-		e.maybeAudit(&r.q, optimized, res)
 	}
 
 	out := &QueryResult{

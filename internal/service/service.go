@@ -89,13 +89,6 @@ type Config struct {
 	// SegmentBytes rotates embedding log segments past this size
 	// (default 64 MiB).
 	SegmentBytes int64
-	// IndexTables maintains an IVF-Flat vector index per table with a
-	// vector column: inserts append to posting lists, deletes tombstone,
-	// and the coarse quantizer re-clusters in the background once 30% of
-	// a table's rows are tombstones. Off by default — an attached index
-	// makes the planner eligible to pick the approximate index access
-	// path.
-	IndexTables bool
 	// ExecBlockRows is the executor's probe-side block size
 	// (0 = exec.DefaultBlockSize). It trades per-block overhead against
 	// resident bytes (admission charges build side + one block); results
@@ -109,18 +102,6 @@ type Config struct {
 	// queries at least this slow are retained. 0 (the default) retains
 	// every traced query — the worst-N set is kept regardless.
 	SlowQueryThreshold time.Duration
-	// RecallSLO is the audited recall@k target the auto-tuner steers
-	// index knobs toward (default 0.95). Only meaningful with
-	// AuditFraction > 0.
-	RecallSLO float64
-	// AuditFraction samples this fraction of index-path queries for an
-	// online accuracy audit: the probe re-runs exactly (brute force over
-	// the pinned snapshot) off the request path and the observed recall@k
-	// feeds the SLO tuner. 0 (the default) disables auditing.
-	AuditFraction float64
-	// DisableAutoTune keeps the auditor recording recall but never lets
-	// it move index knobs — observe-only mode.
-	DisableAutoTune bool
 	// CalibrateCost measures this machine's relative access/compare/model
 	// costs at engine build (cost.Calibrate — a few microseconds plus 18
 	// model calls) and plans with the result instead of CostParams.
@@ -155,7 +136,7 @@ type Engine struct {
 	durable *durableState
 
 	// mut is the live-mutation arm (see mutation.go): per-table MVCC
-	// state, optional maintained indexes, and (durable engines) the WAL.
+	// state and (durable engines) the WAL.
 	mut mutationState
 	// fixedRowIDs marks a shard engine (OpenShard): its tables never
 	// compact.
@@ -164,11 +145,8 @@ type Engine struct {
 	// tablePrec is the per-table precision knob (see precision.go).
 	tablePrec tablePrecisions
 
-	// feedback is the estimate-vs-observation registry closing the loop
-	// between planner and runtime; aud is the background recall auditor
-	// feeding it (see feedback.go).
+	// feedback is the estimate-vs-observation registry (see feedback.go).
 	feedback   *feedback.Registry
-	aud        *auditor
 	calibrated bool
 
 	counters counters
@@ -191,12 +169,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 		exec:       res.Exec,
 		opt:        res.Opt,
 		catalog:    sqlish.NewCatalog(),
-		feedback:   feedback.NewRegistry(cfg.RecallSLO),
+		feedback:   feedback.NewRegistry(),
 		calibrated: res.Calibrated,
 	}
 	eng.front = NewFrontend(res, eng.catalog, eng)
-	eng.aud = newAuditor()
-	go eng.auditLoop()
 	return eng, nil
 }
 
@@ -304,11 +280,11 @@ func (e *Engine) DropTable(name string) bool {
 	if ok {
 		e.front.PurgeStalePlans()
 		e.tablePrec.drop(name)
-		// Learned corrections and audit history describe the dropped
-		// contents, not the name; a recreated table starts neutral.
+		// Learned corrections describe the dropped contents, not the name;
+		// a recreated table starts neutral.
 		e.feedback.Drop(name)
-		// Purge MVCC state with the table: generations, key maps, index,
-		// and tombstones must not leak into a recreated same-name table
+		// Purge MVCC state with the table: generations, key maps and
+		// tombstones must not leak into a recreated same-name table
 		// (which gets a fresh incarnation, so the old one's WAL records
 		// cannot replay into it either).
 		e.release(e.mut.remove(name))

@@ -69,7 +69,7 @@ type ServerStats struct {
 	// engines.
 	Durable *DurableStats `json:"durable,omitempty"`
 	// Mutation describes the live-update arm: WAL, applied batches,
-	// tombstones, replay, and index re-clustering.
+	// tombstones, replay, and compactions.
 	Mutation *MutationStats `json:"mutation,omitempty"`
 	// Exec describes the execution pipeline: LIMIT-truncated queries,
 	// batch counts, and early-out savings.
@@ -80,8 +80,7 @@ type ServerStats struct {
 	// Cost surfaces the planner's effective cost-model coefficients and
 	// whether they came from machine calibration.
 	Cost CostStats `json:"cost"`
-	// Feedback describes the closed loop: audit counts, tuner moves, and
-	// the recall SLO driving them.
+	// Feedback describes the cardinality-feedback loop: the regret count.
 	Feedback FeedbackStats `json:"feedback"`
 }
 

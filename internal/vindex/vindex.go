@@ -3,12 +3,14 @@
 // The paper frames indexes as "physical access method options" (Section
 // II-B); this interface is that option point — HNSW (graph) and IVF-Flat
 // (inverted file) both implement it, and the planner is agnostic.
+//
+// An index is built once and then only searched. No served table keeps
+// one: the index access path is reached through an index a caller attaches
+// to a plan.TableRef, or through the per-query HNSW build a forced index
+// strategy runs over the build side's embeddings.
 package vindex
 
-import (
-	"ejoin/internal/mat"
-	"ejoin/internal/relational"
-)
+import "ejoin/internal/relational"
 
 // Hit is one probe result.
 type Hit struct {
@@ -32,34 +34,4 @@ type Index interface {
 	// indexes, nprobe for inverted files); <=0 uses the index default.
 	// filter applies the index's pre-filtering semantics.
 	TopK(q []float32, k, beam int, filter *relational.Bitmap) ([]Hit, error)
-}
-
-// MutableIndex is an Index that accepts incremental inserts: the live
-// mutation subsystem appends each upsert batch's vectors instead of
-// rebuilding (construction dominates index cost — Table I's "Build"
-// column — so a serving index must absorb writes in place). Ids are
-// assigned sequentially from Len(), matching the physical row ids of the
-// table the index covers. Deletes are not structural: tombstoned rows are
-// masked by the search-time filter until the table compacts, and then the
-// index follows the table's kept rows (an inverted file remaps its ids).
-type MutableIndex interface {
-	Index
-	// Add appends vecs' rows (normalized copies) with ids Len()..Len()+n-1.
-	// Safe to call concurrently with TopK.
-	Add(vecs *mat.Matrix) error
-}
-
-// TunableIndex is the capability interface for indexes with a runtime
-// recall/cost knob — the default beam a TopK with beam<=0 searches at
-// (NProbe for inverted files, efSearch for graphs). The SLO-driven tuner
-// nudges this knob between audit rounds; implementations must make both
-// methods safe against concurrent TopK calls.
-type TunableIndex interface {
-	Index
-	// Knob returns the knob's name (stable, e.g. "nprobe") and its
-	// current value.
-	Knob() (name string, value int)
-	// SetKnob applies value, clamped to the index's valid range, and
-	// returns the value actually in effect afterwards.
-	SetKnob(value int) int
 }
