@@ -99,8 +99,10 @@ func TestEmbed(t *testing.T) {
 	if em.Rows() != 2 || em.Cols() != 32 {
 		t.Fatalf("shape %dx%d", em.Rows(), em.Cols())
 	}
-	if !em.RowsNormalized(1e-4) {
-		t.Error("embed output not normalized")
+	for i := 0; i < em.Rows(); i++ {
+		if !vec.IsNormalized(em.Row(i), 1e-4) {
+			t.Errorf("embed output row %d not normalized", i)
+		}
 	}
 }
 
@@ -635,32 +637,28 @@ func TestFusedScanConsumersMatchMaterializedScan(t *testing.T) {
 			t.Fatalf("empty input: %v %v, %d and %d matches", err, err2, len(tj.Matches), len(tk.Matches))
 		}
 	}
-	full, err := mat.MulTranspose(left, right, mat.GemmOptions{Threads: 1})
-	if err != nil {
+	full := mat.New(left.Rows(), right.Rows())
+	if err := mat.MulTransposeInto(full, left, right, mat.GemmOptions{Threads: 1}); err != nil {
 		t.Fatal(err)
 	}
 	const threshold, k = 0.3, 3
 	for _, filtered := range []bool{false, true} {
-		var wantJoin, wantTopK []Match
+		var wantJoin []Match
+		var lfw, rfw *relational.Bitmap
+		if filtered {
+			lfw, rfw = lf, rf
+		}
 		for i := 0; i < left.Rows(); i++ {
 			if filtered && !lf.Get(i) {
 				continue
 			}
-			var best []Match
 			for j, sim := range full.Row(i) {
-				if filtered && !rf.Get(j) || sim != sim {
-					continue
-				}
-				if sim >= threshold {
+				if (!filtered || rf.Get(j)) && sim >= threshold {
 					wantJoin = append(wantJoin, Match{Left: i, Right: j, Sim: sim})
 				}
-				best = append(best, Match{Left: i, Right: j, Sim: sim})
 			}
-			sort.SliceStable(best, func(a, b int) bool { return best[a].Sim > best[b].Sim })
-			best = best[:min(k, len(best))]
-			sort.Slice(best, func(a, b int) bool { return best[a].Right < best[b].Right })
-			wantTopK = append(wantTopK, best...)
 		}
+		wantTopK := bruteTopK(full, k, lfw, rfw)
 		for _, opts := range []Options{
 			{Threads: 1},
 			{Threads: 1, Kernel: vec.KernelSIMD},
@@ -742,6 +740,88 @@ func TestFusedScanSkipsFilteredStrips(t *testing.T) {
 	}
 }
 
+// bruteTopK is TensorTopK's answer read off the full product: per left
+// row lf keeps (all if nil), the k best non-NaN cells of the columns rf
+// keeps, ties to the lower column, in (Left, Right) order.
+func bruteTopK(full *mat.Matrix, k int, lf, rf *relational.Bitmap) []Match {
+	var out []Match
+	for i := 0; i < full.Rows(); i++ {
+		if lf != nil && !lf.Get(i) {
+			continue
+		}
+		var best []Match
+		for j, sim := range full.Row(i) {
+			if rf != nil && !rf.Get(j) || sim != sim {
+				continue
+			}
+			best = append(best, Match{Left: i, Right: j, Sim: sim})
+		}
+		sort.SliceStable(best, func(a, b int) bool { return best[a].Sim > best[b].Sim })
+		best = best[:min(k, len(best))]
+		sort.Slice(best, func(a, b int) bool { return best[a].Right < best[b].Right })
+		out = append(out, best...)
+	}
+	return out
+}
+
+// TestTensorTopKSeedMatchesBruteForce holds TensorTopK, whose first 32
+// right rows seed each row's bound before the scan, to the full
+// product's answer bit for bit: right sides shorter than, equal to and
+// longer than the seed, k below and above it and above |right|, ties
+// that straddle the seed's edge, NaN cells, and both filters.
+func TestTensorTopKSeedMatchesBruteForce(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(97))
+	nan := float32(math.NaN())
+	for _, ns := range []int{1, 5, 31, 32, 33, 47, 64, 100, 300} {
+		for _, k := range []int{1, 3, 32, 33, 40, 400} {
+			left, right := randomEmbeddings(rng.Int63(), 21, 40), randomEmbeddings(rng.Int63(), ns, 40)
+			// Row 3's twins sit on both sides of the seed's edge, and one
+			// right row's and one left row's cells are all NaN.
+			for _, j := range []int{31, 32, 33, 70} {
+				if j < ns && ns > 3 {
+					copy(right.Row(j), right.Row(3))
+				}
+			}
+			if ns > 10 {
+				right.Row(10)[7] = nan
+			}
+			left.Row(5)[0] = nan
+			full := mat.New(left.Rows(), right.Rows())
+			if err := mat.MulTransposeInto(full, left, right, mat.GemmOptions{Threads: 1}); err != nil {
+				t.Fatal(err)
+			}
+			lf, rf := relational.NewBitmap(left.Rows()), relational.NewBitmap(ns)
+			for i := 0; i < left.Rows(); i++ {
+				if i%4 != 2 {
+					lf.Set(i)
+				}
+			}
+			for j := 0; j < ns; j++ {
+				if j%3 != 0 {
+					rf.Set(j)
+				}
+			}
+			for _, filtered := range []bool{false, true} {
+				opts := Options{Threads: 1 + rng.Intn(3), Kernel: vec.Kernel(rng.Intn(2))}
+				var lfw, rfw *relational.Bitmap
+				if filtered {
+					opts.LeftFilter, opts.RightFilter = lf, rf
+					lfw, rfw = lf, rf
+				}
+				res, err := TensorTopK(ctx, left, right, k, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameMatchList(t, fmt.Sprintf("|right| %d, k %d, filtered %v", ns, k, filtered), res.Matches, bruteTopK(full, k, lfw, rfw))
+				if st := res.Stats; st.Comparisons != int64(21*ns) || st.KSteps != int64(21*((ns+15)/16)*40) {
+					t.Errorf("|right| %d: %d comparisons over %d k-steps", ns, st.Comparisons, st.KSteps)
+				}
+			}
+		}
+	}
+}
+
 func sameMatchList(t *testing.T, label string, got, want []Match) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -753,4 +833,18 @@ func sameMatchList(t *testing.T, label string, got, want []Match) {
 			t.Fatalf("%s: match %d is %+v, want %+v", label, n, got[n], want[n])
 		}
 	}
+}
+
+// BenchmarkTensorTopK times top-3 on the serving shape, 1024 x 1024
+// unit-norm rows of 100, one thread, in ns per compared pair (the layer
+// that core.topk_ns_pair measures under the server).
+func BenchmarkTensorTopK(b *testing.B) {
+	left, right := randomEmbeddings(1, 1024, 100), randomEmbeddings(2, 1024, 100)
+	opts := Options{Threads: 1, Kernel: vec.KernelSIMD}
+	for b.Loop() {
+		if _, err := TensorTopK(context.Background(), left, right, 3, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(left.Rows()*right.Rows()), "ns/pair")
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ejoin/internal/mat"
@@ -218,7 +219,7 @@ func TestInt8AgreementProperty(t *testing.T) {
 		// disagreement, and the static constant must dominate it on this
 		// domain (dense Gaussian unit vectors) — the claim
 		// Precision.DotErrorBound makes.
-		slack := quant.Int8DotErrorBound(dim, ql.MaxScale(), qr.MaxScale())
+		slack := quant.Int8DotErrorBound(dim, slices.Max(ql.Scales), slices.Max(qr.Scales))
 		if static := float32(quant.PrecisionInt8.DotErrorBound(dim)); slack > static {
 			t.Fatalf("trial %d: dim %d per-pair bound %v exceeds static constant %v on dense embeddings",
 				trial, dim, slack, static)

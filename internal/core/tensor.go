@@ -123,29 +123,40 @@ func TensorJoinBatched(ctx context.Context, left, right *mat.Matrix, threshold f
 	return res, nil
 }
 
+// topKSeed is how many leading right rows TensorTopK computes in full
+// before its scan, to give every left row a bound from the start.
+const topKSeed = 32
+
 // TensorTopK returns, for every left row, its k most similar right rows
 // (exactly, by exhaustive scan) — the scan-side equivalent of the index
 // join's top-k probes used in Figures 15 and 16. It is TensorJoin's scan
 // with one bound per left row: everything qualifies until the row holds k
 // candidates, then only what reaches its k-th best, so most tiles of a
-// long scan are rejected in registers. Filters follow TensorJoin's
-// semantics; a NaN similarity is never a candidate.
+// long scan are rejected in registers. The first topKSeed right rows are
+// multiplied out first (the same bits) and pushed in ascending order, so
+// a row that holds k candidates after them starts the scan of the rest
+// with its k-th best as its bound: any k real candidates bound the true
+// k-th best from below, and the answer is the same. Filters follow
+// TensorJoin's semantics; a NaN similarity is never a candidate.
 func TensorTopK(ctx context.Context, left, right *mat.Matrix, k int, opts Options) (*Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: tensor top-k requires k > 0, got %d", k)
 	}
+	if left.Cols() != right.Cols() {
+		return nil, fmt.Errorf("core: tensor top-k dimensionality mismatch: %d vs %d", left.Cols(), right.Cols())
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: tensor top-k: %w", err)
+	}
 	start := time.Now()
-	nr := left.Rows()
+	nr, seed := left.Rows(), min(topKSeed, right.Rows())
 	k = min(k, right.Rows())
 	// Row i's candidates are heaps[i*k:][:fill[i]], best first. A scan
 	// worker owns whole left rows, so rows need no lock.
 	heaps := make([]Match, nr*k)
 	fill := make([]int, nr)
 	bound := make([]float32, nr)
-	for i := range bound {
-		bound[i] = float32(math.Inf(-1))
-	}
-	visit := func(i, j int, sim float32) {
+	push := func(i, j int, sim float32) {
 		if opts.RightFilter != nil && !opts.RightFilter.Get(j) {
 			return
 		}
@@ -154,10 +165,33 @@ func TensorTopK(ctx context.Context, left, right *mat.Matrix, k int, opts Option
 			bound[i] = heaps[(i+1)*k-1].Sim
 		}
 	}
-	res, err := fusedScan(ctx, "tensor top-k", left, right, bound, opts, func() mat.ScanVisitor { return visit })
+	sims := mat.New(nr, seed)
+	if err := mat.MulTransposeInto(sims, left, right.Slice(0, seed), mat.GemmOptions{Threads: opts.Threads, Kernel: opts.Kernel}); err != nil {
+		return nil, fmt.Errorf("core: tensor top-k: %w", err)
+	}
+	for i := range bound {
+		bound[i] = float32(math.Inf(-1))
+		if opts.LeftFilter != nil && !opts.LeftFilter.Get(i) {
+			continue
+		}
+		for j, sim := range sims.Row(i) {
+			if sim == sim {
+				push(i, j, sim)
+			}
+		}
+	}
+	rest := right.Slice(seed, right.Rows())
+	res, err := fusedScan(ctx, "tensor top-k", left, rest, bound, opts, func() mat.ScanVisitor {
+		return func(i, j int, sim float32) { push(i, seed+j, sim) }
+	})
 	if err != nil {
 		return nil, err
 	}
+	// The seed's cells count as compared pairs and as k-steps run in
+	// full, one per k of every left row and seeded 16-row panel.
+	res.Stats.Comparisons += int64(nr) * int64(seed)
+	res.Stats.KSteps += int64(nr) * int64((seed+15)/16) * int64(left.Cols())
+	res.Stats.PeakIntermediateBytes += sims.SizeBytes()
 	// Rows are already in Left order: sort each by Right and close the
 	// gaps short rows leave.
 	res.Matches = heaps[:0]

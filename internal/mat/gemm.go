@@ -274,12 +274,17 @@ func getPacked(n int) *[]float32 {
 // packPanels lays rows [sLo, sHi) of s out for the micro-kernel:
 // consecutive groups of 16 rows become k-major panels,
 // P[k*16+jj] = s[j0+jj][k], so one k step of 16 output columns is one
-// contiguous 64-byte load. The last panel is zero-padded.
+// contiguous 64-byte load. The last panel is zero-padded. With the ZMM
+// tiles each panel is gathered, 16 rows' k-th elements at a time.
 func packPanels(packed []float32, s *Matrix, sLo, sHi int) {
 	d := s.Cols()
 	for j0 := sLo; j0 < sHi; j0 += panelCols {
 		panel := packed[(j0-sLo)*d : (j0-sLo+panelCols)*d]
 		cols := min(panelCols, sHi-j0)
+		if useZMM {
+			packPanelZMM(&panel[0], &s.Data[j0*d], d, cols)
+			continue
+		}
 		if cols < panelCols {
 			clear(panel)
 		}
@@ -309,13 +314,4 @@ func checkpoints(d int) int {
 // finds the next checkpoint's 16 floats on.
 func factorAt(nc, row, c int) int {
 	return (row/panelCols*nc+c-1)*panelCols + row%panelCols
-}
-
-// MulTranspose allocates and returns r·sᵀ.
-func MulTranspose(r, s *Matrix, opts GemmOptions) (*Matrix, error) {
-	dst := New(r.Rows(), s.Rows())
-	if err := MulTransposeInto(dst, r, s, opts); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }

@@ -79,6 +79,40 @@ func suffixFactors(out []float32, m *Matrix, lo, hi int) {
 	}
 }
 
+// packPanelZMM is packPanels for one panel of cols <= 16 rows of d >= 1
+// elements on AVX-512F, by gathers.
+//
+//go:noescape
+func packPanelZMM(panel, s *float32, d, cols int)
+
+// int8Stats writes, for each of n rows of d elements from x, the
+// largest |x[k]| and the float32 sum of all |x[k]| to out[2j] and
+// out[2j+1].
+//
+//go:noescape
+func int8Stats(x *float32, d, n int, out *float32)
+
+// int8Quant writes the int8 codes of n rows of d elements from x,
+// x[k]*inv[j] rounded to nearest even, four k to a dword: group g of row
+// j, XORed bytewise with flip, at dst + (j/16)*groupStep +
+// (j%16)*rowStep + g*stride, for g < ceil(d/4), the last padded with
+// code 0. sums[j] is row j's sum of codes.
+//
+//go:noescape
+func int8Quant(x *float32, d, n int, inv *float32, dst *byte, rowStep, groupStep, stride int, flip uint32, sums *int32)
+
+// int8TileGE is the int8 filter's 4x32 tile (package doc, "Int8
+// filter"): bit p*16+jj of keep is set unless every one of the four
+// rows' estimates for column p*16+jj of the two panels is below its
+// row's bound.
+//
+//go:noescape
+func int8TileGE(r *byte, ldr int, panel *byte, groups int, corr *int32, col, row, bound *float32) (keep uint32)
+
+// peakDotInt8 runs the int8 tile's arithmetic on registers only, for
+// BenchmarkPeakDotInt8; haveVNNI says whether it may run.
+func peakDotInt8(iters int)
+
 // peakFMAYMM and peakFMAZMM run the tiles' arithmetic on registers
 // only, for BenchmarkPeakMulAdd to measure the ceiling each width of
 // tile is held against; haveAVX512 says whether the second may run.
@@ -90,6 +124,19 @@ func peakFMAZMM(iters int)
 func fmaSS(a, b, c float32) float32
 
 var haveAVX512 = haveSIMD && detectAVX512()
+
+// haveVNNI reports whether the host also has AVX-512 VNNI (CPUID leaf 7
+// ECX bit 11), which the int8 filter's VPDPBUSD needs.
+var haveVNNI = haveAVX512 && detectVNNI()
+
+// useInt8 puts the int8 filter in front of the 4x32 ZMM scan tile. It is
+// set once from CPUID; tests switch it to run the scan with and without.
+var useInt8 = haveVNNI
+
+func detectVNNI() bool {
+	_, _, ecx, _ := cpuid(7, 0)
+	return ecx&(1<<11) != 0
+}
 
 func detectAVX512() bool {
 	// XCR0 bits 5-7: the OS saves the opmask and ZMM state; leaf 7 EBX

@@ -448,6 +448,372 @@ none4z:
 	VZEROUPPER
 	RET
 
+// func int8Stats(x *float32, d, n int, out *float32)
+//
+// For each of n rows of d elements, one after the other from x, the
+// largest |x[k]| and the float32 sum of all |x[k]| go to out[2j] and
+// out[2j+1]: sixteen lanes at a time and the last d%16 elements through
+// a zeroing masked load, so nothing past a row is read. A NaN component
+// makes the sum NaN (the largest may then be anything). Needs AVX-512F.
+TEXT ·int8Stats(SB), NOSPLIT, $0-32
+	MOVQ         x+0(FP), SI
+	MOVQ         d+8(FP), CX
+	MOVQ         n+16(FP), R8
+	MOVQ         out+24(FP), DI
+	MOVL         $0x7fffffff, AX
+	VPBROADCASTD AX, Z8
+	MOVQ         CX, R9
+	ANDQ         $15, R9 // the tail's length
+	MOVL         $1, AX
+	SHLXL        R9, AX, AX
+	DECL         AX
+	KMOVW        AX, K1
+
+statsRow:
+	VPXORD Z0, Z0, Z0 // max |x|
+	VPXORD Z1, Z1, Z1 // sum |x|
+	MOVQ   CX, DX
+	SHRQ   $4, DX
+	JZ     statsTail
+
+statsLoop:
+	VPANDD (SI), Z8, Z2
+	VMAXPS Z2, Z0, Z0
+	VADDPS Z2, Z1, Z1
+	ADDQ   $64, SI
+	DECQ   DX
+	JNZ    statsLoop
+
+statsTail:
+	TESTQ     R9, R9
+	JZ        statsReduce
+	VMOVUPS.Z (SI), K1, Z2
+	VPANDD    Z2, Z8, Z2
+	VMAXPS    Z2, Z0, Z0
+	VADDPS    Z2, Z1, Z1
+	LEAQ      (SI)(R9*4), SI
+
+statsReduce:
+	VEXTRACTF64X4 $1, Z0, Y2
+	VEXTRACTF64X4 $1, Z1, Y3
+	VMAXPS        Y2, Y0, Y0
+	VADDPS        Y3, Y1, Y1
+	VEXTRACTF128  $1, Y0, X2
+	VEXTRACTF128  $1, Y1, X3
+	VMAXPS        X2, X0, X0
+	VADDPS        X3, X1, X1
+	VPERMILPS     $0x4E, X0, X2
+	VPERMILPS     $0x4E, X1, X3
+	VMAXPS        X2, X0, X0
+	VADDPS        X3, X1, X1
+	VPERMILPS     $0xB1, X0, X2
+	VPERMILPS     $0xB1, X1, X3
+	VMAXPS        X2, X0, X0
+	VADDPS        X3, X1, X1
+	VMOVSS        X0, (DI)
+	VMOVSS        X1, 4(DI)
+	ADDQ          $8, DI
+	DECQ          R8
+	JNZ           statsRow
+	VZEROUPPER
+	RET
+
+// One group of four codes, dword g of X1, stored at (DI) and DI moved to
+// the next group's slot R8 bytes on.
+#define STORE_GROUP(g) \
+	VPEXTRD $g, X1, (DI); \
+	ADDQ    R8, DI
+
+// func int8Quant(x *float32, d, n int, inv *float32, dst *byte, rowStep, groupStep, stride int, flip uint32, sums *int32)
+//
+// The int8 codes of n rows of d elements, one after the other from x:
+// q[k] = x[k]*inv[j] rounded to nearest even (VCVTPS2DQ) and saturated
+// to a byte (VPMOVSDB), in groups of four k. Group g of row j, codes
+// 4g..4g+3 XORed bytewise with flip, is the dword at
+// dst + (j/16)*groupStep + (j%16)*rowStep + g*stride, for
+// g < ceil(d/4), the last group padded with code 0; sums[j] is the sum
+// of row j's codes before the flip. Needs AVX-512F.
+TEXT ·int8Quant(SB), NOSPLIT, $0-80
+	MOVQ         x+0(FP), SI
+	MOVQ         d+8(FP), CX
+	MOVQ         n+16(FP), R10
+	MOVQ         inv+24(FP), R11
+	MOVQ         dst+32(FP), R12
+	MOVQ         rowStep+40(FP), R13
+	MOVQ         stride+56(FP), R8
+	MOVL         flip+64(FP), AX
+	VMOVD        AX, X9
+	VPBROADCASTD X9, X9
+	MOVQ         sums+72(FP), BX
+	MOVQ         CX, R9
+	ANDQ         $15, R9 // the tail's length
+	MOVL         $1, AX
+	SHLXL        R9, AX, AX
+	DECL         AX
+	KMOVW        AX, K1
+	XORQ         R14, R14 // j%16
+	MOVQ         R12, R15 // the row's group of 16
+
+quantRow:
+	VBROADCASTSS (R11), Z8
+	MOVQ         R13, DI
+	IMULQ        R14, DI
+	ADDQ         R15, DI
+	VPXORD       Z10, Z10, Z10 // code sums
+	MOVQ         CX, DX
+	SHRQ         $4, DX
+	JZ           quantTail
+
+quantLoop:
+	VMULPS           (SI), Z8, Z0
+	VCVTPS2DQ.RN_SAE Z0, Z0
+	VPADDD           Z0, Z10, Z10
+	VPMOVSDB         Z0, X1
+	VPXOR            X9, X1, X1
+	STORE_GROUP(0)
+	STORE_GROUP(1)
+	STORE_GROUP(2)
+	STORE_GROUP(3)
+	ADDQ             $64, SI
+	DECQ             DX
+	JNZ              quantLoop
+
+quantTail:
+	TESTQ            R9, R9
+	JZ               quantSum
+	VMOVUPS.Z        (SI), K1, Z0
+	LEAQ             (SI)(R9*4), SI
+	VMULPS           Z0, Z8, Z0
+	VCVTPS2DQ.RN_SAE Z0, Z0
+	VPADDD           Z0, Z10, Z10
+	VPMOVSDB         Z0, X1
+	VPXOR            X9, X1, X1
+	STORE_GROUP(0)
+	CMPQ             R9, $4
+	JLE              quantSum
+	STORE_GROUP(1)
+	CMPQ             R9, $8
+	JLE              quantSum
+	STORE_GROUP(2)
+	CMPQ             R9, $12
+	JLE              quantSum
+	STORE_GROUP(3)
+
+quantSum:
+	VEXTRACTI64X4 $1, Z10, Y1
+	VPADDD        Y1, Y10, Y10
+	VEXTRACTI128  $1, Y10, X1
+	VPADDD        X1, X10, X10
+	VPSHUFD       $0x4E, X10, X1
+	VPADDD        X1, X10, X10
+	VPSHUFD       $0xB1, X10, X1
+	VPADDD        X1, X10, X10
+	VMOVD         X10, AX
+	MOVL          AX, (BX)
+	ADDQ          $4, BX
+	ADDQ          $4, R11
+	INCQ          R14
+	CMPQ          R14, $16
+	JLT           quantNext
+	XORQ          R14, R14
+	ADDQ          groupStep+48(FP), R15
+
+quantNext:
+	DECQ R10
+	JNZ  quantRow
+	VZEROUPPER
+	RET
+
+// One row of the int8 tile against one panel: the int32 cell sums in acc
+// become est = s_i*(s_j*dot + b_j) + (c_i*s_j + 2^-100), three fused
+// steps, with s_i and c_i in Z16 and Z17, the panel's s_j and b_j in sj
+// and bj, the floor in Z15 and the row's bound, a NaN one made +Inf, in
+// Z18. The lanes where est is not below the bound (NLT_UQ: a NaN est is
+// kept) are ORed into keep.
+#define CELL_KEEP(acc, sj, bj, keep) \
+	VCVTDQ2PS   acc, acc;            \
+	VFMADD213PS bj, sj, acc;         \
+	VMOVAPS     Z15, Z19;            \
+	VFMADD231PS sj, Z17, Z19;        \
+	VFMADD231PS acc, Z16, Z19;       \
+	VCMPPS      $0x15, Z18, Z19, K2; \
+	KORW        K2, keep, keep
+
+// One row's scale and c at rowoff(R8) and cioff(R8), its bound at
+// boundoff(BX), and its cells against both panels.
+#define ROW_KEEP(rowoff, cioff, boundoff, acc0, acc1) \
+	VBROADCASTSS rowoff(R8), Z16;  \
+	VBROADCASTSS cioff(R8), Z17;   \
+	VBROADCASTSS boundoff(BX), Z18; \
+	VMINPS       Z21, Z18, Z18;    \
+	CELL_KEEP(acc0, Z11, Z12, K1); \
+	CELL_KEEP(acc1, Z13, Z14, K3)
+
+// One k-group of the int8 tile: the two panels' 64 bytes at poff(DX)
+// and poff(DX)(R14*1) into p0 and p1, each row's four codes at roff(AX)
+// from its row pointer broadcast into b0..b3, and eight VPDPBUSD into
+// the accumulators a0..a7, rows 0-3 against the first panel, then the
+// second.
+#define GROUP(poff, roff, p0, p1, b0, b1, b2, b3, a0, a1, a2, a3, a4, a5, a6, a7) \
+	VMOVDQU32    poff(DX), p0;           \
+	VMOVDQU32    poff(DX)(R14*1), p1;    \
+	VPBROADCASTD roff(SI)(AX*1), b0;     \
+	VPBROADCASTD roff(R10)(AX*1), b1;    \
+	VPBROADCASTD roff(R11)(AX*1), b2;    \
+	VPBROADCASTD roff(R12)(AX*1), b3;    \
+	VPDPBUSD     p0, b0, a0;             \
+	VPDPBUSD     p1, b0, a4;             \
+	VPDPBUSD     p0, b1, a1;             \
+	VPDPBUSD     p1, b1, a5;             \
+	VPDPBUSD     p0, b2, a2;             \
+	VPDPBUSD     p1, b2, a6;             \
+	VPDPBUSD     p0, b3, a3;             \
+	VPDPBUSD     p1, b3, a7
+
+// func int8TileGE(r *byte, ldr int, panel *byte, groups int, corr *int32, col, row, bound *float32) (keep uint32)
+//
+// The int8 filter's 4x32 tile (package doc, "Int8 filter"): four rows
+// of codes offset by +128, ldr bytes apart, against two neighbouring
+// panels of signed codes, groups*64 bytes each, the second right after
+// the first. Per k-group one 64-byte load of each panel (four k of 16
+// columns) and a broadcast of each row's four codes feed eight
+// VPDPBUSD, which sum exactly in int32. Even groups go into Z0..Z7,
+// which start from the columns' corr[0..31], D - 128*(code sum) each,
+// and odd ones into Z16..Z23, from 0: sixteen independent sums keep both
+// VPDPBUSD ports busy through its latency. Their sum, exact, is D plus
+// each cell's signed codes' dot. col holds the first panel's 16 scales
+// and 16 b, then the second's; row holds the four rows' scales at 0, 4,
+// 8, 12 and their c 64 bytes on. Bit p*16+jj of keep is set when column
+// p*16+jj's estimate reaches the bound of one of the rows, or is NaN.
+// Needs AVX-512F and AVX-512 VNNI.
+TEXT ·int8TileGE(SB), NOSPLIT, $0-68
+	MOVQ      r+0(FP), SI
+	MOVQ      ldr+8(FP), R9
+	LEAQ      (SI)(R9*1), R10
+	LEAQ      (R10)(R9*1), R11
+	LEAQ      (R11)(R9*1), R12
+	MOVQ      panel+16(FP), DX
+	MOVQ      groups+24(FP), CX
+	MOVQ      CX, R14
+	SHLQ      $6, R14 // the second panel
+	MOVQ      corr+32(FP), AX
+	VMOVDQU32 (AX), Z0
+	VMOVDQU32 64(AX), Z4
+	VMOVDQA32 Z0, Z1
+	VMOVDQA32 Z0, Z2
+	VMOVDQA32 Z0, Z3
+	VMOVDQA32 Z4, Z5
+	VMOVDQA32 Z4, Z6
+	VMOVDQA32 Z4, Z7
+	VPXORD    Z16, Z16, Z16
+	VPXORD    Z17, Z17, Z17
+	VPXORD    Z18, Z18, Z18
+	VPXORD    Z19, Z19, Z19
+	VPXORD    Z20, Z20, Z20
+	VPXORD    Z21, Z21, Z21
+	VPXORD    Z22, Z22, Z22
+	VPXORD    Z23, Z23, Z23
+	XORQ      AX, AX
+	MOVQ      CX, BX
+	SHRQ      $1, BX
+	JZ        tileOdd
+
+tilePairs:
+	GROUP(0, 0, Z8, Z9, Z10, Z11, Z12, Z13, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	GROUP(64, 4, Z24, Z25, Z26, Z27, Z28, Z29, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
+	ADDQ $128, DX
+	ADDQ $8, AX
+	DECQ BX
+	JNZ  tilePairs
+
+tileOdd:
+	TESTQ $1, CX
+	JZ    tileSum
+	GROUP(0, 0, Z8, Z9, Z10, Z11, Z12, Z13, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+
+tileSum:
+	VPADDD Z16, Z0, Z0
+	VPADDD Z17, Z1, Z1
+	VPADDD Z18, Z2, Z2
+	VPADDD Z19, Z3, Z3
+	VPADDD Z20, Z4, Z4
+	VPADDD Z21, Z5, Z5
+	VPADDD Z22, Z6, Z6
+	VPADDD Z23, Z7, Z7
+
+	MOVQ         col+40(FP), DI
+	VMOVUPS      (DI), Z11
+	VMOVUPS      64(DI), Z12
+	VMOVUPS      128(DI), Z13
+	VMOVUPS      192(DI), Z14
+	MOVL         $0x0d800000, AX // 2^-100
+	VPBROADCASTD AX, Z15
+	MOVL         $0x7f800000, AX // +Inf
+	VPBROADCASTD AX, Z21
+	MOVQ         row+48(FP), R8
+	MOVQ         bound+56(FP), BX
+	KXORW        K1, K1, K1
+	KXORW        K3, K3, K3
+	ROW_KEEP(0, 64, 0, Z0, Z4)
+	ROW_KEEP(4, 68, 4, Z1, Z5)
+	ROW_KEEP(8, 72, 8, Z2, Z6)
+	ROW_KEEP(12, 76, 12, Z3, Z7)
+	KMOVW        K1, AX
+	KMOVW        K3, DX
+	SHLL         $16, DX
+	ORL          DX, AX
+	MOVL         AX, keep+64(FP)
+	VZEROUPPER
+	RET
+
+// The lane numbers 0..15, as dwords.
+DATA lanes<>+0(SB)/4, $0
+DATA lanes<>+4(SB)/4, $1
+DATA lanes<>+8(SB)/4, $2
+DATA lanes<>+12(SB)/4, $3
+DATA lanes<>+16(SB)/4, $4
+DATA lanes<>+20(SB)/4, $5
+DATA lanes<>+24(SB)/4, $6
+DATA lanes<>+28(SB)/4, $7
+DATA lanes<>+32(SB)/4, $8
+DATA lanes<>+36(SB)/4, $9
+DATA lanes<>+40(SB)/4, $10
+DATA lanes<>+44(SB)/4, $11
+DATA lanes<>+48(SB)/4, $12
+DATA lanes<>+52(SB)/4, $13
+DATA lanes<>+56(SB)/4, $14
+DATA lanes<>+60(SB)/4, $15
+GLOBL lanes<>(SB), RODATA|NOPTR, $64
+
+// func packPanelZMM(panel, s *float32, d, cols int)
+//
+// packPanels for one panel on AVX-512F: panel[k*16+jj] = s[jj*d+k] for
+// jj < cols and 0 for the lanes past them, k in [0,d), one VGATHERDPS of
+// the 16 rows' k-th elements a step.
+TEXT ·packPanelZMM(SB), NOSPLIT, $0-32
+	MOVQ         panel+0(FP), DI
+	MOVQ         s+8(FP), SI
+	MOVQ         d+16(FP), BX
+	MOVQ         cols+24(FP), CX
+	VPBROADCASTD BX, Z1
+	VPMULLD      lanes<>(SB), Z1, Z1 // jj*d
+	MOVL         $1, AX
+	SHLL         CX, AX
+	DECL         AX
+	KMOVW        AX, K2
+
+gatherLoop:
+	KMOVW      K2, K1
+	VPXORD     Z0, Z0, Z0
+	VGATHERDPS (SI)(Z1*4), K1, Z0
+	VMOVUPS    Z0, (DI)
+	ADDQ       $4, SI
+	ADDQ       $64, DI
+	DECQ       BX
+	JNZ        gatherLoop
+	VZEROUPPER
+	RET
+
 // One row's 16 squares from k = AX on, summed pairwise into 8 lanes.
 #define ROW_SQUARES(rbase, dst, tmp) \
 	VMOVUPS (rbase)(AX*4), dst;   \
@@ -575,6 +941,46 @@ TEXT ·peakFMAZMM(SB), NOSPLIT, $0-8
 	VZEROALL
 	MOVQ iters+0(FP), CX
 	PEAK_LOOP(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9)
+
+// func peakDotInt8(iters int)
+//
+// The int8 tile's ceiling: iters > 0 rounds of a VPDPBUSD into each of
+// sixteen ZMM accumulators, as the tile keeps, on registers only, 1024
+// multiply-adds a round. (Eight would measure its latency, not its
+// ports.) Needs AVX-512 VNNI.
+TEXT ·peakDotInt8(SB), NOSPLIT, $0-8
+	VZEROALL
+	VPXORD Z16, Z16, Z16
+	VPXORD Z17, Z17, Z17
+	VPXORD Z18, Z18, Z18
+	VPXORD Z19, Z19, Z19
+	VPXORD Z20, Z20, Z20
+	VPXORD Z21, Z21, Z21
+	VPXORD Z22, Z22, Z22
+	VPXORD Z23, Z23, Z23
+	MOVQ   iters+0(FP), CX
+
+peakI8:
+	VPDPBUSD Z8, Z9, Z0
+	VPDPBUSD Z8, Z9, Z1
+	VPDPBUSD Z8, Z9, Z2
+	VPDPBUSD Z8, Z9, Z3
+	VPDPBUSD Z8, Z9, Z4
+	VPDPBUSD Z8, Z9, Z5
+	VPDPBUSD Z8, Z9, Z6
+	VPDPBUSD Z8, Z9, Z7
+	VPDPBUSD Z8, Z9, Z16
+	VPDPBUSD Z8, Z9, Z17
+	VPDPBUSD Z8, Z9, Z18
+	VPDPBUSD Z8, Z9, Z19
+	VPDPBUSD Z8, Z9, Z20
+	VPDPBUSD Z8, Z9, Z21
+	VPDPBUSD Z8, Z9, Z22
+	VPDPBUSD Z8, Z9, Z23
+	DECQ     CX
+	JNZ      peakI8
+	VZEROALL
+	RET
 
 // func fmaSS(a, b, c float32) float32
 //

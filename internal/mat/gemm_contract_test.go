@@ -43,7 +43,7 @@ func TestGemmBitIdenticalShapes(t *testing.T) {
 					r, s := randomMatrix(rng, nr, d), randomMatrix(rng, ns, d)
 					for _, k := range []vec.Kernel{vec.KernelScalar, vec.KernelSIMD} {
 						for _, threads := range []int{1, 2} {
-							got, err := MulTranspose(r, s, GemmOptions{Threads: threads, Kernel: k})
+							got, err := product(r, s, GemmOptions{Threads: threads, Kernel: k})
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -63,7 +63,7 @@ func TestGemmBlockingDoesNotChangeBits(t *testing.T) {
 		rng := rand.New(rand.NewSource(43))
 		r, s := randomMatrix(rng, 37, 33), randomMatrix(rng, 41, 33)
 		for _, blk := range [][2]int{{1, 1}, {3, 5}, {16, 16}, {7, 40}, {64, 24}} {
-			got, err := MulTranspose(r, s, GemmOptions{Threads: 2, Kernel: vec.KernelSIMD, BlockRows: blk[0], BlockCols: blk[1]})
+			got, err := product(r, s, GemmOptions{Threads: 2, Kernel: vec.KernelSIMD, BlockRows: blk[0], BlockCols: blk[1]})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +81,7 @@ func TestGemmSlicedInputsBitIdentical(t *testing.T) {
 		const d = 7
 		r, s := randomMatrix(rng, 70, d), randomMatrix(rng, 70, d)
 		opts := GemmOptions{Threads: 1, Kernel: vec.KernelSIMD}
-		whole, err := MulTranspose(r, s, opts)
+		whole, err := product(r, s, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func FuzzGemmBitIdentical(f *testing.F) {
 		}
 		r, s := fill(int(nr)%70+1, int(d)%131+1), fill(int(ns)%70+1, int(d)%131+1)
 		onEachWidth(func(string) {
-			got, err := MulTranspose(r, s, GemmOptions{Threads: 1, Kernel: vec.KernelSIMD})
+			got, err := product(r, s, GemmOptions{Threads: 1, Kernel: vec.KernelSIMD})
 			if err != nil {
 				t.Fatal(err)
 			}

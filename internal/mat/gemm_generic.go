@@ -12,6 +12,12 @@ const haveAVX512 = false
 
 var useZMM = false
 
+// haveVNNI and useInt8 are false likewise: the int8 filter runs only in
+// front of the ZMM tile.
+const haveVNNI = false
+
+var useInt8 = false
+
 func mulPanelSIMD(dst, r, s *Matrix, rLo, rHi, blockCols int) {
 	panic("mat: no SIMD kernel in this build")
 }
@@ -21,5 +27,21 @@ func tileGE(tile *scanTile, r *float32, rows, d int, panel *float32, left int, b
 }
 
 func suffixFactors(out []float32, m *Matrix, lo, hi int) {
+	panic("mat: no SIMD kernel in this build")
+}
+
+func packPanelZMM(panel, s *float32, d, cols int) {
+	panic("mat: no SIMD kernel in this build")
+}
+
+func int8Stats(x *float32, d, n int, out *float32) {
+	panic("mat: no SIMD kernel in this build")
+}
+
+func int8Quant(x *float32, d, n int, inv *float32, dst *byte, rowStep, groupStep, stride int, flip uint32, sums *int32) {
+	panic("mat: no SIMD kernel in this build")
+}
+
+func int8TileGE(r *byte, ldr int, panel *byte, groups int, corr *int32, col, row, bound *float32) uint32 {
 	panic("mat: no SIMD kernel in this build")
 }

@@ -104,6 +104,62 @@
 // +Inf likewise. TestScanAboveEarlyExit holds one input per clause:
 // unordered compare, missing rounding term, overflowing norm, and a
 // panel or half panel read with its neighbour's factors.
+//
+// # Int8 filter
+//
+// On hosts with AVX-512 VNNI (CPUID leaf 7 ECX bit 11; useInt8) a 4x32
+// ZMM tile of the scan is first tested on int8 copies of its rows, and
+// only a tile the test cannot rule out runs the F32 tile. This too is
+// pruning: a tile that runs is today's tile, so the visited set and its
+// bits are the reference's, and only KStepsSkipped, which counts a
+// ruled-out tile's steps, tells the two apart. Each worker quantizes its
+// R rows once (a 4-row strip the first time one of its tiles is tested)
+// and each S block once: per row a scale s = fl(max|x|/127), codes
+// q = round(x*fl(1/s)) to nearest even, and its float32 L1 norm n. The
+// tile sums (q_r + 128)·q_s in int32 with VPDPBUSD, from D − 128·Σq_s
+// per column, which makes each cell D + q_r·q_s exactly (|q_r·q_s| <=
+// 127²·d, and float32 holds every integer to 2^24, so d <= 1024), and
+// keeps cell (i, j) unless
+//
+//	est = s_i·(s_j·(q_i·q_j + D) + β·n_j) + (β·n_i·s_j + 2^-100) < bound[i]
+//
+// with D = ceil(d/4) + 1 and β = 1/2 + (d+16)·2^-16, each product and
+// sum above fused and rounded once, and the compare ordered after a NaN
+// bound is made +Inf: a NaN estimate keeps the cell and nothing reaches
+// a NaN bound. A strip whose bounds are all -Inf skips the test. How
+// many tiles a block tests adapts to how many it keeps (nextBlock).
+//
+// Why est >= F, the cell, for x = r_i and y = s_j with scales a and b,
+// u = 2^-24, P = Σ|x_k·y_k| and d <= 1024, term by term:
+//
+//   - Quantizing. a·fl(1/a) = 1 ± u and x·fl(1/a) is rounded once, so
+//     |x_k − a·q_k| <= a/2 + 3u·|x_k|; |x_k|·fl(1/a) < 127.5, so no
+//     code saturates.
+//   - The products. x·y − (a·q_x)·(b·q_y) = e_x·y + x·e_y − e_x·e_y,
+//     which the first term bounds by (a/2)·|y|₁ + (b/2)·|x|₁ +
+//     d·a·b/4 + 6u·P + (3u/2)·(a·|y|₁ + b·|x|₁) + 9u²·P. The d·a·b/4
+//     is D's ceil(d/4); TestInt8FilterHardCases holds a cell that needs
+//     it.
+//   - fmaSeq. F is within ((1+u)^d − 1)·P + d·2^-150 of x·y.
+//   - The norms. n is a float32 sum of d terms, so |x|₁ <= n·(1+d·u),
+//     and P <= max|x|·|y|₁ <= 127·(1+u)·a·|y|₁.
+//   - The estimate's own four roundings, at most 2.01u of the sum of the
+//     magnitudes of its terms, where a·b·|q_x·q_y| <= 127·a·(|y|₁ +
+//     d·b/2)·(1+3u), plus 2^-150 an underflow.
+//
+// Gathered, the coefficient of a·|y|₁ needed is at most 1/2 +
+// 128(d+8)u, which β·(1 − (d+4)u) exceeds; that of b·|x|₁ is below
+// 1/2 + 3u; that of a·b is d/4 + 128·d·u + 2.01u·D < D; and the floor
+// 2^-100 covers every absolute term, (d + a + 3)·2^-150 with a <= 2^33.
+// A row the inequality does not cover — a NaN or infinite component or
+// L1 norm, or a largest |x| outside [2^-40, 2^40] other than 0, where a
+// product could overflow or a scale be subnormal — gets scale 0 and
+// factor β·n = +Inf, so each estimate it enters is +Inf or NaN and its
+// tiles are kept; a zero row gets scale 0 and factor 0, and its cells
+// are exactly 0. FuzzInt8FilterConservative drives the tile on its own
+// with rows of raw bit patterns, one-hot, huge, tiny, denormal and
+// non-normalized rows and bounds on a cell's refDotSeq, and fails if a
+// column with a reaching cell is ruled out.
 package mat
 
 import (
@@ -127,23 +183,6 @@ func New(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("mat: negative dimensions %dx%d", rows, cols))
 	}
 	return &Matrix{RowsN: rows, ColsN: cols, Data: make([]float32, rows*cols)}
-}
-
-// FromRows builds a matrix whose rows are copies of the given equal-length
-// vectors. It returns an error if rows have inconsistent lengths.
-func FromRows(rows [][]float32) (*Matrix, error) {
-	if len(rows) == 0 {
-		return New(0, 0), nil
-	}
-	d := len(rows[0])
-	m := New(len(rows), d)
-	for i, r := range rows {
-		if len(r) != d {
-			return nil, fmt.Errorf("mat: row %d has dim %d, want %d", i, len(r), d)
-		}
-		copy(m.Data[i*d:(i+1)*d], r)
-	}
-	return m, nil
 }
 
 // FromFlat wraps an existing row-major backing slice without copying.
@@ -193,21 +232,6 @@ func (m *Matrix) NormalizeRows() {
 	for i := 0; i < m.RowsN; i++ {
 		vec.Normalize(m.Row(i))
 	}
-}
-
-// RowsNormalized reports whether every row is unit-norm within eps
-// (zero rows excluded).
-func (m *Matrix) RowsNormalized(eps float32) bool {
-	for i := 0; i < m.RowsN; i++ {
-		r := m.Row(i)
-		if vec.Norm(r) == 0 {
-			continue
-		}
-		if !vec.IsNormalized(r, eps) {
-			return false
-		}
-	}
-	return true
 }
 
 // SizeBytes returns the backing storage size in bytes (4 bytes per FP32),

@@ -34,23 +34,6 @@ func TestNewPanicsOnNegative(t *testing.T) {
 	New(-1, 2)
 }
 
-func TestFromRows(t *testing.T) {
-	m, err := FromRows([][]float32{{1, 2}, {3, 4}, {5, 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows() != 3 || m.Cols() != 2 || m.At(2, 1) != 6 {
-		t.Errorf("FromRows = %+v", m)
-	}
-	if _, err := FromRows([][]float32{{1, 2}, {3}}); err == nil {
-		t.Error("expected ragged-rows error")
-	}
-	empty, err := FromRows(nil)
-	if err != nil || empty.Rows() != 0 {
-		t.Errorf("FromRows(nil) = %v, %v", empty, err)
-	}
-}
-
 func TestFromFlat(t *testing.T) {
 	m, err := FromFlat(2, 2, []float32{1, 2, 3, 4})
 	if err != nil {
@@ -65,7 +48,7 @@ func TestFromFlat(t *testing.T) {
 }
 
 func TestSlice(t *testing.T) {
-	m, _ := FromRows([][]float32{{1}, {2}, {3}, {4}})
+	m, _ := FromFlat(4, 1, []float32{1, 2, 3, 4})
 	s := m.Slice(1, 3)
 	if s.Rows() != 2 || s.At(0, 0) != 2 || s.At(1, 0) != 3 {
 		t.Errorf("Slice = %+v", s)
@@ -84,7 +67,7 @@ func TestSlice(t *testing.T) {
 }
 
 func TestClone(t *testing.T) {
-	m, _ := FromRows([][]float32{{1, 2}})
+	m, _ := FromFlat(1, 2, []float32{1, 2})
 	c := m.Clone()
 	c.Set(0, 0, 9)
 	if m.At(0, 0) != 1 {
@@ -93,9 +76,9 @@ func TestClone(t *testing.T) {
 }
 
 func TestNormalizeRows(t *testing.T) {
-	m, _ := FromRows([][]float32{{3, 4}, {0, 0}, {1, 0}})
+	m, _ := FromFlat(3, 2, []float32{3, 4, 0, 0, 1, 0})
 	m.NormalizeRows()
-	if !m.RowsNormalized(1e-5) {
+	if !vec.IsNormalized(m.Row(0), 1e-5) || !vec.IsNormalized(m.Row(2), 1e-5) {
 		t.Error("rows not normalized")
 	}
 	if m.At(1, 0) != 0 || m.At(1, 1) != 0 {
@@ -104,8 +87,8 @@ func TestNormalizeRows(t *testing.T) {
 }
 
 func TestEqualMatrix(t *testing.T) {
-	a, _ := FromRows([][]float32{{1, 2}})
-	b, _ := FromRows([][]float32{{1, 2.0000001}})
+	a, _ := FromFlat(1, 2, []float32{1, 2})
+	b, _ := FromFlat(1, 2, []float32{1, 2.0000001})
 	if !Equal(a, b, 1e-3) {
 		t.Error("expected equal")
 	}
@@ -113,6 +96,12 @@ func TestEqualMatrix(t *testing.T) {
 	if Equal(a, c, 1) {
 		t.Error("shape mismatch must not be equal")
 	}
+}
+
+// product is r·sᵀ by MulTransposeInto into a new matrix.
+func product(r, s *Matrix, opts GemmOptions) (*Matrix, error) {
+	dst := New(r.Rows(), s.Rows())
+	return dst, MulTransposeInto(dst, r, s, opts)
 }
 
 // reference computes r·sᵀ naively for comparison.
@@ -150,7 +139,7 @@ func TestMulTransposeMatchesReference(t *testing.T) {
 		want := reference(r, s)
 		for _, k := range []vec.Kernel{vec.KernelScalar, vec.KernelSIMD} {
 			for _, threads := range []int{1, 2, 4} {
-				got, err := MulTranspose(r, s, GemmOptions{Threads: threads, Kernel: k, BlockRows: 16, BlockCols: 16})
+				got, err := product(r, s, GemmOptions{Threads: threads, Kernel: k, BlockRows: 16, BlockCols: 16})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -165,7 +154,7 @@ func TestMulTransposeMatchesReference(t *testing.T) {
 func TestMulTransposeErrors(t *testing.T) {
 	r := New(2, 3)
 	s := New(2, 4)
-	if _, err := MulTranspose(r, s, GemmOptions{}); err == nil {
+	if _, err := product(r, s, GemmOptions{}); err == nil {
 		t.Error("expected inner-dimension error")
 	}
 	dst := New(1, 1)
@@ -189,7 +178,7 @@ func TestMulTransposeIdentityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	r := randomMatrix(rng, 20, 50)
 	r.NormalizeRows()
-	d, err := MulTranspose(r, r, GemmOptions{Kernel: vec.KernelSIMD})
+	d, err := product(r, r, GemmOptions{Kernel: vec.KernelSIMD})
 	if err != nil {
 		t.Fatal(err)
 	}

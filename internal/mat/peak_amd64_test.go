@@ -33,3 +33,18 @@ func BenchmarkPeakMulAdd(b *testing.B) {
 	run("YMM", peakFMAYMM, 128, true)
 	run("ZMM", peakFMAZMM, 256, haveAVX512)
 }
+
+// BenchmarkPeakDotInt8 is the measured ceiling for the int8 filter's
+// tile: VPDPBUSD into sixteen ZMM accumulators on registers only, in
+// GOP/s counting each int8 multiply-add as two operations, as
+// BenchmarkPeakMulAdd counts a fused multiply-add.
+func BenchmarkPeakDotInt8(b *testing.B) {
+	if !haveVNNI {
+		b.Skip("no AVX-512 VNNI on this host, so no VPDPBUSD tile to hold to it")
+	}
+	const rounds = 1 << 16
+	for b.Loop() {
+		peakDotInt8(rounds)
+	}
+	b.ReportMetric(16*64*2*rounds*float64(b.N)/b.Elapsed().Seconds()/1e9, "GOP/s")
+}

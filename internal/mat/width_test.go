@@ -8,13 +8,15 @@ import (
 	"ejoin/internal/vec"
 )
 
-// tileWidth is one register width of the assembly's 4-row tiles.
+// tileWidth is one form of the assembly's 4-row tiles: a register width
+// and, on ZMM, whether the int8 filter runs in front of the tile.
 type tileWidth struct {
 	name string
 	zmm  bool // the AVX-512F form (useZMM)
+	int8 bool // the int8 filter in front of it (useInt8)
 }
 
-var tileWidths = []tileWidth{{"YMM", false}, {"ZMM", true}}
+var tileWidths = []tileWidth{{"YMM", false, false}, {"ZMM", true, false}, {"ZMM+int8", true, true}}
 
 // missing says why this build or host cannot run w, or "" if it can.
 func (w tileWidth) missing() string {
@@ -23,15 +25,21 @@ func (w tileWidth) missing() string {
 		return "no assembly tile in this build or on this host (it needs amd64 with AVX2 and FMA and no purego tag)"
 	case w.zmm && !haveAVX512:
 		return "no AVX-512F on this host, so the ZMM tile is not tested here"
+	case w.int8 && !haveVNNI:
+		return "no AVX-512 VNNI on this host, so the int8 filter is not tested here"
 	}
 	return ""
 }
 
-// use switches the tiles to w; the returned func switches them back.
+// use switches the tiles to w, the int8 filter on every shape it can
+// run on; the returned func switches them back.
 func (w tileWidth) use() (restore func()) {
-	old := useZMM
-	useZMM = w.zmm
-	return func() { useZMM = old }
+	oldZMM, oldInt8, oldRows, oldCols := useZMM, useInt8, int8MinRows, int8MinCols
+	useZMM, useInt8 = w.zmm, w.int8
+	if w.int8 {
+		int8MinRows, int8MinCols = 0, 0
+	}
+	return func() { useZMM, useInt8, int8MinRows, int8MinCols = oldZMM, oldInt8, oldRows, oldCols }
 }
 
 // eachWidth runs f as one subtest (or sub-benchmark) per tile width, and
@@ -96,10 +104,12 @@ func sameWork(t *testing.T, label string, got, want ScanStats) {
 // sameWork).
 func TestTileWidths(t *testing.T) {
 	width := "the portable kernels"
-	if haveSIMD {
-		width = map[bool]string{false: "YMM", true: "ZMM"}[useZMM]
+	for _, w := range tileWidths {
+		if haveSIMD && w.zmm == useZMM && w.int8 == useInt8 {
+			width = w.name
+		}
 	}
-	t.Logf("assembly tiles: %v, AVX-512F: %v; KernelSIMD runs %s", haveSIMD, haveAVX512, width)
+	t.Logf("assembly tiles: %v, AVX-512F: %v, AVX-512 VNNI: %v; KernelSIMD runs %s", haveSIMD, haveAVX512, haveVNNI, width)
 	rng := rand.New(rand.NewSource(79))
 	r, s := randomMatrix(rng, 64, 100), randomMatrix(rng, 200, 100)
 	r.NormalizeRows()
@@ -149,7 +159,7 @@ func TestTileWidths(t *testing.T) {
 					sameWorkAsFirst(t, "top-3 of "+label, top)
 					steps, skipped = steps+st.KSteps+top.KSteps, skipped+st.KStepsSkipped+top.KStepsSkipped
 				}
-				prod, err := MulTranspose(c.r, c.s, opts[0])
+				prod, err := product(c.r, c.s, opts[0])
 				if err != nil {
 					t.Fatal(err)
 				}

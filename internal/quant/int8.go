@@ -27,7 +27,7 @@ type Int8Matrix struct {
 
 // EncodeInt8 quantizes a float32 matrix to int8 with a per-row symmetric
 // scale. Zero rows encode with scale 0. Round-trip error is bounded per
-// element by scale/2 (see ReconstructionErrorBound).
+// element by scale/2, half a quantization step.
 func EncodeInt8(m *mat.Matrix) *Int8Matrix {
 	out := &Int8Matrix{
 		RowsN:  m.Rows(),
@@ -83,18 +83,6 @@ func (m *Int8Matrix) Row(i int) []int8 {
 // Scale returns row i's dequantization scale.
 func (m *Int8Matrix) Scale(i int) float32 { return m.Scales[i] }
 
-// MaxScale returns the largest per-row scale — the input to the exact
-// per-matrix-pair dot error bound.
-func (m *Int8Matrix) MaxScale() float32 {
-	var s float32
-	for _, x := range m.Scales {
-		if x > s {
-			s = x
-		}
-	}
-	return s
-}
-
 // Decode reconstructs the float32 matrix (with quantization loss baked in).
 func (m *Int8Matrix) Decode() *mat.Matrix {
 	out := mat.New(m.RowsN, m.ColsN)
@@ -113,12 +101,6 @@ func (m *Int8Matrix) Decode() *mat.Matrix {
 // float32 scale per row — a 4× reduction over float32 for typical dims.
 func (m *Int8Matrix) SizeBytes() int64 {
 	return int64(len(m.Codes)) + int64(len(m.Scales))*4
-}
-
-// ReconstructionErrorBound is the guaranteed per-element round-trip error
-// bound of row i: half a quantization step.
-func (m *Int8Matrix) ReconstructionErrorBound(i int) float32 {
-	return m.Scales[i] / 2
 }
 
 // DotInt8 computes the integer inner product of two code vectors with

@@ -50,7 +50,7 @@ func TestInt8RoundTripErrorBound(t *testing.T) {
 	q := EncodeInt8(m)
 	back := q.Decode()
 	for i := 0; i < m.Rows(); i++ {
-		bound := float64(q.ReconstructionErrorBound(i)) + 1e-7
+		bound := float64(q.Scale(i))/2 + 1e-7 // half a step
 		for j := 0; j < m.Cols(); j++ {
 			d := math.Abs(float64(m.At(i, j) - back.At(i, j)))
 			if d > bound {

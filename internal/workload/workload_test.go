@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"ejoin/internal/mat"
 	"ejoin/internal/model"
 	"ejoin/internal/vec"
 )
@@ -17,14 +18,14 @@ func TestVectorsDeterministic(t *testing.T) {
 	if vec.Equal(a.Data, c.Data, 1e-9) {
 		t.Error("different seeds should differ")
 	}
-	if !a.RowsNormalized(1e-4) {
+	if !unitRows(a) {
 		t.Error("rows must be unit norm")
 	}
 }
 
 func TestCorrelatedVectors(t *testing.T) {
 	m := CorrelatedVectors(3, 100, 32, 4, 0.05)
-	if m.Rows() != 100 || !m.RowsNormalized(1e-4) {
+	if m.Rows() != 100 || !unitRows(m) {
 		t.Fatal("shape/norm wrong")
 	}
 	// With 4 tight clusters over 100 rows, many pairs must be highly
@@ -204,4 +205,14 @@ func tableIICluster(query string) string {
 		return "garment"
 	}
 	return "dbtech"
+}
+
+// unitRows reports whether every row of m is unit-norm within 1e-4.
+func unitRows(m *mat.Matrix) bool {
+	for i := 0; i < m.Rows(); i++ {
+		if !vec.IsNormalized(m.Row(i), 1e-4) {
+			return false
+		}
+	}
+	return true
 }
