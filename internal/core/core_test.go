@@ -638,7 +638,7 @@ func TestFusedScanConsumersMatchMaterializedScan(t *testing.T) {
 		}
 	}
 	full := mat.New(left.Rows(), right.Rows())
-	if err := mat.MulTransposeInto(full, left, right, mat.GemmOptions{Threads: 1}); err != nil {
+	if err := mat.MulTransposeInto(full, left, right, mat.GemmOptions{Threads: 1, Kernel: vec.KernelSIMD}); err != nil {
 		t.Fatal(err)
 	}
 	const threshold, k = 0.3, 3
@@ -768,14 +768,19 @@ func bruteTopK(full *mat.Matrix, k int, lf, rf *relational.Bitmap) []Match {
 // right rows seed each row's bound before the scan, to the full
 // product's answer bit for bit: right sides shorter than, equal to and
 // longer than the seed, k below and above it and above |right|, ties
-// that straddle the seed's edge, NaN cells, and both filters.
+// that straddle the seed's edge, NaN cells, both filters, and a left
+// side the seed covers in more than one block of rows.
 func TestTensorTopKSeedMatchesBruteForce(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(97))
 	nan := float32(math.NaN())
 	for _, ns := range []int{1, 5, 31, 32, 33, 47, 64, 100, 300} {
 		for _, k := range []int{1, 3, 32, 33, 40, 400} {
-			left, right := randomEmbeddings(rng.Int63(), 21, 40), randomEmbeddings(rng.Int63(), ns, 40)
+			nl := 21
+			if ns == 300 {
+				nl = 2*topKSeedRows + 9
+			}
+			left, right := randomEmbeddings(rng.Int63(), nl, 40), randomEmbeddings(rng.Int63(), ns, 40)
 			// Row 3's twins sit on both sides of the seed's edge, and one
 			// right row's and one left row's cells are all NaN.
 			for _, j := range []int{31, 32, 33, 70} {
@@ -788,7 +793,7 @@ func TestTensorTopKSeedMatchesBruteForce(t *testing.T) {
 			}
 			left.Row(5)[0] = nan
 			full := mat.New(left.Rows(), right.Rows())
-			if err := mat.MulTransposeInto(full, left, right, mat.GemmOptions{Threads: 1}); err != nil {
+			if err := mat.MulTransposeInto(full, left, right, mat.GemmOptions{Threads: 1, Kernel: vec.KernelSIMD}); err != nil {
 				t.Fatal(err)
 			}
 			lf, rf := relational.NewBitmap(left.Rows()), relational.NewBitmap(ns)
@@ -814,7 +819,7 @@ func TestTensorTopKSeedMatchesBruteForce(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameMatchList(t, fmt.Sprintf("|right| %d, k %d, filtered %v", ns, k, filtered), res.Matches, bruteTopK(full, k, lfw, rfw))
-				if st := res.Stats; st.Comparisons != int64(21*ns) || st.KSteps != int64(21*((ns+15)/16)*40) {
+				if st := res.Stats; st.Comparisons != int64(nl*ns) || st.KSteps != int64(nl*((ns+15)/16)*40) {
 					t.Errorf("|right| %d: %d comparisons over %d k-steps", ns, st.Comparisons, st.KSteps)
 				}
 			}

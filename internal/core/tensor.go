@@ -124,8 +124,9 @@ func TensorJoinBatched(ctx context.Context, left, right *mat.Matrix, threshold f
 }
 
 // topKSeed is how many leading right rows TensorTopK computes in full
-// before its scan, to give every left row a bound from the start.
-const topKSeed = 32
+// before its scan, to give every left row a bound from the start, and
+// topKSeedRows how many left rows it computes them for at a time.
+const topKSeed, topKSeedRows = 32, 256
 
 // TensorTopK returns, for every left row, its k most similar right rows
 // (exactly, by exhaustive scan) — the scan-side equivalent of the index
@@ -165,18 +166,25 @@ func TensorTopK(ctx context.Context, left, right *mat.Matrix, k int, opts Option
 			bound[i] = heaps[(i+1)*k-1].Sim
 		}
 	}
-	sims := mat.New(nr, seed)
-	if err := mat.MulTransposeInto(sims, left, right.Slice(0, seed), mat.GemmOptions{Threads: opts.Threads, Kernel: opts.Kernel}); err != nil {
-		return nil, fmt.Errorf("core: tensor top-k: %w", err)
-	}
-	for i := range bound {
-		bound[i] = float32(math.Inf(-1))
-		if opts.LeftFilter != nil && !opts.LeftFilter.Get(i) {
-			continue
+	// The seed is multiplied out topKSeedRows left rows at a time, so its
+	// buffer does not grow with the left side.
+	sims := mat.New(min(nr, topKSeedRows), seed)
+	gemm := mat.GemmOptions{Threads: opts.Threads, Kernel: opts.Kernel}
+	for lo := 0; lo < nr; lo += topKSeedRows {
+		hi := min(lo+topKSeedRows, nr)
+		block := sims.Slice(0, hi-lo)
+		if err := mat.MulTransposeInto(block, left.Slice(lo, hi), right.Slice(0, seed), gemm); err != nil {
+			return nil, fmt.Errorf("core: tensor top-k: %w", err)
 		}
-		for j, sim := range sims.Row(i) {
-			if sim == sim {
-				push(i, j, sim)
+		for i := lo; i < hi; i++ {
+			bound[i] = float32(math.Inf(-1))
+			if opts.LeftFilter != nil && !opts.LeftFilter.Get(i) {
+				continue
+			}
+			for j, sim := range block.Row(i - lo) {
+				if sim == sim {
+					push(i, j, sim)
+				}
 			}
 		}
 	}

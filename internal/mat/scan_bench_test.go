@@ -10,17 +10,19 @@ import (
 )
 
 // BenchmarkScanAbove times the scan on the serving shape, 1024 x 1024
-// unit-norm rows of 100, one thread, on each tile width the host has:
+// unit-norm rows of 100, one thread, on each tile form the host has
+// (YMM, ZMM, and ZMM behind the int8 filter):
 //   - threshold: a bound of 0.8, which most tiles rule out well before
-//     k = d, as core.TensorJoin's are;
+//     k = d, as core.TensorJoin's are (random rows of 100 reach it
+//     nowhere, so here the int8 filter rules out every tile);
 //   - topk3: every row starts at -Inf and its visitor raises the row's
 //     bound to its 3rd best, as core.TensorTopK does;
 //   - everycell: a bound of -Inf, which every cell reaches, so no tile
 //     can stop, every tile is stored and the visitor runs 1 M times an
 //     op: the checkpoints are pure cost here, but far from the only one.
 //
-// ns/pair is per compared pair, skipped the share of k-steps not run; the
-// widths must agree on the second.
+// ns/pair is per compared pair, skipped the share of k-steps not run,
+// a tile the int8 filter rules out counting in full.
 func BenchmarkScanAbove(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	r, s := randomMatrix(rng, 1024, 100), randomMatrix(rng, 1024, 100)
