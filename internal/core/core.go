@@ -80,7 +80,8 @@ type Stats struct {
 	KStepsSkipped int64 `json:"k_steps_skipped"`
 	// PeakIntermediateBytes is the working memory beyond the inputs: a
 	// tensor scan's scratch (a packed S block, its and the left rows'
-	// suffix factors, and a tile per worker).
+	// suffix factors, and a tile per worker), or a top-k's int8 copies and
+	// candidate lists (mat.ScanStats.ScratchBytes).
 	PeakIntermediateBytes int64 `json:"peak_intermediate_bytes"`
 	// EmbedTime is time spent in the model (prefetch phase).
 	EmbedTime time.Duration `json:"embed_time_ns"`

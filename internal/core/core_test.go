@@ -827,6 +827,107 @@ func TestTensorTopKSeedMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestTensorTopKCandidatesBitIdentical holds TensorTopK on the int8
+// candidate path (mat.TopKCandidatesOn) to its scan path, which hosts
+// without AVX-512 VNNI and shapes below the int8 filter's floors run,
+// and to the full product's answer: same pairs, same order, same
+// similarity bits. It covers k of 1, 3, 8 and more than |right|, tied
+// right rows, rows the int8 estimates do not cover (NaN, +Inf and -Inf
+// components, beyond 2^40, below 2^-40, denormal) and zero rows on both
+// sides, both filters, d of 32, 100 and 1024, and shapes on both sides
+// of the floors (64 left rows a worker, 128 right rows). On a host
+// without VNNI it compares the scan path with itself and the product.
+func TestTensorTopKCandidatesBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(107))
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	odd := func(row []float32, n int) {
+		switch n % 8 {
+		case 0:
+			row[len(row)/2] = nan
+		case 1:
+			row[1] = inf
+		case 2:
+			row[2] = -inf
+		case 3:
+			for k := range row {
+				row[k] *= 0x1p41
+			}
+		case 4:
+			for k := range row {
+				row[k] *= 0x1p-45
+			}
+		case 5:
+			for k := range row {
+				row[k] = 0x1p-140 * float32(k%3)
+			}
+		case 6:
+			clear(row)
+		}
+	}
+	ran := 0
+	for _, c := range []struct{ nl, nr, d, threads int }{
+		{63, 200, 100, 1}, {64, 200, 100, 1}, {65, 127, 100, 1}, {65, 128, 100, 1}, {70, 129, 32, 1},
+		{128, 300, 100, 2}, {130, 300, 32, 2}, {64, 140, 1024, 1},
+	} {
+		left, right := randomEmbeddings(rng.Int63(), c.nl, c.d), randomEmbeddings(rng.Int63(), c.nr, c.d)
+		for i := 5; i < c.nl; i += 9 {
+			odd(left.Row(i), i/9)
+		}
+		for j := 3; j < c.nr; j += 11 {
+			odd(right.Row(j), j/11)
+		}
+		copy(right.Row(c.nr-1), right.Row(0)) // ties: the earlier row wins
+		copy(right.Row(c.nr/2), right.Row(0))
+		copy(left.Row(c.nl-1), left.Row(1))
+		full := mat.New(c.nl, c.nr)
+		if err := mat.MulTransposeInto(full, left, right, mat.GemmOptions{Threads: 1, Kernel: vec.KernelSIMD}); err != nil {
+			t.Fatal(err)
+		}
+		lf, rf := relational.NewBitmap(c.nl), relational.NewBitmap(c.nr)
+		for i := 0; i < c.nl; i++ {
+			if i%6 != 4 {
+				lf.Set(i)
+			}
+		}
+		for j := 0; j < c.nr; j++ {
+			if j%5 != 2 {
+				rf.Set(j)
+			}
+		}
+		for _, k := range []int{1, 3, 8, c.nr + 1} {
+			for _, filtered := range []bool{false, true} {
+				opts := Options{Threads: c.threads, Kernel: vec.KernelSIMD}
+				var lfw, rfw *relational.Bitmap
+				if filtered {
+					opts.LeftFilter, opts.RightFilter = lf, rf
+					lfw, rfw = lf, rf
+				}
+				label := fmt.Sprintf("%dx%d of %d, k %d, filtered %v", c.nl, c.nr, c.d, k, filtered)
+				got, err := TensorTopK(ctx, left, right, k, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kk := min(k, c.nr)
+				heaps, fill := make([]Match, c.nl*kk), make([]int, c.nl)
+				if _, err := topKByScan(ctx, left, right, kk, opts, heaps, fill); err != nil {
+					t.Fatal(err)
+				}
+				want := bruteTopK(full, k, lfw, rfw)
+				sameMatchList(t, label+" scan path", topKMatches(heaps, fill, kk), want)
+				sameMatchList(t, label, got.Matches, want)
+				if mat.TopKCandidatesOn(c.nl, c.nr, c.d, kk, mat.GemmOptions{Threads: c.threads, Kernel: vec.KernelSIMD}) {
+					ran++
+					if st := got.Stats; st.Comparisons != int64(c.nl*c.nr) || st.KSteps != int64(c.nl*((c.nr+15)/16)*c.d) || st.KStepsSkipped < 0 || st.KStepsSkipped > st.KSteps {
+						t.Errorf("%s: %d comparisons, %d of %d k-steps skipped", label, st.Comparisons, st.KStepsSkipped, st.KSteps)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d of the cases ran the int8 candidate path", ran)
+}
+
 func sameMatchList(t *testing.T, label string, got, want []Match) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -842,14 +943,41 @@ func sameMatchList(t *testing.T, label string, got, want []Match) {
 
 // BenchmarkTensorTopK times top-3 on the serving shape, 1024 x 1024
 // unit-norm rows of 100, one thread, in ns per compared pair (the layer
-// that core.topk_ns_pair measures under the server).
+// that core.topk_ns_pair measures under the server): on random rows,
+// and on rows with 300 planted near neighbours (plantedEmbeddings), a
+// few high cells among many low ones, as served tables have.
 func BenchmarkTensorTopK(b *testing.B) {
-	left, right := randomEmbeddings(1, 1024, 100), randomEmbeddings(2, 1024, 100)
-	opts := Options{Threads: 1, Kernel: vec.KernelSIMD}
-	for b.Loop() {
-		if _, err := TensorTopK(context.Background(), left, right, 3, opts); err != nil {
-			b.Fatal(err)
-		}
+	random := [2]*mat.Matrix{randomEmbeddings(1, 1024, 100), randomEmbeddings(2, 1024, 100)}
+	left, right := plantedEmbeddings(1024, 100, 300)
+	for _, bc := range []struct {
+		name string
+		rows [2]*mat.Matrix
+	}{{"random", random}, {"planted", [2]*mat.Matrix{left, right}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			opts := Options{Threads: 1, Kernel: vec.KernelSIMD}
+			for b.Loop() {
+				if _, err := TensorTopK(context.Background(), bc.rows[0], bc.rows[1], 3, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(1024*1024), "ns/pair")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(left.Rows()*right.Rows()), "ns/pair")
+}
+
+// plantedEmbeddings returns two n x dim matrices of random unit rows in
+// which pairs random pairs (i, j) are near neighbours, right row j within
+// cosine ~0.86-0.96 of left row i.
+func plantedEmbeddings(n, dim, pairs int) (left, right *mat.Matrix) {
+	left, right = randomEmbeddings(1, n, dim), randomEmbeddings(2, n, dim)
+	rng := rand.New(rand.NewSource(3))
+	for range pairs {
+		l, r := left.Row(rng.Intn(n)), right.Row(rng.Intn(n))
+		eps := float32(0.3 + 0.3*rng.Float64())
+		for k := range r {
+			r[k] = l[k] + eps*r[k]
+		}
+		vec.Normalize(r)
+	}
+	return left, right
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ejoin/internal/mat"
+	"ejoin/internal/relational"
 )
 
 // TensorJoin is the holistic optimization (Section IV-C, Figure 6): the
@@ -123,22 +124,25 @@ func TensorJoinBatched(ctx context.Context, left, right *mat.Matrix, threshold f
 	return res, nil
 }
 
-// topKSeed is how many leading right rows TensorTopK computes in full
-// before its scan, to give every left row a bound from the start, and
-// topKSeedRows how many left rows it computes them for at a time.
+// topKSeed is how many leading right rows TensorTopK's scan path
+// computes in full first, to give every left row a bound from the start,
+// and topKSeedRows how many left rows it computes them for at a time.
 const topKSeed, topKSeedRows = 32, 256
 
 // TensorTopK returns, for every left row, its k most similar right rows
 // (exactly, by exhaustive scan) — the scan-side equivalent of the index
-// join's top-k probes used in Figures 15 and 16. It is TensorJoin's scan
-// with one bound per left row: everything qualifies until the row holds k
-// candidates, then only what reaches its k-th best, so most tiles of a
-// long scan are rejected in registers. The first topKSeed right rows are
-// multiplied out first (the same bits) and pushed in ascending order, so
-// a row that holds k candidates after them starts the scan of the rest
-// with its k-th best as its bound: any k real candidates bound the true
-// k-th best from below, and the answer is the same. Filters follow
-// TensorJoin's semantics; a NaN similarity is never a candidate.
+// join's top-k probes used in Figures 15 and 16. Filters follow
+// TensorJoin's semantics; a NaN similarity is never a candidate, and
+// ties go to the lower right row. It ranks in one of two ways, both
+// pushing each row's cells in ascending order with the GEMM contract's
+// bits, so they answer alike, bit for bit:
+//   - where mat.TopKCandidatesOn says so (hosts with AVX-512 VNNI,
+//     shapes above the int8 filter's floors, k <= 8), one int8 pass
+//     bounds each row's k-th best from below and only the cells that
+//     can reach that bound are computed in F32 (mat package doc, "Top-k
+//     by candidates");
+//   - elsewhere, topKByScan: TensorJoin's scan with one bound per left
+//     row, raised to the row's k-th best as candidates arrive.
 func TensorTopK(ctx context.Context, left, right *mat.Matrix, k int, opts Options) (*Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: tensor top-k requires k > 0, got %d", k)
@@ -150,12 +154,86 @@ func TensorTopK(ctx context.Context, left, right *mat.Matrix, k int, opts Option
 		return nil, fmt.Errorf("core: tensor top-k: %w", err)
 	}
 	start := time.Now()
-	nr, seed := left.Rows(), min(topKSeed, right.Rows())
-	k = min(k, right.Rows())
+	nr, ns := left.Rows(), right.Rows()
+	k = min(k, ns)
 	// Row i's candidates are heaps[i*k:][:fill[i]], best first. A scan
 	// worker owns whole left rows, so rows need no lock.
 	heaps := make([]Match, nr*k)
 	fill := make([]int, nr)
+	gemm := mat.GemmOptions{Threads: opts.Threads, Kernel: opts.Kernel, BlockCols: opts.BatchCols}
+	var res *Result
+	var err error
+	if mat.TopKCandidatesOn(nr, ns, left.Cols(), k, gemm) {
+		res, err = candidateTopK(ctx, left, right, k, opts, gemm, heaps, fill)
+	} else {
+		res, err = topKByScan(ctx, left, right, k, opts, heaps, fill)
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.Matches = topKMatches(heaps, fill, k)
+	res.Stats.JoinTime = time.Since(start)
+	return res, nil
+}
+
+// topKMatches returns the candidates of TensorTopK's heaps and fill in
+// (Left, Right) order, in heaps' storage: rows are already in Left
+// order, so each is sorted by Right and the gaps short rows leave are
+// closed.
+func topKMatches(heaps []Match, fill []int, k int) []Match {
+	out := heaps[:0]
+	for i, n := range fill {
+		row := heaps[i*k : i*k+n]
+		sortMatches(row)
+		out = append(out, row...)
+	}
+	return out
+}
+
+// candidateTopK is TensorTopK's int8 path, filling heaps and fill as
+// TensorTopK reads them: mat.TopKCandidates with a bound of -Inf for
+// every left row, NaN for those LeftFilter excludes, as fusedScan gives
+// them.
+func candidateTopK(ctx context.Context, left, right *mat.Matrix, k int, opts Options, gemm mat.GemmOptions, heaps []Match, fill []int) (*Result, error) {
+	bound := make([]float32, left.Rows())
+	for i := range bound {
+		bound[i] = float32(math.Inf(-1))
+		if opts.LeftFilter != nil && !opts.LeftFilter.Get(i) {
+			bound[i] = float32(math.NaN())
+		}
+	}
+	var keep func(int) bool
+	if opts.RightFilter != nil {
+		keep = opts.RightFilter.Get
+	}
+	push := func(i, j int, sim float32) {
+		fill[i] = pushTopK(heaps[i*k:(i+1)*k], fill[i], Match{Left: i, Right: j, Sim: sim})
+	}
+	st, err := mat.TopKCandidates(ctx, left, right, k, bound, keep, gemm, func() mat.ScanVisitor { return push })
+	if err != nil {
+		return nil, fmt.Errorf("core: tensor top-k: %w", err)
+	}
+	return &Result{Stats: Stats{
+		Comparisons:           int64(left.Rows()) * int64(right.Rows()),
+		Blocks:                st.Blocks,
+		KSteps:                st.KSteps,
+		KStepsSkipped:         st.KStepsSkipped,
+		PeakIntermediateBytes: st.ScratchBytes,
+	}}, nil
+}
+
+// topKByScan is TensorTopK's scan path, filling heaps and fill as
+// TensorTopK reads them. Every cell that reaches its row's bound is
+// pushed, and a row's bound is raised to its k-th best once it holds k,
+// so later tiles of a long scan can be rejected in registers. The first
+// topKSeed right rows are multiplied out first (the same bits), and of
+// each row's only those reaching its k-th best among them are pushed, in
+// ascending order, so a row that holds k candidates after them starts
+// the scan of the rest with its k-th best as its bound: any k real
+// candidates bound the true k-th best from below, and the answer is the
+// same.
+func topKByScan(ctx context.Context, left, right *mat.Matrix, k int, opts Options, heaps []Match, fill []int) (*Result, error) {
+	nr, seed := left.Rows(), min(topKSeed, right.Rows())
 	bound := make([]float32, nr)
 	push := func(i, j int, sim float32) {
 		if opts.RightFilter != nil && !opts.RightFilter.Get(j) {
@@ -181,8 +259,10 @@ func TensorTopK(ctx context.Context, left, right *mat.Matrix, k int, opts Option
 			if opts.LeftFilter != nil && !opts.LeftFilter.Get(i) {
 				continue
 			}
-			for j, sim := range block.Row(i - lo) {
-				if sim == sim {
+			row := block.Row(i - lo)
+			kth := seedBound(row, k, opts.RightFilter)
+			for j, sim := range row {
+				if sim >= kth {
 					push(i, j, sim)
 				}
 			}
@@ -200,16 +280,44 @@ func TensorTopK(ctx context.Context, left, right *mat.Matrix, k int, opts Option
 	res.Stats.Comparisons += int64(nr) * int64(seed)
 	res.Stats.KSteps += int64(nr) * int64((seed+15)/16) * int64(left.Cols())
 	res.Stats.PeakIntermediateBytes += sims.SizeBytes()
-	// Rows are already in Left order: sort each by Right and close the
-	// gaps short rows leave.
-	res.Matches = heaps[:0]
-	for i, n := range fill {
-		row := heaps[i*k : i*k+n]
-		sortMatches(row)
-		res.Matches = append(res.Matches, row...)
-	}
-	res.Stats.JoinTime = time.Since(start)
 	return res, nil
+}
+
+// seedBound returns the k-th largest of the seed similarities in row
+// that are not NaN and whose column keep keeps (nil keeps all), or -Inf
+// if there are fewer than k: the least a row's k-th best can be, so
+// pushing only the cells that reach it, in order, leaves the row's
+// candidates as pushing all of them would.
+func seedBound(row []float32, k int, keep *relational.Bitmap) float32 {
+	if k >= len(row) {
+		return float32(math.Inf(-1))
+	}
+	var top [topKSeed]float32 // the m largest so far, ascending
+	m := 0
+	for j, sim := range row {
+		if sim != sim || keep != nil && !keep.Get(j) {
+			continue
+		}
+		p := m
+		if m == k {
+			if sim <= top[0] {
+				continue
+			}
+			for p = 0; p+1 < k && top[p+1] < sim; p++ {
+				top[p] = top[p+1]
+			}
+		} else {
+			for ; p > 0 && top[p-1] > sim; p-- {
+				top[p] = top[p-1]
+			}
+			m++
+		}
+		top[p] = sim
+	}
+	if m < k {
+		return float32(math.Inf(-1))
+	}
+	return top[0]
 }
 
 // pushTopK inserts m into h[:n], which is sorted by descending similarity

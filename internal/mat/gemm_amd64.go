@@ -109,6 +109,28 @@ func int8Quant(x *float32, d, n int, inv *float32, dst *byte, rowStep, groupStep
 //go:noescape
 func int8TileGE(r *byte, ldr int, panel *byte, groups int, corr *int32, col, row, bound *float32) (keep uint32)
 
+// int8TileEst is int8TileGE's tile with the estimates written out, for
+// the top-k (package doc, "Top-k by candidates"): for each row t, bit c of its
+// 32-bit mask (keep01 holds rows 0 and 1, keep23 rows 2 and 3, the
+// second in the high half) is set when bit c of admit[t] is and the
+// row's upper estimate for column c of the two panels reaches its bound
+// or is NaN. est[t*32+c] receives that upper estimate. Unless ups is
+// nil the cells of the masks are also listed, row by row in ascending c:
+// upper estimate, column j0+c and row n0+t to ups[m], cols[m] and
+// rows[m] for m < listed, each array written up to 16 entries past
+// listed. For each row t whose mask is not 0, est[128+t*32+c] receives
+// its lower estimates and est[256+t] the largest over the admitted
+// columns, NaN ones left out (-Inf if none is left).
+//
+//go:noescape
+func int8TileEst(r *byte, ldr int, panel *byte, groups int, corr *int32, col, row, bound *float32, admit *uint32, est *float32, ups *float32, cols, rows *int32, j0, n0 int) (keep01, keep23 uint64, listed int)
+
+// dotPairs computes n <= 16 cells, one a lane: dst[l] is dotSeq of the
+// d elements at r[ri[l]] and at s[sj[l]], bit for bit.
+//
+//go:noescape
+func dotPairs(dst, r, s *float32, ri, sj *int32, d, n int)
+
 // peakDotInt8 runs the int8 tile's arithmetic on registers only, for
 // BenchmarkPeakDotInt8; haveVNNI says whether it may run.
 func peakDotInt8(iters int)

@@ -624,30 +624,132 @@ quantNext:
 	VZEROUPPER
 	RET
 
-// One row of the int8 tile against one panel: the int32 cell sums in acc
-// become est = s_i*(s_j*dot + b_j) + (c_i*s_j + 2^-100), three fused
-// steps, with s_i and c_i in Z16 and Z17, the panel's s_j and b_j in sj
-// and bj, the floor in Z15 and the row's bound, a NaN one made +Inf, in
-// Z18. The lanes where est is not below the bound (NLT_UQ: a NaN est is
-// kept) are ORed into keep.
-#define CELL_KEEP(acc, sj, bj, keep) \
-	VCVTDQ2PS   acc, acc;            \
-	VFMADD213PS bj, sj, acc;         \
-	VMOVAPS     Z15, Z19;            \
-	VFMADD231PS sj, Z17, Z19;        \
-	VFMADD231PS acc, Z16, Z19;       \
-	VCMPPS      $0x15, Z18, Z19, K2; \
-	KORW        K2, keep, keep
+// One cell vector's upper estimate, from acc, the cells' D + q_i.q_j
+// already converted to float32 (exact: below 2^24), with the row's s_i
+// and c_i in Z16 and Z17, the panel's s_j and b_j in sj and bj and the
+// floor in Z15: est = s_i*(s_j*acc + b_j) + (c_i*s_j + 2^-100), three
+// fused steps. It is stored at off(DI), and the lanes where it is not
+// below the row's bound in Z18 (NLT_UQ: a NaN estimate is kept) are set
+// in mk.
+#define CELL_UPPER(acc, sj, bj, off, mk) \
+	VMOVAPS     bj, Z19;       \
+	VFMADD231PS sj, acc, Z19;  \
+	VMOVAPS     Z15, Z20;      \
+	VFMADD231PS sj, Z17, Z20;  \
+	VFMADD231PS Z19, Z16, Z20; \
+	VMOVUPS     Z20, off(DI);  \
+	VCMPPS      $0x15, Z18, Z20, mk
 
-// One row's scale and c at rowoff(R8) and cioff(R8), its bound at
-// boundoff(BX), and its cells against both panels.
-#define ROW_KEEP(rowoff, cioff, boundoff, acc0, acc1) \
-	VBROADCASTSS rowoff(R8), Z16;  \
-	VBROADCASTSS cioff(R8), Z17;   \
-	VBROADCASTSS boundoff(BX), Z18; \
-	VMINPS       Z21, Z18, Z18;    \
-	CELL_KEEP(acc0, Z11, Z12, K1); \
-	CELL_KEEP(acc1, Z13, Z14, K3)
+// The mirrored lower estimate of the same cells, from acc less 2D in
+// Z24 (exact: q_i.q_j - D): s_i*(s_j*(acc - 2D) - b_j) - (c_i*s_j +
+// 2^-100), each step fused and rounded once, into Z22 and off(DI).
+#define CELL_LOWER(acc, sj, bj, off) \
+	VSUBPS      Z24, acc, Z19;   \
+	VMOVAPS     bj, Z20;         \
+	VFMSUB231PS sj, Z19, Z20;    \
+	VMOVAPS     Z15, Z22;        \
+	VFMADD231PS sj, Z17, Z22;    \
+	VFMSUB231PS Z20, Z16, Z22;   \
+	VMOVUPS     Z22, off(DI)
+
+// The lower estimates in Z22 of the lanes admitted (km) whose estimate
+// is not NaN into dst, -Inf (Z23) in the other lanes.
+#define ADMITTED_LOWS(km, dst) \
+	VCMPPS    $0x07, Z22, Z22, K6; \
+	KANDW     km, K6, K6;          \
+	VBLENDMPS Z22, Z23, K6, dst
+
+// The largest lane of Z25 to off(DI).
+#define MAX_LANE(off) \
+	VSHUFF32X4 $0x4e, Z25, Z25, Z26; \
+	VMAXPS     Z26, Z25, Z25;        \
+	VSHUFF32X4 $0xb1, Z25, Z25, Z26; \
+	VMAXPS     Z26, Z25, Z25;        \
+	VPERMILPS  $0x4e, Z25, Z26;      \
+	VMAXPS     Z26, Z25, Z25;        \
+	VPERMILPS  $0xb1, Z25, Z26;      \
+	VMAXPS     Z26, Z25, Z25;        \
+	VMOVSS     X25, off(DI)
+
+// One row's scale and c at rowoff(R8) and cioff(R8) into Z16 and Z17.
+#define ROW_META(rowoff, cioff) \
+	VBROADCASTSS rowoff(R8), Z16; \
+	VBROADCASTSS cioff(R8), Z17
+
+// The row's admitted columns, the 32-bit mask at aoff(SI), into K4 and
+// K5, a panel each.
+#define ROW_ADMIT(aoff, aoff1) \
+	KMOVW aoff(SI), K4; \
+	KMOVW aoff1(SI), K5
+
+// The two panels' lane masks in K1 and K2, restricted to the admitted
+// columns (K4, K5), as one 32-bit mask in reg, the first panel's in the
+// low half.
+#define ROW_MASK32(reg) \
+	KANDW K4, K1, K1; \
+	KANDW K5, K2, K2; \
+	KMOVW K1, reg;    \
+	KMOVW K2, R9;     \
+	SHLL  $16, R9;    \
+	ORL   R9, reg
+
+// One row of the tile: its scale, c and bound (a NaN one made +Inf),
+// its accumulators converted to float32 in place, its upper estimates
+// against both panels stored at estoff(DI) and estoff1(DI), and the mask
+// of the admitted columns whose estimate is not below the bound in reg.
+#define ROW_UPPER(rowoff, cioff, boundoff, acc0, acc1, estoff, estoff1, reg) \
+	ROW_ADMIT(boundoff, boundoff+2);         \
+	ROW_META(rowoff, cioff);                 \
+	VBROADCASTSS boundoff(BX), Z18;          \
+	VMINPS       Z21, Z18, Z18;              \
+	VCVTDQ2PS    acc0, acc0;                 \
+	VCVTDQ2PS    acc1, acc1;                 \
+	CELL_UPPER(acc0, Z11, Z12, estoff, K1);  \
+	CELL_UPPER(acc1, Z13, Z14, estoff1, K2); \
+	ROW_MASK32(reg)
+
+// The same row's lower estimates, from its converted accumulators,
+// stored at estoff(DI) and estoff1(DI), and the largest admitted one
+// at maxoff(DI). Rows whose mask, reg, is 0 are skipped (to skip).
+#define ROW_LOWER(reg, skip, rowoff, cioff, acc0, acc1, estoff, estoff1, maxoff) \
+	TESTL reg, reg;                      \
+	JZ    skip;                          \
+	ROW_ADMIT(rowoff, rowoff+2);         \
+	ROW_META(rowoff, cioff);             \
+	CELL_LOWER(acc0, Z11, Z12, estoff);  \
+	ADMITTED_LOWS(K4, Z25);              \
+	CELL_LOWER(acc1, Z13, Z14, estoff1); \
+	ADMITTED_LOWS(K5, Z26);              \
+	VMAXPS Z26, Z25, Z25;                \
+	MAX_LANE(maxoff)
+
+// One panel of a row's listing: the uppers at estoff(DI) of the lanes
+// in k, packed to the front (VCOMPRESSPS), to (AX)(CX*4), their columns
+// (jreg) likewise to (DX)(CX*4), and the row, Z26, to (R14)(CX*4); each
+// store writes all 16 lanes, and CX moves on by the lanes in k.
+#define LIST_PANEL(estoff, k, jreg) \
+	VMOVUPS       estoff(DI), Z25;  \
+	VCOMPRESSPS.Z Z25, k, Z29;      \
+	VMOVUPS       Z29, (AX)(CX*4);  \
+	VPCOMPRESSD.Z jreg, k, Z29;     \
+	VMOVDQU32     Z29, (DX)(CX*4);  \
+	VMOVDQU32     Z26, (R14)(CX*4); \
+	KMOVW         k, R9;            \
+	POPCNTL       R9, R9;           \
+	ADDQ          R9, CX
+
+// Row SI's listing, its 32-bit mask in reg; a row with none is skipped
+// (to skip).
+#define LIST_ROW(reg, skip, estoff, estoff1) \
+	TESTL        reg, reg;               \
+	JZ           skip;                   \
+	KMOVW        reg, K1;                \
+	MOVL         reg, R9;                \
+	SHRL         $16, R9;                \
+	KMOVW        R9, K2;                 \
+	VPBROADCASTD SI, Z26;                \
+	LIST_PANEL(estoff, K1, Z27);         \
+	LIST_PANEL(estoff1, K2, Z28)
 
 // One k-group of the int8 tile: the two panels' 64 bytes at poff(DX)
 // and poff(DX)(R14*1) into p0 and p1, each row's four codes at roff(AX)
@@ -670,99 +772,257 @@ quantNext:
 	VPDPBUSD     p0, b3, a3;             \
 	VPDPBUSD     p1, b3, a7
 
+// The int8 tile's set-up and k loop, which int8TileGE and int8TileEst
+// share: four rows of codes offset by +128 from r, ldr bytes apart,
+// against two neighbouring panels of signed codes from panel, groups*64
+// bytes each. Per k-group one 64-byte load of each panel (four k of 16
+// columns) and a broadcast of each row's four codes feed eight VPDPBUSD,
+// which sum exactly in int32. Even groups go into Z0..Z7, which start
+// from the columns' corr[0..31], D - 128*(code sum) each, and odd ones
+// into Z16..Z23, from 0: sixteen independent sums keep both VPDPBUSD
+// ports busy through its latency. Their sum, exact, is left in Z0..Z7
+// (rows 0-3 against the first panel, then the second): D plus each
+// cell's signed codes' dot. Then the panels' scales and b from col go to
+// Z11..Z14, the floor 2^-100 to Z15 and +Inf to Z21. The arguments come
+// in registers: r in SI, ldr in R9, panel in DX, groups in CX, corr in
+// AX, col in DI; R8, which holds row, is kept.
+#define INT8_TILE \
+	LEAQ      (SI)(R9*1), R10;                                                          \
+	LEAQ      (R10)(R9*1), R11;                                                         \
+	LEAQ      (R11)(R9*1), R12;                                                         \
+	MOVQ      CX, R14;                                                                  \
+	SHLQ      $6, R14;                                                                  \
+	VMOVDQU32 (AX), Z0;                                                                 \
+	VMOVDQU32 64(AX), Z4;                                                               \
+	VMOVDQA32 Z0, Z1;                                                                   \
+	VMOVDQA32 Z0, Z2;                                                                   \
+	VMOVDQA32 Z0, Z3;                                                                   \
+	VMOVDQA32 Z4, Z5;                                                                   \
+	VMOVDQA32 Z4, Z6;                                                                   \
+	VMOVDQA32 Z4, Z7;                                                                   \
+	VPXORD    Z16, Z16, Z16;                                                            \
+	VPXORD    Z17, Z17, Z17;                                                            \
+	VPXORD    Z18, Z18, Z18;                                                            \
+	VPXORD    Z19, Z19, Z19;                                                            \
+	VPXORD    Z20, Z20, Z20;                                                            \
+	VPXORD    Z21, Z21, Z21;                                                            \
+	VPXORD    Z22, Z22, Z22;                                                            \
+	VPXORD    Z23, Z23, Z23;                                                            \
+	XORQ      AX, AX;                                                                   \
+	MOVQ      CX, BX;                                                                   \
+	SHRQ      $1, BX;                                                                   \
+	JZ        tileOdd;                                                                  \
+tilePairs:;                                                                                 \
+	GROUP(0, 0, Z8, Z9, Z10, Z11, Z12, Z13, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7);            \
+	GROUP(64, 4, Z24, Z25, Z26, Z27, Z28, Z29, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23); \
+	ADDQ $128, DX;                                                                      \
+	ADDQ $8, AX;                                                                        \
+	DECQ BX;                                                                            \
+	JNZ  tilePairs;                                                                     \
+tileOdd:;                                                                                   \
+	TESTQ $1, CX;                                                                       \
+	JZ    tileSum;                                                                      \
+	GROUP(0, 0, Z8, Z9, Z10, Z11, Z12, Z13, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7);            \
+tileSum:;                                                                                   \
+	VPADDD Z16, Z0, Z0;                                                                 \
+	VPADDD Z17, Z1, Z1;                                                                 \
+	VPADDD Z18, Z2, Z2;                                                                 \
+	VPADDD Z19, Z3, Z3;                                                                 \
+	VPADDD Z20, Z4, Z4;                                                                 \
+	VPADDD Z21, Z5, Z5;                                                                 \
+	VPADDD Z22, Z6, Z6;                                                                 \
+	VPADDD Z23, Z7, Z7;                                                                 \
+	VMOVUPS      (DI), Z11;                                                             \
+	VMOVUPS      64(DI), Z12;                                                           \
+	VMOVUPS      128(DI), Z13;                                                          \
+	VMOVUPS      192(DI), Z14;                                                          \
+	MOVL         $0x0d800000, AX;                                                       \
+	VPBROADCASTD AX, Z15;                                                               \
+	MOVL         $0x7f800000, AX;                                                       \
+	VPBROADCASTD AX, Z21
+
+// One row of the int8 tile against one panel, for int8TileGE: the
+// cells in acc become est = s_i*(s_j*dot + b_j) + (c_i*s_j + 2^-100),
+// three fused steps, with s_i and c_i in Z16 and Z17, the panel's s_j
+// and b_j in sj and bj, the floor in Z15 and the row's bound, a NaN one
+// made +Inf, in Z18. The lanes where est is not below the bound (NLT_UQ:
+// a NaN est is kept) are ORed into keep.
+#define CELL_KEEP(acc, sj, bj, keep) \
+	VCVTDQ2PS   acc, acc;            \
+	VFMADD213PS bj, sj, acc;         \
+	VMOVAPS     Z15, Z19;            \
+	VFMADD231PS sj, Z17, Z19;        \
+	VFMADD231PS acc, Z16, Z19;       \
+	VCMPPS      $0x15, Z18, Z19, K2; \
+	KORW        K2, keep, keep
+
+// One row's scale and c at rowoff(R8) and cioff(R8), its bound at
+// boundoff(BX), and its cells against both panels.
+#define ROW_KEEP(rowoff, cioff, boundoff, acc0, acc1) \
+	ROW_META(rowoff, cioff);        \
+	VBROADCASTSS boundoff(BX), Z18; \
+	VMINPS       Z21, Z18, Z18;     \
+	CELL_KEEP(acc0, Z11, Z12, K1);  \
+	CELL_KEEP(acc1, Z13, Z14, K3)
+
 // func int8TileGE(r *byte, ldr int, panel *byte, groups int, corr *int32, col, row, bound *float32) (keep uint32)
 //
-// The int8 filter's 4x32 tile (package doc, "Int8 filter"): four rows
-// of codes offset by +128, ldr bytes apart, against two neighbouring
-// panels of signed codes, groups*64 bytes each, the second right after
-// the first. Per k-group one 64-byte load of each panel (four k of 16
-// columns) and a broadcast of each row's four codes feed eight
-// VPDPBUSD, which sum exactly in int32. Even groups go into Z0..Z7,
-// which start from the columns' corr[0..31], D - 128*(code sum) each,
-// and odd ones into Z16..Z23, from 0: sixteen independent sums keep both
-// VPDPBUSD ports busy through its latency. Their sum, exact, is D plus
-// each cell's signed codes' dot. col holds the first panel's 16 scales
-// and 16 b, then the second's; row holds the four rows' scales at 0, 4,
-// 8, 12 and their c 64 bytes on. Bit p*16+jj of keep is set when column
-// p*16+jj's estimate reaches the bound of one of the rows, or is NaN.
-// Needs AVX-512F and AVX-512 VNNI.
+// The int8 filter's 4x32 tile (package doc, "Int8 filter"), INT8_TILE
+// on its arguments: col holds the first panel's 16 scales and 16 b,
+// then the second's; row holds the four rows' scales at 0, 4, 8, 12 and
+// their c 64 bytes on, and bound their bounds. Bit p*16+jj of keep is
+// set when column p*16+jj's estimate reaches the bound of one of the
+// rows, or is NaN. Needs AVX-512F and AVX-512 VNNI.
 TEXT ·int8TileGE(SB), NOSPLIT, $0-68
-	MOVQ      r+0(FP), SI
-	MOVQ      ldr+8(FP), R9
-	LEAQ      (SI)(R9*1), R10
-	LEAQ      (R10)(R9*1), R11
-	LEAQ      (R11)(R9*1), R12
-	MOVQ      panel+16(FP), DX
-	MOVQ      groups+24(FP), CX
-	MOVQ      CX, R14
-	SHLQ      $6, R14 // the second panel
-	MOVQ      corr+32(FP), AX
-	VMOVDQU32 (AX), Z0
-	VMOVDQU32 64(AX), Z4
-	VMOVDQA32 Z0, Z1
-	VMOVDQA32 Z0, Z2
-	VMOVDQA32 Z0, Z3
-	VMOVDQA32 Z4, Z5
-	VMOVDQA32 Z4, Z6
-	VMOVDQA32 Z4, Z7
-	VPXORD    Z16, Z16, Z16
-	VPXORD    Z17, Z17, Z17
-	VPXORD    Z18, Z18, Z18
-	VPXORD    Z19, Z19, Z19
-	VPXORD    Z20, Z20, Z20
-	VPXORD    Z21, Z21, Z21
-	VPXORD    Z22, Z22, Z22
-	VPXORD    Z23, Z23, Z23
-	XORQ      AX, AX
-	MOVQ      CX, BX
-	SHRQ      $1, BX
-	JZ        tileOdd
-
-tilePairs:
-	GROUP(0, 0, Z8, Z9, Z10, Z11, Z12, Z13, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
-	GROUP(64, 4, Z24, Z25, Z26, Z27, Z28, Z29, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
-	ADDQ $128, DX
-	ADDQ $8, AX
-	DECQ BX
-	JNZ  tilePairs
-
-tileOdd:
-	TESTQ $1, CX
-	JZ    tileSum
-	GROUP(0, 0, Z8, Z9, Z10, Z11, Z12, Z13, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
-
-tileSum:
-	VPADDD Z16, Z0, Z0
-	VPADDD Z17, Z1, Z1
-	VPADDD Z18, Z2, Z2
-	VPADDD Z19, Z3, Z3
-	VPADDD Z20, Z4, Z4
-	VPADDD Z21, Z5, Z5
-	VPADDD Z22, Z6, Z6
-	VPADDD Z23, Z7, Z7
-
-	MOVQ         col+40(FP), DI
-	VMOVUPS      (DI), Z11
-	VMOVUPS      64(DI), Z12
-	VMOVUPS      128(DI), Z13
-	VMOVUPS      192(DI), Z14
-	MOVL         $0x0d800000, AX // 2^-100
-	VPBROADCASTD AX, Z15
-	MOVL         $0x7f800000, AX // +Inf
-	VPBROADCASTD AX, Z21
-	MOVQ         row+48(FP), R8
-	MOVQ         bound+56(FP), BX
-	KXORW        K1, K1, K1
-	KXORW        K3, K3, K3
+	MOVQ r+0(FP), SI
+	MOVQ ldr+8(FP), R9
+	MOVQ panel+16(FP), DX
+	MOVQ groups+24(FP), CX
+	MOVQ corr+32(FP), AX
+	MOVQ col+40(FP), DI
+	MOVQ row+48(FP), R8
+	INT8_TILE
+	MOVQ bound+56(FP), BX
+	KXORW K1, K1, K1
+	KXORW K3, K3, K3
 	ROW_KEEP(0, 64, 0, Z0, Z4)
 	ROW_KEEP(4, 68, 4, Z1, Z5)
 	ROW_KEEP(8, 72, 8, Z2, Z6)
 	ROW_KEEP(12, 76, 12, Z3, Z7)
-	KMOVW        K1, AX
-	KMOVW        K3, DX
-	SHLL         $16, DX
-	ORL          DX, AX
-	MOVL         AX, keep+64(FP)
+	KMOVW K1, AX
+	KMOVW K3, DX
+	SHLL  $16, DX
+	ORL   DX, AX
+	MOVL  AX, keep+64(FP)
+	VZEROUPPER
+	RET
+
+// func int8TileEst(r *byte, ldr int, panel *byte, groups int, corr *int32, col, row, bound *float32, admit *uint32, est *float32, ups *float32, cols, rows *int32, j0, n0 int) (keep01, keep23 uint64, listed int)
+//
+// The int8 tile (package doc, "Int8 filter"), INT8_TILE on its
+// arguments, for the top-k and the tests: col, row and bound as
+// int8TileGE's, and admit[t] the columns row t may keep.
+//
+// Row t's upper estimate for column c (c < 32, the second panel from
+// 16) goes to est[t*32+c]. Bit c of row t's 32-bit mask — keep01 holds
+// rows 0 and 1, keep23 rows 2 and 3, the second of each in the high
+// half — is set when bit c of admit[t] is and that estimate reaches the
+// row's bound or is NaN. Unless ups is nil those cells are also listed,
+// row by row and column by column: upper estimate, column j0+c and row
+// n0+t to ups[m], cols[m] and rows[m] for m < listed, each array written
+// up to 16 entries past listed. For each row with some bit set the lower
+// estimates go to est[128+t*32+c] too, and to est[256+t] the largest of
+// them over the admitted columns, not counting NaN ones (-Inf if none is
+// left). Needs AVX-512F and AVX-512 VNNI.
+TEXT ·int8TileEst(SB), NOSPLIT, $0-144
+	MOVQ r+0(FP), SI
+	MOVQ ldr+8(FP), R9
+	MOVQ panel+16(FP), DX
+	MOVQ groups+24(FP), CX
+	MOVQ corr+32(FP), AX
+	MOVQ col+40(FP), DI
+	MOVQ row+48(FP), R8
+	INT8_TILE
+	MOVQ bound+56(FP), BX
+	MOVQ         admit+64(FP), SI
+	MOVQ         est+72(FP), DI
+	ROW_UPPER(0, 64, 0, Z0, Z4, 0, 64, R10)
+	ROW_UPPER(4, 68, 4, Z1, Z5, 128, 192, R11)
+	ROW_UPPER(8, 72, 8, Z2, Z6, 256, 320, R12)
+	ROW_UPPER(12, 76, 12, Z3, Z7, 384, 448, R13)
+
+	XORQ         CX, CX
+	MOVQ         ups+80(FP), AX
+	TESTQ        AX, AX
+	JZ           listDone
+	MOVQ         cols+88(FP), DX
+	MOVQ         rows+96(FP), R14
+	MOVQ         j0+104(FP), R9
+	VPBROADCASTD R9, Z27
+	VPADDD       lanes<>(SB), Z27, Z27 // the first panel's columns
+	MOVL         $16, R9
+	VPBROADCASTD R9, Z28
+	VPADDD       Z27, Z28, Z28         // the second's
+	MOVQ         n0+112(FP), SI
+	LIST_ROW(R10, list1, 0, 64)
+
+list1:
+	INCQ SI
+	LIST_ROW(R11, list2, 128, 192)
+
+list2:
+	INCQ SI
+	LIST_ROW(R12, list3, 256, 320)
+
+list3:
+	INCQ SI
+	LIST_ROW(R13, listDone, 384, 448)
+
+listDone:
+	MOVQ         CX, listed+136(FP)
+	MOVQ         admit+64(FP), SI
+	MOVQ         groups+24(FP), AX
+	LEAQ         2(AX)(AX*1), AX // 2D
+	VPBROADCASTD AX, Z24
+	VCVTDQ2PS    Z24, Z24
+	MOVL         $0xff800000, AX // -Inf
+	VPBROADCASTD AX, Z23
+	ROW_LOWER(R10, lower1, 0, 64, Z0, Z4, 512, 576, 1024)
+
+lower1:
+	ROW_LOWER(R11, lower2, 4, 68, Z1, Z5, 640, 704, 1028)
+
+lower2:
+	ROW_LOWER(R12, lower3, 8, 72, Z2, Z6, 768, 832, 1032)
+
+lower3:
+	ROW_LOWER(R13, estDone, 12, 76, Z3, Z7, 896, 960, 1036)
+
+estDone:
+	SHLQ $32, R11
+	ORQ  R11, R10
+	SHLQ $32, R13
+	ORQ  R13, R12
+	MOVQ R10, keep01+120(FP)
+	MOVQ R12, keep23+128(FP)
+	VZEROUPPER
+	RET
+
+// func dotPairs(dst, r, s *float32, ri, sj *int32, d, n int)
+//
+// n <= 16 cells, one a lane: dst[l] = fmaSeq over ascending k of
+// r[ri[l]+k] and s[sj[l]+k], for l < n and d >= 1. Per k one VGATHERDPS
+// of each side's element and one VFMADD231PS, so every lane performs
+// dotSeq's operation sequence, as the tiles' lanes do. Needs AVX-512F.
+TEXT ·dotPairs(SB), NOSPLIT, $0-56
+	MOVQ        dst+0(FP), DI
+	MOVQ        r+8(FP), SI
+	MOVQ        s+16(FP), DX
+	MOVQ        ri+24(FP), AX
+	MOVQ        sj+32(FP), BX
+	MOVQ        n+48(FP), CX
+	MOVL        $1, R8
+	SHLL        CX, R8
+	DECL        R8
+	KMOVW       R8, K2
+	MOVQ        d+40(FP), CX
+	VMOVDQU32.Z (AX), K2, Z1
+	VMOVDQU32.Z (BX), K2, Z2
+	VPXORD      Z0, Z0, Z0
+	VPXORD      Z3, Z3, Z3
+	VPXORD      Z4, Z4, Z4
+
+pairLoop:
+	KMOVW       K2, K1
+	VGATHERDPS  (SI)(Z1*4), K1, Z3
+	KMOVW       K2, K3
+	VGATHERDPS  (DX)(Z2*4), K3, Z4
+	VFMADD231PS Z4, Z3, Z0
+	ADDQ        $4, SI
+	ADDQ        $4, DX
+	DECQ        CX
+	JNZ         pairLoop
+	VMOVUPS     Z0, K2, (DI)
 	VZEROUPPER
 	RET
 

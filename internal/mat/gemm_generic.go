@@ -45,3 +45,11 @@ func int8Quant(x *float32, d, n int, inv *float32, dst *byte, rowStep, groupStep
 func int8TileGE(r *byte, ldr int, panel *byte, groups int, corr *int32, col, row, bound *float32) uint32 {
 	panic("mat: no SIMD kernel in this build")
 }
+
+func int8TileEst(r *byte, ldr int, panel *byte, groups int, corr *int32, col, row, bound *float32, admit *uint32, est *float32, ups *float32, cols, rows *int32, j0, n0 int) (uint64, uint64, int) {
+	panic("mat: no SIMD kernel in this build")
+}
+
+func dotPairs(dst, r, s *float32, ri, sj *int32, d, n int) {
+	panic("mat: no SIMD kernel in this build")
+}

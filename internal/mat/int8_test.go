@@ -13,6 +13,7 @@ import (
 // against the first 32 rows of s (fewer leave zero-padded lanes) and
 // fails the test if it rules out a column where some row's refDotSeq
 // reaches its bound. It returns the tile's mask of the real columns.
+// It also checks the tile's estimates (checkEstimates).
 func filterKeep(t *testing.T, r, s *Matrix, bound []float32) uint32 {
 	t.Helper()
 	if !haveVNNI {
@@ -24,6 +25,7 @@ func filterKeep(t *testing.T, r, s *Matrix, bound []float32) uint32 {
 	ns := min(s.Rows(), 2*panelCols)
 	f.prepare(s, 0, ns, &r.Data[0], 0)
 	keep := f.tile(0, 0, &bound[0]) & (uint32(1)<<ns - 1)
+	checkEstimates(t, f, r, s)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < ns; j++ {
 			if sim := refDotSeq(r.Row(i), s.Row(j)); sim >= bound[i] && keep&(1<<j) == 0 {
@@ -33,6 +35,39 @@ func filterKeep(t *testing.T, r, s *Matrix, bound []float32) uint32 {
 		}
 	}
 	return keep
+}
+
+// checkEstimates runs the prepared tile of f, rows 0..3 of r against
+// the first ns <= 32 rows of s, with bounds of -Inf, and fails the test
+// unless every cell's lower estimate is at most its refDotSeq and its
+// upper estimate at least (a NaN estimate passes either way; a NaN cell
+// needs a NaN or -Inf lower estimate, or a top-k could count it), and
+// each row's largest lower estimate is the largest of its cells' that
+// are not NaN, or -Inf.
+func checkEstimates(t *testing.T, f *int8Filter, r, s *Matrix) {
+	t.Helper()
+	ns := min(s.Rows(), 2*panelCols)
+	negInf := float32(math.Inf(-1))
+	bound := [4]float32{negInf, negInf, negInf, negInf}
+	real := uint32(1)<<ns - 1
+	f.tileEst(0, 0, &bound[0], &[4]uint32{real, real, real, real})
+	for i := 0; i < 4; i++ {
+		most := negInf
+		for j := 0; j < ns; j++ {
+			cell := refDotSeq(r.Row(i), s.Row(j))
+			up, lo := f.est[i*32+j], f.est[128+i*32+j]
+			if lo > most {
+				most = lo
+			}
+			if cell != cell && lo == lo && lo != negInf || cell == cell && (lo > cell || up < cell) {
+				t.Fatalf("d %d: cell (%d,%d) = %g (%#08x), estimates [%g, %g]\nr%d = %v\ns%d = %v",
+					r.Cols(), i, j, cell, math.Float32bits(cell), lo, up, i, r.Row(i), j, s.Row(j))
+			}
+		}
+		if got := f.est[256+i]; math.Float32bits(got) != math.Float32bits(most) {
+			t.Fatalf("d %d: row %d's largest lower estimate is %g, its cells' is %g", r.Cols(), i, got, most)
+		}
+	}
 }
 
 // TestInt8FilterHardCases holds the filter to the F32 cells on inputs
@@ -72,24 +107,28 @@ func TestInt8FilterHardCases(t *testing.T) {
 	}
 
 	// Every component but the first sits half a step off the codes, a
-	// tie the quantizer breaks away from zero, and the two sides have
-	// opposite signs: each side's error then points against the other's,
-	// and their products add up to (d-1)*s_i*s_j/4, which only D covers.
-	// The scales are 2^-7 and every sum is exact, so the cell is x.y.
-	r, s = New(4, 1000), New(32, 1000)
-	for k := range r.Row(0) {
-		v := float32(2*(k%3)+1) + 0.5
-		if k == 0 {
-			v = 127
+	// tie the quantizer breaks away from zero. With opposite signs on the
+	// two sides each side's error points against the other's, and their
+	// products add up to (d-1)*s_i*s_j/4 below the cell, which only D
+	// covers in the upper estimate; with the same signs they add up to as
+	// much above it, which only D covers in the lower one. The scales are
+	// 2^-7 and every sum is exact, so the cell is x.y.
+	for _, sign := range []float32{-1, 1} {
+		r, s = New(4, 1000), New(32, 1000)
+		for k := range r.Row(0) {
+			v := float32(2*(k%3)+1) + 0.5
+			if k == 0 {
+				v = 127
+			}
+			for i := 0; i < 4; i++ {
+				r.Row(i)[k] = v / 128
+			}
+			for j := 0; j < 32; j++ {
+				s.Row(j)[k] = sign * v / 128
+			}
 		}
-		for i := 0; i < 4; i++ {
-			r.Row(i)[k] = v / 128
-		}
-		for j := 0; j < 32; j++ {
-			s.Row(j)[k] = -v / 128
-		}
+		filterKeep(t, r, s, on(r, s, 0))
 	}
-	filterKeep(t, r, s, on(r, s, 0))
 
 	// One-hot rows: all error sits in one component of each side.
 	r, s = New(4, 64), New(32, 64)
@@ -203,7 +242,8 @@ func TestInt8Quant(t *testing.T) {
 // scaled past either end of the range the filter covers, small-integer
 // rows, unit rows and near copies of another row; bounds sit exactly on
 // a cell's refDotSeq, one ulp under one, or anywhere. No column where a
-// cell reaches its row's bound may be ruled out.
+// cell reaches its row's bound may be ruled out, no lower estimate may
+// exceed its cell and no upper estimate fall below it (checkEstimates).
 func FuzzInt8FilterConservative(f *testing.F) {
 	f.Add(uint16(99), uint8(31), []byte{4, 4, 4, 4, 0, 0, 128, 63, 205, 204, 76, 62, 1, 2, 3})
 	f.Add(uint16(31), uint8(16), []byte{1, 1, 1, 1, 9, 200, 17, 3, 0, 0, 0, 128})

@@ -160,6 +160,68 @@
 // with rows of raw bit patterns, one-hot, huge, tiny, denormal and
 // non-normalized rows and bounds on a cell's refDotSeq, and fails if a
 // column with a reaching cell is ruled out.
+//
+// For the top-k below, int8TileEst, the same tile with its estimates
+// written out, also forms the mirrored lower estimate
+//
+//	lo = s_i·(s_j·(q_i·q_j − D) − β·n_j) − (β·n_i·s_j + 2^-100)
+//
+// from the same int32 cell less 2D (exact, and exact in float32), each
+// product and sum fused and rounded once. lo <= F, term by term as for
+// est with every sign turned:
+//
+//   - Quantizing and the products. The same codes bound
+//     |x·y − (a·q_x)·(b·q_y)| by the same sum, so x·y is at least
+//     (a·q_x)·(b·q_y) less (a/2)·|y|₁ + (b/2)·|x|₁ + d·a·b/4 and the same
+//     u terms. With the same sign on both sides each side's error points
+//     with the other's and their products add up above the cell, which
+//     only D covers; TestInt8FilterHardCases holds that cell too.
+//   - fmaSeq. F >= x·y − ((1+u)^d − 1)·P − d·2^-150.
+//   - The norms, as for est.
+//   - lo's own three roundings, each to nearest, so each may move lo up
+//     by as much as est's may move est down: at most 2.01u of the sum of
+//     the magnitudes of its terms, plus 2^-150 an underflow.
+//
+// Gathered, the coefficients lo needs are est's, which β, D and the
+// floor exceed. Indeed lo(x, y) = −est(x, −y) bit for bit: −y has codes
+// −q_y (rounding to nearest even is odd, and no code saturates) and y's
+// scale and norm, each of lo's fused steps is the negation of est's
+// (rounding to nearest is odd too), and F(x, −y) = −F(x, y) up to a
+// zero's sign. A row or column the inequality does not cover makes lo
+// −Inf or NaN, never finite; a NaN cell needs one, since two covered
+// rows (|x_k| <= 2^40, d <= 1024) cannot overflow. checkEstimates,
+// under the fuzz target and the hard cases, fails if a lower estimate
+// exceeds its refDotSeq cell or an upper one falls below it.
+//
+// # Top-k by candidates
+//
+// A top-k row's bound starts at -Inf and rises only with the cells it
+// has seen, so the int8 filter cannot rule out much of a top-k scan: a
+// 4-row tile nearly always holds some row's near-k-th cell.
+// TopKCandidates therefore does not scan in F32 at all. Each worker
+// quantizes its R rows once and sweeps every 4x32 int8 tile once
+// (int8TileEst), keeping per row kth, a lower bound on its k-th best:
+// the caller's bound, raised to the k-th largest of the row's per-tile
+// largest lower estimates once it has k (tiles are distinct cells, and k
+// cells' lower estimates are at most their cells, so at most the k-th
+// best). The first k tiles of the first block seed kth before the sweep.
+// The tile lists, in the kernel (VCOMPRESSPS), every cell whose upper
+// estimate reaches its row's kth, in ascending j per row; the list is
+// cut to the cells whose upper estimate still reaches their row's kth
+// whenever it has doubled, and after the sweep. Only those cells are
+// computed in F32, by dotPairs, one cell a lane, both rows' elements
+// gathered each step, so each is fmaSeq's bits, and visited in
+// ascending j. A cell among the row's k best reaches the final kth,
+// which is at most the k-th best, and its upper estimate is at least the
+// cell, so it was listed when met and survives every cut: a consumer
+// that keeps the k best of what it is handed, ties to the earlier
+// arrival, ends with exactly the scan's answer, ties to the lower j.
+// ScanStats counts the whole product's k-steps, and as skipped all but
+// d per 16 re-scored cells. TopKCandidatesOn says where it runs: the
+// SIMD kernel on hosts with the int8 filter, every worker at least
+// int8MinRows R rows, at least int8MinCols S rows, and k <= 8;
+// FuzzTopKCandidatesEqualsReference and TestTopKCandidates hold it to
+// the reference with the floors lowered.
 package mat
 
 import (

@@ -21,7 +21,9 @@ type ScanStats struct {
 	// ScratchBytes is the scan's whole working memory: per worker one
 	// tile (scanTile) and, for the assembly kernel, one packed S block
 	// with its suffix factors and the factors of the worker's R rows,
-	// and, where the int8 filter runs, its int8 copies of both.
+	// and, where the int8 filter runs, its int8 copies of both. For
+	// TopKCandidates it is per worker the int8 copies, the rows' bounds
+	// and the most cells its candidate list held.
 	ScratchBytes int64
 	// KSteps is the scan's inner-loop work had every tile run to the end:
 	// one step is one k of one R row against one 16-column panel.
@@ -73,10 +75,7 @@ func ScanAbove(ctx context.Context, r, s *Matrix, bound []float32, opts GemmOpti
 	}
 	simd := opts.Kernel == vec.KernelSIMD && haveSIMD && r.Cols() > 0
 
-	// One contiguous run of whole 4-row tiles per worker, never shorter
-	// than a GEMM row panel: a goroutine for a few rows costs more than
-	// it buys.
-	step := (max(opts.BlockRows, (nr+opts.Threads-1)/opts.Threads) + 3) &^ 3
+	step := workerRows(nr, opts)
 	workers := (nr + step - 1) / step
 	scratch := int64(workers) * int64(len(scanTile{})) * 4
 	for lo := 0; simd && lo < nr; lo += step {
@@ -88,12 +87,35 @@ func ScanAbove(ctx context.Context, r, s *Matrix, bound []float32, opts GemmOpti
 		ScratchBytes: scratch,
 		KSteps:       int64(nr) * int64((ns+panelCols-1)/panelCols) * int64(r.Cols()),
 	}
-	if workers == 1 {
-		var err error
-		st.KStepsSkipped, err = scanRows(ctx, r, s, bound, 0, nr, opts, simd, newVisitor())
-		return st, err
-	}
 	skipped := make([]int64, workers)
+	err := eachWorker(nr, step, newVisitor, func(w, lo, hi int, visit ScanVisitor) (err error) {
+		skipped[w], err = scanRows(ctx, r, s, bound, lo, hi, opts, simd, visit)
+		return err
+	})
+	for _, n := range skipped {
+		st.KStepsSkipped += n
+	}
+	return st, err
+}
+
+// workerRows is how many R rows each worker of a scan owns: one
+// contiguous run of whole 4-row tiles, never shorter than a GEMM row
+// panel, since a goroutine for a few rows costs more than it buys. The
+// last worker owns what is left. opts has its defaults.
+func workerRows(nr int, opts GemmOptions) int {
+	return (max(opts.BlockRows, (nr+opts.Threads-1)/opts.Threads) + 3) &^ 3
+}
+
+// eachWorker runs work for every worker's rows [lo, hi), runs of step
+// rows of [0, nr), with the visitor newVisitor returns for it. Visitors
+// are made on the calling goroutine, in worker order, before any work
+// starts; the work runs on one goroutine per worker when there are
+// several. It returns the first worker's error, by worker order.
+func eachWorker(nr, step int, newVisitor func() ScanVisitor, work func(w, lo, hi int, visit ScanVisitor) error) error {
+	workers := (nr + step - 1) / step
+	if workers == 1 {
+		return work(0, 0, nr, newVisitor())
+	}
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -101,17 +123,16 @@ func ScanAbove(ctx context.Context, r, s *Matrix, bound []float32, opts GemmOpti
 		visit := newVisitor()
 		go func() {
 			defer wg.Done()
-			skipped[w], errs[w] = scanRows(ctx, r, s, bound, w*step, min((w+1)*step, nr), opts, simd, visit)
+			errs[w] = work(w, w*step, min((w+1)*step, nr), visit)
 		}()
 	}
 	wg.Wait()
-	for w, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			return st, err
+			return err
 		}
-		st.KStepsSkipped += skipped[w]
 	}
-	return st, nil
+	return nil
 }
 
 // scanRows scans rows [rLo, rHi) of r against all of s — mulPanelSIMD's
@@ -228,8 +249,9 @@ func scanRows(ctx context.Context, r, s *Matrix, bound []float32, rLo, rHi int, 
 }
 
 // int8Filter is one scan worker's int8 copy of its R rows and of the
-// current S block, for int8TileGE (package doc, "Int8 filter"). Codes
-// come four k to a dword, k padded to d4, a multiple of 4, with code 0.
+// current S block, for int8TileGE and int8TileEst (package doc, "Int8
+// filter"). Codes come four k to a dword, k padded to d4, a multiple of
+// 4, with code 0.
 type int8Filter struct {
 	d, d4 int
 	beta  float32 // the L1 factor β
@@ -258,6 +280,8 @@ type int8Filter struct {
 	// whether it tests only a sample of its strips.
 	tested, kept, block int
 	sparse              bool
+	// est receives a tile's estimates.
+	est [260]float32
 }
 
 // int8Pool holds the workers' int8Filter buffers between calls.
@@ -284,8 +308,14 @@ func int8Scratch(blockCols, rows, d, ns int) int64 {
 	if !int8On(d, rows, ns) {
 		return 0
 	}
+	return int8Bytes(blockCols, rows, d)
+}
+
+// int8Bytes is the size of an int8Filter's buffers for rows R rows of d
+// elements and blockCols S rows, in bytes.
+func int8Bytes(blockCols, rows, d int) int64 {
 	d4 := int64(d+3) &^ 3
-	return int64(rows+blockCols)*d4 + 4*int64((rows+panelCols-1)/panelCols*2*panelCols+7*blockCols)
+	return int64(rows+blockCols)*d4 + 4*int64((rows+panelCols-1)/panelCols*2*panelCols+7*blockCols+len(int8Filter{}.est))
 }
 
 // newInt8Filter sets up a filter for a worker's rows R rows of d
@@ -302,7 +332,7 @@ func newInt8Filter(d, rows, blockCols int) *int8Filter {
 	f.rowMeta = grow(f.rowMeta, (rows+panelCols-1)/panelCols*2*panelCols)
 	f.stripReady = grow(f.stripReady, rows/4)
 	clear(f.stripReady)
-	f.tested, f.kept, f.block, f.sparse = 0, 0, -1, true // nextBlock starts the first block, 0
+	f.tested, f.kept, f.block, f.sparse = 0, 0, -1, false // nextBlock starts the first block, 0
 	f.s = grow(f.s, blockCols*d4)
 	f.corr = grow(f.corr, blockCols)
 	f.colMeta = grow(f.colMeta, 2*blockCols)
@@ -350,17 +380,15 @@ func (f *int8Filter) quantize(x *float32, n int, dst *byte, rowStep, stride int,
 	int8Quant(x, f.d, n, &f.inv[0], dst, rowStep, panelCols*f.d4, stride, flip, &f.sums[0])
 }
 
-// packBlock quantizes rows [sLo, sHi) of s into the filter's S block.
-// Lanes past sHi in the last panel get code 0, scale 0 and b 0.
-func (f *int8Filter) packBlock(s *Matrix, sLo, sHi int) {
+// packBlock quantizes rows [sLo, sHi) of s into the filter's S block,
+// padded to lanes, a multiple of 16: lanes past sHi get code 0, scale 0
+// and b 0.
+func (f *int8Filter) packBlock(s *Matrix, sLo, sHi, lanes int) {
 	d4, n := f.d4, sHi-sLo
-	if tail := n % panelCols; tail != 0 {
-		p := n / panelCols
-		clear(f.s[p*panelCols*d4 : (p+1)*panelCols*d4])
-		for jj := tail; jj < panelCols; jj++ {
-			f.corr[p*panelCols+jj] = int32(d4/4 + 1)
-			f.colMeta[2*p*panelCols+jj], f.colMeta[(2*p+1)*panelCols+jj] = 0, 0
-		}
+	clear(f.s[n/panelCols*panelCols*d4 : lanes*d4])
+	for jj := n; jj < lanes; jj++ {
+		f.corr[jj] = int32(d4/4 + 1)
+		f.colMeta[jj/panelCols*2*panelCols+jj%panelCols], f.colMeta[(jj/panelCols*2+1)*panelCols+jj%panelCols] = 0, 0
 	}
 	f.quantize(&s.Data[sLo*f.d], n, &f.s[0], 4, 4*panelCols, 0, f.colMeta)
 	for j, sum := range f.sums[:n] {
@@ -372,11 +400,11 @@ func (f *int8Filter) packBlock(s *Matrix, sLo, sHi int) {
 // keeps costs its test on top of the F32 tile, and one it rules out
 // spares an F32 tile that might have stopped early anyway, so testing
 // pays only where most tiles are ruled out: in a threshold scan, where a
-// few percent are kept, but not in a top-k one, where most are until
-// late in the scan. So a scan starts sparse, testing only every eighth
-// strip of every eighth block, turns dense, testing every tile, after a
-// block whose tests kept at most a quarter of their tiles, and turns
-// sparse again after one whose tests kept more.
+// few percent are kept, but not in a low one, where most are. So a scan
+// starts dense, testing every tile, turns sparse, testing only every
+// eighth strip of every eighth block, after a block whose tests kept
+// more than a quarter of their tiles, and turns dense again after one
+// whose tests kept at most a quarter.
 func (f *int8Filter) nextBlock() {
 	if f.tested > 0 {
 		f.sparse = 4*f.kept > f.tested
@@ -397,7 +425,7 @@ func (f *int8Filter) samples(n int) bool {
 // them.
 func (f *int8Filter) prepare(s *Matrix, sLo, sHi int, x *float32, n int) {
 	if !f.blockReady {
-		f.packBlock(s, sLo, sHi)
+		f.packBlock(s, sLo, sHi, (sHi-sLo+panelCols-1)&^(panelCols-1))
 		f.blockReady = true
 	}
 	if !f.stripReady[n/4] {
@@ -416,6 +444,22 @@ func (f *int8Filter) tile(n, c int, bound *float32) uint32 {
 		f.kept++
 	}
 	return keep
+}
+
+// tileEst is int8TileEst on the worker's R rows n..n+3 against the two
+// panels from column c of the S block, with f.est for its estimates and
+// no listing.
+func (f *int8Filter) tileEst(n, c int, bound *float32, admit *[4]uint32) (keep01, keep23 uint64) {
+	keep01, keep23, _ = f.tileList(n, c, bound, admit, nil, nil, nil, 0)
+	return keep01, keep23
+}
+
+// tileList is int8TileEst on the worker's R rows n..n+3 against the two
+// panels from column c of the S block, with f.est for its estimates,
+// listing its cells from ups, cols and rows on (none if ups is nil),
+// column numbers from j0 and row numbers from n.
+func (f *int8Filter) tileList(n, c int, bound *float32, admit *[4]uint32, ups *float32, cols, rows *int32, j0 int) (keep01, keep23 uint64, listed int) {
+	return int8TileEst(&f.r[n*f.d4], f.d4, &f.s[c*f.d4], f.d4/4, &f.corr[c], &f.colMeta[2*c], &f.rowMeta[n/16*32+n%16], bound, &admit[0], &f.est[0], ups, cols, rows, j0, n)
 }
 
 // scanTile is a worker's tile scratch: up to two panels' 4x16 cells,
