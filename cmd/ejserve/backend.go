@@ -7,7 +7,6 @@ import (
 	"ejoin/internal/cost"
 	"ejoin/internal/feedback"
 	"ejoin/internal/obs"
-	"ejoin/internal/quant"
 	"ejoin/internal/relational"
 	"ejoin/internal/service"
 	"ejoin/internal/shard"
@@ -21,10 +20,9 @@ import (
 // adapters below erase them to JSON-ready values.
 type backend interface {
 	Query(ctx context.Context, req service.QueryRequest) (*service.QueryResult, error)
-	RegisterCSVWithPrecision(name string, schema relational.Schema, r io.Reader, replace bool, prec quant.Precision) (int, error)
+	RegisterCSV(name string, schema relational.Schema, r io.Reader, replace bool) (int, error)
 	UpsertCSV(ctx context.Context, name, keyCol string, r io.Reader) (service.MutationResult, error)
 	DeleteRows(ctx context.Context, name, keyCol string, keys []string) (service.MutationResult, error)
-	SetTablePrecision(name string, p quant.Precision) error
 	Tables() []service.TableInfo
 	HasTable(name string) bool
 	DropTable(name string) bool

@@ -14,20 +14,18 @@
 //
 // Endpoints: POST /query (sqlish text or structured join spec; "explain":
 // true returns the EXPLAIN ANALYZE plan tree and span trace), POST
-// /tables (CSV ingest; duplicate names are 409 unless replace is set; a
-// "precision" field declares the table's join precision), GET /tables,
-// DELETE /tables/{name}, POST /tables/{name}/rows (row-level upsert by
-// key column; WAL-logged before applying on durable engines), DELETE
-// /tables/{name}/rows (tombstone rows by key), PUT /tables/{name}/precision (set the per-table
-// precision knob: auto, f32, f16, or int8 — the coarser of two joined
-// tables' knobs governs their threshold scans), POST /snapshot (flush +
-// compact durable state), GET /stats (includes quantization, mutation,
-// and tracing stats), GET /metrics (Prometheus text exposition), GET
-// /debug/queries (slow-query log: recent + worst traces; ?table= and
-// ?min_ms= filter), GET /debug/feedback (the feedback registry: learned
-// output-cardinality corrections, q-error and regret), GET /debug/pprof/*
-// (with -debug-pprof), GET /healthz (liveness), GET /readyz (readiness:
-// 503 until WAL replay and warm-start complete). Every request carries an
+// /tables (CSV ingest; duplicate names are 409 unless replace is set),
+// GET /tables, DELETE /tables/{name}, POST /tables/{name}/rows
+// (row-level upsert by key column; WAL-logged before applying on durable
+// engines), DELETE /tables/{name}/rows (tombstone rows by key), POST
+// /snapshot (flush + compact durable state), GET /stats (includes
+// mutation and tracing stats), GET /metrics (Prometheus text
+// exposition), GET /debug/queries (slow-query log: recent + worst
+// traces; ?table= and ?min_ms= filter), GET /debug/feedback (the
+// feedback registry: learned output-cardinality corrections, q-error and
+// regret), GET /debug/pprof/* (with -debug-pprof), GET /healthz
+// (liveness), GET /readyz (readiness: 503 until WAL replay and
+// warm-start complete). Every request carries an
 // X-Request-ID (client-supplied or generated), echoed in the response
 // header and error bodies and used as the query's trace id. SIGINT/SIGTERM
 // drain in-flight queries, then flush durable state, before exit.

@@ -17,7 +17,6 @@ import (
 
 	"ejoin/internal/core"
 	"ejoin/internal/obs"
-	"ejoin/internal/quant"
 	"ejoin/internal/relational"
 	"ejoin/internal/service"
 )
@@ -49,7 +48,6 @@ func newServer(debugPprof bool) *server {
 	s.mux.HandleFunc("DELETE /tables/{name}", s.handleDropTable)
 	s.mux.HandleFunc("POST /tables/{name}/rows", s.handleUpsertRows)
 	s.mux.HandleFunc("DELETE /tables/{name}/rows", s.handleDeleteRows)
-	s.mux.HandleFunc("PUT /tables/{name}/precision", s.handleSetPrecision)
 	s.mux.HandleFunc("POST /query", s.handleQuery)
 	s.mux.HandleFunc("POST /snapshot", s.handleSnapshot)
 	if debugPprof {
@@ -198,9 +196,6 @@ type createTableRequest struct {
 	Schema  string `json:"schema"`
 	CSV     string `json:"csv"`
 	Replace bool   `json:"replace"`
-	// Precision declares the table's join precision up front (same values
-	// as PUT /tables/{name}/precision: auto, f32, f16, int8).
-	Precision string `json:"precision,omitempty"`
 }
 
 func (s *server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
@@ -228,14 +223,7 @@ func (s *server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	prec, err := quant.ParsePrecision(req.Precision)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// The engine validates the knob before reading any CSV, so a bad
-	// precision cannot leave a half-configured table behind.
-	rows, err := s.eng().RegisterCSVWithPrecision(req.Name, schema, csvSrc, req.Replace, prec)
+	rows, err := s.eng().RegisterCSV(req.Name, schema, csvSrc, req.Replace)
 	switch {
 	case errors.Is(err, service.ErrTableExists):
 		writeError(w, r, http.StatusConflict, "%v", err)
@@ -249,7 +237,7 @@ func (s *server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{"name": req.Name, "rows": rows, "precision": prec.String()})
+	writeJSON(w, http.StatusCreated, map[string]any{"name": req.Name, "rows": rows})
 }
 
 // upsertRowsRequest mutates rows in place:
@@ -345,36 +333,6 @@ func writeMutationError(w http.ResponseWriter, r *http.Request, err error) {
 	writeError(w, r, http.StatusBadRequest, "%v", err)
 }
 
-// setPrecisionRequest is the PUT /tables/{name}/precision body.
-type setPrecisionRequest struct {
-	Precision string `json:"precision"`
-}
-
-// handleSetPrecision sets one table's join precision knob: the coarser of
-// the two sides' declarations governs each threshold scan join.
-func (s *server) handleSetPrecision(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	var req setPrecisionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	prec, err := quant.ParsePrecision(req.Precision)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := s.eng().SetTablePrecision(name, prec); err != nil {
-		status := http.StatusBadRequest
-		if !s.eng().HasTable(name) {
-			status = http.StatusNotFound
-		}
-		writeError(w, r, status, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"name": name, "precision": prec.String()})
-}
-
 // handleSnapshot flushes and compacts the durable layer on demand — the
 // operator's pre-deploy "make disk current and minimal" button. A
 // memory-only engine is 409 (the resource state cannot satisfy the
@@ -420,7 +378,6 @@ type queryRequest struct {
 type queryResponse struct {
 	RequestID     string             `json:"request_id,omitempty"`
 	Strategy      string             `json:"strategy"`
-	Precision     string             `json:"precision"`
 	Rows          []map[string]any   `json:"rows,omitempty"`
 	Stats         core.Stats         `json:"stats"`
 	PlanCacheHit  bool               `json:"plan_cache_hit"`
@@ -452,7 +409,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp := queryResponse{
 		RequestID:     res.RequestID,
 		Strategy:      res.Strategy,
-		Precision:     res.Precision,
 		Stats:         res.Stats,
 		PlanCacheHit:  res.PlanCacheHit,
 		AdmittedBytes: res.AdmittedBytes,

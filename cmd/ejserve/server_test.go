@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"ejoin/internal/oracle"
 	"ejoin/internal/service"
 )
 
@@ -347,104 +348,78 @@ func TestSnapshotOnMemoryOnlyEngineErrors(t *testing.T) {
 	}
 }
 
-// TestPrecisionEndpoint: the per-table precision knob over HTTP — set it,
-// see it in listings and /stats, watch a threshold join execute at the
-// coarser side's precision, and clear it back to auto.
+// TestPrecisionEndpoint: the per-table precision knob is gone, so
+// PUT /tables/{name}/precision is not served (404, or 405 if a pattern
+// for the path exists under another method), and the table is untouched.
 func TestPrecisionEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	ingestPair(t, ts)
-
-	status, body := doJSON(t, http.MethodPut, ts.URL+"/tables/catalog/precision", `{"precision": "int8"}`)
-	if status != http.StatusOK || body["precision"] != "int8" {
-		t.Fatalf("set precision: %d %v", status, body)
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/tables/catalog/precision", strings.NewReader(`{"precision": "int8"}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	status, body = doJSON(t, http.MethodGet, ts.URL+"/tables", "")
-	if status != http.StatusOK {
-		t.Fatalf("list: %d", status)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	found := false
-	for _, raw := range body["tables"].([]any) {
-		entry := raw.(map[string]any)
-		if entry["name"] == "catalog" {
-			found = true
-			if entry["precision"] != "int8" {
-				t.Fatalf("listing precision %v", entry["precision"])
-			}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("PUT /tables/catalog/precision: status %d, want 404 or 405", resp.StatusCode)
+	}
+	status, body := doJSON(t, http.MethodGet, ts.URL+"/tables", "")
+	if status != http.StatusOK || len(body["tables"].([]any)) != 2 {
+		t.Fatalf("listing after the PUT: %d %v", status, body)
+	}
+}
+
+// TestCreateTableWithPrecision: a POST /tables body that still carries
+// the retired "precision" field creates the table, the field ignored like
+// any unknown one, and a threshold join over it is exact: the F32
+// oracle's answer at 1e-5, with full recall.
+func TestCreateTableWithPrecision(t *testing.T) {
+	engine, err := service.NewEngine(service.Config{Dim: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(serverFor(engine))
+	t.Cleanup(ts.Close)
+	for _, body := range []string{
+		`{"name": "catalog", "schema": "sku:int,name:text", "csv": "sku,name\n1,barbecue\n2,database\n3,clothes\n", "precision": "int8"}`,
+		`{"name": "feed", "schema": "title:text", "csv": "title\nbarbecues\ndatabases\nclothing\ngiraffe\n", "precision": "f16"}`,
+	} {
+		status, resp := doJSON(t, http.MethodPost, ts.URL+"/tables", body)
+		if status != http.StatusCreated {
+			t.Fatalf("create with a legacy precision field: %d %v", status, resp)
+		}
+		if _, ok := resp["precision"]; ok {
+			t.Fatalf("create reply still reports a precision: %v", resp)
 		}
 	}
-	if !found {
-		t.Fatal("catalog missing from listing")
-	}
 
-	status, body = doJSON(t, http.MethodPost, ts.URL+"/query",
+	status, body := doJSON(t, http.MethodPost, ts.URL+"/query",
 		`{"sql": "SELECT * FROM catalog JOIN feed ON SIM(catalog.name, feed.title) >= 0.35"}`)
 	if status != http.StatusOK {
 		t.Fatalf("query: %d %v", status, body)
 	}
-	if body["precision"] != "int8" {
-		t.Fatalf("query precision %v", body["precision"])
+	if _, ok := body["precision"]; ok {
+		t.Fatalf("query reply still reports a precision: %v", body)
 	}
-	if len(body["matches"].([]any)) == 0 {
-		t.Fatal("quantized join returned no matches")
+	var got []oracle.Match
+	for _, raw := range body["matches"].([]any) {
+		m := raw.(map[string]any)
+		got = append(got, oracle.Match{Left: int(m["left"].(float64)), Right: int(m["right"].(float64)), Sim: m["sim"].(float64)})
 	}
-
-	status, body = doJSON(t, http.MethodGet, ts.URL+"/stats", "")
-	if status != http.StatusOK {
-		t.Fatalf("stats: %d", status)
+	if len(got) == 0 {
+		t.Fatal("join returned no matches; test premise broken")
 	}
-	qs := body["quant"].(map[string]any)
-	if qs["table_precisions"].(map[string]any)["catalog"] != "int8" {
-		t.Fatalf("stats quant %v", qs)
+	catalog, _ := engine.Catalog().Get("catalog")
+	feed, _ := engine.Catalog().Get("feed")
+	ans, err := oracle.Join(engine.Model(), oracle.Side{Table: catalog, Text: "name"}, oracle.Side{Table: feed, Text: "title"}, oracle.Spec{Threshold: 0.35})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if qs["joins_by_precision"].(map[string]any)["int8"].(float64) != 1 {
-		t.Fatalf("stats joins by precision %v", qs)
-	}
-
-	// Errors: unknown table 404, bad precision 400, pq rejected 400.
-	if status, _ := doJSON(t, http.MethodPut, ts.URL+"/tables/nope/precision", `{"precision": "f16"}`); status != http.StatusNotFound {
-		t.Fatalf("unknown table: %d", status)
-	}
-	if status, _ := doJSON(t, http.MethodPut, ts.URL+"/tables/catalog/precision", `{"precision": "bf16"}`); status != http.StatusBadRequest {
-		t.Fatalf("bad precision: %d", status)
-	}
-	if status, _ := doJSON(t, http.MethodPut, ts.URL+"/tables/catalog/precision", `{"precision": "pq"}`); status != http.StatusBadRequest {
-		t.Fatalf("pq precision: %d", status)
-	}
-
-	// Clear back to auto; joins return to exact.
-	if status, _ := doJSON(t, http.MethodPut, ts.URL+"/tables/catalog/precision", `{"precision": "auto"}`); status != http.StatusOK {
-		t.Fatalf("clear: %d", status)
-	}
-	status, body = doJSON(t, http.MethodPost, ts.URL+"/query",
-		`{"sql": "SELECT * FROM catalog JOIN feed ON SIM(catalog.name, feed.title) >= 0.35"}`)
-	if status != http.StatusOK || body["precision"] != "f32" {
-		t.Fatalf("cleared query: %d precision %v", status, body["precision"])
-	}
-}
-
-// TestCreateTableWithPrecision: POST /tables accepts the knob inline.
-func TestCreateTableWithPrecision(t *testing.T) {
-	ts := newTestServer(t)
-	status, body := doJSON(t, http.MethodPost, ts.URL+"/tables",
-		`{"name": "p", "schema": "s:text", "csv": "s\nx\n", "precision": "f16"}`)
-	if status != http.StatusCreated || body["precision"] != "f16" {
-		t.Fatalf("create with precision: %d %v", status, body)
-	}
-	// An invalid precision fails before the table registers.
-	status, _ = doJSON(t, http.MethodPost, ts.URL+"/tables",
-		`{"name": "q", "schema": "s:text", "csv": "s\nx\n", "precision": "pq"}`)
-	if status != http.StatusBadRequest {
-		t.Fatalf("pq create: %d", status)
-	}
-	status, body = doJSON(t, http.MethodGet, ts.URL+"/tables", "")
-	if status != http.StatusOK {
-		t.Fatal("listing failed")
-	}
-	for _, raw := range body["tables"].([]any) {
-		if raw.(map[string]any)["name"] == "q" {
-			t.Fatal("rejected-precision table was registered anyway")
-		}
+	if err := ans.Check(got, 1e-5, 1); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -79,18 +79,6 @@ func TestShardedHTTPSurface(t *testing.T) {
 	}
 	assertSame("after mutations")
 
-	// Precision knob fans to every shard.
-	if status, body := doJSON(t, http.MethodPut, sharded.URL+"/tables/catalog/precision", `{"precision": "int8"}`); status != http.StatusOK {
-		t.Fatalf("set precision: %d %v", status, body)
-	}
-	status, body := doJSON(t, http.MethodPost, sharded.URL+"/query", q)
-	if status != http.StatusOK || body["precision"] != "int8" {
-		t.Fatalf("sharded int8 query: %d precision %v", status, body["precision"])
-	}
-	if status, _ := doJSON(t, http.MethodPut, sharded.URL+"/tables/catalog/precision", `{"precision": "auto"}`); status != http.StatusOK {
-		t.Fatal("clearing precision failed")
-	}
-
 	// Listings aggregate per-shard rows back to the unsharded counts.
 	rowsFor := func(ts *httptest.Server, name string) float64 {
 		t.Helper()

@@ -16,8 +16,8 @@ import (
 // and rescaled once per pair. This extends the half-precision direction
 // (Section V-A2) one rung down the precision ladder: unit-norm embeddings
 // lose at most quant.Int8DotErrorBound per comparison, so a threshold
-// with that much margin keeps its meaning — which is exactly the margin
-// a table accepts when it declares int8.
+// with that much margin keeps its meaning. It is a per-layer baseline:
+// no served join calls it (every served threshold join runs TensorJoin).
 //
 // The contract matches NLJF16: filters, thread partitioning over the left
 // input, and stride-based ctx.Err() checks in the inner loop.

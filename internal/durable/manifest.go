@@ -33,9 +33,6 @@ type TableEntry struct {
 	// Rows and Cols describe the table, for listing without opening.
 	Rows int `json:"rows"`
 	Cols int `json:"cols"`
-	// Precision is the table's declared join precision ("" or "auto" when
-	// unset), so per-table quantization opt-ins survive restarts.
-	Precision string `json:"precision,omitempty"`
 	// Incarnation identifies this registration of the name: drop-then-
 	// recreate under the same name gets a fresh incarnation, so mutation
 	// WAL records from the old table can never replay into the new one.

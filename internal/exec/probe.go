@@ -7,12 +7,11 @@ import (
 
 	"ejoin/internal/core"
 	"ejoin/internal/mat"
-	"ejoin/internal/quant"
 )
 
 // buildSide is the resident inner side shared by the scan-based probes:
 // the optimizer's smaller-inner reordering already made it the cheaper
-// side to hold, and it is encoded once at Open for the precision ladder.
+// side to hold.
 type buildSide struct {
 	// Build are the unit-norm build embeddings, one row per BuildRows entry.
 	Build *mat.Matrix
@@ -30,30 +29,24 @@ func remap(probeRows, buildRows []int, ms []core.Match) []core.Match {
 }
 
 // ThresholdProbe is the threshold tensor scan: the build side stays
-// resident (encoded once to the plan's precision) while probe blocks
-// stream through the blocked tensor kernel, or the F16/int8 kernel of a
-// declared precision. Each kernel
-// call sorts its matches by (probe, build) offset and blocks arrive in
-// ascending probe order, so the concatenated output is globally ordered
-// by (probe, build) row id whatever the block size — which is what makes
-// LIMIT's first-N well defined.
+// resident while probe blocks stream through the blocked tensor kernel
+// (core.TensorJoin, exact F32; its int8 filter only skips tiles no cell
+// of which can reach the threshold). Each kernel call sorts its matches
+// by (probe, build) offset and blocks arrive in ascending probe order,
+// so the concatenated output is globally ordered by (probe, build) row
+// id whatever the block size — which is what makes LIMIT's first-N well
+// defined.
 type ThresholdProbe struct {
 	Input Operator
 	buildSide
 	Threshold float32
-	// Precision is the scan rung (F16/int8 encode the build once at Open
-	// and each probe block on arrival).
-	Precision quant.Precision
 	Opts      core.Options
 
 	st  OpStats
 	agg core.Stats
-	// buildF16/buildI8 are the once-encoded build side.
-	buildF16 *mat.F16Matrix
-	buildI8  *quant.Int8Matrix
 }
 
-// Open encodes the resident build side.
+// Open implements Operator.
 func (p *ThresholdProbe) Open(ctx context.Context) error {
 	p.st = OpStats{Name: "probe:tensor"}
 	p.agg = core.Stats{}
@@ -62,12 +55,6 @@ func (p *ThresholdProbe) Open(ctx context.Context) error {
 	}
 	if p.Build == nil {
 		return fmt.Errorf("exec: threshold probe has no build side")
-	}
-	switch p.Precision {
-	case quant.PrecisionF16:
-		p.buildF16 = mat.EncodeF16(p.Build)
-	case quant.PrecisionInt8:
-		p.buildI8 = quant.EncodeInt8(p.Build)
 	}
 	return nil
 }
@@ -80,7 +67,7 @@ func (p *ThresholdProbe) Next(ctx context.Context) (*Batch, error) {
 	}
 	start := time.Now()
 	p.st.RowsIn += int64(b.Len())
-	res, err := p.probeBlock(ctx, b.Emb)
+	res, err := core.TensorJoin(ctx, b.Emb, p.Build, p.Threshold, p.Opts)
 	if err != nil {
 		return nil, err
 	}
@@ -91,17 +78,6 @@ func (p *ThresholdProbe) Next(ctx context.Context) (*Batch, error) {
 	p.st.Batches++
 	p.st.Elapsed += time.Since(start)
 	return b, nil
-}
-
-// probeBlock runs one block through the precision ladder's kernel.
-func (p *ThresholdProbe) probeBlock(ctx context.Context, block *mat.Matrix) (*core.Result, error) {
-	switch p.Precision {
-	case quant.PrecisionF16:
-		return core.NLJF16(ctx, mat.EncodeF16(block), p.buildF16, p.Threshold, p.Opts)
-	case quant.PrecisionInt8:
-		return core.NLJI8(ctx, quant.EncodeInt8(block), p.buildI8, p.Threshold, p.Opts)
-	}
-	return core.TensorJoin(ctx, block, p.Build, p.Threshold, p.Opts)
 }
 
 // Close implements Operator.

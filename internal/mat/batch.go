@@ -60,13 +60,6 @@ func clamp(v, lo, hi int) int {
 	return v
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // BlockVisitor receives one computed similarity block. block aliases an
 // internal buffer that is reused for the next block: consumers must
 // extract what they need (e.g. qualifying offsets) before returning.

@@ -20,11 +20,11 @@ func TestTraceSpansAndFinish(t *testing.T) {
 	s.Attr("tables", 2).End()
 	tr.AddSpan("rerank", 5*time.Millisecond, 2*time.Millisecond, map[string]int64{"rows": 10})
 
-	snap := tr.Finish("tensor", "fp32", errors.New("boom"), &NodeStats{Name: "Scan"})
+	snap := tr.Finish("tensor", errors.New("boom"), &NodeStats{Name: "Scan"})
 	if snap.ID != "req-1" || snap.Query != "SELECT ..." {
 		t.Fatalf("snapshot identity wrong: %+v", snap)
 	}
-	if snap.Strategy != "tensor" || snap.Precision != "fp32" || snap.Error != "boom" {
+	if snap.Strategy != "tensor" || snap.Error != "boom" {
 		t.Fatalf("snapshot metadata wrong: %+v", snap)
 	}
 	if len(snap.Spans) != 2 {
@@ -51,7 +51,7 @@ func TestNilTraceIsSafe(t *testing.T) {
 	}
 	tr.StartSpan("x").Attr("k", 1).End() // must not panic
 	tr.AddSpan("y", 0, 0, nil)
-	if tr.Finish("", "", nil, nil) != nil {
+	if tr.Finish("", nil, nil) != nil {
 		t.Fatal("nil trace Finish should return nil")
 	}
 }

@@ -10,7 +10,7 @@
 // executor) is:
 //
 //	resolve      parse + bind, or plan-cache hit validation
-//	plan         naive plan construction + optimization + declared precision
+//	plan         naive plan construction + optimization
 //	admit        admission wait (execution slot + byte budget)
 //	execute      the whole executor run (embed spans + join nest inside)
 //	embed        one input's E_µ evaluation (attrs: hits/misses/merged/model_calls)
@@ -139,31 +139,29 @@ func (t *Trace) AddSpan(name string, start, dur time.Duration, attrs map[string]
 // TraceSnapshot is a completed trace: the slow-query-log entry and the
 // explain-mode response payload.
 type TraceSnapshot struct {
-	ID        string        `json:"id"`
-	Query     string        `json:"query"`
-	Start     time.Time     `json:"start"`
-	Elapsed   time.Duration `json:"elapsed_ns"`
-	Strategy  string        `json:"strategy,omitempty"`
-	Precision string        `json:"precision,omitempty"`
-	Error     string        `json:"error,omitempty"`
-	Spans     []Span        `json:"spans"`
-	Plan      *NodeStats    `json:"plan,omitempty"`
+	ID       string        `json:"id"`
+	Query    string        `json:"query"`
+	Start    time.Time     `json:"start"`
+	Elapsed  time.Duration `json:"elapsed_ns"`
+	Strategy string        `json:"strategy,omitempty"`
+	Error    string        `json:"error,omitempty"`
+	Spans    []Span        `json:"spans"`
+	Plan     *NodeStats    `json:"plan,omitempty"`
 }
 
 // Finish seals the trace into a snapshot. The trace remains usable (it is
 // not consumed), but callers treat Finish as the end of recording.
-func (t *Trace) Finish(strategy, precision string, err error, plan *NodeStats) *TraceSnapshot {
+func (t *Trace) Finish(strategy string, err error, plan *NodeStats) *TraceSnapshot {
 	if t == nil {
 		return nil
 	}
 	snap := &TraceSnapshot{
-		ID:        t.id,
-		Query:     t.label,
-		Start:     t.start,
-		Elapsed:   time.Since(t.start),
-		Strategy:  strategy,
-		Precision: precision,
-		Plan:      plan,
+		ID:       t.id,
+		Query:    t.label,
+		Start:    t.start,
+		Elapsed:  time.Since(t.start),
+		Strategy: strategy,
+		Plan:     plan,
 	}
 	if err != nil {
 		snap.Error = err.Error()

@@ -24,7 +24,7 @@ func runTraced(t *testing.T, q Query) (*ExecResult, *obs.TraceSnapshot) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, tr.Finish("", "", nil, res.Analysis)
+	return res, tr.Finish("", nil, res.Analysis)
 }
 
 func TestExecuteBuildsAnalysisTree(t *testing.T) {

@@ -22,7 +22,6 @@ import (
 
 	"ejoin/internal/cost"
 	"ejoin/internal/model"
-	"ejoin/internal/quant"
 	"ejoin/internal/relational"
 	"ejoin/internal/vindex"
 )
@@ -178,10 +177,6 @@ type EJoin struct {
 	StaticRows int64
 	// Estimates holds the cost model's per-strategy estimates.
 	Estimates map[cost.Strategy]float64
-	// Precision is the storage/compute precision the scan executes at
-	// (threshold scans only; top-k and index strategies stay exact).
-	// Auto executes as F32.
-	Precision quant.Precision
 }
 
 // Explain implements Node.
@@ -196,36 +191,11 @@ func (j *EJoin) Explain() string {
 			cond += fmt.Sprintf(" AND sim >= %.2f", j.Spec.Threshold)
 		}
 	}
-	prec := ""
-	if j.Precision != quant.PrecisionAuto && j.Precision != quant.PrecisionF32 {
-		prec = fmt.Sprintf(", precision=%s", j.Precision)
-	}
-	return fmt.Sprintf("EJoin(%s, strategy=%s, swapped=%v%s)",
-		cond, j.Strategy, j.Swapped, prec)
+	return fmt.Sprintf("EJoin(%s, strategy=%s, swapped=%v)", cond, j.Strategy, j.Swapped)
 }
 
 // Children implements Node.
 func (j *EJoin) Children() []Node { return []Node{j.Left, j.Right} }
-
-// Quantizable reports whether this plan's shape can execute at a reduced
-// scan precision: a threshold condition on the tensor scan. Top-k
-// conditions rank by exact similarity and index probes rank inside the
-// index, so neither quantizes. ApplyPrecisionKnob gates on this one
-// predicate.
-func (j *EJoin) Quantizable() bool {
-	return j.Spec.Kind == ThresholdJoin && j.Strategy == cost.StrategyTensor
-}
-
-// ApplyPrecisionKnob sets the scan precision of an optimized plan to a
-// declared join precision, the only way a plan's precision is set. Only
-// threshold scans quantize (Quantizable), so the knob is a no-op
-// elsewhere, as is PrecisionAuto.
-func ApplyPrecisionKnob(j *EJoin, knob quant.Precision) {
-	if knob == quant.PrecisionAuto || !j.Quantizable() {
-		return
-	}
-	j.Precision = knob
-}
 
 // NewNaivePlan builds the unoptimized plan of Figure 1: embed eagerly over
 // the whole table, filter afterwards, and join tuple at a time. It is the

@@ -359,12 +359,7 @@ func (ex *Executor) lowerProbe(j *EJoin, in *loweredInput, build *BuildSide) (pr
 			op.Build, op.BuildRows = build.emb, build.rows
 			return op, nil
 		}
-		op := &exec.ThresholdProbe{
-			Input:     in.scan,
-			Threshold: j.Spec.Threshold,
-			Precision: j.Precision,
-			Opts:      ex.Options,
-		}
+		op := &exec.ThresholdProbe{Input: in.scan, Threshold: j.Spec.Threshold, Opts: ex.Options}
 		op.Build, op.BuildRows = build.emb, build.rows
 		return op, nil
 	}

@@ -21,7 +21,6 @@ import (
 	"ejoin/internal/model"
 	"ejoin/internal/obs"
 	"ejoin/internal/oracle"
-	"ejoin/internal/quant"
 	"ejoin/internal/relational"
 	"ejoin/internal/vec"
 	"ejoin/internal/workload"
@@ -143,7 +142,7 @@ func checkOracle(t *testing.T, q Query, j *EJoin, res *ExecResult, tol, minRecal
 // among the surviving rows of either side, since the store embeds a text
 // once for every row and table holding it) and, for scan strategies, one
 // comparison per surviving pair. The BlockRows=16 result is returned.
-func runShape(t *testing.T, q Query, opt planner, tune func(*Executor), tol, minRecall float64, wantCalls int64) (*ExecResult, *EJoin) {
+func runShape(t *testing.T, q Query, opt *Optimizer, tune func(*Executor), tol, minRecall float64, wantCalls int64) (*ExecResult, *EJoin) {
 	t.Helper()
 	var first, at16 *ExecResult
 	var plan16 *EJoin
@@ -220,27 +219,6 @@ func forced(s cost.Strategy) *Optimizer {
 	return o
 }
 
-// planner is what runShape plans with: an Optimizer, or one followed by
-// a declared precision.
-type planner interface {
-	Optimize(*EJoin) (*EJoin, error)
-}
-
-// declared applies a table's declared precision to every plan its
-// optimizer returns, the way the service does.
-type declared struct {
-	*Optimizer
-	prec quant.Precision
-}
-
-func (d declared) Optimize(root *EJoin) (*EJoin, error) {
-	out, err := d.Optimizer.Optimize(root)
-	if err == nil {
-		ApplyPrecisionKnob(out, d.prec)
-	}
-	return out, err
-}
-
 // TestStreamingDifferentialThresholdNLJ runs the threshold shape at the
 // kernel's default S-block width; core.TestNLJTensorEquivalence holds the
 // paper's tuple-at-a-time baseline core.NLJ to that kernel.
@@ -272,19 +250,6 @@ func TestStreamingDifferentialFiltered(t *testing.T) {
 	q.Left.Predicates = []relational.Pred{{Column: "n", Op: relational.LE, Value: int64(200)}}
 	q.Right.Predicates = []relational.Pred{{Column: "n", Op: relational.LE, Value: int64(250)}}
 	runShape(t, q, NewOptimizer(), nil, f32Tol, 1, -1)
-}
-
-func TestStreamingDifferentialQuantized(t *testing.T) {
-	for _, p := range []quant.Precision{quant.PrecisionF16, quant.PrecisionInt8} {
-		t.Run(p.String(), func(t *testing.T) {
-			q := streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.8})
-			// Per-row scales make block-wise int8/f16 encoding identical to
-			// whole-matrix encoding, so block-size invariance stays exact
-			// while the oracle is met to the rung's stated error bound.
-			o := declared{forced(cost.StrategyTensor), p}
-			runShape(t, q, o, nil, p.DotErrorBound(q.Model.Dim())+f32Tol, 1, -1)
-		})
-	}
 }
 
 // indexRecallFloor is the share of each probe row's true top-k an HNSW
@@ -461,7 +426,7 @@ func TestStreamingAnalysisTree(t *testing.T) {
 	// build side, one aggregated "embed" and one "join:tensor" for the whole
 	// probe stream) — not one span per block, or traces would grow with
 	// stream length.
-	snap := tr.Finish("", "", nil, res.Analysis)
+	snap := tr.Finish("", nil, res.Analysis)
 	var embedSpans, joinSpans int
 	for _, sp := range snap.Spans {
 		switch sp.Name {

@@ -19,16 +19,16 @@
 //     compression with recall recovered by an exact rerank pass.
 //
 // Both encodings are lossy. PQ is a codec only (TrainPQ, ADCScore); the
-// Precision type names the scan rungs (f32, f16, int8) a table may
-// declare for its joins, and DotErrorBound states each rung's similarity
-// error bound for unit-norm inputs: the result drift a declaration
-// accepts at the threshold boundary.
+// Precision type names the rungs (f32, f16, int8) of the per-layer
+// kernel series and the paper's FP16 ablation, and DotErrorBound states
+// each rung's similarity error bound for unit-norm inputs. No served
+// join runs below F32: the int8 filter inside the tensor scan
+// (internal/mat) only rules out tiles, it never changes an answer.
 package quant
 
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Precision is one rung of the storage/compute precision ladder.
@@ -45,7 +45,7 @@ const (
 	PrecisionInt8
 )
 
-// String names the precision as used in plans, stats, and bench output.
+// String names the precision as used in bench output.
 func (p Precision) String() string {
 	switch p {
 	case PrecisionAuto:
@@ -58,23 +58,6 @@ func (p Precision) String() string {
 		return "int8"
 	default:
 		return fmt.Sprintf("Precision(%d)", int(p))
-	}
-}
-
-// ParsePrecision parses a precision name (case-insensitive). Accepted:
-// auto, f32/fp32/float32, f16/fp16/half, int8/i8.
-func ParsePrecision(s string) (Precision, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "auto", "":
-		return PrecisionAuto, nil
-	case "f32", "fp32", "float32", "full":
-		return PrecisionF32, nil
-	case "f16", "fp16", "float16", "half":
-		return PrecisionF16, nil
-	case "int8", "i8", "sq8":
-		return PrecisionInt8, nil
-	default:
-		return PrecisionAuto, fmt.Errorf("quant: unknown precision %q (want auto, f32, f16, or int8)", s)
 	}
 }
 

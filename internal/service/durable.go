@@ -17,7 +17,6 @@ import (
 	"ejoin/internal/durable"
 	"ejoin/internal/embstore"
 	"ejoin/internal/mutation"
-	"ejoin/internal/quant"
 	"ejoin/internal/relational"
 )
 
@@ -113,13 +112,6 @@ func open(cfg Config, fixedRowIDs bool) (*Engine, error) {
 		}
 		e.catalog.Register(entry.Name, t)
 		e.mut.install(entry.Name, e.newTable(entry.Name, inc, t, live, entry.RowGen))
-		// Restore the table's precision knob with the table; an invalid
-		// value degrades to exact, never to an error.
-		if p, err := quant.ParsePrecision(entry.Precision); err != nil {
-			d.warnings = append(d.warnings, fmt.Sprintf("table %q: %v (running exact)", entry.Name, err))
-		} else {
-			e.tablePrec.set(entry.Name, p)
-		}
 		kept = append(kept, *entry)
 		d.loadedTables++
 	}
@@ -374,7 +366,6 @@ func (e *Engine) Snapshot() (SnapshotInfo, error) {
 			TombFile:    tombRel,
 			Rows:        cur.Table.NumRows(),
 			Cols:        cur.Table.NumCols(),
-			Precision:   manifestPrecision(e.tablePrec.get(name)),
 			Incarnation: ts.Incarnation,
 			RowGen:      cur.Gen,
 		})
@@ -498,7 +489,6 @@ func (e *Engine) persistTable(name string, t *relational.Table) error {
 		File:        d.layout.TableFileRel(name),
 		Rows:        t.NumRows(),
 		Cols:        t.NumCols(),
-		Precision:   manifestPrecision(e.tablePrec.get(name)),
 		Incarnation: inc,
 	})
 	if err := d.manifest.Write(d.layout.ManifestPath()); err != nil {
@@ -514,39 +504,6 @@ func (e *Engine) persistTable(name string, t *relational.Table) error {
 	if len(stale) > 0 {
 		durable.SyncDir(d.layout.TableDir())
 	}
-	return nil
-}
-
-// manifestPrecision renders a knob for the manifest: unset stays "" so
-// unknobbed tables keep a minimal entry.
-func manifestPrecision(p quant.Precision) string {
-	if p == quant.PrecisionAuto {
-		return ""
-	}
-	return p.String()
-}
-
-// persistTablePrecision mirrors one precision-knob change into the
-// manifest. Memory-only engines return nil immediately.
-func (e *Engine) persistTablePrecision(name string, p quant.Precision) error {
-	d := e.durable
-	if d == nil {
-		return nil
-	}
-	name = strings.ToLower(name)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i := range d.manifest.Tables {
-		if d.manifest.Tables[i].Name == name {
-			d.manifest.Tables[i].Precision = manifestPrecision(p)
-			if err := d.manifest.Write(d.layout.ManifestPath()); err != nil {
-				return fmt.Errorf("%w: manifest: %v", ErrPersist, err)
-			}
-			return nil
-		}
-	}
-	// Table registered but not persisted (e.g. a prior persist failure):
-	// the knob is live in memory; nothing durable to update.
 	return nil
 }
 

@@ -15,7 +15,7 @@ import (
 	"ejoin/internal/durable"
 	"ejoin/internal/embstore"
 	"ejoin/internal/model"
-	"ejoin/internal/quant"
+	"ejoin/internal/oracle"
 	"ejoin/internal/relational"
 	"ejoin/internal/vec"
 )
@@ -415,43 +415,64 @@ func TestConcurrentCreateOnlyOneWins(t *testing.T) {
 	}
 }
 
-// TestDurablePrecisionKnobSurvivesRestart: a per-table precision opt-in
-// is part of the table's durable state — a warm reboot must serve the
-// same quantized joins the operator configured, and replacing a table
-// must clear the persisted knob like the in-memory one.
-func TestDurablePrecisionKnobSurvivesRestart(t *testing.T) {
+// TestDurableManifestWithPrecisionFieldLoadsExact: a data dir whose
+// manifest entries carry "precision" (what a build with the per-table
+// precision knob wrote, valid or not) boots with both tables and no
+// warning, answers joins exactly as the F32 oracle does, and the next
+// manifest write drops the field.
+func TestDurableManifestWithPrecisionFieldLoadsExact(t *testing.T) {
 	dir := t.TempDir()
-
 	e1, _ := openTestEngine(t, dir)
 	ingestPair(t, e1)
-	if err := e1.SetTablePrecision("left", quant.PrecisionInt8); err != nil {
-		t.Fatal(err)
-	}
-	if res := runQuery(t, e1); res.Precision != "int8" {
-		t.Fatalf("pre-restart precision %q", res.Precision)
-	}
 	if err := e1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
+	path := durable.Layout{Dir: dir}.ManifestPath()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	legacy := map[string]string{"left": "int8", "right": "bogus"}
+	tables, _ := m["tables"].([]any)
+	for _, entry := range tables {
+		entry := entry.(map[string]any)
+		if p, ok := legacy[entry["name"].(string)]; ok {
+			entry["precision"] = p
+		}
+	}
+	if raw, err = json.MarshalIndent(m, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"precision": "int8"`) || !strings.Contains(string(raw), `"precision": "bogus"`) {
+		t.Fatalf("manifest has no left/right entries to extend:\n%s", raw)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	e2, _ := openTestEngine(t, dir)
-	if got := e2.TablePrecision("left"); got != quant.PrecisionInt8 {
-		t.Fatalf("knob lost across restart: %v", got)
+	defer e2.Close()
+	if st := e2.Stats().Durable; st.LoadedTables != 2 || len(st.Warnings) != 0 {
+		t.Fatalf("recovered %d tables (warnings %v), want 2 and none", st.LoadedTables, st.Warnings)
 	}
-	if res := runQuery(t, e2); res.Precision != "int8" {
-		t.Fatalf("post-restart precision %q", res.Precision)
+	res := runQuery(t, e2)
+	if len(res.Matches) == 0 {
+		t.Fatal("join returned no matches; test premise broken")
 	}
-	// Replacing the table clears the durable knob too.
-	schema := relational.Schema{{Name: "text", Type: relational.String}}
-	if _, err := e2.RegisterCSV("left", schema, strings.NewReader("text\nfresh\n"), true); err != nil {
+	checkAgainstOracle(t, e2, oracle.Spec{Threshold: 0.5}, res)
+
+	if _, err := e2.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.Close(); err != nil {
+	if raw, err = os.ReadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	e3, _ := openTestEngine(t, dir)
-	defer e3.Close()
-	if got := e3.TablePrecision("left"); got != quant.PrecisionAuto {
-		t.Fatalf("replaced table's knob came back: %v", got)
+	if strings.Contains(string(raw), "precision") {
+		t.Fatalf("rewritten manifest still carries precision:\n%s", raw)
 	}
 }

@@ -155,18 +155,16 @@ type queryCounters struct {
 	mu         sync.Mutex
 	join       core.Stats
 	strategies map[string]int64
-	precisions map[string]int64
 }
 
 // queryObs is the lifecycle's recording state: the overall latency
-// histogram, its split along the planner's two choices, the slow-query
+// histogram, its split by the planner's strategy choice, the slow-query
 // log, and how many requests carried a trace.
 type queryObs struct {
-	latency     obs.Histogram
-	byStrategy  obs.HistogramVec
-	byPrecision obs.HistogramVec
-	slow        *obs.SlowLog
-	traced      atomic.Int64
+	latency    obs.Histogram
+	byStrategy obs.HistogramVec
+	slow       *obs.SlowLog
+	traced     atomic.Int64
 }
 
 // NewFrontend builds the lifecycle for backend b over catalog, sized by
@@ -199,12 +197,12 @@ func (f *Frontend) Query(ctx context.Context, req QueryRequest) (*QueryResult, e
 	res, err := f.query(ctx, req, start)
 	if err != nil {
 		f.counters.errors.Add(1)
-		f.finishTrace(tr, "", "", err, nil)
+		f.finishTrace(tr, "", err, nil)
 		return nil, err
 	}
 	f.record(res)
 	res.RequestID = tr.ID()
-	if snap := f.finishTrace(tr, res.Strategy, res.Precision, nil, res.Plan); snap != nil && req.Explain {
+	if snap := f.finishTrace(tr, res.Strategy, nil, res.Plan); snap != nil && req.Explain {
 		res.Trace = snap
 		res.PlanText = obs.RenderAnalyze(res.Plan)
 	}
@@ -296,15 +294,12 @@ func (f *Frontend) record(res *QueryResult) {
 	c.join.Add(res.Stats)
 	if c.strategies == nil {
 		c.strategies = make(map[string]int64)
-		c.precisions = make(map[string]int64)
 	}
 	c.strategies[res.Strategy]++
-	c.precisions[res.Precision]++
 	c.mu.Unlock()
 	c.queries.Add(1)
 	f.obs.latency.Observe(res.Elapsed)
 	f.obs.byStrategy.With(res.Strategy).Observe(res.Elapsed)
-	f.obs.byPrecision.With(res.Precision).Observe(res.Elapsed)
 }
 
 // admit acquires one execution slot and then weight bytes of the
@@ -458,14 +453,14 @@ func (f *Frontend) startTrace(ctx context.Context, label string, force bool) (*o
 // span, and avoiding that copy is what keeps always-on tracing cheap when
 // an operator sets a slow-query threshold. Failures and explain requests
 // (which carry a plan) always snapshot.
-func (f *Frontend) finishTrace(tr *obs.Trace, strategy, precision string, err error, plan *obs.NodeStats) *obs.TraceSnapshot {
+func (f *Frontend) finishTrace(tr *obs.Trace, strategy string, err error, plan *obs.NodeStats) *obs.TraceSnapshot {
 	if tr == nil {
 		return nil
 	}
 	if err == nil && plan == nil && !f.obs.slow.Keeps(tr.Since()) {
 		return nil
 	}
-	snap := tr.Finish(strategy, precision, err, plan)
+	snap := tr.Finish(strategy, err, plan)
 	f.obs.slow.Record(snap)
 	return snap
 }
@@ -541,13 +536,6 @@ func (f *Frontend) QueryStats() QueryStats {
 	st.Strategies = copyCounts(c.strategies)
 	c.mu.Unlock()
 	return st
-}
-
-// joinsByPrecision snapshots executed joins per effective scan precision.
-func (f *Frontend) joinsByPrecision() map[string]int64 {
-	f.counters.mu.Lock()
-	defer f.counters.mu.Unlock()
-	return copyCounts(f.counters.precisions)
 }
 
 // copyCounts copies a label→count map, nil when empty.

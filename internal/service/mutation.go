@@ -181,7 +181,7 @@ func (e *Engine) UpsertRows(ctx context.Context, name, keyCol string, batch *rel
 	ts := e.mut.get(name)
 	if ts == nil {
 		err := badRequest(fmt.Errorf("service: unknown table %q", name))
-		e.front.finishTrace(tr, "upsert", "", err, nil)
+		e.front.finishTrace(tr, "upsert", err, nil)
 		return MutationResult{}, err
 	}
 	sp := tr.StartSpan("apply")
@@ -191,7 +191,7 @@ func (e *Engine) UpsertRows(ctx context.Context, name, keyCol string, batch *rel
 		if !IsBadRequest(err) && !errors.Is(err, ErrPersist) {
 			err = badRequest(err)
 		}
-		e.front.finishTrace(tr, "upsert", "", err, nil)
+		e.front.finishTrace(tr, "upsert", err, nil)
 		return MutationResult{}, err
 	}
 	sp.Attr("rows", int64(batch.NumRows())).Attr("replaced", int64(replaced))
@@ -206,7 +206,7 @@ func (e *Engine) UpsertRows(ctx context.Context, name, keyCol string, batch *rel
 		Replaced: replaced,
 		LiveRows: next.NumLive(),
 	}
-	e.front.finishTrace(tr, "upsert", "", nil, nil)
+	e.front.finishTrace(tr, "upsert", nil, nil)
 	return res, nil
 }
 
@@ -235,7 +235,7 @@ func (e *Engine) DeleteRows(ctx context.Context, name, keyCol string, keys []str
 	ts := e.mut.get(name)
 	if ts == nil {
 		err := badRequest(fmt.Errorf("service: unknown table %q", name))
-		e.front.finishTrace(tr, "delete", "", err, nil)
+		e.front.finishTrace(tr, "delete", err, nil)
 		return MutationResult{}, err
 	}
 	sp := tr.StartSpan("apply")
@@ -245,7 +245,7 @@ func (e *Engine) DeleteRows(ctx context.Context, name, keyCol string, keys []str
 		if !IsBadRequest(err) && !errors.Is(err, ErrPersist) {
 			err = badRequest(err)
 		}
-		e.front.finishTrace(tr, "delete", "", err, nil)
+		e.front.finishTrace(tr, "delete", err, nil)
 		return MutationResult{}, err
 	}
 	sp.Attr("deleted", int64(removed))
@@ -259,7 +259,7 @@ func (e *Engine) DeleteRows(ctx context.Context, name, keyCol string, keys []str
 		Missing:  len(keys) - removed,
 		LiveRows: next.NumLive(),
 	}
-	e.front.finishTrace(tr, "delete", "", nil, nil)
+	e.front.finishTrace(tr, "delete", nil, nil)
 	return res, nil
 }
 

@@ -62,7 +62,6 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	mw.Counter("ejoin_join_seconds_total", "Cumulative join/comparison time.", st.Join.JoinTime.Seconds())
 
 	countsByLabel(mw, "ejoin_joins_by_strategy_total", "Executed joins per physical strategy.", "strategy", st.Strategies)
-	countsByLabel(mw, "ejoin_joins_by_precision_total", "Executed joins per effective scan precision.", "precision", st.Quant.JoinsByPrecision)
 
 	mw.Counter("ejoin_store_hits_total", "Embedding store cache hits.", float64(st.Store.Hits))
 	mw.Counter("ejoin_store_misses_total", "Embedding store cache misses.", float64(st.Store.Misses))
@@ -101,8 +100,6 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 		"End-to-end latency of served queries.", &e.front.obs.latency)
 	mw.HistogramVec("ejoin_query_strategy_duration_seconds",
 		"Query latency split by physical join strategy.", "strategy", &e.front.obs.byStrategy)
-	mw.HistogramVec("ejoin_query_precision_duration_seconds",
-		"Query latency split by effective scan precision.", "precision", &e.front.obs.byPrecision)
 	mw.HistogramVec("ejoin_exec_operator_duration_seconds",
 		"Cumulative per-query self time of each pipeline operator.", "operator", &e.byOperator)
 

@@ -39,9 +39,8 @@ func TestQueryTraceAndSlowLog(t *testing.T) {
 	if entry.ID != "req-slow-1" {
 		t.Fatalf("slow log id = %q", entry.ID)
 	}
-	if entry.Strategy != res.Strategy || entry.Precision != res.Precision {
-		t.Fatalf("slow log strategy/precision = %s/%s, result %s/%s",
-			entry.Strategy, entry.Precision, res.Strategy, res.Precision)
+	if entry.Strategy != res.Strategy {
+		t.Fatalf("slow log strategy = %s, result %s", entry.Strategy, res.Strategy)
 	}
 	names := make(map[string]bool)
 	for _, sp := range entry.Spans {
@@ -148,7 +147,6 @@ func TestMetricsExpositionValid(t *testing.T) {
 		"ejoin_queries_total 3",
 		"ejoin_query_duration_seconds_bucket",
 		`ejoin_query_strategy_duration_seconds_bucket{strategy="`,
-		`ejoin_query_precision_duration_seconds_bucket{precision="`,
 		`ejoin_joins_by_strategy_total{strategy="`,
 		"ejoin_upsert_batches_total 1",
 		"ejoin_table_compactions_total 0",
@@ -208,11 +206,9 @@ func TestStatsSchemaGolden(t *testing.T) {
 	// table names) are schema leaves: their presence is pinned, their keys
 	// are data.
 	dynamic := map[string]bool{
-		"strategies":               true,
-		"quant.joins_by_precision": true,
-		"quant.table_precisions":   true,
-		"store_models":             true,
-		"mutation.generations":     true,
+		"strategies":           true,
+		"store_models":         true,
+		"mutation.generations": true,
 	}
 	var paths []string
 	var walk func(prefix string, v any)
@@ -263,7 +259,7 @@ func TestStatsOmitsEmptyMaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"strategies", "joins_by_precision", "table_precisions", "store_models", "generations"} {
+	for _, field := range []string{"strategies", "store_models", "generations"} {
 		if strings.Contains(string(data), `"`+field+`"`) {
 			t.Errorf("fresh stats should omit %q: %s", field, data)
 		}

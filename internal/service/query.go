@@ -11,18 +11,8 @@ import (
 	"ejoin/internal/model"
 	"ejoin/internal/obs"
 	"ejoin/internal/plan"
-	"ejoin/internal/quant"
 	"ejoin/internal/relational"
 )
-
-// EffectivePrecision is what a plan's precision executes as: Auto runs
-// exact, and non-quantizable shapes are exact regardless.
-func EffectivePrecision(pl *plan.EJoin) quant.Precision {
-	if pl.Precision == quant.PrecisionAuto || !pl.Quantizable() {
-		return quant.PrecisionF32
-	}
-	return pl.Precision
-}
 
 // QueryRequest is one query: sqlish text or a structured join spec.
 type QueryRequest struct {
@@ -61,9 +51,6 @@ type JoinRequest struct {
 type QueryResult struct {
 	// Strategy is the physical strategy the planner chose.
 	Strategy string
-	// Precision is the scan precision the join executed at ("f32" for
-	// exact plans; quantized threshold scans report "f16"/"int8").
-	Precision string
 	// Matches are the qualifying pairs (global row ids + similarity).
 	Matches []core.Match
 	// Stats is the executor's account of the work performed.
@@ -123,8 +110,7 @@ func (e *Engine) Query(ctx context.Context, req QueryRequest) (*QueryResult, err
 
 // PlanQuery is the engine's plan step of the query lifecycle (see
 // Backend): pin both sides, optimize, scale the output-rows estimate by
-// the learned feedback factor, apply the per-table precision knob, and
-// weigh the plan for admission.
+// the learned feedback factor, and weigh the plan for admission.
 func (e *Engine) PlanQuery(q plan.Query) (QueryRun, int64, int64, error) {
 	// Pin each side to its current MVCC version before planning: table and
 	// visibility set are read once here, so the query sees one generation
@@ -145,7 +131,6 @@ func (e *Engine) PlanQuery(q plan.Query) (QueryRun, int64, int64, error) {
 	if f := e.feedback.RowsFactor(q.Left.Name, q.Right.Name); f != 1 && optimized.EstRows > 0 {
 		optimized.EstRows = max(1, int64(math.Round(float64(optimized.StaticRows)*f)))
 	}
-	plan.ApplyPrecisionKnob(optimized, e.JoinPrecision(q.Left.Name, q.Right.Name))
 	// A plan is charged its build side plus one probe block — what the
 	// pipeline holds — not both whole inputs: charging for the probe side
 	// would serialize queries that can safely run concurrently.
@@ -181,11 +166,10 @@ func (r *engineRun) Run(ctx context.Context, req QueryRequest) (*QueryResult, er
 	}
 
 	out := &QueryResult{
-		Strategy:  optimized.Strategy.String(),
-		Precision: EffectivePrecision(optimized).String(),
-		Matches:   res.Matches,
-		Stats:     res.Stats,
-		Plan:      res.Analysis,
+		Strategy: optimized.Strategy.String(),
+		Matches:  res.Matches,
+		Stats:    res.Stats,
+		Plan:     res.Analysis,
 	}
 	if req.Materialize {
 		sp = tr.StartSpan("materialize")

@@ -113,9 +113,6 @@ type TableInfo struct {
 	Name string `json:"name"`
 	Rows int    `json:"rows"`
 	Cols int    `json:"cols"`
-	// Precision is the table's declared join precision ("auto" unless set
-	// via SetTablePrecision).
-	Precision string `json:"precision"`
 }
 
 // Engine is a long-lived, concurrency-safe query engine: one per process,
@@ -141,9 +138,6 @@ type Engine struct {
 	// fixedRowIDs marks a shard engine (OpenShard): its tables never
 	// compact.
 	fixedRowIDs bool
-
-	// tablePrec is the per-table precision knob (see precision.go).
-	tablePrec tablePrecisions
 
 	// feedback is the estimate-vs-observation registry (see feedback.go).
 	feedback   *feedback.Registry
@@ -202,8 +196,6 @@ var ErrNotDurable = errors.New("service: engine has no data directory")
 // RegisterTable adds or replaces a named table. Registration advances the
 // catalog generation, invalidating prepared plans bound to the old table.
 // On a durable engine the table is also written to the data directory.
-// A replaced table's precision knob is cleared — new contents opt into
-// quantization explicitly, matching drop-then-create semantics.
 func (e *Engine) RegisterTable(name string, t *relational.Table) error {
 	if name == "" {
 		return fmt.Errorf("service: empty table name")
@@ -211,15 +203,8 @@ func (e *Engine) RegisterTable(name string, t *relational.Table) error {
 	if t == nil {
 		return fmt.Errorf("service: nil table %q", name)
 	}
-	return e.registerTableWithPrecision(name, t, quant.PrecisionAuto)
-}
-
-// registerTableWithPrecision registers (or replaces) a table and its
-// precision knob together, so one durable manifest write carries both.
-func (e *Engine) registerTableWithPrecision(name string, t *relational.Table, prec quant.Precision) error {
 	e.catalog.Register(name, t)
-	e.installMutable(name, t)   // fresh incarnation: replaces any old MVCC state
-	e.tablePrec.set(name, prec) // Auto clears any previous knob
+	e.installMutable(name, t) // fresh incarnation: replaces any old MVCC state
 	e.front.PurgeStalePlans()
 	return e.persistTable(name, t)
 }
@@ -238,14 +223,6 @@ func (e *Engine) HasTable(name string) bool {
 // the whole upload and clobber the table). With replace true the new
 // contents take over.
 func (e *Engine) RegisterCSV(name string, schema relational.Schema, r io.Reader, replace bool) (int, error) {
-	return e.RegisterCSVWithPrecision(name, schema, r, replace, quant.PrecisionAuto)
-}
-
-// RegisterCSVWithPrecision is RegisterCSV with the table's precision
-// knob declared as part of the registration: the knob and the table land
-// in one durable manifest write, so a crash cannot keep the table while
-// losing the declared precision.
-func (e *Engine) RegisterCSVWithPrecision(name string, schema relational.Schema, r io.Reader, replace bool, prec quant.Precision) (int, error) {
 	if name == "" {
 		return 0, fmt.Errorf("service: empty table name")
 	}
@@ -257,13 +234,12 @@ func (e *Engine) RegisterCSVWithPrecision(name string, schema relational.Schema,
 		return 0, err
 	}
 	if replace {
-		err = e.registerTableWithPrecision(name, t, prec)
+		err = e.RegisterTable(name, t)
 	} else if !e.catalog.RegisterIfAbsent(name, t) {
 		// Lost a create-create race after the cheap pre-check.
 		err = fmt.Errorf("%w: %q (pass replace to overwrite)", ErrTableExists, name)
 	} else {
 		e.installMutable(name, t)
-		e.tablePrec.set(name, prec)
 		e.front.PurgeStalePlans()
 		err = e.persistTable(name, t)
 	}
@@ -273,13 +249,24 @@ func (e *Engine) RegisterCSVWithPrecision(name string, schema relational.Schema,
 	return t.NumRows(), nil
 }
 
+// RegisterCSVWithPrecision is RegisterCSV for callers that still pass a
+// precision. It exists only for the repo benchmark's replay, until that
+// replay calls RegisterCSV. Every join is exact F32, so only
+// quant.PrecisionAuto and quant.PrecisionF32 are accepted; any other
+// precision is an error before the CSV is read.
+func (e *Engine) RegisterCSVWithPrecision(name string, schema relational.Schema, r io.Reader, replace bool, prec quant.Precision) (int, error) {
+	if prec != quant.PrecisionAuto && prec != quant.PrecisionF32 {
+		return 0, badRequest(fmt.Errorf("service: precision %s is not served; every join is exact f32", prec))
+	}
+	return e.RegisterCSV(name, schema, r, replace)
+}
+
 // DropTable removes a named table, reporting whether it existed. On a
 // durable engine its table file and manifest entry are removed too.
 func (e *Engine) DropTable(name string) bool {
 	ok := e.catalog.Drop(name)
 	if ok {
 		e.front.PurgeStalePlans()
-		e.tablePrec.drop(name)
 		// Learned corrections describe the dropped contents, not the name;
 		// a recreated table starts neutral.
 		e.feedback.Drop(name)
@@ -302,7 +289,7 @@ func (e *Engine) Tables() []TableInfo {
 		if !ok {
 			continue // dropped between Names and Get
 		}
-		out = append(out, TableInfo{Name: n, Rows: t.NumRows(), Cols: t.NumCols(), Precision: e.tablePrec.get(n).String()})
+		out = append(out, TableInfo{Name: n, Rows: t.NumRows(), Cols: t.NumCols()})
 	}
 	return out
 }

@@ -43,23 +43,12 @@ type ExecStats struct {
 	BlockRows int `json:"block_rows"`
 }
 
-// QuantStats is the precision ladder's observability surface.
-type QuantStats struct {
-	// TablePrecisions maps tables with a declared precision knob to it.
-	TablePrecisions map[string]string `json:"table_precisions,omitempty"`
-	// JoinsByPrecision counts executed joins per effective scan precision.
-	JoinsByPrecision map[string]int64 `json:"joins_by_precision,omitempty"`
-}
-
 // ServerStats is the engine's aggregated observability surface: the query
 // lifecycle's request, admission, and plan-cache counters with the
 // cumulative executor work (QueryStats, flat in JSON), plus the shared
 // store's statistics and every subsystem's own section.
 type ServerStats struct {
 	QueryStats
-	// Quant describes the precision ladder: per-table knobs and joins
-	// executed per precision.
-	Quant QuantStats `json:"quant"`
 	// Store is the shared embedding store's statistics.
 	Store embstore.Stats `json:"store"`
 	// StoreModels counts cached entries per model fingerprint (the
@@ -99,10 +88,6 @@ func (e *Engine) Stats() ServerStats {
 			Batches:          e.counters.execBatches.Load(),
 			EarlyOutRows:     e.counters.execEarlyOut.Load(),
 			BlockRows:        e.cfg.ExecBlockRows,
-		},
-		Quant: QuantStats{
-			TablePrecisions:  e.tablePrec.snapshot(),
-			JoinsByPrecision: e.front.joinsByPrecision(),
 		},
 		Obs:      obsStats,
 		Cost:     e.costStats(),

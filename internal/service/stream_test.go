@@ -92,7 +92,7 @@ func TestServiceStreamingDifferential(t *testing.T) {
 			first = replies
 		}
 		for i, res := range replies {
-			if res.Strategy != first[i].Strategy || res.Precision != first[i].Precision || !reflect.DeepEqual(res.Matches, first[i].Matches) {
+			if res.Strategy != first[i].Strategy || !reflect.DeepEqual(res.Matches, first[i].Matches) {
 				t.Errorf("BlockRows=%d request %d differs from BlockRows=1", rows, i)
 			}
 		}

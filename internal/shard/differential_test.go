@@ -22,7 +22,6 @@ import (
 	"ejoin/internal/cost"
 	"ejoin/internal/model"
 	"ejoin/internal/plan"
-	"ejoin/internal/quant"
 	"ejoin/internal/relational"
 	"ejoin/internal/service"
 	"ejoin/internal/vec"
@@ -69,21 +68,20 @@ func diffCSV(t *testing.T) (left, right string) {
 // backend is the surface the harness drives identically on an Engine and
 // a Router.
 type backend interface {
-	RegisterCSVWithPrecision(name string, schema relational.Schema, r io.Reader, replace bool, prec quant.Precision) (int, error)
+	RegisterCSV(name string, schema relational.Schema, r io.Reader, replace bool) (int, error)
 	Query(ctx context.Context, req service.QueryRequest) (*service.QueryResult, error)
 	UpsertRows(ctx context.Context, name, keyCol string, batch *relational.Table) (service.MutationResult, error)
 	DeleteRows(ctx context.Context, name, keyCol string, keys []string) (service.MutationResult, error)
-	SetTablePrecision(name string, p quant.Precision) error
 	Tables() []service.TableInfo
 }
 
 func loadCorpus(t *testing.T, b backend) {
 	t.Helper()
 	l, r := diffCSV(t)
-	if _, err := b.RegisterCSVWithPrecision("l", diffSchemaL, strings.NewReader(l), false, quant.PrecisionAuto); err != nil {
+	if _, err := b.RegisterCSV("l", diffSchemaL, strings.NewReader(l), false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.RegisterCSVWithPrecision("r", diffSchemaR, strings.NewReader(r), false, quant.PrecisionAuto); err != nil {
+	if _, err := b.RegisterCSV("r", diffSchemaR, strings.NewReader(r), false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -162,9 +160,6 @@ func assertSameMatches(t *testing.T, label string, want, got *service.QueryResul
 		if want.Matches[i] != got.Matches[i] {
 			t.Fatalf("%s: match %d: unsharded %+v, sharded %+v", label, i, want.Matches[i], got.Matches[i])
 		}
-	}
-	if want.Precision != got.Precision {
-		t.Errorf("%s: precision %q unsharded, %q sharded", label, want.Precision, got.Precision)
 	}
 }
 
@@ -312,7 +307,7 @@ func TestShardDifferentialIndex(t *testing.T) {
 					t.Errorf("top-%d: router ran %s", k, got.Strategy)
 				}
 				label := "top-" + strconv.Itoa(k)
-				wantRes := &service.QueryResult{Matches: want[i], Precision: got.Precision}
+				wantRes := &service.QueryResult{Matches: want[i]}
 				assertSameMatches(t, label, wantRes, got)
 				// Repeated, the query is served warm: the HNSW is built
 				// again over the merged build from cached embeddings, with
@@ -368,46 +363,6 @@ func TestShardEstRowsMatchEngine(t *testing.T) {
 				t.Errorf("%s: %s: est_rows %d sharded, %d unsharded", g.name(), sql, got, want[i])
 			}
 		}
-	}
-}
-
-// TestShardDifferentialQuantized declares a table-level scan precision on
-// both backends; the quantized threshold scans must still agree byte for
-// byte (per-row scales make sliced encoding identical to whole-table
-// encoding).
-func TestShardDifferentialQuantized(t *testing.T) {
-	for _, p := range []quant.Precision{quant.PrecisionF16, quant.PrecisionInt8} {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
-			cfg := diffConfig(t)
-			ref := newUnsharded(t, cfg, loadCorpus)
-			if err := ref.SetTablePrecision("r", p); err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
-			req := service.QueryRequest{SQL: "SELECT * FROM l JOIN r ON SIM(l.word, r.term) >= 0.8"}
-			want, err := ref.Query(ctx, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want.Matches) == 0 {
-				t.Fatal("no matches; differential is vacuous")
-			}
-			if want.Precision != p.String() {
-				t.Fatalf("unsharded precision %q, want %q", want.Precision, p)
-			}
-			for _, g := range wideGrid() {
-				rt := newRouter(t, cfg, g.shards, g.part, loadCorpus)
-				if err := rt.SetTablePrecision("r", p); err != nil {
-					t.Fatal(err)
-				}
-				got, err := rt.Query(ctx, req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameMatches(t, g.name(), want, got)
-			}
-		})
 	}
 }
 

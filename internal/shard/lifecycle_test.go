@@ -8,6 +8,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,7 @@ import (
 	"ejoin/internal/cost"
 	"ejoin/internal/model"
 	"ejoin/internal/quant"
+	"ejoin/internal/relational"
 	"ejoin/internal/service"
 )
 
@@ -47,7 +49,7 @@ func (m *gateModel) Embed(s string) ([]float32, error) {
 func holdSlot(t *testing.T, b backend, gm *gateModel, name string) (release func()) {
 	t.Helper()
 	rows := fmt.Sprintf("term,n\n%s-a,1\n%s-b,2\n", name, name)
-	if _, err := b.RegisterCSVWithPrecision(name, diffSchemaR, strings.NewReader(rows), false, quant.PrecisionAuto); err != nil {
+	if _, err := b.RegisterCSV(name, diffSchemaR, strings.NewReader(rows), false); err != nil {
 		t.Fatal(err)
 	}
 	g := &gate{entered: make(chan struct{}), release: make(chan struct{})}
@@ -245,5 +247,47 @@ func TestRouterCalibratesOnce(t *testing.T) {
 	}
 	if got, want := cm.Calls(), one.Calls(); got != want {
 		t.Errorf("opening a 2-shard router made %d model calls, one calibration makes %d", got, want)
+	}
+}
+
+// unreadable fails the test if anything reads it.
+type unreadable struct{ t *testing.T }
+
+func (u unreadable) Read([]byte) (int, error) {
+	u.t.Error("CSV read for a precision that is not served")
+	return 0, fmt.Errorf("unreadable")
+}
+
+// TestRegisterCSVWithPrecisionExactOnly: the precision-taking ingest that
+// the repo benchmark's replay still calls forwards Auto and F32 to
+// RegisterCSV on both backends, and rejects F16 and int8 as bad requests
+// before reading the CSV.
+func TestRegisterCSVWithPrecisionExactOnly(t *testing.T) {
+	cfg := diffConfig(t)
+	none := func(*testing.T, backend) {}
+	type ingester interface {
+		RegisterCSVWithPrecision(name string, schema relational.Schema, r io.Reader, replace bool, prec quant.Precision) (int, error)
+		HasTable(name string) bool
+	}
+	for label, b := range map[string]ingester{
+		"engine": newUnsharded(t, cfg, none),
+		"router": newRouter(t, cfg, 2, "hash", none),
+	} {
+		for _, p := range []quant.Precision{quant.PrecisionF16, quant.PrecisionInt8} {
+			_, err := b.RegisterCSVWithPrecision("q", diffSchemaR, unreadable{t}, false, p)
+			if err == nil || !service.IsBadRequest(err) {
+				t.Errorf("%s at %v: err %v, want a bad request", label, p, err)
+			}
+			if b.HasTable("q") {
+				t.Errorf("%s at %v registered the table", label, p)
+			}
+		}
+		for i, p := range []quant.Precision{quant.PrecisionAuto, quant.PrecisionF32} {
+			name := fmt.Sprintf("t%d", i)
+			rows, err := b.RegisterCSVWithPrecision(name, diffSchemaR, strings.NewReader("term,n\na,1\nb,2\n"), false, p)
+			if err != nil || rows != 2 || !b.HasTable(name) {
+				t.Errorf("%s at %v: %d rows, err %v, registered %v", label, p, rows, err, b.HasTable(name))
+			}
+		}
 	}
 }

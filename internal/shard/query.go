@@ -131,7 +131,6 @@ func (r *Router) PlanQuery(q plan.Query) (service.QueryRun, int64, int64, error)
 	// build shard s through its Right. Admission prices the fan-out as one
 	// unit, the sum of the plans' footprints: the merged build plus one
 	// probe block per stream.
-	knob := r.shards[0].JoinPrecision(q.Left.Name, q.Right.Name)
 	var weight int64
 	f.plans = make([]*plan.EJoin, r.nshards)
 	for s := range f.plans {
@@ -144,7 +143,6 @@ func (r *Router) PlanQuery(q plan.Query) (service.QueryRun, int64, int64, error)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		plan.ApplyPrecisionKnob(jp, knob)
 		f.plans[s] = jp
 		weight += plan.EstimateFootprint(jp, service.FootprintDim(r.model, pq.Left, pq.Right), r.exec.BlockRows)
 	}
@@ -328,13 +326,12 @@ func (f *fanout) Run(ctx context.Context, req service.QueryRequest) (*service.Qu
 		}
 	}
 
-	// Every plan has the pinned strategy and the table-wide precision.
+	// Every plan has the pinned strategy.
 	out := &service.QueryResult{
-		Strategy:  f.plans[0].Strategy.String(),
-		Precision: service.EffectivePrecision(f.plans[0]).String(),
-		Matches:   matches,
-		Stats:     agg,
-		Plan:      root,
+		Strategy: f.plans[0].Strategy.String(),
+		Matches:  matches,
+		Stats:    agg,
+		Plan:     root,
 	}
 	if req.Materialize {
 		sp = tr.StartSpan("materialize")

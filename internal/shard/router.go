@@ -275,12 +275,24 @@ func (r *Router) Close() error {
 	return first
 }
 
-// RegisterCSVWithPrecision parses CSV content under the schema, assigns
-// every row a global id in file order, partitions the rows across
-// shards, and registers each shard's slice. The manifest (routing state)
-// is written before the shard registrations — a crash in between leaves
-// a torn table that recovery drops everywhere.
+// RegisterCSVWithPrecision is RegisterCSV for callers that still pass a
+// precision. It exists only for the repo benchmark's replay, until that
+// replay calls RegisterCSV. Every join is exact F32, so only
+// quant.PrecisionAuto and quant.PrecisionF32 are accepted; any other
+// precision is an error before the CSV is read.
 func (r *Router) RegisterCSVWithPrecision(name string, schema relational.Schema, rd io.Reader, replace bool, prec quant.Precision) (int, error) {
+	if prec != quant.PrecisionAuto && prec != quant.PrecisionF32 {
+		return 0, service.MarkBadRequest(fmt.Errorf("shard: precision %s is not served; every join is exact f32", prec))
+	}
+	return r.RegisterCSV(name, schema, rd, replace)
+}
+
+// RegisterCSV parses CSV content under the schema, assigns every row a
+// global id in file order, partitions the rows across shards, and
+// registers each shard's slice. The manifest (routing state) is written
+// before the shard registrations — a crash in between leaves a torn
+// table that recovery drops everywhere.
+func (r *Router) RegisterCSV(name string, schema relational.Schema, rd io.Reader, replace bool) (int, error) {
 	if name == "" {
 		return 0, fmt.Errorf("shard: empty table name")
 	}
@@ -333,11 +345,6 @@ func (r *Router) RegisterCSVWithPrecision(name string, schema relational.Schema,
 		}
 		if err := eng.RegisterTable(name, part); err != nil {
 			return 0, fmt.Errorf("shard: registering %q on shard %d: %w", name, s, err)
-		}
-		if prec != quant.PrecisionAuto {
-			if err := eng.SetTablePrecision(name, prec); err != nil {
-				return 0, err
-			}
 		}
 	}
 	r.cat.Register(name, emptySchemaTable(schema))
@@ -554,7 +561,7 @@ func (r *Router) Tables() []service.TableInfo {
 	sort.Strings(names)
 	out := make([]service.TableInfo, 0, len(names))
 	for _, n := range names {
-		info := service.TableInfo{Name: n, Precision: r.shards[0].TablePrecision(n).String()}
+		info := service.TableInfo{Name: n}
 		for _, eng := range r.shards {
 			for _, ti := range eng.Tables() {
 				if ti.Name == n {
@@ -566,19 +573,6 @@ func (r *Router) Tables() []service.TableInfo {
 		out = append(out, info)
 	}
 	return out
-}
-
-// SetTablePrecision fans the knob to every shard.
-func (r *Router) SetTablePrecision(name string, p quant.Precision) error {
-	if !r.HasTable(name) {
-		return fmt.Errorf("shard: unknown table %q", name)
-	}
-	for _, eng := range r.shards {
-		if err := eng.SetTablePrecision(name, p); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RouterSnapshot aggregates per-shard snapshot results.

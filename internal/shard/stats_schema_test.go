@@ -42,12 +42,10 @@ func TestRouterStatsSchemaGolden(t *testing.T) {
 	}
 	// Maps keyed by runtime values are schema leaves; their keys are data.
 	dynamic := map[string]bool{
-		"strategies":                           true,
-		"per_shard[].strategies":               true,
-		"per_shard[].quant.joins_by_precision": true,
-		"per_shard[].quant.table_precisions":   true,
-		"per_shard[].store_models":             true,
-		"per_shard[].mutation.generations":     true,
+		"strategies":                       true,
+		"per_shard[].strategies":           true,
+		"per_shard[].store_models":         true,
+		"per_shard[].mutation.generations": true,
 	}
 	var paths []string
 	var walk func(prefix string, v any)

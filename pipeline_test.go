@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"ejoin/internal/quant"
 	"ejoin/internal/relational"
 	"ejoin/internal/service"
 )
@@ -89,12 +88,5 @@ func TestFullPipelinePublicAPI(t *testing.T) {
 		if sims[i] < 0.35 || sims[i] != float64(m.Sim) {
 			t.Errorf("row %d: similarity %v, match %+v", i, sims[i], m)
 		}
-	}
-}
-
-// TestFacadePrecisionLadder: a precision name parses to its rung.
-func TestFacadePrecisionLadder(t *testing.T) {
-	if p, err := quant.ParsePrecision("int8"); err != nil || p != quant.PrecisionInt8 {
-		t.Fatalf("ParsePrecision: %v %v", p, err)
 	}
 }
