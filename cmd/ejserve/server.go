@@ -95,7 +95,43 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if h, pattern := s.mux.Handler(r); pattern == "" {
+		unrouted(w, r, h)
+		return
+	}
 	s.mux.ServeHTTP(w, r)
+}
+
+// unrouted answers a request that no route serves the way every other
+// error is answered, with errorBody: the status the mux's own handler h
+// gives it (404, or 405 with its Allow header kept).
+func unrouted(w http.ResponseWriter, r *http.Request, h http.Handler) {
+	rec := &statusRecorder{header: http.Header{}}
+	h.ServeHTTP(rec, r)
+	if allow := rec.header.Get("Allow"); allow != "" {
+		w.Header().Set("Allow", allow)
+	}
+	writeError(w, r, rec.status, "%s %s: %s", r.Method, r.URL.Path, strings.ToLower(http.StatusText(rec.status)))
+}
+
+// statusRecorder keeps the headers and status a handler writes and drops
+// its body.
+type statusRecorder struct {
+	header http.Header
+	status int
+}
+
+func (s *statusRecorder) Header() http.Header { return s.header }
+
+func (s *statusRecorder) WriteHeader(status int) {
+	if s.status == 0 {
+		s.status = status
+	}
+}
+
+func (s *statusRecorder) Write(b []byte) (int, error) {
+	s.WriteHeader(http.StatusOK)
+	return len(b), nil
 }
 
 // writeJSON renders one response.

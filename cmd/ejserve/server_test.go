@@ -372,6 +372,47 @@ func TestPrecisionEndpoint(t *testing.T) {
 	}
 }
 
+// TestUnknownRoutesAnswerJSON: a path no route serves answers 404, and a
+// method its route does not serve 405 with the route's Allow header, both
+// with the JSON error body every other error carries, whose request id is
+// the one echoed in the header.
+func TestUnknownRoutesAnswerJSON(t *testing.T) {
+	ts := newTestServer(t)
+	for _, c := range []struct {
+		method, path string
+		status       int
+		allow        string
+	}{
+		{http.MethodGet, "/nope", http.StatusNotFound, ""},
+		{http.MethodPut, "/tables/catalog/precision", http.StatusNotFound, ""},
+		{http.MethodGet, "/query", http.StatusMethodNotAllowed, "POST"},
+		{http.MethodPut, "/tables/catalog", http.StatusMethodNotAllowed, "DELETE"},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-ID", "route-check")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s %s: body is not JSON: %v", c.method, c.path, err)
+		}
+		if resp.StatusCode != c.status || resp.Header.Get("Content-Type") != "application/json" ||
+			resp.Header.Get("X-Request-ID") != "route-check" || body["request_id"] != "route-check" || body["error"] == "" {
+			t.Errorf("%s %s: %d %q %v, want %d with a JSON error body", c.method, c.path, resp.StatusCode, resp.Header.Get("Content-Type"), body, c.status)
+		}
+		if got := resp.Header.Get("Allow"); !strings.Contains(got, c.allow) || c.allow == "" && got != "" {
+			t.Errorf("%s %s: Allow %q, want %q", c.method, c.path, got, c.allow)
+		}
+	}
+}
+
 // TestCreateTableWithPrecision: a POST /tables body that still carries
 // the retired "precision" field creates the table, the field ignored like
 // any unknown one, and a threshold join over it is exact: the F32

@@ -78,10 +78,17 @@ type Stats struct {
 	// pruned fraction. Comparisons counts pairs decided, not work spent.
 	KSteps        int64 `json:"k_steps"`
 	KStepsSkipped int64 `json:"k_steps_skipped"`
-	// PeakIntermediateBytes is the working memory beyond the inputs: a
-	// tensor scan's scratch (a packed S block, its and the left rows'
-	// suffix factors, and a tile per worker), or a top-k's int8 copies and
-	// candidate lists (mat.ScanStats.ScratchBytes).
+	// Int8Tiles is how many 4x32 int8 tiles a tensor scan's int8 filter
+	// or a top-k's candidate sweep tested, and Int8RuledOut how many of
+	// them it ruled out; Rescored is how many top-k candidate cells were
+	// computed in F32 (mat.ScanStats).
+	Int8Tiles    int64 `json:"int8_tiles"`
+	Int8RuledOut int64 `json:"int8_ruled_out"`
+	Rescored     int64 `json:"rescored"`
+	// PeakIntermediateBytes is the working memory beyond the inputs and
+	// their resident forms: a tensor scan's tile per worker and the forms
+	// it derived for a matrix operand, or a top-k's bounds and candidate
+	// lists besides (mat.ScanStats.ScratchBytes).
 	PeakIntermediateBytes int64 `json:"peak_intermediate_bytes"`
 	// EmbedTime is time spent in the model (prefetch phase).
 	EmbedTime time.Duration `json:"embed_time_ns"`
@@ -97,6 +104,9 @@ func (s *Stats) Add(o Stats) {
 	s.Blocks += o.Blocks
 	s.KSteps += o.KSteps
 	s.KStepsSkipped += o.KStepsSkipped
+	s.Int8Tiles += o.Int8Tiles
+	s.Int8RuledOut += o.Int8RuledOut
+	s.Rescored += o.Rescored
 	s.PeakIntermediateBytes = max(s.PeakIntermediateBytes, o.PeakIntermediateBytes)
 	s.EmbedTime += o.EmbedTime
 	s.JoinTime += o.JoinTime
@@ -120,4 +130,36 @@ func sortMatches(ms []Match) {
 	slices.SortFunc(ms, func(a, b Match) int {
 		return cmp.Or(cmp.Compare(a.Left, b.Left), cmp.Compare(a.Right, b.Right))
 	})
+}
+
+// groupByLeft returns the matches of parts, in order, ordered by (Left,
+// Right), given that each Left is below n and that each Left's matches
+// arrive in ascending Right — a fused scan's: a stable counting sort by
+// Left into new storage, or the one part if it is in order already.
+func groupByLeft(n int, parts ...[]Match) []Match {
+	if len(parts) == 1 && slices.IsSortedFunc(parts[0], func(a, b Match) int { return cmp.Compare(a.Left, b.Left) }) {
+		return parts[0]
+	}
+	at := make([]int, n+1) // at[i+1] counts Left i, then at[i] is where it starts
+	total := 0
+	for _, ms := range parts {
+		for _, m := range ms {
+			at[m.Left+1]++
+		}
+		total += len(ms)
+	}
+	if total == 0 {
+		return nil
+	}
+	for i := 1; i <= n; i++ {
+		at[i] += at[i-1]
+	}
+	out := make([]Match, total)
+	for _, ms := range parts {
+		for _, m := range ms {
+			out[at[m.Left]] = m
+			at[m.Left]++
+		}
+	}
+	return out
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -547,6 +548,47 @@ func TestSortMatches(t *testing.T) {
 	}
 }
 
+// TestGroupByLeftMatchesSortMatches: on matches as a fused scan hands
+// them over — each Left's in ascending Right, Lefts interleaved block by
+// block within a worker's run of rows, runs in order — the counting sort
+// gives sortMatches' (Left, Right) order, and so does TensorJoin over
+// several workers and blocks.
+func TestGroupByLeftMatchesSortMatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(131))
+	for trial := 0; trial < 50; trial++ {
+		nr, ns := 1+rng.Intn(40), 1+rng.Intn(200)
+		var ms []Match
+		for lo, hi := 0, 0; lo < nr; lo = hi { // one worker's rows
+			hi = min(nr, lo+1+rng.Intn(9))
+			for sLo := 0; sLo < ns; sLo += 16 { // its S blocks
+				for i := lo; i < hi; i++ {
+					for j := sLo; j < min(ns, sLo+16); j++ {
+						if rng.Intn(4) == 0 {
+							ms = append(ms, Match{Left: i, Right: j, Sim: rng.Float32()})
+						}
+					}
+				}
+			}
+		}
+		want := slices.Clone(ms)
+		sortMatches(want)
+		cut := rng.Intn(len(ms) + 1) // as two workers' parts
+		if got := groupByLeft(nr, ms[:cut], ms[cut:]); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: groupByLeft differs from sortMatches", trial)
+		}
+	}
+	left, right := randomEmbeddings(151, 300, 40), randomEmbeddings(152, 200, 40)
+	res, err := TensorJoin(context.Background(), left, right, 0.1, Options{Threads: 3, BatchCols: 32, Kernel: vec.KernelSIMD})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(res.Matches)
+	sortMatches(want)
+	if len(want) == 0 || !slices.Equal(res.Matches, want) {
+		t.Fatalf("TensorJoin's %d matches are not in (Left, Right) order", len(want))
+	}
+}
+
 func TestEmptyInputs(t *testing.T) {
 	ctx := context.Background()
 	empty := mat.New(0, 8)
@@ -768,8 +810,8 @@ func bruteTopK(full *mat.Matrix, k int, lf, rf *relational.Bitmap) []Match {
 // right rows seed each row's bound before the scan, to the full
 // product's answer bit for bit: right sides shorter than, equal to and
 // longer than the seed, k below and above it and above |right|, ties
-// that straddle the seed's edge, NaN cells, both filters, and a left
-// side the seed covers in more than one block of rows.
+// that straddle the seed's edge, NaN cells, both filters, and a long
+// left side.
 func TestTensorTopKSeedMatchesBruteForce(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(97))
@@ -778,7 +820,7 @@ func TestTensorTopKSeedMatchesBruteForce(t *testing.T) {
 		for _, k := range []int{1, 3, 32, 33, 40, 400} {
 			nl := 21
 			if ns == 300 {
-				nl = 2*topKSeedRows + 9
+				nl = 521
 			}
 			left, right := randomEmbeddings(rng.Int63(), nl, 40), randomEmbeddings(rng.Int63(), ns, 40)
 			// Row 3's twins sit on both sides of the seed's edge, and one

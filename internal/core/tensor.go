@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"ejoin/internal/mat"
@@ -15,8 +18,10 @@ import (
 // dot product D = L·Rᵀ, computed by the cache-blocked GEMM one register
 // tile at a time. Each tile is compared with the threshold where it is
 // computed and only entries >= threshold leave it, as late-materialized
-// (left offset, right offset, similarity) matches: no part of D is stored.
-func TensorJoin(ctx context.Context, left, right *mat.Matrix, threshold float32, opts Options) (*Result, error) {
+// (left offset, right offset, similarity) matches in (Left, Right) order:
+// no part of D is stored. Either side may be a matrix or column chunks
+// with their resident forms (mat.Side).
+func TensorJoin(ctx context.Context, left, right mat.Side, threshold float32, opts Options) (*Result, error) {
 	start := time.Now()
 	bound := make([]float32, left.Rows())
 	for i := range bound {
@@ -24,7 +29,10 @@ func TensorJoin(ctx context.Context, left, right *mat.Matrix, threshold float32,
 	}
 	var parts []*[]Match // one per scan worker
 	res, err := fusedScan(ctx, "tensor join", left, right, bound, opts, func() mat.ScanVisitor {
-		part := new([]Match)
+		part, _ := matchBufs.Get().(*[]Match)
+		if part == nil {
+			part = new([]Match)
+		}
 		parts = append(parts, part)
 		return func(i, j int, sim float32) {
 			if opts.RightFilter == nil || opts.RightFilter.Get(j) {
@@ -35,23 +43,33 @@ func TensorJoin(ctx context.Context, left, right *mat.Matrix, threshold float32,
 	if err != nil {
 		return nil, err
 	}
+	// Each row's cells arrive in ascending Right, and workers own
+	// ascending runs of rows: grouping by Left, stably, is the sort. The
+	// workers' buffers go back for the next join unless the result is
+	// one of them.
+	ms := make([][]Match, len(parts))
+	for w, part := range parts {
+		ms[w] = *part
+	}
+	res.Matches = groupByLeft(left.Rows(), ms...)
 	for _, part := range parts {
-		if res.Matches == nil {
-			res.Matches = *part // the usual single worker: no copy
-		} else {
-			res.Matches = append(res.Matches, *part...)
+		if len(*part) == 0 || &(*part)[0] != &res.Matches[0] {
+			*part = (*part)[:0]
+			matchBufs.Put(part)
 		}
 	}
-	sortMatches(res.Matches)
 	res.Stats.JoinTime = time.Since(start)
 	return res, nil
 }
+
+// matchBufs recycles TensorJoin's per-worker match buffers.
+var matchBufs sync.Pool // of *[]Match
 
 // fusedScan runs mat.ScanAbove for one operator. Rows LeftFilter excludes
 // get a NaN bound, which no similarity reaches and which lets the scan
 // skip their tiles; RightFilter is for the visitors to test.
 // Options.BatchCols, when set, is the S block height.
-func fusedScan(ctx context.Context, op string, left, right *mat.Matrix, bound []float32, opts Options, newVisitor func() mat.ScanVisitor) (*Result, error) {
+func fusedScan(ctx context.Context, op string, left, right mat.Side, bound []float32, opts Options, newVisitor func() mat.ScanVisitor) (*Result, error) {
 	if left.Cols() != right.Cols() {
 		return nil, fmt.Errorf("core: %s dimensionality mismatch: %d vs %d", op, left.Cols(), right.Cols())
 	}
@@ -67,13 +85,21 @@ func fusedScan(ctx context.Context, op string, left, right *mat.Matrix, bound []
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", op, err)
 	}
-	return &Result{Stats: Stats{
+	return &Result{Stats: scanStats(left, right, st)}, nil
+}
+
+// scanStats is a tensor scan's account of st over its two sides.
+func scanStats(left, right mat.Side, st mat.ScanStats) Stats {
+	return Stats{
 		Comparisons:           int64(left.Rows()) * int64(right.Rows()),
 		Blocks:                st.Blocks,
 		KSteps:                st.KSteps,
 		KStepsSkipped:         st.KStepsSkipped,
+		Int8Tiles:             st.Int8Tiles,
+		Int8RuledOut:          st.Int8RuledOut,
+		Rescored:              st.Rescored,
 		PeakIntermediateBytes: st.ScratchBytes,
-	}}, nil
+	}
 }
 
 // TensorJoinBatched is the materializing mini-batch form the paper
@@ -119,15 +145,15 @@ func TensorJoinBatched(ctx context.Context, left, right *mat.Matrix, threshold f
 	if err != nil {
 		return nil, err
 	}
-	sortMatches(res.Matches)
+	// Row blocks arrive in order and, within one, each row's S blocks.
+	res.Matches = groupByLeft(left.Rows(), res.Matches)
 	res.Stats.JoinTime = time.Since(start)
 	return res, nil
 }
 
 // topKSeed is how many leading right rows TensorTopK's scan path
-// computes in full first, to give every left row a bound from the start,
-// and topKSeedRows how many left rows it computes them for at a time.
-const topKSeed, topKSeedRows = 32, 256
+// computes in full first, to give every left row a bound from the start.
+const topKSeed = 32
 
 // TensorTopK returns, for every left row, its k most similar right rows
 // (exactly, by exhaustive scan) — the scan-side equivalent of the index
@@ -143,7 +169,7 @@ const topKSeed, topKSeedRows = 32, 256
 //     by candidates");
 //   - elsewhere, topKByScan: TensorJoin's scan with one bound per left
 //     row, raised to the row's k-th best as candidates arrive.
-func TensorTopK(ctx context.Context, left, right *mat.Matrix, k int, opts Options) (*Result, error) {
+func TensorTopK(ctx context.Context, left, right mat.Side, k int, opts Options) (*Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: tensor top-k requires k > 0, got %d", k)
 	}
@@ -184,7 +210,7 @@ func topKMatches(heaps []Match, fill []int, k int) []Match {
 	out := heaps[:0]
 	for i, n := range fill {
 		row := heaps[i*k : i*k+n]
-		sortMatches(row)
+		slices.SortFunc(row, func(a, b Match) int { return cmp.Compare(a.Right, b.Right) })
 		out = append(out, row...)
 	}
 	return out
@@ -194,7 +220,7 @@ func topKMatches(heaps []Match, fill []int, k int) []Match {
 // TensorTopK reads them: mat.TopKCandidates with a bound of -Inf for
 // every left row, NaN for those LeftFilter excludes, as fusedScan gives
 // them.
-func candidateTopK(ctx context.Context, left, right *mat.Matrix, k int, opts Options, gemm mat.GemmOptions, heaps []Match, fill []int) (*Result, error) {
+func candidateTopK(ctx context.Context, left, right mat.Side, k int, opts Options, gemm mat.GemmOptions, heaps []Match, fill []int) (*Result, error) {
 	bound := make([]float32, left.Rows())
 	for i := range bound {
 		bound[i] = float32(math.Inf(-1))
@@ -213,27 +239,24 @@ func candidateTopK(ctx context.Context, left, right *mat.Matrix, k int, opts Opt
 	if err != nil {
 		return nil, fmt.Errorf("core: tensor top-k: %w", err)
 	}
-	return &Result{Stats: Stats{
-		Comparisons:           int64(left.Rows()) * int64(right.Rows()),
-		Blocks:                st.Blocks,
-		KSteps:                st.KSteps,
-		KStepsSkipped:         st.KStepsSkipped,
-		PeakIntermediateBytes: st.ScratchBytes,
-	}}, nil
+	return &Result{Stats: scanStats(left, right, st)}, nil
 }
 
 // topKByScan is TensorTopK's scan path, filling heaps and fill as
 // TensorTopK reads them. Every cell that reaches its row's bound is
 // pushed, and a row's bound is raised to its k-th best once it holds k,
 // so later tiles of a long scan can be rejected in registers. The first
-// topKSeed right rows are multiplied out first (the same bits), and of
+// right rows (topKSeed, or fewer if the first part of the right side is
+// shorter) are scanned first, every cell kept (the same bits), and of
 // each row's only those reaching its k-th best among them are pushed, in
 // ascending order, so a row that holds k candidates after them starts
 // the scan of the rest with its k-th best as its bound: any k real
 // candidates bound the true k-th best from below, and the answer is the
 // same.
-func topKByScan(ctx context.Context, left, right *mat.Matrix, k int, opts Options, heaps []Match, fill []int) (*Result, error) {
-	nr, seed := left.Rows(), min(topKSeed, right.Rows())
+func topKByScan(ctx context.Context, left, right mat.Side, k int, opts Options, heaps []Match, fill []int) (*Result, error) {
+	nr := left.Rows()
+	head, rest := mat.Split(right, topKSeed)
+	seed := head.Rows()
 	bound := make([]float32, nr)
 	push := func(i, j int, sim float32) {
 		if opts.RightFilter != nil && !opts.RightFilter.Get(j) {
@@ -244,41 +267,40 @@ func topKByScan(ctx context.Context, left, right *mat.Matrix, k int, opts Option
 			bound[i] = heaps[(i+1)*k-1].Sim
 		}
 	}
-	// The seed is multiplied out topKSeedRows left rows at a time, so its
-	// buffer does not grow with the left side.
-	sims := mat.New(min(nr, topKSeedRows), seed)
-	gemm := mat.GemmOptions{Threads: opts.Threads, Kernel: opts.Kernel}
-	for lo := 0; lo < nr; lo += topKSeedRows {
-		hi := min(lo+topKSeedRows, nr)
-		block := sims.Slice(0, hi-lo)
-		if err := mat.MulTransposeInto(block, left.Slice(lo, hi), right.Slice(0, seed), gemm); err != nil {
-			return nil, fmt.Errorf("core: tensor top-k: %w", err)
+	// The seed's cells, NaN where none is visited (a NaN cell).
+	sims := mat.New(nr, seed)
+	for i := range sims.Data {
+		sims.Data[i] = float32(math.NaN())
+	}
+	for i := range bound {
+		bound[i] = float32(math.Inf(-1))
+	}
+	seeded, err := fusedScan(ctx, "tensor top-k", left, head, bound, opts, func() mat.ScanVisitor {
+		return func(i, j int, sim float32) { sims.Data[i*seed+j] = sim }
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := range nr {
+		if bound[i] != bound[i] {
+			continue // LeftFilter excludes the row
 		}
-		for i := lo; i < hi; i++ {
-			bound[i] = float32(math.Inf(-1))
-			if opts.LeftFilter != nil && !opts.LeftFilter.Get(i) {
-				continue
-			}
-			row := block.Row(i - lo)
-			kth := seedBound(row, k, opts.RightFilter)
-			for j, sim := range row {
-				if sim >= kth {
-					push(i, j, sim)
-				}
+		row := sims.Row(i)
+		kth := seedBound(row, k, opts.RightFilter)
+		for j, sim := range row {
+			if sim >= kth {
+				push(i, j, sim)
 			}
 		}
 	}
-	rest := right.Slice(seed, right.Rows())
 	res, err := fusedScan(ctx, "tensor top-k", left, rest, bound, opts, func() mat.ScanVisitor {
 		return func(i, j int, sim float32) { push(i, seed+j, sim) }
 	})
 	if err != nil {
 		return nil, err
 	}
-	// The seed's cells count as compared pairs and as k-steps run in
-	// full, one per k of every left row and seeded 16-row panel.
-	res.Stats.Comparisons += int64(nr) * int64(seed)
-	res.Stats.KSteps += int64(nr) * int64((seed+15)/16) * int64(left.Cols())
+	res.Stats.Add(seeded.Stats)
+	res.Stats.Comparisons = int64(nr) * int64(right.Rows())
 	res.Stats.PeakIntermediateBytes += sims.SizeBytes()
 	return res, nil
 }

@@ -302,7 +302,9 @@ func Calibrate(m model.Model, dim int) (Params, error) {
 	if err != nil {
 		return Params{}, err
 	}
-	tensor, err := bestOf3(core.TensorJoin)
+	tensor, err := bestOf3(func(ctx context.Context, l, r *mat.Matrix, t float32, o core.Options) (*core.Result, error) {
+		return core.TensorJoin(ctx, l, r, t, o)
+	})
 	if err != nil {
 		return Params{}, err
 	}

@@ -74,6 +74,16 @@ func (m *RowMask) rank(i int) int {
 	return n
 }
 
+// first is the lowest marked row, or ChunkRows.
+func (m *RowMask) first() int {
+	for w, x := range m {
+		if x != 0 {
+			return w*64 + bits.TrailingZeros64(x)
+		}
+	}
+	return ChunkRows
+}
+
 // last is the highest marked row, or -1.
 func (m *RowMask) last() int {
 	for w := len(m) - 1; w >= 0; w-- {
@@ -113,9 +123,19 @@ func SelectionMask(sel []int, ci int) RowMask {
 // packed in row order, so a chunk holds no space for rows it lacks. It is
 // immutable once published (growing or shedding publishes a copy) and
 // read-only to its readers.
+//
+// A chunk also owns the forms the scan kernels read its vectors in
+// (mat.Forms: packed panels, suffix factors, int8 codes with their
+// scales and norms), each derived from the vectors the first time a scan
+// reads it, so a warm join reads them instead of deriving them per query.
+// They belong to the vectors: a chunk that grows, sheds rows, moves to a
+// new lineage or is read back from the spill file is a new chunk with
+// none built, and an evicted chunk's go with its storage. They are not
+// charged to the store's byte budget.
 type Chunk struct {
 	key    ChunkKey
 	vecs   *mat.Matrix
+	forms  *mat.Forms
 	filled RowMask
 	// refs counts the chunk's holders: the store while the chunk is
 	// resident, a builder reading it, and each caller Store.Chunk or
@@ -136,7 +156,40 @@ func (c *Chunk) unref() {
 	if c.refs.Add(-1) == 0 && c.evicted.Load() {
 		b := c.vecs.Data[:0]
 		chunkBufs.Put(&b)
+		c.forms = nil
 	}
+}
+
+// setVecs makes m the chunk's vectors, with no forms built yet.
+func (c *Chunk) setVecs(m *mat.Matrix) {
+	c.vecs, c.forms = m, mat.NewForms(m)
+}
+
+// Forms are the scan kernels' forms of the chunk's vectors: row r of
+// their matrix is the r-th row the chunk holds (Span).
+func (c *Chunk) Forms() *mat.Forms { return c.forms }
+
+// Span returns the part of the chunk's forms that a scan of the rows in
+// need reads: from the 16-row group holding need's first row through its
+// last, by rank among the rows the chunk holds. The chunk must hold every
+// row of need, which must not be empty.
+func (c *Chunk) Span(need *RowMask) mat.Part {
+	lo := c.filled.rank(need.first()) &^ 15
+	return mat.Part{Forms: c.forms, Lo: lo, Hi: c.filled.rank(need.last()) + 1}
+}
+
+// AppendRows appends to ids base plus the offset within the chunk of each
+// row of its forms' matrix from lo to hi (a Span's Lo and Hi).
+func (c *Chunk) AppendRows(ids []int, base, lo, hi int) []int {
+	for i, r := 0, 0; r < hi; i++ {
+		if c.filled.Has(i) {
+			if r >= lo {
+				ids = append(ids, base+i)
+			}
+			r++
+		}
+	}
+	return ids
 }
 
 // chunkBufs recycles the vectors of evicted chunks no one holds any more
@@ -156,13 +209,6 @@ func newVecs(rows, dim int) *mat.Matrix {
 
 // Row is row i's vector; the chunk must hold row i.
 func (c *Chunk) Row(i int) []float32 { return c.vecs.Row(c.filled.rank(i)) }
-
-// View is rows [lo, hi) as a matrix sharing the chunk's storage; the chunk
-// must hold every one of them.
-func (c *Chunk) View(lo, hi int) *mat.Matrix {
-	r := c.filled.rank(lo)
-	return c.vecs.Slice(r, r+hi-lo)
-}
 
 // Holds reports the rows the chunk has a vector for.
 func (c *Chunk) Holds() RowMask { return c.filled }
@@ -338,7 +384,7 @@ func (s *Store) buildChunk(ctx context.Context, m model.Model, key ChunkKey, old
 			return old, nil, nil
 		}
 	}
-	c.vecs = mat.New(c.filled.Count(), m.Dim())
+	c.setVecs(mat.New(c.filled.Count(), m.Dim()))
 	var missing []int
 	for i := 0; i <= c.filled.last(); i++ {
 		switch {
@@ -388,7 +434,7 @@ func (s *Store) Shed(key ChunkKey, live RowMask, texts []string) {
 		sh.mu.Unlock()
 		return
 	}
-	c.vecs = mat.New(c.filled.Count(), old.vecs.Cols())
+	c.setVecs(mat.New(c.filled.Count(), old.vecs.Cols()))
 	for i := 0; i <= c.filled.last(); i++ {
 		if c.filled.Has(i) {
 			copy(c.Row(i), old.Row(i))

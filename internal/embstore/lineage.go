@@ -102,7 +102,7 @@ func (s *Store) Carry(from ChunkKey, to uint64, dim int, kept []int, texts []str
 		if c.filled.Count() == 0 {
 			continue
 		}
-		c.vecs = mat.New(c.filled.Count(), dim)
+		c.setVecs(mat.New(c.filled.Count(), dim))
 		for i := lo; i < hi; i++ {
 			if c.filled.Has(i - lo) {
 				copy(c.Row(i-lo), src[kept[i]/ChunkRows].Row(kept[i]%ChunkRows))

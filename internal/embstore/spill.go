@@ -128,7 +128,7 @@ func readSlot(r io.ReaderAt, off int64, want ChunkKey, dim int) (*Chunk, error) 
 			return nil, fmt.Errorf("%w: key padding not zero", errSlot)
 		}
 	}
-	c.vecs = newVecs(rows, dim)
+	c.setVecs(newVecs(rows, dim))
 	v := float32Bytes(c.vecs.Data)
 	if _, err := r.ReadAt(v, off+slotHeader); err != nil {
 		return nil, fmt.Errorf("%w: reading %d rows: %v", errSlot, rows, err)

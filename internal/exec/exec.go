@@ -28,6 +28,7 @@ import (
 
 	"ejoin/internal/core"
 	"ejoin/internal/mat"
+	"ejoin/internal/relational"
 )
 
 // DefaultBlockSize is the number of probe-side rows per batch when the
@@ -37,20 +38,23 @@ import (
 const DefaultBlockSize = 4096
 
 // Batch is one block of rows flowing through a pipeline. Source-side
-// operators (Scan, Embed) populate Rows/Emb; probe and limit
-// operators emit Matches. A batch's Rows and Matches are owned by its
-// consumer, which may rewrite them before passing it on. Emb
-// is read-only and valid only until the consumer pulls the next batch: it
-// may be a view of a resident column chunk (a block whose rows are
-// contiguous inside one chunk) or a buffer its producer reuses for the
-// next block. An operator that needs different embeddings writes its own
-// matrix; one that keeps them past the next pull copies them.
+// operators (Scan, Embed) populate Rows and the embeddings; probe and
+// limit operators emit Matches. A batch's Rows and Matches are owned by
+// its consumer, which may rewrite them before passing it on. Emb and
+// EmbRows are read-only and valid only until the consumer pulls the next
+// batch: Emb may be runs of resident column chunks (read in place, with
+// their forms) or a matrix its producer owns.
 type Batch struct {
 	// Rows are global row ids into the probe-side base table, ascending.
 	Rows []int
-	// Emb holds one unit-norm embedding row per entry of Rows (set by
-	// Embed, or by Scan when projecting a vector or embedded column).
-	Emb *mat.Matrix
+	// Emb holds unit-norm embeddings covering Rows (set by Scan when
+	// projecting a vector or embedded column): row r of Emb is the
+	// embedding of global row EmbRows[r]. It may hold rows outside Rows —
+	// the rest of a chunk's 16-row group, rows of other table versions —
+	// which EmbKeep leaves out; nil EmbKeep keeps every row of Emb.
+	Emb     mat.Side
+	EmbRows []int
+	EmbKeep *relational.Bitmap
 	// Matches are join outputs with global row ids on both sides.
 	Matches []core.Match
 }

@@ -130,7 +130,7 @@ func embBatch(rows []int, vecs [][]float32) *Batch {
 	for i, v := range vecs {
 		copy(m.Row(i), v)
 	}
-	return &Batch{Rows: rows, Emb: m}
+	return &Batch{Rows: rows, Emb: m, EmbRows: rows}
 }
 
 // matchSource emits batches of pre-made matches, counting pulls, so a

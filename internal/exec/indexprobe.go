@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"ejoin/internal/core"
+	"ejoin/internal/mat"
+	"ejoin/internal/relational"
 	"ejoin/internal/vindex"
 )
 
@@ -45,7 +47,7 @@ func (p *IndexProbe) Next(ctx context.Context) (*Batch, error) {
 	}
 	start := time.Now()
 	p.st.RowsIn += int64(b.Len())
-	res, err := core.IndexJoinWith(ctx, b.Emb, p.Index, p.Cond, p.Opts)
+	res, err := core.IndexJoinWith(ctx, Dense(b.Emb, b.EmbKeep), p.Index, p.Cond, p.Opts)
 	if err != nil {
 		return nil, err
 	}
@@ -59,11 +61,32 @@ func (p *IndexProbe) Next(ctx context.Context) (*Batch, error) {
 		matches[i] = core.Match{Left: b.Rows[m.Left], Right: right, Sim: m.Sim}
 	}
 	b.Matches = matches
-	b.Emb = nil
+	b.Emb, b.EmbRows, b.EmbKeep = nil, nil, nil
 	p.st.RowsOut += int64(len(b.Matches))
 	p.st.Batches++
 	p.st.Elapsed += time.Since(start)
 	return b, nil
+}
+
+// Dense returns the rows of side that keep marks (nil: all) as one
+// matrix, in order: side itself if it is a matrix holding only them. An
+// index probes and is built over matrices.
+func Dense(side mat.Side, keep *relational.Bitmap) *mat.Matrix {
+	if m, ok := side.(*mat.Matrix); ok && keep == nil {
+		return m
+	}
+	n := side.Rows()
+	if keep != nil {
+		n = keep.Count()
+	}
+	out := mat.New(n, side.Cols())
+	for i, r := 0, 0; r < n; i++ {
+		if keep == nil || keep.Get(i) {
+			copy(out.Row(r), side.Row(i))
+			r++
+		}
+	}
+	return out
 }
 
 // Close implements Operator.

@@ -7,16 +7,38 @@ import (
 
 	"ejoin/internal/core"
 	"ejoin/internal/mat"
+	"ejoin/internal/relational"
 )
 
 // buildSide is the resident inner side shared by the scan-based probes:
 // the optimizer's smaller-inner reordering already made it the cheaper
 // side to hold.
 type buildSide struct {
-	// Build are the unit-norm build embeddings, one row per BuildRows entry.
-	Build *mat.Matrix
-	// BuildRows maps build-matrix rows to global row ids.
+	// Build are the unit-norm build embeddings, one row per BuildRows
+	// entry: column chunks read in place, or a matrix.
+	Build mat.Side
+	// BuildRows maps build rows to global row ids.
 	BuildRows []int
+	// BuildKeep marks the build rows the join sees (nil: all); the others
+	// are rows a chunk holds for other versions or other blocks.
+	BuildKeep *relational.Bitmap
+}
+
+// opts is the kernel options for probe block b against the build: the
+// block's and the build's rows outside the join are filtered out.
+func (s *buildSide) opts(o core.Options, b *Batch) core.Options {
+	o.LeftFilter, o.RightFilter = b.EmbKeep, s.BuildKeep
+	return o
+}
+
+// pairs is how many pairs the join decides for probe block b: its rows
+// by the build's, whatever else the sides' chunks hold.
+func (s *buildSide) pairs(b *Batch) int64 {
+	n := s.Build.Rows()
+	if s.BuildKeep != nil {
+		n = s.BuildKeep.Count()
+	}
+	return int64(b.Len()) * int64(n)
 }
 
 // remap converts a kernel's local match offsets to global row ids, in
@@ -67,13 +89,14 @@ func (p *ThresholdProbe) Next(ctx context.Context) (*Batch, error) {
 	}
 	start := time.Now()
 	p.st.RowsIn += int64(b.Len())
-	res, err := core.TensorJoin(ctx, b.Emb, p.Build, p.Threshold, p.Opts)
+	res, err := core.TensorJoin(ctx, b.Emb, p.Build, p.Threshold, p.opts(p.Opts, b))
 	if err != nil {
 		return nil, err
 	}
+	res.Stats.Comparisons = p.pairs(b)
 	p.agg.Add(res.Stats)
-	b.Matches = remap(b.Rows, p.BuildRows, res.Matches)
-	b.Emb = nil
+	b.Matches = remap(b.EmbRows, p.BuildRows, res.Matches)
+	b.Emb, b.EmbRows, b.EmbKeep = nil, nil, nil
 	p.st.RowsOut += int64(len(b.Matches))
 	p.st.Batches++
 	p.st.Elapsed += time.Since(start)
@@ -130,10 +153,11 @@ func (p *TopKProbe) Next(ctx context.Context) (*Batch, error) {
 	}
 	start := time.Now()
 	p.st.RowsIn += int64(b.Len())
-	res, err := core.TensorTopK(ctx, b.Emb, p.Build, p.K, p.Opts)
+	res, err := core.TensorTopK(ctx, b.Emb, p.Build, p.K, p.opts(p.Opts, b))
 	if err != nil {
 		return nil, err
 	}
+	res.Stats.Comparisons = p.pairs(b)
 	p.agg.Add(res.Stats)
 	matches := res.Matches
 	if p.Residual > -1 {
@@ -146,8 +170,8 @@ func (p *TopKProbe) Next(ctx context.Context) (*Batch, error) {
 		p.st.EarlyOutRows += int64(len(matches) - len(kept))
 		matches = kept
 	}
-	b.Matches = remap(b.Rows, p.BuildRows, matches)
-	b.Emb = nil
+	b.Matches = remap(b.EmbRows, p.BuildRows, matches)
+	b.Emb, b.EmbRows, b.EmbKeep = nil, nil, nil
 	p.st.RowsOut += int64(len(b.Matches))
 	p.st.Batches++
 	p.st.Elapsed += time.Since(start)

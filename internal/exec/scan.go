@@ -121,17 +121,16 @@ func (s *Scan) Next(ctx context.Context) (*Batch, error) {
 			copy(m.Row(i), s.vc.Row(r))
 		}
 		m.NormalizeRows()
-		b.Emb = m
+		b.Emb, b.EmbRows = m, block
 	}
 	s.st.RowsOut += int64(len(block))
 	s.st.Batches++
 	s.st.Elapsed += time.Since(start)
 	if s.col != nil {
-		emb, err := s.col.project(ctx, block)
-		if err != nil {
+		var err error
+		if b.Emb, b.EmbRows, b.EmbKeep, err = s.col.project(ctx, block); err != nil {
 			return nil, err
 		}
-		b.Emb = emb
 	}
 	return b, nil
 }
@@ -139,10 +138,10 @@ func (s *Scan) Next(ctx context.Context) (*Batch, error) {
 // Close implements Operator.
 func (s *Scan) Close() error { return nil }
 
-// Release lets later scans reuse the buffer this scan gathered blocks
-// that span column chunks into, and the store reuse the column chunks the
-// scan read. Call it once no batch the scan emitted is in use any more
-// (after Close, the last block is still readable).
+// Release lets later scans reuse the buffer this scan gathered sparse
+// blocks into, and the store reuse the column chunks the scan read. Call
+// it once no batch the scan emitted is in use any more (after Close, the
+// last block is still readable).
 func (s *Scan) Release() {
 	if s.col != nil {
 		s.col.release()

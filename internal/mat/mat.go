@@ -52,9 +52,31 @@
 // is in registers and hands a visitor just the qualifying cells, so no
 // part of D is ever stored: every visited similarity carries the GEMM
 // contract's bits, the visited set is exactly {(i,j) : dotSeq >= bound[i]},
-// and the scan's working memory is one packed S block and one tile per
-// worker whatever |R| and |S| are. ForEachBlock, which does materialize
-// D block by block, remains for the paper's mini-batch experiments.
+// and the scan stores one tile per worker whatever |R| and |S| are.
+// ForEachBlock, which does materialize D block by block, remains for the
+// paper's mini-batch experiments.
+//
+// # Forms
+//
+// Besides its F32 rows a scan reads each side in forms derived from
+// them: S as 16-column k-major panels, both sides' suffix factors (Early
+// exit), and, where the int8 filter runs, both sides' int8 codes with
+// each row's scale, L1 factor and code sum (Int8 filter), R in rows and S
+// in panels. A Forms holds them for one matrix. Each layout is built the
+// first time a scan reads it, then kept until the matrix goes, so a
+// matrix that many scans read pays for each once and a scan that never
+// runs the int8 filter never builds its codes; they are bit for bit what
+// a scan would derive on the fly, which Forms.Verify checks.
+//
+// The scans take their operands as a Side: runs of rows (Parts), each of
+// a matrix with resident Forms and starting at a multiple of 16 rows, so
+// at a panel of every layout — an embedded column's chunks, read in
+// place — or a plain *Matrix, whose forms each worker derives into
+// scratch, for its R rows at the start and for each S block as it comes
+// to it. A worker's rows are whole 4-row strips of one part, and an S
+// block lies in one part, so every tile reads one part of each side and
+// is the tile it would be over the concatenated matrices: the visited
+// cells and their bits do not depend on the parts.
 //
 // # Early exit
 //
@@ -112,9 +134,13 @@
 // only a tile the test cannot rule out runs the F32 tile. This too is
 // pruning: a tile that runs is today's tile, so the visited set and its
 // bits are the reference's, and only KStepsSkipped, which counts a
-// ruled-out tile's steps, tells the two apart. Each worker quantizes its
-// R rows once (a 4-row strip the first time one of its tiles is tested)
-// and each S block once: per row a scale s = fl(max|x|/127), codes
+// ruled-out tile's steps, tells the two apart. The codes are forms of the
+// rows (Forms): taken from an operand's resident forms, built from its
+// rows the first time any scan tests one of its tiles and rebuilt only
+// for new rows (a chunk that grows, sheds rows or is read back from the
+// spill file is a new matrix), or, for a *Matrix, derived by the worker
+// for its R rows and each S block the first time it tests a tile of
+// them. Per row they are a scale s = fl(max|x|/127), codes
 // q = round(x*fl(1/s)) to nearest even, and its float32 L1 norm n. The
 // tile sums (q_r + 128)·q_s in int32 with VPDPBUSD, from D − 128·Σq_s
 // per column, which makes each cell D + q_r·q_s exactly (|q_r·q_s| <=
@@ -199,7 +225,7 @@
 // has seen, so the int8 filter cannot rule out much of a top-k scan: a
 // 4-row tile nearly always holds some row's near-k-th cell.
 // TopKCandidates therefore does not scan in F32 at all. Each worker
-// quantizes its R rows once and sweeps every 4x32 int8 tile once
+// takes its R rows' codes (Forms) and sweeps every 4x32 int8 tile once
 // (int8TileEst), keeping per row kth, a lower bound on its k-th best:
 // the caller's bound, raised to the k-th largest of the row's per-tile
 // largest lower estimates once it has k (tiles are distinct cells, and k
@@ -211,7 +237,8 @@
 // whenever it has doubled, and after the sweep. Only those cells are
 // computed in F32, by dotPairs, one cell a lane, both rows' elements
 // gathered each step, so each is fmaSeq's bits, and visited in
-// ascending j. A cell among the row's k best reaches the final kth,
+// ascending j: the list is taken one R part at a time, sixteen cells a
+// call, each call's cells of one S part. A cell among the row's k best reaches the final kth,
 // which is at most the k-th best, and its upper estimate is at least the
 // cell, so it was listed when met and survives every cut: a consumer
 // that keeps the k best of what it is handed, ties to the earlier

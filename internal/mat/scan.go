@@ -18,12 +18,13 @@ type ScanVisitor func(i, j int, sim float32)
 type ScanStats struct {
 	// Blocks is the number of S blocks the scan walked.
 	Blocks int
-	// ScratchBytes is the scan's whole working memory: per worker one
-	// tile (scanTile) and, for the assembly kernel, one packed S block
-	// with its suffix factors and the factors of the worker's R rows,
-	// and, where the int8 filter runs, its int8 copies of both. For
-	// TopKCandidates it is per worker the int8 copies, the rows' bounds
-	// and the most cells its candidate list held.
+	// ScratchBytes is the working memory the scan held beyond its
+	// operands and their resident forms: per worker one tile (scanTile)
+	// and the forms it derived for an operand without resident ones (a
+	// *Matrix): the suffix factors and int8 codes of its R rows and the
+	// packed panels, factors and int8 codes of one S block. For
+	// TopKCandidates it also counts per worker the rows' bounds and the
+	// most cells its candidate list held.
 	ScratchBytes int64
 	// KSteps is the scan's inner-loop work had every tile run to the end:
 	// one step is one k of one R row against one 16-column panel.
@@ -31,11 +32,26 @@ type ScanStats struct {
 	// at a checkpoint, the int8 filter ruled it out, or all of a strip's
 	// bounds were NaN.
 	KSteps, KStepsSkipped int64
+	// Int8Tiles is how many 4x32 int8 tiles the int8 filter or the
+	// candidate sweep tested, and Int8RuledOut how many of them it ruled
+	// out: no F32 tile ran for them, or they listed no candidate.
+	Int8Tiles, Int8RuledOut int64
+	// Rescored is how many candidate cells TopKCandidates computed in F32.
+	Rescored int64
+}
+
+// add folds one worker's counts into st.
+func (st *ScanStats) add(w ScanStats) {
+	st.ScratchBytes += w.ScratchBytes
+	st.KStepsSkipped += w.KStepsSkipped
+	st.Int8Tiles += w.Int8Tiles
+	st.Int8RuledOut += w.Int8RuledOut
+	st.Rescored += w.Rescored
 }
 
 // ScanAbove is the fused similarity scan: it computes r·sᵀ tile by tile
 // exactly as MulTransposeInto does — every cell is dotSeq of its two
-// rows, bit for bit, whatever the kernel, options or shapes — but
+// rows, bit for bit, whatever the kernel, options, shapes or parts — but
 // compares each tile with its rows' bounds while it is still in
 // registers, and never stores the product. The visitors are called for
 // exactly the cells with sim >= bound[i]; a NaN similarity never
@@ -46,6 +62,10 @@ type ScanStats struct {
 // exit"), and a ZMM tile the int8 filter rules out is not computed
 // (package doc, "Int8 filter"), which changes no visited cell and no bit
 // of one.
+//
+// Both sides are walked part by part (package doc, "Forms"): the tiles
+// read each part's resident forms in place, and derive into scratch those
+// of a *Matrix.
 //
 // newVisitor is called once per worker, on the calling goroutine, before
 // the scan starts; the visitor it returns is called by that worker only,
@@ -58,9 +78,9 @@ type ScanStats struct {
 // it may still see some below the new bound. Nothing else may write
 // bound during the scan.
 //
-// ctx is polled once per S block (GemmOptions.BlockCols rows of s,
-// rounded to whole 16-row panels) on every worker.
-func ScanAbove(ctx context.Context, r, s *Matrix, bound []float32, opts GemmOptions, newVisitor func() ScanVisitor) (ScanStats, error) {
+// ctx is polled once per S block (GemmOptions.BlockCols rows of a part
+// of s, rounded to whole 16-row panels) on every worker.
+func ScanAbove(ctx context.Context, r, s Side, bound []float32, opts GemmOptions, newVisitor func() ScanVisitor) (ScanStats, error) {
 	if r.Cols() != s.Cols() {
 		return ScanStats{}, fmt.Errorf("mat: inner dimensions differ: %d vs %d", r.Cols(), s.Cols())
 	}
@@ -74,28 +94,36 @@ func ScanAbove(ctx context.Context, r, s *Matrix, bound []float32, opts GemmOpti
 		return ScanStats{}, nil
 	}
 	simd := opts.Kernel == vec.KernelSIMD && haveSIMD && r.Cols() > 0
-
-	step := workerRows(nr, opts)
-	workers := (nr + step - 1) / step
-	scratch := int64(workers) * int64(len(scanTile{})) * 4
-	for lo := 0; simd && lo < nr; lo += step {
-		rows := min(step, nr-lo)
-		scratch += int64(scanScratch(opts.BlockCols, rows, r.Cols()))*4 + int8Scratch(opts.BlockCols, rows, r.Cols(), ns)
-	}
+	rp, sp := r.parts(), s.parts()
+	cuts := workerCuts(rp, workerRows(nr, opts))
 	st := ScanStats{
-		Blocks:       (ns + opts.BlockCols - 1) / opts.BlockCols,
-		ScratchBytes: scratch,
-		KSteps:       int64(nr) * int64((ns+panelCols-1)/panelCols) * int64(r.Cols()),
+		Blocks: blockCount(sp, opts.BlockCols),
+		KSteps: int64(nr) * panelCount(sp) * int64(r.Cols()),
 	}
-	skipped := make([]int64, workers)
-	err := eachWorker(nr, step, newVisitor, func(w, lo, hi int, visit ScanVisitor) (err error) {
-		skipped[w], err = scanRows(ctx, r, s, bound, lo, hi, opts, simd, visit)
-		return err
+	each := make([]ScanStats, len(cuts)-1)
+	err := eachWorker(cuts, newVisitor, func(w, lo, hi int, visit ScanVisitor) error {
+		return scanRows(ctx, rp, sp, ns, bound, lo, hi, opts, simd, visit, &each[w])
 	})
-	for _, n := range skipped {
-		st.KStepsSkipped += n
+	for _, ws := range each {
+		st.add(ws)
 	}
 	return st, err
+}
+
+// blockCount is how many S blocks of at most bc rows the parts ps hold,
+// and panelCount how many 16-row panels.
+func blockCount(ps []Part, bc int) (n int) {
+	for _, p := range ps {
+		n += (p.Hi - p.Lo + bc - 1) / bc
+	}
+	return n
+}
+
+func panelCount(ps []Part) (n int64) {
+	for _, p := range ps {
+		n += int64(p.Hi-p.Lo+panelCols-1) / panelCols
+	}
+	return n
 }
 
 // workerRows is how many R rows each worker of a scan owns: one
@@ -106,15 +134,35 @@ func workerRows(nr int, opts GemmOptions) int {
 	return (max(opts.BlockRows, (nr+opts.Threads-1)/opts.Threads) + 3) &^ 3
 }
 
-// eachWorker runs work for every worker's rows [lo, hi), runs of step
-// rows of [0, nr), with the visitor newVisitor returns for it. Visitors
+// workerCuts splits the rows of the parts ps into runs of about step
+// rows, one a worker: it returns the first row of each run and, last, the
+// number of rows. A run starts at a part's start or a multiple of 4 rows
+// into it, so that every 4-row strip lies in one part and on a multiple
+// of 4 rows of its matrix (parts start on multiples of 16).
+func workerCuts(ps []Part, step int) []int {
+	cuts := []int{0}
+	at := 0
+	for _, p := range ps {
+		n := p.Hi - p.Lo
+		for off := 0; off < n; off += 4 {
+			if at+off-cuts[len(cuts)-1] >= step {
+				cuts = append(cuts, at+off)
+			}
+		}
+		at += n
+	}
+	return append(cuts, at)
+}
+
+// eachWorker runs work for every worker's rows [lo, hi), the runs between
+// consecutive cuts, with the visitor newVisitor returns for it. Visitors
 // are made on the calling goroutine, in worker order, before any work
 // starts; the work runs on one goroutine per worker when there are
 // several. It returns the first worker's error, by worker order.
-func eachWorker(nr, step int, newVisitor func() ScanVisitor, work func(w, lo, hi int, visit ScanVisitor) error) error {
-	workers := (nr + step - 1) / step
+func eachWorker(cuts []int, newVisitor func() ScanVisitor, work func(w, lo, hi int, visit ScanVisitor) error) error {
+	workers := len(cuts) - 1
 	if workers == 1 {
-		return work(0, 0, nr, newVisitor())
+		return work(0, cuts[0], cuts[1], newVisitor())
 	}
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -123,7 +171,7 @@ func eachWorker(nr, step int, newVisitor func() ScanVisitor, work func(w, lo, hi
 		visit := newVisitor()
 		go func() {
 			defer wg.Done()
-			errs[w] = work(w, w*step, min((w+1)*step, nr), visit)
+			errs[w] = work(w, cuts[w], cuts[w+1], visit)
 		}()
 	}
 	wg.Wait()
@@ -135,163 +183,304 @@ func eachWorker(nr, step int, newVisitor func() ScanVisitor, work func(w, lo, hi
 	return nil
 }
 
-// scanRows scans rows [rLo, rHi) of r against all of s — mulPanelSIMD's
-// loop: each S block is packed once and stays cache-resident while the
-// R rows stream past it, four at a time and then the last 1-3 singly.
-// Builds and hosts without the assembly kernel run the same loop with
-// each tile computed by the portable kernels and compared in Go. It
-// returns the k-steps it did not run.
-func scanRows(ctx context.Context, r, s *Matrix, bound []float32, rLo, rHi int, opts GemmOptions, simd bool, visit ScanVisitor) (skipped int64, err error) {
-	d, ns := r.Cols(), s.Rows()
-	// One pooled scratch: the packed S block, behind it the block's
-	// suffix factors, then those of this worker's R rows.
-	var packed, sfxS, sfxR []float32
+// scanWorker is one worker's scratch: its tile, the forms it derives for
+// a *Matrix operand (its own R rows, and the S block at hand), and its
+// int8 filter.
+type scanWorker struct {
+	tile       scanTile
+	tail       [4]float32 // the bounds of a run's last 1-3 rows, NaN-padded
+	rows, cols Forms
+	// rowM and colM are the rows the worker derives rows and cols from.
+	rowM, colM Matrix
+	q          quantizer
+	filter     int8Filter
+	runs       []rowRun
+}
+
+var workerPool sync.Pool
+
+func getWorker() *scanWorker {
+	w, _ := workerPool.Get().(*scanWorker)
+	if w == nil {
+		w = new(scanWorker)
+		w.rows.q, w.cols.q = &w.q, &w.q
+	}
+	return w
+}
+
+// put returns w to the pool, keeping its storage and nothing it was
+// pointed at.
+func (w *scanWorker) put() {
+	w.rows.reset(nil)
+	w.cols.reset(nil)
+	w.rowM, w.colM = Matrix{}, Matrix{}
+	clear(w.runs)
+	f := &w.filter
+	f.r, f.rowMeta, f.s, f.corr, f.colMeta, f.cols = nil, nil, nil, nil, nil, nil
+	workerPool.Put(w)
+}
+
+// derive points f, the worker's forms of m (rows or cols), at rows [lo,
+// hi) of m, none built.
+func (w *scanWorker) derive(f *Forms, m *Matrix, lo, hi int) {
+	rows := &w.rowM
+	if f == &w.cols {
+		rows = &w.colM
+	}
+	*rows = Matrix{RowsN: hi - lo, ColsN: m.ColsN, Data: m.Data[lo*m.ColsN : hi*m.ColsN]}
+	f.reset(rows)
+}
+
+// rowRun is the rows of one R part that a worker owns: rows [first,
+// last) of matrix m, the first of them row at of the side, with forms f,
+// in which row t of m is row t+off.
+type rowRun struct {
+	m           *Matrix
+	f           *Forms
+	first, last int
+	at, off     int
+}
+
+// rowRuns lists the runs of the worker's side rows [lo, hi) of the parts
+// ps. Rows of a part without resident forms get the worker's.
+func (w *scanWorker) rowRuns(ps []Part, lo, hi int) []rowRun {
+	runs := w.runs[:0]
+	at := 0
+	for i := range ps {
+		p := &ps[i]
+		n := p.Hi - p.Lo
+		if a, b := max(lo, at), min(hi, at+n); a < b {
+			run := rowRun{m: p.matrix(), f: p.Forms, first: p.Lo + a - at, last: p.Lo + b - at, at: a}
+			if run.f == nil {
+				w.derive(&w.rows, run.m, run.first, run.last)
+				run.f, run.off = &w.rows, -run.first
+			}
+			runs = append(runs, run)
+		}
+		at += n
+	}
+	w.runs = runs
+	return runs
+}
+
+// colBlock returns the forms of S block [sLo, sHi) of part p and the
+// column of them its first row is: the part's resident forms, or the
+// worker's, derived from the block.
+func (w *scanWorker) colBlock(p *Part, sLo, sHi int) (*Forms, int) {
+	if p.Forms != nil {
+		return p.Forms, sLo
+	}
+	w.derive(&w.cols, p.m, sLo, sHi)
+	return &w.cols, 0
+}
+
+// scanRows scans side rows [lo, hi) of r, the parts rp, against all of
+// s, the parts sp of ns rows — mulPanelSIMD's loop: each S block is read
+// once while the R rows stream past it, four at a time and then the last
+// 1-3 of each part singly. Builds and hosts without the assembly kernel
+// run the same loop with each tile computed by the portable kernels and
+// compared in Go. It adds the k-steps it did not run, what its int8
+// filter did and its scratch to st.
+func scanRows(ctx context.Context, rp, sp []Part, ns int, bound []float32, lo, hi int, opts GemmOptions, simd bool, visit ScanVisitor, st *ScanStats) error {
+	w := getWorker()
+	defer w.put()
+	d := rp[0].matrix().Cols()
 	nc := 0
 	if simd {
 		nc = checkpoints(d)
-		p := getPacked(scanScratch(opts.BlockCols, rHi-rLo, d))
-		defer packedPool.Put(p)
-		packed, sfxS, sfxR = (*p)[:opts.BlockCols*d], (*p)[opts.BlockCols*d:opts.BlockCols*(d+nc)], (*p)[opts.BlockCols*(d+nc):]
-		if nc > 0 {
-			suffixFactors(sfxR, r, rLo, rHi)
-		}
 	}
+	runs := w.rowRuns(rp, lo, hi)
 	var filter *int8Filter
-	if simd && int8On(d, rHi-rLo, ns) {
-		filter = newInt8Filter(d, rHi-rLo, opts.BlockCols)
-		defer filter.release()
+	if simd && int8On(d, hi-lo, ns) {
+		filter = &w.filter
+		filter.start(d)
 	}
-	var tile scanTile
+	tile := &w.tile
+	nan := float32(math.NaN())
+	var skipped, colBytes int64
 	next := min(1, nc) // the checkpoint the next 4-row tile tests first, 1..nc
-	for sLo := 0; sLo < ns; sLo += opts.BlockCols {
-		if err := ctx.Err(); err != nil {
-			return skipped, fmt.Errorf("mat: scan cancelled at block (%d,%d): %w", rLo, sLo, err)
-		}
-		sHi := min(sLo+opts.BlockCols, ns)
-		if simd {
-			packPanels(packed, s, sLo, sHi)
-		}
-		if nc > 0 {
-			suffixFactors(sfxS, s, sLo, sHi)
-		}
-		if filter != nil {
-			filter.nextBlock()
-		}
-		for i, rows := rLo, 4; i < rHi; i += rows {
-			if i+4 > rHi {
-				rows = 1
+	at := 0            // the side column of the part's first row
+	for pi := range sp {
+		p := &sp[pi]
+		for sLo := p.Lo; sLo < p.Hi; sLo += opts.BlockCols {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("mat: scan cancelled at block (%d,%d): %w", lo, at+sLo-p.Lo, err)
 			}
-			if allNaN(bound[i : i+rows]) {
-				// Nothing reaches a NaN bound (core gives one to every
-				// row a pushed-down predicate excludes).
-				skipped += int64(rows*d) * int64((sHi-sLo+panelCols-1)/panelCols)
-				continue
+			sHi := min(sLo+opts.BlockCols, p.Hi)
+			cf, c0 := w.colBlock(p, sLo, sHi)
+			var packed, sfxS []float32
+			if simd {
+				packed = cf.packed()[c0*d:]
 			}
-			// Every strip asks at least once per block, at the last
-			// checkpoint, whether tiles have begun to stop.
-			next = min(next, nc)
-			// The int8 filter tests this strip's 4x32 tiles unless its
-			// bounds are all -Inf, which every cell but a NaN reaches.
-			filtering := filter != nil && rows == 4 && filter.samples(i-rLo) && !allNegInf(bound[i:i+4])
-			if filtering {
-				filter.prepare(s, sLo, sHi, &r.Data[i*d], i-rLo)
+			if nc > 0 {
+				sfxS = cf.suffix()[c0*nc:]
 			}
-			for j0, panels := sLo, 0; j0 < sHi; j0 += panels * panelCols {
-				var mask [2]uint64
-				if filtering && sHi-j0 > panelCols {
-					valid := uint32(1)<<min(2*panelCols, sHi-j0) - 1
-					if filter.tile(i-rLo, j0-sLo, &bound[i])&valid == 0 {
-						panels = 2
-						skipped += int64(2 * 4 * d)
+			if filter != nil {
+				filter.nextBlock()
+				filter.cols, filter.c0 = cf, c0
+			}
+			j := at + sLo - p.Lo // the side column of the block's first row
+			width := sHi - sLo
+			for ri := range runs {
+				run := &runs[ri]
+				var sfxR []float32
+				if nc > 0 {
+					sfxR = run.f.suffix()
+				}
+				if filter != nil {
+					filter.r, filter.rowMeta = run.f.rowInt8()
+				}
+				for t := run.first; t < run.last; t += 4 {
+					rows := min(4, run.last-t)
+					i := run.at + t - run.first // the side row
+					if allNaN(bound[i : i+rows]) {
+						// Nothing reaches a NaN bound (core gives one to
+						// every row a pushed-down predicate excludes).
+						skipped += int64(rows*d) * int64((width+panelCols-1)/panelCols)
 						continue
 					}
-				}
-				if simd {
-					first := d
-					var fr, fs *float32 // the strip's and its first panel's factors from first on
-					if rows == 4 && 1 <= next && next <= nc {
-						first, fr, fs = next*16, &sfxR[factorAt(nc, i-rLo, next)], &sfxS[factorAt(nc, j0-sLo, next)]
+					// Every strip asks at least once per block, at the
+					// last checkpoint, whether tiles have begun to stop.
+					next = min(next, nc)
+					// The int8 filter tests this strip's 4x32 tiles unless
+					// its bounds are all -Inf, which every cell but a NaN
+					// reaches. A run's last 1-3 rows are tested as a strip
+					// whose missing rows have NaN bounds.
+					fr := t + run.off // the strip's row of its forms
+					sb := &bound[i]
+					if rows < 4 {
+						w.tail = [4]float32{nan, nan, nan, nan}
+						copy(w.tail[:], bound[i:i+rows])
+						sb = &w.tail[0]
 					}
-					var k int
-					mask, panels, k = tileGE(&tile, &r.Data[i*d], rows, d, &packed[(j0-sLo)*d], sHi-j0, &bound[i], fr, fs, first)
-					skipped += int64(panels * rows * (d - k))
-					// Neighbouring tiles stop at about the same k, so the
-					// next one starts testing where this one stopped: one
-					// checkpoint earlier if that was its first test, one
-					// later (past the last: none) if it never stopped.
-					switch {
-					case first == d:
-					case k == d:
-						next++
-					case k == first:
-						next = max(next-1, 1)
-					default:
-						next = k / 16
+					filtering := filter != nil && filter.samples(i-lo) && !allNegInf(bound[i:i+rows])
+					if filtering && !filter.blockReady {
+						filter.prepareBlock()
 					}
-				} else {
-					panels = 1
-					mask[0] = tileGEPortable(&tile, r, s, i, rows, j0, min(panelCols, sHi-j0), bound, opts.Kernel)
-				}
-				for p, m := range mask[:panels] {
-					// The zero-padded lanes of a tail panel hold 0, which
-					// may well reach the bound: keep real columns only.
-					jp := j0 + p*panelCols
-					m &= (uint64(1)<<min(panelCols, sHi-jp) - 1) * 0x0001_0001_0001_0001
-					for ; m != 0; m &= m - 1 {
-						b := bits.TrailingZeros64(m)
-						visit(i+b/panelCols, jp+b%panelCols, tile[p*4*panelCols+b])
+					for c, panels := 0, 0; c < width; c += panels * panelCols {
+						panels = 1
+						if filtering && width-c > panelCols {
+							valid := uint32(1)<<min(2*panelCols, width-c) - 1
+							panels = 2
+							if filter.tile(fr, c, sb)&valid == 0 {
+								skipped += int64(2 * rows * d)
+								continue
+							}
+						}
+						if rows < 4 {
+							// One-row tiles for each of the 1-3 rows, over
+							// the panels the filter kept.
+							for u := range rows {
+								if bound[i+u] != bound[i+u] {
+									skipped += int64(panels * d)
+									continue
+								}
+								for pp := range min(panels, (width-c+panelCols-1)/panelCols) {
+									cp := c + pp*panelCols
+									var m uint64
+									if simd {
+										mask, _, _ := tileGE(tile, &run.m.Data[(t+u)*d], 1, d, &packed[cp*d], width-cp, &bound[i+u], nil, nil, d)
+										m = mask[0]
+									} else {
+										m = tileGEPortable(tile, run.m, cf.m, t+u, 1, c0+cp, min(panelCols, width-cp), bound[i+u:], opts.Kernel)
+									}
+									for m &= uint64(1)<<min(panelCols, width-cp) - 1; m != 0; m &= m - 1 {
+										b := bits.TrailingZeros64(m)
+										visit(i+u, j+cp+b, tile[b])
+									}
+								}
+							}
+							continue
+						}
+						var mask [2]uint64
+						if simd {
+							first := d
+							var fa, fb *float32 // the strip's and its first panel's factors from first on
+							if 1 <= next && next <= nc {
+								first, fa, fb = next*16, &sfxR[factorAt(nc, fr, next)], &sfxS[factorAt(nc, c, next)]
+							}
+							var k int
+							mask, panels, k = tileGE(tile, &run.m.Data[t*d], rows, d, &packed[c*d], width-c, &bound[i], fa, fb, first)
+							skipped += int64(panels * rows * (d - k))
+							// Neighbouring tiles stop at about the same k, so
+							// the next one starts testing where this one
+							// stopped: one checkpoint earlier if that was its
+							// first test, one later (past the last: none) if
+							// it never stopped.
+							switch {
+							case first == d:
+							case k == d:
+								next++
+							case k == first:
+								next = max(next-1, 1)
+							default:
+								next = k / 16
+							}
+						} else {
+							panels = 1
+							mask[0] = tileGEPortable(tile, run.m, cf.m, t, rows, c0+c, min(panelCols, width-c), bound[i:], opts.Kernel)
+						}
+						for pp, m := range mask[:panels] {
+							// The zero-padded lanes of a tail panel hold 0,
+							// which may well reach the bound: keep real
+							// columns only.
+							cp := c + pp*panelCols
+							m &= (uint64(1)<<min(panelCols, width-cp) - 1) * 0x0001_0001_0001_0001
+							for ; m != 0; m &= m - 1 {
+								b := bits.TrailingZeros64(m)
+								visit(i+b/panelCols, j+cp+b%panelCols, tile[pp*4*panelCols+b])
+							}
+						}
 					}
 				}
 			}
+			colBytes = max(colBytes, w.cols.Bytes())
 		}
+		at += p.Hi - p.Lo
 	}
-	return skipped, nil
+	st.KStepsSkipped += skipped
+	st.ScratchBytes += int64(len(scanTile{}))*4 + w.rows.Bytes() + colBytes
+	if filter != nil {
+		filter.count()
+		st.ScratchBytes += int64(len(filter.est)) * 4
+		st.Int8Tiles += filter.tiles
+		st.Int8RuledOut += filter.ruled
+	}
+	return nil
 }
 
-// int8Filter is one scan worker's int8 copy of its R rows and of the
-// current S block, for int8TileGE and int8TileEst (package doc, "Int8
-// filter"). Codes come four k to a dword, k padded to d4, a multiple of
-// 4, with code 0.
+// int8Filter is one worker's view of the int8 layouts (package doc, "Int8
+// filter") of its R rows and of the S block at hand, for int8TileGE and
+// int8TileEst, and its account of what it tested.
 type int8Filter struct {
 	d, d4 int
-	beta  float32 // the L1 factor β
-	// r holds the worker's R rows' codes offset by +128, d4 bytes a row;
-	// rowMeta, per group of 16 rows, their scales and then their factors
-	// c = β·|row|₁ (or +Inf). A 4-row strip is quantized the first time
-	// one of its tiles is tested.
+	// r and rowMeta are the R rows' forms' R layout, from its row 0; s,
+	// corr and colMeta the S block's forms' S layout, from the block's
+	// first column, c0 of cols. The block's are taken the first time one
+	// of its tiles is tested.
 	r          []byte
 	rowMeta    []float32
-	stripReady []bool
-	// s holds the S block's codes as 16-column panels of d4/4 64-byte
-	// groups, group g of a panel being column jj's codes 4g..4g+3 at
-	// g*64+jj*4; corr holds each column's D − 128·(its code sum), and
-	// colMeta, per panel, its 16 scales and then its 16 b = β·|col|₁. The
-	// block is quantized the first time one of its tiles is tested.
 	s          []byte
 	corr       []int32
 	colMeta    []float32
+	cols       *Forms
+	c0         int
 	blockReady bool
-	// Scratch for quantize: per row its largest |x| and L1 norm, 127
-	// over its largest |x|, and its codes' sum.
-	stats []float32
-	inv   []float32
-	sums  []int32
 	// The tiles tested and kept in this block, the block's number, and
 	// whether it tests only a sample of its strips.
 	tested, kept, block int
 	sparse              bool
+	// The tiles tested and ruled out over the whole scan.
+	tiles, ruled int64
 	// est receives a tile's estimates.
 	est [260]float32
 }
 
-// int8Pool holds the workers' int8Filter buffers between calls.
-var int8Pool sync.Pool
-
 // The int8 filter runs on rows of 32 to 1024 elements (d <= 1024 keeps
 // every int32 cell below 2^24, which float32 holds exactly), and only
 // where it can pay: at least int8MinRows R rows per worker and
-// int8MinCols S rows, so that quantizing each side once is a small part
-// of the scan. Tests lower the two to run the filter on every shape.
+// int8MinCols S rows, so that the forms' codes are read often enough to
+// be worth deriving. Tests lower the two to run the filter on every shape.
 const int8MinDim, int8MaxDim = 32, 1024
 
 var int8MinRows, int8MinCols = 64, 128
@@ -302,48 +491,13 @@ func int8On(d, rows, ns int) bool {
 	return useInt8 && useZMM && int8MinDim <= d && d <= int8MaxDim && rows >= int8MinRows && ns >= int8MinCols
 }
 
-// int8Scratch is the filter's share of such a worker's working memory,
-// in bytes: int8Filter's buffers, or 0 where it does not run.
-func int8Scratch(blockCols, rows, d, ns int) int64 {
-	if !int8On(d, rows, ns) {
-		return 0
-	}
-	return int8Bytes(blockCols, rows, d)
-}
-
-// int8Bytes is the size of an int8Filter's buffers for rows R rows of d
-// elements and blockCols S rows, in bytes.
-func int8Bytes(blockCols, rows, d int) int64 {
-	d4 := int64(d+3) &^ 3
-	return int64(rows+blockCols)*d4 + 4*int64((rows+panelCols-1)/panelCols*2*panelCols+7*blockCols+len(int8Filter{}.est))
-}
-
-// newInt8Filter sets up a filter for a worker's rows R rows of d
-// elements, scanned against blockCols S rows at a time.
-func newInt8Filter(d, rows, blockCols int) *int8Filter {
-	f, _ := int8Pool.Get().(*int8Filter)
-	if f == nil {
-		f = new(int8Filter)
-	}
-	d4 := (d + 3) &^ 3
-	f.d, f.d4 = d, d4
-	f.beta = 0.5 + float32(d+16)*0x1p-16
-	f.r = grow(f.r, rows*d4)
-	f.rowMeta = grow(f.rowMeta, (rows+panelCols-1)/panelCols*2*panelCols)
-	f.stripReady = grow(f.stripReady, rows/4)
-	clear(f.stripReady)
+// start readies f for a scan of rows of d elements.
+func (f *int8Filter) start(d int) {
+	f.d, f.d4 = d, int8Width(d)
 	f.tested, f.kept, f.block, f.sparse = 0, 0, -1, false // nextBlock starts the first block, 0
-	f.s = grow(f.s, blockCols*d4)
-	f.corr = grow(f.corr, blockCols)
-	f.colMeta = grow(f.colMeta, 2*blockCols)
-	f.stats = grow(f.stats, 2*blockCols)
-	f.inv = grow(f.inv, blockCols)
-	f.sums = grow(f.sums, blockCols)
-	return f
+	f.tiles, f.ruled = 0, 0
+	f.r, f.rowMeta = nil, nil
 }
-
-// release returns f's buffers to the pool.
-func (f *int8Filter) release() { int8Pool.Put(f) }
 
 // grow returns buf resliced to n, reallocated if it is too short.
 func grow[T any](buf []T, n int) []T {
@@ -351,49 +505,6 @@ func grow[T any](buf []T, n int) []T {
 		return make([]T, n)
 	}
 	return buf[:n]
-}
-
-// quantize quantizes n rows of d elements from x: row j's codes go from
-// dst + (j/16)*16*d4 + (j%16)*rowStep, group g of them stride*g on, in
-// int8Quant's layout, its scale to meta[(j/16)*32+j%16], its factor
-// β·|row|₁ 16 further on, and its codes' sum to f.sums[j]. A row the
-// filter's inequality does not cover — a non-finite component or L1
-// norm, or a largest |x| outside [2^-40, 2^40] other than 0 — gets scale
-// 0 and factor +Inf, which make every estimate it enters +Inf or NaN, so
-// no tile of it is ruled out.
-func (f *int8Filter) quantize(x *float32, n int, dst *byte, rowStep, stride int, flip uint32, meta []float32) {
-	int8Stats(x, f.d, n, &f.stats[0])
-	for j := range n {
-		maxAbs, l1 := f.stats[2*j], f.stats[2*j+1]
-		var scale, inv, factor float32
-		switch {
-		case maxAbs == 0 && l1 == 0:
-		case 0x1p-40 <= maxAbs && maxAbs <= 0x1p40 && l1 <= math.MaxFloat32:
-			scale = maxAbs / 127
-			inv, factor = 1/scale, f.beta*l1
-		default:
-			factor = float32(math.Inf(1))
-		}
-		f.inv[j] = inv
-		meta[j/16*32+j%16], meta[j/16*32+16+j%16] = scale, factor
-	}
-	int8Quant(x, f.d, n, &f.inv[0], dst, rowStep, panelCols*f.d4, stride, flip, &f.sums[0])
-}
-
-// packBlock quantizes rows [sLo, sHi) of s into the filter's S block,
-// padded to lanes, a multiple of 16: lanes past sHi get code 0, scale 0
-// and b 0.
-func (f *int8Filter) packBlock(s *Matrix, sLo, sHi, lanes int) {
-	d4, n := f.d4, sHi-sLo
-	clear(f.s[n/panelCols*panelCols*d4 : lanes*d4])
-	for jj := n; jj < lanes; jj++ {
-		f.corr[jj] = int32(d4/4 + 1)
-		f.colMeta[jj/panelCols*2*panelCols+jj%panelCols], f.colMeta[(jj/panelCols*2+1)*panelCols+jj%panelCols] = 0, 0
-	}
-	f.quantize(&s.Data[sLo*f.d], n, &f.s[0], 4, 4*panelCols, 0, f.colMeta)
-	for j, sum := range f.sums[:n] {
-		f.corr[j] = int32(d4/4+1) - 128*sum
-	}
 }
 
 // nextBlock moves the filter to the next S block. A tile the filter
@@ -409,9 +520,16 @@ func (f *int8Filter) nextBlock() {
 	if f.tested > 0 {
 		f.sparse = 4*f.kept > f.tested
 	}
-	f.tested, f.kept = 0, 0
+	f.count()
 	f.block++
 	f.blockReady = false
+}
+
+// count adds the block's tests to the scan's and starts the block's anew.
+func (f *int8Filter) count() {
+	f.tiles += int64(f.tested)
+	f.ruled += int64(f.tested - f.kept)
+	f.tested, f.kept = 0, 0
 }
 
 // samples reports whether the filter tests the 4-row strip starting at
@@ -420,21 +538,14 @@ func (f *int8Filter) samples(n int) bool {
 	return !f.sparse || f.block%8 == 0 && n%32 == 0
 }
 
-// prepare quantizes S block [sLo, sHi) and the strip of four R rows at
-// x, the worker's rows n..n+3, unless that is done, for tile to test
-// them.
-func (f *int8Filter) prepare(s *Matrix, sLo, sHi int, x *float32, n int) {
-	if !f.blockReady {
-		f.packBlock(s, sLo, sHi, (sHi-sLo+panelCols-1)&^(panelCols-1))
-		f.blockReady = true
-	}
-	if !f.stripReady[n/4] {
-		f.quantize(x, 4, &f.r[n*f.d4], f.d4, 4, 0x80808080, f.rowMeta[n/16*32+n%16:])
-		f.stripReady[n/4] = true
-	}
+// prepareBlock takes the S layout of the block: c0 on in cols.
+func (f *int8Filter) prepareBlock() {
+	codes, corr, meta := f.cols.colInt8()
+	f.s, f.corr, f.colMeta = codes[f.c0*f.d4:], corr[f.c0:], meta[2*f.c0:]
+	f.blockReady = true
 }
 
-// tile runs int8TileGE on the worker's R rows n..n+3 against the two
+// tile runs int8TileGE on rows n..n+3 of the R layout against the two
 // panels from column c of the S block, both prepared, and returns the
 // mask of those 32 columns some row may keep.
 func (f *int8Filter) tile(n, c int, bound *float32) uint32 {
@@ -446,33 +557,31 @@ func (f *int8Filter) tile(n, c int, bound *float32) uint32 {
 	return keep
 }
 
-// tileEst is int8TileEst on the worker's R rows n..n+3 against the two
+// tileEst is int8TileEst on rows n..n+3 of the R layout against the two
 // panels from column c of the S block, with f.est for its estimates and
 // no listing.
 func (f *int8Filter) tileEst(n, c int, bound *float32, admit *[4]uint32) (keep01, keep23 uint64) {
-	keep01, keep23, _ = f.tileList(n, c, bound, admit, nil, nil, nil, 0)
+	keep01, keep23, _ = f.tileList(n, c, bound, admit, nil, nil, nil, 0, n)
 	return keep01, keep23
 }
 
-// tileList is int8TileEst on the worker's R rows n..n+3 against the two
+// tileList is int8TileEst on rows n..n+3 of the R layout against the two
 // panels from column c of the S block, with f.est for its estimates,
 // listing its cells from ups, cols and rows on (none if ups is nil),
-// column numbers from j0 and row numbers from n.
-func (f *int8Filter) tileList(n, c int, bound *float32, admit *[4]uint32, ups *float32, cols, rows *int32, j0 int) (keep01, keep23 uint64, listed int) {
-	return int8TileEst(&f.r[n*f.d4], f.d4, &f.s[c*f.d4], f.d4/4, &f.corr[c], &f.colMeta[2*c], &f.rowMeta[n/16*32+n%16], bound, &admit[0], &f.est[0], ups, cols, rows, j0, n)
+// column numbers from j0 and row numbers from n0.
+func (f *int8Filter) tileList(n, c int, bound *float32, admit *[4]uint32, ups *float32, cols, rows *int32, j0, n0 int) (keep01, keep23 uint64, listed int) {
+	keep01, keep23, listed = int8TileEst(&f.r[n*f.d4], f.d4, &f.s[c*f.d4], f.d4/4, &f.corr[c], &f.colMeta[2*c], &f.rowMeta[n/16*32+n%16], bound, &admit[0], &f.est[0], ups, cols, rows, j0, n0)
+	f.tested++
+	if keep01|keep23 != 0 {
+		f.kept++
+	}
+	return keep01, keep23, listed
 }
 
 // scanTile is a worker's tile scratch: up to two panels' 4x16 cells,
 // panel-major, as tileGE writes them (mulPanelSIMD stores a 4x32 tile
 // into it row-major).
 type scanTile [2 * 4 * panelCols]float32
-
-// scanScratch is the length of one assembly-kernel worker's scratch for
-// rows R rows: a packed S block and, per checkpoint of the tile, a factor
-// for each of its columns and for each R row in whole groups of 16.
-func scanScratch(blockCols, rows, d int) int {
-	return blockCols*d + (blockCols+(rows+panelCols-1)/panelCols*panelCols)*checkpoints(d)
-}
 
 // allNegInf reports whether every bound is -Inf.
 func allNegInf(bound []float32) bool {
@@ -496,7 +605,7 @@ func allNaN(bound []float32) bool {
 
 // tileGEPortable is tileGE without the assembly: the rows x cols strip at
 // (i, j0) goes through the kernel MulTransposeInto would run and is then
-// compared in Go. Same mask, same tile layout.
+// compared in Go, row t with bound[t]. Same mask, same tile layout.
 func tileGEPortable(tile *scanTile, r, s *Matrix, i, rows, j0, cols int, bound []float32, k vec.Kernel) uint64 {
 	d := r.Cols()
 	dst := Matrix{RowsN: rows, ColsN: panelCols, Data: tile[:rows*panelCols]}
@@ -510,7 +619,7 @@ func tileGEPortable(tile *scanTile, r, s *Matrix, i, rows, j0, cols int, bound [
 	var mask uint64
 	for t := 0; t < rows; t++ {
 		for jj, sim := range tile[t*panelCols : t*panelCols+cols] {
-			if sim >= bound[i+t] {
+			if sim >= bound[t] {
 				mask |= 1 << (t*panelCols + jj)
 			}
 		}

@@ -45,10 +45,10 @@ func TopKCandidatesOn(nr, ns, d, k int, opts GemmOptions) bool {
 // columns whose upper estimate can reach it; only those are computed in
 // F32. ScanStats counts the whole product's k-steps and, as skipped,
 // those of the F32 pass not run: each 16 re-scored cells run d steps.
-// Workers split r as ScanAbove's do, and newVisitor and ctx are used as
-// there; bound is only read. It runs only where TopKCandidatesOn says
-// so.
-func TopKCandidates(ctx context.Context, r, s *Matrix, k int, bound []float32, keepCol func(int) bool, opts GemmOptions, newVisitor func() ScanVisitor) (ScanStats, error) {
+// Workers split r, and both sides are walked part by part, as in
+// ScanAbove, and newVisitor and ctx are used as there; bound is only
+// read. It runs only where TopKCandidatesOn says so.
+func TopKCandidates(ctx context.Context, r, s Side, k int, bound []float32, keepCol func(int) bool, opts GemmOptions, newVisitor func() ScanVisitor) (ScanStats, error) {
 	if r.Cols() != s.Cols() {
 		return ScanStats{}, fmt.Errorf("mat: inner dimensions differ: %d vs %d", r.Cols(), s.Cols())
 	}
@@ -63,141 +63,197 @@ func TopKCandidates(ctx context.Context, r, s *Matrix, k int, bound []float32, k
 	// Whole 4x32 int8 tiles per S block, and at least the k the seed
 	// takes.
 	bc := max(k*2*panelCols, (opts.BlockCols+2*panelCols-1)&^(2*panelCols-1))
-	step := workerRows(nr, opts)
-	workers := (nr + step - 1) / step
-	ran, scratch := make([]int64, workers), make([]int64, workers)
-	err := eachWorker(nr, step, newVisitor, func(w, lo, hi int, visit ScanVisitor) (err error) {
-		ran[w], scratch[w], err = topKRows(ctx, r, s, k, bound, lo, hi, bc, keepCol, visit)
-		return err
+	rp, sp := r.parts(), s.parts()
+	cuts := workerCuts(rp, workerRows(nr, opts))
+	each := make([]ScanStats, len(cuts)-1)
+	err := eachWorker(cuts, newVisitor, func(w, lo, hi int, visit ScanVisitor) error {
+		return topKRows(ctx, rp, sp, k, bound, lo, hi, bc, keepCol, visit, &each[w])
 	})
 	st := ScanStats{
-		Blocks: (ns + bc - 1) / bc,
-		KSteps: int64(nr) * int64((ns+panelCols-1)/panelCols) * int64(d),
+		Blocks: blockCount(sp, bc),
+		KSteps: int64(nr) * panelCount(sp) * int64(d),
 	}
 	st.KStepsSkipped = st.KSteps
-	for w := range workers {
-		st.KStepsSkipped -= ran[w]
-		st.ScratchBytes += scratch[w]
+	for _, ws := range each {
+		st.add(ws)
 	}
 	return st, err
 }
 
-// topKWorker is one TopKCandidates worker's state beside its int8Filter,
-// per row n of its rows.
+// topKWorker is one TopKCandidates worker's state beside its scanWorker,
+// per slot n of its rows: its runs' rows in order, each run from a
+// multiple of 4 (base), so that a 4-row strip of a run is a strip of
+// slots; the 1-3 slots that pad a run's last strip are never live.
 type topKWorker struct {
-	k int
+	k    int
+	base []int
 	// lows[n*k:][:fill[n]] holds, ascending, the largest per-tile lower
-	// estimates above kth[n] that row n has met, at most k; kth[n] starts
+	// estimates above kth[n] that slot n has met, at most k; kth[n] starts
 	// at the row's bound and is raised to their least whenever there are
 	// k.
 	kth  []float32
 	lows []float32
 	fill []int32
-	// live holds, per 4-row strip, a bit for each of its rows whose bound
+	// live holds, per 4-slot strip, a bit for each of its rows whose bound
 	// is not NaN; admit, per 32 columns of the S block, one for each
 	// column keepCol keeps.
 	live  []uint8
 	admit []uint32
 	// ups, cols and rows list every cell whose upper estimate reached its
 	// row's kth when the sweep met it, in the order met: ascending column
-	// per row.
+	// per row; cols are side columns, rows slots.
 	ups        []float32
 	cols, rows []int32
 }
 
 var topKPool sync.Pool
 
-// topKRows runs TopKCandidates for rows [rLo, rHi) of r against S blocks
-// of bc rows, a multiple of 32. It returns the F32 k-steps it ran and the
-// bytes of working memory it held.
-func topKRows(ctx context.Context, r, s *Matrix, k int, bound []float32, rLo, rHi, bc int, keepCol func(int) bool, visit ScanVisitor) (ran, scratch int64, err error) {
-	d, ns, rows := r.Cols(), s.Rows(), rHi-rLo
-	rows4 := (rows + 3) &^ 3
-	f := newInt8Filter(d, rows4, bc)
-	defer f.release()
+// topKRows runs TopKCandidates for side rows [lo, hi) of the parts rp
+// against the parts sp, in S blocks of bc rows, a multiple of 32. It adds
+// to st the F32 k-steps it ran, as negative skipped ones, the tiles it
+// tested and ruled out, the cells it re-scored and the bytes of working
+// memory it held.
+func topKRows(ctx context.Context, rp, sp []Part, k int, bound []float32, lo, hi, bc int, keepCol func(int) bool, visit ScanVisitor, st *ScanStats) error {
+	sw := getWorker()
+	defer sw.put()
+	d := rp[0].matrix().Cols()
+	runs := sw.rowRuns(rp, lo, hi)
+	f := &sw.filter
+	f.start(d)
 	w, _ := topKPool.Get().(*topKWorker)
 	if w == nil {
 		w = new(topKWorker)
 	}
 	defer topKPool.Put(w)
 	w.k = k
-	w.kth, w.lows, w.fill = grow(w.kth, rows4), grow(w.lows, rows4*k), grow(w.fill, rows4)
-	w.live, w.admit = grow(w.live, rows4/4), grow(w.admit, bc/32)
+	w.base = grow(w.base, len(runs))
+	slots := 0
+	for x, run := range runs {
+		w.base[x] = slots
+		slots += (run.last - run.first + 3) &^ 3
+	}
+	w.kth, w.lows, w.fill = grow(w.kth, slots), grow(w.lows, slots*k), grow(w.fill, slots)
+	w.live, w.admit = grow(w.live, slots/4), grow(w.admit, bc/32)
 	w.ups, w.cols, w.rows = w.ups[:0], w.cols[:0], w.rows[:0]
 	clear(w.fill)
 	clear(w.live)
-	copy(w.kth, bound[rLo:rHi])
-	for n := range rows {
-		if b := bound[rLo+n]; b == b {
-			w.live[n/4] |= 1 << (n % 4)
+	for x, run := range runs {
+		for t := run.first; t < run.last; t++ {
+			n := w.base[x] + t - run.first
+			w.kth[n] = bound[run.at+t-run.first]
+			if b := w.kth[n]; b == b {
+				w.live[n/4] |= 1 << (n % 4)
+			}
 		}
+		run.f.rowInt8()
 	}
-	// Quantize the rows a block's worth at a time (quantize's scratch),
-	// in whole groups of 16 for rowMeta's layout. The 1-3 rows that pad
-	// the last strip are never live: their codes are whatever is there.
-	for lo := 0; lo < rows; lo += bc {
-		f.quantize(&r.Data[(rLo+lo)*d], min(bc, rows-lo), &f.r[lo*f.d4], f.d4, 4, 0x80808080, f.rowMeta[lo/16*32:])
-	}
-	limit, most := 8*rows4, 0
-	for sLo := 0; sLo < ns; sLo += bc {
-		if err := ctx.Err(); err != nil {
-			return 0, 0, fmt.Errorf("mat: top-k cancelled at block (%d,%d): %w", rLo, sLo, err)
-		}
-		sHi := min(sLo+bc, ns)
-		lanes := (sHi - sLo + 2*panelCols - 1) &^ (2*panelCols - 1)
-		f.packBlock(s, sLo, sHi, lanes)
-		for c := 0; c < lanes; c += 2 * panelCols {
-			var m uint32
-			for jj := range min(2*panelCols, sHi-sLo-c) {
-				if keepCol == nil || keepCol(sLo+c+jj) {
-					m |= 1 << jj
-				}
+	limit, most, colBytes := 8*slots, 0, int64(0)
+	at, first := 0, true // the side column of the part's first row; whether this is the first block
+	for pi := range sp {
+		p := &sp[pi]
+		for sLo := p.Lo; sLo < p.Hi; sLo += bc {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("mat: top-k cancelled at block (%d,%d): %w", lo, at+sLo-p.Lo, err)
 			}
-			w.admit[c/32] = m
-		}
-		for n := 0; n < rows; n += 4 {
-			live := w.live[n/4]
-			if live == 0 {
-				continue
-			}
-			seeded := 0 // the columns whose tiles seed has taken
-			if sLo == 0 {
-				seeded = w.seed(f, n, live, lanes)
-			}
+			sHi := min(sLo+bc, p.Hi)
+			f.nextBlock()
+			f.cols, f.c0 = sw.colBlock(p, sLo, sHi)
+			f.prepareBlock()
+			width, j := sHi-sLo, at+sLo-p.Lo
+			lanes := (width + 2*panelCols - 1) &^ (2*panelCols - 1)
 			for c := 0; c < lanes; c += 2 * panelCols {
-				if w.admit[c/32] != 0 {
-					w.sweep(f, n, c, sLo+c, live, c >= seeded)
+				var m uint32
+				for jj := range min(2*panelCols, width-c) {
+					if keepCol == nil || keepCol(j+c+jj) {
+						m |= 1 << jj
+					}
+				}
+				w.admit[c/32] = m
+			}
+			for x, run := range runs {
+				f.r, f.rowMeta = run.f.rowInt8()
+				for t := run.first; t < run.last; t += 4 {
+					n := w.base[x] + t - run.first
+					live := w.live[n/4]
+					if live == 0 {
+						continue
+					}
+					fr := t + run.off
+					seeded := 0 // the columns whose tiles seed has taken
+					if first {
+						seeded = w.seed(f, fr, n, live, lanes)
+					}
+					for c := 0; c < lanes; c += 2 * panelCols {
+						if w.admit[c/32] != 0 {
+							w.sweep(f, fr, n, c, j+c, live, c >= seeded)
+						}
+					}
 				}
 			}
+			first = false
+			colBytes = max(colBytes, sw.cols.Bytes())
+			// Drop what can no longer reach its row's kth once the list
+			// has doubled, so it holds about the cells still in play.
+			most = max(most, len(w.ups))
+			if len(w.ups) > limit {
+				w.trim()
+				limit = max(limit, 2*len(w.ups))
+			}
 		}
-		// Drop what can no longer reach its row's kth once the list has
-		// doubled, so it holds about the cells still in play.
-		most = max(most, len(w.ups))
-		if len(w.ups) > limit {
-			w.trim()
-			limit = max(limit, 2*len(w.ups))
-		}
+		at += p.Hi - p.Lo
 	}
 	w.trim()
 
-	// Re-score the survivors in F32, sixteen cells a call, in list order.
+	// Re-score the survivors in F32, sixteen cells a call, run by run and
+	// in list order within a run, a call's cells all of one S part: so
+	// each row's cells are still visited in ascending j.
+	var ran int64
 	var ri, sj [16]int32
+	var vi, vj [16]int
 	var sims [16]float32
-	for lo := 0; lo < len(w.ups); lo += 16 {
-		cells := min(16, len(w.ups)-lo)
-		for l := range cells {
-			ri[l], sj[l] = int32(rLo+int(w.rows[lo+l]))*int32(d), w.cols[lo+l]*int32(d)
+	for x, run := range runs {
+		sb, se := w.base[x], w.base[x]+run.last-run.first
+		pi, pat := 0, 0 // the S part of the cells and its first side column
+		cells := 0
+		flush := func() {
+			if cells == 0 {
+				return
+			}
+			dotPairs(&sims[0], &run.m.Data[0], &sp[pi].matrix().Data[0], &ri[0], &sj[0], d, cells)
+			ran += int64(d)
+			st.Rescored += int64(cells)
+			for l := range cells {
+				if sim := sims[l]; sim == sim {
+					visit(vi[l], vj[l], sim)
+				}
+			}
+			cells = 0
 		}
-		dotPairs(&sims[0], &r.Data[0], &s.Data[0], &ri[0], &sj[0], d, cells)
-		ran += int64(d)
-		for l := range cells {
-			if sim := sims[l]; sim == sim {
-				visit(rLo+int(w.rows[lo+l]), int(w.cols[lo+l]), sim)
+		for q, n32 := range w.rows {
+			n := int(n32)
+			if n < sb || n >= se {
+				continue
+			}
+			col := int(w.cols[q])
+			for col >= pat+sp[pi].Hi-sp[pi].Lo {
+				flush()
+				pat += sp[pi].Hi - sp[pi].Lo
+				pi++
+			}
+			ri[cells], sj[cells] = int32((run.first+n-sb)*d), int32((sp[pi].Lo+col-pat)*d)
+			vi[cells], vj[cells] = run.at+n-sb, col
+			if cells++; cells == 16 {
+				flush()
 			}
 		}
+		flush()
 	}
-	scratch = int8Bytes(bc, rows4, d) + int64(rows4)*int64(4*k+9) + int64(bc/32)*4 + int64(most+listSlack)*12
-	return ran, scratch, nil
+	f.count()
+	st.KStepsSkipped -= ran
+	st.Int8Tiles += f.tiles
+	st.Int8RuledOut += f.ruled
+	st.ScratchBytes += sw.rows.Bytes() + colBytes + int64(len(f.est))*4 + int64(slots)*int64(4*k+9) + int64(bc/32)*4 + int64(most+listSlack)*12
+	return nil
 }
 
 // listSlack is the room a tile needs past the list's end: 128 cells and
@@ -216,33 +272,33 @@ func rowAdmit(live uint8, admit uint32) [4]uint32 {
 	return a
 }
 
-// seed raises the kth of the strip of rows n..n+3 (those of them live
-// marks) before the sweep, from the per-tile largest lower estimates of
-// the first k tiles of block 0, so that the sweep does not list nearly
-// every cell of those tiles while kth is still -Inf. It returns how many
-// columns those tiles cover: they are taken, and the sweep must not take
-// them again.
-func (w *topKWorker) seed(f *int8Filter, n int, live uint8, lanes int) int {
+// seed raises the kth of the strip of slots n..n+3 (those of them live
+// marks), rows fr.. of the R layout, before the sweep, from the per-tile
+// largest lower estimates of the first k tiles of block 0, so that the
+// sweep does not list nearly every cell of those tiles while kth is still
+// -Inf. It returns how many columns those tiles cover: they are taken,
+// and the sweep must not take them again.
+func (w *topKWorker) seed(f *int8Filter, fr, n int, live uint8, lanes int) int {
 	all := [4]float32{float32(math.Inf(-1)), float32(math.Inf(-1)), float32(math.Inf(-1)), float32(math.Inf(-1))}
 	seeded := min(lanes, w.k*2*panelCols)
 	for c := 0; c < seeded; c += 2 * panelCols {
 		admit := rowAdmit(live, w.admit[c/32])
-		keep01, keep23 := f.tileEst(n, c, &all[0], &admit)
+		keep01, keep23 := f.tileEst(fr, c, &all[0], &admit)
 		w.take(f, n, keep01, keep23)
 	}
 	return seeded
 }
 
-// sweep runs the tile of the strip of rows n..n+3 (those of them live
-// marks) and the two panels from column c of the S block, global column
-// j0, against the rows' kth: it lists the cells whose upper estimate
-// reaches its row's kth or is NaN and, unless seed has taken the tile
-// (fresh is false), raises the kth.
-func (w *topKWorker) sweep(f *int8Filter, n, c, j0 int, live uint8, fresh bool) {
+// sweep runs the tile of the strip of slots n..n+3 (those of them live
+// marks), rows fr.. of the R layout, and the two panels from column c of
+// the S block, side column j0, against the rows' kth: it lists the cells
+// whose upper estimate reaches its row's kth or is NaN and, unless seed
+// has taken the tile (fresh is false), raises the kth.
+func (w *topKWorker) sweep(f *int8Filter, fr, n, c, j0 int, live uint8, fresh bool) {
 	m := len(w.ups)
 	ups, cols, rows := slices.Grow(w.ups, listSlack), slices.Grow(w.cols, listSlack), slices.Grow(w.rows, listSlack)
 	admit := rowAdmit(live, w.admit[c/32])
-	keep01, keep23, listed := f.tileList(n, c, &w.kth[n], &admit, &ups[:m+1][m], &cols[:m+1][m], &rows[:m+1][m], j0)
+	keep01, keep23, listed := f.tileList(fr, c, &w.kth[n], &admit, &ups[:m+1][m], &cols[:m+1][m], &rows[:m+1][m], j0, n)
 	w.ups, w.cols, w.rows = ups[:m+listed], cols[:m+listed], rows[:m+listed]
 	if fresh {
 		w.take(f, n, keep01, keep23)
@@ -250,7 +306,7 @@ func (w *topKWorker) sweep(f *int8Filter, n, c, j0 int, live uint8, fresh bool) 
 }
 
 // take lets the largest lower estimate in f.est of each row of the strip
-// from row n whose mask (keep01, keep23) is not 0 join the row's largest
+// from slot n whose mask (keep01, keep23) is not 0 join the row's largest
 // if it is above the row's kth. Tiles are distinct cells, so k of them
 // bound the row's k-th best.
 func (w *topKWorker) take(f *int8Filter, n int, keep01, keep23 uint64) {

@@ -2,6 +2,8 @@ package plan
 
 import (
 	"context"
+	"ejoin/internal/mat"
+	"ejoin/internal/model"
 	"fmt"
 	"strings"
 	"testing"
@@ -174,6 +176,57 @@ func TestAnalyzeShowsSkippedSteps(t *testing.T) {
 	want := fmt.Sprintf("k_skipped=%d k_steps=%d", st.KStepsSkipped, st.KSteps)
 	if !strings.Contains(res.Analysis.Detail, want) {
 		t.Errorf("join detail %q lacks %q", res.Analysis.Detail, want)
+	}
+}
+
+// TestAnalyzeShowsInt8Work checks that the join node shows the int8
+// filter's tiles tested and ruled out and a top-k's re-scored candidates,
+// summed over the scan's workers, as the result's stats count them —
+// where the host runs the int8 kernels, and none of them where it does
+// not.
+func TestAnalyzeShowsInt8Work(t *testing.T) {
+	left, right := streamCorpus(t, 300, 2)
+	m, err := model.NewHashEmbedder(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	int8On := mat.TopKCandidatesOn(left.NumRows(), right.NumRows(), m.Dim(), 3, mat.GemmOptions{Threads: 2, Kernel: vec.DefaultKernel()})
+	for _, spec := range []JoinSpec{{Kind: ThresholdJoin, Threshold: 0.9}, {Kind: TopKJoin, K: 3, Threshold: -2}} {
+		q := Query{Left: TableRef{Name: "L", Table: left, TextColumn: "word"}, Right: TableRef{Name: "R", Table: right, TextColumn: "term"}, Model: m, Join: spec}
+		naive, err := NewNaivePlan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		optimized, err := forced(cost.StrategyTensor).Optimize(naive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 2}, Store: testStore()}
+		ctx := obs.WithAnalyze(obs.NewContext(context.Background(), obs.NewTrace("", "int8 work")))
+		res, err := ex.ExecuteStreaming(ctx, optimized, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, detail := res.Stats, res.Analysis.Detail
+		if !int8On {
+			if st.Int8Tiles != 0 || st.Rescored != 0 || strings.Contains(detail, "int8_tiles") || strings.Contains(detail, "rescored") {
+				t.Fatalf("%v: int8 work on a host without the int8 kernels: %+v, %q", spec.Kind, st, detail)
+			}
+			continue
+		}
+		if st.Int8Tiles == 0 || st.Int8RuledOut > st.Int8Tiles {
+			t.Fatalf("%v: %d of %d int8 tiles ruled out", spec.Kind, st.Int8RuledOut, st.Int8Tiles)
+		}
+		want := fmt.Sprintf("int8_ruled_out=%d int8_tiles=%d", st.Int8RuledOut, st.Int8Tiles)
+		if spec.Kind == TopKJoin {
+			if st.Rescored < int64(3*left.NumRows()) {
+				t.Fatalf("top-3 re-scored %d cells for %d rows", st.Rescored, left.NumRows())
+			}
+			want += fmt.Sprintf(" k_skipped=%d k_steps=%d rescored=%d", st.KStepsSkipped, st.KSteps, st.Rescored)
+		}
+		if !strings.Contains(detail, want) {
+			t.Errorf("%v: join detail %q lacks %q", spec.Kind, detail, want)
+		}
 	}
 }
 

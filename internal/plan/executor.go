@@ -60,8 +60,9 @@ type ExecResult struct {
 }
 
 // joinDetail is the kernel accounting a join node shows under EXPLAIN
-// ANALYZE: pairs decided and, for a tensor scan, S blocks walked and how
-// many of its inner-loop steps it proved it could skip.
+// ANALYZE: pairs decided and, for a tensor scan, S blocks walked, how
+// many of its inner-loop steps it proved it could skip, the int8 tiles it
+// tested and ruled out, and the top-k candidates it re-scored in F32.
 func joinDetail(st core.Stats) map[string]int64 {
 	detail := map[string]int64{"comparisons": st.Comparisons}
 	if st.Blocks > 0 {
@@ -70,6 +71,13 @@ func joinDetail(st core.Stats) map[string]int64 {
 	if st.KSteps > 0 {
 		detail["k_steps"] = st.KSteps
 		detail["k_skipped"] = st.KStepsSkipped
+	}
+	if st.Int8Tiles > 0 {
+		detail["int8_tiles"] = st.Int8Tiles
+		detail["int8_ruled_out"] = st.Int8RuledOut
+	}
+	if st.Rescored > 0 {
+		detail["rescored"] = st.Rescored
 	}
 	return detail
 }

@@ -128,7 +128,12 @@ type BuildSide struct {
 	// merged build's parts. ins[0] supplies the model and the table label.
 	ins  []*loweredInput
 	rows relational.Selection // surviving global row ids
-	emb  *mat.Matrix          // one row per entry of rows; nil without E_µ
+	// emb holds the build's embeddings (nil without E_µ): column chunks
+	// read in place, or a merged build's matrix. Row r is global row
+	// ids[r]; keep marks the rows of rows (nil: every row is one).
+	emb  mat.Side
+	ids  []int
+	keep *relational.Bitmap
 	// buf is a merged build's recycled embedding storage (nil otherwise).
 	buf *[]float32
 }
@@ -153,9 +158,9 @@ func (b *BuildSide) EmbedTime() (d time.Duration) {
 	return d
 }
 
-// Release lets later queries reuse the build's gathered embeddings; call
-// it once no stream over the build is open. A build never released is
-// simply garbage collected.
+// Release lets the store reuse the chunks the build read, and later
+// queries a merged build's storage; call it once no stream over the build
+// is open. A build never released is simply garbage collected.
 func (b *BuildSide) Release() {
 	for _, in := range b.ins {
 		in.scan.Release()
@@ -181,11 +186,17 @@ var mergeBufs sync.Pool // of *[]float32
 func MergeBuilds(parts []*BuildSide, rowmaps [][]int) *BuildSide {
 	out := &BuildSide{}
 	n, dim := 0, 0
-	for _, p := range parts {
+	at := make([][]int, len(parts)) // per part, the embedding row of each of its rows
+	for i, p := range parts {
 		out.ins = append(out.ins, p.ins...)
 		n += len(p.rows)
 		if p.emb != nil {
-			dim = p.emb.ColsN
+			dim = p.emb.Cols()
+			for r := range p.ids {
+				if p.keep == nil || p.keep.Get(r) {
+					at[i] = append(at[i], r)
+				}
+			}
 		}
 	}
 	out.buf, _ = mergeBufs.Get().(*[]float32)
@@ -209,12 +220,12 @@ func MergeBuilds(parts []*BuildSide, rowmaps [][]int) *BuildSide {
 		pos[best]++
 		out.rows = append(out.rows, gid)
 		if p.emb != nil {
-			data = append(data, p.emb.Row(r)...)
+			data = append(data, p.emb.Row(at[best][r])...)
 		}
 	}
 	*out.buf = data
 	if dim > 0 {
-		out.emb = &mat.Matrix{RowsN: n, ColsN: dim, Data: data}
+		out.emb, out.ids = &mat.Matrix{RowsN: n, ColsN: dim, Data: data}, out.rows
 	}
 	for _, p := range parts {
 		p.Release()
@@ -263,7 +274,7 @@ func (ex *Executor) EvalBuild(ctx context.Context, j *EJoin) (*BuildSide, error)
 	b := &BuildSide{ins: []*loweredInput{in}}
 	switch {
 	case blk != nil:
-		b.rows, b.emb = blk.Rows, blk.Emb
+		b.rows, b.emb, b.ids, b.keep = blk.Rows, blk.Emb, blk.EmbRows, blk.EmbKeep
 	case in.scan.Embedded != nil:
 		b.emb = mat.New(0, in.embedNode.Model.Dim())
 	case in.scan.VectorColumn != "":
@@ -356,11 +367,11 @@ func (ex *Executor) lowerProbe(j *EJoin, in *loweredInput, build *BuildSide) (pr
 	case cost.StrategyTensor:
 		if j.Spec.Kind == TopKJoin {
 			op := &exec.TopKProbe{Input: in.scan, K: j.Spec.K, Residual: j.Spec.Threshold, Opts: ex.Options}
-			op.Build, op.BuildRows = build.emb, build.rows
+			op.Build, op.BuildRows, op.BuildKeep = build.emb, build.ids, build.keep
 			return op, nil
 		}
 		op := &exec.ThresholdProbe{Input: in.scan, Threshold: j.Spec.Threshold, Opts: ex.Options}
-		op.Build, op.BuildRows = build.emb, build.rows
+		op.Build, op.BuildRows, op.BuildKeep = build.emb, build.ids, build.keep
 		return op, nil
 	}
 	return nil, executable(j.Strategy)
@@ -377,7 +388,7 @@ func (ex *Executor) lowerIndexProbe(j *EJoin, build *BuildSide) (*exec.IndexProb
 		if build.emb == nil {
 			return nil, fmt.Errorf("plan: index strategy without index or embeddings on %q", ref.Name)
 		}
-		built, err := core.BuildIndex(build.emb, hnsw.ConfigLo())
+		built, err := core.BuildIndex(exec.Dense(build.emb, build.keep), hnsw.ConfigLo())
 		if err != nil {
 			return nil, err
 		}
