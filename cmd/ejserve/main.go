@@ -58,6 +58,7 @@ import (
 	"syscall"
 	"time"
 
+	"ejoin/internal/mat"
 	"ejoin/internal/service"
 	"ejoin/internal/shard"
 )
@@ -106,6 +107,8 @@ func main() {
 		CalibrateCost: *calibrateCost,
 	}
 
+	tile, int8 := mat.Kernels()
+	log.Printf("ejserve: scan tile %s, int8 filter %s", tile, int8)
 	srv := newServer(*debugPprof)
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
 

@@ -10,8 +10,10 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -463,14 +465,19 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // writeQueryResponse renders a /query reply: the few header and stats
 // fields through encoding/json, then the matches — nearly all of the
-// bytes — straight from the result.
+// bytes — straight from the result, into a pooled buffer sent whole with
+// its Content-Length.
 func writeQueryResponse(w http.ResponseWriter, resp *queryResponse, matches []core.Match) {
 	head, err := json.Marshal(resp)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error(), RequestID: resp.RequestID})
 		return
 	}
-	b := make([]byte, 0, len(head)+48*len(matches)+16)
+	bp, _ := replyBufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	b := slices.Grow((*bp)[:0], len(head)+48*len(matches)+16)
 	b = append(append(b, head[:len(head)-1]...), `,"matches":[`...)
 	for i, m := range matches {
 		if i > 0 {
@@ -480,9 +487,22 @@ func writeQueryResponse(w http.ResponseWriter, resp *queryResponse, matches []co
 	}
 	b = append(b, "]}\n"...)
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b) // a client that went away is its own problem
+	if cap(b) <= maxPooledReply {
+		*bp = b
+		replyBufs.Put(bp)
+	}
 }
+
+// replyBufs holds writeQueryResponse's reply buffers, which the
+// ResponseWriter has copied out by the time Write returns, so that a
+// reply is not allocated afresh per query; one grown past maxPooledReply
+// is left to the collector.
+var replyBufs sync.Pool
+
+const maxPooledReply = 1 << 20
 
 // appendMatch appends m exactly as encoding/json renders
 // struct{Left, Right int; Sim float32} with lower-case keys.

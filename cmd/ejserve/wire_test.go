@@ -65,7 +65,9 @@ func FuzzMatchTextEqualsEncodingJSON(f *testing.F) {
 
 // TestQueryReplyDecodesAsBefore: the hand-written reply is compact JSON
 // that decodes into the struct shape clients have always used, matches
-// and header fields alike, and an empty result is [] rather than null.
+// and header fields alike, and an empty result is [] rather than null;
+// it is sent whole, with its Content-Length, also the second, shorter
+// reply, which may be written into the first one's buffer.
 func TestQueryReplyDecodesAsBefore(t *testing.T) {
 	ts := newTestServer(t)
 	ingestPair(t, ts)
@@ -91,6 +93,9 @@ func TestQueryReplyDecodesAsBefore(t *testing.T) {
 		}
 		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 			t.Errorf("Content-Type %q", ct)
+		}
+		if resp.ContentLength != int64(len(raw)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("Content-Length %d, transfer encoding %v, for a %d-byte reply", resp.ContentLength, resp.TransferEncoding, len(raw))
 		}
 		var r reply
 		if err := json.Unmarshal(raw, &r); err != nil {

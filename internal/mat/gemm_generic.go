@@ -18,6 +18,12 @@ const haveVNNI = false
 
 var useInt8 = false
 
+// haveAMX and useAMX are false likewise: the AMX tiles compute the int8
+// filter's cells.
+const haveAMX, amxAbsent = false, "no assembly kernels in this build"
+
+var useAMX = false
+
 func mulPanelSIMD(dst, r, s *Matrix, rLo, rHi, blockCols int) {
 	panic("mat: no SIMD kernel in this build")
 }
@@ -51,5 +57,9 @@ func int8TileEst(r *byte, ldr int, panel *byte, groups int, corr *int32, col, ro
 }
 
 func dotPairs(dst, r, s *float32, ri, sj *int32, d, n int) {
+	panic("mat: no SIMD kernel in this build")
+}
+
+func amxKeep(cfg *amxConfig, r *byte, ldr, groups int, panel *byte, pairs int, corr *int32, col, row, bound *float32, lead, live0, live1 int, valid uint32, buf *int32, masks *uint32, keep *uint64) {
 	panic("mat: no SIMD kernel in this build")
 }

@@ -24,7 +24,10 @@ func filterKeep(t *testing.T, r, s *Matrix, bound []float32) uint32 {
 	f.nextBlock()
 	ns := min(s.Rows(), 2*panelCols)
 	f.prepare(s, 0, ns, &r.Data[0], 0)
-	keep := f.tile(0, 0, &bound[0]) & (uint32(1)<<ns - 1)
+	keep := f.tile(0, 0, &bound[0], uint32(1)<<ns-1)
+	if haveAMX {
+		sameAMX(t, f, bound, ns, keep)
+	}
 	checkEstimates(t, f, r, s)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < ns; j++ {
@@ -244,6 +247,8 @@ func TestInt8Quant(t *testing.T) {
 // a cell's refDotSeq, one ulp under one, or anywhere. No column where a
 // cell reaches its row's bound may be ruled out, no lower estimate may
 // exceed its cell and no upper estimate fall below it (checkEstimates).
+// On AMX hosts the tile's mask and cells on AMX tiles must also be
+// int8TileGE's (sameAMX).
 func FuzzInt8FilterConservative(f *testing.F) {
 	f.Add(uint16(99), uint8(31), []byte{4, 4, 4, 4, 0, 0, 128, 63, 205, 204, 76, 62, 1, 2, 3})
 	f.Add(uint16(31), uint8(16), []byte{1, 1, 1, 1, 9, 200, 17, 3, 0, 0, 0, 128})
@@ -269,40 +274,7 @@ func FuzzInt8FilterConservative(f *testing.F) {
 		for j := 0; j < ns; j++ {
 			rows = append(rows, s.Row(j))
 		}
-		for _, row := range rows {
-			mode := raw()
-			switch mode % 7 {
-			case 0:
-				for k := range row {
-					row[k] = math.Float32frombits(raw())
-				}
-			case 1:
-				row[int(mode>>8)%d] = math.Float32frombits(raw())
-			case 2, 3:
-				// Past either end of [2^-40, 2^40], or just inside it.
-				e := 30 + int(mode>>8)%24
-				if mode%7 == 3 {
-					e = -30 - int(mode>>8)%120
-				}
-				for k := range row {
-					row[k] = float32(math.Ldexp(float64(int8(raw()))/128, e))
-				}
-			case 4:
-				for k := range row {
-					row[k] = float32(int8(raw())) / 16
-				}
-			case 5:
-				for k := range row {
-					row[k] = float32(int8(raw()))
-				}
-				vec.Normalize(row)
-			case 6:
-				src := rows[int(mode>>8)%len(rows)]
-				for k := range row {
-					row[k] = src[k] * (1 + float32(int8(raw()))/1024)
-				}
-			}
-		}
+		fuzzRows(rows, raw)
 		bound := make([]float32, 4)
 		for i := range bound {
 			v := raw()
@@ -318,4 +290,47 @@ func FuzzInt8FilterConservative(f *testing.F) {
 		}
 		filterKeep(t, r, s, bound)
 	})
+}
+
+// fuzzRows fills rows from raw's words, each row in one of seven modes:
+// raw float32 bit patterns (NaN, infinities, denormals and huge values
+// included), one-hot, scaled past either end of the range the int8
+// filter covers or just inside it, small integers, a unit row, or a near
+// copy of another row.
+func fuzzRows(rows [][]float32, raw func() uint32) {
+	for _, row := range rows {
+		d := len(row)
+		mode := raw()
+		switch mode % 7 {
+		case 0:
+			for k := range row {
+				row[k] = math.Float32frombits(raw())
+			}
+		case 1:
+			row[int(mode>>8)%d] = math.Float32frombits(raw())
+		case 2, 3:
+			// Past either end of [2^-40, 2^40], or just inside it.
+			e := 30 + int(mode>>8)%24
+			if mode%7 == 3 {
+				e = -30 - int(mode>>8)%120
+			}
+			for k := range row {
+				row[k] = float32(math.Ldexp(float64(int8(raw()))/128, e))
+			}
+		case 4:
+			for k := range row {
+				row[k] = float32(int8(raw())) / 16
+			}
+		case 5:
+			for k := range row {
+				row[k] = float32(int8(raw()))
+			}
+			vec.Normalize(row)
+		case 6:
+			src := rows[int(mode>>8)%len(rows)]
+			for k := range row {
+				row[k] = src[k] * (1 + float32(int8(raw()))/1024)
+			}
+		}
+	}
 }

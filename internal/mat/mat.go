@@ -153,7 +153,37 @@
 // sum above fused and rounded once, and the compare ordered after a NaN
 // bound is made +Inf: a NaN estimate keeps the cell and nothing reaches
 // a NaN bound. A strip whose bounds are all -Inf skips the test. How
-// many tiles a block tests adapts to how many it keeps (nextBlock).
+// many tiles a block tests adapts to how many it keeps (nextBlock). A
+// block's lone last panel is tested as a tile with the zero padding panel
+// after it, whose columns the mask leaves out.
+//
+// On hosts that also have AMX-TILE and AMX-INT8 (useAMX; the package
+// asks Linux for the tile state once at start), a block the filter tests
+// in full takes its cells from AMX tiles instead (amxKeep), one call for
+// up to 16 groups of 16 of a worker's R rows against up to 8 pairs of
+// panels. TDPBUSD sums the same products (q_r + 128)·q_s: the R layout's
+// rows, d4 bytes apart, are its A tile as they lie, and an S panel's
+// groups of four codes by 16 columns are its B tile's VNNI layout, one
+// 64-byte K chunk at a time, the last shorter where d4 is not a multiple
+// of 64 (its own tile shape: the layouts are not padded). A C tile
+// starts from 0, and each column's D − 128·Σq_s is added once the tile is
+// stored. Every sum is exact in int32 — TDPBUSD does not saturate, and
+// |D + q_r·q_s| < 2^24 for d <= 1024 — so each cell is the integer the
+// VPDPBUSD tile computes, and the same three fused steps (CELL_KEEP)
+// turn it into the same estimate and mask. A screen first rules out a
+// 4-row strip where an upper bound on all its estimates is below its
+// rows' least bound (AMX_STRIP); it rules out only strips whose every
+// estimate is below its bound, so it changes no mask. The call returns,
+// per strip, the pairs some row keeps and whether its bounds are all NaN
+// or all -Inf, and the scan walks the kept tiles by bit scan, counting
+// the strips that keep none at once; a strip whose visitor changes its
+// bounds tests its remaining tiles with int8TileGE against the new ones.
+// So every mask, visited cell and ScanStats field is the VPDPBUSD
+// tile's: TestAMXMatchesInt8TileGE and FuzzAMXMatchesInt8TileGE hold the
+// masks and cells to int8TileGE bit for bit, TestAMXScanMatchesVNNI and
+// TestTileWidths the scans. Each call loads its tile configuration
+// (LDTILECFG) and releases the tiles (TILERELEASE) before it returns,
+// since a goroutine may move to another thread between calls.
 //
 // Why est >= F, the cell, for x = r_i and y = s_j with scales a and b,
 // u = 2^-24, P = Σ|x_k·y_k| and d <= 1024, term by term:

@@ -110,6 +110,30 @@ func ScanAbove(ctx context.Context, r, s Side, bound []float32, opts GemmOptions
 	return st, err
 }
 
+// Kernels names the forms the scans run on this build and host: the
+// 4-row scan tile, "4x32 ZMM", "4x16 YMM" or "portable Go" where there is
+// no assembly, and the int8 filter in front of it, "AMX" where its cells
+// come from AMX tiles, "VNNI" where from VPDPBUSD, or "off".
+func Kernels() (tile, int8 string) {
+	switch {
+	case !haveSIMD:
+		tile = "portable Go"
+	case useZMM:
+		tile = "4x32 ZMM"
+	default:
+		tile = "4x16 YMM"
+	}
+	switch {
+	case !haveSIMD || !useZMM || !useInt8:
+		int8 = "off"
+	case useAMX:
+		int8 = "AMX"
+	default:
+		int8 = "VNNI"
+	}
+	return tile, int8
+}
+
 // blockCount is how many S blocks of at most bc rows the parts ps hold,
 // and panelCount how many 16-row panels.
 func blockCount(ps []Part, bc int) (n int) {
@@ -330,10 +354,37 @@ func scanRows(ctx context.Context, rp, sp []Part, ns int, bound []float32, lo, h
 				if filter != nil {
 					filter.r, filter.rowMeta = run.f.rowInt8()
 				}
+				// On AMX the strips take their masks from one amxKeep call
+				// for the run's next 16 groups, made at the first strip the
+				// filter tests (amxOn: a dense block); the forms rows from
+				// amxAt to amxEnd have them.
+				amxOn := filter != nil && filter.amxBlock(width)
+				amxAt, amxEnd := 0, 0
 				for t := run.first; t < run.last; t += 4 {
 					rows := min(4, run.last-t)
 					i := run.at + t - run.first // the side row
-					if allNaN(bound[i : i+rows]) {
+					fr := t + run.off           // the strip's row of its forms
+					// Past that strip the keep words say which strips have
+					// all bounds NaN or -Inf (flags) and which pairs the
+					// others keep, and a run of whole strips that keep none
+					// is counted at once.
+					var word uint64
+					fromAMX := amxOn && amxAt <= fr && fr < amxEnd
+					if fromAMX {
+						n := (fr - amxAt) / 4
+						if word = filter.keep[n]; word == 0 && rows == 4 {
+							m := n + 1 // past the last whole strip amxRun took, or one that is not 0
+							for m < (amxEnd-amxAt)/4 && filter.keep[m] == 0 {
+								m++
+							}
+							filter.tested += (m - n) * ((width + 2*panelCols - 1) / (2 * panelCols))
+							skipped += int64((m-n)*rows*d) * int64((width+panelCols-1)/panelCols)
+							next = min(next, nc)
+							t += 4 * (m - n - 1)
+							continue
+						}
+					}
+					if word&amxNaN != 0 || !fromAMX && allNaN(bound[i:i+rows]) {
 						// Nothing reaches a NaN bound (core gives one to
 						// every row a pushed-down predicate excludes).
 						skipped += int64(rows*d) * int64((width+panelCols-1)/panelCols)
@@ -346,24 +397,51 @@ func scanRows(ctx context.Context, rp, sp []Part, ns int, bound []float32, lo, h
 					// its bounds are all -Inf, which every cell but a NaN
 					// reaches. A run's last 1-3 rows are tested as a strip
 					// whose missing rows have NaN bounds.
-					fr := t + run.off // the strip's row of its forms
 					sb := &bound[i]
 					if rows < 4 {
 						w.tail = [4]float32{nan, nan, nan, nan}
 						copy(w.tail[:], bound[i:i+rows])
 						sb = &w.tail[0]
 					}
-					filtering := filter != nil && filter.samples(i-lo) && !allNegInf(bound[i:i+rows])
+					filtering := word&amxNegInf == 0
+					if !fromAMX {
+						filtering = filter != nil && filter.samples(i-lo) && !allNegInf(bound[i:i+rows])
+					}
 					if filtering && !filter.blockReady {
 						filter.prepareBlock()
 					}
+					if filtering && amxOn && !fromAMX {
+						amxAt, amxEnd = filter.amxRun(fr, run.last+run.off, bound[i:], width)
+						word, fromAMX = filter.keep[(fr-amxAt)/4], true
+					}
+					// A strip whose own visits change its bounds tests the
+					// rest of its tiles one by one, against the new bounds.
+					kept := word & (1<<amxPairs - 1) // the pairs some row keeps
+					var was [4]float32
+					if kept != 0 {
+						copy(was[:], bound[i:i+rows])
+					}
 					for c, panels := 0, 0; c < width; c += panels * panelCols {
 						panels = 1
-						if filtering && width-c > panelCols {
-							valid := uint32(1)<<min(2*panelCols, width-c) - 1
-							panels = 2
-							if filter.tile(fr, c, sb)&valid == 0 {
-								skipped += int64(2 * rows * d)
+						if filtering {
+							// A block's lone last panel is tested with the
+							// padding panel after it, which valid cuts off.
+							panels = min(2, (width-c+panelCols-1)/panelCols)
+							if fromAMX {
+								ahead := kept >> (c / (2 * panelCols))
+								if ahead == 0 {
+									filter.tested += (width - c + 2*panelCols - 1) / (2 * panelCols)
+									skipped += int64(rows*d) * int64((width-c+panelCols-1)/panelCols)
+									break
+								}
+								n := bits.TrailingZeros64(ahead) // pairs ruled out before the next kept one
+								filter.tested += n + 1
+								filter.kept++
+								skipped += int64(2 * n * rows * d)
+								c += 2 * n * panelCols
+								panels = min(2, (width-c+panelCols-1)/panelCols)
+							} else if filter.tile(fr, c, sb, uint32(1)<<min(2*panelCols, width-c)-1) == 0 {
+								skipped += int64(panels * rows * d)
 								continue
 							}
 						}
@@ -431,6 +509,9 @@ func scanRows(ctx context.Context, rp, sp []Part, ns int, bound []float32, lo, h
 								visit(i+b/panelCols, j+cp+b%panelCols, tile[pp*4*panelCols+b])
 							}
 						}
+						if fromAMX && mask != [2]uint64{} && !sameBits(was[:], bound[i:i+4]) {
+							fromAMX = false
+						}
 					}
 				}
 			}
@@ -442,7 +523,7 @@ func scanRows(ctx context.Context, rp, sp []Part, ns int, bound []float32, lo, h
 	st.ScratchBytes += int64(len(scanTile{}))*4 + w.rows.Bytes() + colBytes
 	if filter != nil {
 		filter.count()
-		st.ScratchBytes += int64(len(filter.est)) * 4
+		st.ScratchBytes += filter.scratch()
 		st.Int8Tiles += filter.tiles
 		st.Int8RuledOut += filter.ruled
 	}
@@ -474,6 +555,49 @@ type int8Filter struct {
 	tiles, ruled int64
 	// est receives a tile's estimates.
 	est [260]float32
+	// On AMX hosts (useAMX) amxKeep computes a dense block's masks, up to
+	// amxGroups groups of 16 rows against up to amxPairs pairs of panels
+	// a call, with the tile shapes cfg holds, two C tiles and each
+	// group's bounds and screen in buf: keep holds per strip the pairs
+	// some row keeps and its flags, masks each pair's columns.
+	amx   bool
+	cfg   amxConfig
+	buf   [2*16*panelCols + 4*16*amxGroups]int32
+	keep  [4 * amxGroups]uint64
+	masks [4 * amxGroups * amxPairs]uint32
+}
+
+// amxGroups and amxPairs are the most 16-row groups and pairs of panels
+// one amxKeep call takes: a 256-row run of a worker's rows against a
+// 256-column block. A wider block's tiles are tested one by one.
+const amxGroups, amxPairs = 16, 8
+
+// amxNaN and amxNegInf flag a strip's keep word: the bounds of all its
+// rows are NaN, or all are -Inf.
+const amxNaN, amxNegInf = 1 << 62, 1 << 63
+
+// amxConfig is LDTILECFG's 64 bytes for amxKeep's tiles over int8 rows
+// of d4 bytes (palette 1; per tile its bytes a row from byte 16, two
+// each, and its rows from byte 48): C in tmm0 and tmm1, 16 rows of 16
+// int32; a whole 64-byte K chunk's A, 16 rows of codes, in tmm2 and its
+// B, 16 rows of four codes by 16 columns, in tmm3 and tmm4; and the
+// shorter last chunk's A and B in tmm5, tmm6 and tmm7 where d4 is not a
+// multiple of 64.
+type amxConfig [64]byte
+
+func (c *amxConfig) setup(d4 int) {
+	*c = amxConfig{0: 1}
+	shape := func(t, rows, colsb int) {
+		c[16+2*t], c[48+t] = byte(colsb), byte(rows)
+	}
+	for t := range 5 {
+		shape(t, 16, 64)
+	}
+	if kl := d4 % 64; kl > 0 {
+		shape(5, 16, kl)
+		shape(6, kl/4, 64)
+		shape(7, kl/4, 64)
+	}
 }
 
 // The int8 filter runs on rows of 32 to 1024 elements (d <= 1024 keeps
@@ -497,6 +621,9 @@ func (f *int8Filter) start(d int) {
 	f.tested, f.kept, f.block, f.sparse = 0, 0, -1, false // nextBlock starts the first block, 0
 	f.tiles, f.ruled = 0, 0
 	f.r, f.rowMeta = nil, nil
+	if f.amx = useAMX; f.amx {
+		f.cfg.setup(f.d4)
+	}
 }
 
 // grow returns buf resliced to n, reallocated if it is too short.
@@ -547,14 +674,41 @@ func (f *int8Filter) prepareBlock() {
 
 // tile runs int8TileGE on rows n..n+3 of the R layout against the two
 // panels from column c of the S block, both prepared, and returns the
-// mask of those 32 columns some row may keep.
-func (f *int8Filter) tile(n, c int, bound *float32) uint32 {
-	keep := int8TileGE(&f.r[n*f.d4], f.d4, &f.s[c*f.d4], f.d4/4, &f.corr[c], &f.colMeta[2*c], &f.rowMeta[n/16*32+n%16], bound)
+// mask of the columns in valid some row may keep.
+func (f *int8Filter) tile(n, c int, bound *float32, valid uint32) uint32 {
+	keep := int8TileGE(&f.r[n*f.d4], f.d4, &f.s[c*f.d4], f.d4/4, &f.corr[c], &f.colMeta[2*c], &f.rowMeta[n/16*32+n%16], bound) & valid
 	f.tested++
 	if keep != 0 {
 		f.kept++
 	}
 	return keep
+}
+
+// amxBlock reports whether the strips of this block of width columns
+// take their masks from amxRun: on AMX, in a dense block, at most
+// amxPairs pairs of panels wide.
+func (f *int8Filter) amxBlock(width int) bool {
+	return f.amx && !f.sparse && width <= amxPairs*2*panelCols
+}
+
+// amxRun computes with amxKeep the masks of the R layout's rows from fr
+// (a strip's first) up to end, at most amxGroups groups of 16, against
+// the prepared block of width columns; bound[0] is row fr's bound. The
+// strip from row n's masks are then keep[(n-at)/4] and masks, for rows
+// n up to to. Rows before fr and from end on have bound +Inf.
+func (f *int8Filter) amxRun(fr, end int, bound []float32, width int) (at, to int) {
+	at = fr &^ 15
+	end = min(end, at+16*amxGroups)
+	groups, pairs := (end-at+15)/16, (width+2*panelCols-1)/(2*panelCols)
+	lead, tail := fr-at, end-(at+16*(groups-1))
+	amxKeep(&f.cfg, &f.r[at*f.d4], f.d4, groups, &f.s[0], pairs, &f.corr[0], &f.colMeta[0], &f.rowMeta[2*at], &bound[0],
+		lead, 0xffff<<lead&0xffff, 1<<tail-1, uint32(1)<<(width-2*panelCols*(pairs-1))-1, &f.buf[0], &f.masks[0], &f.keep[0])
+	return at, end
+}
+
+// scratch is the memory the filter's tiles work in.
+func (f *int8Filter) scratch() int64 {
+	return int64(len(f.est)+len(f.buf)+len(f.masks))*4 + int64(len(f.cfg)) + int64(len(f.keep))*8
 }
 
 // tileEst is int8TileEst on rows n..n+3 of the R layout against the two

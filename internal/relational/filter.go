@@ -224,10 +224,17 @@ func filterSlice[T any](col []T, keep func(T) bool) Selection {
 }
 
 // And evaluates all predicates and intersects their selections
-// (conjunction). With no predicates it selects every row.
+// (conjunction), starting from the first predicate's. With no predicates
+// it selects every row.
 func And(t *Table, preds ...Pred) (Selection, error) {
-	sel := All(t.NumRows())
-	for _, p := range preds {
+	if len(preds) == 0 {
+		return All(t.NumRows()), nil
+	}
+	sel, err := preds[0].Eval(t)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range preds[1:] {
 		s, err := p.Eval(t)
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -169,6 +170,50 @@ func TestPredicatePartitionProperty(t *testing.T) {
 		ge, _ := Pred{"v", GE, pivot}.Eval(tbl)
 		if len(lt)+len(ge) != n {
 			t.Fatalf("trial %d: LT+GE don't partition", trial)
+		}
+	}
+}
+
+// And is the intersection of All(n) with every predicate's selection, in
+// order, which is how it was first defined; it now starts from the first
+// predicate's selection. Zero, one and two predicates, an error in each
+// place, over a random BIGINT column.
+func TestAndMatchesIntersectionFromAll(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	col := make(Int64Column, 500)
+	for i := range col {
+		col[i] = rng.Int63n(100)
+	}
+	tbl, err := NewTable(Schema{{Name: "a", Type: Int64}}, []Column{col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := func(preds ...Pred) (Selection, error) {
+		sel := All(tbl.NumRows())
+		for _, p := range preds {
+			s, err := p.Eval(tbl)
+			if err != nil {
+				return nil, err
+			}
+			sel = sel.Intersect(s)
+		}
+		return sel, nil
+	}
+	bad := Pred{Column: "missing", Op: LT, Value: int64(1)}
+	for _, preds := range [][]Pred{
+		nil,
+		{{Column: "a", Op: LT, Value: int64(30)}},
+		{{Column: "a", Op: GE, Value: int64(200)}},
+		{{Column: "a", Op: LT, Value: int64(60)}, {Column: "a", Op: GE, Value: int64(20)}},
+		{{Column: "a", Op: LT, Value: int64(5)}, {Column: "a", Op: GT, Value: int64(90)}},
+		{bad},
+		{bad, {Column: "a", Op: LT, Value: int64(30)}},
+		{{Column: "a", Op: LT, Value: int64(30)}, bad},
+	} {
+		got, err := And(tbl, preds...)
+		want, wantErr := old(preds...)
+		if (err != nil) != (wantErr != nil) || !slices.Equal(got, want) {
+			t.Errorf("And(%v) = %v, %v; the intersection from All is %v, %v", preds, got, err, want, wantErr)
 		}
 	}
 }
