@@ -22,8 +22,8 @@
 // mutation and tracing stats), GET /metrics (Prometheus text
 // exposition), GET /debug/queries (slow-query log: recent + worst
 // traces; ?table= and ?min_ms= filter), GET /debug/feedback (the
-// feedback registry: learned output-cardinality corrections, q-error and
-// regret), GET /debug/pprof/* (with -debug-pprof), GET /healthz
+// feedback registry: learned output-cardinality corrections and
+// q-error), GET /debug/pprof/* (with -debug-pprof), GET /healthz
 // (liveness), GET /readyz (readiness: 503 until WAL replay and
 // warm-start complete). Every request carries an
 // X-Request-ID (client-supplied or generated), echoed in the response

@@ -213,7 +213,7 @@ func (s *server) handleSlowQueries(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFeedback dumps the feedback registry: per-join-pair learned
-// corrections and q-error, and the regret count.
+// corrections and q-error.
 func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.eng().FeedbackDump())
 }
@@ -563,8 +563,6 @@ func tableRows(t *relational.Table) []map[string]any {
 				row[f.Name] = col[r]
 			case relational.TimeColumn:
 				row[f.Name] = col[r].Format(time.RFC3339)
-			case *relational.VectorColumn:
-				row[f.Name] = col.Row(r)
 			}
 		}
 		out[r] = row

@@ -235,9 +235,9 @@ func TestRunQueryWithPredicates(t *testing.T) {
 	}
 }
 
-// TestEmbedColumnAndIndex precomputes a TEXT column's embeddings into a
-// VECTOR column (pay E_µ once at load time), indexes both forms, and checks
-// the planner rejects a TEXT column it cannot embed or cannot find.
+// TestEmbedColumnAndIndex indexes a TEXT column's embeddings (the
+// paper's index join builds over them) and checks the planner rejects a
+// TEXT column it cannot embed or cannot find.
 func TestEmbedColumnAndIndex(t *testing.T) {
 	q := queryFixture(t)
 	ctx := context.Background()
@@ -249,47 +249,12 @@ func TestEmbedColumnAndIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([][]float32, em.Rows())
-	for i := range rows {
-		rows[i] = em.Row(i)
-	}
-	vc, err := relational.NewVectorColumn(rows)
+	idx, err := core.BuildIndex(em, hnsw.Config{M: 4, EfConstruction: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := q.Right.Table.WithColumn("emb", vc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stored, err := rt.Vectors("emb")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Index over the vector column.
-	sm, err := mat.FromFlat(stored.Len(), stored.Dim, stored.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := core.BuildIndex(sm, hnsw.Config{M: 4, EfConstruction: 16, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.Len() != rt.NumRows() {
+	if idx.Len() != q.Right.Table.NumRows() {
 		t.Errorf("index len = %d", idx.Len())
-	}
-
-	// Index over the text column's embeddings.
-	pm, err := core.Embed(ctx, q.Model, terms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx2, err := core.BuildIndex(pm, hnsw.Config{M: 4, EfConstruction: 16, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx2.Len() != q.Right.Table.NumRows() {
-		t.Errorf("index2 len = %d", idx2.Len())
 	}
 
 	// Text column without a model fails.
@@ -306,33 +271,46 @@ func TestEmbedColumnAndIndex(t *testing.T) {
 	}
 }
 
+// TestRunQueryWithIndex runs the fixture's top-1 join twice: as a served
+// plan (the tensor scan) and as the paper's index join the benchmarks time
+// (core.IndexJoin over an HNSW index of the right input). On four rows
+// the index is exact, so both find the same pairs.
 func TestRunQueryWithIndex(t *testing.T) {
 	q := queryFixture(t)
-	ctx := context.Background()
-	terms, _ := q.Right.Table.Strings("term")
-	em, err := core.Embed(ctx, q.Model, terms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := core.BuildIndex(em, hnsw.Config{M: 8, EfConstruction: 32, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Right.Index = idx
 	q.Join = plan.JoinSpec{Kind: plan.TopKJoin, K: 1, Threshold: -2}
-
-	s := cost.StrategyIndex
-	opt := plan.NewOptimizer()
-	opt.ForceStrategy = &s
-	res, pl, err := plan.Run(ctx, q, nil, opt)
+	ctx := context.Background()
+	res, pl, err := plan.Run(ctx, q, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Strategy != cost.StrategyIndex {
+	if pl.Strategy != cost.StrategyTensor {
 		t.Errorf("strategy = %v", pl.Strategy)
 	}
 	if len(res.Matches) != 3 {
 		t.Errorf("matches = %v", res.Matches)
+	}
+
+	words, _ := q.Left.Table.Strings("word")
+	terms, _ := q.Right.Table.Strings("term")
+	lm, rm, err := embedBoth(ctx, q.Model, words, terms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := core.BuildIndex(rm, hnsw.Config{M: 8, EfConstruction: 32, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byIndex, err := core.IndexJoin(ctx, lm, idx, core.IndexJoinCondition{K: 1, MinSim: -2}, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(byIndex.Matches) != len(res.Matches) {
+		t.Fatalf("index join found %v, the tensor scan %v", byIndex.Matches, res.Matches)
+	}
+	for i, m := range res.Matches {
+		if got := byIndex.Matches[i]; got.Left != m.Left || got.Right != m.Right {
+			t.Errorf("pair %d: index join %+v, tensor scan %+v", i, got, m)
+		}
 	}
 }
 

@@ -102,8 +102,9 @@ func (p Params) EmbedCost(n int, hit float64) float64 {
 	return float64(n) * p.Model * (1 - clamp01(hit))
 }
 
-// IndexProbe is Iprobe(S) for one query: beam-scaled logarithmic traversal.
-func (p Params) IndexProbe(ns, k int) float64 {
+// Iprobe is the paper's Iprobe(S) for one query: beam-scaled logarithmic
+// traversal.
+func (p Params) Iprobe(ns, k int) float64 {
 	if ns <= 1 {
 		return p.ProbeHop
 	}
@@ -126,7 +127,7 @@ func (p Params) IndexJoin(nr, ns, k int) float64 {
 // discounted by the expected cache hit ratio (the index already stores S
 // embeddings, so only R's term is cache-sensitive).
 func (p Params) IndexJoinWarm(nr, ns, k int, hitR float64) float64 {
-	return float64(nr)*p.IndexProbe(ns, k)*(p.Access+p.Compare) + p.EmbedCost(nr, hitR)
+	return float64(nr)*p.Iprobe(ns, k)*(p.Access+p.Compare) + p.EmbedCost(nr, hitR)
 }
 
 // IndexBuild is the one-time construction cost over |S| tuples.

@@ -79,21 +79,21 @@ func TestChoicePricesScanAndProbeOnly(t *testing.T) {
 
 func TestIndexProbeSublinear(t *testing.T) {
 	p := DefaultParams()
-	probe1k := p.IndexProbe(1000, 1)
-	probe1m := p.IndexProbe(1000000, 1)
+	probe1k := p.Iprobe(1000, 1)
+	probe1m := p.Iprobe(1000000, 1)
 	if probe1m >= probe1k*5 {
 		t.Errorf("probe cost should grow logarithmically: %v vs %v", probe1k, probe1m)
 	}
-	if p.IndexProbe(1, 1) != p.ProbeHop {
+	if p.Iprobe(1, 1) != p.ProbeHop {
 		t.Error("degenerate index probe")
 	}
 	// Larger k costs more.
-	if p.IndexProbe(10000, 32) <= p.IndexProbe(10000, 1) {
+	if p.Iprobe(10000, 32) <= p.Iprobe(10000, 1) {
 		t.Error("probe cost should grow with k")
 	}
 	// Beam floor of 1 even with tiny k and width.
 	small := Params{ProbeHop: 1, ProbeWidth: 0.001}
-	if small.IndexProbe(1000, 1) <= 0 {
+	if small.Iprobe(1000, 1) <= 0 {
 		t.Error("beam floor violated")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"time"
 
@@ -21,8 +20,9 @@ import (
 //	column: u16 nameLen | name | u8 type | values
 //
 // Values are dense per type (i64, f64, length-prefixed strings,
-// sec+nsec timestamps, bytes for bools, dim-prefixed f32 rows for
-// vectors). The trailing CRC covers everything from the magic on, so a
+// sec+nsec timestamps, bytes for bools); type tags are relational.Type's,
+// and a column tagged with any other (5 once meant stored vectors) fails
+// the read. The trailing CRC covers everything from the magic on, so a
 // flipped byte anywhere in the file is detected at read time; recovery
 // treats a failed table file as missing rather than serving bad rows.
 
@@ -131,15 +131,6 @@ func WriteTable(w io.Writer, t *relational.Table) error {
 				}
 			}
 			_, err = cw.Write(bs)
-		case *relational.VectorColumn:
-			if err = binary.Write(cw, le, uint32(col.Dim)); err != nil {
-				break
-			}
-			for _, v := range col.Data {
-				if err = binary.Write(cw, le, math.Float32bits(v)); err != nil {
-					break
-				}
-			}
 		default:
 			err = fmt.Errorf("unsupported column type %v", f.Type)
 		}
@@ -284,30 +275,6 @@ func ReadTable(r io.Reader) (*relational.Table, error) {
 				}
 				for _, b := range bs {
 					col = append(col, b != 0)
-				}
-				return nil
-			})
-			cols[i] = col
-		case relational.Vector:
-			var dim uint32
-			if err = binary.Read(cr, le, &dim); err != nil {
-				break
-			}
-			if dim > maxVectorDim {
-				return nil, fmt.Errorf("durable: implausible vector dim %d", dim)
-			}
-			total := uint64(rows) * uint64(dim)
-			if total > 1<<33 {
-				return nil, fmt.Errorf("durable: implausible vector column size %d x %d", rows, dim)
-			}
-			col := &relational.VectorColumn{Dim: int(dim)}
-			err = chunked(int(total), func(n int) error {
-				buf := make([]uint32, n)
-				if err := binary.Read(cr, le, buf); err != nil {
-					return err
-				}
-				for _, bits := range buf {
-					col.Data = append(col.Data, math.Float32frombits(bits))
 				}
 				return nil
 			})

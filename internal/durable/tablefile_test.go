@@ -1,6 +1,11 @@
 package durable
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,23 +15,14 @@ import (
 )
 
 // fullTable builds a table exercising every column type.
-func fullTable(t *testing.T) *relational.Table {
+func fullTable(t testing.TB) *relational.Table {
 	t.Helper()
-	vec, err := relational.NewVectorColumn([][]float32{
-		{0.1, 0.2, 0.3},
-		{-1, 0, 1},
-		{4.5, -6.25, 0.0625},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	schema := relational.Schema{
 		{Name: "id", Type: relational.Int64},
 		{Name: "price", Type: relational.Float64},
 		{Name: "name", Type: relational.String},
 		{Name: "when", Type: relational.Time},
 		{Name: "ok", Type: relational.Bool},
-		{Name: "emb", Type: relational.Vector},
 	}
 	tbl, err := relational.NewTable(schema, []relational.Column{
 		relational.Int64Column{1, -2, 3},
@@ -38,7 +34,6 @@ func fullTable(t *testing.T) *relational.Table {
 			time.Date(1969, 12, 31, 23, 59, 59, 0, time.UTC),
 		},
 		relational.BoolColumn{true, false, true},
-		vec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,16 +90,6 @@ func TestTableFileRoundTrip(t *testing.T) {
 			for r, v := range ocol {
 				if got.ColumnAt(c).(relational.BoolColumn)[r] != v {
 					t.Fatalf("bool col row %d", r)
-				}
-			}
-		case *relational.VectorColumn:
-			gcol := got.ColumnAt(c).(*relational.VectorColumn)
-			if gcol.Dim != ocol.Dim {
-				t.Fatalf("vector dim %d, want %d", gcol.Dim, ocol.Dim)
-			}
-			for i, v := range ocol.Data {
-				if gcol.Data[i] != v {
-					t.Fatalf("vector data %d", i)
 				}
 			}
 		}
@@ -196,4 +181,107 @@ func TestTableFileCorruptRowCountFailsFast(t *testing.T) {
 	if _, err := ReadTableFile(path); err == nil {
 		t.Fatal("corrupt row count read back without error")
 	}
+}
+
+// retiredVectorFile is a table file as the format once wrote it with a
+// stored-vector column: type tag 5, then a u32 dimensionality and the
+// rows' f32 values, under a valid checksum.
+func retiredVectorFile() []byte {
+	le := binary.LittleEndian
+	var b bytes.Buffer
+	b.Write(tblMagic[:])
+	binary.Write(&b, le, uint32(2)) // columns
+	binary.Write(&b, le, uint64(2)) // rows
+	binary.Write(&b, le, uint16(2))
+	b.WriteString("id")
+	b.WriteByte(byte(relational.Int64))
+	binary.Write(&b, le, []int64{7, 8})
+	binary.Write(&b, le, uint16(3))
+	b.WriteString("emb")
+	b.WriteByte(5)
+	binary.Write(&b, le, uint32(2)) // dim
+	binary.Write(&b, le, []float32{1, 0, 0, 1})
+	binary.Write(&b, le, crc32.Checksum(b.Bytes(), crcTable))
+	return b.Bytes()
+}
+
+// TestTableFileRejectsRetiredVectorTag: a file with a column tagged 5 is
+// refused, not read as some other type.
+func TestTableFileRejectsRetiredVectorTag(t *testing.T) {
+	if tbl, err := ReadTable(bytes.NewReader(retiredVectorFile())); err == nil {
+		t.Fatalf("read a tag-5 column as %s", tbl.Schema())
+	}
+}
+
+// sameTable reports the first difference between two tables, or "".
+// Floats compare by bits, so a NaN read back as the same NaN is equal.
+func sameTable(a, b *relational.Table) string {
+	if a.Schema().String() != b.Schema().String() || a.NumRows() != b.NumRows() {
+		return fmt.Sprintf("shape %s x %d vs %s x %d", a.Schema(), a.NumRows(), b.Schema(), b.NumRows())
+	}
+	for c := 0; c < a.NumCols(); c++ {
+		for r := 0; r < a.NumRows(); r++ {
+			var same bool
+			switch x := a.ColumnAt(c).(type) {
+			case relational.Int64Column:
+				same = x[r] == b.ColumnAt(c).(relational.Int64Column)[r]
+			case relational.Float64Column:
+				same = math.Float64bits(x[r]) == math.Float64bits(b.ColumnAt(c).(relational.Float64Column)[r])
+			case relational.StringColumn:
+				same = x[r] == b.ColumnAt(c).(relational.StringColumn)[r]
+			case relational.TimeColumn:
+				same = x[r].Equal(b.ColumnAt(c).(relational.TimeColumn)[r])
+			case relational.BoolColumn:
+				same = x[r] == b.ColumnAt(c).(relational.BoolColumn)[r]
+			}
+			if !same {
+				return fmt.Sprintf("column %d row %d", c, r)
+			}
+		}
+	}
+	return ""
+}
+
+// FuzzTableFile holds the table file decoder to three properties on
+// arbitrary bytes: it never panics, it never accepts a column tagged 5
+// (the retired stored-vector type), and a table it accepts re-encodes and
+// decodes to the same table. Each input is also decoded with its trailing
+// checksum recomputed, so the fuzzer reaches past the CRC check.
+func FuzzTableFile(f *testing.F) {
+	var full bytes.Buffer
+	if err := WriteTable(&full, fullTable(f)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full.Bytes())
+	f.Add(retiredVectorFile())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inputs := [][]byte{data}
+		if n := len(data) - 4; n >= 0 {
+			fixed := append([]byte(nil), data...)
+			binary.LittleEndian.PutUint32(fixed[n:], crc32.Checksum(fixed[:n], crcTable))
+			inputs = append(inputs, fixed)
+		}
+		for _, in := range inputs {
+			tbl, err := ReadTable(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			for _, fd := range tbl.Schema() {
+				if fd.Type == relational.Type(5) {
+					t.Fatalf("accepted column %q tagged 5", fd.Name)
+				}
+			}
+			var buf bytes.Buffer
+			if err := WriteTable(&buf, tbl); err != nil {
+				t.Fatalf("decoded table does not re-encode: %v", err)
+			}
+			back, err := ReadTable(&buf)
+			if err != nil {
+				t.Fatalf("re-encoded table does not decode: %v", err)
+			}
+			if diff := sameTable(tbl, back); diff != "" {
+				t.Fatalf("round trip changed the table: %s", diff)
+			}
+		}
+	})
 }

@@ -1,25 +1,23 @@
-// Package exec is the execution engine both join strategies run on: a
-// pull-based (Volcano-style) operator pipeline over fixed-size columnar
-// batches.
+// Package exec is the execution engine the join runs on: a pull-based
+// (Volcano-style) operator pipeline over fixed-size columnar batches.
 //
 // The paper's cost model treats intermediate footprint as a first-class
 // term. The pipeline keeps only the build side resident and pulls the
 // probe side through one block at a time, so peak residency is build-side
 // + O(block) whatever the query returns, and a LIMIT can short-circuit
 // upstream work (scan, embed, probe) it will never use. package plan
-// lowers both join inputs onto the same source operators; the build side
+// lowers both join inputs onto the same source operator; the build side
 // is the input drained as one block.
 //
 // Operators compose bottom-up: Scan (predicate + projection pushdown; it
-// projects the join column's embeddings itself when a stored vector
-// column or a table's resident embedded column backs it) → Embed (E_µ
-// through embstore, for inputs with no such column) → one probe operator
-// (ThresholdProbe or TopKProbe, the tensor scan, or IndexProbe, the index
-// probe; build side resident) → optional Limit. Probe kernels sort their
-// matches by (probe, build) offset and blocks arrive in ascending probe
-// order, so a pipeline's output does not depend on its block size. Each operator tracks its own OpStats (rows
-// in/out, batches, early-out counts, self time) for EXPLAIN ANALYZE and
-// the /metrics exposition.
+// projects the join column's embeddings itself, E_µ, from the table's
+// embedded text column in embstore) → one probe operator, the tensor scan
+// (ThresholdProbe or TopKProbe; build side resident) → optional Limit.
+// Probe kernels sort their matches by (probe, build) offset and blocks
+// arrive in ascending probe order, so a pipeline's output does not depend
+// on its block size. Each operator tracks its own OpStats (rows in/out,
+// batches, early-out counts, self time) for EXPLAIN ANALYZE and the
+// /metrics exposition.
 package exec
 
 import (
@@ -48,7 +46,7 @@ type Batch struct {
 	// Rows are global row ids into the probe-side base table, ascending.
 	Rows []int
 	// Emb holds unit-norm embeddings covering Rows (set by Scan when
-	// projecting a vector or embedded column): row r of Emb is the
+	// projecting an embedded column): row r of Emb is the
 	// embedding of global row EmbRows[r]. It may hold rows outside Rows —
 	// the rest of a chunk's 16-row group, rows of other table versions —
 	// which EmbKeep leaves out; nil EmbKeep keeps every row of Emb.
@@ -67,8 +65,7 @@ func (b *Batch) Len() int { return len(b.Rows) }
 // operator's Next, excluding time spent pulling its input).
 type OpStats struct {
 	// Name identifies the operator in metrics and EXPLAIN ANALYZE
-	// ("scan", "embed", "probe:tensor", "probe:topk", "probe:index",
-	// "limit").
+	// ("scan", "embed", "probe:tensor", "probe:topk", "limit").
 	Name string
 	// RowsIn/RowsOut count source rows (or matches, for match-valued
 	// operators) entering and leaving the operator.

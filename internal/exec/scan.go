@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ejoin/internal/embstore"
-	"ejoin/internal/mat"
 	"ejoin/internal/relational"
 )
 
@@ -16,7 +15,7 @@ import (
 // once at Open into the scan's selection (rows failing them are never
 // emitted, embedded, or probed), and only the columns the pipeline needs
 // leave the operator — row ids always, plus the join column's embeddings
-// when a stored vector column or an embedded text column backs the join.
+// when an embedded text column backs the join.
 // Everything else is late-materialized from the base table after the join.
 type Scan struct {
 	// Table is the base table; Name labels it in stats.
@@ -27,9 +26,6 @@ type Scan struct {
 	Visible relational.Selection
 	// Preds are pushed-down relational predicates.
 	Preds []relational.Pred
-	// VectorColumn, when set, projects precomputed embeddings into each
-	// batch, normalized per block (stored columns are never mutated).
-	VectorColumn string
 	// Embedded, when set, projects a text column's embeddings from the
 	// store's resident column chunks; its work is accounted as E_µ
 	// (EmbedStats), not as scan time.
@@ -40,7 +36,6 @@ type Scan struct {
 	st   OpStats
 	rows relational.Selection
 	pos  int
-	vc   *relational.VectorColumn
 	col  *columnReader
 }
 
@@ -68,13 +63,6 @@ func (s *Scan) Open(ctx context.Context) error {
 		rows = filtered
 	}
 	s.rows = rows
-	if s.VectorColumn != "" {
-		vc, err := s.Table.Vectors(s.VectorColumn)
-		if err != nil {
-			return err
-		}
-		s.vc = vc
-	}
 	s.col = nil
 	if s.Embedded != nil {
 		col, err := newColumnReader(s.Embedded, s.Table, s.Visible)
@@ -115,14 +103,6 @@ func (s *Scan) Next(ctx context.Context) (*Batch, error) {
 	copy(block, s.rows[s.pos:hi])
 	s.pos = hi
 	b := &Batch{Rows: block}
-	if s.vc != nil {
-		m := mat.New(len(block), s.vc.Dim)
-		for i, r := range block {
-			copy(m.Row(i), s.vc.Row(r))
-		}
-		m.NormalizeRows()
-		b.Emb, b.EmbRows = m, block
-	}
 	s.st.RowsOut += int64(len(block))
 	s.st.Batches++
 	s.st.Elapsed += time.Since(start)

@@ -7,8 +7,7 @@
 //     output-rows estimate as RowsFactor. The planner's input counts are
 //     exact, so nothing here corrects them;
 //   - the q-error of the static and the corrected output estimates, as
-//     per-pair means and registry-wide histograms;
-//   - regret: queries whose post-hoc costs favored a different strategy.
+//     per-pair means and registry-wide histograms.
 //
 // The registry is the single synchronization point; estimators inside it
 // are plain structs guarded by its mutex.
@@ -100,14 +99,12 @@ type joinState struct {
 	// qerrStatic/qerrCorrected track the q-error of the static and the
 	// feedback-corrected estimate against observed output.
 	qerrStatic, qerrCorrected Estimator
-	regret                    int64
 }
 
 // Registry is the engine-wide feedback state.
 type Registry struct {
-	mu     sync.Mutex
-	joins  map[string]*joinState
-	regret int64
+	mu    sync.Mutex
+	joins map[string]*joinState
 
 	// QErrHist/QErrStaticHist bucket the corrected and static estimates'
 	// q-error.
@@ -173,17 +170,6 @@ func (r *Registry) RecordJoin(left, right string, staticEst, correctedEst, obs i
 	j.qerrCorrected.Observe(qc)
 }
 
-// RecordRegret counts one query where the post-hoc costs (recomputed
-// with observed cardinalities) say a different strategy would have won.
-func (r *Registry) RecordRegret(left, right string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.regret++
-	if j := r.joins[joinKey(left, right)]; j != nil {
-		j.regret++
-	}
-}
-
 // rowsFactorBound caps how far a learned correction may pull an
 // estimate: a burst of anomalous queries should bend the estimate, not
 // break it.
@@ -203,14 +189,6 @@ func (r *Registry) RowsFactor(left, right string) float64 {
 		f = j.rowsFactor.Mean()
 	}
 	return min(max(f, 1.0/rowsFactorBound), rowsFactorBound)
-}
-
-// Regret returns how many queries' post-hoc costs favored a different
-// strategy.
-func (r *Registry) Regret() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.regret
 }
 
 // Drop forgets every join pair a table participates in (catalog
@@ -240,20 +218,18 @@ type JoinDump struct {
 	RowsFactor    float64 `json:"rows_factor"`
 	QErrStatic    float64 `json:"qerror_static"`
 	QErrCorrected float64 `json:"qerror_corrected"`
-	Regret        int64   `json:"regret"`
 }
 
 // Dump is the /debug/feedback payload.
 type Dump struct {
-	Regret int64               `json:"regret"`
-	Joins  map[string]JoinDump `json:"joins,omitempty"`
+	Joins map[string]JoinDump `json:"joins,omitempty"`
 }
 
 // Dump snapshots the whole registry for operators.
 func (r *Registry) Dump() Dump {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	d := Dump{Regret: r.regret}
+	var d Dump
 	if len(r.joins) > 0 {
 		d.Joins = make(map[string]JoinDump, len(r.joins))
 		for k, j := range r.joins {
@@ -269,7 +245,6 @@ func (r *Registry) Dump() Dump {
 				RowsFactor:    round3(j.rowsFactor.Mean()),
 				QErrStatic:    round3(j.qerrStatic.Mean()),
 				QErrCorrected: round3(j.qerrCorrected.Mean()),
-				Regret:        j.regret,
 			}
 		}
 	}

@@ -167,13 +167,12 @@ func TestDropForgetsTableAndJoins(t *testing.T) {
 func TestDumpShape(t *testing.T) {
 	r := NewRegistry()
 	r.RecordJoin("x", "y", 10, 10, 20)
-	r.RecordRegret("x", "y")
 	d := r.Dump()
-	if d.Regret != 1 || r.Regret() != 1 {
-		t.Fatalf("dump totals wrong: %+v", d)
+	if len(d.Joins) != 1 {
+		t.Fatalf("dump has %d join pairs, want 1: %+v", len(d.Joins), d)
 	}
 	j := d.Joins["x⋈y"]
-	if j.Samples != 1 || j.RowsFactor != 2 || j.Regret != 1 {
+	if j.Samples != 1 || j.RowsFactor != 2 {
 		t.Fatalf("join dump wrong: %+v", j)
 	}
 }

@@ -326,10 +326,16 @@ func TestKeyStringCanonicalForms(t *testing.T) {
 	if k, _ := KeyString(relational.BoolColumn{true}, 0); k != "true" {
 		t.Fatalf("bool key %q", k)
 	}
-	if _, err := KeyString(&relational.VectorColumn{Dim: 2, Data: []float32{1, 0}}, 0); err == nil {
-		t.Fatal("vector column accepted as key")
+	if _, err := KeyString(unkeyed{}, 0); err == nil {
+		t.Fatal("unknown column type accepted as key")
 	}
 }
+
+// unkeyed is a column of a type KeyString has no form for.
+type unkeyed struct{}
+
+func (unkeyed) Type() relational.Type { return relational.Type(5) }
+func (unkeyed) Len() int              { return 1 }
 
 // FuzzTombFile holds the EJTOM001 decoder to arbitrary bytes: they decode
 // to an error or to a state whose image is exactly those bytes (so its CRC

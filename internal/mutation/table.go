@@ -153,8 +153,8 @@ func (t *Table) SetCheckpointGen(gen uint64) {
 
 // KeyString canonicalizes one column value for key matching and WAL
 // delete payloads: integers in base 10, floats in Go 'g' form, times in
-// RFC 3339 with nanoseconds, booleans as "true"/"false". Vector columns
-// have no canonical key form.
+// RFC 3339 with nanoseconds, booleans as "true"/"false". Any other
+// column type has no canonical key form.
 func KeyString(col relational.Column, row int) (string, error) {
 	switch c := col.(type) {
 	case relational.Int64Column:

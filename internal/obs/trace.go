@@ -15,7 +15,6 @@
 //	execute      the whole executor run (embed spans + join nest inside)
 //	embed        one input's E_µ evaluation (attrs: hits/misses/merged/model_calls)
 //	join:tensor  the comparison phase of the tensor scan
-//	index.probe  the probe loop of the index probe
 //	materialize  joined-output table construction
 //	wal.append   fsynced WAL append of a mutation batch
 //	apply        MVCC apply + publish of a mutation batch

@@ -14,14 +14,13 @@ import (
 	"ejoin/internal/relational"
 )
 
-// Side is one join input: a table, its join column (Vector, when set,
-// takes precedence over Text), the MVCC visibility selection (nil = all
-// rows) and the relational predicates.
+// Side is one join input: a table, its TEXT join column, the MVCC
+// visibility selection (nil = all rows) and the relational predicates.
 type Side struct {
-	Table        *relational.Table
-	Text, Vector string
-	Visible      relational.Selection
-	Preds        []relational.Pred
+	Table   *relational.Table
+	Text    string
+	Visible relational.Selection
+	Preds   []relational.Pred
 }
 
 // Spec is the join condition: K > 0 keeps each left row's K most similar
@@ -55,13 +54,7 @@ func eval(m model.Model, s Side) ([]int, [][]float64, error) {
 	if vis == nil {
 		vis = relational.All(s.Table.NumRows())
 	}
-	var vc *relational.VectorColumn
-	var col relational.StringColumn
-	if s.Vector != "" {
-		vc, err = s.Table.Vectors(s.Vector)
-	} else {
-		col, err = s.Table.Strings(s.Text)
-	}
+	col, err := s.Table.Strings(s.Text)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -71,10 +64,8 @@ func eval(m model.Model, s Side) ([]int, [][]float64, error) {
 		if !keep.Get(r) {
 			continue
 		}
-		var v []float32
-		if vc != nil {
-			v = vc.Row(r)
-		} else if v, err = m.Embed(col[r]); err != nil {
+		v, err := m.Embed(col[r])
+		if err != nil {
 			return nil, nil, err
 		}
 		u, norm := make([]float64, len(v)), 0.0

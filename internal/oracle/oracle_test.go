@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -30,25 +31,54 @@ func scored(t *testing.T, sims ...float64) Side {
 	return vectorSide(t, rows, attr)
 }
 
+// spelled is a model whose inputs spell their embeddings: "0.6,0.8" is
+// (0.6, 0.8), exactly, so a test picks every similarity it needs.
+type spelled struct{}
+
+func (spelled) Embed(s string) ([]float32, error) {
+	var v []float32
+	for _, f := range strings.Split(s, ",") {
+		x, err := strconv.ParseFloat(f, 32)
+		if err != nil {
+			return nil, err
+		}
+		v = append(v, float32(x))
+	}
+	return v, nil
+}
+func (spelled) Dim() int     { return 2 }
+func (spelled) Name() string { return "spelled" }
+
+// spell renders v as the input spelled embeds back to v.
+func spell(v []float32) string {
+	parts := make([]string, len(v))
+	for i, x := range v {
+		parts[i] = strconv.FormatFloat(float64(x), 'g', -1, 32)
+	}
+	return strings.Join(parts, ",")
+}
+
+// vectorSide is a side whose row j embeds, under spelled, to rows[j] and
+// has attribute value attr[j].
 func vectorSide(t *testing.T, rows [][]float32, attr []int64) Side {
 	t.Helper()
-	vc, err := relational.NewVectorColumn(rows)
-	if err != nil {
-		t.Fatal(err)
+	texts := make(relational.StringColumn, len(rows))
+	for j, r := range rows {
+		texts[j] = spell(r)
 	}
 	tbl, err := relational.NewTable(
-		relational.Schema{{Name: "v", Type: relational.Vector}, {Name: "a", Type: relational.Int64}},
-		[]relational.Column{vc, relational.Int64Column(attr)},
+		relational.Schema{{Name: "v", Type: relational.String}, {Name: "a", Type: relational.Int64}},
+		[]relational.Column{texts, relational.Int64Column(attr)},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Side{Table: tbl, Vector: "v"}
+	return Side{Table: tbl, Text: "v"}
 }
 
 func join(t *testing.T, left, right Side, spec Spec) *Answer {
 	t.Helper()
-	a, err := Join(nil, left, right, spec)
+	a, err := Join(spelled{}, left, right, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +137,7 @@ func TestJoinKnownAnswer(t *testing.T) {
 }
 
 // TestJoinTextSideEmbedsThroughModel: a text column is embedded with the
-// model and agrees with a vector column holding the same embeddings.
+// model and agrees with a column spelling the same embeddings.
 func TestJoinTextSideEmbedsThroughModel(t *testing.T) {
 	m, err := model.NewHashEmbedder(32)
 	if err != nil {
@@ -120,19 +150,15 @@ func TestJoinTextSideEmbedsThroughModel(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vc, err := relational.NewVectorColumn(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tbl, err := relational.NewTable(
-		relational.Schema{{Name: "w", Type: relational.String}, {Name: "v", Type: relational.Vector}},
-		[]relational.Column{relational.StringColumn(words), vc},
+		relational.Schema{{Name: "w", Type: relational.String}},
+		[]relational.Column{relational.StringColumn(words)},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	text := Side{Table: tbl, Text: "w"}
-	vector := Side{Table: tbl, Text: "w", Vector: "v"} // Vector takes precedence
+	vector := vectorSide(t, rows, make([]int64, len(rows)))
 	byText, err := Join(m, text, text, Spec{Threshold: -1})
 	if err != nil {
 		t.Fatal(err)

@@ -19,16 +19,13 @@ import (
 type Executor struct {
 	// Options tunes the physical operators (kernel, threads, memory budget).
 	Options core.Options
-	// IndexEf overrides probe beam width for index joins.
-	IndexEf int
 	// Store is the shared cross-query embedding store, required to embed
 	// a text column: the scan reads the column's resident chunks from it,
 	// keyed by the table's incarnation, which the table must therefore
 	// carry (a pinned version of a mutable table does). Repeated queries
 	// over the same corpus reuse embeddings and concurrent queries share
 	// in-flight model calls, so Stats.ModelCalls reports actual model work
-	// (misses), not input cardinality. Inputs read from vector columns
-	// need neither.
+	// (misses), not input cardinality.
 	Store *embstore.Store
 	// BlockRows is the probe-side block size; <=0 uses
 	// exec.DefaultBlockSize. Results do not depend on it.
@@ -83,24 +80,12 @@ func joinDetail(st core.Stats) map[string]int64 {
 }
 
 // executable rejects a strategy no operator runs: a served join is a
-// tensor scan or an index probe.
+// tensor scan.
 func executable(s cost.Strategy) error {
-	if s != cost.StrategyTensor && s != cost.StrategyIndex {
-		return fmt.Errorf("plan: strategy %v is not executable: a plan is a tensor scan or an index probe", s)
+	if s != cost.StrategyTensor {
+		return fmt.Errorf("plan: strategy %v is not executable: a plan is a tensor scan", s)
 	}
 	return nil
-}
-
-func (ex *Executor) indexCond(j *EJoin) core.IndexJoinCondition {
-	cond := core.IndexJoinCondition{K: j.Spec.K, MinSim: -2, Ef: ex.IndexEf}
-	if j.Spec.Kind == ThresholdJoin {
-		// Range condition emulated by widened top-k probes (Figure 17).
-		cond.K = 32
-		cond.MinSim = j.Spec.Threshold
-	} else if j.Spec.Threshold > -1 {
-		cond.MinSim = j.Spec.Threshold
-	}
-	return cond
 }
 
 // MaterializeResult builds the joined output table: left columns (l_),

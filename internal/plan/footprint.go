@@ -5,8 +5,8 @@ import "ejoin/internal/exec"
 // EstimateFootprint estimates the peak resident bytes executing j will
 // pin: the build (post-filter right) side's embedding matrix plus one
 // probe block. (The tensor scan compares its tiles in registers and holds
-// only a few tens of kilobytes of scratch.) dim is the embedding dimensionality (the model's, or the
-// vector column's); blockRows <=0 uses exec.DefaultBlockSize.
+// only a few tens of kilobytes of scratch.) dim is the model's embedding
+// dimensionality; blockRows <=0 uses exec.DefaultBlockSize.
 //
 // This is the weight a serving layer charges against its admission
 // budget before letting the query execute: it bounds aggregate memory

@@ -6,23 +6,22 @@ import (
 	"ejoin/internal/relational"
 )
 
-// Optimizer rewrites logical plans and selects physical strategies. The
-// choice depends only on exact input counts and store residency: nothing
-// learned from executed queries reaches it.
+// Optimizer rewrites logical plans and prices them. Its estimates depend
+// only on exact input counts and store residency: nothing learned from
+// executed queries reaches them.
 type Optimizer struct {
 	// Params parametrizes the cost model; zero value uses defaults.
 	Params cost.Params
 	// DisableReorder switches off the smaller-inner reordering rule (the
 	// shard router makes that decision once per fan-out).
 	DisableReorder bool
-	// ForceStrategy, if not nil, bypasses cost-based selection. It must
-	// name an executable strategy: the tensor scan or the index probe.
+	// ForceStrategy, if not nil, names the strategy to plan. Only the
+	// tensor scan executes: forcing any other is an error, which lets a
+	// caller timing each strategy skip the ones with no operator.
 	ForceStrategy *cost.Strategy
-	// Store, when set, makes access path selection cache-aware: the
-	// optimizer discounts each input's E_µ cost term by the share of its
-	// rows the shared embedding store already holds (see
-	// expectedHitRatio), so a warm cache can flip the scan-versus-probe
-	// choice.
+	// Store, when set, makes the estimate cache-aware: the optimizer
+	// discounts each input's E_µ cost term by the share of its rows the
+	// shared embedding store already holds (see expectedHitRatio).
 	Store *embstore.Store
 }
 
@@ -32,12 +31,11 @@ func NewOptimizer() *Optimizer {
 }
 
 // Optimize applies, in order: filter pushdown below E_µ, smaller-inner
-// reordering, and cost-based strategy selection. Embedding prefetch
+// reordering, and the tensor scan's cost estimate. Embedding prefetch
 // (Rule 2, the E-θ-Join equivalence R ⋈_{E,µ,θ} S ⇔ E_µ(R) ⋈_θ E_µ(S))
 // needs no rewrite: every executable plan evaluates E_µ once per input,
 // never once per compared pair. The input plan is not mutated. A
-// ForceStrategy naming neither the tensor scan nor the index probe is an
-// error.
+// ForceStrategy naming anything but the tensor scan is an error.
 func (o *Optimizer) Optimize(root *EJoin) (*EJoin, error) {
 	if o.ForceStrategy != nil {
 		if err := executable(*o.ForceStrategy); err != nil {
@@ -64,32 +62,18 @@ func (o *Optimizer) Optimize(root *EJoin) (*EJoin, error) {
 	// (inner) input for cache locality; Figure 10 measures ~35% impact.
 	// Top-k joins are per-left-row and therefore not symmetric: reordering
 	// would change results, so only threshold joins reorder.
-	if !o.DisableReorder && out.Spec.Kind == ThresholdJoin && !hasIndex(out.Right) &&
+	if !o.DisableReorder && out.Spec.Kind == ThresholdJoin &&
 		estimateRows(out.Left) < estimateRows(out.Right) {
 		out.Left, out.Right = out.Right, out.Left
 		out.Swapped = true
 	}
 
-	// Rule 4: cost-based access path selection (Table I, Figures 15-17).
-	if o.ForceStrategy != nil {
-		out.Strategy = *o.ForceStrategy
-	} else {
-		selL := estimateSelectivity(out.Left)
-		selR := estimateSelectivity(out.Right)
-		k := 0
-		if out.Spec.Kind == TopKJoin {
-			k = out.Spec.K
-		}
-		baseL, baseR := baseRows(out.Left), baseRows(out.Right)
-		hitL, hitR := o.expectedHitRatio(out.Left), o.expectedHitRatio(out.Right)
-		choice := params.ChooseJoinStrategyWarm(baseL, baseR, selL, selR, k, hasIndex(out.Right), hitL, hitR)
-		// An index join without an index would have to build one; allow it
-		// only when the right side actually carries an index.
-		if choice.Strategy == cost.StrategyIndex && !hasIndex(out.Right) {
-			choice.Strategy = cost.StrategyTensor
-		}
-		out.Strategy = choice.Strategy
-		out.Estimates = choice.Estimates
+	// Rule 4: the access path is the tensor scan; price it with the
+	// post-filter input counts and the store's warmth (Table I).
+	hitL, hitR := o.expectedHitRatio(out.Left), o.expectedHitRatio(out.Right)
+	out.Strategy = cost.StrategyTensor
+	out.Estimates = map[cost.Strategy]float64{
+		cost.StrategyTensor: params.TensorJoinWarm(estimateRows(out.Left), estimateRows(out.Right), hitL, hitR),
 	}
 	return out, nil
 }
@@ -174,31 +158,12 @@ func EstimateRefRows(ref TableRef) int {
 	return len(sel)
 }
 
-// baseRows returns the unfiltered base cardinality of an input subtree.
-func baseRows(n Node) int {
-	s := findScan(n)
-	if s == nil || s.Ref.Table == nil {
-		return 0
-	}
-	return s.Ref.Table.NumRows()
-}
-
-// estimateSelectivity is estimateRows / baseRows.
-func estimateSelectivity(n Node) float64 {
-	base := baseRows(n)
-	if base == 0 {
-		return 1
-	}
-	return float64(estimateRows(n)) / float64(base)
-}
-
 // expectedHitRatio estimates how much of one input's E_µ work the shared
 // store will absorb: the share of the table version's visible rows that
 // its resident column chunks, or their spill slots, hold. It only peeks:
-// no entry is promoted, no statistic touched. Inputs with precomputed
-// vector columns have no Embed node and return 0 — their cost model
-// carries no M term to discount — and so does a table with no
-// incarnation, which has no chunks (the executor rejects embedding it).
+// no entry is promoted, no statistic touched. A table with no
+// incarnation has no chunks and returns 0 (the executor rejects
+// embedding it).
 func (o *Optimizer) expectedHitRatio(n Node) float64 {
 	if o.Store == nil {
 		return 0
@@ -247,9 +212,4 @@ func findScan(n Node) *Scan {
 			return nil
 		}
 	}
-}
-
-func hasIndex(n Node) bool {
-	s := findScan(n)
-	return s != nil && s.Ref.Index != nil
 }

@@ -10,10 +10,11 @@
 //	σθ(E_µ(R))  ⇔  E_µ(σθ(R))          (E-Selection: filter pushdown)
 //	R ⋈_{E,µ,θ} S  ⇔  E_µ(R) ⋈θ E_µ(S)  (E-θ-Join: prefetch hoist)
 //
-// plus the smaller-relation-inner ordering heuristic and cost-based
-// strategy selection. A served plan is a tensor scan or an index probe;
-// the paper's tuple-at-a-time baselines (core.NLJ, core.NaiveNLJ) are
-// kernels the benchmarks time, never plans.
+// plus the smaller-relation-inner ordering heuristic and the cost model's
+// estimate of the plan. Every join input embeds a TEXT column, and a
+// served plan is one operator, the tensor scan; the paper's other access
+// paths (the tuple-at-a-time core.NLJ and core.NaiveNLJ, the index join
+// core.IndexJoin) are kernels the benchmarks time, never plans.
 package plan
 
 import (
@@ -23,7 +24,6 @@ import (
 	"ejoin/internal/cost"
 	"ejoin/internal/model"
 	"ejoin/internal/relational"
-	"ejoin/internal/vindex"
 )
 
 // JoinKind distinguishes the join condition shape.
@@ -67,14 +67,8 @@ type TableRef struct {
 	Table *relational.Table
 	// TextColumn is the context-rich column to embed (E_µ input).
 	TextColumn string
-	// VectorColumn, if set, holds precomputed embeddings (Figure 5,
-	// "Option 1") and takes precedence over TextColumn.
-	VectorColumn string
 	// Predicates are relational filters on this input.
 	Predicates []relational.Pred
-	// Index is an optional vector index (HNSW or IVF-Flat) over this
-	// side's embeddings (only honored on the right input).
-	Index vindex.Index
 	// Visible, when non-nil, restricts the scan to these global row ids —
 	// the MVCC visibility set of the generation snapshot a query pinned
 	// (live rows; tombstoned rows are excluded). nil means every physical
@@ -163,8 +157,8 @@ type EJoin struct {
 	Spec        JoinSpec
 	// Swapped records the smaller-inner reordering.
 	Swapped bool
-	// Strategy is the physical operator chosen by the planner:
-	// StrategyTensor or StrategyIndex. The executor rejects any other.
+	// Strategy is the physical operator: StrategyTensor, the one the
+	// executor runs (it rejects any other).
 	Strategy cost.Strategy
 	// EstRows is the output cardinality estimate (-1 = none). Top-k joins
 	// emit exactly k matches per surviving left row; threshold joins use
@@ -175,7 +169,8 @@ type EJoin struct {
 	// StaticRows is the uncorrected heuristic estimate EstRows started
 	// from, kept so both can be scored against the observed match count.
 	StaticRows int64
-	// Estimates holds the cost model's per-strategy estimates.
+	// Estimates holds the cost model's estimate of the tensor scan, keyed
+	// by its strategy.
 	Estimates map[cost.Strategy]float64
 }
 
@@ -206,10 +201,7 @@ func NewNaivePlan(q Query) (*EJoin, error) {
 		return nil, err
 	}
 	build := func(ref TableRef) Node {
-		var n Node = &Scan{Ref: ref}
-		if ref.VectorColumn == "" {
-			n = &Embed{Input: n, Column: ref.TextColumn, Model: q.Model}
-		}
+		var n Node = &Embed{Input: &Scan{Ref: ref}, Column: ref.TextColumn, Model: q.Model}
 		if len(ref.Predicates) > 0 {
 			n = countedFilter(n, &Filter{Preds: ref.Predicates})
 		}
@@ -242,20 +234,14 @@ func validateQuery(q Query) error {
 		if ref.Table == nil {
 			return fmt.Errorf("plan: input %q has no table", ref.Name)
 		}
-		if ref.VectorColumn == "" && ref.TextColumn == "" {
-			return fmt.Errorf("plan: input %q has neither text nor vector column", ref.Name)
+		if ref.TextColumn == "" {
+			return fmt.Errorf("plan: input %q has no text column", ref.Name)
 		}
-		if ref.VectorColumn == "" && q.Model == nil {
+		if q.Model == nil {
 			return fmt.Errorf("plan: input %q needs embedding but query has no model", ref.Name)
 		}
-		if ref.VectorColumn != "" {
-			if _, err := ref.Table.Vectors(ref.VectorColumn); err != nil {
-				return fmt.Errorf("plan: input %q: %w", ref.Name, err)
-			}
-		} else {
-			if _, err := ref.Table.Strings(ref.TextColumn); err != nil {
-				return fmt.Errorf("plan: input %q: %w", ref.Name, err)
-			}
+		if _, err := ref.Table.Strings(ref.TextColumn); err != nil {
+			return fmt.Errorf("plan: input %q: %w", ref.Name, err)
 		}
 	}
 	switch q.Join.Kind {

@@ -1,16 +1,16 @@
 package plan
 
 // Lowering an optimized EJoin tree onto internal/exec, the one operator
-// pipeline both strategies run on. Both join inputs go through the same
+// pipeline the tensor scan runs on. Both join inputs go through the same
 // lowerInput: a Scan with its predicates fused, whose E_µ is the scan
-// itself, projecting each block from the table's resident column chunks
-// (or from a precomputed vector column). The build (inner) side is
-// drained as a single block and held resident; the probe (outer) side
-// streams through a probe operator in fixed-size blocks. Every kernel
-// sorts its matches by (probe, build) offset and blocks arrive in
-// ascending probe order, so matches, similarities and their order do not
-// depend on the block size — the contract the tests assert per query
-// shape, alongside a brute-force oracle.
+// itself, projecting each block from the table's resident column chunks.
+// The build (inner) side is drained as a single block and held
+// resident; the probe (outer) side streams through a probe operator in
+// fixed-size blocks. Every kernel sorts its matches by (probe, build)
+// offset and blocks arrive in ascending probe order, so matches,
+// similarities and their order do not depend on the block size — the
+// contract the tests assert per query shape, alongside a brute-force
+// oracle.
 
 import (
 	"context"
@@ -19,10 +19,8 @@ import (
 	"time"
 
 	"ejoin/internal/core"
-	"ejoin/internal/cost"
 	"ejoin/internal/embstore"
 	"ejoin/internal/exec"
-	"ejoin/internal/hnsw"
 	"ejoin/internal/mat"
 	"ejoin/internal/obs"
 	"ejoin/internal/relational"
@@ -31,7 +29,7 @@ import (
 // loweredInput is one join input's Scan/Filter/Embed subtree as one
 // operator: every node above the Scan is served by it, a Filter fused into
 // its selection and an Embed by projecting the table's resident column
-// chunks or a vector column.
+// chunks.
 type loweredInput struct {
 	scanNode *Scan
 	scan     *exec.Scan
@@ -48,11 +46,10 @@ func (ex *Executor) lowerInput(n Node, blockRows int) (*loweredInput, error) {
 	switch t := n.(type) {
 	case *Scan:
 		return &loweredInput{scanNode: t, scan: &exec.Scan{
-			Table:        t.Ref.Table,
-			Name:         t.Ref.Name,
-			Visible:      t.Ref.Visible,
-			VectorColumn: t.Ref.VectorColumn,
-			BlockRows:    blockRows,
+			Table:     t.Ref.Table,
+			Name:      t.Ref.Name,
+			Visible:   t.Ref.Visible,
+			BlockRows: blockRows,
 		}}, nil
 	case *Filter:
 		in, err := ex.lowerInput(t.Input, blockRows)
@@ -73,9 +70,6 @@ func (ex *Executor) lowerInput(n Node, blockRows int) (*loweredInput, error) {
 		}
 		in.embedNode = t
 		in.stages = append(in.stages, t)
-		if in.scan.VectorColumn != "" {
-			return in, nil
-		}
 		switch {
 		case ex.Store == nil:
 			return nil, fmt.Errorf("plan: embedding %s.%s needs an executor with an embedding store", in.scan.Name, t.Column)
@@ -87,11 +81,6 @@ func (ex *Executor) lowerInput(n Node, blockRows int) (*loweredInput, error) {
 	default:
 		return nil, fmt.Errorf("plan: unsupported input node %T", n)
 	}
-}
-
-// embedded reports whether the input's batches carry embeddings.
-func (in *loweredInput) embedded() bool {
-	return in.scan.VectorColumn != "" || in.scan.Embedded != nil
 }
 
 // embedStats is the input's E_µ account: the scan reading column chunks.
@@ -181,8 +170,6 @@ var mergeBufs sync.Pool // of *[]float32
 // increases, so a k-way merge by mapped id needs no sort, and the merged
 // build holds, row for row, the build of the whole table. The parts'
 // embeddings are copied into recycled storage and the parts released.
-// The merged build's row ids are no part's, so an index probe over it
-// always builds its own index.
 func MergeBuilds(parts []*BuildSide, rowmaps [][]int) *BuildSide {
 	out := &BuildSide{}
 	n, dim := 0, 0
@@ -277,12 +264,6 @@ func (ex *Executor) EvalBuild(ctx context.Context, j *EJoin) (*BuildSide, error)
 		b.rows, b.emb, b.ids, b.keep = blk.Rows, blk.Emb, blk.EmbRows, blk.EmbKeep
 	case in.scan.Embedded != nil:
 		b.emb = mat.New(0, in.embedNode.Model.Dim())
-	case in.scan.VectorColumn != "":
-		vc, err := in.scan.Table.Vectors(in.scan.VectorColumn)
-		if err != nil {
-			return nil, err
-		}
-		b.emb = mat.New(0, vc.Dim)
 	}
 	if st, bs, ok := in.embedStats(); ok {
 		if tr := obs.FromContext(ctx); tr != nil {
@@ -350,61 +331,23 @@ func (ex *Executor) openStream(ctx context.Context, j *EJoin, in *loweredInput, 
 	return s, nil
 }
 
-// lowerProbe picks j's join operator over the lowered probe input and the
-// resident build.
+// lowerProbe lowers j's join operator, the tensor scan, over the lowered
+// probe input and the resident build.
 func (ex *Executor) lowerProbe(j *EJoin, in *loweredInput, build *BuildSide) (probeOp, error) {
-	if !in.embedded() || (build.emb == nil && j.Strategy != cost.StrategyIndex) {
+	if err := executable(j.Strategy); err != nil {
+		return nil, err
+	}
+	if in.scan.Embedded == nil || build.emb == nil {
 		return nil, fmt.Errorf("plan: strategy %v requires embedded inputs (missing Embed node?)", j.Strategy)
 	}
-	switch j.Strategy {
-	case cost.StrategyIndex:
-		op, err := ex.lowerIndexProbe(j, build)
-		if err != nil {
-			return nil, err
-		}
-		op.Input = in.scan
-		return op, nil
-	case cost.StrategyTensor:
-		if j.Spec.Kind == TopKJoin {
-			op := &exec.TopKProbe{Input: in.scan, K: j.Spec.K, Residual: j.Spec.Threshold, Opts: ex.Options}
-			op.Build, op.BuildRows, op.BuildKeep = build.emb, build.ids, build.keep
-			return op, nil
-		}
-		op := &exec.ThresholdProbe{Input: in.scan, Threshold: j.Spec.Threshold, Opts: ex.Options}
+	if j.Spec.Kind == TopKJoin {
+		op := &exec.TopKProbe{Input: in.scan, K: j.Spec.K, Residual: j.Spec.Threshold, Opts: ex.Options}
 		op.Build, op.BuildRows, op.BuildKeep = build.emb, build.ids, build.keep
 		return op, nil
 	}
-	return nil, executable(j.Strategy)
-}
-
-// lowerIndexProbe prepares the index probe: an attached index is used
-// directly with the visibility mask, otherwise (or over a merged build)
-// one is built once over the resident build embeddings (the build cost
-// the optimizer charged for).
-func (ex *Executor) lowerIndexProbe(j *EJoin, build *BuildSide) (*exec.IndexProbe, error) {
-	ref := build.ins[0].scanNode.Ref
-	opts := ex.Options
-	if ref.Index == nil || build.buf != nil {
-		if build.emb == nil {
-			return nil, fmt.Errorf("plan: index strategy without index or embeddings on %q", ref.Name)
-		}
-		built, err := core.BuildIndex(exec.Dense(build.emb, build.keep), hnsw.ConfigLo())
-		if err != nil {
-			return nil, err
-		}
-		opts.RightFilter = nil
-		// Index rows are positions within build.rows; remap via BuildRows.
-		return &exec.IndexProbe{Index: built, Cond: ex.indexCond(j), Opts: opts, BuildRows: build.rows}, nil
-	}
-	// The index must cover every physical row; it may cover more. The
-	// RightFilter below masks both tombstones and entries beyond the
-	// table's rows, so a superset index stays correct.
-	if ref.Index.Len() < ref.Table.NumRows() {
-		return nil, fmt.Errorf("plan: index over %q has %d entries, table has %d rows",
-			ref.Name, ref.Index.Len(), ref.Table.NumRows())
-	}
-	opts.RightFilter = relational.BitmapFromSelection(ref.Table.NumRows(), build.rows)
-	return &exec.IndexProbe{Index: ref.Index, Cond: ex.indexCond(j), Opts: opts}, nil
+	op := &exec.ThresholdProbe{Input: in.scan, Threshold: j.Spec.Threshold, Opts: ex.Options}
+	op.Build, op.BuildRows, op.BuildKeep = build.emb, build.ids, build.keep
+	return op, nil
 }
 
 // Next returns the next block of matches in the executed plan's
@@ -514,9 +457,9 @@ func (ex *Executor) ExecuteStreaming(ctx context.Context, j *EJoin, limit int) (
 }
 
 // emitSpans adds the probe side's per-phase spans after the stream
-// drains ("embed", "join:tensor"/"index.probe"): one span
-// per phase with summed durations, not one per block, so traces stay
-// bounded regardless of stream length.
+// drains ("embed", "join:tensor"): one span per phase with summed
+// durations, not one per block, so traces stay bounded regardless of
+// stream length.
 func (s *Stream) emitSpans(ctx context.Context, res *ExecResult) {
 	tr := obs.FromContext(ctx)
 	if tr == nil {
@@ -527,12 +470,8 @@ func (s *Stream) emitSpans(ctx context.Context, res *ExecResult) {
 		attrs["batches"] = st.Batches
 		tr.AddSpan("embed", tr.Since()-st.Elapsed, st.Elapsed, attrs)
 	}
-	name := "join:tensor"
-	if s.j.Strategy == cost.StrategyIndex {
-		name = "index.probe"
-	}
 	jt := res.Stats.JoinTime
-	tr.AddSpan(name, tr.Since()-jt, jt, map[string]int64{
+	tr.AddSpan("join:tensor", tr.Since()-jt, jt, map[string]int64{
 		"comparisons": res.Stats.Comparisons,
 		"matches":     int64(len(res.Matches)),
 		"batches":     s.probe.Stats().Batches,
@@ -567,7 +506,7 @@ func (in *loweredInput) analysis() *obs.NodeStats {
 			attrs["batches"] = ost.Batches
 			up.ObsRows, up.Elapsed, up.Detail = ost.RowsOut, ost.Elapsed, obs.AttrsDetail(attrs)
 		} else {
-			up.ObsRows = st.RowsOut // filter fused into the scan, or a vector column
+			up.ObsRows = st.RowsOut // filter fused into the scan
 		}
 		n = up
 	}

@@ -129,7 +129,7 @@ func TestStreamingPeakMemoryRegression(t *testing.T) {
 			t.Fatalf("match %d diverges: limited %+v, unlimited %+v", i, limited.Matches[i], full.Matches[i])
 		}
 	}
-	checkOracle(t, q, optimized, full, f32Tol, 1)
+	checkOracle(t, q, optimized, full, f32Tol)
 	t.Logf("intermediate allocations: LIMIT %d %d B, unlimited %d B (ratio %.1fx)",
 		limit, allocLimited, allocFull, float64(allocFull)/float64(allocLimited))
 	// Floor: >= 4x fewer intermediate bytes. The real ratio here is

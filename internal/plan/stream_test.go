@@ -17,7 +17,6 @@ import (
 
 	"ejoin/internal/core"
 	"ejoin/internal/cost"
-	"ejoin/internal/hnsw"
 	"ejoin/internal/model"
 	"ejoin/internal/obs"
 	"ejoin/internal/oracle"
@@ -86,7 +85,7 @@ var shapeBlockRows = []int{1, 16, 4096}
 const f32Tol = 1e-5
 
 func oracleSide(ref TableRef) oracle.Side {
-	return oracle.Side{Table: ref.Table, Text: ref.TextColumn, Vector: ref.VectorColumn, Visible: ref.Visible, Preds: ref.Predicates}
+	return oracle.Side{Table: ref.Table, Text: ref.TextColumn, Visible: ref.Visible, Preds: ref.Predicates}
 }
 
 func assertSameSelection(t *testing.T, name string, want []int, got relational.Selection) {
@@ -104,7 +103,7 @@ func assertSameSelection(t *testing.T, name string, want []int, got relational.S
 // checkOracle checks res against the brute-force answer for q: surviving
 // selections exactly, matches per oracle.Answer.Check. The oracle runs in
 // the executed orientation (a swapped plan emits in (Right, Left) order).
-func checkOracle(t *testing.T, q Query, j *EJoin, res *ExecResult, tol, minRecall float64) *oracle.Answer {
+func checkOracle(t *testing.T, q Query, j *EJoin, res *ExecResult, tol float64) *oracle.Answer {
 	t.Helper()
 	l, r := oracleSide(q.Left), oracleSide(q.Right)
 	gotL, gotR := res.LeftRows, res.RightRows
@@ -128,7 +127,7 @@ func checkOracle(t *testing.T, q Query, j *EJoin, res *ExecResult, tol, minRecal
 	}
 	assertSameSelection(t, "probe rows", ans.LeftRows, gotL)
 	assertSameSelection(t, "build rows", ans.RightRows, gotR)
-	if err := ans.Check(got, tol, minRecall); err != nil {
+	if err := ans.Check(got, tol, 1); err != nil {
 		t.Fatal(err)
 	}
 	return ans
@@ -140,9 +139,9 @@ func checkOracle(t *testing.T, q Query, j *EJoin, res *ExecResult, tol, minRecal
 // byte-identical in matches, similarities and order, and the work
 // accounting must hold: wantCalls model calls (< 0: one per distinct text
 // among the surviving rows of either side, since the store embeds a text
-// once for every row and table holding it) and, for scan strategies, one
+// once for every row and table holding it) and one
 // comparison per surviving pair. The BlockRows=16 result is returned.
-func runShape(t *testing.T, q Query, opt *Optimizer, tune func(*Executor), tol, minRecall float64, wantCalls int64) (*ExecResult, *EJoin) {
+func runShape(t *testing.T, q Query, opt *Optimizer, tune func(*Executor), tol float64, wantCalls int64) (*ExecResult, *EJoin) {
 	t.Helper()
 	var first, at16 *ExecResult
 	var plan16 *EJoin
@@ -155,7 +154,7 @@ func runShape(t *testing.T, q Query, opt *Optimizer, tune func(*Executor), tol, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 2}, IndexEf: 16, Store: testStore(), BlockRows: rows}
+		ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 2}, Store: testStore(), BlockRows: rows}
 		if tune != nil {
 			tune(ex)
 		}
@@ -166,7 +165,7 @@ func runShape(t *testing.T, q Query, opt *Optimizer, tune func(*Executor), tol, 
 		if len(res.Matches) == 0 {
 			t.Fatal("shape produced no matches; the assertions are vacuous")
 		}
-		ans := checkOracle(t, q, optimized, res, tol, minRecall)
+		ans := checkOracle(t, q, optimized, res, tol)
 		nl, nr := int64(len(ans.LeftRows)), int64(len(ans.RightRows))
 		want := wantCalls
 		if want < 0 {
@@ -175,7 +174,7 @@ func runShape(t *testing.T, q Query, opt *Optimizer, tune func(*Executor), tol, 
 		if res.Stats.ModelCalls != want {
 			t.Errorf("BlockRows=%d: %d model calls, want %d", rows, res.Stats.ModelCalls, want)
 		}
-		if res.Strategy != cost.StrategyIndex && res.Stats.Comparisons != nl*nr {
+		if res.Stats.Comparisons != nl*nr {
 			t.Errorf("BlockRows=%d: %d comparisons, want %d x %d", rows, res.Stats.Comparisons, nl, nr)
 		}
 		if first == nil {
@@ -224,23 +223,23 @@ func forced(s cost.Strategy) *Optimizer {
 // paper's tuple-at-a-time baseline core.NLJ to that kernel.
 func TestStreamingDifferentialThresholdNLJ(t *testing.T) {
 	q := streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.85})
-	runShape(t, q, forced(cost.StrategyTensor), nil, f32Tol, 1, -1)
+	runShape(t, q, forced(cost.StrategyTensor), nil, f32Tol, -1)
 }
 
 func TestStreamingDifferentialThresholdTensor(t *testing.T) {
 	q := streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.85})
 	// Short S blocks: several per probe block.
-	runShape(t, q, forced(cost.StrategyTensor), func(ex *Executor) { ex.Options.BatchCols = 16 }, f32Tol, 1, -1)
+	runShape(t, q, forced(cost.StrategyTensor), func(ex *Executor) { ex.Options.BatchCols = 16 }, f32Tol, -1)
 }
 
 func TestStreamingDifferentialTopK(t *testing.T) {
 	q := streamQuery(t, JoinSpec{Kind: TopKJoin, K: 3, Threshold: -2})
-	runShape(t, q, forced(cost.StrategyTensor), nil, f32Tol, 1, -1)
+	runShape(t, q, forced(cost.StrategyTensor), nil, f32Tol, -1)
 }
 
 func TestStreamingDifferentialTopKResidual(t *testing.T) {
 	q := streamQuery(t, JoinSpec{Kind: TopKJoin, K: 3, Threshold: 0.9})
-	runShape(t, q, forced(cost.StrategyTensor), nil, f32Tol, 1, -1)
+	runShape(t, q, forced(cost.StrategyTensor), nil, f32Tol, -1)
 }
 
 func TestStreamingDifferentialFiltered(t *testing.T) {
@@ -249,39 +248,7 @@ func TestStreamingDifferentialFiltered(t *testing.T) {
 	q := streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.85})
 	q.Left.Predicates = []relational.Pred{{Column: "n", Op: relational.LE, Value: int64(200)}}
 	q.Right.Predicates = []relational.Pred{{Column: "n", Op: relational.LE, Value: int64(250)}}
-	runShape(t, q, NewOptimizer(), nil, f32Tol, 1, -1)
-}
-
-// indexRecallFloor is the share of each probe row's true top-k an HNSW
-// probe at ef=16 must return on this 43-row build side.
-const indexRecallFloor = 0.9
-
-func TestStreamingDifferentialIndex(t *testing.T) {
-	q := streamQuery(t, JoinSpec{Kind: TopKJoin, K: 2, Threshold: -2})
-	// Precompute right-side vectors and attach an HNSW index; restrict
-	// visibility to a prefix to exercise the RightFilter mask.
-	rw, _ := q.Right.Table.Strings("term")
-	rv, err := core.Embed(context.Background(), q.Model, rw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := core.BuildIndex(rv, hnsw.Config{M: 8, EfConstruction: 64, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Right.Index = idx
-	q.Right.Visible = relational.All(q.Right.Table.NumRows())[:30]
-
-	o := forced(cost.StrategyIndex)
-	o.DisableReorder = true
-	runShape(t, q, o, nil, f32Tol, indexRecallFloor, -1)
-}
-
-func TestStreamingDifferentialIndexBuiltOnDemand(t *testing.T) {
-	q := streamQuery(t, JoinSpec{Kind: TopKJoin, K: 1, Threshold: -2})
-	o := forced(cost.StrategyIndex)
-	o.DisableReorder = true
-	runShape(t, q, o, nil, f32Tol, indexRecallFloor, -1)
+	runShape(t, q, NewOptimizer(), nil, f32Tol, -1)
 }
 
 func TestStreamingDifferentialMVCCSnapshot(t *testing.T) {
@@ -297,12 +264,12 @@ func TestStreamingDifferentialMVCCSnapshot(t *testing.T) {
 	}
 	q.Left.Visible = vis
 	q.Right.Visible = relational.All(q.Right.Table.NumRows())[:30]
-	runShape(t, q, forced(cost.StrategyTensor), nil, f32Tol, 1, -1)
+	runShape(t, q, forced(cost.StrategyTensor), nil, f32Tol, -1)
 }
 
 func TestStreamingLimitFirstN(t *testing.T) {
 	q := streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.85})
-	full, optimized := runShape(t, q, forced(cost.StrategyTensor), nil, f32Tol, 1, -1)
+	full, optimized := runShape(t, q, forced(cost.StrategyTensor), nil, f32Tol, -1)
 	const limit = 7
 	if len(full.Matches) <= limit {
 		t.Fatalf("need more than %d total matches, have %d", limit, len(full.Matches))

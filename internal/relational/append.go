@@ -44,17 +44,6 @@ func AppendRows(t, batch *Table) (*Table, error) {
 			cols[i] = append(col, batch.cols[i].(TimeColumn)...)
 		case BoolColumn:
 			cols[i] = append(col, batch.cols[i].(BoolColumn)...)
-		case *VectorColumn:
-			bc := batch.cols[i].(*VectorColumn)
-			dim := col.Dim
-			if dim == 0 {
-				dim = bc.Dim
-			}
-			if bc.Len() > 0 && col.Len() > 0 && col.Dim != bc.Dim {
-				return nil, fmt.Errorf("relational: append: vector column %q dim %d vs %d",
-					t.schema[i].Name, col.Dim, bc.Dim)
-			}
-			cols[i] = &VectorColumn{Dim: dim, Data: append(col.Data, bc.Data...)}
 		default:
 			return nil, fmt.Errorf("relational: append: unsupported column type %T", t.cols[i])
 		}

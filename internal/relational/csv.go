@@ -64,14 +64,8 @@ var timeLayouts = []string{
 	"2006-01-02",
 }
 
-// ReadCSV parses CSV content into a table with the given schema. Vector
-// columns are not supported in CSV (embed after loading).
+// ReadCSV parses CSV content into a table with the given schema.
 func ReadCSV(r io.Reader, schema Schema) (*Table, error) {
-	for _, f := range schema {
-		if f.Type == Vector {
-			return nil, fmt.Errorf("relational: csv: vector column %q not supported (embed after loading)", f.Name)
-		}
-	}
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
 	if err != nil {
@@ -179,13 +173,8 @@ func parseTime(s string) (time.Time, error) {
 }
 
 // WriteCSV renders the table as CSV with a header row, the inverse of
-// ReadCSV (vector columns are rejected).
+// ReadCSV.
 func WriteCSV(w io.Writer, t *Table) error {
-	for _, f := range t.Schema() {
-		if f.Type == Vector {
-			return fmt.Errorf("relational: csv: vector column %q not supported", f.Name)
-		}
-	}
 	cw := csv.NewWriter(w)
 	header := make([]string, len(t.Schema()))
 	for i, f := range t.Schema() {
@@ -208,6 +197,8 @@ func WriteCSV(w io.Writer, t *Table) error {
 				rec[c] = strconv.FormatBool(col[r])
 			case TimeColumn:
 				rec[c] = col[r].Format(time.RFC3339)
+			default:
+				return fmt.Errorf("relational: csv: column %q: unsupported type %v", t.Schema()[c].Name, col.Type())
 			}
 		}
 		if err := cw.Write(rec); err != nil {

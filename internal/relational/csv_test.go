@@ -68,10 +68,10 @@ func TestReadCSVErrors(t *testing.T) {
 			t.Errorf("%s: expected error", name)
 		}
 	}
-	// Vector columns rejected up front.
-	vs := Schema{{Name: "v", Type: Vector}}
+	// A type CSV has no reader for (5, the retired stored-vector tag).
+	vs := Schema{{Name: "v", Type: Type(5)}}
 	if _, err := ReadCSV(strings.NewReader("v\n"), vs); err == nil {
-		t.Error("expected vector rejection")
+		t.Error("expected type 5 rejection")
 	}
 }
 
@@ -107,13 +107,23 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteCSVRejectsVectors: a column WriteCSV has no text form for —
+// here one tagged 5, the retired stored-vector type — is an error, not a
+// silently blank field.
 func TestWriteCSVRejectsVectors(t *testing.T) {
-	vc, _ := NewVectorColumn([][]float32{{1, 2}})
-	tbl, _ := NewTable(Schema{{Name: "v", Type: Vector}}, []Column{vc})
+	tbl, err := NewTable(Schema{{Name: "v", Type: Type(5)}}, []Column{retiredColumn{}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := WriteCSV(&bytes.Buffer{}, tbl); err == nil {
 		t.Error("expected error")
 	}
 }
+
+type retiredColumn struct{}
+
+func (retiredColumn) Type() Type { return Type(5) }
+func (retiredColumn) Len() int   { return 1 }
 
 func TestParseSchema(t *testing.T) {
 	schema, err := ParseSchema("sku:int,name:text,price:float,when:time,ok:bool")

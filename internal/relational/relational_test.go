@@ -33,7 +33,11 @@ func sampleTable(t *testing.T) *Table {
 func TestTypeString(t *testing.T) {
 	cases := map[Type]string{
 		Int64: "BIGINT", Float64: "DOUBLE", String: "TEXT",
-		Time: "TIMESTAMP", Bool: "BOOLEAN", Vector: "VECTOR",
+		Time: "TIMESTAMP", Bool: "BOOLEAN", Type(5): "Type(5)",
+	}
+	// The tags are the table file's on-disk type bytes: none may move.
+	if Int64 != 0 || Float64 != 1 || String != 2 || Time != 3 || Bool != 4 {
+		t.Errorf("type tags moved: %d %d %d %d %d", Int64, Float64, String, Time, Bool)
 	}
 	for typ, want := range cases {
 		if typ.String() != want {
@@ -103,9 +107,6 @@ func TestTableAccessors(t *testing.T) {
 	if _, err := tbl.Times("id"); err == nil {
 		t.Error("expected type error")
 	}
-	if _, err := tbl.Vectors("id"); err == nil {
-		t.Error("expected type error")
-	}
 	if got := tbl.Schema().String(); got == "" {
 		t.Error("empty schema string")
 	}
@@ -120,45 +121,18 @@ func TestTableAccessors(t *testing.T) {
 	}
 }
 
-func TestVectorColumn(t *testing.T) {
-	vc, err := NewVectorColumn([][]float32{{1, 2}, {3, 4}, {5, 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vc.Len() != 3 || vc.Dim != 2 {
-		t.Fatalf("shape: %d x %d", vc.Len(), vc.Dim)
-	}
-	if r := vc.Row(1); r[0] != 3 || r[1] != 4 {
-		t.Errorf("Row(1) = %v", r)
-	}
-	if vc.Type() != Vector {
-		t.Error("wrong type")
-	}
-	if _, err := NewVectorColumn([][]float32{{1}, {1, 2}}); err == nil {
-		t.Error("expected ragged error")
-	}
-	if _, err := NewVectorColumn([][]float32{{}}); err == nil {
-		t.Error("expected zero-dim error")
-	}
-	emptyCol, err := NewVectorColumn(nil)
-	if err != nil || emptyCol.Len() != 0 {
-		t.Errorf("empty: %v %v", emptyCol, err)
-	}
-}
-
 func TestWithColumn(t *testing.T) {
 	tbl := sampleTable(t)
-	vc, _ := NewVectorColumn([][]float32{{1}, {2}, {3}, {4}, {5}})
-	t2, err := tbl.WithColumn("emb", vc)
+	t2, err := tbl.WithColumn("emb", Float64Column{1, 2, 3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if t2.NumCols() != 6 {
 		t.Errorf("cols = %d", t2.NumCols())
 	}
-	got, err := t2.Vectors("emb")
+	got, err := t2.Floats("emb")
 	if err != nil || got.Len() != 5 {
-		t.Errorf("Vectors: %v", err)
+		t.Errorf("Floats: %v", err)
 	}
 	// Replace existing.
 	t3, err := t2.WithColumn("emb", Int64Column{9, 9, 9, 9, 9})
@@ -299,15 +273,14 @@ func TestSelectMaterialize(t *testing.T) {
 
 func TestGatherAllTypes(t *testing.T) {
 	tbl := sampleTable(t)
-	vc, _ := NewVectorColumn([][]float32{{1, 1}, {2, 2}, {3, 3}, {4, 4}, {5, 5}})
-	t2, _ := tbl.WithColumn("emb", vc)
-	sub, err := t2.Select(Selection{1, 3})
+	sub, err := tbl.Select(Selection{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	emb, _ := sub.Vectors("emb")
-	if emb.Len() != 2 || emb.Row(0)[0] != 2 || emb.Row(1)[0] != 4 {
-		t.Errorf("vector gather: %+v", emb)
+	for c := range tbl.Schema() {
+		if got := sub.ColumnAt(c).Len(); got != 2 {
+			t.Errorf("column %s gathered %d rows, want 2", tbl.Schema()[c].Name, got)
+		}
 	}
 	flags, _ := sub.Column("flag")
 	if flags.(BoolColumn)[0] != false {

@@ -158,22 +158,8 @@ func (t *Table) Times(name string) (TimeColumn, error) {
 	return col, nil
 }
 
-// Vectors returns the named column as *VectorColumn.
-func (t *Table) Vectors(name string) (*VectorColumn, error) {
-	c, err := t.Column(name)
-	if err != nil {
-		return nil, err
-	}
-	col, ok := c.(*VectorColumn)
-	if !ok {
-		return nil, fmt.Errorf("relational: column %q is %v, not VECTOR", name, c.Type())
-	}
-	return col, nil
-}
-
 // WithColumn returns a new table with the named column appended (or
-// replaced, if a column of that name exists). The embedding operator E_µ
-// uses this to attach the vector column it computes.
+// replaced, if a column of that name exists).
 func (t *Table) WithColumn(name string, col Column) (*Table, error) {
 	if col.Len() != t.rows && !(t.rows == 0 && len(t.cols) == 0) {
 		return nil, fmt.Errorf("relational: new column %q has %d rows, table has %d", name, col.Len(), t.rows)

@@ -5,9 +5,10 @@
 //
 // The paper's context-enhanced join runs inside an analytical RDBMS where
 // relational predicates (dates, keys, measures) select tuples before or
-// after the vector operation. This package is that substrate. Embeddings
-// are first-class column values (VectorColumn), honoring the paper's
-// reading of 1NF: a tensor is atomic to the DBMS (Section IV).
+// after the vector operation. This package is that substrate. A join
+// column is a TEXT column; its embeddings are never stored here but
+// derived from the text (package embstore keeps them, keyed by the
+// table's Incarnation).
 package relational
 
 import (
@@ -30,9 +31,8 @@ const (
 	Time
 	// Bool is a boolean column.
 	Bool
-	// Vector is a fixed-dimension float32 embedding column, stored
-	// row-major. Atomic from the engine's point of view.
-	Vector
+	// Tag 5 named a retired stored-embedding column type; no value uses
+	// it, and a table file carrying it is rejected.
 )
 
 // String returns the SQL-ish type name.
@@ -48,8 +48,6 @@ func (t Type) String() string {
 		return "TIMESTAMP"
 	case Bool:
 		return "BOOLEAN"
-	case Vector:
-		return "VECTOR"
 	default:
 		return fmt.Sprintf("Type(%d)", int(t))
 	}
@@ -108,48 +106,6 @@ func (BoolColumn) Type() Type { return Bool }
 // Len implements Column.
 func (c BoolColumn) Len() int { return len(c) }
 
-// VectorColumn stores fixed-dimension float32 embeddings row-major.
-type VectorColumn struct {
-	Dim  int
-	Data []float32 // len == rows*Dim
-}
-
-// NewVectorColumn builds a VectorColumn from row vectors, validating
-// consistent dimensionality.
-func NewVectorColumn(rows [][]float32) (*VectorColumn, error) {
-	if len(rows) == 0 {
-		return &VectorColumn{Dim: 0}, nil
-	}
-	d := len(rows[0])
-	if d == 0 {
-		return nil, fmt.Errorf("relational: zero-dimensional vectors")
-	}
-	c := &VectorColumn{Dim: d, Data: make([]float32, 0, len(rows)*d)}
-	for i, r := range rows {
-		if len(r) != d {
-			return nil, fmt.Errorf("relational: vector row %d has dim %d, want %d", i, len(r), d)
-		}
-		c.Data = append(c.Data, r...)
-	}
-	return c, nil
-}
-
-// Type implements Column.
-func (*VectorColumn) Type() Type { return Vector }
-
-// Len implements Column.
-func (c *VectorColumn) Len() int {
-	if c.Dim == 0 {
-		return 0
-	}
-	return len(c.Data) / c.Dim
-}
-
-// Row returns the i-th embedding as a slice aliasing column storage.
-func (c *VectorColumn) Row(i int) []float32 {
-	return c.Data[i*c.Dim : (i+1)*c.Dim : (i+1)*c.Dim]
-}
-
 // Gather returns a new column containing rows sel of c, in order.
 func Gather(c Column, sel Selection) (Column, error) {
 	switch col := c.(type) {
@@ -181,12 +137,6 @@ func Gather(c Column, sel Selection) (Column, error) {
 		out := make(BoolColumn, len(sel))
 		for i, r := range sel {
 			out[i] = col[r]
-		}
-		return out, nil
-	case *VectorColumn:
-		out := &VectorColumn{Dim: col.Dim, Data: make([]float32, 0, len(sel)*col.Dim)}
-		for _, r := range sel {
-			out.Data = append(out.Data, col.Row(r)...)
 		}
 		return out, nil
 	default:

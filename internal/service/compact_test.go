@@ -3,11 +3,9 @@ package service
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -326,78 +324,5 @@ func TestPinnedQueryAcrossCompaction(t *testing.T) {
 	}
 	if err := ans.Check(toOracle(got), 1e-5, 1); err != nil {
 		t.Fatalf("pinned stream across the compaction: %v", err)
-	}
-}
-
-// A forced index probe answers the same keys before and after a
-// compaction: the per-query index it builds over the compacted rows maps
-// its hits back to the kept rows' ids.
-func TestCompactionKeepsIndexAnswers(t *testing.T) {
-	e, err := Open(Config{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	const n = 600
-	ids := make([]int64, n)
-	angles := make([]float64, n)
-	for i := range ids {
-		ids[i], angles[i] = int64(i), float64(i)*2*math.Pi/n
-	}
-	if err := e.RegisterTable("items", vecTable(t, ids, angles)); err != nil {
-		t.Fatal(err)
-	}
-	probes := []float64{0.31, 1.7, 2.95, 4.4, 5.9}
-	if err := e.RegisterTable("probe", vecTable(t, []int64{0, 1, 2, 3, 4}, probes)); err != nil {
-		t.Fatal(err)
-	}
-	// The planner prices a scan below an index at this size, so the probe
-	// is forced; the pin is the engine's.
-	index := cost.StrategyIndex
-	opt := &plan.Optimizer{Params: cost.DefaultParams(), ForceStrategy: &index}
-	ex := &plan.Executor{Options: core.Options{Kernel: vec.DefaultKernel()}}
-	topKeys := func() [][]int64 {
-		t.Helper()
-		items, _ := e.PinnedTable("items")
-		probe, _ := e.PinnedTable("probe")
-		res, _, err := plan.Run(context.Background(), plan.Query{
-			Left:  probe.Bind(plan.TableRef{Name: "probe", VectorColumn: "vec"}),
-			Right: items.Bind(plan.TableRef{Name: "items", VectorColumn: "vec"}),
-			Join:  plan.JoinSpec{Kind: plan.TopKJoin, K: 3, Threshold: -2},
-		}, ex, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Strategy != cost.StrategyIndex || len(res.Matches) != 3*len(probes) {
-			t.Fatalf("%d matches by %v, want %d by the index probe", len(res.Matches), res.Strategy, 3*len(probes))
-		}
-		col, _ := items.Table.Ints("id")
-		keys := make([][]int64, len(probes))
-		for _, m := range res.Matches {
-			keys[m.Left] = append(keys[m.Left], col[m.Right])
-		}
-		return keys
-	}
-	before := topKeys()
-	answer := make(map[int64]bool)
-	for _, ks := range before {
-		for _, k := range ks {
-			answer[k] = true
-		}
-	}
-	var del []string
-	for i := int64(0); i < n && len(del) < 301; i++ {
-		if !answer[i] {
-			del = append(del, strconv.FormatInt(i, 10))
-		}
-	}
-	if _, err := e.DeleteRows(context.Background(), "items", "id", del); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats().Mutation; st.Compactions != 1 {
-		t.Fatalf("%d compactions, want 1", st.Compactions)
-	}
-	if after := topKeys(); !reflect.DeepEqual(after, before) {
-		t.Fatalf("index answers after the compaction %v, before %v", after, before)
 	}
 }

@@ -47,6 +47,23 @@ func newTestEngine(t *testing.T, cfg Config) (*Engine, *model.CountingModel) {
 
 func ptr(v float64) *float64 { return &v }
 
+// compass embeds three words on exact unit directions of the plane.
+type compass struct{}
+
+func (compass) Embed(s string) ([]float32, error) {
+	switch s {
+	case "east":
+		return []float32{1, 0}, nil
+	case "west":
+		return []float32{-1, 0}, nil
+	case "north":
+		return []float32{0, 1}, nil
+	}
+	return nil, fmt.Errorf("compass: no direction %q", s)
+}
+func (compass) Dim() int     { return 2 }
+func (compass) Name() string { return "compass" }
+
 func stringTable(vals []string) (*relational.Table, error) {
 	schema := relational.Schema{{Name: "text", Type: relational.String}}
 	return relational.NewTable(schema, []relational.Column{relational.StringColumn(vals)})
@@ -137,28 +154,24 @@ func TestEngineStructuredJoin(t *testing.T) {
 
 	// An explicit threshold of 0 on a topk join must filter out
 	// negative-similarity matches (0 is a real cutoff, not "absent").
-	// Vector columns make the similarities exact: {0, -1} for the pair.
-	vecTable := func(rows [][]float32) *relational.Table {
-		vc, err := relational.NewVectorColumn(rows)
+	// A model of three fixed directions makes the similarities exact:
+	// {0, -1} for the pair.
+	ce, err := NewEngine(Config{Model: compass{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ce.Close()
+	for name, words := range map[string][]string{"vl": {"east"}, "vr": {"west", "north"}} {
+		tbl, err := stringTable(words)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tbl, err := relational.NewTable(
-			relational.Schema{{Name: "v", Type: relational.Vector}},
-			[]relational.Column{vc})
-		if err != nil {
+		if err := ce.RegisterTable(name, tbl); err != nil {
 			t.Fatal(err)
 		}
-		return tbl
 	}
-	if err := e.RegisterTable("vl", vecTable([][]float32{{1, 0}})); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RegisterTable("vr", vecTable([][]float32{{-1, 0}, {0, 1}})); err != nil {
-		t.Fatal(err)
-	}
-	vq := JoinRequest{LeftTable: "vl", LeftColumn: "v", RightTable: "vr", RightColumn: "v", Kind: "topk", K: 2}
-	unfiltered, err := e.Query(ctx, QueryRequest{Join: &vq})
+	vq := JoinRequest{LeftTable: "vl", LeftColumn: "text", RightTable: "vr", RightColumn: "text", Kind: "topk", K: 2}
+	unfiltered, err := ce.Query(ctx, QueryRequest{Join: &vq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +179,7 @@ func TestEngineStructuredJoin(t *testing.T) {
 		t.Fatalf("unfiltered top-2 = %d matches, want 2", len(unfiltered.Matches))
 	}
 	vq.Threshold = ptr(0.0)
-	zero, err := e.Query(ctx, QueryRequest{Join: &vq})
+	zero, err := ce.Query(ctx, QueryRequest{Join: &vq})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,6 @@ import (
 	"ejoin/internal/model"
 	"ejoin/internal/obs"
 	"ejoin/internal/plan"
-	"ejoin/internal/relational"
 	"ejoin/internal/sqlish"
 	"ejoin/internal/vec"
 )
@@ -404,28 +403,15 @@ func (f *Frontend) bindJoinRequest(jr *JoinRequest) (plan.Query, error) {
 	return q, nil
 }
 
-// bindSide resolves one table+column pair, routing the column to its
-// text or vector role by declared type.
+// bindSide resolves one table+column pair under the join-column rule
+// SQL statements bind by (sqlish.BindJoinColumn).
 func (f *Frontend) bindSide(table, column string) (plan.TableRef, error) {
-	var ref plan.TableRef
 	t, ok := f.catalog.Get(table)
 	if !ok {
-		return ref, fmt.Errorf("service: unknown table %q", table)
+		return plan.TableRef{}, fmt.Errorf("service: unknown table %q", table)
 	}
-	idx := t.Schema().IndexOf(column)
-	if idx < 0 {
-		return ref, fmt.Errorf("service: table %q has no column %q", table, column)
-	}
-	ref = plan.TableRef{Name: table, Table: t}
-	switch t.Schema()[idx].Type {
-	case relational.String:
-		ref.TextColumn = column
-	case relational.Vector:
-		ref.VectorColumn = column
-	default:
-		return ref, fmt.Errorf("service: join column %s.%s must be TEXT or VECTOR", table, column)
-	}
-	return ref, nil
+	ref := plan.TableRef{Name: table, Table: t}
+	return ref, sqlish.BindJoinColumn(&ref, column)
 }
 
 // PurgeStalePlans drops cached plans bound under an older catalog

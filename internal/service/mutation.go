@@ -211,8 +211,6 @@ func (e *Engine) UpsertRows(ctx context.Context, name, keyCol string, batch *rel
 }
 
 // UpsertCSV parses CSV rows under the table's schema and upserts them.
-// Tables with vector columns cannot ingest CSV (no vector literal form);
-// use UpsertRows.
 func (e *Engine) UpsertCSV(ctx context.Context, name, keyCol string, r io.Reader) (MutationResult, error) {
 	ts := e.mut.get(name)
 	if ts == nil {

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 	"strings"
@@ -327,24 +326,6 @@ func TestMutationConcurrentReadersSeeWholeGenerations(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	writer.Wait()
-}
-
-// vecTable builds an {id:int64, vec:vector} table from angles on the unit
-// circle, so nearest-neighbor order is known in closed form.
-func vecTable(t *testing.T, ids []int64, angles []float64) *relational.Table {
-	t.Helper()
-	vc := &relational.VectorColumn{Dim: 4}
-	for _, a := range angles {
-		vc.Data = append(vc.Data, float32(math.Cos(a)), float32(math.Sin(a)), 0, 0)
-	}
-	tbl, err := relational.NewTable(
-		relational.Schema{{Name: "id", Type: relational.Int64}, {Name: "vec", Type: relational.Vector}},
-		[]relational.Column{relational.Int64Column(ids), vc},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tbl
 }
 
 // TestMutationChurnDoesNotGrowStore: under upsert/delete churn the shared

@@ -94,8 +94,6 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	mw.Counter("ejoin_traced_queries_total", "Queries that carried a trace.", float64(ob.TracedQueries))
 	mw.Gauge("ejoin_slow_log_entries", "Traces retained in the slow-query ring.", float64(ob.SlowLogEntries))
 
-	mw.Counter("ejoin_feedback_regret_total", "Queries whose post-hoc observed costs favored a different strategy.", float64(st.Feedback.Regret))
-
 	mw.Histogram("ejoin_query_duration_seconds",
 		"End-to-end latency of served queries.", &e.front.obs.latency)
 	mw.HistogramVec("ejoin_query_strategy_duration_seconds",

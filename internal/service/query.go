@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ejoin/internal/core"
-	"ejoin/internal/model"
 	"ejoin/internal/obs"
 	"ejoin/internal/plan"
 	"ejoin/internal/relational"
@@ -134,7 +133,7 @@ func (e *Engine) PlanQuery(q plan.Query) (QueryRun, int64, int64, error) {
 	// A plan is charged its build side plus one probe block — what the
 	// pipeline holds — not both whole inputs: charging for the probe side
 	// would serialize queries that can safely run concurrently.
-	weight := plan.EstimateFootprint(optimized, FootprintDim(e.model, q.Left, q.Right), e.exec.BlockRows)
+	weight := plan.EstimateFootprint(optimized, e.model.Dim(), e.exec.BlockRows)
 	return &engineRun{e: e, q: q, j: optimized}, weight, optimized.EstRows, nil
 }
 
@@ -182,21 +181,4 @@ func (r *engineRun) Run(ctx context.Context, req QueryRequest) (*QueryResult, er
 		out.Table = tbl
 	}
 	return out, nil
-}
-
-// FootprintDim is the embedding dimensionality admission charges a plan
-// over refs for: the model's, widened by any precomputed vector column's
-// own (often larger) dimensionality — weighing by the model's dim alone
-// would undercount such columns and overcommit the byte budget.
-func FootprintDim(m model.Model, refs ...plan.TableRef) int {
-	dim := m.Dim()
-	for _, ref := range refs {
-		if ref.VectorColumn == "" || ref.Table == nil {
-			continue
-		}
-		if vc, err := ref.Table.Vectors(ref.VectorColumn); err == nil && vc.Dim > dim {
-			dim = vc.Dim
-		}
-	}
-	return dim
 }

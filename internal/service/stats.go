@@ -69,8 +69,6 @@ type ServerStats struct {
 	// Cost surfaces the planner's effective cost-model coefficients and
 	// whether they came from machine calibration.
 	Cost CostStats `json:"cost"`
-	// Feedback describes the cardinality-feedback loop: the regret count.
-	Feedback FeedbackStats `json:"feedback"`
 }
 
 // Stats snapshots the engine's statistics.
@@ -89,8 +87,7 @@ func (e *Engine) Stats() ServerStats {
 			EarlyOutRows:     e.counters.execEarlyOut.Load(),
 			BlockRows:        e.cfg.ExecBlockRows,
 		},
-		Obs:      obsStats,
-		Cost:     e.costStats(),
-		Feedback: e.feedbackStats(),
+		Obs:  obsStats,
+		Cost: e.costStats(),
 	}
 }

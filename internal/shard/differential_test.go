@@ -18,13 +18,9 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"ejoin/internal/core"
-	"ejoin/internal/cost"
 	"ejoin/internal/model"
-	"ejoin/internal/plan"
 	"ejoin/internal/relational"
 	"ejoin/internal/service"
-	"ejoin/internal/vec"
 	"ejoin/internal/workload"
 )
 
@@ -249,80 +245,9 @@ func TestShardDifferentialAuto(t *testing.T) {
 }
 
 // TestShardDifferentialTensor requires the strategy labels to agree too:
-// neither backend has an index to probe, so both run the tensor scan.
+// both backends run the tensor scan, the one join operator.
 func TestShardDifferentialTensor(t *testing.T) {
 	runDifferential(t, diffConfig(t), wideGrid(), diffRequests(), true)
-}
-
-// TestShardDifferentialIndex pins the index strategy: the router through
-// its planner, the reference through plan.Optimizer over the unsharded
-// engine's pinned tables, with the engine's executor settings. Every
-// router stream builds its HNSW over the merged build, which holds the
-// unsharded build matrix row for row, so even the tied corpus's equal
-// similarities come back in the reference's order.
-func TestShardDifferentialIndex(t *testing.T) {
-	cfg := diffConfig(t)
-	ref := newUnsharded(t, cfg, loadCorpus)
-	index := cost.StrategyIndex
-	ctx := context.Background()
-	ks := []int{2, 1}
-	want := make([][]core.Match, len(ks))
-	for i, k := range ks {
-		lp, _ := ref.PinnedTable("l")
-		rp, _ := ref.PinnedTable("r")
-		naive, err := plan.NewNaivePlan(plan.Query{
-			Left:  lp.Bind(plan.TableRef{Name: "l", TextColumn: "word"}),
-			Right: rp.Bind(plan.TableRef{Name: "r", TextColumn: "term"}),
-			Model: ref.Model(),
-			Join:  plan.JoinSpec{Kind: plan.TopKJoin, K: k, Threshold: -2},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := (&plan.Optimizer{Params: cost.DefaultParams(), ForceStrategy: &index}).Optimize(naive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex := &plan.Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: cfg.Threads}, Store: ref.Store(), BlockRows: cfg.ExecBlockRows}
-		res, err := ex.ExecuteStreaming(ctx, j, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Matches) == 0 {
-			t.Fatalf("top-%d reference produced no matches; differential is vacuous", k)
-		}
-		want[i] = res.Matches
-	}
-	for _, g := range wideGrid() {
-		t.Run(g.name(), func(t *testing.T) {
-			rt := newRouter(t, cfg, g.shards, g.part, loadCorpus)
-			rt.opt.ForceStrategy = &index
-			for i, k := range ks {
-				req := service.QueryRequest{SQL: "SELECT * FROM l JOIN r ON TOPK(l.word, r.term, " + strconv.Itoa(k) + ")"}
-				got, err := rt.Query(ctx, req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Strategy != index.String() {
-					t.Errorf("top-%d: router ran %s", k, got.Strategy)
-				}
-				label := "top-" + strconv.Itoa(k)
-				wantRes := &service.QueryResult{Matches: want[i]}
-				assertSameMatches(t, label, wantRes, got)
-				// Repeated, the query is served warm: the HNSW is built
-				// again over the merged build from cached embeddings, with
-				// the same matches at zero model calls.
-				again, err := rt.Query(ctx, req)
-				if err != nil {
-					t.Fatalf("%s, repeated: %v", label, err)
-				}
-				assertSameMatches(t, label+" repeated", wantRes, again)
-				if again.Stats.ModelCalls != 0 {
-					t.Errorf("%s: repeated query made %d model calls, want 0", label, again.Stats.ModelCalls)
-				}
-			}
-		})
-	}
 }
 
 // TestShardEstRowsMatchEngine holds the plan span's est_rows to a freshly

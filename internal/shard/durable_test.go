@@ -159,8 +159,8 @@ func TestRouterManifestTailTrim(t *testing.T) {
 
 // TestRouterStatsAndMetrics exercises the aggregated observability
 // surface: fan-out counters, per-shard sections, one physical strategy
-// per fan-out under the global access-path pin, and one well-formed
-// ejoin_shard_* exposition.
+// per fan-out (the tensor scan), and one well-formed ejoin_shard_*
+// exposition.
 func TestRouterStatsAndMetrics(t *testing.T) {
 	cfg := diffConfig(t)
 	r := newRouter(t, cfg, 4, "hash", loadCorpus)
@@ -196,14 +196,10 @@ func TestRouterStatsAndMetrics(t *testing.T) {
 			t.Errorf("shard %d engine counted %d queries; the router executes queries itself", s, ps.Queries)
 		}
 	}
-	known := map[string]bool{}
-	for _, s := range []cost.Strategy{cost.StrategyTensor, cost.StrategyIndex} {
-		known[s.String()] = true
-	}
 	var recorded int64
 	for name, n := range st.Strategies {
-		if !known[name] {
-			t.Errorf("%d fan-outs recorded strategy %q, not a physical strategy", n, name)
+		if name != cost.StrategyTensor.String() {
+			t.Errorf("%d fan-outs recorded strategy %q, not the tensor scan", n, name)
 		}
 		recorded += n
 	}

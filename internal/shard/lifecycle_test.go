@@ -99,9 +99,9 @@ func TestRequestContract(t *testing.T) {
 		{name: "unknown table", req: service.QueryRequest{Join: join("nosuch", "word", "r", "term", "", 0, nil)},
 			bad: true, err: `service: unknown table "nosuch"`},
 		{name: "unknown column", req: service.QueryRequest{Join: join("l", "nosuch", "r", "term", "", 0, nil)},
-			bad: true, err: `service: table "l" has no column "nosuch"`},
+			bad: true, err: `table "l" has no column "nosuch"`},
 		{name: "non-text column", req: service.QueryRequest{Join: join("l", "n", "r", "term", "", 0, nil)},
-			bad: true, err: "service: join column l.n must be TEXT or VECTOR"},
+			bad: true, err: "join column l.n must be TEXT, is BIGINT"},
 		{name: "bad kind", req: service.QueryRequest{Join: join("l", "word", "r", "term", "fuzzy", 0, nil)},
 			bad: true, err: `service: unknown join kind "fuzzy"`},
 		{name: "k <= 0", req: service.QueryRequest{Join: join("l", "word", "r", "term", "topk", 0, nil)},

@@ -28,8 +28,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"strconv"
-	"strings"
 
 	"ejoin/internal/embstore"
 	"ejoin/internal/mat"
@@ -56,16 +54,8 @@ type Partitioner interface {
 // partitionKey renders one row of the routing column in the same
 // canonical form the mutation layer keys rows by, so hash placement and
 // upsert-key identity agree wherever the routing column is the key
-// column. Vector columns (no KeyString form) render their raw values.
+// column.
 func partitionKey(col relational.Column, row int) string {
-	if vc, ok := col.(*relational.VectorColumn); ok {
-		var b strings.Builder
-		for _, v := range vc.Row(row) {
-			b.WriteString(strconv.FormatFloat(float64(v), 'g', -1, 32))
-			b.WriteByte(',')
-		}
-		return b.String()
-	}
 	s, err := mutation.KeyString(col, row)
 	if err != nil {
 		return fmt.Sprintf("%v", row)
@@ -97,8 +87,8 @@ func (h *hashPartitioner) Owners(_ context.Context, _ *tableMeta, batch *relatio
 }
 
 // centroidPartitioner is the centroid-affine strategy: k-means over the
-// first ingest's embeddings (first vector column, else first string
-// column embedded through the shared store), one centroid per shard, so
+// first ingest's embeddings (its first string column, embedded through
+// the shared store), one centroid per shard, so
 // similar rows — and therefore IVF posting lists — co-locate. Centroids
 // are frozen at fit time and persisted in the shard manifest; a table
 // whose first batch is too small (or has no embeddable column) falls
@@ -112,40 +102,22 @@ type centroidPartitioner struct {
 
 func (c *centroidPartitioner) Kind() string { return "centroid" }
 
-// embedColumn returns the routing column's name and role for tm's schema:
-// the first vector column, else the first string column, else "".
-func embedColumn(schema relational.Schema) (name string, isVector bool) {
-	for _, f := range schema {
-		if f.Type == relational.Vector {
-			return f.Name, true
-		}
-	}
+// embedColumn returns the routing column's name for tm's schema: the
+// first string column, else "".
+func embedColumn(schema relational.Schema) string {
 	for _, f := range schema {
 		if f.Type == relational.String {
-			return f.Name, false
+			return f.Name
 		}
 	}
-	return "", false
+	return ""
 }
 
 // rowVectors gathers normalized per-row embeddings for the routing column.
 func (c *centroidPartitioner) rowVectors(ctx context.Context, batch *relational.Table) (*mat.Matrix, error) {
-	col, isVec := embedColumn(batch.Schema())
+	col := embedColumn(batch.Schema())
 	if col == "" {
-		return nil, fmt.Errorf("shard: table has no vector or text column to centroid-partition by")
-	}
-	if isVec {
-		vc, err := batch.Vectors(col)
-		if err != nil {
-			return nil, err
-		}
-		m, err := mat.FromFlat(vc.Len(), vc.Dim, vc.Data)
-		if err != nil {
-			return nil, err
-		}
-		m = m.Clone()
-		m.NormalizeRows()
-		return m, nil
+		return nil, fmt.Errorf("shard: table has no text column to centroid-partition by")
 	}
 	texts, err := batch.Strings(col)
 	if err != nil {
@@ -164,7 +136,7 @@ func (c *centroidPartitioner) rowVectors(ctx context.Context, batch *relational.
 // shard count (or without an embeddable column) set the permanent hash
 // fallback instead of fitting a degenerate clustering.
 func (c *centroidPartitioner) Fit(ctx context.Context, tm *tableMeta, batch *relational.Table) error {
-	if col, _ := embedColumn(batch.Schema()); col == "" || batch.NumRows() < c.shards {
+	if embedColumn(batch.Schema()) == "" || batch.NumRows() < c.shards {
 		tm.hashFallback = true
 		return nil
 	}

@@ -144,7 +144,7 @@ func (r *Router) PlanQuery(q plan.Query) (service.QueryRun, int64, int64, error)
 			return nil, 0, 0, err
 		}
 		f.plans[s] = jp
-		weight += plan.EstimateFootprint(jp, service.FootprintDim(r.model, pq.Left, pq.Right), r.exec.BlockRows)
+		weight += plan.EstimateFootprint(jp, r.model.Dim(), r.exec.BlockRows)
 	}
 	return f, weight, f.estRows, nil
 }

@@ -90,12 +90,8 @@ func Open(cfg Config) (*Router, error) {
 	}
 	ecfg := res.Config
 	// Orientation is one global decision (query.go); a per-shard re-swap
-	// would break stream merging. The access path is no decision at all:
-	// router shards carry no index, and the merged build has none to
-	// probe, so every plan of a fan-out is the tensor scan.
+	// would break stream merging.
 	res.Opt.DisableReorder = true
-	tensor := cost.StrategyTensor
-	res.Opt.ForceStrategy = &tensor
 	r := &Router{
 		nshards:    n,
 		model:      ecfg.Model,
@@ -247,8 +243,6 @@ func emptySchemaTable(schema relational.Schema) *relational.Table {
 			cols[i] = relational.TimeColumn{}
 		case relational.Bool:
 			cols[i] = relational.BoolColumn{}
-		case relational.Vector:
-			cols[i] = &relational.VectorColumn{Dim: 1}
 		}
 	}
 	t, err := relational.NewTable(schema, cols)

@@ -154,10 +154,10 @@ func Bind(stmt *Stmt, c *Catalog, m model.Model) (plan.Query, error) {
 
 	q.Left = plan.TableRef{Name: stmt.LeftTable, Table: leftTbl}
 	q.Right = plan.TableRef{Name: stmt.RightTable, Table: rightTbl}
-	if err := bindJoinColumn(&q.Left, lc); err != nil {
+	if err := BindJoinColumn(&q.Left, lc.Column); err != nil {
 		return q, err
 	}
-	if err := bindJoinColumn(&q.Right, rc); err != nil {
+	if err := BindJoinColumn(&q.Right, rc.Column); err != nil {
 		return q, err
 	}
 	q.Model = m
@@ -185,22 +185,18 @@ func Bind(stmt *Stmt, c *Catalog, m model.Model) (plan.Query, error) {
 	return q, nil
 }
 
-// bindJoinColumn routes a join column to TextColumn or VectorColumn by its
-// declared type.
-func bindJoinColumn(ref *plan.TableRef, col ColRef) error {
-	idx := ref.Table.Schema().IndexOf(col.Column)
+// BindJoinColumn makes column of ref's table its join column, the TEXT
+// column E_µ embeds. It is the one join-column rule: SQL statements and
+// structured join requests both bind through it.
+func BindJoinColumn(ref *plan.TableRef, column string) error {
+	idx := ref.Table.Schema().IndexOf(column)
 	if idx < 0 {
-		return fmt.Errorf("sqlish: table %q has no column %q", col.Table, col.Column)
+		return fmt.Errorf("sqlish: table %q has no column %q", ref.Name, column)
 	}
-	switch ref.Table.Schema()[idx].Type {
-	case relational.String:
-		ref.TextColumn = col.Column
-	case relational.Vector:
-		ref.VectorColumn = col.Column
-	default:
-		return fmt.Errorf("sqlish: join column %s must be TEXT or VECTOR, is %v",
-			col, ref.Table.Schema()[idx].Type)
+	if typ := ref.Table.Schema()[idx].Type; typ != relational.String {
+		return fmt.Errorf("sqlish: join column %s.%s must be TEXT, is %v", ref.Name, column, typ)
 	}
+	ref.TextColumn = column
 	return nil
 }
 

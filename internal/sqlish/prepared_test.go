@@ -79,7 +79,7 @@ func TestRunWithErrorPaths(t *testing.T) {
 		{"mismatched join tables", "SELECT * FROM catalog JOIN feed ON SIM(catalog.name, catalog.name) >= 0.5", "do not match"},
 		{"predicate table", "SELECT * FROM catalog JOIN feed ON SIM(catalog.name, feed.title) >= 0.5 WHERE other.x = 1", "not in FROM"},
 		{"predicate type", "SELECT * FROM catalog JOIN feed ON SIM(catalog.name, feed.title) >= 0.5 WHERE catalog.sku = 'abc'", "integer literal"},
-		{"join column type", "SELECT * FROM catalog JOIN feed ON SIM(catalog.sku, feed.title) >= 0.5", "must be TEXT or VECTOR"},
+		{"join column type", "SELECT * FROM catalog JOIN feed ON SIM(catalog.sku, feed.title) >= 0.5", "must be TEXT, is BIGINT"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
