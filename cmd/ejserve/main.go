@@ -75,8 +75,7 @@ func main() {
 		planCache      = flag.Int("plan-cache", 256, "prepared query cache entries")
 		threads        = flag.Int("threads", 0, "per-query worker threads (0 = GOMAXPROCS)")
 		drain          = flag.Duration("drain", 10*time.Second, "graceful shutdown drain window")
-		dataDir        = flag.String("data-dir", "", "data directory for durable state (empty = memory-only); restarts on the same directory serve warm")
-		segmentBytes   = flag.Int64("segment-bytes", 64<<20, "embedding log segment size before rotation")
+		dataDir        = flag.String("data-dir", "", "data directory for durable state: table files, a manifest and one WAL of mutations and computed embeddings (empty = memory-only); restarts on the same directory serve warm")
 		slowThreshold  = flag.Duration("slow-query-threshold", 0, "minimum elapsed time for a trace to enter the slow-query ring (0 = record every query; the worst-N set is kept regardless)")
 		disableTracing = flag.Bool("disable-tracing", false, "skip per-query traces (explain requests still trace; histograms and counters stay on)")
 		execBlockRows  = flag.Int("exec-block-rows", 0, "executor probe-side block size in rows (0 = default 4096); results do not depend on it")
@@ -97,7 +96,6 @@ func main() {
 		PlanCacheSize:  *planCache,
 		Threads:        *threads,
 		DataDir:        *dataDir,
-		SegmentBytes:   *segmentBytes,
 
 		ExecBlockRows: *execBlockRows,
 

@@ -3,25 +3,22 @@
 // crashes.
 //
 // The paper's central cost observation is that the embedding operator E_µ
-// dominates end-to-end join time. PR 1 amortized it across queries with an
-// in-memory store; this package amortizes it across process lifetimes.
-// Two artifacts persist, each with its own format and recovery story:
-//
-//   - the embedding cache, as an append-only, checksummed segment log of
-//     (model fingerprint, input, vector) records (Log). Appends are
-//     write-behind from the store's insert hook (Persister); recovery
-//     replays segments in order, truncates a torn tail, and skips past
-//     corrupt records instead of crashing or serving bad vectors;
-//   - the table catalog, as a manifest (MANIFEST.json) naming one
-//     checksummed columnar table file per registered table
-//     (WriteTableFile/ReadTableFile), so ingested tables reopen on boot.
+// dominates end-to-end join time. The embedding store amortizes it across
+// queries; a data directory amortizes it across process lifetimes. This
+// package holds the formats and helpers of the table catalog: a manifest
+// (MANIFEST.json) naming one checksummed columnar table file per
+// registered table (WriteTableFile/ReadTableFile), so ingested tables
+// reopen on boot. The directory's one log, the mutation WAL (package
+// mutation), carries the mutations since the last checkpoint and the
+// vectors the embedding store computed, so a reboot serves them without
+// a model call.
 //
 // Layout of a data directory:
 //
 //	<dir>/
 //	  MANIFEST.json          table catalog (atomic rewrite)
-//	  emb/seg-XXXXXXXXXX.log embedding segment log, ascending ids
-//	  tables/<name>.tbl      columnar table files
+//	  tables/<name>.tbl      columnar table files (and checkpoint sidecars)
+//	  wal.log                mutation WAL: mutations and embeddings
 //
 // Every multi-byte integer on disk is little-endian; every file carries a
 // magic header; every record and file body is CRC-checked (Castagnoli).
@@ -40,7 +37,6 @@ import (
 // Subdirectory and file names inside a data directory.
 const (
 	ManifestName = "MANIFEST.json"
-	EmbDirName   = "emb"
 	TableDirName = "tables"
 	WalName      = "wal.log"
 )
@@ -56,9 +52,6 @@ type Layout struct {
 
 // ManifestPath is the table-catalog manifest file.
 func (l Layout) ManifestPath() string { return filepath.Join(l.Dir, ManifestName) }
-
-// EmbDir is the embedding segment log directory.
-func (l Layout) EmbDir() string { return filepath.Join(l.Dir, EmbDirName) }
 
 // TableDir is the columnar table file directory.
 func (l Layout) TableDir() string { return filepath.Join(l.Dir, TableDirName) }
@@ -126,7 +119,7 @@ func IsCheckpointFile(base string) bool {
 
 // Create makes the directory tree (idempotent).
 func (l Layout) Create() error {
-	for _, d := range []string{l.Dir, l.EmbDir(), l.TableDir()} {
+	for _, d := range []string{l.Dir, l.TableDir()} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return fmt.Errorf("durable: creating %s: %w", d, err)
 		}
@@ -162,8 +155,8 @@ func sanitizeName(name string) string {
 // The parent directory is fsynced after the rename, so the committed name
 // survives a crash (a rename alone is only durable once its directory
 // entry reaches disk). This is the one shared write-commit helper: the
-// manifest, table files, compacted log segments, and the
-// mutation layer's tombstone sidecars all go through it.
+// manifest, table files, the mutation layer's tombstone sidecars and its
+// rewritten WAL all go through it.
 func AtomicWriteFile(path string, fn func(w io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")

@@ -1,12 +1,13 @@
 package durable
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -28,8 +29,12 @@ import (
 
 var tblMagic = [8]byte{'E', 'J', 'T', 'B', 'L', '0', '0', '1'}
 
-// maxTableCols bounds the column count a reader will trust.
-const maxTableCols = 1 << 16
+// maxTableCols bounds the column count a reader will trust, and
+// maxStringLen the length of one string value.
+const (
+	maxTableCols = 1 << 16
+	maxStringLen = 1 << 24
+)
 
 // readChunkRows bounds how many rows of a dense column are allocated and
 // read at once. A corrupt row count (the header precedes the CRC check,
@@ -37,22 +42,6 @@ const maxTableCols = 1 << 16
 // after at most one chunk of over-allocation — never a multi-terabyte
 // make() panic.
 const readChunkRows = 1 << 16
-
-// crcWriter tracks a running checksum of everything written.
-type crcWriter struct {
-	w   io.Writer
-	sum hash.Hash32
-}
-
-func newCRCWriter(w io.Writer) *crcWriter {
-	return &crcWriter{w: w, sum: crc32.New(crcTable)}
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.sum.Write(p[:n])
-	return n, err
-}
 
 // crcReader tracks a running checksum of everything read.
 type crcReader struct {
@@ -70,84 +59,65 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteTable serializes t.
-func WriteTable(w io.Writer, t *relational.Table) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	cw := newCRCWriter(bw)
+// AppendTable appends the encoding of t to buf.
+func AppendTable(buf []byte, t *relational.Table) ([]byte, error) {
 	le := binary.LittleEndian
-	if _, err := cw.Write(tblMagic[:]); err != nil {
-		return fmt.Errorf("durable: writing table header: %w", err)
-	}
+	start := len(buf)
 	schema := t.Schema()
-	if err := binary.Write(cw, le, uint32(len(schema))); err != nil {
-		return fmt.Errorf("durable: writing table header: %w", err)
-	}
-	if err := binary.Write(cw, le, uint64(t.NumRows())); err != nil {
-		return fmt.Errorf("durable: writing table header: %w", err)
-	}
-	writeString := func(s string) error {
-		if err := binary.Write(cw, le, uint32(len(s))); err != nil {
-			return err
-		}
-		_, err := io.WriteString(cw, s)
-		return err
-	}
+	buf = append(buf, tblMagic[:]...)
+	buf = le.AppendUint32(buf, uint32(len(schema)))
+	buf = le.AppendUint64(buf, uint64(t.NumRows()))
 	for i, f := range schema {
-		if err := binary.Write(cw, le, uint16(len(f.Name))); err != nil {
-			return fmt.Errorf("durable: writing column %q: %w", f.Name, err)
-		}
-		if _, err := io.WriteString(cw, f.Name); err != nil {
-			return fmt.Errorf("durable: writing column %q: %w", f.Name, err)
-		}
-		if err := binary.Write(cw, le, uint8(f.Type)); err != nil {
-			return fmt.Errorf("durable: writing column %q: %w", f.Name, err)
-		}
-		var err error
+		buf = le.AppendUint16(buf, uint16(len(f.Name)))
+		buf = append(append(buf, f.Name...), byte(f.Type))
 		switch col := t.ColumnAt(i).(type) {
 		case relational.Int64Column:
-			err = binary.Write(cw, le, []int64(col))
+			for _, v := range col {
+				buf = le.AppendUint64(buf, uint64(v))
+			}
 		case relational.Float64Column:
-			err = binary.Write(cw, le, []float64(col))
+			for _, v := range col {
+				buf = le.AppendUint64(buf, math.Float64bits(v))
+			}
 		case relational.StringColumn:
-			for _, s := range col {
-				if err = writeString(s); err != nil {
-					break
-				}
+			for _, v := range col {
+				buf = append(le.AppendUint32(buf, uint32(len(v))), v...)
 			}
 		case relational.TimeColumn:
-			for _, ts := range col {
-				if err = binary.Write(cw, le, ts.Unix()); err != nil {
-					break
-				}
-				if err = binary.Write(cw, le, int32(ts.Nanosecond())); err != nil {
-					break
-				}
+			for _, v := range col {
+				buf = le.AppendUint32(le.AppendUint64(buf, uint64(v.Unix())), uint32(v.Nanosecond()))
 			}
 		case relational.BoolColumn:
-			bs := make([]byte, len(col))
-			for r, b := range col {
-				if b {
-					bs[r] = 1
+			for _, v := range col {
+				b := byte(0)
+				if v {
+					b = 1
 				}
+				buf = append(buf, b)
 			}
-			_, err = cw.Write(bs)
 		default:
-			err = fmt.Errorf("unsupported column type %v", f.Type)
-		}
-		if err != nil {
-			return fmt.Errorf("durable: writing column %q: %w", f.Name, err)
+			return nil, fmt.Errorf("durable: writing column %q: unsupported column type %v", f.Name, f.Type)
 		}
 	}
-	if err := binary.Write(bw, le, cw.sum.Sum32()); err != nil {
-		return fmt.Errorf("durable: writing table checksum: %w", err)
-	}
-	return bw.Flush()
+	return le.AppendUint32(buf, crc32.Checksum(buf[start:], crcTable)), nil
 }
 
-// ReadTable deserializes a table written by WriteTable, verifying the
-// trailing checksum before returning it.
-func ReadTable(r io.Reader) (*relational.Table, error) {
-	cr := newCRCReader(bufio.NewReaderSize(r, 1<<16))
+// DecodeTable deserializes p, which must hold exactly one table
+// AppendTable encoded, verifying the trailing checksum before returning
+// it. It accepts only the encoding AppendTable gives the table it returns
+// (bools are 0 or 1, nanoseconds below 1e9), so a table it decodes
+// re-encodes to the same bytes.
+func DecodeTable(p []byte) (*relational.Table, error) {
+	r := bytes.NewReader(p)
+	t, err := readTable(r)
+	if err == nil && r.Len() > 0 {
+		return nil, fmt.Errorf("durable: %d bytes after the table", r.Len())
+	}
+	return t, err
+}
+
+func readTable(r io.Reader) (*relational.Table, error) {
+	cr := newCRCReader(r)
 	le := binary.LittleEndian
 	var magic [8]byte
 	if _, err := io.ReadFull(cr, magic[:]); err != nil {
@@ -176,7 +146,7 @@ func ReadTable(r io.Reader) (*relational.Table, error) {
 		if err := binary.Read(cr, le, &n); err != nil {
 			return "", err
 		}
-		if n > maxInputLen {
+		if n > maxStringLen {
 			return "", fmt.Errorf("implausible string length %d", n)
 		}
 		buf := make([]byte, n)
@@ -263,6 +233,10 @@ func ReadTable(r io.Reader) (*relational.Table, error) {
 				if err = binary.Read(cr, le, &nsec); err != nil {
 					break
 				}
+				if nsec < 0 || nsec >= 1e9 {
+					err = fmt.Errorf("row %d: %d nanoseconds", r, nsec)
+					break
+				}
 				col = append(col, time.Unix(sec, int64(nsec)).UTC())
 			}
 			cols[i] = col
@@ -274,7 +248,10 @@ func ReadTable(r io.Reader) (*relational.Table, error) {
 					return err
 				}
 				for _, b := range bs {
-					col = append(col, b != 0)
+					if b > 1 {
+						return fmt.Errorf("bool byte %d", b)
+					}
+					col = append(col, b == 1)
 				}
 				return nil
 			})
@@ -294,22 +271,30 @@ func ReadTable(r io.Reader) (*relational.Table, error) {
 	if crc != want {
 		return nil, fmt.Errorf("durable: table failed checksum (corrupt file?)")
 	}
-	return relational.NewTable(schema, cols)
+	t, err := relational.NewTable(schema, cols)
+	if err == nil && t.NumRows() != rows {
+		return nil, fmt.Errorf("durable: %d rows in a table of no columns", rows)
+	}
+	return t, err
 }
 
 // WriteTableFile atomically writes t to path.
 func WriteTableFile(path string, t *relational.Table) error {
+	buf, err := AppendTable(nil, t)
+	if err != nil {
+		return err
+	}
 	return AtomicWriteFile(path, func(w io.Writer) error {
-		return WriteTable(w, t)
+		_, err := w.Write(buf)
+		return err
 	})
 }
 
 // ReadTableFile reads a table file written by WriteTableFile.
 func ReadTableFile(path string) (*relational.Table, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("durable: opening table file %s: %w", path, err)
+		return nil, fmt.Errorf("durable: reading table file %s: %w", path, err)
 	}
-	defer f.Close()
-	return ReadTable(f)
+	return DecodeTable(data)
 }

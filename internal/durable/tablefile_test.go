@@ -208,7 +208,7 @@ func retiredVectorFile() []byte {
 // TestTableFileRejectsRetiredVectorTag: a file with a column tagged 5 is
 // refused, not read as some other type.
 func TestTableFileRejectsRetiredVectorTag(t *testing.T) {
-	if tbl, err := ReadTable(bytes.NewReader(retiredVectorFile())); err == nil {
+	if tbl, err := DecodeTable(retiredVectorFile()); err == nil {
 		t.Fatalf("read a tag-5 column as %s", tbl.Schema())
 	}
 }
@@ -244,15 +244,16 @@ func sameTable(a, b *relational.Table) string {
 
 // FuzzTableFile holds the table file decoder to three properties on
 // arbitrary bytes: it never panics, it never accepts a column tagged 5
-// (the retired stored-vector type), and a table it accepts re-encodes and
-// decodes to the same table. Each input is also decoded with its trailing
-// checksum recomputed, so the fuzzer reaches past the CRC check.
+// (the retired stored-vector type), and a table it accepts re-encodes to
+// exactly its input and decodes to the same table. Each input is also
+// decoded with its trailing checksum recomputed, so the fuzzer reaches
+// past the CRC check.
 func FuzzTableFile(f *testing.F) {
-	var full bytes.Buffer
-	if err := WriteTable(&full, fullTable(f)); err != nil {
+	full, err := AppendTable(nil, fullTable(f))
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(full.Bytes())
+	f.Add(full)
 	f.Add(retiredVectorFile())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inputs := [][]byte{data}
@@ -262,7 +263,7 @@ func FuzzTableFile(f *testing.F) {
 			inputs = append(inputs, fixed)
 		}
 		for _, in := range inputs {
-			tbl, err := ReadTable(bytes.NewReader(in))
+			tbl, err := DecodeTable(in)
 			if err != nil {
 				continue
 			}
@@ -271,11 +272,14 @@ func FuzzTableFile(f *testing.F) {
 					t.Fatalf("accepted column %q tagged 5", fd.Name)
 				}
 			}
-			var buf bytes.Buffer
-			if err := WriteTable(&buf, tbl); err != nil {
+			buf, err := AppendTable(nil, tbl)
+			if err != nil {
 				t.Fatalf("decoded table does not re-encode: %v", err)
 			}
-			back, err := ReadTable(&buf)
+			if !bytes.Equal(buf, in) {
+				t.Fatal("decoded table re-encodes to other bytes")
+			}
+			back, err := DecodeTable(buf)
 			if err != nil {
 				t.Fatalf("re-encoded table does not decode: %v", err)
 			}
@@ -284,4 +288,18 @@ func FuzzTableFile(f *testing.F) {
 			}
 		}
 	})
+}
+
+func TestSanitizeName(t *testing.T) {
+	plain := sanitizeName("orders_2024")
+	if plain != "orders_2024" {
+		t.Errorf("safe name mangled: %q", plain)
+	}
+	dotty := sanitizeName("../../etc/passwd")
+	if dotty == "../../etc/passwd" || filepath.Base(dotty) != dotty {
+		t.Errorf("unsafe name not contained: %q", dotty)
+	}
+	if sanitizeName("a/b") == sanitizeName("a.b") {
+		t.Error("distinct unsafe names collide")
+	}
 }

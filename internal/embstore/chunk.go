@@ -487,8 +487,7 @@ func (s *Store) forget(ck ChunkKey, texts []string, rows RowMask) {
 }
 
 // PeekChunk returns a resident chunk without promoting it or touching
-// statistics — the compaction source for the vectors chunks adopted. The
-// caller holds the chunk until it calls Release.
+// statistics. The caller holds the chunk until it calls Release.
 func (s *Store) PeekChunk(key ChunkKey) (*Chunk, bool) {
 	sh := s.chunkShard(key)
 	sh.mu.Lock()
@@ -499,6 +498,31 @@ func (s *Store) PeekChunk(key ChunkKey) (*Chunk, bool) {
 		return c, true
 	}
 	return nil, false
+}
+
+// StoredChunk returns key's chunk from wherever the store keeps it —
+// resident, evicted with its spill write still pending, or in its spill
+// slot — without promoting it, touching statistics or calling the model:
+// the source Carry and a durable log's compaction read a lineage's
+// vectors from. The caller holds the chunk until it calls Release.
+func (s *Store) StoredChunk(key ChunkKey, dim int) (*Chunk, bool) {
+	sh := s.chunkShard(key)
+	sh.mu.Lock()
+	c := sh.evicting[key]
+	if el, ok := sh.chunks[key]; ok {
+		c = el.Value.(*entry).c
+	}
+	if c != nil {
+		c.refs.Add(1)
+	}
+	sh.mu.Unlock()
+	if c == nil {
+		if c = s.spill.get(key, dim); c == nil {
+			return nil, false
+		}
+		c.refs.Add(1)
+	}
+	return c, true
 }
 
 // Resident counts the rows of a column held by resident chunks or their

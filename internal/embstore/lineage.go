@@ -82,11 +82,7 @@ func (s *Store) Carry(from ChunkKey, to uint64, dim int, kept []int, texts []str
 		if !ok {
 			key := from
 			key.Index = ci
-			if c, ok = s.PeekChunk(key); !ok {
-				if c = s.spill.get(key, dim); c != nil {
-					c.refs.Add(1)
-				}
-			}
+			c, _ = s.StoredChunk(key, dim)
 			src[ci] = c
 		}
 		return c

@@ -489,12 +489,12 @@ func (s *Store) Put(fp, input string, v []float32) {
 }
 
 // Range calls fn for every per-text vector until fn returns false (the
-// vectors column chunks adopted are read with PeekChunk). The vector passed to fn is a fresh
+// vectors column chunks adopted are read with StoredChunk). The vector passed to fn is a fresh
 // copy; iteration order is unspecified. Each shard's snapshot is taken
 // under its lock, but fn runs outside any lock, so fn may call back into
 // the store. Entries inserted or evicted concurrently may or may not be
-// observed — Range is a snapshot-ish export iterator (the persister's
-// compaction source), not a consistency point.
+// observed — Range is a snapshot-ish export iterator (the durable
+// log's compaction source), not a consistency point.
 func (s *Store) Range(fn func(fp, input string, vec []float32) bool) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()

@@ -21,7 +21,8 @@
 // cluster), of one SplitMix64 stream per component keyed by an FNV-1a
 // hash, each product rounded to float32 before it is added. Every output
 // is bit-identical to walking those streams one serial chain at a time;
-// persisted segment logs are keyed by Fingerprint and hold these bits.
+// the embedding records a durable WAL holds are keyed by Fingerprint and
+// hold these bits.
 // TestEmbedBitIdentical and FuzzEmbedBitIdentical hold the kernel to that
 // sequential reference, TestEmbedGoldenBits the reference to recorded bits.
 //

@@ -121,8 +121,11 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := []Record{
+		embRecord(0),
 		{Kind: KindUpsert, Incarnation: 7, Gen: 1, Table: "items", KeyCol: "id",
 			Batch: rowsTable(t, []int64{1, 2}, []string{"a", "b"})},
+		embRecord(1),
+		embRecord(2),
 		{Kind: KindDelete, Incarnation: 7, Gen: 2, Table: "items", KeyCol: "id",
 			Batch: deleteBatch([]string{"1"})},
 	}
@@ -141,11 +144,15 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if len(got) != 2 {
-		t.Fatalf("replayed %d records, want 2", len(got))
+	if len(got) != len(recs) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(recs))
 	}
 	for i, r := range got {
-		if r.Kind != recs[i].Kind || r.Incarnation != 7 || r.Gen != recs[i].Gen ||
+		if r.Kind == KindEmbedding {
+			if !reflect.DeepEqual(r, recs[i]) {
+				t.Fatalf("record %d: %+v, want %+v", i, r, recs[i])
+			}
+		} else if r.Kind != recs[i].Kind || r.Incarnation != 7 || r.Gen != recs[i].Gen ||
 			r.Table != "items" || r.KeyCol != "id" || r.Batch.NumRows() != recs[i].Batch.NumRows() {
 			t.Fatalf("record %d mismatch: %+v", i, r)
 		}
@@ -156,10 +163,12 @@ func TestWALRoundTrip(t *testing.T) {
 }
 
 // TestWALCrashFaultInjection is the crash-fault harness: append N batches,
-// then damage the log at randomized offsets — truncation (torn append) or
-// bit flips (media corruption) — reopen, and require recovery to exactly
-// the longest intact record prefix, with identical table contents to a
-// reference replay. Deterministic seed, many trials.
+// each after a few embedding records, then damage the log at randomized
+// offsets — truncation (torn append) or bit flips (media corruption) —
+// reopen, and require recovery to exactly the longest intact record
+// prefix: identical table contents to a reference replay, and the
+// embedding records written before the last replayed batch, in order.
+// Deterministic seed, many trials.
 func TestWALCrashFaultInjection(t *testing.T) {
 	const batches = 12
 	base := func() *Table {
@@ -177,7 +186,16 @@ func TestWALCrashFaultInjection(t *testing.T) {
 	mt := base()
 	var ends []int64                                      // file size after record i
 	prefixNames := [][]string{liveNames(t, mt.Current())} // state after i records
+	var embs []Record                                     // embedding records, in log order
+	embsBefore := []int{0}                                // embedding records before batch i ends
 	for i := 0; i < batches; i++ {
+		for j := 0; j < i%3+1; j++ {
+			embs = append(embs, embRecord(len(embs)))
+			if err := w.Append(embs[len(embs)-1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		embsBefore = append(embsBefore, len(embs))
 		hooks := Hooks{Persist: w.Append}
 		if i%3 == 2 {
 			if _, _, err := mt.Delete("id", []string{fmt.Sprint(i - 1)}, hooks); err != nil {
@@ -231,7 +249,12 @@ func TestWALCrashFaultInjection(t *testing.T) {
 
 		rec := base()
 		replayed := 0
+		var gotEmbs []Record
 		w2, err := OpenWAL(p, func(r Record) error {
+			if r.Kind == KindEmbedding {
+				gotEmbs = append(gotEmbs, r)
+				return nil
+			}
 			replayed++
 			_, err := rec.Apply(r, Hooks{})
 			return err
@@ -253,6 +276,13 @@ func TestWALCrashFaultInjection(t *testing.T) {
 		// Recovery must land exactly on the state after `replayed` records.
 		if got, want := liveNames(t, rec.Current()), prefixNames[replayed]; !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: recovered state %v, want prefix state %v", trial, got, want)
+		}
+		// The embedding records recovered are the log's own, in order:
+		// every one before the last replayed batch, none past the next.
+		if n := len(gotEmbs); n < embsBefore[replayed] || (replayed < batches && n > embsBefore[replayed+1]) ||
+			(n > 0 && !reflect.DeepEqual(gotEmbs, embs[:n])) {
+			t.Fatalf("trial %d: recovered %d embedding records after %d batches, want the log's first %d or more",
+				trial, n, replayed, embsBefore[replayed])
 		}
 		// And the reopened log must accept appends again.
 		if _, _, err := rec.Upsert("id", rowsTable(t, []int64{999}, []string{"post"}), Hooks{Persist: w2.Append}); err == nil {

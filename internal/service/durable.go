@@ -1,9 +1,9 @@
 package service
 
 // Durable engine lifecycle: Open recovers an engine from a data
-// directory, the insert hook persists new embeddings write-behind,
-// RegisterTable/DropTable keep the table manifest in step with the
-// catalog, and Snapshot/Close flush and compact. A memory-only engine
+// directory, the insert hook logs new embeddings write-behind into the
+// mutation WAL, RegisterTable/DropTable keep the table manifest in step
+// with the catalog, and Snapshot/Close flush and compact. A memory-only engine
 // (NewEngine, or Open with an empty DataDir) skips all of it.
 
 import (
@@ -22,9 +22,8 @@ import (
 
 // durableState is the engine's persistence arm.
 type durableState struct {
-	layout    durable.Layout
-	log       *durable.Log
-	persister *durable.Persister
+	layout durable.Layout
+	emb    *embWriter
 
 	// mu serializes manifest read-modify-write cycles (catalog mutations
 	// are already safe; this guards the durable mirror of them).
@@ -39,11 +38,11 @@ type durableState struct {
 
 // Open builds an Engine like NewEngine and, when cfg.DataDir is set,
 // recovers durable state from it: the manifest's tables are read
-// (checksum-verified) and registered, the embedding segment log is
-// replayed into the store (torn tails truncated, corrupt records
-// skipped — never served), and a write-behind persister is attached so
-// every embedding computed from here on reaches disk. The returned
-// engine must be Closed to flush the log.
+// (checksum-verified) and registered, the mutation WAL is replayed — its
+// mutation records into the tables, its embedding records into the store
+// (a torn or corrupt tail is truncated, never served) — and a
+// write-behind writer is attached so every embedding computed from here
+// on is logged. The returned engine must be Closed to flush the log.
 func Open(cfg Config) (*Engine, error) { return open(cfg, false) }
 
 // OpenShard opens an engine like Open (memory-only when cfg.DataDir is
@@ -124,12 +123,19 @@ func open(cfg Config, fixedRowIDs bool) (*Engine, error) {
 	e.front.PurgeStalePlans()
 	d.sweepCheckpoints()
 
-	// Mutation WAL: replay the records newer than each table's last
-	// checkpoint (older ones are already folded into the table files; the
-	// per-record incarnation drops strays from dropped tables), then keep
-	// the log open for appends. Replay costs zero model calls — upsert
-	// batches carry their vectors.
-	wal, err := mutation.OpenWAL(d.layout.WalPath(), func(rec mutation.Record) error {
+	// Mutation WAL: replay the mutation records newer than each table's
+	// last checkpoint (older ones are already folded into the table files;
+	// the per-record incarnation drops strays from dropped tables) and load
+	// the embedding records into the store via Put (no model call, no
+	// insert hook), then keep the log open for appends. Batches carry text
+	// rows; the embedding records are why their vectors cost zero model
+	// calls after a reboot.
+	replay := func(rec mutation.Record) error {
+		if rec.Kind == mutation.KindEmbedding {
+			e.store.Put(rec.Emb.Fingerprint, rec.Emb.Input, rec.Emb.Vec)
+			d.loadedEntries++
+			return nil
+		}
 		ts := e.mut.get(rec.Table)
 		if ts == nil {
 			e.mut.replaySkipped.Add(1)
@@ -155,22 +161,32 @@ func open(cfg Config, fixedRowIDs bool) (*Engine, error) {
 		}
 		e.catalog.Replace(rec.Table, cur.Table)
 		return nil
-	})
+	}
+	wal, err := mutation.OpenWAL(d.layout.WalPath(), replay)
 	if err != nil {
 		return nil, err
+	}
+	if st := wal.Stats(); st.TruncatedBytes > 0 {
+		d.warnings = append(d.warnings, fmt.Sprintf("%s: cut %d damaged bytes off its tail", durable.WalName, st.TruncatedBytes))
+	}
+	// A data directory written before the WAL carried embeddings keeps
+	// them in a segment log under emb/: move them into the WAL once.
+	legacy := filepath.Join(d.layout.Dir, "emb")
+	if _, serr := os.Stat(legacy); serr == nil {
+		_, notes, err := wal.ImportSegmentLog(legacy, replay)
+		if err != nil {
+			wal.Close()
+			return nil, err
+		}
+		d.warnings = append(d.warnings, notes...)
+		if err := os.RemoveAll(legacy); err != nil {
+			wal.Close()
+			return nil, fmt.Errorf("service: removing moved embedding log: %w", err)
+		}
+		durable.SyncDir(d.layout.Dir)
 	}
 	e.mut.wal = wal
-
-	// Embedding log: replay into the store via Put (no model calls, no
-	// persist hook), then attach the write-behind persister.
-	log, loaded, err := durable.LoadStore(d.layout.EmbDir(), durable.LogConfig{SegmentBytes: cfg.SegmentBytes}, e.store)
-	if err != nil {
-		return nil, err
-	}
-	d.log = log
-	d.loadedEntries = loaded
-	d.persister = durable.NewPersister(log)
-	d.persister.Attach(e.store)
+	d.emb = newEmbWriter(wal, e.store)
 
 	e.durable = d
 	return e, nil
@@ -212,7 +228,7 @@ func (d *durableState) sweepCheckpoints() {
 }
 
 // Close flushes and detaches the durable layer — the write-behind queue
-// drains, the log fsyncs, and files close — then closes the embedding
+// drains, the WAL fsyncs, and files close — then closes the embedding
 // store's spill file, on a memory-only engine too. Idempotent. In-flight
 // queries are not interrupted — stop accepting queries (e.g. drain HTTP)
 // before closing.
@@ -231,13 +247,7 @@ func (e *Engine) closeDurable() error {
 		return nil
 	}
 	e.store.SetOnInsert(nil)
-	var firstErr error
-	if err := d.persister.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if err := d.log.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
+	firstErr := d.emb.Close()
 	// Detach the WAL under the exclusive mutation lock so no append races
 	// the close; Close stays idempotent.
 	e.mut.mu.Lock()
@@ -254,68 +264,46 @@ func (e *Engine) closeDurable() error {
 
 // SnapshotInfo reports what one Snapshot call did.
 type SnapshotInfo struct {
-	// Entries is the number of live cache entries in the compacted log.
+	// Entries is the number of embedding records in the rewritten WAL.
 	Entries int64 `json:"entries"`
-	// SegmentsRemoved is how many pre-compaction segments were deleted.
-	SegmentsRemoved int `json:"segments_removed"`
-	// LogBytes is the log size after compaction.
-	LogBytes int64 `json:"log_bytes"`
 	// Tables is the number of tables in the manifest.
 	Tables int `json:"tables"`
 	// Checkpointed is how many mutated tables were folded into fresh
-	// durable files (their WAL records then truncate away).
+	// durable files (their WAL records are then dropped).
 	Checkpointed int `json:"checkpointed"`
-	// WalBytes is the mutation WAL size after truncation.
+	// WalBytes is the mutation WAL size after the rewrite.
 	WalBytes int64 `json:"wal_bytes"`
 	// Elapsed is wall time spent snapshotting.
 	Elapsed time.Duration `json:"elapsed_ns"`
 }
 
 // Snapshot forces the durable state current and minimal: the write-behind
-// queue flushes, the embedding log compacts down to the store's per-text
-// entries plus the live rows of resident column chunks (dropping evicted,
-// superseded and deleted rows' records), and the table manifest rewrites. Concurrent queries keep running; appends block only
-// for the compaction itself.
+// queue flushes, mutated tables are checkpointed into their table files,
+// the manifest commits, and the WAL is rewritten to hold only embedding
+// records — the store's per-text entries plus the live rows the column
+// chunks hold, resident or spilled (dropping evicted, superseded and
+// deleted rows' records). Concurrent queries keep running; mutations
+// wait for the whole snapshot, embedding appends for the rewrite.
 func (e *Engine) Snapshot() (SnapshotInfo, error) {
 	d := e.durable
 	if d == nil {
 		return SnapshotInfo{}, fmt.Errorf("%w: snapshot requires Open with DataDir", ErrNotDurable)
 	}
 	start := time.Now()
-	if err := d.persister.Flush(); err != nil {
+	if err := d.emb.Flush(); err != nil {
 		return SnapshotInfo{}, err
 	}
 	var info SnapshotInfo
-	removed, err := d.log.Compact(func(emit func(durable.Record) error) error {
-		var inner error
-		seen := make(map[string]bool)
-		write := func(fp, input string, vec []float32) bool {
-			if k := fp + "\x00" + input; !seen[k] {
-				seen[k] = true
-				if inner = emit(durable.Record{Fingerprint: fp, Input: input, Vec: vec}); inner != nil {
-					return false
-				}
-				info.Entries++
-			}
-			return true
-		}
-		e.store.Range(write)
-		if inner == nil {
-			e.columnVectors(write)
-		}
-		return inner
-	})
-	if err != nil {
-		return SnapshotInfo{}, err
-	}
-	info.SegmentsRemoved = removed
 
 	// Checkpoint mutated tables. The exclusive mutation lock blocks
-	// upserts/deletes across fold + manifest commit + WAL truncate: a
+	// upserts/deletes across fold + manifest commit + WAL rewrite: a
 	// record appended inside that window would be folded nowhere and then
-	// truncated away. Queries are unaffected — they read pinned versions.
+	// rewritten away. Queries are unaffected — they read pinned versions.
 	e.mut.mu.Lock()
 	defer e.mut.mu.Unlock()
+	if e.mut.wal == nil {
+		return SnapshotInfo{}, fmt.Errorf("%w: snapshot of a closed engine", ErrPersist)
+	}
 	type folded struct {
 		ts       *mutation.Table
 		gen      uint64
@@ -390,7 +378,7 @@ func (e *Engine) Snapshot() (SnapshotInfo, error) {
 	d.snapshots++
 	d.mu.Unlock()
 
-	// Committed: advance checkpoint generations, truncate the WAL, and
+	// Committed: advance checkpoint generations, rewrite the WAL, and
 	// best-effort remove superseded checkpoint files (a crash here leaves
 	// orphans for the open-time sweep).
 	for _, f := range folds {
@@ -403,25 +391,41 @@ func (e *Engine) Snapshot() (SnapshotInfo, error) {
 		durable.SyncDir(d.layout.TableDir())
 	}
 	info.Checkpointed = len(folds)
-	if e.mut.wal != nil {
-		if err := e.mut.wal.Reset(); err != nil {
-			return SnapshotInfo{}, err
+	err := e.mut.wal.Rewrite(func(emit func(mutation.Record) error) error {
+		var inner error
+		seen := make(map[string]bool)
+		write := func(fp, input string, vec []float32) bool {
+			if k := fp + "\x00" + input; !seen[k] {
+				seen[k] = true
+				rec := mutation.Record{Kind: mutation.KindEmbedding, Emb: mutation.Embedding{Fingerprint: fp, Input: input, Vec: vec}}
+				if inner = emit(rec); inner != nil {
+					return false
+				}
+				info.Entries++
+			}
+			return true
 		}
-		e.mut.checkpoints.Add(1)
-		info.WalBytes = e.mut.wal.Stats().SizeBytes
+		e.store.Range(write)
+		if inner == nil {
+			e.columnVectors(write)
+		}
+		return inner
+	})
+	if err != nil {
+		return SnapshotInfo{}, err
 	}
-
-	info.LogBytes = d.log.Stats().Bytes
+	e.mut.checkpoints.Add(1)
+	info.WalBytes = e.mut.wal.Stats().SizeBytes
 	info.Elapsed = time.Since(start)
 	return info, nil
 }
 
 // columnVectors calls fn, until it returns false, for every live row of
-// the current table versions that a resident column chunk holds: the
-// chunks adopted those vectors from the store's per-text entries, so a
-// compaction writing only those would lose them. The records are ordinary
-// (fingerprint, text, vector) ones, so a reboot loads them per text and
-// rebuilds the chunks with no model call.
+// the current table versions that a column chunk holds, resident or
+// spilled: the chunks adopted those vectors from the store's per-text
+// entries, so a compaction writing only those would lose them. The
+// records are ordinary (fingerprint, text, vector) ones, so a reboot
+// loads them per text and rebuilds the chunks with no model call.
 func (e *Engine) columnVectors(fn func(fp, input string, vec []float32) bool) {
 	fp := embstore.Fingerprint(e.model)
 	e.mut.tables.Range(func(_, val any) bool {
@@ -435,7 +439,7 @@ func (e *Engine) columnVectors(fn func(fp, input string, vec []float32) bool) {
 			key := embstore.ChunkKey{Fingerprint: fp, Incarnation: v.Table.Incarnation(), Column: f.Name}
 			for lo := 0; lo < n; lo += embstore.ChunkRows {
 				key.Index = lo / embstore.ChunkRows
-				c, ok := e.store.PeekChunk(key)
+				c, ok := e.store.StoredChunk(key, e.model.Dim())
 				if !ok {
 					continue
 				}
@@ -545,18 +549,17 @@ func (e *Engine) unpersistTable(name string) {
 type DurableStats struct {
 	// DataDir is the engine's data directory.
 	DataDir string `json:"data_dir"`
-	// LoadedEntries is how many cache entries Open replayed from the log.
+	// LoadedEntries is how many embedding records Open loaded from the
+	// WAL into the store.
 	LoadedEntries int64 `json:"loaded_entries"`
 	// LoadedTables is how many tables Open recovered from the manifest.
 	LoadedTables int `json:"loaded_tables"`
-	// Persister describes the write-behind queue.
-	Persister durable.PersisterStats `json:"persister"`
-	// Log describes the segment log, including recovery findings.
-	Log durable.LogStats `json:"log"`
+	// Persister describes the write-behind queue of embedding records.
+	Persister PersisterStats `json:"persister"`
 	// Snapshots counts successful Snapshot calls.
 	Snapshots int64 `json:"snapshots"`
-	// Warnings lists non-fatal recovery findings (skipped tables,
-	// truncated segments).
+	// Warnings lists non-fatal recovery findings (skipped tables, a cut
+	// WAL tail).
 	Warnings []string `json:"warnings,omitempty"`
 }
 
@@ -571,14 +574,11 @@ func (e *Engine) durableStats() *DurableStats {
 	snaps := d.snapshots
 	warnings := append([]string(nil), d.warnings...)
 	d.mu.Unlock()
-	ls := d.log.Stats()
-	warnings = append(warnings, ls.Recovery.Reasons...)
 	return &DurableStats{
 		DataDir:       d.layout.Dir,
 		LoadedEntries: d.loadedEntries,
 		LoadedTables:  d.loadedTables,
-		Persister:     d.persister.Stats(),
-		Log:           ls,
+		Persister:     d.emb.Stats(),
 		Snapshots:     snaps,
 		Warnings:      warnings,
 	}

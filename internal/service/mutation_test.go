@@ -109,6 +109,43 @@ func TestMutationWALReplayZeroModelCalls(t *testing.T) {
 	}
 }
 
+// TestMutationWALReplayAfterCrash: the data dir as a killed process
+// leaves it — the upsert and the delete fsynced, the query's embedding
+// records written by the write-behind writer but the engine never closed
+// — reboots with both mutations replayed, zero model calls and identical
+// matches.
+func TestMutationWALReplayAfterCrash(t *testing.T) {
+	dir := t.TempDir()
+	e1, _ := openTestEngine(t, dir)
+	defer e1.Close()
+	ingestPair(t, e1)
+	upsertRightCSV(t, e1, "giraffe")
+	if _, err := e1.DeleteRows(context.Background(), "right", "text", []string{"zebra"}); err != nil {
+		t.Fatal(err)
+	}
+	mutated := runQuery(t, e1)
+	if err := e1.durable.emb.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	crashed := t.TempDir()
+	if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, counting2 := openTestEngine(t, crashed)
+	defer e2.Close()
+	if st := e2.Stats().Mutation; st.ReplayedRecords != 2 || st.SkippedRecords != 0 {
+		t.Fatalf("replayed %d, skipped %d mutation records, want 2 and 0", st.ReplayedRecords, st.SkippedRecords)
+	}
+	warm := runQuery(t, e2)
+	if got := counting2.Calls(); got != 0 {
+		t.Errorf("query after crash recovery made %d model calls, want 0", got)
+	}
+	if matchKey(warm) != matchKey(mutated) {
+		t.Fatalf("recovered matches differ:\n%s\nvs\n%s", matchKey(warm), matchKey(mutated))
+	}
+}
+
 func TestMutationWALTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	e1, _ := openTestEngine(t, dir)

@@ -80,7 +80,7 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 		mw.Gauge("ejoin_tombstones", "Dead rows currently held across tables.", float64(mu.Tombstones))
 		mw.Counter("ejoin_table_compactions_total", "Mutations that published a table compacted to its live rows.", float64(mu.Compactions))
 		if mu.WAL != nil {
-			mw.Counter("ejoin_wal_records_total", "Records appended to the WAL by this process.", float64(mu.WAL.AppendedRecords))
+			mw.Counter("ejoin_wal_records_total", "Mutation records appended to the WAL by this process.", float64(mu.WAL.AppendedRecords))
 			mw.Gauge("ejoin_wal_bytes", "Current WAL size in bytes.", float64(mu.WAL.SizeBytes))
 		}
 	}

@@ -82,13 +82,11 @@ type Config struct {
 	// CostParams parametrizes the planner; zero value uses defaults.
 	CostParams cost.Params
 	// DataDir, when non-empty, makes the engine durable: Open recovers
-	// tables and cached embeddings from it, the embedding store persists
-	// write-behind into it, and ingested tables are written to it. Empty
-	// means a memory-only engine (NewEngine ignores this field; use Open).
+	// tables and cached embeddings from it, the embedding store logs the
+	// vectors it computes into its mutation WAL write-behind, and
+	// ingested tables are written to it. Empty means a memory-only engine
+	// (NewEngine ignores this field; use Open).
 	DataDir string
-	// SegmentBytes rotates embedding log segments past this size
-	// (default 64 MiB).
-	SegmentBytes int64
 	// ExecBlockRows is the executor's probe-side block size
 	// (0 = exec.DefaultBlockSize). It trades per-block overhead against
 	// resident bytes (admission charges build side + one block); results
