@@ -110,6 +110,92 @@ func TestWALFailedAppendLeavesNoGarbage(t *testing.T) {
 	w2.Close()
 }
 
+// appendEmbs appends embedding records lo..hi-1 to w.
+func appendEmbs(t *testing.T, w *WAL, lo, hi int) {
+	t.Helper()
+	for i := lo; i < hi; i++ {
+		if err := w.Append(embRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWALEmbeddingRoundTrip: a log of embedding records alone replays
+// every one, byte-for-byte and in order, and a clean reopen cuts nothing.
+func TestWALEmbeddingRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, err := OpenWAL(path, func(Record) error { t.Fatal("fresh wal replayed records"); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	appendEmbs(t, w, 0, n)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got, w2 := replayWAL(t, path)
+	defer w2.Close()
+	if len(got) != n {
+		t.Fatalf("replayed %d records, want %d", len(got), n)
+	}
+	for i, r := range got {
+		if !reflect.DeepEqual(r, embRecord(i)) {
+			t.Fatalf("record %d round-trip mismatch: %+v", i, r)
+		}
+	}
+	if st := w2.Stats(); st.TruncatedBytes != 0 || st.ReplayedRecords != 0 {
+		t.Fatalf("clean embedding-only log reopened with %+v", st)
+	}
+}
+
+// TestWALEmbeddingTornTailTruncatedOnRecovery: a crash mid-append of an
+// embedding record loses that record only; reopening cuts the torn bytes,
+// reports them, and later appends replay right after the intact prefix.
+func TestWALEmbeddingTornTailTruncatedOnRecovery(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, err := OpenWAL(path, func(Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendEmbs(t, w, 0, 20)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, info.Size()-7); err != nil {
+		t.Fatal(err)
+	}
+
+	got, w2 := replayWAL(t, path)
+	if len(got) != 19 {
+		t.Fatalf("replayed %d records after torn tail, want 19", len(got))
+	}
+	if st := w2.Stats(); st.TruncatedBytes == 0 {
+		t.Fatalf("torn tail not reported: %+v", st)
+	}
+
+	appendEmbs(t, w2, 100, 105)
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, w3 := replayWAL(t, path)
+	defer w3.Close()
+	if len(got) != 24 {
+		t.Fatalf("replayed %d after append-over-truncation, want 24", len(got))
+	}
+	if !reflect.DeepEqual(got[19], embRecord(100)) {
+		t.Fatal("first post-truncation append not replayed in order")
+	}
+	if st := w3.Stats(); st.TruncatedBytes != 0 {
+		t.Fatalf("log cut again after append-over-truncation: %+v", st)
+	}
+}
+
 // TestWALRewrite: a rewrite leaves exactly the records its source emits,
 // appends after it land behind them, and a failing source leaves the old
 // log in place and appendable.
