@@ -9,6 +9,13 @@ package mat
 //go:noescape
 func amxKeep(cfg *amxConfig, r *byte, ldr, groups int, panel *byte, pairs int, corr *int32, col, row, bound *float32, lead, live0, live1 int, valid uint32, buf *int32, masks *uint32, keep *uint64)
 
+// amxCells is int8Strip's cells for a whole 16-row group, computed on
+// AMX tiles with the shapes cfg holds (amxConfig.setupCells);
+// amx_amd64.s has its contract.
+//
+//go:noescape
+func amxCells(cfg *amxConfig, r *byte, ldr int, panel *byte, pairs int, corr *int32, out *int32, ldo int)
+
 // haveAMX reports whether amxKeep may run: the host has AMX-TILE and
 // AMX-INT8 (CPUID leaf 7 EDX bits 24 and 25) besides the int8 filter's
 // AVX-512 VNNI, the OS saves the tile state (XCR0 bits 17 and 18), and

@@ -409,3 +409,98 @@ amxStore:
 	VZEROUPPER
 	RET
 
+
+// func amxCells(cfg *amxConfig, r *byte, ldr int, panel *byte, pairs int, corr *int32, out *int32, ldo int)
+//
+// The top-k's cells of a 16-row group on AMX tiles (package doc, "Top-k
+// by candidates"), with the tile shapes cfg sets up (amxConfig.setupCells):
+// the group's codes from r, ldr = d4 bytes a row, against each of pairs
+// pairs of panels of the S layout from panel, row t's cells against pair
+// q to out[t*ldo+32q:][:32], each D + q_i.q_j exactly as int8Strip sums
+// it. Each C tile is loaded with its panel's corr in all 16 rows (a
+// stride of 0), then takes one TDPBUSD per 64-byte K chunk, the last of
+// 4 to 64 bytes, and is stored. Where d4 <= 128 the group's A tiles are
+// loaded once. The tiles are released before returning. Needs AMX-TILE
+// and AMX-INT8, and at least one pair.
+TEXT ·amxCells(SB), NOSPLIT, $0-64
+	MOVQ cfg+0(FP), AX
+	LDTILECFG_AX
+	MOVQ r+8(FP), SI
+	MOVQ ldr+16(FP), CX
+	MOVQ panel+24(FP), R12
+	MOVQ pairs+32(FP), R8
+	MOVQ corr+40(FP), R13
+	MOVQ out+48(FP), R9
+	MOVQ ldo+56(FP), DI
+	SHLQ $2, DI  // a row of out's bytes
+	MOVL $64, DX
+	XORQ BX, BX  // a stride of 0
+	MOVQ CX, R14
+	SHLQ $4, R14 // a panel's bytes: 16*d4
+	MOVQ CX, R15
+	DECQ R15
+	SHRQ $6, R15 // the whole K chunks before the last
+	MOVQ R15, R11
+	SHLQ $6, R11 // the last chunk's first byte in a row
+	CMPQ R15, $1
+	JGT  cellsPair
+	JLT  cellsLastA
+	TILELOADD(2, rSI, rCX)
+
+cellsLastA:
+	LEAQ (SI)(R11*1), AX
+	TILELOADD(5, rAX, rCX)
+
+cellsPair:
+	MOVQ R13, AX
+	TILELOADD(0, rAX, rBX)
+	ADDQ $64, AX
+	TILELOADD(1, rAX, rBX)
+	XORQ R10, R10 // the chunk's first byte in a row
+
+cellsChunk:
+	CMPQ R10, R11
+	JGE  cellsLast
+	CMPQ R15, $1
+	JEQ  cellsB
+	LEAQ (SI)(R10*1), AX
+	TILELOADD(2, rAX, rCX)
+
+cellsB:
+	MOVQ R10, AX
+	SHLQ $4, AX
+	ADDQ R12, AX
+	TILELOADD(3, rAX, rDX)
+	ADDQ R14, AX
+	TILELOADD(4, rAX, rDX)
+	TDPBUSD(0, 2, 3)
+	TDPBUSD(1, 2, 4)
+	ADDQ $64, R10
+	JMP  cellsChunk
+
+cellsLast:
+	CMPQ R15, $1
+	JLE  cellsLastB
+	LEAQ (SI)(R11*1), AX
+	TILELOADD(5, rAX, rCX)
+
+cellsLastB:
+	MOVQ R11, AX
+	SHLQ $4, AX
+	ADDQ R12, AX
+	TILELOADD(6, rAX, rDX)
+	ADDQ R14, AX
+	TILELOADD(7, rAX, rDX)
+	TDPBUSD(0, 5, 6)
+	TDPBUSD(1, 5, 7)
+	MOVQ R9, AX
+	TILESTORED(0, rAX, rDI)
+	ADDQ $64, AX
+	TILESTORED(1, rAX, rDI)
+	LEAQ (R12)(R14*2), R12
+	ADDQ $128, R13
+	ADDQ $128, R9
+	DECQ R8
+	JNZ  cellsPair
+	TILERELEASE
+	RET

@@ -109,21 +109,29 @@ func int8Quant(x *float32, d, n int, inv *float32, dst *byte, rowStep, groupStep
 //go:noescape
 func int8TileGE(r *byte, ldr int, panel *byte, groups int, corr *int32, col, row, bound *float32) (keep uint32)
 
-// int8TileEst is int8TileGE's tile with the estimates written out, for
-// the top-k (package doc, "Top-k by candidates"): for each row t, bit c of its
-// 32-bit mask (keep01 holds rows 0 and 1, keep23 rows 2 and 3, the
-// second in the high half) is set when bit c of admit[t] is and the
-// row's upper estimate for column c of the two panels reaches its bound
-// or is NaN. est[t*32+c] receives that upper estimate. Unless ups is
-// nil the cells of the masks are also listed, row by row in ascending c:
-// upper estimate, column j0+c and row n0+t to ups[m], cols[m] and
-// rows[m] for m < listed, each array written up to 16 entries past
-// listed. For each row t whose mask is not 0, est[128+t*32+c] receives
-// its lower estimates and est[256+t] the largest over the admitted
-// columns, NaN ones left out (-Inf if none is left).
+// int8Strip writes the top-k's int32 cells of four rows of the R layout
+// from r, ldr bytes apart, against pairs pairs of panels of the S layout
+// from panel, each D + q_i·q_j, on VPDPBUSD: row t's against pair q to
+// out[t*ldo+32q:][:32] (stripCellsGo; package doc, "Top-k by
+// candidates").
 //
 //go:noescape
-func int8TileEst(r *byte, ldr int, panel *byte, groups int, corr *int32, col, row, bound *float32, admit *uint32, est *float32, ups *float32, cols, rows *int32, j0, n0 int) (keep01, keep23 uint64, listed int)
+func int8Strip(r *byte, ldr int, panel *byte, groups int, corr *int32, pairs int, out *int32, ldo int)
+
+// topKLanes is the top-k's first pass over a 16-row group's cells: per
+// row in live, per lane (column mod 32), the largest admitted lower
+// estimate, and, unless k is 0, the row's kth raised to the k-th largest
+// lane (topKLanesGo).
+//
+//go:noescape
+func topKLanes(cells *int32, ldc, pairs int, col, row *float32, admit *uint32, live, groups int, lanes *float32, k int, kth *float32)
+
+// topKList is the top-k's second pass: it lists, row by row in live, the
+// admitted cells whose upper estimate reaches the row's kth or is NaN,
+// writing each array up to 16 entries past listed (topKListGo).
+//
+//go:noescape
+func topKList(cells *int32, ldc, pairs int, col, row *float32, admit *uint32, live int, kth *float32, ups *float32, cols, rows *int32, j0, n0 int) (listed int)
 
 // dotPairs computes n <= 16 cells, one a lane: dst[l] is dotSeq of the
 // d elements at r[ri[l]] and at s[sj[l]], bit for bit.

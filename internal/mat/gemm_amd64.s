@@ -624,132 +624,10 @@ quantNext:
 	VZEROUPPER
 	RET
 
-// One cell vector's upper estimate, from acc, the cells' D + q_i.q_j
-// already converted to float32 (exact: below 2^24), with the row's s_i
-// and c_i in Z16 and Z17, the panel's s_j and b_j in sj and bj and the
-// floor in Z15: est = s_i*(s_j*acc + b_j) + (c_i*s_j + 2^-100), three
-// fused steps. It is stored at off(DI), and the lanes where it is not
-// below the row's bound in Z18 (NLT_UQ: a NaN estimate is kept) are set
-// in mk.
-#define CELL_UPPER(acc, sj, bj, off, mk) \
-	VMOVAPS     bj, Z19;       \
-	VFMADD231PS sj, acc, Z19;  \
-	VMOVAPS     Z15, Z20;      \
-	VFMADD231PS sj, Z17, Z20;  \
-	VFMADD231PS Z19, Z16, Z20; \
-	VMOVUPS     Z20, off(DI);  \
-	VCMPPS      $0x15, Z18, Z20, mk
-
-// The mirrored lower estimate of the same cells, from acc less 2D in
-// Z24 (exact: q_i.q_j - D): s_i*(s_j*(acc - 2D) - b_j) - (c_i*s_j +
-// 2^-100), each step fused and rounded once, into Z22 and off(DI).
-#define CELL_LOWER(acc, sj, bj, off) \
-	VSUBPS      Z24, acc, Z19;   \
-	VMOVAPS     bj, Z20;         \
-	VFMSUB231PS sj, Z19, Z20;    \
-	VMOVAPS     Z15, Z22;        \
-	VFMADD231PS sj, Z17, Z22;    \
-	VFMSUB231PS Z20, Z16, Z22;   \
-	VMOVUPS     Z22, off(DI)
-
-// The lower estimates in Z22 of the lanes admitted (km) whose estimate
-// is not NaN into dst, -Inf (Z23) in the other lanes.
-#define ADMITTED_LOWS(km, dst) \
-	VCMPPS    $0x07, Z22, Z22, K6; \
-	KANDW     km, K6, K6;          \
-	VBLENDMPS Z22, Z23, K6, dst
-
-// The largest lane of Z25 to off(DI).
-#define MAX_LANE(off) \
-	VSHUFF32X4 $0x4e, Z25, Z25, Z26; \
-	VMAXPS     Z26, Z25, Z25;        \
-	VSHUFF32X4 $0xb1, Z25, Z25, Z26; \
-	VMAXPS     Z26, Z25, Z25;        \
-	VPERMILPS  $0x4e, Z25, Z26;      \
-	VMAXPS     Z26, Z25, Z25;        \
-	VPERMILPS  $0xb1, Z25, Z26;      \
-	VMAXPS     Z26, Z25, Z25;        \
-	VMOVSS     X25, off(DI)
-
 // One row's scale and c at rowoff(R8) and cioff(R8) into Z16 and Z17.
 #define ROW_META(rowoff, cioff) \
 	VBROADCASTSS rowoff(R8), Z16; \
 	VBROADCASTSS cioff(R8), Z17
-
-// The row's admitted columns, the 32-bit mask at aoff(SI), into K4 and
-// K5, a panel each.
-#define ROW_ADMIT(aoff, aoff1) \
-	KMOVW aoff(SI), K4; \
-	KMOVW aoff1(SI), K5
-
-// The two panels' lane masks in K1 and K2, restricted to the admitted
-// columns (K4, K5), as one 32-bit mask in reg, the first panel's in the
-// low half.
-#define ROW_MASK32(reg) \
-	KANDW K4, K1, K1; \
-	KANDW K5, K2, K2; \
-	KMOVW K1, reg;    \
-	KMOVW K2, R9;     \
-	SHLL  $16, R9;    \
-	ORL   R9, reg
-
-// One row of the tile: its scale, c and bound (a NaN one made +Inf),
-// its accumulators converted to float32 in place, its upper estimates
-// against both panels stored at estoff(DI) and estoff1(DI), and the mask
-// of the admitted columns whose estimate is not below the bound in reg.
-#define ROW_UPPER(rowoff, cioff, boundoff, acc0, acc1, estoff, estoff1, reg) \
-	ROW_ADMIT(boundoff, boundoff+2);         \
-	ROW_META(rowoff, cioff);                 \
-	VBROADCASTSS boundoff(BX), Z18;          \
-	VMINPS       Z21, Z18, Z18;              \
-	VCVTDQ2PS    acc0, acc0;                 \
-	VCVTDQ2PS    acc1, acc1;                 \
-	CELL_UPPER(acc0, Z11, Z12, estoff, K1);  \
-	CELL_UPPER(acc1, Z13, Z14, estoff1, K2); \
-	ROW_MASK32(reg)
-
-// The same row's lower estimates, from its converted accumulators,
-// stored at estoff(DI) and estoff1(DI), and the largest admitted one
-// at maxoff(DI). Rows whose mask, reg, is 0 are skipped (to skip).
-#define ROW_LOWER(reg, skip, rowoff, cioff, acc0, acc1, estoff, estoff1, maxoff) \
-	TESTL reg, reg;                      \
-	JZ    skip;                          \
-	ROW_ADMIT(rowoff, rowoff+2);         \
-	ROW_META(rowoff, cioff);             \
-	CELL_LOWER(acc0, Z11, Z12, estoff);  \
-	ADMITTED_LOWS(K4, Z25);              \
-	CELL_LOWER(acc1, Z13, Z14, estoff1); \
-	ADMITTED_LOWS(K5, Z26);              \
-	VMAXPS Z26, Z25, Z25;                \
-	MAX_LANE(maxoff)
-
-// One panel of a row's listing: the uppers at estoff(DI) of the lanes
-// in k, packed to the front (VCOMPRESSPS), to (AX)(CX*4), their columns
-// (jreg) likewise to (DX)(CX*4), and the row, Z26, to (R14)(CX*4); each
-// store writes all 16 lanes, and CX moves on by the lanes in k.
-#define LIST_PANEL(estoff, k, jreg) \
-	VMOVUPS       estoff(DI), Z25;  \
-	VCOMPRESSPS.Z Z25, k, Z29;      \
-	VMOVUPS       Z29, (AX)(CX*4);  \
-	VPCOMPRESSD.Z jreg, k, Z29;     \
-	VMOVDQU32     Z29, (DX)(CX*4);  \
-	VMOVDQU32     Z26, (R14)(CX*4); \
-	KMOVW         k, R9;            \
-	POPCNTL       R9, R9;           \
-	ADDQ          R9, CX
-
-// Row SI's listing, its 32-bit mask in reg; a row with none is skipped
-// (to skip).
-#define LIST_ROW(reg, skip, estoff, estoff1) \
-	TESTL        reg, reg;               \
-	JZ           skip;                   \
-	KMOVW        reg, K1;                \
-	MOVL         reg, R9;                \
-	SHRL         $16, R9;                \
-	KMOVW        R9, K2;                 \
-	VPBROADCASTD SI, Z26;                \
-	LIST_PANEL(estoff, K1, Z27);         \
-	LIST_PANEL(estoff1, K2, Z28)
 
 // One k-group of the int8 tile: the two panels' 64 bytes at poff(DX)
 // and poff(DX)(R14*1) into p0 and p1, each row's four codes at roff(AX)
@@ -772,7 +650,7 @@ quantNext:
 	VPDPBUSD     p0, b3, a3;             \
 	VPDPBUSD     p1, b3, a7
 
-// The int8 tile's set-up and k loop, which int8TileGE and int8TileEst
+// The int8 tile's set-up and k loop, which int8TileGE and int8Strip
 // share: four rows of codes offset by +128 from r, ldr bytes apart,
 // against two neighbouring panels of signed codes from panel, groups*64
 // bytes each. Per k-group one 64-byte load of each panel (four k of 16
@@ -782,11 +660,10 @@ quantNext:
 // into Z16..Z23, from 0: sixteen independent sums keep both VPDPBUSD
 // ports busy through its latency. Their sum, exact, is left in Z0..Z7
 // (rows 0-3 against the first panel, then the second): D plus each
-// cell's signed codes' dot. Then the panels' scales and b from col go to
-// Z11..Z14, the floor 2^-100 to Z15 and +Inf to Z21. The arguments come
-// in registers: r in SI, ldr in R9, panel in DX, groups in CX, corr in
-// AX, col in DI; R8, which holds row, is kept.
-#define INT8_TILE \
+// cell's signed codes' dot. The arguments come in registers: r in SI,
+// ldr in R9, panel in DX, groups in CX, corr in AX; R14 is left holding
+// a panel's bytes, groups*64. SI, R9, CX, DI, R8, R13 and R15 are kept.
+#define INT8_DOTS \
 	LEAQ      (SI)(R9*1), R10;                                                          \
 	LEAQ      (R10)(R9*1), R11;                                                         \
 	LEAQ      (R11)(R9*1), R12;                                                         \
@@ -831,14 +708,19 @@ tileSum:;                                                                       
 	VPADDD Z20, Z4, Z4;                                                                 \
 	VPADDD Z21, Z5, Z5;                                                                 \
 	VPADDD Z22, Z6, Z6;                                                                 \
-	VPADDD Z23, Z7, Z7;                                                                 \
-	VMOVUPS      (DI), Z11;                                                             \
-	VMOVUPS      64(DI), Z12;                                                           \
-	VMOVUPS      128(DI), Z13;                                                          \
-	VMOVUPS      192(DI), Z14;                                                          \
-	MOVL         $0x0d800000, AX;                                                       \
-	VPBROADCASTD AX, Z15;                                                               \
-	MOVL         $0x7f800000, AX;                                                       \
+	VPADDD Z23, Z7, Z7
+
+// INT8_DOTS, then the panels' scales and b from col (DI) to Z11..Z14,
+// the floor 2^-100 to Z15 and +Inf to Z21, for int8TileGE.
+#define INT8_TILE \
+	INT8_DOTS;                  \
+	VMOVUPS      (DI), Z11;     \
+	VMOVUPS      64(DI), Z12;   \
+	VMOVUPS      128(DI), Z13;  \
+	VMOVUPS      192(DI), Z14;  \
+	MOVL         $0x0d800000, AX; \
+	VPBROADCASTD AX, Z15;       \
+	MOVL         $0x7f800000, AX; \
 	VPBROADCASTD AX, Z21
 
 // One row of the int8 tile against one panel, for int8TileGE: the
@@ -897,94 +779,279 @@ TEXT ·int8TileGE(SB), NOSPLIT, $0-68
 	VZEROUPPER
 	RET
 
-// func int8TileEst(r *byte, ldr int, panel *byte, groups int, corr *int32, col, row, bound *float32, admit *uint32, est *float32, ups *float32, cols, rows *int32, j0, n0 int) (keep01, keep23 uint64, listed int)
+// func int8Strip(r *byte, ldr int, panel *byte, groups int, corr *int32, pairs int, out *int32, ldo int)
 //
-// The int8 tile (package doc, "Int8 filter"), INT8_TILE on its
-// arguments, for the top-k and the tests: col, row and bound as
-// int8TileGE's, and admit[t] the columns row t may keep.
-//
-// Row t's upper estimate for column c (c < 32, the second panel from
-// 16) goes to est[t*32+c]. Bit c of row t's 32-bit mask — keep01 holds
-// rows 0 and 1, keep23 rows 2 and 3, the second of each in the high
-// half — is set when bit c of admit[t] is and that estimate reaches the
-// row's bound or is NaN. Unless ups is nil those cells are also listed,
-// row by row and column by column: upper estimate, column j0+c and row
-// n0+t to ups[m], cols[m] and rows[m] for m < listed, each array written
-// up to 16 entries past listed. For each row with some bit set the lower
-// estimates go to est[128+t*32+c] too, and to est[256+t] the largest of
-// them over the admitted columns, not counting NaN ones (-Inf if none is
-// left). Needs AVX-512F and AVX-512 VNNI.
-TEXT ·int8TileEst(SB), NOSPLIT, $0-144
+// The top-k's cells of a 4-row strip on VPDPBUSD (package doc, "Top-k
+// by candidates"): INT8_DOTS for the four rows from r against each of
+// pairs pairs of panels from panel, with their corr from corr, row t's
+// cells against pair q to out[t*ldo+32q:][:32]. Needs AVX-512F and
+// AVX-512 VNNI, and at least one pair.
+TEXT ·int8Strip(SB), NOSPLIT, $0-64
 	MOVQ r+0(FP), SI
 	MOVQ ldr+8(FP), R9
-	MOVQ panel+16(FP), DX
+	MOVQ panel+16(FP), R13
 	MOVQ groups+24(FP), CX
-	MOVQ corr+32(FP), AX
-	MOVQ col+40(FP), DI
-	MOVQ row+48(FP), R8
-	INT8_TILE
-	MOVQ bound+56(FP), BX
-	MOVQ         admit+64(FP), SI
-	MOVQ         est+72(FP), DI
-	ROW_UPPER(0, 64, 0, Z0, Z4, 0, 64, R10)
-	ROW_UPPER(4, 68, 4, Z1, Z5, 128, 192, R11)
-	ROW_UPPER(8, 72, 8, Z2, Z6, 256, 320, R12)
-	ROW_UPPER(12, 76, 12, Z3, Z7, 384, 448, R13)
+	MOVQ corr+32(FP), R15
+	MOVQ pairs+40(FP), R8
+	MOVQ out+48(FP), DI
 
-	XORQ         CX, CX
-	MOVQ         ups+80(FP), AX
-	TESTQ        AX, AX
-	JZ           listDone
-	MOVQ         cols+88(FP), DX
-	MOVQ         rows+96(FP), R14
-	MOVQ         j0+104(FP), R9
-	VPBROADCASTD R9, Z27
-	VPADDD       lanes<>(SB), Z27, Z27 // the first panel's columns
-	MOVL         $16, R9
-	VPBROADCASTD R9, Z28
-	VPADDD       Z27, Z28, Z28         // the second's
-	MOVQ         n0+112(FP), SI
-	LIST_ROW(R10, list1, 0, 64)
+stripPair:
+	MOVQ      R13, DX
+	MOVQ      R15, AX
+	INT8_DOTS
+	MOVQ      ldo+56(FP), AX
+	SHLQ      $2, AX
+	LEAQ      (DI)(AX*2), BX
+	VMOVDQU32 Z0, (DI)
+	VMOVDQU32 Z4, 64(DI)
+	VMOVDQU32 Z1, (DI)(AX*1)
+	VMOVDQU32 Z5, 64(DI)(AX*1)
+	VMOVDQU32 Z2, (BX)
+	VMOVDQU32 Z6, 64(BX)
+	VMOVDQU32 Z3, (BX)(AX*1)
+	VMOVDQU32 Z7, 64(BX)(AX*1)
+	LEAQ      (R13)(R14*2), R13
+	ADDQ      $128, R15
+	ADDQ      $128, DI
+	DECQ      R8
+	JNZ       stripPair
+	VZEROUPPER
+	RET
 
-list1:
-	INCQ SI
-	LIST_ROW(R11, list2, 128, 192)
-
-list2:
-	INCQ SI
-	LIST_ROW(R12, list3, 256, 320)
-
-list3:
-	INCQ SI
-	LIST_ROW(R13, listDone, 384, 448)
-
-listDone:
-	MOVQ         CX, listed+136(FP)
-	MOVQ         admit+64(FP), SI
-	MOVQ         groups+24(FP), AX
+// func topKLanes(cells *int32, ldc, pairs int, col, row *float32, admit *uint32, live, groups int, lanes *float32, k int, kth *float32)
+//
+// The top-k's first pass over a 16-row group's cells (package doc,
+// "Top-k by candidates"): for each row t whose bit is set in live, its
+// cells at cells[t*ldc:], pairs pairs of 32 columns, each cell D +
+// q_i.q_j, get the lower estimate
+//
+//	lo = s_i*(s_j*(cell - 2D) - b_j) - (c_i*s_j + 2^-100)
+//
+// in three fused steps, with D = groups+1, the columns' s_j and b_j from
+// col (per panel 16 scales, then 16 b) and the row's s_i and c_i at
+// row[t] and row[16+t]. Lane l of the row (column l of every 32) keeps
+// at lanes[t*32+l] the largest lo over the columns admit admits (bit l of
+// admit[q] for pair q); a NaN lo never raises it. Unless k is 0, kth[t]
+// is then raised to the k-th largest of the row's 32 lanes. Needs
+// AVX-512F.
+TEXT ·topKLanes(SB), NOSPLIT, $0-88
+	MOVQ         cells+0(FP), SI
+	MOVQ         ldc+8(FP), R9
+	SHLQ         $2, R9 // a row's bytes
+	MOVQ         row+32(FP), R8
+	MOVQ         live+48(FP), R10
+	MOVQ         lanes+64(FP), DI
+	MOVQ         groups+56(FP), AX
 	LEAQ         2(AX)(AX*1), AX // 2D
 	VPBROADCASTD AX, Z24
 	VCVTDQ2PS    Z24, Z24
-	MOVL         $0xff800000, AX // -Inf
-	VPBROADCASTD AX, Z23
-	ROW_LOWER(R10, lower1, 0, 64, Z0, Z4, 512, 576, 1024)
+	MOVL         $0x0d800000, AX
+	VPBROADCASTD AX, Z15 // 2^-100
+	MOVL         $0xff800000, AX
+	VPBROADCASTD AX, Z10 // -Inf
+	MOVQ         k+72(FP), R12
+	MOVQ         kth+80(FP), R11
+	TESTQ        R10, R10
+	JZ           lanesDone
 
-lower1:
-	ROW_LOWER(R11, lower2, 4, 68, Z1, Z5, 640, 704, 1028)
+lanesRow:
+	TESTQ        $1, R10
+	JZ           lanesNext
+	VBROADCASTSS (R8), Z16
+	VBROADCASTSS 64(R8), Z17
+	VMOVUPS      (DI), Z25
+	VMOVUPS      64(DI), Z26
+	MOVQ         SI, AX
+	MOVQ         col+24(FP), BX
+	MOVQ         admit+40(FP), DX
+	MOVQ         pairs+16(FP), CX
 
-lower2:
-	ROW_LOWER(R12, lower3, 8, 72, Z2, Z6, 768, 832, 1032)
+lanesPair:
+	KMOVW       (DX), K4
+	KMOVW       2(DX), K5
+	VCVTDQ2PS   (AX), Z0
+	VCVTDQ2PS   64(AX), Z1
+	VSUBPS      Z24, Z0, Z0
+	VSUBPS      Z24, Z1, Z1
+	VMOVUPS     64(BX), Z2
+	VMOVUPS     192(BX), Z3
+	VFMSUB231PS (BX), Z0, Z2
+	VFMSUB231PS 128(BX), Z1, Z3
+	VMOVAPS     Z15, Z4
+	VMOVAPS     Z15, Z5
+	VFMADD231PS (BX), Z17, Z4
+	VFMADD231PS 128(BX), Z17, Z5
+	VFMSUB231PS Z2, Z16, Z4
+	VFMSUB231PS Z3, Z16, Z5
+	VMAXPS      Z25, Z4, K4, Z25
+	VMAXPS      Z26, Z5, K5, Z26
+	ADDQ        $128, AX
+	ADDQ        $256, BX
+	ADDQ        $4, DX
+	DECQ        CX
+	JNZ         lanesPair
+	VMOVUPS     Z25, (DI)
+	VMOVUPS     Z26, 64(DI)
+	TESTQ       R12, R12
+	JZ          lanesNext
 
-lower3:
-	ROW_LOWER(R13, estDone, 12, 76, Z3, Z7, 896, 960, 1036)
+	// The k-th largest lane m: take the largest lane left, m, and count
+	// the lanes equal to it; unless they make up the k, clear them to
+	// -Inf and go on.
+	MOVQ    R12, R13
+	VMOVAPS Z25, Z6
+	VMOVAPS Z26, Z7
 
-estDone:
-	SHLQ $32, R11
-	ORQ  R11, R10
-	SHLQ $32, R13
-	ORQ  R13, R12
-	MOVQ R10, keep01+120(FP)
-	MOVQ R12, keep23+128(FP)
+lanesKth:
+	VMAXPS     Z7, Z6, Z8
+	VSHUFF32X4 $0x4e, Z8, Z8, Z9
+	VMAXPS     Z9, Z8, Z8
+	VSHUFF32X4 $0xb1, Z8, Z8, Z9
+	VMAXPS     Z9, Z8, Z8
+	VPERMILPS  $0x4e, Z8, Z9
+	VMAXPS     Z9, Z8, Z8
+	VPERMILPS  $0xb1, Z8, Z9
+	VMAXPS     Z9, Z8, Z8
+	VCMPPS     $0, Z8, Z6, K1
+	VCMPPS     $0, Z8, Z7, K2
+	KMOVW      K1, AX
+	POPCNTL    AX, AX
+	KMOVW      K2, R14
+	POPCNTL    R14, R14
+	ADDQ       R14, AX
+	CMPQ       AX, R13
+	JGE        lanesRaise
+	SUBQ       AX, R13
+	VMOVAPS    Z10, K1, Z6
+	VMOVAPS    Z10, K2, Z7
+	JMP        lanesKth
+
+lanesRaise:
+	VMOVSS (R11), X9
+	VMAXSS X9, X8, X9
+	VMOVSS X9, (R11)
+
+lanesNext:
+	ADDQ R9, SI
+	ADDQ $4, R8
+	ADDQ $128, DI
+	ADDQ $4, R11
+	SHRQ $1, R10
+	JNZ  lanesRow
+
+lanesDone:
+	VZEROUPPER
+	RET
+
+// One panel of a row's listing: the upper estimates in est of the lanes
+// in k, packed to the front (VCOMPRESSPS), to (AX)(CX*4), their columns
+// (jreg) likewise to (DX)(CX*4), and the row, Z26, to (R14)(CX*4); each
+// store writes all 16 lanes, and CX moves on by the lanes in k.
+#define LIST_PANEL(est, k, jreg) \
+	VCOMPRESSPS.Z est, k, Z29;      \
+	VMOVUPS       Z29, (AX)(CX*4);  \
+	VPCOMPRESSD.Z jreg, k, Z29;     \
+	VMOVDQU32     Z29, (DX)(CX*4);  \
+	VMOVDQU32     Z26, (R14)(CX*4); \
+	KMOVW         k, R12;           \
+	POPCNTL       R12, R12;         \
+	ADDQ          R12, CX
+
+// func topKList(cells *int32, ldc, pairs int, col, row *float32, admit *uint32, live int, kth *float32, ups *float32, cols, rows *int32, j0, n0 int) (listed int)
+//
+// The top-k's second pass over a 16-row group's cells, laid out as
+// topKLanes reads them: for each row t whose bit is set in live, row by
+// row and in ascending column, every admitted cell whose upper estimate
+//
+//	up = s_i*(s_j*cell + b_j) + (c_i*s_j + 2^-100)
+//
+// (three fused steps, CELL_KEEP's) is not below kth[t] (NLT_UQ: a NaN
+// estimate is listed; a NaN kth is made +Inf) is listed: up, column
+// j0+c and row n0+t to ups[m], cols[m] and rows[m] for m < listed, each
+// array written up to 16 entries past listed. Needs AVX-512F.
+TEXT ·topKList(SB), NOSPLIT, $0-112
+	MOVQ         cells+0(FP), SI
+	MOVQ         ldc+8(FP), R9
+	SHLQ         $2, R9 // a row's bytes
+	MOVQ         row+32(FP), R8
+	MOVQ         live+48(FP), R10
+	MOVQ         kth+56(FP), R11
+	MOVQ         ups+64(FP), AX
+	MOVQ         cols+72(FP), DX
+	MOVQ         rows+80(FP), R14
+	XORQ         CX, CX
+	MOVQ         n0+96(FP), R12
+	VPBROADCASTD R12, Z26 // the row's number
+	MOVL         $1, R12
+	VPBROADCASTD R12, Z23
+	MOVL         $32, R12
+	VPBROADCASTD R12, Z22
+	MOVL         $0x0d800000, R12
+	VPBROADCASTD R12, Z15 // 2^-100
+	MOVL         $0x7f800000, R12
+	VPBROADCASTD R12, Z21 // +Inf
+	TESTQ        R10, R10
+	JZ           listDone
+
+listRow:
+	TESTQ        $1, R10
+	JZ           listNext
+	VBROADCASTSS (R8), Z16
+	VBROADCASTSS 64(R8), Z17
+	VBROADCASTSS (R11), Z18
+	VMINPS       Z21, Z18, Z18
+	MOVQ         j0+88(FP), R12
+	VPBROADCASTD R12, Z27
+	VPADDD       lanes<>(SB), Z27, Z27 // the first panel's columns
+	MOVL         $16, R12
+	VPBROADCASTD R12, Z28
+	VPADDD       Z27, Z28, Z28         // the second's
+	MOVQ         SI, DI
+	MOVQ         col+24(FP), BX
+	MOVQ         admit+40(FP), R13
+	MOVQ         pairs+16(FP), R15
+
+listPair:
+	KMOVW       (R13), K4
+	KMOVW       2(R13), K5
+	VCVTDQ2PS   (DI), Z0
+	VCVTDQ2PS   64(DI), Z1
+	VMOVUPS     64(BX), Z2
+	VMOVUPS     192(BX), Z3
+	VFMADD231PS (BX), Z0, Z2
+	VFMADD231PS 128(BX), Z1, Z3
+	VMOVAPS     Z15, Z4
+	VMOVAPS     Z15, Z5
+	VFMADD231PS (BX), Z17, Z4
+	VFMADD231PS 128(BX), Z17, Z5
+	VFMADD231PS Z2, Z16, Z4
+	VFMADD231PS Z3, Z16, Z5
+	VCMPPS      $0x15, Z18, Z4, K4, K1
+	VCMPPS      $0x15, Z18, Z5, K5, K2
+	KORTESTW    K1, K2
+	JZ          listSkip
+	LIST_PANEL(Z4, K1, Z27)
+	LIST_PANEL(Z5, K2, Z28)
+
+listSkip:
+	VPADDD Z22, Z27, Z27
+	VPADDD Z22, Z28, Z28
+	ADDQ   $128, DI
+	ADDQ   $256, BX
+	ADDQ   $4, R13
+	DECQ   R15
+	JNZ    listPair
+
+listNext:
+	ADDQ   R9, SI
+	ADDQ   $4, R8
+	ADDQ   $4, R11
+	VPADDD Z23, Z26, Z26
+	SHRQ   $1, R10
+	JNZ    listRow
+
+listDone:
+	MOVQ CX, listed+104(FP)
 	VZEROUPPER
 	RET
 

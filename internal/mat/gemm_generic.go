@@ -2,6 +2,8 @@
 
 package mat
 
+import "unsafe"
+
 // haveSIMD is false on builds without the assembly micro-kernels:
 // KernelSIMD then runs mulBlockUnrolled, the pure-Go register tile.
 const haveSIMD = false
@@ -13,7 +15,8 @@ const haveAVX512 = false
 var useZMM = false
 
 // haveVNNI and useInt8 are false likewise: the int8 filter runs only in
-// front of the ZMM tile.
+// front of the ZMM tile. Tests switch useInt8 on to run the candidate
+// top-k on the Go forms of its kernels (topKForm).
 const haveVNNI = false
 
 var useInt8 = false
@@ -41,22 +44,35 @@ func packPanelZMM(panel, s *float32, d, cols int) {
 }
 
 func int8Stats(x *float32, d, n int, out *float32) {
-	panic("mat: no SIMD kernel in this build")
+	int8StatsGo(unsafe.Slice(x, d*n), d, n, unsafe.Slice(out, 2*n))
 }
 
 func int8Quant(x *float32, d, n int, inv *float32, dst *byte, rowStep, groupStep, stride int, flip uint32, sums *int32) {
-	panic("mat: no SIMD kernel in this build")
+	end := (n-1)/16*groupStep + (n-1)%16*rowStep + ((d+3)/4-1)*stride + 4 // past the last row's last group
+	int8QuantGo(unsafe.Slice(x, d*n), d, n, unsafe.Slice(inv, n), unsafe.Slice(dst, end), rowStep, groupStep, stride, flip, unsafe.Slice(sums, n))
 }
 
 func int8TileGE(r *byte, ldr int, panel *byte, groups int, corr *int32, col, row, bound *float32) uint32 {
 	panic("mat: no SIMD kernel in this build")
 }
 
-func int8TileEst(r *byte, ldr int, panel *byte, groups int, corr *int32, col, row, bound *float32, admit *uint32, est *float32, ups *float32, cols, rows *int32, j0, n0 int) (uint64, uint64, int) {
+func int8Strip(r *byte, ldr int, panel *byte, groups int, corr *int32, pairs int, out *int32, ldo int) {
+	panic("mat: no SIMD kernel in this build")
+}
+
+func topKLanes(cells *int32, ldc, pairs int, col, row *float32, admit *uint32, live, groups int, lanes *float32, k int, kth *float32) {
+	panic("mat: no SIMD kernel in this build")
+}
+
+func topKList(cells *int32, ldc, pairs int, col, row *float32, admit *uint32, live int, kth *float32, ups *float32, cols, rows *int32, j0, n0 int) int {
 	panic("mat: no SIMD kernel in this build")
 }
 
 func dotPairs(dst, r, s *float32, ri, sj *int32, d, n int) {
+	panic("mat: no SIMD kernel in this build")
+}
+
+func amxCells(cfg *amxConfig, r *byte, ldr int, panel *byte, pairs int, corr *int32, out *int32, ldo int) {
 	panic("mat: no SIMD kernel in this build")
 }
 

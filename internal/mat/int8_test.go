@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ejoin/internal/vec"
@@ -28,7 +29,7 @@ func filterKeep(t *testing.T, r, s *Matrix, bound []float32) uint32 {
 	if haveAMX {
 		sameAMX(t, f, bound, ns, keep)
 	}
-	checkEstimates(t, f, r, s)
+	checkEstimates(t, f, r, s, bound)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < ns; j++ {
 			if sim := refDotSeq(r.Row(i), s.Row(j)); sim >= bound[i] && keep&(1<<j) == 0 {
@@ -40,37 +41,178 @@ func filterKeep(t *testing.T, r, s *Matrix, bound []float32) uint32 {
 	return keep
 }
 
-// checkEstimates runs the prepared tile of f, rows 0..3 of r against
-// the first ns <= 32 rows of s, with bounds of -Inf, and fails the test
-// unless every cell's lower estimate is at most its refDotSeq and its
-// upper estimate at least (a NaN estimate passes either way; a NaN cell
-// needs a NaN or -Inf lower estimate, or a top-k could count it), and
-// each row's largest lower estimate is the largest of its cells' that
-// are not NaN, or -Inf.
-func checkEstimates(t *testing.T, f *int8Filter, r, s *Matrix) {
+// checkEstimates runs the top-k's kernels on the prepared tile of f,
+// rows 0..3 of r against the first ns <= 32 rows of s, in every form
+// the host has, and fails the test unless the forms' cells (groupCells),
+// lane maxima and lists are the Go forms' bit for bit, every cell's
+// lower estimate is at most its refDotSeq and its upper estimate at
+// least (a NaN estimate passes either way; a NaN cell needs a NaN or
+// -Inf lower estimate, or a top-k could count it), each row's lane l
+// holds the lower estimate of column l unless that is NaN (then -Inf),
+// and the list under bounds of -Inf and under bound holds exactly the
+// cells whose upper estimate is not below the row's bound, row by row in
+// ascending column.
+func checkEstimates(t *testing.T, f *int8Filter, r, s *Matrix, bound []float32) {
 	t.Helper()
 	ns := min(s.Rows(), 2*panelCols)
 	negInf := float32(math.Inf(-1))
-	bound := [4]float32{negInf, negInf, negInf, negInf}
-	real := uint32(1)<<ns - 1
-	f.tileEst(0, 0, &bound[0], &[4]uint32{real, real, real, real})
+	cells := groupCells(t, f, 1)
+	twoD := float32(2*(f.d4/4) + 2)
+	admit := []uint32{uint32(1)<<ns - 1}
+	lanes := make([]float32, 16*32)
+	for i := range lanes {
+		lanes[i] = negInf
+	}
 	for i := 0; i < 4; i++ {
-		most := negInf
+		si, ci := f.rowMeta[i], f.rowMeta[16+i]
 		for j := 0; j < ns; j++ {
 			cell := refDotSeq(r.Row(i), s.Row(j))
-			up, lo := f.est[i*32+j], f.est[128+i*32+j]
-			if lo > most {
-				most = lo
-			}
+			sj, bj := colMeta(f.colMeta, j)
+			lo, up := lowerEst(cells[i*32+j], twoD, si, ci, sj, bj), upperEst(cells[i*32+j], si, ci, sj, bj)
 			if cell != cell && lo == lo && lo != negInf || cell == cell && (lo > cell || up < cell) {
 				t.Fatalf("d %d: cell (%d,%d) = %g (%#08x), estimates [%g, %g]\nr%d = %v\ns%d = %v",
 					r.Cols(), i, j, cell, math.Float32bits(cell), lo, up, i, r.Row(i), j, s.Row(j))
 			}
-		}
-		if got := f.est[256+i]; math.Float32bits(got) != math.Float32bits(most) {
-			t.Fatalf("d %d: row %d's largest lower estimate is %g, its cells' is %g", r.Cols(), i, got, most)
+			if lo == lo {
+				lanes[i*32+j] = lo
+			}
 		}
 	}
+	gotLanes, _ := groupLanes(t, f, cells, 1, admit, 0xf, nil, 0, nil)
+	if !sameBits(gotLanes, lanes) {
+		t.Fatalf("d %d: lane maxima %v, the lower estimates' %v", r.Cols(), gotLanes[:4*32], lanes[:4*32])
+	}
+	for _, kth := range [][]float32{{negInf, negInf, negInf, negInf}, bound} {
+		var want []listed
+		for i := 0; i < 4; i++ {
+			for j := 0; j < ns; j++ {
+				sj, bj := colMeta(f.colMeta, j)
+				b := kth[i]
+				if b != b {
+					b = float32(math.Inf(1))
+				}
+				if up := upperEst(cells[i*32+j], f.rowMeta[i], f.rowMeta[16+i], sj, bj); !(up < b) {
+					want = append(want, listed{up, int32(j), int32(i)})
+				}
+			}
+		}
+		if got := groupList(t, f, cells, 1, admit, 0xf, kth, 0, 0); !sameList(got, want) {
+			t.Fatalf("d %d, bounds %v: listed %v, want %v", r.Cols(), kth, got, want)
+		}
+	}
+}
+
+// listed is one cell of a top-k list: its upper estimate, column and
+// row.
+type listed struct {
+	up       float32
+	col, row int32
+}
+
+// sameList reports whether two lists hold the same cells in the same
+// order with the same estimates, bit for bit but for NaN payloads.
+func sameList(a, b []listed) bool {
+	return slices.EqualFunc(a, b, func(x, y listed) bool {
+		return x.col == y.col && x.row == y.row && (math.Float32bits(x.up) == math.Float32bits(y.up) || x.up != x.up && y.up != y.up)
+	})
+}
+
+// groupCells computes the cells of the 16-row group of f's R layout from
+// row 0 against the first pairs pairs of panels of its block with
+// stripCellsGo and with each assembly form the host has, int8Strip and
+// amxCells, and fails the test unless they are the same. It returns
+// them, row t's from t*32*pairs.
+func groupCells(t *testing.T, f *int8Filter, pairs int) []int32 {
+	t.Helper()
+	ld := 2 * panelCols * pairs
+	want := make([]int32, 16*ld)
+	for u := 0; u < 16; u += 4 {
+		stripCellsGo(f.r[u*f.d4:], f.d4, f.s, f.d4, f.corr, pairs, want[u*ld:], ld)
+	}
+	same := func(form string, got []int32) {
+		t.Helper()
+		if i := slices.Compare(got, want); i != 0 {
+			for x := range got {
+				if got[x] != want[x] {
+					t.Fatalf("d %d: %s cell (%d,%d) is %d, the Go form's %d", f.d, form, x/ld, x%ld, got[x], want[x])
+				}
+			}
+		}
+	}
+	if haveVNNI {
+		got := make([]int32, 16*ld)
+		for u := 0; u < 16; u += 4 {
+			int8Strip(&f.r[u*f.d4], f.d4, &f.s[0], f.d4/4, &f.corr[0], pairs, &got[u*ld], ld)
+		}
+		same("VPDPBUSD", got)
+	}
+	if haveAMX {
+		got := make([]int32, 16*ld)
+		var cfg amxConfig
+		cfg.setupCells(f.d4)
+		amxCells(&cfg, &f.r[0], f.d4, &f.s[0], pairs, &f.corr[0], &got[0], ld)
+		same("AMX", got)
+	}
+	return want
+}
+
+// groupLanes runs the first pass on cells, 16 rows of pairs pairs, with
+// f's row and column meta, from lanes from (-Inf where nil) and, unless
+// k is 0, the rows' kth from kth, with topKLanesGo and, where the host
+// has AVX-512, topKLanes, and fails the test unless both give the same
+// lane maxima, bit for bit, and the same kth (a zero's sign aside),
+// which it returns.
+func groupLanes(t *testing.T, f *int8Filter, cells []int32, pairs int, admit []uint32, live uint16, from []float32, k int, kth []float32) ([]float32, []float32) {
+	t.Helper()
+	want := make([]float32, 16*32)
+	for i := range want {
+		want[i] = float32(math.Inf(-1))
+	}
+	if from != nil {
+		copy(want, from)
+	}
+	wantKth := make([]float32, 16)
+	copy(wantKth, kth)
+	got, gotKth := slices.Clone(want), slices.Clone(wantKth)
+	topKLanesGo(cells, 2*panelCols*pairs, pairs, f.colMeta, f.rowMeta, admit, uint32(live), f.d4/4, want, k, wantKth)
+	if haveAVX512 {
+		topKLanes(&cells[0], 2*panelCols*pairs, pairs, &f.colMeta[0], &f.rowMeta[0], &admit[0], int(live), f.d4/4, &got[0], k, &gotKth[0])
+		if !sameBits(got, want) {
+			t.Fatalf("d %d, live %#x: topKLanes %v, the Go form %v", f.d, live, got, want)
+		}
+		if !slices.EqualFunc(gotKth, wantKth, func(a, b float32) bool { return a == b || a != a && b != b }) {
+			t.Fatalf("d %d, live %#x, k %d: topKLanes raises kth to %v, the Go form to %v", f.d, live, k, gotKth, wantKth)
+		}
+	}
+	return want, wantKth
+}
+
+// groupList runs the second pass on cells as groupLanes runs the first,
+// with the rows' bounds kth, columns from j0 and rows from n0, and fails
+// the test unless topKList lists what topKListGo does. It returns the
+// list.
+func groupList(t *testing.T, f *int8Filter, cells []int32, pairs int, admit []uint32, live uint16, kth []float32, j0, n0 int) []listed {
+	t.Helper()
+	k := make([]float32, 16)
+	copy(k, kth)
+	ups, cols, rows := topKListGo(cells, 2*panelCols*pairs, pairs, f.colMeta, f.rowMeta, admit, uint32(live), k, nil, nil, nil, j0, n0)
+	want := make([]listed, len(ups))
+	for m := range want {
+		want[m] = listed{ups[m], cols[m], rows[m]}
+	}
+	if haveAVX512 {
+		room := 16*2*panelCols*pairs + panelCols
+		ups, cols, rows := make([]float32, room), make([]int32, room), make([]int32, room)
+		n := topKList(&cells[0], 2*panelCols*pairs, pairs, &f.colMeta[0], &f.rowMeta[0], &admit[0], int(live), &k[0], &ups[0], &cols[0], &rows[0], j0, n0)
+		got := make([]listed, n)
+		for m := range got {
+			got[m] = listed{ups[m], cols[m], rows[m]}
+		}
+		if !sameList(got, want) {
+			t.Fatalf("d %d, live %#x, bounds %v: topKList %v, the Go form %v", f.d, live, kth, got, want)
+		}
+	}
+	return want
 }
 
 // TestInt8FilterHardCases holds the filter to the F32 cells on inputs

@@ -217,8 +217,8 @@
 // non-normalized rows and bounds on a cell's refDotSeq, and fails if a
 // column with a reaching cell is ruled out.
 //
-// For the top-k below, int8TileEst, the same tile with its estimates
-// written out, also forms the mirrored lower estimate
+// For the top-k below, the first pass (topKLanes) also forms, from the
+// same int32 cells, the mirrored lower estimate
 //
 //	lo = s_i·(s_j·(q_i·q_j − D) − β·n_j) − (β·n_i·s_j + 2^-100)
 //
@@ -252,33 +252,55 @@
 // # Top-k by candidates
 //
 // A top-k row's bound starts at -Inf and rises only with the cells it
-// has seen, so the int8 filter cannot rule out much of a top-k scan: a
-// 4-row tile nearly always holds some row's near-k-th cell.
+// has seen, so the int8 filter cannot rule out much of a top-k scan.
 // TopKCandidates therefore does not scan in F32 at all. Each worker
-// takes its R rows' codes (Forms) and sweeps every 4x32 int8 tile once
-// (int8TileEst), keeping per row kth, a lower bound on its k-th best:
-// the caller's bound, raised to the k-th largest of the row's per-tile
-// largest lower estimates once it has k (tiles are distinct cells, and k
-// cells' lower estimates are at most their cells, so at most the k-th
-// best). The first k tiles of the first block seed kth before the sweep.
-// The tile lists, in the kernel (VCOMPRESSPS), every cell whose upper
-// estimate reaches its row's kth, in ascending j per row; the list is
-// cut to the cells whose upper estimate still reaches their row's kth
-// whenever it has doubled, and after the sweep. Only those cells are
-// computed in F32, by dotPairs, one cell a lane, both rows' elements
-// gathered each step, so each is fmaSeq's bits, and visited in
-// ascending j: the list is taken one R part at a time, sixteen cells a
-// call, each call's cells of one S part. A cell among the row's k best reaches the final kth,
-// which is at most the k-th best, and its upper estimate is at least the
-// cell, so it was listed when met and survives every cut: a consumer
-// that keeps the k best of what it is handed, ties to the earlier
-// arrival, ends with exactly the scan's answer, ties to the lower j.
-// ScanStats counts the whole product's k-steps, and as skipped all but
-// d per 16 re-scored cells. TopKCandidatesOn says where it runs: the
-// SIMD kernel on hosts with the int8 filter, every worker at least
-// int8MinRows R rows, at least int8MinCols S rows, and k <= 8;
-// FuzzTopKCandidatesEqualsReference and TestTopKCandidates hold it to
-// the reference with the floors lowered.
+// takes its R rows in 16-row groups of their R layout (Forms) and S in
+// chunks of at most topKChunk columns, which may span S parts: a part's
+// columns sit from a multiple of 32 in the chunk, the columns padding
+// them admitted by no row. For each group and chunk it computes the
+// group's int32 cells D + q_i·q_j against the chunk into a buffer, on
+// AMX tiles where the host has them (amxCells: each C tile loaded with
+// its panels' corr in all 16 rows, then TDPBUSD per K chunk, then
+// stored), and on VPDPBUSD otherwise (int8Strip, the filter's k loop):
+// the same integers, exact in int32. Two passes read them:
+//
+//   - The first (topKLanes) keeps, per row, the largest lower estimate
+//     in each of 32 lanes (column mod 32) over the columns keepCol admits;
+//     a NaN estimate never raises a lane, and a lane with none is -Inf.
+//     It then raises the row's kth, which starts at its bound, to the
+//     k-th largest lane. The k top lanes are k distinct cells, each at
+//     least its lower estimate and none NaN (a NaN cell's lower estimate
+//     is NaN or -Inf), so kth is at most the row's k-th best: the lane
+//     lemma. The lanes carry from chunk to chunk.
+//   - The second (topKList) lists, row by row in ascending column, every
+//     admitted cell whose upper estimate is not below its row's kth or
+//     is NaN (a NaN kth, which no live row has, is made +Inf).
+//
+// Rows whose bound is NaN, and rows of a group the worker does not own,
+// are never live: no pass reads them, and a group with none live is not
+// computed. A cell listed under an earlier chunk's, lower kth is cut to
+// the final kth once, before the re-score (a list far longer than a
+// chunk's cells is cut, and then re-scored, early). Only the listed
+// cells are computed in F32, by dotPairs, one cell a lane, both rows'
+// elements gathered each step, so each is fmaSeq's bits, sixteen cells
+// a call of one R run and one S part, and visited part by part in list
+// order, so each row's cells arrive in ascending j. A cell among the
+// row's k best reaches the final kth, which is at most the k-th best,
+// and its upper estimate is at least the cell, so it is listed and
+// survives the cut: a consumer that keeps the k best of what it is
+// handed, ties to the earlier arrival, ends with exactly the scan's
+// answer, ties to the lower j. ScanStats counts the whole product's
+// k-steps, and as skipped all but d per 16 re-scored cells; Int8Tiles
+// counts, in 4x32 tiles, the strips with a live row times the pairs of
+// panels with an admitted column, Int8RuledOut those of them that listed
+// no cell, and Rescored the cells computed in F32. The kernels' Go forms
+// (int8_portable.go, every fused step through fma32) run it where the
+// assembly does not (topKForm), and the assembly is held to them bit for
+// bit (checkEstimates, under FuzzInt8FilterConservative).
+// TopKCandidatesOn says where it runs: the SIMD kernel on hosts with the
+// int8 filter, every worker at least int8MinRows R rows, at least
+// int8MinCols S rows, and k <= 8; FuzzTopKCandidatesEqualsReference and
+// TestTopKCandidates hold it to the reference with the floors lowered.
 package mat
 
 import (

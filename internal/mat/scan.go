@@ -532,7 +532,7 @@ func scanRows(ctx context.Context, rp, sp []Part, ns int, bound []float32, lo, h
 
 // int8Filter is one worker's view of the int8 layouts (package doc, "Int8
 // filter") of its R rows and of the S block at hand, for int8TileGE and
-// int8TileEst, and its account of what it tested.
+// amxKeep, and its account of what it tested.
 type int8Filter struct {
 	d, d4 int
 	// r and rowMeta are the R rows' forms' R layout, from its row 0; s,
@@ -553,8 +553,6 @@ type int8Filter struct {
 	sparse              bool
 	// The tiles tested and ruled out over the whole scan.
 	tiles, ruled int64
-	// est receives a tile's estimates.
-	est [260]float32
 	// On AMX hosts (useAMX) amxKeep computes a dense block's masks, up to
 	// amxGroups groups of 16 rows against up to amxPairs pairs of panels
 	// a call, with the tile shapes cfg holds, two C tiles and each
@@ -585,6 +583,24 @@ const amxNaN, amxNegInf = 1 << 62, 1 << 63
 // multiple of 64.
 type amxConfig [64]byte
 
+// setupCells shapes the tiles of amxCells, which takes every K chunk
+// but the last, of 64 bytes, in tmm2 (A), tmm3 and tmm4 (B), and the
+// last, of kl = 4 to 64 bytes, in tmm5, tmm6 and tmm7; C is tmm0 and
+// tmm1, as for amxKeep.
+func (c *amxConfig) setupCells(d4 int) {
+	*c = amxConfig{0: 1}
+	shape := func(t, rows, colsb int) {
+		c[16+2*t], c[48+t] = byte(colsb), byte(rows)
+	}
+	for t := range 5 {
+		shape(t, 16, 64)
+	}
+	kl := d4 - (d4-1)/64*64
+	shape(5, 16, kl)
+	shape(6, kl/4, 64)
+	shape(7, kl/4, 64)
+}
+
 func (c *amxConfig) setup(d4 int) {
 	*c = amxConfig{0: 1}
 	shape := func(t, rows, colsb int) {
@@ -612,7 +628,14 @@ var int8MinRows, int8MinCols = 64, 128
 // int8On reports whether a worker with rows R rows of d elements each
 // runs the int8 filter against ns S rows.
 func int8On(d, rows, ns int) bool {
-	return useInt8 && useZMM && int8MinDim <= d && d <= int8MaxDim && rows >= int8MinRows && ns >= int8MinCols
+	return useInt8 && useZMM && int8Shape(d, rows, ns)
+}
+
+// int8Shape reports whether the shape is one the int8 kernels take and
+// pay on: rows of int8MinDim to int8MaxDim elements, a worker's rows R
+// rows at least int8MinRows and ns S rows at least int8MinCols.
+func int8Shape(d, rows, ns int) bool {
+	return int8MinDim <= d && d <= int8MaxDim && rows >= int8MinRows && ns >= int8MinCols
 }
 
 // start readies f for a scan of rows of d elements.
@@ -708,28 +731,7 @@ func (f *int8Filter) amxRun(fr, end int, bound []float32, width int) (at, to int
 
 // scratch is the memory the filter's tiles work in.
 func (f *int8Filter) scratch() int64 {
-	return int64(len(f.est)+len(f.buf)+len(f.masks))*4 + int64(len(f.cfg)) + int64(len(f.keep))*8
-}
-
-// tileEst is int8TileEst on rows n..n+3 of the R layout against the two
-// panels from column c of the S block, with f.est for its estimates and
-// no listing.
-func (f *int8Filter) tileEst(n, c int, bound *float32, admit *[4]uint32) (keep01, keep23 uint64) {
-	keep01, keep23, _ = f.tileList(n, c, bound, admit, nil, nil, nil, 0, n)
-	return keep01, keep23
-}
-
-// tileList is int8TileEst on rows n..n+3 of the R layout against the two
-// panels from column c of the S block, with f.est for its estimates,
-// listing its cells from ups, cols and rows on (none if ups is nil),
-// column numbers from j0 and row numbers from n0.
-func (f *int8Filter) tileList(n, c int, bound *float32, admit *[4]uint32, ups *float32, cols, rows *int32, j0, n0 int) (keep01, keep23 uint64, listed int) {
-	keep01, keep23, listed = int8TileEst(&f.r[n*f.d4], f.d4, &f.s[c*f.d4], f.d4/4, &f.corr[c], &f.colMeta[2*c], &f.rowMeta[n/16*32+n%16], bound, &admit[0], &f.est[0], ups, cols, rows, j0, n0)
-	f.tested++
-	if keep01|keep23 != 0 {
-		f.kept++
-	}
-	return keep01, keep23, listed
+	return int64(len(f.buf)+len(f.masks))*4 + int64(len(f.cfg)) + int64(len(f.keep))*8
 }
 
 // scanTile is a worker's tile scratch: up to two panels' 4x16 cells,

@@ -1,9 +1,11 @@
 package mat
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -11,10 +13,44 @@ import (
 )
 
 // topKMaxK is the largest k TopKCandidates takes. A row's bound comes
-// from k of its tiles, and each of its k best cells and their near
+// from k of its 32 lanes, and each of its k best cells and their near
 // misses is re-scored by gathers, at several times a packed tile's cost
 // a cell; a larger k is left to the scan with raised bounds.
 const topKMaxK = 8
+
+// topKChunk is the most S columns one pass of TopKCandidates takes: the
+// cells of a 16-row group against them are held at once, 4 bytes each
+// (128 KB at 2048). A wider S side is taken in chunks, the rows' lane
+// maxima carried from one to the next. Tests lower it to run several.
+var topKChunk = maxTopKChunk
+
+// maxTopKChunk is the widest chunk: 64 pairs of panels, so that a
+// segment's tiles are counted in a word per strip (keptTiles).
+const maxTopKChunk = 2048
+
+// useGoCells runs TopKCandidates on the Go forms of its kernels
+// (int8_portable.go) on every build, in place of the assembly; tests
+// switch it.
+var useGoCells = false
+
+// topKForm names the form of the candidate top-k's cells: "AMX" where
+// they come from AMX tiles (amxCells), "VPDPBUSD" where from int8Strip,
+// "Go" where from the Go forms (a build without the assembly, whose
+// tests switch useInt8 on, or useGoCells), or "" where TopKCandidates
+// does not run.
+func topKForm() string {
+	switch {
+	case !useInt8:
+		return ""
+	case useGoCells || !haveSIMD:
+		return "Go"
+	case !useZMM:
+		return ""
+	case useAMX:
+		return "AMX"
+	}
+	return "VPDPBUSD"
+}
 
 // TopKCandidatesOn reports whether TopKCandidates runs for a top-k of k
 // over nr R rows and ns S rows of d elements under opts: with the SIMD
@@ -22,12 +58,12 @@ const topKMaxK = 8
 // of the scan's split at least int8MinRows R rows), for k <= topKMaxK.
 func TopKCandidatesOn(nr, ns, d, k int, opts GemmOptions) bool {
 	opts = opts.withDefaults()
-	if nr <= 0 || ns <= 0 || k < 1 || k > topKMaxK || opts.Kernel != vec.KernelSIMD ||
+	if nr <= 0 || ns <= 0 || k < 1 || k > topKMaxK || opts.Kernel != vec.KernelSIMD || topKForm() == "" ||
 		int64(nr)*int64(d) > math.MaxInt32 || int64(ns)*int64(d) > math.MaxInt32 {
 		return false
 	}
 	step := workerRows(nr, opts)
-	return int8On(d, nr-(nr-1)/step*step, ns)
+	return int8Shape(d, nr-(nr-1)/step*step, ns)
 }
 
 // TopKCandidates is the top-k form of ScanAbove (package doc, "Top-k by
@@ -41,13 +77,15 @@ func TopKCandidatesOn(nr, ns, d, k int, opts GemmOptions) bool {
 // row's k best of what it is handed, ties to the earlier arrival,
 // therefore ends with exactly the k best, ties to the lower j.
 //
-// One int8 pass bounds each row's k-th best from below and lists the
-// columns whose upper estimate can reach it; only those are computed in
-// F32. ScanStats counts the whole product's k-steps and, as skipped,
-// those of the F32 pass not run: each 16 re-scored cells run d steps.
-// Workers split r, and both sides are walked part by part, as in
-// ScanAbove, and newVisitor and ctx are used as there; bound is only
-// read. It runs only where TopKCandidatesOn says so.
+// Two int8 passes over each 16-row group's cells bound each row's k-th
+// best from below and list the columns whose upper estimate can reach
+// it; only those are computed in F32. ScanStats counts the whole
+// product's k-steps and, as skipped, those of the F32 pass not run:
+// each 16 re-scored cells run d steps. Workers split r, and both sides
+// are walked part by part, as in ScanAbove, and newVisitor and ctx are
+// used as there, ctx polled once per chunk of S (topKChunk); bound is
+// only read. opts.BlockCols is not used. It runs only where
+// TopKCandidatesOn says so.
 func TopKCandidates(ctx context.Context, r, s Side, k int, bound []float32, keepCol func(int) bool, opts GemmOptions, newVisitor func() ScanVisitor) (ScanStats, error) {
 	if r.Cols() != s.Cols() {
 		return ScanStats{}, fmt.Errorf("mat: inner dimensions differ: %d vs %d", r.Cols(), s.Cols())
@@ -60,17 +98,15 @@ func TopKCandidates(ctx context.Context, r, s Side, k int, bound []float32, keep
 		return ScanStats{}, fmt.Errorf("mat: no int8 top-%d for %dx%d rows of %d on this host", k, nr, ns, d)
 	}
 	opts = opts.withDefaults()
-	// Whole 4x32 int8 tiles per S block, and at least the k the seed
-	// takes.
-	bc := max(k*2*panelCols, (opts.BlockCols+2*panelCols-1)&^(2*panelCols-1))
+	form := topKForm()
 	rp, sp := r.parts(), s.parts()
 	cuts := workerCuts(rp, workerRows(nr, opts))
 	each := make([]ScanStats, len(cuts)-1)
 	err := eachWorker(cuts, newVisitor, func(w, lo, hi int, visit ScanVisitor) error {
-		return topKRows(ctx, rp, sp, k, bound, lo, hi, bc, keepCol, visit, &each[w])
+		return topKRows(ctx, form, rp, sp, k, bound, lo, hi, keepCol, visit, &each[w])
 	})
 	st := ScanStats{
-		Blocks: blockCount(sp, bc),
+		Blocks: each[0].Blocks,
 		KSteps: int64(nr) * panelCount(sp) * int64(d),
 	}
 	st.KStepsSkipped = st.KSteps
@@ -80,277 +116,357 @@ func TopKCandidates(ctx context.Context, r, s Side, k int, bound []float32, keep
 	return st, err
 }
 
-// topKWorker is one TopKCandidates worker's state beside its scanWorker,
-// per slot n of its rows: its runs' rows in order, each run from a
-// multiple of 4 (base), so that a 4-row strip of a run is a strip of
-// slots; the 1-3 slots that pad a run's last strip are never live.
+// topKWorker is one TopKCandidates worker's state beside its scanWorker.
+// Its R rows are taken in 16-row groups of their forms' R layout, run by
+// run; the rows of a group the worker does not own (a run may start or
+// end inside one) are never live. Slot 16g+u is row u of group g.
 type topKWorker struct {
-	k    int
-	base []int
-	// lows[n*k:][:fill[n]] holds, ascending, the largest per-tile lower
-	// estimates above kth[n] that slot n has met, at most k; kth[n] starts
-	// at the row's bound and is raised to their least whenever there are
-	// k.
-	kth  []float32
-	lows []float32
-	fill []int32
-	// live holds, per 4-slot strip, a bit for each of its rows whose bound
-	// is not NaN; admit, per 32 columns of the S block, one for each
-	// column keepCol keeps.
-	live  []uint8
+	k      int
+	groups []topKGroup
+	// live, per group, has a bit for each slot the worker owns whose
+	// bound is not NaN.
+	live []uint16
+	// kth, per slot, starts at the row's bound and is raised to the k-th
+	// largest of lanes[32n:][:32], the largest lower estimate the row has
+	// met in each lane (column mod 32), -Inf before any.
+	kth   []float32
+	lanes []float32
+	// cells holds a group's int32 cells against the chunk at hand: row u's
+	// column c of the chunk at cells[u*ldc+c]. ldc is a panel more than
+	// the chunk, so that the 16 rows do not share cache sets.
+	cells []int32
+	ldc   int
+	// segs are the chunk's runs of columns of one S part each, and admit,
+	// per 32 columns of each, one bit per column keepCol keeps.
+	segs  []topKSeg
 	admit []uint32
-	// ups, cols and rows list every cell whose upper estimate reached its
-	// row's kth when the sweep met it, in the order met: ascending column
-	// per row; cols are side columns, rows slots.
+	// ups, cols and rows list the cells whose upper estimate reached their
+	// row's kth when listed: cols are side columns, rows slots. Each span
+	// is a run of them of one R run and one S part, row by row in
+	// ascending column.
 	ups        []float32
 	cols, rows []int32
+	spans      []topKSpan
+	cfg        amxConfig
 }
+
+// topKGroup is 16 rows of run's forms from fr, a multiple of 16.
+type topKGroup struct{ run, fr int }
+
+// topKSeg is rows [lo, hi) of S part part, side columns from j, at
+// column at of the chunk (a multiple of 32), with its S layout from lo:
+// codes, corr and meta; its pairs of panels, from admit[admit] on, and
+// how many of them admit some column.
+type topKSeg struct {
+	part, lo, hi, j, at int
+	codes               []byte
+	corr                []int32
+	meta                []float32
+	pairs, admit, used  int
+}
+
+// topKSpan is list entries [from, to) of R run run and S part part.
+type topKSpan struct{ from, to, run, part int }
 
 var topKPool sync.Pool
 
-// topKRows runs TopKCandidates for side rows [lo, hi) of the parts rp
-// against the parts sp, in S blocks of bc rows, a multiple of 32. It adds
-// to st the F32 k-steps it ran, as negative skipped ones, the tiles it
-// tested and ruled out, the cells it re-scored and the bytes of working
-// memory it held.
-func topKRows(ctx context.Context, rp, sp []Part, k int, bound []float32, lo, hi, bc int, keepCol func(int) bool, visit ScanVisitor, st *ScanStats) error {
+// topKRows runs TopKCandidates, in its form, for side rows [lo, hi) of
+// the parts rp against the parts sp. It adds to st the chunks it took,
+// the F32 k-steps it ran, as negative skipped ones, the 4x32 tiles it
+// tested and those that listed no cell, the cells it re-scored and the
+// bytes of working memory it held.
+func topKRows(ctx context.Context, form string, rp, sp []Part, k int, bound []float32, lo, hi int, keepCol func(int) bool, visit ScanVisitor, st *ScanStats) error {
 	sw := getWorker()
 	defer sw.put()
 	d := rp[0].matrix().Cols()
+	d4 := int8Width(d)
 	runs := sw.rowRuns(rp, lo, hi)
-	f := &sw.filter
-	f.start(d)
 	w, _ := topKPool.Get().(*topKWorker)
 	if w == nil {
 		w = new(topKWorker)
 	}
 	defer topKPool.Put(w)
 	w.k = k
-	w.base = grow(w.base, len(runs))
-	slots := 0
+	w.groups = w.groups[:0]
 	for x, run := range runs {
-		w.base[x] = slots
-		slots += (run.last - run.first + 3) &^ 3
+		run.f.rowInt8()
+		for g := (run.first + run.off) &^ 15; g < run.last+run.off; g += 16 {
+			w.groups = append(w.groups, topKGroup{x, g})
+		}
 	}
-	w.kth, w.lows, w.fill = grow(w.kth, slots), grow(w.lows, slots*k), grow(w.fill, slots)
-	w.live, w.admit = grow(w.live, slots/4), grow(w.admit, bc/32)
-	w.ups, w.cols, w.rows = w.ups[:0], w.cols[:0], w.rows[:0]
-	clear(w.fill)
-	clear(w.live)
-	for x, run := range runs {
-		for t := run.first; t < run.last; t++ {
-			n := w.base[x] + t - run.first
-			w.kth[n] = bound[run.at+t-run.first]
-			if b := w.kth[n]; b == b {
-				w.live[n/4] |= 1 << (n % 4)
+	slots := 16 * len(w.groups)
+	w.live, w.kth, w.lanes = grow(w.live, len(w.groups)), grow(w.kth, slots), grow(w.lanes, 32*slots)
+	negInf, nan := float32(math.Inf(-1)), float32(math.NaN())
+	for i := range w.lanes {
+		w.lanes[i] = negInf
+	}
+	for gi, g := range w.groups {
+		run := &runs[g.run]
+		w.live[gi] = 0
+		for u := range 16 {
+			w.kth[16*gi+u] = nan
+			if fr := g.fr + u; run.first+run.off <= fr && fr < run.last+run.off {
+				b := bound[run.at+fr-run.off-run.first]
+				w.kth[16*gi+u] = b
+				if b == b {
+					w.live[gi] |= 1 << u
+				}
 			}
 		}
-		run.f.rowInt8()
 	}
-	limit, most, colBytes := 8*slots, 0, int64(0)
-	at, first := 0, true // the side column of the part's first row; whether this is the first block
+	chunk := min(maxTopKChunk, max(2*panelCols, topKChunk&^(2*panelCols-1)))
+	w.ldc = chunk + panelCols
+	w.cells = grow(w.cells, 16*w.ldc)
+	if form == "AMX" {
+		w.cfg.setupCells(d4)
+	}
+	w.ups, w.cols, w.rows, w.spans, w.segs = w.ups[:0], w.cols[:0], w.rows[:0], w.spans[:0], w.segs[:0]
+
+	var ran, colBytes int64
+	chunks := 0
+	take := func() error {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("mat: top-k cancelled at rows %d, columns %d: %w", lo, w.segs[0].j, err)
+		}
+		chunks++
+		w.chunk(form, sw, runs, sp, d4, keepCol, st)
+		colBytes = max(colBytes, sw.cols.Bytes())
+		// A list far longer than the cells still in play is cut to the
+		// rows' kth now, and one still long is re-scored and visited now:
+		// its cells precede every later chunk's.
+		if limit := 16 * chunk; len(w.cols) > limit {
+			w.cut()
+			if len(w.cols) > limit/2 {
+				ran += w.rescore(form, runs, sp, d, visit, st)
+			}
+		}
+		w.segs = w.segs[:0]
+		return nil
+	}
+	used, at := 0, 0 // the chunk's columns so far; the side column of the part's first row
 	for pi := range sp {
 		p := &sp[pi]
-		for sLo := p.Lo; sLo < p.Hi; sLo += bc {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("mat: top-k cancelled at block (%d,%d): %w", lo, at+sLo-p.Lo, err)
-			}
-			sHi := min(sLo+bc, p.Hi)
-			f.nextBlock()
-			f.cols, f.c0 = sw.colBlock(p, sLo, sHi)
-			f.prepareBlock()
-			width, j := sHi-sLo, at+sLo-p.Lo
-			lanes := (width + 2*panelCols - 1) &^ (2*panelCols - 1)
-			for c := 0; c < lanes; c += 2 * panelCols {
-				var m uint32
-				for jj := range min(2*panelCols, width-c) {
-					if keepCol == nil || keepCol(j+c+jj) {
-						m |= 1 << jj
-					}
+		for sLo := p.Lo; sLo < p.Hi; {
+			sHi := min(p.Hi, sLo+chunk-used)
+			w.segs = append(w.segs, topKSeg{part: pi, lo: sLo, hi: sHi, j: at + sLo - p.Lo, at: used})
+			used += (sHi - sLo + 2*panelCols - 1) &^ (2*panelCols - 1)
+			sLo = sHi
+			if used == chunk {
+				if err := take(); err != nil {
+					return err
 				}
-				w.admit[c/32] = m
-			}
-			for x, run := range runs {
-				f.r, f.rowMeta = run.f.rowInt8()
-				for t := run.first; t < run.last; t += 4 {
-					n := w.base[x] + t - run.first
-					live := w.live[n/4]
-					if live == 0 {
-						continue
-					}
-					fr := t + run.off
-					seeded := 0 // the columns whose tiles seed has taken
-					if first {
-						seeded = w.seed(f, fr, n, live, lanes)
-					}
-					for c := 0; c < lanes; c += 2 * panelCols {
-						if w.admit[c/32] != 0 {
-							w.sweep(f, fr, n, c, j+c, live, c >= seeded)
-						}
-					}
-				}
-			}
-			first = false
-			colBytes = max(colBytes, sw.cols.Bytes())
-			// Drop what can no longer reach its row's kth once the list
-			// has doubled, so it holds about the cells still in play.
-			most = max(most, len(w.ups))
-			if len(w.ups) > limit {
-				w.trim()
-				limit = max(limit, 2*len(w.ups))
+				used = 0
 			}
 		}
 		at += p.Hi - p.Lo
 	}
-	w.trim()
+	if used > 0 {
+		if err := take(); err != nil {
+			return err
+		}
+	}
+	if chunks > 1 {
+		w.cut()
+	}
+	ran += w.rescore(form, runs, sp, d, visit, st)
+	st.Blocks = chunks
+	st.KStepsSkipped -= ran
+	st.ScratchBytes += sw.rows.Bytes() + colBytes + int64(len(w.cells)+len(w.kth)+len(w.lanes)+cap(w.admit))*4 + int64(len(w.live))*2 +
+		int64(cap(w.ups)+cap(w.cols)+cap(w.rows))*4 + int64(len(w.cfg))
+	return nil
+}
 
-	// Re-score the survivors in F32, sixteen cells a call, run by run and
-	// in list order within a run, a call's cells all of one S part: so
-	// each row's cells are still visited in ascending j.
-	var ran int64
+// chunk runs both passes of every live group of the worker against the
+// chunk's segments, listing their cells, and counts the tiles in st.
+func (w *topKWorker) chunk(form string, sw *scanWorker, runs []rowRun, sp []Part, d4 int, keepCol func(int) bool, st *ScanStats) {
+	w.admit = w.admit[:0]
+	for i := range w.segs {
+		sg := &w.segs[i]
+		cf, c0 := sw.colBlock(&sp[sg.part], sg.lo, sg.hi)
+		codes, corr, meta := cf.colInt8()
+		sg.codes, sg.corr, sg.meta = codes[c0*d4:], corr[c0:], meta[2*c0:]
+		width := sg.hi - sg.lo
+		sg.pairs, sg.admit, sg.used = (width+2*panelCols-1)/(2*panelCols), len(w.admit), 0
+		for c := 0; c < width; c += 2 * panelCols {
+			var m uint32
+			for jj := range min(2*panelCols, width-c) {
+				if keepCol == nil || keepCol(sg.j+c+jj) {
+					m |= 1 << jj
+				}
+			}
+			w.admit = append(w.admit, m)
+			if m != 0 {
+				sg.used++
+			}
+		}
+	}
+	for gi, g := range w.groups {
+		live := w.live[gi]
+		if live == 0 {
+			continue
+		}
+		var strips int // the group's strips with a live row
+		for t := range 4 {
+			if live>>(4*t)&15 != 0 {
+				strips |= 1 << t
+			}
+		}
+		codes, meta := runs[g.run].f.rowInt8()
+		r, row := codes[g.fr*d4:], meta[2*g.fr:]
+		for i := range w.segs {
+			w.cellsOf(form, r, d4, &w.segs[i], strips)
+		}
+		// The last segment's pass raises the rows' kth from their lanes.
+		lanes, kth := w.lanes[32*16*gi:], w.kth[16*gi:16*gi+16]
+		for i := range w.segs {
+			sg := &w.segs[i]
+			k := 0
+			if i == len(w.segs)-1 {
+				k = w.k
+			}
+			if form == "Go" {
+				topKLanesGo(w.cells[sg.at:], w.ldc, sg.pairs, sg.meta, row, w.admit[sg.admit:], uint32(live), d4/4, lanes, k, kth)
+			} else {
+				topKLanes(&w.cells[sg.at], w.ldc, sg.pairs, &sg.meta[0], &row[0], &w.admit[sg.admit], int(live), d4/4, &lanes[0], k, &kth[0])
+			}
+		}
+		for i := range w.segs {
+			sg := &w.segs[i]
+			from := len(w.cols)
+			w.list(form, sg, row, live, kth, 16*gi)
+			tiles := bits.OnesCount(uint(strips)) * sg.used
+			st.Int8Tiles += int64(tiles)
+			st.Int8RuledOut += int64(tiles - w.keptTiles(from, sg.j, 16*gi))
+			if len(w.cols) > from {
+				w.spans = append(w.spans, topKSpan{from, len(w.cols), g.run, sg.part})
+			}
+		}
+	}
+}
+
+// cellsOf writes the cells of the group whose R layout is at r (of its
+// strips marked in strips) against segment sg to the segment's columns
+// of w.cells.
+func (w *topKWorker) cellsOf(form string, r []byte, d4 int, sg *topKSeg, strips int) {
+	out := w.cells[sg.at:]
+	if form == "AMX" {
+		amxCells(&w.cfg, &r[0], d4, &sg.codes[0], sg.pairs, &sg.corr[0], &out[0], w.ldc)
+		return
+	}
+	for t := range 4 {
+		if strips>>t&1 == 0 {
+			continue
+		}
+		if form == "Go" {
+			stripCellsGo(r[4*t*d4:], d4, sg.codes, d4, sg.corr, sg.pairs, out[4*t*w.ldc:], w.ldc)
+		} else {
+			int8Strip(&r[4*t*d4], d4, &sg.codes[0], d4/4, &sg.corr[0], sg.pairs, &out[4*t*w.ldc], w.ldc)
+		}
+	}
+}
+
+// list appends to the list the cells of segment sg whose upper estimate
+// reaches their row's kth, for the group of slots from n0 with row meta
+// row and live rows live.
+func (w *topKWorker) list(form string, sg *topKSeg, row []float32, live uint16, kth []float32, n0 int) {
+	if form == "Go" {
+		w.ups, w.cols, w.rows = topKListGo(w.cells[sg.at:], w.ldc, sg.pairs, sg.meta, row, w.admit[sg.admit:], uint32(live), kth, w.ups, w.cols, w.rows, sg.j, n0)
+		return
+	}
+	m, room := len(w.cols), 16*2*panelCols*sg.pairs+panelCols
+	w.ups, w.cols, w.rows = slices.Grow(w.ups, room), slices.Grow(w.cols, room), slices.Grow(w.rows, room)
+	listed := topKList(&w.cells[sg.at], w.ldc, sg.pairs, &sg.meta[0], &row[0], &w.admit[sg.admit], int(live), &kth[0], &w.ups[:m+1][m], &w.cols[:m+1][m], &w.rows[:m+1][m], sg.j, n0)
+	w.ups, w.cols, w.rows = w.ups[:m+listed], w.cols[:m+listed], w.rows[:m+listed]
+}
+
+// keptTiles is how many tiles, 4 rows by 32 columns of a segment from
+// side column j0, the entries from from on of the group of slots from n0
+// list a cell of.
+func (w *topKWorker) keptTiles(from, j0, n0 int) int {
+	if len(w.cols) == from {
+		return 0
+	}
+	var kept [4]uint64 // per strip, its pairs (a segment has at most 64)
+	for m := from; m < len(w.cols); m++ {
+		kept[(w.rows[m]-int32(n0))>>2&3] |= 1 << ((w.cols[m] - int32(j0)) >> 5 & 63)
+	}
+	return bits.OnesCount64(kept[0]) + bits.OnesCount64(kept[1]) + bits.OnesCount64(kept[2]) + bits.OnesCount64(kept[3])
+}
+
+// cut drops the listed cells whose upper estimate is below their row's
+// kth, keeping the order of the rest and the spans they are in.
+func (w *topKWorker) cut() {
+	m, kept := 0, 0
+	for _, sp := range w.spans {
+		from := m
+		for x := sp.from; x < sp.to; x++ {
+			n := w.rows[x]
+			w.ups[m], w.cols[m], w.rows[m] = w.ups[x], w.cols[x], n
+			if !(w.ups[x] < w.kth[n]) {
+				m++
+			}
+		}
+		if m > from {
+			w.spans[kept] = topKSpan{from, m, sp.run, sp.part}
+			kept++
+		}
+	}
+	w.ups, w.cols, w.rows, w.spans = w.ups[:m], w.cols[:m], w.rows[:m], w.spans[:kept]
+}
+
+// rescore computes the listed cells in F32, sixteen cells a call, each
+// call's cells of one R run and one S part, and visits those that are
+// not NaN, then empties the list. The spans are taken part by part and,
+// within a part, run by run in list order, so each row's cells are
+// visited in ascending j. It returns the k-steps it ran.
+func (w *topKWorker) rescore(form string, runs []rowRun, sp []Part, d int, visit ScanVisitor, st *ScanStats) (ran int64) {
+	slices.SortStableFunc(w.spans, func(a, b topKSpan) int { return cmp.Or(a.part-b.part, a.run-b.run) })
 	var ri, sj [16]int32
 	var vi, vj [16]int
 	var sims [16]float32
-	for x, run := range runs {
-		sb, se := w.base[x], w.base[x]+run.last-run.first
-		pi, pat := 0, 0 // the S part of the cells and its first side column
-		cells := 0
-		flush := func() {
-			if cells == 0 {
-				return
+	cells, run, part, pat := 0, -1, -1, 0 // the batch; its run and part, and the part's first side column
+	flush := func() {
+		if cells == 0 {
+			return
+		}
+		rm, sm := runs[run].m, sp[part].matrix()
+		if form == "Go" {
+			dotPairsGo(sims[:], rm.Data, sm.Data, ri[:], sj[:], d, cells)
+		} else {
+			dotPairs(&sims[0], &rm.Data[0], &sm.Data[0], &ri[0], &sj[0], d, cells)
+		}
+		ran += int64(d)
+		st.Rescored += int64(cells)
+		for l := range cells {
+			if sim := sims[l]; sim == sim {
+				visit(vi[l], vj[l], sim)
 			}
-			dotPairs(&sims[0], &run.m.Data[0], &sp[pi].matrix().Data[0], &ri[0], &sj[0], d, cells)
-			ran += int64(d)
-			st.Rescored += int64(cells)
-			for l := range cells {
-				if sim := sims[l]; sim == sim {
-					visit(vi[l], vj[l], sim)
+		}
+		cells = 0
+	}
+	for _, s := range w.spans {
+		if s.run != run || s.part != part {
+			flush()
+			for ; part < s.part; part++ {
+				if part >= 0 {
+					pat += sp[part].Hi - sp[part].Lo
 				}
 			}
-			cells = 0
+			run = s.run
 		}
-		for q, n32 := range w.rows {
-			n := int(n32)
-			if n < sb || n >= se {
-				continue
-			}
-			col := int(w.cols[q])
-			for col >= pat+sp[pi].Hi-sp[pi].Lo {
-				flush()
-				pat += sp[pi].Hi - sp[pi].Lo
-				pi++
-			}
-			ri[cells], sj[cells] = int32((run.first+n-sb)*d), int32((sp[pi].Lo+col-pat)*d)
-			vi[cells], vj[cells] = run.at+n-sb, col
+		rr := &runs[run]
+		for x := s.from; x < s.to; x++ {
+			n := int(w.rows[x])
+			i := w.groups[n/16].fr + n%16 - rr.off // the row of rr's matrix
+			col := int(w.cols[x])
+			ri[cells], sj[cells] = int32(i*d), int32((sp[part].Lo+col-pat)*d)
+			vi[cells], vj[cells] = rr.at+i-rr.first, col
 			if cells++; cells == 16 {
 				flush()
 			}
 		}
-		flush()
 	}
-	f.count()
-	st.KStepsSkipped -= ran
-	st.Int8Tiles += f.tiles
-	st.Int8RuledOut += f.ruled
-	st.ScratchBytes += sw.rows.Bytes() + colBytes + int64(len(f.est))*4 + int64(slots)*int64(4*k+9) + int64(bc/32)*4 + int64(most+listSlack)*12
-	return nil
-}
-
-// listSlack is the room a tile needs past the list's end: 128 cells and
-// the 16 entries int8TileEst may write past them.
-const listSlack = 4*2*panelCols + panelCols
-
-// rowAdmit is the per-row admit masks of a tile of the strip whose live
-// rows live marks, against columns admit keeps.
-func rowAdmit(live uint8, admit uint32) [4]uint32 {
-	var a [4]uint32
-	for t := range a {
-		if live>>t&1 != 0 {
-			a[t] = admit
-		}
-	}
-	return a
-}
-
-// seed raises the kth of the strip of slots n..n+3 (those of them live
-// marks), rows fr.. of the R layout, before the sweep, from the per-tile
-// largest lower estimates of the first k tiles of block 0, so that the
-// sweep does not list nearly every cell of those tiles while kth is still
-// -Inf. It returns how many columns those tiles cover: they are taken,
-// and the sweep must not take them again.
-func (w *topKWorker) seed(f *int8Filter, fr, n int, live uint8, lanes int) int {
-	all := [4]float32{float32(math.Inf(-1)), float32(math.Inf(-1)), float32(math.Inf(-1)), float32(math.Inf(-1))}
-	seeded := min(lanes, w.k*2*panelCols)
-	for c := 0; c < seeded; c += 2 * panelCols {
-		admit := rowAdmit(live, w.admit[c/32])
-		keep01, keep23 := f.tileEst(fr, c, &all[0], &admit)
-		w.take(f, n, keep01, keep23)
-	}
-	return seeded
-}
-
-// sweep runs the tile of the strip of slots n..n+3 (those of them live
-// marks), rows fr.. of the R layout, and the two panels from column c of
-// the S block, side column j0, against the rows' kth: it lists the cells
-// whose upper estimate reaches its row's kth or is NaN and, unless seed
-// has taken the tile (fresh is false), raises the kth.
-func (w *topKWorker) sweep(f *int8Filter, fr, n, c, j0 int, live uint8, fresh bool) {
-	m := len(w.ups)
-	ups, cols, rows := slices.Grow(w.ups, listSlack), slices.Grow(w.cols, listSlack), slices.Grow(w.rows, listSlack)
-	admit := rowAdmit(live, w.admit[c/32])
-	keep01, keep23, listed := f.tileList(fr, c, &w.kth[n], &admit, &ups[:m+1][m], &cols[:m+1][m], &rows[:m+1][m], j0, n)
-	w.ups, w.cols, w.rows = ups[:m+listed], cols[:m+listed], rows[:m+listed]
-	if fresh {
-		w.take(f, n, keep01, keep23)
-	}
-}
-
-// take lets the largest lower estimate in f.est of each row of the strip
-// from slot n whose mask (keep01, keep23) is not 0 join the row's largest
-// if it is above the row's kth. Tiles are distinct cells, so k of them
-// bound the row's k-th best.
-func (w *topKWorker) take(f *int8Filter, n int, keep01, keep23 uint64) {
-	for t, keep := range [4]uint32{uint32(keep01), uint32(keep01 >> 32), uint32(keep23), uint32(keep23 >> 32)} {
-		if lo := f.est[256+t]; keep != 0 && lo > w.kth[n+t] {
-			w.insert(n+t, lo)
-		}
-	}
-}
-
-// insert adds lo, above kth[n], to row n's largest lower estimates,
-// dropping the least once it holds k, and raises kth[n] to the least
-// once it does: k cells' lower estimates bound the row's k-th best.
-func (w *topKWorker) insert(n int, lo float32) {
-	a := w.lows[n*w.k : (n+1)*w.k]
-	if m := int(w.fill[n]); m < w.k {
-		p := m
-		for ; p > 0 && a[p-1] > lo; p-- {
-			a[p] = a[p-1]
-		}
-		a[p] = lo
-		if w.fill[n]++; m+1 < w.k {
-			return
-		}
-	} else {
-		p := 0
-		for ; p+1 < w.k && a[p+1] < lo; p++ {
-			a[p] = a[p+1]
-		}
-		a[p] = lo
-	}
-	w.kth[n] = a[0]
-}
-
-// trim drops the listed cells whose upper estimate is below their row's
-// kth, keeping the order of the rest.
-func (w *topKWorker) trim() {
-	m := 0
-	for x, up := range w.ups {
-		n := w.rows[x]
-		w.ups[m], w.cols[m], w.rows[m] = up, w.cols[x], n
-		if !(up < w.kth[n]) {
-			m++
-		}
-	}
-	w.ups, w.cols, w.rows = w.ups[:m], w.cols[:m], w.rows[:m]
+	flush()
+	w.ups, w.cols, w.rows, w.spans = w.ups[:0], w.cols[:0], w.rows[:0], w.spans[:0]
+	return ran
 }

@@ -237,6 +237,7 @@ func BenchmarkTopKCandidates(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.Rows()*s.Rows()), "ns/pair")
 	b.ReportMetric(float64(st.KStepsSkipped)/float64(st.KSteps), "skipped")
+	b.ReportMetric(float64(st.Rescored)/float64(r.Rows()), "rescored/row")
 }
 
 // FuzzTopKCandidatesEqualsReference holds the candidate top-k to the
