@@ -105,8 +105,8 @@ func main() {
 		CalibrateCost: *calibrateCost,
 	}
 
-	tile, int8 := mat.Kernels()
-	log.Printf("ejserve: scan tile %s, int8 filter %s", tile, int8)
+	tile, int8, topk := mat.Kernels()
+	log.Printf("ejserve: scan tile %s, int8 filter %s, top-k cells %s", tile, int8, topk)
 	srv := newServer(*debugPprof)
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
 

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -985,26 +986,100 @@ func sameMatchList(t *testing.T, label string, got, want []Match) {
 
 // BenchmarkTensorTopK times top-3 on the serving shape, 1024 x 1024
 // unit-norm rows of 100, one thread, in ns per compared pair (the layer
-// that core.topk_ns_pair measures under the server): on random rows,
-// and on rows with 300 planted near neighbours (plantedEmbeddings), a
-// few high cells among many low ones, as served tables have.
+// that core.topk_ns_pair measures under the server), and the cells the
+// candidate top-k computed in F32 a row (rescored/row): on random rows;
+// on rows with 300 planted near neighbours (plantedEmbeddings), a few
+// high cells among many low ones; and on served ones (servedEmbeddings),
+// two-word phrases and their one-edit variants through the hash
+// embedder, whose rows' 3rd best sits near 0.5 (kth_p50) as on the
+// repo benchmark's scan_warm.
 func BenchmarkTensorTopK(b *testing.B) {
 	random := [2]*mat.Matrix{randomEmbeddings(1, 1024, 100), randomEmbeddings(2, 1024, 100)}
 	left, right := plantedEmbeddings(1024, 100, 300)
+	servedL, servedR := servedEmbeddings(b, 1024)
 	for _, bc := range []struct {
 		name string
 		rows [2]*mat.Matrix
-	}{{"random", random}, {"planted", [2]*mat.Matrix{left, right}}} {
+	}{{"random", random}, {"planted", [2]*mat.Matrix{left, right}}, {"served", [2]*mat.Matrix{servedL, servedR}}} {
 		b.Run(bc.name, func(b *testing.B) {
 			opts := Options{Threads: 1, Kernel: vec.KernelSIMD}
+			var res *Result
 			for b.Loop() {
-				if _, err := TensorTopK(context.Background(), bc.rows[0], bc.rows[1], 3, opts); err != nil {
+				var err error
+				if res, err = TensorTopK(context.Background(), bc.rows[0], bc.rows[1], 3, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(1024*1024), "ns/pair")
+			b.ReportMetric(float64(res.Stats.Rescored)/1024, "rescored/row")
+			kth := make([]float64, 1024)
+			for _, m := range res.Matches {
+				if kth[m.Left] == 0 || float64(m.Sim) < kth[m.Left] {
+					kth[m.Left] = float64(m.Sim)
+				}
+			}
+			slices.Sort(kth)
+			b.ReportMetric(kth[len(kth)/2], "kth_p50")
 		})
 	}
+}
+
+// servedEmbeddings returns two n-row tables as the repo benchmark's
+// scan_warm draws them, embedded by model.NewHashEmbedder(100): n
+// distinct two-word phrases over 400 made-up words, and each side's rows
+// a variant of a random phrase (as is, pluralized, one letter changed,
+// or one word more).
+func servedEmbeddings(b *testing.B, n int) (left, right *mat.Matrix) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(1))
+	syllables := []string{"ka", "lo", "mi", "ne", "ru", "ta", "vo", "zi", "ba", "de", "fu", "go", "hi", "jo", "pe", "si"}
+	var vocab []string
+	for seen := map[string]bool{}; len(vocab) < 400; {
+		var w strings.Builder
+		for range 3 + rng.Intn(2) {
+			w.WriteString(syllables[rng.Intn(len(syllables))])
+		}
+		if !seen[w.String()] {
+			seen[w.String()] = true
+			vocab = append(vocab, w.String())
+		}
+	}
+	var bases []string
+	for seen := map[string]bool{}; len(bases) < n; {
+		if p := vocab[rng.Intn(len(vocab))] + " " + vocab[rng.Intn(len(vocab))]; !seen[p] {
+			seen[p] = true
+			bases = append(bases, p)
+		}
+	}
+	m, err := model.NewHashEmbedder(100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	side := func() *mat.Matrix {
+		texts := make([]string, n)
+		for i := range texts {
+			words := strings.Fields(bases[rng.Intn(n)])
+			w := rng.Intn(len(words))
+			switch rng.Intn(4) {
+			case 1:
+				words[w] += "s"
+			case 2:
+				c := []byte(words[w])
+				pos := 1 + rng.Intn(len(c)-2)
+				c[pos] = 'a' + (c[pos]-'a'+1+byte(rng.Intn(24)))%26
+				words[w] = string(c)
+			case 3:
+				words = append(words, vocab[rng.Intn(len(vocab))])
+			}
+			texts[i] = strings.Join(words, " ")
+		}
+		e, err := Embed(context.Background(), m, texts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return e
+	}
+	return side(), side()
 }
 
 // plantedEmbeddings returns two n x dim matrices of random unit rows in

@@ -957,6 +957,23 @@ lanesDone:
 	POPCNTL       R12, R12;         \
 	ADDQ          R12, CX
 
+// The upper estimates of a pair of panels' cells, CELL_KEEP's three fused
+// steps: the cells at (DI), the panels' scales and b at (BX), the row's
+// s_i and c_i in Z16 and Z17 and the floor in Z15, into Z4 and Z5.
+#define PAIR_UPPER \
+	VCVTDQ2PS   (DI), Z0;       \
+	VCVTDQ2PS   64(DI), Z1;     \
+	VMOVUPS     64(BX), Z2;     \
+	VMOVUPS     192(BX), Z3;    \
+	VFMADD231PS (BX), Z0, Z2;   \
+	VFMADD231PS 128(BX), Z1, Z3; \
+	VMOVAPS     Z15, Z4;        \
+	VMOVAPS     Z15, Z5;        \
+	VFMADD231PS (BX), Z17, Z4;  \
+	VFMADD231PS 128(BX), Z17, Z5; \
+	VFMADD231PS Z2, Z16, Z4;    \
+	VFMADD231PS Z3, Z16, Z5
+
 // func topKList(cells *int32, ldc, pairs int, col, row *float32, admit *uint32, live int, kth *float32, ups *float32, cols, rows *int32, j0, n0 int) (listed int)
 //
 // The top-k's second pass over a 16-row group's cells, laid out as
@@ -968,23 +985,25 @@ lanesDone:
 // (three fused steps, CELL_KEEP's) is not below kth[t] (NLT_UQ: a NaN
 // estimate is listed; a NaN kth is made +Inf) is listed: up, column
 // j0+c and row n0+t to ups[m], cols[m] and rows[m] for m < listed, each
-// array written up to 16 entries past listed. Needs AVX-512F.
-TEXT ·topKList(SB), NOSPLIT, $0-112
+// array written up to 16 entries past listed. pairs is at most 64. A
+// row's pairs are first compared without a branch, each pair's 32-bit
+// mask to the stack and a bit for each pair with a cell listed to R14;
+// then the pairs of those bits, in ascending order, are estimated again
+// and listed, so a row takes one unpredictable branch per listing pair,
+// not one per pair. Needs AVX-512F.
+TEXT ·topKList(SB), NOSPLIT, $256-112
 	MOVQ         cells+0(FP), SI
 	MOVQ         ldc+8(FP), R9
 	SHLQ         $2, R9 // a row's bytes
 	MOVQ         row+32(FP), R8
 	MOVQ         live+48(FP), R10
 	MOVQ         kth+56(FP), R11
-	MOVQ         ups+64(FP), AX
-	MOVQ         cols+72(FP), DX
-	MOVQ         rows+80(FP), R14
 	XORQ         CX, CX
 	MOVQ         n0+96(FP), R12
 	VPBROADCASTD R12, Z26 // the row's number
 	MOVL         $1, R12
 	VPBROADCASTD R12, Z23
-	MOVL         $32, R12
+	MOVL         $16, R12
 	VPBROADCASTD R12, Z22
 	MOVL         $0x0d800000, R12
 	VPBROADCASTD R12, Z15 // 2^-100
@@ -1000,47 +1019,67 @@ listRow:
 	VBROADCASTSS 64(R8), Z17
 	VBROADCASTSS (R11), Z18
 	VMINPS       Z21, Z18, Z18
-	MOVQ         j0+88(FP), R12
-	VPBROADCASTD R12, Z27
-	VPADDD       lanes<>(SB), Z27, Z27 // the first panel's columns
-	MOVL         $16, R12
-	VPBROADCASTD R12, Z28
-	VPADDD       Z27, Z28, Z28         // the second's
 	MOVQ         SI, DI
 	MOVQ         col+24(FP), BX
 	MOVQ         admit+40(FP), R13
-	MOVQ         pairs+16(FP), R15
+	XORQ         R15, R15 // the pair
+	MOVL         $1, DX   // its bit
+	XORQ         R14, R14 // the pairs with a cell listed
 
 listPair:
-	KMOVW       (R13), K4
-	KMOVW       2(R13), K5
-	VCVTDQ2PS   (DI), Z0
-	VCVTDQ2PS   64(DI), Z1
-	VMOVUPS     64(BX), Z2
-	VMOVUPS     192(BX), Z3
-	VFMADD231PS (BX), Z0, Z2
-	VFMADD231PS 128(BX), Z1, Z3
-	VMOVAPS     Z15, Z4
-	VMOVAPS     Z15, Z5
-	VFMADD231PS (BX), Z17, Z4
-	VFMADD231PS 128(BX), Z17, Z5
-	VFMADD231PS Z2, Z16, Z4
-	VFMADD231PS Z3, Z16, Z5
-	VCMPPS      $0x15, Z18, Z4, K4, K1
-	VCMPPS      $0x15, Z18, Z5, K5, K2
-	KORTESTW    K1, K2
-	JZ          listSkip
+	KMOVW    (R13), K4
+	KMOVW    2(R13), K5
+	PAIR_UPPER
+	VCMPPS   $0x15, Z18, Z4, K4, K1
+	VCMPPS   $0x15, Z18, Z5, K5, K2
+	KMOVW    K1, AX
+	KMOVW    K2, R12
+	SHLL     $16, R12
+	ORL      R12, AX
+	MOVL     AX, (SP)(R15*4)
+	XORQ     R12, R12
+	TESTL    AX, AX
+	CMOVQNE  DX, R12
+	ORQ      R12, R14
+	SHLQ     $1, DX
+	ADDQ     $128, DI
+	ADDQ     $256, BX
+	ADDQ     $4, R13
+	INCQ     R15
+	CMPQ     R15, pairs+16(FP)
+	JLT      listPair
+
+	MOVQ  R14, R15
+	TESTQ R15, R15
+	JZ    listNext
+	MOVQ  ups+64(FP), AX
+	MOVQ  cols+72(FP), DX
+	MOVQ  rows+80(FP), R14
+
+listHit:
+	BSFQ         R15, R13 // the lowest pair left
+	LEAQ         -1(R15), R12
+	ANDQ         R12, R15
+	MOVL         (SP)(R13*4), R12
+	KMOVW        R12, K1
+	SHRL         $16, R12
+	KMOVW        R12, K2
+	MOVQ         R13, DI
+	SHLQ         $7, DI
+	ADDQ         SI, DI
+	MOVQ         R13, BX
+	SHLQ         $8, BX
+	ADDQ         col+24(FP), BX
+	PAIR_UPPER
+	SHLQ         $5, R13
+	ADDQ         j0+88(FP), R13
+	VPBROADCASTD R13, Z27
+	VPADDD       lanes<>(SB), Z27, Z27 // the first panel's columns
+	VPADDD       Z22, Z27, Z28         // the second's
 	LIST_PANEL(Z4, K1, Z27)
 	LIST_PANEL(Z5, K2, Z28)
-
-listSkip:
-	VPADDD Z22, Z27, Z27
-	VPADDD Z22, Z28, Z28
-	ADDQ   $128, DI
-	ADDQ   $256, BX
-	ADDQ   $4, R13
-	DECQ   R15
-	JNZ    listPair
+	TESTQ        R15, R15
+	JNZ          listHit
 
 listNext:
 	ADDQ   R9, SI
@@ -1058,10 +1097,16 @@ listDone:
 // func dotPairs(dst, r, s *float32, ri, sj *int32, d, n int)
 //
 // n <= 16 cells, one a lane: dst[l] = fmaSeq over ascending k of
-// r[ri[l]+k] and s[sj[l]+k], for l < n and d >= 1. Per k one VGATHERDPS
-// of each side's element and one VFMADD231PS, so every lane performs
-// dotSeq's operation sequence, as the tiles' lanes do. Needs AVX-512F.
-TEXT ·dotPairs(SB), NOSPLIT, $0-56
+// r[ri[l]+k] and s[sj[l]+k], for l < n and d >= 1; ri and sj are read
+// for l < n only. Each 16 k-steps load the 16 rows' 16 elements of each
+// side, transpose them in registers (64 shuffles a side: unpack dwords,
+// unpack qwords, then two rounds of VSHUFF32X4 over 128-bit lanes), park
+// R's on the stack and run one VFMADD231PS a step, so every lane
+// performs dotSeq's operation sequence, as the tiles' lanes do; the
+// last d%16 steps gather each side's element, one VGATHERDPS a side a
+// step. Lanes from n on compute row 0's cells and are not stored. Needs
+// AVX-512F.
+TEXT ·dotPairs(SB), $1152-56
 	MOVQ        dst+0(FP), DI
 	MOVQ        r+8(FP), SI
 	MOVQ        s+16(FP), DX
@@ -1075,21 +1120,264 @@ TEXT ·dotPairs(SB), NOSPLIT, $0-56
 	MOVQ        d+40(FP), CX
 	VMOVDQU32.Z (AX), K2, Z1
 	VMOVDQU32.Z (BX), K2, Z2
-	VPXORD      Z0, Z0, Z0
-	VPXORD      Z3, Z3, Z3
-	VPXORD      Z4, Z4, Z4
+	VMOVDQU32   Z1, (SP) // the lanes' offsets: R's at 0(SP), S's at 64(SP)
+	VMOVDQU32   Z2, 64(SP)
+	VPXORD      Z31, Z31, Z31
+	MOVQ        CX, R9
+	SHRQ        $4, R9
+	JZ          pairTail
+
+pairBlock:
+	MOVLQSX 0(SP), R8
+	VMOVUPS (SI)(R8*4), Z0
+	MOVLQSX 4(SP), R8
+	VMOVUPS (SI)(R8*4), Z1
+	MOVLQSX 8(SP), R8
+	VMOVUPS (SI)(R8*4), Z2
+	MOVLQSX 12(SP), R8
+	VMOVUPS (SI)(R8*4), Z3
+	MOVLQSX 16(SP), R8
+	VMOVUPS (SI)(R8*4), Z4
+	MOVLQSX 20(SP), R8
+	VMOVUPS (SI)(R8*4), Z5
+	MOVLQSX 24(SP), R8
+	VMOVUPS (SI)(R8*4), Z6
+	MOVLQSX 28(SP), R8
+	VMOVUPS (SI)(R8*4), Z7
+	MOVLQSX 32(SP), R8
+	VMOVUPS (SI)(R8*4), Z8
+	MOVLQSX 36(SP), R8
+	VMOVUPS (SI)(R8*4), Z9
+	MOVLQSX 40(SP), R8
+	VMOVUPS (SI)(R8*4), Z10
+	MOVLQSX 44(SP), R8
+	VMOVUPS (SI)(R8*4), Z11
+	MOVLQSX 48(SP), R8
+	VMOVUPS (SI)(R8*4), Z12
+	MOVLQSX 52(SP), R8
+	VMOVUPS (SI)(R8*4), Z13
+	MOVLQSX 56(SP), R8
+	VMOVUPS (SI)(R8*4), Z14
+	MOVLQSX 60(SP), R8
+	VMOVUPS (SI)(R8*4), Z15
+	VUNPCKLPS Z1, Z0, Z16
+	VUNPCKHPS Z1, Z0, Z17
+	VUNPCKLPS Z3, Z2, Z18
+	VUNPCKHPS Z3, Z2, Z19
+	VUNPCKLPS Z5, Z4, Z20
+	VUNPCKHPS Z5, Z4, Z21
+	VUNPCKLPS Z7, Z6, Z22
+	VUNPCKHPS Z7, Z6, Z23
+	VUNPCKLPS Z9, Z8, Z24
+	VUNPCKHPS Z9, Z8, Z25
+	VUNPCKLPS Z11, Z10, Z26
+	VUNPCKHPS Z11, Z10, Z27
+	VUNPCKLPS Z13, Z12, Z28
+	VUNPCKHPS Z13, Z12, Z29
+	VUNPCKLPS Z15, Z14, Z30
+	VUNPCKHPS Z15, Z14, Z0
+	VUNPCKLPD Z18, Z16, Z1
+	VUNPCKHPD Z18, Z16, Z2
+	VUNPCKLPD Z19, Z17, Z3
+	VUNPCKHPD Z19, Z17, Z4
+	VUNPCKLPD Z22, Z20, Z5
+	VUNPCKHPD Z22, Z20, Z6
+	VUNPCKLPD Z23, Z21, Z7
+	VUNPCKHPD Z23, Z21, Z8
+	VUNPCKLPD Z26, Z24, Z9
+	VUNPCKHPD Z26, Z24, Z10
+	VUNPCKLPD Z27, Z25, Z11
+	VUNPCKHPD Z27, Z25, Z12
+	VUNPCKLPD Z30, Z28, Z13
+	VUNPCKHPD Z30, Z28, Z14
+	VUNPCKLPD Z0, Z29, Z15
+	VUNPCKHPD Z0, Z29, Z16
+	VSHUFF32X4 $0x44, Z5, Z1, Z17
+	VSHUFF32X4 $0xee, Z5, Z1, Z18
+	VSHUFF32X4 $0x44, Z13, Z9, Z19
+	VSHUFF32X4 $0xee, Z13, Z9, Z20
+	VSHUFF32X4 $0x88, Z19, Z17, Z21
+	VSHUFF32X4 $0xdd, Z19, Z17, Z22
+	VSHUFF32X4 $0x88, Z20, Z18, Z23
+	VSHUFF32X4 $0xdd, Z20, Z18, Z24
+	VSHUFF32X4 $0x44, Z6, Z2, Z25
+	VSHUFF32X4 $0xee, Z6, Z2, Z26
+	VSHUFF32X4 $0x44, Z14, Z10, Z27
+	VSHUFF32X4 $0xee, Z14, Z10, Z28
+	VSHUFF32X4 $0x88, Z27, Z25, Z29
+	VSHUFF32X4 $0xdd, Z27, Z25, Z30
+	VSHUFF32X4 $0x88, Z28, Z26, Z0
+	VSHUFF32X4 $0xdd, Z28, Z26, Z1
+	VSHUFF32X4 $0x44, Z7, Z3, Z5
+	VSHUFF32X4 $0xee, Z7, Z3, Z9
+	VSHUFF32X4 $0x44, Z15, Z11, Z13
+	VSHUFF32X4 $0xee, Z15, Z11, Z17
+	VSHUFF32X4 $0x88, Z13, Z5, Z18
+	VSHUFF32X4 $0xdd, Z13, Z5, Z19
+	VSHUFF32X4 $0x88, Z17, Z9, Z20
+	VSHUFF32X4 $0xdd, Z17, Z9, Z2
+	VSHUFF32X4 $0x44, Z8, Z4, Z6
+	VSHUFF32X4 $0xee, Z8, Z4, Z10
+	VSHUFF32X4 $0x44, Z16, Z12, Z14
+	VSHUFF32X4 $0xee, Z16, Z12, Z25
+	VSHUFF32X4 $0x88, Z14, Z6, Z26
+	VSHUFF32X4 $0xdd, Z14, Z6, Z27
+	VSHUFF32X4 $0x88, Z25, Z10, Z28
+	VSHUFF32X4 $0xdd, Z25, Z10, Z3
+	VMOVUPS Z21, 128(SP)
+	VMOVUPS Z29, 192(SP)
+	VMOVUPS Z18, 256(SP)
+	VMOVUPS Z26, 320(SP)
+	VMOVUPS Z22, 384(SP)
+	VMOVUPS Z30, 448(SP)
+	VMOVUPS Z19, 512(SP)
+	VMOVUPS Z27, 576(SP)
+	VMOVUPS Z23, 640(SP)
+	VMOVUPS Z0, 704(SP)
+	VMOVUPS Z20, 768(SP)
+	VMOVUPS Z28, 832(SP)
+	VMOVUPS Z24, 896(SP)
+	VMOVUPS Z1, 960(SP)
+	VMOVUPS Z2, 1024(SP)
+	VMOVUPS Z3, 1088(SP)
+	MOVLQSX 64(SP), R8
+	VMOVUPS (DX)(R8*4), Z0
+	MOVLQSX 68(SP), R8
+	VMOVUPS (DX)(R8*4), Z1
+	MOVLQSX 72(SP), R8
+	VMOVUPS (DX)(R8*4), Z2
+	MOVLQSX 76(SP), R8
+	VMOVUPS (DX)(R8*4), Z3
+	MOVLQSX 80(SP), R8
+	VMOVUPS (DX)(R8*4), Z4
+	MOVLQSX 84(SP), R8
+	VMOVUPS (DX)(R8*4), Z5
+	MOVLQSX 88(SP), R8
+	VMOVUPS (DX)(R8*4), Z6
+	MOVLQSX 92(SP), R8
+	VMOVUPS (DX)(R8*4), Z7
+	MOVLQSX 96(SP), R8
+	VMOVUPS (DX)(R8*4), Z8
+	MOVLQSX 100(SP), R8
+	VMOVUPS (DX)(R8*4), Z9
+	MOVLQSX 104(SP), R8
+	VMOVUPS (DX)(R8*4), Z10
+	MOVLQSX 108(SP), R8
+	VMOVUPS (DX)(R8*4), Z11
+	MOVLQSX 112(SP), R8
+	VMOVUPS (DX)(R8*4), Z12
+	MOVLQSX 116(SP), R8
+	VMOVUPS (DX)(R8*4), Z13
+	MOVLQSX 120(SP), R8
+	VMOVUPS (DX)(R8*4), Z14
+	MOVLQSX 124(SP), R8
+	VMOVUPS (DX)(R8*4), Z15
+	VUNPCKLPS Z1, Z0, Z16
+	VUNPCKHPS Z1, Z0, Z17
+	VUNPCKLPS Z3, Z2, Z18
+	VUNPCKHPS Z3, Z2, Z19
+	VUNPCKLPS Z5, Z4, Z20
+	VUNPCKHPS Z5, Z4, Z21
+	VUNPCKLPS Z7, Z6, Z22
+	VUNPCKHPS Z7, Z6, Z23
+	VUNPCKLPS Z9, Z8, Z24
+	VUNPCKHPS Z9, Z8, Z25
+	VUNPCKLPS Z11, Z10, Z26
+	VUNPCKHPS Z11, Z10, Z27
+	VUNPCKLPS Z13, Z12, Z28
+	VUNPCKHPS Z13, Z12, Z29
+	VUNPCKLPS Z15, Z14, Z30
+	VUNPCKHPS Z15, Z14, Z0
+	VUNPCKLPD Z18, Z16, Z1
+	VUNPCKHPD Z18, Z16, Z2
+	VUNPCKLPD Z19, Z17, Z3
+	VUNPCKHPD Z19, Z17, Z4
+	VUNPCKLPD Z22, Z20, Z5
+	VUNPCKHPD Z22, Z20, Z6
+	VUNPCKLPD Z23, Z21, Z7
+	VUNPCKHPD Z23, Z21, Z8
+	VUNPCKLPD Z26, Z24, Z9
+	VUNPCKHPD Z26, Z24, Z10
+	VUNPCKLPD Z27, Z25, Z11
+	VUNPCKHPD Z27, Z25, Z12
+	VUNPCKLPD Z30, Z28, Z13
+	VUNPCKHPD Z30, Z28, Z14
+	VUNPCKLPD Z0, Z29, Z15
+	VUNPCKHPD Z0, Z29, Z16
+	VSHUFF32X4 $0x44, Z5, Z1, Z17
+	VSHUFF32X4 $0xee, Z5, Z1, Z18
+	VSHUFF32X4 $0x44, Z13, Z9, Z19
+	VSHUFF32X4 $0xee, Z13, Z9, Z20
+	VSHUFF32X4 $0x88, Z19, Z17, Z21
+	VSHUFF32X4 $0xdd, Z19, Z17, Z22
+	VSHUFF32X4 $0x88, Z20, Z18, Z23
+	VSHUFF32X4 $0xdd, Z20, Z18, Z24
+	VSHUFF32X4 $0x44, Z6, Z2, Z25
+	VSHUFF32X4 $0xee, Z6, Z2, Z26
+	VSHUFF32X4 $0x44, Z14, Z10, Z27
+	VSHUFF32X4 $0xee, Z14, Z10, Z28
+	VSHUFF32X4 $0x88, Z27, Z25, Z29
+	VSHUFF32X4 $0xdd, Z27, Z25, Z30
+	VSHUFF32X4 $0x88, Z28, Z26, Z0
+	VSHUFF32X4 $0xdd, Z28, Z26, Z1
+	VSHUFF32X4 $0x44, Z7, Z3, Z5
+	VSHUFF32X4 $0xee, Z7, Z3, Z9
+	VSHUFF32X4 $0x44, Z15, Z11, Z13
+	VSHUFF32X4 $0xee, Z15, Z11, Z17
+	VSHUFF32X4 $0x88, Z13, Z5, Z18
+	VSHUFF32X4 $0xdd, Z13, Z5, Z19
+	VSHUFF32X4 $0x88, Z17, Z9, Z20
+	VSHUFF32X4 $0xdd, Z17, Z9, Z2
+	VSHUFF32X4 $0x44, Z8, Z4, Z6
+	VSHUFF32X4 $0xee, Z8, Z4, Z10
+	VSHUFF32X4 $0x44, Z16, Z12, Z14
+	VSHUFF32X4 $0xee, Z16, Z12, Z25
+	VSHUFF32X4 $0x88, Z14, Z6, Z26
+	VSHUFF32X4 $0xdd, Z14, Z6, Z27
+	VSHUFF32X4 $0x88, Z25, Z10, Z28
+	VSHUFF32X4 $0xdd, Z25, Z10, Z3
+	VFMADD231PS 128(SP), Z21, Z31
+	VFMADD231PS 192(SP), Z29, Z31
+	VFMADD231PS 256(SP), Z18, Z31
+	VFMADD231PS 320(SP), Z26, Z31
+	VFMADD231PS 384(SP), Z22, Z31
+	VFMADD231PS 448(SP), Z30, Z31
+	VFMADD231PS 512(SP), Z19, Z31
+	VFMADD231PS 576(SP), Z27, Z31
+	VFMADD231PS 640(SP), Z23, Z31
+	VFMADD231PS 704(SP), Z0, Z31
+	VFMADD231PS 768(SP), Z20, Z31
+	VFMADD231PS 832(SP), Z28, Z31
+	VFMADD231PS 896(SP), Z24, Z31
+	VFMADD231PS 960(SP), Z1, Z31
+	VFMADD231PS 1024(SP), Z2, Z31
+	VFMADD231PS 1088(SP), Z3, Z31
+	ADDQ $64, SI
+	ADDQ $64, DX
+	DECQ R9
+	JNZ  pairBlock
+
+pairTail:
+	ANDQ      $15, CX
+	JZ        pairDone
+	VMOVDQU32 (SP), Z1
+	VMOVDQU32 64(SP), Z2
+	VPXORD    Z3, Z3, Z3
+	VPXORD    Z4, Z4, Z4
 
 pairLoop:
 	KMOVW       K2, K1
 	VGATHERDPS  (SI)(Z1*4), K1, Z3
 	KMOVW       K2, K3
 	VGATHERDPS  (DX)(Z2*4), K3, Z4
-	VFMADD231PS Z4, Z3, Z0
+	VFMADD231PS Z4, Z3, Z31
 	ADDQ        $4, SI
 	ADDQ        $4, DX
 	DECQ        CX
 	JNZ         pairLoop
-	VMOVUPS     Z0, K2, (DI)
+
+pairDone:
+	VMOVUPS Z31, K2, (DI)
 	VZEROUPPER
 	RET
 

@@ -7,8 +7,10 @@ import "math"
 // strip or group, both passes over them and the re-score. Every build
 // compiles them. They are each kernel's contract written out: every
 // fused step goes through fma32, so their outputs are the assembly's bit
-// for bit (TestInt8KernelsMatchGo, FuzzInt8FilterConservative), and they
-// run the top-k wherever the assembly does not (topKForm "Go").
+// for bit (TestInt8Quant, TestDotPairsMatchesGo, checkEstimates under
+// TestInt8FilterHardCases and FuzzInt8FilterConservative), and a build
+// without the assembly runs the top-k on them when its tests switch
+// useInt8 on (topKForm "Go").
 
 // int8StatsGo is int8Stats' Go form: for each of n rows of d elements
 // from x, the largest |x[k]| and the float32 sum of all |x[k]|, both

@@ -329,9 +329,10 @@ func TestInt8FilterHardCases(t *testing.T) {
 // largest |x| and the L1 norm, and codes round(x*inv) to nearest even in
 // groups of four, laid out at the row, group and within-row strides
 // asked, XORed with flip, the last group padded with code 0, and their
-// sum.
+// sum; and holds int8Stats and int8Quant to their Go forms bit for bit.
+// A build without the assembly runs it on the Go forms.
 func TestInt8Quant(t *testing.T) {
-	if !haveVNNI {
+	if haveSIMD && !haveVNNI {
 		t.Skip("no AVX-512 VNNI on this host, so no int8 filter to test")
 	}
 	rng := rand.New(rand.NewSource(89))
@@ -340,6 +341,11 @@ func TestInt8Quant(t *testing.T) {
 		x := randomMatrix(rng, n, d)
 		stats := make([]float32, 2*n)
 		int8Stats(&x.Data[0], d, n, &stats[0])
+		statsGo := make([]float32, 2*n)
+		int8StatsGo(x.Data, d, n, statsGo)
+		if !sameBits(stats, statsGo) {
+			t.Fatalf("d %d: stats %v, the Go form's %v", d, stats, statsGo)
+		}
 		inv := make([]float32, n)
 		for j := 0; j < n; j++ {
 			var wantMax, wantL1 float64
@@ -359,6 +365,11 @@ func TestInt8Quant(t *testing.T) {
 				dst := make([]byte, 2*groupStep)
 				sums := make([]int32, n)
 				int8Quant(&x.Data[0], d, n, &inv[0], &dst[0], rowStep, groupStep, stride, flip, &sums[0])
+				dstGo, sumsGo := make([]byte, len(dst)), make([]int32, n)
+				int8QuantGo(x.Data, d, n, inv, dstGo, rowStep, groupStep, stride, flip, sumsGo)
+				if !slices.Equal(dst, dstGo) || !slices.Equal(sums, sumsGo) {
+					t.Fatalf("d %d, strides %d/%d, flip %#x: codes or sums differ from the Go form's", d, rowStep, stride, flip)
+				}
 				for j := 0; j < n; j++ {
 					var want int32
 					for k := 0; k < d4; k++ {

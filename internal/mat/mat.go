@@ -255,14 +255,16 @@
 // has seen, so the int8 filter cannot rule out much of a top-k scan.
 // TopKCandidates therefore does not scan in F32 at all. Each worker
 // takes its R rows in 16-row groups of their R layout (Forms) and S in
-// chunks of at most topKChunk columns, which may span S parts: a part's
-// columns sit from a multiple of 32 in the chunk, the columns padding
-// them admitted by no row. For each group and chunk it computes the
-// group's int32 cells D + q_i·q_j against the chunk into a buffer, on
-// AMX tiles where the host has them (amxCells: each C tile loaded with
-// its panels' corr in all 16 rows, then TDPBUSD per K chunk, then
-// stored), and on VPDPBUSD otherwise (int8Strip, the filter's k loop):
-// the same integers, exact in int32. Two passes read them:
+// chunks of its columns, which may span S parts: a part's columns sit
+// from a multiple of 32 in the chunk, the columns padding them admitted
+// by no row, and a chunk is all of S, so laid out, or topKChunk (2048)
+// columns if that is fewer. For each group and chunk it computes the
+// group's int32 cells D + q_i·q_j against the chunk into a buffer of 16
+// rows of the chunk's width, on AMX tiles where the host has them
+// (amxCells: each C tile loaded with its panels' corr in all 16 rows,
+// then TDPBUSD per K chunk, then stored), and on VPDPBUSD otherwise
+// (int8Strip, the filter's k loop): the same integers, exact in int32.
+// Two passes read them:
 //
 //   - The first (topKLanes) keeps, per row, the largest lower estimate
 //     in each of 32 lanes (column mod 32) over the columns keepCol admits;
@@ -271,36 +273,50 @@
 //     k-th largest lane. The k top lanes are k distinct cells, each at
 //     least its lower estimate and none NaN (a NaN cell's lower estimate
 //     is NaN or -Inf), so kth is at most the row's k-th best: the lane
-//     lemma. The lanes carry from chunk to chunk.
+//     lemma. A -Inf lane raises nothing, so a row with fewer than k
+//     admitted columns keeps its bound. The lanes carry from chunk to
+//     chunk, so a row's kth after the last chunk is the k-th largest of
+//     its lanes over all of S.
 //   - The second (topKList) lists, row by row in ascending column, every
 //     admitted cell whose upper estimate is not below its row's kth or
-//     is NaN (a NaN kth, which no live row has, is made +Inf).
+//     is NaN (a NaN kth, which no live row has, is made +Inf). It compares
+//     a row's pairs of panels without a branch first, then lists only
+//     the pairs that hold a listed cell.
 //
 // Rows whose bound is NaN, and rows of a group the worker does not own,
 // are never live: no pass reads them, and a group with none live is not
-// computed. A cell listed under an earlier chunk's, lower kth is cut to
-// the final kth once, before the re-score (a list far longer than a
-// chunk's cells is cut, and then re-scored, early). Only the listed
-// cells are computed in F32, by dotPairs, one cell a lane, both rows'
-// elements gathered each step, so each is fmaSeq's bits, sixteen cells
-// a call of one R run and one S part, and visited part by part in list
-// order, so each row's cells arrive in ascending j. A cell among the
-// row's k best reaches the final kth, which is at most the k-th best,
-// and its upper estimate is at least the cell, so it is listed and
-// survives the cut: a consumer that keeps the k best of what it is
-// handed, ties to the earlier arrival, ends with exactly the scan's
-// answer, ties to the lower j. ScanStats counts the whole product's
-// k-steps, and as skipped all but d per 16 re-scored cells; Int8Tiles
-// counts, in 4x32 tiles, the strips with a live row times the pairs of
-// panels with an admitted column, Int8RuledOut those of them that listed
-// no cell, and Rescored the cells computed in F32. The kernels' Go forms
-// (int8_portable.go, every fused step through fma32) run it where the
-// assembly does not (topKForm), and the assembly is held to them bit for
-// bit (checkEstimates, under FuzzInt8FilterConservative).
+// computed. ctx is polled before each group's passes over each chunk. A
+// cell listed under an earlier chunk's, lower kth is cut to the final
+// kth once, before the re-score (a list far longer than a chunk's cells
+// is cut, and then re-scored, early). Only the listed cells are
+// computed in F32, by dotPairs, one cell a lane: sixteen k-steps at a
+// time it loads the sixteen rows' elements of each side and transposes
+// them in registers, the last d%16 steps it gathers them, so each cell
+// is fmaSeq's bits. A call's sixteen cells are of one R run and one S
+// part, and the cells are visited part by part in list order, so each
+// row's cells arrive in ascending j. A cell among the row's k best
+// reaches the final kth, which is at most the k-th best, and its upper
+// estimate is at least the cell, so it is listed and survives the cut:
+// a consumer that keeps the k best of what it is handed, ties to the
+// earlier arrival, ends with exactly the scan's answer, ties to the
+// lower j. ScanStats counts the whole product's k-steps, and as skipped
+// all but d per 16 re-scored cells; Blocks counts the chunks a worker
+// took; Int8Tiles counts, in 4x32 tiles, the strips with a live row
+// times the pairs of panels with an admitted column, Int8RuledOut those
+// of them that listed no cell, and Rescored the cells computed in F32
+// (EXPLAIN ANALYZE's int8_tiles, int8_ruled_out and rescored). The
+// kernels' Go forms (int8_portable.go, every fused step through fma32)
+// are their contracts written out: the assembly is held to them bit for
+// bit (checkEstimates, under FuzzInt8FilterConservative), and a build
+// without the assembly runs the top-k on them when its tests switch
+// useInt8 on (topKForm "Go"), so TestTopKCandidates and
+// FuzzTopKCandidatesEqualsReference run there too.
 // TopKCandidatesOn says where it runs: the SIMD kernel on hosts with the
 // int8 filter, every worker at least int8MinRows R rows, at least
 // int8MinCols S rows, and k <= 8; FuzzTopKCandidatesEqualsReference and
-// TestTopKCandidates hold it to the reference with the floors lowered.
+// TestTopKCandidates hold it to the reference with the floors lowered,
+// on every form of the cells the host has, with the same cells and
+// ScanStats on each.
 package mat
 
 import (

@@ -131,8 +131,32 @@ func TestTopKCandidatesOverParts(t *testing.T) {
 
 // topKOverSides runs TopKCandidates over the sides rs and ss, the rows of
 // r and s, into a consumer keeping each row's k best, and checks every
-// handed cell against refDotSeq.
+// handed cell against refDotSeq; it runs once per form of the cells the
+// host has (eachCandidateForm) and fails the test unless they keep the
+// same cells with the same ScanStats.
 func topKOverSides(t *testing.T, r, s *Matrix, rs, ss Side, k int, keepRow, keepCol func(int) bool, opts GemmOptions) [][]cell {
+	t.Helper()
+	var first [][]cell
+	var firstSt ScanStats
+	eachCandidateForm(func(form string) {
+		got, st := topKOverSidesOnce(t, r, s, rs, ss, k, keepRow, keepCol, opts)
+		if first == nil {
+			first, firstSt = got, st
+			return
+		}
+		for i := range got {
+			if !slices.Equal(got[i], first[i]) {
+				t.Fatalf("%s cells, row %d: %v, the first form's %v", form, i, got[i], first[i])
+			}
+		}
+		if sameTopKStats(st) != sameTopKStats(firstSt) {
+			t.Fatalf("%s cells: %+v, the first form's %+v", form, st, firstSt)
+		}
+	})
+	return first
+}
+
+func topKOverSidesOnce(t *testing.T, r, s *Matrix, rs, ss Side, k int, keepRow, keepCol func(int) bool, opts GemmOptions) ([][]cell, ScanStats) {
 	t.Helper()
 	got := topK{k: k, rows: make([][]cell, r.Rows())}
 	bounds := make([]float32, r.Rows())
@@ -143,7 +167,7 @@ func topKOverSides(t *testing.T, r, s *Matrix, rs, ss Side, k int, keepRow, keep
 		}
 	}
 	var mu sync.Mutex
-	_, err := TopKCandidates(context.Background(), rs, ss, k, bounds, keepCol, opts, func() ScanVisitor {
+	st, err := TopKCandidates(context.Background(), rs, ss, k, bounds, keepCol, opts, func() ScanVisitor {
 		return func(i, j int, sim float32) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -156,7 +180,7 @@ func topKOverSides(t *testing.T, r, s *Matrix, rs, ss Side, k int, keepRow, keep
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got.rows
+	return got.rows, st
 }
 
 // TestFormsBuiltOnceUnderConcurrentScans: scans that read the same parts

@@ -112,9 +112,11 @@ func ScanAbove(ctx context.Context, r, s Side, bound []float32, opts GemmOptions
 
 // Kernels names the forms the scans run on this build and host: the
 // 4-row scan tile, "4x32 ZMM", "4x16 YMM" or "portable Go" where there is
-// no assembly, and the int8 filter in front of it, "AMX" where its cells
-// come from AMX tiles, "VNNI" where from VPDPBUSD, or "off".
-func Kernels() (tile, int8 string) {
+// no assembly; the int8 filter in front of it, "AMX" where its cells
+// come from AMX tiles, "VNNI" where from VPDPBUSD, or "off"; and the
+// top-k's candidate cells (TopKCandidates), "AMX", "VPDPBUSD", or "scan"
+// where a top-k seeds and scans instead.
+func Kernels() (tile, int8, topk string) {
 	switch {
 	case !haveSIMD:
 		tile = "portable Go"
@@ -131,7 +133,7 @@ func Kernels() (tile, int8 string) {
 	default:
 		int8 = "VNNI"
 	}
-	return tile, int8
+	return tile, int8, topKForm()
 }
 
 // blockCount is how many S blocks of at most bc rows the parts ps hold,

@@ -21,31 +21,24 @@ const topKMaxK = 8
 // topKChunk is the most S columns one pass of TopKCandidates takes: the
 // cells of a 16-row group against them are held at once, 4 bytes each
 // (128 KB at 2048). A wider S side is taken in chunks, the rows' lane
-// maxima carried from one to the next. Tests lower it to run several.
-var topKChunk = maxTopKChunk
-
-// maxTopKChunk is the widest chunk: 64 pairs of panels, so that a
-// segment's tiles are counted in a word per strip (keptTiles).
-const maxTopKChunk = 2048
-
-// useGoCells runs TopKCandidates on the Go forms of its kernels
-// (int8_portable.go) on every build, in place of the assembly; tests
-// switch it.
-var useGoCells = false
+// maxima carried from one to the next; a narrower one in one chunk of
+// its own width. It is 64 pairs of panels, so that a segment's tiles are
+// counted in a word per strip (keptTiles).
+const topKChunk = 2048
 
 // topKForm names the form of the candidate top-k's cells: "AMX" where
 // they come from AMX tiles (amxCells), "VPDPBUSD" where from int8Strip,
-// "Go" where from the Go forms (a build without the assembly, whose
-// tests switch useInt8 on, or useGoCells), or "" where TopKCandidates
-// does not run.
+// "Go" where from the Go forms (a build without the assembly whose tests
+// switch useInt8 on), or "scan" where TopKCandidates does not run and
+// the top-k seeds and scans (topKByScan).
 func topKForm() string {
 	switch {
 	case !useInt8:
-		return ""
-	case useGoCells || !haveSIMD:
+		return "scan"
+	case !haveSIMD:
 		return "Go"
 	case !useZMM:
-		return ""
+		return "scan"
 	case useAMX:
 		return "AMX"
 	}
@@ -58,7 +51,7 @@ func topKForm() string {
 // of the scan's split at least int8MinRows R rows), for k <= topKMaxK.
 func TopKCandidatesOn(nr, ns, d, k int, opts GemmOptions) bool {
 	opts = opts.withDefaults()
-	if nr <= 0 || ns <= 0 || k < 1 || k > topKMaxK || opts.Kernel != vec.KernelSIMD || topKForm() == "" ||
+	if nr <= 0 || ns <= 0 || k < 1 || k > topKMaxK || opts.Kernel != vec.KernelSIMD || topKForm() == "scan" ||
 		int64(nr)*int64(d) > math.MaxInt32 || int64(ns)*int64(d) > math.MaxInt32 {
 		return false
 	}
@@ -83,9 +76,9 @@ func TopKCandidatesOn(nr, ns, d, k int, opts GemmOptions) bool {
 // product's k-steps and, as skipped, those of the F32 pass not run:
 // each 16 re-scored cells run d steps. Workers split r, and both sides
 // are walked part by part, as in ScanAbove, and newVisitor and ctx are
-// used as there, ctx polled once per chunk of S (topKChunk); bound is
-// only read. opts.BlockCols is not used. It runs only where
-// TopKCandidatesOn says so.
+// used as there, ctx polled before each 16-row group's passes over each
+// chunk of S (topKChunk); bound is only read. opts.BlockCols is not
+// used. It runs only where TopKCandidatesOn says so.
 func TopKCandidates(ctx context.Context, r, s Side, k int, bound []float32, keepCol func(int) bool, opts GemmOptions, newVisitor func() ScanVisitor) (ScanStats, error) {
 	if r.Cols() != s.Cols() {
 		return ScanStats{}, fmt.Errorf("mat: inner dimensions differ: %d vs %d", r.Cols(), s.Cols())
@@ -214,7 +207,11 @@ func topKRows(ctx context.Context, form string, rp, sp []Part, k int, bound []fl
 			}
 		}
 	}
-	chunk := min(maxTopKChunk, max(2*panelCols, topKChunk&^(2*panelCols-1)))
+	chunk := 0 // the columns of every part, each from a multiple of 32, up to topKChunk
+	for _, p := range sp {
+		chunk += (p.Hi - p.Lo + 2*panelCols - 1) &^ (2*panelCols - 1)
+	}
+	chunk = min(chunk, topKChunk)
 	w.ldc = chunk + panelCols
 	w.cells = grow(w.cells, 16*w.ldc)
 	if form == "AMX" {
@@ -225,11 +222,10 @@ func topKRows(ctx context.Context, form string, rp, sp []Part, k int, bound []fl
 	var ran, colBytes int64
 	chunks := 0
 	take := func() error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("mat: top-k cancelled at rows %d, columns %d: %w", lo, w.segs[0].j, err)
-		}
 		chunks++
-		w.chunk(form, sw, runs, sp, d4, keepCol, st)
+		if err := w.chunk(ctx, form, sw, runs, sp, d4, keepCol, st); err != nil {
+			return err
+		}
 		colBytes = max(colBytes, sw.cols.Bytes())
 		// A list far longer than the cells still in play is cut to the
 		// rows' kth now, and one still long is re-scored and visited now:
@@ -277,8 +273,9 @@ func topKRows(ctx context.Context, form string, rp, sp []Part, k int, bound []fl
 }
 
 // chunk runs both passes of every live group of the worker against the
-// chunk's segments, listing their cells, and counts the tiles in st.
-func (w *topKWorker) chunk(form string, sw *scanWorker, runs []rowRun, sp []Part, d4 int, keepCol func(int) bool, st *ScanStats) {
+// chunk's segments, listing their cells, and counts the tiles in st. It
+// polls ctx before each group.
+func (w *topKWorker) chunk(ctx context.Context, form string, sw *scanWorker, runs []rowRun, sp []Part, d4 int, keepCol func(int) bool, st *ScanStats) error {
 	w.admit = w.admit[:0]
 	for i := range w.segs {
 		sg := &w.segs[i]
@@ -300,10 +297,15 @@ func (w *topKWorker) chunk(form string, sw *scanWorker, runs []rowRun, sp []Part
 			}
 		}
 	}
-	for gi, g := range w.groups {
+	for gi := range w.groups {
 		live := w.live[gi]
 		if live == 0 {
 			continue
+		}
+		g := w.groups[gi]
+		run := &runs[g.run]
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("mat: top-k cancelled at rows %d, columns %d: %w", run.at+max(g.fr, run.first+run.off)-run.off-run.first, w.segs[0].j, err)
 		}
 		var strips int // the group's strips with a live row
 		for t := range 4 {
@@ -311,7 +313,7 @@ func (w *topKWorker) chunk(form string, sw *scanWorker, runs []rowRun, sp []Part
 				strips |= 1 << t
 			}
 		}
-		codes, meta := runs[g.run].f.rowInt8()
+		codes, meta := run.f.rowInt8()
 		r, row := codes[g.fr*d4:], meta[2*g.fr:]
 		for i := range w.segs {
 			w.cellsOf(form, r, d4, &w.segs[i], strips)
@@ -342,6 +344,7 @@ func (w *topKWorker) chunk(form string, sw *scanWorker, runs []rowRun, sp []Part
 			}
 		}
 	}
+	return nil
 }
 
 // cellsOf writes the cells of the group whose R layout is at r (of its

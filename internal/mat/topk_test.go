@@ -3,9 +3,11 @@ package mat
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ejoin/internal/vec"
@@ -33,8 +35,54 @@ func refTopK(r, s *Matrix, k int, keepRow, keepCol func(int) bool) [][]cell {
 // row's k best of what it is handed, ties to the earlier arrival, and
 // fails the test unless every handed cell is a kept row's and column's,
 // not NaN, refDotSeq's bits, and after the row's previous cell in j.
-// Rows keepRow leaves out get a NaN bound, the others bound(i).
+// Rows keepRow leaves out get a NaN bound, the others bound(i). It runs
+// once per form of the cells the host has (eachCandidateForm) and fails
+// the test unless every form keeps the same cells with the same
+// ScanStats.
 func candidateTopK(t testing.TB, r, s *Matrix, k int, keepRow, keepCol func(int) bool, bound func(i int) float32, opts GemmOptions) ([][]cell, ScanStats) {
+	t.Helper()
+	var first [][]cell
+	var firstSt ScanStats
+	eachCandidateForm(func(form string) {
+		t.Helper()
+		got, st := candidateTopKOnce(t, r, s, k, keepRow, keepCol, bound, opts)
+		if first == nil {
+			first, firstSt = got, st
+			return
+		}
+		for i := range got {
+			if !slices.Equal(got[i], first[i]) {
+				t.Fatalf("%s cells, row %d: %v, the first form's %v", form, i, got[i], first[i])
+			}
+		}
+		if sameTopKStats(st) != sameTopKStats(firstSt) {
+			t.Fatalf("%s cells: %+v, the first form's %+v", form, st, firstSt)
+		}
+	})
+	return first, firstSt
+}
+
+// sameTopKStats is st without ScratchBytes, which counts the pooled
+// list's capacity and so the scans run before it.
+func sameTopKStats(st ScanStats) ScanStats {
+	st.ScratchBytes = 0
+	return st
+}
+
+// eachCandidateForm calls f with the tiles as they are and then, where
+// the host has AMX, with the int8 cells switched to AMX tiles (or off
+// them, if they were on): every form of TopKCandidates' cells the host
+// can run.
+func eachCandidateForm(f func(form string)) {
+	f(topKForm())
+	if haveSIMD && haveAMX && useInt8 {
+		useAMX = !useAMX
+		defer func() { useAMX = !useAMX }()
+		f(topKForm())
+	}
+}
+
+func candidateTopKOnce(t testing.TB, r, s *Matrix, k int, keepRow, keepCol func(int) bool, bound func(i int) float32, opts GemmOptions) ([][]cell, ScanStats) {
 	t.Helper()
 	got := topK{k: k, rows: make([][]cell, r.Rows())}
 	last := make([]int, r.Rows())
@@ -76,11 +124,22 @@ func candidateTopK(t testing.TB, r, s *Matrix, k int, keepRow, keepCol func(int)
 	return got.rows, st
 }
 
-// useCandidates switches the tiles to ZMM with the int8 filter on every
-// shape, or skips the test where the host cannot run it.
+// useCandidates switches the tiles to ZMM with the int8 filter, its
+// cells on VPDPBUSD, on every shape (candidateTopK runs the AMX form
+// too), or, in a build without the assembly, the int8 filter on so that
+// TopKCandidates runs on the Go forms of its kernels; it skips the test
+// where the host cannot run it.
 func useCandidates(t testing.TB) (restore func()) {
 	t.Helper()
-	w := tileWidths[len(tileWidths)-1]
+	if !haveSIMD {
+		oldInt8, oldRows, oldCols := useInt8, int8MinRows, int8MinCols
+		useInt8, int8MinRows, int8MinCols = true, 0, 0
+		return func() { useInt8, int8MinRows, int8MinCols = oldInt8, oldRows, oldCols }
+	}
+	w := tileWidths[2]
+	if w.name != "ZMM+int8" {
+		t.Fatalf("tileWidths[2] is %s", w.name)
+	}
 	if why := w.missing(); why != "" {
 		t.Skip(why)
 	}
@@ -184,6 +243,196 @@ func TestTopKCandidates(t *testing.T) {
 	}
 }
 
+// TestTopKCandidatesLaneBound holds the candidate top-k to the reference
+// bit for bit, with the same cells and ScanStats on every form of its
+// cells (candidateTopK), where the lane bound is at its edges: a row
+// whose k best share one lane (columns j, j+32, j+64), a column filter
+// that drops that lane's best, NaN, infinite, huge and denormal rows on
+// both sides, fewer admitted columns than k, a starting bound exactly at
+// the k-th best, and an S side wider than a chunk (topKChunk), whose
+// near copies sit in both chunks, so that the lanes carry over, the
+// first chunk's list is cut to the final kth, and the NaN rows, which
+// list every column, have it re-scored before the second chunk.
+func TestTopKCandidatesLaneBound(t *testing.T) {
+	defer useCandidates(t)()
+	rng := rand.New(rand.NewSource(313))
+	const d = 100
+	inf := float32(math.Inf(1))
+	negInf := func(int) float32 { return -inf }
+	near := func(dst, src []float32, eps float32) {
+		for k := range dst {
+			dst[k] = src[k] + eps*float32(rng.NormFloat64())
+		}
+		vec.Normalize(dst)
+	}
+	type hardCase struct {
+		name    string
+		r, s    *Matrix
+		k       int
+		keepCol func(int) bool
+		exact   bool // start every row from its k-th best
+		chunks  int  // the chunks one worker takes, if not 1
+	}
+	var cases []hardCase
+	{
+		// Row i's three nearest columns are 5+i, 37+i and 69+i: one lane.
+		r, s := randomMatrix(rng, 20, d), randomMatrix(rng, 200, d)
+		r.NormalizeRows()
+		s.NormalizeRows()
+		for i := range r.Rows() {
+			for n, j := range []int{5 + i, 37 + i, 69 + i} {
+				near(s.Row(j), r.Row(i), 0.05+0.05*float32(n))
+			}
+		}
+		dropBest := func(j int) bool { return j < 5 || j >= 25 }
+		cases = append(cases,
+			hardCase{name: "k best in one lane", r: r, s: s, k: 3},
+			hardCase{name: "k best in one lane, from the k-th best", r: r, s: s, k: 3, exact: true},
+			hardCase{name: "the lane's best filtered out", r: r, s: s, k: 3, keepCol: dropBest},
+			hardCase{name: "the lane's best filtered out, k 8", r: r, s: s, k: 8, keepCol: dropBest},
+			hardCase{name: "two admitted columns, k 3", r: r, s: s, k: 3, keepCol: func(j int) bool { return j == 37 || j == 150 }},
+			hardCase{name: "five admitted columns, k 8", r: r, s: s, k: 8, keepCol: func(j int) bool { return j%40 == 1 }},
+			hardCase{name: "no admitted column", r: r, s: s, k: 1, keepCol: func(int) bool { return false }},
+		)
+	}
+	{
+		// Rows the estimates do not cover, on both sides.
+		r, s := randomMatrix(rng, 24, d), randomMatrix(rng, 96, d)
+		r.NormalizeRows()
+		s.NormalizeRows()
+		odd := func(row []float32, n int) {
+			switch n % 6 {
+			case 0:
+				row[7] = float32(math.NaN())
+			case 1:
+				row[3] = inf
+			case 2:
+				row[4] = -inf
+			case 3:
+				for k := range row {
+					row[k] *= 0x1p60
+				}
+			case 4:
+				for k := range row {
+					row[k] = 0x1p-140 * float32(1+k%5)
+				}
+			}
+		}
+		for i := 0; i < r.Rows(); i += 2 {
+			odd(r.Row(i), i/2)
+		}
+		for j := 1; j < s.Rows(); j += 3 {
+			odd(s.Row(j), j/3)
+		}
+		cases = append(cases,
+			hardCase{name: "NaN, infinite, huge and denormal rows", r: r, s: s, k: 3},
+			hardCase{name: "NaN, infinite, huge and denormal rows, from the k-th best", r: r, s: s, k: 3, exact: true},
+		)
+	}
+	{
+		// Wider than a chunk: each row's near copies straddle its edge,
+		// and rows 0..19 hold a NaN, so that they list every column.
+		r, s := randomMatrix(rng, 40, d), randomMatrix(rng, topKChunk+100, d)
+		r.NormalizeRows()
+		s.NormalizeRows()
+		for i := range r.Rows() {
+			near(s.Row(3*i), r.Row(i), 0.3)
+			near(s.Row(topKChunk-1-i), r.Row(i), 0.2)
+			near(s.Row(topKChunk+2*i), r.Row(i), 0.1)
+		}
+		for i := range 20 {
+			r.Row(i)[i] = float32(math.NaN())
+		}
+		cases = append(cases,
+			hardCase{name: "wider than a chunk", r: r, s: s, k: 3, chunks: 2},
+			hardCase{name: "wider than a chunk, filtered", r: r, s: s, k: 2, keepCol: func(j int) bool { return j%3 != 0 }, chunks: 2},
+		)
+	}
+	for _, c := range cases {
+		want := refTopK(c.r, c.s, c.k, nil, c.keepCol)
+		bound := negInf
+		if c.exact {
+			bound = func(i int) float32 {
+				if len(want[i]) < c.k {
+					return -inf
+				}
+				return math.Float32frombits(want[i][c.k-1].bits)
+			}
+		}
+		for _, threads := range []int{1, 2} {
+			got, st := candidateTopK(t, c.r, c.s, c.k, nil, c.keepCol, bound, GemmOptions{Threads: threads, Kernel: vec.KernelSIMD})
+			for i := range want {
+				sameCells(t, fmt.Sprintf("%s, threads %d, row %d", c.name, threads, i), got[i], want[i])
+			}
+			if chunks := max(c.chunks, 1); st.Blocks != chunks {
+				t.Errorf("%s, threads %d: %d chunks, want %d", c.name, threads, st.Blocks, chunks)
+			}
+		}
+	}
+}
+
+// TestTopKCandidatesCancelled: a cancelled context stops every worker
+// before its first group and visits nothing.
+func TestTopKCandidatesCancelled(t *testing.T) {
+	defer useCandidates(t)()
+	rng := rand.New(rand.NewSource(17))
+	r, s := randomMatrix(rng, 40, 64), randomMatrix(rng, 70, 64)
+	bound := make([]float32, r.Rows())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, threads := range []int{1, 2} {
+		visited := 0
+		_, err := TopKCandidates(ctx, r, s, 3, bound, nil, GemmOptions{Threads: threads, Kernel: vec.KernelSIMD}, func() ScanVisitor {
+			return func(int, int, float32) { visited++ }
+		})
+		if !errors.Is(err, context.Canceled) || visited != 0 {
+			t.Errorf("threads %d: cancelled top-k returned %v after %d cells", threads, err, visited)
+		}
+	}
+}
+
+// TestDotPairsMatchesGo holds dotPairs to dotPairsGo, and so to dotSeq,
+// bit for bit: d across the 16-step blocks and their tail, 1 to 16
+// cells, rows shared between lanes, and elements that make zero
+// products of either sign, infinities, NaN and denormals.
+func TestDotPairsMatchesGo(t *testing.T) {
+	if !haveSIMD || !haveAVX512 {
+		t.Skip("no AVX-512F on this host or in this build, so no dotPairs")
+	}
+	rng := rand.New(rand.NewSource(29))
+	for _, d := range []int{1, 15, 16, 17, 31, 32, 33, 100, 128, 300} {
+		r, s := randomMatrix(rng, 20, d), randomMatrix(rng, 30, d)
+		for k := range r.Data {
+			switch rng.Intn(40) {
+			case 0:
+				r.Data[k] = 0
+			case 1:
+				r.Data[k] = float32(math.Copysign(0, -1))
+			case 2:
+				r.Data[k] = 0x1p-140
+			case 3:
+				s.Data[k%len(s.Data)] = float32(math.Inf(1 - 2*rng.Intn(2)))
+			case 4:
+				s.Data[k%len(s.Data)] = float32(math.NaN())
+			}
+		}
+		for n := 1; n <= 16; n++ {
+			var ri, sj [16]int32
+			for l := range n {
+				ri[l], sj[l] = int32(rng.Intn(r.Rows())*d), int32(rng.Intn(s.Rows())*d)
+			}
+			var got, want [16]float32
+			dotPairs(&got[0], &r.Data[0], &s.Data[0], &ri[0], &sj[0], d, n)
+			dotPairsGo(want[:], r.Data, s.Data, ri[:], sj[:], d, n)
+			for l := range 16 {
+				if l < n && math.Float32bits(got[l]) != math.Float32bits(want[l]) && !(got[l] != got[l] && want[l] != want[l]) || l >= n && got[l] != 0 {
+					t.Fatalf("d %d, %d cells: lane %d is %g (%#08x), want %g (%#08x)", d, n, l, got[l], math.Float32bits(got[l]), want[l], math.Float32bits(want[l]))
+				}
+			}
+		}
+	}
+}
+
 // TestTopKCandidatesOn pins where the candidate top-k runs: with the
 // SIMD kernel, k from 1 to topKMaxK, and every worker at or above the
 // int8 filter's floors.
@@ -218,8 +467,10 @@ func TestTopKCandidatesOn(t *testing.T) {
 }
 
 // BenchmarkTopKCandidates times the candidate top-3 on BenchmarkScanAbove's
-// rows (plantedRows), one thread, from bounds of -Inf: ns/pair per
-// compared pair, and skipped the share of the F32 k-steps not run.
+// rows (plantedRows), one thread, from bounds of -Inf, once per form of
+// the cells the host has (VPDPBUSD, AMX): ns/pair per compared pair,
+// skipped the share of the F32 k-steps not run, and rescored/row the
+// cells computed in F32 a row.
 func BenchmarkTopKCandidates(b *testing.B) {
 	defer useCandidates(b)()
 	r, s := plantedRows(1024, 100, 300)
@@ -228,16 +479,20 @@ func BenchmarkTopKCandidates(b *testing.B) {
 		bound[i] = float32(math.Inf(-1))
 	}
 	none := func() ScanVisitor { return func(int, int, float32) {} }
-	var st ScanStats
-	for b.Loop() {
-		var err error
-		if st, err = TopKCandidates(context.Background(), r, s, 3, bound, nil, GemmOptions{Threads: 1, Kernel: vec.KernelSIMD}, none); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.Rows()*s.Rows()), "ns/pair")
-	b.ReportMetric(float64(st.KStepsSkipped)/float64(st.KSteps), "skipped")
-	b.ReportMetric(float64(st.Rescored)/float64(r.Rows()), "rescored/row")
+	eachCandidateForm(func(form string) {
+		b.Run(form, func(b *testing.B) {
+			var st ScanStats
+			for b.Loop() {
+				var err error
+				if st, err = TopKCandidates(context.Background(), r, s, 3, bound, nil, GemmOptions{Threads: 1, Kernel: vec.KernelSIMD}, none); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.Rows()*s.Rows()), "ns/pair")
+			b.ReportMetric(float64(st.KStepsSkipped)/float64(st.KSteps), "skipped")
+			b.ReportMetric(float64(st.Rescored)/float64(r.Rows()), "rescored/row")
+		})
+	})
 }
 
 // FuzzTopKCandidatesEqualsReference holds the candidate top-k to the

@@ -105,7 +105,8 @@ func sameWork(t *testing.T, label string, got, want ScanStats) {
 
 // TestTileWidths names the tile widths this build and host run and those
 // it skips, with the reason (CI runs it with -v, so a green job shows
-// which widths it covered, and whether AMX ran), and holds the widths to
+// which widths it covered, whether AMX ran, and which form the candidate
+// top-k's cells take: AMX, VPDPBUSD or scan), and holds the widths to
 // each other on the early exit's hard cases and a threshold scan, each
 // also as a top-3 scan whose visitor raises the bounds: every width
 // matches the reference and has the same k-steps to do, and each width
@@ -125,6 +126,7 @@ func TestTileWidths(t *testing.T) {
 	} else {
 		t.Logf("AMX: skipped, %s", amxAbsent)
 	}
+	t.Logf("top-k cells: %s", topKForm())
 	rng := rand.New(rand.NewSource(79))
 	r, s := randomMatrix(rng, 64, 100), randomMatrix(rng, 200, 100)
 	r.NormalizeRows()

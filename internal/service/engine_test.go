@@ -223,6 +223,43 @@ func TestEngineStructuredJoin(t *testing.T) {
 	}
 }
 
+// TestJoinRequestBindingErrors: every binding error of a structured
+// request says "service: " once and is a bad request; the same mistakes
+// in SQL say "sqlish: ".
+func TestJoinRequestBindingErrors(t *testing.T) {
+	e, _ := newTestEngine(t, Config{})
+	mixed, err := relational.NewTable(
+		relational.Schema{{Name: "text", Type: relational.String}, {Name: "n", Type: relational.Int64}},
+		[]relational.Column{relational.StringColumn{"a", "b"}, relational.Int64Column{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterTable("mixed", mixed); err != nil {
+		t.Fatal(err)
+	}
+	join := func(lt, lc string, kind string, k int) QueryRequest {
+		return QueryRequest{Join: &JoinRequest{LeftTable: lt, LeftColumn: lc, RightTable: "right", RightColumn: "text", Kind: kind, K: k}}
+	}
+	for _, c := range []struct {
+		name string
+		req  QueryRequest
+		want string
+	}{
+		{"unknown table", join("nope", "text", "", 0), `service: unknown table "nope"`},
+		{"unknown column", join("left", "nope", "", 0), `service: table "left" has no column "nope"`},
+		{"column not TEXT", join("mixed", "n", "", 0), "service: join column mixed.n must be TEXT, is BIGINT"},
+		{"bad kind", join("left", "text", "hash", 0), `service: unknown join kind "hash"`},
+		{"topk no k", join("left", "text", "topk", 0), "service: topk join requires k > 0"},
+		{"SQL, unknown column", QueryRequest{SQL: "SELECT * FROM left JOIN right ON SIM(left.nope, right.text) >= 0.5"}, `sqlish: table "left" has no column "nope"`},
+		{"SQL, column not TEXT", QueryRequest{SQL: "SELECT * FROM mixed JOIN right ON SIM(mixed.n, right.text) >= 0.5"}, "sqlish: join column mixed.n must be TEXT, is BIGINT"},
+	} {
+		_, err := e.Query(context.Background(), c.req)
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) || !IsBadRequest(err) {
+			t.Errorf("%s: %v (bad request %v), want a bad request starting %q", c.name, err, IsBadRequest(err), c.want)
+		}
+	}
+}
+
 func TestEngineDeadline(t *testing.T) {
 	base, err := model.NewHashEmbedder(32)
 	if err != nil {

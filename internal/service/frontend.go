@@ -411,7 +411,10 @@ func (f *Frontend) bindSide(table, column string) (plan.TableRef, error) {
 		return plan.TableRef{}, fmt.Errorf("service: unknown table %q", table)
 	}
 	ref := plan.TableRef{Name: table, Table: t}
-	return ref, sqlish.BindJoinColumn(&ref, column)
+	if err := sqlish.BindJoinColumn(&ref, column); err != nil {
+		return ref, fmt.Errorf("service: %w", err)
+	}
+	return ref, nil
 }
 
 // PurgeStalePlans drops cached plans bound under an older catalog

@@ -155,10 +155,10 @@ func Bind(stmt *Stmt, c *Catalog, m model.Model) (plan.Query, error) {
 	q.Left = plan.TableRef{Name: stmt.LeftTable, Table: leftTbl}
 	q.Right = plan.TableRef{Name: stmt.RightTable, Table: rightTbl}
 	if err := BindJoinColumn(&q.Left, lc.Column); err != nil {
-		return q, err
+		return q, fmt.Errorf("sqlish: %w", err)
 	}
 	if err := BindJoinColumn(&q.Right, rc.Column); err != nil {
-		return q, err
+		return q, fmt.Errorf("sqlish: %w", err)
 	}
 	q.Model = m
 
@@ -187,14 +187,15 @@ func Bind(stmt *Stmt, c *Catalog, m model.Model) (plan.Query, error) {
 
 // BindJoinColumn makes column of ref's table its join column, the TEXT
 // column E_µ embeds. It is the one join-column rule: SQL statements and
-// structured join requests both bind through it.
+// structured join requests both bind through it. Its errors carry no
+// package prefix: each front end adds its own ("sqlish: ", "service: ").
 func BindJoinColumn(ref *plan.TableRef, column string) error {
 	idx := ref.Table.Schema().IndexOf(column)
 	if idx < 0 {
-		return fmt.Errorf("sqlish: table %q has no column %q", ref.Name, column)
+		return fmt.Errorf("table %q has no column %q", ref.Name, column)
 	}
 	if typ := ref.Table.Schema()[idx].Type; typ != relational.String {
-		return fmt.Errorf("sqlish: join column %s.%s must be TEXT, is %v", ref.Name, column, typ)
+		return fmt.Errorf("join column %s.%s must be TEXT, is %v", ref.Name, column, typ)
 	}
 	ref.TextColumn = column
 	return nil
