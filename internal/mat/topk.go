@@ -120,10 +120,13 @@ type topKWorker struct {
 	// bound is not NaN.
 	live []uint16
 	// kth, per slot, starts at the row's bound and is raised to the k-th
-	// largest of lanes[32n:][:32], the largest lower estimate the row has
-	// met in each lane (column mod 32), -Inf before any.
+	// largest of the row's 32 lanes, the largest lower estimate it has
+	// met in each lane (column mod 32), -Inf before any. Slot 16g+u's
+	// lanes are lanes[32(16g+u):][:32] when S takes several chunks (carry),
+	// and lanes[32u:][:32], cleared for each group, when it takes one.
 	kth   []float32
 	lanes []float32
+	carry bool
 	// cells holds a group's int32 cells against the chunk at hand: row u's
 	// column c of the chunk at cells[u*ldc+c]. ldc is a panel more than
 	// the chunk, so that the 16 rows do not share cache sets.
@@ -187,8 +190,19 @@ func topKRows(ctx context.Context, form string, rp, sp []Part, k int, bound []fl
 			w.groups = append(w.groups, topKGroup{x, g})
 		}
 	}
+	width := 0 // the columns of every part, each from a multiple of 32
+	for _, p := range sp {
+		width += (p.Hi - p.Lo + 2*panelCols - 1) &^ (2*panelCols - 1)
+	}
+	chunk := min(width, topKChunk)
+	w.carry = width > chunk
 	slots := 16 * len(w.groups)
-	w.live, w.kth, w.lanes = grow(w.live, len(w.groups)), grow(w.kth, slots), grow(w.lanes, 32*slots)
+	w.live, w.kth = grow(w.live, len(w.groups)), grow(w.kth, slots)
+	if w.carry {
+		w.lanes = grow(w.lanes, 32*slots)
+	} else {
+		w.lanes = grow(w.lanes, 32*16)
+	}
 	negInf, nan := float32(math.Inf(-1)), float32(math.NaN())
 	for i := range w.lanes {
 		w.lanes[i] = negInf
@@ -207,11 +221,6 @@ func topKRows(ctx context.Context, form string, rp, sp []Part, k int, bound []fl
 			}
 		}
 	}
-	chunk := 0 // the columns of every part, each from a multiple of 32, up to topKChunk
-	for _, p := range sp {
-		chunk += (p.Hi - p.Lo + 2*panelCols - 1) &^ (2*panelCols - 1)
-	}
-	chunk = min(chunk, topKChunk)
 	w.ldc = chunk + panelCols
 	w.cells = grow(w.cells, 16*w.ldc)
 	if form == "AMX" {
@@ -319,7 +328,14 @@ func (w *topKWorker) chunk(ctx context.Context, form string, sw *scanWorker, run
 			w.cellsOf(form, r, d4, &w.segs[i], strips)
 		}
 		// The last segment's pass raises the rows' kth from their lanes.
-		lanes, kth := w.lanes[32*16*gi:], w.kth[16*gi:16*gi+16]
+		lanes, kth := w.lanes, w.kth[16*gi:16*gi+16]
+		if w.carry {
+			lanes = lanes[32*16*gi:]
+		} else if gi > 0 {
+			for i := range lanes {
+				lanes[i] = float32(math.Inf(-1))
+			}
+		}
 		for i := range w.segs {
 			sg := &w.segs[i]
 			k := 0
@@ -376,10 +392,14 @@ func (w *topKWorker) list(form string, sg *topKSeg, row []float32, live uint16, 
 		w.ups, w.cols, w.rows = topKListGo(w.cells[sg.at:], w.ldc, sg.pairs, sg.meta, row, w.admit[sg.admit:], uint32(live), kth, w.ups, w.cols, w.rows, sg.j, n0)
 		return
 	}
-	m, room := len(w.cols), 16*2*panelCols*sg.pairs+panelCols
-	w.ups, w.cols, w.rows = slices.Grow(w.ups, room), slices.Grow(w.cols, room), slices.Grow(w.rows, room)
-	listed := topKList(&w.cells[sg.at], w.ldc, sg.pairs, &sg.meta[0], &row[0], &w.admit[sg.admit], int(live), &kth[0], &w.ups[:m+1][m], &w.cols[:m+1][m], &w.rows[:m+1][m], sg.j, n0)
-	w.ups, w.cols, w.rows = w.ups[:m+listed], w.cols[:m+listed], w.rows[:m+listed]
+	// A row at a time, so that the list needs room for one row's cells.
+	room := 2*panelCols*sg.pairs + panelCols
+	for ; live != 0; live &= live - 1 {
+		m := len(w.cols)
+		w.ups, w.cols, w.rows = slices.Grow(w.ups, room), slices.Grow(w.cols, room), slices.Grow(w.rows, room)
+		listed := topKList(&w.cells[sg.at], w.ldc, sg.pairs, &sg.meta[0], &row[0], &w.admit[sg.admit], int(live&-live), &kth[0], &w.ups[:m+1][m], &w.cols[:m+1][m], &w.rows[:m+1][m], sg.j, n0)
+		w.ups, w.cols, w.rows = w.ups[:m+listed], w.cols[:m+listed], w.rows[:m+listed]
+	}
 }
 
 // keptTiles is how many tiles, 4 rows by 32 columns of a segment from
