@@ -128,10 +128,12 @@ func topKLanes(cells *int32, ldc, pairs int, col, row *float32, admit *uint32, l
 
 // topKList is the top-k's second pass: it lists, row by row in live, the
 // admitted cells whose upper estimate reaches the row's kth or is NaN,
-// writing each array up to 16 entries past listed (topKListGo).
+// writing each array up to 16 entries past listed (topKListGo), while
+// fewer than room entries hold a row's every cell and 16 more; rest is
+// the live rows it did not reach.
 //
 //go:noescape
-func topKList(cells *int32, ldc, pairs int, col, row *float32, admit *uint32, live int, kth *float32, ups *float32, cols, rows *int32, j0, n0 int) (listed int)
+func topKList(cells *int32, ldc, pairs int, col, row *float32, admit *uint32, live int, kth *float32, ups *float32, cols, rows *int32, j0, n0, room int) (listed, rest int)
 
 // dotPairs computes n <= 16 cells, one a lane: dst[l] is dotSeq of the
 // d elements at r[ri[l]] and at s[sj[l]], bit for bit.

@@ -974,7 +974,7 @@ lanesDone:
 	VFMADD231PS Z2, Z16, Z4;    \
 	VFMADD231PS Z3, Z16, Z5
 
-// func topKList(cells *int32, ldc, pairs int, col, row *float32, admit *uint32, live int, kth *float32, ups *float32, cols, rows *int32, j0, n0 int) (listed int)
+// func topKList(cells *int32, ldc, pairs int, col, row *float32, admit *uint32, live int, kth *float32, ups *float32, cols, rows *int32, j0, n0, room int) (listed, rest int)
 //
 // The top-k's second pass over a 16-row group's cells, laid out as
 // topKLanes reads them: for each row t whose bit is set in live, row by
@@ -985,13 +985,16 @@ lanesDone:
 // (three fused steps, CELL_KEEP's) is not below kth[t] (NLT_UQ: a NaN
 // estimate is listed; a NaN kth is made +Inf) is listed: up, column
 // j0+c and row n0+t to ups[m], cols[m] and rows[m] for m < listed, each
-// array written up to 16 entries past listed. pairs is at most 64. A
+// array written up to 16 entries past listed but never at or past room:
+// a row is listed only while room holds its every cell and 16 more, and
+// rest is the bits of live from the first row not listed on (0 if every
+// row was). pairs is at most 64. A
 // row's pairs are first compared without a branch, each pair's 32-bit
 // mask to the stack and a bit for each pair with a cell listed to R14;
 // then the pairs of those bits, in ascending order, are estimated again
 // and listed, so a row takes one unpredictable branch per listing pair,
 // not one per pair. Needs AVX-512F.
-TEXT ·topKList(SB), NOSPLIT, $256-112
+TEXT ·topKList(SB), NOSPLIT, $256-128
 	MOVQ         cells+0(FP), SI
 	MOVQ         ldc+8(FP), R9
 	SHLQ         $2, R9 // a row's bytes
@@ -1015,6 +1018,11 @@ TEXT ·topKList(SB), NOSPLIT, $256-112
 listRow:
 	TESTQ        $1, R10
 	JZ           listNext
+	MOVQ         pairs+16(FP), R12
+	SHLQ         $5, R12
+	LEAQ         16(R12)(CX*1), R12 // the row's worst case
+	CMPQ         R12, room+104(FP)
+	JGT          listStop
 	VBROADCASTSS (R8), Z16
 	VBROADCASTSS 64(R8), Z17
 	VBROADCASTSS (R11), Z18
@@ -1090,22 +1098,139 @@ listNext:
 	JNZ    listRow
 
 listDone:
-	MOVQ CX, listed+104(FP)
+	MOVQ CX, listed+112(FP)
+	MOVQ $0, rest+120(FP)
 	VZEROUPPER
 	RET
+
+listStop:
+	MOVQ CX, listed+112(FP)
+	MOVQ R8, CX
+	SUBQ row+32(FP), CX
+	SHRQ $2, CX // the row
+	SHLQ CX, R10
+	MOVQ R10, rest+120(FP)
+	VZEROUPPER
+	RET
+
+// The 16 rows' 16 elements from k, one row a register Z0..Z15: row l's
+// offset (in elements) is the dword at 4l(ix), and its elements start at
+// base plus four bytes an element.
+#define LOAD16(base, ix) \
+	MOVLQSX 0(ix), R8;\
+	VMOVUPS (base)(R8*4), Z0;\
+	MOVLQSX 4(ix), R8;\
+	VMOVUPS (base)(R8*4), Z1;\
+	MOVLQSX 8(ix), R8;\
+	VMOVUPS (base)(R8*4), Z2;\
+	MOVLQSX 12(ix), R8;\
+	VMOVUPS (base)(R8*4), Z3;\
+	MOVLQSX 16(ix), R8;\
+	VMOVUPS (base)(R8*4), Z4;\
+	MOVLQSX 20(ix), R8;\
+	VMOVUPS (base)(R8*4), Z5;\
+	MOVLQSX 24(ix), R8;\
+	VMOVUPS (base)(R8*4), Z6;\
+	MOVLQSX 28(ix), R8;\
+	VMOVUPS (base)(R8*4), Z7;\
+	MOVLQSX 32(ix), R8;\
+	VMOVUPS (base)(R8*4), Z8;\
+	MOVLQSX 36(ix), R8;\
+	VMOVUPS (base)(R8*4), Z9;\
+	MOVLQSX 40(ix), R8;\
+	VMOVUPS (base)(R8*4), Z10;\
+	MOVLQSX 44(ix), R8;\
+	VMOVUPS (base)(R8*4), Z11;\
+	MOVLQSX 48(ix), R8;\
+	VMOVUPS (base)(R8*4), Z12;\
+	MOVLQSX 52(ix), R8;\
+	VMOVUPS (base)(R8*4), Z13;\
+	MOVLQSX 56(ix), R8;\
+	VMOVUPS (base)(R8*4), Z14;\
+	MOVLQSX 60(ix), R8;\
+	VMOVUPS (base)(R8*4), Z15
+
+// The 16x16 transpose of Z0..Z15 (row l in Zl, element k in lane k): 64
+// shuffles, dwords and qwords unpacked within 128-bit lanes, then two
+// rounds of VSHUFF32X4 over the lanes, leaving element k of every row, row
+// l in lane l, for k = 0..15 in Z21, Z29, Z18, Z26, Z22, Z30, Z19, Z27,
+// Z23, Z0, Z20, Z28, Z24, Z1, Z2, Z3; it writes Z0..Z30, Z31 it keeps.
+#define TRANSPOSE16 \
+	VUNPCKLPS Z1, Z0, Z16;\
+	VUNPCKHPS Z1, Z0, Z17;\
+	VUNPCKLPS Z3, Z2, Z18;\
+	VUNPCKHPS Z3, Z2, Z19;\
+	VUNPCKLPS Z5, Z4, Z20;\
+	VUNPCKHPS Z5, Z4, Z21;\
+	VUNPCKLPS Z7, Z6, Z22;\
+	VUNPCKHPS Z7, Z6, Z23;\
+	VUNPCKLPS Z9, Z8, Z24;\
+	VUNPCKHPS Z9, Z8, Z25;\
+	VUNPCKLPS Z11, Z10, Z26;\
+	VUNPCKHPS Z11, Z10, Z27;\
+	VUNPCKLPS Z13, Z12, Z28;\
+	VUNPCKHPS Z13, Z12, Z29;\
+	VUNPCKLPS Z15, Z14, Z30;\
+	VUNPCKHPS Z15, Z14, Z0;\
+	VUNPCKLPD Z18, Z16, Z1;\
+	VUNPCKHPD Z18, Z16, Z2;\
+	VUNPCKLPD Z19, Z17, Z3;\
+	VUNPCKHPD Z19, Z17, Z4;\
+	VUNPCKLPD Z22, Z20, Z5;\
+	VUNPCKHPD Z22, Z20, Z6;\
+	VUNPCKLPD Z23, Z21, Z7;\
+	VUNPCKHPD Z23, Z21, Z8;\
+	VUNPCKLPD Z26, Z24, Z9;\
+	VUNPCKHPD Z26, Z24, Z10;\
+	VUNPCKLPD Z27, Z25, Z11;\
+	VUNPCKHPD Z27, Z25, Z12;\
+	VUNPCKLPD Z30, Z28, Z13;\
+	VUNPCKHPD Z30, Z28, Z14;\
+	VUNPCKLPD Z0, Z29, Z15;\
+	VUNPCKHPD Z0, Z29, Z16;\
+	VSHUFF32X4 $0x44, Z5, Z1, Z17;\
+	VSHUFF32X4 $0xee, Z5, Z1, Z18;\
+	VSHUFF32X4 $0x44, Z13, Z9, Z19;\
+	VSHUFF32X4 $0xee, Z13, Z9, Z20;\
+	VSHUFF32X4 $0x88, Z19, Z17, Z21;\
+	VSHUFF32X4 $0xdd, Z19, Z17, Z22;\
+	VSHUFF32X4 $0x88, Z20, Z18, Z23;\
+	VSHUFF32X4 $0xdd, Z20, Z18, Z24;\
+	VSHUFF32X4 $0x44, Z6, Z2, Z25;\
+	VSHUFF32X4 $0xee, Z6, Z2, Z26;\
+	VSHUFF32X4 $0x44, Z14, Z10, Z27;\
+	VSHUFF32X4 $0xee, Z14, Z10, Z28;\
+	VSHUFF32X4 $0x88, Z27, Z25, Z29;\
+	VSHUFF32X4 $0xdd, Z27, Z25, Z30;\
+	VSHUFF32X4 $0x88, Z28, Z26, Z0;\
+	VSHUFF32X4 $0xdd, Z28, Z26, Z1;\
+	VSHUFF32X4 $0x44, Z7, Z3, Z5;\
+	VSHUFF32X4 $0xee, Z7, Z3, Z9;\
+	VSHUFF32X4 $0x44, Z15, Z11, Z13;\
+	VSHUFF32X4 $0xee, Z15, Z11, Z17;\
+	VSHUFF32X4 $0x88, Z13, Z5, Z18;\
+	VSHUFF32X4 $0xdd, Z13, Z5, Z19;\
+	VSHUFF32X4 $0x88, Z17, Z9, Z20;\
+	VSHUFF32X4 $0xdd, Z17, Z9, Z2;\
+	VSHUFF32X4 $0x44, Z8, Z4, Z6;\
+	VSHUFF32X4 $0xee, Z8, Z4, Z10;\
+	VSHUFF32X4 $0x44, Z16, Z12, Z14;\
+	VSHUFF32X4 $0xee, Z16, Z12, Z25;\
+	VSHUFF32X4 $0x88, Z14, Z6, Z26;\
+	VSHUFF32X4 $0xdd, Z14, Z6, Z27;\
+	VSHUFF32X4 $0x88, Z25, Z10, Z28;\
+	VSHUFF32X4 $0xdd, Z25, Z10, Z3
 
 // func dotPairs(dst, r, s *float32, ri, sj *int32, d, n int)
 //
 // n <= 16 cells, one a lane: dst[l] = fmaSeq over ascending k of
 // r[ri[l]+k] and s[sj[l]+k], for l < n and d >= 1; ri and sj are read
 // for l < n only. Each 16 k-steps load the 16 rows' 16 elements of each
-// side, transpose them in registers (64 shuffles a side: unpack dwords,
-// unpack qwords, then two rounds of VSHUFF32X4 over 128-bit lanes), park
-// R's on the stack and run one VFMADD231PS a step, so every lane
-// performs dotSeq's operation sequence, as the tiles' lanes do; the
-// last d%16 steps gather each side's element, one VGATHERDPS a side a
-// step. Lanes from n on compute row 0's cells and are not stored. Needs
-// AVX-512F.
+// side (LOAD16), transpose them (TRANSPOSE16), park R's on the stack and
+// run one VFMADD231PS a step, so every lane performs dotSeq's operation
+// sequence, as the tiles' lanes do; the last d%16 steps gather each
+// side's element, one VGATHERDPS a side a step. Lanes from n on compute
+// row 0's cells and are not stored. Needs AVX-512F.
 TEXT ·dotPairs(SB), $1152-56
 	MOVQ        dst+0(FP), DI
 	MOVQ        r+8(FP), SI
@@ -1120,110 +1245,17 @@ TEXT ·dotPairs(SB), $1152-56
 	MOVQ        d+40(FP), CX
 	VMOVDQU32.Z (AX), K2, Z1
 	VMOVDQU32.Z (BX), K2, Z2
-	VMOVDQU32   Z1, (SP) // the lanes' offsets: R's at 0(SP), S's at 64(SP)
-	VMOVDQU32   Z2, 64(SP)
+	VMOVDQU32   Z1, (SP)   // the lanes' R offsets
+	VMOVDQU32   Z2, 64(SP) // and S offsets; R's transposed elements from 128(SP)
 	VPXORD      Z31, Z31, Z31
 	MOVQ        CX, R9
 	SHRQ        $4, R9
 	JZ          pairTail
 
 pairBlock:
-	MOVLQSX 0(SP), R8
-	VMOVUPS (SI)(R8*4), Z0
-	MOVLQSX 4(SP), R8
-	VMOVUPS (SI)(R8*4), Z1
-	MOVLQSX 8(SP), R8
-	VMOVUPS (SI)(R8*4), Z2
-	MOVLQSX 12(SP), R8
-	VMOVUPS (SI)(R8*4), Z3
-	MOVLQSX 16(SP), R8
-	VMOVUPS (SI)(R8*4), Z4
-	MOVLQSX 20(SP), R8
-	VMOVUPS (SI)(R8*4), Z5
-	MOVLQSX 24(SP), R8
-	VMOVUPS (SI)(R8*4), Z6
-	MOVLQSX 28(SP), R8
-	VMOVUPS (SI)(R8*4), Z7
-	MOVLQSX 32(SP), R8
-	VMOVUPS (SI)(R8*4), Z8
-	MOVLQSX 36(SP), R8
-	VMOVUPS (SI)(R8*4), Z9
-	MOVLQSX 40(SP), R8
-	VMOVUPS (SI)(R8*4), Z10
-	MOVLQSX 44(SP), R8
-	VMOVUPS (SI)(R8*4), Z11
-	MOVLQSX 48(SP), R8
-	VMOVUPS (SI)(R8*4), Z12
-	MOVLQSX 52(SP), R8
-	VMOVUPS (SI)(R8*4), Z13
-	MOVLQSX 56(SP), R8
-	VMOVUPS (SI)(R8*4), Z14
-	MOVLQSX 60(SP), R8
-	VMOVUPS (SI)(R8*4), Z15
-	VUNPCKLPS Z1, Z0, Z16
-	VUNPCKHPS Z1, Z0, Z17
-	VUNPCKLPS Z3, Z2, Z18
-	VUNPCKHPS Z3, Z2, Z19
-	VUNPCKLPS Z5, Z4, Z20
-	VUNPCKHPS Z5, Z4, Z21
-	VUNPCKLPS Z7, Z6, Z22
-	VUNPCKHPS Z7, Z6, Z23
-	VUNPCKLPS Z9, Z8, Z24
-	VUNPCKHPS Z9, Z8, Z25
-	VUNPCKLPS Z11, Z10, Z26
-	VUNPCKHPS Z11, Z10, Z27
-	VUNPCKLPS Z13, Z12, Z28
-	VUNPCKHPS Z13, Z12, Z29
-	VUNPCKLPS Z15, Z14, Z30
-	VUNPCKHPS Z15, Z14, Z0
-	VUNPCKLPD Z18, Z16, Z1
-	VUNPCKHPD Z18, Z16, Z2
-	VUNPCKLPD Z19, Z17, Z3
-	VUNPCKHPD Z19, Z17, Z4
-	VUNPCKLPD Z22, Z20, Z5
-	VUNPCKHPD Z22, Z20, Z6
-	VUNPCKLPD Z23, Z21, Z7
-	VUNPCKHPD Z23, Z21, Z8
-	VUNPCKLPD Z26, Z24, Z9
-	VUNPCKHPD Z26, Z24, Z10
-	VUNPCKLPD Z27, Z25, Z11
-	VUNPCKHPD Z27, Z25, Z12
-	VUNPCKLPD Z30, Z28, Z13
-	VUNPCKHPD Z30, Z28, Z14
-	VUNPCKLPD Z0, Z29, Z15
-	VUNPCKHPD Z0, Z29, Z16
-	VSHUFF32X4 $0x44, Z5, Z1, Z17
-	VSHUFF32X4 $0xee, Z5, Z1, Z18
-	VSHUFF32X4 $0x44, Z13, Z9, Z19
-	VSHUFF32X4 $0xee, Z13, Z9, Z20
-	VSHUFF32X4 $0x88, Z19, Z17, Z21
-	VSHUFF32X4 $0xdd, Z19, Z17, Z22
-	VSHUFF32X4 $0x88, Z20, Z18, Z23
-	VSHUFF32X4 $0xdd, Z20, Z18, Z24
-	VSHUFF32X4 $0x44, Z6, Z2, Z25
-	VSHUFF32X4 $0xee, Z6, Z2, Z26
-	VSHUFF32X4 $0x44, Z14, Z10, Z27
-	VSHUFF32X4 $0xee, Z14, Z10, Z28
-	VSHUFF32X4 $0x88, Z27, Z25, Z29
-	VSHUFF32X4 $0xdd, Z27, Z25, Z30
-	VSHUFF32X4 $0x88, Z28, Z26, Z0
-	VSHUFF32X4 $0xdd, Z28, Z26, Z1
-	VSHUFF32X4 $0x44, Z7, Z3, Z5
-	VSHUFF32X4 $0xee, Z7, Z3, Z9
-	VSHUFF32X4 $0x44, Z15, Z11, Z13
-	VSHUFF32X4 $0xee, Z15, Z11, Z17
-	VSHUFF32X4 $0x88, Z13, Z5, Z18
-	VSHUFF32X4 $0xdd, Z13, Z5, Z19
-	VSHUFF32X4 $0x88, Z17, Z9, Z20
-	VSHUFF32X4 $0xdd, Z17, Z9, Z2
-	VSHUFF32X4 $0x44, Z8, Z4, Z6
-	VSHUFF32X4 $0xee, Z8, Z4, Z10
-	VSHUFF32X4 $0x44, Z16, Z12, Z14
-	VSHUFF32X4 $0xee, Z16, Z12, Z25
-	VSHUFF32X4 $0x88, Z14, Z6, Z26
-	VSHUFF32X4 $0xdd, Z14, Z6, Z27
-	VSHUFF32X4 $0x88, Z25, Z10, Z28
-	VSHUFF32X4 $0xdd, Z25, Z10, Z3
+	LEAQ (SP), R10
+	LOAD16(SI, R10)
+	TRANSPOSE16
 	VMOVUPS Z21, 128(SP)
 	VMOVUPS Z29, 192(SP)
 	VMOVUPS Z18, 256(SP)
@@ -1240,102 +1272,9 @@ pairBlock:
 	VMOVUPS Z1, 960(SP)
 	VMOVUPS Z2, 1024(SP)
 	VMOVUPS Z3, 1088(SP)
-	MOVLQSX 64(SP), R8
-	VMOVUPS (DX)(R8*4), Z0
-	MOVLQSX 68(SP), R8
-	VMOVUPS (DX)(R8*4), Z1
-	MOVLQSX 72(SP), R8
-	VMOVUPS (DX)(R8*4), Z2
-	MOVLQSX 76(SP), R8
-	VMOVUPS (DX)(R8*4), Z3
-	MOVLQSX 80(SP), R8
-	VMOVUPS (DX)(R8*4), Z4
-	MOVLQSX 84(SP), R8
-	VMOVUPS (DX)(R8*4), Z5
-	MOVLQSX 88(SP), R8
-	VMOVUPS (DX)(R8*4), Z6
-	MOVLQSX 92(SP), R8
-	VMOVUPS (DX)(R8*4), Z7
-	MOVLQSX 96(SP), R8
-	VMOVUPS (DX)(R8*4), Z8
-	MOVLQSX 100(SP), R8
-	VMOVUPS (DX)(R8*4), Z9
-	MOVLQSX 104(SP), R8
-	VMOVUPS (DX)(R8*4), Z10
-	MOVLQSX 108(SP), R8
-	VMOVUPS (DX)(R8*4), Z11
-	MOVLQSX 112(SP), R8
-	VMOVUPS (DX)(R8*4), Z12
-	MOVLQSX 116(SP), R8
-	VMOVUPS (DX)(R8*4), Z13
-	MOVLQSX 120(SP), R8
-	VMOVUPS (DX)(R8*4), Z14
-	MOVLQSX 124(SP), R8
-	VMOVUPS (DX)(R8*4), Z15
-	VUNPCKLPS Z1, Z0, Z16
-	VUNPCKHPS Z1, Z0, Z17
-	VUNPCKLPS Z3, Z2, Z18
-	VUNPCKHPS Z3, Z2, Z19
-	VUNPCKLPS Z5, Z4, Z20
-	VUNPCKHPS Z5, Z4, Z21
-	VUNPCKLPS Z7, Z6, Z22
-	VUNPCKHPS Z7, Z6, Z23
-	VUNPCKLPS Z9, Z8, Z24
-	VUNPCKHPS Z9, Z8, Z25
-	VUNPCKLPS Z11, Z10, Z26
-	VUNPCKHPS Z11, Z10, Z27
-	VUNPCKLPS Z13, Z12, Z28
-	VUNPCKHPS Z13, Z12, Z29
-	VUNPCKLPS Z15, Z14, Z30
-	VUNPCKHPS Z15, Z14, Z0
-	VUNPCKLPD Z18, Z16, Z1
-	VUNPCKHPD Z18, Z16, Z2
-	VUNPCKLPD Z19, Z17, Z3
-	VUNPCKHPD Z19, Z17, Z4
-	VUNPCKLPD Z22, Z20, Z5
-	VUNPCKHPD Z22, Z20, Z6
-	VUNPCKLPD Z23, Z21, Z7
-	VUNPCKHPD Z23, Z21, Z8
-	VUNPCKLPD Z26, Z24, Z9
-	VUNPCKHPD Z26, Z24, Z10
-	VUNPCKLPD Z27, Z25, Z11
-	VUNPCKHPD Z27, Z25, Z12
-	VUNPCKLPD Z30, Z28, Z13
-	VUNPCKHPD Z30, Z28, Z14
-	VUNPCKLPD Z0, Z29, Z15
-	VUNPCKHPD Z0, Z29, Z16
-	VSHUFF32X4 $0x44, Z5, Z1, Z17
-	VSHUFF32X4 $0xee, Z5, Z1, Z18
-	VSHUFF32X4 $0x44, Z13, Z9, Z19
-	VSHUFF32X4 $0xee, Z13, Z9, Z20
-	VSHUFF32X4 $0x88, Z19, Z17, Z21
-	VSHUFF32X4 $0xdd, Z19, Z17, Z22
-	VSHUFF32X4 $0x88, Z20, Z18, Z23
-	VSHUFF32X4 $0xdd, Z20, Z18, Z24
-	VSHUFF32X4 $0x44, Z6, Z2, Z25
-	VSHUFF32X4 $0xee, Z6, Z2, Z26
-	VSHUFF32X4 $0x44, Z14, Z10, Z27
-	VSHUFF32X4 $0xee, Z14, Z10, Z28
-	VSHUFF32X4 $0x88, Z27, Z25, Z29
-	VSHUFF32X4 $0xdd, Z27, Z25, Z30
-	VSHUFF32X4 $0x88, Z28, Z26, Z0
-	VSHUFF32X4 $0xdd, Z28, Z26, Z1
-	VSHUFF32X4 $0x44, Z7, Z3, Z5
-	VSHUFF32X4 $0xee, Z7, Z3, Z9
-	VSHUFF32X4 $0x44, Z15, Z11, Z13
-	VSHUFF32X4 $0xee, Z15, Z11, Z17
-	VSHUFF32X4 $0x88, Z13, Z5, Z18
-	VSHUFF32X4 $0xdd, Z13, Z5, Z19
-	VSHUFF32X4 $0x88, Z17, Z9, Z20
-	VSHUFF32X4 $0xdd, Z17, Z9, Z2
-	VSHUFF32X4 $0x44, Z8, Z4, Z6
-	VSHUFF32X4 $0xee, Z8, Z4, Z10
-	VSHUFF32X4 $0x44, Z16, Z12, Z14
-	VSHUFF32X4 $0xee, Z16, Z12, Z25
-	VSHUFF32X4 $0x88, Z14, Z6, Z26
-	VSHUFF32X4 $0xdd, Z14, Z6, Z27
-	VSHUFF32X4 $0x88, Z25, Z10, Z28
-	VSHUFF32X4 $0xdd, Z25, Z10, Z3
+	LEAQ 64(SP), R10
+	LOAD16(DX, R10)
+	TRANSPOSE16
 	VFMADD231PS 128(SP), Z21, Z31
 	VFMADD231PS 192(SP), Z29, Z31
 	VFMADD231PS 256(SP), Z18, Z31

@@ -64,7 +64,7 @@ func topKLanes(cells *int32, ldc, pairs int, col, row *float32, admit *uint32, l
 	panic("mat: no SIMD kernel in this build")
 }
 
-func topKList(cells *int32, ldc, pairs int, col, row *float32, admit *uint32, live int, kth *float32, ups *float32, cols, rows *int32, j0, n0 int) int {
+func topKList(cells *int32, ldc, pairs int, col, row *float32, admit *uint32, live int, kth *float32, ups *float32, cols, rows *int32, j0, n0, room int) (int, int) {
 	panic("mat: no SIMD kernel in this build")
 }
 

@@ -189,8 +189,10 @@ func groupLanes(t *testing.T, f *int8Filter, cells []int32, pairs int, admit []u
 
 // groupList runs the second pass on cells as groupLanes runs the first,
 // with the rows' bounds kth, columns from j0 and rows from n0, and fails
-// the test unless topKList lists what topKListGo does. It returns the
-// list.
+// the test unless topKList lists what topKListGo does, in one call with
+// room for every cell, and in calls with room for one row's cells and
+// 16 more, each going on from the rows the last did not reach. It
+// returns the list.
 func groupList(t *testing.T, f *int8Filter, cells []int32, pairs int, admit []uint32, live uint16, kth []float32, j0, n0 int) []listed {
 	t.Helper()
 	k := make([]float32, 16)
@@ -201,15 +203,23 @@ func groupList(t *testing.T, f *int8Filter, cells []int32, pairs int, admit []ui
 		want[m] = listed{ups[m], cols[m], rows[m]}
 	}
 	if haveAVX512 {
-		room := 16*2*panelCols*pairs + panelCols
-		ups, cols, rows := make([]float32, room), make([]int32, room), make([]int32, room)
-		n := topKList(&cells[0], 2*panelCols*pairs, pairs, &f.colMeta[0], &f.rowMeta[0], &admit[0], int(live), &k[0], &ups[0], &cols[0], &rows[0], j0, n0)
-		got := make([]listed, n)
-		for m := range got {
-			got[m] = listed{ups[m], cols[m], rows[m]}
-		}
-		if !sameList(got, want) {
-			t.Fatalf("d %d, live %#x, bounds %v: topKList %v, the Go form %v", f.d, live, kth, got, want)
+		most := 2*panelCols*pairs + panelCols
+		for _, room := range []int{16 * most, most} {
+			var got []listed
+			for rest := int(live); rest != 0; {
+				ups, cols, rows := make([]float32, room), make([]int32, room), make([]int32, room)
+				n, prev := 0, rest
+				n, rest = topKList(&cells[0], 2*panelCols*pairs, pairs, &f.colMeta[0], &f.rowMeta[0], &admit[0], rest, &k[0], &ups[0], &cols[0], &rows[0], j0, n0, room)
+				if rest == prev || rest&^prev != 0 {
+					t.Fatalf("d %d, live %#x: topKList left rows %#x of %#x with room %d", f.d, live, rest, prev, room)
+				}
+				for m := range n {
+					got = append(got, listed{ups[m], cols[m], rows[m]})
+				}
+			}
+			if !sameList(got, want) {
+				t.Fatalf("d %d, live %#x, bounds %v, room %d: topKList %v, the Go form %v", f.d, live, kth, room, got, want)
+			}
 		}
 	}
 	return want

@@ -392,12 +392,15 @@ func (w *topKWorker) list(form string, sg *topKSeg, row []float32, live uint16, 
 		w.ups, w.cols, w.rows = topKListGo(w.cells[sg.at:], w.ldc, sg.pairs, sg.meta, row, w.admit[sg.admit:], uint32(live), kth, w.ups, w.cols, w.rows, sg.j, n0)
 		return
 	}
-	// A row at a time, so that the list needs room for one row's cells.
-	room := 2*panelCols*sg.pairs + panelCols
-	for ; live != 0; live &= live - 1 {
+	// The list keeps room for one row's every cell; a call lists rows
+	// while that holds, and the next goes on from the first it did not.
+	most := 2*panelCols*sg.pairs + panelCols
+	for rest := int(live); rest != 0; {
 		m := len(w.cols)
-		w.ups, w.cols, w.rows = slices.Grow(w.ups, room), slices.Grow(w.cols, room), slices.Grow(w.rows, room)
-		listed := topKList(&w.cells[sg.at], w.ldc, sg.pairs, &sg.meta[0], &row[0], &w.admit[sg.admit], int(live&-live), &kth[0], &w.ups[:m+1][m], &w.cols[:m+1][m], &w.rows[:m+1][m], sg.j, n0)
+		w.ups, w.cols, w.rows = slices.Grow(w.ups, most), slices.Grow(w.cols, most), slices.Grow(w.rows, most)
+		room := min(cap(w.ups), cap(w.cols), cap(w.rows)) - m
+		var listed int
+		listed, rest = topKList(&w.cells[sg.at], w.ldc, sg.pairs, &sg.meta[0], &row[0], &w.admit[sg.admit], rest, &kth[0], &w.ups[:m+1][m], &w.cols[:m+1][m], &w.rows[:m+1][m], sg.j, n0, room)
 		w.ups, w.cols, w.rows = w.ups[:m+listed], w.cols[:m+listed], w.rows[:m+listed]
 	}
 }
