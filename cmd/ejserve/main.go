@@ -37,13 +37,14 @@
 // checksum-failing records skipped, never served.
 //
 // With -shards N (N > 1) the process runs N engine shards behind an
-// in-process router: ingest and mutations are partitioned across shards
-// (-partitioner hash or centroid), queries scatter to every shard and
+// in-process router: ingest and mutations are placed on shards by a hash
+// of each row's first column, queries scatter to every shard and
 // gather through a streaming merge, and results are byte-identical to
 // the same data on a single engine. /stats reports per-shard plus
 // aggregated sections, /metrics adds the ejoin_shard_* families, and
 // /readyz stays 503 until every shard finishes WAL replay. A durable
-// sharded deployment must reboot with the same -shards and -partitioner.
+// sharded deployment must reboot with the same -shards. -partitioner
+// accepts only hash, the one placement.
 package main
 
 import (
@@ -82,7 +83,7 @@ func main() {
 		debugPprof     = flag.Bool("debug-pprof", false, "expose net/http/pprof under /debug/pprof/")
 		calibrateCost  = flag.Bool("calibrate-cost", false, "measure this machine's access/compare/embed costs at boot and plan with them instead of the built-in defaults")
 		shards         = flag.Int("shards", 1, "in-process engine shards (1 = single unsharded engine)")
-		partitioner    = flag.String("partitioner", "hash", "row placement across shards: hash or centroid (ignored with -shards 1)")
+		partitioner    = flag.String("partitioner", "hash", "row placement across shards: hash, the only one (ignored with -shards 1)")
 	)
 	flag.Parse()
 
@@ -191,7 +192,7 @@ func openBackend(cfg service.Config, shards int, partitioner string) (backend, e
 		if err != nil {
 			return nil, err
 		}
-		log.Printf("ejserve: %d shards, %s partitioner", router.Shards(), router.PartitionerKind())
+		log.Printf("ejserve: %d shards, hash placement", router.Shards())
 		return routerBackend{router}, nil
 	}
 	engine, err := service.Open(cfg)

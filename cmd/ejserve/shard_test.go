@@ -36,7 +36,7 @@ func newShardedTestServer(t *testing.T, shards int, part string) *httptest.Serve
 // backend and checks the answers agree with an unsharded server on the
 // same data.
 func TestShardedHTTPSurface(t *testing.T) {
-	sharded := newShardedTestServer(t, 4, "centroid")
+	sharded := newShardedTestServer(t, 4, "")
 	plain := newTestServer(t)
 	ingestPair(t, sharded)
 	ingestPair(t, plain)

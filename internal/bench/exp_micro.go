@@ -9,6 +9,7 @@ import (
 	"ejoin/internal/core"
 	"ejoin/internal/hnsw"
 	"ejoin/internal/model"
+	"ejoin/internal/vec"
 	"ejoin/internal/workload"
 )
 
@@ -37,12 +38,13 @@ func expTable1() Experiment {
 				return err
 			}
 			ctx := context.Background()
-			exact, err := core.TensorTopK(ctx, left, right, 5, core.Options{Threads: cfg.threads()})
+			opts := core.Options{Kernel: vec.DefaultKernel(), Threads: cfg.threads()}
+			exact, err := core.TensorTopK(ctx, left, right, 5, opts)
 			if err != nil {
 				return err
 			}
 			before := idx.DistanceCalls()
-			approx, err := core.IndexJoin(ctx, left, idx, core.IndexJoinCondition{K: 5, MinSim: -2}, core.Options{Threads: cfg.threads()})
+			approx, err := core.IndexJoin(ctx, left, idx, core.IndexJoinCondition{K: 5, MinSim: -2}, opts)
 			if err != nil {
 				return err
 			}
@@ -127,7 +129,7 @@ func expCostModel() Experiment {
 
 			t := newTable("Join", "Predicted model calls", "Measured", "Matches")
 			counted.Reset()
-			resN, err := core.NaiveNLJ(ctx, counted, left, right, 0.8, core.Options{})
+			resN, err := core.NaiveNLJ(ctx, counted, left, right, 0.8, core.Options{Kernel: vec.DefaultKernel()})
 			if err != nil {
 				return err
 			}
@@ -135,7 +137,7 @@ func expCostModel() Experiment {
 				fmt.Sprintf("%d", counted.Calls()), fmt.Sprintf("%d", len(resN.Matches)))
 
 			counted.Reset()
-			resP, err := core.PrefetchNLJ(ctx, counted, left, right, 0.8, core.Options{Threads: cfg.threads()})
+			resP, err := core.PrefetchNLJ(ctx, counted, left, right, 0.8, core.Options{Kernel: vec.DefaultKernel(), Threads: cfg.threads()})
 			if err != nil {
 				return err
 			}

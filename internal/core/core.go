@@ -15,14 +15,17 @@
 //     a cache-blocked D = R·Sᵀ (Figure 6) whose tiles are compared with the
 //     threshold as they are computed, emitting late-materialized (rOffset,
 //     sOffset) pairs; TensorJoinBatched is the mini-batch form of Figure 7.
-//   - Index join: probes an HNSW index per R tuple (top-k or range) with
-//     optional relational pre-filtering — the vector-database strategy of
-//     Section VI-E.
+//   - Index join: probes a vector index (HNSW, IVF-Flat) per R tuple
+//     (top-k or range) with optional relational pre-filtering — the
+//     vector-database strategy of Section VI-E.
 //
 // All strategies compute the same logical result for the same condition
 // (index join approximately so), which the test suite checks by property.
-// A served plan runs the tensor join or the index join; NaiveNLJ and NLJ
-// are the paper's baselines, which internal/bench and cost.Calibrate time.
+// A served plan runs the tensor scan only (TensorJoin, TensorTopK). The
+// rest are the paper's baselines, which internal/bench, the repo
+// benchmark's per-layer pass and cost.Calibrate time: NaiveNLJ, and NLJ,
+// its F16 and int8 forms and IndexJoin, which share one nested-loop
+// driver (nestedLoop) and differ only in their per-row loops.
 package core
 
 import (

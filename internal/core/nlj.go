@@ -85,71 +85,93 @@ func NLJ(ctx context.Context, left, right *mat.Matrix, threshold float32, opts O
 	if left.Cols() != right.Cols() {
 		return nil, fmt.Errorf("core: nlj dimensionality mismatch: %d vs %d", left.Cols(), right.Cols())
 	}
+	return nestedLoop(ctx, "nlj", left.Rows(), opts, func(w *loopWorker, i int) bool {
+		li := left.Row(i)
+		for j := 0; j < right.Rows(); j++ {
+			if w.cancelled() {
+				return false
+			}
+			if opts.RightFilter != nil && !opts.RightFilter.Get(j) {
+				continue
+			}
+			w.cmp++
+			if sim := vec.Dot(opts.Kernel, li, right.Row(j)); sim >= threshold {
+				w.matches = append(w.matches, Match{Left: i, Right: j, Sim: sim})
+			}
+		}
+		return true
+	})
+}
+
+// loopWorker is one nested-loop worker's state: its matches and pair
+// comparisons, its countdown to the next ctx check, and the error that
+// stopped it.
+type loopWorker struct {
+	ctx        context.Context
+	matches    []Match
+	cmp        int64
+	sinceCheck int
+	err        error
+	_          [64]byte // keeps workers' counters off each other's cache lines
+}
+
+// cancelled counts one inner-loop step and, every cancelStride steps,
+// reports whether ctx has ended.
+func (w *loopWorker) cancelled() bool {
+	if w.sinceCheck++; w.sinceCheck >= cancelStride {
+		w.sinceCheck = 0
+		return w.ctx.Err() != nil
+	}
+	return false
+}
+
+// nestedLoop is the driver the nested-loop operators run on: it splits
+// left rows [0, nl) over opts.Threads workers, polls ctx before each row,
+// and calls row for every row opts.LeftFilter keeps; row returns false
+// to stop its worker (ctx ended mid-row, or it set w.err). The result
+// holds the matches ordered by (Left, Right) and the comparisons the rows
+// counted. A cancelled ctx fails as "core: <op> cancelled", else the
+// first worker's error fails the join.
+func nestedLoop(ctx context.Context, op string, nl int, opts Options, row func(w *loopWorker, i int) bool) (*Result, error) {
 	start := time.Now()
 	threads := opts.Threads
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	nl := left.Rows()
-	if threads > nl {
-		threads = nl
-	}
-	if threads < 1 {
-		threads = 1
-	}
-
-	parts := make([][]Match, threads)
-	comparisons := make([]int64, threads)
+	threads = max(min(threads, nl), 1)
+	workers := make([]loopWorker, threads)
 	var wg sync.WaitGroup
 	wg.Add(threads)
 	chunk := (nl + threads - 1) / threads
-	for w := 0; w < threads; w++ {
-		go func(w int) {
+	for t := range workers {
+		w := &workers[t]
+		w.ctx = ctx
+		go func() {
 			defer wg.Done()
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > nl {
-				hi = nl
-			}
-			var local []Match
-			var cmp int64
-			sinceCheck := 0
-			for i := lo; i < hi; i++ {
+			for i := t * chunk; i < min((t+1)*chunk, nl); i++ {
 				if ctx.Err() != nil {
 					return
 				}
 				if opts.LeftFilter != nil && !opts.LeftFilter.Get(i) {
 					continue
 				}
-				li := left.Row(i)
-				for j := 0; j < right.Rows(); j++ {
-					if sinceCheck++; sinceCheck >= cancelStride {
-						sinceCheck = 0
-						if ctx.Err() != nil {
-							return
-						}
-					}
-					if opts.RightFilter != nil && !opts.RightFilter.Get(j) {
-						continue
-					}
-					cmp++
-					if sim := vec.Dot(opts.Kernel, li, right.Row(j)); sim >= threshold {
-						local = append(local, Match{Left: i, Right: j, Sim: sim})
-					}
+				if !row(w, i) {
+					return
 				}
 			}
-			parts[w] = local
-			comparisons[w] = cmp
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: nlj cancelled: %w", err)
+		return nil, fmt.Errorf("core: %s cancelled: %w", op, err)
 	}
-
 	res := &Result{}
-	for w := 0; w < threads; w++ {
-		res.Matches = append(res.Matches, parts[w]...)
-		res.Stats.Comparisons += comparisons[w]
+	for _, w := range workers {
+		if w.err != nil {
+			return nil, w.err
+		}
+		res.Matches = append(res.Matches, w.matches...)
+		res.Stats.Comparisons += w.cmp
 	}
 	sortMatches(res.Matches)
 	res.Stats.JoinTime = time.Since(start)

@@ -54,87 +54,69 @@ func embedChunks(ctx context.Context, m model.Model, inputs []string, opts Batch
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	if threads > n {
-		threads = n
-	}
-	chunk := opts.ChunkSize
-	if chunk <= 0 {
-		chunk = 64
+	threads = min(threads, n)
+	size := opts.ChunkSize
+	if size <= 0 {
+		size = 64
 	}
 	// The configured chunk size is an upper bound: small batches shrink it
 	// so every worker gets several chunks (load balance beats batching
 	// when there is little work to batch).
-	if per := (n + threads*4 - 1) / (threads * 4); chunk > per {
-		chunk = per
+	chunk := max(min(size, (n+threads*4-1)/(threads*4)), 1)
+	if threads == 1 {
+		var q chunkQueue
+		return q.drain(ctx, m, inputs, chunk, emit)
 	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	dim := m.Dim()
-
-	if threads <= 1 {
-		for i, s := range inputs {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("embstore: embed cancelled at row %d: %w", i, err)
-			}
-			raw, err := m.Embed(s)
-			if err != nil {
-				return fmt.Errorf("embstore: embedding row %d: %w", i, err)
-			}
-			if len(raw) != dim {
-				return fmt.Errorf("embstore: model returned dim %d, declared %d", len(raw), dim)
-			}
-			emit(i, raw)
-		}
-		return nil
-	}
-
-	var cursor atomic.Int64
-	var failed atomic.Bool
+	q := new(chunkQueue)
 	errs := make([]error, threads)
 	var wg sync.WaitGroup
 	wg.Add(threads)
-	for w := 0; w < threads; w++ {
-		go func(w int) {
+	for w := range errs {
+		go func() {
 			defer wg.Done()
-			for {
-				if failed.Load() {
-					return
-				}
-				lo := int(cursor.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					if err := ctx.Err(); err != nil {
-						errs[w] = fmt.Errorf("embstore: embed cancelled at row %d: %w", i, err)
-						failed.Store(true)
-						return
-					}
-					raw, err := m.Embed(inputs[i])
-					if err != nil {
-						errs[w] = fmt.Errorf("embstore: embedding row %d: %w", i, err)
-						failed.Store(true)
-						return
-					}
-					if len(raw) != dim {
-						errs[w] = fmt.Errorf("embstore: model returned dim %d, declared %d", len(raw), dim)
-						failed.Store(true)
-						return
-					}
-					emit(i, raw)
-				}
-			}
-		}(w)
+			errs[w] = q.drain(ctx, m, inputs, chunk, emit)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// chunkQueue hands out chunks of the inputs to embedChunks' workers and
+// carries the flag that stops them all after the first error.
+type chunkQueue struct {
+	cursor atomic.Int64
+	failed atomic.Bool
+}
+
+// drain embeds the inputs of every chunk it claims until none is left or
+// a worker has failed; the first error it meets marks the queue failed.
+func (q *chunkQueue) drain(ctx context.Context, m model.Model, inputs []string, chunk int, emit func(i int, raw []float32)) error {
+	n, dim := len(inputs), m.Dim()
+	for !q.failed.Load() {
+		lo := int(q.cursor.Add(int64(chunk))) - chunk
+		if lo >= n {
+			return nil
+		}
+		for i := lo; i < min(lo+chunk, n); i++ {
+			err := ctx.Err()
+			var raw []float32
+			if err != nil {
+				err = fmt.Errorf("embstore: embed cancelled at row %d: %w", i, err)
+			} else if raw, err = m.Embed(inputs[i]); err != nil {
+				err = fmt.Errorf("embstore: embedding row %d: %w", i, err)
+			} else if len(raw) != dim {
+				err = fmt.Errorf("embstore: model returned dim %d, declared %d", len(raw), dim)
+			}
+			if err != nil {
+				q.failed.Store(true)
+				return err
+			}
+			emit(i, raw)
 		}
 	}
 	return nil

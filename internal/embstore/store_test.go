@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -903,5 +904,43 @@ func TestEmbedAllShardSelectionMatchesKeyHash(t *testing.T) {
 	}
 	if m.Calls() != 0 {
 		t.Errorf("%d model calls for rows EmbedAll had cached", m.Calls())
+	}
+}
+
+// fixedModel returns one preallocated vector for every input.
+type fixedModel struct{ v []float32 }
+
+func (f fixedModel) Embed(string) ([]float32, error) { return f.v, nil }
+func (f fixedModel) Dim() int                        { return len(f.v) }
+func (f fixedModel) Name() string                    { return "fixed" }
+
+// TestEmbedChunksOneThread: with one thread the scheduler runs inline,
+// emits every input in order and allocates nothing itself; a cancelled
+// context fails it at the first row, as on the parallel path.
+func TestEmbedChunksOneThread(t *testing.T) {
+	var m model.Model = fixedModel{v: make([]float32, 8)}
+	inputs := words(rand.New(rand.NewSource(5)), 300)
+	ctx := context.Background()
+	next := 0
+	emit := func(i int, _ []float32) {
+		if i != next%len(inputs) {
+			t.Fatalf("emitted row %d, want %d", i, next%len(inputs))
+		}
+		next++
+	}
+	opts := BatchOptions{Threads: 1, ChunkSize: 7}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := embedChunks(ctx, m, inputs, opts, emit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("one-thread embedChunks allocates %.1f times a call, want 0", allocs)
+	}
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	err := embedChunks(cctx, m, inputs, opts, func(int, []float32) { t.Fatal("emitted after cancellation") })
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "cancelled at row 0") {
+		t.Errorf("cancelled one-thread batch: %v", err)
 	}
 }

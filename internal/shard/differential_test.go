@@ -1,8 +1,9 @@
 package shard
 
 // Twin-engine differential harness: every query shape runs through an
-// unsharded service.Engine and through Routers at several shard counts
-// under both partitioners, and the sharded results must be byte-identical
+// unsharded service.Engine and through Routers at several shard counts,
+// under hash placement and booted from a retired centroid placement's
+// directory (legacy_test.go), and the sharded results must be byte-identical
 // — same match ids (global ids equal unsharded row ids by construction),
 // same similarities, same order, same LIMIT prefix. This is the router's
 // correctness contract from the package comment, asserted end to end.
@@ -34,12 +35,32 @@ var (
 	diffSchemaR = relational.Schema{{Name: "term", Type: relational.String}, {Name: "n", Type: relational.Int64}}
 )
 
+// diffWords is the probe side's words, row by row.
+func diffWords() []string { return workload.Strings(11, diffProbeRows, nil) }
+
+// diffBatch is a batch of (word, n) rows under diffSchemaL.
+func diffBatch(t *testing.T, pairs [][2]string) *relational.Table {
+	t.Helper()
+	var ws relational.StringColumn
+	var ns relational.Int64Column
+	for _, p := range pairs {
+		n, _ := strconv.Atoi(p[1])
+		ws = append(ws, p[0])
+		ns = append(ns, int64(n))
+	}
+	tbl, err := relational.NewTable(diffSchemaL, []relational.Column{ws, ns})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
 // diffCSV renders the stream-test corpus as CSV: a 300-row probe side and
 // a strided build subset, so every shape has guaranteed matches
 // (identical strings embed identically: similarity 1).
 func diffCSV(t *testing.T) (left, right string) {
 	t.Helper()
-	words := workload.Strings(11, diffProbeRows, nil)
+	words := diffWords()
 	var lb, rb strings.Builder
 	lw, rw := csv.NewWriter(&lb), csv.NewWriter(&rb)
 	lw.Write([]string{"word", "n"})
@@ -61,17 +82,22 @@ func diffCSV(t *testing.T) (left, right string) {
 	return lb.String(), rb.String()
 }
 
+// registrar is the one step a corpus loader drives.
+type registrar interface {
+	RegisterCSV(name string, schema relational.Schema, r io.Reader, replace bool) (int, error)
+}
+
 // backend is the surface the harness drives identically on an Engine and
 // a Router.
 type backend interface {
-	RegisterCSV(name string, schema relational.Schema, r io.Reader, replace bool) (int, error)
+	registrar
 	Query(ctx context.Context, req service.QueryRequest) (*service.QueryResult, error)
 	UpsertRows(ctx context.Context, name, keyCol string, batch *relational.Table) (service.MutationResult, error)
 	DeleteRows(ctx context.Context, name, keyCol string, keys []string) (service.MutationResult, error)
 	Tables() []service.TableInfo
 }
 
-func loadCorpus(t *testing.T, b backend) {
+func loadCorpus(t *testing.T, b registrar) {
 	t.Helper()
 	l, r := diffCSV(t)
 	if _, err := b.RegisterCSV("l", diffSchemaL, strings.NewReader(l), false); err != nil {
@@ -94,7 +120,7 @@ func diffConfig(t *testing.T) service.Config {
 }
 
 // newUnsharded builds the reference engine over the corpus.
-func newUnsharded(t *testing.T, cfg service.Config, load func(*testing.T, backend)) *service.Engine {
+func newUnsharded(t *testing.T, cfg service.Config, load func(*testing.T, registrar)) *service.Engine {
 	t.Helper()
 	e, err := service.NewEngine(cfg)
 	if err != nil {
@@ -108,14 +134,18 @@ func newUnsharded(t *testing.T, cfg service.Config, load func(*testing.T, backen
 // newRouter builds a sharded router over the same corpus. Each router
 // gets its own hash-embedder instance: the embedder is deterministic, so
 // vectors — and therefore similarities — are bit-identical across
-// backends without sharing state.
-func newRouter(t *testing.T, cfg service.Config, shards int, part string, load func(*testing.T, backend)) *Router {
+// backends without sharing state. part "centroid" boots the router from a
+// directory the retired centroid placement laid out (openLegacy).
+func newRouter(t *testing.T, cfg service.Config, shards int, part string, load func(*testing.T, registrar)) *Router {
 	t.Helper()
 	m, err := model.NewHashEmbedder(32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Model = m
+	if part == "centroid" {
+		return openLegacy(t, cfg, shards, load)
+	}
 	r, err := Open(Config{Shards: shards, Partitioner: part, Engine: cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +155,8 @@ func newRouter(t *testing.T, cfg service.Config, shards int, part string, load f
 	return r
 }
 
-// grid is the differential shard-count x partitioner matrix.
+// grid is the differential shard-count x placement matrix: hash, and the
+// retired centroid placement's rows booted from its directory.
 type gridPoint struct {
 	shards int
 	part   string
@@ -138,7 +169,7 @@ func fullGrid() []gridPoint {
 	}
 }
 
-// acceptance grid: the widest fan-out under both partitioners.
+// acceptance grid: the widest fan-out under both placements.
 func wideGrid() []gridPoint {
 	return []gridPoint{{4, "hash"}, {4, "centroid"}}
 }
@@ -298,24 +329,10 @@ func TestShardEstRowsMatchEngine(t *testing.T) {
 // ever tombstone).
 func TestShardDifferentialMutations(t *testing.T) {
 	cfg := diffConfig(t)
-	words := workload.Strings(11, diffProbeRows, nil)
-	batch := func(pairs [][2]string) *relational.Table {
-		var ws relational.StringColumn
-		var ns relational.Int64Column
-		for _, p := range pairs {
-			n, _ := strconv.Atoi(p[1])
-			ws = append(ws, p[0])
-			ns = append(ns, int64(n))
-		}
-		tbl, err := relational.NewTable(diffSchemaL, []relational.Column{ws, ns})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tbl
-	}
+	words := diffWords()
 	// Replacements of existing keys plus brand-new keys, including an
 	// intra-batch duplicate (last write wins on both backends).
-	up := batch([][2]string{
+	up := diffBatch(t, [][2]string{
 		{words[0], "1000"}, {words[7], "1001"}, {"zebra-fresh", "1002"},
 		{"quark-fresh", "1003"}, {"zebra-fresh", "1004"},
 	})

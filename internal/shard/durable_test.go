@@ -37,7 +37,7 @@ func TestRouterWarmRestart(t *testing.T) {
 	ctx := context.Background()
 	sql := "SELECT * FROM l JOIN r ON SIM(l.word, r.term) >= 0.85"
 
-	r1, _ := durableRouter(t, dir, 4, "centroid")
+	r1, _ := durableRouter(t, dir, 4, "hash")
 	loadCorpus(t, r1)
 	want, err := r1.Query(ctx, service.QueryRequest{SQL: sql})
 	if err != nil {
@@ -53,7 +53,7 @@ func TestRouterWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r2, cm := durableRouter(t, dir, 4, "centroid")
+	r2, cm := durableRouter(t, dir, 4, "hash")
 	defer r2.Close()
 	cm.Reset()
 	got, err := r2.Query(ctx, service.QueryRequest{SQL: sql})

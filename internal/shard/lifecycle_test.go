@@ -264,7 +264,7 @@ func (u unreadable) Read([]byte) (int, error) {
 // before reading the CSV.
 func TestRegisterCSVWithPrecisionExactOnly(t *testing.T) {
 	cfg := diffConfig(t)
-	none := func(*testing.T, backend) {}
+	none := func(*testing.T, registrar) {}
 	type ingester interface {
 		RegisterCSVWithPrecision(name string, schema relational.Schema, r io.Reader, replace bool, prec quant.Precision) (int, error)
 		HasTable(name string) bool

@@ -1,8 +1,7 @@
 package shard
 
 // The shard manifest is the router's durable source of truth for row
-// placement: which shard owns each global row id and the frozen
-// partitioner state per table. It is written write-ahead — before the
+// placement: which shard owns each global row id. It is written write-ahead — before the
 // per-shard mutations it describes — so a crash leaves at worst a
 // manifest that promises more rows than the shards physically hold;
 // recovery trims those tails (and drops tables torn mid-ingest) instead
@@ -39,14 +38,9 @@ type tableMeta struct {
 	locs []loc
 	// next is the next global row id.
 	next int
-	// centroids is the centroid partitioner's frozen clustering (one unit
-	// vector per shard); hashFallback records its permanent hash fallback
-	// for tables that could not be fitted.
-	centroids    [][]float32
-	hashFallback bool
 }
 
-// liveAssigned counts gids currently mapped per shard (partition skew's
+// assigned counts gids currently mapped per shard (partition skew's
 // numerator; tombstoned rows still occupy their shard's arrays).
 func (tm *tableMeta) assigned() []int {
 	out := make([]int, len(tm.rowmap))
@@ -81,10 +75,8 @@ func (tm *tableMeta) rebuildLocs() {
 // tableManifest is tableMeta's serialized form (schema lives in the
 // shards' own table files; the manifest carries only routing state).
 type tableManifest struct {
-	NextGlobal   int         `json:"next_global"`
-	RowMaps      [][]int     `json:"row_maps"`
-	Centroids    [][]float32 `json:"centroids,omitempty"`
-	HashFallback bool        `json:"hash_fallback,omitempty"`
+	NextGlobal int     `json:"next_global"`
+	RowMaps    [][]int `json:"row_maps"`
 }
 
 type manifest struct {
@@ -99,14 +91,9 @@ func (r *Router) saveManifest() error {
 	if r.dataDir == "" {
 		return nil
 	}
-	m := manifest{Shards: r.nshards, Partitioner: r.part.Kind(), Tables: make(map[string]*tableManifest, len(r.tables))}
+	m := manifest{Shards: r.nshards, Partitioner: placement, Tables: make(map[string]*tableManifest, len(r.tables))}
 	for name, tm := range r.tables {
-		m.Tables[name] = &tableManifest{
-			NextGlobal:   tm.next,
-			RowMaps:      tm.rowmap,
-			Centroids:    tm.centroids,
-			HashFallback: tm.hashFallback,
-		}
+		m.Tables[name] = &tableManifest{NextGlobal: tm.next, RowMaps: tm.rowmap}
 	}
 	path := filepath.Join(r.dataDir, manifestFile)
 	err := durable.AtomicWriteFile(path, func(w io.Writer) error {

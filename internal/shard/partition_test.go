@@ -1,12 +1,12 @@
 package shard
 
 import (
-	"context"
+	"reflect"
 	"testing"
 
-	"ejoin/internal/embstore"
 	"ejoin/internal/model"
 	"ejoin/internal/relational"
+	"ejoin/internal/service"
 	"ejoin/internal/workload"
 )
 
@@ -45,14 +45,11 @@ func intTable(t *testing.T, n int) *relational.Table {
 
 func TestHashPartitionerDeterministicSpread(t *testing.T) {
 	tbl := stringTable(t, workload.Strings(3, 128, nil))
-	h := &hashPartitioner{shards: 4}
-	ctx := context.Background()
-	tm := &tableMeta{}
-	first, err := h.Owners(ctx, tm, tbl)
+	first, err := owners(tbl, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := h.Owners(ctx, tm, tbl)
+	again, err := owners(tbl, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +71,7 @@ func TestHashPartitionerDeterministicSpread(t *testing.T) {
 	// Content-addressed: the same key hashes identically in a different
 	// batch (upsert routing must agree with ingest routing).
 	sub := stringTable(t, []string{tbl.ColumnAt(0).(relational.StringColumn)[5]})
-	subOwner, err := h.Owners(ctx, tm, sub)
+	subOwner, err := owners(sub, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,122 +80,55 @@ func TestHashPartitionerDeterministicSpread(t *testing.T) {
 	}
 }
 
-func newCentroid(t *testing.T, shards int) *centroidPartitioner {
-	t.Helper()
+// TestOwnersPinned pins placement to the shards it has always chosen: a
+// durable deployment's rows stay where earlier builds put them, so any
+// change to the hash, the key rendering or the modulus is a format break.
+func TestOwnersPinned(t *testing.T) {
+	words := stringTable(t, workload.Strings(3, 24, nil))
+	ints := intTable(t, 24)
+	for _, c := range []struct {
+		shards      int
+		words, ints []int
+	}{
+		{2, []int{1, 0, 0, 0, 0, 1, 1, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 1},
+			[]int{1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0}},
+		{3, []int{0, 2, 0, 1, 1, 2, 0, 1, 1, 1, 1, 2, 0, 0, 1, 0, 1, 2, 0, 1, 1, 1, 2, 1},
+			[]int{2, 1, 1, 0, 1, 0, 0, 2, 1, 0, 1, 2, 0, 1, 0, 1, 2, 0, 2, 0, 2, 1, 1, 0}},
+		{4, []int{3, 0, 2, 2, 0, 3, 3, 1, 2, 3, 2, 1, 3, 0, 2, 3, 2, 2, 2, 0, 3, 1, 0, 1},
+			[]int{3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 0, 3, 2, 1, 0, 3, 2, 1, 0, 3, 3, 0, 1, 2}},
+	} {
+		for _, tc := range []struct {
+			tbl  *relational.Table
+			want []int
+		}{{words, c.words}, {ints, c.ints}} {
+			got, err := owners(tc.tbl, c.shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("%d shards, column %q: owners %v, want %v", c.shards, tc.tbl.Schema()[0].Name, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestOpenPartitionerNames: "" and "hash" name the one placement; any
+// other name, the retired "centroid" included, is refused.
+func TestOpenPartitionerNames(t *testing.T) {
 	m, err := model.NewHashEmbedder(32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &centroidPartitioner{
-		shards: shards,
-		model:  m,
-		store:  embstore.New(embstore.Config{MaxBytes: 64 << 20}),
-		hash:   &hashPartitioner{shards: shards},
-	}
-}
-
-func TestCentroidDeterministicAcrossInstances(t *testing.T) {
-	tbl := stringTable(t, workload.Strings(5, 200, nil))
-	ctx := context.Background()
-
-	fit := func() (*tableMeta, []int) {
-		c := newCentroid(t, 4)
-		tm := &tableMeta{}
-		if err := c.Fit(ctx, tm, tbl); err != nil {
-			t.Fatal(err)
+	for _, name := range []string{"", "hash", "centroid", "HASH"} {
+		r, err := Open(Config{Shards: 2, Partitioner: name, Engine: service.Config{Model: m}})
+		if ok := name == "" || name == "hash"; ok != (err == nil) {
+			t.Errorf("partitioner %q: error %v", name, err)
 		}
-		if tm.hashFallback {
-			t.Fatal("200-row fit fell back to hash")
-		}
-		owners, err := c.Owners(ctx, tm, tbl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tm, owners
-	}
-	tm1, own1 := fit()
-	tm2, own2 := fit()
-	if len(tm1.centroids) != 4 || len(tm2.centroids) != 4 {
-		t.Fatalf("centroid counts %d/%d, want 4", len(tm1.centroids), len(tm2.centroids))
-	}
-	for c := range tm1.centroids {
-		for d := range tm1.centroids[c] {
-			if tm1.centroids[c][d] != tm2.centroids[c][d] {
-				t.Fatalf("centroid %d dim %d differs across instances", c, d)
+		if err == nil {
+			if got := r.Stats().Partitioner; got != "hash" {
+				t.Errorf("partitioner %q: /stats says %q, want hash", name, got)
 			}
+			r.Close()
 		}
-	}
-	for i := range own1 {
-		if own1[i] != own2[i] {
-			t.Fatalf("row %d owner differs across instances: %d vs %d", i, own1[i], own2[i])
-		}
-	}
-}
-
-func TestCentroidFallbackSmallBatch(t *testing.T) {
-	c := newCentroid(t, 4)
-	tm := &tableMeta{}
-	tbl := stringTable(t, []string{"alpha", "beta"}) // rows < shards
-	ctx := context.Background()
-	if err := c.Fit(ctx, tm, tbl); err != nil {
-		t.Fatal(err)
-	}
-	if !tm.hashFallback {
-		t.Fatal("fit on a 2-row table did not set the hash fallback")
-	}
-	got, err := c.Owners(ctx, tm, tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := c.hash.Owners(ctx, tm, tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fallback owner %d: got %d, want hash's %d", i, got[i], want[i])
-		}
-	}
-}
-
-func TestCentroidFallbackNoEmbeddableColumn(t *testing.T) {
-	c := newCentroid(t, 2)
-	tm := &tableMeta{}
-	tbl := intTable(t, 32)
-	ctx := context.Background()
-	if err := c.Fit(ctx, tm, tbl); err != nil {
-		t.Fatal(err)
-	}
-	if !tm.hashFallback {
-		t.Fatal("fit on an all-integer table did not set the hash fallback")
-	}
-	if _, err := c.Owners(ctx, tm, tbl); err != nil {
-		t.Fatalf("fallback owners: %v", err)
-	}
-}
-
-// TestCentroidAffinity sanity-checks the point of the strategy: near-
-// duplicate strings should co-locate more often than unrelated ones land
-// on any particular shard.
-func TestCentroidAffinity(t *testing.T) {
-	words := workload.Strings(5, 200, nil)
-	c := newCentroid(t, 4)
-	tm := &tableMeta{}
-	ctx := context.Background()
-	if err := c.Fit(ctx, tm, stringTable(t, words)); err != nil {
-		t.Fatal(err)
-	}
-	base, err := c.Owners(ctx, tm, stringTable(t, words))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A row identical to a fitted row must land on the same shard.
-	dup := stringTable(t, []string{words[17] + "", words[42]})
-	owners, err := c.Owners(ctx, tm, dup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if owners[0] != base[17] || owners[1] != base[42] {
-		t.Errorf("identical rows routed to %v, want [%d %d]", owners, base[17], base[42])
 	}
 }

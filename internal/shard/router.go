@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ejoin/internal/cost"
-	"ejoin/internal/embstore"
 	"ejoin/internal/feedback"
 	"ejoin/internal/model"
 	"ejoin/internal/mutation"
@@ -28,7 +27,9 @@ import (
 type Config struct {
 	// Shards is the number of in-process engine shards (default 1).
 	Shards int
-	// Partitioner selects row placement: "hash" (default) or "centroid".
+	// Partitioner names the row placement: "hash" or "", the same. Rows
+	// are placed by a hash of their first column (owners); any other name
+	// is an error.
 	Partitioner string
 	// Engine configures the router's query lifecycle and, once resolved
 	// (service.Resolve), every shard engine. Its DataDir, when set, is the
@@ -48,8 +49,6 @@ type Router struct {
 	nshards int
 	shards  []*service.Engine
 	model   model.Model
-	store   *embstore.Store
-	part    Partitioner
 	dataDir string
 
 	front      *service.Frontend
@@ -95,7 +94,6 @@ func Open(cfg Config) (*Router, error) {
 	r := &Router{
 		nshards:    n,
 		model:      ecfg.Model,
-		store:      ecfg.Store,
 		dataDir:    ecfg.DataDir,
 		exec:       res.Exec,
 		opt:        res.Opt,
@@ -105,14 +103,8 @@ func Open(cfg Config) (*Router, error) {
 	}
 	r.front = service.NewFrontend(res, r.cat, r)
 
-	hash := &hashPartitioner{shards: n}
-	switch cfg.Partitioner {
-	case "", "hash":
-		r.part = hash
-	case "centroid":
-		r.part = &centroidPartitioner{shards: n, model: r.model, store: r.store, hash: hash}
-	default:
-		return nil, fmt.Errorf("shard: unknown partitioner %q (want hash or centroid)", cfg.Partitioner)
+	if cfg.Partitioner != "" && cfg.Partitioner != placement {
+		return nil, fmt.Errorf("shard: unknown partitioner %q (want %s)", cfg.Partitioner, placement)
 	}
 
 	// Boot every shard (durable shards replay their WALs here).
@@ -143,7 +135,10 @@ func Open(cfg Config) (*Router, error) {
 // recovered tables: tails the shards lost to a crash are trimmed, and a
 // table any shard is missing (torn ingest: manifest written, some shard
 // registrations lost) is dropped everywhere rather than served with
-// misassigned global ids.
+// misassigned global ids. A manifest that names the retired "centroid"
+// placement boots too: its rows stay on the shards that hold them, new
+// rows are placed by hash, and UpsertRows' migration deletes remove a
+// key's old row wherever it lives.
 func (r *Router) recover() error {
 	if r.dataDir == "" {
 		return nil
@@ -158,8 +153,8 @@ func (r *Router) recover() error {
 	if m.Shards != r.nshards {
 		return fmt.Errorf("shard: manifest has %d shards, router configured with %d", m.Shards, r.nshards)
 	}
-	if m.Partitioner != r.part.Kind() {
-		return fmt.Errorf("shard: manifest partitioner %q, router configured with %q", m.Partitioner, r.part.Kind())
+	if m.Partitioner != placement && m.Partitioner != "centroid" {
+		return fmt.Errorf("shard: manifest partitioner %q, router places rows by %s", m.Partitioner, placement)
 	}
 	changed := false
 	for name, tman := range m.Tables {
@@ -168,11 +163,7 @@ func (r *Router) recover() error {
 			r.dropEverywhere(name)
 			continue
 		}
-		tm := &tableMeta{
-			rowmap:       tman.RowMaps,
-			centroids:    tman.Centroids,
-			hashFallback: tman.HashFallback,
-		}
+		tm := &tableMeta{rowmap: tman.RowMaps}
 		for s := range tm.rowmap {
 			if tm.rowmap[s] == nil {
 				tm.rowmap[s] = []int{}
@@ -255,9 +246,6 @@ func emptySchemaTable(schema relational.Schema) *relational.Table {
 // Shards returns the shard count.
 func (r *Router) Shards() int { return r.nshards }
 
-// PartitionerKind returns the active partitioner's name.
-func (r *Router) PartitionerKind() string { return r.part.Kind() }
-
 // Close closes every shard engine.
 func (r *Router) Close() error {
 	var first error
@@ -294,8 +282,6 @@ func (r *Router) RegisterCSV(name string, schema relational.Schema, rd io.Reader
 	if err != nil {
 		return 0, err
 	}
-	ctx := context.Background()
-
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, exists := r.tables[canonical(name)]; exists && !replace {
@@ -306,15 +292,12 @@ func (r *Router) RegisterCSV(name string, schema relational.Schema, rd io.Reader
 	for s := range tm.rowmap {
 		tm.rowmap[s] = []int{}
 	}
-	if err := r.part.Fit(ctx, tm, t); err != nil {
-		return 0, fmt.Errorf("shard: fitting partitioner for %q: %w", name, err)
-	}
-	owners, err := r.part.Owners(ctx, tm, t)
+	own, err := owners(t, r.nshards)
 	if err != nil {
 		return 0, fmt.Errorf("shard: partitioning %q: %w", name, err)
 	}
 	parts := make([]relational.Selection, r.nshards)
-	for i, s := range owners {
+	for i, s := range own {
 		tm.rowmap[s] = append(tm.rowmap[s], i)
 		parts[s] = append(parts[s], i)
 	}
@@ -374,7 +357,7 @@ func (r *Router) UpsertRows(ctx context.Context, name, keyCol string, batch *rel
 		}
 		keys[i] = k
 	}
-	owners, err := r.part.Owners(ctx, tm, batch)
+	own, err := owners(batch, r.nshards)
 	if err != nil {
 		return service.MutationResult{}, fmt.Errorf("shard: partitioning upsert batch: %w", err)
 	}
@@ -382,13 +365,13 @@ func (r *Router) UpsertRows(ctx context.Context, name, keyCol string, batch *rel
 	// finalOwner is where each key lives after the batch (later rows win).
 	finalOwner := make(map[string]int, len(keys))
 	for i, k := range keys {
-		finalOwner[k] = owners[i]
+		finalOwner[k] = own[i]
 	}
 	// Global ids in batch order; per-shard sub-batches preserve it, so
 	// each shard's physical append order matches its rowmap append order.
 	parts := make([]relational.Selection, r.nshards)
 	base := tm.next
-	for i, s := range owners {
+	for i, s := range own {
 		parts[s] = append(parts[s], i)
 		tm.rowmap[s] = append(tm.rowmap[s], base+i)
 		for len(tm.locs) <= base+i {
@@ -636,7 +619,7 @@ func (r *Router) Stats() RouterStats {
 	c := &r.counters
 	st := RouterStats{
 		Shards:           r.nshards,
-		Partitioner:      r.part.Kind(),
+		Partitioner:      placement,
 		QueryStats:       r.front.QueryStats(),
 		FanoutQueries:    c.fanoutQueries.Load(),
 		FanoutPairs:      c.fanoutPairs.Load(),

@@ -5,9 +5,10 @@
 // (inverted file) both implement it, and the planner is agnostic.
 //
 // An index is built once and then only searched. No served table keeps
-// one: the index access path is reached through an index a caller attaches
-// to a plan.TableRef, or through the per-query HNSW build a forced index
-// strategy runs over the build side's embeddings.
+// one and no served plan probes one: a served plan is the tensor scan.
+// The index access path is core.IndexJoin, the Section VI-E baseline
+// that internal/bench times over an index it builds; the repo benchmark's
+// per-layer pass probes HNSW and IVF-Flat through this interface.
 package vindex
 
 import "ejoin/internal/relational"
